@@ -26,6 +26,14 @@
 //! memoized by the structural [`program_key`], so re-submissions of the
 //! same shape skip re-verification ([`VerifyStats`] counts the paths).
 //!
+//! Both memos — verdicts and quotes — are [`atgpu_sim::BoundedMemo`]s,
+//! the bounded **single-flight** cache that is also the simulator's
+//! kernel cache: each distinct key is computed exactly once, concurrent
+//! askers of the same key wait for that answer and count as memo hits,
+//! and a computation that fails (a bounced pricing simulation, say)
+//! caches nothing.  [`ServeStats`] is therefore a function of the
+//! requests made, not of how client threads interleave.
+//!
 //! ## The admission contract
 //!
 //! Every [`submit`](CostServer::submit) first passes the admission
@@ -88,7 +96,8 @@
 //! fault state, tracers) is allocated per call inside
 //! [`run_cluster_program_on`]; the only shared mutable state is each
 //! device's kernel cache, which the cache differential suite proves
-//! result-neutral.  N clients hammering one server concurrently get
+//! result-neutral (and whose counters, like the memos', are
+//! schedule-independent).  N clients hammering one server concurrently get
 //! reports bit-identical to each running alone — pinned by this
 //! crate's `serve_differential` test.
 //!
@@ -330,47 +339,42 @@ impl CostServer {
             }));
         }
         let key = query_key_from(pkey, spec, &machine);
-        if let Some(q) = self.memo.get(key) {
-            return Ok(q);
-        }
-
-        // Analytic fast path: only trusted when the analysis is exact.
-        if let Ok(a) = analyze_cluster_program(program, &machine, n as u32) {
-            if a.io_exact && a.conflict_free {
-                let scheds = stream_schedules(program, n as u32);
-                if let Ok(cost) =
-                    cluster_cost_streamed(spec, &machine, &a.per_device, &scheds, &a.peer)
-                {
-                    let q = Quote { total_ms: cost.total_ms, source: PriceSource::Analytic, key };
-                    self.memo.insert(q);
-                    return Ok(q);
+        self.memo.quote_with(key, || {
+            // Analytic fast path: only trusted when the analysis is exact.
+            if let Ok(a) = analyze_cluster_program(program, &machine, n as u32) {
+                if a.io_exact && a.conflict_free {
+                    let scheds = stream_schedules(program, n as u32);
+                    if let Ok(cost) =
+                        cluster_cost_streamed(spec, &machine, &a.per_device, &scheds, &a.peer)
+                    {
+                        let source = PriceSource::Analytic;
+                        return Ok(Quote { total_ms: cost.total_ms, source, key });
+                    }
                 }
             }
-        }
 
-        // Simulation fallback with zero-filled inputs.  The program's
-        // timing metrics are data-independent (lockstep SPMD), so zeros
-        // price the same as real data.
-        let inputs: Vec<Vec<i64>> = program
-            .host_bufs
-            .iter()
-            .filter(|b| matches!(b.role, HostBufRole::Input))
-            .map(|b| vec![0i64; b.words as usize])
-            .collect();
-        let report = match what_if {
-            // A foreign spec gets a private throwaway cluster.
-            Some(spec) => run_cluster_program(program, inputs, &machine, spec, &self.sim)?,
-            // The server's own cluster is shared: take a permit like
-            // any tenant so pricing cannot starve execution.
-            None => {
-                let demand = self.resident_demand(program);
-                let _permit = self.admission.admit(PRICING_TENANT, demand)?;
-                run_cluster_program_on(&self.cluster, program, inputs, &self.sim)?
-            }
-        };
-        let q = Quote { total_ms: report.total_ms(), source: PriceSource::Simulated, key };
-        self.memo.insert(q);
-        Ok(q)
+            // Simulation fallback with zero-filled inputs.  The program's
+            // timing metrics are data-independent (lockstep SPMD), so zeros
+            // price the same as real data.
+            let inputs: Vec<Vec<i64>> = program
+                .host_bufs
+                .iter()
+                .filter(|b| matches!(b.role, HostBufRole::Input))
+                .map(|b| vec![0i64; b.words as usize])
+                .collect();
+            let report = match what_if {
+                // A foreign spec gets a private throwaway cluster.
+                Some(spec) => run_cluster_program(program, inputs, &machine, spec, &self.sim)?,
+                // The server's own cluster is shared: take a permit like
+                // any tenant so pricing cannot starve execution.
+                None => {
+                    let demand = self.resident_demand(program);
+                    let _permit = self.admission.admit(PRICING_TENANT, demand)?;
+                    run_cluster_program_on(&self.cluster, program, inputs, &self.sim)?
+                }
+            };
+            Ok(Quote { total_ms: report.total_ms(), source: PriceSource::Simulated, key })
+        })
     }
 
     /// Combined soundness-gate + admission + pricing counters.

@@ -13,10 +13,9 @@
 
 use atgpu_ir::{HostStep, Program};
 use atgpu_model::{AtgpuMachine, ClusterSpec};
-use std::collections::HashMap;
-use std::collections::VecDeque;
+use atgpu_sim::BoundedMemo;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
 
 /// How a price was produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,17 +165,16 @@ pub fn query_key_from(pkey: u64, spec: &ClusterSpec, machine: &AtgpuMachine) -> 
 
 /// A bounded, thread-safe memo of priced queries.
 ///
-/// Same design as the simulator's `KernelCache`: reads take a shared
-/// lock only; insertion appends to a FIFO eviction order under a
-/// separate mutex, so the memo never outgrows its capacity.  Counters
-/// are atomics — [`stats`](Self::stats) is a consistent-enough snapshot
-/// for monitoring, not a transaction.
+/// A [`BoundedMemo`] — the bounded single-flight cache also under the
+/// verdict memo and the simulator's kernel cache: a distinct query is
+/// priced exactly once ([`quote_with`](Self::quote_with)), concurrent
+/// askers of the same question wait for that price and count as memo
+/// hits, and a pricing that fails caches nothing.
+/// [`stats`](Self::stats) is a consistent-enough snapshot for
+/// monitoring, not a transaction.
 #[derive(Debug)]
 pub struct PriceMemo {
-    map: RwLock<HashMap<u64, Quote>>,
-    order: Mutex<VecDeque<u64>>,
-    capacity: usize,
-    memo_hits: AtomicU64,
+    memo: BoundedMemo<u64, Quote>,
     analytic: AtomicU64,
     simulated: AtomicU64,
 }
@@ -185,51 +183,51 @@ impl PriceMemo {
     /// A memo bounded at `capacity` quotes (at least 1).
     pub fn new(capacity: usize) -> Self {
         Self {
-            map: RwLock::new(HashMap::new()),
-            order: Mutex::new(VecDeque::new()),
-            capacity: capacity.max(1),
-            memo_hits: AtomicU64::new(0),
+            memo: BoundedMemo::new(capacity.max(1)),
             analytic: AtomicU64::new(0),
             simulated: AtomicU64::new(0),
         }
     }
 
+    /// The quote for `key`: from the memo (re-labelled
+    /// [`PriceSource::Memo`]) when this question was priced before,
+    /// otherwise from `price`, whose answer is memoized and counted
+    /// under its source.
+    pub fn quote_with<E>(
+        &self,
+        key: u64,
+        price: impl FnOnce() -> Result<Quote, E>,
+    ) -> Result<Quote, E> {
+        let (quote, hit) = self.memo.get_or_try_compute(key, || {
+            let quote = price()?;
+            match quote.source {
+                PriceSource::Analytic => self.analytic.fetch_add(1, Ordering::Relaxed),
+                PriceSource::Simulated => self.simulated.fetch_add(1, Ordering::Relaxed),
+                PriceSource::Memo => 0, // memo hits are never re-priced
+            };
+            Ok(quote)
+        })?;
+        Ok(if hit { Quote { source: PriceSource::Memo, ..quote } } else { quote })
+    }
+
     /// Looks up a quote; a hit is re-labelled [`PriceSource::Memo`].
     pub fn get(&self, key: u64) -> Option<Quote> {
-        let hit = self.map.read().expect("memo lock").get(&key).copied();
-        hit.map(|q| {
-            self.memo_hits.fetch_add(1, Ordering::Relaxed);
-            Quote { source: PriceSource::Memo, ..q }
-        })
+        self.memo.get(&key).map(|q| Quote { source: PriceSource::Memo, ..q })
     }
 
     /// Records a freshly computed quote, evicting the oldest entry when
     /// the memo is full, and bumps the source counter.
     pub fn insert(&self, quote: Quote) {
-        match quote.source {
-            PriceSource::Analytic => self.analytic.fetch_add(1, Ordering::Relaxed),
-            PriceSource::Simulated => self.simulated.fetch_add(1, Ordering::Relaxed),
-            PriceSource::Memo => 0, // memo hits are never re-inserted
-        };
-        let mut map = self.map.write().expect("memo lock");
-        let mut order = self.order.lock().expect("memo order lock");
-        if map.insert(quote.key, quote).is_none() {
-            order.push_back(quote.key);
-            while order.len() > self.capacity {
-                if let Some(old) = order.pop_front() {
-                    map.remove(&old);
-                }
-            }
-        }
+        let _ = self.quote_with(quote.key, || Ok::<_, Infallible>(quote));
     }
 
     /// Counter + occupancy snapshot.
     pub fn stats(&self) -> PriceStats {
         PriceStats {
-            memo_hits: self.memo_hits.load(Ordering::Relaxed),
+            memo_hits: self.memo.hits(),
             analytic: self.analytic.load(Ordering::Relaxed),
             simulated: self.simulated.load(Ordering::Relaxed),
-            entries: self.map.read().expect("memo lock").len(),
+            entries: self.memo.len(),
         }
     }
 }

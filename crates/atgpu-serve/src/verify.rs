@@ -10,14 +10,15 @@
 //! — names excluded, same rule as the price memo — so a tenant
 //! re-submitting the same shape pays for verification once.
 //!
-//! The cache mirrors [`PriceMemo`](crate::price::PriceMemo): shared
-//! read lock on the hot path, FIFO eviction under a separate mutex,
-//! relaxed atomic counters.
+//! The memo is a [`BoundedMemo`] — the same bounded single-flight cache
+//! under the price memo and the simulator's kernel cache: each distinct
+//! program shape is verified exactly once, and concurrent submissions
+//! of one shape wait for that verdict and count as memo hits, so the
+//! counters do not depend on how client threads interleave.
 
+use atgpu_sim::BoundedMemo;
 use atgpu_verify::Unsoundness;
-use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
 
 /// Soundness-gate counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -37,25 +38,14 @@ pub struct VerifyStats {
 /// carries the proven defect.
 #[derive(Debug)]
 pub struct VerifyMemo {
-    map: RwLock<HashMap<u64, Option<Unsoundness>>>,
-    order: Mutex<VecDeque<u64>>,
-    capacity: usize,
-    checked: AtomicU64,
-    memo_hits: AtomicU64,
+    memo: BoundedMemo<u64, Option<Unsoundness>>,
     rejected: AtomicU64,
 }
 
 impl VerifyMemo {
     /// A memo bounded at `capacity` verdicts (at least 1).
     pub fn new(capacity: usize) -> Self {
-        Self {
-            map: RwLock::new(HashMap::new()),
-            order: Mutex::new(VecDeque::new()),
-            capacity: capacity.max(1),
-            checked: AtomicU64::new(0),
-            memo_hits: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-        }
+        Self { memo: BoundedMemo::new(capacity.max(1)), rejected: AtomicU64::new(0) }
     }
 
     /// Gates one program: answers from the memo when its structural key
@@ -66,28 +56,7 @@ impl VerifyMemo {
         key: u64,
         compute: impl FnOnce() -> Option<Unsoundness>,
     ) -> Option<Unsoundness> {
-        self.checked.fetch_add(1, Ordering::Relaxed);
-        let hit = self.map.read().expect("verify memo lock").get(&key).cloned();
-        let verdict = match hit {
-            Some(v) => {
-                self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                v
-            }
-            None => {
-                let v = compute();
-                let mut map = self.map.write().expect("verify memo lock");
-                let mut order = self.order.lock().expect("verify memo order lock");
-                if map.insert(key, v.clone()).is_none() {
-                    order.push_back(key);
-                    while order.len() > self.capacity {
-                        if let Some(old) = order.pop_front() {
-                            map.remove(&old);
-                        }
-                    }
-                }
-                v
-            }
-        };
+        let (verdict, _) = self.memo.get_or_compute(key, compute);
         if verdict.is_some() {
             self.rejected.fetch_add(1, Ordering::Relaxed);
         }
@@ -96,11 +65,12 @@ impl VerifyMemo {
 
     /// Counter + occupancy snapshot.
     pub fn stats(&self) -> VerifyStats {
+        let memo_hits = self.memo.hits();
         VerifyStats {
-            checked: self.checked.load(Ordering::Relaxed),
-            memo_hits: self.memo_hits.load(Ordering::Relaxed),
+            checked: memo_hits + self.memo.misses(),
+            memo_hits,
             rejected: self.rejected.load(Ordering::Relaxed),
-            entries: self.map.read().expect("verify memo lock").len(),
+            entries: self.memo.len(),
         }
     }
 }

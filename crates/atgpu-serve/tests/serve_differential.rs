@@ -231,6 +231,100 @@ fn sound_submissions_count_verify_checks() {
     assert_eq!(stats.admission.admitted_total, 3);
 }
 
+/// The serve counters are a function of the request multiset, not of
+/// the schedule: two clients released together on the same requests —
+/// so the same program shape reaches the verdict memo, the quote memo
+/// and a device's kernel cache from two threads at once — leave exactly
+/// the verify and price counters one client leaves making all the
+/// requests alone.  (Each memo is single-flight: one compute per
+/// distinct key, everyone else a hit.)
+#[test]
+fn two_clients_leave_the_single_client_counters() {
+    let machine = machine();
+    let devices = 2;
+    let mut mix = program_mix(&machine, devices as u32);
+    mix.push(Stencil::new(64 * machine.b, 11).build_sharded(&machine, 2, 3).expect("stencil"));
+    let (racy, racy_inputs) = racy_program("racy");
+
+    // One client's share: every program priced and submitted, and the
+    // racy one refused both ways.
+    let share = |server: &CostServer, tenant: &str| {
+        for built in &mix {
+            server.price(&built.program).expect("quote");
+            server.submit(tenant, &built.program, built.inputs.clone()).expect("submission");
+        }
+        assert!(server.price(&racy).is_err());
+        assert!(server.submit(tenant, &racy, racy_inputs.clone()).is_err());
+    };
+
+    let solo = CostServer::new(machine, spec(devices), ServerConfig::default()).expect("server");
+    share(&solo, "alpha");
+    share(&solo, "beta");
+    let want = solo.stats();
+    assert!(want.verify.memo_hits > 0 && want.price.memo_hits > 0);
+
+    for _ in 0..20 {
+        let server =
+            CostServer::new(machine, spec(devices), ServerConfig::default()).expect("server");
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for tenant in ["alpha", "beta"] {
+                let (server, barrier, share) = (&server, &barrier, &share);
+                scope.spawn(move || {
+                    barrier.wait();
+                    share(server, tenant);
+                });
+            }
+        });
+        let got = server.stats();
+        assert_eq!(got.verify, want.verify);
+        assert_eq!(got.price, want.price);
+        assert_eq!(got.admission.admitted_total, want.admission.admitted_total);
+    }
+}
+
+/// A hand-built program with an out-of-range transfer (the verifier
+/// proves kernels, not host offsets) is a typed error from `submit`,
+/// never a panic inside the shared server.
+#[test]
+fn out_of_range_transfer_through_submit_is_a_typed_error() {
+    use atgpu_ir::HostStep;
+    use atgpu_serve::ServeError;
+    use atgpu_sim::SimError;
+    let machine = machine();
+    let server = CostServer::new(machine, spec(2), ServerConfig::default()).expect("server");
+    let built = VecAdd::new(32 * 8, 5).build_sharded(&machine, 2).expect("builds");
+
+    type Mutation = fn(&mut HostStep);
+    let mutations: [Mutation; 3] = [
+        |s| {
+            if let HostStep::TransferIn { host_off, .. } = s {
+                *host_off += 1 << 30;
+            }
+        },
+        |s| {
+            if let HostStep::TransferIn { dev, .. } = s {
+                dev.0 += 99;
+            }
+        },
+        |s| {
+            if let HostStep::TransferOut { dev_off, .. } = s {
+                *dev_off += 1 << 30;
+            }
+        },
+    ];
+    for mutate in mutations {
+        let mut program = built.program.clone();
+        program.rounds.iter_mut().flat_map(|r| r.steps.iter_mut()).for_each(mutate);
+        let r = server.submit("mallory", &program, built.inputs.clone());
+        assert!(
+            matches!(r, Err(ServeError::Sim(SimError::HostDataMismatch { .. }))),
+            "expected a typed transfer error, got {r:?}"
+        );
+    }
+    assert_eq!(server.stats().admission.running, 0, "the failed runs released their permits");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 

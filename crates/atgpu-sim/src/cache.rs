@@ -43,17 +43,23 @@
 //! when off, every launch compiles fresh and records nothing — the
 //! pre-cache behaviour, retained for differential testing.
 //!
+//! ## Concurrency
+//!
 //! Each [`crate::Device`] owns its own cache, so threaded cluster
-//! dispatch never contends across devices; within a device, lookups take
-//! a read lock only and the compile happens outside any lock.
+//! dispatch never contends across devices.  Within a device the cache is
+//! a [`BoundedMemo`]: a hit takes the map's read lock only, and a miss
+//! is **single-flight** — the entry's cell is inserted under the map
+//! lock, one caller compiles (outside the map lock, so other keys never
+//! wait), and concurrent launches of the same kernel wait for that
+//! compile and count as hits.  The counters are therefore a function of
+//! the launches made, never of how shard threads interleave.
 
+use crate::memo::BoundedMemo;
 use crate::uop::CompiledKernel;
 use crate::warp::StepEvent;
 use atgpu_ir::Kernel;
-use std::collections::HashMap;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Default per-device entry bound (see
 /// [`SimConfig::cache_capacity`](crate::SimConfig::cache_capacity)).
@@ -134,28 +140,15 @@ impl CacheStats {
 /// The per-device keyed kernel cache.
 #[derive(Debug)]
 pub struct KernelCache {
-    map: RwLock<HashMap<CacheKey, Arc<CacheEntry>>>,
-    /// Insertion order for FIFO eviction, guarded separately so the hit
-    /// path never takes a write lock.
-    order: Mutex<VecDeque<CacheKey>>,
-    capacity: AtomicUsize,
+    memo: BoundedMemo<CacheKey, Arc<CacheEntry>>,
     enabled: AtomicBool,
-    hits: AtomicU64,
-    misses: AtomicU64,
 }
 
 impl KernelCache {
     /// An enabled cache bounded to `capacity` entries (a capacity of 0
     /// disables storage entirely, like the kill-switch).
     pub fn new(capacity: usize) -> Self {
-        Self {
-            map: RwLock::new(HashMap::new()),
-            order: Mutex::new(VecDeque::new()),
-            capacity: AtomicUsize::new(capacity),
-            enabled: AtomicBool::new(true),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+        Self { memo: BoundedMemo::new(capacity), enabled: AtomicBool::new(true) }
     }
 
     /// Turns the cache on or off (the
@@ -169,17 +162,7 @@ impl KernelCache {
     /// Re-bounds the cache, evicting oldest-first if the new capacity is
     /// below the resident count.
     pub fn set_capacity(&self, capacity: usize) {
-        self.capacity.store(capacity, Ordering::Relaxed);
-        let mut map = self.map.write().expect("cache lock poisoned");
-        let mut order = self.order.lock().expect("cache order lock poisoned");
-        while map.len() > capacity {
-            match order.pop_front() {
-                Some(old) => {
-                    map.remove(&old);
-                }
-                None => break,
-            }
-        }
+        self.memo.set_capacity(capacity);
     }
 
     /// Whether lookups are live.
@@ -190,17 +173,12 @@ impl KernelCache {
     /// Drops every entry (counters are kept — they describe lookups, not
     /// contents).
     pub fn clear(&self) {
-        self.map.write().expect("cache lock poisoned").clear();
-        self.order.lock().expect("cache order lock poisoned").clear();
+        self.memo.clear();
     }
 
     /// Snapshot of the counters.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.map.read().expect("cache lock poisoned").len(),
-        }
+        CacheStats { hits: self.memo.hits(), misses: self.memo.misses(), entries: self.memo.len() }
     }
 
     /// Looks up (or compiles and inserts) the compilation of `kernel`
@@ -215,37 +193,12 @@ impl KernelCache {
         b: u32,
         nregs: u32,
     ) -> Arc<CacheEntry> {
-        let capacity = self.capacity.load(Ordering::Relaxed);
-        if !self.enabled() || capacity == 0 {
-            return CacheEntry::new(CompiledKernel::compile(kernel, bases, b, nregs));
+        let compile = || CacheEntry::new(CompiledKernel::compile(kernel, bases, b, nregs));
+        if !self.enabled() || self.memo.capacity() == 0 {
+            return compile();
         }
         let key = CacheKey { kernel: kernel.cache_key(), bases: bases.into(), b, nregs };
-        if let Some(entry) = self.map.read().expect("cache lock poisoned").get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(entry);
-        }
-        // Compile outside any lock: misses on different keys proceed in
-        // parallel and never block a concurrent hit.
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let fresh = CacheEntry::new(CompiledKernel::compile(kernel, bases, b, nregs));
-        let mut map = self.map.write().expect("cache lock poisoned");
-        if let Some(entry) = map.get(&key) {
-            // A concurrent miss on the same key won the race; share its
-            // entry so the recorded trace converges on one slot.
-            return Arc::clone(entry);
-        }
-        let mut order = self.order.lock().expect("cache order lock poisoned");
-        while map.len() >= capacity {
-            match order.pop_front() {
-                Some(old) => {
-                    map.remove(&old);
-                }
-                None => break,
-            }
-        }
-        order.push_back(key.clone());
-        map.insert(key, Arc::clone(&fresh));
-        fresh
+        self.memo.get_or_compute(key, compile).0
     }
 }
 

@@ -34,15 +34,13 @@
 use crate::device::{apply_write_log, check_log_races, Device, DeviceStats, KernelStats};
 use crate::driver::HostData;
 use crate::error::SimError;
-use crate::fault::{FaultRuntime, LinkEdge};
 use crate::gmem::GlobalMemory;
-use crate::trace::{SpanKind, Tracer};
+use crate::links::{check_program, run_rounds, Ledger, Links};
 use crate::warp::WriteRec;
 use crate::xfer::TransferEngine;
 use crate::{EngineSel, ExecMode, SimConfig};
-use atgpu_ir::{HostStep, Kernel, Program, Shard};
-use atgpu_model::{plan, AtgpuMachine, ClusterSpec, ShardProfile, StreamResource, StreamTimeline};
-use std::collections::HashMap;
+use atgpu_ir::{Kernel, Program, Shard};
+use atgpu_model::{plan, AtgpuMachine, ClusterSpec, ShardProfile};
 
 /// A simulated multi-GPU system.
 ///
@@ -519,78 +517,6 @@ fn link_seed(seed: u64, idx: u64) -> u64 {
     seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(idx.wrapping_add(1))
 }
 
-/// Disjoint `(&src, &mut dst)` borrows of two cluster memories.
-fn two_mems(
-    gmems: &mut [GlobalMemory],
-    src: usize,
-    dst: usize,
-) -> (&GlobalMemory, &mut GlobalMemory) {
-    debug_assert_ne!(src, dst);
-    if src < dst {
-        let (a, b) = gmems.split_at_mut(dst);
-        (&a[src], &mut b[0])
-    } else {
-        let (a, b) = gmems.split_at_mut(src);
-        (&b[0], &mut a[dst])
-    }
-}
-
-/// Per-run fault bookkeeping for the cluster driver: liveness, the
-/// per-device mutation journals that double as host-side checkpoints,
-/// and the recovery counters.  Only constructed when the fault plan is
-/// non-empty — a faultless run never journals and never branches here.
-struct FaultState {
-    rt: FaultRuntime,
-    /// Liveness per device (deaths are permanent).
-    alive: Vec<bool>,
-    /// Per-device journals of every global-memory mutation since the run
-    /// started: `(seq, word address, value)`, with `seq` drawn from one
-    /// cluster-global counter so "latest write" is well-defined across
-    /// devices.  The journal is the checkpoint a dead device is
-    /// recovered from — completed rounds are never re-executed.
-    journals: Vec<Vec<(u64, u64, i64)>>,
-    /// The cluster-global mutation sequence counter.
-    seq: u64,
-    /// Recoveries absorbed per device (one per death it survived).
-    recoveries: Vec<u64>,
-}
-
-impl FaultState {
-    fn new(rt: FaultRuntime, n: usize) -> Self {
-        Self {
-            rt,
-            alive: vec![true; n],
-            journals: vec![Vec::new(); n],
-            seq: 0,
-            recoveries: vec![0; n],
-        }
-    }
-
-    /// Journals one word written on device `d`.
-    fn journal_word(&mut self, d: usize, addr: u64, val: i64) {
-        self.seq += 1;
-        self.journals[d].push((self.seq, addr, val));
-    }
-
-    /// Journals a contiguous write of `vals` at `addr` on device `d`.
-    fn journal_words(&mut self, d: usize, addr: u64, vals: &[i64]) {
-        for (i, &v) in vals.iter().enumerate() {
-            self.journal_word(d, addr + i as u64, v);
-        }
-    }
-
-    /// The lowest-index survivor — the device redirected outputs and
-    /// orphaned peer sources are served from.
-    fn heir(&self) -> usize {
-        self.alive.iter().position(|&a| a).unwrap_or(0)
-    }
-
-    /// The surviving devices, in index order.
-    fn survivors(&self) -> Vec<usize> {
-        (0..self.alive.len()).filter(|&i| self.alive[i]).collect()
-    }
-}
-
 /// The sub-cluster of surviving devices, plus the mapping from
 /// sub-cluster index back to real device index — what the cost-driven
 /// planner re-apportions a dead device's shards over.
@@ -608,94 +534,6 @@ fn surviving_subspec(spec: &ClusterSpec, alive: &[bool]) -> (ClusterSpec, Vec<us
     (sub, idx)
 }
 
-/// Handles every death scheduled at the start of `round`: marks the
-/// device dead, errors if nobody survives, and replays its journal onto
-/// each survivor — last-write-wins on the global sequence number, so a
-/// survivor keeps its own later writes and gains exactly the words where
-/// the dead device held the latest value.  Every survivor's memory is
-/// restored and its [`DeviceStats::recoveries`] counter bumped, but the
-/// one-time replay *transfer* is priced as a single inward transaction
-/// (`α + β·words`) on the **heir's** host link alone — the replay lands
-/// in exactly one device's round columns, never double-charged across
-/// survivors.
-fn process_deaths(
-    fs: &mut FaultState,
-    round: usize,
-    gmems: &mut [GlobalMemory],
-    host_xfer: &mut [TransferEngine],
-    devs: &mut [DeviceRoundObservation],
-    timelines: &mut [StreamTimeline],
-    tracer: &mut Option<Tracer>,
-) -> Result<(), SimError> {
-    let n = fs.alive.len();
-    for d in 0..n {
-        if !fs.alive[d] || fs.rt.down_at(d as u32) != Some(round) {
-            continue;
-        }
-        fs.alive[d] = false;
-        if !fs.alive.iter().any(|&a| a) {
-            return Err(SimError::DeviceLost { device: d as u32, round });
-        }
-        let dead_journal = std::mem::take(&mut fs.journals[d]);
-        // addr → (latest seq, value) over the dead device's mutations.
-        let mut dead_last: HashMap<u64, (u64, i64)> = HashMap::new();
-        for &(seq, addr, val) in &dead_journal {
-            let e = dead_last.entry(addr).or_insert((seq, val));
-            if seq > e.0 {
-                *e = (seq, val);
-            }
-        }
-        for s in 0..n {
-            if !fs.alive[s] {
-                continue;
-            }
-            let mut own_last: HashMap<u64, u64> = HashMap::new();
-            for &(seq, addr, _) in &fs.journals[s] {
-                let e = own_last.entry(addr).or_insert(seq);
-                if seq > *e {
-                    *e = seq;
-                }
-            }
-            // Restore exactly the words where the dead device held the
-            // globally latest value.  Distinct addresses commute, so the
-            // map's iteration order cannot matter.
-            let mut applied = 0u64;
-            let heap = gmems[s].words_mut();
-            for (&addr, &(dseq, val)) in &dead_last {
-                if own_last.get(&addr).is_none_or(|&os| dseq > os) {
-                    heap[addr as usize] = val;
-                    applied += 1;
-                }
-            }
-            if s == fs.heir() {
-                let t = host_xfer[s].replay_in(applied);
-                devs[s].xfer_in_ms += t;
-                let (t0, t1) = timelines[s].advance_spanned(0, StreamResource::HostToDevice, t);
-                if let Some(tr) = tracer.as_mut() {
-                    let pred = host_xfer[s].link().cost_ms(1, applied);
-                    tr.record(
-                        round,
-                        s as u32,
-                        StreamResource::HostToDevice,
-                        0,
-                        SpanKind::Replay,
-                        applied,
-                        pred,
-                        t0,
-                        t1,
-                    );
-                }
-            }
-            fs.recoveries[s] += 1;
-            // The survivor now answers for those words; fold the dead
-            // journal in so a later death of *this* device replays them
-            // too (redundant entries are harmless under max-seq merge).
-            fs.journals[s].extend_from_slice(&dead_journal);
-        }
-    }
-    Ok(())
-}
-
 /// Runs one (possibly sharded) launch on the cluster: each shard
 /// executes against its own device's replica and logs its writes; races
 /// are checked across the whole launch, then every device merges its own
@@ -708,39 +546,29 @@ fn process_deaths(
 /// and timing are bit-identical to sequential dispatch: shard outcomes
 /// are folded in shard-plan order and the logs merge through the shared
 /// block-order [`apply_write_log`].
-#[allow(clippy::too_many_arguments)]
 fn run_sharded_launch(
     cluster: &Cluster,
-    cluster_spec: &ClusterSpec,
-    machine: &AtgpuMachine,
     config: &SimConfig,
     engine: EngineSel,
     kernel: &Kernel,
     shards: &[Shard],
-    round: usize,
     gmems: &mut [GlobalMemory],
-    devs: &mut [DeviceRoundObservation],
-    timelines: &mut [StreamTimeline],
-    fault: &mut Option<FaultState>,
-    tracer: &mut Option<Tracer>,
+    ledger: &mut Ledger,
 ) -> Result<(), SimError> {
-    // Under an active fault plan, a dead device's shards are
-    // re-apportioned over the survivors through the cost-driven planner;
-    // the takeover shards' writes are applied to *every* alive device so
-    // redirected outputs (and later recoveries) can be served from any
-    // survivor.  Block indices stay globally unique, so the block-order
-    // merge keeps the result bit-identical to the fault-free plan.
+    // A dead device's shards are re-apportioned over the survivors
+    // through the cost-driven planner; the takeover shards' writes are
+    // applied to *every* alive device so redirected outputs (and later
+    // recoveries) can be served from any survivor.  Block indices stay
+    // globally unique, so the block-order merge keeps the result
+    // bit-identical to the fault-free plan.
     let mut plan: Vec<Shard> = Vec::with_capacity(shards.len());
     let mut is_recovery: Vec<bool> = Vec::with_capacity(shards.len());
-    if let Some(f) = fault.as_ref() {
-        for sh in shards {
-            if f.alive[sh.device as usize] {
-                plan.push(*sh);
-                is_recovery.push(false);
-            } else {
-                let (sub, idx) = surviving_subspec(cluster_spec, &f.alive);
-                let profile = ShardProfile::streaming(machine.b);
-                for rs in planned_shards(sh.blocks(), &sub, machine, &profile) {
+    for sh in shards {
+        match ledger.liveness() {
+            Some(alive) if !alive[sh.device as usize] => {
+                let (sub, idx) = surviving_subspec(&cluster.spec, alive);
+                let profile = ShardProfile::streaming(cluster.machine.b);
+                for rs in planned_shards(sh.blocks(), &sub, &cluster.machine, &profile) {
                     plan.push(Shard {
                         device: idx[rs.device as usize] as u32,
                         start: sh.start + rs.start,
@@ -749,10 +577,11 @@ fn run_sharded_launch(
                     is_recovery.push(true);
                 }
             }
+            _ => {
+                plan.push(*sh);
+                is_recovery.push(false);
+            }
         }
-    } else {
-        plan.extend_from_slice(shards);
-        is_recovery.resize(shards.len(), false);
     }
     let shards: &[Shard] = &plan;
 
@@ -829,28 +658,7 @@ fn run_sharded_launch(
         }
     }
     for (shard, stats) in shards.iter().zip(stats_in_order) {
-        let d = shard.device as usize;
-        let slow = fault.as_ref().map_or(1.0, |f| f.rt.clock_factor(shard.device));
-        let ms = stats.cycles as f64 / cluster_spec.devices[d].clock_cycles_per_ms * slow;
-        let obs = &mut devs[d];
-        obs.kernel_ms += ms;
-        obs.kernel_stats.merge_serial(&stats);
-        // Shards on one device run back to back on its compute stream.
-        let (t0, t1) = timelines[d].advance_spanned(0, StreamResource::Compute, ms);
-        if let Some(tr) = tracer.as_mut() {
-            let blocks = shard.end - shard.start;
-            tr.record(
-                round,
-                shard.device,
-                StreamResource::Compute,
-                0,
-                SpanKind::Kernel,
-                blocks,
-                -1.0,
-                t0,
-                t1,
-            );
-        }
+        ledger.kernel_done(shard.device as usize, shard.blocks(), &stats);
     }
     if config.detect_races {
         let merged: Vec<WriteRec> = logs
@@ -860,33 +668,14 @@ fn run_sharded_launch(
             .collect();
         check_log_races(kernel, &merged)?;
     }
-    match fault.as_mut() {
-        None => {
-            for (d, log) in logs.into_iter().enumerate() {
-                if !log.is_empty() {
-                    apply_write_log(kernel, &mut gmems[d], log, false)?;
-                }
-            }
+    for (d, mut log) in logs.into_iter().enumerate() {
+        if !ledger.alive(d) {
+            continue;
         }
-        Some(f) => {
-            for (d, mut log) in logs.into_iter().enumerate() {
-                if !f.alive[d] {
-                    continue;
-                }
-                log.extend(recovery_log.iter().copied());
-                if log.is_empty() {
-                    continue;
-                }
-                // Journal the applied writes in block order — sorting
-                // here is the same stable sort `apply_write_log` runs,
-                // so the journal's last-write map matches the device's
-                // final memory word for word.
-                log.sort_by_key(|w| w.block);
-                for w in &log {
-                    f.journal_word(d, w.addr, w.val);
-                }
-                apply_write_log(kernel, &mut gmems[d], log, false)?;
-            }
+        log.extend(recovery_log.iter().copied());
+        if !log.is_empty() {
+            ledger.journal_writes(d, &mut log);
+            apply_write_log(kernel, &mut gmems[d], log, false)?;
         }
     }
     Ok(())
@@ -934,14 +723,10 @@ pub fn run_cluster_program_on(
     inputs: Vec<Vec<i64>>,
     config: &SimConfig,
 ) -> Result<ClusterSimReport, SimError> {
-    crate::driver::check_program_streams(program)?;
-    let machine = &cluster.machine;
-    let cluster_spec = &cluster.spec;
     let n = cluster.n_devices();
-    let needed = program.max_device() as usize + 1;
-    if needed > n {
-        return Err(SimError::NoSuchDevice { device: program.max_device(), devices: n });
-    }
+    check_program(program, n)?;
+    let machine = &cluster.machine;
+    let spec = &cluster.spec;
 
     let (bases, total_words) = program.buffer_layout(machine.b);
     let mut gmems = (0..n)
@@ -949,434 +734,38 @@ pub fn run_cluster_program_on(
         .collect::<Result<Vec<_>, _>>()?;
     let mut host = HostData::new(program, inputs)?;
 
-    let mut host_xfer: Vec<TransferEngine> = cluster_spec
-        .host_links
-        .iter()
-        .enumerate()
-        .map(|(i, l)| TransferEngine::with_link(l, config.noise, link_seed(config.seed, i as u64)))
-        .collect();
-    let mut peer_xfer: Vec<Vec<TransferEngine>> = cluster_spec
+    let link = |l, idx: usize| {
+        TransferEngine::with_link(l, config.noise, link_seed(config.seed, idx as u64))
+    };
+    let host_xfer = spec.host_links.iter().enumerate().map(|(i, l)| link(l, i)).collect();
+    let peer_xfer = spec
         .peer_links
         .iter()
         .enumerate()
-        .map(|(s, row)| {
-            row.iter()
-                .enumerate()
-                .map(|(d, l)| {
-                    let idx = (n + s * n + d) as u64;
-                    TransferEngine::with_link(l, config.noise, link_seed(config.seed, idx))
-                })
-                .collect()
-        })
+        .map(|(s, row)| row.iter().enumerate().map(|(d, l)| link(l, n + s * n + d)).collect())
         .collect();
-
+    let clocks = spec.devices.iter().map(|d| d.clock_cycles_per_ms).collect();
+    let mut links = Links::new(host_xfer, peer_xfer, clocks, spec.sync_ms, config);
     let engine = if config.use_reference { EngineSel::Reference } else { EngineSel::MicroOp };
-    let mut fs = FaultRuntime::new(&config.fault).map(|rt| FaultState::new(rt, n));
-    let mut tracer = if config.trace { Some(Tracer::new(config.trace_capacity)) } else { None };
-    let mut rounds = Vec::with_capacity(program.rounds.len());
-    for (round_idx, round) in program.rounds.iter().enumerate() {
-        let mut devs = vec![DeviceRoundObservation::default(); n];
-        let mut timelines = vec![StreamTimeline::new(); n];
-        if let Some(f) = fs.as_mut() {
-            process_deaths(
-                f,
-                round_idx,
-                &mut gmems,
-                &mut host_xfer,
-                &mut devs,
-                &mut timelines,
-                &mut tracer,
-            )?;
-        }
-        for step in &round.steps {
-            match step {
-                HostStep::TransferIn { host: h, host_off, dev, dev_off, words, device, stream } => {
-                    let d = *device as usize;
-                    let src =
-                        &host.bufs[h.0 as usize][*host_off as usize..(*host_off + *words) as usize];
-                    match fs.as_mut() {
-                        None => {
-                            let dst = gmems[d].base(dev.0) + dev_off;
-                            let t = host_xfer[d].to_device(&mut gmems[d], dst, src);
-                            devs[d].xfer_in_ms += t;
-                            let (t0, t1) = timelines[d].advance_spanned(
-                                *stream,
-                                StreamResource::HostToDevice,
-                                t,
-                            );
-                            if let Some(tr) = tracer.as_mut() {
-                                let pred = host_xfer[d].link().cost_ms(1, *words);
-                                tr.record(
-                                    round_idx,
-                                    *device,
-                                    StreamResource::HostToDevice,
-                                    *stream,
-                                    SpanKind::TransferIn,
-                                    *words,
-                                    pred,
-                                    t0,
-                                    t1,
-                                );
-                            }
-                        }
-                        Some(f) => {
-                            // A dead target's input is broadcast to every
-                            // survivor — any of them may serve the data
-                            // (takeover shards, redirected outputs, later
-                            // recoveries).  Each pays its own link cost.
-                            let targets = if f.alive[d] { vec![d] } else { f.survivors() };
-                            for s in targets {
-                                let dst = gmems[s].base(dev.0) + dev_off;
-                                let obs = &mut devs[s];
-                                let t = match tracer.as_mut() {
-                                    Some(tr) => {
-                                        let segs = &mut tr.segs;
-                                        f.rt.transfer_segmented(
-                                            LinkEdge::Host(s as u32),
-                                            round_idx,
-                                            cluster_spec.sync_ms,
-                                            &mut obs.retries,
-                                            &mut obs.backoff_ms,
-                                            || host_xfer[s].to_device(&mut gmems[s], dst, src),
-                                            |a, b, w| segs.push(a, b, w),
-                                        )
-                                    }
-                                    None => f.rt.transfer(
-                                        LinkEdge::Host(s as u32),
-                                        round_idx,
-                                        cluster_spec.sync_ms,
-                                        &mut obs.retries,
-                                        &mut obs.backoff_ms,
-                                        || host_xfer[s].to_device(&mut gmems[s], dst, src),
-                                    ),
-                                };
-                                obs.xfer_in_ms += t;
-                                f.journal_words(s, dst, src);
-                                let (t0, t1) = timelines[s].advance_spanned(
-                                    *stream,
-                                    StreamResource::HostToDevice,
-                                    t,
-                                );
-                                if let Some(tr) = tracer.as_mut() {
-                                    let pred = host_xfer[s].link().cost_ms(1, *words);
-                                    tr.record(
-                                        round_idx,
-                                        s as u32,
-                                        StreamResource::HostToDevice,
-                                        *stream,
-                                        SpanKind::TransferIn,
-                                        *words,
-                                        pred,
-                                        t0,
-                                        t1,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-                HostStep::TransferOut {
-                    dev,
-                    dev_off,
-                    host: h,
-                    host_off,
-                    words,
-                    device,
-                    stream,
-                } => {
-                    let d = *device as usize;
-                    let dst = &mut host.bufs[h.0 as usize]
-                        [*host_off as usize..(*host_off + *words) as usize];
-                    match fs.as_mut() {
-                        None => {
-                            let src = gmems[d].base(dev.0) + dev_off;
-                            let t = host_xfer[d].to_host(&gmems[d], src, dst);
-                            devs[d].xfer_out_ms += t;
-                            let (t0, t1) = timelines[d].advance_spanned(
-                                *stream,
-                                StreamResource::DeviceToHost,
-                                t,
-                            );
-                            if let Some(tr) = tracer.as_mut() {
-                                let pred = host_xfer[d].link().cost_ms(1, *words);
-                                tr.record(
-                                    round_idx,
-                                    *device,
-                                    StreamResource::DeviceToHost,
-                                    *stream,
-                                    SpanKind::TransferOut,
-                                    *words,
-                                    pred,
-                                    t0,
-                                    t1,
-                                );
-                            }
-                        }
-                        Some(f) => {
-                            // A dead source's output is served by the heir
-                            // (lowest-index survivor, which holds the
-                            // recovered data) over the heir's host link.
-                            let s = if f.alive[d] { d } else { f.heir() };
-                            let src = gmems[s].base(dev.0) + dev_off;
-                            let obs = &mut devs[s];
-                            let t = match tracer.as_mut() {
-                                Some(tr) => {
-                                    let segs = &mut tr.segs;
-                                    f.rt.transfer_segmented(
-                                        LinkEdge::Host(s as u32),
-                                        round_idx,
-                                        cluster_spec.sync_ms,
-                                        &mut obs.retries,
-                                        &mut obs.backoff_ms,
-                                        || host_xfer[s].to_host(&gmems[s], src, dst),
-                                        |a, b, w| segs.push(a, b, w),
-                                    )
-                                }
-                                None => f.rt.transfer(
-                                    LinkEdge::Host(s as u32),
-                                    round_idx,
-                                    cluster_spec.sync_ms,
-                                    &mut obs.retries,
-                                    &mut obs.backoff_ms,
-                                    || host_xfer[s].to_host(&gmems[s], src, dst),
-                                ),
-                            };
-                            obs.xfer_out_ms += t;
-                            let (t0, t1) = timelines[s].advance_spanned(
-                                *stream,
-                                StreamResource::DeviceToHost,
-                                t,
-                            );
-                            if let Some(tr) = tracer.as_mut() {
-                                let pred = host_xfer[s].link().cost_ms(1, *words);
-                                tr.record(
-                                    round_idx,
-                                    s as u32,
-                                    StreamResource::DeviceToHost,
-                                    *stream,
-                                    SpanKind::TransferOut,
-                                    *words,
-                                    pred,
-                                    t0,
-                                    t1,
-                                );
-                            }
-                        }
-                    }
-                }
-                HostStep::SyncStream { device, stream } => {
-                    if fs.as_ref().is_none_or(|f| f.alive[*device as usize]) {
-                        timelines[*device as usize].sync_stream(*stream);
-                    }
-                }
-                HostStep::SyncDevice { device } => {
-                    if fs.as_ref().is_none_or(|f| f.alive[*device as usize]) {
-                        timelines[*device as usize].sync_device();
-                    }
-                }
-                HostStep::TransferPeer { src, dst, buf, src_off, dst_off, words } => {
-                    let (s0, d0) = (*src as usize, *dst as usize);
-                    match fs.as_mut() {
-                        None => {
-                            let base = gmems[s0].base(buf.0);
-                            let dst_base = gmems[d0].base(buf.0);
-                            let (sm, dm) = two_mems(&mut gmems, s0, d0);
-                            let t = peer_xfer[s0][d0].peer(
-                                sm,
-                                base + src_off,
-                                dm,
-                                dst_base + dst_off,
-                                *words,
-                            );
-                            devs[s0].peer_ms += t;
-                            devs[d0].peer_ms += t;
-                            // A peer copy occupies both endpoints' peer
-                            // engines.
-                            let (a0, a1) =
-                                timelines[s0].advance_spanned(0, StreamResource::Peer, t);
-                            let (b0, b1) =
-                                timelines[d0].advance_spanned(0, StreamResource::Peer, t);
-                            if let Some(tr) = tracer.as_mut() {
-                                let pred = peer_xfer[s0][d0].link().cost_ms(1, *words);
-                                tr.record(
-                                    round_idx,
-                                    *src,
-                                    StreamResource::Peer,
-                                    0,
-                                    SpanKind::Peer,
-                                    *words,
-                                    pred,
-                                    a0,
-                                    a1,
-                                );
-                                tr.record(
-                                    round_idx,
-                                    *dst,
-                                    StreamResource::Peer,
-                                    0,
-                                    SpanKind::Peer,
-                                    *words,
-                                    pred,
-                                    b0,
-                                    b1,
-                                );
-                            }
-                        }
-                        Some(f) => {
-                            // Dead source → served by the heir; dead
-                            // destination → broadcast to every survivor.
-                            // When redirection folds both endpoints onto
-                            // one device the copy is local and free.
-                            let sp = if f.alive[s0] { s0 } else { f.heir() };
-                            let receivers = if f.alive[d0] { vec![d0] } else { f.survivors() };
-                            for r in receivers {
-                                let src_addr = gmems[sp].base(buf.0) + src_off;
-                                let dst_addr = gmems[r].base(buf.0) + dst_off;
-                                let w = *words as usize;
-                                if r == sp {
-                                    let heap = gmems[r].words_mut();
-                                    heap.copy_within(
-                                        src_addr as usize..src_addr as usize + w,
-                                        dst_addr as usize,
-                                    );
-                                } else {
-                                    let obs = &mut devs[r];
-                                    let t = match tracer.as_mut() {
-                                        Some(tr) => {
-                                            let segs = &mut tr.segs;
-                                            f.rt.transfer_segmented(
-                                                LinkEdge::Peer(sp as u32, r as u32),
-                                                round_idx,
-                                                cluster_spec.sync_ms,
-                                                &mut obs.retries,
-                                                &mut obs.backoff_ms,
-                                                || {
-                                                    let (sm, dm) = two_mems(&mut gmems, sp, r);
-                                                    peer_xfer[sp][r]
-                                                        .peer(sm, src_addr, dm, dst_addr, *words)
-                                                },
-                                                |a, b, w| segs.push(a, b, w),
-                                            )
-                                        }
-                                        None => f.rt.transfer(
-                                            LinkEdge::Peer(sp as u32, r as u32),
-                                            round_idx,
-                                            cluster_spec.sync_ms,
-                                            &mut obs.retries,
-                                            &mut obs.backoff_ms,
-                                            || {
-                                                let (sm, dm) = two_mems(&mut gmems, sp, r);
-                                                peer_xfer[sp][r]
-                                                    .peer(sm, src_addr, dm, dst_addr, *words)
-                                            },
-                                        ),
-                                    };
-                                    devs[sp].peer_ms += t;
-                                    devs[r].peer_ms += t;
-                                    let (a0, a1) =
-                                        timelines[r].advance_spanned(0, StreamResource::Peer, t);
-                                    let (b0, b1) =
-                                        timelines[sp].advance_spanned(0, StreamResource::Peer, t);
-                                    if let Some(tr) = tracer.as_mut() {
-                                        let pred = peer_xfer[sp][r].link().cost_ms(1, *words);
-                                        // The receiver's span carries the
-                                        // retry/backoff segments; the
-                                        // source shows the fused copy.
-                                        tr.record(
-                                            round_idx,
-                                            r as u32,
-                                            StreamResource::Peer,
-                                            0,
-                                            SpanKind::Peer,
-                                            *words,
-                                            pred,
-                                            a0,
-                                            a1,
-                                        );
-                                        tr.record(
-                                            round_idx,
-                                            sp as u32,
-                                            StreamResource::Peer,
-                                            0,
-                                            SpanKind::Peer,
-                                            *words,
-                                            pred,
-                                            b0,
-                                            b1,
-                                        );
-                                    }
-                                }
-                                let vals: Vec<i64> = gmems[r].words()
-                                    [dst_addr as usize..dst_addr as usize + w]
-                                    .to_vec();
-                                f.journal_words(r, dst_addr, &vals);
-                            }
-                        }
-                    }
-                }
-                HostStep::Launch(kernel) => {
-                    // A plain launch is a one-shard plan on device 0.
-                    let whole = [Shard { device: 0, start: 0, end: kernel.blocks() }];
-                    run_sharded_launch(
-                        cluster,
-                        cluster_spec,
-                        machine,
-                        config,
-                        engine,
-                        kernel,
-                        &whole,
-                        round_idx,
-                        &mut gmems,
-                        &mut devs,
-                        &mut timelines,
-                        &mut fs,
-                        &mut tracer,
-                    )?;
-                }
-                HostStep::LaunchSharded { kernel, shards } => {
-                    run_sharded_launch(
-                        cluster,
-                        cluster_spec,
-                        machine,
-                        config,
-                        engine,
-                        kernel,
-                        shards,
-                        round_idx,
-                        &mut gmems,
-                        &mut devs,
-                        &mut timelines,
-                        &mut fs,
-                        &mut tracer,
-                    )?;
-                }
-            }
-        }
-        for (obs, tl) in devs.iter_mut().zip(&timelines) {
-            obs.stream_ms = tl.finish();
-        }
-        rounds.push(ClusterRoundObservation { devices: devs, sync_ms: cluster_spec.sync_ms });
-    }
+
+    let rounds =
+        run_rounds(program, &mut host, &mut gmems, &mut links, |k, shards, gm, ledger| {
+            run_sharded_launch(cluster, config, engine, k, shards, gm, ledger)
+        })?;
 
     let mut device_stats: Vec<DeviceStats> = cluster.devices.iter().map(Device::stats).collect();
-    for r in &rounds {
-        for (d, o) in r.devices.iter().enumerate() {
-            device_stats[d].retries += o.retries;
-            device_stats[d].backoff_ms += o.backoff_ms;
-        }
-    }
-    if let Some(f) = &fs {
-        for (d, st) in device_stats.iter_mut().enumerate() {
-            st.recoveries = f.recoveries[d];
-        }
-    }
-    Ok(ClusterSimReport { rounds, host, device_stats, trace: tracer.map(Tracer::finish) })
+    let trace = links.finish(&rounds, &mut device_stats);
+    let rounds = rounds
+        .into_iter()
+        .map(|devices| ClusterRoundObservation { devices, sync_ms: spec.sync_ms })
+        .collect();
+    Ok(ClusterSimReport { rounds, host, device_stats, trace })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder};
+    use atgpu_ir::{AddrExpr, AluOp, HostStep, KernelBuilder, Operand, ProgramBuilder};
     use atgpu_model::GpuSpec;
 
     fn machine() -> AtgpuMachine {

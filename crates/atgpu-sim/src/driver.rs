@@ -5,28 +5,33 @@
 //! the kernel on the device, performs the outward `W` transfers and
 //! charges the synchronisation overhead — producing exactly the
 //! decomposition the paper measures: **Total** running time vs **Kernel**
-//! running time, with the transfer share `ΔE` in between.
+//! running time, with the transfer share `ΔE` in between.  The rounds
+//! themselves run through the step interpreter every driver shares
+//! (`links.rs`); this module holds the configuration, the host buffers,
+//! the single-device report types and [`run_program`]'s set-up.
 //!
 //! ## Streams
 //!
 //! Functional execution always follows host-step order; **streams affect
 //! timing only**.  Every transfer/launch duration is scheduled through a
-//! per-round [`StreamTimeline`]: ops on one stream are serial, ops on
+//! per-round [`atgpu_model::StreamTimeline`]: ops on one stream are serial, ops on
 //! different streams overlap unless they share a hardware resource (one
 //! DMA engine per direction, one compute engine), and
 //! `SyncStream`/`SyncDevice` raise the floor.  A round's observed time is
 //! the timeline's finish — the max over per-stream chains — plus `σ`.
 //! Programs that keep everything on stream 0 time out exactly as before.
 
+use crate::cluster::DeviceRoundObservation;
 use crate::device::{Device, KernelStats};
 use crate::error::SimError;
-use crate::fault::{FaultPlan, FaultRuntime, LinkEdge};
+use crate::fault::FaultPlan;
 use crate::gmem::GlobalMemory;
-use crate::trace::{SpanKind, Tracer};
+use crate::links::{check_program, run_rounds, Links};
 use crate::xfer::{TransferEngine, XferNoise};
-use crate::ExecMode;
-use atgpu_ir::{HostBufRole, HostStep, Program};
-use atgpu_model::{AtgpuMachine, GpuSpec, StreamResource, StreamTimeline};
+use crate::{EngineSel, ExecMode};
+use atgpu_ir::{HBuf, HostBufRole, Program};
+use atgpu_model::{AtgpuMachine, GpuSpec};
+use std::ops::Range;
 
 /// Simulation configuration.
 #[derive(Debug, Clone)]
@@ -141,6 +146,22 @@ impl HostData {
     pub fn buf(&self, id: atgpu_ir::HBuf) -> &[i64] {
         &self.bufs[id.0 as usize]
     }
+
+    /// The index range of `words` words at offset `off` within buffer
+    /// `id`, checked: a transfer step can never slice out of a host
+    /// buffer.
+    pub(crate) fn span(&self, id: HBuf, off: u64, words: u64) -> Result<Range<usize>, SimError> {
+        let len = self.bufs.get(id.0 as usize).map(|b| b.len() as u64);
+        match (len, off.checked_add(words)) {
+            (Some(len), Some(end)) if end <= len => Ok(off as usize..end as usize),
+            _ => Err(SimError::HostDataMismatch {
+                reason: format!(
+                    "transfer of {words} words at offset {off} leaves host buffer {}",
+                    id.0
+                ),
+            }),
+        }
+    }
 }
 
 /// Observed times for one round, in milliseconds (the simulated analogue
@@ -243,52 +264,30 @@ impl SimReport {
     }
 }
 
-/// Rejects programs addressing stream ids the timeline cannot represent.
-///
-/// The IR validator enforces the same bound on every built program, and
-/// [`StreamTimeline`] additionally clamps out-of-range ids to the last
-/// slot as a defensive measure — but a clamp *aliases* streams 8, 9, …
-/// onto one chain, silently changing the timing claim.  Checking here
-/// closes the one path (a hand-constructed [`Program`] passed straight
-/// to the driver) that could otherwise reach the clamp.
-pub(crate) fn check_program_streams(program: &Program) -> Result<(), SimError> {
-    for (round_idx, round) in program.rounds.iter().enumerate() {
-        for step in &round.steps {
-            let stream = match step {
-                HostStep::TransferIn { stream, .. }
-                | HostStep::TransferOut { stream, .. }
-                | HostStep::SyncStream { stream, .. } => *stream,
-                _ => continue,
-            };
-            if stream >= atgpu_ir::MAX_STREAMS {
-                return Err(SimError::StreamOutOfRange { stream, round: round_idx });
-            }
+impl RoundObservation {
+    /// The single device's view of a round the shared interpreter
+    /// observed, plus the device's own `σ`.
+    fn from_device(obs: &DeviceRoundObservation, sync_ms: f64) -> Self {
+        Self {
+            xfer_in_ms: obs.xfer_in_ms,
+            kernel_ms: obs.kernel_ms,
+            xfer_out_ms: obs.xfer_out_ms,
+            sync_ms,
+            stream_ms: obs.stream_ms,
+            kernel_stats: obs.kernel_stats,
+            retries: obs.retries,
+            backoff_ms: obs.backoff_ms,
         }
     }
-    Ok(())
-}
-
-/// Runs one round's kernel launch, folds it into the observation and
-/// returns the launch's duration in milliseconds.
-fn run_launch(
-    kernel: &atgpu_ir::Kernel,
-    device: &Device,
-    gmem: &mut GlobalMemory,
-    spec: &GpuSpec,
-    config: &SimConfig,
-    slow: f64,
-    obs: &mut RoundObservation,
-) -> Result<f64, SimError> {
-    let engine =
-        if config.use_reference { crate::EngineSel::Reference } else { crate::EngineSel::MicroOp };
-    let stats = device.run_kernel_with(kernel, gmem, config.mode, config.detect_races, engine)?;
-    obs.kernel_stats = stats;
-    let ms = stats.cycles as f64 / spec.clock_cycles_per_ms * slow;
-    obs.kernel_ms += ms;
-    Ok(ms)
 }
 
 /// Simulates `program` on a device built from `machine` + `spec`.
+///
+/// The rounds run through the same step interpreter as a cluster run
+/// (`links.rs`); what is particular to the single device is its
+/// launch — the whole grid, written through to memory by
+/// [`Device::run_kernel_with`] — and that it has no survivors: a
+/// scheduled death of device 0 is immediately [`SimError::DeviceLost`].
 pub fn run_program(
     program: &Program,
     inputs: Vec<Vec<i64>>,
@@ -296,218 +295,45 @@ pub fn run_program(
     spec: &GpuSpec,
     config: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    check_program_streams(program)?;
+    check_program(program, 1)?;
     let device = Device::new(*machine, *spec)?;
     device.configure_cache(config.cache, config.cache_capacity);
     device.configure_watchdog(config.watchdog_cycles);
     let (bases, total_words) = program.buffer_layout(machine.b);
-    let mut gmem = GlobalMemory::new(bases, total_words, machine.b, machine.g)?;
-    let mut xfer = TransferEngine::new(spec, config.noise, config.seed);
+    let mut gmems = [GlobalMemory::new(bases, total_words, machine.b, machine.g)?];
     let mut host = HostData::new(program, inputs)?;
-    let mut frt = FaultRuntime::new(&config.fault);
-    let mut tracer = if config.trace { Some(Tracer::new(config.trace_capacity)) } else { None };
-    // A single-device run has no survivors to recover on: a scheduled
-    // death of device 0 inside the program is immediately unrecoverable.
-    let slow = frt.as_ref().map_or(1.0, |rt| rt.clock_factor(0));
+    let host_xfer = vec![TransferEngine::new(spec, config.noise, config.seed)];
+    let clocks = vec![spec.clock_cycles_per_ms];
+    let mut links = Links::new(host_xfer, Vec::new(), clocks, spec.sync_ms, config);
+    let engine = if config.use_reference { EngineSel::Reference } else { EngineSel::MicroOp };
 
-    let mut rounds = Vec::with_capacity(program.rounds.len());
-    for (round_idx, round) in program.rounds.iter().enumerate() {
-        if let Some(rt) = frt.as_ref() {
-            if rt.down_at(0) == Some(round_idx) {
-                return Err(SimError::DeviceLost { device: 0, round: round_idx });
-            }
-        }
-        let mut obs = RoundObservation { sync_ms: spec.sync_ms, ..RoundObservation::default() };
-        let mut tl = StreamTimeline::new();
-        for step in &round.steps {
-            match step {
-                HostStep::TransferIn {
-                    host: h,
-                    host_off,
-                    dev,
-                    dev_off,
-                    words,
-                    device: d,
-                    stream,
-                } => {
-                    if *d != 0 {
-                        return Err(SimError::NoSuchDevice { device: *d, devices: 1 });
-                    }
-                    let src =
-                        &host.bufs[h.0 as usize][*host_off as usize..(*host_off + *words) as usize];
-                    let dst = gmem.base(dev.0) + dev_off;
-                    let t = match (frt.as_mut(), tracer.as_mut()) {
-                        (Some(rt), Some(tr)) => {
-                            let segs = &mut tr.segs;
-                            rt.transfer_segmented(
-                                LinkEdge::Host(0),
-                                round_idx,
-                                spec.sync_ms,
-                                &mut obs.retries,
-                                &mut obs.backoff_ms,
-                                || xfer.to_device(&mut gmem, dst, src),
-                                |a, b, w| segs.push(a, b, w),
-                            )
-                        }
-                        (Some(rt), None) => rt.transfer(
-                            LinkEdge::Host(0),
-                            round_idx,
-                            spec.sync_ms,
-                            &mut obs.retries,
-                            &mut obs.backoff_ms,
-                            || xfer.to_device(&mut gmem, dst, src),
-                        ),
-                        (None, _) => xfer.to_device(&mut gmem, dst, src),
-                    };
-                    obs.xfer_in_ms += t;
-                    let (s0, e0) = tl.advance_spanned(*stream, StreamResource::HostToDevice, t);
-                    if let Some(tr) = tracer.as_mut() {
-                        let pred = xfer.link().cost_ms(1, *words);
-                        tr.record(
-                            round_idx,
-                            0,
-                            StreamResource::HostToDevice,
-                            *stream,
-                            SpanKind::TransferIn,
-                            *words,
-                            pred,
-                            s0,
-                            e0,
-                        );
-                    }
-                }
-                HostStep::TransferPeer { src, dst, .. } => {
-                    // A peer copy needs a second device; route sharded
-                    // programs through `cluster::run_cluster_program`.
-                    return Err(SimError::NoSuchDevice { device: (*src).max(*dst), devices: 1 });
-                }
-                HostStep::SyncStream { device: d, stream } => {
-                    if *d != 0 {
-                        return Err(SimError::NoSuchDevice { device: *d, devices: 1 });
-                    }
-                    tl.sync_stream(*stream);
-                }
-                HostStep::SyncDevice { device: d } => {
-                    if *d != 0 {
-                        return Err(SimError::NoSuchDevice { device: *d, devices: 1 });
-                    }
-                    tl.sync_device();
-                }
-                HostStep::Launch(kernel) => {
-                    let ms = run_launch(kernel, &device, &mut gmem, spec, config, slow, &mut obs)?;
-                    let (s0, e0) = tl.advance_spanned(0, StreamResource::Compute, ms);
-                    if let Some(tr) = tracer.as_mut() {
-                        let blocks = kernel.blocks();
-                        tr.record(
-                            round_idx,
-                            0,
-                            StreamResource::Compute,
-                            0,
-                            SpanKind::Kernel,
-                            blocks,
-                            -1.0,
-                            s0,
-                            e0,
-                        );
-                    }
-                }
-                HostStep::LaunchSharded { kernel, shards } => {
-                    // A sharded launch on a single device is the whole
-                    // grid (validation guarantees the shards partition
-                    // it); any other device is absent.
-                    if let Some(s) = shards.iter().find(|s| s.device != 0) {
-                        return Err(SimError::NoSuchDevice { device: s.device, devices: 1 });
-                    }
-                    let ms = run_launch(kernel, &device, &mut gmem, spec, config, slow, &mut obs)?;
-                    let (s0, e0) = tl.advance_spanned(0, StreamResource::Compute, ms);
-                    if let Some(tr) = tracer.as_mut() {
-                        let blocks = kernel.blocks();
-                        tr.record(
-                            round_idx,
-                            0,
-                            StreamResource::Compute,
-                            0,
-                            SpanKind::Kernel,
-                            blocks,
-                            -1.0,
-                            s0,
-                            e0,
-                        );
-                    }
-                }
-                HostStep::TransferOut {
-                    dev,
-                    dev_off,
-                    host: h,
-                    host_off,
-                    words,
-                    device: d,
-                    stream,
-                } => {
-                    if *d != 0 {
-                        return Err(SimError::NoSuchDevice { device: *d, devices: 1 });
-                    }
-                    let src = gmem.base(dev.0) + dev_off;
-                    let dst = &mut host.bufs[h.0 as usize]
-                        [*host_off as usize..(*host_off + *words) as usize];
-                    let t = match (frt.as_mut(), tracer.as_mut()) {
-                        (Some(rt), Some(tr)) => {
-                            let segs = &mut tr.segs;
-                            rt.transfer_segmented(
-                                LinkEdge::Host(0),
-                                round_idx,
-                                spec.sync_ms,
-                                &mut obs.retries,
-                                &mut obs.backoff_ms,
-                                || xfer.to_host(&gmem, src, dst),
-                                |a, b, w| segs.push(a, b, w),
-                            )
-                        }
-                        (Some(rt), None) => rt.transfer(
-                            LinkEdge::Host(0),
-                            round_idx,
-                            spec.sync_ms,
-                            &mut obs.retries,
-                            &mut obs.backoff_ms,
-                            || xfer.to_host(&gmem, src, dst),
-                        ),
-                        (None, _) => xfer.to_host(&gmem, src, dst),
-                    };
-                    obs.xfer_out_ms += t;
-                    let (s0, e0) = tl.advance_spanned(*stream, StreamResource::DeviceToHost, t);
-                    if let Some(tr) = tracer.as_mut() {
-                        let pred = xfer.link().cost_ms(1, *words);
-                        tr.record(
-                            round_idx,
-                            0,
-                            StreamResource::DeviceToHost,
-                            *stream,
-                            SpanKind::TransferOut,
-                            *words,
-                            pred,
-                            s0,
-                            e0,
-                        );
-                    }
-                }
-            }
-        }
-        obs.stream_ms = tl.finish();
-        rounds.push(obs);
-    }
+    // Validation guarantees a shard plan partitions the grid, so on the
+    // only device every launch is the whole grid.
+    let rounds =
+        run_rounds(program, &mut host, &mut gmems, &mut links, |kernel, _, gmems, ledger| {
+            let stats = device.run_kernel_with(
+                kernel,
+                &mut gmems[0],
+                config.mode,
+                config.detect_races,
+                engine,
+            )?;
+            ledger.kernel_done(0, kernel.blocks(), &stats);
+            Ok(())
+        })?;
 
-    let mut device_stats = device.stats();
-    for r in &rounds {
-        device_stats.retries += r.retries;
-        device_stats.backoff_ms += r.backoff_ms;
-    }
-    Ok(SimReport { rounds, host, device_stats, trace: tracer.map(Tracer::finish) })
+    let mut device_stats = [device.stats()];
+    let trace = links.finish(&rounds, &mut device_stats);
+    let rounds =
+        rounds.iter().map(|r| RoundObservation::from_device(&r[0], spec.sync_ms)).collect();
+    let [device_stats] = device_stats;
+    Ok(SimReport { rounds, host, device_stats, trace })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder};
+    use atgpu_ir::{AddrExpr, AluOp, HostStep, KernelBuilder, Operand, ProgramBuilder};
 
     fn machine() -> AtgpuMachine {
         AtgpuMachine::new(1 << 12, 4, 64, 1 << 16).unwrap()

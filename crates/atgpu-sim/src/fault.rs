@@ -290,35 +290,14 @@ impl FaultRuntime {
     /// and waits, while the waits alone also accumulate into
     /// `backoff_ms` and each retry bumps `retries`.  The copy itself is
     /// idempotent, so re-running a dropped attempt is harmless.
-    pub fn transfer(
-        &mut self,
-        edge: LinkEdge,
-        round: usize,
-        backoff_unit_ms: f64,
-        retries: &mut u64,
-        backoff_ms: &mut f64,
-        attempt: impl FnMut() -> f64,
-    ) -> f64 {
-        // The no-op segment sink monomorphises away: the untraced retry
-        // loop compiles exactly as before.
-        self.transfer_segmented(
-            edge,
-            round,
-            backoff_unit_ms,
-            retries,
-            backoff_ms,
-            attempt,
-            |_, _, _| {},
-        )
-    }
-
-    /// [`Self::transfer`] additionally reporting each **segment** of the
-    /// transfer to `on_seg(start_off_ms, end_off_ms, is_backoff)`:
-    /// attempt segments (dropped and final) and backoff waits, in time
-    /// order, exactly tiling `[0, total)` relative to the transfer's
-    /// start.  The timeline tracer turns these into per-attempt and
-    /// per-wait spans so retries and backoff are visible in a trace
-    /// instead of fused into one opaque block.
+    ///
+    /// Each **segment** of the transfer is reported to
+    /// `on_seg(start_off_ms, end_off_ms, is_backoff)`: attempt segments
+    /// (dropped and final) and backoff waits, in time order, exactly
+    /// tiling `[0, total)` relative to the transfer's start.  The
+    /// timeline tracer turns these into per-attempt and per-wait spans so
+    /// retries and backoff are visible in a trace instead of fused into
+    /// one opaque block.
     #[allow(clippy::too_many_arguments)]
     pub fn transfer_segmented(
         &mut self,
@@ -428,10 +407,12 @@ mod tests {
         plan.push(FaultEvent::LinkDegraded { edge, factor: 2.0, from_round: 0, to_round: 1 });
         let mut rt = FaultRuntime::new(&plan).unwrap();
         let (mut retries, mut backoff, mut calls) = (0u64, 0.0f64, 0u32);
-        let t = rt.transfer(edge, 0, 0.5, &mut retries, &mut backoff, || {
+        let attempt = || {
             calls += 1;
             1.0
-        });
+        };
+        let t =
+            rt.transfer_segmented(edge, 0, 0.5, &mut retries, &mut backoff, attempt, |_, _, _| {});
         // Attempts 0 and 1 drop, attempt 2 lands: three attempts at
         // 1.0 × 2.0 (degraded) each, plus backoff waits 0.5 + 1.0.
         assert_eq!(calls, 3);
@@ -439,7 +420,8 @@ mod tests {
         assert!((backoff - 1.5).abs() < 1e-12);
         assert!((t - (3.0 * 2.0 + 1.5)).abs() < 1e-12);
         // A healthy round on the same edge: single attempt, no factor.
-        let u = rt.transfer(edge, 5, 0.5, &mut retries, &mut backoff, || 1.0);
+        let u =
+            rt.transfer_segmented(edge, 5, 0.5, &mut retries, &mut backoff, || 1.0, |_, _, _| {});
         assert_eq!(retries, 2);
         assert!((u - 1.0).abs() < 1e-12);
     }

@@ -51,6 +51,29 @@ impl GlobalMemory {
         self.bases[buf as usize]
     }
 
+    /// The absolute start address of `words` words at offset `off` of
+    /// device buffer `buf`, checked: an unknown buffer id or a range
+    /// leaving the buffer's (block-padded) slot in the canonical layout
+    /// is a typed error, so a transfer step can never index out of the
+    /// heap.
+    pub fn span(&self, buf: u32, off: u64, words: u64) -> Result<u64, SimError> {
+        let i = buf as usize;
+        let slot = self.bases.get(i).map(|&base| {
+            let end = self.bases.get(i + 1).copied().unwrap_or(self.len());
+            (base, end.saturating_sub(base))
+        });
+        match slot {
+            Some((base, room)) if off.checked_add(words).is_some_and(|e| e <= room) => {
+                Ok(base + off)
+            }
+            _ => Err(SimError::HostDataMismatch {
+                reason: format!(
+                    "transfer of {words} words at offset {off} leaves device buffer {buf}"
+                ),
+            }),
+        }
+    }
+
     /// Number of device buffers in the layout.
     #[inline]
     pub fn buf_count(&self) -> usize {

@@ -443,9 +443,18 @@
 //!   injects them (drops, degradation, stragglers, device death);
 //! * [`trace`] — per-operation span recording (pooled ring), Chrome
 //!   `trace_event` export and the round-trip validator;
+//! * [`memo`] — [`BoundedMemo`], the bounded single-flight memo under
+//!   the kernel cache (and the serving layer's verdict and quote memos):
+//!   one compute and one miss per distinct key whatever the schedule;
 //! * [`driver`] — runs whole multi-round programs and reports per-round
 //!   observed times, the simulated counterpart of the paper's "Total" and
 //!   "Kernel" series;
+//! * `links` (private) — the one host-step interpreter both
+//!   [`run_program`] and [`cluster::run_cluster_program_on`] drive: each
+//!   [`atgpu_ir::HostStep`] is matched in one place and has one body,
+//!   with fault redirection/retry/journaling and span recording as steps
+//!   inside it; transfer ranges are checked there, so malformed
+//!   hand-built programs are typed [`SimError`]s, not panics;
 //! * [`cluster`] — the multi-device layer: `N` devices with per-device
 //!   memory replicas and links, sharded launches, peer transfers, and
 //!   [`cluster::run_cluster_program`] with per-device round
@@ -464,6 +473,8 @@ pub mod engine;
 pub mod error;
 pub mod fault;
 pub mod gmem;
+mod links;
+pub mod memo;
 pub mod mp;
 pub mod smem;
 pub mod trace;
@@ -482,6 +493,7 @@ pub use driver::{run_program, HostData, RoundObservation, SimConfig, SimReport};
 pub use engine::{BlockExec, BlockSim};
 pub use error::SimError;
 pub use fault::{FaultEvent, FaultPlan, FaultRuntime, LinkEdge};
+pub use memo::BoundedMemo;
 pub use trace::{
     chrome_trace_json, cluster_report_trace_json, sim_report_trace_json, validate_chrome_json,
     Span, SpanKind, SpanRing, Trace, Tracer, DEFAULT_TRACE_CAPACITY,

@@ -1,0 +1,582 @@
+//! The one host-step interpreter: [`run_rounds`] matches every
+//! [`HostStep`] variant exactly once, and [`Links`] gives every step one
+//! body.
+//!
+//! The paper's round has one shape — inward transfers, one launch,
+//! outward transfers, `σ` — so both program drivers
+//! ([`crate::run_program`], [`crate::run_cluster_program_on`]) run their
+//! rounds through [`run_rounds`] and differ only in the launch they pass
+//! in.  [`Links`] owns everything a step touches besides the memories:
+//! the host and peer [`TransferEngine`]s, and a [`Ledger`] holding the
+//! optional [`FaultState`] (liveness, journals, [`FaultRuntime`]), the
+//! optional [`Tracer`], and the round's per-device timelines and
+//! observations — the half a launch books into.  Inside a step body,
+//! target redirection, the retry loop, journaling and span recording
+//! are ordinary steps that degenerate to one null test each when there
+//! is no fault state or no tracer: a fault-free untraced run never
+//! journals, never builds a target list and never draws from the fault
+//! runtime.
+
+use crate::cluster::DeviceRoundObservation;
+use crate::device::{DeviceStats, KernelStats};
+use crate::driver::HostData;
+use crate::error::SimError;
+use crate::fault::{FaultRuntime, LinkEdge};
+use crate::gmem::GlobalMemory;
+use crate::trace::{SpanKind, Trace, Tracer};
+use crate::warp::WriteRec;
+use crate::xfer::TransferEngine;
+use crate::SimConfig;
+use atgpu_ir::{DBuf, HostStep, Kernel, Program, Shard};
+use atgpu_model::{LinkParams, StreamResource, StreamTimeline};
+use std::collections::HashMap;
+use std::ops::Range;
+
+/// Rejects, before anything is allocated, programs the interpreter
+/// cannot represent on a system of `devices` devices: a step addressing
+/// a device beyond the system, or a stream id beyond
+/// [`atgpu_ir::MAX_STREAMS`].
+///
+/// The IR validator enforces the stream bound on every built program,
+/// and [`StreamTimeline`] additionally clamps out-of-range ids to the
+/// last slot as a defensive measure — but a clamp *aliases* streams 8,
+/// 9, … onto one chain, silently changing the timing claim.  Checking
+/// here closes the one path (a hand-constructed [`Program`] passed
+/// straight to a driver) that could otherwise reach the clamp.
+pub(crate) fn check_program(program: &Program, devices: usize) -> Result<(), SimError> {
+    for (round_idx, round) in program.rounds.iter().enumerate() {
+        for step in &round.steps {
+            let stream = match step {
+                HostStep::TransferIn { stream, .. }
+                | HostStep::TransferOut { stream, .. }
+                | HostStep::SyncStream { stream, .. } => *stream,
+                _ => continue,
+            };
+            if stream >= atgpu_ir::MAX_STREAMS {
+                return Err(SimError::StreamOutOfRange { stream, round: round_idx });
+            }
+        }
+    }
+    let max_device = program.max_device();
+    if max_device as usize >= devices {
+        return Err(SimError::NoSuchDevice { device: max_device, devices });
+    }
+    Ok(())
+}
+
+/// Disjoint `(&src, &mut dst)` borrows of two cluster memories.
+fn two_mems(
+    gmems: &mut [GlobalMemory],
+    src: usize,
+    dst: usize,
+) -> (&GlobalMemory, &mut GlobalMemory) {
+    debug_assert_ne!(src, dst);
+    if src < dst {
+        let (a, b) = gmems.split_at_mut(dst);
+        (&a[src], &mut b[0])
+    } else {
+        let (a, b) = gmems.split_at_mut(src);
+        (&b[0], &mut a[dst])
+    }
+}
+
+/// Per-run fault bookkeeping: liveness, the per-device mutation journals
+/// that double as host-side checkpoints, and the recovery counters.
+/// Only constructed when the fault plan is non-empty — a faultless run
+/// never journals and never branches here.
+struct FaultState {
+    rt: FaultRuntime,
+    /// Liveness per device (deaths are permanent).
+    alive: Vec<bool>,
+    /// Per-device journals of every global-memory mutation since the run
+    /// started: `(seq, word address, value)`, with `seq` drawn from one
+    /// cluster-global counter so "latest write" is well-defined across
+    /// devices.  The journal is the checkpoint a dead device is
+    /// recovered from — completed rounds are never re-executed.
+    journals: Vec<Vec<(u64, u64, i64)>>,
+    /// The cluster-global mutation sequence counter.
+    seq: u64,
+    /// Recoveries absorbed per device (one per death it survived).
+    recoveries: Vec<u64>,
+}
+
+impl FaultState {
+    fn new(rt: FaultRuntime, n: usize) -> Self {
+        Self {
+            rt,
+            alive: vec![true; n],
+            journals: vec![Vec::new(); n],
+            seq: 0,
+            recoveries: vec![0; n],
+        }
+    }
+
+    /// Journals one word written on device `d`.  A lone device has no
+    /// survivor that could ever replay its journal, so it keeps none.
+    fn journal_word(&mut self, d: usize, addr: u64, val: i64) {
+        if self.alive.len() > 1 {
+            self.seq += 1;
+            self.journals[d].push((self.seq, addr, val));
+        }
+    }
+
+    /// Journals a contiguous write of `vals` at `addr` on device `d`.
+    fn journal_words(&mut self, d: usize, addr: u64, vals: &[i64]) {
+        for (i, &v) in vals.iter().enumerate() {
+            self.journal_word(d, addr + i as u64, v);
+        }
+    }
+
+    /// The lowest-index survivor — the device redirected outputs and
+    /// orphaned peer sources are served from.
+    fn heir(&self) -> usize {
+        self.alive.iter().position(|&a| a).unwrap_or(0)
+    }
+}
+
+/// The façade every host step runs through (see the module docs): the
+/// transfer engines, and the [`Ledger`] their transfers are booked in.
+pub(crate) struct Links {
+    host_xfer: Vec<TransferEngine>,
+    /// `peer_xfer[src][dst]`; empty on a single-device system.
+    peer_xfer: Vec<Vec<TransferEngine>>,
+    ledger: Ledger,
+}
+
+/// Everything a step records into or consults besides the engines and
+/// the memories — the part of [`Links`] a launch gets to see.
+pub(crate) struct Ledger {
+    /// Device clocks, for turning kernel cycles into milliseconds.
+    clocks: Vec<f64>,
+    /// `σ` — also the backoff unit of the retry loop.
+    sync_ms: f64,
+    fault: Option<FaultState>,
+    tracer: Option<Tracer>,
+    round: usize,
+    devs: Vec<DeviceRoundObservation>,
+    timelines: Vec<StreamTimeline>,
+}
+
+impl Ledger {
+    /// Whether device `d` is alive (always, without a fault plan).
+    pub(crate) fn alive(&self, d: usize) -> bool {
+        self.fault.as_ref().is_none_or(|f| f.alive[d])
+    }
+
+    /// Per-device liveness, when a fault plan is active.
+    pub(crate) fn liveness(&self) -> Option<&[bool]> {
+        self.fault.as_ref().map(|f| &f.alive[..])
+    }
+
+    /// The device that answers for `d`'s data: `d` itself, or the heir
+    /// (the lowest-index survivor, which holds the recovered data) once
+    /// `d` is dead.
+    fn source(&self, d: usize) -> usize {
+        match &self.fault {
+            Some(f) if !f.alive[d] => f.heir(),
+            _ => d,
+        }
+    }
+
+    /// The devices a write aimed at `d` lands on: `d` itself, or every
+    /// survivor once `d` is dead — any of them may later serve the data
+    /// (takeover shards, redirected outputs, later recoveries).  Returned
+    /// as a candidate range plus "filter by liveness", so no target list
+    /// is ever allocated.
+    fn targets(&self, d: usize) -> (Range<usize>, bool) {
+        if self.alive(d) {
+            (d..d + 1, false)
+        } else {
+            (0..self.devs.len(), true)
+        }
+    }
+
+    /// Opens round `round`: fresh observations and timelines, then every
+    /// death scheduled at its start.
+    fn begin_round(
+        &mut self,
+        round: usize,
+        gmems: &mut [GlobalMemory],
+        host_xfer: &mut [TransferEngine],
+    ) -> Result<(), SimError> {
+        self.round = round;
+        self.devs = vec![DeviceRoundObservation::default(); self.timelines.len()];
+        self.timelines.fill(StreamTimeline::new());
+        self.process_deaths(gmems, host_xfer)
+    }
+
+    /// Closes the round, yielding its per-device observations.
+    fn end_round(&mut self) -> Vec<DeviceRoundObservation> {
+        for (obs, tl) in self.devs.iter_mut().zip(&self.timelines) {
+            obs.stream_ms = tl.finish();
+        }
+        std::mem::take(&mut self.devs)
+    }
+
+    /// Runs one logical transfer on `edge`, billed to device `d`:
+    /// `attempt` performs and prices the copy.  Under a fault plan it
+    /// goes through the retry loop ([`FaultRuntime::transfer_segmented`]:
+    /// drops, backoff, degradation), whose attempt and wait segments feed
+    /// the tracer's segment buffer when one exists; without a plan it is
+    /// `attempt()`.
+    fn retried(&mut self, d: usize, edge: LinkEdge, mut attempt: impl FnMut() -> f64) -> f64 {
+        let Some(f) = self.fault.as_mut() else { return attempt() };
+        let (obs, tracer) = (&mut self.devs[d], &mut self.tracer);
+        let on_seg = |start, end, backoff| {
+            if let Some(tr) = tracer.as_mut() {
+                tr.segs.push(start, end, backoff);
+            }
+        };
+        let (retries, backoff_ms) = (&mut obs.retries, &mut obs.backoff_ms);
+        f.rt.transfer_segmented(
+            edge,
+            self.round,
+            self.sync_ms,
+            retries,
+            backoff_ms,
+            attempt,
+            on_seg,
+        )
+    }
+
+    /// Schedules an operation of `ms` on device `d`'s timeline and, when
+    /// tracing, records its span (`link` prices the prediction; `None`
+    /// means "no prediction").
+    #[allow(clippy::too_many_arguments)]
+    fn place(
+        &mut self,
+        d: usize,
+        stream: u32,
+        resource: StreamResource,
+        kind: SpanKind,
+        words: u64,
+        link: Option<LinkParams>,
+        ms: f64,
+    ) {
+        let (t0, t1) = self.timelines[d].advance_spanned(stream, resource, ms);
+        if let Some(tr) = self.tracer.as_mut() {
+            let pred = link.map_or(-1.0, |l| l.cost_ms(1, words));
+            tr.record(self.round, d as u32, resource, stream, kind, words, pred, t0, t1);
+        }
+    }
+
+    /// `SyncStream` on `device` (a dead device has no timeline to hold).
+    pub(crate) fn sync_stream(&mut self, device: u32, stream: u32) {
+        if self.alive(device as usize) {
+            self.timelines[device as usize].sync_stream(stream);
+        }
+    }
+
+    /// `SyncDevice` on `device`.
+    pub(crate) fn sync_device(&mut self, device: u32) {
+        if self.alive(device as usize) {
+            self.timelines[device as usize].sync_device();
+        }
+    }
+
+    /// Books one finished kernel run of `blocks` blocks on device `d`:
+    /// cycles become milliseconds on the device's clock (stretched when
+    /// it is a straggler), the statistics fold into the round
+    /// observation, and the run occupies the device's compute stream —
+    /// runs on one device are back to back.
+    pub(crate) fn kernel_done(&mut self, d: usize, blocks: u64, stats: &KernelStats) {
+        let slow = self.fault.as_ref().map_or(1.0, |f| f.rt.clock_factor(d as u32));
+        let ms = stats.cycles as f64 / self.clocks[d] * slow;
+        let obs = &mut self.devs[d];
+        obs.kernel_ms += ms;
+        obs.kernel_stats.merge_serial(stats);
+        self.place(d, 0, StreamResource::Compute, SpanKind::Kernel, blocks, None, ms);
+    }
+
+    /// Journals the merged write log a launch is about to apply on
+    /// device `d`, in block order — the same stable sort
+    /// [`crate::device::apply_write_log`] runs, so the journal's
+    /// last-write map matches the device's final memory word for word.
+    pub(crate) fn journal_writes(&mut self, d: usize, log: &mut [WriteRec]) {
+        if let Some(f) = self.fault.as_mut() {
+            log.sort_by_key(|w| w.block);
+            for w in log.iter() {
+                f.journal_word(d, w.addr, w.val);
+            }
+        }
+    }
+
+    /// Handles every death scheduled at the start of the round: marks
+    /// the device dead, errors if nobody survives, and replays its
+    /// journal onto each survivor — last-write-wins on the global
+    /// sequence number, so a survivor keeps its own later writes and
+    /// gains exactly the words where the dead device held the latest
+    /// value.  Every survivor's memory is restored and its
+    /// [`DeviceStats::recoveries`] counter bumped, but the one-time
+    /// replay *transfer* is priced as a single inward transaction
+    /// (`α + β·words`) on the **heir's** host link alone — the replay
+    /// lands in exactly one device's round columns, never double-charged
+    /// across survivors.
+    fn process_deaths(
+        &mut self,
+        gmems: &mut [GlobalMemory],
+        host_xfer: &mut [TransferEngine],
+    ) -> Result<(), SimError> {
+        let round = self.round;
+        let n = self.devs.len();
+        for d in 0..n {
+            let Some(fs) = self.fault.as_mut() else { return Ok(()) };
+            if !fs.alive[d] || fs.rt.down_at(d as u32) != Some(round) {
+                continue;
+            }
+            fs.alive[d] = false;
+            if !fs.alive.iter().any(|&a| a) {
+                return Err(SimError::DeviceLost { device: d as u32, round });
+            }
+            let heir = fs.heir();
+            let dead_journal = std::mem::take(&mut fs.journals[d]);
+            // addr → (latest seq, value) over the dead device's mutations.
+            let mut dead_last: HashMap<u64, (u64, i64)> = HashMap::new();
+            for &(seq, addr, val) in &dead_journal {
+                let e = dead_last.entry(addr).or_insert((seq, val));
+                if seq > e.0 {
+                    *e = (seq, val);
+                }
+            }
+            let mut replayed = 0u64;
+            for s in (0..n).filter(|&s| fs.alive[s]) {
+                let mut own_last: HashMap<u64, u64> = HashMap::new();
+                for &(seq, addr, _) in &fs.journals[s] {
+                    let e = own_last.entry(addr).or_insert(seq);
+                    if seq > *e {
+                        *e = seq;
+                    }
+                }
+                // Restore exactly the words where the dead device held the
+                // globally latest value.  Distinct addresses commute, so the
+                // map's iteration order cannot matter.
+                let mut applied = 0u64;
+                let heap = gmems[s].words_mut();
+                for (&addr, &(dseq, val)) in &dead_last {
+                    if own_last.get(&addr).is_none_or(|&os| dseq > os) {
+                        heap[addr as usize] = val;
+                        applied += 1;
+                    }
+                }
+                if s == heir {
+                    replayed = applied;
+                }
+                fs.recoveries[s] += 1;
+                // The survivor now answers for those words; fold the dead
+                // journal in so a later death of *this* device replays them
+                // too (redundant entries are harmless under max-seq merge).
+                fs.journals[s].extend_from_slice(&dead_journal);
+            }
+            let t = host_xfer[heir].replay_in(replayed);
+            self.devs[heir].xfer_in_ms += t;
+            let link = Some(host_xfer[heir].link());
+            let (res, kind) = (StreamResource::HostToDevice, SpanKind::Replay);
+            self.place(heir, 0, res, kind, replayed, link, t);
+        }
+        Ok(())
+    }
+}
+
+impl Links {
+    /// Links for a system of `host_xfer.len()` devices; fault state and
+    /// tracer exist only when `config` asks for them.
+    pub(crate) fn new(
+        host_xfer: Vec<TransferEngine>,
+        peer_xfer: Vec<Vec<TransferEngine>>,
+        clocks: Vec<f64>,
+        sync_ms: f64,
+        config: &SimConfig,
+    ) -> Self {
+        let n = host_xfer.len();
+        let ledger = Ledger {
+            clocks,
+            sync_ms,
+            fault: FaultRuntime::new(&config.fault).map(|rt| FaultState::new(rt, n)),
+            tracer: config.trace.then(|| Tracer::new(config.trace_capacity)),
+            round: 0,
+            devs: Vec::new(),
+            timelines: vec![StreamTimeline::new(); n],
+        };
+        Self { host_xfer, peer_xfer, ledger }
+    }
+
+    /// Host → device: `src` lands at `dev[dev_off..]` on `device`.
+    fn host_in(
+        &mut self,
+        gmems: &mut [GlobalMemory],
+        device: u32,
+        stream: u32,
+        dev: DBuf,
+        dev_off: u64,
+        src: &[i64],
+    ) -> Result<(), SimError> {
+        let (ledger, words) = (&mut self.ledger, src.len() as u64);
+        let (targets, survivors_only) = ledger.targets(device as usize);
+        for s in targets {
+            if survivors_only && !ledger.alive(s) {
+                continue;
+            }
+            let dst = gmems[s].span(dev.0, dev_off, words)?;
+            let (xfer, gmem) = (&mut self.host_xfer[s], &mut gmems[s]);
+            let t = ledger.retried(s, LinkEdge::Host(s as u32), || xfer.to_device(gmem, dst, src));
+            ledger.devs[s].xfer_in_ms += t;
+            if let Some(f) = ledger.fault.as_mut() {
+                f.journal_words(s, dst, src);
+            }
+            let (res, kind) = (StreamResource::HostToDevice, SpanKind::TransferIn);
+            ledger.place(s, stream, res, kind, words, Some(xfer.link()), t);
+        }
+        Ok(())
+    }
+
+    /// Device → host: `dev[dev_off..]` of `device` (or of the heir, over
+    /// the heir's link, once `device` is dead) fills `dst`.
+    fn host_out(
+        &mut self,
+        gmems: &[GlobalMemory],
+        device: u32,
+        stream: u32,
+        dev: DBuf,
+        dev_off: u64,
+        dst: &mut [i64],
+    ) -> Result<(), SimError> {
+        let (ledger, words) = (&mut self.ledger, dst.len() as u64);
+        let s = ledger.source(device as usize);
+        let src = gmems[s].span(dev.0, dev_off, words)?;
+        let xfer = &mut self.host_xfer[s];
+        let t = ledger.retried(s, LinkEdge::Host(s as u32), || xfer.to_host(&gmems[s], src, dst));
+        ledger.devs[s].xfer_out_ms += t;
+        let (res, kind) = (StreamResource::DeviceToHost, SpanKind::TransferOut);
+        ledger.place(s, stream, res, kind, words, Some(xfer.link()), t);
+        Ok(())
+    }
+
+    /// Device → device over the directed peer link; the time is charged
+    /// to both endpoints, whose peer engines the copy occupies.  A dead
+    /// source is served by the heir and a dead destination is broadcast
+    /// to every survivor; when redirection folds both endpoints onto one
+    /// device the copy is local and free.
+    #[allow(clippy::too_many_arguments)]
+    fn peer(
+        &mut self,
+        gmems: &mut [GlobalMemory],
+        src: u32,
+        dst: u32,
+        buf: DBuf,
+        src_off: u64,
+        dst_off: u64,
+        words: u64,
+    ) -> Result<(), SimError> {
+        let ledger = &mut self.ledger;
+        let sp = ledger.source(src as usize);
+        let (receivers, survivors_only) = ledger.targets(dst as usize);
+        // Every replica shares one layout, so one check covers them all.
+        let from = gmems[sp].span(buf.0, src_off, words)?;
+        let to = gmems[sp].span(buf.0, dst_off, words)?;
+        let (from_w, to_w, w) = (from as usize, to as usize, words as usize);
+        for r in receivers {
+            if survivors_only && !ledger.alive(r) {
+                continue;
+            }
+            if r == sp {
+                gmems[r].words_mut().copy_within(from_w..from_w + w, to_w);
+            } else {
+                let xfer = &mut self.peer_xfer[sp][r];
+                let t = ledger.retried(r, LinkEdge::Peer(sp as u32, r as u32), || {
+                    let (sm, dm) = two_mems(gmems, sp, r);
+                    xfer.peer(sm, from, dm, to, words)
+                });
+                // The receiver's span goes first: it carries the retry
+                // and backoff segments, the source shows the fused copy.
+                for d in [r, sp] {
+                    ledger.devs[d].peer_ms += t;
+                    let (res, kind) = (StreamResource::Peer, SpanKind::Peer);
+                    ledger.place(d, 0, res, kind, words, Some(xfer.link()), t);
+                }
+            }
+            if let Some(f) = ledger.fault.as_mut() {
+                f.journal_words(r, to, &gmems[r].words()[to_w..to_w + w]);
+            }
+        }
+        Ok(())
+    }
+
+    /// Ends the run: folds the rounds' retry/backoff totals and the
+    /// recovery counters into `device_stats`, and yields the trace.
+    pub(crate) fn finish(
+        self,
+        rounds: &[Vec<DeviceRoundObservation>],
+        device_stats: &mut [DeviceStats],
+    ) -> Option<Trace> {
+        for round in rounds {
+            for (st, obs) in device_stats.iter_mut().zip(round) {
+                st.retries += obs.retries;
+                st.backoff_ms += obs.backoff_ms;
+            }
+        }
+        if let Some(f) = &self.ledger.fault {
+            for (st, &r) in device_stats.iter_mut().zip(&f.recoveries) {
+                st.recoveries = r;
+            }
+        }
+        self.ledger.tracer.map(Tracer::finish)
+    }
+}
+
+/// Interprets `program` round by round — the single place a [`HostStep`]
+/// is matched.  `launch` runs one kernel over a shard plan against the
+/// device memories and books it with [`Ledger::kernel_done`]; it is the
+/// only thing the two drivers do differently.  Host and device ranges
+/// are checked here, at the one transfer site, so a hand-built program
+/// with an out-of-range offset or buffer id is a typed error rather
+/// than a slice panic.
+pub(crate) fn run_rounds(
+    program: &Program,
+    host: &mut HostData,
+    gmems: &mut [GlobalMemory],
+    links: &mut Links,
+    mut launch: impl FnMut(&Kernel, &[Shard], &mut [GlobalMemory], &mut Ledger) -> Result<(), SimError>,
+) -> Result<Vec<Vec<DeviceRoundObservation>>, SimError> {
+    let mut rounds = Vec::with_capacity(program.rounds.len());
+    for (round_idx, round) in program.rounds.iter().enumerate() {
+        links.ledger.begin_round(round_idx, gmems, &mut links.host_xfer)?;
+        for step in &round.steps {
+            match step {
+                HostStep::TransferIn { host: h, host_off, dev, dev_off, words, device, stream } => {
+                    let src = &host.bufs[h.0 as usize][host.span(*h, *host_off, *words)?];
+                    links.host_in(gmems, *device, *stream, *dev, *dev_off, src)?;
+                }
+                HostStep::TransferOut {
+                    dev,
+                    dev_off,
+                    host: h,
+                    host_off,
+                    words,
+                    device,
+                    stream,
+                } => {
+                    let span = host.span(*h, *host_off, *words)?;
+                    let dst = &mut host.bufs[h.0 as usize][span];
+                    links.host_out(gmems, *device, *stream, *dev, *dev_off, dst)?;
+                }
+                HostStep::TransferPeer { src, dst, buf, src_off, dst_off, words } => {
+                    links.peer(gmems, *src, *dst, *buf, *src_off, *dst_off, *words)?;
+                }
+                HostStep::SyncStream { device, stream } => {
+                    links.ledger.sync_stream(*device, *stream);
+                }
+                HostStep::SyncDevice { device } => links.ledger.sync_device(*device),
+                HostStep::Launch(kernel) => {
+                    // A plain launch is a one-shard plan on device 0.
+                    let whole = [Shard { device: 0, start: 0, end: kernel.blocks() }];
+                    launch(kernel, &whole, gmems, &mut links.ledger)?;
+                }
+                HostStep::LaunchSharded { kernel, shards } => {
+                    launch(kernel, shards, gmems, &mut links.ledger)?;
+                }
+            }
+        }
+        rounds.push(links.ledger.end_round());
+    }
+    Ok(rounds)
+}

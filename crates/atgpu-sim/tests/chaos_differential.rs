@@ -9,7 +9,9 @@
 //! Unrecoverable situations (every device dead, a watchdog overrun) must
 //! surface as structured [`SimError`]s — never as panics.
 
-use atgpu_ir::{AddrExpr, AluOp, HBuf, KernelBuilder, Operand, Program, ProgramBuilder};
+use atgpu_ir::{
+    AddrExpr, AluOp, DBuf, HBuf, HostStep, KernelBuilder, Operand, Program, ProgramBuilder,
+};
 use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
 use atgpu_sim::{
     even_shards, run_cluster_program, run_program, FaultEvent, FaultPlan, LinkEdge, SimConfig,
@@ -411,6 +413,121 @@ fn watchdog_trips_as_structured_error() {
     let tight = SimConfig { watchdog_cycles: 1, ..SimConfig::default() };
     let err = run_cluster_program(&p, data, &machine(), &cspec(2), &tight).expect_err("overrun");
     assert!(matches!(err, SimError::Watchdog { .. }), "{err}");
+}
+
+/// The three plans ROADMAP's P0 recorded as diverging between two runs
+/// (`cache hits 2 / misses 2` vs `hits 1 / misses 3`): degraded mode
+/// hands a survivor an inherited shard of the kernel it already runs, so
+/// with shard threads on, two threads look the same kernel up in one
+/// device's cache at once.  Forced threading (whatever the host's core
+/// count) and 50 replays each: every counter must repeat exactly.
+#[test]
+fn threaded_replays_of_the_p0_plans_are_counter_exact() {
+    for seed in [195_649_898u64, 506_909_450, 471_452_186] {
+        let devices = 2 + (seed % 3) as u32;
+        let n = 96u64;
+        let data = inputs(n, seed);
+        let (p, he) = two_round_program(n, devices);
+        let cl = cspec(devices as usize);
+        let cfg = SimConfig {
+            device_threads: true,
+            fault: FaultPlan::random(seed, devices, 2, 0.2),
+            ..SimConfig::default()
+        };
+        let first = run_cluster_program(&p, data.clone(), &machine(), &cl, &cfg).unwrap();
+        for replay in 0..50 {
+            let again = run_cluster_program(&p, data.clone(), &machine(), &cl, &cfg).unwrap();
+            assert_eq!(first.device_stats, again.device_stats, "seed {seed}, replay {replay}");
+            assert_eq!(first.total_ms().to_bits(), again.total_ms().to_bits());
+            assert_eq!(first.output(he), again.output(he));
+        }
+    }
+}
+
+/// `Program`'s fields are public and neither driver re-validates, so a
+/// hand-built program can carry a transfer whose host offset, device
+/// buffer id or device range is out of bounds.  Every such step must
+/// come back as a typed error from the one transfer site — fault-free
+/// and under a fault plan, on both drivers — never as a slice panic.
+#[test]
+fn out_of_range_transfers_are_typed_errors_not_panics() {
+    type Mutation = fn(&mut HostStep) -> bool;
+    let mutations: [(&str, Mutation); 6] = [
+        ("inward host offset", |s| match s {
+            HostStep::TransferIn { host_off, .. } => {
+                *host_off = u64::MAX - 3;
+                true
+            }
+            _ => false,
+        }),
+        ("inward device buffer", |s| match s {
+            HostStep::TransferIn { dev, .. } => {
+                *dev = DBuf(99);
+                true
+            }
+            _ => false,
+        }),
+        ("inward device range", |s| match s {
+            HostStep::TransferIn { dev_off, .. } => {
+                *dev_off = 1 << 40;
+                true
+            }
+            _ => false,
+        }),
+        ("outward host buffer", |s| match s {
+            HostStep::TransferOut { host, .. } => {
+                *host = HBuf(99);
+                true
+            }
+            _ => false,
+        }),
+        ("outward device range", |s| match s {
+            HostStep::TransferOut { words, .. } => {
+                *words = 1 << 20;
+                true
+            }
+            _ => false,
+        }),
+        ("peer range", |s| match s {
+            HostStep::TransferPeer { src_off, .. } => {
+                *src_off = 1 << 40;
+                true
+            }
+            _ => false,
+        }),
+    ];
+    let mutated = |p: &Program, mutate: Mutation| -> Option<Program> {
+        let mut p = p.clone();
+        let hit = p.rounds.iter_mut().flat_map(|r| r.steps.iter_mut()).any(mutate);
+        hit.then_some(p)
+    };
+
+    let n = 64u64;
+    let data = inputs(n, 37);
+    let (plain, _) = plain_vecadd_program(n);
+    let (mut sharded, _) = sharded_vecadd_program(n, 2);
+    sharded.rounds[0].steps.push(HostStep::TransferPeer {
+        src: 0,
+        dst: 1,
+        buf: DBuf(2),
+        src_off: 0,
+        dst_off: 0,
+        words: 8,
+    });
+    let mut drops = FaultPlan::new(0);
+    drops.push(FaultEvent::TransferDrop { edge: LinkEdge::Host(0), nth: 0 });
+
+    for cfg in [SimConfig::default(), faulted(drops)] {
+        for (what, mutate) in mutations {
+            if let Some(p) = mutated(&plain, mutate) {
+                let r = run_program(&p, data.clone(), &machine(), &gspec(), &cfg);
+                assert!(matches!(r, Err(SimError::HostDataMismatch { .. })), "{what}: {r:?}");
+            }
+            let p = mutated(&sharded, mutate).expect("the sharded program has every step kind");
+            let r = run_cluster_program(&p, data.clone(), &machine(), &cspec(2), &cfg);
+            assert!(matches!(r, Err(SimError::HostDataMismatch { .. })), "{what}: {r:?}");
+        }
+    }
 }
 
 mod random_chaos {
