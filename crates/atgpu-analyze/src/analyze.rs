@@ -6,7 +6,7 @@ use crate::error::AnalyzeError;
 use crate::opcount::kernel_time_ops;
 use crate::space::{masked_touched_range, touched_range};
 use atgpu_ir::affine::CompiledAddr;
-use atgpu_ir::{validate, HostStep, Instr, Kernel, Program};
+use atgpu_ir::{shard_counts, validate, HostStep, Instr, Kernel, Program, Round};
 use atgpu_model::{
     AlgoMetrics, AtgpuMachine, PeerTraffic, RoundMetrics, RoundSchedule, StreamItem,
 };
@@ -155,6 +155,11 @@ impl ProgramAnalysis {
 
 /// Analyses a validated program on `machine`, deriving every model metric
 /// the paper defines (§III).
+///
+/// One device is the one-device case of [`analyze_cluster_program`]: this
+/// is the same walk at `n = 1`, behind two guards that keep multi-device
+/// programs out, with device 0's rows and each round's kernel view
+/// repackaged as a [`ProgramAnalysis`].
 pub fn analyze_program(
     p: &Program,
     machine: &AtgpuMachine,
@@ -176,62 +181,19 @@ pub fn analyze_program(
             reason: format!("a round makes {} peer transfer(s)", round.peer().1),
         });
     }
-    let (bases, global_words) = p.buffer_layout(machine.b);
-    if global_words > machine.g {
-        return Err(atgpu_model::ModelError::GlobalMemoryExceeded {
-            required: global_words,
-            available: machine.g,
-        }
-        .into());
-    }
-
-    let mut rounds = Vec::with_capacity(p.rounds.len());
-    let mut io_exact = true;
-    let mut conflict_free = true;
-
-    for round in &p.rounds {
-        let (inward_words, inward_txns) = round.inward();
-        let (outward_words, outward_txns) = round.outward();
-
-        let kernel_analysis = match round.kernel() {
-            Some(k) => Some(analyze_kernel(k, &bases, machine)?),
-            None => None,
-        };
-
-        let (time, io, shared, blocks) = kernel_analysis
-            .as_ref()
-            .map(|ka| (ka.time_ops, ka.io_txns, ka.shared_words, ka.blocks))
-            .unwrap_or((0, 0, 0, 0));
-
-        if let Some(ka) = &kernel_analysis {
-            io_exact &= ka.io_exact;
-            conflict_free &= ka.bank.conflict_free;
-            if ka.shared_words > machine.m {
-                return Err(atgpu_model::ModelError::SharedMemoryExceeded {
-                    required: ka.shared_words,
-                    available: machine.m,
-                }
-                .into());
-            }
-        }
-
-        rounds.push(RoundAnalysis {
-            metrics: RoundMetrics {
-                time,
-                io_blocks: io,
-                global_words,
-                shared_words: shared,
-                inward_words,
-                inward_txns,
-                outward_words,
-                outward_txns,
-                blocks_launched: blocks,
-            },
-            kernel: kernel_analysis,
-        });
-    }
-
-    Ok(ProgramAnalysis { rounds, global_words, io_exact, conflict_free })
+    let mut a = walk_program(p, machine, 1)?;
+    let rows = a.per_device.pop().map(|m| m.rounds).unwrap_or_default();
+    let rounds = rows
+        .into_iter()
+        .zip(a.kernels)
+        .map(|(metrics, kernel)| RoundAnalysis { metrics, kernel })
+        .collect();
+    Ok(ProgramAnalysis {
+        rounds,
+        global_words: a.global_words,
+        io_exact: a.io_exact,
+        conflict_free: a.conflict_free,
+    })
 }
 
 /// Derives the per-round [`RoundSchedule`] of a **single-device** program
@@ -253,6 +215,9 @@ pub fn stream_schedule(p: &Program) -> Vec<RoundSchedule> {
 pub fn stream_schedules(p: &Program, devices: u32) -> Vec<Vec<RoundSchedule>> {
     let n = devices.max(p.max_device() + 1).max(1) as usize;
     let mut out: Vec<Vec<RoundSchedule>> = (0..n).map(|_| Vec::new()).collect();
+    // Devices a launch has already given its kernel item (reused across
+    // rounds).
+    let mut seen: Vec<u32> = Vec::new();
     for round in &p.rounds {
         let mut scheds = vec![RoundSchedule::default(); n];
         for step in &round.steps {
@@ -277,12 +242,11 @@ pub fn stream_schedules(p: &Program, devices: u32) -> Vec<Vec<RoundSchedule>> {
                 HostStep::SyncDevice { device } => {
                     scheds[*device as usize].items.push(StreamItem::SyncDevice);
                 }
-                HostStep::Launch(_) => scheds[0].items.push(StreamItem::Kernel),
-                HostStep::LaunchSharded { shards, .. } => {
+                HostStep::Launch(_) | HostStep::LaunchSharded { .. } => {
                     // One kernel item per participating device: that
                     // device's metrics row prices its whole shard set.
-                    let mut seen: Vec<u32> = Vec::new();
-                    for s in shards {
+                    seen.clear();
+                    for s in step.launch().iter().flat_map(|(_, shards)| shards.iter()) {
                         if !seen.contains(&s.device) {
                             seen.push(s.device);
                             scheds[s.device as usize].items.push(StreamItem::Kernel);
@@ -309,6 +273,8 @@ pub struct ClusterProgramAnalysis {
     pub per_device: Vec<AlgoMetrics>,
     /// Peer transfers, `peer[round]` listing that round's copies.
     pub peer: Vec<Vec<PeerTraffic>>,
+    /// Each round's kernel view (`None` for a round without a launch).
+    pub kernels: Vec<Option<KernelAnalysis>>,
     /// Padded per-replica device-memory footprint.
     pub global_words: u64,
     /// Whether every I/O count is exact — sharded launches whose
@@ -368,27 +334,14 @@ impl PeerAttribution {
 /// sharded launch attribute every unit to device 0.
 pub fn attribute_peer_units(p: &Program, devices: u32) -> PeerAttribution {
     let n = devices.max(p.max_device() + 1).max(1) as usize;
+    // The widest launch defines the unit grid.
+    let widest = p.rounds.iter().filter_map(Round::launch).max_by_key(|(k, _)| k.blocks());
     let mut att = PeerAttribution {
-        units: vec![0; n],
+        units: widest.map_or_else(|| vec![0; n], |(_, shards)| shard_counts(&shards, n)),
         sent_words: vec![0; n],
         recv_words: vec![0; n],
         sent_txns: vec![0; n],
     };
-    // The widest sharded launch defines the unit grid.
-    let widest = p
-        .rounds
-        .iter()
-        .filter_map(|r| r.kernel().map(|k| (k.blocks(), r.shards())))
-        .max_by_key(|&(blocks, _)| blocks);
-    match widest {
-        Some((_, Some(shards))) => {
-            for s in shards {
-                att.units[s.device as usize] += s.end.saturating_sub(s.start);
-            }
-        }
-        Some((blocks, None)) => att.units[0] = blocks,
-        None => {}
-    }
     for round in &p.rounds {
         for step in &round.steps {
             if let HostStep::TransferPeer { src, dst, words, .. } = step {
@@ -420,15 +373,23 @@ pub fn attribute_peer_units(p: &Program, devices: u32) -> PeerAttribution {
 /// * **peer copies** — collected per round as [`PeerTraffic`] for the
 ///   peer-link α/β terms.
 ///
-/// Single-device programs analyse identically to [`analyze_program`]
-/// (device 0 gets every row), so this is a strict generalisation.
+/// [`analyze_program`] is this walk at `n = 1`, repackaged.
 pub fn analyze_cluster_program(
     p: &Program,
     machine: &AtgpuMachine,
     devices: u32,
 ) -> Result<ClusterProgramAnalysis, AnalyzeError> {
     validate::validate_program(p)?;
-    let n = devices.max(p.max_device() + 1).max(1) as usize;
+    walk_program(p, machine, devices.max(p.max_device() + 1).max(1) as usize)
+}
+
+/// The one analysis walk: builds every device's [`RoundMetrics`] rows
+/// from the [`HostStep`]s of a **validated** program on `n` devices.
+fn walk_program(
+    p: &Program,
+    machine: &AtgpuMachine,
+    n: usize,
+) -> Result<ClusterProgramAnalysis, AnalyzeError> {
     let (bases, global_words) = p.buffer_layout(machine.b);
     if global_words > machine.g {
         return Err(atgpu_model::ModelError::GlobalMemoryExceeded {
@@ -440,91 +401,80 @@ pub fn analyze_cluster_program(
 
     let mut per_device: Vec<Vec<RoundMetrics>> = vec![Vec::with_capacity(p.rounds.len()); n];
     let mut peer: Vec<Vec<PeerTraffic>> = Vec::with_capacity(p.rounds.len());
+    let mut kernels = Vec::with_capacity(p.rounds.len());
     let mut io_exact = true;
     let mut conflict_free = true;
 
-    for round in &p.rounds {
-        let mut rows = vec![RoundMetrics { global_words, ..RoundMetrics::default() }; n];
+    for (i, round) in p.rounds.iter().enumerate() {
+        for rows in &mut per_device {
+            rows.push(RoundMetrics { global_words, ..RoundMetrics::default() });
+        }
         let mut round_peer = Vec::new();
         for step in &round.steps {
             match step {
                 HostStep::TransferIn { words, device, .. } => {
-                    let r = &mut rows[*device as usize];
+                    let r = &mut per_device[*device as usize][i];
                     r.inward_words += words;
                     r.inward_txns += 1;
                 }
                 HostStep::TransferOut { words, device, .. } => {
-                    let r = &mut rows[*device as usize];
+                    let r = &mut per_device[*device as usize][i];
                     r.outward_words += words;
                     r.outward_txns += 1;
                 }
                 HostStep::TransferPeer { src, dst, words, .. } => {
                     round_peer.push(PeerTraffic { src: *src, dst: *dst, words: *words, txns: 1 });
                 }
-                HostStep::Launch(k) => {
-                    let ka = analyze_kernel(k, &bases, machine)?;
-                    check_kernel_fits(&ka, machine)?;
-                    io_exact &= ka.io_exact;
-                    conflict_free &= ka.bank.conflict_free;
-                    let r = &mut rows[0];
-                    r.time += ka.time_ops;
-                    r.io_blocks += ka.io_txns;
-                    r.shared_words = r.shared_words.max(ka.shared_words);
-                    r.blocks_launched += ka.blocks;
-                }
-                HostStep::LaunchSharded { kernel, shards } => {
-                    let ka = analyze_kernel(kernel, &bases, machine)?;
-                    check_kernel_fits(&ka, machine)?;
-                    io_exact &= ka.io_exact;
-                    conflict_free &= ka.bank.conflict_free;
-                    let total = ka.blocks.max(1);
-                    let mut blocks_of = vec![0u64; n];
-                    for s in shards {
-                        blocks_of[s.device as usize] += s.end.saturating_sub(s.start);
-                    }
-                    for (d, &blocks) in blocks_of.iter().enumerate() {
-                        if blocks == 0 {
-                            continue;
-                        }
-                        // `q` splits with the blocks; `t` is lockstep
-                        // per-block work and does not.
-                        let scaled = ka.io_txns as u128 * blocks as u128;
-                        io_exact &= scaled.is_multiple_of(total as u128);
-                        let q = ((scaled as f64) / total as f64).round() as u64;
-                        let r = &mut rows[d];
-                        r.time += ka.time_ops;
-                        r.io_blocks += q;
-                        r.shared_words = r.shared_words.max(ka.shared_words);
-                        r.blocks_launched += blocks;
-                    }
-                }
-                HostStep::SyncStream { .. } | HostStep::SyncDevice { .. } => {}
+                // A validated round has at most one launch; it is billed
+                // below, from `Round::launch`.
+                HostStep::Launch(_)
+                | HostStep::LaunchSharded { .. }
+                | HostStep::SyncStream { .. }
+                | HostStep::SyncDevice { .. } => {}
             }
         }
-        for (d, row) in rows.into_iter().enumerate() {
-            per_device[d].push(row);
+        let mut kernel = None;
+        if let Some((k, shards)) = round.launch() {
+            let ka = analyze_kernel(k, &bases, machine)?;
+            if ka.shared_words > machine.m {
+                return Err(atgpu_model::ModelError::SharedMemoryExceeded {
+                    required: ka.shared_words,
+                    available: machine.m,
+                }
+                .into());
+            }
+            io_exact &= ka.io_exact;
+            conflict_free &= ka.bank.conflict_free;
+            let total = ka.blocks.max(1);
+            for (d, &blocks) in shard_counts(&shards, n).iter().enumerate() {
+                if blocks == 0 {
+                    continue;
+                }
+                // `q` splits with the blocks; `t` is lockstep
+                // per-block work and does not.
+                let scaled = ka.io_txns as u128 * blocks as u128;
+                io_exact &= scaled.is_multiple_of(total as u128);
+                let q = ((scaled as f64) / total as f64).round() as u64;
+                let r = &mut per_device[d][i];
+                r.time += ka.time_ops;
+                r.io_blocks += q;
+                r.shared_words = r.shared_words.max(ka.shared_words);
+                r.blocks_launched += blocks;
+            }
+            kernel = Some(ka);
         }
+        kernels.push(kernel);
         peer.push(round_peer);
     }
 
     Ok(ClusterProgramAnalysis {
         per_device: per_device.into_iter().map(AlgoMetrics::new).collect(),
         peer,
+        kernels,
         global_words,
         io_exact,
         conflict_free,
     })
-}
-
-fn check_kernel_fits(ka: &KernelAnalysis, machine: &AtgpuMachine) -> Result<(), AnalyzeError> {
-    if ka.shared_words > machine.m {
-        return Err(atgpu_model::ModelError::SharedMemoryExceeded {
-            required: ka.shared_words,
-            available: machine.m,
-        }
-        .into());
-    }
-    Ok(())
 }
 
 fn analyze_kernel(

@@ -88,6 +88,40 @@ impl Shard {
     }
 }
 
+/// Blocks each device runs under `shards`, indexed by device.  The table
+/// covers `max(n_devices, highest shard device + 1)` devices, so a plan
+/// naming a device beyond `n_devices` widens the table instead of
+/// indexing out of it.
+pub fn shard_counts(shards: &[Shard], n_devices: usize) -> Vec<u64> {
+    let n = shards.iter().map(|s| s.device as usize + 1).fold(n_devices, usize::max);
+    let mut counts = vec![0u64; n];
+    for s in shards {
+        counts[s.device as usize] += s.blocks();
+    }
+    counts
+}
+
+/// The shard plan of one launch step (see [`HostStep::launch`]); derefs
+/// to the shards.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShardPlan<'a> {
+    /// A plain [`HostStep::Launch`]: the whole grid, on device 0.
+    Whole(Shard),
+    /// A [`HostStep::LaunchSharded`]'s own plan.
+    Split(&'a [Shard]),
+}
+
+impl std::ops::Deref for ShardPlan<'_> {
+    type Target = [Shard];
+
+    fn deref(&self) -> &[Shard] {
+        match self {
+            ShardPlan::Whole(shard) => std::slice::from_ref(shard),
+            ShardPlan::Split(shards) => shards,
+        }
+    }
+}
+
 /// One step of a round, executed by the host in order.
 ///
 /// Transfers carry a `device` index so a program can address a
@@ -190,6 +224,22 @@ pub enum HostStep {
     },
 }
 
+impl HostStep {
+    /// The step as a launch, `(kernel, shard plan)`, if it is one.  One
+    /// device is the one-shard case: a plain [`HostStep::Launch`] is the
+    /// whole grid as a single shard on device 0, so consumers handle
+    /// both launch variants in one arm.
+    pub fn launch(&self) -> Option<(&Kernel, ShardPlan<'_>)> {
+        match self {
+            HostStep::Launch(k) => {
+                Some((k, ShardPlan::Whole(Shard { device: 0, start: 0, end: k.blocks() })))
+            }
+            HostStep::LaunchSharded { kernel, shards } => Some((kernel, ShardPlan::Split(shards))),
+            _ => None,
+        }
+    }
+}
+
 /// A round: inward transfers, at most one launch, outward transfers.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Round {
@@ -198,12 +248,15 @@ pub struct Round {
 }
 
 impl Round {
+    /// The round's launch as `(kernel, shard plan)` — see
+    /// [`HostStep::launch`].
+    pub fn launch(&self) -> Option<(&Kernel, ShardPlan<'_>)> {
+        self.steps.iter().find_map(HostStep::launch)
+    }
+
     /// The round's kernel, if it launches one (plain or sharded).
     pub fn kernel(&self) -> Option<&Kernel> {
-        self.steps.iter().find_map(|s| match s {
-            HostStep::Launch(k) | HostStep::LaunchSharded { kernel: k, .. } => Some(k),
-            _ => None,
-        })
+        self.launch().map(|(k, _)| k)
     }
 
     /// The round's shard plan, if its launch is sharded.
@@ -427,6 +480,30 @@ mod tests {
             rounds: vec![r],
         };
         assert_eq!(p.max_device(), 2);
+    }
+
+    #[test]
+    fn shard_counts_widen_past_the_device_count() {
+        let plan = [Shard { device: 3, start: 0, end: 5 }, Shard { device: 0, start: 5, end: 7 }];
+        assert_eq!(shard_counts(&plan, 2), vec![2, 0, 0, 5]);
+        assert_eq!(shard_counts(&plan[1..], 2), vec![2, 0]);
+        assert_eq!(shard_counts(&[], 0), Vec::<u64>::new());
+    }
+
+    #[test]
+    fn a_plain_launch_is_the_whole_grid_on_device_0() {
+        let k = crate::KernelBuilder::new("k", 6, 0).build();
+        let plain = Round { steps: vec![xfer_in(4), HostStep::Launch(k.clone())] };
+        let (kernel, shards) = plain.launch().unwrap();
+        assert_eq!(kernel, &k);
+        assert_eq!(&*shards, &[Shard { device: 0, start: 0, end: 6 }]);
+        let plan =
+            vec![Shard { device: 1, start: 0, end: 2 }, Shard { device: 0, start: 2, end: 6 }];
+        let split =
+            Round { steps: vec![HostStep::LaunchSharded { kernel: k, shards: plan.clone() }] };
+        assert_eq!(&*split.launch().unwrap().1, &plan[..]);
+        assert_eq!(split.shards(), Some(&plan[..]));
+        assert!(xfer_in(1).launch().is_none());
     }
 
     #[test]

@@ -13,12 +13,22 @@
 //! * **SWGPU baseline**: the paper's evaluation "use\[s\] the GPU cost
 //!   function of our model minus the data transfer as the SWGPU cost" —
 //!   i.e. the same expression without the `T_I`/`T_O` terms.
+//!
+//! Every multi-round total — serial, streamed, multi-device, degraded —
+//! is priced by one body, `price_rounds`: Expression (2) with a `max`
+//! over devices.  [`streamed_evaluate`], [`cluster_cost`],
+//! [`cluster_cost_streamed`] and [`cluster_cost_degraded`] are thin
+//! wrappers that each fix some of its inputs; [`evaluate`] is the paper's
+//! four-model table over the same kernel term.
+
+// On `CostServer::price`'s analytic path: a bad table is a typed error.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::ModelError;
 use crate::machine::AtgpuMachine;
 use crate::metrics::{AlgoMetrics, RoundMetrics};
 use crate::occupancy::{occupancy, wave_factor};
-use crate::params::{ClusterSpec, CostParams, GpuSpec};
+use crate::params::{ClusterSpec, CostParams, GpuSpec, LinkParams};
 use crate::streams::{RoundSchedule, StreamItem, StreamResource, StreamTimeline};
 
 /// Which cost function to evaluate.
@@ -198,19 +208,6 @@ fn schedule_round_with(
     tl.finish()
 }
 
-/// [`schedule_round_with`] discarding the spans — the hot path the cost
-/// functions use.
-fn schedule_round(
-    params: &CostParams,
-    round: &RoundMetrics,
-    kernel_ms: f64,
-    schedule: Option<&RoundSchedule>,
-    peer_ms: f64,
-    breakdown: &mut CostBreakdown,
-) -> f64 {
-    schedule_round_with(params, round, kernel_ms, schedule, peer_ms, breakdown, &mut |_| {})
-}
-
 /// Predicts one round's per-operation spans: the same walk
 /// [`streamed_evaluate`] prices a round with, but returning every
 /// operation's `(start, end)` on its lane instead of only the round
@@ -301,6 +298,11 @@ impl StreamedCost {
 /// which derives them from a program); an empty schedule makes that round
 /// serial, so passing all-empty schedules reproduces
 /// [`evaluate`]`(CostModel::GpuCost, …)` exactly.
+///
+/// Relative to the round-pricing core (`price_rounds`) this fixes one
+/// device, priced with the caller's `params` as given (nothing is derived
+/// from `spec`'s link or clock fields), `σ = params.sigma`, no peers and
+/// no loss; `σ` is folded back into the breakdown's `sync`.
 pub fn streamed_evaluate(
     params: &CostParams,
     machine: &AtgpuMachine,
@@ -310,7 +312,6 @@ pub fn streamed_evaluate(
 ) -> Result<StreamedCost, ModelError> {
     params.validate()?;
     spec.validate()?;
-    metrics.check_fits(machine)?;
     if schedules.len() != metrics.rounds.len() {
         return Err(ModelError::InvalidParams {
             reason: format!(
@@ -320,17 +321,12 @@ pub fn streamed_evaluate(
             ),
         });
     }
-
-    let mut breakdown = CostBreakdown::default();
-    let mut total = 0.0;
-    for (round, schedule) in metrics.rounds.iter().zip(schedules) {
-        check_schedule_streams(schedule)?;
-        let kernel = gpu_kernel_term(machine, spec, params, round)?;
-        total += params.sigma
-            + schedule_round(params, round, kernel, Some(schedule), 0.0, &mut breakdown);
-        breakdown.sync += params.sigma;
-    }
-    Ok(StreamedCost { breakdown, total_ms: total })
+    let system = System { devices: &[(*params, spec)], sigma: params.sigma, peer_links: &[] };
+    let cost =
+        price_rounds(&system, machine, std::slice::from_ref(metrics), &[schedules], &[], None)?;
+    let mut breakdown = cost.per_device.first().copied().unwrap_or_default();
+    breakdown.sync = cost.sync_ms;
+    Ok(StreamedCost { breakdown, total_ms: cost.total_ms })
 }
 
 /// Evaluates `model` for `metrics` on `machine` with GPU `spec`.
@@ -338,6 +334,11 @@ pub fn streamed_evaluate(
 /// Fails if the parameters are invalid, the metrics do not fit the machine
 /// (global/shared limits — the paper's "cannot be run" rule), or a round's
 /// blocks exceed what the GPU can ever hold (`ℓ = 0`).
+///
+/// This is the paper's model table, so it keeps its own loop: the four
+/// models differ in which of a round's terms they count.  The compute
+/// term is the one [`gpu_kernel_term`] every other cost function uses
+/// (the perfect GPU's wave factor is 1).
 pub fn evaluate(
     model: CostModel,
     params: &CostParams,
@@ -351,21 +352,14 @@ pub fn evaluate(
 
     let mut out = CostBreakdown::default();
     for round in &metrics.rounds {
-        let wave = match model {
-            CostModel::PerfectGpu => 1,
+        out.kernel += match model {
+            CostModel::PerfectGpu => {
+                (round.time as f64 + params.lambda * round.io_blocks as f64) / params.gamma
+            }
             CostModel::GpuCost | CostModel::Swgpu | CostModel::KernelOnly => {
-                wave_factor(machine, spec, round.blocks_launched, round.shared_words)
-                    .ok_or(ModelError::SharedMemoryExceeded {
-                        required: round.shared_words,
-                        available: machine.m,
-                    })?
-                    // An empty launch still runs its (empty) kernel once.
-                    .max(u64::from(round.time > 0))
+                gpu_kernel_term(machine, spec, params, round)?
             }
         };
-        let kernel = (wave as f64 * round.time as f64 + params.lambda * round.io_blocks as f64)
-            / params.gamma;
-        out.kernel += kernel;
         match model {
             CostModel::PerfectGpu | CostModel::GpuCost => {
                 out.transfer_in += transfer_in_cost(params, round);
@@ -455,137 +449,6 @@ impl ClusterCostBreakdown {
     }
 }
 
-/// Evaluates the multi-device GPU-cost: each device `d` runs its shard
-/// (`per_device[d]`, one [`AlgoMetrics`] row per round, all devices with
-/// the same round count) behind its own host link, and a round completes
-/// when the slowest device finishes:
-///
-/// ```text
-/// T = Σᵢ ( σ + max_d [ T_I(i,d) + (waveᵢ_d·tᵢ_d + λ_d·qᵢ_d)/γ_d
-///                      + T_peer(i,d) + T_O(i,d) ] )
-/// ```
-///
-/// `T_I`/`T_O` use device `d`'s host-link `α`/`β`; `γ_d`/`λ_d` come from
-/// its [`GpuSpec::derived_cost_params`]; peer traffic is priced by the
-/// directed `peer_links[src][dst]` entry and charged to both endpoints.
-pub fn cluster_cost(
-    cluster: &ClusterSpec,
-    machine: &AtgpuMachine,
-    per_device: &[AlgoMetrics],
-    peer: &[Vec<PeerTraffic>],
-) -> Result<ClusterCostBreakdown, ModelError> {
-    cluster_cost_streamed(cluster, machine, per_device, &[], peer)
-}
-
-/// [`cluster_cost`] with per-device **stream schedules**: device `d`'s
-/// round `i` is priced by the stream-chain scheduler over
-/// `schedules[d][i]` instead of the serial `T_I + kernel + T_O` sum, so
-/// double-buffered multi-device programs get overlap credit inside each
-/// device on top of the max-over-devices concurrency.  Pass an empty
-/// `schedules` slice (or an empty per-device vector) for all-serial
-/// devices — that reproduces [`cluster_cost`] exactly.  Peer traffic is
-/// charged to both endpoints' peer engines after the round's scheduled
-/// items.
-pub fn cluster_cost_streamed(
-    cluster: &ClusterSpec,
-    machine: &AtgpuMachine,
-    per_device: &[AlgoMetrics],
-    schedules: &[Vec<RoundSchedule>],
-    peer: &[Vec<PeerTraffic>],
-) -> Result<ClusterCostBreakdown, ModelError> {
-    cluster.validate()?;
-    let n = cluster.n_devices();
-    if per_device.len() != n {
-        return Err(ModelError::InvalidParams {
-            reason: format!("{} device metric tables for a {n}-device cluster", per_device.len()),
-        });
-    }
-    let rounds = per_device.first().map(|m| m.rounds.len()).unwrap_or(0);
-    if per_device.iter().any(|m| m.rounds.len() != rounds) {
-        return Err(ModelError::InvalidParams {
-            reason: "all devices must have the same round count".into(),
-        });
-    }
-    if !schedules.is_empty() {
-        if schedules.len() != n {
-            return Err(ModelError::InvalidParams {
-                reason: format!("{} schedule tables for a {n}-device cluster", schedules.len()),
-            });
-        }
-        if let Some(s) = schedules.iter().find(|s| !s.is_empty() && s.len() != rounds) {
-            return Err(ModelError::InvalidParams {
-                reason: format!(
-                    "a device schedules {} rounds but the program has {rounds}",
-                    s.len()
-                ),
-            });
-        }
-        for s in schedules.iter().flatten() {
-            check_schedule_streams(s)?;
-        }
-    }
-
-    // Per-device parameters: host-link α/β over the device's own γ/λ.
-    let params: Vec<CostParams> = cluster
-        .devices
-        .iter()
-        .zip(&cluster.host_links)
-        .map(|(spec, link)| CostParams {
-            alpha: link.alpha_ms,
-            beta: link.beta_ms_per_word,
-            ..spec.derived_cost_params()
-        })
-        .collect();
-    for (metrics, p) in per_device.iter().zip(&params) {
-        p.validate()?;
-        metrics.check_fits(machine)?;
-    }
-
-    // Peer cost charged per device per round.
-    let mut peer_cost = vec![vec![0.0f64; n]; rounds];
-    if peer.len() > rounds {
-        return Err(ModelError::InvalidParams {
-            reason: format!("peer traffic for {} rounds but only {rounds} rounds", peer.len()),
-        });
-    }
-    for (costs, round_traffic) in peer_cost.iter_mut().zip(peer.iter()) {
-        for t in round_traffic {
-            let (s, d) = (t.src as usize, t.dst as usize);
-            if s >= n || d >= n {
-                return Err(ModelError::InvalidParams {
-                    reason: format!("peer traffic {}→{} outside {n}-device cluster", t.src, t.dst),
-                });
-            }
-            let c = cluster.peer_links[s][d].cost_ms(t.txns, t.words);
-            costs[s] += c;
-            costs[d] += c;
-        }
-    }
-
-    let mut out = ClusterCostBreakdown {
-        per_device: vec![CostBreakdown::default(); n],
-        peer: vec![0.0; n],
-        total_ms: 0.0,
-        sync_ms: 0.0,
-    };
-    for (i, costs) in peer_cost.iter().enumerate() {
-        let mut slowest = 0.0f64;
-        for d in 0..n {
-            let round = &per_device[d].rounds[i];
-            let p = &params[d];
-            let kernel = gpu_kernel_term(machine, &cluster.devices[d], p, round)?;
-            let schedule = schedules.get(d).and_then(|s| s.get(i));
-            let t_peer = costs[d];
-            let path = schedule_round(p, round, kernel, schedule, t_peer, &mut out.per_device[d]);
-            out.peer[d] += t_peer;
-            slowest = slowest.max(path);
-        }
-        out.total_ms += cluster.sync_ms + slowest;
-        out.sync_ms += cluster.sync_ms;
-    }
-    Ok(out)
-}
-
 /// A device-loss scenario for [`cluster_cost_degraded`]: device `device`
 /// dies at the start of round `at_round`, the survivors absorb its shards
 /// in proportions `takeover`, and round `at_round` additionally pays a
@@ -609,9 +472,283 @@ pub struct DegradedLoss {
     pub takeover: Vec<f64>,
 }
 
+impl DegradedLoss {
+    /// Checks the scenario against an `n`-device system and names the
+    /// **heir**: the lowest surviving index, which serves the dead
+    /// device's outputs and orphaned peer sources.
+    fn heir(&self, n: usize) -> Result<usize, ModelError> {
+        let invalid = |reason: String| Err(ModelError::InvalidParams { reason });
+        if self.device >= n {
+            return invalid(format!("lost device {} outside {n}-device cluster", self.device));
+        }
+        let Some(heir) = (0..n).find(|&d| d != self.device) else {
+            return invalid("a 1-device cluster has no survivors to degrade onto".into());
+        };
+        if self.takeover.len() != n {
+            return invalid(format!(
+                "{} takeover fractions for a {n}-device cluster",
+                self.takeover.len()
+            ));
+        }
+        if self.takeover[self.device].abs() > 1e-9 || self.takeover.iter().any(|&f| f < 0.0) {
+            return invalid(
+                "takeover fractions must be non-negative and zero at the dead device".into(),
+            );
+        }
+        let f_sum: f64 = self.takeover.iter().sum();
+        if (f_sum - 1.0).abs() > 1e-6 {
+            return invalid(format!("takeover fractions sum to {f_sum}, expected 1"));
+        }
+        Ok(heir)
+    }
+}
+
+/// The system a program is priced on: each device's cost parameters
+/// (its host link's `α`/`β` over its own `γ`/`λ`) and spec, the round
+/// synchronisation overhead `σ`, and the directed peer-link matrix.
+struct System<'a> {
+    devices: &'a [(CostParams, &'a GpuSpec)],
+    sigma: f64,
+    peer_links: &'a [Vec<LinkParams>],
+}
+
+/// The **one round-pricing body** — Expression (2) for `n ≥ 1` devices:
+///
+/// ```text
+/// T = Σᵢ ( σ + max_d [ T_I(i,d) + (waveᵢ_d·tᵢ_d + λ_d·qᵢ_d)/γ_d
+///                      + T_peer(i,d) + T_O(i,d) ] )
+/// ```
+///
+/// Device `d` runs `per_device[d]` (one row per round, every device with
+/// the same round count); its round is scheduled through the stream
+/// scheduler over `schedules[d][i]` (an empty `schedules`, an empty
+/// per-device table or an empty round schedule is the serial
+/// `T_I + kernel + T_O`); `peer[i]` is priced on the directed
+/// `peer_links[src][dst]` entry and charged to both endpoints.  One
+/// device with no peers is the single-GPU cost: the `max` is over one
+/// path.
+///
+/// A `loss` changes rounds from `loss.at_round` on, inside the same loop
+/// (see [`cluster_cost_degraded`] for the rules): the dead device leaves
+/// the `max`, each survivor's terms absorb its share of the dead
+/// device's row (priced serially), and peer copies touching the dead
+/// device are rerouted.
+fn price_rounds<S: AsRef<[RoundSchedule]>>(
+    system: &System<'_>,
+    machine: &AtgpuMachine,
+    per_device: &[AlgoMetrics],
+    schedules: &[S],
+    peer: &[Vec<PeerTraffic>],
+    loss: Option<&DegradedLoss>,
+) -> Result<ClusterCostBreakdown, ModelError> {
+    let invalid = |reason: String| Err(ModelError::InvalidParams { reason });
+    let n = system.devices.len();
+    if per_device.len() != n {
+        return invalid(format!(
+            "{} device metric tables for a {n}-device cluster",
+            per_device.len()
+        ));
+    }
+    let rounds = per_device.first().map_or(0, |m| m.rounds.len());
+    if per_device.iter().any(|m| m.rounds.len() != rounds) {
+        return invalid("all devices must have the same round count".into());
+    }
+    if !schedules.is_empty() && schedules.len() != n {
+        return invalid(format!("{} schedule tables for a {n}-device cluster", schedules.len()));
+    }
+    for table in schedules.iter().map(AsRef::as_ref) {
+        if !table.is_empty() && table.len() != rounds {
+            return invalid(format!(
+                "a device schedules {} rounds but the program has {rounds}",
+                table.len()
+            ));
+        }
+        table.iter().try_for_each(check_schedule_streams)?;
+    }
+    for (metrics, (p, _)) in per_device.iter().zip(system.devices) {
+        p.validate()?;
+        metrics.check_fits(machine)?;
+    }
+    if peer.len() > rounds {
+        return invalid(format!("peer traffic for {} rounds but only {rounds} rounds", peer.len()));
+    }
+    // The scenario with its heir, checked once.
+    let loss = loss.map(|l| l.heir(n).map(|heir| (l, heir))).transpose()?;
+
+    let mut out = ClusterCostBreakdown {
+        per_device: vec![CostBreakdown::default(); n],
+        peer: vec![0.0; n],
+        total_ms: 0.0,
+        sync_ms: 0.0,
+    };
+    let mut peer_ms = vec![0.0f64; n];
+    for i in 0..rounds {
+        // From its round on, a loss is in force: `(scenario, heir)`.
+        let lost = loss.filter(|(l, _)| i >= l.at_round);
+        let dead = lost.map(|(l, _)| l.device);
+
+        // Peer cost per device.  Post-loss copies are routed the way the
+        // simulator routes them: a dead source is served by the heir, a
+        // dead destination is a broadcast to every survivor, and a copy
+        // whose endpoints coincide is a free local move.
+        peer_ms.fill(0.0);
+        for t in peer.get(i).into_iter().flatten() {
+            let (src, dst) = (t.src as usize, t.dst as usize);
+            if src >= n || dst >= n {
+                return invalid(format!(
+                    "peer traffic {}→{} outside {n}-device cluster",
+                    t.src, t.dst
+                ));
+            }
+            let sp = match lost {
+                Some((l, heir)) if l.device == src => heir,
+                _ => src,
+            };
+            let receivers = if dead == Some(dst) { 0..n } else { dst..dst + 1 };
+            for r in receivers {
+                if dead == Some(r) || (dead.is_some() && r == sp) {
+                    continue;
+                }
+                let c = system.peer_links[sp][r].cost_ms(t.txns, t.words);
+                peer_ms[sp] += c;
+                peer_ms[r] += c;
+            }
+        }
+
+        let mut slowest = 0.0f64;
+        for (d, (p, spec)) in system.devices.iter().enumerate() {
+            if dead == Some(d) {
+                continue;
+            }
+            let round = &per_device[d].rounds[i];
+            let b = &mut out.per_device[d];
+            let path = match lost {
+                None => {
+                    let kernel = gpu_kernel_term(machine, spec, p, round)?;
+                    let schedule = schedules.get(d).and_then(|s| s.as_ref().get(i));
+                    schedule_round_with(p, round, kernel, schedule, peer_ms[d], b, &mut |_| {})
+                }
+                Some((l, heir)) => {
+                    // Every survivor stages the dead device's inputs (any
+                    // of them may run a recovery shard); the heir alone
+                    // replays the journal, once, and returns the outputs.
+                    let dead_round = &per_device[l.device].rounds[i];
+                    let mut t_in = transfer_in_cost(p, round) + transfer_in_cost(p, dead_round);
+                    if i == l.at_round && d == heir {
+                        t_in += l.replay_txns as f64 * p.alpha + l.replay_words as f64 * p.beta;
+                    }
+                    let mut t_out = transfer_out_cost(p, round);
+                    if d == heir {
+                        t_out += transfer_out_cost(p, dead_round);
+                    }
+                    // Fractional takeover kernel: waves over the combined
+                    // (possibly non-integral) block count.
+                    let f = l.takeover[d];
+                    let m_used = round.shared_words.max(dead_round.shared_words);
+                    let ell = occupancy(machine, m_used, spec.h_limit);
+                    if ell == 0 {
+                        return Err(ModelError::SharedMemoryExceeded {
+                            required: m_used,
+                            available: machine.m,
+                        });
+                    }
+                    let blocks =
+                        round.blocks_launched as f64 + f * dead_round.blocks_launched as f64;
+                    let time = round.time.max(dead_round.time);
+                    // An empty launch still runs its (empty) kernel once.
+                    let least = if time > 0 { 1.0 } else { 0.0 };
+                    let wave = (blocks / (spec.k_prime * ell) as f64).ceil().max(least);
+                    let io = round.io_blocks as f64 + f * dead_round.io_blocks as f64;
+                    let kernel = (wave * time as f64 + p.lambda * io) / p.gamma;
+                    b.transfer_in += t_in;
+                    b.transfer_out += t_out;
+                    b.kernel += kernel;
+                    t_in + kernel + peer_ms[d] + t_out
+                }
+            };
+            out.peer[d] += peer_ms[d];
+            slowest = slowest.max(path);
+        }
+        out.total_ms += system.sigma + slowest;
+        out.sync_ms += system.sigma;
+    }
+    Ok(out)
+}
+
+/// [`price_rounds`] on a [`ClusterSpec`]: device `d` is priced with its
+/// host link's `α`/`β` over its own [`GpuSpec::derived_cost_params`]
+/// `γ`/`λ`, `σ` is the cluster's, and peers use its link matrix.
+fn price_cluster(
+    cluster: &ClusterSpec,
+    machine: &AtgpuMachine,
+    per_device: &[AlgoMetrics],
+    schedules: &[Vec<RoundSchedule>],
+    peer: &[Vec<PeerTraffic>],
+    loss: Option<&DegradedLoss>,
+) -> Result<ClusterCostBreakdown, ModelError> {
+    cluster.validate()?;
+    let devices: Vec<(CostParams, &GpuSpec)> = cluster
+        .devices
+        .iter()
+        .zip(&cluster.host_links)
+        .map(|(spec, link)| {
+            let own = spec.derived_cost_params();
+            (CostParams { alpha: link.alpha_ms, beta: link.beta_ms_per_word, ..own }, spec)
+        })
+        .collect();
+    let system =
+        System { devices: &devices, sigma: cluster.sync_ms, peer_links: &cluster.peer_links };
+    price_rounds(&system, machine, per_device, schedules, peer, loss)
+}
+
+/// Evaluates the multi-device GPU-cost: each device `d` runs its shard
+/// (`per_device[d]`, one [`AlgoMetrics`] row per round, all devices with
+/// the same round count) behind its own host link, and a round completes
+/// when the slowest device finishes:
+///
+/// ```text
+/// T = Σᵢ ( σ + max_d [ T_I(i,d) + (waveᵢ_d·tᵢ_d + λ_d·qᵢ_d)/γ_d
+///                      + T_peer(i,d) + T_O(i,d) ] )
+/// ```
+///
+/// `T_I`/`T_O` use device `d`'s host-link `α`/`β`; `γ_d`/`λ_d` come from
+/// its [`GpuSpec::derived_cost_params`]; peer traffic is priced by the
+/// directed `peer_links[src][dst]` entry and charged to both endpoints.
+/// This is [`cluster_cost_streamed`] with every device serial.
+pub fn cluster_cost(
+    cluster: &ClusterSpec,
+    machine: &AtgpuMachine,
+    per_device: &[AlgoMetrics],
+    peer: &[Vec<PeerTraffic>],
+) -> Result<ClusterCostBreakdown, ModelError> {
+    price_cluster(cluster, machine, per_device, &[], peer, None)
+}
+
+/// [`cluster_cost`] with per-device **stream schedules**: device `d`'s
+/// round `i` is priced by the stream-chain scheduler over
+/// `schedules[d][i]` instead of the serial `T_I + kernel + T_O` sum, so
+/// double-buffered multi-device programs get overlap credit inside each
+/// device on top of the max-over-devices concurrency.  Pass an empty
+/// `schedules` slice (or an empty per-device vector) for all-serial
+/// devices — that reproduces [`cluster_cost`] exactly.  Peer traffic is
+/// charged to both endpoints' peer engines after the round's scheduled
+/// items.  This is the round-pricing core on a [`ClusterSpec`], with no
+/// loss.
+pub fn cluster_cost_streamed(
+    cluster: &ClusterSpec,
+    machine: &AtgpuMachine,
+    per_device: &[AlgoMetrics],
+    schedules: &[Vec<RoundSchedule>],
+    peer: &[Vec<PeerTraffic>],
+) -> Result<ClusterCostBreakdown, ModelError> {
+    price_cluster(cluster, machine, per_device, schedules, peer, None)
+}
+
 /// [`cluster_cost`] under a mid-program device loss — the analytic mirror
-/// of the simulator's degraded mode.  Rounds before `loss.at_round` are
-/// priced exactly like [`cluster_cost`].  From `at_round` on:
+/// of the simulator's degraded mode; the round-pricing core on a
+/// [`ClusterSpec`] with every device serial and `loss` in force.  Rounds
+/// before `loss.at_round` are priced exactly like [`cluster_cost`].  From
+/// `at_round` on:
 ///
 /// * the dead device contributes nothing to any round's max;
 /// * every survivor pays the dead device's **full** inward traffic on its
@@ -640,164 +777,11 @@ pub fn cluster_cost_degraded(
     peer: &[Vec<PeerTraffic>],
     loss: &DegradedLoss,
 ) -> Result<ClusterCostBreakdown, ModelError> {
-    cluster.validate()?;
-    let n = cluster.n_devices();
-    if per_device.len() != n {
-        return Err(ModelError::InvalidParams {
-            reason: format!("{} device metric tables for a {n}-device cluster", per_device.len()),
-        });
-    }
-    if loss.device >= n {
-        return Err(ModelError::InvalidParams {
-            reason: format!("lost device {} outside {n}-device cluster", loss.device),
-        });
-    }
-    if n < 2 {
-        return Err(ModelError::InvalidParams {
-            reason: "a 1-device cluster has no survivors to degrade onto".into(),
-        });
-    }
-    if loss.takeover.len() != n {
-        return Err(ModelError::InvalidParams {
-            reason: format!("{} takeover fractions for a {n}-device cluster", loss.takeover.len()),
-        });
-    }
-    if loss.takeover[loss.device].abs() > 1e-9 || loss.takeover.iter().any(|&f| f < 0.0) {
-        return Err(ModelError::InvalidParams {
-            reason: "takeover fractions must be non-negative and zero at the dead device".into(),
-        });
-    }
-    let f_sum: f64 = loss.takeover.iter().sum();
-    if (f_sum - 1.0).abs() > 1e-6 {
-        return Err(ModelError::InvalidParams {
-            reason: format!("takeover fractions sum to {f_sum}, expected 1"),
-        });
-    }
-    let rounds = per_device.first().map(|m| m.rounds.len()).unwrap_or(0);
-    if per_device.iter().any(|m| m.rounds.len() != rounds) {
-        return Err(ModelError::InvalidParams {
-            reason: "all devices must have the same round count".into(),
-        });
-    }
-    if peer.len() > rounds {
-        return Err(ModelError::InvalidParams {
-            reason: format!("peer traffic for {} rounds but only {rounds} rounds", peer.len()),
-        });
-    }
-
-    let params: Vec<CostParams> = cluster
-        .devices
-        .iter()
-        .zip(&cluster.host_links)
-        .map(|(spec, link)| CostParams {
-            alpha: link.alpha_ms,
-            beta: link.beta_ms_per_word,
-            ..spec.derived_cost_params()
-        })
-        .collect();
-    for (metrics, p) in per_device.iter().zip(&params) {
-        p.validate()?;
-        metrics.check_fits(machine)?;
-    }
-    let heir = (0..n).find(|&d| d != loss.device).expect("n ≥ 2 guarantees a survivor");
-
-    // Peer cost per round per device, with post-death rerouting.
-    let mut peer_cost = vec![vec![0.0f64; n]; rounds];
-    for (i, (costs, round_traffic)) in peer_cost.iter_mut().zip(peer.iter()).enumerate() {
-        for t in round_traffic {
-            let (src, dst) = (t.src as usize, t.dst as usize);
-            if src >= n || dst >= n {
-                return Err(ModelError::InvalidParams {
-                    reason: format!("peer traffic {}→{} outside {n}-device cluster", t.src, t.dst),
-                });
-            }
-            if i < loss.at_round {
-                let c = cluster.peer_links[src][dst].cost_ms(t.txns, t.words);
-                costs[src] += c;
-                costs[dst] += c;
-                continue;
-            }
-            let sp = if src == loss.device { heir } else { src };
-            let receivers: Vec<usize> = if dst == loss.device {
-                (0..n).filter(|&d| d != loss.device).collect()
-            } else {
-                vec![dst]
-            };
-            for r in receivers {
-                if r == sp {
-                    continue; // local copy, free
-                }
-                let c = cluster.peer_links[sp][r].cost_ms(t.txns, t.words);
-                costs[sp] += c;
-                costs[r] += c;
-            }
-        }
-    }
-
-    let mut out = ClusterCostBreakdown {
-        per_device: vec![CostBreakdown::default(); n],
-        peer: vec![0.0; n],
-        total_ms: 0.0,
-        sync_ms: 0.0,
-    };
-    for (i, costs) in peer_cost.iter().enumerate() {
-        let mut slowest = 0.0f64;
-        let dead_round = &per_device[loss.device].rounds[i];
-        for d in 0..n {
-            if i >= loss.at_round && d == loss.device {
-                continue;
-            }
-            let round = &per_device[d].rounds[i];
-            let p = &params[d];
-            let spec = &cluster.devices[d];
-            let b = &mut out.per_device[d];
-            let path = if i < loss.at_round {
-                let kernel = gpu_kernel_term(machine, spec, p, round)?;
-                schedule_round(p, round, kernel, None, costs[d], b)
-            } else {
-                let f = loss.takeover[d];
-                let mut t_in = transfer_in_cost(p, round) + transfer_in_cost(p, dead_round);
-                if i == loss.at_round && d == heir {
-                    t_in += loss.replay_txns as f64 * p.alpha + loss.replay_words as f64 * p.beta;
-                }
-                let mut t_out = transfer_out_cost(p, round);
-                if d == heir {
-                    t_out += transfer_out_cost(p, dead_round);
-                }
-                // Fractional takeover kernel: waves over the combined
-                // (possibly non-integral) block count.
-                let m_used = round.shared_words.max(dead_round.shared_words);
-                let ell = occupancy(machine, m_used, spec.h_limit);
-                if ell == 0 {
-                    return Err(ModelError::SharedMemoryExceeded {
-                        required: m_used,
-                        available: machine.m,
-                    });
-                }
-                let blocks = round.blocks_launched as f64 + f * dead_round.blocks_launched as f64;
-                let time = round.time.max(dead_round.time);
-                let wave = (blocks / (spec.k_prime * ell) as f64).ceil().max(if time > 0 {
-                    1.0
-                } else {
-                    0.0
-                });
-                let io = round.io_blocks as f64 + f * dead_round.io_blocks as f64;
-                let kernel = (wave * time as f64 + p.lambda * io) / p.gamma;
-                b.transfer_in += t_in;
-                b.transfer_out += t_out;
-                b.kernel += kernel;
-                t_in + kernel + costs[d] + t_out
-            };
-            out.peer[d] += costs[d];
-            slowest = slowest.max(path);
-        }
-        out.total_ms += cluster.sync_ms + slowest;
-        out.sync_ms += cluster.sync_ms;
-    }
-    Ok(out)
+    price_cluster(cluster, machine, per_device, &[], peer, Some(loss))
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

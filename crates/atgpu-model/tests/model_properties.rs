@@ -2,8 +2,14 @@
 //! Table I integrity.
 
 use atgpu_model::comparison::{comparison_table, render_markdown, TABLE1_ITEMS};
-use atgpu_model::cost::{evaluate, CostModel};
-use atgpu_model::{occupancy, AlgoMetrics, AtgpuMachine, GpuSpec, RoundMetrics};
+use atgpu_model::cost::{
+    cluster_cost, cluster_cost_degraded, cluster_cost_streamed, evaluate, streamed_evaluate,
+    ClusterCostBreakdown, CostBreakdown, CostModel, DegradedLoss, PeerTraffic,
+};
+use atgpu_model::{
+    occupancy, AlgoMetrics, AtgpuMachine, ClusterSpec, GpuSpec, RoundMetrics, RoundSchedule,
+    StreamItem, MAX_STREAMS,
+};
 use proptest::prelude::*;
 
 fn machine() -> AtgpuMachine {
@@ -24,8 +30,141 @@ fn round(time: u64, io: u64, blocks: u64, inw: u64, outw: u64) -> RoundMetrics {
     }
 }
 
+/// A random metrics row: any mix of empty/non-empty kernels and
+/// transfers, several transactions per direction.
+fn any_round() -> impl Strategy<Value = RoundMetrics> {
+    (0u64..5000, 0u64..5000, 0u64..10_000, 0u64..100_000, 1u64..4, 0u64..100_000, 1u64..4).prop_map(
+        |(time, io, blocks, inw, in_txns, outw, out_txns)| RoundMetrics {
+            inward_txns: in_txns * u64::from(inw > 0),
+            outward_txns: out_txns * u64::from(outw > 0),
+            ..round(time, io, blocks, inw, outw)
+        },
+    )
+}
+
+/// A random **valid** round schedule (every stream id in range; possibly
+/// empty, possibly without a kernel item).
+fn any_schedule() -> impl Strategy<Value = RoundSchedule> {
+    let item = prop_oneof![
+        3 => (0..MAX_STREAMS, 1u64..4, 0u64..100_000)
+            .prop_map(|(stream, txns, words)| StreamItem::TransferIn { stream, txns, words }),
+        3 => (0..MAX_STREAMS, 1u64..4, 0u64..100_000)
+            .prop_map(|(stream, txns, words)| StreamItem::TransferOut { stream, txns, words }),
+        2 => Just(StreamItem::Kernel),
+        1 => (0..MAX_STREAMS).prop_map(|stream| StreamItem::SyncStream { stream }),
+        1 => Just(StreamItem::SyncDevice),
+    ];
+    prop::collection::vec(item, 0..7).prop_map(|items| RoundSchedule { items })
+}
+
+/// Rounds paired with a schedule each, so the two tables always agree in
+/// length.
+fn any_scheduled_rounds() -> impl Strategy<Value = (AlgoMetrics, Vec<RoundSchedule>)> {
+    prop::collection::vec((any_round(), any_schedule()), 1..6).prop_map(|rows| {
+        let (rounds, schedules) = rows.into_iter().unzip();
+        (AlgoMetrics::new(rounds), schedules)
+    })
+}
+
+fn any_spec() -> impl Strategy<Value = GpuSpec> {
+    (1u64..5, 1u64..20).prop_map(|(k_prime, h_limit)| GpuSpec {
+        k_prime,
+        h_limit,
+        ..GpuSpec::gtx650_like()
+    })
+}
+
+fn breakdown_bits(b: &CostBreakdown) -> [u64; 4] {
+    [b.transfer_in, b.kernel, b.transfer_out, b.sync].map(f64::to_bits)
+}
+
+fn cluster_bits(c: &ClusterCostBreakdown) -> Vec<u64> {
+    let mut bits: Vec<u64> = c.per_device.iter().flat_map(breakdown_bits).collect();
+    bits.extend(c.peer.iter().chain([&c.total_ms, &c.sync_ms]).map(|v| v.to_bits()));
+    bits
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// One device, no overlap, is one cost three ways: the model table's
+    /// GPU-cost, the streamed cost over all-empty schedules, and the
+    /// 1-device cluster cost (whose `σ` share is reported beside the
+    /// per-device terms) agree bit for bit.
+    #[test]
+    fn serial_single_device_costs_are_one_cost(
+        table in any_scheduled_rounds(), s in any_spec(),
+    ) {
+        let (metrics, _) = table;
+        let m = machine();
+        let p = s.derived_cost_params();
+        let serial = evaluate(CostModel::GpuCost, &p, &m, &s, &metrics).unwrap();
+        let empty = vec![RoundSchedule::default(); metrics.rounds.len()];
+        let streamed = streamed_evaluate(&p, &m, &s, &metrics, &empty).unwrap();
+        prop_assert_eq!(breakdown_bits(&serial), breakdown_bits(&streamed.breakdown));
+        prop_assert_eq!(serial.total().to_bits(), streamed.serial_ms().to_bits());
+
+        let one = ClusterSpec::homogeneous(1, s);
+        let c = cluster_cost(&one, &m, std::slice::from_ref(&metrics), &[]).unwrap();
+        let folded = CostBreakdown { sync: c.sync_ms, ..c.per_device[0] };
+        prop_assert_eq!(breakdown_bits(&serial), breakdown_bits(&folded));
+        prop_assert_eq!(streamed.total_ms.to_bits(), c.total_ms.to_bits());
+    }
+
+    /// A streamed single-device cost is the streamed 1-device cluster
+    /// cost, for any valid schedule table.
+    #[test]
+    fn streamed_single_device_is_the_one_device_cluster(
+        table in any_scheduled_rounds(), s in any_spec(),
+    ) {
+        let (metrics, schedules) = table;
+        let m = machine();
+        let p = s.derived_cost_params();
+        let streamed = streamed_evaluate(&p, &m, &s, &metrics, &schedules).unwrap();
+        let one = ClusterSpec::homogeneous(1, s);
+        let c = cluster_cost_streamed(
+            &one, &m, std::slice::from_ref(&metrics), std::slice::from_ref(&schedules), &[],
+        ).unwrap();
+        prop_assert_eq!(streamed.total_ms.to_bits(), c.total_ms.to_bits());
+        let folded = CostBreakdown { sync: c.sync_ms, ..c.per_device[0] };
+        prop_assert_eq!(breakdown_bits(&streamed.breakdown), breakdown_bits(&folded));
+    }
+
+    /// A device lost at or after the last round degrades nothing: the
+    /// degraded cost is the cluster cost, peer traffic included.
+    #[test]
+    fn a_loss_after_the_last_round_is_the_cluster_cost(
+        n in 2usize..5, rounds in 1usize..5, seed_rows in prop::collection::vec(any_round(), 20..21),
+        traffic in prop::collection::vec((0u32..4, 0u32..4, 0u64..50_000), 0..6),
+        dead in 0usize..4, late in 0usize..3, s in any_spec(),
+    ) {
+        let m = machine();
+        let cluster = ClusterSpec::homogeneous(n, s);
+        let per_device: Vec<AlgoMetrics> = (0..n)
+            .map(|d| AlgoMetrics::new(seed_rows[d * rounds..(d + 1) * rounds].to_vec()))
+            .collect();
+        // Distinct in-range endpoints, spread over the rounds.
+        let mut peer = vec![Vec::new(); rounds];
+        for (i, &(src, dst, words)) in traffic.iter().enumerate() {
+            let (src, dst) = (src % n as u32, dst % n as u32);
+            if src != dst {
+                peer[i % rounds].push(PeerTraffic { src, dst, words, txns: 1 });
+            }
+        }
+        let device = dead % n;
+        let mut takeover = vec![1.0 / (n - 1) as f64; n];
+        takeover[device] = 0.0;
+        let loss = DegradedLoss {
+            device,
+            at_round: rounds + late,
+            replay_words: 1000,
+            replay_txns: 1,
+            takeover,
+        };
+        let full = cluster_cost(&cluster, &m, &per_device, &peer).unwrap();
+        let degraded = cluster_cost_degraded(&cluster, &m, &per_device, &peer, &loss).unwrap();
+        prop_assert_eq!(cluster_bits(&full), cluster_bits(&degraded));
+    }
 
     /// Cost is additive over rounds: evaluating a two-round program equals
     /// the sum of evaluating each round separately (every cost model).

@@ -177,10 +177,10 @@ pub use price::{
 pub use verify::{VerifyMemo, VerifyStats};
 
 use atgpu_analyze::{analyze_cluster_program, stream_schedules};
-use atgpu_ir::{HostBufRole, HostStep, Program};
+use atgpu_ir::{shard_counts, HostBufRole, HostStep, Program};
 use atgpu_model::cost::cluster_cost_streamed;
 use atgpu_model::occupancy::occupancy;
-use atgpu_model::{AtgpuMachine, ClusterSpec, ModelError};
+use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec, ModelError};
 use atgpu_sim::{
     run_cluster_program, run_cluster_program_on, Cluster, ClusterSimReport, SimConfig,
 };
@@ -389,39 +389,15 @@ impl CostServer {
     /// A program's resident-block demand: its widest launch, with each
     /// device's contribution clamped by the occupancy bound `k′·ℓ`.
     fn resident_demand(&self, program: &Program) -> u64 {
-        let machine = self.cluster.machine();
-        let spec = self.cluster.spec();
-        let device_cap = |d: usize, shared_words: u64| -> u64 {
-            spec.devices
-                .get(d)
-                .map(|s| s.k_prime * occupancy(machine, shared_words, s.h_limit))
-                .unwrap_or(0)
-        };
-        let mut demand = 0u64;
-        for round in &program.rounds {
-            for step in &round.steps {
-                match step {
-                    HostStep::Launch(k) => {
-                        demand = demand.max(k.blocks().min(device_cap(0, k.shared_words)));
-                    }
-                    HostStep::LaunchSharded { kernel, shards } => {
-                        let mut per = vec![0u64; spec.n_devices()];
-                        for s in shards {
-                            if let Some(p) = per.get_mut(s.device as usize) {
-                                *p += s.end.saturating_sub(s.start);
-                            }
-                        }
-                        let total: u64 = per
-                            .iter()
-                            .enumerate()
-                            .map(|(d, &b)| b.min(device_cap(d, kernel.shared_words)))
-                            .sum();
-                        demand = demand.max(total);
-                    }
-                    _ => {}
-                }
-            }
-        }
-        demand.max(1)
+        let (machine, spec) = (self.cluster.machine(), self.cluster.spec());
+        let launches = program.rounds.iter().flat_map(|r| &r.steps).filter_map(HostStep::launch);
+        let demand = launches.map(|(kernel, shards)| {
+            // Blocks placed on a device the cluster lacks are never
+            // resident: the zip drops them.
+            let held = shard_counts(&shards, spec.n_devices());
+            let cap = |s: &GpuSpec| s.k_prime * occupancy(machine, kernel.shared_words, s.h_limit);
+            spec.devices.iter().zip(held).map(|(s, blocks)| blocks.min(cap(s))).sum::<u64>()
+        });
+        demand.max().unwrap_or(0).max(1)
     }
 }

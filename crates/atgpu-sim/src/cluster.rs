@@ -31,7 +31,9 @@
 //! both endpoints (source reads while destination writes).  The
 //! analytical counterpart is [`atgpu_model::cost::cluster_cost`].
 
-use crate::device::{apply_write_log, check_log_races, Device, DeviceStats, KernelStats};
+use crate::device::{
+    apply_write_log, check_log_races, map_on_threads, Device, DeviceStats, KernelStats,
+};
 use crate::driver::HostData;
 use crate::error::SimError;
 use crate::gmem::GlobalMemory;
@@ -164,14 +166,9 @@ pub fn counts_to_shards(counts: &[u64]) -> Vec<Shard> {
 
 /// Per-device block counts of a shard plan (inverse of
 /// [`counts_to_shards`] for contiguous plans) — the shape
-/// [`atgpu_model::plan::plan_cost`] prices.
-pub fn shard_counts(shards: &[Shard], n_devices: usize) -> Vec<u64> {
-    let mut counts = vec![0u64; n_devices];
-    for s in shards {
-        counts[s.device as usize] += s.blocks();
-    }
-    counts
-}
+/// [`atgpu_model::plan::plan_cost`] prices.  A plan naming a device past
+/// `n_devices` widens the table rather than indexing out of it.
+pub use atgpu_ir::shard_counts;
 
 /// The **cost-driven planner**: apportions `units` planning units
 /// (thread blocks, or coarser units like matmul tile rows — see
@@ -325,12 +322,6 @@ impl Cluster {
         self.devices.get(i as usize)
     }
 
-    fn device_checked(&self, i: u32) -> Result<&Device, SimError> {
-        self.devices
-            .get(i as usize)
-            .ok_or(SimError::NoSuchDevice { device: i, devices: self.devices.len() })
-    }
-
     /// Runs one kernel launch sharded across the cluster against a single
     /// canonical memory image: every shard reads the pre-launch `gmem`
     /// snapshot (each device's replica is identical at launch time), and
@@ -352,20 +343,46 @@ impl Cluster {
     ) -> Result<Vec<ShardStats>, SimError> {
         let mut merged: Vec<WriteRec> = Vec::new();
         let mut out = Vec::with_capacity(shards.len());
-        for shard in shards {
-            let device = self.device_checked(shard.device)?;
-            let stats = device.run_shard(
-                kernel,
-                gmem,
-                mode,
-                engine,
-                (shard.start, shard.end),
-                &mut merged,
-            )?;
+        let outcomes = self.run_shards(kernel, shards, mode, engine, 1, |_| &*gmem)?;
+        for (shard, (stats, mut log)) in shards.iter().zip(outcomes) {
+            merged.append(&mut log);
             out.push(ShardStats { device: shard.device, range: (shard.start, shard.end), stats });
         }
         apply_write_log(kernel, gmem, merged, detect_races)?;
         Ok(out)
+    }
+
+    /// The one shard loop: runs every shard on its device, against the
+    /// memory `mem_of` names for it, on at most `threads` scoped OS
+    /// threads — shard runs only *read* their snapshot and log into
+    /// private vectors, so a launch is embarrassingly parallel on the
+    /// host.  Each shard's statistics and write log come back in
+    /// shard-plan order, so results, statistics and timing are
+    /// bit-identical however many threads ran.
+    fn run_shards<'m>(
+        &self,
+        kernel: &Kernel,
+        shards: &[Shard],
+        mode: ExecMode,
+        engine: EngineSel,
+        threads: usize,
+        mem_of: impl Fn(&Shard) -> &'m GlobalMemory + Sync,
+    ) -> Result<Vec<(KernelStats, Vec<WriteRec>)>, SimError> {
+        // Resolve devices up front so an unknown device errors before any
+        // shard runs.
+        let no_device = |device| SimError::NoSuchDevice { device, devices: self.devices.len() };
+        let devices: Vec<&Device> = shards
+            .iter()
+            .map(|s| self.device(s.device).ok_or_else(|| no_device(s.device)))
+            .collect::<Result<_, _>>()?;
+        let what = format_args!("simulating shards of kernel `{}`", kernel.name);
+        map_on_threads(shards.len(), threads, what, |i| {
+            let (shard, mut log) = (&shards[i], Vec::new());
+            let range = (shard.start, shard.end);
+            let stats =
+                devices[i].run_shard(kernel, mem_of(shard), mode, engine, range, &mut log)?;
+            Ok((stats, log))
+        })
     }
 }
 
@@ -540,12 +557,9 @@ fn surviving_subspec(spec: &ClusterSpec, alive: &[bool]) -> (ClusterSpec, Vec<us
 /// writes in block order.
 ///
 /// With [`SimConfig::device_threads`] set (the default) every shard is
-/// simulated on its own scoped OS thread — shard runs only *read* their
-/// device's pre-launch snapshot and log into private vectors, so the
-/// launch is embarrassingly parallel on the host.  Results, statistics
-/// and timing are bit-identical to sequential dispatch: shard outcomes
-/// are folded in shard-plan order and the logs merge through the shared
-/// block-order [`apply_write_log`].
+/// simulated on its own scoped OS thread (see [`Cluster::run_shards`]);
+/// the logs merge through the shared block-order [`apply_write_log`], so
+/// the outcome is bit-identical to sequential dispatch.
 fn run_sharded_launch(
     cluster: &Cluster,
     config: &SimConfig,
@@ -583,82 +597,26 @@ fn run_sharded_launch(
             }
         }
     }
-    let shards: &[Shard] = &plan;
-
-    // Resolve devices up front so an unknown device errors before any
-    // thread spawns.
-    let devices: Vec<&Device> =
-        shards.iter().map(|s| cluster.device_checked(s.device)).collect::<Result<_, _>>()?;
 
     let mut logs: Vec<Vec<WriteRec>> = (0..gmems.len()).map(|_| Vec::new()).collect();
     let mut recovery_log: Vec<WriteRec> = Vec::new();
-    let mut stats_in_order: Vec<KernelStats> = Vec::with_capacity(shards.len());
-    if config.device_threads && shards.len() > 1 {
-        // One (stats, log) per shard, folded back in shard-plan order.
-        type ShardOutcome = Result<(KernelStats, Vec<WriteRec>), SimError>;
-        let gm: &[GlobalMemory] = gmems;
-        let run_one = |shard: &Shard, device: &Device| -> ShardOutcome {
-            let mut log = Vec::new();
-            let stats = device.run_shard(
-                kernel,
-                &gm[shard.device as usize],
-                config.mode,
-                engine,
-                (shard.start, shard.end),
-                &mut log,
-            )?;
-            Ok((stats, log))
-        };
-        let outcomes: Vec<ShardOutcome> =
-            std::thread::scope(|s| -> Result<Vec<ShardOutcome>, SimError> {
-                let handles: Vec<_> = shards
-                    .iter()
-                    .zip(&devices)
-                    .map(|(shard, device)| s.spawn(move || run_one(shard, device)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| {
-                        h.join().map_err(|_| SimError::WorkerPanic {
-                            context: format!("simulating shards of kernel `{}`", kernel.name),
-                        })
-                    })
-                    .collect()
-            })?;
-        for ((shard, rec), outcome) in shards.iter().zip(&is_recovery).zip(outcomes) {
-            let d = shard.device as usize;
-            let (stats, mut log) = outcome?;
-            // First shard on a device hands its log over; later shards
-            // append (several shards per device only happens in
-            // hand-written plans).
-            if *rec {
-                recovery_log.append(&mut log);
-            } else if logs[d].is_empty() {
-                logs[d] = log;
-            } else {
-                logs[d].append(&mut log);
-            }
-            stats_in_order.push(stats);
+    let threads = if config.device_threads { plan.len() } else { 1 };
+    let gm = &*gmems;
+    let mem_of = |shard: &Shard| &gm[shard.device as usize];
+    let outcomes = cluster.run_shards(kernel, &plan, config.mode, engine, threads, mem_of)?;
+    for ((shard, rec), (stats, mut log)) in plan.iter().zip(&is_recovery).zip(outcomes) {
+        let d = shard.device as usize;
+        // First shard on a device hands its log over; later shards
+        // append (several shards per device only happens in
+        // hand-written plans).
+        if *rec {
+            recovery_log.append(&mut log);
+        } else if logs[d].is_empty() {
+            logs[d] = log;
+        } else {
+            logs[d].append(&mut log);
         }
-    } else {
-        // Sequential dispatch logs straight into the per-device logs —
-        // no intermediate vectors on the default single-core path.
-        for ((shard, rec), device) in shards.iter().zip(&is_recovery).zip(&devices) {
-            let d = shard.device as usize;
-            let sink = if *rec { &mut recovery_log } else { &mut logs[d] };
-            let stats = device.run_shard(
-                kernel,
-                &gmems[d],
-                config.mode,
-                engine,
-                (shard.start, shard.end),
-                sink,
-            )?;
-            stats_in_order.push(stats);
-        }
-    }
-    for (shard, stats) in shards.iter().zip(stats_in_order) {
-        ledger.kernel_done(shard.device as usize, shard.blocks(), &stats);
+        ledger.kernel_done(d, shard.blocks(), &stats);
     }
     if config.detect_races {
         let merged: Vec<WriteRec> = logs
@@ -819,6 +777,17 @@ mod tests {
         assert_eq!(even_shards(0, 4), vec![]);
         let s = even_shards(64, 1);
         assert_eq!(s, vec![Shard { device: 0, start: 0, end: 64 }]);
+    }
+
+    /// Regression: a shard on a device past `n_devices` used to index
+    /// out of the count table and panic.
+    #[test]
+    fn shard_counts_widen_for_an_out_of_range_device() {
+        let plan = [Shard { device: 3, start: 0, end: 6 }, Shard { device: 1, start: 6, end: 8 }];
+        assert_eq!(shard_counts(&plan, 2), vec![0, 2, 0, 6]);
+        // In range, the table keeps the requested width and inverts
+        // `counts_to_shards`.
+        assert_eq!(shard_counts(&counts_to_shards(&[3, 0, 5]), 4), vec![3, 0, 5, 0]);
     }
 
     #[test]

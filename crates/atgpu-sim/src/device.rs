@@ -7,13 +7,20 @@
 //!   stepping the MP with the earliest next event, against a *shared*
 //!   memory controller.  Global writes are applied immediately.  This is
 //!   the deterministic reference semantics.
-//! * **Parallel** — MPs are partitioned over OS threads (crossbeam scoped
-//!   threads); each MP gets a private controller with a `1/k′` bandwidth
+//! * **Parallel** — MPs are partitioned over scoped OS threads; each MP
+//!   gets a private controller with a `1/k′` bandwidth
 //!   share and blocks are assigned statically (`block i → MP i mod k′`).
 //!   Global writes are deferred to per-thread logs and applied in block
 //!   order after the launch, which keeps results deterministic and
 //!   race-free for well-formed kernels.  Optional race detection flags
 //!   any global word written by two different blocks.
+//!
+//! Every launch — whole grid or one shard of it, written through or
+//! logged — is prepared by **one body** (`Device::launch`): occupancy
+//! check, register count, buffer bases, executor resolution and the mode
+//! dispatch happen once, over a block range and a
+//! [`GmemAccess`] write target.  [`Device::run_kernel_with`] and
+//! [`Device::run_shard`] only choose the range and the target.
 
 use crate::cache::{CacheStats, KernelCache};
 use crate::dram::DramController;
@@ -230,6 +237,12 @@ impl Device {
     /// [`EngineSel::Reference`] drives the retained tree-walking
     /// interpreter — the pre-engine baseline kept for differential
     /// testing and benchmarking (never cached).
+    ///
+    /// Relative to the one launch body this fixes the whole grid
+    /// `(0, k)` and the target: without race detection the launch writes
+    /// straight through to `gmem`; with it the writes are logged (as
+    /// [`Device::run_shard`] does), checked, and merged by
+    /// [`apply_write_log`].
     pub fn run_kernel_with(
         &self,
         kernel: &Kernel,
@@ -238,41 +251,16 @@ impl Device {
         detect_races: bool,
         engine: EngineSel,
     ) -> Result<KernelStats, SimError> {
-        let ell = occupancy(&self.machine, kernel.shared_words, self.spec.h_limit);
-        if ell == 0 {
-            return Err(SimError::SharedTooLarge {
-                kernel: kernel.name.clone(),
-                requested: kernel.shared_words,
-                available: self.machine.m,
-            });
+        let range = (0, kernel.blocks());
+        if !detect_races {
+            return self.launch(kernel, GmemAccess::Direct(gmem), mode, engine, range);
         }
-        let nregs = kernel.max_reg().map(|r| u32::from(r) + 1).unwrap_or(1);
-        let bases: Vec<u64> = (0..gmem.buf_count()).map(|i| gmem.base(i as u32)).collect();
-
-        match engine {
-            EngineSel::MicroOp => {
-                let entry = self.cache.get_or_compile(kernel, &bases, self.machine.b as u32, nregs);
-                let compiled = &entry.compiled;
-                let make = || BlockExec::new(compiled);
-                let slot = compiled.replayable.then_some(&entry.trace);
-                self.dispatch(
-                    kernel,
-                    gmem,
-                    mode,
-                    detect_races,
-                    ell,
-                    &make,
-                    compiled.replayable,
-                    slot,
-                )
-            }
-            EngineSel::Reference => {
-                let b = self.machine.b as u32;
-                let bases = &bases[..];
-                let make = || WarpExec::new(kernel, bases, b, nregs);
-                self.dispatch(kernel, gmem, mode, detect_races, ell, &make, false, None)
-            }
-        }
+        // Race detection requires deferred writes; timing is unchanged
+        // (same event loop, shared controller).
+        let mut log = Vec::new();
+        let stats = self.run_shard(kernel, gmem, mode, engine, range, &mut log)?;
+        apply_write_log(kernel, gmem, log, true)?;
+        Ok(stats)
     }
 
     /// Runs the block range `range.0..range.1` of a launch — one **shard**
@@ -283,7 +271,8 @@ impl Device {
     /// owns write-log merging (see [`apply_write_log`]), so a shard run
     /// never mutates `gmem`.  With `range = (0, kernel.blocks())` the
     /// returned statistics and log are exactly those of a whole-device
-    /// launch in the same mode.
+    /// launch in the same mode.  Relative to the one launch body this
+    /// fixes the logged target.
     pub fn run_shard(
         &self,
         kernel: &Kernel,
@@ -292,6 +281,21 @@ impl Device {
         engine: EngineSel,
         range: (u64, u64),
         log: &mut Vec<WriteRec>,
+    ) -> Result<KernelStats, SimError> {
+        self.launch(kernel, GmemAccess::Logged { base: gmem, log }, mode, engine, range)
+    }
+
+    /// The one launch body: the occupancy check, the register count, the
+    /// buffer bases and the executor (through the kernel cache, or the
+    /// reference interpreter) are resolved once, for any block range and
+    /// either write target.
+    fn launch(
+        &self,
+        kernel: &Kernel,
+        mut target: GmemAccess<'_>,
+        mode: ExecMode,
+        engine: EngineSel,
+        range: (u64, u64),
     ) -> Result<KernelStats, SimError> {
         let ell = occupancy(&self.machine, kernel.shared_words, self.spec.h_limit);
         if ell == 0 {
@@ -302,136 +306,55 @@ impl Device {
             });
         }
         let nregs = kernel.max_reg().map(|r| u32::from(r) + 1).unwrap_or(1);
+        let gmem = target.mem();
         let bases: Vec<u64> = (0..gmem.buf_count()).map(|i| gmem.base(i as u32)).collect();
+        let b = self.machine.b as u32;
+        let name = &kernel.name;
 
         match engine {
             EngineSel::MicroOp => {
-                let entry = self.cache.get_or_compile(kernel, &bases, self.machine.b as u32, nregs);
+                let entry = self.cache.get_or_compile(kernel, &bases, b, nregs);
                 let compiled = &entry.compiled;
-                let make = || BlockExec::new(compiled);
-                let slot = compiled.replayable.then_some(&entry.trace);
-                self.shard_dispatch(
-                    &kernel.name,
-                    gmem,
-                    mode,
-                    ell,
-                    &make,
-                    compiled.replayable,
-                    slot,
-                    range,
-                    log,
-                )
+                let replayable = compiled.replayable;
+                let slot = replayable.then_some(&entry.trace);
+                let blocks = Blocks { name, ell, replayable, slot, range };
+                self.dispatch(&blocks, &|| BlockExec::new(compiled), &mut target, mode)
             }
             EngineSel::Reference => {
-                let b = self.machine.b as u32;
-                let bases = &bases[..];
-                let make = || WarpExec::new(kernel, bases, b, nregs);
-                self.shard_dispatch(&kernel.name, gmem, mode, ell, &make, false, None, range, log)
+                let blocks = Blocks { name, ell, replayable: false, slot: None, range };
+                let make = || WarpExec::new(kernel, &bases, b, nregs);
+                self.dispatch(&blocks, &make, &mut target, mode)
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn shard_dispatch<E: BlockSim>(
-        &self,
-        name: &str,
-        gmem: &GlobalMemory,
-        mode: ExecMode,
-        ell: u64,
-        make: &(impl Fn() -> E + Sync),
-        replayable: bool,
-        slot: TraceSlot<'_>,
-        range: (u64, u64),
-        log: &mut Vec<WriteRec>,
-    ) -> Result<KernelStats, SimError> {
-        match mode {
-            ExecMode::Sequential => {
-                let mut acc = GmemAccess::Logged { base: gmem, log };
-                self.run_sequential(name, &mut acc, ell, make, replayable, slot, range)
-            }
-            ExecMode::Parallel { threads } => {
-                let (stats, l) = self.run_parallel(
-                    name,
-                    gmem,
-                    ell,
-                    make,
-                    replayable,
-                    slot,
-                    threads.max(1),
-                    range,
-                )?;
-                log.extend(l);
-                Ok(stats)
-            }
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
+    /// The one mode dispatch.  Sequential co-simulation writes into
+    /// `target` as it goes; the parallel strategy always defers, so its
+    /// merged log is handed to `target` afterwards.
     fn dispatch<E: BlockSim>(
         &self,
-        kernel: &Kernel,
-        gmem: &mut GlobalMemory,
-        mode: ExecMode,
-        detect_races: bool,
-        ell: u64,
+        blocks: &Blocks<'_>,
         make: &(impl Fn() -> E + Sync),
-        replayable: bool,
-        slot: TraceSlot<'_>,
+        target: &mut GmemAccess<'_>,
+        mode: ExecMode,
     ) -> Result<KernelStats, SimError> {
-        let range = (0, kernel.blocks());
         match mode {
-            ExecMode::Sequential => {
-                if detect_races {
-                    // Race detection requires deferred writes; timing is
-                    // unchanged (same event loop, shared controller).
-                    let mut log = Vec::new();
-                    let stats = {
-                        let mut acc = GmemAccess::Logged { base: &*gmem, log: &mut log };
-                        self.run_sequential(
-                            &kernel.name,
-                            &mut acc,
-                            ell,
-                            make,
-                            replayable,
-                            slot,
-                            range,
-                        )?
-                    };
-                    apply_write_log(kernel, gmem, log, true)?;
-                    Ok(stats)
-                } else {
-                    let mut acc = GmemAccess::Direct(gmem);
-                    self.run_sequential(&kernel.name, &mut acc, ell, make, replayable, slot, range)
-                }
-            }
+            ExecMode::Sequential => self.run_sequential(blocks, make, target),
             ExecMode::Parallel { threads } => {
-                let (stats, log) = self.run_parallel(
-                    &kernel.name,
-                    gmem,
-                    ell,
-                    make,
-                    replayable,
-                    slot,
-                    threads.max(1),
-                    range,
-                )?;
-                apply_write_log(kernel, gmem, log, detect_races)?;
+                let (stats, log) = self.run_parallel(blocks, make, target.mem(), threads)?;
+                target.absorb(log);
                 Ok(stats)
             }
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_sequential<E: BlockSim>(
         &self,
-        name: &str,
-        acc: &mut GmemAccess<'_>,
-        ell: u64,
+        blocks: &Blocks<'_>,
         make: impl Fn() -> E,
-        replayable: bool,
-        slot: TraceSlot<'_>,
-        range: (u64, u64),
+        acc: &mut GmemAccess<'_>,
     ) -> Result<KernelStats, SimError> {
+        let &Blocks { name, ell, replayable, slot, range } = blocks;
         let k_prime = self.spec.k_prime as usize;
         let mut dram =
             DramController::new(self.spec.dram_issue_cycles, self.spec.dram_latency_cycles);
@@ -498,33 +421,27 @@ impl Device {
 
     /// Parallel simulation: MPs distributed over `threads` workers, static
     /// block assignment, per-MP bandwidth share, deferred writes.
-    #[allow(clippy::too_many_arguments)]
     fn run_parallel<E: BlockSim>(
         &self,
-        name: &str,
-        gmem: &GlobalMemory,
-        ell: u64,
+        blocks: &Blocks<'_>,
         make: &(impl Fn() -> E + Sync),
-        replayable: bool,
-        slot: TraceSlot<'_>,
+        gmem: &GlobalMemory,
         threads: usize,
-        range: (u64, u64),
     ) -> Result<(KernelStats, Vec<WriteRec>), SimError> {
+        let &Blocks { name, ell, replayable, slot, range } = blocks;
         let budget = self.watchdog.load(std::sync::atomic::Ordering::Relaxed);
         let k_prime = self.spec.k_prime;
         // Each MP gets a 1/k' share of memory bandwidth.
         let issue = self.spec.dram_issue_cycles * k_prime;
         let latency = self.spec.dram_latency_cycles;
-        let threads = threads.min(k_prime as usize).max(1);
         let seeded = slot.and_then(|s| s.get().cloned());
 
         // Simulate one MP with its statically assigned blocks.
-        type MpOutcome = Result<(MpStats, u64, u64, Vec<WriteRec>), SimError>;
-        let sim_mp = |mp_id: u64| -> MpOutcome {
+        let sim_mp = |mp_id: usize| -> Result<(MpStats, u64, u64, Vec<WriteRec>), SimError> {
             let mut dram = DramController::new(issue, latency);
             let mut mp = Mp::with_trace(ell, replayable, seeded.clone());
             let mut log = Vec::new();
-            let mut blocks = (range.0..range.1).skip(mp_id as usize).step_by(k_prime as usize);
+            let mut blocks = (range.0..range.1).skip(mp_id).step_by(k_prime as usize);
             // Initial fill.
             let mut pending = blocks.next();
             while mp.free_slots() > 0 {
@@ -559,40 +476,12 @@ impl Device {
             Ok((mp.stats, mp.last_retire, dram.queue_cycles, log))
         };
 
-        // Partition MPs over worker threads.  A panicking worker (or an
-        // MP slot it never filled) surfaces as a structured error — the
-        // driver never propagates a simulation panic into the caller.
-        let worker_panic =
-            || SimError::WorkerPanic { context: format!("simulating MPs of kernel `{name}`") };
-        let results: Vec<MpOutcome> = if threads <= 1 {
-            (0..k_prime).map(sim_mp).collect()
-        } else {
-            let mut out: Vec<Option<Result<_, _>>> = (0..k_prime).map(|_| None).collect();
-            let chunks: Vec<Vec<u64>> = (0..threads)
-                .map(|t| (0..k_prime).filter(|m| *m as usize % threads == t).collect())
-                .collect();
-            std::thread::scope(|s| -> Result<(), SimError> {
-                let mut handles = Vec::new();
-                for chunk in &chunks {
-                    let sim = &sim_mp;
-                    handles.push(
-                        s.spawn(move || chunk.iter().map(|&m| (m, sim(m))).collect::<Vec<_>>()),
-                    );
-                }
-                for h in handles {
-                    for (m, r) in h.join().map_err(|_| worker_panic())? {
-                        out[m as usize] = Some(r);
-                    }
-                }
-                Ok(())
-            })?;
-            out.into_iter().map(|o| o.ok_or_else(worker_panic)).collect::<Result<Vec<_>, _>>()?
-        };
-
         let mut stats = KernelStats { occupancy: ell, ..KernelStats::default() };
         let mut log = Vec::new();
-        for r in results {
-            let (mp_stats, last_retire, queue, mut l) = r?;
+        let what = format_args!("simulating MPs of kernel `{name}`");
+        for (mp_stats, last_retire, queue, mut l) in
+            map_on_threads(k_prime as usize, threads, what, sim_mp)?
+        {
             stats.fold_mp(&mp_stats);
             stats.cycles = stats.cycles.max(last_retire);
             stats.dram_queue_cycles += queue;
@@ -601,6 +490,55 @@ impl Device {
         debug_assert_eq!(stats.blocks, range.1.saturating_sub(range.0));
         Ok((stats, log))
     }
+}
+
+/// One prepared launch, as the block loops see it: everything but the
+/// executor factory and the memory target.
+struct Blocks<'a> {
+    /// Kernel name, for diagnostics.
+    name: &'a str,
+    /// Residency `ℓ`.
+    ell: u64,
+    /// Whether the kernel's timing trace can be replayed across blocks.
+    replayable: bool,
+    slot: TraceSlot<'a>,
+    /// The block range `range.0..range.1` to run.
+    range: (u64, u64),
+}
+
+/// Maps items `0..n` through `map` on at most `threads` scoped OS
+/// threads (item `i` runs on worker `i mod threads`; one worker runs
+/// inline and stops at the first error) and returns the results in item
+/// order, or the first error in item order.  A panicking worker surfaces
+/// as [`SimError::WorkerPanic`] naming `what` — a simulation panic never
+/// propagates into the caller.
+pub(crate) fn map_on_threads<T: Send>(
+    n: usize,
+    threads: usize,
+    what: std::fmt::Arguments<'_>,
+    map: impl Fn(usize) -> Result<T, SimError> + Sync,
+) -> Result<Vec<T>, SimError> {
+    let threads = threads.min(n);
+    if threads <= 1 {
+        return (0..n).map(map).collect();
+    }
+    let worker_panic = || SimError::WorkerPanic { context: what.to_string() };
+    let mut out: Vec<Option<Result<T, SimError>>> = (0..n).map(|_| None).collect();
+    std::thread::scope(|s| -> Result<(), SimError> {
+        let map = &map;
+        let handles: Vec<_> = (0..threads)
+            .map(|t| {
+                s.spawn(move || (t..n).step_by(threads).map(|i| (i, map(i))).collect::<Vec<_>>())
+            })
+            .collect();
+        for h in handles {
+            for (i, r) in h.join().map_err(|_| worker_panic())? {
+                out[i] = Some(r);
+            }
+        }
+        Ok(())
+    })?;
+    out.into_iter().map(|r| r.ok_or_else(worker_panic)?).collect()
 }
 
 /// Flags any global word written by two different thread blocks in `log`.
@@ -627,18 +565,13 @@ pub(crate) fn check_log_races(kernel: &Kernel, log: &[WriteRec]) -> Result<(), S
 pub fn apply_write_log(
     kernel: &Kernel,
     gmem: &mut GlobalMemory,
-    mut log: Vec<WriteRec>,
+    log: Vec<WriteRec>,
     detect_races: bool,
 ) -> Result<(), SimError> {
     if detect_races {
         check_log_races(kernel, &log)?;
     }
-    // Stable sort preserves per-block program order (each block's writes
-    // come from a single thread in order).
-    log.sort_by_key(|w| w.block);
-    for w in log {
-        gmem.write(w.addr as i64, w.val);
-    }
+    GmemAccess::Direct(gmem).absorb(log);
     Ok(())
 }
 
@@ -673,6 +606,36 @@ mod tests {
             g.write(i as i64, i as i64);
         }
         g
+    }
+
+    #[test]
+    fn map_on_threads_keeps_item_order_and_types_its_failures() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for threads in [0, 1, 3, 8] {
+            let out = map_on_threads(5, threads, format_args!("t"), |i| Ok(i * 10)).unwrap();
+            assert_eq!(out, vec![0, 10, 20, 30, 40], "threads={threads}");
+        }
+        // The first error in item order wins; inline, it also stops the
+        // remaining items.
+        let fail_from_1 = |i: usize| match i {
+            0 => Ok(i),
+            _ => Err(SimError::Watchdog { kernel: i.to_string(), budget: 0 }),
+        };
+        for threads in [1, 2] {
+            let ran = AtomicUsize::new(0);
+            let err = map_on_threads(4, threads, format_args!("t"), |i| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                fail_from_1(i)
+            });
+            assert!(matches!(err, Err(SimError::Watchdog { ref kernel, .. }) if kernel == "1"));
+            assert_eq!(ran.into_inner(), if threads == 1 { 2 } else { 4 });
+        }
+        // A worker panic is a typed error naming the work.
+        let err = map_on_threads(3, 3, format_args!("probing"), |i| match i {
+            2 => panic!("boom"),
+            _ => Ok(i),
+        });
+        assert!(matches!(err, Err(SimError::WorkerPanic { ref context }) if context == "probing"));
     }
 
     #[test]

@@ -520,7 +520,7 @@ pub enum ExecMode {
     /// memory controller.  Deterministic, bit-exact, the reference mode.
     #[default]
     Sequential,
-    /// MPs partitioned over OS threads (crossbeam scoped), each MP with a
+    /// MPs partitioned over scoped OS threads, each MP with a
     /// `1/k′` share of memory bandwidth and static round-robin block
     /// assignment.  Deterministic functional results; timing agrees with
     /// sequential mode to within a small tolerance (the bandwidth-sharing

@@ -566,13 +566,10 @@ pub(crate) fn run_rounds(
                     links.ledger.sync_stream(*device, *stream);
                 }
                 HostStep::SyncDevice { device } => links.ledger.sync_device(*device),
-                HostStep::Launch(kernel) => {
-                    // A plain launch is a one-shard plan on device 0.
-                    let whole = [Shard { device: 0, start: 0, end: kernel.blocks() }];
-                    launch(kernel, &whole, gmems, &mut links.ledger)?;
-                }
-                HostStep::LaunchSharded { kernel, shards } => {
-                    launch(kernel, shards, gmems, &mut links.ledger)?;
+                HostStep::Launch(_) | HostStep::LaunchSharded { .. } => {
+                    if let Some((kernel, shards)) = step.launch() {
+                        launch(kernel, &shards, gmems, &mut links.ledger)?;
+                    }
                 }
             }
         }

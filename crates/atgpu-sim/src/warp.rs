@@ -80,10 +80,7 @@ pub enum GmemAccess<'a> {
 impl GmemAccess<'_> {
     #[inline]
     pub(crate) fn read(&self, addr: i64) -> Option<i64> {
-        match self {
-            GmemAccess::Direct(g) => g.read(addr),
-            GmemAccess::Logged { base, .. } => base.read(addr),
-        }
+        self.mem().read(addr)
     }
 
     #[inline]
@@ -103,10 +100,7 @@ impl GmemAccess<'_> {
     /// Read view of the whole heap (micro-op engine fast paths).
     #[inline]
     pub(crate) fn view(&self) -> &[i64] {
-        match self {
-            GmemAccess::Direct(g) => g.words(),
-            GmemAccess::Logged { base, .. } => base.words(),
-        }
+        self.mem().words()
     }
 
     /// Contiguous read of `out.len()` words starting at `addr` (micro-op
@@ -152,9 +146,32 @@ impl GmemAccess<'_> {
 
     #[inline]
     pub(crate) fn len(&self) -> u64 {
+        self.mem().len()
+    }
+
+    /// The memory reads are served from.
+    #[inline]
+    pub(crate) fn mem(&self) -> &GlobalMemory {
         match self {
-            GmemAccess::Direct(g) => g.len(),
-            GmemAccess::Logged { base, .. } => base.len(),
+            GmemAccess::Direct(g) => g,
+            GmemAccess::Logged { base, .. } => base,
+        }
+    }
+
+    /// Takes a finished launch's deferred writes: a logged target records
+    /// them; a direct target applies them in block order — the stable
+    /// sort keeps each block's program order (a block's writes come from
+    /// one thread, in order), so the last writer of a word is the same
+    /// however the launch was split over MPs, threads or devices.
+    pub(crate) fn absorb(&mut self, mut writes: Vec<WriteRec>) {
+        match self {
+            GmemAccess::Direct(g) => {
+                writes.sort_by_key(|w| w.block);
+                for w in writes {
+                    g.write(w.addr as i64, w.val);
+                }
+            }
+            GmemAccess::Logged { log, .. } => log.extend(writes),
         }
     }
 }
