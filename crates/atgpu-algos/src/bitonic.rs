@@ -21,7 +21,7 @@
 
 use crate::error::AlgosError;
 use crate::gen;
-use crate::workload::{BuiltProgram, Workload};
+use crate::workload::{BuiltProgram, Placement, Workload};
 use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, PredExpr, ProgramBuilder};
 use atgpu_model::asymptotics::{BigO, Term};
 use atgpu_model::AtgpuMachine;
@@ -69,7 +69,7 @@ impl Workload for BitonicSort {
         self.n
     }
 
-    fn build(&self, machine: &AtgpuMachine) -> Result<BuiltProgram, AlgosError> {
+    fn emit(&self, machine: &AtgpuMachine, _: &Placement) -> Result<BuiltProgram, AlgosError> {
         if self.n == 0 {
             return Err(AlgosError::InvalidSize { reason: "empty input".into() });
         }

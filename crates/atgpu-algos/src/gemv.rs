@@ -11,7 +11,7 @@
 
 use crate::error::AlgosError;
 use crate::gen;
-use crate::workload::{BuiltProgram, Workload};
+use crate::workload::{BuiltProgram, Placement, Workload};
 use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, PredExpr, ProgramBuilder};
 use atgpu_model::asymptotics::{BigO, Term};
 use atgpu_model::{AlgoMetrics, AtgpuMachine, RoundMetrics};
@@ -50,7 +50,7 @@ impl Workload for Gemv {
         self.n
     }
 
-    fn build(&self, machine: &AtgpuMachine) -> Result<BuiltProgram, AlgosError> {
+    fn emit(&self, machine: &AtgpuMachine, _: &Placement) -> Result<BuiltProgram, AlgosError> {
         let n = self.n;
         let b = machine.b;
         if n == 0 || !n.is_multiple_of(b) {

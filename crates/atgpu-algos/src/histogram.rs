@@ -21,9 +21,8 @@
 
 use crate::error::AlgosError;
 use crate::gen;
-use crate::vecadd::check_shards_fit;
-use crate::workload::{BuiltProgram, Workload};
-use atgpu_ir::{AddrExpr, AluOp, Kernel, KernelBuilder, Operand, PredExpr, ProgramBuilder, Shard};
+use crate::workload::{BuiltProgram, Placement, Workload};
+use atgpu_ir::{AddrExpr, AluOp, Kernel, KernelBuilder, Operand, PredExpr, ProgramBuilder};
 use atgpu_model::asymptotics::{BigO, Term};
 use atgpu_model::{AtgpuMachine, PeerProfile, ShardProfile};
 
@@ -64,7 +63,7 @@ impl Histogram {
         h
     }
 
-    /// Shared validation: sizes, the power-of-two warp constraint, the
+    /// Validation: sizes, the power-of-two warp constraint, the
     /// machine/instance bin agreement, and value range.  Returns
     /// `(k, b, steps)`.
     fn check(&self, machine: &AtgpuMachine) -> Result<(u64, u64, u32), AlgosError> {
@@ -88,108 +87,6 @@ impl Histogram {
             });
         }
         Ok((machine.blocks_for(self.n), b, b.trailing_zeros()))
-    }
-
-    /// Two-round cluster histogram over an explicit shard plan of the
-    /// block grid: each shard stages its input slice and builds per-block
-    /// partial bin rows on its own device; every shard off the owner
-    /// (device 0) then **peer-merges its partial rows to the owner**,
-    /// which sums all `k` rows in block order — bit-identical to the
-    /// single-device build — and drains the `b`-bin result.
-    pub fn build_sharded_with(
-        &self,
-        machine: &AtgpuMachine,
-        shards: Vec<Shard>,
-    ) -> Result<BuiltProgram, AlgosError> {
-        let (k, b, steps) = self.check(machine)?;
-        check_shards_fit(&shards, k)?;
-        let n = self.n;
-
-        let mut pb = ProgramBuilder::new("histogram-sharded");
-        let hin = pb.host_input("A", n);
-        let hout = pb.host_output("Hist", b);
-        let din = pb.device_alloc("a", n);
-        let dpart = pb.device_alloc("partial", k * b);
-        let dhist = pb.device_alloc("hist", b);
-
-        // Round 1: stage slices, per-block sub-histograms per shard.
-        pb.begin_round();
-        for s in &shards {
-            let lo = s.start * b;
-            pb.transfer_in_to(s.device, hin, lo, din, lo, (s.end * b).min(n) - lo);
-        }
-        pb.launch_sharded(hist_blocks_kernel(n, k, b, steps, din, dpart), shards.clone());
-
-        // Round 2: merge partial rows to the owner, sum, drain.
-        pb.begin_round();
-        for s in &shards {
-            if s.device != 0 {
-                pb.transfer_peer(s.device, 0, dpart, s.start * b, s.start * b, s.blocks() * b);
-            }
-        }
-        pb.launch_sharded(
-            hist_merge_kernel(k, b, dpart, dhist),
-            vec![Shard { device: 0, start: 0, end: 1 }],
-        );
-        pb.transfer_out_from(0, dhist, 0, hout, 0, b);
-
-        Ok(BuiltProgram {
-            program: pb.build()?,
-            inputs: vec![self.data.clone()],
-            outputs: vec![hout],
-        })
-    }
-
-    /// [`Self::build_sharded_with`] over an even block split.
-    pub fn build_sharded(
-        &self,
-        machine: &AtgpuMachine,
-        devices: u32,
-    ) -> Result<BuiltProgram, AlgosError> {
-        let (k, _, _) = self.check(machine)?;
-        self.build_sharded_with(machine, atgpu_sim::even_shards(k, devices))
-    }
-
-    /// The cost shape of the sharded histogram: a heavy bin-loop kernel
-    /// round plus a merge round (`time_ops` is their mean; the owner's
-    /// `k`-row summation is plan-invariant and left out), `b` input
-    /// words staged per block, and a `b`-word partial row peer-merged
-    /// to the owner per block — the all-to-one traffic the planner
-    /// prices on the directed matrix, steering blocks toward the owner
-    /// when links to it are slow.
-    pub fn shard_profile(machine: &AtgpuMachine) -> ShardProfile {
-        let b = machine.b.max(2);
-        let steps = b.trailing_zeros() as u64;
-        let t1 = 8 + b * (3 + 6 * steps); // prelude + per-bin reduce loop
-        ShardProfile {
-            time_ops: t1.div_ceil(2),
-            io_blocks_per_unit: b + 1,
-            inward_words_per_unit: b,
-            inward_txns: 1,
-            shared_words: b * b + b,
-            rounds: 2,
-            peer: PeerProfile {
-                merge_words_per_unit: b,
-                merge_txns: 1,
-                owner: 0,
-                ..PeerProfile::default()
-            },
-            ..ShardProfile::default()
-        }
-    }
-
-    /// [`Self::build_sharded_with`] with blocks apportioned by the
-    /// peer-aware planner pricing [`Self::shard_profile`] — including
-    /// dropping devices whose merge path to the owner costs more than
-    /// their compute saves.
-    pub fn build_sharded_planned(
-        &self,
-        machine: &AtgpuMachine,
-        cluster: &atgpu_model::ClusterSpec,
-    ) -> Result<BuiltProgram, AlgosError> {
-        let (k, _, _) = self.check(machine)?;
-        let shards = atgpu_sim::planned_shards(k, cluster, machine, &Self::shard_profile(machine));
-        self.build_sharded_with(machine, shards)
     }
 }
 
@@ -273,25 +170,72 @@ impl Workload for Histogram {
         self.n
     }
 
-    fn build(&self, machine: &AtgpuMachine) -> Result<BuiltProgram, AlgosError> {
+    fn units(&self, machine: &AtgpuMachine) -> Option<u64> {
+        Some(machine.blocks_for(self.n))
+    }
+
+    /// The cost shape of the histogram: a heavy bin-loop kernel round
+    /// plus a merge round (`time_ops` is their mean; the owner's `k`-row
+    /// summation is plan-invariant and left out), `b` input words staged
+    /// per block, and a `b`-word partial row peer-merged to the owner
+    /// per block — the all-to-one traffic the planner prices on the
+    /// directed matrix, steering blocks toward the owner (or dropping a
+    /// device outright) when links to it are slow.
+    fn shard_profile(&self, machine: &AtgpuMachine) -> ShardProfile {
+        let b = machine.b.max(2);
+        let steps = b.trailing_zeros() as u64;
+        let t1 = 8 + b * (3 + 6 * steps); // prelude + per-bin reduce loop
+        ShardProfile {
+            time_ops: t1.div_ceil(2),
+            io_blocks_per_unit: b + 1,
+            inward_words_per_unit: b,
+            inward_txns: 1,
+            shared_words: b * b + b,
+            rounds: 2,
+            peer: PeerProfile {
+                merge_words_per_unit: b,
+                merge_txns: 1,
+                owner: 0,
+                ..PeerProfile::default()
+            },
+            ..ShardProfile::default()
+        }
+    }
+
+    /// Two rounds over a placement of the block grid: each shard stages
+    /// its input slice and builds per-block partial bin rows on its own
+    /// device; every shard off the owner (device 0) then **peer-merges
+    /// its partial rows to the owner**, which sums all `k` rows in block
+    /// order — bit-identical under any placement — and drains the
+    /// `b`-bin result.
+    fn emit(&self, machine: &AtgpuMachine, at: &Placement) -> Result<BuiltProgram, AlgosError> {
         let (k, b, steps) = self.check(machine)?;
         let n = self.n;
 
-        let mut pb = ProgramBuilder::new("histogram");
+        let mut pb = ProgramBuilder::new(at.name("histogram", "histogram-sharded"));
         let hin = pb.host_input("A", n);
         let hout = pb.host_output("Hist", b);
         let din = pb.device_alloc("a", n);
         let dpart = pb.device_alloc("partial", k * b);
         let dhist = pb.device_alloc("hist", b);
 
-        // Round 1: per-block sub-histograms + column reduction.
+        // Round 1: stage slices, per-block sub-histograms + column
+        // reduction per shard.
         pb.begin_round();
-        pb.transfer_in(hin, din, n);
-        pb.launch(hist_blocks_kernel(n, k, b, steps, din, dpart));
+        for s in at.shards() {
+            let lo = s.start * b;
+            pb.transfer_in_to(s.device, hin, lo, din, lo, (s.end * b).min(n) - lo);
+        }
+        at.launch(&mut pb, hist_blocks_kernel(n, k, b, steps, din, dpart));
 
-        // Round 2: sum the k partial rows.
+        // Round 2: merge partial rows to the owner, sum the k rows, drain.
         pb.begin_round();
-        pb.launch(hist_merge_kernel(k, b, dpart, dhist));
+        for s in at.shards() {
+            if s.device != 0 {
+                pb.transfer_peer(s.device, 0, dpart, s.start * b, s.start * b, s.blocks() * b);
+            }
+        }
+        at.launch_on_owner(&mut pb, hist_merge_kernel(k, b, dpart, dhist));
         pb.transfer_out(dhist, hout, b);
 
         Ok(BuiltProgram {
@@ -433,7 +377,7 @@ mod tests {
             .unwrap()
             .iter()
             .filter(|s| s.device == 2)
-            .map(Shard::blocks)
+            .map(atgpu_ir::Shard::blocks)
             .sum();
         let k = m.blocks_for(4096);
         assert!(

@@ -40,15 +40,42 @@
 //!   (paper §V: "data does not fit on the global memory, thereby
 //!   requiring some sort of partitioning").
 //!
-//! ## Clusters and peer traffic — the irregular quartet
+//! ## Workload × plan
+//!
+//! A workload says *what* runs; a [`Plan`] says *where*.  Every workload
+//! states its algorithm once, in [`Workload::emit`], and the provided
+//! builders differ only in the plan they hand [`Plan::resolve`], the
+//! crate's one apportionment site: [`Workload::build`] is
+//! [`Plan::Single`] (whole grid on device 0, a plain `Launch`),
+//! [`Workload::build_sharded`] is [`Plan::Even`],
+//! [`Workload::build_sharded_planned`] is [`Plan::Planned`] (the
+//! cost-driven planner's argmin, priced with
+//! [`Workload::shard_profile`]), and [`Workload::build_plan`] takes any
+//! plan, a caller's [`Plan::Explicit`] partition included.
+//!
+//! The single-device case is the one whole-grid shard on device 0 — peer
+//! loops emit nothing, slices cover whole buffers — so [`vecadd`],
+//! [`matmul`] (tile-row bands, `B` broadcast), [`scan`], [`histogram`],
+//! [`ooc::OocVecAdd`] (chunks dealt round-robin) and the iterated
+//! [`stencil`] each have exactly one body.  [`reduce`] and [`spmv`] keep a
+//! separate single-device body beside their sharded one, because they
+//! stage differently on one device (the tree straight from the input;
+//! whole slot arrays instead of per-slot); the remaining workloads have
+//! no sharded form and reject every plan but [`Plan::Single`].
+//!
+//! Chunking and stream assignment are not plans: the streamed and
+//! pipelined builders ([`ooc::OocVecAdd::build_streamed`] /
+//! `build_planned`, [`matmul::MatMul::build_sharded_streamed`] /
+//! `build_sharded_pipelined`) and [`vecadd::VecAdd::build_relaunched`]
+//! are different round structures and stay their own bodies.
+//!
+//! ### Peer traffic — the irregular quartet
 //!
 //! The regular workloads shard trivially (independent slabs, no
-//! cross-device traffic).  Four irregular ones also run on clusters,
-//! each exercising a different peer-communication shape, and each in
-//! three forms: an explicit-plan `build_sharded_with` (the differential
-//! suites feed it random plans), an even-split `build_sharded`, and a
-//! `shard_profile` whose [`atgpu_model::PeerProfile`] makes the
-//! `atgpu-sim` planner's plan pricing **peer-aware**:
+//! cross-device traffic).  Four irregular ones each exercise a different
+//! peer-communication shape, with a `shard_profile` whose
+//! [`atgpu_model::PeerProfile`] makes the `atgpu-sim` planner's plan
+//! pricing **peer-aware**:
 //!
 //! * [`stencil`] — iterated halo exchange: one boundary cell per
 //!   direction over peer links every round;
@@ -62,6 +89,9 @@
 //! All four are bit-identical to their single-device runs under any
 //! shard plan (`tests/cluster_quartet_differential.rs`), including
 //! mid-program device loss.
+//!
+//! [`roster()`] lists every workload once; `tests/roster_plans.rs` builds,
+//! statically verifies and simulates every roster × plan cell.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,6 +106,7 @@ pub mod histogram;
 pub mod matmul;
 pub mod ooc;
 pub mod reduce;
+pub mod roster;
 pub mod saxpy;
 pub mod scan;
 pub mod spmv;
@@ -85,4 +116,5 @@ pub mod vecadd;
 pub mod workload;
 
 pub use error::AlgosError;
-pub use workload::{verify_on_sim, BuiltProgram, Workload};
+pub use roster::{roster, RosterEntry};
+pub use workload::{verify_on_sim, BuiltProgram, Placement, Plan, Workload};

@@ -19,10 +19,10 @@
 
 use crate::error::AlgosError;
 use crate::gen;
-use crate::workload::{BuiltProgram, Workload};
-use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder};
+use crate::workload::{BuiltProgram, Placement, Plan, Workload};
+use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder, Shard};
 use atgpu_model::asymptotics::{BigO, Term};
-use atgpu_model::{AlgoMetrics, AtgpuMachine, RoundMetrics};
+use atgpu_model::{AlgoMetrics, AtgpuMachine, RoundMetrics, ShardProfile};
 
 /// An `n×n` matrix-multiplication instance `C = A×B` (row-major).
 #[derive(Debug, Clone)]
@@ -68,71 +68,10 @@ impl MatMul {
         c
     }
 
-    /// Builds a **multi-device** matrix multiplication sharded by tile
-    /// row: device `d` computes a contiguous band of C's tile rows.  `B`
-    /// is broadcast to every participating device; each device receives
-    /// only its band of `A` and returns its band of `C` (both contiguous
-    /// in row-major order, so one transfer transaction each).  Because a
-    /// tile row is a contiguous range of linear block indices
-    /// (`id = iy·t + ix`), the band maps to one [`atgpu_ir::Shard`].
-    pub fn build_sharded(
-        &self,
-        machine: &AtgpuMachine,
-        devices: u32,
-    ) -> Result<BuiltProgram, AlgosError> {
-        let t = self.n / machine.b.max(1);
-        self.build_sharded_rows(machine, atgpu_sim::even_shards(t, devices))
-    }
-
-    /// The per-tile-row cost shape of the sharded multiplication — the
-    /// planning unit is one tile row (`t = n/b` thread blocks, `b·n`
-    /// words of `A` in, `b·n` words of `C` out) with `B` broadcast to
-    /// every participating device regardless of its share.
-    pub fn row_profile(&self, machine: &AtgpuMachine) -> atgpu_model::ShardProfile {
-        let n = self.n;
-        let b = machine.b.max(1);
-        let t = n / b;
-        atgpu_model::ShardProfile {
-            time_ops: Self::time_ops(n, b),
-            io_blocks_per_unit: t * (2 * n + b),
-            inward_words_per_unit: b * n,
-            inward_txns: 1,
-            outward_words_per_unit: b * n,
-            outward_txns: 1,
-            broadcast_words: n * n,
-            broadcast_txns: 1,
-            shared_words: 3 * b * b,
-            blocks_per_unit: t,
-            ..atgpu_model::ShardProfile::default()
-        }
-    }
-
-    /// [`Self::build_sharded`] with the tile rows split by the
-    /// **cost-driven planner** ([`atgpu_sim::planned_shards`]): candidate
-    /// row apportionments (even, compute-weighted, transfer-balanced)
-    /// are priced with [`Self::row_profile`] through the cluster cost
-    /// function, so a mixed-generation cluster's fast devices get
-    /// proportionally larger bands *and* a slow host link costs its
-    /// device rows — both effects in one objective, where the old
-    /// `k′·clock` weighting saw only the first.
-    pub fn build_sharded_planned(
-        &self,
-        machine: &AtgpuMachine,
-        cluster: &atgpu_model::ClusterSpec,
-    ) -> Result<BuiltProgram, AlgosError> {
-        let t = self.n / machine.b.max(1);
-        let shards = atgpu_sim::planned_shards(t, cluster, machine, &self.row_profile(machine));
-        self.build_sharded_rows(machine, shards)
-    }
-
-    /// [`Self::build_sharded`] with an explicit **tile-row** shard plan
-    /// (a contiguous partition of the `n/b` rows) — what the experiment
-    /// harness uses to compare planners on the same program shape.
-    pub fn build_sharded_rows(
-        &self,
-        machine: &AtgpuMachine,
-        row_shards: Vec<atgpu_ir::Shard>,
-    ) -> Result<BuiltProgram, AlgosError> {
+    /// Validates the instance against the machine — `n` a positive
+    /// multiple of `b`, `3b²` shared words available — and returns the
+    /// tile rows `t = n/b`.
+    fn check(&self, machine: &AtgpuMachine) -> Result<u64, AlgosError> {
         let n = self.n;
         let b = machine.b;
         if n == 0 || !n.is_multiple_of(b) {
@@ -149,44 +88,7 @@ impl MatMul {
                 ),
             });
         }
-        let t = n / b;
-        crate::vecadd::check_shards_fit(&row_shards, t)?;
-        let nn = n * n;
-
-        let mut pb = ProgramBuilder::new("matmul_sharded");
-        let ha = pb.host_input("A", nn);
-        let hb = pb.host_input("B", nn);
-        let hc = pb.host_output("C", nn);
-        let da = pb.device_alloc("a", nn);
-        let db = pb.device_alloc("b", nn);
-        let dc = pb.device_alloc("c", nn);
-
-        // Row band [y0, y1) is the linear block range [y0·t, y1·t) and
-        // the word range [y0·b·n, y1·b·n).
-        let shards: Vec<atgpu_ir::Shard> = row_shards
-            .iter()
-            .map(|s| atgpu_ir::Shard { device: s.device, start: s.start * t, end: s.end * t })
-            .collect();
-
-        pb.begin_round();
-        for s in &row_shards {
-            let off = s.start * b * n;
-            let words = s.blocks() * b * n;
-            pb.transfer_in_to(s.device, ha, off, da, off, words);
-            pb.transfer_in_to(s.device, hb, 0, db, 0, nn); // broadcast B
-        }
-        pb.launch_sharded(tiled_kernel(n, b, da, db, dc), shards);
-        for s in &row_shards {
-            let off = s.start * b * n;
-            let words = s.blocks() * b * n;
-            pb.transfer_out_from(s.device, dc, off, hc, off, words);
-        }
-
-        Ok(BuiltProgram {
-            program: pb.build()?,
-            inputs: vec![self.a.clone(), self.b.clone()],
-            outputs: vec![hc],
-        })
+        Ok(n / b)
     }
 
     /// Builds the **double-buffered streamed** sharded multiplication:
@@ -208,23 +110,8 @@ impl MatMul {
         devices: u32,
         chunk_rows: u64,
     ) -> Result<BuiltProgram, AlgosError> {
-        let n = self.n;
-        let b = machine.b;
-        if n == 0 || !n.is_multiple_of(b) {
-            return Err(AlgosError::InvalidSize {
-                reason: format!("matrix side {n} must be a positive multiple of b = {b}"),
-            });
-        }
-        if machine.m < 3 * b * b {
-            return Err(AlgosError::InvalidMachine {
-                reason: format!(
-                    "tiled matmul needs 3b² = {} shared words, machine has M = {}",
-                    3 * b * b,
-                    machine.m
-                ),
-            });
-        }
-        let t = n / b;
+        let t = self.check(machine)?;
+        let (n, b) = (self.n, machine.b);
         let devices = devices.max(1);
         let slab = u64::from(devices) * chunk_rows; // tile rows per full slab
         if chunk_rows == 0 {
@@ -245,7 +132,12 @@ impl MatMul {
         // last slab may be ragged, and its rows are re-apportioned
         // evenly so no device is handed a phantom share.
         let slab_rows = |k: u64| slab.min(t - k * slab);
-        let shares = |k: u64| atgpu_sim::even_shards(slab_rows(k), devices);
+        let shares = (0..slabs)
+            .map(|k| {
+                Plan::Even(devices).resolve(Some(slab_rows(k)), machine, ShardProfile::default)
+            })
+            .collect::<Result<Vec<Placement>, _>>()?;
+        let shares = |k: u64| shares[k as usize].shards();
         let upload = |pb: &mut ProgramBuilder, k: u64, stream: u32| {
             for s in shares(k) {
                 let off = (k * slab + s.start) * b * n;
@@ -276,14 +168,7 @@ impl MatMul {
                 db,
                 dc,
             );
-            // A device's band of rows [s.start, s.end) within the slab
-            // is the contiguous linear block range [s.start·t, s.end·t)
-            // of the slab grid.
-            let shards: Vec<atgpu_ir::Shard> = shares(k)
-                .iter()
-                .map(|s| atgpu_ir::Shard { device: s.device, start: s.start * t, end: s.end * t })
-                .collect();
-            pb.launch_sharded(kernel, shards);
+            pb.launch_sharded(kernel, row_blocks(shares(k), t));
             for s in shares(k) {
                 let off = (k * slab + s.start) * b * n;
                 pb.transfer_out_streamed(s.device, 0, dc, off, hc, off, s.blocks() * b * n);
@@ -325,10 +210,10 @@ impl MatMul {
         if devices == 0 || t == 0 {
             return self.build_sharded_planned(machine, cluster);
         }
-        let profile = self.row_profile(machine);
+        let profile = self.shard_profile(machine);
         let share = t.div_ceil(devices);
-        let even_counts =
-            atgpu_sim::shard_counts(&atgpu_sim::even_shards(t, devices as u32), devices as usize);
+        let even = Plan::Even(devices as u32).resolve(Some(t), machine, || profile.clone())?;
+        let even_counts = atgpu_sim::shard_counts(even.shards(), devices as usize);
         let candidates: Vec<u64> = (1..=share).filter(|c| share.is_multiple_of(*c)).collect();
         let chunk_rows = atgpu_model::plan::solve_chunk_units(
             cluster,
@@ -341,18 +226,18 @@ impl MatMul {
         // non-even) one-shot planned apportionment.
         let piped =
             atgpu_model::plan::pipeline_cost(cluster, machine, &profile, &even_counts, chunk_rows);
-        let planned = atgpu_sim::planned_shards(t, cluster, machine, &profile);
+        let planned = Plan::Planned(cluster).resolve(Some(t), machine, || profile.clone())?;
         let oneshot = atgpu_model::plan::plan_cost(
             cluster,
             machine,
             &profile,
-            &atgpu_sim::shard_counts(&planned, devices as usize),
+            &atgpu_sim::shard_counts(planned.shards(), devices as usize),
         );
         match (piped, oneshot) {
             (Ok(p), Ok(o)) if p <= o => {
                 self.build_sharded_streamed(machine, devices as u32, chunk_rows)
             }
-            (Ok(_), Ok(_)) | (Err(_), _) => self.build_sharded_rows(machine, planned),
+            (Ok(_), Ok(_)) | (Err(_), _) => self.emit(machine, &planned),
             (_, Err(_)) => self.build_sharded_streamed(machine, devices as u32, chunk_rows),
         }
     }
@@ -366,23 +251,18 @@ impl MatMul {
     }
 }
 
-/// Builds the tiled-matmul kernel for an `n×n` problem on width `b`:
-/// a 2-D grid of `(n/b) × (n/b)` blocks, `3b²` shared words.
-fn tiled_kernel(
-    n: u64,
-    b: u64,
-    da: atgpu_ir::DBuf,
-    db: atgpu_ir::DBuf,
-    dc: atgpu_ir::DBuf,
-) -> atgpu_ir::Kernel {
-    tiled_band_kernel("matmul_kernel".into(), n, b, n / b, 0, da, db, dc)
+/// Tile-row shards as linear block ranges: with `t` blocks per row, the
+/// band `[y0, y1)` is the blocks `[y0·t, y1·t)`.
+fn row_blocks(rows: &[Shard], t: u64) -> Vec<Shard> {
+    rows.iter().map(|s| Shard { start: s.start * t, end: s.end * t, ..*s }).collect()
 }
 
-/// The tile-row-band form of the tiled kernel: a `(n/b) × rows` grid
-/// computing C's tile rows `[row0, row0 + rows)` — `block_y` is the row
-/// *within the band* and `row0` is baked into the global addresses.  With
-/// `rows = n/b, row0 = 0` this is exactly [`tiled_kernel`]; chunked
-/// (streamed) builds launch one band per round.
+/// The tiled-matmul kernel for an `n×n` problem on width `b`, in
+/// tile-row-band form: a `(n/b) × rows` grid of blocks with `3b²` shared
+/// words computing C's tile rows `[row0, row0 + rows)` — `block_y` is the
+/// row *within the band* and `row0` is baked into the global addresses.
+/// `rows = n/b, row0 = 0` is the whole product; chunked (streamed) builds
+/// launch one band per round.
 #[allow(clippy::too_many_arguments)]
 fn tiled_band_kernel(
     name: String,
@@ -463,26 +343,49 @@ impl Workload for MatMul {
         self.n
     }
 
-    fn build(&self, machine: &AtgpuMachine) -> Result<BuiltProgram, AlgosError> {
+    /// Tile rows: a row is a contiguous range of linear block indices
+    /// (`id = iy·t + ix`), so a band of rows maps to one
+    /// [`atgpu_ir::Shard`].
+    fn units(&self, machine: &AtgpuMachine) -> Option<u64> {
+        Some(self.n / machine.b.max(1))
+    }
+
+    /// The per-tile-row cost shape: one row is `t = n/b` thread blocks,
+    /// `b·n` words of `A` in and `b·n` words of `C` out, with `B`
+    /// broadcast to every participating device regardless of its share —
+    /// so a mixed-generation cluster's fast devices get proportionally
+    /// larger bands *and* a slow host link costs its device rows, both
+    /// effects in one objective.
+    fn shard_profile(&self, machine: &AtgpuMachine) -> ShardProfile {
         let n = self.n;
-        let b = machine.b;
-        if n == 0 || !n.is_multiple_of(b) {
-            return Err(AlgosError::InvalidSize {
-                reason: format!("matrix side {n} must be a positive multiple of b = {b}"),
-            });
+        let b = machine.b.max(1);
+        let t = n / b;
+        ShardProfile {
+            time_ops: Self::time_ops(n, b),
+            io_blocks_per_unit: t * (2 * n + b),
+            inward_words_per_unit: b * n,
+            inward_txns: 1,
+            outward_words_per_unit: b * n,
+            outward_txns: 1,
+            broadcast_words: n * n,
+            broadcast_txns: 1,
+            shared_words: 3 * b * b,
+            blocks_per_unit: t,
+            ..ShardProfile::default()
         }
-        if machine.m < 3 * b * b {
-            return Err(AlgosError::InvalidMachine {
-                reason: format!(
-                    "tiled matmul needs 3b² = {} shared words, machine has M = {}",
-                    3 * b * b,
-                    machine.m
-                ),
-            });
-        }
+    }
+
+    /// One round, sharded by tile row: each shard's device computes a
+    /// contiguous band of C's tile rows.  `B` is broadcast to every
+    /// participating device; each device receives only its band of `A`
+    /// and returns its band of `C` (both contiguous in row-major order,
+    /// so one transfer transaction each).
+    fn emit(&self, machine: &AtgpuMachine, at: &Placement) -> Result<BuiltProgram, AlgosError> {
+        let t = self.check(machine)?;
+        let (n, b) = (self.n, machine.b);
         let nn = n * n;
 
-        let mut pb = ProgramBuilder::new("matmul");
+        let mut pb = ProgramBuilder::new(at.name("matmul", "matmul_sharded"));
         let ha = pb.host_input("A", nn);
         let hb = pb.host_input("B", nn);
         let hc = pb.host_output("C", nn);
@@ -490,11 +393,22 @@ impl Workload for MatMul {
         let db = pb.device_alloc("b", nn);
         let dc = pb.device_alloc("c", nn);
 
+        // Row band [y0, y1) is the linear block range [y0·t, y1·t) and
+        // the word range [y0·b·n, y1·b·n).
+        let band = |s: &Shard| (s.start * b * n, s.blocks() * b * n);
+
         pb.begin_round();
-        pb.transfer_in(ha, da, nn); // A W A
-        pb.transfer_in(hb, db, nn); // B W B
-        pb.launch(tiled_kernel(n, b, da, db, dc));
-        pb.transfer_out(dc, hc, nn); // C W c
+        for s in at.shards() {
+            let (off, words) = band(s);
+            pb.transfer_in_to(s.device, ha, off, da, off, words); // a W A
+            pb.transfer_in_to(s.device, hb, 0, db, 0, nn); // b W B, broadcast
+        }
+        let kernel = tiled_band_kernel("matmul_kernel".into(), n, b, t, 0, da, db, dc);
+        at.launch_over(&mut pb, kernel, row_blocks(at.shards(), t));
+        for s in at.shards() {
+            let (off, words) = band(s);
+            pb.transfer_out_from(s.device, dc, off, hc, off, words); // C W c
+        }
 
         Ok(BuiltProgram {
             program: pb.build()?,

@@ -25,10 +25,25 @@
 use crate::error::AlgosError;
 use crate::gen;
 use crate::reduce::{append_reduce_rounds, reduce_round_kernel, ReduceVariant};
-use crate::workload::{BuiltProgram, Workload};
-use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder};
+use crate::vecadd::vecadd_kernel;
+use crate::workload::{BuiltProgram, Placement, Workload};
+use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder, Shard};
 use atgpu_model::asymptotics::{BigO, Term};
-use atgpu_model::AtgpuMachine;
+use atgpu_model::{AtgpuMachine, ShardProfile};
+
+/// Size validation of every out-of-core builder: non-empty input, chunk
+/// a positive multiple of the machine's warp width.
+fn check_chunking(n: u64, chunk: u64, b: u64) -> Result<(), AlgosError> {
+    if n == 0 {
+        return Err(AlgosError::InvalidSize { reason: "empty input".into() });
+    }
+    if chunk == 0 || !chunk.is_multiple_of(b) {
+        return Err(AlgosError::InvalidSize {
+            reason: format!("chunk {chunk} must be a positive multiple of b = {b}"),
+        });
+    }
+    Ok(())
+}
 
 /// Out-of-core vector addition: `C = A + B` processed in chunks.
 #[derive(Debug, Clone)]
@@ -55,20 +70,6 @@ impl OocVecAdd {
         self.n.div_ceil(self.chunk)
     }
 
-    /// Shared size validation of every builder: non-empty input, chunk a
-    /// positive multiple of the machine's warp width.
-    fn check_chunking(&self, b: u64) -> Result<(), AlgosError> {
-        if self.n == 0 {
-            return Err(AlgosError::InvalidSize { reason: "empty vectors".into() });
-        }
-        if self.chunk == 0 || !self.chunk.is_multiple_of(b) {
-            return Err(AlgosError::InvalidSize {
-                reason: format!("chunk {} must be a positive multiple of b = {b}", self.chunk),
-            });
-        }
-        Ok(())
-    }
-
     /// Builds the **double-buffered streamed** out-of-core addition: two
     /// ping-pong buffer sets, with chunk `r`'s host→device copies
     /// enqueued on **stream 1** in the same round that runs chunk
@@ -87,12 +88,6 @@ impl OocVecAdd {
     /// the chunk from the cost model instead.
     pub fn build_streamed(&self, machine: &AtgpuMachine) -> Result<BuiltProgram, AlgosError> {
         self.build_streamed_with_chunk(machine, self.chunk)
-    }
-
-    /// The per-block cost shape of the chunk-addition kernel (identical
-    /// to plain vecadd): what the chunk-size solver prices.
-    pub fn shard_profile(machine: &AtgpuMachine) -> atgpu_model::ShardProfile {
-        crate::vecadd::VecAdd::shard_profile(machine)
     }
 
     /// Builds the double-buffered streamed program with an
@@ -127,7 +122,7 @@ impl OocVecAdd {
         let chunk_blocks = atgpu_model::plan::solve_chunk_units(
             &cluster,
             machine,
-            &Self::shard_profile(machine),
+            &ShardProfile::streaming(b), // the chunk kernel is vecadd's
             &[total_blocks],
             &candidates,
         );
@@ -141,14 +136,7 @@ impl OocVecAdd {
         chunk: u64,
     ) -> Result<BuiltProgram, AlgosError> {
         let b = machine.b;
-        if self.n == 0 {
-            return Err(AlgosError::InvalidSize { reason: "empty vectors".into() });
-        }
-        if chunk == 0 || !chunk.is_multiple_of(b) {
-            return Err(AlgosError::InvalidSize {
-                reason: format!("chunk {chunk} must be a positive multiple of b = {b}"),
-            });
-        }
+        check_chunking(self.n, chunk, b)?;
         let n = self.n;
         let rounds = n.div_ceil(chunk);
 
@@ -188,7 +176,8 @@ impl OocVecAdd {
                 // Compute and drain chunk r − 1 on the default stream.
                 let (off, len) = chunk_at(r - 1);
                 let (da, db, dc) = bufs[((r - 1) % 2) as usize];
-                pb.launch(chunk_add_kernel(r - 1, len.div_ceil(b), b, da, db, dc));
+                let name = format!("ooc_vecadd_r{}", r - 1);
+                pb.launch(vecadd_kernel(name, len.div_ceil(b), b, da, db, dc));
                 pb.transfer_out_streamed(0, 0, dc, 0, hc, off, len);
             }
         }
@@ -199,80 +188,6 @@ impl OocVecAdd {
             outputs: vec![hc],
         })
     }
-
-    /// Builds the **multi-device** out-of-core addition: chunks are dealt
-    /// round-robin across devices, so round `r` streams its chunk over
-    /// device `r mod N`'s host link and runs the whole chunk grid there
-    /// (a one-shard plan).  Every device still only ever holds one
-    /// chunk's working set — the out-of-core property is preserved per
-    /// device, while the cluster's aggregate link bandwidth grows with
-    /// `N`.
-    pub fn build_sharded(
-        &self,
-        machine: &AtgpuMachine,
-        devices: u32,
-    ) -> Result<BuiltProgram, AlgosError> {
-        let b = machine.b;
-        self.check_chunking(b)?;
-        let devices = devices.max(1);
-        let n = self.n;
-        let chunk = self.chunk;
-
-        let mut pb = ProgramBuilder::new("ooc-vecadd-sharded");
-        let ha = pb.host_input("A", n);
-        let hb = pb.host_input("B", n);
-        let hc = pb.host_output("C", n);
-        let da = pb.device_alloc("a_chunk", chunk);
-        let db = pb.device_alloc("b_chunk", chunk);
-        let dc = pb.device_alloc("c_chunk", chunk);
-
-        let mut off = 0u64;
-        let mut round = 0u64;
-        while off < n {
-            let len = chunk.min(n - off);
-            let k = len.div_ceil(b);
-            let dev = (round % u64::from(devices)) as u32;
-            pb.begin_round();
-            pb.transfer_in_to(dev, ha, off, da, 0, len);
-            pb.transfer_in_to(dev, hb, off, db, 0, len);
-            pb.launch_sharded(
-                chunk_add_kernel(round, k, b, da, db, dc),
-                vec![atgpu_ir::Shard { device: dev, start: 0, end: k }],
-            );
-            pb.transfer_out_from(dev, dc, 0, hc, off, len);
-            off += len;
-            round += 1;
-        }
-
-        Ok(BuiltProgram {
-            program: pb.build()?,
-            inputs: vec![self.a.clone(), self.b.clone()],
-            outputs: vec![hc],
-        })
-    }
-}
-
-/// Builds one round's chunk-addition kernel: `k` blocks add `len`-word
-/// chunk slices staged through `3b` shared words.
-fn chunk_add_kernel(
-    round: u64,
-    k: u64,
-    b: u64,
-    da: atgpu_ir::DBuf,
-    db: atgpu_ir::DBuf,
-    dc: atgpu_ir::DBuf,
-) -> atgpu_ir::Kernel {
-    let bi = b as i64;
-    let mut kb = KernelBuilder::new(format!("ooc_vecadd_r{round}"), k, 3 * b);
-    let g = AddrExpr::block() * bi + AddrExpr::lane();
-    kb.glb_to_shr(AddrExpr::lane(), da, g.clone());
-    kb.glb_to_shr(AddrExpr::lane() + bi, db, g.clone());
-    kb.ld_shr(0, AddrExpr::lane());
-    kb.ld_shr(1, AddrExpr::lane() + bi);
-    kb.alu(AluOp::Add, 2, Operand::Reg(0), Operand::Reg(1));
-    kb.st_shr(AddrExpr::lane() + 2 * bi, Operand::Reg(2));
-    kb.shr_to_glb(dc, g, AddrExpr::lane() + 2 * bi);
-    kb.build()
 }
 
 impl Workload for OocVecAdd {
@@ -284,17 +199,53 @@ impl Workload for OocVecAdd {
         self.n
     }
 
-    fn build(&self, machine: &AtgpuMachine) -> Result<BuiltProgram, AlgosError> {
+    /// Chunks: one round each, the whole chunk grid on one device.
+    fn units(&self, _machine: &AtgpuMachine) -> Option<u64> {
+        Some(self.n.div_ceil(self.chunk.max(1)))
+    }
+
+    /// The vecadd shape scaled to one chunk of `chunk / b` blocks.
+    /// Rounds run one after another, so what the planner's
+    /// max-over-devices objective balances is each device's *share* of
+    /// the serial total — enough to hand a device behind a slow host
+    /// link fewer chunks.
+    fn shard_profile(&self, machine: &AtgpuMachine) -> ShardProfile {
+        let blocks = self.chunk / machine.b.max(1);
+        let per_block = ShardProfile::streaming(machine.b);
+        ShardProfile {
+            io_blocks_per_unit: per_block.io_blocks_per_unit * blocks,
+            inward_words_per_unit: per_block.inward_words_per_unit * blocks,
+            outward_words_per_unit: per_block.outward_words_per_unit * blocks,
+            blocks_per_unit: blocks,
+            ..per_block
+        }
+    }
+
+    /// One round per chunk: stage the chunk's operand slices, add, drain
+    /// — so a device only ever holds one chunk's working set (`3·chunk`
+    /// words) whatever `n` is.  The placement's chunks are **dealt**, not
+    /// sliced: pass `p` over the shards hands one chunk to every shard
+    /// holding more than `p` units, so an even plan is the round-robin
+    /// `r mod N`, every device streams over its own host link, and the
+    /// cluster's aggregate link bandwidth grows with `N`.
+    fn emit(&self, machine: &AtgpuMachine, at: &Placement) -> Result<BuiltProgram, AlgosError> {
         let b = machine.b;
-        self.check_chunking(b)?;
+        check_chunking(self.n, self.chunk, b)?;
         let n = self.n;
         let chunk = self.chunk;
+        if at.shards().iter().map(Shard::blocks).sum::<u64>() != n.div_ceil(chunk) {
+            return Err(AlgosError::InvalidSize {
+                reason: "the plan must hand out every chunk exactly once".into(),
+            });
+        }
+        let most = at.shards().iter().map(Shard::blocks).max().unwrap_or(0);
+        let mut deal = (0..most)
+            .flat_map(|p| at.shards().iter().filter(move |s| s.blocks() > p).map(|s| s.device));
 
-        let mut pb = ProgramBuilder::new("ooc-vecadd");
+        let mut pb = ProgramBuilder::new(at.name("ooc-vecadd", "ooc-vecadd-sharded"));
         let ha = pb.host_input("A", n);
         let hb = pb.host_input("B", n);
         let hc = pb.host_output("C", n);
-        // Device holds only one chunk of each operand: 3·chunk words.
         let da = pb.device_alloc("a_chunk", chunk);
         let db = pb.device_alloc("b_chunk", chunk);
         let dc = pb.device_alloc("c_chunk", chunk);
@@ -304,11 +255,13 @@ impl Workload for OocVecAdd {
         while off < n {
             let len = chunk.min(n - off);
             let k = len.div_ceil(b);
+            let dev = deal.next().expect("one dealt device per chunk, checked above");
             pb.begin_round();
-            pb.transfer_in_at(ha, off, da, 0, len);
-            pb.transfer_in_at(hb, off, db, 0, len);
-            pb.launch(chunk_add_kernel(round, k, b, da, db, dc));
-            pb.transfer_out_at(dc, 0, hc, off, len);
+            pb.transfer_in_to(dev, ha, off, da, 0, len);
+            pb.transfer_in_to(dev, hb, off, db, 0, len);
+            let kernel = vecadd_kernel(format!("ooc_vecadd_r{round}"), k, b, da, db, dc);
+            at.launch_over(&mut pb, kernel, vec![Shard { device: dev, start: 0, end: k }]);
+            pb.transfer_out_from(dev, dc, 0, hc, off, len);
             off += len;
             round += 1;
         }
@@ -388,16 +341,9 @@ impl Workload for OocReduce {
         self.n
     }
 
-    fn build(&self, machine: &AtgpuMachine) -> Result<BuiltProgram, AlgosError> {
+    fn emit(&self, machine: &AtgpuMachine, _: &Placement) -> Result<BuiltProgram, AlgosError> {
         let b = machine.b;
-        if self.n == 0 {
-            return Err(AlgosError::InvalidSize { reason: "empty input".into() });
-        }
-        if self.chunk == 0 || !self.chunk.is_multiple_of(b) {
-            return Err(AlgosError::InvalidSize {
-                reason: format!("chunk {} must be a positive multiple of b = {b}", self.chunk),
-            });
-        }
+        check_chunking(self.n, self.chunk, b)?;
         let n = self.n;
         let chunk = self.chunk;
         let partials = self.partials_per_chunk(b);

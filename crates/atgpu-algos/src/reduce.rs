@@ -22,12 +22,12 @@
 
 use crate::error::AlgosError;
 use crate::gen;
-use crate::workload::{BuiltProgram, Workload};
+use crate::workload::{BuiltProgram, Placement, Workload};
 use atgpu_ir::{
     AddrExpr, AluOp, DBuf, HBuf, Kernel, KernelBuilder, Operand, PredExpr, ProgramBuilder,
 };
 use atgpu_model::asymptotics::{BigO, Term};
-use atgpu_model::{AlgoMetrics, AtgpuMachine, RoundMetrics};
+use atgpu_model::{AlgoMetrics, AtgpuMachine, RoundMetrics, ShardProfile};
 
 /// Which reduction kernel to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -236,73 +236,18 @@ impl Reduce {
         self.variant
     }
 
-    /// Builds a **multi-device** reduction: round 1 shards the first tree
+    /// The **multi-device** reduction: round 1 shards the first tree
     /// level across devices (each device receives its block-aligned input
     /// slice and reduces it to one partial per block), then the partials
     /// are gathered onto device 0 over the peer links — one
-    /// `TransferPeer` transaction per contributing device, the
+    /// `TransferPeer` transaction per contributing shard, the
     /// "device-finish" communication scheme — and the remaining
     /// `⌈log_b n⌉ − 1` levels finish on device 0 alone.
-    pub fn build_sharded(
+    fn emit_sharded(
         &self,
         machine: &AtgpuMachine,
-        devices: u32,
+        shards: &[atgpu_ir::Shard],
     ) -> Result<BuiltProgram, AlgosError> {
-        let k1 = self.n.div_ceil(machine.b.max(1));
-        self.build_sharded_with(machine, atgpu_sim::even_shards(k1, devices))
-    }
-
-    /// The per-block cost shape of the sharded first level: `b` input
-    /// words in per block, one partial out per block — gathered to
-    /// device 0 over peer links, which the profile now declares as a
-    /// merge (`merge_words_per_unit: 1` to owner 0), so the planner
-    /// prices the gather on the directed peer matrix instead of
-    /// ignoring it.
-    pub fn shard_profile(&self, machine: &AtgpuMachine) -> atgpu_model::ShardProfile {
-        let b = machine.b.max(1);
-        let shapes = reduce_round_shapes(self.n, machine, self.variant);
-        let (time, io, k1) = shapes.first().copied().unwrap_or((0, 0, 1));
-        atgpu_model::ShardProfile {
-            time_ops: time,
-            io_blocks_per_unit: io / k1.max(1),
-            inward_words_per_unit: b,
-            inward_txns: 1,
-            shared_words: b,
-            peer: atgpu_model::PeerProfile {
-                merge_words_per_unit: 1,
-                merge_txns: 1,
-                owner: 0,
-                ..atgpu_model::PeerProfile::default()
-            },
-            ..atgpu_model::ShardProfile::default()
-        }
-    }
-
-    /// [`Self::build_sharded`] with the first level apportioned by the
-    /// **cost-driven planner**: candidate plans priced with
-    /// [`Self::shard_profile`] through the cluster cost function, so a
-    /// slow host link costs its device first-level blocks and the peer
-    /// gather of partials to device 0 is priced per unit on the
-    /// directed peer matrix.
-    pub fn build_sharded_planned(
-        &self,
-        machine: &AtgpuMachine,
-        cluster: &atgpu_model::ClusterSpec,
-    ) -> Result<BuiltProgram, AlgosError> {
-        let k1 = self.n.div_ceil(machine.b.max(1));
-        let shards = atgpu_sim::planned_shards(k1, cluster, machine, &self.shard_profile(machine));
-        self.build_sharded_with(machine, shards)
-    }
-
-    fn build_sharded_with(
-        &self,
-        machine: &AtgpuMachine,
-        shards: Vec<atgpu_ir::Shard>,
-    ) -> Result<BuiltProgram, AlgosError> {
-        if self.n == 0 {
-            return Err(AlgosError::InvalidSize { reason: "empty input".into() });
-        }
-        check_machine(machine)?;
         let n = self.n;
         let b = machine.b;
         let mut pb = ProgramBuilder::new("reduce_sharded");
@@ -318,17 +263,16 @@ impl Reduce {
         } else {
             // Round 1: sharded first level.
             let k1 = n.div_ceil(b);
-            crate::vecadd::check_shards_fit(&shards, k1)?;
             let dpart = pb.device_alloc("partial0", k1);
             pb.begin_round();
-            for s in &shards {
+            for s in shards {
                 let off = s.start * b;
                 let words = (s.end * b).min(n) - off;
                 pb.transfer_in_to(s.device, ha, off, d0, off, words);
             }
             pb.launch_sharded(
                 reduce_round_kernel("reduce_level0", d0, dpart, k1, machine, self.variant),
-                shards.clone(),
+                shards.to_vec(),
             );
             // Gather every device's partials onto device 0.
             for s in shards.iter().filter(|s| s.device != 0) {
@@ -355,11 +299,51 @@ impl Workload for Reduce {
         self.n
     }
 
-    fn build(&self, machine: &AtgpuMachine) -> Result<BuiltProgram, AlgosError> {
+    /// First-level blocks.
+    fn units(&self, machine: &AtgpuMachine) -> Option<u64> {
+        Some(self.n.div_ceil(machine.b.max(1)))
+    }
+
+    /// The per-block cost shape of the sharded first level: `b` input
+    /// words in per block, one partial out per block — gathered to
+    /// device 0 over peer links, which the profile declares as a merge
+    /// (`merge_words_per_unit: 1` to owner 0), so the planner prices the
+    /// gather on the directed peer matrix and a slow host link costs its
+    /// device first-level blocks.
+    fn shard_profile(&self, machine: &AtgpuMachine) -> ShardProfile {
+        let b = machine.b.max(1);
+        let shapes = reduce_round_shapes(self.n, machine, self.variant);
+        let (time, io, k1) = shapes.first().copied().unwrap_or((0, 0, 1));
+        ShardProfile {
+            time_ops: time,
+            io_blocks_per_unit: io / k1.max(1),
+            inward_words_per_unit: b,
+            inward_txns: 1,
+            shared_words: b,
+            peer: atgpu_model::PeerProfile {
+                merge_words_per_unit: 1,
+                merge_txns: 1,
+                owner: 0,
+                ..atgpu_model::PeerProfile::default()
+            },
+            ..ShardProfile::default()
+        }
+    }
+
+    /// Two bodies, not one: the single-device tree is
+    /// [`append_reduce_rounds`] straight from the input (levels numbered
+    /// through, the first kernel sharing the inward transfer's round),
+    /// while the sharded form runs its own first level into a gather
+    /// buffer and restarts the tree from there.  A shared body would
+    /// branch on which of the two it is emitting.
+    fn emit(&self, machine: &AtgpuMachine, at: &Placement) -> Result<BuiltProgram, AlgosError> {
         if self.n == 0 {
             return Err(AlgosError::InvalidSize { reason: "empty input".into() });
         }
         check_machine(machine)?;
+        if !at.is_single() {
+            return self.emit_sharded(machine, at.shards());
+        }
         let n = self.n;
         let mut pb = ProgramBuilder::new("reduce");
         let ha = pb.host_input("A", n);

@@ -18,8 +18,7 @@
 
 use crate::error::AlgosError;
 use crate::gen;
-use crate::vecadd::check_shards_fit;
-use crate::workload::{BuiltProgram, Workload};
+use crate::workload::{BuiltProgram, Placement, Workload};
 use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, PredExpr, ProgramBuilder, Shard};
 use atgpu_model::asymptotics::{BigO, Term};
 use atgpu_model::{AlgoMetrics, AtgpuMachine, PeerProfile, RoundMetrics, ShardProfile};
@@ -53,9 +52,9 @@ impl Scan {
             .collect()
     }
 
-    /// Validates the sharded variant's machine constraint (shared with
-    /// [`Workload::build`]) and returns `(k, b, steps, t2)`.
-    fn check_sharded(&self, machine: &AtgpuMachine) -> Result<(u64, u64, u32, u64), AlgosError> {
+    /// Validates the instance against the machine and returns
+    /// `(k, b, steps, t2)`.
+    fn check(&self, machine: &AtgpuMachine) -> Result<(u64, u64, u32, u64), AlgosError> {
         if self.n == 0 {
             return Err(AlgosError::InvalidSize { reason: "empty input".into() });
         }
@@ -67,148 +66,6 @@ impl Scan {
         let b = machine.b;
         let k = machine.blocks_for(self.n);
         Ok((k, b, b.trailing_zeros(), k.div_ceil(b)))
-    }
-
-    /// Multi-pass cluster scan over an explicit shard plan of the
-    /// round-1 block grid:
-    ///
-    /// 1. each shard stages its slice and block-scans it on its own
-    ///    device;
-    /// 2. every shard off device 0 sends its block totals to device 0
-    ///    over the peer links (the **all-to-one gather**), where the
-    ///    single-block carry scan runs;
-    /// 3. device 0 scatters each shard's scanned predecessor totals
-    ///    back (**one-to-all fix-up**), every shard adds its offset and
-    ///    drains its slice.
-    ///
-    /// Bit-identical to the single-device three-round build: the carry
-    /// scan sees exactly the same `dsums` words in the same order.
-    pub fn build_sharded_with(
-        &self,
-        machine: &AtgpuMachine,
-        shards: Vec<Shard>,
-    ) -> Result<BuiltProgram, AlgosError> {
-        let (k, b, steps, t2) = self.check_sharded(machine)?;
-        check_shards_fit(&shards, k)?;
-        let n = self.n;
-
-        let mut pb = ProgramBuilder::new("scan-sharded");
-        let hin = pb.host_input("A", n);
-        let hout = pb.host_output("Out", n);
-        let din = pb.device_alloc("a", n);
-        let dpart = pb.device_alloc("part", n);
-        let dsums = pb.device_alloc("sums", k);
-        let dout = pb.device_alloc("out", n);
-
-        let slice = |s: &Shard| {
-            let lo = s.start * b;
-            (lo, (s.end * b).min(n) - lo)
-        };
-
-        // Round 1: stage slices, block-scan each shard on its device.
-        pb.begin_round();
-        for s in &shards {
-            let (lo, words) = slice(s);
-            pb.transfer_in_to(s.device, hin, lo, din, lo, words);
-        }
-        pb.launch_sharded(scan_blocks_kernel(k, b, steps, din, dpart, dsums), shards.clone());
-
-        // Round 2: gather block totals to device 0, carry-scan there.
-        pb.begin_round();
-        for s in &shards {
-            if s.device != 0 {
-                pb.transfer_peer(s.device, 0, dsums, s.start, s.start, s.blocks());
-            }
-        }
-        pb.launch_sharded(
-            scan_sums_kernel(b, steps, t2, dsums),
-            vec![Shard { device: 0, start: 0, end: 1 }],
-        );
-
-        // Round 3: scatter the scanned predecessor totals, add offsets,
-        // drain each shard's slice.
-        pb.begin_round();
-        for s in &shards {
-            if s.device == 0 {
-                continue;
-            }
-            // Block `u > 0` reads `dsums[u − 1]`: the shard needs the
-            // scanned totals `[start − 1, end − 1)` (clamped at 0).
-            let lo = s.start.saturating_sub(1);
-            let hi = s.end - 1;
-            if hi > lo {
-                pb.transfer_peer(0, s.device, dsums, lo, lo, hi - lo);
-            }
-        }
-        pb.launch_sharded(scan_offsets_kernel(k, b, dpart, dsums, dout), shards.clone());
-        for s in &shards {
-            let (lo, words) = slice(s);
-            pb.transfer_out_from(s.device, dout, lo, hout, lo, words);
-        }
-
-        Ok(BuiltProgram {
-            program: pb.build()?,
-            inputs: vec![self.data.clone()],
-            outputs: vec![hout],
-        })
-    }
-
-    /// [`Self::build_sharded_with`] over an even block split.
-    pub fn build_sharded(
-        &self,
-        machine: &AtgpuMachine,
-        devices: u32,
-    ) -> Result<BuiltProgram, AlgosError> {
-        let k = machine.blocks_for(self.n);
-        self.build_sharded_with(machine, atgpu_sim::even_shards(k, devices))
-    }
-
-    /// The per-block cost shape of the sharded scan: two `k`-block
-    /// kernel rounds (block scan + offset fix-up; `time_ops` is their
-    /// mean, the carry scan on device 0 is plan-invariant and left
-    /// out), `b` words staged in and drained out per block, and one
-    /// block total gathered to device 0 plus one scanned total
-    /// scattered back per block — the all-to-one/one-to-all peer pair
-    /// the planner now prices on the directed matrix.
-    pub fn shard_profile(machine: &AtgpuMachine) -> ShardProfile {
-        let b = machine.b.max(1);
-        let steps = b.trailing_zeros() as u64;
-        let hs = hillis_steele_ops(steps);
-        let t1 = 1 + hs + 1 + 2; // round-1 kernel
-        let t3 = 1 + 2 + 4 + 1; // round-3 kernel
-        ShardProfile {
-            time_ops: (t1 + t3).div_ceil(2),
-            io_blocks_per_unit: 3,
-            inward_words_per_unit: b,
-            inward_txns: 1,
-            outward_words_per_unit: b,
-            outward_txns: 1,
-            shared_words: b + 1,
-            rounds: 2,
-            peer: PeerProfile {
-                merge_words_per_unit: 1,
-                merge_txns: 1,
-                scatter_words_per_unit: 1,
-                scatter_txns: 1,
-                owner: 0,
-                ..PeerProfile::default()
-            },
-            ..ShardProfile::default()
-        }
-    }
-
-    /// [`Self::build_sharded_with`] with the round-1 blocks apportioned
-    /// by the **peer-aware cost-driven planner**: candidates are priced
-    /// with [`Self::shard_profile`] — gather/scatter words per block on
-    /// the directed peer matrix included — and the argmin is built.
-    pub fn build_sharded_planned(
-        &self,
-        machine: &AtgpuMachine,
-        cluster: &atgpu_model::ClusterSpec,
-    ) -> Result<BuiltProgram, AlgosError> {
-        let k = machine.blocks_for(self.n);
-        let shards = atgpu_sim::planned_shards(k, cluster, machine, &Self::shard_profile(machine));
-        self.build_sharded_with(machine, shards)
     }
 }
 
@@ -313,11 +170,62 @@ impl Workload for Scan {
         self.n
     }
 
-    fn build(&self, machine: &AtgpuMachine) -> Result<BuiltProgram, AlgosError> {
-        let (k, b, steps, t2) = self.check_sharded(machine)?;
+    fn units(&self, machine: &AtgpuMachine) -> Option<u64> {
+        Some(machine.blocks_for(self.n))
+    }
+
+    /// The per-block cost shape of the scan: two `k`-block kernel rounds
+    /// (block scan + offset fix-up; `time_ops` is their mean, the carry
+    /// scan on device 0 is plan-invariant and left out), `b` words
+    /// staged in and drained out per block, and one block total gathered
+    /// to device 0 plus one scanned total scattered back per block — the
+    /// all-to-one/one-to-all peer pair the planner prices on the
+    /// directed matrix.
+    fn shard_profile(&self, machine: &AtgpuMachine) -> ShardProfile {
+        let b = machine.b.max(1);
+        let steps = b.trailing_zeros() as u64;
+        let hs = hillis_steele_ops(steps);
+        let t1 = 1 + hs + 1 + 2; // round-1 kernel
+        let t3 = 1 + 2 + 4 + 1; // round-3 kernel
+        ShardProfile {
+            time_ops: (t1 + t3).div_ceil(2),
+            io_blocks_per_unit: 3,
+            inward_words_per_unit: b,
+            inward_txns: 1,
+            outward_words_per_unit: b,
+            outward_txns: 1,
+            shared_words: b + 1,
+            rounds: 2,
+            peer: PeerProfile {
+                merge_words_per_unit: 1,
+                merge_txns: 1,
+                scatter_words_per_unit: 1,
+                scatter_txns: 1,
+                owner: 0,
+                ..PeerProfile::default()
+            },
+            ..ShardProfile::default()
+        }
+    }
+
+    /// Multi-pass scan over a placement of the round-1 block grid:
+    ///
+    /// 1. each shard stages its slice and block-scans it on its own
+    ///    device;
+    /// 2. every shard off device 0 sends its block totals to device 0
+    ///    over the peer links (the **all-to-one gather**), where the
+    ///    single-block carry scan runs;
+    /// 3. device 0 scatters each shard's scanned predecessor totals
+    ///    back (**one-to-all fix-up**), every shard adds its offset and
+    ///    drains its slice.
+    ///
+    /// Bit-identical under any placement: the carry scan sees exactly
+    /// the same `dsums` words in the same order.
+    fn emit(&self, machine: &AtgpuMachine, at: &Placement) -> Result<BuiltProgram, AlgosError> {
+        let (k, b, steps, t2) = self.check(machine)?;
         let n = self.n;
 
-        let mut pb = ProgramBuilder::new("scan");
+        let mut pb = ProgramBuilder::new(at.name("scan", "scan-sharded"));
         let hin = pb.host_input("A", n);
         let hout = pb.host_output("Out", n);
         let din = pb.device_alloc("a", n);
@@ -325,19 +233,48 @@ impl Workload for Scan {
         let dsums = pb.device_alloc("sums", k);
         let dout = pb.device_alloc("out", n);
 
-        // Round 1: block-local scans.
-        pb.begin_round();
-        pb.transfer_in(hin, din, n);
-        pb.launch(scan_blocks_kernel(k, b, steps, din, dpart, dsums));
+        let slice = |s: &Shard| {
+            let lo = s.start * b;
+            (lo, (s.end * b).min(n) - lo)
+        };
 
-        // Round 2: scan the block sums with a sequential carry.
+        // Round 1: stage slices, block-scan each shard on its device.
         pb.begin_round();
-        pb.launch(scan_sums_kernel(b, steps, t2, dsums));
+        for s in at.shards() {
+            let (lo, words) = slice(s);
+            pb.transfer_in_to(s.device, hin, lo, din, lo, words);
+        }
+        at.launch(&mut pb, scan_blocks_kernel(k, b, steps, din, dpart, dsums));
 
-        // Round 3: add the preceding blocks' total.
+        // Round 2: gather block totals to device 0, carry-scan there.
         pb.begin_round();
-        pb.launch(scan_offsets_kernel(k, b, dpart, dsums, dout));
-        pb.transfer_out(dout, hout, n);
+        for s in at.shards() {
+            if s.device != 0 {
+                pb.transfer_peer(s.device, 0, dsums, s.start, s.start, s.blocks());
+            }
+        }
+        at.launch_on_owner(&mut pb, scan_sums_kernel(b, steps, t2, dsums));
+
+        // Round 3: scatter the scanned predecessor totals, add offsets,
+        // drain each shard's slice.
+        pb.begin_round();
+        for s in at.shards() {
+            if s.device == 0 {
+                continue;
+            }
+            // Block `u > 0` reads `dsums[u − 1]`: the shard needs the
+            // scanned totals `[start − 1, end − 1)` (clamped at 0).
+            let lo = s.start.saturating_sub(1);
+            let hi = s.end - 1;
+            if hi > lo {
+                pb.transfer_peer(0, s.device, dsums, lo, lo, hi - lo);
+            }
+        }
+        at.launch(&mut pb, scan_offsets_kernel(k, b, dpart, dsums, dout));
+        for s in at.shards() {
+            let (lo, words) = slice(s);
+            pb.transfer_out_from(s.device, dout, lo, hout, lo, words);
+        }
 
         Ok(BuiltProgram {
             program: pb.build()?,
@@ -456,7 +393,7 @@ mod tests {
         assert_eq!(built.program.num_rounds(), 3);
     }
 
-    use crate::workload::verify_built_on_cluster;
+    use crate::workload::{verify_built_on_cluster, Plan};
     use atgpu_model::{ClusterSpec, LinkParams};
 
     fn cluster(n: usize) -> ClusterSpec {
@@ -507,7 +444,7 @@ mod tests {
             Shard { device: 0, start: 10, end: 11 },
             Shard { device: 2, start: 11, end: k },
         ];
-        let built = w.build_sharded_with(&m, shards).unwrap();
+        let built = w.build_plan(&m, Plan::Explicit(shards)).unwrap();
         verify_built_on_cluster(
             &built,
             &[w.host_reference()],

@@ -10,8 +10,7 @@
 //! precisely by the simulator.
 
 use crate::error::AlgosError;
-use crate::vecadd::check_shards_fit;
-use crate::workload::{BuiltProgram, Workload};
+use crate::workload::{BuiltProgram, Placement, Workload};
 use atgpu_ir::{AddrExpr, AluOp, Kernel, KernelBuilder, Operand, ProgramBuilder, Shard};
 use atgpu_model::asymptotics::{BigO, Term};
 use atgpu_model::{AtgpuMachine, ShardProfile};
@@ -90,9 +89,10 @@ impl SpmvEll {
     /// past the band's count contribute `0·x[r]` and need not be staged
     /// — the per-unit imbalance the sharded build and its profile feed
     /// to the planner.
-    pub fn band_slots(&self, machine: &AtgpuMachine) -> Result<Vec<u64>, AlgosError> {
-        let (k, b) = self.check(machine)?;
-        Ok((0..k)
+    pub fn band_slots(&self, machine: &AtgpuMachine) -> Vec<u64> {
+        let b = machine.b.max(1);
+        let k = self.n / b;
+        (0..k)
             .map(|u| {
                 (u * b..(u + 1) * b)
                     .map(|r| {
@@ -107,25 +107,24 @@ impl SpmvEll {
                     .max()
                     .unwrap_or(0)
             })
-            .collect())
+            .collect()
     }
 
-    /// Single-round cluster SpMV over an explicit shard plan of the row
-    /// bands: every shard's device receives the **full operand vector**
-    /// (the gather may touch any of it), but the ELL slot arrays are
-    /// staged only up to the shard's effective slot count — unstaged
-    /// slots read the device's zero-initialised memory and contribute
-    /// nothing, exactly like the host padding.  Each shard drains its
-    /// own `y` slice.
-    pub fn build_sharded_with(
+    /// Single-round cluster SpMV over a shard plan of the row bands:
+    /// every shard's device receives the **full operand vector** (the
+    /// gather may touch any of it), but the ELL slot arrays are staged
+    /// only up to the shard's effective slot count — unstaged slots read
+    /// the device's zero-initialised memory and contribute nothing,
+    /// exactly like the host padding.  Each shard drains its own `y`
+    /// slice.
+    fn emit_sharded(
         &self,
         machine: &AtgpuMachine,
-        shards: Vec<Shard>,
+        shards: &[Shard],
     ) -> Result<BuiltProgram, AlgosError> {
         let (k, b) = self.check(machine)?;
-        check_shards_fit(&shards, k)?;
         let n = self.n;
-        let bands = self.band_slots(machine)?;
+        let bands = self.band_slots(machine);
 
         let mut pb = ProgramBuilder::new("spmv-ell-sharded");
         let hc = pb.host_input("Cols", n * self.k_slots);
@@ -139,7 +138,7 @@ impl SpmvEll {
 
         pb.begin_round();
         let mut x_staged: Vec<u32> = Vec::new();
-        for s in &shards {
+        for s in shards {
             if !x_staged.contains(&s.device) {
                 pb.transfer_in_to(s.device, hx, 0, dx, 0, n);
                 x_staged.push(s.device);
@@ -152,8 +151,8 @@ impl SpmvEll {
                 pb.transfer_in_to(s.device, hv, t * n + lo, dv, t * n + lo, words);
             }
         }
-        pb.launch_sharded(spmv_kernel(k, b, self.k_slots, dc, dv, dx, dy), shards.clone());
-        for s in &shards {
+        pb.launch_sharded(spmv_kernel(k, b, self.k_slots, dc, dv, dx, dy), shards.to_vec());
+        for s in shards {
             let lo = s.start * b;
             pb.transfer_out_from(s.device, dy, lo, hy, lo, s.blocks() * b);
         }
@@ -163,53 +162,6 @@ impl SpmvEll {
             inputs: vec![self.cols.clone(), self.vals.clone(), self.x.clone()],
             outputs: vec![hy],
         })
-    }
-
-    /// [`Self::build_sharded_with`] over an even band split.
-    pub fn build_sharded(
-        &self,
-        machine: &AtgpuMachine,
-        devices: u32,
-    ) -> Result<BuiltProgram, AlgosError> {
-        let (k, _) = self.check(machine)?;
-        self.build_sharded_with(machine, atgpu_sim::even_shards(k, devices))
-    }
-
-    /// The **row-imbalanced** cost shape of this instance: staging words
-    /// vary per band (`2·b·K_u` for the band's effective slot count),
-    /// the operand vector is broadcast to every participating device,
-    /// and kernel time/IO follow the uniform `K`-slot loop.  The
-    /// non-empty [`ShardProfile::unit_inward_words`] routes the planner
-    /// onto its contiguous greedy-pack path.
-    pub fn shard_profile(&self, machine: &AtgpuMachine) -> Result<ShardProfile, AlgosError> {
-        let (_, b) = self.check(machine)?;
-        let bands = self.band_slots(machine)?;
-        Ok(ShardProfile {
-            time_ops: 3 + 8 * self.k_slots,
-            io_blocks_per_unit: 3 * self.k_slots + 1,
-            inward_txns: 2,
-            outward_words_per_unit: b,
-            outward_txns: 1,
-            broadcast_words: self.n,
-            broadcast_txns: 1,
-            shared_words: 4 * b,
-            unit_inward_words: bands.iter().map(|&k_u| 2 * b * k_u).collect(),
-            ..ShardProfile::default()
-        })
-    }
-
-    /// [`Self::build_sharded_with`] with the row bands apportioned by
-    /// the cost-driven planner pricing this instance's per-band staging
-    /// profile — heavy bands cost more to feed, so devices behind slow
-    /// host links receive lighter spans, not just fewer rows.
-    pub fn build_sharded_planned(
-        &self,
-        machine: &AtgpuMachine,
-        cluster: &atgpu_model::ClusterSpec,
-    ) -> Result<BuiltProgram, AlgosError> {
-        let (k, _) = self.check(machine)?;
-        let shards = atgpu_sim::planned_shards(k, cluster, machine, &self.shard_profile(machine)?);
-        self.build_sharded_with(machine, shards)
     }
 }
 
@@ -255,7 +207,43 @@ impl Workload for SpmvEll {
         self.n
     }
 
-    fn build(&self, machine: &AtgpuMachine) -> Result<BuiltProgram, AlgosError> {
+    /// `b`-row bands.
+    fn units(&self, machine: &AtgpuMachine) -> Option<u64> {
+        Some(self.n / machine.b.max(1))
+    }
+
+    /// The **row-imbalanced** cost shape of this instance: staging words
+    /// vary per band (`2·b·K_u` for the band's effective slot count),
+    /// the operand vector is broadcast to every participating device,
+    /// and kernel time/IO follow the uniform `K`-slot loop.  The
+    /// non-empty [`ShardProfile::unit_inward_words`] routes the planner
+    /// onto its contiguous greedy-pack path — heavy bands cost more to
+    /// feed, so devices behind slow host links receive lighter spans,
+    /// not just fewer rows.
+    fn shard_profile(&self, machine: &AtgpuMachine) -> ShardProfile {
+        let b = machine.b.max(1);
+        ShardProfile {
+            time_ops: 3 + 8 * self.k_slots,
+            io_blocks_per_unit: 3 * self.k_slots + 1,
+            inward_txns: 2,
+            outward_words_per_unit: b,
+            outward_txns: 1,
+            broadcast_words: self.n,
+            broadcast_txns: 1,
+            shared_words: 4 * b,
+            unit_inward_words: self.band_slots(machine).iter().map(|&k_u| 2 * b * k_u).collect(),
+            ..ShardProfile::default()
+        }
+    }
+
+    /// Two bodies, not one: a single device stages the whole slot arrays
+    /// in three transfers, while a shard stages slot by slot up to its
+    /// bands' effective count.  A shared body would branch on which of
+    /// the two it is emitting.
+    fn emit(&self, machine: &AtgpuMachine, at: &Placement) -> Result<BuiltProgram, AlgosError> {
+        if !at.is_single() {
+            return self.emit_sharded(machine, at.shards());
+        }
         let (k, b) = self.check(machine)?;
         let n = self.n;
 
@@ -375,11 +363,11 @@ mod tests {
     fn band_slots_sees_imbalance() {
         let m = test_machine();
         let w = lopsided(256, 4);
-        let bands = w.band_slots(&m).unwrap();
+        let bands = w.band_slots(&m);
         let k = bands.len();
         assert!(bands[..k / 2].iter().all(|&s| s == 4));
         assert!(bands[k / 2..].iter().all(|&s| s == 0));
-        let p = w.shard_profile(&m).unwrap();
+        let p = w.shard_profile(&m);
         assert_eq!(p.unit_inward_words.len(), k);
         assert_eq!(p.unit_inward_words[0], 2 * m.b * 4);
         assert_eq!(p.unit_inward_words[k - 1], 0);
@@ -416,18 +404,18 @@ mod tests {
         };
         let w = lopsided(512, 6);
         let k = m.blocks_for(512);
-        let shards = atgpu_sim::planned_shards(k, &spec, &m, &w.shard_profile(&m).unwrap());
+        let shards = atgpu_sim::planned_shards(k, &spec, &m, &w.shard_profile(&m));
         let slow_words: u64 = shards
             .iter()
             .filter(|s| s.device == 1)
             .map(|s| {
-                w.band_slots(&m).unwrap()[s.start as usize..s.end as usize]
+                w.band_slots(&m)[s.start as usize..s.end as usize]
                     .iter()
                     .map(|&ku| 2 * m.b * ku)
                     .sum::<u64>()
             })
             .sum();
-        let total: u64 = w.band_slots(&m).unwrap().iter().map(|&ku| 2 * m.b * ku).sum();
+        let total: u64 = w.band_slots(&m).iter().map(|&ku| 2 * m.b * ku).sum();
         assert!(
             slow_words <= total / 2,
             "slow-link device staged {slow_words} of {total} matrix words"

@@ -7,24 +7,22 @@
 //! One round, transfer-dominated like vector addition but with a slightly
 //! richer access pattern.
 //!
-//! The **iterated** variants ([`Stencil::build_iterated`] and the
-//! sharded family around [`Stencil::build_sharded_with`]) apply the
-//! stencil `rounds` times, ping-ponging between two padded buffers.  On
-//! a cluster each device owns a contiguous slab of cells and, before
-//! every round after the first, exchanges its single boundary cell with
-//! each slab neighbour over the **directed peer links** — the canonical
-//! halo-exchange pattern, and the workload whose peer traffic the
-//! cost-driven planner prices through [`Stencil::shard_profile`].
+//! The **iterated** workload ([`IteratedStencil`], from
+//! [`Stencil::iterated`]) applies the stencil `rounds` times,
+//! ping-ponging between two padded buffers.  On a cluster each device
+//! owns a contiguous slab of cells and, before every round after the
+//! first, exchanges its single boundary cell with each slab neighbour
+//! over the **directed peer links** — the canonical halo-exchange
+//! pattern, and the workload whose peer traffic the cost-driven planner
+//! prices through its [`Workload::shard_profile`].
 
 use crate::error::AlgosError;
 use crate::gen;
-use crate::vecadd::check_shards_fit;
-use crate::workload::{BuiltProgram, Workload};
-use atgpu_ir::{
-    AddrExpr, AluOp, DBuf, Kernel, KernelBuilder, Operand, PredExpr, ProgramBuilder, Shard,
-};
+use crate::workload::{BuiltProgram, Placement, Workload};
+use atgpu_ir::{AddrExpr, AluOp, DBuf, Kernel, KernelBuilder, Operand, PredExpr, ProgramBuilder};
 use atgpu_model::asymptotics::{BigO, Term};
 use atgpu_model::{AlgoMetrics, AtgpuMachine, PeerProfile, RoundMetrics, ShardProfile};
+use std::borrow::Borrow;
 
 /// A stencil instance.
 #[derive(Debug, Clone)]
@@ -72,121 +70,133 @@ impl Stencil {
         cur
     }
 
-    /// Validates the iterated variants' size constraint: `n` must be a
-    /// positive multiple of `b`, so every lane's store lands on a live
-    /// cell and the zero halo cells are never overwritten — with a
-    /// ragged tail the unguarded store would seed garbage into the pad
-    /// region that the next round's halo loads would read back.
-    fn check_iterated(
+    /// This instance applied `rounds` times — the shardable
+    /// halo-exchange workload.
+    pub fn iterated(&self, rounds: u64) -> IteratedStencil<&Stencil> {
+        IteratedStencil::new(self, rounds)
+    }
+
+    /// [`Workload::build_sharded`] of [`Self::iterated`].
+    pub fn build_sharded(
         &self,
         machine: &AtgpuMachine,
+        devices: u32,
         rounds: u64,
-    ) -> Result<(u64, u64), AlgosError> {
+    ) -> Result<BuiltProgram, AlgosError> {
+        self.iterated(rounds).build_sharded(machine, devices)
+    }
+}
+
+/// The step kernel `name`: read the `b + 2`-word window of `src` at pad
+/// offset 1 (one-cell halo each side, zero at the ends), sum the three
+/// neighbours, store the block's `b` results to `dst[store]`.
+fn step_kernel(name: &str, k: u64, b: u64, src: DBuf, dst: DBuf, store: AddrExpr) -> Kernel {
+    let bi = b as i64;
+    // Shared layout: window [0, b+2), staging [b+2, 2b+2).
+    let mut kb = KernelBuilder::new(name, k, 2 * b + 2);
+    kb.glb_to_shr(AddrExpr::lane(), src, AddrExpr::block() * bi + AddrExpr::lane());
+    kb.when(PredExpr::Lt(Operand::Lane, Operand::Imm(2)), |kb| {
+        kb.glb_to_shr(AddrExpr::lane() + bi, src, AddrExpr::block() * bi + AddrExpr::lane() + bi);
+    });
+    kb.ld_shr(0, AddrExpr::lane());
+    kb.ld_shr(1, AddrExpr::lane() + 1);
+    kb.ld_shr(2, AddrExpr::lane() + 2);
+    kb.alu(AluOp::Add, 0, Operand::Reg(0), Operand::Reg(1));
+    kb.alu(AluOp::Add, 0, Operand::Reg(0), Operand::Reg(2));
+    kb.st_shr(AddrExpr::lane() + bi + 2, Operand::Reg(0));
+    kb.shr_to_glb(dst, store, AddrExpr::lane() + bi + 2);
+    kb.build()
+}
+
+/// A [`Stencil`] applied `rounds` times with zero boundaries every
+/// round: one program round per application, ping-ponging between two
+/// padded buffers in which cell `i` always lives at index `i + 1` of
+/// whichever holds the current generation, so the two halo words at the
+/// ends stay zero forever.  Requires `n` to be a positive multiple of
+/// `b`.
+#[derive(Debug, Clone)]
+pub struct IteratedStencil<S = Stencil> {
+    stencil: S,
+    rounds: u64,
+}
+
+impl<S: Borrow<Stencil>> IteratedStencil<S> {
+    /// `stencil` applied `rounds` times.
+    pub fn new(stencil: S, rounds: u64) -> Self {
+        Self { stencil, rounds }
+    }
+}
+
+impl<S: Borrow<Stencil>> Workload for IteratedStencil<S> {
+    fn name(&self) -> &'static str {
+        "stencil-iterated"
+    }
+
+    fn size(&self) -> u64 {
+        self.stencil.borrow().n
+    }
+
+    fn units(&self, machine: &AtgpuMachine) -> Option<u64> {
+        Some(self.stencil.borrow().n / machine.b.max(1))
+    }
+
+    /// The per-block cost shape — the profile that makes the planner
+    /// **peer-aware**: `rounds` kernel rounds, `b` words staged in and
+    /// drained out per block, and one boundary cell exchanged with each
+    /// slab neighbour per direction per halo round (`halo_words: 1`, one
+    /// transaction per copy — the sim's `TransferPeer` accounting), so
+    /// the drop-device candidates that idle a device with expensive peer
+    /// edges are priced halo rows and all (on an asymmetric peer matrix
+    /// the argmin flips away from every peer-blind plan: experiment E13).
+    fn shard_profile(&self, machine: &AtgpuMachine) -> ShardProfile {
         let b = machine.b.max(1);
-        if self.n == 0 || !self.n.is_multiple_of(b) {
+        ShardProfile {
+            // load + guarded halo (1+1) + 3 loads + 2 adds + stage + store
+            time_ops: 10,
+            // window load (1) + halo load (1) + off-by-one store (2)
+            io_blocks_per_unit: 4,
+            inward_words_per_unit: b,
+            inward_txns: 1,
+            outward_words_per_unit: b,
+            outward_txns: 1,
+            shared_words: 2 * b + 2,
+            rounds: self.rounds,
+            peer: PeerProfile { halo_words: 1, halo_txns: 1, ..PeerProfile::default() },
+            ..ShardProfile::default()
+        }
+    }
+
+    /// Each shard stages its slab (widened by one host word each side,
+    /// the initial halo), runs the step kernel on its own device's
+    /// replica, and — before every round after the first — trades one
+    /// boundary cell with each slab neighbour on a *different* device
+    /// over the directed peer links (`TransferPeer`, both directions per
+    /// boundary; adjacent shards on the *same* device share a replica
+    /// and need no halo copies).  The last round drains each shard's
+    /// slab to the host.
+    fn emit(&self, machine: &AtgpuMachine, at: &Placement) -> Result<BuiltProgram, AlgosError> {
+        let (stencil, rounds) = (self.stencil.borrow(), self.rounds);
+        let b = machine.b.max(1);
+        let n = stencil.n;
+        // Every lane's store must land on a live cell and the zero halo
+        // cells must never be overwritten: with a ragged tail the
+        // unguarded store would seed garbage into the pad region that
+        // the next round's halo loads would read back.
+        if n == 0 || !n.is_multiple_of(b) {
             return Err(AlgosError::InvalidSize {
-                reason: format!(
-                    "iterated stencil needs n a positive multiple of b = {b}, got {}",
-                    self.n
-                ),
+                reason: format!("iterated stencil needs n a positive multiple of b = {b}, got {n}"),
             });
         }
         if rounds == 0 {
             return Err(AlgosError::InvalidSize { reason: "rounds must be at least 1".into() });
         }
-        Ok((self.n / b, b))
-    }
-
-    /// The step kernel: read the `b + 2`-word window of `src` (one-cell
-    /// halo each side), sum the three neighbours, store the block's `b`
-    /// results into `dst` at pad offset 1 — so cell `i` always lives at
-    /// index `i + 1` of whichever buffer holds the current generation,
-    /// and the two halo words at the ends stay zero forever.
-    fn step_kernel(k: u64, b: u64, src: DBuf, dst: DBuf) -> Kernel {
+        let k = n / b;
         let bi = b as i64;
-        // Shared layout: window [0, b+2), staging [b+2, 2b+2).
-        let mut kb = KernelBuilder::new("stencil_step", k, 2 * b + 2);
-        kb.glb_to_shr(AddrExpr::lane(), src, AddrExpr::block() * bi + AddrExpr::lane());
-        kb.when(PredExpr::Lt(Operand::Lane, Operand::Imm(2)), |kb| {
-            kb.glb_to_shr(
-                AddrExpr::lane() + bi,
-                src,
-                AddrExpr::block() * bi + AddrExpr::lane() + bi,
-            );
-        });
-        kb.ld_shr(0, AddrExpr::lane());
-        kb.ld_shr(1, AddrExpr::lane() + 1);
-        kb.ld_shr(2, AddrExpr::lane() + 2);
-        kb.alu(AluOp::Add, 0, Operand::Reg(0), Operand::Reg(1));
-        kb.alu(AluOp::Add, 0, Operand::Reg(0), Operand::Reg(2));
-        kb.st_shr(AddrExpr::lane() + bi + 2, Operand::Reg(0));
-        kb.shr_to_glb(
-            dst,
-            AddrExpr::block() * bi + AddrExpr::lane() + 1,
-            AddrExpr::lane() + bi + 2,
-        );
-        kb.build()
-    }
-
-    /// Single-device iterated stencil: `rounds` applications ping-pong
-    /// between two padded buffers, one program round per application —
-    /// the baseline the sharded halo-exchange variants are differentially
-    /// tested against.  Requires `n` to be a positive multiple of `b`.
-    pub fn build_iterated(
-        &self,
-        machine: &AtgpuMachine,
-        rounds: u64,
-    ) -> Result<BuiltProgram, AlgosError> {
-        let (k, b) = self.check_iterated(machine, rounds)?;
-        let n = self.n;
-        let mut pb = ProgramBuilder::new("stencil-iterated");
-        let hin = pb.host_input("A", n);
-        let hout = pb.host_output("Out", n);
-        let pads = [pb.device_alloc("pad0", k * b + 2), pb.device_alloc("pad1", k * b + 2)];
-        for r in 0..rounds {
-            let (src, dst) = (pads[(r % 2) as usize], pads[((r + 1) % 2) as usize]);
-            pb.begin_round();
-            if r == 0 {
-                pb.transfer_in_at(hin, 0, src, 1, n);
-            }
-            pb.launch(Self::step_kernel(k, b, src, dst));
-            if r + 1 == rounds {
-                pb.transfer_out_at(dst, 1, hout, 0, n);
-            }
-        }
-        Ok(BuiltProgram {
-            program: pb.build()?,
-            inputs: vec![self.data.clone()],
-            outputs: vec![hout],
-        })
-    }
-
-    /// Iterated stencil over an explicit contiguous shard plan: each
-    /// shard stages its slab (widened by one host word each side, the
-    /// initial halo), runs the step kernel on its own device's replica,
-    /// and — before every round after the first — trades one boundary
-    /// cell with each slab neighbour on a *different* device over the
-    /// directed peer links (`TransferPeer`, both directions per
-    /// boundary).  The last round drains each shard's slab to the host.
-    ///
-    /// The plan must be a contiguous partition of the `n / b`-block
-    /// grid sorted by start (what every planner here emits); adjacent
-    /// shards on the *same* device share a replica and need no halo
-    /// copies.
-    pub fn build_sharded_with(
-        &self,
-        machine: &AtgpuMachine,
-        shards: Vec<Shard>,
-        rounds: u64,
-    ) -> Result<BuiltProgram, AlgosError> {
-        let (k, b) = self.check_iterated(machine, rounds)?;
-        check_shards_fit(&shards, k)?;
         // Boundary detection walks slabs in cell order regardless of the
         // order the plan lists them in.
-        let mut ordered = shards.clone();
+        let mut ordered = at.shards().to_vec();
         ordered.sort_by_key(|s| s.start);
-        let n = self.n;
-        let mut pb = ProgramBuilder::new("stencil-sharded");
+        let mut pb = ProgramBuilder::new(at.name("stencil-iterated", "stencil-sharded"));
         let hin = pb.host_input("A", n);
         let hout = pb.host_output("Out", n);
         let pads = [pb.device_alloc("pad0", k * b + 2), pb.device_alloc("pad1", k * b + 2)];
@@ -197,7 +207,7 @@ impl Stencil {
                 // Stage each slab widened by one word per side: the
                 // initial halo comes from the host, later halos over
                 // peer links.
-                for s in &shards {
+                for s in at.shards() {
                     let lo = (s.start * b).saturating_sub(1);
                     let hi = (s.end * b + 1).min(n);
                     pb.transfer_in_to(s.device, hin, lo, src, lo + 1, hi - lo);
@@ -214,79 +224,24 @@ impl Stencil {
                     pb.transfer_peer(w[1].device, w[0].device, src, c + 1, c + 1, 1);
                 }
             }
-            pb.launch_sharded(Self::step_kernel(k, b, src, dst), shards.clone());
+            let store = AddrExpr::block() * bi + AddrExpr::lane() + 1;
+            at.launch(&mut pb, step_kernel("stencil_step", k, b, src, dst, store));
             if r + 1 == rounds {
-                for s in &shards {
-                    pb.transfer_out_from(
-                        s.device,
-                        dst,
-                        s.start * b + 1,
-                        hout,
-                        s.start * b,
-                        s.blocks() * b,
-                    );
+                for s in at.shards() {
+                    let (lo, words) = (s.start * b, s.blocks() * b);
+                    pb.transfer_out_from(s.device, dst, lo + 1, hout, lo, words);
                 }
             }
         }
         Ok(BuiltProgram {
             program: pb.build()?,
-            inputs: vec![self.data.clone()],
+            inputs: vec![stencil.data.clone()],
             outputs: vec![hout],
         })
     }
 
-    /// [`Self::build_sharded_with`] over an even block split.
-    pub fn build_sharded(
-        &self,
-        machine: &AtgpuMachine,
-        devices: u32,
-        rounds: u64,
-    ) -> Result<BuiltProgram, AlgosError> {
-        let k = self.n / machine.b.max(1);
-        self.build_sharded_with(machine, atgpu_sim::even_shards(k, devices), rounds)
-    }
-
-    /// The per-block cost shape of the iterated sharded stencil — the
-    /// profile that makes the planner **peer-aware**: `rounds` kernel
-    /// rounds, `b` words staged in and drained out per block, and one
-    /// boundary cell exchanged with each slab neighbour per direction
-    /// per halo round (`halo_words: 1`, one transaction per copy — the
-    /// sim's `TransferPeer` accounting).
-    pub fn shard_profile(machine: &AtgpuMachine, rounds: u64) -> ShardProfile {
-        let b = machine.b.max(1);
-        ShardProfile {
-            // load + guarded halo (1+1) + 3 loads + 2 adds + stage + store
-            time_ops: 10,
-            // window load (1) + halo load (1) + off-by-one store (2)
-            io_blocks_per_unit: 4,
-            inward_words_per_unit: b,
-            inward_txns: 1,
-            outward_words_per_unit: b,
-            outward_txns: 1,
-            shared_words: 2 * b + 2,
-            rounds,
-            peer: PeerProfile { halo_words: 1, halo_txns: 1, ..PeerProfile::default() },
-            ..ShardProfile::default()
-        }
-    }
-
-    /// [`Self::build_sharded_with`] with the slabs chosen by the
-    /// **peer-aware cost-driven planner**: candidate plans — including
-    /// the drop-device candidates that idle a device with expensive
-    /// peer edges — are priced with [`Self::shard_profile`] through the
-    /// streamed cluster objective, halo rows and all, and the argmin is
-    /// built.  On an asymmetric peer matrix this is where the argmin
-    /// flips away from every peer-blind plan (see experiment E13).
-    pub fn build_sharded_planned(
-        &self,
-        machine: &AtgpuMachine,
-        cluster: &atgpu_model::ClusterSpec,
-        rounds: u64,
-    ) -> Result<BuiltProgram, AlgosError> {
-        let k = self.n / machine.b.max(1);
-        let shards =
-            atgpu_sim::planned_shards(k, cluster, machine, &Self::shard_profile(machine, rounds));
-        self.build_sharded_with(machine, shards, rounds)
+    fn expected(&self) -> Vec<Vec<i64>> {
+        vec![self.stencil.borrow().iterated_reference(self.rounds)]
     }
 }
 
@@ -299,13 +254,12 @@ impl Workload for Stencil {
         self.n
     }
 
-    fn build(&self, machine: &AtgpuMachine) -> Result<BuiltProgram, AlgosError> {
+    fn emit(&self, machine: &AtgpuMachine, _: &Placement) -> Result<BuiltProgram, AlgosError> {
         if self.n == 0 {
             return Err(AlgosError::InvalidSize { reason: "empty input".into() });
         }
         let n = self.n;
         let b = machine.b;
-        let bi = b as i64;
         let k = machine.blocks_for(n);
 
         let mut pb = ProgramBuilder::new("stencil");
@@ -317,27 +271,10 @@ impl Workload for Stencil {
         let din = pb.device_alloc("a_pad", k * b + 2);
         let dout = pb.device_alloc("out", n);
 
-        // Shared layout: window [0, b+2), staging [b+2, 2b+2).
-        let mut kb = KernelBuilder::new("stencil_kernel", k, 2 * b + 2);
-        kb.glb_to_shr(AddrExpr::lane(), din, AddrExpr::block() * bi + AddrExpr::lane());
-        kb.when(PredExpr::Lt(Operand::Lane, Operand::Imm(2)), |kb| {
-            kb.glb_to_shr(
-                AddrExpr::lane() + bi,
-                din,
-                AddrExpr::block() * bi + AddrExpr::lane() + bi,
-            );
-        });
-        kb.ld_shr(0, AddrExpr::lane());
-        kb.ld_shr(1, AddrExpr::lane() + 1);
-        kb.ld_shr(2, AddrExpr::lane() + 2);
-        kb.alu(AluOp::Add, 0, Operand::Reg(0), Operand::Reg(1));
-        kb.alu(AluOp::Add, 0, Operand::Reg(0), Operand::Reg(2));
-        kb.st_shr(AddrExpr::lane() + bi + 2, Operand::Reg(0));
-        kb.shr_to_glb(dout, AddrExpr::block() * bi + AddrExpr::lane(), AddrExpr::lane() + bi + 2);
-
         pb.begin_round();
         pb.transfer_in_at(hin, 0, din, 1, n);
-        pb.launch(kb.build());
+        let store = AddrExpr::block() * b as i64 + AddrExpr::lane();
+        pb.launch(step_kernel("stencil_kernel", k, b, din, dout, store));
         pb.transfer_out(dout, hout, n);
 
         Ok(BuiltProgram {
@@ -442,7 +379,7 @@ mod tests {
         let m = test_machine();
         for rounds in [1u64, 2, 5] {
             let w = Stencil::new(128, rounds + 11);
-            let built = w.build_iterated(&m, rounds).unwrap();
+            let built = w.iterated(rounds).build(&m).unwrap();
             verify_built_on_cluster(
                 &built,
                 &[w.iterated_reference(rounds)],
@@ -484,7 +421,7 @@ mod tests {
             }
         }
         let w = Stencil::new(320, 9);
-        let built = w.build_sharded_planned(&m, &spec, 8).unwrap();
+        let built = w.iterated(8).build_sharded_planned(&m, &spec).unwrap();
         verify_built_on_cluster(
             &built,
             &[w.iterated_reference(8)],
@@ -502,9 +439,9 @@ mod tests {
         // analyzer, staged words from the round metrics.
         let m = test_machine();
         let w = Stencil::new(256, 3);
-        let built = w.build_iterated(&m, 3).unwrap();
+        let built = w.iterated(3).build(&m).unwrap();
         let a = analyze_program(&built.program, &m).unwrap();
-        let profile = Stencil::shard_profile(&m, 3);
+        let profile = w.iterated(3).shard_profile(&m);
         let k = 256 / m.b;
         for round in &a.metrics().rounds {
             assert_eq!(round.time, profile.time_ops);
@@ -515,7 +452,7 @@ mod tests {
     #[test]
     fn iterated_rejects_ragged_sizes() {
         let m = test_machine();
-        assert!(Stencil::new(33, 0).build_iterated(&m, 2).is_err());
-        assert!(Stencil::new(64, 0).build_iterated(&m, 0).is_err());
+        assert!(Stencil::new(33, 0).iterated(2).build(&m).is_err());
+        assert!(Stencil::new(64, 0).iterated(0).build(&m).is_err());
     }
 }

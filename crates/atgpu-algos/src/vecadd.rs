@@ -12,10 +12,10 @@
 
 use crate::error::AlgosError;
 use crate::gen;
-use crate::workload::{BuiltProgram, Workload};
+use crate::workload::{BuiltProgram, Placement, Workload};
 use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder};
 use atgpu_model::asymptotics::{BigO, Term};
-use atgpu_model::{AlgoMetrics, AtgpuMachine, RoundMetrics};
+use atgpu_model::{AlgoMetrics, AtgpuMachine, RoundMetrics, ShardProfile};
 
 /// Lockstep operations of our vector-addition kernel encoding.
 pub const VECADD_TIME_OPS: u64 = 7;
@@ -49,97 +49,6 @@ impl VecAdd {
         self.a.iter().zip(&self.b).map(|(x, y)| x + y).collect()
     }
 
-    /// Builds a **multi-device** vector addition: the grid is split into
-    /// contiguous block ranges, one per device; each device receives only
-    /// its slice of `A` and `B` over its own host link, runs its shard,
-    /// and returns its slice of `C` — an embarrassingly parallel workload
-    /// where sharding divides the transfer-dominated total by the device
-    /// count (CrystalGPU-style transparent distribution).
-    pub fn build_sharded(
-        &self,
-        machine: &AtgpuMachine,
-        devices: u32,
-    ) -> Result<BuiltProgram, AlgosError> {
-        let k = machine.blocks_for(self.n);
-        self.build_sharded_with(machine, atgpu_sim::even_shards(k, devices))
-    }
-
-    /// The per-block cost shape of the vecadd kernel — what the
-    /// cost-driven planner prices: `2b` words in, `b` words out, 3
-    /// coalesced block transactions and an `O(1)` kernel per block.
-    /// This *is* [`atgpu_model::ShardProfile::streaming`] — the planner's
-    /// generic streaming default is defined as the vecadd shape, so the
-    /// two stay in lockstep by construction.
-    pub fn shard_profile(machine: &AtgpuMachine) -> atgpu_model::ShardProfile {
-        atgpu_model::ShardProfile::streaming(machine.b)
-    }
-
-    /// [`Self::build_sharded`] with the blocks apportioned by the
-    /// **cost-driven planner** ([`atgpu_sim::planned_shards`]): candidate
-    /// plans (even, compute-weighted, transfer-balanced) are priced with
-    /// this workload's [`Self::shard_profile`] through the cluster cost
-    /// function — per-device host-link `α`/`β` included — and the
-    /// cheapest modeled plan wins.  On a cluster of identical GPUs behind
-    /// asymmetric host links this hands the slow-link device fewer
-    /// blocks, which an even or `k′·clock`-weighted split never would.
-    pub fn build_sharded_planned(
-        &self,
-        machine: &AtgpuMachine,
-        cluster: &atgpu_model::ClusterSpec,
-    ) -> Result<BuiltProgram, AlgosError> {
-        let k = machine.blocks_for(self.n);
-        let shards = atgpu_sim::planned_shards(k, cluster, machine, &Self::shard_profile(machine));
-        self.build_sharded_with(machine, shards)
-    }
-
-    /// [`Self::build_sharded`] with an explicit shard plan (the grid's
-    /// blocks, contiguously partitioned) — what the experiment harness
-    /// uses to compare planners on the same program shape.
-    pub fn build_sharded_with(
-        &self,
-        machine: &AtgpuMachine,
-        shards: Vec<atgpu_ir::Shard>,
-    ) -> Result<BuiltProgram, AlgosError> {
-        if self.n == 0 {
-            return Err(AlgosError::InvalidSize { reason: "empty vectors".into() });
-        }
-        let k = machine.blocks_for(self.n);
-        check_shards_fit(&shards, k)?;
-        let n = self.n;
-
-        let mut pb = ProgramBuilder::new("vecadd_sharded");
-        let ha = pb.host_input("A", n);
-        let hb = pb.host_input("B", n);
-        let hc = pb.host_output("C", n);
-        let da = pb.device_alloc("a", n);
-        let db = pb.device_alloc("b", n);
-        let dc = pb.device_alloc("c", n);
-
-        // A shard covering blocks [start, end) touches the word range
-        // [start·b, min(end·b, n)) of every buffer.
-        let slice = |s: &atgpu_ir::Shard| {
-            let off = s.start * machine.b;
-            (off, (s.end * machine.b).min(n) - off)
-        };
-        pb.begin_round();
-        for s in &shards {
-            let (off, words) = slice(s);
-            pb.transfer_in_to(s.device, ha, off, da, off, words);
-            pb.transfer_in_to(s.device, hb, off, db, off, words);
-        }
-        pb.launch_sharded(vecadd_kernel(k, machine.b, da, db, dc), shards.clone());
-        for s in &shards {
-            let (off, words) = slice(s);
-            pb.transfer_out_from(s.device, dc, off, hc, off, words);
-        }
-
-        Ok(BuiltProgram {
-            program: pb.build()?,
-            inputs: vec![self.a.clone(), self.b.clone()],
-            outputs: vec![hc],
-        })
-    }
-
     /// Builds the **repeated-launch** form: inputs staged once, then the
     /// *same* kernel launched once per round for `launches` rounds
     /// (idempotent — every launch recomputes the same `C`), then one
@@ -171,7 +80,7 @@ impl VecAdd {
         pb.transfer_in(ha, da, n);
         pb.transfer_in(hb, db, n);
         for _ in 0..launches {
-            pb.launch(vecadd_kernel(k, machine.b, da, db, dc));
+            pb.launch(vecadd_kernel("vecadd_kernel", k, machine.b, da, db, dc));
             pb.begin_round();
         }
         pb.transfer_out(dc, hc, n);
@@ -184,26 +93,11 @@ impl VecAdd {
     }
 }
 
-/// Rejects a caller-supplied shard plan whose ranges fall outside the
-/// `grid`-block launch (the slice arithmetic below would otherwise
-/// underflow before `ProgramBuilder::build`'s partition validation gets
-/// a chance to report it properly).
-pub(crate) fn check_shards_fit(shards: &[atgpu_ir::Shard], grid: u64) -> Result<(), AlgosError> {
-    if let Some(s) = shards.iter().find(|s| s.start >= s.end || s.end > grid) {
-        return Err(AlgosError::InvalidSize {
-            reason: format!(
-                "shard [{}, {}) on device {} does not fit the {grid}-block grid",
-                s.start, s.end, s.device
-            ),
-        });
-    }
-    Ok(())
-}
-
-/// Builds the vecadd kernel: `k` blocks stage both operand rows into
-/// shared memory, add, and stage the result back out — all coalesced.
-/// Shared layout: `_a` at 0, `_b` at `b`, `_c` at `2b`.
-fn vecadd_kernel(
+/// Builds the vecadd kernel `name`: `k` blocks stage both operand rows
+/// into shared memory, add, and stage the result back out — all
+/// coalesced.  Shared layout: `_a` at 0, `_b` at `b`, `_c` at `2b`.
+pub(crate) fn vecadd_kernel(
+    name: impl Into<String>,
     k: u64,
     b: u64,
     da: atgpu_ir::DBuf,
@@ -211,7 +105,7 @@ fn vecadd_kernel(
     dc: atgpu_ir::DBuf,
 ) -> atgpu_ir::Kernel {
     let bi = b as i64;
-    let mut kb = KernelBuilder::new("vecadd_kernel", k, 3 * b);
+    let mut kb = KernelBuilder::new(name, k, 3 * b);
     let g = AddrExpr::block() * bi + AddrExpr::lane();
     kb.glb_to_shr(AddrExpr::lane(), da, g.clone()); // _a[j] <= a[ib + j]
     kb.glb_to_shr(AddrExpr::lane() + bi, db, g.clone()); // _b[j] <= b[ib + j]
@@ -232,14 +126,31 @@ impl Workload for VecAdd {
         self.n
     }
 
-    fn build(&self, machine: &AtgpuMachine) -> Result<BuiltProgram, AlgosError> {
+    fn units(&self, machine: &AtgpuMachine) -> Option<u64> {
+        Some(machine.blocks_for(self.n))
+    }
+
+    /// The per-block cost shape of the vecadd kernel: `2b` words in, `b`
+    /// words out, 3 coalesced block transactions and an `O(1)` kernel
+    /// per block.  This *is* [`ShardProfile::streaming`] — the planner's
+    /// generic streaming default is defined as the vecadd shape, so the
+    /// two stay in lockstep by construction.
+    fn shard_profile(&self, machine: &AtgpuMachine) -> ShardProfile {
+        ShardProfile::streaming(machine.b)
+    }
+
+    /// One round: every shard's device receives its slice of `A` and `B`
+    /// over its own host link, runs its blocks, and returns its slice of
+    /// `C` — embarrassingly parallel, so sharding divides the
+    /// transfer-dominated total by the device count.
+    fn emit(&self, machine: &AtgpuMachine, at: &Placement) -> Result<BuiltProgram, AlgosError> {
         if self.n == 0 {
             return Err(AlgosError::InvalidSize { reason: "empty vectors".into() });
         }
         let k = machine.blocks_for(self.n);
         let n = self.n;
 
-        let mut pb = ProgramBuilder::new("vecadd");
+        let mut pb = ProgramBuilder::new(at.name("vecadd", "vecadd_sharded"));
         let ha = pb.host_input("A", n);
         let hb = pb.host_input("B", n);
         let hc = pb.host_output("C", n);
@@ -247,13 +158,25 @@ impl Workload for VecAdd {
         let db = pb.device_alloc("b", n);
         let dc = pb.device_alloc("c", n);
 
+        // A shard covering blocks [start, end) touches the word range
+        // [start·b, min(end·b, n)) of every buffer.
+        let slice = |s: &atgpu_ir::Shard| {
+            let off = s.start * machine.b;
+            (off, (s.end * machine.b).min(n) - off)
+        };
         pb.begin_round();
-        pb.transfer_in(ha, da, n); // a W A
-        pb.transfer_in(hb, db, n); // b W B
-                                   // The paper's pseudocode: stage both operands into shared memory,
-                                   // add, stage the result back out — all coalesced.
-        pb.launch(vecadd_kernel(k, machine.b, da, db, dc));
-        pb.transfer_out(dc, hc, n); // C W c
+        for s in at.shards() {
+            let (off, words) = slice(s);
+            pb.transfer_in_to(s.device, ha, off, da, off, words); // a W A
+            pb.transfer_in_to(s.device, hb, off, db, off, words); // b W B
+        }
+        // The paper's pseudocode: stage both operands into shared memory,
+        // add, stage the result back out — all coalesced.
+        at.launch(&mut pb, vecadd_kernel("vecadd_kernel", k, machine.b, da, db, dc));
+        for s in at.shards() {
+            let (off, words) = slice(s);
+            pb.transfer_out_from(s.device, dc, off, hc, off, words); // C W c
+        }
 
         Ok(BuiltProgram {
             program: pb.build()?,
@@ -299,7 +222,7 @@ impl Workload for VecAdd {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{test_machine, test_spec, verify_on_sim};
+    use crate::workload::{test_machine, test_spec, verify_on_sim, Plan};
     use atgpu_analyze::analyze_program;
     use atgpu_sim::SimConfig;
 
@@ -461,14 +384,13 @@ mod tests {
             vec![atgpu_ir::Shard { device: 0, start: 2, end: 2 }],
         ] {
             assert!(
-                w.build_sharded_with(&m, bad.clone()).is_err(),
+                w.build_plan(&m, Plan::Explicit(bad.clone())).is_err(),
                 "plan {bad:?} must be rejected"
             );
         }
         // The full in-range grid still builds.
-        assert!(w
-            .build_sharded_with(&m, vec![atgpu_ir::Shard { device: 0, start: 0, end: 4 }])
-            .is_ok());
+        let whole = vec![atgpu_ir::Shard { device: 0, start: 0, end: 4 }];
+        assert!(w.build_plan(&m, Plan::Explicit(whole)).is_ok());
     }
 
     #[test]

@@ -15,7 +15,7 @@ use atgpu_algos::histogram::Histogram;
 use atgpu_algos::scan::Scan;
 use atgpu_algos::spmv::SpmvEll;
 use atgpu_algos::stencil::Stencil;
-use atgpu_algos::workload::BuiltProgram;
+use atgpu_algos::workload::{BuiltProgram, Plan, Workload};
 use atgpu_ir::Shard;
 use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
 use atgpu_sim::{run_cluster_program, FaultEvent, FaultPlan, SimConfig};
@@ -47,7 +47,7 @@ impl Rng {
 
 /// A random contiguous partition of `[0, blocks)` with random device
 /// assignment over `devices` devices — the adversarial input to
-/// `build_sharded_with`.
+/// `Plan::Explicit`.
 fn random_plan(rng: &mut Rng, blocks: u64, devices: u32) -> Vec<Shard> {
     let mut cuts = vec![0u64, blocks];
     for _ in 0..rng.below(4) {
@@ -95,7 +95,7 @@ fn stencil_random_plans_both_engines() {
         let w = Stencil::new(n, trial);
         let k = m.blocks_for(n);
         let plan = random_plan(&mut rng, k, devices);
-        let built = w.build_sharded_with(&m, plan.clone(), rounds).unwrap();
+        let built = w.iterated(rounds).build_plan(&m, Plan::Explicit(plan.clone())).unwrap();
         assert_both_engines(
             &built,
             &[w.iterated_reference(rounds)],
@@ -116,7 +116,7 @@ fn scan_random_plans_both_engines() {
         let w = Scan::new(n, trial);
         let k = m.blocks_for(n);
         let plan = random_plan(&mut rng, k, devices);
-        let built = w.build_sharded_with(&m, plan.clone()).unwrap();
+        let built = w.build_plan(&m, Plan::Explicit(plan.clone())).unwrap();
         assert_both_engines(
             &built,
             &[w.host_reference()],
@@ -138,7 +138,7 @@ fn spmv_random_plans_both_engines() {
         let w = SpmvEll::new(n, k_slots, trial);
         let k = m.blocks_for(n);
         let plan = random_plan(&mut rng, k, devices);
-        let built = w.build_sharded_with(&m, plan.clone()).unwrap();
+        let built = w.build_plan(&m, Plan::Explicit(plan.clone())).unwrap();
         assert_both_engines(
             &built,
             &[w.host_reference()],
@@ -159,7 +159,7 @@ fn histogram_random_plans_both_engines() {
         let w = Histogram::new(n, m.b, trial);
         let k = m.blocks_for(n);
         let plan = random_plan(&mut rng, k, devices);
-        let built = w.build_sharded_with(&m, plan.clone()).unwrap();
+        let built = w.build_plan(&m, Plan::Explicit(plan.clone())).unwrap();
         assert_both_engines(
             &built,
             &[w.host_reference()],

@@ -2,37 +2,17 @@
 //! single-device workload program, the single-device analysis is the
 //! cluster analysis at `n = 1`, row for row and flag for flag.
 
-use atgpu_algos::transpose::TransposeVariant;
-use atgpu_algos::Workload;
 use atgpu_analyze::{analyze_cluster_program, analyze_program};
 use atgpu_model::AtgpuMachine;
-
-/// The `atgpu-exp --verify` roster (`atgpu-exp/src/main.rs`).
-fn roster() -> Vec<Box<dyn Workload>> {
-    vec![
-        Box::new(atgpu_algos::vecadd::VecAdd::new(1024, 0)),
-        Box::new(atgpu_algos::saxpy::Saxpy::new(1024, 3, 0)),
-        Box::new(atgpu_algos::reduce::Reduce::new(2048, 0)),
-        Box::new(atgpu_algos::dot::Dot::new(1024, 0)),
-        Box::new(atgpu_algos::scan::Scan::new(1024, 0)),
-        Box::new(atgpu_algos::stencil::Stencil::new(1024, 0)),
-        Box::new(atgpu_algos::matmul::MatMul::new(64, 0)),
-        Box::new(atgpu_algos::transpose::Transpose::new(64, 0, TransposeVariant::Tiled)),
-        Box::new(atgpu_algos::gemv::Gemv::new(64, 0)),
-        Box::new(atgpu_algos::spmv::SpmvEll::new(128, 3, 0)),
-        Box::new(atgpu_algos::histogram::Histogram::new(1024, 32, 0)),
-        Box::new(atgpu_algos::bitonic::BitonicSort::new(128, 0)),
-    ]
-}
 
 #[test]
 fn single_device_analysis_is_the_one_device_cluster_analysis() {
     let machine = AtgpuMachine::gtx650_like();
-    let roster = roster();
-    assert_eq!(roster.len(), 12);
-    for w in roster {
-        let name = w.name();
-        let p = w.build(&machine).unwrap().program;
+    let roster = atgpu_algos::roster();
+    assert!(roster.len() >= 17, "the full workload roster");
+    for entry in roster {
+        let name = entry.name;
+        let p = entry.workload.build(&machine).unwrap().program;
         let single = analyze_program(&p, &machine).unwrap();
         let cluster = analyze_cluster_program(&p, &machine, 1).unwrap();
         assert_eq!(cluster.per_device.len(), 1, "{name}");

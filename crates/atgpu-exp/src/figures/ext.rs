@@ -8,7 +8,7 @@ use atgpu_algos::matmul::MatMul;
 use atgpu_algos::ooc::{OocReduce, OocScheme, OocVecAdd};
 use atgpu_algos::transpose::{Transpose, TransposeVariant};
 use atgpu_algos::vecadd::VecAdd;
-use atgpu_algos::{AlgosError, Workload};
+use atgpu_algos::{AlgosError, Plan, Workload};
 use atgpu_analyze::analyze_program;
 use atgpu_calibrate::calibrate;
 use atgpu_model::cost::{evaluate, CostModel};
@@ -331,19 +331,16 @@ pub fn e6_calibration(cfg: &ExpConfig) -> Result<String, AlgosError> {
 /// devices roughly halves the total — the regime the peer-link and
 /// shard-planner machinery exists for.
 pub fn e7_multi_device(cfg: &ExpConfig) -> Result<String, AlgosError> {
-    use atgpu_algos::vecadd::VECADD_TIME_OPS;
+    use atgpu_analyze::analyze_cluster_program;
     use atgpu_model::cost::cluster_cost;
-    use atgpu_model::{AlgoMetrics, ClusterSpec, RoundMetrics};
-    use atgpu_sim::{even_shards, run_cluster_program};
+    use atgpu_model::ClusterSpec;
+    use atgpu_sim::run_cluster_program;
 
     let n: u64 = match cfg.scale {
         crate::runner::Scale::Quick => 1 << 15,
         _ => 1 << 20,
     };
     let machine = &cfg.machine;
-    let b = machine.b;
-    let k = machine.blocks_for(n);
-    let pad = |w: u64| w.div_ceil(b) * b;
     let w = VecAdd::new(n, 21);
 
     let mut rows = Vec::new();
@@ -354,31 +351,10 @@ pub fn e7_multi_device(cfg: &ExpConfig) -> Result<String, AlgosError> {
         let report =
             run_cluster_program(&built.program, built.inputs.clone(), machine, &cluster, &cfg.sim)?;
 
-        // Model side: each device's shard as its own metrics row.
-        let shards = even_shards(k, devices);
-        let per_device: Vec<AlgoMetrics> = (0..devices)
-            .map(|d| {
-                let round = shards
-                    .iter()
-                    .find(|s| s.device == d)
-                    .map(|s| {
-                        let words = (s.end * b).min(n) - s.start * b;
-                        RoundMetrics {
-                            time: VECADD_TIME_OPS,
-                            io_blocks: 3 * s.blocks(),
-                            global_words: 3 * pad(n),
-                            shared_words: 3 * b,
-                            inward_words: 2 * words,
-                            inward_txns: 2,
-                            outward_words: words,
-                            outward_txns: 1,
-                            blocks_launched: s.blocks(),
-                        }
-                    })
-                    .unwrap_or_default();
-                AlgoMetrics::new(vec![round])
-            })
-            .collect();
+        // Model side: the analysis walk's per-device metrics rows.
+        let per_device = analyze_cluster_program(&built.program, machine, devices)
+            .map_err(|e| AlgosError::InvalidSize { reason: e.to_string() })?
+            .per_device;
         let predicted = cluster_cost(&cluster, machine, &per_device, &[])
             .map_err(|e| AlgosError::InvalidSize { reason: e.to_string() })?;
 
@@ -710,7 +686,7 @@ pub fn e10_pipeline_planner(
     trace: Option<&std::path::Path>,
 ) -> Result<String, AlgosError> {
     use atgpu_algos::vecadd::VecAdd;
-    use atgpu_model::{plan, ClusterSpec, LinkParams, ShardProfile};
+    use atgpu_model::{plan, ClusterSpec, LinkParams};
     use atgpu_sim::{
         even_shards, planned_shards, run_cluster_program, run_program, weighted_shards,
     };
@@ -750,13 +726,12 @@ pub fn e10_pipeline_planner(
                 if workload == "matmul" && !(devices == 2 && asym) {
                     continue; // one compute-bound contrast case is enough
                 }
-                let (units, profile): (u64, ShardProfile) = match workload {
-                    "vecadd" => (machine.blocks_for(n_vec), VecAdd::shard_profile(machine)),
-                    _ => {
-                        let w = MatMul::new(mm_n, 3);
-                        (mm_n / machine.b, w.row_profile(machine))
-                    }
+                let w: Box<dyn Workload> = match workload {
+                    "vecadd" => Box::new(VecAdd::new(n_vec, 21)),
+                    _ => Box::new(MatMul::new(mm_n, 3)),
                 };
+                let units = w.units(machine).expect("both workloads shard");
+                let profile = w.shard_profile(machine);
                 let plans = [
                     ("even", even_shards(units, devices as u32)),
                     ("weighted", weighted_shards(units, &cluster)),
@@ -764,12 +739,7 @@ pub fn e10_pipeline_planner(
                 ];
                 let mut base_ms = None;
                 for (name, shards) in plans {
-                    let built = match workload {
-                        "vecadd" => {
-                            VecAdd::new(n_vec, 21).build_sharded_with(machine, shards.clone())?
-                        }
-                        _ => MatMul::new(mm_n, 3).build_sharded_rows(machine, shards.clone())?,
-                    };
+                    let built = w.build_plan(machine, Plan::Explicit(shards.clone()))?;
                     let report = run_cluster_program(
                         &built.program,
                         built.inputs.clone(),
@@ -977,10 +947,9 @@ pub fn e11_fault_tolerance(
     cfg: &ExpConfig,
     trace: Option<&std::path::Path>,
 ) -> Result<String, AlgosError> {
-    use atgpu_algos::vecadd::VECADD_TIME_OPS;
     use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder};
     use atgpu_model::cost::{cluster_cost_degraded, DegradedLoss};
-    use atgpu_model::{AlgoMetrics, ClusterSpec, RoundMetrics, ShardProfile};
+    use atgpu_model::{AlgoMetrics, ClusterSpec, ShardProfile};
     use atgpu_sim::{
         even_shards, planned_shards, run_cluster_program, FaultEvent, FaultPlan, SimConfig,
     };
@@ -1016,9 +985,7 @@ pub fn e11_fault_tolerance(
             pb.transfer_in_to(s.device, ha, off, da, off, words);
             pb.transfer_in_to(s.device, hb, off, db, off, words);
         }
-        // The vecadd kernel body, reading this round's slab: same shape
-        // as `vecadd_kernel`, so `time = VECADD_TIME_OPS` on the model
-        // side.
+        // The vecadd kernel body, reading this round's slab.
         let bi = b as i64;
         let mut kb = KernelBuilder::new(format!("vecadd_slab{r}"), slab_blocks, 3 * b);
         let g = AddrExpr::block() * bi + AddrExpr::lane() + off0 as i64;
@@ -1106,25 +1073,11 @@ pub fn e11_fault_tolerance(
     // slab share per completed round) replayed at `at_round`, and its
     // blocks taken over exactly the way the simulator's planner
     // re-apportions them over the surviving sub-cluster.
-    let pad = |w: u64| w.div_ceil(b) * b;
-    let metrics_for = |d: u32, k: usize| {
-        let round = shards
-            .iter()
-            .find(|s| s.device == d)
-            .map(|s| RoundMetrics {
-                time: VECADD_TIME_OPS,
-                io_blocks: 3 * s.blocks(),
-                global_words: 3 * pad(n),
-                shared_words: 3 * b,
-                inward_words: 2 * s.blocks() * b,
-                inward_txns: 2,
-                outward_words: s.blocks() * b,
-                outward_txns: 1,
-                blocks_launched: s.blocks(),
-            })
-            .unwrap_or_default();
-        AlgoMetrics::new(vec![round; k])
-    };
+    let analysed = atgpu_analyze::analyze_cluster_program(&program, machine, devices)
+        .map_err(|e| err(&e))?
+        .per_device;
+    let metrics_for =
+        |d: u32, k: usize| AlgoMetrics::new(analysed[d as usize].rounds[..k].to_vec());
     let dead_blocks =
         shards.iter().find(|s| s.device == dead).map(|s| s.blocks()).unwrap_or_default();
     let survivors: Vec<usize> = (0..devices as usize).filter(|&d| d != dead as usize).collect();
@@ -1519,6 +1472,7 @@ pub fn e13_peer_aware_planner(
     let st_rounds = 8u64;
     let n_hist: u64 = if quick { 1 << 15 } else { 1 << 19 };
     let stencil = Stencil::new(n_st, 13);
+    let stencil = stencil.iterated(st_rounds);
     let hist = Histogram::new(n_hist, machine.b, 13);
 
     let mut rows = Vec::new();
@@ -1527,10 +1481,9 @@ pub fn e13_peer_aware_planner(
     // The peer-aware stencil build, kept for the traced re-run.
     let mut traced_case = None;
     for workload in ["stencil", "histogram"] {
-        let (units, profile) = match workload {
-            "stencil" => (machine.blocks_for(n_st), Stencil::shard_profile(machine, st_rounds)),
-            _ => (machine.blocks_for(n_hist), Histogram::shard_profile(machine)),
-        };
+        let w: &dyn Workload = if workload == "stencil" { &stencil } else { &hist };
+        let units = w.units(machine).expect("both workloads shard");
+        let profile = w.shard_profile(machine);
         let plans = [
             ("even", even_shards(units, devices as u32)),
             ("peer-blind", planned_shards(units, &cluster, machine, &profile.without_peer())),
@@ -1538,10 +1491,7 @@ pub fn e13_peer_aware_planner(
         ];
         let mut blind: Option<(Vec<u64>, f64)> = None;
         for (name, shards) in plans {
-            let built = match workload {
-                "stencil" => stencil.build_sharded_with(machine, shards.clone(), st_rounds)?,
-                _ => hist.build_sharded_with(machine, shards.clone())?,
-            };
+            let built = w.build_plan(machine, Plan::Explicit(shards.clone()))?;
             let report = run_cluster_program(
                 &built.program,
                 built.inputs.clone(),

@@ -6,18 +6,19 @@
 //! COMMANDS (any combination; default: all)
 //!   table1 fig3 fig4 fig5 fig6 summary e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 all
 //!   pseudocode NAME   print a workload's program in the paper's notation
-//!                     (vecadd, reduce, matmul, saxpy, dot, scan, stencil,
-//!                      transpose, histogram, bitonic, gemv, spmv)
+//!                     (any `atgpu_algos::roster()` name: vecadd, reduce,
+//!                      matmul, saxpy, dot, scan, stencil, transpose,
+//!                      histogram, bitonic, gemv, spmv, ooc-vecadd, …)
 //!   check-trace FILE...
 //!                     validate Chrome trace_event JSON files written by
 //!                     --trace (round-trip parse, monotone non-overlapping
 //!                     spans); nonzero exit on the first invalid file
 //!
 //! OPTIONS
-//!   --verify       statically verify the whole workload roster (bounds,
-//!                  cross-block write races, host-dataflow lints) and print
-//!                  a verdict table; nonzero exit if any program is proven
-//!                  unsound
+//!   --verify       statically verify every workload roster × plan cell
+//!                  (bounds, cross-block write races, host-dataflow lints)
+//!                  and print a verdict table; nonzero exit if any program
+//!                  is proven unsound
 //!   --quick        small sweep sizes (seconds)
 //!   --full         complete paper ranges (minutes)
 //!   --out DIR      write CSV/DAT/JSON files (default: ./experiments)
@@ -74,101 +75,69 @@ fn check_traces(files: &[String]) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-/// Statically verifies every workload in the roster and prints a
-/// verdict table: race verdict, proven out-of-bounds count, undecided
-/// sites and host-dataflow lints per program.  Programs with a proven
-/// defect are listed with their `kernel@instr#N` witness and the run
-/// exits nonzero.
+/// Statically verifies every roster × plan cell and prints a verdict
+/// table: race verdict, proven out-of-bounds count, undecided sites and
+/// host-dataflow lints per program.  Cells with a proven defect are
+/// listed with their `kernel@instr#N` witness and the run exits nonzero.
 fn verify_workloads() -> Result<(), Box<dyn std::error::Error>> {
-    use atgpu_algos::Workload;
     use atgpu_verify::RaceVerdict;
     let machine = atgpu_model::AtgpuMachine::gtx650_like();
-    let roster: Vec<(&str, Box<dyn Workload>)> = vec![
-        ("vecadd", Box::new(atgpu_algos::vecadd::VecAdd::new(1024, 0))),
-        ("saxpy", Box::new(atgpu_algos::saxpy::Saxpy::new(1024, 3, 0))),
-        ("reduce", Box::new(atgpu_algos::reduce::Reduce::new(2048, 0))),
-        ("dot", Box::new(atgpu_algos::dot::Dot::new(1024, 0))),
-        ("scan", Box::new(atgpu_algos::scan::Scan::new(1024, 0))),
-        ("stencil", Box::new(atgpu_algos::stencil::Stencil::new(1024, 0))),
-        ("matmul", Box::new(atgpu_algos::matmul::MatMul::new(64, 0))),
-        (
-            "transpose",
-            Box::new(atgpu_algos::transpose::Transpose::new(
-                64,
-                0,
-                atgpu_algos::transpose::TransposeVariant::Tiled,
-            )),
-        ),
-        ("gemv", Box::new(atgpu_algos::gemv::Gemv::new(64, 0))),
-        ("spmv", Box::new(atgpu_algos::spmv::SpmvEll::new(128, 3, 0))),
-        ("histogram", Box::new(atgpu_algos::histogram::Histogram::new(1024, 32, 0))),
-        ("bitonic", Box::new(atgpu_algos::bitonic::BitonicSort::new(128, 0))),
-    ];
-    println!("== static verification — {} workloads ==\n", roster.len());
+    let asym = atgpu_algos::roster::asym_pair(atgpu_model::GpuSpec::gtx650_like());
+    let roster = atgpu_algos::roster();
+    println!("== static verification — {} workloads × plans ==\n", roster.len());
     println!(
-        "{:<12} {:>8}  {:<10} {:>4} {:>8} {:>6}  verdict",
-        "workload", "launches", "race", "oob", "unknown", "lints"
+        "{:<18} {:<8} {:>8}  {:<10} {:>4} {:>8} {:>6}  verdict",
+        "workload", "plan", "launches", "race", "oob", "unknown", "lints"
     );
     let mut defects = Vec::new();
-    for (name, w) in roster {
-        let built = w.build(&machine)?;
-        let report = atgpu_verify::verify_program(&built.program, machine.b);
-        let race = if report.launches.iter().any(|l| matches!(l.race, RaceVerdict::Racy(_))) {
-            "RACY"
-        } else if report.all_race_free() {
-            "race-free"
-        } else {
-            "unknown"
-        };
-        let oob: usize = report.launches.iter().map(|l| l.oob.len()).sum();
-        let unknown: usize = report.launches.iter().map(|l| l.bounds_unknown).sum();
-        let verdict = if report.is_sound() { "sound" } else { "UNSOUND" };
-        println!(
-            "{name:<12} {:>8}  {race:<10} {oob:>4} {unknown:>8} {:>6}  {verdict}",
-            report.launches.len(),
-            report.lints.len(),
-        );
-        for lint in &report.lints {
-            println!("             lint: {lint}");
-        }
-        if let Some(why) = report.first_unsoundness() {
-            defects.push(format!("{name}: {why}"));
+    for entry in &roster {
+        for (plan_name, plan) in entry.plans(&machine, &asym) {
+            let name = entry.name;
+            let built = entry.workload.build_plan(&machine, plan)?;
+            let report = atgpu_verify::verify_program(&built.program, machine.b);
+            let race = if report.launches.iter().any(|l| matches!(l.race, RaceVerdict::Racy(_))) {
+                "RACY"
+            } else if report.all_race_free() {
+                "race-free"
+            } else {
+                "unknown"
+            };
+            let oob: usize = report.launches.iter().map(|l| l.oob.len()).sum();
+            let unknown: usize = report.launches.iter().map(|l| l.bounds_unknown).sum();
+            let verdict = if report.is_sound() { "sound" } else { "UNSOUND" };
+            println!(
+                "{name:<18} {plan_name:<8} {:>8}  {race:<10} {oob:>4} {unknown:>8} {:>6}  {verdict}",
+                report.launches.len(),
+                report.lints.len(),
+            );
+            for lint in &report.lints {
+                println!("             lint: {lint}");
+            }
+            if let Some(why) = report.first_unsoundness() {
+                defects.push(format!("{name} ({plan_name}): {why}"));
+            }
         }
     }
     if !defects.is_empty() {
         for d in &defects {
             eprintln!("UNSOUND — {d}");
         }
-        return Err(format!("{} workload(s) failed static verification", defects.len()).into());
+        return Err(format!("{} cell(s) failed static verification", defects.len()).into());
     }
-    println!("\nall workloads verified: no proven races or out-of-bounds accesses");
+    println!("\nall cells verified: no proven races or out-of-bounds accesses");
     Ok(())
 }
 
-/// Prints a workload's program rendered in the paper's pseudocode.
+/// Prints a roster workload's single-device program rendered in the
+/// paper's pseudocode.
 fn print_pseudocode(name: &str) -> Result<(), Box<dyn std::error::Error>> {
-    use atgpu_algos::Workload;
     let machine = atgpu_model::AtgpuMachine::gtx650_like();
-    let w: Box<dyn Workload> = match name {
-        "vecadd" => Box::new(atgpu_algos::vecadd::VecAdd::new(1024, 0)),
-        "saxpy" => Box::new(atgpu_algos::saxpy::Saxpy::new(1024, 3, 0)),
-        "reduce" => Box::new(atgpu_algos::reduce::Reduce::new(2048, 0)),
-        "dot" => Box::new(atgpu_algos::dot::Dot::new(1024, 0)),
-        "scan" => Box::new(atgpu_algos::scan::Scan::new(1024, 0)),
-        "stencil" => Box::new(atgpu_algos::stencil::Stencil::new(1024, 0)),
-        "matmul" => Box::new(atgpu_algos::matmul::MatMul::new(64, 0)),
-        "transpose" => Box::new(atgpu_algos::transpose::Transpose::new(
-            64,
-            0,
-            atgpu_algos::transpose::TransposeVariant::Tiled,
-        )),
-        "gemv" => Box::new(atgpu_algos::gemv::Gemv::new(64, 0)),
-        "spmv" => Box::new(atgpu_algos::spmv::SpmvEll::new(128, 3, 0)),
-        "histogram" => Box::new(atgpu_algos::histogram::Histogram::new(1024, 32, 0)),
-        "bitonic" => Box::new(atgpu_algos::bitonic::BitonicSort::new(128, 0)),
-        other => return Err(format!("unknown workload `{other}`").into()),
+    let roster = atgpu_algos::roster();
+    let Some(entry) = roster.iter().find(|e| e.name == name) else {
+        let names: Vec<&str> = roster.iter().map(|e| e.name).collect();
+        return Err(format!("unknown workload `{name}` (one of: {})", names.join(", ")).into());
     };
-    let built = w.build(&machine)?;
+    let built = entry.workload.build(&machine)?;
     println!("{}", atgpu_ir::pretty::render_program(&built.program));
     Ok(())
 }

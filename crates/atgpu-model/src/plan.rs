@@ -212,10 +212,9 @@ impl ShardProfile {
     /// A streaming-workload default (the vecadd shape at warp width `b`):
     /// every block stages `2b` words in, `b` words out, makes 3 coalesced
     /// block transactions and runs an `O(1)` kernel.  This is the profile
-    /// [`plan_shards`](../../atgpu_sim/cluster/fn.plan_shards.html) uses
-    /// when it has no workload information — a deliberately
-    /// transfer-aware stand-in, since transfer is what generic planning
-    /// must not be blind to.
+    /// to price with when there is no workload information — a
+    /// deliberately transfer-aware stand-in, since transfer is what
+    /// generic planning must not be blind to.
     ///
     /// **Zero-peer assumption:** this default deliberately carries no
     /// [`PeerProfile`] terms — it models slab streaming where shards

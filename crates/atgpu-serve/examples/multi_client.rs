@@ -14,7 +14,7 @@
 //! ```
 
 use atgpu_algos::vecadd::VecAdd;
-use atgpu_algos::workload::{test_machine, test_spec};
+use atgpu_algos::workload::{test_machine, test_spec, Workload};
 use atgpu_model::ClusterSpec;
 use atgpu_serve::{CostServer, ServeError, ServerConfig};
 use std::time::Instant;

@@ -13,7 +13,7 @@
 
 use atgpu_algos::stencil::Stencil;
 use atgpu_algos::vecadd::VecAdd;
-use atgpu_algos::workload::{test_machine, test_spec, BuiltProgram};
+use atgpu_algos::workload::{test_machine, test_spec, BuiltProgram, Workload};
 use atgpu_model::{AtgpuMachine, ClusterSpec};
 use atgpu_serve::{CostServer, PriceSource, ServerConfig};
 use atgpu_sim::{run_cluster_program, ClusterSimReport, SimConfig};

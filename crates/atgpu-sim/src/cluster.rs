@@ -248,39 +248,6 @@ pub fn planned_shards(
     }
 }
 
-/// The default (zero-workload-knowledge) shard planner:
-///
-/// * identical devices **and** identical host links → [`even_shards`];
-/// * devices differ, links equal → [`weighted_shards`] (`k′·clock`):
-///   with equal links the transfer terms cannot discriminate between
-///   devices for *any* workload, so compute throughput is the only
-///   signal — the pre-existing heuristic, preserved for compute-bound
-///   kernels launched through this entry point;
-/// * host links differ (whether or not the devices do) → the
-///   cost-driven [`planned_shards`] with a transfer-aware
-///   [`ShardProfile::streaming`] default on a GTX 650-like machine.
-///
-/// Device equality alone is not homogeneity: a pair of identical GPUs
-/// behind a fast and a slow PCIe link is heterogeneous for every
-/// transfer-bound kernel, and handing it an even split was precisely the
-/// transfer blind spot the paper's cost model exists to expose.  The
-/// streaming default is an approximation (it assumes a vecadd-shaped,
-/// `b = 32` workload); builders that know their real per-block traffic
-/// should call [`planned_shards`] with their own profile instead.
-pub fn plan_shards(blocks: u64, spec: &ClusterSpec) -> Vec<Shard> {
-    let devices_eq = spec.devices.windows(2).all(|w| w[0] == w[1]);
-    let links_eq = spec.host_links.windows(2).all(|w| w[0] == w[1]);
-    if links_eq {
-        if devices_eq {
-            even_shards(blocks, spec.n_devices() as u32)
-        } else {
-            weighted_shards(blocks, spec)
-        }
-    } else {
-        planned_shards(blocks, spec, &AtgpuMachine::gtx650_like(), &ShardProfile::streaming(32))
-    }
-}
-
 impl Cluster {
     /// Builds a cluster of devices sharing one abstract machine shape.
     pub fn new(machine: AtgpuMachine, spec: ClusterSpec) -> Result<Self, SimError> {
@@ -869,48 +836,19 @@ mod tests {
         }
     }
 
-    #[test]
-    fn plan_shards_picks_planner_by_homogeneity() {
-        let spec = ClusterSpec::homogeneous(4, GpuSpec::gtx650_like());
-        assert_eq!(plan_shards(64, &spec), even_shards(64, 4));
-        // Devices differ, links equal: equal links cannot discriminate,
-        // so the compute-weighted heuristic is preserved — the fast
-        // device gets more blocks.
-        let mut mixed = spec.clone();
-        mixed.devices[0].k_prime *= 3;
-        let weighted = plan_shards(64, &mixed);
-        assert_eq!(weighted, weighted_shards(64, &mixed));
-        assert_ne!(weighted, even_shards(64, 4));
-        assert!(weighted[0].blocks() > weighted[1].blocks());
-        // Links differ: routed to the cost-driven planner, whose modeled
-        // cost can never exceed the even or weighted plans'.
-        let mut asym = spec.clone();
-        asym.host_links[3] = atgpu_model::LinkParams {
-            alpha_ms: asym.host_links[3].alpha_ms * 8.0,
-            beta_ms_per_word: asym.host_links[3].beta_ms_per_word * 8.0,
-        };
-        let planned = plan_shards(64, &asym);
-        assert_eq!(planned.iter().map(Shard::blocks).sum::<u64>(), 64);
-        let machine = AtgpuMachine::gtx650_like();
-        let profile = ShardProfile::streaming(32);
-        let cost =
-            |s: &[Shard]| plan::plan_cost(&asym, &machine, &profile, &shard_counts(s, 4)).unwrap();
-        assert!(cost(&planned) <= cost(&even_shards(64, 4)) + 1e-12);
-        assert!(cost(&planned) <= cost(&weighted_shards(64, &asym)) + 1e-12);
-    }
-
     /// Regression for the transfer blind spot: identical devices behind a
     /// fast and a slow host link are **not** homogeneous — the old
     /// planner's `DeviceSpec`-equality check handed them an even split.
     /// The slow-link device must receive strictly fewer blocks.
     #[test]
-    fn plan_shards_starves_slow_host_links() {
+    fn planned_shards_starves_slow_host_links() {
         let mut spec = cspec(2);
         spec.host_links[1] = atgpu_model::LinkParams {
             alpha_ms: spec.host_links[1].alpha_ms * 8.0,
             beta_ms_per_word: spec.host_links[1].beta_ms_per_word * 8.0,
         };
-        let shards = plan_shards(256, &spec);
+        let machine = AtgpuMachine::gtx650_like();
+        let shards = planned_shards(256, &spec, &machine, &ShardProfile::streaming(32));
         assert_eq!(shards.iter().map(Shard::blocks).sum::<u64>(), 256);
         assert_ne!(shards, even_shards(256, 2), "slow link must not get an even share");
         let blocks_of =

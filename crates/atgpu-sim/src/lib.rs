@@ -132,9 +132,9 @@
 //! the argmin.  Its modeled round time is therefore **never worse than
 //! either heuristic's** (pinned by `tests/planner_properties.rs`).  The
 //! objective's inputs are a [`atgpu_model::ShardProfile`] — the
-//! workload's per-unit traffic and compute — supplied by the planned
-//! builders in `atgpu-algos` (`build_sharded_planned` on
-//! vecadd/matmul/reduce and the irregular quartet below).
+//! workload's per-unit traffic and compute — supplied by
+//! `atgpu_algos::Workload::shard_profile` whenever a workload is built
+//! under `Plan::Planned` (`build_sharded_planned`).
 //!
 //! ### Peer-aware planning (halo / gather / scatter / merge)
 //!
@@ -158,7 +158,7 @@
 //!   (experiment E13 measures the flip at ≥ 1.3x observed):
 //!
 //! ```rust
-//! use atgpu_algos::stencil::Stencil;
+//! use atgpu_algos::{stencil::Stencil, Workload};
 //! use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
 //! use atgpu_sim::{planned_shards, shard_counts};
 //!
@@ -172,7 +172,8 @@
 //! }
 //!
 //! let blocks = 256;
-//! let profile = Stencil::shard_profile(&machine, 8); // halo_words: 1
+//! let stencil = Stencil::new(blocks * machine.b, 0);
+//! let profile = stencil.iterated(8).shard_profile(&machine); // halo_words: 1
 //! // Peer-blind pricing sees a homogeneous cluster and splits evenly …
 //! let blind = shard_counts(
 //!     &planned_shards(blocks, &cluster, &machine, &profile.without_peer()), 4);
@@ -184,8 +185,9 @@
 //! ```
 //!
 //! The irregular quartet exercises every peer pattern end to end, each
-//! with a workload-true profile, a `build_sharded_with(plan)` explicit
-//! variant and a peer-aware `build_sharded_planned`: **stencil**
+//! with a workload-true profile and one emission body that every
+//! `atgpu_algos::Plan` — even, peer-aware planned, explicit — places:
+//! **stencil**
 //! (boundary-cell halo exchange per round), **scan** (block sums
 //! gathered to an owner, scanned, scattered back), **spmv** (row-band
 //! imbalance expressed through `unit_inward_words`, routing the planner
@@ -197,15 +199,10 @@
 //! `atgpu_analyze::attribute_peer_units` recovers per-unit peer words
 //! from the built programs.
 //!
-//! [`cluster::plan_shards`] is the zero-knowledge entry point: even on a
-//! genuinely homogeneous cluster (identical devices **and** identical
-//! host links), compute-weighted when only the devices differ (equal
-//! links cannot discriminate for any workload, so `k′·clock` is the
-//! only signal), and cost-driven with a streaming default profile as
-//! soon as the host links differ.  Device-spec equality alone is *not*
-//! homogeneity — identical GPUs behind a fast and a slow PCIe link must
-//! not get an even split for a transfer-bound kernel (the transfer
-//! blind spot this layer exists to close):
+//! Device-spec equality alone is *not* homogeneity — identical GPUs
+//! behind a fast and a slow PCIe link must not get an even split for a
+//! transfer-bound kernel (the transfer blind spot this layer exists to
+//! close):
 //!
 //! ```rust
 //! use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec, ShardProfile};
@@ -316,7 +313,7 @@
 //! the counter:
 //!
 //! ```rust
-//! use atgpu_algos::vecadd::VecAdd;
+//! use atgpu_algos::{vecadd::VecAdd, Workload};
 //! use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
 //! use atgpu_sim::{run_cluster_program, FaultEvent, FaultPlan, LinkEdge, SimConfig};
 //!
@@ -484,9 +481,9 @@ pub mod xfer;
 
 pub use cache::{CacheEntry, CacheKey, CacheStats, KernelCache};
 pub use cluster::{
-    counts_to_shards, even_shards, plan_shards, planned_shards, run_cluster_program,
-    run_cluster_program_on, shard_counts, weighted_shards, Cluster, ClusterRoundObservation,
-    ClusterSimReport, DeviceRoundObservation, ShardStats,
+    counts_to_shards, even_shards, planned_shards, run_cluster_program, run_cluster_program_on,
+    shard_counts, weighted_shards, Cluster, ClusterRoundObservation, ClusterSimReport,
+    DeviceRoundObservation, ShardStats,
 };
 pub use device::{apply_write_log, Device, DeviceStats, KernelStats};
 pub use driver::{run_program, HostData, RoundObservation, SimConfig, SimReport};

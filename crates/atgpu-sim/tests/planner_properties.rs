@@ -128,40 +128,4 @@ proptest! {
         );
     }
 
-    /// `plan_shards`' routing invariant: genuinely homogeneous clusters
-    /// (devices AND links) split evenly; link-asymmetric clusters of
-    /// identical devices never hand the slowest link an above-even share.
-    #[test]
-    fn plan_shards_routing(seed in 0u64..1_000_000_000) {
-        let mut rng = Rng(seed | 1);
-        let n = 2 + rng.below(3) as usize;
-        let spec = ClusterSpec::homogeneous(n, GpuSpec::gtx650_like());
-        let units = n as u64 * (1 + rng.below(500));
-        prop_assert_eq!(
-            atgpu_sim::plan_shards(units, &spec),
-            even_shards(units, n as u32)
-        );
-
-        // Slow down one link by ≥ 4x: that device's share must not
-        // exceed the even share.
-        let mut asym = spec.clone();
-        let victim = rng.below(n as u64) as usize;
-        let f = 4.0 * rng.scale().max(1.0);
-        asym.host_links[victim] = LinkParams {
-            alpha_ms: asym.host_links[victim].alpha_ms * f,
-            beta_ms_per_word: asym.host_links[victim].beta_ms_per_word * f,
-        };
-        let shards = atgpu_sim::plan_shards(units, &asym);
-        prop_assert_eq!(shards.iter().map(Shard::blocks).sum::<u64>(), units);
-        let share: u64 = shards
-            .iter()
-            .filter(|s| s.device as usize == victim)
-            .map(Shard::blocks)
-            .sum();
-        prop_assert!(
-            share <= units / n as u64,
-            "slow-link device {} got {} of {} units on {} devices",
-            victim, share, units, n
-        );
-    }
 }

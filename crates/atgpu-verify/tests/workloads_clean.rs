@@ -6,10 +6,11 @@
 
 #![allow(clippy::unwrap_used, clippy::indexing_slicing, clippy::panic)]
 
-use atgpu_algos::ooc::{OocReduce, OocScheme, OocVecAdd};
-use atgpu_algos::transpose::TransposeVariant;
-use atgpu_algos::workload::{test_machine, BuiltProgram, Workload};
-use atgpu_model::{ClusterSpec, GpuSpec};
+use atgpu_algos::ooc::OocVecAdd;
+use atgpu_algos::roster::asym_pair;
+use atgpu_algos::workload::{test_machine, test_spec, BuiltProgram};
+use atgpu_algos::RosterEntry;
+use atgpu_model::ClusterSpec;
 use atgpu_verify::{verify_program, RaceVerdict, VerifyReport};
 
 fn check(name: &str, built: &BuiltProgram) -> VerifyReport {
@@ -28,53 +29,20 @@ fn check(name: &str, built: &BuiltProgram) -> VerifyReport {
     report
 }
 
-#[test]
-fn all_workloads_verify_clean() {
+/// Checks every plan cell of `entry` that `keep` selects; returns how
+/// many it checked.
+fn check_cells(entry: &RosterEntry, keep: impl Fn(&str) -> bool) -> usize {
     let machine = test_machine();
-    // (name, builder output, must the race check fully *prove* RaceFree?)
-    // Data-dependent scatters (bitonic's compare-exchange, histogram's
-    // private-row update) are `Unknown` by design — the differential
-    // suites own those — but the affine workloads must be proven.
-    let workloads: Vec<(&str, Box<dyn Workload>, bool)> = vec![
-        ("vecadd", Box::new(atgpu_algos::vecadd::VecAdd::new(1024, 1)), true),
-        ("saxpy", Box::new(atgpu_algos::saxpy::Saxpy::new(1024, 3, 2)), true),
-        ("reduce", Box::new(atgpu_algos::reduce::Reduce::new(2048, 3)), true),
-        ("dot", Box::new(atgpu_algos::dot::Dot::new(1024, 4)), true),
-        ("scan", Box::new(atgpu_algos::scan::Scan::new(1024, 5)), true),
-        ("stencil", Box::new(atgpu_algos::stencil::Stencil::new(1024, 6)), true),
-        ("matmul", Box::new(atgpu_algos::matmul::MatMul::new(64, 7)), true),
-        (
-            "transpose-naive",
-            Box::new(atgpu_algos::transpose::Transpose::new(64, 8, TransposeVariant::Naive)),
-            true,
-        ),
-        (
-            "transpose-tiled",
-            Box::new(atgpu_algos::transpose::Transpose::new(64, 9, TransposeVariant::Tiled)),
-            true,
-        ),
-        (
-            "transpose-padded",
-            Box::new(atgpu_algos::transpose::Transpose::new(64, 10, TransposeVariant::TiledPadded)),
-            true,
-        ),
-        ("gemv", Box::new(atgpu_algos::gemv::Gemv::new(64, 11)), true),
-        ("spmv", Box::new(atgpu_algos::spmv::SpmvEll::new(128, 3, 12)), true),
-        ("histogram", Box::new(atgpu_algos::histogram::Histogram::new(1024, 32, 13)), false),
-        ("bitonic", Box::new(atgpu_algos::bitonic::BitonicSort::new(128, 14)), false),
-        ("ooc-vecadd", Box::new(OocVecAdd::new(4096, 1024, 15)), true),
-        ("ooc-reduce-host", Box::new(OocReduce::new(4096, 1024, OocScheme::HostFinish, 16)), true),
-        (
-            "ooc-reduce-device",
-            Box::new(OocReduce::new(4096, 1024, OocScheme::DeviceFinish, 17)),
-            true,
-        ),
-    ];
-    assert!(workloads.len() >= 16, "the full workload roster");
-    for (name, w, must_prove) in &workloads {
-        let built = w.build(&machine).unwrap();
-        let report = check(name, &built);
-        if *must_prove {
+    let cluster = asym_pair(test_spec());
+    let cells = entry.plans(&machine, &cluster);
+    let mut checked = 0;
+    for (plan_name, plan) in cells.into_iter().filter(|(name, _)| keep(name)) {
+        let name = format!("{}/{plan_name}", entry.name);
+        let report = check(&name, &entry.workload.build_plan(&machine, plan).unwrap());
+        // Data-dependent scatters are `Unknown` by design — the
+        // differential suites own those — but the affine workloads must
+        // be proven.
+        if entry.race_free {
             assert!(
                 report.all_race_free(),
                 "workload `{name}` should be *proven* race-free, got: {:?}",
@@ -83,46 +51,25 @@ fn all_workloads_verify_clean() {
         }
         // No workload is proven racy, ever.
         assert!(report.launches.iter().all(|l| !matches!(l.race, RaceVerdict::Racy(_))));
+        checked += 1;
+    }
+    checked
+}
+
+#[test]
+fn all_workloads_verify_clean() {
+    let roster = atgpu_algos::roster();
+    assert!(roster.len() >= 17, "the full workload roster");
+    for entry in &roster {
+        assert_eq!(check_cells(entry, |plan| plan == "single"), 1, "{}", entry.name);
     }
 }
 
 #[test]
 fn sharded_and_planned_variants_verify_clean() {
-    let machine = test_machine();
-    let cluster =
-        ClusterSpec::homogeneous(3, GpuSpec { k_prime: 2, h_limit: 8, ..GpuSpec::gtx650_like() });
-    let devices = 3u32;
-
-    let vecadd = atgpu_algos::vecadd::VecAdd::new(4096, 1);
-    check("vecadd-sharded", &vecadd.build_sharded(&machine, devices).unwrap());
-    check("vecadd-planned", &vecadd.build_sharded_planned(&machine, &cluster).unwrap());
-
-    let matmul = atgpu_algos::matmul::MatMul::new(96, 2);
-    check("matmul-sharded", &matmul.build_sharded(&machine, devices).unwrap());
-    check("matmul-planned", &matmul.build_sharded_planned(&machine, &cluster).unwrap());
-
-    let reduce = atgpu_algos::reduce::Reduce::new(4096, 3);
-    check("reduce-sharded", &reduce.build_sharded(&machine, devices).unwrap());
-    check("reduce-planned", &reduce.build_sharded_planned(&machine, &cluster).unwrap());
-
-    let scan = atgpu_algos::scan::Scan::new(4096, 4);
-    check("scan-sharded", &scan.build_sharded(&machine, devices).unwrap());
-    check("scan-planned", &scan.build_sharded_planned(&machine, &cluster).unwrap());
-
-    let spmv = atgpu_algos::spmv::SpmvEll::new(256, 3, 5);
-    check("spmv-sharded", &spmv.build_sharded(&machine, devices).unwrap());
-    check("spmv-planned", &spmv.build_sharded_planned(&machine, &cluster).unwrap());
-
-    let stencil = atgpu_algos::stencil::Stencil::new(4096, 6);
-    check("stencil-sharded", &stencil.build_sharded(&machine, devices, 4).unwrap());
-    check("stencil-planned", &stencil.build_sharded_planned(&machine, &cluster, 4).unwrap());
-
-    let histogram = atgpu_algos::histogram::Histogram::new(4096, 32, 7);
-    check("histogram-sharded", &histogram.build_sharded(&machine, devices).unwrap());
-    check("histogram-planned", &histogram.build_sharded_planned(&machine, &cluster).unwrap());
-
-    let ooc = OocVecAdd::new(8192, 2048, 8);
-    check("ooc-sharded", &ooc.build_sharded(&machine, devices).unwrap());
+    let cells: usize =
+        atgpu_algos::roster().iter().map(|e| check_cells(e, |plan| plan != "single")).sum();
+    assert!(cells >= 8 * 4, "eight shardable workloads, four sharded plans each: {cells}");
 }
 
 #[test]
@@ -131,8 +78,7 @@ fn streamed_variants_verify_clean() {
     let ooc = OocVecAdd::new(8192, 2048, 9);
     check("ooc-streamed", &ooc.build_streamed(&machine).unwrap());
 
-    let cluster =
-        ClusterSpec::homogeneous(3, GpuSpec { k_prime: 2, h_limit: 8, ..GpuSpec::gtx650_like() });
+    let cluster = ClusterSpec::homogeneous(3, test_spec());
     let matmul = atgpu_algos::matmul::MatMul::new(96, 10);
     check("matmul-streamed", &matmul.build_sharded_streamed(&machine, 3, 1).unwrap());
     check("matmul-pipelined", &matmul.build_sharded_pipelined(&machine, &cluster).unwrap());
