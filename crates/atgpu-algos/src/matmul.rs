@@ -213,7 +213,7 @@ impl MatMul {
         let profile = self.shard_profile(machine);
         let share = t.div_ceil(devices);
         let even = Plan::Even(devices as u32).resolve(Some(t), machine, || profile.clone())?;
-        let even_counts = atgpu_sim::shard_counts(even.shards(), devices as usize);
+        let even_counts = atgpu_ir::shard_counts(even.shards(), devices as usize);
         let candidates: Vec<u64> = (1..=share).filter(|c| share.is_multiple_of(*c)).collect();
         let chunk_rows = atgpu_model::plan::solve_chunk_units(
             cluster,
@@ -231,7 +231,7 @@ impl MatMul {
             cluster,
             machine,
             &profile,
-            &atgpu_sim::shard_counts(planned.shards(), devices as usize),
+            &atgpu_ir::shard_counts(planned.shards(), devices as usize),
         );
         match (piped, oneshot) {
             (Ok(p), Ok(o)) if p <= o => {

@@ -2,9 +2,9 @@
 //! [`Plan`] saying where its grid runs, host inputs and expectations.
 
 use crate::error::AlgosError;
-use atgpu_ir::{HBuf, Kernel, Program, ProgramBuilder, Shard};
+use atgpu_ir::{counts_to_shards, HBuf, Kernel, Program, ProgramBuilder, Shard};
 use atgpu_model::asymptotics::BigO;
-use atgpu_model::{AlgoMetrics, AtgpuMachine, ClusterSpec, GpuSpec, ShardProfile};
+use atgpu_model::{plan, AlgoMetrics, AtgpuMachine, ClusterSpec, GpuSpec, ShardProfile};
 use atgpu_sim::{run_cluster_program, run_program, ClusterSimReport, SimConfig, SimReport};
 
 /// A workload compiled for a particular machine.
@@ -29,7 +29,7 @@ pub enum Plan<'a> {
     /// The planning units split evenly over this many devices.
     Even(u32),
     /// The units apportioned by the cost-driven planner
-    /// ([`atgpu_sim::planned_shards`]) pricing the workload's
+    /// ([`atgpu_model::plan::planned_units`]) pricing the workload's
     /// [`Workload::shard_profile`] on this cluster — host-link `α`/`β`,
     /// wave factors and the profile's peer traffic all in the objective.
     Planned(&'a ClusterSpec),
@@ -65,9 +65,11 @@ impl Plan<'_> {
                 let shards = vec![Shard { device: 0, start: 0, end: units }];
                 return Ok(Placement { shards, single: true });
             }
-            Plan::Even(devices) => atgpu_sim::even_shards(units, devices),
+            Plan::Even(devices) => {
+                counts_to_shards(&plan::even_units(units, devices.max(1) as usize))
+            }
             Plan::Planned(cluster) => {
-                atgpu_sim::planned_shards(units, cluster, machine, &profile())
+                counts_to_shards(&plan::planned_units(units, cluster, machine, &profile()))
             }
             Plan::Explicit(shards) => shards,
         };

@@ -4,105 +4,12 @@ use crate::bankconflict::{site_conflict_degree, BankConflictReport};
 use crate::coalesce::site_transactions;
 use crate::error::AnalyzeError;
 use crate::opcount::kernel_time_ops;
+use crate::sites::collect;
 use crate::space::{masked_touched_range, touched_range};
-use atgpu_ir::affine::CompiledAddr;
-use atgpu_ir::{shard_counts, validate, HostStep, Instr, Kernel, Program, Round};
+use atgpu_ir::{shard_counts, validate, HostStep, Kernel, Program, Round};
 use atgpu_model::{
     AlgoMetrics, AtgpuMachine, PeerTraffic, RoundMetrics, RoundSchedule, StreamItem,
 };
-
-/// A global or shared memory access site found in a kernel body, together
-/// with the trip counts of its enclosing loops (outermost first).
-#[derive(Debug, Clone)]
-pub struct AccessSite {
-    /// The per-lane address (buffer-relative for global sites).
-    pub addr: CompiledAddr,
-    /// For global sites, the buffer accessed.
-    pub buf: Option<atgpu_ir::DBuf>,
-    /// Trip counts of enclosing loops.
-    pub loop_counts: Vec<u32>,
-    /// Compile-time active-lane mask (the masked-affine shape, shared
-    /// with the simulator through [`atgpu_ir::lanemask`]): `Some(m)` when
-    /// every enclosing divergence arm folds to a constant mask, `None`
-    /// under data-, block- or loop-dependent predicates.
-    pub lane_mask: Option<u64>,
-}
-
-/// All access sites of a kernel, split by memory space.
-#[derive(Debug, Clone, Default)]
-pub struct KernelSites {
-    /// Global-memory accesses (`⇐` instructions).
-    pub global: Vec<AccessSite>,
-    /// Shared-memory accesses (`←` and the shared side of `⇐`).
-    pub shared: Vec<AccessSite>,
-}
-
-/// Collects every memory access site in a kernel body, threading the
-/// compile-time lane-mask context (`b` is the machine's lanes per warp).
-pub fn collect_sites(kernel: &Kernel, b: u64) -> KernelSites {
-    struct Walker {
-        lanes: atgpu_ir::LaneValues,
-        counts: Vec<u32>,
-        mask: Option<u64>,
-        out: KernelSites,
-    }
-    impl Walker {
-        fn site(&self, addr: &CompiledAddr, buf: Option<atgpu_ir::DBuf>) -> AccessSite {
-            AccessSite {
-                addr: addr.clone(),
-                buf,
-                loop_counts: self.counts.clone(),
-                lane_mask: self.mask,
-            }
-        }
-        fn walk(&mut self, body: &[Instr]) {
-            for i in body {
-                let full = self.mask == Some(self.lanes.full_mask());
-                match i {
-                    Instr::Alu { op, dst, a, b } => self.lanes.record_alu(*op, *dst, *a, *b, full),
-                    Instr::Mov { dst, src } => self.lanes.record_mov(*dst, *src, full),
-                    Instr::GlbToShr { shared, global } => {
-                        self.out.global.push(self.site(&global.offset, Some(global.buf)));
-                        self.out.shared.push(self.site(shared, None));
-                    }
-                    Instr::ShrToGlb { global, shared } => {
-                        self.out.global.push(self.site(&global.offset, Some(global.buf)));
-                        self.out.shared.push(self.site(shared, None));
-                    }
-                    Instr::LdShr { dst, shared } => {
-                        self.out.shared.push(self.site(shared, None));
-                        self.lanes.kill(*dst);
-                    }
-                    Instr::StShr { shared, .. } => {
-                        self.out.shared.push(self.site(shared, None));
-                    }
-                    Instr::Pred { pred, then_body, else_body } => {
-                        let parent = self.mask;
-                        let folded = self.lanes.pred_mask(pred);
-                        let (then_mask, else_mask) = self.lanes.arm_masks(parent, folded);
-                        self.mask = then_mask;
-                        self.walk(then_body);
-                        self.mask = else_mask;
-                        self.walk(else_body);
-                        self.mask = parent;
-                    }
-                    Instr::Repeat { count, body } => {
-                        self.counts.push(*count);
-                        self.lanes.kill_written(body);
-                        self.walk(body);
-                        self.counts.pop();
-                    }
-                    Instr::Sync => {}
-                }
-            }
-        }
-    }
-    let lanes = atgpu_ir::LaneValues::new(b.clamp(1, 64) as u32);
-    let full = lanes.full_mask();
-    let mut w = Walker { lanes, counts: Vec::new(), mask: Some(full), out: KernelSites::default() };
-    w.walk(&kernel.body);
-    w.out
-}
 
 /// Per-kernel analysis results.
 #[derive(Debug, Clone)]
@@ -483,20 +390,18 @@ fn analyze_kernel(
     machine: &AtgpuMachine,
 ) -> Result<KernelAnalysis, AnalyzeError> {
     let b = machine.b;
-    let sites = collect_sites(k, b);
-
     let mut io_txns = 0u64;
     let mut io_exact = true;
-    for site in &sites.global {
-        let buf = site.buf.expect("global site has a buffer");
-        let base = bases.get(buf.0 as usize).copied().unwrap_or(0);
-        let r = site_transactions(&site.addr, base, k.grid, &site.loop_counts, b);
-        io_txns += r.txns;
-        io_exact &= r.exact;
-    }
-
     let mut bank = BankConflictReport::empty();
-    for site in &sites.shared {
+    for site in collect(k, b) {
+        // A global site names its buffer; a shared one has none.
+        if let Some(buf) = site.buf {
+            let base = bases.get(buf.0 as usize).copied().unwrap_or(0);
+            let r = site_transactions(&site.addr, base, k.grid, &site.loop_counts, b);
+            io_txns += r.txns;
+            io_exact &= r.exact;
+            continue;
+        }
         bank.add_site(site_conflict_degree(&site.addr, b), b);
         // Static shared accesses must stay inside the declared footprint.
         // With a compile-time lane mask the bound covers exactly the
@@ -657,10 +562,11 @@ mod tests {
                 kb.ld_shr(0, AddrExpr::lane());
             });
         });
-        let sites = collect_sites(&kb.build(), 32);
-        assert_eq!(sites.global.len(), 1);
-        assert_eq!(sites.shared.len(), 2); // shared half of ⇐ plus LdShr
-        assert_eq!(sites.global[0].loop_counts, vec![3]);
+        let sites = collect(&kb.build(), 32);
+        let (global, shared): (Vec<_>, Vec<_>) = sites.iter().partition(|s| s.buf.is_some());
+        assert_eq!(global.len(), 1);
+        assert_eq!(shared.len(), 2); // shared half of ⇐ plus LdShr
+        assert_eq!(global[0].loop_counts, vec![3]);
     }
 
     #[test]

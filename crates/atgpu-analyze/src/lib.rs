@@ -29,6 +29,7 @@ pub mod bankconflict;
 pub mod coalesce;
 pub mod error;
 pub mod opcount;
+pub mod sites;
 pub mod space;
 
 pub use analyze::{

@@ -1,0 +1,192 @@
+//! Access-site collection with stable instruction indices — the one
+//! walk over a kernel body that the analyser's metrics and every
+//! verifier analysis (bounds, races, shared-memory hazards, host
+//! lints) read.
+//!
+//! A lane-mask dataflow walk (`atgpu_ir::LaneValues` folds lane-pure
+//! predicates to constant masks, loop bodies kill registers they
+//! write); each access records
+//!
+//! * its **pre-order instruction index** — every [`Instr`] node in the
+//!   body (including `Pred`/`Repeat` headers and `Sync`) consumes one
+//!   index, children numbered after their parent.  This is the `N` of
+//!   `kernel@instr#N` diagnostics, and `atgpu_ir::pretty` annotates the
+//!   rendered pseudocode with the same numbers (`▷ #N`), so a verifier
+//!   finding can be located in a printout by eye;
+//! * its **direction** ([`Access::Read`]/[`Access::Write`]) from the
+//!   accessed memory's point of view — `⇐` into shared is a global
+//!   *read* plus a shared *write*, and so on;
+//! * whether the written value is provably **uniform** across the
+//!   active lanes (the shared-memory hazard check needs to distinguish
+//!   a benign broadcast from lanes racing different values into one
+//!   word).
+
+use atgpu_ir::affine::CompiledAddr;
+use atgpu_ir::{DBuf, Instr, Kernel, LaneValues, Operand};
+
+/// Which memory an access touches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Space {
+    /// Device-global memory (buffer-relative offsets).
+    Global,
+    /// The block's shared memory.
+    Shared,
+}
+
+/// Access direction, from the accessed memory's point of view.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Access {
+    /// The memory is read.
+    Read,
+    /// The memory is written.
+    Write,
+}
+
+/// One memory access site in a kernel body.
+#[derive(Debug, Clone)]
+pub struct Site {
+    /// Pre-order instruction index (`kernel@instr#N`).
+    pub instr: usize,
+    /// Memory space accessed.
+    pub space: Space,
+    /// Direction.
+    pub access: Access,
+    /// The per-lane address (buffer-relative for global sites).
+    pub addr: CompiledAddr,
+    /// For global sites, the buffer accessed.
+    pub buf: Option<DBuf>,
+    /// Trip counts of the enclosing loops, outermost first.
+    pub loop_counts: Vec<u32>,
+    /// Active-lane mask if the enclosing predicates folded to a
+    /// constant; `None` means unknown (analyses over-approximate it to
+    /// the full warp for proofs, and refuse witnesses).
+    pub lane_mask: Option<u64>,
+    /// For write sites: `true` when the stored value is provably the
+    /// same in every active lane (a broadcast).  `false` means it *may*
+    /// differ.  Reads always record `true`.
+    pub uniform_value: bool,
+}
+
+/// True when evaluating `addr` ignores the lane index (every lane reads
+/// the same word).
+fn lane_invariant(addr: &CompiledAddr) -> bool {
+    addr.as_affine().map(|a| a.is_static() && a.lane == 0).unwrap_or(false)
+}
+
+/// Best-effort: is `op`'s value identical across lanes?
+fn operand_uniform(lanes: &LaneValues, op: Operand, b: u64) -> bool {
+    match op {
+        Operand::Imm(_) | Operand::Block | Operand::BlockY | Operand::LoopVar(_) => true,
+        Operand::Lane => false,
+        Operand::Reg(_) => lanes
+            .operand_values(op)
+            .map(|vals| {
+                let n = b.clamp(1, 64) as usize;
+                vals.iter().take(n).all(|&v| Some(v) == vals.first().copied())
+            })
+            .unwrap_or(false),
+    }
+}
+
+/// Collects every access site of `kernel` for a machine with `b` lanes,
+/// in program order (a `⇐` yields its global site, then its shared one).
+pub fn collect(kernel: &Kernel, b: u64) -> Vec<Site> {
+    struct Walker {
+        lanes: LaneValues,
+        counts: Vec<u32>,
+        mask: Option<u64>,
+        next: usize,
+        b: u64,
+        out: Vec<Site>,
+    }
+    impl Walker {
+        #[allow(clippy::too_many_arguments)]
+        fn push(
+            &mut self,
+            instr: usize,
+            space: Space,
+            access: Access,
+            addr: &CompiledAddr,
+            buf: Option<DBuf>,
+            uniform_value: bool,
+        ) {
+            self.out.push(Site {
+                instr,
+                space,
+                access,
+                addr: addr.clone(),
+                buf,
+                loop_counts: self.counts.clone(),
+                lane_mask: self.mask,
+                uniform_value,
+            });
+        }
+
+        fn walk(&mut self, body: &[Instr]) {
+            for i in body {
+                let idx = self.next;
+                self.next += 1;
+                let full = self.mask == Some(self.lanes.full_mask());
+                match i {
+                    Instr::Alu { op, dst, a, b } => self.lanes.record_alu(*op, *dst, *a, *b, full),
+                    Instr::Mov { dst, src } => self.lanes.record_mov(*dst, *src, full),
+                    Instr::GlbToShr { shared, global } => {
+                        self.push(
+                            idx,
+                            Space::Global,
+                            Access::Read,
+                            &global.offset,
+                            Some(global.buf),
+                            true,
+                        );
+                        let uniform = lane_invariant(&global.offset);
+                        self.push(idx, Space::Shared, Access::Write, shared, None, uniform);
+                    }
+                    Instr::ShrToGlb { global, shared } => {
+                        let uniform = lane_invariant(shared);
+                        self.push(
+                            idx,
+                            Space::Global,
+                            Access::Write,
+                            &global.offset,
+                            Some(global.buf),
+                            uniform,
+                        );
+                        self.push(idx, Space::Shared, Access::Read, shared, None, true);
+                    }
+                    Instr::LdShr { dst, shared } => {
+                        self.push(idx, Space::Shared, Access::Read, shared, None, true);
+                        self.lanes.kill(*dst);
+                    }
+                    Instr::StShr { shared, src } => {
+                        let uniform = operand_uniform(&self.lanes, *src, self.b);
+                        self.push(idx, Space::Shared, Access::Write, shared, None, uniform);
+                    }
+                    Instr::Pred { pred, then_body, else_body } => {
+                        let parent = self.mask;
+                        let folded = self.lanes.pred_mask(pred);
+                        let (then_mask, else_mask) = self.lanes.arm_masks(parent, folded);
+                        self.mask = then_mask;
+                        self.walk(then_body);
+                        self.mask = else_mask;
+                        self.walk(else_body);
+                        self.mask = parent;
+                    }
+                    Instr::Repeat { count, body } => {
+                        self.counts.push(*count);
+                        self.lanes.kill_written(body);
+                        self.walk(body);
+                        self.counts.pop();
+                    }
+                    Instr::Sync => {}
+                }
+            }
+        }
+    }
+
+    let lanes = LaneValues::new(b.clamp(1, 64) as u32);
+    let full = lanes.full_mask();
+    let mut w = Walker { lanes, counts: Vec::new(), mask: Some(full), next: 0, b, out: Vec::new() };
+    w.walk(&kernel.body);
+    w.out
+}

@@ -7,7 +7,7 @@
 //! ```text
 //! cargo run --release -p atgpu-bench --bin throughput -- \
 //!     [--out BENCH_7.json] [--fast] \
-//!     [--compare BENCH_6.json] [--tolerance 0.85]
+//!     [--compare BENCH_7.json] [--tolerance 0.85]
 //! ```
 //!
 //! `--fast` runs one repetition per workload (CI smoke); the default

@@ -661,6 +661,36 @@ pub fn e9_kernel_cache(cfg: &ExpConfig) -> Result<String, AlgosError> {
     Ok(out)
 }
 
+/// One planner-comparison cell of E10 / E13: `w` built with `counts[d]`
+/// units on device `d`, simulated on `cluster`, and the same counts
+/// priced by `plan_cost` under `profile`.
+struct PlannedRun {
+    built: atgpu_algos::BuiltProgram,
+    report: atgpu_sim::ClusterSimReport,
+    predicted_ms: f64,
+}
+
+fn run_planned(
+    cfg: &ExpConfig,
+    w: &dyn Workload,
+    cluster: &atgpu_model::ClusterSpec,
+    profile: &atgpu_model::ShardProfile,
+    counts: &[u64],
+) -> Result<PlannedRun, AlgosError> {
+    let machine = &cfg.machine;
+    let built = w.build_plan(machine, Plan::Explicit(atgpu_ir::counts_to_shards(counts)))?;
+    let report = atgpu_sim::run_cluster_program(
+        &built.program,
+        built.inputs.clone(),
+        machine,
+        cluster,
+        &cfg.sim,
+    )?;
+    let predicted_ms = atgpu_model::plan::plan_cost(cluster, machine, profile, counts)
+        .map_err(|e| AlgosError::InvalidSize { reason: e.to_string() })?;
+    Ok(PlannedRun { built, report, predicted_ms })
+}
+
 /// E10 — the cost-driven pipeline planner, mixed generations and
 /// asymmetric links:
 ///
@@ -687,9 +717,6 @@ pub fn e10_pipeline_planner(
 ) -> Result<String, AlgosError> {
     use atgpu_algos::vecadd::VecAdd;
     use atgpu_model::{plan, ClusterSpec, LinkParams};
-    use atgpu_sim::{
-        even_shards, planned_shards, run_cluster_program, run_program, weighted_shards,
-    };
 
     let quick = matches!(cfg.scale, crate::runner::Scale::Quick);
     let machine = &cfg.machine;
@@ -733,24 +760,14 @@ pub fn e10_pipeline_planner(
                 let units = w.units(machine).expect("both workloads shard");
                 let profile = w.shard_profile(machine);
                 let plans = [
-                    ("even", even_shards(units, devices as u32)),
-                    ("weighted", weighted_shards(units, &cluster)),
-                    ("pipeline", planned_shards(units, &cluster, machine, &profile)),
+                    ("even", plan::even_units(units, devices)),
+                    ("weighted", plan::weighted_units(units, &cluster)),
+                    ("pipeline", plan::planned_units(units, &cluster, machine, &profile)),
                 ];
                 let mut base_ms = None;
-                for (name, shards) in plans {
-                    let built = w.build_plan(machine, Plan::Explicit(shards.clone()))?;
-                    let report = run_cluster_program(
-                        &built.program,
-                        built.inputs.clone(),
-                        machine,
-                        &cluster,
-                        &cfg.sim,
-                    )?;
-                    let c = atgpu_sim::shard_counts(&shards, devices);
-                    let predicted =
-                        plan::plan_cost(&cluster, machine, &profile, &c).map_err(|e| err(&e))?;
-                    let observed = report.total_ms();
+                for (name, counts) in plans {
+                    let run = run_planned(cfg, w.as_ref(), &cluster, &profile, &counts)?;
+                    let (observed, predicted) = (run.report.total_ms(), run.predicted_ms);
                     let speedup = match base_ms {
                         None => {
                             base_ms = Some(observed);
@@ -773,7 +790,7 @@ pub fn e10_pipeline_planner(
                         if asym { format!("last link /{slow:.0}") } else { "symmetric".into() },
                         workload.to_string(),
                         name.to_string(),
-                        fmt_counts(&atgpu_sim::shard_counts(&shards, devices)),
+                        fmt_counts(&counts),
                         format!("{observed:.3}"),
                         format!("{predicted:.3}"),
                         format!("{speedup:.2}x"),
@@ -948,11 +965,9 @@ pub fn e11_fault_tolerance(
     trace: Option<&std::path::Path>,
 ) -> Result<String, AlgosError> {
     use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder};
-    use atgpu_model::cost::{cluster_cost_degraded, DegradedLoss};
-    use atgpu_model::{AlgoMetrics, ClusterSpec, ShardProfile};
-    use atgpu_sim::{
-        even_shards, planned_shards, run_cluster_program, FaultEvent, FaultPlan, SimConfig,
-    };
+    use atgpu_model::cost::cluster_cost_degraded;
+    use atgpu_model::{plan, AlgoMetrics, ClusterSpec};
+    use atgpu_sim::{even_shards, run_cluster_program, FaultEvent, FaultPlan, SimConfig};
 
     let quick = matches!(cfg.scale, crate::runner::Scale::Quick);
     let machine = &cfg.machine;
@@ -1071,8 +1086,8 @@ pub fn e11_fault_tolerance(
     // The analytic mirror: one metrics row per round per device (all
     // rounds alike), the dead device's journal (2 uploaded + 1 computed
     // slab share per completed round) replayed at `at_round`, and its
-    // blocks taken over exactly the way the simulator's planner
-    // re-apportions them over the surviving sub-cluster.
+    // blocks taken over by the model's takeover rule — the one the
+    // simulator runs.
     let analysed = atgpu_analyze::analyze_cluster_program(&program, machine, devices)
         .map_err(|e| err(&e))?
         .per_device;
@@ -1080,21 +1095,14 @@ pub fn e11_fault_tolerance(
         |d: u32, k: usize| AlgoMetrics::new(analysed[d as usize].rounds[..k].to_vec());
     let dead_blocks =
         shards.iter().find(|s| s.device == dead).map(|s| s.blocks()).unwrap_or_default();
-    let survivors: Vec<usize> = (0..devices as usize).filter(|&d| d != dead as usize).collect();
-    let sub = ClusterSpec::homogeneous(survivors.len(), cfg.spec);
-    let take = planned_shards(dead_blocks, &sub, machine, &ShardProfile::streaming(b));
-    let counts = atgpu_sim::shard_counts(&take, survivors.len());
-    let mut takeover = vec![0.0; devices as usize];
-    for (i, &s) in survivors.iter().enumerate() {
-        takeover[s] = counts[i] as f64 / dead_blocks as f64;
-    }
-    let loss = DegradedLoss {
-        device: dead as usize,
+    let loss = plan::degraded_loss(
+        &cluster,
+        machine,
+        dead as usize,
         at_round,
-        replay_words: 3 * dead_blocks * b * at_round as u64,
-        replay_txns: 1,
-        takeover,
-    };
+        dead_blocks,
+        3 * dead_blocks * b * at_round as u64,
+    );
     // Per-round predictions by prefix differencing: the cost of the
     // first k rounds minus the cost of the first k − 1 under the same
     // loss (replay bills once, at `at_round`).
@@ -1422,7 +1430,7 @@ pub fn e12_pricing_service(cfg: &ExpConfig) -> Result<String, AlgosError> {
 /// peer-heavy irregular workloads run under three plans each:
 ///
 /// * **even** — the uninformed baseline;
-/// * **peer-blind** — [`atgpu_sim::planned_shards`] priced with
+/// * **peer-blind** — [`atgpu_model::plan::planned_units`] priced with
 ///   [`atgpu_model::ShardProfile::without_peer`]: the E10 planner as it
 ///   was before peer traffic became a priced quantity;
 /// * **peer-aware** — the same planner with the full profile: halo /
@@ -1446,7 +1454,7 @@ pub fn e13_peer_aware_planner(
 ) -> Result<String, AlgosError> {
     use atgpu_algos::stencil::Stencil;
     use atgpu_model::{plan, ClusterSpec};
-    use atgpu_sim::{even_shards, planned_shards, run_cluster_program, shard_counts, SimConfig};
+    use atgpu_sim::{run_cluster_program, SimConfig};
 
     let quick = matches!(cfg.scale, crate::runner::Scale::Quick);
     let machine = &cfg.machine;
@@ -1485,26 +1493,17 @@ pub fn e13_peer_aware_planner(
         let units = w.units(machine).expect("both workloads shard");
         let profile = w.shard_profile(machine);
         let plans = [
-            ("even", even_shards(units, devices as u32)),
-            ("peer-blind", planned_shards(units, &cluster, machine, &profile.without_peer())),
-            ("peer-aware", planned_shards(units, &cluster, machine, &profile)),
+            ("even", plan::even_units(units, devices)),
+            ("peer-blind", plan::planned_units(units, &cluster, machine, &profile.without_peer())),
+            ("peer-aware", plan::planned_units(units, &cluster, machine, &profile)),
         ];
         let mut blind: Option<(Vec<u64>, f64)> = None;
-        for (name, shards) in plans {
-            let built = w.build_plan(machine, Plan::Explicit(shards.clone()))?;
-            let report = run_cluster_program(
-                &built.program,
-                built.inputs.clone(),
-                machine,
-                &cluster,
-                &cfg.sim,
-            )?;
-            let counts = shard_counts(&shards, devices);
+        for (name, counts) in plans {
             // Every plan is priced with the FULL profile: the peer-blind
             // planner chose without seeing peer rows, but its plan still
             // pays them.
-            let predicted =
-                plan::plan_cost(&cluster, machine, &profile, &counts).map_err(|e| err(&e))?;
+            let PlannedRun { built, report, predicted_ms: predicted } =
+                run_planned(cfg, w, &cluster, &profile, &counts)?;
             let observed = report.total_ms();
             let speedup = match &blind {
                 Some((_, b)) => format!("{:.2}x", b / observed),

@@ -59,8 +59,8 @@ pub use instr::{AluOp, GlobalRef, Instr};
 pub use kernel::Kernel;
 pub use lanemask::LaneValues;
 pub use program::{
-    shard_counts, DBuf, DeviceAlloc, HBuf, HostBufDecl, HostBufRole, HostStep, Program, Round,
-    Shard, ShardPlan,
+    counts_to_shards, shard_counts, DBuf, DeviceAlloc, HBuf, HostBufDecl, HostBufRole, HostStep,
+    Program, Round, Shard, ShardPlan,
 };
 
 /// Register index within a lane's register file.

@@ -101,6 +101,23 @@ pub fn shard_counts(shards: &[Shard], n_devices: usize) -> Vec<u64> {
     counts
 }
 
+/// The contiguous shard plan of per-device block counts — the inverse
+/// of [`shard_counts`]: device `d` gets the block range after devices
+/// `0..d`, zero-count devices are omitted (a zero-block shard would be
+/// rejected by `LaunchSharded` validation as a non-partition).
+pub fn counts_to_shards(counts: &[u64]) -> Vec<Shard> {
+    let mut out = Vec::new();
+    let mut cursor = 0u64;
+    for (d, &len) in counts.iter().enumerate() {
+        if len == 0 {
+            continue;
+        }
+        out.push(Shard { device: d as u32, start: cursor, end: cursor + len });
+        cursor += len;
+    }
+    out
+}
+
 /// The shard plan of one launch step (see [`HostStep::launch`]); derefs
 /// to the shards.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

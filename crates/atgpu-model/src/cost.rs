@@ -84,12 +84,6 @@ impl CostBreakdown {
             self.transfer() / t
         }
     }
-
-    /// The cost with transfer terms removed — what the SWGPU model sees.
-    #[inline]
-    pub fn without_transfer(&self) -> f64 {
-        self.kernel + self.sync
-    }
 }
 
 /// Inward transfer cost for one round, `T_I(i) = Îᵢ·α + Iᵢ·β`.
@@ -440,13 +434,6 @@ pub struct ClusterCostBreakdown {
     pub total_ms: f64,
     /// `Σᵢ σ` — the cluster-wide synchronisation share of the total.
     pub sync_ms: f64,
-}
-
-impl ClusterCostBreakdown {
-    /// The slowest device's summed critical path (total minus sync).
-    pub fn critical_path_ms(&self) -> f64 {
-        self.total_ms - self.sync_ms
-    }
 }
 
 /// A device-loss scenario for [`cluster_cost_degraded`]: device `device`

@@ -365,6 +365,23 @@ impl ClusterSpec {
         }
     }
 
+    /// The sub-cluster of the `alive` devices, plus the mapping from
+    /// sub-cluster index back to real device index — what the planner
+    /// re-apportions over when a device is idled or lost.
+    pub fn surviving(&self, alive: &[bool]) -> (ClusterSpec, Vec<usize>) {
+        let idx: Vec<usize> = (0..alive.len()).filter(|&i| alive[i]).collect();
+        let sub = ClusterSpec {
+            devices: idx.iter().map(|&i| self.devices[i]).collect(),
+            host_links: idx.iter().map(|&i| self.host_links[i]).collect(),
+            peer_links: idx
+                .iter()
+                .map(|&i| idx.iter().map(|&j| self.peer_links[i][j]).collect())
+                .collect(),
+            sync_ms: self.sync_ms,
+        };
+        (sub, idx)
+    }
+
     /// Number of devices `N`.
     #[inline]
     pub fn n_devices(&self) -> usize {

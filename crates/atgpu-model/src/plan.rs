@@ -37,13 +37,153 @@
 //! * [`solve_chunk_units`] — the chunk-size solver: scans candidate
 //!   chunk sizes and keeps the one whose *modeled* pipelined time is
 //!   lowest — which lands where `T_I ≈ kernel + T_O` per round, the
-//!   classic double-buffering balance, without hand-tuning.
+//!   classic double-buffering balance, without hand-tuning;
+//! * [`even_units`] / [`weighted_units`] / [`planned_units`] — the three
+//!   shard planners (see below), and [`takeover_units`] /
+//!   [`degraded_loss`] — how a lost device's blocks are re-apportioned
+//!   over the survivors and what that costs
+//!   ([`crate::cost::cluster_cost_degraded`]).
 //!
-//! The actual `Vec<Shard>` plans live in `atgpu-sim` (this crate does
-//! not depend on `atgpu-ir`); planners there generate candidate *unit
-//! counts per device*, price them here, and keep the argmin.
+//! Everything here decides in **unit counts per device**: this crate
+//! does not depend on `atgpu-ir`, whose `counts_to_shards` turns a count
+//! vector into the contiguous `Vec<Shard>` a `LaunchSharded` step takes
+//! (and `shard_counts` back).  The simulator only *executes* plans; its
+//! `even_shards` / `weighted_shards` / `planned_shards` are that
+//! conversion applied to the planners below.
+//!
+//! ## Planner selection (even / weighted / cost-driven)
+//!
+//! Three shard planners, in increasing awareness of the cost model:
+//!
+//! | planner | apportions by | blind to |
+//! |---|---|---|
+//! | [`even_units`] | nothing (equal shares) | everything but the unit count |
+//! | [`weighted_units`] | compute throughput `k′·clock` (largest remainder) | transfer: host-link `α`/`β`, broadcast inputs, wave quantisation |
+//! | [`planned_units`] | **modeled round time** | nothing the cost model prices |
+//!
+//! [`planned_units`] is the cost-driven planner: it generates candidate
+//! apportionments — the even split, the compute-weighted split, the
+//! transfer-balanced min–max waterfill ([`balanced_units`]), and (for
+//! peer-aware profiles) one drop-device candidate per idleable device —
+//! prices each through [`plan_cost`] (the same `cluster_cost_streamed`
+//! objective the predictions use: per-device host-link `Î·α + I·β`,
+//! per-device wave factors, max over devices, cluster `σ`, and the
+//! candidate's own peer-traffic rows), and keeps the argmin.  Its
+//! modeled round time is therefore **never worse than either
+//! heuristic's** (pinned by `atgpu-sim/tests/planner_properties.rs`; the
+//! counts themselves by `tests/planner_pin.rs`).  The objective's inputs
+//! are a [`ShardProfile`] — the workload's per-unit traffic and compute
+//! — supplied by `atgpu_algos::Workload::shard_profile` whenever a
+//! workload is built under `Plan::Planned` (`build_sharded_planned`).
+//!
+//! Device-spec equality alone is *not* homogeneity — identical GPUs
+//! behind a fast and a slow PCIe link must not get an even split for a
+//! transfer-bound kernel (the transfer blind spot this layer exists to
+//! close):
+//!
+//! ```rust
+//! use atgpu_model::plan::{planned_units, weighted_units};
+//! use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec, ShardProfile};
+//!
+//! let machine = AtgpuMachine::gtx650_like();
+//! // Identical GPUs, but device 1 sits behind an 8x slower host link —
+//! // "homogeneous" to a compute-weighted planner, not to a priced one.
+//! let mut cluster = ClusterSpec::homogeneous(2, GpuSpec::gtx650_like());
+//! cluster.host_links[1] = cluster.host_links[1].scaled(8.0);
+//!
+//! let blocks = 1024;
+//! let profile = ShardProfile::streaming(machine.b); // transfer-bound
+//! let weighted = weighted_units(blocks, &cluster);
+//! let planned = planned_units(blocks, &cluster, &machine, &profile);
+//! // Compute weighting sees equal `k'·clock` and splits evenly …
+//! assert_eq!(weighted[0], weighted[1]);
+//! // … while the cost-driven planner starves the slow link.
+//! assert!(planned[1] < planned[0]);
+//! ```
+//!
+//! ### Peer-aware planning (halo / gather / scatter / merge)
+//!
+//! [`ShardProfile::peer`] ([`PeerProfile`]) makes inter-device traffic a
+//! first-class priced quantity: `halo_words` per device boundary per
+//! round (stencil), `merge_words_per_unit` to an `owner` device
+//! (histogram partial bins, scan block sums) and
+//! `scatter_words_per_unit` back out (scan fix-up).  [`plan_cost`] turns
+//! a candidate's per-device unit counts into directed peer rows, prices
+//! each over `ClusterSpec::peer_links[src][dst]` and charges **both
+//! endpoints** — exactly the simulator's `TransferPeer` accounting.  Two
+//! consequences the zero-peer objective cannot reach:
+//!
+//! * halo rows appear only between devices that actually *hold* units,
+//!   so the planner can see that merging two neighbouring slabs onto one
+//!   device deletes their boundary;
+//! * the drop-device candidates make "give the device with expensive
+//!   peer edges *nothing*" expressible — on an asymmetric peer matrix
+//!   this is where the argmin flips away from every peer-blind plan
+//!   (experiment E13 measures the flip at ≥ 1.3x observed):
+//!
+//! ```rust
+//! use atgpu_model::plan::planned_units;
+//! use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec, PeerProfile, ShardProfile};
+//!
+//! let machine = AtgpuMachine::gtx650_like();
+//! // Four identical devices behind identical host links — but every
+//! // peer edge touching device 3 is two orders of magnitude slower.
+//! let mut cluster = ClusterSpec::homogeneous(4, GpuSpec::gtx650_like());
+//! for d in 0..3 {
+//!     cluster.peer_links[d][3] = cluster.peer_links[d][3].scaled(128.0);
+//!     cluster.peer_links[3][d] = cluster.peer_links[3][d].scaled(128.0);
+//! }
+//!
+//! let (blocks, b) = (256, machine.b);
+//! // An 8-round 3-point stencil, one block per unit (what
+//! // `Stencil::iterated(8).shard_profile` returns): one halo word per
+//! // boundary per direction per round.
+//! let profile = ShardProfile {
+//!     time_ops: 10,
+//!     io_blocks_per_unit: 4,
+//!     inward_words_per_unit: b,
+//!     inward_txns: 1,
+//!     outward_words_per_unit: b,
+//!     outward_txns: 1,
+//!     shared_words: 2 * b + 2,
+//!     rounds: 8,
+//!     peer: PeerProfile { halo_words: 1, halo_txns: 1, ..PeerProfile::default() },
+//!     ..ShardProfile::default()
+//! };
+//! // Peer-blind pricing sees a homogeneous cluster and splits evenly …
+//! let blind = planned_units(blocks, &cluster, &machine, &profile.without_peer());
+//! assert!(blind.iter().all(|&c| c == 64));
+//! // … the peer-aware argmin idles the expensive device entirely.
+//! let aware = planned_units(blocks, &cluster, &machine, &profile);
+//! assert_eq!(aware[3], 0);
+//! assert_eq!(aware.iter().sum::<u64>(), blocks);
+//! ```
+//!
+//! The irregular quartet exercises every peer pattern end to end, each
+//! with a workload-true profile and one emission body that every
+//! `atgpu_algos::Plan` — even, peer-aware planned, explicit — places:
+//! **stencil** (boundary-cell halo exchange per round), **scan** (block
+//! sums gathered to an owner, scanned, scattered back), **spmv**
+//! (row-band imbalance expressed through `unit_inward_words`, routing
+//! the planner onto the heterogeneous greedy-pack path) and
+//! **histogram** (partial-bin rows merged to the owner).  Random-plan
+//! differential tests
+//! (`atgpu-algos/tests/cluster_quartet_differential.rs`) pin all four
+//! bit-identical to the host reference on both engines, through a
+//! mid-program device loss included; `atgpu_analyze::attribute_peer_units`
+//! recovers per-unit peer words from the built programs.
+//!
+//! On top of shard planning, the **chunk-size solver**
+//! ([`solve_chunk_units`]) prices double-buffered ping-pong schedules per
+//! candidate chunk and picks the modeled optimum — which lands where
+//! `T_I ≈ kernel + T_O` per round while the `σ`/`α` amortisation is
+//! priced exactly.  `OocVecAdd::build_planned` and
+//! `MatMul::build_sharded_pipelined` use it to auto-derive the schedules
+//! their `build_streamed` variants hand-write; the solver deliberately
+//! emits a *serial* single-slab program when overlap would not repay the
+//! extra per-round `σ` (compute-bound shapes on fast links).
 
-use crate::cost::{cluster_cost_streamed, PeerTraffic};
+use crate::cost::{cluster_cost_streamed, DegradedLoss, PeerTraffic};
 use crate::error::ModelError;
 use crate::machine::AtgpuMachine;
 use crate::metrics::{AlgoMetrics, RoundMetrics};
@@ -591,7 +731,7 @@ fn balanced_units_hetero(
     if pack(hi).is_none() {
         // Even the loosest level fails only on FP pathologies — fall
         // back to the even split the planner can still price.
-        return round_quotas(&vec![1.0; n], units);
+        return even_units(units, n);
     }
     for _ in 0..64 {
         let mid = 0.5 * (lo + hi);
@@ -601,44 +741,183 @@ fn balanced_units_hetero(
             lo = mid;
         }
     }
-    pack(hi).unwrap_or_else(|| round_quotas(&vec![1.0; n], units))
+    pack(hi).unwrap_or_else(|| even_units(units, n))
+}
+
+/// The even split: `units / n` each, the first `units mod n` devices one
+/// extra.
+pub fn even_units(units: u64, n: usize) -> Vec<u64> {
+    let n = n as u64;
+    (0..n).map(|d| units / n + u64::from(d < units % n)).collect()
 }
 
 /// Largest-remainder rounding of fractional quotas to integers summing
 /// to `units` (quotas are first rescaled to sum to `units`, so bisection
-/// slack cannot leak blocks).
+/// slack cannot leak blocks): every device gets `⌊q_d⌋`, and the
+/// leftovers go to the largest fractional remainders (ties to the lower
+/// device index) — so a zero-quota device is only drafted in when every
+/// other device already took its share.
 fn round_quotas(quotas: &[f64], units: u64) -> Vec<u64> {
     let total: f64 = quotas.iter().sum();
     if total <= 0.0 {
-        // Degenerate: nothing to apportion by — even split.
-        let n = quotas.len() as u64;
-        return (0..quotas.len() as u64).map(|d| units / n + u64::from(d < units % n)).collect();
+        // Degenerate: nothing to apportion by.
+        return even_units(units, quotas.len());
     }
     let scaled: Vec<f64> = quotas.iter().map(|q| q * units as f64 / total).collect();
     let mut out: Vec<u64> = scaled.iter().map(|q| (q.floor() as u64).min(units)).collect();
     let assigned: u64 = out.iter().sum();
-    if assigned > units {
-        // Floating-point edge: fall back to even.
-        return round_quotas(&vec![1.0; quotas.len()], units);
+    // Largest-remainder invariant: units − n ≤ Σ⌊q_d⌋ ≤ units, so at most
+    // one leftover per device.  Checked, not assumed: floating-point
+    // edges (NaN/inf quotas, quotas rounding across an integer at
+    // astronomic unit counts, extreme magnitude skew) can break it either
+    // way, and apportioning is then meaningless — fall back to the even
+    // split rather than underflow or double-assign; planners feed this
+    // adversarial shapes during degraded-mode replanning.
+    if assigned > units || (units - assigned) as usize > out.len() {
+        return even_units(units, quotas.len());
     }
-    let leftovers = units - assigned;
     let mut order: Vec<usize> = (0..out.len()).collect();
     order.sort_by(|&a, &b| {
         let ra = scaled[a] - scaled[a].floor();
         let rb = scaled[b] - scaled[b].floor();
         rb.partial_cmp(&ra).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
     });
-    if (leftovers as usize) > order.len() {
-        // Floating-point edge (NaN/inf quotas, extreme magnitude skew can
-        // floor more than n away): fall back to even rather than panic —
-        // planners feed this adversarial shapes during degraded-mode
-        // replanning.
-        return round_quotas(&vec![1.0; quotas.len()], units);
-    }
-    for &d in order.iter().take(leftovers as usize) {
+    for &d in order.iter().take((units - assigned) as usize) {
         out[d] += 1;
     }
     out
+}
+
+/// Apportions `units` proportionally to each device's compute
+/// throughput (`k′ · clock`) by largest remainder, so a mixed-generation
+/// cluster finishes its waves together instead of idling the fast
+/// devices behind the slowest one — blind to everything transfer.
+pub fn weighted_units(units: u64, cluster: &ClusterSpec) -> Vec<u64> {
+    let weights: Vec<f64> =
+        cluster.devices.iter().map(|d| d.k_prime as f64 * d.clock_cycles_per_ms).collect();
+    round_quotas(&weights, units)
+}
+
+/// `sub_counts` of a [`ClusterSpec::surviving`] sub-cluster, by real
+/// device index of the `n`-device cluster (`idx[sub index]`); devices
+/// outside the sub-cluster hold nothing.
+fn by_real_index(n: usize, idx: &[usize], sub_counts: &[u64]) -> Vec<u64> {
+    let mut counts = vec![0u64; n];
+    for (&orig, &c) in idx.iter().zip(sub_counts) {
+        counts[orig] = c;
+    }
+    counts
+}
+
+/// The **cost-driven planner**: apportions `units` planning units
+/// (thread blocks, or coarser units like matmul tile rows — see
+/// [`ShardProfile::blocks_per_unit`]) by *pricing* candidate plans
+/// through the analytic machinery and keeping the cheapest.
+///
+/// Candidates: the even split ([`even_units`]), the compute-weighted
+/// split ([`weighted_units`]) and the min–max transfer-balanced
+/// waterfill ([`balanced_units`]).  **Peer-aware profiles**
+/// ([`ShardProfile::has_peer`]) additionally get one *drop-device*
+/// candidate per device: the waterfill over the sub-cluster with that
+/// device idled — on an asymmetric peer matrix the cheapest plan for a
+/// halo or merge workload is often to hand a device with expensive peer
+/// edges *nothing* and eat the extra compute on the rest, a shape no
+/// all-devices waterfill can reach.
+///
+/// Each candidate is priced with [`plan_cost`] — per-device host-link
+/// `α`/`β`, wave factors, the max-over-devices round shape **and the
+/// candidate's own peer traffic** (halo rows only between devices that
+/// actually hold units) all in the objective — so the modeled time of
+/// the returned plan is never above the even or compute-weighted plans'.
+/// Ties keep the earlier candidate (even before weighted before balanced
+/// before drop-device); candidates that fail to price (e.g. blocks that
+/// cannot fit the machine) are skipped, and if none price the even split
+/// is returned.
+pub fn planned_units(
+    units: u64,
+    cluster: &ClusterSpec,
+    machine: &AtgpuMachine,
+    profile: &ShardProfile,
+) -> Vec<u64> {
+    let n = cluster.n_devices();
+    let mut candidates = vec![
+        even_units(units, n),
+        weighted_units(units, cluster),
+        balanced_units(cluster, machine, profile, units),
+    ];
+    if profile.has_peer() && n > 1 {
+        let peer = profile.peer;
+        let has_merge = peer.merge_words_per_unit > 0
+            || peer.merge_words_fixed > 0
+            || peer.scatter_words_per_unit > 0;
+        for skip in 0..n {
+            // The merge owner must stay addressable; every other device
+            // is a candidate to idle.
+            if has_merge && skip == peer.owner as usize {
+                continue;
+            }
+            let mut alive = vec![true; n];
+            alive[skip] = false;
+            let (sub, idx) = cluster.surviving(&alive);
+            let mut sub_profile = profile.clone();
+            if has_merge {
+                let Some(sub_owner) = idx.iter().position(|&o| o == peer.owner as usize) else {
+                    continue;
+                };
+                sub_profile.peer.owner = sub_owner as u32;
+            }
+            let sub_counts = balanced_units(&sub, machine, &sub_profile, units);
+            candidates.push(by_real_index(n, &idx, &sub_counts));
+        }
+    }
+    let mut best: Option<(usize, f64)> = None;
+    for (i, counts) in candidates.iter().enumerate() {
+        let Ok(cost) = plan_cost(cluster, machine, profile, counts) else { continue };
+        if best.map(|(_, b)| cost < b - 1e-12).unwrap_or(true) {
+            best = Some((i, cost));
+        }
+    }
+    match best {
+        Some((i, _)) => candidates.swap_remove(i),
+        None => even_units(units, n),
+    }
+}
+
+/// The **takeover rule**: how a dead device's `dead_units` thread blocks
+/// are re-apportioned over the `alive` devices — the cost-driven planner
+/// over the surviving sub-cluster, pricing the streaming profile (the
+/// takeover knows the blocks, not the workload).  Counts are by *real*
+/// device index, zero at every dead device.  The simulator runs exactly
+/// these blocks on each survivor, and [`degraded_loss`] prices them.
+pub fn takeover_units(
+    cluster: &ClusterSpec,
+    machine: &AtgpuMachine,
+    alive: &[bool],
+    dead_units: u64,
+) -> Vec<u64> {
+    let (sub, idx) = cluster.surviving(alive);
+    let profile = ShardProfile::streaming(machine.b);
+    by_real_index(alive.len(), &idx, &planned_units(dead_units, &sub, machine, &profile))
+}
+
+/// The [`DegradedLoss`] of `device` dying at the start of `at_round`
+/// while holding `dead_units` thread blocks per round: the takeover
+/// fractions are [`takeover_units`] over every other device, and the
+/// checkpoint replay is billed as one transaction of `replay_words`.
+pub fn degraded_loss(
+    cluster: &ClusterSpec,
+    machine: &AtgpuMachine,
+    device: usize,
+    at_round: usize,
+    dead_units: u64,
+    replay_words: u64,
+) -> DegradedLoss {
+    let alive: Vec<bool> = (0..cluster.n_devices()).map(|d| d != device).collect();
+    let takeover = takeover_units(cluster, machine, &alive, dead_units)
+        .iter()
+        .map(|&c| c as f64 / dead_units.max(1) as f64)
+        .collect();
+    DegradedLoss { device, at_round, replay_words, replay_txns: 1, takeover }
 }
 
 /// Builds the per-device metrics and double-buffered stream schedules of

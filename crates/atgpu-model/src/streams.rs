@@ -205,13 +205,6 @@ pub struct RoundSchedule {
     pub items: Vec<StreamItem>,
 }
 
-impl RoundSchedule {
-    /// Whether the schedule contains an explicit kernel item.
-    pub fn has_kernel(&self) -> bool {
-        self.items.iter().any(|i| matches!(i, StreamItem::Kernel))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,7 +14,6 @@
 use atgpu_ir::{HostStep, Program};
 use atgpu_model::{AtgpuMachine, ClusterSpec};
 use atgpu_sim::BoundedMemo;
-use std::convert::Infallible;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How a price was produced.
@@ -210,17 +209,6 @@ impl PriceMemo {
         Ok(if hit { Quote { source: PriceSource::Memo, ..quote } } else { quote })
     }
 
-    /// Looks up a quote; a hit is re-labelled [`PriceSource::Memo`].
-    pub fn get(&self, key: u64) -> Option<Quote> {
-        self.memo.get(&key).map(|q| Quote { source: PriceSource::Memo, ..q })
-    }
-
-    /// Records a freshly computed quote, evicting the oldest entry when
-    /// the memo is full, and bumps the source counter.
-    pub fn insert(&self, quote: Quote) {
-        let _ = self.quote_with(quote.key, || Ok::<_, Infallible>(quote));
-    }
-
     /// Counter + occupancy snapshot.
     pub fn stats(&self) -> PriceStats {
         PriceStats {
@@ -236,6 +224,7 @@ impl PriceMemo {
 mod tests {
     use super::*;
     use atgpu_ir::{AddrExpr, KernelBuilder, ProgramBuilder};
+    use std::convert::Infallible;
 
     fn program(n: u64, kernel_name: &str) -> Program {
         let mut pb = ProgramBuilder::new("p");
@@ -272,16 +261,29 @@ mod tests {
     #[test]
     fn memo_bounds_and_relabels() {
         let memo = PriceMemo::new(2);
+        let priced = std::cell::Cell::new(0);
+        let ask = |key: u64| {
+            let fresh = || {
+                priced.set(priced.get() + 1);
+                Ok::<_, Infallible>(Quote {
+                    total_ms: key as f64,
+                    source: PriceSource::Analytic,
+                    key,
+                })
+            };
+            memo.quote_with(key, fresh).unwrap()
+        };
         for key in [1u64, 2, 3] {
-            assert!(memo.get(key).is_none());
-            memo.insert(Quote { total_ms: key as f64, source: PriceSource::Analytic, key });
+            // Never asked before: priced, not served from the memo.
+            assert_eq!(ask(key).source, PriceSource::Analytic);
         }
-        // FIFO eviction dropped key 1.
-        assert!(memo.get(1).is_none());
-        let q = memo.get(3).unwrap();
+        let q = ask(3);
         assert_eq!(q.source, PriceSource::Memo);
         assert_eq!(q.total_ms, 3.0);
         let st = memo.stats();
         assert_eq!((st.analytic, st.memo_hits, st.entries), (3, 1, 2));
+        // FIFO eviction dropped key 1: asking again prices again.
+        assert_eq!(ask(1).source, PriceSource::Analytic);
+        assert_eq!(priced.get(), 4);
     }
 }

@@ -74,178 +74,34 @@ pub struct ShardStats {
     pub stats: KernelStats,
 }
 
-/// Splits `blocks` thread blocks into `n` contiguous shards, one per
-/// device, as evenly as possible (the first `blocks mod n` shards get one
-/// extra block).  Devices that would receive zero blocks are omitted.
+/// Shard plan ⇄ per-device block counts: the planners in
+/// [`atgpu_model::plan`] decide in counts, a `LaunchSharded` step takes
+/// shards.
+pub use atgpu_ir::{counts_to_shards, shard_counts};
+
+/// [`plan::even_units`] as a shard plan: `blocks` thread blocks split
+/// into `n` contiguous shards as evenly as possible; devices that would
+/// receive zero blocks are omitted.
 pub fn even_shards(blocks: u64, n: u32) -> Vec<Shard> {
-    let n = u64::from(n.max(1));
-    let base = blocks / n;
-    let extra = blocks % n;
-    let mut out = Vec::new();
-    let mut cursor = 0u64;
-    for d in 0..n {
-        let len = base + u64::from(d < extra);
-        if len == 0 {
-            continue;
-        }
-        out.push(Shard { device: d as u32, start: cursor, end: cursor + len });
-        cursor += len;
-    }
-    out
+    counts_to_shards(&plan::even_units(blocks, n.max(1) as usize))
 }
 
-/// Splits `blocks` into contiguous shards sized proportionally to each
-/// device's compute throughput (`k′ · clock`), so a mixed-generation
-/// cluster finishes its waves together instead of idling the fast devices
-/// behind the slowest one.  Apportionment is largest-remainder: every
-/// device gets `⌊blocks·wᵈ/W⌋` blocks, and the leftovers go to the
-/// largest fractional remainders (ties to the lower device index).
-/// Devices that end up with zero blocks are omitted.
+/// [`plan::weighted_units`] as a shard plan: shards sized proportionally
+/// to each device's compute throughput (`k′ · clock`).
 pub fn weighted_shards(blocks: u64, spec: &ClusterSpec) -> Vec<Shard> {
-    let weights: Vec<f64> =
-        spec.devices.iter().map(|d| d.k_prime as f64 * d.clock_cycles_per_ms).collect();
-    let total: f64 = weights.iter().sum();
-    if total <= 0.0 || blocks == 0 {
-        return even_shards(blocks, spec.n_devices() as u32);
-    }
-    let quotas: Vec<f64> = weights.iter().map(|w| blocks as f64 * w / total).collect();
-    let mut lens: Vec<u64> = quotas.iter().map(|q| (q.floor() as u64).min(blocks)).collect();
-    let assigned: u64 = lens.iter().sum();
-    if assigned > blocks {
-        // Floating-point edge (quotas rounding up across an integer,
-        // only reachable at astronomic block counts): the
-        // largest-remainder invariant Σ⌊qᵈ⌋ ≤ blocks no longer holds, so
-        // apportioning is meaningless — fall back to the even split
-        // rather than underflow `blocks - assigned` below.
-        return even_shards(blocks, spec.n_devices() as u32);
-    }
-    // Hand the remaining blocks to the largest fractional remainders, so
-    // a zero-quota device is only drafted in when every faster device
-    // already took its share — on tiny grids the leftovers land on the
-    // fastest devices and the slow device's empty shard is dropped.
-    let mut order: Vec<usize> = (0..lens.len()).collect();
-    order.sort_by(|&a, &b| {
-        let ra = quotas[a] - quotas[a].floor();
-        let rb = quotas[b] - quotas[b].floor();
-        rb.partial_cmp(&ra).unwrap_or(std::cmp::Ordering::Equal).then(a.cmp(&b))
-    });
-    // Largest-remainder invariant: Σ⌊qᵈ⌋ > blocks − n_devices, so fewer
-    // leftovers than devices.  Checked, not assumed — the old
-    // `order[i % len]` wrap would have silently double-assigned to the
-    // highest-remainder device if it ever broke.  Like the symmetric
-    // `assigned > blocks` edge above, the only way here is FP rounding
-    // (every quota epsilon below its exact integer), where apportioning
-    // is meaningless — fall back to the even split rather than panic
-    // mid-simulation.
-    let leftovers = (blocks - assigned) as usize;
-    if leftovers >= order.len() {
-        return even_shards(blocks, spec.n_devices() as u32);
-    }
-    for &d in order.iter().take(leftovers) {
-        lens[d] += 1;
-    }
-    counts_to_shards(&lens)
+    counts_to_shards(&plan::weighted_units(blocks, spec))
 }
 
-/// Converts per-device contiguous block counts into a shard plan:
-/// device `d` gets the block range after devices `0..d`, zero-count
-/// devices are omitted (a zero-block shard would be rejected by
-/// `LaunchSharded` validation as a non-partition).
-pub fn counts_to_shards(counts: &[u64]) -> Vec<Shard> {
-    let mut out = Vec::new();
-    let mut cursor = 0u64;
-    for (d, &len) in counts.iter().enumerate() {
-        if len == 0 {
-            continue;
-        }
-        out.push(Shard { device: d as u32, start: cursor, end: cursor + len });
-        cursor += len;
-    }
-    out
-}
-
-/// Per-device block counts of a shard plan (inverse of
-/// [`counts_to_shards`] for contiguous plans) — the shape
-/// [`atgpu_model::plan::plan_cost`] prices.  A plan naming a device past
-/// `n_devices` widens the table rather than indexing out of it.
-pub use atgpu_ir::shard_counts;
-
-/// The **cost-driven planner**: apportions `units` planning units
-/// (thread blocks, or coarser units like matmul tile rows — see
-/// [`ShardProfile::blocks_per_unit`]) by *pricing* candidate plans
-/// through the analytic machinery and keeping the cheapest.
-///
-/// Candidates: the even split, the compute-weighted split
-/// ([`weighted_shards`]'s `k′·clock` apportionment) and the min–max
-/// transfer-balanced waterfill ([`atgpu_model::plan::balanced_units`]).
-/// **Peer-aware profiles** ([`ShardProfile::has_peer`]) additionally get
-/// one *drop-device* candidate per device: the waterfill over the
-/// sub-cluster with that device idled — on an asymmetric peer matrix the
-/// cheapest plan for a halo or merge workload is often to hand a device
-/// with expensive peer edges *nothing* and eat the extra compute on the
-/// rest, a shape no all-devices waterfill can reach.
-///
-/// Each candidate is priced with [`atgpu_model::plan::plan_cost`] —
-/// per-device host-link `α`/`β`, wave factors, the max-over-devices
-/// round shape **and the candidate's own peer traffic** (halo rows only
-/// between devices that actually hold units) all in the objective — so
-/// the modeled time of the returned plan is never above the even or
-/// compute-weighted plans'.  Ties keep the earlier candidate (even
-/// before weighted before balanced before drop-device); candidates that
-/// fail to price (e.g. blocks that cannot fit the machine) are skipped,
-/// and if none price the even split is returned.
+/// [`plan::planned_units`] — the cost-driven planner — as a shard plan:
+/// the cheapest candidate apportionment of `units` planning units under
+/// the analytic model, pricing `profile` on `spec`.
 pub fn planned_shards(
     units: u64,
     spec: &ClusterSpec,
     machine: &AtgpuMachine,
     profile: &ShardProfile,
 ) -> Vec<Shard> {
-    let n = spec.n_devices();
-    let mut candidates = vec![
-        shard_counts(&even_shards(units, n as u32), n),
-        shard_counts(&weighted_shards(units, spec), n),
-        plan::balanced_units(spec, machine, profile, units),
-    ];
-    if profile.has_peer() && n > 1 {
-        let peer = profile.peer;
-        let has_merge = peer.merge_words_per_unit > 0
-            || peer.merge_words_fixed > 0
-            || peer.scatter_words_per_unit > 0;
-        for skip in 0..n {
-            // The merge owner must stay addressable; every other device
-            // is a candidate to idle.
-            if has_merge && skip == peer.owner as usize {
-                continue;
-            }
-            let mut alive = vec![true; n];
-            alive[skip] = false;
-            let (sub, idx) = surviving_subspec(spec, &alive);
-            let mut sub_profile = profile.clone();
-            if has_merge {
-                let Some(sub_owner) = idx.iter().position(|&o| o == peer.owner as usize) else {
-                    continue;
-                };
-                sub_profile.peer.owner = sub_owner as u32;
-            }
-            let sub_counts = plan::balanced_units(&sub, machine, &sub_profile, units);
-            let mut counts = vec![0u64; n];
-            for (si, &orig) in idx.iter().enumerate() {
-                counts[orig] = sub_counts[si];
-            }
-            candidates.push(counts);
-        }
-    }
-    let mut best: Option<(usize, f64)> = None;
-    for (i, counts) in candidates.iter().enumerate() {
-        let Ok(cost) = plan::plan_cost(spec, machine, profile, counts) else { continue };
-        if best.map(|(_, b)| cost < b - 1e-12).unwrap_or(true) {
-            best = Some((i, cost));
-        }
-    }
-    match best {
-        Some((i, _)) => counts_to_shards(&candidates[i]),
-        None => even_shards(units, n as u32),
-    }
+    counts_to_shards(&plan::planned_units(units, spec, machine, profile))
 }
 
 impl Cluster {
@@ -387,11 +243,6 @@ impl DeviceRoundObservation {
     pub fn path_ms(&self) -> f64 {
         self.stream_ms
     }
-
-    /// The device's serial (no-overlap) path — the component sum.
-    pub fn serial_path_ms(&self) -> f64 {
-        self.xfer_in_ms + self.kernel_ms + self.peer_ms + self.xfer_out_ms
-    }
 }
 
 /// Observed times of one round across the cluster.
@@ -501,23 +352,6 @@ fn link_seed(seed: u64, idx: u64) -> u64 {
     seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(idx.wrapping_add(1))
 }
 
-/// The sub-cluster of surviving devices, plus the mapping from
-/// sub-cluster index back to real device index — what the cost-driven
-/// planner re-apportions a dead device's shards over.
-fn surviving_subspec(spec: &ClusterSpec, alive: &[bool]) -> (ClusterSpec, Vec<usize>) {
-    let idx: Vec<usize> = (0..alive.len()).filter(|&i| alive[i]).collect();
-    let sub = ClusterSpec {
-        devices: idx.iter().map(|&i| spec.devices[i]).collect(),
-        host_links: idx.iter().map(|&i| spec.host_links[i]).collect(),
-        peer_links: idx
-            .iter()
-            .map(|&i| idx.iter().map(|&j| spec.peer_links[i][j]).collect())
-            .collect(),
-        sync_ms: spec.sync_ms,
-    };
-    (sub, idx)
-}
-
 /// Runs one (possibly sharded) launch on the cluster: each shard
 /// executes against its own device's replica and logs its writes; races
 /// are checked across the whole launch, then every device merges its own
@@ -536,22 +370,22 @@ fn run_sharded_launch(
     gmems: &mut [GlobalMemory],
     ledger: &mut Ledger,
 ) -> Result<(), SimError> {
-    // A dead device's shards are re-apportioned over the survivors
-    // through the cost-driven planner; the takeover shards' writes are
+    // A dead device's shards are re-apportioned over the survivors by
+    // the model's takeover rule; the takeover shards' writes are
     // applied to *every* alive device so redirected outputs (and later
     // recoveries) can be served from any survivor.  Block indices stay
     // globally unique, so the block-order merge keeps the result
     // bit-identical to the fault-free plan.
-    let mut plan: Vec<Shard> = Vec::with_capacity(shards.len());
+    let mut live: Vec<Shard> = Vec::with_capacity(shards.len());
     let mut is_recovery: Vec<bool> = Vec::with_capacity(shards.len());
     for sh in shards {
         match ledger.liveness() {
             Some(alive) if !alive[sh.device as usize] => {
-                let (sub, idx) = surviving_subspec(&cluster.spec, alive);
-                let profile = ShardProfile::streaming(cluster.machine.b);
-                for rs in planned_shards(sh.blocks(), &sub, &cluster.machine, &profile) {
-                    plan.push(Shard {
-                        device: idx[rs.device as usize] as u32,
+                let take =
+                    plan::takeover_units(&cluster.spec, &cluster.machine, alive, sh.blocks());
+                for rs in counts_to_shards(&take) {
+                    live.push(Shard {
+                        device: rs.device,
                         start: sh.start + rs.start,
                         end: sh.start + rs.end,
                     });
@@ -559,7 +393,7 @@ fn run_sharded_launch(
                 }
             }
             _ => {
-                plan.push(*sh);
+                live.push(*sh);
                 is_recovery.push(false);
             }
         }
@@ -567,11 +401,11 @@ fn run_sharded_launch(
 
     let mut logs: Vec<Vec<WriteRec>> = (0..gmems.len()).map(|_| Vec::new()).collect();
     let mut recovery_log: Vec<WriteRec> = Vec::new();
-    let threads = if config.device_threads { plan.len() } else { 1 };
+    let threads = if config.device_threads { live.len() } else { 1 };
     let gm = &*gmems;
     let mem_of = |shard: &Shard| &gm[shard.device as usize];
-    let outcomes = cluster.run_shards(kernel, &plan, config.mode, engine, threads, mem_of)?;
-    for ((shard, rec), (stats, mut log)) in plan.iter().zip(&is_recovery).zip(outcomes) {
+    let outcomes = cluster.run_shards(kernel, &live, config.mode, engine, threads, mem_of)?;
+    for ((shard, rec), (stats, mut log)) in live.iter().zip(&is_recovery).zip(outcomes) {
         let d = shard.device as usize;
         // First shard on a device hands its log over; later shards
         // append (several shards per device only happens in

@@ -47,12 +47,6 @@ impl DramController {
         self.txns += txns;
         start + (txns - 1) * self.issue_interval + self.latency
     }
-
-    /// Resets the pipe clock for a new kernel launch (statistics keep
-    /// accumulating).
-    pub fn reset_clock(&mut self) {
-        self.next_free = 0;
-    }
 }
 
 #[cfg(test)]

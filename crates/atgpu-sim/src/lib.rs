@@ -92,9 +92,9 @@
 //! | cluster barrier | `ClusterSpec::sync_ms` (`σ`, per round) | every round |
 //!
 //! A `LaunchSharded` step splits one grid into contiguous block ranges
-//! ([`atgpu_ir::Shard`], planned by the planners below or by hand).  Every shard
-//! executes against its device's pre-launch snapshot with writes
-//! deferred, and the logs merge in thread-block order through
+//! ([`atgpu_ir::Shard`], planned by [`atgpu_model::plan`] or by hand).
+//! Every shard executes against its device's pre-launch snapshot with
+//! writes deferred, and the logs merge in thread-block order through
 //! [`device::apply_write_log`] — the same machinery
 //! [`ExecMode::Parallel`] uses — so a sharded launch is **bit-identical**
 //! to the single-device launch regardless of device count, shard
@@ -110,131 +110,17 @@
 //! [`atgpu_model::cost::cluster_cost`] /
 //! [`atgpu_model::cost::cluster_cost_streamed`].
 //!
-//! ## Planner selection (even / weighted / cost-driven pipeline)
+//! ## Shard plans
 //!
-//! Three shard planners, in increasing awareness of the cost model:
-//!
-//! | planner | apportions by | blind to |
-//! |---|---|---|
-//! | [`cluster::even_shards`] | nothing (equal shares) | everything but the block count |
-//! | [`cluster::weighted_shards`] | compute throughput `k′·clock` (largest remainder) | transfer: host-link `α`/`β`, broadcast inputs, wave quantisation |
-//! | [`cluster::planned_shards`] | **modeled round time** | nothing the cost model prices |
-//!
-//! [`cluster::planned_shards`] is the cost-driven planner: it generates
-//! candidate apportionments — the even split, the compute-weighted
-//! split, the transfer-balanced min–max waterfill
-//! ([`atgpu_model::plan::balanced_units`]), and (for peer-aware
-//! profiles) one drop-device candidate per idleable device — prices
-//! each through [`atgpu_model::plan::plan_cost`] (which runs the same
-//! `cluster_cost_streamed` objective the predictions use: per-device
-//! host-link `Î·α + I·β`, per-device wave factors, max over devices,
-//! cluster `σ`, and the candidate's own peer-traffic rows), and keeps
-//! the argmin.  Its modeled round time is therefore **never worse than
-//! either heuristic's** (pinned by `tests/planner_properties.rs`).  The
-//! objective's inputs are a [`atgpu_model::ShardProfile`] — the
-//! workload's per-unit traffic and compute — supplied by
-//! `atgpu_algos::Workload::shard_profile` whenever a workload is built
-//! under `Plan::Planned` (`build_sharded_planned`).
-//!
-//! ### Peer-aware planning (halo / gather / scatter / merge)
-//!
-//! [`atgpu_model::ShardProfile::peer`] ([`atgpu_model::PeerProfile`])
-//! makes inter-device traffic a first-class priced quantity: `halo_words`
-//! per device boundary per round (stencil), `merge_words_per_unit` to an
-//! `owner` device (histogram partial bins, scan block sums) and
-//! `scatter_words_per_unit` back out (scan fix-up).
-//! [`atgpu_model::plan::plan_cost`] turns a candidate's per-device unit
-//! counts into directed peer rows, prices each over
-//! `ClusterSpec::peer_links[src][dst]` and charges **both endpoints** —
-//! exactly the sim's `TransferPeer` accounting.  Two consequences the
-//! zero-peer objective cannot reach:
-//!
-//! * halo rows appear only between devices that actually *hold* units,
-//!   so the planner can see that merging two neighbouring slabs onto one
-//!   device deletes their boundary;
-//! * the drop-device candidates make "give the device with expensive
-//!   peer edges *nothing*" expressible — on an asymmetric peer matrix
-//!   this is where the argmin flips away from every peer-blind plan
-//!   (experiment E13 measures the flip at ≥ 1.3x observed):
-//!
-//! ```rust
-//! use atgpu_algos::{stencil::Stencil, Workload};
-//! use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
-//! use atgpu_sim::{planned_shards, shard_counts};
-//!
-//! let machine = AtgpuMachine::gtx650_like();
-//! // Four identical devices behind identical host links — but every
-//! // peer edge touching device 3 is two orders of magnitude slower.
-//! let mut cluster = ClusterSpec::homogeneous(4, GpuSpec::gtx650_like());
-//! for d in 0..3 {
-//!     cluster.peer_links[d][3] = cluster.peer_links[d][3].scaled(128.0);
-//!     cluster.peer_links[3][d] = cluster.peer_links[3][d].scaled(128.0);
-//! }
-//!
-//! let blocks = 256;
-//! let stencil = Stencil::new(blocks * machine.b, 0);
-//! let profile = stencil.iterated(8).shard_profile(&machine); // halo_words: 1
-//! // Peer-blind pricing sees a homogeneous cluster and splits evenly …
-//! let blind = shard_counts(
-//!     &planned_shards(blocks, &cluster, &machine, &profile.without_peer()), 4);
-//! assert!(blind.iter().all(|&c| c == 64));
-//! // … the peer-aware argmin idles the expensive device entirely.
-//! let aware = shard_counts(&planned_shards(blocks, &cluster, &machine, &profile), 4);
-//! assert_eq!(aware[3], 0);
-//! assert_eq!(aware.iter().sum::<u64>(), blocks);
-//! ```
-//!
-//! The irregular quartet exercises every peer pattern end to end, each
-//! with a workload-true profile and one emission body that every
-//! `atgpu_algos::Plan` — even, peer-aware planned, explicit — places:
-//! **stencil**
-//! (boundary-cell halo exchange per round), **scan** (block sums
-//! gathered to an owner, scanned, scattered back), **spmv** (row-band
-//! imbalance expressed through `unit_inward_words`, routing the planner
-//! onto the heterogeneous greedy-pack path) and **histogram**
-//! (partial-bin rows merged to the owner).  Random-plan differential
-//! tests (`atgpu-algos/tests/cluster_quartet_differential.rs`) pin all
-//! four bit-identical to the host reference on both engines, through a
-//! mid-program device loss included;
-//! `atgpu_analyze::attribute_peer_units` recovers per-unit peer words
-//! from the built programs.
-//!
-//! Device-spec equality alone is *not* homogeneity — identical GPUs
-//! behind a fast and a slow PCIe link must not get an even split for a
-//! transfer-bound kernel (the transfer blind spot this layer exists to
-//! close):
-//!
-//! ```rust
-//! use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec, ShardProfile};
-//! use atgpu_sim::{planned_shards, shard_counts, weighted_shards};
-//!
-//! let machine = AtgpuMachine::gtx650_like();
-//! // Identical GPUs, but device 1 sits behind an 8x slower host link —
-//! // "homogeneous" to a compute-weighted planner, not to a priced one.
-//! let mut cluster = ClusterSpec::homogeneous(2, GpuSpec::gtx650_like());
-//! cluster.host_links[1] = cluster.host_links[1].scaled(8.0);
-//!
-//! let blocks = 1024;
-//! let profile = ShardProfile::streaming(machine.b); // transfer-bound
-//! let weighted = shard_counts(&weighted_shards(blocks, &cluster), 2);
-//! let planned =
-//!     shard_counts(&planned_shards(blocks, &cluster, &machine, &profile), 2);
-//! // Compute weighting sees equal `k'·clock` and splits evenly …
-//! assert_eq!(weighted[0], weighted[1]);
-//! // … while the cost-driven planner starves the slow link.
-//! assert!(planned[1] < planned[0]);
-//! ```
-//!
-//! On top of shard planning, the **chunk-size solver**
-//! ([`atgpu_model::plan::solve_chunk_units`]) prices double-buffered
-//! ping-pong schedules per candidate chunk and picks the modeled
-//! optimum — which lands where `T_I ≈ kernel + T_O` per round while the
-//! `σ`/`α` amortisation is priced exactly.  `OocVecAdd::build_planned`
-//! and `MatMul::build_sharded_pipelined` use it to auto-derive the
-//! schedules their `build_streamed` variants hand-write; the solver
-//! deliberately emits a *serial* single-slab program when overlap would
-//! not repay the extra per-round `σ` (compute-bound shapes on fast
-//! links).
+//! The simulator executes plans; it does not make them.  Apportionment —
+//! the even, compute-weighted and cost-driven planners, the chunk-size
+//! solver and the takeover rule for a lost device — lives in
+//! [`atgpu_model::plan`], which decides in unit counts per device.
+//! [`cluster::even_shards`], [`cluster::weighted_shards`] and
+//! [`cluster::planned_shards`] are those planners' counts turned into
+//! the contiguous [`atgpu_ir::Shard`] ranges a `LaunchSharded` step
+//! takes ([`atgpu_ir::counts_to_shards`]; [`atgpu_ir::shard_counts`] is
+//! the inverse).
 //!
 //! ## Stream semantics (copy/compute overlap)
 //!
@@ -351,9 +237,10 @@
 //!    (`α + β·words_replayed`) on the survivor's own host link and
 //!    counted in `DeviceStats::recoveries`;
 //! 2. `d`'s unfinished shards are re-apportioned across survivors by the
-//!    PR-5 cost planner ([`cluster::planned_shards`] over the surviving
-//!    sub-spec), and its transfers are redirected (inputs broadcast to
-//!    all survivors, outputs served by the lowest-index survivor);
+//!    model's takeover rule ([`atgpu_model::plan::takeover_units`]: the
+//!    cost-driven planner over the surviving sub-cluster), and its
+//!    transfers are redirected (inputs broadcast to all survivors,
+//!    outputs served by the lowest-index survivor);
 //! 3. completed rounds are never re-executed — the journal *is* the
 //!    host-side checkpoint.
 //!

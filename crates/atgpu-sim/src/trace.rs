@@ -412,26 +412,57 @@ fn lane_name(lane: u8) -> &'static str {
     }
 }
 
-/// Absolute start time of each round of a single-device report.
-pub fn sim_round_starts(report: &SimReport) -> Vec<f64> {
-    let mut starts = Vec::with_capacity(report.rounds.len());
+/// Absolute start time of each round, from the rounds' totals.
+fn round_starts(totals: impl Iterator<Item = f64>) -> Vec<f64> {
+    let mut starts = Vec::new();
     let mut t = 0.0;
-    for r in &report.rounds {
+    for total in totals {
         starts.push(t);
-        t += r.total_ms();
+        t += total;
     }
     starts
 }
 
+/// Absolute start time of each round of a single-device report.
+pub fn sim_round_starts(report: &SimReport) -> Vec<f64> {
+    round_starts(report.rounds.iter().map(|r| r.total_ms()))
+}
+
 /// Absolute start time of each round of a cluster report.
 pub fn cluster_round_starts(report: &ClusterSimReport) -> Vec<f64> {
-    let mut starts = Vec::with_capacity(report.rounds.len());
-    let mut t = 0.0;
-    for r in &report.rounds {
-        starts.push(t);
-        t += r.total_ms();
+    round_starts(report.rounds.iter().map(|r| r.total_ms()))
+}
+
+/// The export of a traced run: the spans, plus per device a cumulative
+/// retry and a cumulative backoff counter track sampled at every round
+/// start and the final kernel-cache hit count.  `cache_hits` has one
+/// entry per device; `faults(r, d)` is device `d`'s `(retries,
+/// backoff_ms)` in round `r`.
+fn report_trace_json(
+    trace: &Trace,
+    starts: &[f64],
+    cache_hits: &[u64],
+    faults: impl Fn(usize, usize) -> (u64, f64),
+) -> String {
+    let mut counters = Vec::with_capacity(3 * cache_hits.len());
+    let end = starts.last().copied().unwrap_or(0.0);
+    for (d, &hits) in cache_hits.iter().enumerate() {
+        let track =
+            |name: &str, samples| CounterTrack { name: name.into(), device: d as u32, samples };
+        let (mut retries, mut backoff) = (Vec::new(), Vec::new());
+        let (mut racc, mut bacc) = (0.0, 0.0);
+        for (r, s) in starts.iter().enumerate() {
+            let (round_retries, round_backoff) = faults(r, d);
+            racc += round_retries as f64;
+            bacc += round_backoff;
+            retries.push((*s, racc));
+            backoff.push((*s, bacc));
+        }
+        counters.push(track("retries", retries));
+        counters.push(track("backoff_ms", backoff));
+        counters.push(track("cache_hits", vec![(end, hits as f64)]));
     }
-    starts
+    chrome_trace_json(trace, starts, &counters)
 }
 
 /// The export for a traced single-device run: the report's trace with
@@ -440,23 +471,9 @@ pub fn cluster_round_starts(report: &ClusterSimReport) -> Vec<f64> {
 /// traced.
 pub fn sim_report_trace_json(report: &SimReport) -> Option<String> {
     let trace = report.trace.as_ref()?;
-    let starts = sim_round_starts(report);
-    let mut retries = CounterTrack { name: "retries".into(), device: 0, samples: Vec::new() };
-    let mut backoff = CounterTrack { name: "backoff_ms".into(), device: 0, samples: Vec::new() };
-    let (mut racc, mut bacc) = (0.0, 0.0);
-    for (r, s) in report.rounds.iter().zip(&starts) {
-        racc += r.retries as f64;
-        bacc += r.backoff_ms;
-        retries.samples.push((*s, racc));
-        backoff.samples.push((*s, bacc));
-    }
-    let end = starts.last().copied().unwrap_or(0.0);
-    let hits = CounterTrack {
-        name: "cache_hits".into(),
-        device: 0,
-        samples: vec![(end, report.device_stats.cache.hits as f64)],
-    };
-    Some(chrome_trace_json(trace, &starts, &[retries, backoff, hits]))
+    let faults = |r: usize, _: usize| (report.rounds[r].retries, report.rounds[r].backoff_ms);
+    let hits = [report.device_stats.cache.hits];
+    Some(report_trace_json(trace, &sim_round_starts(report), &hits, faults))
 }
 
 /// The export for a traced cluster run: per-device cumulative retry /
@@ -464,33 +481,11 @@ pub fn sim_report_trace_json(report: &SimReport) -> Option<String> {
 /// the run was not traced.
 pub fn cluster_report_trace_json(report: &ClusterSimReport) -> Option<String> {
     let trace = report.trace.as_ref()?;
-    let starts = cluster_round_starts(report);
-    let n = report.device_stats.len();
-    let mut counters = Vec::with_capacity(3 * n);
-    let end = starts.last().copied().unwrap_or(0.0);
-    for d in 0..n {
-        let mut retries =
-            CounterTrack { name: "retries".into(), device: d as u32, samples: Vec::new() };
-        let mut backoff =
-            CounterTrack { name: "backoff_ms".into(), device: d as u32, samples: Vec::new() };
-        let (mut racc, mut bacc) = (0.0, 0.0);
-        for (r, s) in report.rounds.iter().zip(&starts) {
-            if let Some(o) = r.devices.get(d) {
-                racc += o.retries as f64;
-                bacc += o.backoff_ms;
-            }
-            retries.samples.push((*s, racc));
-            backoff.samples.push((*s, bacc));
-        }
-        counters.push(retries);
-        counters.push(backoff);
-        counters.push(CounterTrack {
-            name: "cache_hits".into(),
-            device: d as u32,
-            samples: vec![(end, report.device_stats[d].cache.hits as f64)],
-        });
-    }
-    Some(chrome_trace_json(trace, &starts, &counters))
+    let faults = |r: usize, d: usize| {
+        report.rounds[r].devices.get(d).map_or((0, 0.0), |o| (o.retries, o.backoff_ms))
+    };
+    let hits: Vec<u64> = report.device_stats.iter().map(|s| s.cache.hits).collect();
+    Some(report_trace_json(trace, &cluster_round_starts(report), &hits, faults))
 }
 
 /// Summary a successful [`validate_chrome_json`] returns.

@@ -89,6 +89,7 @@ pub use smem::SmemHazard;
 use atgpu_ir::{HostStep, Program};
 use std::collections::HashMap;
 use std::fmt;
+use std::rc::Rc;
 
 /// A proven out-of-bounds access in one launch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -225,53 +226,65 @@ impl VerifyReport {
     }
 }
 
+/// What the per-kernel analyses found in one kernel, with the access
+/// sites they all read.
+struct KernelFindings {
+    sites: Vec<sites::Site>,
+    race: RaceVerdict,
+    oob: Vec<OobFinding>,
+    bounds_unknown: usize,
+    smem: Vec<SmemHazard>,
+}
+
 /// Verifies `program` for a machine with `b` lanes per block: race
-/// check and bounds check per launch (memoized by structural kernel
-/// hash — iterated rounds relaunching one kernel are analysed once),
-/// plus the host-dataflow lints.
+/// check, bounds check and shared-memory hazards per launch, plus the
+/// host-dataflow lints.  Each distinct kernel (by structural hash —
+/// iterated rounds relaunching one kernel count once) has its access
+/// sites collected once, and all four analyses read that one walk.
 pub fn verify_program(program: &Program, b: u64) -> VerifyReport {
-    let mut launches = Vec::new();
-    let mut memo: HashMap<u64, (RaceVerdict, Vec<OobFinding>, usize, Vec<SmemHazard>)> =
-        HashMap::new();
+    let mut memo: HashMap<u64, Rc<KernelFindings>> = HashMap::new();
+    // (round, kernel, findings) per launch step, in program order.
+    let mut found = Vec::new();
     for (ri, round) in program.rounds.iter().enumerate() {
-        for step in &round.steps {
-            let kernel = match step {
-                HostStep::Launch(k) | HostStep::LaunchSharded { kernel: k, .. } => k,
-                _ => continue,
-            };
-            let key = kernel.cache_key();
-            let (race, oob, bounds_unknown, smem) = memo
-                .entry(key)
-                .or_insert_with(|| {
-                    let race = race::check_kernel(kernel, b);
-                    let mut oob = Vec::new();
-                    let mut unknown = 0usize;
-                    for site in sites::collect(kernel, b) {
-                        match bounds::check_site(program, kernel, &site, b) {
-                            BoundsVerdict::InBounds => {}
-                            BoundsVerdict::Unknown => unknown += 1,
-                            BoundsVerdict::OutOfBounds(w) => {
-                                oob.push(OobFinding { instr: site.instr, witness: w });
-                            }
+        for (kernel, _) in round.steps.iter().filter_map(HostStep::launch) {
+            let findings = memo.entry(kernel.cache_key()).or_insert_with(|| {
+                let sites = sites::collect(kernel, b);
+                let mut oob = Vec::new();
+                let mut bounds_unknown = 0usize;
+                for site in &sites {
+                    match bounds::check_site(program, kernel, site, b) {
+                        BoundsVerdict::InBounds => {}
+                        BoundsVerdict::Unknown => bounds_unknown += 1,
+                        BoundsVerdict::OutOfBounds(w) => {
+                            oob.push(OobFinding { instr: site.instr, witness: w });
                         }
                     }
-                    (race, oob, unknown, smem::check_kernel(kernel, b))
+                }
+                Rc::new(KernelFindings {
+                    race: race::check_sites(kernel, &sites, b),
+                    smem: smem::check_sites(&sites, b),
+                    sites,
+                    oob,
+                    bounds_unknown,
                 })
-                .clone();
-            launches.push(LaunchReport {
-                round: ri,
-                kernel: kernel.name.clone(),
-                race,
-                oob,
-                bounds_unknown,
-                smem,
             });
+            found.push((ri, kernel, Rc::clone(findings)));
         }
     }
     VerifyReport {
         program: program.name.clone(),
-        launches,
-        lints: lints::check_program(program, b),
+        lints: lints::check_launches(program, b, found.iter().map(|(_, _, f)| f.sites.as_slice())),
+        launches: found
+            .iter()
+            .map(|(round, kernel, f)| LaunchReport {
+                round: *round,
+                kernel: kernel.name.clone(),
+                race: f.race.clone(),
+                oob: f.oob.clone(),
+                bounds_unknown: f.bounds_unknown,
+                smem: f.smem.clone(),
+            })
+            .collect(),
     }
 }
 

@@ -22,7 +22,7 @@
 //!   that prefetch a *different* region (the out-of-core workloads) do
 //!   not trip it.
 
-use crate::sites::{Access, Space};
+use crate::sites::{collect, Access, Site, Space};
 use atgpu_ir::{DBuf, HostStep, Kernel, Program};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -96,11 +96,11 @@ struct KernelIo {
     writes: HashSet<DBuf>,
 }
 
-fn kernel_io(k: &Kernel, b: u64) -> KernelIo {
+fn kernel_io(k: &Kernel, sites: &[Site], b: u64) -> KernelIo {
     let full = if b >= 64 { u64::MAX } else { (1u64 << b.max(1)) - 1 };
     let mut reads = Vec::new();
     let mut writes = HashSet::new();
-    for s in crate::sites::collect(k, b) {
+    for s in sites {
         if s.space != Space::Global {
             continue;
         }
@@ -156,6 +156,20 @@ struct PendingUpload {
 /// Runs every host-dataflow lint over `program` (with `b` lanes per
 /// block, for the kernels' static footprints).
 pub fn check_program(program: &Program, b: u64) -> Vec<Lint> {
+    let launches = program.rounds.iter().flat_map(|r| &r.steps).filter_map(HostStep::launch);
+    let sites: Vec<Vec<Site>> = launches.map(|(k, _)| collect(k, b)).collect();
+    check_launches(program, b, sites.iter().map(Vec::as_slice))
+}
+
+/// [`check_program`] over already collected access sites:
+/// `launch_sites` yields the sites of each launch step's kernel, in
+/// program order.
+pub fn check_launches<'a>(
+    program: &Program,
+    b: u64,
+    launch_sites: impl IntoIterator<Item = &'a [Site]>,
+) -> Vec<Lint> {
+    let mut launch_sites = launch_sites.into_iter();
     let mut lints = Vec::new();
     // Coarse residency: has anything (transfer or kernel) written this
     // device buffer yet?  Replicas are tracked together — sharded
@@ -219,7 +233,7 @@ pub fn check_program(program: &Program, b: u64) -> Vec<Lint> {
                         }
                         _ => std::iter::once(0).collect(),
                     };
-                    let io = kernel_io(k, b);
+                    let io = kernel_io(k, launch_sites.next().unwrap_or_default(), b);
                     let mut flagged: HashSet<DBuf> = HashSet::new();
                     for (buf, range) in &io.reads {
                         if !written.contains(buf) && flagged.insert(*buf) {

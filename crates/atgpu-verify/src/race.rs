@@ -280,10 +280,14 @@ fn check_pair(a: &Site, b: &Site, grid: (u64, u64), full_mask: u64) -> RaceVerdi
 /// Decides whether two distinct blocks of `kernel` (with `b` lanes per
 /// block) can write the same global word.
 pub fn check_kernel(kernel: &Kernel, b: u64) -> RaceVerdict {
+    check_sites(kernel, &crate::sites::collect(kernel, b), b)
+}
+
+/// [`check_kernel`] over the kernel's already collected `sites`.
+pub fn check_sites(kernel: &Kernel, sites: &[Site], b: u64) -> RaceVerdict {
     if kernel.blocks() <= 1 {
         return RaceVerdict::RaceFree;
     }
-    let sites = crate::sites::collect(kernel, b);
     let writes: Vec<&Site> =
         sites.iter().filter(|s| s.space == Space::Global && s.access == Access::Write).collect();
     let full = if b >= 64 { u64::MAX } else { (1u64 << b.max(1)) - 1 };

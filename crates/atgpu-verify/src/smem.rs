@@ -34,7 +34,11 @@ pub struct SmemHazard {
 
 /// Scans `kernel`'s shared write sites for hazards.
 pub fn check_kernel(kernel: &Kernel, b: u64) -> Vec<SmemHazard> {
-    let sites = crate::sites::collect(kernel, b);
+    check_sites(&crate::sites::collect(kernel, b), b)
+}
+
+/// [`check_kernel`] over the kernel's already collected `sites`.
+pub fn check_sites(sites: &[Site], b: u64) -> Vec<SmemHazard> {
     sites.iter().filter_map(|s| check_site(s, b)).collect()
 }
 
