@@ -7,8 +7,10 @@ use crate::opcount::kernel_time_ops;
 use crate::sites::collect;
 use crate::space::{masked_touched_range, touched_range};
 use atgpu_ir::{shard_counts, validate, HostStep, Kernel, Program, Round};
+use atgpu_model::cost::cluster_cost_streamed;
 use atgpu_model::{
-    AlgoMetrics, AtgpuMachine, PeerTraffic, RoundMetrics, RoundSchedule, StreamItem,
+    AlgoMetrics, AtgpuMachine, ClusterCostBreakdown, ClusterSpec, PeerTraffic, RoundMetrics,
+    RoundSchedule, StreamItem,
 };
 
 /// Per-kernel analysis results.
@@ -290,6 +292,39 @@ pub fn analyze_cluster_program(
     walk_program(p, machine, devices.max(p.max_device() + 1).max(1) as usize)
 }
 
+/// The predicted side of one predict-vs-observe cell: what the model
+/// says `program` costs on a cluster, and whether that number may be
+/// taken at face value.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Prediction {
+    /// The stream-aware cluster cost; `cost.total_ms` is the prediction.
+    pub cost: ClusterCostBreakdown,
+    /// Whether the analysis behind `cost` was exact: every transaction
+    /// count statically known and no shared-memory bank conflicts
+    /// (`io_exact && conflict_free`).  An untrusted prediction is still
+    /// the model's best estimate, but a caller with a simulator at hand
+    /// should prefer observing.
+    pub trusted: bool,
+}
+
+/// Analyses `program` per device of `cluster`, schedules its streams and
+/// prices the result — [`analyze_cluster_program`], [`stream_schedules`]
+/// and [`atgpu_model::cost::cluster_cost_streamed`], plus the trust bit.
+/// This is the one statement of the analyse → schedule → price rule,
+/// shared by the experiment harness and the pricing service.  A
+/// single-device program on a one-device cluster is the `n = 1` case.
+pub fn predict(
+    program: &Program,
+    machine: &AtgpuMachine,
+    cluster: &ClusterSpec,
+) -> Result<Prediction, AnalyzeError> {
+    let n = cluster.n_devices() as u32;
+    let a = analyze_cluster_program(program, machine, n)?;
+    let schedules = stream_schedules(program, n);
+    let cost = cluster_cost_streamed(cluster, machine, &a.per_device, &schedules, &a.peer)?;
+    Ok(Prediction { cost, trusted: a.io_exact && a.conflict_free })
+}
+
 /// The one analysis walk: builds every device's [`RoundMetrics`] rows
 /// from the [`HostStep`]s of a **validated** program on `n` devices.
 fn walk_program(
@@ -435,6 +470,7 @@ fn analyze_kernel(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder};

@@ -150,6 +150,7 @@ pub fn site_transactions(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use atgpu_ir::AddrExpr;

@@ -65,6 +65,7 @@ impl From<ModelError> for AnalyzeError {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

@@ -38,6 +38,7 @@ fn body_ops(body: &[Instr]) -> u64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, PredExpr};

@@ -101,6 +101,7 @@ pub fn masked_touched_range(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use atgpu_ir::AddrExpr;

@@ -28,3 +28,40 @@ fn single_device_analysis_is_the_one_device_cluster_analysis() {
         }
     }
 }
+
+/// `predict` is the analyse → schedule → price triple and the trust
+/// rule, bit for bit, on every roster × plan cell.
+#[test]
+fn predict_is_the_hand_written_triple_on_every_roster_cell() {
+    use atgpu_analyze::{predict, stream_schedules};
+    use atgpu_model::cost::cluster_cost_streamed;
+    use atgpu_model::{ClusterSpec, GpuSpec};
+
+    let machine = AtgpuMachine::gtx650_like();
+    let asym = atgpu_algos::roster::asym_pair(GpuSpec::gtx650_like());
+    let mut cells = 0;
+    for entry in atgpu_algos::roster() {
+        for (plan_name, plan) in entry.plans(&machine, &asym) {
+            let cell = format!("{} ({plan_name})", entry.name);
+            let p = entry.workload.build_plan(&machine, plan).unwrap().program;
+            // The planned cell on the cluster it was planned for, every
+            // other on identical devices.
+            let cluster = if plan_name == "planned" {
+                asym.clone()
+            } else {
+                ClusterSpec::homogeneous(p.max_device() as usize + 1, GpuSpec::gtx650_like())
+            };
+            let n = cluster.n_devices() as u32;
+            let a = analyze_cluster_program(&p, &machine, n).unwrap();
+            let scheds = stream_schedules(&p, n);
+            let cost =
+                cluster_cost_streamed(&cluster, &machine, &a.per_device, &scheds, &a.peer).unwrap();
+            let got = predict(&p, &machine, &cluster).unwrap();
+            assert_eq!(got.cost.total_ms.to_bits(), cost.total_ms.to_bits(), "{cell}: total");
+            assert_eq!(got.cost, cost, "{cell}: breakdown");
+            assert_eq!(got.trusted, a.io_exact && a.conflict_free, "{cell}: trusted");
+            cells += 1;
+        }
+    }
+    assert_eq!(cells, 50, "every roster × plan cell");
+}

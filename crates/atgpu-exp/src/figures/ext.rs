@@ -1,40 +1,41 @@
-//! Extension experiments E1–E6 (paper §V future work and stated scope).
+//! Extension experiments E1–E13 (paper §V future work and stated scope):
+//! the runners of [`crate::experiment::EXPERIMENTS`], each returning one
+//! [`Section`].
 
+use crate::experiment::{yes_no, Findings, Section};
 use crate::report::markdown_table;
-use crate::runner::{run_row, ExpConfig, SweepRow};
+use crate::runner::{
+    best_of_3, export_trace, fmt_counts, observe, plan_sweep, rel_err, run_row, ExpConfig,
+    ExpError, Planner, EVEN,
+};
 use crate::series::{Figure, Series};
 use atgpu_algos::histogram::Histogram;
 use atgpu_algos::matmul::MatMul;
 use atgpu_algos::ooc::{OocReduce, OocScheme, OocVecAdd};
 use atgpu_algos::transpose::{Transpose, TransposeVariant};
 use atgpu_algos::vecadd::VecAdd;
-use atgpu_algos::{AlgosError, Plan, Workload};
-use atgpu_analyze::analyze_program;
+use atgpu_algos::Workload;
+use atgpu_analyze::{analyze_program, predict};
 use atgpu_calibrate::calibrate;
 use atgpu_model::cost::{evaluate, CostModel};
-use atgpu_model::{occupancy, AtgpuMachine, GpuSpec};
+use atgpu_model::{occupancy, plan, AtgpuMachine, ClusterSpec, GpuSpec};
 use atgpu_sim::run_program;
 use std::fmt::Write as _;
+use std::path::Path;
 
 /// E1 — out-of-core partitioning: chunk-size sweep on a machine whose
 /// global memory cannot hold the problem, plus the two reduction
 /// communication schemes.
-pub fn e1_out_of_core(cfg: &ExpConfig) -> Result<String, AlgosError> {
+pub fn e1_out_of_core(cfg: &ExpConfig) -> Result<Section, ExpError> {
     // A machine with deliberately tiny global memory.
-    let machine = AtgpuMachine::new(cfg.machine.p, cfg.machine.b, cfg.machine.m, 1 << 14)
-        .map_err(|e| AlgosError::InvalidMachine { reason: e.to_string() })?;
+    let machine = AtgpuMachine::new(cfg.machine.p, cfg.machine.b, cfg.machine.m, 1 << 14)?;
     let n = 100_000u64; // 3n ≈ 300k words ≫ G = 16k
     let mut rows = Vec::new();
-    let mut fig_points_cost = Vec::new();
-    let mut fig_points_time = Vec::new();
     for chunk in [512u64, 1024, 2048, 4096] {
         let w = OocVecAdd::new(n, chunk, 1);
         let built = w.build(&machine)?;
-        let analysis = analyze_program(&built.program, &machine)
-            .map_err(|e| AlgosError::InvalidSize { reason: e.to_string() })?;
-        let metrics = analysis.metrics();
-        let cost = evaluate(CostModel::GpuCost, &cfg.params, &machine, &cfg.spec, &metrics)
-            .map_err(|e| AlgosError::InvalidSize { reason: e.to_string() })?;
+        let metrics = analyze_program(&built.program, &machine)?.metrics();
+        let cost = evaluate(CostModel::GpuCost, &cfg.params, &machine, &cfg.spec, &metrics)?;
         let report = run_program(&built.program, built.inputs, &machine, &cfg.spec, &cfg.sim)?;
         rows.push(vec![
             chunk.to_string(),
@@ -43,8 +44,6 @@ pub fn e1_out_of_core(cfg: &ExpConfig) -> Result<String, AlgosError> {
             format!("{:.3}", cost.total()),
             format!("{:.3}", report.total_ms()),
         ]);
-        fig_points_cost.push((chunk as f64, cost.total()));
-        fig_points_time.push((chunk as f64, report.total_ms()));
     }
     let mut out = String::from("### E1 — out-of-core vector addition (3n ≫ G)\n\n");
     out.push_str(&markdown_table(
@@ -60,9 +59,7 @@ pub fn e1_out_of_core(cfg: &ExpConfig) -> Result<String, AlgosError> {
     {
         let w = OocReduce::new(n, 4096, scheme, 2);
         let built = w.build(&machine)?;
-        let analysis = analyze_program(&built.program, &machine)
-            .map_err(|e| AlgosError::InvalidSize { reason: e.to_string() })?;
-        let metrics = analysis.metrics();
+        let metrics = analyze_program(&built.program, &machine)?.metrics();
         let outward: u64 = metrics.rounds.iter().map(|r| r.outward_words).sum();
         let report = run_program(&built.program, built.inputs, &machine, &cfg.spec, &cfg.sim)?;
         rows.push(vec![
@@ -77,13 +74,12 @@ pub fn e1_out_of_core(cfg: &ExpConfig) -> Result<String, AlgosError> {
         &["scheme", "rounds R", "outward words", "observed total (ms)"],
         &rows,
     ));
-    let _ = (fig_points_cost, fig_points_time);
-    Ok(out)
+    Ok(Section::new(out, Findings::default()))
 }
 
 /// E2 — verify the model on other GPUs: one medium instance of each
 /// paper workload on three device specifications.
-pub fn e2_other_gpus(cfg: &ExpConfig) -> Result<String, AlgosError> {
+pub fn e2_other_gpus(cfg: &ExpConfig) -> Result<Section, ExpError> {
     let specs: [(&str, GpuSpec); 3] = [
         ("gtx650-like", GpuSpec::gtx650_like()),
         ("midrange-like", GpuSpec::midrange_like()),
@@ -114,41 +110,27 @@ pub fn e2_other_gpus(cfg: &ExpConfig) -> Result<String, AlgosError> {
         &["device", "workload", "observed (ms)", "ΔE", "ΔT", "|ΔT−ΔE|"],
         &rows,
     ));
-    Ok(out)
+    Ok(Section::new(out, Findings::default()))
 }
 
 /// E3 — the conflict-free assumption: transpose variants and the
 /// data-dependent histogram, model I/O vs measured transactions and
 /// conflict serialisation.
-pub fn e3_bank_conflicts(cfg: &ExpConfig) -> Result<String, AlgosError> {
-    let mut rows = Vec::new();
+pub fn e3_bank_conflicts(cfg: &ExpConfig) -> Result<Section, ExpError> {
+    let mut kernels: Vec<(String, Box<dyn Workload>)> = Vec::new();
     for v in [TransposeVariant::Naive, TransposeVariant::Tiled, TransposeVariant::TiledPadded] {
-        let w = Transpose::new(256, 1, v);
-        let built = w.build(&cfg.machine)?;
-        let analysis = analyze_program(&built.program, &cfg.machine)
-            .map_err(|e| AlgosError::InvalidSize { reason: e.to_string() })?;
-        let q_model = analysis.metrics().total_io_blocks();
-        let report = run_program(&built.program, built.inputs, &cfg.machine, &cfg.spec, &cfg.sim)?;
-        let stats = report.rounds[0].kernel_stats;
-        rows.push(vec![
-            format!("transpose/{}", v.label()),
-            q_model.to_string(),
-            stats.global_txns.to_string(),
-            stats.bank_conflict_cycles.to_string(),
-            format!("{:.3}", report.kernel_ms()),
-            if analysis.conflict_free { "yes" } else { "no" }.to_string(),
-        ]);
+        kernels.push((format!("transpose/{}", v.label()), Box::new(Transpose::new(256, 1, v))));
     }
-    {
-        let w = Histogram::new(1 << 16, cfg.machine.b, 3);
+    kernels.push(("histogram".to_string(), Box::new(Histogram::new(1 << 16, cfg.machine.b, 3))));
+    let mut rows = Vec::new();
+    for (label, w) in kernels {
         let built = w.build(&cfg.machine)?;
-        let analysis = analyze_program(&built.program, &cfg.machine)
-            .map_err(|e| AlgosError::InvalidSize { reason: e.to_string() })?;
+        let analysis = analyze_program(&built.program, &cfg.machine)?;
         let q_model = analysis.metrics().total_io_blocks();
         let report = run_program(&built.program, built.inputs, &cfg.machine, &cfg.spec, &cfg.sim)?;
         let stats = report.rounds[0].kernel_stats;
         rows.push(vec![
-            "histogram".to_string(),
+            label,
             q_model.to_string(),
             stats.global_txns.to_string(),
             stats.bank_conflict_cycles.to_string(),
@@ -168,13 +150,13 @@ pub fn e3_bank_conflicts(cfg: &ExpConfig) -> Result<String, AlgosError> {
         ],
         &rows,
     ));
-    Ok(out)
+    Ok(Section::new(out, Findings::default()))
 }
 
 /// E4 — occupancy: inflate a kernel's shared footprint so
 /// `ℓ = min(⌊M/m⌋, H)` shrinks, and compare the Expression-(2) wave
 /// factor against the simulated slowdown.
-pub fn e4_occupancy(cfg: &ExpConfig) -> Result<(String, Figure), AlgosError> {
+pub fn e4_occupancy(cfg: &ExpConfig) -> Result<Section, ExpError> {
     let n = 400_000u64;
     let mut rows = Vec::new();
     let mut pred_points = Vec::new();
@@ -193,12 +175,9 @@ pub fn e4_occupancy(cfg: &ExpConfig) -> Result<(String, Figure), AlgosError> {
                 }
             }
         }
-        let analysis = analyze_program(&built.program, &cfg.machine)
-            .map_err(|e| AlgosError::InvalidSize { reason: e.to_string() })?;
-        let metrics = analysis.metrics();
+        let metrics = analyze_program(&built.program, &cfg.machine)?.metrics();
         let kernel_cost =
-            evaluate(CostModel::KernelOnly, &cfg.params, &cfg.machine, &cfg.spec, &metrics)
-                .map_err(|e| AlgosError::InvalidSize { reason: e.to_string() })?;
+            evaluate(CostModel::KernelOnly, &cfg.params, &cfg.machine, &cfg.spec, &metrics)?;
         let report = run_program(&built.program, built.inputs, &cfg.machine, &cfg.spec, &cfg.sim)?;
         let ell = occupancy(&cfg.machine, m_used, cfg.spec.h_limit);
         rows.push(vec![
@@ -227,12 +206,12 @@ pub fn e4_occupancy(cfg: &ExpConfig) -> Result<(String, Figure), AlgosError> {
         "ms",
         vec![Series::new("predicted", pred_points), Series::new("observed", obs_points)],
     );
-    Ok((out, fig))
+    Ok(Section { markdown: out, figures: vec![fig], findings: Findings::default() })
 }
 
 /// E5 — further computational problems: scan, stencil, dot, saxpy, and a
 /// (smaller) bitonic sort whose Θ(log² n) rounds stress the σ·R term.
-pub fn e5_other_problems(cfg: &ExpConfig) -> Result<(String, Vec<SweepRow>), AlgosError> {
+pub fn e5_other_problems(cfg: &ExpConfig) -> Result<Section, ExpError> {
     let workloads: Vec<(&str, Box<dyn Workload>)> = vec![
         ("saxpy", Box::new(atgpu_algos::saxpy::Saxpy::new(400_000, 3, 1))),
         ("dot", Box::new(atgpu_algos::dot::Dot::new(400_000, 1))),
@@ -241,7 +220,6 @@ pub fn e5_other_problems(cfg: &ExpConfig) -> Result<(String, Vec<SweepRow>), Alg
         ("gemv (n=512)", Box::new(atgpu_algos::gemv::Gemv::new(512, 1))),
         ("bitonic (n=16384)", Box::new(atgpu_algos::bitonic::BitonicSort::new(16_384, 1))),
     ];
-    let mut rows = Vec::new();
     let mut table = Vec::new();
     for (name, w) in workloads {
         let r = run_row(w.as_ref(), cfg)?;
@@ -253,19 +231,20 @@ pub fn e5_other_problems(cfg: &ExpConfig) -> Result<(String, Vec<SweepRow>), Alg
             format!("{:.1}%", 100.0 * r.delta_t),
             format!("{:.1}%", 100.0 * (r.delta_t - r.delta_e).abs()),
         ]);
-        rows.push(r);
     }
+    let mut findings = Findings::default();
+    findings.num("workloads", table.len() as f64);
     let mut out = String::from("### E5 — further computational problems (n = 400000)\n\n");
     out.push_str(&markdown_table(
         &["workload", "total (ms)", "kernel (ms)", "ΔE", "ΔT", "|ΔT−ΔE|"],
         &table,
     ));
-    Ok((out, rows))
+    Ok(Section::new(out, findings))
 }
 
 /// E6 — calibration: fit `α, β, γ, λ, σ` from simulated microbenchmarks
 /// and compare against the device's ground truth.
-pub fn e6_calibration(cfg: &ExpConfig) -> Result<String, AlgosError> {
+pub fn e6_calibration(cfg: &ExpConfig) -> Result<Section, ExpError> {
     let cal = calibrate(&cfg.machine, &cfg.spec, &cfg.sim)?;
     let truth = cfg.spec;
     let mut out = String::from("### E6 — cost-parameter calibration (fit vs ground truth)\n\n");
@@ -320,7 +299,7 @@ pub fn e6_calibration(cfg: &ExpConfig) -> Result<String, AlgosError> {
         "\nMean |ΔT−ΔE| for vecadd predicted with *fitted* parameters: {:.2}%",
         100.0 * mean_gap
     );
-    Ok(out)
+    Ok(Section::new(out, Findings::default()))
 }
 
 /// E7 — multi-device sharded launches: vector addition split across
@@ -330,50 +309,30 @@ pub fn e6_calibration(cfg: &ExpConfig) -> Result<String, AlgosError> {
 /// observation.  Transfer dominates vector addition, so doubling the
 /// devices roughly halves the total — the regime the peer-link and
 /// shard-planner machinery exists for.
-pub fn e7_multi_device(cfg: &ExpConfig) -> Result<String, AlgosError> {
-    use atgpu_analyze::analyze_cluster_program;
-    use atgpu_model::cost::cluster_cost;
-    use atgpu_model::ClusterSpec;
-    use atgpu_sim::run_cluster_program;
-
-    let n: u64 = match cfg.scale {
-        crate::runner::Scale::Quick => 1 << 15,
-        _ => 1 << 20,
-    };
+pub fn e7_multi_device(cfg: &ExpConfig) -> Result<Section, ExpError> {
+    let n: u64 = if cfg.quick() { 1 << 15 } else { 1 << 20 };
     let machine = &cfg.machine;
     let w = VecAdd::new(n, 21);
+    let cells = [1, 2, 4].map(|d| (ClusterSpec::homogeneous(d, cfg.spec), &w as &dyn Workload));
+    // Model side: the built program itself, analysed per device.
+    let sweep = plan_sweep(cfg, &cells, &[EVEN], &|cluster, _, _, program| {
+        Ok(predict(program, machine, cluster)?.cost.total_ms)
+    })?;
 
+    let mut findings = Findings::default();
     let mut rows = Vec::new();
-    let mut baseline_ms = None;
-    for devices in [1u32, 2, 4] {
-        let built = w.build_sharded(machine, devices)?;
-        let cluster = ClusterSpec::homogeneous(devices as usize, cfg.spec);
-        let report =
-            run_cluster_program(&built.program, built.inputs.clone(), machine, &cluster, &cfg.sim)?;
-
-        // Model side: the analysis walk's per-device metrics rows.
-        let per_device = analyze_cluster_program(&built.program, machine, devices)
-            .map_err(|e| AlgosError::InvalidSize { reason: e.to_string() })?
-            .per_device;
-        let predicted = cluster_cost(&cluster, machine, &per_device, &[])
-            .map_err(|e| AlgosError::InvalidSize { reason: e.to_string() })?;
-
-        let total = report.total_ms();
-        let speedup = match baseline_ms {
-            None => {
-                baseline_ms = Some(total);
-                1.0
-            }
-            Some(base) => base / total,
-        };
+    let baseline_ms = sweep[0][0].observed_ms();
+    for r in sweep.iter().flatten() {
+        let devices = r.counts.len();
+        let speedup = findings.num(format!("speedup.{devices}dev"), baseline_ms / r.observed_ms());
         let per_dev_xfer: Vec<String> =
-            report.transfer_ms_per_device().iter().map(|t| format!("{t:.3}")).collect();
+            r.report.transfer_ms_per_device().iter().map(|t| format!("{t:.3}")).collect();
         rows.push(vec![
             devices.to_string(),
-            format!("{total:.3}"),
-            format!("{:.3}", report.kernel_ms()),
+            format!("{:.3}", r.observed_ms()),
+            format!("{:.3}", r.report.kernel_ms()),
             per_dev_xfer.join(" / "),
-            format!("{:.3}", predicted.total_ms),
+            format!("{:.3}", r.predicted_ms),
             format!("{speedup:.2}x"),
         ]);
     }
@@ -391,7 +350,29 @@ pub fn e7_multi_device(cfg: &ExpConfig) -> Result<String, AlgosError> {
         ],
         &rows,
     ));
-    Ok(out)
+    Ok(Section::new(out, findings))
+}
+
+/// One variant of an overlap comparison (E8 §1, E10 §3): a single-device
+/// program observed, predicted — analyser metrics + stream schedule
+/// through the same chain scheduler the simulator times rounds with —
+/// and rendered as its `variant | rounds R | observed | predicted` row.
+fn overlap_variant(
+    cfg: &ExpConfig,
+    label: &str,
+    program: &atgpu_ir::Program,
+    inputs: &[Vec<i64>],
+) -> Result<(atgpu_sim::SimReport, f64, Vec<String>), ExpError> {
+    let report = run_program(program, inputs.to_vec(), &cfg.machine, &cfg.spec, &cfg.sim)?;
+    let one = ClusterSpec::homogeneous(1, cfg.spec);
+    let predicted = predict(program, &cfg.machine, &one)?.cost.total_ms;
+    let row = vec![
+        label.to_string(),
+        program.num_rounds().to_string(),
+        format!("{:.3}", report.total_ms()),
+        format!("{predicted:.3}"),
+    ];
+    Ok((report, predicted, row))
 }
 
 /// E8 — overlapped copy/compute streams and threaded cluster execution:
@@ -399,72 +380,43 @@ pub fn e7_multi_device(cfg: &ExpConfig) -> Result<String, AlgosError> {
 /// 1. **Overlap efficiency** — the double-buffered streamed ooc-vecadd
 ///    and streamed sharded matmul against their serial de-streamed
 ///    forms, observed (simulator stream timelines) next to predicted
-///    (`streamed_evaluate` over the analyser's stream schedules);
+///    (`atgpu_analyze::predict` on a one-device cluster);
 /// 2. **Threaded dispatch** — host wall-clock of a 4-device sharded
 ///    launch with per-device OS threads vs sequential dispatch
 ///    (bit-identical results either way);
 /// 3. **Heterogeneous planner** — even vs speed-weighted tile-row shards
 ///    on a mixed-generation 2-device cluster.
-pub fn e8_streams(cfg: &ExpConfig) -> Result<String, AlgosError> {
-    use atgpu_analyze::stream_schedule;
-    use atgpu_model::cost::streamed_evaluate;
-    use atgpu_model::ClusterSpec;
-    use atgpu_sim::{run_cluster_program, run_program, SimConfig};
-    use std::time::Instant;
+pub fn e8_streams(cfg: &ExpConfig) -> Result<Section, ExpError> {
+    use atgpu_sim::{run_cluster_program, SimConfig};
 
-    let quick = matches!(cfg.scale, crate::runner::Scale::Quick);
+    let quick = cfg.quick();
     let machine = &cfg.machine;
     let mut out = String::new();
+    let mut findings = Findings::default();
 
     // -- 1a: streamed vs serial out-of-core vecadd -------------------
     let (n, chunk) = if quick { (1u64 << 18, 1u64 << 15) } else { (1 << 20, 1 << 16) };
     let w = OocVecAdd::new(n, chunk, 8);
     let streamed = w.build_streamed(machine)?;
     let serial = w.build(machine)?;
-    let r_streamed =
-        run_program(&streamed.program, streamed.inputs.clone(), machine, &cfg.spec, &cfg.sim)?;
-    let r_serial =
-        run_program(&serial.program, serial.inputs.clone(), machine, &cfg.spec, &cfg.sim)?;
+    let (r_serial, pred_serial, row_serial) =
+        overlap_variant(cfg, "serial", &serial.program, &serial.inputs)?;
+    let (r_streamed, pred_streamed, row_streamed) =
+        overlap_variant(cfg, "streamed", &streamed.program, &streamed.inputs)?;
 
-    // Predicted side: analyser metrics + stream schedule through the
-    // same chain scheduler the simulator times rounds with.
-    let err = |e: &dyn std::fmt::Display| AlgosError::InvalidSize { reason: e.to_string() };
-    let predict = |built: &atgpu_algos::workload::BuiltProgram| -> Result<f64, AlgosError> {
-        let analysis = analyze_program(&built.program, machine).map_err(|e| err(&e))?;
-        let sched = stream_schedule(&built.program);
-        let c = streamed_evaluate(&cfg.params, machine, &cfg.spec, &analysis.metrics(), &sched)
-            .map_err(|e| err(&e))?;
-        Ok(c.total_ms)
-    };
-    let pred_streamed = predict(&streamed)?;
-    let pred_serial = predict(&serial)?;
-
-    let obs_speedup = r_serial.total_ms() / r_streamed.total_ms();
+    let obs_speedup = findings.num("overlap.observed", r_serial.total_ms() / r_streamed.total_ms());
     let _ = writeln!(
         out,
         "### E8 — copy/compute overlap: ooc-vecadd (n = {n}, chunk = {chunk}, double-buffered)\n"
     );
     out.push_str(&markdown_table(
         &["variant", "rounds R", "observed (ms)", "predicted (ms)"],
-        &[
-            vec![
-                "serial".into(),
-                serial.program.num_rounds().to_string(),
-                format!("{:.3}", r_serial.total_ms()),
-                format!("{pred_serial:.3}"),
-            ],
-            vec![
-                "streamed".into(),
-                streamed.program.num_rounds().to_string(),
-                format!("{:.3}", r_streamed.total_ms()),
-                format!("{pred_streamed:.3}"),
-            ],
-        ],
+        &[row_serial, row_streamed],
     ));
     let _ = writeln!(
         out,
         "\nOverlap speedup: observed {obs_speedup:.2}x, predicted {:.2}x.\n",
-        pred_serial / pred_streamed
+        findings.num("overlap.predicted", pred_serial / pred_streamed)
     );
 
     // -- 1b: streamed sharded matmul on 2 devices --------------------
@@ -473,8 +425,7 @@ pub fn e8_streams(cfg: &ExpConfig) -> Result<String, AlgosError> {
     let devices = 2u32;
     let built = mm.build_sharded_streamed(machine, devices, 2)?;
     let cluster = ClusterSpec::homogeneous(devices as usize, cfg.spec);
-    let r_mm_streamed =
-        run_cluster_program(&built.program, built.inputs.clone(), machine, &cluster, &cfg.sim)?;
+    let r_mm_streamed = observe(cfg, &built, &cluster)?;
     let r_mm_serial = run_cluster_program(
         &built.program.destreamed(),
         built.inputs.clone(),
@@ -514,17 +465,12 @@ pub fn e8_streams(cfg: &ExpConfig) -> Result<String, AlgosError> {
     let tw = MatMul::new(tn, 4);
     let tbuilt = tw.build_sharded(machine, 4)?;
     let tcluster = ClusterSpec::homogeneous(4, cfg.spec);
-    let mut wall = [f64::INFINITY; 2];
+    let mut wall = [0.0; 2];
     for (slot, threads) in [(0usize, false), (1, true)] {
         let sim = SimConfig { device_threads: threads, ..cfg.sim.clone() };
-        for _ in 0..3 {
-            let inputs = tbuilt.inputs.clone();
-            let t0 = Instant::now();
-            let r = run_cluster_program(&tbuilt.program, inputs, machine, &tcluster, &sim)?;
-            let dt = t0.elapsed().as_secs_f64();
-            std::hint::black_box(r);
-            wall[slot] = wall[slot].min(dt);
-        }
+        let inputs = || tbuilt.inputs.clone();
+        let run = || run_cluster_program(&tbuilt.program, inputs(), machine, &tcluster, &sim);
+        wall[slot] = best_of_3(run)?.0;
     }
     let cores = atgpu_sim::cluster::host_parallelism();
     let _ = writeln!(
@@ -541,7 +487,7 @@ pub fn e8_streams(cfg: &ExpConfig) -> Result<String, AlgosError> {
     let _ = writeln!(
         out,
         "\nWall-clock speedup: {:.2}x{}.\n",
-        wall[0] / wall[1],
+        findings.num("dispatch.wall_speedup", wall[0] / wall[1]),
         if cores == 1 { " (single-core host: threads cannot help here)" } else { "" }
     );
 
@@ -553,17 +499,11 @@ pub fn e8_streams(cfg: &ExpConfig) -> Result<String, AlgosError> {
     mixed.host_links[1] = mixed.devices[1].host_link();
     let even = hw.build_sharded(machine, 2)?;
     let planned = hw.build_sharded_planned(machine, &mixed)?;
-    let r_even =
-        run_cluster_program(&even.program, even.inputs.clone(), machine, &mixed, &cfg.sim)?;
-    let r_planned =
-        run_cluster_program(&planned.program, planned.inputs.clone(), machine, &mixed, &cfg.sim)?;
+    let r_even = observe(cfg, &even, &mixed)?;
+    let r_planned = observe(cfg, &planned, &mixed)?;
     let rows_of = |b: &atgpu_algos::workload::BuiltProgram| -> String {
-        b.program
-            .rounds
-            .iter()
-            .find_map(|r| r.shards())
-            .map(|s| s.iter().map(|x| format!("{}", x.blocks())).collect::<Vec<_>>().join(" / "))
-            .unwrap_or_default()
+        let shards = b.program.rounds.iter().find_map(|r| r.shards()).unwrap_or_default();
+        fmt_counts(&shards.iter().map(|s| s.blocks()).collect::<Vec<_>>())
     };
     let _ = writeln!(
         out,
@@ -583,10 +523,10 @@ pub fn e8_streams(cfg: &ExpConfig) -> Result<String, AlgosError> {
     let _ = writeln!(
         out,
         "\nWeighted-planner speedup on the mixed cluster: {:.2}x.\n",
-        r_even.total_ms() / r_planned.total_ms()
+        findings.num("planner.speedup", r_even.total_ms() / r_planned.total_ms())
     );
 
-    Ok(out)
+    Ok(Section::new(out, findings))
 }
 
 /// E9 — the cross-launch kernel cache: the same replay-eligible kernel
@@ -596,11 +536,10 @@ pub fn e8_streams(cfg: &ExpConfig) -> Result<String, AlgosError> {
 /// first-block timing-replay warmup, so host throughput rises with `L`
 /// while every modeled observation stays **bit-identical** (asserted
 /// here, proven at scale by `tests/cache_differential.rs`).
-pub fn e9_kernel_cache(cfg: &ExpConfig) -> Result<String, AlgosError> {
+pub fn e9_kernel_cache(cfg: &ExpConfig) -> Result<Section, ExpError> {
     use atgpu_sim::SimConfig;
-    use std::time::Instant;
 
-    let quick = matches!(cfg.scale, crate::runner::Scale::Quick);
+    let quick = cfg.quick();
     let machine = &cfg.machine;
     // A small grid keeps per-launch compile cost visible — the regime
     // the E-series sweeps (thousands of small launches) live in.
@@ -608,23 +547,17 @@ pub fn e9_kernel_cache(cfg: &ExpConfig) -> Result<String, AlgosError> {
     let w = VecAdd::new(n, 13);
     let launch_counts: &[u64] = if quick { &[25, 100, 400] } else { &[100, 400, 1600] };
 
+    let mut findings = Findings::default();
     let mut rows = Vec::new();
     for &launches in launch_counts {
         let built = w.build_relaunched(machine, launches)?;
-        let time_with = |sim: &SimConfig| -> Result<(f64, atgpu_sim::SimReport), AlgosError> {
-            let mut best = f64::INFINITY;
-            let mut report = None;
-            for _ in 0..3 {
-                let inputs = built.inputs.clone();
-                let t0 = Instant::now();
-                let r = run_program(&built.program, inputs, machine, &cfg.spec, sim)?;
-                best = best.min(t0.elapsed().as_secs_f64());
-                report = Some(r);
-            }
-            Ok((best, report.expect("three repetitions ran")))
+        let time_with = |cache: bool| {
+            let sim = SimConfig { cache, ..cfg.sim.clone() };
+            let inputs = || built.inputs.clone();
+            best_of_3(|| run_program(&built.program, inputs(), machine, &cfg.spec, &sim))
         };
-        let (secs_on, r_on) = time_with(&SimConfig { cache: true, ..cfg.sim.clone() })?;
-        let (secs_off, r_off) = time_with(&SimConfig { cache: false, ..cfg.sim.clone() })?;
+        let (secs_on, r_on) = time_with(true)?;
+        let (secs_off, r_off) = time_with(false)?;
         // The cache may only change host wall-clock — never observations.
         assert_eq!(r_on.rounds, r_off.rounds, "cache changed modeled results");
         let blocks = launches * machine.blocks_for(n);
@@ -635,7 +568,7 @@ pub fn e9_kernel_cache(cfg: &ExpConfig) -> Result<String, AlgosError> {
             format!("{:.0}", blocks as f64 / secs_on.max(1e-12)),
             format!("{:.2}x", secs_off / secs_on.max(1e-12)),
             format!("{}/{}", c.hits, c.misses),
-            format!("{:.1}%", 100.0 * c.hit_rate()),
+            format!("{:.1}%", 100.0 * findings.num(format!("hit_rate.{launches}"), c.hit_rate())),
         ]);
     }
 
@@ -658,37 +591,7 @@ pub fn e9_kernel_cache(cfg: &ExpConfig) -> Result<String, AlgosError> {
         "\nModeled rounds are bit-identical cache on vs off (asserted); the speedup is pure \
          host wall-clock from skipping recompilation and timing-replay warmup.\n",
     );
-    Ok(out)
-}
-
-/// One planner-comparison cell of E10 / E13: `w` built with `counts[d]`
-/// units on device `d`, simulated on `cluster`, and the same counts
-/// priced by `plan_cost` under `profile`.
-struct PlannedRun {
-    built: atgpu_algos::BuiltProgram,
-    report: atgpu_sim::ClusterSimReport,
-    predicted_ms: f64,
-}
-
-fn run_planned(
-    cfg: &ExpConfig,
-    w: &dyn Workload,
-    cluster: &atgpu_model::ClusterSpec,
-    profile: &atgpu_model::ShardProfile,
-    counts: &[u64],
-) -> Result<PlannedRun, AlgosError> {
-    let machine = &cfg.machine;
-    let built = w.build_plan(machine, Plan::Explicit(atgpu_ir::counts_to_shards(counts)))?;
-    let report = atgpu_sim::run_cluster_program(
-        &built.program,
-        built.inputs.clone(),
-        machine,
-        cluster,
-        &cfg.sim,
-    )?;
-    let predicted_ms = atgpu_model::plan::plan_cost(cluster, machine, profile, counts)
-        .map_err(|e| AlgosError::InvalidSize { reason: e.to_string() })?;
-    Ok(PlannedRun { built, report, predicted_ms })
+    Ok(Section::new(out, findings))
 }
 
 /// E10 — the cost-driven pipeline planner, mixed generations and
@@ -711,92 +614,57 @@ fn run_planned(
 ///    [`atgpu_model::cost::schedule_round_spans`] predicts for the same
 ///    round, and the worst per-span error reported.  With `trace`
 ///    set, the Chrome `trace_event` JSON is written there.
-pub fn e10_pipeline_planner(
-    cfg: &ExpConfig,
-    trace: Option<&std::path::Path>,
-) -> Result<String, AlgosError> {
-    use atgpu_algos::vecadd::VecAdd;
-    use atgpu_model::{plan, ClusterSpec, LinkParams};
-
-    let quick = matches!(cfg.scale, crate::runner::Scale::Quick);
+pub fn e10_pipeline_planner(cfg: &ExpConfig, trace: Option<&Path>) -> Result<Section, ExpError> {
+    let quick = cfg.quick();
     let machine = &cfg.machine;
-    let err = |e: &dyn std::fmt::Display| AlgosError::InvalidSize { reason: e.to_string() };
     let mut out = String::new();
+    let mut findings = Findings::default();
 
     // Identical devices; the LAST device's host link slowed by 8x in
     // the asymmetric configurations.
     let slow = 8.0;
-    let make_cluster = |devices: usize, asym: bool| {
-        let mut c = ClusterSpec::homogeneous(devices, cfg.spec);
-        if asym {
-            let l = &mut c.host_links[devices - 1];
-            *l = LinkParams {
-                alpha_ms: l.alpha_ms * slow,
-                beta_ms_per_word: l.beta_ms_per_word * slow,
-            };
-        }
-        c
-    };
-    let fmt_counts = |c: &[u64]| c.iter().map(u64::to_string).collect::<Vec<_>>().join(" / ");
 
     // -- 1 + 2: planner sweep -----------------------------------------
     let n_vec: u64 = if quick { 1 << 15 } else { 1 << 20 };
     let mm_n: u64 = if quick { 256 } else { 512 };
+    let (vecadd, matmul) = (VecAdd::new(n_vec, 21), MatMul::new(mm_n, 3));
+    // (devices, asymmetric links, workload); one compute-bound contrast
+    // case is enough.
+    let cases: [(usize, bool, &str, &dyn Workload); 5] = [
+        (2, false, "vecadd", &vecadd),
+        (2, true, "vecadd", &vecadd),
+        (2, true, "matmul", &matmul),
+        (4, false, "vecadd", &vecadd),
+        (4, true, "vecadd", &vecadd),
+    ];
+    let plans: [(&str, Planner); 3] = [
+        EVEN,
+        ("weighted", |units, cluster, _, _| plan::weighted_units(units, cluster)),
+        ("pipeline", plan::planned_units),
+    ];
+    let cells = cases.map(|(devices, asym, _, w)| {
+        let mut c = ClusterSpec::homogeneous(devices, cfg.spec);
+        if asym {
+            c.host_links[devices - 1] = c.host_links[devices - 1].scaled(slow);
+        }
+        (c, w)
+    });
+    let sweep = plan_sweep(cfg, &cells, &plans, &|cluster, profile, counts, _| {
+        Ok(plan::plan_cost(cluster, machine, profile, counts)?)
+    })?;
     let mut rows = Vec::new();
-    // (observed_weighted, observed_planned, predicted_planned) of the
-    // acceptance case: 2 devices, asymmetric, vecadd.
-    let mut acceptance: Option<(f64, f64, f64)> = None;
-    for devices in [2usize, 4] {
-        for asym in [false, true] {
-            let cluster = make_cluster(devices, asym);
-            for workload in ["vecadd", "matmul"] {
-                if workload == "matmul" && !(devices == 2 && asym) {
-                    continue; // one compute-bound contrast case is enough
-                }
-                let w: Box<dyn Workload> = match workload {
-                    "vecadd" => Box::new(VecAdd::new(n_vec, 21)),
-                    _ => Box::new(MatMul::new(mm_n, 3)),
-                };
-                let units = w.units(machine).expect("both workloads shard");
-                let profile = w.shard_profile(machine);
-                let plans = [
-                    ("even", plan::even_units(units, devices)),
-                    ("weighted", plan::weighted_units(units, &cluster)),
-                    ("pipeline", plan::planned_units(units, &cluster, machine, &profile)),
-                ];
-                let mut base_ms = None;
-                for (name, counts) in plans {
-                    let run = run_planned(cfg, w.as_ref(), &cluster, &profile, &counts)?;
-                    let (observed, predicted) = (run.report.total_ms(), run.predicted_ms);
-                    let speedup = match base_ms {
-                        None => {
-                            base_ms = Some(observed);
-                            1.0
-                        }
-                        Some(b) => b / observed,
-                    };
-                    if workload == "vecadd" && devices == 2 && asym {
-                        match name {
-                            "weighted" => acceptance = Some((observed, 0.0, 0.0)),
-                            "pipeline" => {
-                                let (w, _, _) = acceptance.expect("weighted row measured first");
-                                acceptance = Some((w, observed, predicted));
-                            }
-                            _ => {}
-                        }
-                    }
-                    rows.push(vec![
-                        devices.to_string(),
-                        if asym { format!("last link /{slow:.0}") } else { "symmetric".into() },
-                        workload.to_string(),
-                        name.to_string(),
-                        fmt_counts(&counts),
-                        format!("{observed:.3}"),
-                        format!("{predicted:.3}"),
-                        format!("{speedup:.2}x"),
-                    ]);
-                }
-            }
+    for ((devices, asym, workload, _), cell) in cases.into_iter().zip(&sweep) {
+        for r in cell {
+            rows.push(vec![
+                devices.to_string(),
+                if asym { format!("last link /{slow:.0}") } else { "symmetric".into() },
+                workload.to_string(),
+                r.plan.to_string(),
+                fmt_counts(&r.counts),
+                format!("{:.3}", r.observed_ms()),
+                format!("{:.3}", r.predicted_ms),
+                format!("{:.2}x", cell[0].observed_ms() / r.observed_ms()),
+            ]);
         }
     }
     let _ = writeln!(
@@ -817,15 +685,16 @@ pub fn e10_pipeline_planner(
         &rows,
     ));
 
-    let (obs_weighted, obs_planned, pred_planned) = acceptance.expect("acceptance case measured");
-    let gap = (pred_planned - obs_planned).abs() / obs_planned.max(1e-12);
+    // The acceptance case: 2 devices, asymmetric, vecadd.
+    let (weighted, pipeline) = (&sweep[1][1], &sweep[1][2]);
+    let gap = rel_err(pipeline.predicted_ms, pipeline.observed_ms());
     let _ = writeln!(
         out,
         "\nPipeline-planner speedup on the link-asymmetric transfer-bound case: \
          {:.2}x over compute-weighted (identical devices, so the weighted planner \
          splits evenly — the transfer blind spot); prediction within {:.1}% of observation.\n",
-        obs_weighted / obs_planned,
-        100.0 * gap
+        findings.num("planner.speedup", weighted.observed_ms() / pipeline.observed_ms()),
+        100.0 * findings.num("planner.gap", gap)
     );
 
     // -- 3: auto-chunked streamed ooc-vecadd --------------------------
@@ -835,51 +704,27 @@ pub fn e10_pipeline_planner(
     let w = atgpu_algos::ooc::OocVecAdd::new(n_ooc, machine.b, 8);
     let planned = w.build_planned(machine, &cfg.spec)?;
     let chunk_words = planned.program.rounds.first().map(|r| r.inward().0).unwrap_or(0) / 2;
-    let r_planned =
-        run_program(&planned.program, planned.inputs.clone(), machine, &cfg.spec, &cfg.sim)?;
-    let serial = planned.program.destreamed();
-    let r_serial = run_program(&serial, planned.inputs.clone(), machine, &cfg.spec, &cfg.sim)?;
-    let predict = |p: &atgpu_ir::Program| -> Result<f64, AlgosError> {
-        let analysis = analyze_program(p, machine).map_err(|e| err(&e))?;
-        let sched = atgpu_analyze::stream_schedule(p);
-        let c = atgpu_model::cost::streamed_evaluate(
-            &cfg.params,
-            machine,
-            &cfg.spec,
-            &analysis.metrics(),
-            &sched,
-        )
-        .map_err(|e| err(&e))?;
-        Ok(c.total_ms)
-    };
-    let pred_planned_ooc = predict(&planned.program)?;
-    let pred_serial_ooc = predict(&serial)?;
+    let (r_serial, pred_serial_ooc, row_serial) = overlap_variant(
+        cfg,
+        "serial (de-streamed)",
+        &planned.program.destreamed(),
+        &planned.inputs,
+    )?;
+    let (r_planned, pred_planned_ooc, row_planned) =
+        overlap_variant(cfg, "planned ping-pong", &planned.program, &planned.inputs)?;
     let _ = writeln!(
         out,
         "### E10 — auto-chunked ooc-vecadd (n = {n_ooc}, solver-derived chunk = {chunk_words} words)\n"
     );
     out.push_str(&markdown_table(
         &["variant", "rounds R", "observed (ms)", "predicted (ms)"],
-        &[
-            vec![
-                "serial (de-streamed)".into(),
-                serial.num_rounds().to_string(),
-                format!("{:.3}", r_serial.total_ms()),
-                format!("{pred_serial_ooc:.3}"),
-            ],
-            vec![
-                "planned ping-pong".into(),
-                planned.program.num_rounds().to_string(),
-                format!("{:.3}", r_planned.total_ms()),
-                format!("{pred_planned_ooc:.3}"),
-            ],
-        ],
+        &[row_serial, row_planned],
     ));
     let _ = writeln!(
         out,
         "\nAuto-chunk overlap: observed {:.2}x, predicted {:.2}x — no hand-tuned chunk size.\n",
-        r_serial.total_ms() / r_planned.total_ms(),
-        pred_serial_ooc / pred_planned_ooc
+        findings.num("autochunk.observed", r_serial.total_ms() / r_planned.total_ms()),
+        findings.num("autochunk.predicted", pred_serial_ooc / pred_planned_ooc)
     );
 
     // -- 4: per-span timeline trace -----------------------------------
@@ -888,8 +733,7 @@ pub fn e10_pipeline_planner(
         run_program(&planned.program, planned.inputs.clone(), machine, &cfg.spec, &traced_cfg)?;
     let identical = r_traced.output(planned.outputs[0]) == r_planned.output(planned.outputs[0])
         && r_traced.total_ms().to_bits() == r_planned.total_ms().to_bits();
-    let analysis = analyze_program(&planned.program, machine).map_err(|e| err(&e))?;
-    let metrics = analysis.metrics();
+    let metrics = analyze_program(&planned.program, machine)?.metrics();
     let sched = atgpu_analyze::stream_schedule(&planned.program);
     let spans = &r_traced.trace.as_ref().expect("traced run records spans").spans;
 
@@ -900,8 +744,7 @@ pub fn e10_pipeline_planner(
     let mut worst_kernel = 0.0f64;
     let mut paired = 0usize;
     for (ri, rm) in metrics.rounds.iter().enumerate() {
-        let kernel_ms = atgpu_model::cost::gpu_kernel_term(machine, &cfg.spec, &cfg.params, rm)
-            .map_err(|e| err(&e))?;
+        let kernel_ms = atgpu_model::cost::gpu_kernel_term(machine, &cfg.spec, &cfg.params, rm)?;
         let (pred, _) =
             atgpu_model::cost::schedule_round_spans(&cfg.params, rm, kernel_ms, sched.get(ri), 0.0);
         for lane in 0u8..4 {
@@ -925,22 +768,18 @@ pub fn e10_pipeline_planner(
             }
         }
     }
-    if let Some(path) = trace {
-        let json = atgpu_sim::sim_report_trace_json(&r_traced).expect("trace present");
-        std::fs::write(path, json).map_err(|e| err(&e))?;
-        let _ = writeln!(out, "Chrome trace written to {}.", path.display());
-    }
+    export_trace(&mut out, "", trace, || atgpu_sim::sim_report_trace_json(&r_traced))?;
     let _ = writeln!(
         out,
         "Timeline trace: traced run bit-identical to untraced: {}; {} spans recorded, \
          {paired} paired with analytic spans; worst transfer-span error {:.1}%, worst \
          kernel-span error {:.1}%.\n",
-        if identical { "yes" } else { "NO" },
+        findings.flag("trace.bit_identical", identical),
         spans.len(),
-        100.0 * worst_xfer,
-        100.0 * worst_kernel,
+        100.0 * findings.num("trace.worst_xfer_err", worst_xfer),
+        100.0 * findings.num("trace.worst_kernel_err", worst_kernel),
     );
-    Ok(out)
+    Ok(Section::new(out, findings))
 }
 
 /// E11 — deterministic fault injection and degraded-mode replanning:
@@ -960,16 +799,13 @@ pub fn e10_pipeline_planner(
 ///    heir's host lane, and every priced span matches its link-model
 ///    prediction within the configured jitter.  With `trace` set, the
 ///    Chrome `trace_event` JSON is written there.
-pub fn e11_fault_tolerance(
-    cfg: &ExpConfig,
-    trace: Option<&std::path::Path>,
-) -> Result<String, AlgosError> {
+pub fn e11_fault_tolerance(cfg: &ExpConfig, trace: Option<&Path>) -> Result<Section, ExpError> {
     use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder};
     use atgpu_model::cost::cluster_cost_degraded;
-    use atgpu_model::{plan, AlgoMetrics, ClusterSpec};
+    use atgpu_model::AlgoMetrics;
     use atgpu_sim::{even_shards, run_cluster_program, FaultEvent, FaultPlan, SimConfig};
 
-    let quick = matches!(cfg.scale, crate::runner::Scale::Quick);
+    let quick = cfg.quick();
     let machine = &cfg.machine;
     let b = machine.b;
     let devices: u32 = 4;
@@ -977,7 +813,7 @@ pub fn e11_fault_tolerance(
     let slab_blocks: u64 = if quick { 32 } else { 128 };
     let slab = slab_blocks * b;
     let n = slab * rounds as u64;
-    let err = |e: &dyn std::fmt::Display| AlgosError::InvalidSize { reason: e.to_string() };
+    let mut findings = Findings::default();
 
     // The workload: R slabs of vector addition.  Each round uploads one
     // slab split evenly over the devices, adds it in place, and
@@ -1017,7 +853,7 @@ pub fn e11_fault_tolerance(
             pb.transfer_out_from(s.device, dc, off, hc, off, s.blocks() * b);
         }
     }
-    let program = pb.build().map_err(|e| err(&e))?;
+    let program = pb.build()?;
     let cluster = ClusterSpec::homogeneous(devices as usize, cfg.spec);
     let va: Vec<i64> = (0..n).map(|i| (i as i64 * 7 + 3) % 1001 - 500).collect();
     let vb: Vec<i64> = (0..n).map(|i| (i as i64 * 13 + 5) % 1001 - 500).collect();
@@ -1049,7 +885,7 @@ pub fn e11_fault_tolerance(
             format!("{:.3}", stats.backoff_ms),
             format!("{obs:.3}"),
             format!("{:+.1}%", 100.0 * (obs - base_ms) / base_ms),
-            if identical { "yes".into() } else { "NO".into() },
+            yes_no(identical).into(),
         ]);
     }
     let mut out = format!(
@@ -1071,7 +907,7 @@ pub fn e11_fault_tolerance(
         out,
         "\nEvery retried attempt is re-priced on its link and every backoff wait is \
          charged to the round; answers bit-identical across all drop rates: {}.\n",
-        if all_identical { "yes" } else { "NO" }
+        findings.flag("drops.bit_identical", all_identical)
     );
 
     // -- 2: mid-program device loss -----------------------------------
@@ -1082,15 +918,14 @@ pub fn e11_fault_tolerance(
     let report = run(plan)?;
     let identical = report.output(hc) == &base_out[..];
     let recoveries: u64 = report.device_stats.iter().map(|s| s.recoveries).sum();
+    findings.num("loss.recoveries", recoveries as f64);
 
     // The analytic mirror: one metrics row per round per device (all
     // rounds alike), the dead device's journal (2 uploaded + 1 computed
     // slab share per completed round) replayed at `at_round`, and its
     // blocks taken over by the model's takeover rule — the one the
     // simulator runs.
-    let analysed = atgpu_analyze::analyze_cluster_program(&program, machine, devices)
-        .map_err(|e| err(&e))?
-        .per_device;
+    let analysed = atgpu_analyze::analyze_cluster_program(&program, machine, devices)?.per_device;
     let metrics_for =
         |d: u32, k: usize| AlgoMetrics::new(analysed[d as usize].rounds[..k].to_vec());
     let dead_blocks =
@@ -1110,8 +945,7 @@ pub fn e11_fault_tolerance(
     let mut prev = 0.0;
     for k in 1..=rounds {
         let per_device: Vec<AlgoMetrics> = (0..devices).map(|d| metrics_for(d, k)).collect();
-        let c = cluster_cost_degraded(&cluster, machine, &per_device, &[], &loss)
-            .map_err(|e| err(&e))?;
+        let c = cluster_cost_degraded(&cluster, machine, &per_device, &[], &loss)?;
         pred_rounds.push(c.total_ms - prev);
         prev = c.total_ms;
     }
@@ -1120,7 +954,7 @@ pub fn e11_fault_tolerance(
     for (i, (obs_r, pred_r)) in
         report.rounds.iter().map(|r| r.total_ms()).zip(&pred_rounds).enumerate()
     {
-        let e = (pred_r - obs_r).abs() / obs_r.max(1e-12);
+        let e = rel_err(*pred_r, obs_r);
         max_err = max_err.max(e);
         rows.push(vec![
             format!("{i}{}", if i == at_round { " (death)" } else { "" }),
@@ -1140,11 +974,11 @@ pub fn e11_fault_tolerance(
         "\nDegraded run: bit-identical to fault-free: {}; journal replays onto {recoveries} \
          survivors; total {total:.3} ms vs fault-free {base_ms:.3} ms ({:.2}x, under 2x: {}); \
          max per-round prediction error {:.1}% (within 10%: {}).\n",
-        if identical { "yes" } else { "NO" },
-        total / base_ms,
-        if total < 2.0 * base_ms { "yes" } else { "NO" },
-        100.0 * max_err,
-        if max_err <= 0.10 { "yes" } else { "NO" },
+        findings.flag("loss.bit_identical", identical),
+        findings.num("loss.slowdown", total / base_ms),
+        yes_no(total < 2.0 * base_ms),
+        100.0 * findings.num("loss.max_round_err", max_err),
+        yes_no(max_err <= 0.10),
     );
 
     // -- 3: traced chaos run ------------------------------------------
@@ -1165,6 +999,7 @@ pub fn e11_fault_tolerance(
 
     let tr = traced.trace.as_ref().expect("traced run records spans");
     let heir = (0..devices).find(|&d| d != dead).unwrap_or_default();
+    findings.num("trace.heir", f64::from(heir));
     let backoffs = tr.spans.iter().filter(|s| matches!(s.kind, SpanKind::Backoff)).count();
     let replay_on_heir =
         tr.spans.iter().any(|s| matches!(s.kind, SpanKind::Replay) && s.device == heir);
@@ -1178,24 +1013,20 @@ pub fn e11_fault_tolerance(
             priced += 1;
         }
     }
-    if let Some(path) = trace {
-        let json = atgpu_sim::cluster_report_trace_json(&traced).expect("trace present");
-        std::fs::write(path, json).map_err(|e| err(&e))?;
-        let _ = writeln!(out, "\nChrome trace written to {}.", path.display());
-    }
+    export_trace(&mut out, "\n", trace, || atgpu_sim::cluster_report_trace_json(&traced))?;
     let _ = writeln!(
         out,
         "\nTraced chaos run: bit-identical to untraced: {}; {} spans recorded \
          ({backoffs} backoff waits visible, {priced} priced by the link model); \
          replay span on heir device {heir}: {}; worst priced-span error {:.1}% \
          (within 10%: {}).\n",
-        if identical { "yes" } else { "NO" },
+        findings.flag("trace.bit_identical", identical),
         tr.spans.len(),
-        if replay_on_heir { "yes" } else { "NO" },
-        100.0 * worst_span,
-        if worst_span <= 0.10 { "yes" } else { "NO" },
+        findings.flag("trace.replay_on_heir", replay_on_heir),
+        100.0 * findings.num("trace.worst_span_err", worst_span),
+        yes_no(worst_span <= 0.10),
     );
-    Ok(out)
+    Ok(Section::new(out, findings))
 }
 
 /// E12 — the multi-tenant cost-query service's pricing fast path: hit
@@ -1216,24 +1047,21 @@ pub fn e11_fault_tolerance(
 ///   fast path best-of-`repeats`), so host CPU contention, which only
 ///   ever adds time, can't masquerade as fast-path cost;
 /// * every quote within 10% of the simulator's observed total.
-pub fn e12_pricing_service(cfg: &ExpConfig) -> Result<String, AlgosError> {
-    use atgpu_model::ClusterSpec;
+pub fn e12_pricing_service(cfg: &ExpConfig) -> Result<Section, ExpError> {
     use atgpu_serve::{CostServer, PriceSource, ServerConfig};
     use atgpu_sim::{run_cluster_program, SimConfig};
     use std::time::Instant;
 
-    let quick = matches!(cfg.scale, crate::runner::Scale::Quick);
+    let quick = cfg.quick();
     let machine = &cfg.machine;
     let devices = 2usize;
     let spec = ClusterSpec::homogeneous(devices, cfg.spec);
-    let err = |e: &dyn std::fmt::Display| AlgosError::InvalidSize { reason: e.to_string() };
 
     // The server prices deterministically (its default config is
     // noise-free); the sim-only baseline must answer the same question,
     // so it uses the same config rather than `cfg.sim`'s jitter.
     let sim = SimConfig::default();
-    let server =
-        CostServer::new(*machine, spec.clone(), ServerConfig::default()).map_err(|e| err(&e))?;
+    let server = CostServer::new(*machine, spec.clone(), ServerConfig::default())?;
 
     // Distinct questions: sharded vector additions of several sizes
     // (exactly analysable → analytic fast path) plus one bank-conflicted
@@ -1260,17 +1088,11 @@ pub fn e12_pricing_service(cfg: &ExpConfig) -> Result<String, AlgosError> {
     let mut baseline_secs = Vec::new();
     let mut observed_ms = Vec::new();
     for (_, built) in &programs {
-        let mut best = f64::INFINITY;
-        let mut obs = 0.0;
-        for _ in 0..3 {
-            let t0 = Instant::now();
-            let r = run_cluster_program(&built.program, built.inputs.clone(), machine, &spec, &sim)
-                .map_err(|e| err(&e))?;
-            best = best.min(t0.elapsed().as_secs_f64());
-            obs = r.total_ms();
-        }
+        let inputs = || built.inputs.clone();
+        let (best, report) =
+            best_of_3(|| run_cluster_program(&built.program, inputs(), machine, &spec, &sim))?;
         baseline_secs.push(best);
-        observed_ms.push(obs);
+        observed_ms.push(report.total_ms());
     }
 
     // The repeated-query workload through the pricing API.  Alongside
@@ -1286,7 +1108,7 @@ pub fn e12_pricing_service(cfg: &ExpConfig) -> Result<String, AlgosError> {
     for _ in 0..repeats {
         for (i, (_, built)) in programs.iter().enumerate() {
             let t0 = Instant::now();
-            let q = server.price(&built.program).map_err(|e| err(&e))?;
+            let q = server.price(&built.program)?;
             let dt = t0.elapsed().as_secs_f64();
             match q.source {
                 PriceSource::Simulated => slow_secs.push(dt),
@@ -1305,7 +1127,7 @@ pub fn e12_pricing_service(cfg: &ExpConfig) -> Result<String, AlgosError> {
     let mut rows = Vec::new();
     for (i, (name, _)) in programs.iter().enumerate() {
         let q = first[i].expect("every program was priced");
-        let e = (q.total_ms - observed_ms[i]).abs() / observed_ms[i].max(1e-12);
+        let e = rel_err(q.total_ms, observed_ms[i]);
         if e > worst_err {
             worst_err = e;
             worst_name =
@@ -1378,6 +1200,8 @@ pub fn e12_pricing_service(cfg: &ExpConfig) -> Result<String, AlgosError> {
         .collect();
 
     let total = fast_secs.len() + slow_secs.len();
+    let mut findings = Findings::default();
+    findings.num("price.simulated", stats.simulated as f64);
     let mut out = format!(
         "### E12 — multi-tenant pricing service: analytic fast path vs sim-only baseline \
          ({devices} devices, {} distinct queries × {repeats} repeats)\n\n",
@@ -1405,7 +1229,7 @@ pub fn e12_pricing_service(cfg: &ExpConfig) -> Result<String, AlgosError> {
          {} simulated).  Per-query best latency: p50 {:.1} µs vs {:.1} µs sim-only ({:.0}x \
          below; p90 {:.1} µs vs {:.1} µs); worst quote error {:.2}% (within 10%: {}).",
         fast_secs.len(),
-        100.0 * hit_rate,
+        100.0 * findings.num("price.hit_rate", hit_rate),
         stats.memo_hits,
         stats.analytic,
         stats.simulated,
@@ -1414,10 +1238,10 @@ pub fn e12_pricing_service(cfg: &ExpConfig) -> Result<String, AlgosError> {
         speedup,
         p90_fast * 1e6,
         p90_sim * 1e6,
-        100.0 * worst_err,
-        if worst_err <= 0.10 { "yes" } else { "NO" },
+        100.0 * findings.num("quote.worst_err", worst_err),
+        yes_no(worst_err <= 0.10),
     );
-    Ok(out)
+    Ok(Section::new(out, findings))
 }
 
 /// E13 — peer-aware shard planning on an asymmetric peer matrix: the
@@ -1448,18 +1272,14 @@ pub fn e12_pricing_service(cfg: &ExpConfig) -> Result<String, AlgosError> {
 /// model's conflict-free assumption, reported in the output).  A traced
 /// re-run of the winning stencil plan must be bit-identical; with
 /// `trace` set its Chrome `trace_event` JSON is written there.
-pub fn e13_peer_aware_planner(
-    cfg: &ExpConfig,
-    trace: Option<&std::path::Path>,
-) -> Result<String, AlgosError> {
+pub fn e13_peer_aware_planner(cfg: &ExpConfig, trace: Option<&Path>) -> Result<Section, ExpError> {
     use atgpu_algos::stencil::Stencil;
-    use atgpu_model::{plan, ClusterSpec};
     use atgpu_sim::{run_cluster_program, SimConfig};
 
-    let quick = matches!(cfg.scale, crate::runner::Scale::Quick);
+    let quick = cfg.quick();
     let machine = &cfg.machine;
-    let err = |e: &dyn std::fmt::Display| AlgosError::InvalidSize { reason: e.to_string() };
     let mut out = String::new();
+    let mut findings = Findings::default();
 
     // Identical devices, identical host links — peer-blind homogeneity —
     // with every directed peer edge touching the LAST device slowed.
@@ -1474,7 +1294,6 @@ pub fn e13_peer_aware_planner(
         cluster.peer_links[d][expensive] = cluster.peer_links[d][expensive].scaled(penalty);
         cluster.peer_links[expensive][d] = cluster.peer_links[expensive][d].scaled(penalty);
     }
-    let fmt_counts = |c: &[u64]| c.iter().map(u64::to_string).collect::<Vec<_>>().join(" / ");
 
     let n_st: u64 = if quick { 1 << 13 } else { 1 << 17 };
     let st_rounds = 8u64;
@@ -1483,55 +1302,20 @@ pub fn e13_peer_aware_planner(
     let stencil = stencil.iterated(st_rounds);
     let hist = Histogram::new(n_hist, machine.b, 13);
 
-    let mut rows = Vec::new();
-    // Per workload: (flip, observed_blind / observed_aware, prediction gap).
-    let mut accept = Vec::new();
-    // The peer-aware stencil build, kept for the traced re-run.
-    let mut traced_case = None;
-    for workload in ["stencil", "histogram"] {
-        let w: &dyn Workload = if workload == "stencil" { &stencil } else { &hist };
-        let units = w.units(machine).expect("both workloads shard");
-        let profile = w.shard_profile(machine);
-        let plans = [
-            ("even", plan::even_units(units, devices)),
-            ("peer-blind", plan::planned_units(units, &cluster, machine, &profile.without_peer())),
-            ("peer-aware", plan::planned_units(units, &cluster, machine, &profile)),
-        ];
-        let mut blind: Option<(Vec<u64>, f64)> = None;
-        for (name, counts) in plans {
-            // Every plan is priced with the FULL profile: the peer-blind
-            // planner chose without seeing peer rows, but its plan still
-            // pays them.
-            let PlannedRun { built, report, predicted_ms: predicted } =
-                run_planned(cfg, w, &cluster, &profile, &counts)?;
-            let observed = report.total_ms();
-            let speedup = match &blind {
-                Some((_, b)) => format!("{:.2}x", b / observed),
-                None => "—".into(),
-            };
-            match name {
-                "peer-blind" => blind = Some((counts.clone(), observed)),
-                "peer-aware" => {
-                    let (bc, bms) = blind.clone().expect("peer-blind row measured first");
-                    let gap = (predicted - observed).abs() / observed.max(1e-12);
-                    accept.push((workload, bc != counts, bms / observed, gap));
-                    if workload == "stencil" {
-                        let ob = built.outputs[0];
-                        traced_case = Some((built, report.output(ob).to_vec()));
-                    }
-                }
-                _ => {}
-            }
-            rows.push(vec![
-                workload.to_string(),
-                name.to_string(),
-                fmt_counts(&counts),
-                format!("{observed:.3}"),
-                format!("{predicted:.3}"),
-                speedup,
-            ]);
-        }
-    }
+    let workloads: [(&str, &dyn Workload); 2] = [("stencil", &stencil), ("histogram", &hist)];
+    let plans: [(&str, Planner); 3] = [
+        EVEN,
+        ("peer-blind", |units, cluster, machine, profile| {
+            plan::planned_units(units, cluster, machine, &profile.without_peer())
+        }),
+        ("peer-aware", plan::planned_units),
+    ];
+    // Every plan is priced with the FULL profile: the peer-blind planner
+    // chose without seeing peer rows, but its plan still pays them.
+    let cells = workloads.map(|(_, w)| (cluster.clone(), w));
+    let sweep = plan_sweep(cfg, &cells, &plans, &|c, profile, counts, _| {
+        Ok(plan::plan_cost(c, machine, profile, counts)?)
+    })?;
 
     let _ = writeln!(
         out,
@@ -1539,6 +1323,35 @@ pub fn e13_peer_aware_planner(
          {expensive} slowed {penalty:.0}x; stencil n = {n_st} × {st_rounds} rounds, \
          histogram n = {n_hist})\n"
     );
+    let mut rows = Vec::new();
+    let mut accept = String::new();
+    for ((workload, _), cell) in workloads.into_iter().zip(&sweep) {
+        let (blind, aware) = (&cell[1], &cell[2]);
+        for (i, r) in cell.iter().enumerate() {
+            rows.push(vec![
+                workload.to_string(),
+                r.plan.to_string(),
+                fmt_counts(&r.counts),
+                format!("{:.3}", r.observed_ms()),
+                format!("{:.3}", r.predicted_ms),
+                // Speedups are over the peer-blind row, so start after it.
+                if i > 1 {
+                    format!("{:.2}x", blind.observed_ms() / r.observed_ms())
+                } else {
+                    "—".into()
+                },
+            ]);
+        }
+        let observed = aware.observed_ms();
+        let _ = writeln!(
+            accept,
+            "Peer-aware speedup on {workload}: {:.2}x over the peer-blind plan \
+             (argmin flip: {}); prediction within {:.1}% of observation.",
+            findings.num(format!("{workload}.speedup"), blind.observed_ms() / observed),
+            findings.flag(format!("{workload}.flip"), blind.counts != aware.counts),
+            100.0 * findings.num(format!("{workload}.gap"), rel_err(aware.predicted_ms, observed))
+        );
+    }
     out.push_str(&markdown_table(
         &[
             "workload",
@@ -1551,15 +1364,7 @@ pub fn e13_peer_aware_planner(
         &rows,
     ));
     out.push('\n');
-    for (workload, flip, speedup, gap) in &accept {
-        let _ = writeln!(
-            out,
-            "Peer-aware speedup on {workload}: {speedup:.2}x over the peer-blind plan \
-             (argmin flip: {}); prediction within {:.1}% of observation.",
-            if *flip { "yes" } else { "NO" },
-            100.0 * gap
-        );
-    }
+    out.push_str(&accept);
     let _ = writeln!(
         out,
         "\nThe histogram prediction gap is the model's conflict-free assumption, not the \
@@ -1569,23 +1374,20 @@ pub fn e13_peer_aware_planner(
     );
 
     // -- traced re-run of the winning stencil plan --------------------
-    let (built, base_out) = traced_case.expect("the stencil peer-aware case ran");
+    let aware = &sweep[0][2];
+    let built = &aware.built;
     let sim = SimConfig { trace: true, ..cfg.sim.clone() };
     let traced =
         run_cluster_program(&built.program, built.inputs.clone(), machine, &cluster, &sim)?;
-    let identical = traced.output(built.outputs[0]) == &base_out[..];
+    let identical = traced.output(built.outputs[0]) == aware.report.output(built.outputs[0]);
     let n_spans = traced.trace.as_ref().map(|t| t.spans.len()).unwrap_or(0);
-    if let Some(path) = trace {
-        let json = atgpu_sim::cluster_report_trace_json(&traced).expect("trace present");
-        std::fs::write(path, json).map_err(|e| err(&e))?;
-        let _ = writeln!(out, "\nChrome trace written to {}.", path.display());
-    }
+    export_trace(&mut out, "\n", trace, || atgpu_sim::cluster_report_trace_json(&traced))?;
     let _ = writeln!(
         out,
         "\nTraced peer-aware run: bit-identical to untraced: {}; {n_spans} spans recorded.\n",
-        if identical { "yes" } else { "NO" },
+        findings.flag("trace.bit_identical", identical),
     );
-    Ok(out)
+    Ok(Section::new(out, findings))
 }
 
 #[cfg(test)]
@@ -1597,9 +1399,42 @@ mod tests {
         ExpConfig::standard(Scale::Quick)
     }
 
+    fn golden_file(name: &str) -> String {
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden").join(name);
+        std::fs::read_to_string(path).unwrap()
+    }
+
+    /// Checks `s` byte for byte against the section the parent commit's
+    /// `atgpu-exp <tag> --quick` wrote (`tests/golden/<tag>.md`), then
+    /// hands it on to the test's own assertions.
+    fn golden(tag: &str, s: Section) -> Section {
+        assert_eq!(format!("{}\n", s.markdown), golden_file(&format!("{tag}.md")), "{tag}.md");
+        s
+    }
+
+    /// A traced experiment under [`golden`]: run with a trace path in a
+    /// scratch directory, the written Chrome JSON compared with
+    /// `tests/golden/trace.<tag>.json` and the directory cut from the
+    /// "trace written to" note (the golden run wrote into its cwd).
+    fn golden_traced(tag: &str, run: crate::experiment::Runner) -> Section {
+        let dir = std::env::temp_dir().join(format!("atgpu-exp-{tag}-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let file = format!("trace.{tag}.json");
+        let mut s = run(&cfg(), Some(&dir.join(&file))).unwrap();
+        let written = std::fs::read_to_string(dir.join(&file)).unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+        assert_eq!(written, golden_file(&file), "{file}");
+        s.markdown = s.markdown.replace(&format!("{}/", dir.display()), "");
+        golden(tag, s)
+    }
+
+    fn num(s: &Section, name: &str) -> f64 {
+        s.findings.get(name).unwrap_or_else(|| panic!("no finding `{name}` in {:?}", s.findings))
+    }
+
     #[test]
     fn e1_runs_and_reports() {
-        let s = e1_out_of_core(&cfg()).unwrap();
+        let s = golden("e1", e1_out_of_core(&cfg()).unwrap()).markdown;
         assert!(s.contains("chunk"));
         assert!(s.contains("host-finish"));
         assert!(s.contains("device-finish"));
@@ -1607,7 +1442,7 @@ mod tests {
 
     #[test]
     fn e3_shows_conflict_contrast() {
-        let s = e3_bank_conflicts(&cfg()).unwrap();
+        let s = golden("e3", e3_bank_conflicts(&cfg()).unwrap()).markdown;
         assert!(s.contains("transpose/naive"));
         assert!(s.contains("transpose/tiled-padded"));
         assert!(s.contains("histogram"));
@@ -1615,28 +1450,28 @@ mod tests {
 
     #[test]
     fn e4_occupancy_monotone() {
-        let (s, fig) = e4_occupancy(&cfg()).unwrap();
-        assert!(s.contains("ℓ"));
+        let s = golden("e4", e4_occupancy(&cfg()).unwrap());
+        assert!(s.markdown.contains("ℓ"));
         // Less shared per block -> higher occupancy -> faster: observed
         // series should be non-increasing as m shrinks... the sweep goes
         // from small m (divisor 16) to large m (divisor 1), so observed
         // time should increase along the series.
-        let obs = &fig.series[1].points;
+        let obs = &s.figures[0].series[1].points;
         assert!(obs.last().unwrap().1 >= obs.first().unwrap().1, "{obs:?}");
     }
 
     #[test]
     fn e5_reports_all_workloads() {
-        let (s, rows) = e5_other_problems(&cfg()).unwrap();
-        assert_eq!(rows.len(), 6);
+        let s = golden("e5", e5_other_problems(&cfg()).unwrap());
+        assert_eq!(num(&s, "workloads"), 6.0);
         for name in ["saxpy", "dot", "scan", "stencil", "gemv", "bitonic"] {
-            assert!(s.contains(name));
+            assert!(s.markdown.contains(name));
         }
     }
 
     #[test]
     fn e2_covers_all_specs() {
-        let s = e2_other_gpus(&cfg()).unwrap();
+        let s = golden("e2", e2_other_gpus(&cfg()).unwrap()).markdown;
         for name in ["gtx650-like", "midrange-like", "highend-like"] {
             assert!(s.contains(name));
         }
@@ -1644,19 +1479,11 @@ mod tests {
 
     #[test]
     fn e7_sharding_speeds_up_transfer_bound_vecadd() {
-        let s = e7_multi_device(&cfg()).unwrap();
-        assert!(s.contains("per-device transfer"));
+        let s = golden("e7", e7_multi_device(&cfg()).unwrap());
+        assert!(s.markdown.contains("per-device transfer"));
         // The 4-device row must show a real speedup over 1 device.
-        let speedups: Vec<f64> = s
-            .lines()
-            .filter(|l| l.ends_with("x |"))
-            .filter_map(|l| {
-                let cell = l.rsplit('|').nth(1)?.trim();
-                cell.strip_suffix('x')?.parse().ok()
-            })
-            .collect();
-        assert_eq!(speedups.len(), 3, "{s}");
-        assert!(speedups[2] > 2.0, "4-device speedup {speedups:?}\n{s}");
+        let speedups = ["1dev", "2dev", "4dev"].map(|d| num(&s, &format!("speedup.{d}")));
+        assert!(speedups[2] > 2.0, "4-device speedup {speedups:?}\n{}", s.markdown);
     }
 
     #[test]
@@ -1664,65 +1491,42 @@ mod tests {
         let s = e8_streams(&cfg()).unwrap();
         // Acceptance: double-buffered ooc-vecadd ≥ 1.2x over its serial
         // form in modeled time.
-        let speedup: f64 = s
-            .lines()
-            .find(|l| l.starts_with("Overlap speedup: observed"))
-            .and_then(|l| l.split("observed ").nth(1)?.split('x').next()?.trim().parse().ok())
-            .expect("overlap speedup line");
-        assert!(speedup >= 1.2, "ooc-vecadd overlap speedup {speedup} < 1.2\n{s}");
+        let speedup = num(&s, "overlap.observed");
+        assert!(speedup >= 1.2, "ooc-vecadd overlap speedup {speedup} < 1.2\n{}", s.markdown);
         // The predicted speedup tracks the observed one.
-        let predicted: f64 = s
-            .lines()
-            .find(|l| l.starts_with("Overlap speedup: observed"))
-            .and_then(|l| l.split("predicted ").nth(1)?.split('x').next()?.trim().parse().ok())
-            .expect("predicted speedup");
+        let predicted = num(&s, "overlap.predicted");
         assert!(
             (speedup - predicted).abs() < 0.35,
-            "observed {speedup} vs predicted {predicted}\n{s}"
+            "observed {speedup} vs predicted {predicted}\n{}",
+            s.markdown
         );
         // The weighted planner beats the even split on the mixed cluster.
-        let planner: f64 = s
-            .lines()
-            .find(|l| l.starts_with("Weighted-planner speedup"))
-            .and_then(|l| l.split(": ").nth(1)?.split('x').next()?.trim().parse().ok())
-            .expect("planner speedup line");
-        assert!(planner > 1.2, "weighted planner speedup {planner}\n{s}");
+        let planner = num(&s, "planner.speedup");
+        assert!(planner > 1.2, "weighted planner speedup {planner}\n{}", s.markdown);
         // Threaded dispatch: on a host with 4+ cores the 4-device
         // sharded launch must cut wall-clock ≥ 1.5x; on fewer cores
         // threads cannot help, so only assert it is not pathologically
         // slower.
-        let wall: f64 = s
-            .lines()
-            .find(|l| l.starts_with("Wall-clock speedup"))
-            .and_then(|l| l.split(": ").nth(1)?.split('x').next()?.trim().parse().ok())
-            .expect("wall-clock line");
+        let wall = num(&s, "dispatch.wall_speedup");
         if atgpu_sim::cluster::host_parallelism() >= 4 {
-            assert!(
-                wall >= 1.5,
-                "threaded 4-device dispatch only {wall}x on a multicore host\n{s}"
-            );
+            assert!(wall >= 1.5, "threaded 4-device dispatch only {wall}x on a multicore host");
         } else {
-            assert!(wall > 0.5, "threaded dispatch slower than half sequential: {wall}\n{s}");
+            assert!(wall > 0.5, "threaded dispatch slower than half sequential: {wall}");
         }
     }
 
     #[test]
     fn e9_cache_sweep_reports_hits_and_identical_results() {
         let s = e9_kernel_cache(&cfg()).unwrap();
-        assert!(s.contains("cross-launch kernel cache"), "{s}");
+        assert!(s.markdown.contains("cross-launch kernel cache"), "{}", s.markdown);
         // Exact counters for the largest quick sweep point: 400 launches
         // = 1 compile + 399 hits.
-        assert!(s.contains("399/1"), "{s}");
-        assert!(s.contains("bit-identical"));
+        assert!(s.markdown.contains("399/1"), "{}", s.markdown);
+        assert!(s.markdown.contains("bit-identical"));
         // Every sweep point reports a hit rate above 90%.
-        for line in s.lines().filter(|l| l.contains("% |")) {
-            let rate: f64 = line
-                .rsplit('|')
-                .nth(1)
-                .and_then(|c| c.trim().strip_suffix('%'))
-                .and_then(|v| v.parse().ok())
-                .unwrap_or(0.0);
-            assert!(rate > 90.0, "hit rate {rate} too low in: {line}");
+        for launches in [25, 100, 400] {
+            let rate = num(&s, &format!("hit_rate.{launches}"));
+            assert!(rate > 0.90, "hit rate {rate} too low at {launches} launches");
         }
     }
 
@@ -1734,59 +1538,21 @@ mod tests {
     /// overlap (≥ 1.5x vs its serial form) without a hand-tuned chunk.
     #[test]
     fn e10_planner_beats_weighted_and_predicts() {
-        let s = e10_pipeline_planner(&cfg(), None).unwrap();
-        let line =
-            s.lines().find(|l| l.starts_with("Pipeline-planner speedup")).expect("acceptance line");
-        let speedup: f64 = line
-            .split("case: ")
-            .nth(1)
-            .and_then(|t| t.split('x').next())
-            .and_then(|v| v.trim().parse().ok())
-            .expect("speedup value");
-        assert!(speedup >= 1.2, "planner speedup {speedup} < 1.2\n{s}");
-        let gap: f64 = line
-            .split("within ")
-            .nth(1)
-            .and_then(|t| t.split('%').next())
-            .and_then(|v| v.trim().parse().ok())
-            .expect("prediction gap");
-        assert!(gap <= 10.0, "prediction off by {gap}%\n{s}");
+        let s = golden_traced("e10", e10_pipeline_planner);
+        let speedup = num(&s, "planner.speedup");
+        assert!(speedup >= 1.2, "planner speedup {speedup} < 1.2\n{}", s.markdown);
+        let gap = num(&s, "planner.gap");
+        assert!(gap <= 0.10, "prediction off by {gap}\n{}", s.markdown);
 
-        let overlap_line =
-            s.lines().find(|l| l.starts_with("Auto-chunk overlap")).expect("auto-chunk line");
-        let grab = |tag: &str| -> f64 {
-            overlap_line
-                .split(tag)
-                .nth(1)
-                .and_then(|t| t.split('x').next())
-                .and_then(|v| v.trim().parse().ok())
-                .expect("overlap value")
-        };
-        let (obs, pred) = (grab("observed "), grab("predicted "));
-        assert!(obs >= 1.5, "auto-chunk overlap {obs} < 1.5\n{s}");
-        assert!((obs - pred).abs() < 0.2, "observed {obs} vs predicted {pred}\n{s}");
+        let (obs, pred) = (num(&s, "autochunk.observed"), num(&s, "autochunk.predicted"));
+        assert!(obs >= 1.5, "auto-chunk overlap {obs} < 1.5\n{}", s.markdown);
+        assert!((obs - pred).abs() < 0.2, "observed {obs} vs predicted {pred}\n{}", s.markdown);
 
         // Per-span tracing: bit-identical run, and the worst span-level
         // prediction error stays within the round-level tolerance.
-        let tline =
-            s.lines().find(|l| l.starts_with("Timeline trace:")).expect("timeline trace line");
-        assert!(tline.contains("bit-identical to untraced: yes"), "{s}");
-        let span_err = |tag: &str| -> f64 {
-            tline
-                .split(tag)
-                .nth(1)
-                .and_then(|t| t.split('%').next())
-                .and_then(|v| v.trim().parse().ok())
-                .expect("span error value")
-        };
-        assert!(
-            span_err("worst transfer-span error ") <= 10.0,
-            "transfer spans off by more than 10%\n{s}"
-        );
-        assert!(
-            span_err("worst kernel-span error ") <= 10.0,
-            "kernel spans off by more than 10%\n{s}"
-        );
+        assert_eq!(num(&s, "trace.bit_identical"), 1.0, "{}", s.markdown);
+        assert!(num(&s, "trace.worst_xfer_err") <= 0.10, "transfer spans off by more than 10%");
+        assert!(num(&s, "trace.worst_kernel_err") <= 0.10, "kernel spans off by more than 10%");
     }
 
     /// The PR's acceptance criteria, pinned: every drop rate leaves the
@@ -1795,29 +1561,19 @@ mod tests {
     /// predicts each round within 10%.
     #[test]
     fn e11_chaos_stays_correct_and_predicted() {
-        let s = e11_fault_tolerance(&cfg(), None).unwrap();
-        let drops = s
-            .lines()
-            .find(|l| l.contains("answers bit-identical across all drop rates"))
-            .expect("drop-sweep acceptance line");
-        assert!(drops.ends_with("yes."), "{s}");
-        let line = s
-            .lines()
-            .find(|l| l.starts_with("Degraded run:"))
-            .expect("device-loss acceptance line");
-        assert!(line.contains("bit-identical to fault-free: yes"), "{s}");
-        assert!(line.contains("replays onto 3 survivors"), "{s}");
-        assert!(line.contains("under 2x: yes"), "{s}");
-        assert!(line.contains("within 10%: yes"), "{s}");
+        let s = golden_traced("e11", e11_fault_tolerance);
+        assert_eq!(num(&s, "drops.bit_identical"), 1.0, "{}", s.markdown);
+        assert_eq!(num(&s, "loss.bit_identical"), 1.0, "{}", s.markdown);
+        assert_eq!(num(&s, "loss.recoveries"), 3.0, "{}", s.markdown);
+        assert!(num(&s, "loss.slowdown") < 2.0, "{}", s.markdown);
+        assert!(num(&s, "loss.max_round_err") <= 0.10, "{}", s.markdown);
 
         // The traced chaos run: tracing is invisible, retries and the
         // heir's journal replay are visible, and priced spans match
         // their link-model predictions.
-        let tline =
-            s.lines().find(|l| l.starts_with("Traced chaos run:")).expect("traced chaos line");
-        assert!(tline.contains("bit-identical to untraced: yes"), "{s}");
-        assert!(tline.contains("replay span on heir device 0: yes"), "{s}");
-        assert!(tline.contains("within 10%: yes"), "{s}");
+        assert_eq!(num(&s, "trace.bit_identical"), 1.0, "{}", s.markdown);
+        assert_eq!((num(&s, "trace.heir"), num(&s, "trace.replay_on_heir")), (0.0, 1.0));
+        assert!(num(&s, "trace.worst_span_err") <= 0.10, "{}", s.markdown);
     }
 
     /// The pricing-service acceptance bars, pinned: ≥ 90% of a
@@ -1827,19 +1583,13 @@ mod tests {
     #[test]
     fn e12_fast_path_dominates() {
         let s = e12_pricing_service(&cfg()).unwrap();
-        assert!(s.contains("multi-tenant pricing service"), "{s}");
-        assert!(s.contains("within 10%: yes"), "{s}");
+        assert!(s.markdown.contains("multi-tenant pricing service"), "{}", s.markdown);
+        assert!(num(&s, "quote.worst_err") <= 0.10, "{}", s.markdown);
         // One simulated fallback (the bank-conflicted transpose), the
         // rest analytic or memoized.
-        assert!(s.contains("1 simulated"), "{s}");
-        let rate: f64 = s
-            .lines()
-            .find(|l| l.contains("hit rate"))
-            .and_then(|l| l.split("hit rate ").nth(1))
-            .and_then(|t| t.split('%').next())
-            .and_then(|v| v.parse().ok())
-            .expect("hit rate line");
-        assert!(rate >= 90.0, "hit rate {rate}% too low:\n{s}");
+        assert_eq!(num(&s, "price.simulated"), 1.0, "{}", s.markdown);
+        let rate = num(&s, "price.hit_rate");
+        assert!(rate >= 0.90, "hit rate {rate} too low:\n{}", s.markdown);
     }
 
     /// The peer-aware planning acceptance bars, pinned: on the
@@ -1850,39 +1600,20 @@ mod tests {
     /// is bit-identical.
     #[test]
     fn e13_peer_aware_flips_argmin_and_wins() {
-        let s = e13_peer_aware_planner(&cfg(), None).unwrap();
+        let s = golden_traced("e13", e13_peer_aware_planner);
         for workload in ["stencil", "histogram"] {
-            let line = s
-                .lines()
-                .find(|l| l.starts_with(&format!("Peer-aware speedup on {workload}")))
-                .expect("acceptance line");
-            assert!(line.contains("argmin flip: yes"), "{s}");
-            let speedup: f64 = line
-                .split("speedup on ")
-                .nth(1)
-                .and_then(|t| t.split(": ").nth(1))
-                .and_then(|t| t.split('x').next())
-                .and_then(|v| v.trim().parse().ok())
-                .expect("speedup value");
-            assert!(speedup >= 1.3, "{workload} peer-aware speedup {speedup} < 1.3\n{s}");
-            let gap: f64 = line
-                .split("within ")
-                .nth(1)
-                .and_then(|t| t.split('%').next())
-                .and_then(|v| v.trim().parse().ok())
-                .expect("prediction gap");
-            if workload == "stencil" {
-                assert!(gap <= 10.0, "stencil prediction off by {gap}%\n{s}");
-            }
+            assert_eq!(num(&s, &format!("{workload}.flip")), 1.0, "{}", s.markdown);
+            let speedup = num(&s, &format!("{workload}.speedup"));
+            assert!(speedup >= 1.3, "{workload} peer-aware speedup {speedup} < 1.3");
         }
-        let tline =
-            s.lines().find(|l| l.starts_with("Traced peer-aware run:")).expect("traced line");
-        assert!(tline.contains("bit-identical to untraced: yes"), "{s}");
+        let gap = num(&s, "stencil.gap");
+        assert!(gap <= 0.10, "stencil prediction off by {gap}\n{}", s.markdown);
+        assert_eq!(num(&s, "trace.bit_identical"), 1.0, "{}", s.markdown);
     }
 
     #[test]
     fn e6_calibration_report() {
-        let s = e6_calibration(&cfg()).unwrap();
+        let s = golden("e6", e6_calibration(&cfg()).unwrap()).markdown;
         assert!(s.contains("fitted"));
         assert!(s.contains("λ"));
         assert!(s.contains("fitted* parameters") || s.contains("fitted"));

@@ -1,13 +1,12 @@
 //! Figure 3 — vector addition: predicted, observed and normalised.
 
 use crate::figures::{standard_panels, vecadd_sizes};
-use crate::runner::{run_row, ExpConfig, SweepRow};
+use crate::runner::{run_row, ExpConfig, ExpError, SweepRow};
 use crate::series::Figure;
 use atgpu_algos::vecadd::VecAdd;
-use atgpu_algos::AlgosError;
 
 /// Runs the vector-addition sweep (paper: `n = 10⁶ … 10⁷`).
-pub fn rows(cfg: &ExpConfig) -> Result<Vec<SweepRow>, AlgosError> {
+pub fn rows(cfg: &ExpConfig) -> Result<Vec<SweepRow>, ExpError> {
     vecadd_sizes(cfg.scale).into_iter().map(|n| run_row(&VecAdd::new(n, n), cfg)).collect()
 }
 

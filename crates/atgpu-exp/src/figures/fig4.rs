@@ -1,13 +1,12 @@
 //! Figure 4 — reduction: predicted, observed and normalised.
 
 use crate::figures::{reduce_sizes, standard_panels};
-use crate::runner::{run_row, ExpConfig, SweepRow};
+use crate::runner::{run_row, ExpConfig, ExpError, SweepRow};
 use crate::series::Figure;
 use atgpu_algos::reduce::Reduce;
-use atgpu_algos::AlgosError;
 
 /// Runs the reduction sweep (paper: `n = 2¹⁶ … 2²⁶`, 0/1 values).
-pub fn rows(cfg: &ExpConfig) -> Result<Vec<SweepRow>, AlgosError> {
+pub fn rows(cfg: &ExpConfig) -> Result<Vec<SweepRow>, ExpError> {
     reduce_sizes(cfg.scale).into_iter().map(|n| run_row(&Reduce::new(n, n), cfg)).collect()
 }
 

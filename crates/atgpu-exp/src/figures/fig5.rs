@@ -2,13 +2,12 @@
 //! has no normalised panel for this workload).
 
 use crate::figures::{matmul_sizes, standard_panels};
-use crate::runner::{run_row, ExpConfig, SweepRow};
+use crate::runner::{run_row, ExpConfig, ExpError, SweepRow};
 use crate::series::Figure;
 use atgpu_algos::matmul::MatMul;
-use atgpu_algos::AlgosError;
 
 /// Runs the matrix-multiplication sweep (paper: `n = 32 … 1024`).
-pub fn rows(cfg: &ExpConfig) -> Result<Vec<SweepRow>, AlgosError> {
+pub fn rows(cfg: &ExpConfig) -> Result<Vec<SweepRow>, ExpError> {
     matmul_sizes(cfg.scale).into_iter().map(|n| run_row(&MatMul::new(n, n), cfg)).collect()
 }
 

@@ -12,11 +12,21 @@
 //! | [`figures::fig5`] | Fig. 5a/5b — matrix multiplication |
 //! | [`figures::fig6`] | Fig. 6a/6b/6c — transfer proportions ΔE vs ΔT |
 //! | [`figures::summary`] | §IV-D summary statistics |
-//! | [`figures::ext`] | E1 out-of-core, E2 other GPUs, E3 bank conflicts, E4 occupancy, E5 other problems, E6 calibration, E7 multi-device sharding, E8 streams + threaded clusters, E9 kernel cache, E10 cost-driven pipeline planner |
+//! | [`figures::ext`] | the extension experiments E1…E13, one row each of [`EXPERIMENTS`] |
 //!
 //! Each runner produces [`series::Figure`] data that the [`report`]
 //! module renders as CSV / gnuplot / markdown files and the [`chart`]
 //! module renders as ASCII plots for the terminal.
+//!
+//! An extension experiment is a value ([`experiment`]): a `(tag, label,
+//! runner)` row whose runner returns one [`Section`] — its markdown, its
+//! figures and the numbers the markdown states as named
+//! [`Findings`](experiment::Findings).  The binary's dispatch loop,
+//! accepted commands and `--help` are derived from the table; the tests
+//! assert on the findings.  Inside the runners the paper's loop exists
+//! once per side: `atgpu_analyze::predict` prices a program,
+//! [`runner::observe`] simulates it, and [`runner::plan_sweep`] runs
+//! both over clusters × workloads × shard plans.
 //!
 //! The "observed" series are simulated observations — see DESIGN.md for
 //! the hardware-substitution argument — and the "predicted" series are
@@ -28,10 +38,12 @@
 #![warn(rust_2018_idioms)]
 
 pub mod chart;
+pub mod experiment;
 pub mod figures;
 pub mod report;
 pub mod runner;
 pub mod series;
 
-pub use runner::{run_row, ExpConfig, Scale, SweepRow};
+pub use experiment::{Section, EXPERIMENTS};
+pub use runner::{run_row, ExpConfig, ExpError, Scale, SweepRow};
 pub use series::{Figure, Series};

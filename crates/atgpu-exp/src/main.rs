@@ -2,38 +2,30 @@
 //!
 //! ```text
 //! atgpu-exp [COMMANDS] [OPTIONS]
-//!
-//! COMMANDS (any combination; default: all)
-//!   table1 fig3 fig4 fig5 fig6 summary e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 all
-//!   pseudocode NAME   print a workload's program in the paper's notation
-//!                     (any `atgpu_algos::roster()` name: vecadd, reduce,
-//!                      matmul, saxpy, dot, scan, stencil, transpose,
-//!                      histogram, bitonic, gemv, spmv, ooc-vecadd, …)
-//!   check-trace FILE...
-//!                     validate Chrome trace_event JSON files written by
-//!                     --trace (round-trip parse, monotone non-overlapping
-//!                     spans); nonzero exit on the first invalid file
-//!
-//! OPTIONS
-//!   --verify       statically verify every workload roster × plan cell
-//!                  (bounds, cross-block write races, host-dataflow lints)
-//!                  and print a verdict table; nonzero exit if any program
-//!                  is proven unsound
-//!   --quick        small sweep sizes (seconds)
-//!   --full         complete paper ranges (minutes)
-//!   --out DIR      write CSV/DAT/JSON files (default: ./experiments)
-//!   --no-noise     disable transfer jitter
-//!   --parallel N   simulate with N worker threads
-//!   --trace PATH   write Chrome trace_event JSON from the traced
-//!                  E10/E11/E13 runs; PATH gets the experiment tag inserted
-//!                  before its extension (out.json -> out.e10.json, …)
 //! ```
+//!
+//! `atgpu-exp --help` prints the full usage.  Its command list — like
+//! the dispatch loop and the accepted-command check below — is generated
+//! from [`atgpu_exp::EXPERIMENTS`] (one `(tag, label, runner)` row per
+//! extension experiment) and [`atgpu_exp::experiment::PAPER_COMMANDS`]
+//! (the paper's own artefacts, which share their sweeps and are
+//! dispatched by hand here); adding an experiment is adding a row.
+//!
+//! Besides artefact commands there are `pseudocode NAME`, `check-trace
+//! FILE...` and `--verify`; the options are `--quick`, `--full`, `--out
+//! DIR`, `--no-noise`, `--parallel N` (threads inside each simulated
+//! device: simulated *times* then agree with the sequential default only
+//! within a small tolerance, see `atgpu_sim::ExecMode::Parallel`) and
+//! `--trace PATH` (Chrome `trace_event` JSON from the experiments that
+//! re-run traced, written as `PATH` with the experiment tag inserted
+//! before the extension).
 
 #![forbid(unsafe_code)]
 
-use atgpu_exp::figures::{ext, fig3, fig4, fig5, fig6, summary, table1};
+use atgpu_exp::experiment;
+use atgpu_exp::figures::{fig3, fig4, fig5, fig6, summary, table1};
 use atgpu_exp::{chart, report};
-use atgpu_exp::{ExpConfig, Scale, SweepRow};
+use atgpu_exp::{ExpConfig, ExpError, Scale, SweepRow, EXPERIMENTS};
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -60,7 +52,7 @@ fn trace_path(base: &std::path::Path, tag: &str) -> PathBuf {
 /// Parses trace files back and verifies them (structure, required
 /// fields, per-lane monotone non-overlap).  Fails on the first invalid
 /// file.
-fn check_traces(files: &[String]) -> Result<(), Box<dyn std::error::Error>> {
+fn check_traces(files: &[String]) -> Result<(), ExpError> {
     if files.is_empty() {
         return Err("check-trace needs at least one trace file".into());
     }
@@ -79,7 +71,7 @@ fn check_traces(files: &[String]) -> Result<(), Box<dyn std::error::Error>> {
 /// table: race verdict, proven out-of-bounds count, undecided sites and
 /// host-dataflow lints per program.  Cells with a proven defect are
 /// listed with their `kernel@instr#N` witness and the run exits nonzero.
-fn verify_workloads() -> Result<(), Box<dyn std::error::Error>> {
+fn verify_workloads() -> Result<(), ExpError> {
     use atgpu_verify::RaceVerdict;
     let machine = atgpu_model::AtgpuMachine::gtx650_like();
     let asym = atgpu_algos::roster::asym_pair(atgpu_model::GpuSpec::gtx650_like());
@@ -130,7 +122,7 @@ fn verify_workloads() -> Result<(), Box<dyn std::error::Error>> {
 
 /// Prints a roster workload's single-device program rendered in the
 /// paper's pseudocode.
-fn print_pseudocode(name: &str) -> Result<(), Box<dyn std::error::Error>> {
+fn print_pseudocode(name: &str) -> Result<(), ExpError> {
     let machine = atgpu_model::AtgpuMachine::gtx650_like();
     let roster = atgpu_algos::roster();
     let Some(entry) = roster.iter().find(|e| e.name == name) else {
@@ -181,17 +173,10 @@ fn parse_args() -> Result<Args, String> {
                 );
             }
             "--help" | "-h" => {
-                println!(
-                    "atgpu-exp — regenerate the ATGPU paper's tables and figures\n\
-                     commands: table1 fig3 fig4 fig5 fig6 summary e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e11 e12 e13 all\n\
-                     \x20          check-trace FILE...\n\
-                     options:  --verify --quick --full --out DIR --no-noise --parallel N --trace PATH"
-                );
+                print!("{}", experiment::usage());
                 std::process::exit(0);
             }
-            cmd @ ("table1" | "fig3" | "fig4" | "fig5" | "fig6" | "summary" | "e1" | "e2"
-            | "e3" | "e4" | "e5" | "e6" | "e7" | "e8" | "e9" | "e10" | "e11" | "e12"
-            | "e13" | "all") => {
+            cmd if cmd == "all" || experiment::commands().any(|c| c == cmd) => {
                 commands.insert(cmd.to_string());
             }
             other => return Err(format!("unknown argument `{other}` (try --help)")),
@@ -224,7 +209,7 @@ fn want(args: &Args, cmd: &str) -> bool {
     args.commands.contains("all") || args.commands.contains(cmd)
 }
 
-fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn run(args: &Args) -> Result<(), ExpError> {
     if args.verify {
         verify_workloads()?;
         if args.commands.is_empty() && args.pseudocode.is_none() && args.check_trace.is_none() {
@@ -317,78 +302,15 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
         std::fs::write(args.out.join("summary.md"), md)?;
     }
 
-    // Extension experiments.
+    // Extension experiments: one loop over the table.
     let mut ext_md = String::new();
-    if want(args, "e1") {
-        eprintln!("[ext] E1 out-of-core …");
-        ext_md.push_str(&ext::e1_out_of_core(&cfg)?);
+    for (tag, label, run) in EXPERIMENTS.into_iter().filter(|e| want(args, e.0)) {
+        eprintln!("[ext] {label} …");
+        let tp = args.trace.as_ref().map(|p| trace_path(p, tag));
+        let section = run(&cfg, tp.as_deref())?;
+        ext_md.push_str(&section.markdown);
         ext_md.push('\n');
-    }
-    if want(args, "e2") {
-        eprintln!("[ext] E2 other GPUs …");
-        ext_md.push_str(&ext::e2_other_gpus(&cfg)?);
-        ext_md.push('\n');
-    }
-    if want(args, "e3") {
-        eprintln!("[ext] E3 bank conflicts …");
-        ext_md.push_str(&ext::e3_bank_conflicts(&cfg)?);
-        ext_md.push('\n');
-    }
-    if want(args, "e4") {
-        eprintln!("[ext] E4 occupancy …");
-        let (md, fig) = ext::e4_occupancy(&cfg)?;
-        ext_md.push_str(&md);
-        ext_md.push('\n');
-        emit_figures(&[fig], args)?;
-    }
-    if want(args, "e5") {
-        eprintln!("[ext] E5 other problems …");
-        let (md, _) = ext::e5_other_problems(&cfg)?;
-        ext_md.push_str(&md);
-        ext_md.push('\n');
-    }
-    if want(args, "e6") {
-        eprintln!("[ext] E6 calibration …");
-        ext_md.push_str(&ext::e6_calibration(&cfg)?);
-        ext_md.push('\n');
-    }
-    if want(args, "e7") {
-        eprintln!("[ext] E7 multi-device sharding …");
-        ext_md.push_str(&ext::e7_multi_device(&cfg)?);
-        ext_md.push('\n');
-    }
-    if want(args, "e8") {
-        eprintln!("[ext] E8 streams + threaded clusters …");
-        ext_md.push_str(&ext::e8_streams(&cfg)?);
-        ext_md.push('\n');
-    }
-    if want(args, "e9") {
-        eprintln!("[ext] E9 cross-launch kernel cache …");
-        ext_md.push_str(&ext::e9_kernel_cache(&cfg)?);
-        ext_md.push('\n');
-    }
-    if want(args, "e10") {
-        eprintln!("[ext] E10 cost-driven pipeline planner …");
-        let tp = args.trace.as_ref().map(|p| trace_path(p, "e10"));
-        ext_md.push_str(&ext::e10_pipeline_planner(&cfg, tp.as_deref())?);
-        ext_md.push('\n');
-    }
-    if want(args, "e11") {
-        eprintln!("[ext] E11 fault injection + degraded-mode replanning …");
-        let tp = args.trace.as_ref().map(|p| trace_path(p, "e11"));
-        ext_md.push_str(&ext::e11_fault_tolerance(&cfg, tp.as_deref())?);
-        ext_md.push('\n');
-    }
-    if want(args, "e12") {
-        eprintln!("[ext] E12 multi-tenant pricing service …");
-        ext_md.push_str(&ext::e12_pricing_service(&cfg)?);
-        ext_md.push('\n');
-    }
-    if want(args, "e13") {
-        eprintln!("[ext] E13 peer-aware shard planning …");
-        let tp = args.trace.as_ref().map(|p| trace_path(p, "e13"));
-        ext_md.push_str(&ext::e13_peer_aware_planner(&cfg, tp.as_deref())?);
-        ext_md.push('\n');
+        emit_figures(&section.figures, args)?;
     }
     if !ext_md.is_empty() {
         println!("{ext_md}");
@@ -399,7 +321,7 @@ fn run(args: &Args) -> Result<(), Box<dyn std::error::Error>> {
     Ok(())
 }
 
-fn emit_figures(figs: &[atgpu_exp::Figure], args: &Args) -> Result<(), Box<dyn std::error::Error>> {
+fn emit_figures(figs: &[atgpu_exp::Figure], args: &Args) -> Result<(), ExpError> {
     for f in figs {
         println!("{}", chart::render(f, 64, 16));
         report::write_figure(f, &args.out)?;

@@ -21,7 +21,7 @@
 
 use crate::error::ServeError;
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A point-in-time view of the admission queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -117,7 +117,7 @@ impl AdmissionQueue {
         // A job wider than the whole cluster still terminates (waves),
         // so clamp: it packs alone instead of never fitting.
         let demand = demand.clamp(1, self.capacity_blocks);
-        let mut st = self.state.lock().expect("admission lock");
+        let mut st = self.lock();
         if st.waiting >= self.queue_capacity {
             st.rejected_total += 1;
             return Err(ServeError::QueueFull {
@@ -147,13 +147,13 @@ impl AdmissionQueue {
                     return Ok(Permit { queue: self, demand });
                 }
             }
-            st = self.cv.wait(st).expect("admission lock");
+            st = self.cv.wait(st).unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     /// A point-in-time snapshot of queue state.
     pub fn stats(&self) -> AdmissionStats {
-        let st = self.state.lock().expect("admission lock");
+        let st = self.lock();
         AdmissionStats {
             waiting: st.waiting,
             running: st.running,
@@ -164,8 +164,17 @@ impl AdmissionQueue {
         }
     }
 
+    /// Locks the queue state, recovering a poisoned lock: every critical
+    /// section updates its counters together or not at all, so the state
+    /// a panicking holder left behind is still consistent — and `release`
+    /// runs from [`Permit`]'s `Drop`, where panicking on poison during a
+    /// tenant thread's unwind would abort the whole server.
+    fn lock(&self) -> MutexGuard<'_, AdmitState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     fn release(&self, demand: u64) {
-        let mut st = self.state.lock().expect("admission lock");
+        let mut st = self.lock();
         st.resident_blocks -= demand;
         st.running -= 1;
         self.cv.notify_all();
@@ -194,6 +203,7 @@ impl Drop for Permit<'_> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};

@@ -69,14 +69,12 @@
 //!    [`spec_key`](atgpu_model::ClusterSpec::spec_key) × the machine
 //!    shape.  A repeated question is answered from the bounded
 //!    [`PriceMemo`] without recomputation.
-//! 2. **Analytic** — the program is analysed per device
-//!    ([`atgpu_analyze::analyze_cluster_program`]) and priced through
-//!    the streamed cluster cost model
-//!    ([`atgpu_model::cost::cluster_cost_streamed`]) — microseconds,
-//!    no simulation.  The analytic path is only trusted when the
-//!    analysis is **exact** (every transaction count statically known,
-//!    no shared-memory bank conflicts); otherwise the query falls
-//!    through.
+//! 2. **Analytic** — [`atgpu_analyze::predict`]: the program is
+//!    analysed per device and priced through the streamed cluster cost
+//!    model — microseconds, no simulation.  The analytic path is only
+//!    trusted when the analysis is **exact** (`Prediction::trusted`:
+//!    every transaction count statically known, no shared-memory bank
+//!    conflicts); otherwise the query falls through.
 //! 3. **Simulated** — full [`run_cluster_program_on`] of the program
 //!    with zero-filled inputs.  On the server's own cluster the
 //!    fallback takes an admission permit like any tenant (pricing
@@ -163,6 +161,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// Every function here runs on behalf of a client: no panicking calls
+// outside tests (test modules opt back in locally).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod admit;
 pub mod error;
@@ -176,9 +177,8 @@ pub use price::{
 };
 pub use verify::{VerifyMemo, VerifyStats};
 
-use atgpu_analyze::{analyze_cluster_program, stream_schedules};
+use atgpu_analyze::predict;
 use atgpu_ir::{shard_counts, HostBufRole, HostStep, Program};
-use atgpu_model::cost::cluster_cost_streamed;
 use atgpu_model::occupancy::occupancy;
 use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec, ModelError};
 use atgpu_sim::{
@@ -340,16 +340,12 @@ impl CostServer {
         }
         let key = query_key_from(pkey, spec, &machine);
         self.memo.quote_with(key, || {
-            // Analytic fast path: only trusted when the analysis is exact.
-            if let Ok(a) = analyze_cluster_program(program, &machine, n as u32) {
-                if a.io_exact && a.conflict_free {
-                    let scheds = stream_schedules(program, n as u32);
-                    if let Ok(cost) =
-                        cluster_cost_streamed(spec, &machine, &a.per_device, &scheds, &a.peer)
-                    {
-                        let source = PriceSource::Analytic;
-                        return Ok(Quote { total_ms: cost.total_ms, source, key });
-                    }
+            // Analytic fast path: only trusted when the analysis is exact;
+            // an analysis or cost error falls through to simulation too.
+            if let Ok(p) = predict(program, &machine, spec) {
+                if p.trusted {
+                    let source = PriceSource::Analytic;
+                    return Ok(Quote { total_ms: p.cost.total_ms, source, key });
                 }
             }
 

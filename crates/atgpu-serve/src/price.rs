@@ -221,6 +221,7 @@ impl PriceMemo {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use atgpu_ir::{AddrExpr, KernelBuilder, ProgramBuilder};

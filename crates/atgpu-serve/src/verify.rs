@@ -76,6 +76,7 @@ impl VerifyMemo {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use atgpu_verify::bounds::OobWitness;
