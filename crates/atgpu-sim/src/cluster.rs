@@ -12,16 +12,32 @@
 //!
 //! ## Determinism
 //!
-//! A sharded launch reuses the deferred-write machinery of
-//! [`ExecMode::Parallel`]: each shard executes against its device's
-//! pre-launch memory snapshot and logs its global writes; afterwards the
-//! logs are merged **in thread-block order** by
-//! [`crate::device::apply_write_log`].  Because block indices are
-//! globally unique across shards, the merged result is bit-identical to
-//! a single-device launch of the same grid — regardless of the device
-//! count, the shard boundaries, or how MP simulation threads interleave.
-//! The differential suite in `tests/cluster_differential.rs` pins this
-//! down over randomized kernels and shard plans.
+//! The model leaves cross-block visibility inside a launch undefined, and
+//! a device's replica is private: only its own shards write it.  So a
+//! program run's launch keeps a write log **only where something reads
+//! it** — `run_sharded_launch` is the one place that decides:
+//!
+//! * nothing reads a log (the default): every device runs its shards
+//!   back to back in plan order through the one launch body, **written
+//!   through** to its own replica — the same launch, word for word, that
+//!   a lone device runs, which is why [`crate::run_program`] *is* the
+//!   one-device cluster;
+//! * the race detector ([`SimConfig::detect_races`]) or the fault journal
+//!   (a fault plan on more than one device — the only case with takeover
+//!   shards) reads one: each shard executes against its device's
+//!   pre-launch memory and logs its global writes; the log is checked,
+//!   journaled, and merged **in thread-block order** by
+//!   [`crate::device::apply_write_log`], the deferred-write machinery of
+//!   [`ExecMode::Parallel`].
+//!
+//! Block indices are globally unique across shards, so either way the
+//! result is bit-identical to a single-device launch of the same grid —
+//! regardless of the device count, the shard boundaries, or how
+//! simulation threads interleave.  `tests/roster_plans.rs` pins the two
+//! disciplines equal on every workload × plan cell, and
+//! `tests/cluster_differential.rs` pins the launch-level API
+//! ([`Cluster::run_sharded_kernel`]: one shared memory, always logged)
+//! against the single device over randomized kernels and shard plans.
 //!
 //! ## Timing
 //!
@@ -38,7 +54,7 @@ use crate::driver::HostData;
 use crate::error::SimError;
 use crate::gmem::GlobalMemory;
 use crate::links::{check_program, run_rounds, Ledger, Links};
-use crate::warp::WriteRec;
+use crate::warp::{GmemAccess, WriteRec};
 use crate::xfer::TransferEngine;
 use crate::{EngineSel, ExecMode, SimConfig};
 use atgpu_ir::{Kernel, Program, Shard};
@@ -164,48 +180,21 @@ impl Cluster {
         detect_races: bool,
         engine: EngineSel,
     ) -> Result<Vec<ShardStats>, SimError> {
+        // Shards only log, so `gmem` stays untouched until the merge —
+        // and on any error, an unknown device included.
         let mut merged: Vec<WriteRec> = Vec::new();
         let mut out = Vec::with_capacity(shards.len());
-        let outcomes = self.run_shards(kernel, shards, mode, engine, 1, |_| &*gmem)?;
-        for (shard, (stats, mut log)) in shards.iter().zip(outcomes) {
-            merged.append(&mut log);
-            out.push(ShardStats { device: shard.device, range: (shard.start, shard.end), stats });
+        for shard in shards {
+            let device = self.device(shard.device).ok_or(SimError::NoSuchDevice {
+                device: shard.device,
+                devices: self.devices.len(),
+            })?;
+            let range = (shard.start, shard.end);
+            let stats = device.run_shard(kernel, gmem, mode, engine, range, &mut merged)?;
+            out.push(ShardStats { device: shard.device, range, stats });
         }
         apply_write_log(kernel, gmem, merged, detect_races)?;
         Ok(out)
-    }
-
-    /// The one shard loop: runs every shard on its device, against the
-    /// memory `mem_of` names for it, on at most `threads` scoped OS
-    /// threads — shard runs only *read* their snapshot and log into
-    /// private vectors, so a launch is embarrassingly parallel on the
-    /// host.  Each shard's statistics and write log come back in
-    /// shard-plan order, so results, statistics and timing are
-    /// bit-identical however many threads ran.
-    fn run_shards<'m>(
-        &self,
-        kernel: &Kernel,
-        shards: &[Shard],
-        mode: ExecMode,
-        engine: EngineSel,
-        threads: usize,
-        mem_of: impl Fn(&Shard) -> &'m GlobalMemory + Sync,
-    ) -> Result<Vec<(KernelStats, Vec<WriteRec>)>, SimError> {
-        // Resolve devices up front so an unknown device errors before any
-        // shard runs.
-        let no_device = |device| SimError::NoSuchDevice { device, devices: self.devices.len() };
-        let devices: Vec<&Device> = shards
-            .iter()
-            .map(|s| self.device(s.device).ok_or_else(|| no_device(s.device)))
-            .collect::<Result<_, _>>()?;
-        let what = format_args!("simulating shards of kernel `{}`", kernel.name);
-        map_on_threads(shards.len(), threads, what, |i| {
-            let (shard, mut log) = (&shards[i], Vec::new());
-            let range = (shard.start, shard.end);
-            let stats =
-                devices[i].run_shard(kernel, mem_of(shard), mode, engine, range, &mut log)?;
-            Ok((stats, log))
-        })
     }
 }
 
@@ -352,15 +341,22 @@ fn link_seed(seed: u64, idx: u64) -> u64 {
     seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(idx.wrapping_add(1))
 }
 
-/// Runs one (possibly sharded) launch on the cluster: each shard
-/// executes against its own device's replica and logs its writes; races
-/// are checked across the whole launch, then every device merges its own
-/// writes in block order.
+/// Runs one (possibly sharded) launch of a program run, and is the one
+/// place its write target is chosen — by asking what will read a write
+/// log, never by which entry point was called.  Nothing does unless the
+/// race detector is on or the fault journal is kept
+/// ([`Ledger::journals`], which is also the only case with takeover
+/// shards); then no log exists and the launch is
+/// [written through](run_written_through).  Otherwise each shard executes
+/// against its own device's replica and logs its writes; races are
+/// checked across the whole launch, then every device journals and
+/// merges its own writes in block order.
 ///
 /// With [`SimConfig::device_threads`] set (the default) every shard is
-/// simulated on its own scoped OS thread (see [`Cluster::run_shards`]);
-/// the logs merge through the shared block-order [`apply_write_log`], so
-/// the outcome is bit-identical to sequential dispatch.
+/// simulated on its own scoped OS thread; statistics come back and are
+/// booked in shard-plan order and the logs merge through the shared
+/// block-order [`apply_write_log`], so the outcome is bit-identical to
+/// sequential dispatch.
 fn run_sharded_launch(
     cluster: &Cluster,
     config: &SimConfig,
@@ -370,6 +366,10 @@ fn run_sharded_launch(
     gmems: &mut [GlobalMemory],
     ledger: &mut Ledger,
 ) -> Result<(), SimError> {
+    let log_has_reader = config.detect_races || ledger.journals();
+    if !log_has_reader {
+        return run_written_through(cluster, config, engine, kernel, shards, gmems, ledger);
+    }
     // A dead device's shards are re-apportioned over the survivors by
     // the model's takeover rule; the takeover shards' writes are
     // applied to *every* alive device so redirected outputs (and later
@@ -403,17 +403,17 @@ fn run_sharded_launch(
     let mut recovery_log: Vec<WriteRec> = Vec::new();
     let threads = if config.device_threads { live.len() } else { 1 };
     let gm = &*gmems;
-    let mem_of = |shard: &Shard| &gm[shard.device as usize];
-    let outcomes = cluster.run_shards(kernel, &live, config.mode, engine, threads, mem_of)?;
+    let what = format_args!("simulating shards of kernel `{}`", kernel.name);
+    let outcomes = map_on_threads(live.iter(), threads, what, |s| {
+        let (d, range, mut log) = (s.device as usize, (s.start, s.end), Vec::new());
+        let stats =
+            cluster.devices[d].run_shard(kernel, &gm[d], config.mode, engine, range, &mut log)?;
+        Ok((stats, log))
+    })?;
     for ((shard, rec), (stats, mut log)) in live.iter().zip(&is_recovery).zip(outcomes) {
         let d = shard.device as usize;
-        // First shard on a device hands its log over; later shards
-        // append (several shards per device only happens in
-        // hand-written plans).
         if *rec {
             recovery_log.append(&mut log);
-        } else if logs[d].is_empty() {
-            logs[d] = log;
         } else {
             logs[d].append(&mut log);
         }
@@ -436,6 +436,49 @@ fn run_sharded_launch(
             ledger.journal_writes(d, &mut log);
             apply_write_log(kernel, &mut gmems[d], log, false)?;
         }
+    }
+    Ok(())
+}
+
+/// The launch when nothing reads a write log: every device runs its
+/// shards back to back in plan order through the one launch body
+/// ([`Device::launch`]), written through to its own replica — no
+/// snapshot, no [`WriteRec`], no merge, and nothing allocated that a lone
+/// device's launch would not allocate.
+///
+/// Threaded dispatch hands each worker its shard *and* that shard's
+/// replica, so it needs several shards on distinct devices; a plan naming
+/// a device twice (hand-written plans only) cannot be dealt out and runs
+/// inline, like a launch of one shard.
+fn run_written_through(
+    cluster: &Cluster,
+    config: &SimConfig,
+    engine: EngineSel,
+    kernel: &Kernel,
+    shards: &[Shard],
+    gmems: &mut [GlobalMemory],
+    ledger: &mut Ledger,
+) -> Result<(), SimError> {
+    let run = |s: &Shard, gmem: &mut GlobalMemory| {
+        let device = &cluster.devices[s.device as usize];
+        device.launch(kernel, GmemAccess::Direct(gmem), config.mode, engine, (s.start, s.end))
+    };
+    if config.device_threads && shards.len() > 1 {
+        let mut free: Vec<_> = gmems.iter_mut().map(Some).collect();
+        let owned: Vec<_> =
+            shards.iter().filter_map(|s| Some((s, free[s.device as usize].take()?))).collect();
+        if owned.len() == shards.len() {
+            let what = format_args!("simulating shards of kernel `{}`", kernel.name);
+            let done = map_on_threads(owned.into_iter(), shards.len(), what, |(s, g)| run(s, g))?;
+            for (s, stats) in shards.iter().zip(&done) {
+                ledger.kernel_done(s.device as usize, s.blocks(), stats);
+            }
+            return Ok(());
+        }
+    }
+    for s in shards {
+        let stats = run(s, &mut gmems[s.device as usize])?;
+        ledger.kernel_done(s.device as usize, s.blocks(), &stats);
     }
     Ok(())
 }
@@ -482,6 +525,22 @@ pub fn run_cluster_program_on(
     inputs: Vec<Vec<i64>>,
     config: &SimConfig,
 ) -> Result<ClusterSimReport, SimError> {
+    run_on(cluster, program, inputs, config, |idx| link_seed(config.seed, idx))
+}
+
+/// The one run body, behind [`run_cluster_program_on`] and — on a
+/// one-device cluster — [`crate::run_program`].  `link_seed` maps a link
+/// index (host links `0..n`, then peer links `n + src·n + dst`) to its
+/// jitter seed: the two entry points have always seeded host link 0
+/// differently and committed noisy outputs pin both, so the rule is the
+/// caller's, and nothing in here branches on who called.
+pub(crate) fn run_on(
+    cluster: &Cluster,
+    program: &Program,
+    inputs: Vec<Vec<i64>>,
+    config: &SimConfig,
+    link_seed: impl Fn(u64) -> u64,
+) -> Result<ClusterSimReport, SimError> {
     let n = cluster.n_devices();
     check_program(program, n)?;
     let machine = &cluster.machine;
@@ -493,9 +552,7 @@ pub fn run_cluster_program_on(
         .collect::<Result<Vec<_>, _>>()?;
     let mut host = HostData::new(program, inputs)?;
 
-    let link = |l, idx: usize| {
-        TransferEngine::with_link(l, config.noise, link_seed(config.seed, idx as u64))
-    };
+    let link = |l, idx: usize| TransferEngine::with_link(l, config.noise, link_seed(idx as u64));
     let host_xfer = spec.host_links.iter().enumerate().map(|(i, l)| link(l, i)).collect();
     let peer_xfer = spec
         .peer_links

@@ -20,14 +20,16 @@
 //! check, register count, buffer bases, executor resolution and the mode
 //! dispatch happen once, over a block range and a
 //! [`GmemAccess`] write target.  [`Device::run_kernel_with`] and
-//! [`Device::run_shard`] only choose the range and the target.
+//! [`Device::run_shard`] only choose the range and the target, and so
+//! does a program run's launch ([`crate::cluster`]), which picks the
+//! target by asking whether anything will read a log.
 
 use crate::cache::{CacheStats, KernelCache};
 use crate::dram::DramController;
 use crate::engine::{BlockExec, BlockSim};
 use crate::error::SimError;
 use crate::gmem::GlobalMemory;
-use crate::mp::{Mp, MpStats};
+use crate::mp::Mp;
 use crate::warp::{GmemAccess, StepEvent, WarpExec, WriteRec};
 use crate::{EngineSel, ExecMode};
 use atgpu_ir::Kernel;
@@ -90,7 +92,10 @@ impl KernelStats {
 
     /// Folds in the statistics of a launch (or shard) that ran **after**
     /// `self` on the same device: counters add, and so do cycles (the
-    /// runs are serial); occupancy keeps the last non-zero value.
+    /// runs are serial); occupancy keeps the last non-zero value.  One
+    /// MP's counters fold into its launch's the same way — an MP leaves
+    /// the launch-wide fields (`cycles`, `dram_queue_cycles`,
+    /// `occupancy`) zero.
     pub fn merge_serial(&mut self, s: &KernelStats) {
         self.cycles += s.cycles;
         self.instructions += s.instructions;
@@ -105,17 +110,6 @@ impl KernelStats {
         if s.occupancy != 0 {
             self.occupancy = s.occupancy;
         }
-    }
-
-    fn fold_mp(&mut self, s: &MpStats) {
-        self.instructions += s.instructions;
-        self.compute_instructions += s.compute_instructions;
-        self.shared_accesses += s.shared_accesses;
-        self.global_accesses += s.global_accesses;
-        self.global_txns += s.global_txns;
-        self.bank_conflict_cycles += s.bank_conflict_cycles;
-        self.stall_cycles += s.stall_cycles;
-        self.blocks += s.blocks_done;
     }
 }
 
@@ -164,11 +158,14 @@ pub struct Device {
 
 impl Device {
     /// Creates a device; rejects machines wider than the 64-lane mask
-    /// limit.
+    /// limit and specs the model calls invalid (no MPs, a non-positive
+    /// clock, a negative link parameter) — a device with `k′ = 0` would
+    /// retire no block and report an untouched memory as its answer.
     pub fn new(machine: AtgpuMachine, spec: GpuSpec) -> Result<Self, SimError> {
         if machine.b > 64 {
             return Err(SimError::UnsupportedWidth { b: machine.b });
         }
+        spec.validate().map_err(|e| SimError::InvalidCluster { reason: e.to_string() })?;
         Ok(Self {
             machine,
             spec,
@@ -267,7 +264,8 @@ impl Device {
     /// of a (possibly multi-device) launch — with every global write
     /// deferred to `log` and reads served from the pre-launch snapshot.
     ///
-    /// This is the cluster's per-device execution primitive: the caller
+    /// This is the per-device execution primitive of every launch whose
+    /// log somebody reads (and of the differential tests): the caller
     /// owns write-log merging (see [`apply_write_log`]), so a shard run
     /// never mutates `gmem`.  With `range = (0, kernel.blocks())` the
     /// returned statistics and log are exactly those of a whole-device
@@ -288,8 +286,9 @@ impl Device {
     /// The one launch body: the occupancy check, the register count, the
     /// buffer bases and the executor (through the kernel cache, or the
     /// reference interpreter) are resolved once, for any block range and
-    /// either write target.
-    fn launch(
+    /// either write target.  The program driver calls it directly, with
+    /// the target it chose for the launch ([`crate::cluster`]).
+    pub(crate) fn launch(
         &self,
         kernel: &Kernel,
         mut target: GmemAccess<'_>,
@@ -406,7 +405,7 @@ impl Device {
             ..KernelStats::default()
         };
         for mp in &mps {
-            stats.fold_mp(&mp.stats);
+            stats.merge_serial(&mp.stats);
         }
         // Publish a freshly recorded trace into the cache entry (no-op
         // when this launch was seeded — the slot is already set).
@@ -437,7 +436,7 @@ impl Device {
         let seeded = slot.and_then(|s| s.get().cloned());
 
         // Simulate one MP with its statically assigned blocks.
-        let sim_mp = |mp_id: usize| -> Result<(MpStats, u64, u64, Vec<WriteRec>), SimError> {
+        let sim_mp = |mp_id: usize| -> Result<(KernelStats, u64, u64, Vec<WriteRec>), SimError> {
             let mut dram = DramController::new(issue, latency);
             let mut mp = Mp::with_trace(ell, replayable, seeded.clone());
             let mut log = Vec::new();
@@ -480,9 +479,9 @@ impl Device {
         let mut log = Vec::new();
         let what = format_args!("simulating MPs of kernel `{name}`");
         for (mp_stats, last_retire, queue, mut l) in
-            map_on_threads(k_prime as usize, threads, what, sim_mp)?
+            map_on_threads(0..k_prime as usize, threads, what, sim_mp)?
         {
-            stats.fold_mp(&mp_stats);
+            stats.merge_serial(&mp_stats);
             stats.cycles = stats.cycles.max(last_retire);
             stats.dram_queue_cycles += queue;
             log.append(&mut l);
@@ -506,39 +505,40 @@ struct Blocks<'a> {
     range: (u64, u64),
 }
 
-/// Maps items `0..n` through `map` on at most `threads` scoped OS
-/// threads (item `i` runs on worker `i mod threads`; one worker runs
-/// inline and stops at the first error) and returns the results in item
-/// order, or the first error in item order.  A panicking worker surfaces
-/// as [`SimError::WorkerPanic`] naming `what` — a simulation panic never
-/// propagates into the caller.
-pub(crate) fn map_on_threads<T: Send>(
-    n: usize,
+/// Maps `items` through `map` on at most `threads` scoped OS threads and
+/// returns the results in item order, or the first error in item order.
+/// Each worker is handed a contiguous run of the items and owns it — so
+/// an item may carry a `&mut` — and the runs' results concatenate back in
+/// order; one worker runs inline and stops at the first error.  A
+/// panicking worker surfaces as [`SimError::WorkerPanic`] naming `what` —
+/// a simulation panic never propagates into the caller.
+pub(crate) fn map_on_threads<I: Send, T: Send>(
+    mut items: impl ExactSizeIterator<Item = I>,
     threads: usize,
     what: std::fmt::Arguments<'_>,
-    map: impl Fn(usize) -> Result<T, SimError> + Sync,
+    map: impl Fn(I) -> Result<T, SimError> + Sync,
 ) -> Result<Vec<T>, SimError> {
+    let n = items.len();
     let threads = threads.min(n);
     if threads <= 1 {
-        return (0..n).map(map).collect();
+        return items.map(map).collect();
     }
-    let worker_panic = || SimError::WorkerPanic { context: what.to_string() };
-    let mut out: Vec<Option<Result<T, SimError>>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|s| -> Result<(), SimError> {
+    let per_worker = n.div_ceil(threads);
+    let worker_panic = |_| SimError::WorkerPanic { context: what.to_string() };
+    std::thread::scope(|s| -> Result<Vec<T>, SimError> {
         let map = &map;
         let handles: Vec<_> = (0..threads)
-            .map(|t| {
-                s.spawn(move || (t..n).step_by(threads).map(|i| (i, map(i))).collect::<Vec<_>>())
+            .map(|_| {
+                let hand: Vec<I> = items.by_ref().take(per_worker).collect();
+                s.spawn(move || hand.into_iter().map(map).collect::<Vec<_>>())
             })
             .collect();
+        let mut out = Vec::with_capacity(n);
         for h in handles {
-            for (i, r) in h.join().map_err(|_| worker_panic())? {
-                out[i] = Some(r);
-            }
+            out.extend(h.join().map_err(worker_panic)?);
         }
-        Ok(())
-    })?;
-    out.into_iter().map(|r| r.ok_or_else(worker_panic)?).collect()
+        out.into_iter().collect()
+    })
 }
 
 /// Flags any global word written by two different thread blocks in `log`.
@@ -558,10 +558,11 @@ pub(crate) fn check_log_races(kernel: &Kernel, log: &[WriteRec]) -> Result<(), S
 /// rule) and optionally detects cross-block races.
 ///
 /// This is the launch-level merge point shared by `ExecMode::Parallel`,
-/// race-detecting sequential runs, and the multi-device cluster layer
-/// ([`crate::cluster`]): because thread-block indices are globally unique
-/// across shards, sorting by block yields the same final memory no matter
-/// how the launch was split over MPs, threads or devices.
+/// race-detecting runs, journaling (faulted multi-device) runs and the
+/// launch-level cluster API ([`crate::Cluster::run_sharded_kernel`]):
+/// because thread-block indices are globally unique across shards,
+/// sorting by block yields the same final memory no matter how the launch
+/// was split over MPs, threads or devices.
 pub fn apply_write_log(
     kernel: &Kernel,
     gmem: &mut GlobalMemory,
@@ -612,7 +613,7 @@ mod tests {
     fn map_on_threads_keeps_item_order_and_types_its_failures() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         for threads in [0, 1, 3, 8] {
-            let out = map_on_threads(5, threads, format_args!("t"), |i| Ok(i * 10)).unwrap();
+            let out = map_on_threads(0..5, threads, format_args!("t"), |i| Ok(i * 10)).unwrap();
             assert_eq!(out, vec![0, 10, 20, 30, 40], "threads={threads}");
         }
         // The first error in item order wins; inline, it also stops the
@@ -623,7 +624,7 @@ mod tests {
         };
         for threads in [1, 2] {
             let ran = AtomicUsize::new(0);
-            let err = map_on_threads(4, threads, format_args!("t"), |i| {
+            let err = map_on_threads(0..4, threads, format_args!("t"), |i| {
                 ran.fetch_add(1, Ordering::Relaxed);
                 fail_from_1(i)
             });
@@ -631,7 +632,7 @@ mod tests {
             assert_eq!(ran.into_inner(), if threads == 1 { 2 } else { 4 });
         }
         // A worker panic is a typed error naming the work.
-        let err = map_on_threads(3, 3, format_args!("probing"), |i| match i {
+        let err = map_on_threads(0..3, 3, format_args!("probing"), |i| match i {
             2 => panic!("boom"),
             _ => Ok(i),
         });
@@ -702,6 +703,23 @@ mod tests {
     fn wide_machines_rejected() {
         let m = AtgpuMachine::new(1 << 10, 128, 256, 1 << 16).unwrap();
         assert!(matches!(Device::new(m, spec()), Err(SimError::UnsupportedWidth { b: 128 })));
+    }
+
+    /// Regression: the constructor the tests and the benchmark call
+    /// directly took any spec; a device with no MPs retires no block and
+    /// reports an untouched memory as its answer.
+    #[test]
+    fn invalid_specs_rejected() {
+        let bad = [
+            GpuSpec { k_prime: 0, ..spec() },
+            GpuSpec { clock_cycles_per_ms: 0.0, ..spec() },
+            GpuSpec { clock_cycles_per_ms: f64::NAN, ..spec() },
+            GpuSpec { xfer_alpha_ms: -0.1, ..spec() },
+        ];
+        for spec in bad {
+            let r = Device::new(machine(), spec);
+            assert!(matches!(r, Err(SimError::InvalidCluster { .. })), "{spec:?}");
+        }
     }
 
     #[test]

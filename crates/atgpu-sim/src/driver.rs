@@ -6,9 +6,11 @@
 //! charges the synchronisation overhead — producing exactly the
 //! decomposition the paper measures: **Total** running time vs **Kernel**
 //! running time, with the transfer share `ΔE` in between.  The rounds
-//! themselves run through the step interpreter every driver shares
-//! (`links.rs`); this module holds the configuration, the host buffers,
-//! the single-device report types and [`run_program`]'s set-up.
+//! themselves run through the one run body ([`crate::cluster`], over the
+//! step interpreter in `links.rs`): a lone device is the one-device
+//! cluster, literally.  This module holds the configuration, the host
+//! buffers, and the single-device view of a report — [`run_program`]
+//! builds that cluster and converts.
 //!
 //! ## Streams
 //!
@@ -21,16 +23,14 @@
 //! the timeline's finish — the max over per-stream chains — plus `σ`.
 //! Programs that keep everything on stream 0 time out exactly as before.
 
-use crate::cluster::DeviceRoundObservation;
-use crate::device::{Device, KernelStats};
+use crate::cluster::{run_on, Cluster, ClusterRoundObservation, ClusterSimReport};
+use crate::device::KernelStats;
 use crate::error::SimError;
 use crate::fault::FaultPlan;
-use crate::gmem::GlobalMemory;
-use crate::links::{check_program, run_rounds, Links};
-use crate::xfer::{TransferEngine, XferNoise};
-use crate::{EngineSel, ExecMode};
+use crate::xfer::XferNoise;
+use crate::ExecMode;
 use atgpu_ir::{HBuf, HostBufRole, Program};
-use atgpu_model::{AtgpuMachine, GpuSpec};
+use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
 use std::ops::Range;
 
 /// Simulation configuration.
@@ -42,16 +42,23 @@ pub struct SimConfig {
     pub noise: Option<XferNoise>,
     /// RNG seed for the jitter.
     pub seed: u64,
-    /// Detect cross-block global write races.
+    /// Detect cross-block global write races.  A launch then defers its
+    /// writes to a log the detector reads before it is merged (see
+    /// [`crate::cluster`], "Determinism"); results and reported times are
+    /// bit-identical to the written-through launch of a race-free kernel.
     pub detect_races: bool,
     /// Drive the tree-walking reference interpreter instead of the
     /// micro-op engine (differential tests, baseline benchmarks).
     pub use_reference: bool,
-    /// Simulate a sharded launch's devices on their own OS threads
-    /// (cluster runs only).  Results and reported times are bit-identical
-    /// either way — the per-device write logs merge in block order — so
-    /// this only cuts host wall-clock.  Defaults to on when the host has
-    /// more than one CPU (threads are pure overhead on a single core).
+    /// Simulate a sharded launch's devices on their own OS threads (a
+    /// launch whose shards sit on one device runs inline).  Results and
+    /// reported times are bit-identical either way — a worker writes
+    /// through to the replica of its shard's device, which it alone
+    /// holds for the launch; where a write log exists (race detection, a
+    /// fault plan on several devices) shards only read their replica and
+    /// the logs merge in block order — so this only cuts host
+    /// wall-clock.  Defaults to on when the host has more than one CPU
+    /// (threads are pure overhead on a single core).
     pub device_threads: bool,
     /// The cross-launch kernel-cache kill-switch ([`crate::cache`]).
     /// On (the default), repeated launches of one kernel shape reuse the
@@ -74,11 +81,10 @@ pub struct SimConfig {
     /// default), no tracer exists and every hook is a single null test —
     /// the same gating idiom as the empty fault plan — and the reported
     /// rounds are bit-identical either way: tracing observes the
-    /// scheduler's results, it never feeds back into them.
+    /// scheduler's results, it never feeds back into them.  Spans land in
+    /// a pool of [`crate::trace::DEFAULT_TRACE_CAPACITY`]; past it the
+    /// oldest are evicted (and counted).
     pub trace: bool,
-    /// Span-pool capacity when tracing ([`crate::trace::SpanRing`]);
-    /// oldest spans are evicted (and counted) past this bound.
-    pub trace_capacity: usize,
 }
 
 impl Default for SimConfig {
@@ -95,7 +101,6 @@ impl Default for SimConfig {
             fault: FaultPlan::default(),
             watchdog_cycles: 0,
             trace: false,
-            trace_capacity: crate::trace::DEFAULT_TRACE_CAPACITY,
         }
     }
 }
@@ -264,30 +269,38 @@ impl SimReport {
     }
 }
 
-impl RoundObservation {
-    /// The single device's view of a round the shared interpreter
-    /// observed, plus the device's own `σ`.
-    fn from_device(obs: &DeviceRoundObservation, sync_ms: f64) -> Self {
-        Self {
-            xfer_in_ms: obs.xfer_in_ms,
-            kernel_ms: obs.kernel_ms,
-            xfer_out_ms: obs.xfer_out_ms,
-            sync_ms,
-            stream_ms: obs.stream_ms,
-            kernel_stats: obs.kernel_stats,
-            retries: obs.retries,
-            backoff_ms: obs.backoff_ms,
-        }
+impl SimReport {
+    /// A one-device cluster's report, seen as the lone device's: every
+    /// round is device 0's observation plus the round's `σ`.
+    fn from_cluster(report: ClusterSimReport) -> Self {
+        let ClusterSimReport { rounds, host, device_stats, trace } = report;
+        let view = |round: &ClusterRoundObservation| {
+            let obs = &round.devices[0];
+            RoundObservation {
+                xfer_in_ms: obs.xfer_in_ms,
+                kernel_ms: obs.kernel_ms,
+                xfer_out_ms: obs.xfer_out_ms,
+                sync_ms: round.sync_ms,
+                stream_ms: obs.stream_ms,
+                kernel_stats: obs.kernel_stats,
+                retries: obs.retries,
+                backoff_ms: obs.backoff_ms,
+            }
+        };
+        let rounds = rounds.iter().map(view).collect();
+        Self { rounds, host, device_stats: device_stats[0], trace }
     }
 }
 
-/// Simulates `program` on a device built from `machine` + `spec`.
-///
-/// The rounds run through the same step interpreter as a cluster run
-/// (`links.rs`); what is particular to the single device is its
-/// launch — the whole grid, written through to memory by
-/// [`Device::run_kernel_with`] — and that it has no survivors: a
-/// scheduled death of device 0 is immediately [`SimError::DeviceLost`].
+/// Simulates `program` on a device built from `machine` + `spec`: the
+/// cluster of that one device ([`ClusterSpec::homogeneous`]), run by the
+/// run body every program run shares and reported from the device's
+/// point of view.  A plain launch is the whole grid, a shard plan naming
+/// only device 0 runs its shards back to back as on any cluster device,
+/// and the device has no survivors: a scheduled death of device 0 is
+/// immediately [`SimError::DeviceLost`].
+/// The host link's jitter stream is seeded with [`SimConfig::seed`]
+/// itself, as this entry point always has.
 pub fn run_program(
     program: &Program,
     inputs: Vec<Vec<i64>>,
@@ -295,44 +308,15 @@ pub fn run_program(
     spec: &GpuSpec,
     config: &SimConfig,
 ) -> Result<SimReport, SimError> {
-    check_program(program, 1)?;
-    let device = Device::new(*machine, *spec)?;
-    device.configure_cache(config.cache, config.cache_capacity);
-    device.configure_watchdog(config.watchdog_cycles);
-    let (bases, total_words) = program.buffer_layout(machine.b);
-    let mut gmems = [GlobalMemory::new(bases, total_words, machine.b, machine.g)?];
-    let mut host = HostData::new(program, inputs)?;
-    let host_xfer = vec![TransferEngine::new(spec, config.noise, config.seed)];
-    let clocks = vec![spec.clock_cycles_per_ms];
-    let mut links = Links::new(host_xfer, Vec::new(), clocks, spec.sync_ms, config);
-    let engine = if config.use_reference { EngineSel::Reference } else { EngineSel::MicroOp };
-
-    // Validation guarantees a shard plan partitions the grid, so on the
-    // only device every launch is the whole grid.
-    let rounds =
-        run_rounds(program, &mut host, &mut gmems, &mut links, |kernel, _, gmems, ledger| {
-            let stats = device.run_kernel_with(
-                kernel,
-                &mut gmems[0],
-                config.mode,
-                config.detect_races,
-                engine,
-            )?;
-            ledger.kernel_done(0, kernel.blocks(), &stats);
-            Ok(())
-        })?;
-
-    let mut device_stats = [device.stats()];
-    let trace = links.finish(&rounds, &mut device_stats);
-    let rounds =
-        rounds.iter().map(|r| RoundObservation::from_device(&r[0], spec.sync_ms)).collect();
-    let [device_stats] = device_stats;
-    Ok(SimReport { rounds, host, device_stats, trace })
+    let cluster = Cluster::new(*machine, ClusterSpec::homogeneous(1, *spec))?;
+    cluster.configure_devices(config);
+    run_on(&cluster, program, inputs, config, |_| config.seed).map(SimReport::from_cluster)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultEvent;
     use atgpu_ir::{AddrExpr, AluOp, HostStep, KernelBuilder, Operand, ProgramBuilder};
 
     fn machine() -> AtgpuMachine {
@@ -400,6 +384,70 @@ mod tests {
         // Transfer proportion within [0, 1].
         let d = report.transfer_proportion();
         assert!((0.0..=1.0).contains(&d));
+    }
+
+    /// `run_program` is the one-device cluster seen from its device: one
+    /// fixed case of the retired cross-driver property, as the test of
+    /// the [`SimReport`] view.  Traced, under a plan that drops, degrades
+    /// and straggles, every field of the report — outputs, each round's
+    /// times and counters, `device_stats`, the span sequence — is the
+    /// cluster report's.  (`noise: None`: the entry points seed host link
+    /// 0's jitter differently, which the noisy goldens pin.)
+    #[test]
+    fn sim_report_is_the_one_device_cluster_seen_from_its_device() {
+        let n = 64u64;
+        let (p, hc) = vecadd_program(n);
+        let fault = FaultPlan::random(4, 1, p.rounds.len(), 0.3);
+        let has = |kind: fn(&FaultEvent) -> bool| fault.events.iter().any(kind);
+        assert!(has(|e| matches!(e, FaultEvent::TransferDrop { .. })));
+        assert!(has(|e| matches!(e, FaultEvent::LinkDegraded { .. })));
+        assert!(has(|e| matches!(e, FaultEvent::Straggler { .. })));
+        let cfg = SimConfig { trace: true, fault, ..SimConfig::default() };
+        let data = || vec![(0..n as i64).collect(), (0..n as i64).rev().collect()];
+        let cluster = ClusterSpec::homogeneous(1, spec());
+        let one = run_program(&p, data(), &machine(), &spec(), &cfg).unwrap();
+        let clu = crate::run_cluster_program(&p, data(), &machine(), &cluster, &cfg).unwrap();
+
+        assert_eq!(one.output(hc), vec![n as i64 - 1; n as usize]);
+        assert_eq!(one.host.bufs, clu.host.bufs);
+        assert_eq!(one.rounds.len(), clu.rounds.len());
+        for (a, round) in one.rounds.iter().zip(&clu.rounds) {
+            let [b] = &round.devices[..] else { panic!("one device per round") };
+            assert_eq!(a.xfer_in_ms.to_bits(), b.xfer_in_ms.to_bits());
+            assert_eq!(a.kernel_ms.to_bits(), b.kernel_ms.to_bits());
+            assert_eq!(a.xfer_out_ms.to_bits(), b.xfer_out_ms.to_bits());
+            assert_eq!(a.sync_ms.to_bits(), round.sync_ms.to_bits());
+            assert_eq!(a.stream_ms.to_bits(), b.stream_ms.to_bits());
+            assert_eq!(a.kernel_stats, b.kernel_stats);
+            assert_eq!(a.retries, b.retries);
+            assert_eq!(a.backoff_ms.to_bits(), b.backoff_ms.to_bits());
+            assert_eq!(b.peer_ms, 0.0);
+            assert!(a.retries > 0 && a.backoff_ms > 0.0, "the drops must have been retried");
+        }
+        assert_eq!(one.total_ms().to_bits(), clu.total_ms().to_bits());
+        assert_eq!(one.device_stats, clu.device_stats[0]);
+        assert_eq!(one.trace, clu.trace);
+        assert!(one.trace.as_ref().is_some_and(|t| !t.spans.is_empty()));
+    }
+
+    /// Regression: `run_program` never validated its spec, so in release
+    /// builds `k_prime: 0` returned `Ok` with zero blocks run and an
+    /// all-zero output buffer.  Through the one run body an invalid spec
+    /// is the invalid one-device cluster.
+    #[test]
+    fn invalid_spec_is_rejected_not_simulated() {
+        let (p, _) = vecadd_program(16);
+        let bad = [
+            GpuSpec { k_prime: 0, ..spec() },
+            GpuSpec { clock_cycles_per_ms: 0.0, ..spec() },
+            GpuSpec { clock_cycles_per_ms: -1.0, ..spec() },
+            GpuSpec { xfer_beta_ms_per_word: -0.001, ..spec() },
+        ];
+        for spec in bad {
+            let inputs = vec![vec![0; 16], vec![0; 16]];
+            let r = run_program(&p, inputs, &machine(), &spec, &SimConfig::default());
+            assert!(matches!(r, Err(SimError::InvalidCluster { .. })), "{spec:?}: {r:?}");
+        }
     }
 
     #[test]

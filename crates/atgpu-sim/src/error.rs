@@ -65,7 +65,8 @@ pub enum SimError {
         /// Devices available.
         devices: usize,
     },
-    /// The cluster specification is malformed.
+    /// The cluster specification — or the specification of one device,
+    /// a cluster of one — is malformed.
     InvalidCluster {
         /// Explanation.
         reason: String,

@@ -93,18 +93,30 @@
 //!
 //! A `LaunchSharded` step splits one grid into contiguous block ranges
 //! ([`atgpu_ir::Shard`], planned by [`atgpu_model::plan`] or by hand).
-//! Every shard executes against its device's pre-launch snapshot with
-//! writes deferred, and the logs merge in thread-block order through
-//! [`device::apply_write_log`] — the same machinery
-//! [`ExecMode::Parallel`] uses — so a sharded launch is **bit-identical**
-//! to the single-device launch regardless of device count, shard
-//! boundaries or thread interleaving (`tests/cluster_differential.rs`
-//! proves this over randomized kernels and plans).  With
+//! A device's replica is written only by its own shards, and the model
+//! leaves cross-block visibility inside a launch undefined, so a launch
+//! keeps a write log **only where something reads it**.  By default
+//! nothing does: every device runs its shards back to back in plan
+//! order, written straight through to its replica — the same launch a
+//! lone device runs, which is why [`run_program`] *is*
+//! [`run_cluster_program`] on a one-device cluster, seen from device 0.
+//! With [`SimConfig::detect_races`], or under a fault plan on more than
+//! one device (whose recovery journal records every write), each shard
+//! instead executes against its device's pre-launch memory with writes
+//! deferred, and the logs are checked, journaled and merged in
+//! thread-block order through [`device::apply_write_log`] — the same
+//! machinery [`ExecMode::Parallel`] uses.  Either way a sharded launch is
+//! **bit-identical** to the single-device launch regardless of device
+//! count, shard boundaries or thread interleaving
+//! (`tests/cluster_differential.rs` proves this over randomized kernels
+//! and plans at the launch level; `tests/roster_plans.rs` pins the two
+//! disciplines equal on every shipped workload × plan).  With
 //! [`SimConfig::device_threads`] (default on multicore hosts) the shards
-//! of one launch are simulated on their own scoped OS threads — shard
-//! runs only read their device's snapshot, so the launch is
-//! embarrassingly parallel on the host with the identical report
-//! (`tests/stream_differential.rs`).  Observed round time is
+//! of one launch are simulated on their own scoped OS threads — a worker
+//! holds its device's replica for the launch (written through), or only
+//! reads it (logged), so the launch is embarrassingly parallel on the
+//! host with the identical report (`tests/stream_differential.rs`).
+//! Observed round time is
 //! `σ + max_d(device d's stream timeline)` — the slowest device's
 //! critical path — mirrored analytically by
 //! [`atgpu_model::cost::cluster_cost`] /
@@ -244,10 +256,10 @@
 //! 3. completed rounds are never re-executed — the journal *is* the
 //!    host-side checkpoint.
 //!
-//! Because sharded launches merge write logs in thread-block order
-//! ([`device::apply_write_log`]), the post-recovery shard plan is
-//! bit-identical to the fault-free one — the same argument that makes
-//! any shard plan bit-identical to single-device execution.  Losing the
+//! Because a journaling run's launches merge their write logs in
+//! thread-block order ([`device::apply_write_log`]), the post-recovery
+//! shard plan is bit-identical to the fault-free one — the same argument
+//! that makes any shard plan bit-identical to single-device execution.  Losing the
 //! last device is unrecoverable and surfaces as
 //! [`SimError::DeviceLost`].  Independently, a **watchdog**
 //! ([`SimConfig::watchdog_cycles`]) bounds each launch's simulated
@@ -269,9 +281,8 @@
 //! timing to an untraced one; with tracing off the only residue is one
 //! `Option` null test per operation, the same gating idiom the fault
 //! plan uses (`atgpu-bench` pins both claims).  Spans land in a
-//! pooled, pre-allocated [`trace::SpanRing`]
-//! ([`SimConfig::trace_capacity`], default
-//! [`trace::DEFAULT_TRACE_CAPACITY`]): the steady state allocates
+//! pooled, pre-allocated [`trace::SpanRing`] of
+//! [`trace::DEFAULT_TRACE_CAPACITY`] spans: the steady state allocates
 //! nothing per span (`tests/engine_alloc.rs`), and when the ring is
 //! full the oldest spans are overwritten and surfaced as a
 //! `spans_dropped` count rather than growing or erroring.
@@ -330,18 +341,20 @@
 //! * [`memo`] — [`BoundedMemo`], the bounded single-flight memo under
 //!   the kernel cache (and the serving layer's verdict and quote memos):
 //!   one compute and one miss per distinct key whatever the schedule;
-//! * [`driver`] — runs whole multi-round programs and reports per-round
-//!   observed times, the simulated counterpart of the paper's "Total" and
-//!   "Kernel" series;
-//! * `links` (private) — the one host-step interpreter both
-//!   [`run_program`] and [`cluster::run_cluster_program_on`] drive: each
+//! * [`driver`] — the configuration, the host buffers and the
+//!   single-device view of a run: [`run_program`] is the one-device
+//!   cluster reported per round as the paper's "Total" and "Kernel"
+//!   series;
+//! * `links` (private) — the one host-step interpreter under the one run
+//!   body ([`cluster::run_cluster_program_on`]): each
 //!   [`atgpu_ir::HostStep`] is matched in one place and has one body,
 //!   with fault redirection/retry/journaling and span recording as steps
 //!   inside it; transfer ranges are checked there, so malformed
 //!   hand-built programs are typed [`SimError`]s, not panics;
 //! * [`cluster`] — the multi-device layer: `N` devices with per-device
-//!   memory replicas and links, sharded launches, peer transfers, and
-//!   [`cluster::run_cluster_program`] with per-device round
+//!   memory replicas and links, sharded launches (and the one place a
+//!   launch's write target is chosen), peer transfers, and the run body
+//!   behind [`cluster::run_cluster_program`] with per-device round
 //!   observations.
 
 #![forbid(unsafe_code)]

@@ -3,10 +3,10 @@
 //! body.
 //!
 //! The paper's round has one shape — inward transfers, one launch,
-//! outward transfers, `σ` — so both program drivers
-//! ([`crate::run_program`], [`crate::run_cluster_program_on`]) run their
-//! rounds through [`run_rounds`] and differ only in the launch they pass
-//! in.  [`Links`] owns everything a step touches besides the memories:
+//! outward transfers, `σ` — and one caller: the run body behind
+//! [`crate::run_cluster_program_on`] (of which [`crate::run_program`] is
+//! the one-device case), which passes in the launch.  [`Links`] owns
+//! everything a step touches besides the memories:
 //! the host and peer [`TransferEngine`]s, and a [`Ledger`] holding the
 //! optional [`FaultState`] (liveness, journals, [`FaultRuntime`]), the
 //! optional [`Tracer`], and the round's per-device timelines and
@@ -23,7 +23,7 @@ use crate::driver::HostData;
 use crate::error::SimError;
 use crate::fault::{FaultRuntime, LinkEdge};
 use crate::gmem::GlobalMemory;
-use crate::trace::{SpanKind, Trace, Tracer};
+use crate::trace::{SpanKind, Trace, Tracer, DEFAULT_TRACE_CAPACITY};
 use crate::warp::WriteRec;
 use crate::xfer::TransferEngine;
 use crate::SimConfig;
@@ -111,10 +111,15 @@ impl FaultState {
         }
     }
 
-    /// Journals one word written on device `d`.  A lone device has no
+    /// Whether mutations are journaled at all: a lone device has no
     /// survivor that could ever replay its journal, so it keeps none.
+    fn journals(&self) -> bool {
+        self.alive.len() > 1
+    }
+
+    /// Journals one word written on device `d`.
     fn journal_word(&mut self, d: usize, addr: u64, val: i64) {
-        if self.alive.len() > 1 {
+        if self.journals() {
             self.seq += 1;
             self.journals[d].push((self.seq, addr, val));
         }
@@ -166,6 +171,13 @@ impl Ledger {
     /// Per-device liveness, when a fault plan is active.
     pub(crate) fn liveness(&self) -> Option<&[bool]> {
         self.fault.as_ref().map(|f| &f.alive[..])
+    }
+
+    /// Whether a launch's writes will be read back by
+    /// [`Ledger::journal_writes`]: under a fault plan, on a system with
+    /// a possible survivor.  Only then can a shard be a takeover shard.
+    pub(crate) fn journals(&self) -> bool {
+        self.fault.as_ref().is_some_and(FaultState::journals)
     }
 
     /// The device that answers for `d`'s data: `d` itself, or the heir
@@ -392,7 +404,7 @@ impl Links {
             clocks,
             sync_ms,
             fault: FaultRuntime::new(&config.fault).map(|rt| FaultState::new(rt, n)),
-            tracer: config.trace.then(|| Tracer::new(config.trace_capacity)),
+            tracer: config.trace.then(|| Tracer::new(DEFAULT_TRACE_CAPACITY)),
             round: 0,
             devs: Vec::new(),
             timelines: vec![StreamTimeline::new(); n],
@@ -525,8 +537,9 @@ impl Links {
 
 /// Interprets `program` round by round — the single place a [`HostStep`]
 /// is matched.  `launch` runs one kernel over a shard plan against the
-/// device memories and books it with [`Ledger::kernel_done`]; it is the
-/// only thing the two drivers do differently.  Host and device ranges
+/// device memories and books it with [`Ledger::kernel_done`] (the
+/// interpreter knows steps and links; devices live with its caller).
+/// Host and device ranges
 /// are checked here, at the one transfer site, so a hand-built program
 /// with an out-of-range offset or buffer id is a typed error rather
 /// than a slice panic.

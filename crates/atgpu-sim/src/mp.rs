@@ -15,33 +15,12 @@
 //! memory-event trace; once that block retires, every subsequently
 //! admitted block replays the trace instead of re-analysing accesses.
 
+use crate::device::KernelStats;
 use crate::dram::DramController;
 use crate::engine::BlockSim;
 use crate::error::SimError;
 use crate::warp::{GmemAccess, StepEvent};
 use std::sync::Arc;
-
-/// Per-MP statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MpStats {
-    /// Instructions issued (lockstep operations).
-    pub instructions: u64,
-    /// Compute (ALU/move/predicate/sync) instructions issued.
-    pub compute_instructions: u64,
-    /// Shared-memory access instructions issued.
-    pub shared_accesses: u64,
-    /// Global-memory access instructions issued.
-    pub global_accesses: u64,
-    /// Global transactions requested.
-    pub global_txns: u64,
-    /// Extra issue cycles lost to bank-conflict serialisation (beyond the
-    /// 1 cycle a conflict-free access would take).
-    pub bank_conflict_cycles: u64,
-    /// Thread blocks completed.
-    pub blocks_done: u64,
-    /// Cycles the MP spent with no warp ready (exposed memory latency).
-    pub stall_cycles: u64,
-}
 
 /// A multiprocessor simulating up to `ell` resident blocks.
 ///
@@ -61,8 +40,11 @@ pub struct Mp<E> {
     /// Finished-warp pool for reuse (workhorse allocation pattern).
     spare: Vec<E>,
     ell: usize,
-    /// Statistics.
-    pub stats: MpStats,
+    /// This MP's share of the launch's counters (instructions, accesses,
+    /// transactions, conflict and stall cycles, blocks retired); the
+    /// launch-wide fields — `cycles`, `dram_queue_cycles`, `occupancy` —
+    /// stay zero here and are set by the device.
+    pub stats: KernelStats,
     /// Cycle at which the last block retired.
     pub last_retire: u64,
     /// Whether the kernel qualifies for timing replay.
@@ -99,7 +81,7 @@ impl<E: BlockSim> Mp<E> {
             tree: MinTree::new(ell),
             spare: Vec::new(),
             ell,
-            stats: MpStats::default(),
+            stats: KernelStats::default(),
             last_retire: 0,
             replay,
             trace: if replay { trace } else { None },
@@ -192,7 +174,7 @@ impl<E: BlockSim> Mp<E> {
                     }
                 }
                 self.spare.push(warp);
-                self.stats.blocks_done += 1;
+                self.stats.blocks += 1;
                 self.last_retire = self.clock;
                 // The tail slot moved into `idx`; the old tail is gone.
                 if idx < self.ready.len() {
@@ -350,7 +332,7 @@ mod tests {
         }
         let duo = mp.clock;
         assert!(duo < 2 * solo - 50, "latency not hidden: solo={solo} duo={duo}");
-        assert_eq!(mp.stats.blocks_done, 2);
+        assert_eq!(mp.stats.blocks, 2);
     }
 
     #[test]
@@ -390,7 +372,7 @@ mod tests {
             }
         }
         assert_eq!(made, 1, "executor should be pooled and reused");
-        assert_eq!(mp.stats.blocks_done, 3);
+        assert_eq!(mp.stats.blocks, 3);
     }
 
     #[test]
@@ -437,7 +419,7 @@ mod tests {
                 next_block += 1;
             }
         }
-        assert_eq!(mp.stats.blocks_done, 8);
+        assert_eq!(mp.stats.blocks, 8);
         assert!(mp.trace.is_some(), "trace captured after first retirement");
         // Timing statistics reflect all blocks' memory events.
         assert_eq!(mp.stats.global_txns, 8);

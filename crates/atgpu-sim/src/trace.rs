@@ -29,7 +29,7 @@ use crate::cluster::ClusterSimReport;
 use crate::driver::SimReport;
 use atgpu_model::StreamResource;
 
-/// Default span-pool capacity ([`crate::SimConfig::trace_capacity`]).
+/// Span-pool capacity of a traced run ([`crate::SimConfig::trace`]).
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
 /// What a span's operation was — the `name` of its Chrome trace event.

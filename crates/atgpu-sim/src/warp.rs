@@ -50,7 +50,7 @@ pub enum StepEvent {
     Done,
 }
 
-/// One deferred global write (parallel mode).
+/// One deferred global write — one entry of a launch's write log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WriteRec {
     /// Absolute word address.
@@ -61,14 +61,22 @@ pub struct WriteRec {
     pub block: u64,
 }
 
-/// A global-memory access path: direct, or logged for parallel execution
-/// (writes deferred and applied after the launch, reads served from the
-/// pre-launch snapshot — cross-block visibility within one launch is
-/// undefined in the model, so well-formed kernels cannot tell).
+/// A launch's write target: direct, or logged (writes deferred and
+/// applied after the launch, reads served from the pre-launch memory —
+/// cross-block visibility within one launch is undefined in the model, so
+/// well-formed kernels cannot tell).
+///
+/// A log is kept only for a reader: the MP workers of
+/// [`crate::ExecMode::Parallel`] (which share one memory, so their writes
+/// must be deferred and merged in block order), the race detector, the
+/// fault journal of a multi-device run, and the launch-level differential
+/// API ([`crate::Device::run_shard`], [`crate::Cluster::run_sharded_kernel`]),
+/// whose caller merges.  A program run's sequential launch with none of
+/// those is `Direct`: it pushes no [`WriteRec`] at all.
 pub enum GmemAccess<'a> {
-    /// Reads and writes hit the heap immediately (sequential mode).
+    /// Reads and writes hit the heap immediately.
     Direct(&'a mut GlobalMemory),
-    /// Reads hit the pre-launch snapshot; writes are recorded.
+    /// Reads hit the pre-launch memory; writes are recorded.
     Logged {
         /// Pre-launch memory snapshot.
         base: &'a GlobalMemory,

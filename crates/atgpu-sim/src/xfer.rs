@@ -7,7 +7,7 @@
 //! "observed" curves while remaining reproducible.
 
 use crate::gmem::GlobalMemory;
-use atgpu_model::{GpuSpec, LinkParams};
+use atgpu_model::LinkParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -36,11 +36,6 @@ pub struct TransferEngine {
 }
 
 impl TransferEngine {
-    /// Creates an engine from a device spec (its host↔device link).
-    pub fn new(spec: &GpuSpec, noise: Option<XferNoise>, seed: u64) -> Self {
-        Self::with_link(&spec.host_link(), noise, seed)
-    }
-
     /// Creates an engine for one explicit link — a host↔device edge or a
     /// device↔device peer edge of a multi-GPU system.  Each link carries
     /// its own `α`/`β` and its own jitter stream.
@@ -121,6 +116,7 @@ impl TransferEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use atgpu_model::GpuSpec;
 
     fn spec() -> GpuSpec {
         GpuSpec { xfer_alpha_ms: 0.5, xfer_beta_ms_per_word: 0.01, ..GpuSpec::gtx650_like() }
@@ -129,7 +125,7 @@ mod tests {
     #[test]
     fn affine_cost_without_noise() {
         let mut g = GlobalMemory::new(vec![0], 64, 32, 1024).unwrap();
-        let mut e = TransferEngine::new(&spec(), None, 0);
+        let mut e = TransferEngine::with_link(&spec().host_link(), None, 0);
         let t = e.to_device(&mut g, 0, &[1, 2, 3, 4]);
         assert!((t - (0.5 + 0.04)).abs() < 1e-12);
         assert_eq!(g.read(2), Some(3));
@@ -142,7 +138,7 @@ mod tests {
         let mut g = GlobalMemory::new(vec![0], 64, 32, 1024).unwrap();
         g.write(0, 7);
         g.write(1, 8);
-        let mut e = TransferEngine::new(&spec(), None, 0);
+        let mut e = TransferEngine::with_link(&spec().host_link(), None, 0);
         let mut out = vec![0; 2];
         let t = e.to_host(&g, 0, &mut out);
         assert_eq!(out, vec![7, 8]);
@@ -153,8 +149,10 @@ mod tests {
     #[test]
     fn noise_is_bounded_and_seeded() {
         let mut g = GlobalMemory::new(vec![0], 64, 32, 1024).unwrap();
-        let mut e1 = TransferEngine::new(&spec(), Some(XferNoise { rel: 0.1 }), 42);
-        let mut e2 = TransferEngine::new(&spec(), Some(XferNoise { rel: 0.1 }), 42);
+        let mut e1 =
+            TransferEngine::with_link(&spec().host_link(), Some(XferNoise { rel: 0.1 }), 42);
+        let mut e2 =
+            TransferEngine::with_link(&spec().host_link(), Some(XferNoise { rel: 0.1 }), 42);
         let base = 0.5 + 0.04;
         for _ in 0..10 {
             let t1 = e1.to_device(&mut g, 0, &[1, 2, 3, 4]);
@@ -167,7 +165,7 @@ mod tests {
     #[test]
     fn zero_word_transfer_costs_alpha() {
         let mut g = GlobalMemory::new(vec![0], 64, 32, 1024).unwrap();
-        let mut e = TransferEngine::new(&spec(), None, 0);
+        let mut e = TransferEngine::with_link(&spec().host_link(), None, 0);
         let t = e.to_device(&mut g, 0, &[]);
         assert!((t - 0.5).abs() < 1e-12);
     }
@@ -178,7 +176,7 @@ mod tests {
         // words and Ô = 2 outward transactions moving O = 5+11 words must
         // cost exactly Î·α + I·β and Ô·α + O·β.
         let mut g = GlobalMemory::new(vec![0], 64, 32, 1024).unwrap();
-        let mut e = TransferEngine::new(&spec(), None, 0);
+        let mut e = TransferEngine::with_link(&spec().host_link(), None, 0);
         let mut total_in = 0.0;
         for words in [1usize, 7, 32, 0] {
             total_in += e.to_device(&mut g, 0, &vec![9; words]);

@@ -216,7 +216,7 @@ fn steady_state_block_execution_is_allocation_free() {
     );
     // Both shards really executed and logged writes.
     for (lane, &(start, end)) in lanes.iter().zip(&shard_ranges) {
-        assert_eq!(lane.mp.stats.blocks_done, end - start);
+        assert_eq!(lane.mp.stats.blocks, end - start);
         assert!(!lane.log.is_empty());
     }
 

@@ -16,7 +16,7 @@
 
 use atgpu_ir::{AddrExpr, AluOp, HostStep, KernelBuilder, Program, ProgramBuilder};
 use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
-use atgpu_sim::{run_cluster_program, run_program, ExecMode, FaultPlan, SimConfig};
+use atgpu_sim::{run_cluster_program, run_program, ExecMode, SimConfig};
 use proptest::prelude::*;
 
 struct Rng(u64);
@@ -205,56 +205,12 @@ proptest! {
         prop_assert_eq!(b.total_ms(), b.serial_ms());
     }
 
-    /// One interpreter, two entry points: a single-device program through
-    /// `run_program` and through `run_cluster_program` on a one-device
-    /// cluster of the same spec agrees bit for bit — outputs, every
-    /// per-round time and counter, and the recorded span sequence —
-    /// streamed, traced, fault-free and under a random
-    /// drop/degrade/straggler plan.  (The entry points seed their jitter
-    /// streams differently, so the identity holds for `noise: None`, the
-    /// default; the launches differ too — write-through vs logged and
-    /// merged — which is exactly what must not show.)
-    #[test]
-    fn single_device_drivers_agree(seed in 0u64..1_000_000_000) {
-        let mut rng = Rng(seed | 1);
-        let chunk = [16u64, 32, 64][rng.below(3) as usize];
-        let n = chunk * (1 + rng.below(5));
-        let (serial, hc) = chunked_vecadd(n, chunk);
-        let p = restream(&serial, seed ^ 0x5EED);
-        let data = inputs(n, seed);
-        let cluster = ClusterSpec::homogeneous(1, spec());
-        let rounds = p.rounds.len();
-
-        for fault in [FaultPlan::default(), FaultPlan::random(seed, 1, rounds, 0.3)] {
-            let cfg = SimConfig { trace: true, fault, ..SimConfig::default() };
-            let one = run_program(&p, data.clone(), &machine(), &spec(), &cfg).unwrap();
-            let clu = run_cluster_program(&p, data.clone(), &machine(), &cluster, &cfg).unwrap();
-
-            prop_assert_eq!(one.output(hc), clu.output(hc));
-            prop_assert_eq!(one.rounds.len(), clu.rounds.len());
-            for (a, round) in one.rounds.iter().zip(&clu.rounds) {
-                let b = &round.devices[0];
-                prop_assert_eq!(round.devices.len(), 1);
-                prop_assert_eq!(a.xfer_in_ms.to_bits(), b.xfer_in_ms.to_bits());
-                prop_assert_eq!(a.kernel_ms.to_bits(), b.kernel_ms.to_bits());
-                prop_assert_eq!(a.xfer_out_ms.to_bits(), b.xfer_out_ms.to_bits());
-                prop_assert_eq!(a.stream_ms.to_bits(), b.stream_ms.to_bits());
-                prop_assert_eq!(a.sync_ms.to_bits(), round.sync_ms.to_bits());
-                prop_assert_eq!(a.backoff_ms.to_bits(), b.backoff_ms.to_bits());
-                prop_assert_eq!(a.retries, b.retries);
-                prop_assert_eq!(a.kernel_stats, b.kernel_stats);
-                prop_assert_eq!(b.peer_ms, 0.0);
-            }
-            prop_assert_eq!(one.total_ms().to_bits(), clu.total_ms().to_bits());
-            prop_assert_eq!(one.device_stats, clu.device_stats[0]);
-            prop_assert_eq!(&one.trace, &clu.trace);
-            prop_assert!(one.trace.as_ref().is_some_and(|t| !t.spans.is_empty()));
-        }
-    }
-
     /// Threaded per-device dispatch produces the same report as
     /// sequential dispatch, bit for bit: outputs, statistics and every
-    /// observed time.
+    /// observed time — under both write disciplines, the written-through
+    /// launch (each worker owns its device's replica) and the logged one
+    /// (`detect_races`: shards read their replica, logs merge in block
+    /// order).
     #[test]
     fn threaded_cluster_dispatch_is_invisible(seed in 0u64..1_000_000_000) {
         let mut rng = Rng(seed | 1);
@@ -296,27 +252,37 @@ proptest! {
 
         let cluster = ClusterSpec::homogeneous(devices as usize, spec());
         let data = inputs(n, seed);
-        let mut reports = Vec::new();
-        for device_threads in [false, true] {
-            for mode in [ExecMode::Sequential, ExecMode::Parallel { threads: 2 }] {
-                let cfg = SimConfig { device_threads, mode, ..SimConfig::default() };
-                let r =
-                    run_cluster_program(&p, data.clone(), &machine(), &cluster, &cfg).unwrap();
-                reports.push((device_threads, mode, r));
+        for detect_races in [false, true] {
+            let mut reports = Vec::new();
+            for device_threads in [false, true] {
+                for mode in [ExecMode::Sequential, ExecMode::Parallel { threads: 2 }] {
+                    let cfg =
+                        SimConfig { device_threads, mode, detect_races, ..SimConfig::default() };
+                    let r =
+                        run_cluster_program(&p, data.clone(), &machine(), &cluster, &cfg).unwrap();
+                    reports.push((device_threads, mode, r));
+                }
             }
-        }
-        // Same mode, threads on/off: the full report is bit-identical.
-        let m = reports.len() / 2;
-        for i in 0..m {
-            let (_, mode, seq) = &reports[i];
-            let (_, _, thr) = &reports[i + m];
-            prop_assert_eq!(seq.output(hc), thr.output(hc), "outputs: mode={:?}", mode);
-            prop_assert_eq!(
-                &seq.rounds,
-                &thr.rounds,
-                "round observations diverged: mode={:?}",
-                mode
-            );
+            // Same mode, threads on/off: the full report is bit-identical.
+            let m = reports.len() / 2;
+            for i in 0..m {
+                let (_, mode, seq) = &reports[i];
+                let (_, _, thr) = &reports[i + m];
+                prop_assert_eq!(
+                    seq.output(hc),
+                    thr.output(hc),
+                    "outputs: mode={:?} detect_races={}",
+                    mode,
+                    detect_races
+                );
+                prop_assert_eq!(
+                    &seq.rounds,
+                    &thr.rounds,
+                    "round observations diverged: mode={:?} detect_races={}",
+                    mode,
+                    detect_races
+                );
+            }
         }
     }
 }

@@ -4,7 +4,10 @@
 //! an explicit uneven plan with its devices out of order.  Each cell must
 //! be statically sound (proven race-free where the roster says so) and
 //! reproduce the host reference on the cluster simulator; the one-device
-//! even split must reproduce the single-device program's outputs.
+//! even split must reproduce the single-device program's outputs; and the
+//! two write disciplines of a launch — written through (the default:
+//! nothing reads a log) and logged + merged in block order (here forced
+//! by `detect_races`) — must give the same report, trace included.
 
 use atgpu::algos::roster::asym_pair;
 use atgpu::algos::workload::{test_machine, test_spec, verify_built_on_cluster};
@@ -34,16 +37,21 @@ fn every_cell_is_sound_and_matches_its_reference() {
             }
 
             let cluster = if plan_name == "planned" { &asym } else { &wide };
-            let report = verify_built_on_cluster(
-                &built,
-                &expected,
-                &machine,
-                cluster,
-                &SimConfig::default(),
-            )
-            .unwrap_or_else(|e| panic!("{cell}: {e}"));
-            let outputs: Vec<Vec<i64>> =
-                built.outputs.iter().map(|h| report.output(*h).to_vec()).collect();
+            let run = |detect_races| {
+                let config = SimConfig { trace: true, detect_races, ..SimConfig::default() };
+                verify_built_on_cluster(&built, &expected, &machine, cluster, &config)
+                    .unwrap_or_else(|e| panic!("{cell} (detect_races={detect_races}): {e}"))
+            };
+            let (report, logged) = (run(false), run(true));
+            assert_eq!(report.rounds, logged.rounds, "{cell}: rounds");
+            assert_eq!(report.device_stats, logged.device_stats, "{cell}: device stats");
+            assert_eq!(report.trace, logged.trace, "{cell}: trace");
+            assert!(report.trace.as_ref().is_some_and(|t| !t.spans.is_empty()), "{cell}");
+            let outputs_of = |r: &atgpu::sim::ClusterSimReport| -> Vec<Vec<i64>> {
+                built.outputs.iter().map(|h| r.output(*h).to_vec()).collect()
+            };
+            let outputs = outputs_of(&report);
+            assert_eq!(outputs, outputs_of(&logged), "{cell}: outputs");
             match plan_name {
                 "single" => single_outputs = Some(outputs),
                 "even1" => assert_eq!(single_outputs.as_ref(), Some(&outputs), "{cell}"),
