@@ -1,5 +1,6 @@
 //! Substrate microbenches: simulator throughput, execution modes, the
-//! coalescing analyser, OLS, pretty printing.
+//! issue loop (scheduler cost per instruction), the coalescing analyser,
+//! OLS, pretty printing.
 
 use atgpu_algos::{matmul::MatMul, vecadd::VecAdd, Workload};
 use atgpu_analyze::analyze_program;
@@ -7,8 +8,10 @@ use atgpu_analyze::coalesce::site_transactions;
 use atgpu_bench::bench_config;
 use atgpu_calibrate::ols::{fit_line, fit_multilinear};
 use atgpu_ir::affine::CompiledAddr;
-use atgpu_ir::{pretty, AddrExpr};
-use atgpu_sim::{run_program, ExecMode, SimConfig};
+use atgpu_ir::{pretty, AddrExpr, AluOp, DBuf, KernelBuilder, Operand};
+use atgpu_model::GpuSpec;
+use atgpu_sim::gmem::GlobalMemory;
+use atgpu_sim::{run_program, Device, ExecMode, SimConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 use std::time::Duration;
@@ -74,6 +77,51 @@ fn bench_simulator_throughput(c: &mut Criterion) {
     g.finish();
 }
 
+/// The issue loop by itself: a launch of exactly 10⁶ cheap instructions,
+/// so **ms per iteration reads as ns per issued instruction**, at
+/// residencies `ℓ ∈ {4, 16, 64}` (tournament-tree depth 2, 4, 6) on
+/// `k′ ∈ {2, 8}` co-simulated MPs.  Blocks are short (40 000 × 25
+/// instructions; `batch_compute` averages 36 per block), so admission and
+/// retirement weigh in as they do in practice.
+fn bench_issue_loop(c: &mut Criterion) {
+    let cfg = bench_config();
+    let mut g = c.benchmark_group("issue_loop");
+    g.sample_size(10).measurement_time(Duration::from_secs(2));
+
+    let b = cfg.machine.b;
+    let blocks = 40_000u64;
+    let mut kb = KernelBuilder::new("issue_loop", blocks, 2 * b);
+    let word = AddrExpr::block() * b as i64 + AddrExpr::lane();
+    kb.glb_to_shr(AddrExpr::lane(), DBuf(0), word.clone());
+    kb.ld_shr(0, AddrExpr::lane());
+    kb.repeat(7, |kb| {
+        kb.alu(AluOp::Add, 1, Operand::Reg(0), Operand::LoopVar(0));
+        kb.alu(AluOp::Xor, 0, Operand::Reg(0), Operand::Reg(1));
+        kb.st_shr(AddrExpr::lane() + b as i64, Operand::Reg(0));
+    });
+    kb.st_shr(AddrExpr::lane(), Operand::Reg(1));
+    kb.shr_to_glb(DBuf(1), word, AddrExpr::lane());
+    let kernel = kb.build();
+
+    let words = blocks * b;
+    let mut gmem = GlobalMemory::new(vec![0, words], 2 * words, b, cfg.machine.g).unwrap();
+    for ell in [4, 16, 64] {
+        for k_prime in [2, 8] {
+            let spec = GpuSpec { k_prime, h_limit: ell, ..cfg.spec };
+            let device = Device::new(cfg.machine, spec).unwrap();
+            g.bench_function(&format!("ell{ell}_k{k_prime}_ns_per_instr"), |bench| {
+                bench.iter(|| {
+                    let stats =
+                        device.run_kernel(&kernel, &mut gmem, ExecMode::Sequential, false).unwrap();
+                    assert_eq!((stats.instructions, stats.occupancy), (1_000_000, ell));
+                    stats
+                });
+            });
+        }
+    }
+    g.finish();
+}
+
 fn bench_analyzer(c: &mut Criterion) {
     let cfg = bench_config();
     let mut g = c.benchmark_group("analyzer");
@@ -113,5 +161,12 @@ fn bench_pretty(c: &mut Criterion) {
     });
 }
 
-criterion_group!(engine, bench_simulator_throughput, bench_analyzer, bench_ols, bench_pretty);
+criterion_group!(
+    engine,
+    bench_simulator_throughput,
+    bench_issue_loop,
+    bench_analyzer,
+    bench_ols,
+    bench_pretty
+);
 criterion_main!(engine);

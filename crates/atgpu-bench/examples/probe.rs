@@ -1,15 +1,173 @@
+//! Host-time attribution probes (run with
+//! `cargo run --release -p atgpu-bench --example probe`).
+//!
+//! 1. **Scheduler / executor split** — the nine programs of the repo
+//!    benchmark's `batch_compute` workload, replayed launch by launch
+//!    from pre-launch memory snapshots: a bare [`BlockExec`] loop (every
+//!    block reset and stepped to `Done` in order, full per-access
+//!    analysis, no scheduler), [`Device::run_kernel`] on a warm kernel
+//!    cache (MPs, tournament tree, co-simulation, DRAM controller, timing
+//!    replay), their difference and their ratio, per program and in
+//!    total.  The bare loop analyses every access where `run_kernel`
+//!    replays recorded timing, so the ratio understates the issue loop's
+//!    share; the **difference** is the figure to read across commits.
+//! 2. **vecadd breakdown** — executor-only / device-level / full-pipeline
+//!    timings of one 200k-word vector addition, engine against the
+//!    reference interpreter, for localising a regression.
+
+use atgpu_algos::bitonic::BitonicSort;
+use atgpu_algos::dot::Dot;
+use atgpu_algos::gemv::Gemv;
+use atgpu_algos::matmul::MatMul;
+use atgpu_algos::reduce::{Reduce, ReduceVariant};
+use atgpu_algos::scan::Scan;
+use atgpu_algos::transpose::{Transpose, TransposeVariant};
 use atgpu_algos::{vecadd::VecAdd, Workload};
 use atgpu_bench::bench_config;
-use atgpu_ir::HostStep;
+use atgpu_exp::ExpConfig;
+use atgpu_ir::{HostStep, Kernel};
 use atgpu_sim::engine::{BlockExec, BlockSim};
 use atgpu_sim::gmem::GlobalMemory;
 use atgpu_sim::uop::CompiledKernel;
 use atgpu_sim::warp::{GmemAccess, StepEvent, WarpExec};
-use atgpu_sim::{run_program, Device, EngineSel, ExecMode, SimConfig};
+use atgpu_sim::{run_program, Device, EngineSel, ExecMode, HostData, SimConfig};
 use std::time::Instant;
+
+/// Replays per program; each side keeps its fastest (this host's other
+/// tenants only ever slow a replay down).
+const REPLAYS: usize = 50;
+
+/// `batch_compute`'s roster at its measured sizes (the benchmark
+/// package's `rosters::batch_compute`, seed 1).
+fn batch_compute_programs() -> Vec<(&'static str, Box<dyn Workload>)> {
+    let s = |k: u64| 0x9E37_79B9u64.wrapping_add(k);
+    let n = 1 << 14;
+    vec![
+        ("matmul_64", Box::new(MatMul::new(64, s(1)))),
+        ("reduce_16k", Box::new(Reduce::new(n, s(2)))),
+        (
+            "reduce_seq_16k",
+            Box::new(Reduce::with_variant(n, s(3), ReduceVariant::SequentialAddressing)),
+        ),
+        ("bitonic_512", Box::new(BitonicSort::new(512, s(4)))),
+        ("gemv_128", Box::new(Gemv::new(128, s(5)))),
+        ("transpose_tiled_128", Box::new(Transpose::new(128, s(6), TransposeVariant::Tiled))),
+        (
+            "transpose_padded_128",
+            Box::new(Transpose::new(128, s(7), TransposeVariant::TiledPadded)),
+        ),
+        ("scan_8k", Box::new(Scan::new(n / 2, s(8)))),
+        ("dot_16k", Box::new(Dot::new(n, s(9)))),
+    ]
+}
+
+/// One launch of a program: its kernel, lowered, and the device memory it
+/// started from.
+struct Launch {
+    kernel: Kernel,
+    compiled: CompiledKernel,
+    before: Vec<i64>,
+}
+
+/// Walks a single-device program's host steps on a side copy, keeping
+/// every launch and its pre-launch memory.
+fn launches(cfg: &ExpConfig, device: &Device, w: &dyn Workload) -> (Vec<Launch>, GlobalMemory) {
+    let built = w.build(&cfg.machine).unwrap();
+    let program = &built.program;
+    let b = cfg.machine.b;
+    let (bases, total) = program.buffer_layout(b);
+    let mut gmem = GlobalMemory::new(bases.clone(), total, b, cfg.machine.g).unwrap();
+    let host = HostData::new(program, built.inputs.clone()).unwrap();
+    let mut host: Vec<Vec<i64>> =
+        (0..program.host_bufs.len()).map(|i| host.buf(atgpu_ir::HBuf(i as u32)).to_vec()).collect();
+    let mut out = Vec::new();
+    for step in program.rounds.iter().flat_map(|r| &r.steps) {
+        match step {
+            HostStep::TransferIn { host: h, host_off, dev, dev_off, words, .. } => {
+                let src = &host[h.0 as usize][*host_off as usize..][..*words as usize];
+                gmem.copy_in(bases[dev.0 as usize] + dev_off, src);
+            }
+            HostStep::TransferOut { dev, dev_off, host: h, host_off, words, .. } => {
+                let dst = &mut host[h.0 as usize][*host_off as usize..][..*words as usize];
+                gmem.copy_out(bases[dev.0 as usize] + dev_off, dst);
+            }
+            HostStep::Launch(kernel) => {
+                let nregs = kernel.max_reg().map_or(1, |r| u32::from(r) + 1);
+                out.push(Launch {
+                    kernel: kernel.clone(),
+                    compiled: CompiledKernel::compile(kernel, &bases, b as u32, nregs),
+                    before: gmem.words().to_vec(),
+                });
+                device.run_kernel(kernel, &mut gmem, ExecMode::Sequential, false).unwrap();
+            }
+            HostStep::SyncStream { .. } | HostStep::SyncDevice { .. } => {}
+            other => panic!("single-device program holds {other:?}"),
+        }
+    }
+    (out, gmem)
+}
+
+/// Section 1: where a `batch_compute` pass goes — executor or issue loop.
+fn scheduler_split(cfg: &ExpConfig) {
+    println!("scheduler/executor split, best of {REPLAYS} replays, ms per program");
+    println!(
+        "{:<22} {:>8} {:>7} {:>10} {:>11} {:>10} {:>6}",
+        "program", "launches", "blocks", "bare_exec", "run_kernel", "difference", "ratio"
+    );
+    let (mut bare_total, mut device_total) = (0.0, 0.0);
+    for (name, w) in batch_compute_programs() {
+        // One device per program: its kernel cache is warm after the
+        // capture pass, as it is for all but a program's first request.
+        let device = Device::new(cfg.machine, cfg.spec).unwrap();
+        let (launches, mut gmem) = launches(cfg, &device, w.as_ref());
+        let (mut bare, mut dev) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..REPLAYS {
+            let (mut bare_pass, mut dev_pass) = (0.0, 0.0);
+            for l in &launches {
+                gmem.words_mut().copy_from_slice(&l.before);
+                let t = Instant::now();
+                let mut ex = BlockExec::new(&l.compiled);
+                let mut acc = GmemAccess::Direct(&mut gmem);
+                for blk in 0..l.kernel.blocks() {
+                    BlockSim::reset(&mut ex, blk);
+                    while BlockSim::step(&mut ex, &mut acc).unwrap() != StepEvent::Done {}
+                }
+                bare_pass += t.elapsed().as_secs_f64();
+
+                gmem.words_mut().copy_from_slice(&l.before);
+                let t = Instant::now();
+                let stats =
+                    device.run_kernel(&l.kernel, &mut gmem, ExecMode::Sequential, false).unwrap();
+                dev_pass += t.elapsed().as_secs_f64();
+                std::hint::black_box(stats);
+            }
+            bare = bare.min(bare_pass * 1e3);
+            dev = dev.min(dev_pass * 1e3);
+        }
+        let blocks: u64 = launches.iter().map(|l| l.kernel.blocks()).sum();
+        println!(
+            "{name:<22} {:>8} {blocks:>7} {bare:>10.3} {dev:>11.3} {:>10.3} {:>6.2}",
+            launches.len(),
+            dev - bare,
+            dev / bare
+        );
+        bare_total += bare;
+        device_total += dev;
+    }
+    println!(
+        "{:<22} {:>8} {:>7} {bare_total:>10.3} {device_total:>11.3} {:>10.3} {:>6.2}\n",
+        "total (ms per pass)",
+        "",
+        "",
+        device_total - bare_total,
+        device_total / bare_total
+    );
+}
 
 fn main() {
     let cfg = bench_config();
+    scheduler_split(&cfg);
+
     let built = VecAdd::new(200_000, 1).build(&cfg.machine).unwrap();
     let kernel = built
         .program

@@ -3,10 +3,20 @@
 //!
 //! Two execution strategies (see [`crate::ExecMode`]):
 //!
-//! * **Sequential** — all MPs co-simulated in one event loop, always
-//!   stepping the MP with the earliest next event, against a *shared*
-//!   memory controller.  Global writes are applied immediately.  This is
-//!   the deterministic reference semantics.
+//! * **Sequential** — all MPs co-simulated in global time order against
+//!   a *shared* memory controller: the next instruction always issues on
+//!   the MP with the smallest `(next event, MP index)`.  The loop does
+//!   not rescan the MPs after every instruction.  It picks that MP,
+//!   keeps the runner-up's key as a **horizon**, and steps the same MP —
+//!   admitting from the launch queue as its blocks retire, testing the
+//!   watchdog before every step — until its next event passes the
+//!   horizon.  This is exactly the order of a rescan per instruction: an
+//!   MP's next event depends only on its own residents' wake-ups and its
+//!   own clock (the shared controller feeds nothing but the wake-up of
+//!   the warp that issued the access, and a block is admitted only to
+//!   the MP that just retired one), so no other MP's key can move while
+//!   one runs.  Global writes are applied immediately.  This is the
+//!   deterministic reference semantics.
 //! * **Parallel** — MPs are partitioned over scoped OS threads; each MP
 //!   gets a private controller with a `1/k′` bandwidth
 //!   share and blocks are assigned statically (`block i → MP i mod k′`).
@@ -377,24 +387,42 @@ impl Device {
         }
 
         let budget = self.watchdog.load(std::sync::atomic::Ordering::Relaxed);
+        // Global time order: the next instruction always issues on the MP
+        // with the smallest `(next event, MP index)`.
+        const NEVER: (u64, usize) = (u64::MAX, usize::MAX);
         loop {
-            // Pick the MP with the earliest next event (global time order).
-            let mut best: Option<(u64, usize)> = None;
+            // The earliest MP, and the runner-up among the others — the
+            // horizon the earliest one may run to.
+            let (mut first, mut horizon) = (NEVER, NEVER);
             for (i, mp) in mps.iter().enumerate() {
                 if let Some(t) = mp.next_event() {
-                    if best.is_none_or(|(bt, _)| t < bt) {
-                        best = Some((t, i));
+                    if (t, i) < first {
+                        (first, horizon) = ((t, i), first);
+                    } else if (t, i) < horizon {
+                        horizon = (t, i);
                     }
                 }
             }
-            let Some((t, i)) = best else { break };
-            if budget != 0 && t > budget {
-                return Err(SimError::Watchdog { kernel: name.to_string(), budget });
+            if first == NEVER {
+                break;
             }
-            let retired = mps[i].step(acc, &mut dram)?;
-            if retired && next_block < end_block {
-                mps[i].admit(next_block, &make);
-                next_block += 1;
+            // Step MP `i` for as long as a rescan would pick it again.
+            // Its steps cannot move another MP's key (see the module
+            // docs), so the horizon stands until MP `i` passes it.
+            let i = first.1;
+            let mp = &mut mps[i];
+            while let Some(t) = mp.next_event() {
+                if (t, i) >= horizon {
+                    break;
+                }
+                if budget != 0 && t > budget {
+                    return Err(SimError::Watchdog { kernel: name.to_string(), budget });
+                }
+                let retired = mp.step(acc, &mut dram)?;
+                if retired && next_block < end_block {
+                    mp.admit(next_block, &make);
+                    next_block += 1;
+                }
             }
         }
 
@@ -575,6 +603,9 @@ pub fn apply_write_log(
     GmemAccess::Direct(gmem).absorb(log);
     Ok(())
 }
+
+#[cfg(test)]
+mod sched_model;
 
 #[cfg(test)]
 mod tests {

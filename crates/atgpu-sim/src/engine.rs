@@ -19,9 +19,9 @@
 //! * per-site compile-time shapes: unit-stride warp accesses become
 //!   bounds-checked block copies, transaction counts come from the
 //!   compile-time residue table, bank-conflict degrees from the shared
-//!   classifier — the dynamic fallbacks use fixed `[i64; 64]` scratch and
-//!   a generation-stamped bank-counter array (no `Vec`, no sort, no
-//!   dedup);
+//!   classifier — the dynamic fallbacks use fixed `[_; 64]` scratch:
+//!   generation-stamped per-bank counters and lane chains, and a short
+//!   list of distinct block indices (no `Vec`, no sort, no dedup);
 //! * when [`CompiledKernel::replayable`] holds, the first block a
 //!   multiprocessor runs records its memory-event stream; subsequent
 //!   blocks execute functionally but *replay* the recorded events for
@@ -111,9 +111,14 @@ pub struct BlockExec<'k> {
     // Operand-row scratch (avoids zero-initialising stack arrays per op).
     op_a: [i64; 64],
     op_b: [i64; 64],
-    // Generation-stamped bank counters for the dynamic conflict path.
+    // Generation-stamped bank counters for the dynamic conflict path,
+    // and the per-bank chains of lanes holding its distinct addresses:
+    // `bank_head[bank]` is the latest such lane, `lane_prev[lane]` the one
+    // before it (`bank_count[bank]` links are valid).
     bank_count: [u16; 64],
     bank_gen: [u64; 64],
+    bank_head: [u8; 64],
+    lane_prev: [u8; 64],
     gen: u64,
     trace: TraceRole,
 }
@@ -142,6 +147,8 @@ impl<'k> BlockExec<'k> {
             op_b: [0; 64],
             bank_count: [0; 64],
             bank_gen: [0; 64],
+            bank_head: [0; 64],
+            lane_prev: [0; 64],
             gen: 0,
             trace: TraceRole::Off,
         }
@@ -302,9 +309,11 @@ impl<'k> BlockExec<'k> {
     }
 
     /// Dynamic conflict degree: max distinct addresses in any one bank
-    /// among the active lanes.  Allocation-free: O(active²) duplicate
-    /// suppression over `addr_buf` plus a generation-stamped bank-counter
-    /// array.
+    /// among the active lanes.  Allocation-free: the lanes holding a
+    /// bank's distinct addresses are chained through `bank_head` /
+    /// `lane_prev` (generation-stamped with the counters), so a lane is
+    /// compared only with the addresses already in its own bank — equal
+    /// addresses share a bank, and a same-address lane broadcasts.
     fn dyn_conflict_degree(&mut self, mask: u64) -> u32 {
         let banks = i64::from(self.b);
         self.gen += 1;
@@ -312,28 +321,28 @@ impl<'k> BlockExec<'k> {
         let mut degree = 1u16;
         let mut m = mask;
         while m != 0 {
-            let lane = m.trailing_zeros();
+            let lane = m.trailing_zeros() as usize;
             m &= m - 1;
-            let addr = self.addr_buf[lane as usize];
-            // Same address in an earlier active lane broadcasts — skip.
-            let mut earlier = mask & ((1u64 << lane) - 1);
+            let addr = self.addr_buf[lane];
+            let bank = addr.rem_euclid(banks) as usize;
+            let count = if self.bank_gen[bank] == gen { self.bank_count[bank] } else { 0 };
+            let mut earlier = self.bank_head[bank] as usize;
             let mut dup = false;
-            while earlier != 0 {
-                let l2 = earlier.trailing_zeros();
-                earlier &= earlier - 1;
-                if self.addr_buf[l2 as usize] == addr {
+            for _ in 0..count {
+                if self.addr_buf[earlier] == addr {
                     dup = true;
                     break;
                 }
+                earlier = self.lane_prev[earlier] as usize;
             }
             if dup {
                 continue;
             }
-            let bank = addr.rem_euclid(banks) as usize;
-            let count = if self.bank_gen[bank] == gen { self.bank_count[bank] + 1 } else { 1 };
+            self.lane_prev[lane] = self.bank_head[bank];
+            self.bank_head[bank] = lane as u8;
             self.bank_gen[bank] = gen;
-            self.bank_count[bank] = count;
-            degree = degree.max(count);
+            self.bank_count[bank] = count + 1;
+            degree = degree.max(count + 1);
         }
         u32::from(degree)
     }
@@ -387,30 +396,25 @@ impl<'k> BlockExec<'k> {
     }
 
     /// Distinct memory blocks among active lanes' addresses, without the
-    /// monotonicity guarantee.  Allocation-free O(active²) scan.
+    /// monotonicity guarantee.  Allocation-free: each lane's block index
+    /// is computed once and looked up in the list of distinct ones so far
+    /// (kept in the `op_a` row, idle during a memory instruction), most
+    /// recent first — neighbouring lanes mostly share a block.
     fn dyn_distinct_blocks(&mut self, mask: u64) -> u32 {
         let bw = i64::from(self.b);
-        let mut txns = 0u32;
+        let distinct = &mut self.op_a;
+        let mut txns = 0usize;
         let mut m = mask;
         while m != 0 {
             let lane = m.trailing_zeros();
             m &= m - 1;
             let q = self.addr_buf[lane as usize].div_euclid(bw);
-            let mut earlier = mask & ((1u64 << lane) - 1);
-            let mut dup = false;
-            while earlier != 0 {
-                let l2 = earlier.trailing_zeros();
-                earlier &= earlier - 1;
-                if self.addr_buf[l2 as usize].div_euclid(bw) == q {
-                    dup = true;
-                    break;
-                }
-            }
-            if !dup {
+            if !distinct[..txns].iter().rev().any(|&seen| seen == q) {
+                distinct[txns] = q;
                 txns += 1;
             }
         }
-        txns
+        txns as u32
     }
 
     /// True when this access's timing should be pulled from the replay
@@ -957,6 +961,62 @@ impl BlockSim for BlockExec<'_> {
                     self.pc += 1;
                     return Ok(self.emit_mem_event(StepEvent::Global { txns, issue: degree }));
                 }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use atgpu_ir::KernelBuilder;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The dynamic fallbacks against the reference interpreter's method:
+    /// collect the active lanes' addresses, sort, dedup, count — over
+    /// random address sets with negatives, duplicates and partial masks.
+    #[test]
+    fn dynamic_fallbacks_match_a_sort_and_dedup_oracle() {
+        let mut kb = KernelBuilder::new("fallbacks", 1, 0);
+        kb.sync();
+        let kernel = kb.build();
+        let mut rng = StdRng::seed_from_u64(0xFA11_BAC5);
+        for b in [4u32, 32, 64] {
+            let ck = CompiledKernel::compile(&kernel, &[], b, 1);
+            let mut ex = BlockExec::new(&ck);
+            let bw = i64::from(b);
+            for case in 0..2000 {
+                // Narrow spans force duplicates and shared banks/blocks;
+                // wide ones spread the lanes out.
+                let span = [1, 3, bw, 4 * bw, 1 << 20][case % 5];
+                let mask = match case % 4 {
+                    0 => ex.full_mask,
+                    1 => rng.next_u64() & ex.full_mask,
+                    2 => 1 << rng.gen_range(0..b),
+                    _ => rng.next_u64() & rng.next_u64() & ex.full_mask,
+                };
+                for lane in 0..b as usize {
+                    ex.addr_buf[lane] = rng.gen_range(-span..=span);
+                }
+                let mut addrs: Vec<i64> = (0..b)
+                    .filter(|l| mask >> l & 1 == 1)
+                    .map(|l| ex.addr_buf[l as usize])
+                    .collect();
+                addrs.sort_unstable();
+                addrs.dedup();
+
+                let mut per_bank = vec![0u32; b as usize];
+                for a in &addrs {
+                    per_bank[a.rem_euclid(bw) as usize] += 1;
+                }
+                let degree = per_bank.into_iter().max().unwrap_or(0).max(1);
+                assert_eq!(ex.dyn_conflict_degree(mask), degree, "b={b} mask={mask:#x} {addrs:?}");
+
+                let mut blocks: Vec<i64> = addrs.iter().map(|a| a.div_euclid(bw)).collect();
+                blocks.dedup();
+                let txns = blocks.len() as u32;
+                assert_eq!(ex.dyn_distinct_blocks(mask), txns, "b={b} mask={mask:#x} {addrs:?}");
             }
         }
     }

@@ -29,12 +29,12 @@
 //!  Kernel ──► uop::CompiledKernel::compile ├───► engine::BlockExec (flat pc,    ├──► StepEvents
 //!  (Instr    │  · flatten Repeat/Pred into │   │   mask/arm stacks, contiguous  │    │
 //!   tree)    │    jump-targeted Vec<Uop>   │   │   copies, O(1) txn/degree      │    ▼
-//!            │  · classify each site:      │   │   lookups, fixed scratch)      │  mp::Mp (ready-time
-//!            │    unit/bcast/strided/dyn   │   │                                │  scheduling, replay
-//!            │  · bake conflict degrees +  │   │  replayable? first block       │  cache) → device
-//!            │    residue txn tables       │   │  records its event trace,      │  event loop → driver
-//!            │  · prove replayability and  │   │  later blocks replay timing    │  (transfers, rounds)
-//!            │    init-elision             │   └────────────────────────────────┘
+//!            │  · classify each site:      │   │   lookups, fixed scratch)      │  mp::Mp (min (ready,
+//!            │    unit/bcast/strided/dyn   │   │                                │  index) key tree,
+//!            │  · bake conflict degrees +  │   │  replayable? first block       │  replay cache) →
+//!            │    residue txn tables       │   │  records its event trace,      │  device (run to the
+//!            │  · prove replayability and  │   │  later blocks replay timing    │  horizon) → driver
+//!            │    init-elision             │   └────────────────────────────────┘  (transfers, rounds)
 //!            └──────────────────────────────┘
 //! ```
 //!
@@ -325,13 +325,16 @@
 //! * [`warp`] — the reference interpreter: lockstep tree-walking
 //!   execution of one thread block with divergence masks;
 //! * [`dram`] — the memory controller (latency + issue-rate bandwidth);
-//! * [`mp`] — a multiprocessor: resident warps, tournament-tree
-//!   ready-time scheduling, occupancy-limited block slots, the per-MP
-//!   replay cache;
+//! * [`mp`] — a multiprocessor: occupancy-limited block slots over
+//!   pointer-held (never moved) executors, the per-MP replay cache, and
+//!   the scheduling rule — issue from the smallest `(ready, dense index)`
+//!   — kept as packed keys in the nodes of a tournament tree;
 //! * [`device`] — the whole device: `k′` MPs co-simulated in global time
-//!   order against a shared memory controller ([`ExecMode::Sequential`]),
-//!   or partitioned across OS threads with per-MP bandwidth shares
-//!   ([`ExecMode::Parallel`]);
+//!   order against a shared memory controller ([`ExecMode::Sequential`]:
+//!   the MP with the smallest `(next event, index)` runs up to the
+//!   runner-up's horizon, which is the order of a rescan per
+//!   instruction), or partitioned across OS threads with per-MP
+//!   bandwidth shares ([`ExecMode::Parallel`]);
 //! * [`xfer`] — the per-link transfer engine (`α`, `β`, optional seeded
 //!   noise; host↔device and device↔device peer edges);
 //! * [`fault`] — seeded deterministic fault plans and the runtime that

@@ -8,6 +8,28 @@
 //! pulled from the launch queue whenever a residency slot frees, up to
 //! `ℓ = min(⌊M/m⌋, H)` concurrent blocks.
 //!
+//! # The scheduling rule
+//!
+//! Every resident block has a wake-up cycle `ready` and a position
+//! `index` in the MP's dense residency order (admission appends; a
+//! retirement moves the tail into the freed position).  The MP always
+//! issues from the block with the **smallest `(ready, index)`** — the
+//! first minimum of a scan over the dense order — stalling its clock
+//! forward to `ready` when nothing is ready sooner.  That one rule is
+//! stated in one place, the key: a block's `(ready, index)` packed into a
+//! `u128` (`ready` in the high 64 bits, `index` in the low 64 — no bit is
+//! taken from the cycle count), ordered as an integer.  The keys sit *in*
+//! the nodes of a tournament tree (`KeyTree`): an update is `log₂ cap`
+//! `min`s along one leaf-to-root path with no indirection, the winner and
+//! its wake-up time are the root, and an empty leaf is `u128::MAX`.  The
+//! leaves are the only copy of the wake-up times.
+//!
+//! Executors are held behind a pointer and never moved while resident:
+//! admission and retirement move one word between the dense order and
+//! the spare pool, and everything the MP allocates grows with the blocks
+//! it is actually given, not with `ℓ` (which a valid spec can make
+//! astronomically large).
+//!
 //! The MP is generic over the block executor ([`BlockSim`]): the micro-op
 //! engine ([`crate::engine::BlockExec`]) or the tree-walking reference
 //! ([`crate::warp::WarpExec`]).  For replayable kernels the MP also hosts
@@ -23,22 +45,18 @@ use crate::warp::{GmemAccess, StepEvent};
 use std::sync::Arc;
 
 /// A multiprocessor simulating up to `ell` resident blocks.
-///
-/// Wake-up times live in a dense array parallel to the executors, and
-/// the earliest slot is cached — the scheduler pays one O(ℓ) refresh per
-/// issued instruction instead of a scan per query.
 pub struct Mp<E> {
     /// The MP's current cycle (issue clock).
     pub clock: u64,
-    warps: Vec<E>,
-    /// Wake-up time of each resident warp (parallel to `warps`).
-    ready: Vec<u64>,
-    /// Tournament tree over `ready`: O(log ℓ) winner maintenance per
-    /// issued instruction, with (time, index) tie-breaking identical to a
-    /// first-minimum scan.
-    tree: MinTree,
+    /// Resident executors in dense order.  Boxed: admission, retirement
+    /// and the tail's move into a retired position shuffle pointers, never
+    /// the executors (a [`crate::engine::BlockExec`] is ≈ 3 KB).
+    warps: Vec<Box<E>>,
+    /// The residents' `(ready, index)` keys, `index` being the position in
+    /// `warps` (see the module docs).
+    tree: KeyTree,
     /// Finished-warp pool for reuse (workhorse allocation pattern).
-    spare: Vec<E>,
+    spare: Vec<Box<E>>,
     ell: usize,
     /// This MP's share of the launch's counters (instructions, accesses,
     /// transactions, conflict and stall cycles, blocks retired); the
@@ -73,14 +91,13 @@ impl<E: BlockSim> Mp<E> {
     /// cache): every admitted block replays immediately — no first-block
     /// recording warmup.  `trace` is ignored unless `replay` holds.
     pub fn with_trace(ell: u64, replay: bool, trace: Option<Arc<[StepEvent]>>) -> Self {
-        let ell = ell as usize;
         Self {
             clock: 0,
-            warps: Vec::with_capacity(ell),
-            ready: Vec::with_capacity(ell),
-            tree: MinTree::new(ell),
+            warps: Vec::new(),
+            tree: KeyTree::default(),
             spare: Vec::new(),
-            ell,
+            // `ℓ` only caps admission; no storage is sized by it.
+            ell: usize::try_from(ell).unwrap_or(usize::MAX),
             stats: KernelStats::default(),
             last_retire: 0,
             replay,
@@ -109,7 +126,7 @@ impl<E: BlockSim> Mp<E> {
     /// Admits a block, reusing a pooled executor when available.
     pub fn admit(&mut self, block: u64, make: impl FnOnce() -> E) {
         debug_assert!(self.warps.len() < self.ell);
-        let mut warp = self.spare.pop().unwrap_or_else(make);
+        let mut warp = self.spare.pop().unwrap_or_else(|| Box::new(make()));
         warp.reset(block);
         if self.replay {
             if let Some(trace) = &self.trace {
@@ -119,9 +136,8 @@ impl<E: BlockSim> Mp<E> {
                 self.recording = true;
             }
         }
+        self.tree.set(self.warps.len(), self.clock);
         self.warps.push(warp);
-        self.ready.push(self.clock);
-        self.tree.set(&self.ready, self.ready.len() - 1);
     }
 
     /// Executes one scheduling decision: picks the warp with the earliest
@@ -133,19 +149,18 @@ impl<E: BlockSim> Mp<E> {
         dram: &mut DramController,
     ) -> Result<bool, SimError> {
         debug_assert!(!self.warps.is_empty(), "step() requires a resident block");
-        let idx = self.tree.winner();
-        let ready = self.ready[idx];
+        let (ready, idx) = self.tree.winner();
         if ready > self.clock {
             self.stats.stall_cycles += ready - self.clock;
             self.clock = ready;
         }
         let event = self.warps[idx].step(gmem)?;
-        match event {
+        let wake = match event {
             StepEvent::Compute { cycles } => {
                 self.clock += u64::from(cycles.max(1));
                 self.stats.instructions += 1;
                 self.stats.compute_instructions += 1;
-                self.ready[idx] = self.clock;
+                self.clock
             }
             StepEvent::Shared { degree } => {
                 let d = u64::from(degree.max(1));
@@ -153,7 +168,7 @@ impl<E: BlockSim> Mp<E> {
                 self.stats.instructions += 1;
                 self.stats.shared_accesses += 1;
                 self.stats.bank_conflict_cycles += d - 1;
-                self.ready[idx] = self.clock;
+                self.clock
             }
             StepEvent::Global { txns, issue } => {
                 let d = u64::from(issue.max(1));
@@ -162,11 +177,10 @@ impl<E: BlockSim> Mp<E> {
                 self.stats.global_accesses += 1;
                 self.stats.bank_conflict_cycles += d - 1;
                 self.stats.global_txns += u64::from(txns);
-                self.ready[idx] = dram.access(self.clock, u64::from(txns));
+                dram.access(self.clock, u64::from(txns))
             }
             StepEvent::Done => {
                 let mut warp = self.warps.swap_remove(idx);
-                self.ready.swap_remove(idx);
                 if self.recording {
                     if let Some(trace) = warp.take_trace() {
                         self.trace = Some(trace);
@@ -176,15 +190,17 @@ impl<E: BlockSim> Mp<E> {
                 self.spare.push(warp);
                 self.stats.blocks += 1;
                 self.last_retire = self.clock;
-                // The tail slot moved into `idx`; the old tail is gone.
-                if idx < self.ready.len() {
-                    self.tree.set(&self.ready, idx);
+                // The tail resident moved into position `idx` and is
+                // re-keyed under it; the old tail position is empty.
+                let tail = self.warps.len();
+                if idx < tail {
+                    self.tree.set(idx, self.tree.ready(tail));
                 }
-                self.tree.set(&self.ready, self.ready.len());
+                self.tree.clear(tail);
                 return Ok(true);
             }
-        }
-        self.tree.set(&self.ready, idx);
+        };
+        self.tree.set(idx, wake);
         Ok(false)
     }
 
@@ -195,58 +211,93 @@ impl<E: BlockSim> Mp<E> {
         if self.warps.is_empty() {
             None
         } else {
-            Some(self.ready[self.tree.winner()].max(self.clock))
+            Some(self.tree.winner().0.max(self.clock))
         }
     }
 }
 
-/// A winner (tournament) tree over the `ready` array: leaves are slot
-/// indices keyed by `(ready_at, index)`, internal nodes hold the winning
-/// leaf of their subtree.  `set(i)` recomputes one leaf-to-root path —
-/// O(log ℓ) instead of an O(ℓ) scan per issued instruction — and the
-/// `(time, index)` order makes the winner identical to a first-minimum
-/// scan.
-struct MinTree {
-    /// Leaf capacity (power of two, ≥ 1).
-    cap: usize,
-    /// `node[n]` = winning leaf index of subtree `n`; leaves at
-    /// `cap..2·cap` hold their own index.  `usize::MAX` marks an empty
-    /// leaf.
-    node: Vec<usize>,
+/// A winner (tournament) tree whose nodes hold the keys themselves:
+/// leaf `i` is resident `i`'s packed `(ready, i)` (or [`KeyTree::EMPTY`]),
+/// an internal node is the smaller of its two children, the root is the
+/// scheduler's pick.  Integer order on the packed key *is* the scheduling
+/// rule — earliest wake-up first, lowest dense index among equals, exactly
+/// a first-minimum scan — and keys are unique, so there are no ties to
+/// break inside the tree.  Capacity doubles as residents arrive, so the
+/// tree is sized by the blocks an MP is given, never by `ℓ` — and an MP
+/// that is given none allocates nothing.
+#[derive(Default)]
+struct KeyTree {
+    /// `node[1]` is the root, `node[n]`'s children are `node[2n]` and
+    /// `node[2n + 1]`, the leaves are the upper half `node[cap..2·cap]`;
+    /// `node[0]` is unused.
+    node: Vec<u128>,
 }
 
-impl MinTree {
-    fn new(ell: usize) -> Self {
-        let cap = ell.max(1).next_power_of_two();
-        Self { cap, node: vec![usize::MAX; 2 * cap] }
-    }
+impl KeyTree {
+    /// An unoccupied leaf: later than any wake-up, so it never wins while
+    /// a resident exists.
+    const EMPTY: u128 = u128::MAX;
 
+    /// Leaf capacity: a power of two, or 0 before the first resident.
     #[inline]
-    fn key(ready: &[u64], leaf: usize) -> (u64, usize) {
-        match ready.get(leaf) {
-            Some(&r) => (r, leaf),
-            None => (u64::MAX, usize::MAX),
-        }
+    fn cap(&self) -> usize {
+        self.node.len() / 2
     }
 
-    /// Re-evaluates leaf `i` (its key changed, appeared or vanished) and
-    /// its ancestors.
-    fn set(&mut self, ready: &[u64], i: usize) {
-        debug_assert!(i < self.cap);
-        self.node[self.cap + i] = if i < ready.len() { i } else { usize::MAX };
-        let mut n = (self.cap + i) >> 1;
-        while n >= 1 {
-            let (l, r) = (self.node[2 * n], self.node[2 * n + 1]);
-            self.node[n] = if Self::key(ready, l) <= Self::key(ready, r) { l } else { r };
+    /// Sets leaf `i`'s wake-up time to `ready`, growing the tree to hold
+    /// it.
+    #[inline]
+    fn set(&mut self, i: usize, ready: u64) {
+        if i >= self.cap() {
+            self.grow(i + 1);
+        }
+        self.update(i, (u128::from(ready) << 64) | i as u128);
+    }
+
+    /// Empties leaf `i`.
+    #[inline]
+    fn clear(&mut self, i: usize) {
+        self.update(i, Self::EMPTY);
+    }
+
+    /// Wake-up time of occupied leaf `i`.
+    #[inline]
+    fn ready(&self, i: usize) -> u64 {
+        (self.node[self.cap() + i] >> 64) as u64
+    }
+
+    /// The smallest key as `(ready, index)`.  Only meaningful while at
+    /// least one leaf is occupied.
+    #[inline]
+    fn winner(&self) -> (u64, usize) {
+        let key = self.node[1];
+        ((key >> 64) as u64, key as u64 as usize)
+    }
+
+    /// Stores `key` at leaf `i` and replays the matches on its path to
+    /// the root: one load and one `min` per level.
+    #[inline]
+    fn update(&mut self, i: usize, key: u128) {
+        let mut n = self.cap() + i;
+        let mut best = key;
+        self.node[n] = best;
+        while n > 1 {
+            best = best.min(self.node[n ^ 1]);
             n >>= 1;
+            self.node[n] = best;
         }
     }
 
-    /// The winning (earliest-ready, lowest-index) leaf.  Only valid while
-    /// at least one leaf is occupied.
-    #[inline]
-    fn winner(&self) -> usize {
-        self.node[1]
+    /// Re-seats the leaves in a tree of at least `leaves` leaves.
+    #[cold]
+    fn grow(&mut self, leaves: usize) {
+        let (old, cap) = (self.cap(), leaves.next_power_of_two());
+        let mut node = vec![Self::EMPTY; 2 * cap];
+        node[cap..cap + old].copy_from_slice(&self.node[old..]);
+        for n in (1..cap).rev() {
+            node[n] = node[2 * n].min(node[2 * n + 1]);
+        }
+        self.node = node;
     }
 }
 

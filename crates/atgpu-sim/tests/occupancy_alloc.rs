@@ -1,0 +1,83 @@
+//! Regression: a *valid* `GpuSpec` must not be able to size an
+//! allocation.  `GpuSpec::validate` accepts any `h_limit`, a kernel that
+//! declares no shared memory gets `ℓ = H` from `occupancy`, and the
+//! multiprocessor used to pre-size its executor pool, wake-up array and
+//! tournament tree by `ℓ`: with `h_limit = 1 << 40` a release-mode
+//! `run_program` died in `memory allocation of 3192981767061504 bytes
+//! failed` — an abort, not a `SimError` — and `h_limit = 100_000` "only"
+//! allocated 2 × 290 MB per launch.  A spec reaches the simulator from a
+//! client through `CostServer::price_what_if`'s simulation fallback.
+//! What an MP holds now grows with the blocks it is actually given, so
+//! the largest single allocation of such a run stays small.
+//!
+//! This file contains a single test so no concurrent test can perturb
+//! the allocation high-water mark.
+
+use atgpu_ir::{AluOp, KernelBuilder, Operand, ProgramBuilder};
+use atgpu_model::{AtgpuMachine, GpuSpec};
+use atgpu_sim::{run_program, ExecMode, SimConfig};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+
+struct PeakAlloc;
+
+/// Largest single request the allocator has seen, in bytes.
+static LARGEST: AtomicUsize = AtomicUsize::new(0);
+
+unsafe impl GlobalAlloc for PeakAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        LARGEST.fetch_max(new_size, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: PeakAlloc = PeakAlloc;
+
+#[test]
+fn a_huge_residency_limit_sizes_no_allocation() {
+    let machine = AtgpuMachine::gtx650_like();
+    let spec = GpuSpec { h_limit: 1 << 40, ..GpuSpec::gtx650_like() };
+    spec.validate().expect("the model accepts any residency limit");
+
+    // Eight blocks of a kernel without shared memory (so `ℓ = H`), between
+    // a transfer in and a transfer out of the same buffer.
+    let n = 8 * machine.b;
+    let mut kb = KernelBuilder::new("no_shared", 8, 0);
+    kb.mov(0, Operand::Block);
+    kb.repeat(4, |kb| {
+        kb.alu(AluOp::Add, 0, Operand::Reg(0), Operand::Lane);
+    });
+    let mut pb = ProgramBuilder::new("huge_h");
+    let input = pb.host_input("A", n);
+    let output = pb.host_output("B", n);
+    let buf = pb.device_alloc("a", n);
+    pb.begin_round();
+    pb.transfer_in(input, buf, n);
+    pb.launch(kb.build());
+    pb.transfer_out(buf, output, n);
+    let program = pb.build().unwrap();
+    let data: Vec<i64> = (0..n as i64).map(|i| 3 * i - 7).collect();
+
+    for mode in [ExecMode::Sequential, ExecMode::Parallel { threads: 2 }] {
+        LARGEST.store(0, Ordering::SeqCst);
+        let config = SimConfig { mode, ..SimConfig::default() };
+        let report = run_program(&program, vec![data.clone()], &machine, &spec, &config).unwrap();
+        let largest = LARGEST.load(Ordering::SeqCst);
+
+        assert_eq!(report.output(output), data, "{mode:?}");
+        let stats = report.rounds[0].kernel_stats;
+        assert_eq!(stats.occupancy, 1 << 40, "{mode:?}: the model's ℓ is reported as it is");
+        assert_eq!((stats.blocks, stats.instructions), (8, 8 * 5), "{mode:?}");
+        // An executor is ≈ 3 KB; at the parent the first request was
+        // 2904 B × ℓ.
+        assert!(largest < 1 << 20, "{mode:?}: a {largest}-byte allocation");
+    }
+}
