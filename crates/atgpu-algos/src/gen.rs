@@ -1,10 +1,9 @@
 //! Deterministic input generation for workload instances.
 //!
 //! All workloads generate inputs from a seed so that every run — host
-//! reference, sequential simulation, parallel simulation, benchmarks — is
-//! reproducible.  Values are kept small enough that the largest
-//! accumulations (matrix products of 10⁹ terms, reductions of 10⁸
-//! elements) stay far from `i64` overflow.
+//! reference, simulation, benchmarks — is reproducible.  Values are kept
+//! small enough that the largest accumulations (matrix products of 10⁹
+//! terms, reductions of 10⁸ elements) stay far from `i64` overflow.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

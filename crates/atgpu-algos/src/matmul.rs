@@ -541,16 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_mode_agrees() {
-        let w = MatMul::new(64, 9);
-        let cfg = SimConfig {
-            mode: atgpu_sim::ExecMode::Parallel { threads: 2 },
-            ..SimConfig::default()
-        };
-        verify_on_sim(&w, &test_machine(), &test_spec(), &cfg).unwrap();
-    }
-
-    #[test]
     fn sharded_build_verifies_on_clusters() {
         use crate::workload::verify_built_on_cluster;
         let m = test_machine();

@@ -590,14 +590,4 @@ mod tests {
             report.rounds[0].devices.iter().map(|d| d.kernel_stats.blocks).collect();
         assert!(blocks[1] < blocks[0], "slow-link device over-assigned: {blocks:?}");
     }
-
-    #[test]
-    fn parallel_mode_agrees() {
-        let w = Reduce::new(4096, 5);
-        let cfg = SimConfig {
-            mode: atgpu_sim::ExecMode::Parallel { threads: 2 },
-            ..SimConfig::default()
-        };
-        verify_on_sim(&w, &test_machine(), &test_spec(), &cfg).unwrap();
-    }
 }

@@ -1,6 +1,6 @@
-//! Substrate microbenches: simulator throughput, execution modes, the
-//! issue loop (scheduler cost per instruction), the coalescing analyser,
-//! OLS, pretty printing.
+//! Substrate microbenches: simulator throughput (engine and reference
+//! interpreter), the issue loop (scheduler cost per instruction), the
+//! coalescing analyser, OLS, pretty printing.
 
 use atgpu_algos::{matmul::MatMul, vecadd::VecAdd, Workload};
 use atgpu_analyze::analyze_program;
@@ -41,15 +41,6 @@ fn bench_simulator_throughput(c: &mut Criterion) {
         // The retained tree-walking interpreter: the pre-engine baseline
         // the micro-op engine is measured against.
         let sim = SimConfig { use_reference: true, ..SimConfig::default() };
-        b.iter(|| {
-            black_box(
-                run_program(&built.program, built.inputs.clone(), &cfg.machine, &cfg.spec, &sim)
-                    .unwrap(),
-            )
-        });
-    });
-    g.bench_function("vecadd_200k_parallel2", |b| {
-        let sim = SimConfig { mode: ExecMode::Parallel { threads: 2 }, ..SimConfig::default() };
         b.iter(|| {
             black_box(
                 run_program(&built.program, built.inputs.clone(), &cfg.machine, &cfg.spec, &sim)

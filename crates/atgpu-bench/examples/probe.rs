@@ -234,9 +234,7 @@ fn main() {
         let kernel = kernel.clone();
         let mut g2 = GlobalMemory::new(bases.clone(), total, cfg.machine.b, cfg.machine.g).unwrap();
         move || {
-            device
-                .run_kernel_with(&kernel, &mut g2, ExecMode::Sequential, false, EngineSel::MicroOp)
-                .unwrap();
+            device.run_kernel_with(&kernel, &mut g2, false, EngineSel::MicroOp).unwrap();
         }
     }));
     println!("engine-device    : {:.4}s", e);
@@ -245,15 +243,7 @@ fn main() {
         let kernel = kernel.clone();
         let mut g2 = GlobalMemory::new(bases.clone(), total, cfg.machine.b, cfg.machine.g).unwrap();
         move || {
-            device
-                .run_kernel_with(
-                    &kernel,
-                    &mut g2,
-                    ExecMode::Sequential,
-                    false,
-                    EngineSel::Reference,
-                )
-                .unwrap();
+            device.run_kernel_with(&kernel, &mut g2, false, EngineSel::Reference).unwrap();
         }
     }));
     println!("ref-device       : {:.4}s  device-speedup={:.2}", r, r / e);

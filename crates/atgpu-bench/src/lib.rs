@@ -8,7 +8,7 @@
 //!   on first run, prints the regenerated series so `cargo bench`
 //!   doubles as a quick reproduction of every figure;
 //! * `benches/engine.rs` — substrate microbenches: simulator instruction
-//!   throughput, sequential vs parallel device execution, the
+//!   throughput (engine vs reference interpreter), the issue loop, the
 //!   residue-class coalescing analyser, OLS fitting, and IR pretty
 //!   printing.
 //!

@@ -127,10 +127,6 @@ OPTIONS
   --full         complete paper ranges (minutes)
   --out DIR      write CSV/DAT/JSON files (default: ./experiments)
   --no-noise     disable transfer jitter
-  --parallel N   simulate each device with N worker threads; every MP then
-                 gets a 1/k′ share of memory bandwidth, so simulated times
-                 agree with the sequential default within a small
-                 tolerance, not bit for bit (answers are identical)
   --trace PATH   write Chrome trace_event JSON from the experiments that
                  re-run traced (e10, e11, e13); PATH gets the tag inserted
                  before its extension (out.json -> out.e10.json)

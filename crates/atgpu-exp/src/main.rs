@@ -13,12 +13,9 @@
 //!
 //! Besides artefact commands there are `pseudocode NAME`, `check-trace
 //! FILE...` and `--verify`; the options are `--quick`, `--full`, `--out
-//! DIR`, `--no-noise`, `--parallel N` (threads inside each simulated
-//! device: simulated *times* then agree with the sequential default only
-//! within a small tolerance, see `atgpu_sim::ExecMode::Parallel`) and
-//! `--trace PATH` (Chrome `trace_event` JSON from the experiments that
-//! re-run traced, written as `PATH` with the experiment tag inserted
-//! before the extension).
+//! DIR`, `--no-noise` and `--trace PATH` (Chrome `trace_event` JSON from
+//! the experiments that re-run traced, written as `PATH` with the
+//! experiment tag inserted before the extension).
 
 #![forbid(unsafe_code)]
 
@@ -35,7 +32,6 @@ struct Args {
     scale: Scale,
     out: PathBuf,
     noise: bool,
-    threads: Option<usize>,
     pseudocode: Option<String>,
     trace: Option<PathBuf>,
     check_trace: Option<Vec<String>>,
@@ -139,7 +135,6 @@ fn parse_args() -> Result<Args, String> {
     let mut scale = Scale::Paper;
     let mut out = PathBuf::from("experiments");
     let mut noise = true;
-    let mut threads = None;
     let mut pseudocode = None;
     let mut trace = None;
     let mut check_trace = None;
@@ -164,14 +159,6 @@ fn parse_args() -> Result<Args, String> {
             "pseudocode" => {
                 pseudocode = Some(it.next().ok_or("pseudocode needs a workload name")?);
             }
-            "--parallel" => {
-                threads = Some(
-                    it.next()
-                        .ok_or("--parallel needs a thread count")?
-                        .parse::<usize>()
-                        .map_err(|e| format!("bad thread count: {e}"))?,
-                );
-            }
             "--help" | "-h" => {
                 print!("{}", experiment::usage());
                 std::process::exit(0);
@@ -185,7 +172,7 @@ fn parse_args() -> Result<Args, String> {
     if commands.is_empty() && pseudocode.is_none() && check_trace.is_none() && !verify {
         commands.insert("all".to_string());
     }
-    Ok(Args { commands, scale, out, noise, threads, pseudocode, trace, check_trace, verify })
+    Ok(Args { commands, scale, out, noise, pseudocode, trace, check_trace, verify })
 }
 
 fn main() -> ExitCode {
@@ -231,9 +218,6 @@ fn run(args: &Args) -> Result<(), ExpError> {
     let mut cfg = ExpConfig::standard(args.scale);
     if !args.noise {
         cfg.sim.noise = None;
-    }
-    if let Some(t) = args.threads {
-        cfg.sim.mode = atgpu_sim::ExecMode::Parallel { threads: t };
     }
     std::fs::create_dir_all(&args.out)?;
 

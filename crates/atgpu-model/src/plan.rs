@@ -183,6 +183,10 @@
 //! emits a *serial* single-slab program when overlap would not repay the
 //! extra per-round `σ` (compute-bound shapes on fast links).
 
+// `takeover_units` runs inside a faulted launch a served request can
+// reach: a bad plan is a fallback or a typed error, never a panic.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use crate::cost::{cluster_cost_streamed, DegradedLoss, PeerTraffic};
 use crate::error::ModelError;
 use crate::machine::AtgpuMachine;
@@ -467,7 +471,8 @@ pub fn plan_peer_traffic(
             }
         }
     }
-    let last = rounds.last_mut().expect("rounds >= 1");
+    // `r_total ≥ 1`, so there is a last round.
+    let Some(last) = rounds.last_mut() else { return rounds };
     for &d in &occupied {
         if d as u32 == p.owner {
             continue;
@@ -1037,6 +1042,7 @@ pub fn solve_chunk_units(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::params::{GpuSpec, LinkParams};

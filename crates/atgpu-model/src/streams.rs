@@ -31,6 +31,9 @@
 //! prediction and observation use the same overlap semantics by
 //! construction.
 
+// Every served quote and every simulated round schedules through here.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 /// Streams addressable per device, mirroring `atgpu_ir::MAX_STREAMS`
 /// (this crate does not depend on atgpu-ir).  [`StreamTimeline`] clamps
 /// larger ids to the last slot as a defensive bound — the IR validator
@@ -206,6 +209,7 @@ pub struct RoundSchedule {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use StreamResource::*;

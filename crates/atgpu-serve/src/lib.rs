@@ -76,7 +76,9 @@
 //!    every transaction count statically known, no shared-memory bank
 //!    conflicts); otherwise the query falls through.
 //! 3. **Simulated** — full [`run_cluster_program_on`] of the program
-//!    with zero-filled inputs.  On the server's own cluster the
+//!    with zero-filled inputs: exact when the program's addressing is
+//!    data-independent, the zero-input cost otherwise (see
+//!    [`PriceSource::Simulated`]).  On the server's own cluster the
 //!    fallback takes an admission permit like any tenant (pricing
 //!    cannot starve execution); a what-if spec simulates on a private
 //!    throwaway cluster.
@@ -349,9 +351,11 @@ impl CostServer {
                 }
             }
 
-            // Simulation fallback with zero-filled inputs.  The program's
-            // timing metrics are data-independent (lockstep SPMD), so zeros
-            // price the same as real data.
+            // Simulation fallback with zero-filled inputs (a price query
+            // carries no data).  Zeros price the same as real data only
+            // while addressing is data-independent; a program that got
+            // here by indexing memory by value is quoted at its
+            // zero-input cost (`PriceSource::Simulated`).
             let inputs: Vec<Vec<i64>> = program
                 .host_bufs
                 .iter()

@@ -163,6 +163,43 @@ fn peer_heavy_stencil_quote_matches_observation() {
     assert_eq!(again.total_ms.to_bits(), quote.total_ms.to_bits(), "memo must replay the quote");
 }
 
+/// The simulated tier's contract ([`PriceSource::Simulated`]): the quote
+/// is the program's cost on **zero-filled inputs**.  That is the cost on
+/// any inputs when addressing is data-independent (`scan`: bit-equal to a
+/// run on its real data), and only the zero-input cost when it is not
+/// (`histogram` bins by value, so its bank conflicts and coalescing follow
+/// the data: the quote is the zero-input run to the bit, and not the
+/// real-input one).
+#[test]
+fn simulated_quote_is_the_cost_on_zero_inputs() {
+    use atgpu_algos::workload::Plan;
+    let machine = AtgpuMachine::gtx650_like();
+    let spec = ClusterSpec::homogeneous(1, atgpu_model::GpuSpec::gtx650_like());
+    let server = CostServer::new(machine, spec.clone(), ServerConfig::default()).expect("server");
+    let roster = atgpu_algos::roster();
+    let observe = |program: &atgpu_ir::Program, inputs: Vec<Vec<i64>>| {
+        run_cluster_program(program, inputs, &machine, &spec, &SimConfig::default())
+            .expect("observation")
+            .total_ms()
+    };
+    for (name, data_independent) in [("scan", true), ("histogram", false)] {
+        let entry = roster.iter().find(|e| e.name == name).expect("roster entry");
+        let built = entry.workload.build_plan(&machine, Plan::Single).expect("builds");
+        let quote = server.price(&built.program).expect("quote");
+        assert_eq!(quote.source, PriceSource::Simulated, "{name} must reach the simulated tier");
+
+        let zeros = built.inputs.iter().map(|i| vec![0; i.len()]).collect();
+        assert_eq!(quote.total_ms, observe(&built.program, zeros), "{name}: zero-input cost");
+        let on_real_data = observe(&built.program, built.inputs.clone());
+        assert_eq!(
+            quote.total_ms == on_real_data,
+            data_independent,
+            "{name}: quote {} vs {on_real_data} on its real inputs",
+            quote.total_ms
+        );
+    }
+}
+
 /// A program whose kernel's cross-block write stride makes distinct
 /// blocks collide on the same global words: the static verifier proves
 /// it racy, and the server must refuse to execute *or* price it.

@@ -28,7 +28,7 @@
 //!   pre-launch memory and logs its global writes; the log is checked,
 //!   journaled, and merged **in thread-block order** by
 //!   [`crate::device::apply_write_log`], the deferred-write machinery of
-//!   [`ExecMode::Parallel`].
+//!   the race detector and the fault journal.
 //!
 //! Block indices are globally unique across shards, so either way the
 //! result is bit-identical to a single-device launch of the same grid —
@@ -47,16 +47,14 @@
 //! both endpoints (source reads while destination writes).  The
 //! analytical counterpart is [`atgpu_model::cost::cluster_cost`].
 
-use crate::device::{
-    apply_write_log, check_log_races, map_on_threads, Device, DeviceStats, KernelStats,
-};
+use crate::device::{apply_write_log, check_log_races, Device, DeviceStats, KernelStats};
 use crate::driver::HostData;
 use crate::error::SimError;
 use crate::gmem::GlobalMemory;
 use crate::links::{check_program, run_rounds, Ledger, Links};
 use crate::warp::{GmemAccess, WriteRec};
 use crate::xfer::TransferEngine;
-use crate::{EngineSel, ExecMode, SimConfig};
+use crate::{EngineSel, SimConfig};
 use atgpu_ir::{Kernel, Program, Shard};
 use atgpu_model::{plan, AtgpuMachine, ClusterSpec, ShardProfile};
 
@@ -176,7 +174,6 @@ impl Cluster {
         kernel: &Kernel,
         gmem: &mut GlobalMemory,
         shards: &[Shard],
-        mode: ExecMode,
         detect_races: bool,
         engine: EngineSel,
     ) -> Result<Vec<ShardStats>, SimError> {
@@ -190,7 +187,8 @@ impl Cluster {
                 devices: self.devices.len(),
             })?;
             let range = (shard.start, shard.end);
-            let stats = device.run_shard(kernel, gmem, mode, engine, range, &mut merged)?;
+            let target = GmemAccess::Logged { base: gmem, log: &mut merged };
+            let stats = device.launch(kernel, target, engine, range)?;
             out.push(ShardStats { device: shard.device, range, stats });
         }
         apply_write_log(kernel, gmem, merged, detect_races)?;
@@ -341,6 +339,42 @@ fn link_seed(seed: u64, idx: u64) -> u64 {
     seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(idx.wrapping_add(1))
 }
 
+/// Maps `items` through `map` on at most `threads` scoped OS threads and
+/// returns the results in item order, or the first error in item order.
+/// Each worker is handed a contiguous run of the items and owns it — so
+/// an item may carry a `&mut` — and the runs' results concatenate back in
+/// order; one worker runs inline and stops at the first error.  A
+/// panicking worker surfaces as [`SimError::WorkerPanic`] naming `what` —
+/// a simulation panic never propagates into the caller.
+fn map_on_threads<I: Send, T: Send>(
+    mut items: impl ExactSizeIterator<Item = I>,
+    threads: usize,
+    what: std::fmt::Arguments<'_>,
+    map: impl Fn(I) -> Result<T, SimError> + Sync,
+) -> Result<Vec<T>, SimError> {
+    let n = items.len();
+    let threads = threads.min(n);
+    if threads <= 1 {
+        return items.map(map).collect();
+    }
+    let per_worker = n.div_ceil(threads);
+    let worker_panic = |_| SimError::WorkerPanic { context: what.to_string() };
+    std::thread::scope(|s| -> Result<Vec<T>, SimError> {
+        let map = &map;
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                let hand: Vec<I> = items.by_ref().take(per_worker).collect();
+                s.spawn(move || hand.into_iter().map(map).collect::<Vec<_>>())
+            })
+            .collect();
+        let mut out = Vec::with_capacity(n);
+        for h in handles {
+            out.extend(h.join().map_err(worker_panic)?);
+        }
+        out.into_iter().collect()
+    })
+}
+
 /// Runs one (possibly sharded) launch of a program run, and is the one
 /// place its write target is chosen — by asking what will read a write
 /// log, never by which entry point was called.  Nothing does unless the
@@ -406,8 +440,8 @@ fn run_sharded_launch(
     let what = format_args!("simulating shards of kernel `{}`", kernel.name);
     let outcomes = map_on_threads(live.iter(), threads, what, |s| {
         let (d, range, mut log) = (s.device as usize, (s.start, s.end), Vec::new());
-        let stats =
-            cluster.devices[d].run_shard(kernel, &gm[d], config.mode, engine, range, &mut log)?;
+        let target = GmemAccess::Logged { base: &gm[d], log: &mut log };
+        let stats = cluster.devices[d].launch(kernel, target, engine, range)?;
         Ok((stats, log))
     })?;
     for ((shard, rec), (stats, mut log)) in live.iter().zip(&is_recovery).zip(outcomes) {
@@ -461,7 +495,7 @@ fn run_written_through(
 ) -> Result<(), SimError> {
     let run = |s: &Shard, gmem: &mut GlobalMemory| {
         let device = &cluster.devices[s.device as usize];
-        device.launch(kernel, GmemAccess::Direct(gmem), config.mode, engine, (s.start, s.end))
+        device.launch(kernel, GmemAccess::Direct(gmem), engine, (s.start, s.end))
     };
     if config.device_threads && shards.len() > 1 {
         let mut free: Vec<_> = gmems.iter_mut().map(Some).collect();
@@ -517,8 +551,9 @@ pub fn run_cluster_program(
 /// device-global settings (cache enable/capacity, watchdog): the
 /// cluster's owner configures those once via
 /// [`Cluster::configure_devices`], so one request cannot reconfigure
-/// devices out from under another.  All per-run settings (`mode`,
-/// `noise`, `seed`, `use_reference`, fault plan, tracing) are honoured.
+/// devices out from under another.  All per-run settings (`noise`,
+/// `seed`, `detect_races`, `use_reference`, `device_threads`, fault plan,
+/// tracing) are honoured.
 pub fn run_cluster_program_on(
     cluster: &Cluster,
     program: &Program,
@@ -618,6 +653,36 @@ mod tests {
             g.write(i as i64, i as i64);
         }
         g
+    }
+
+    #[test]
+    fn map_on_threads_keeps_item_order_and_types_its_failures() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for threads in [0, 1, 3, 8] {
+            let out = map_on_threads(0..5, threads, format_args!("t"), |i| Ok(i * 10)).unwrap();
+            assert_eq!(out, vec![0, 10, 20, 30, 40], "threads={threads}");
+        }
+        // The first error in item order wins; inline, it also stops the
+        // remaining items.
+        let fail_from_1 = |i: usize| match i {
+            0 => Ok(i),
+            _ => Err(SimError::Watchdog { kernel: i.to_string(), budget: 0 }),
+        };
+        for threads in [1, 2] {
+            let ran = AtomicUsize::new(0);
+            let err = map_on_threads(0..4, threads, format_args!("t"), |i| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                fail_from_1(i)
+            });
+            assert!(matches!(err, Err(SimError::Watchdog { ref kernel, .. }) if kernel == "1"));
+            assert_eq!(ran.into_inner(), if threads == 1 { 2 } else { 4 });
+        }
+        // A worker panic is a typed error naming the work.
+        let err = map_on_threads(0..3, 3, format_args!("probing"), |i| match i {
+            2 => panic!("boom"),
+            _ => Ok(i),
+        });
+        assert!(matches!(err, Err(SimError::WorkerPanic { ref context }) if context == "probing"));
     }
 
     #[test]
@@ -777,22 +842,14 @@ mod tests {
         let k = scale_kernel(n / 4);
         let dev = Device::new(machine(), cspec(1).devices[0]).unwrap();
         let mut g1 = fresh_gmem(n);
-        dev.run_kernel(&k, &mut g1, ExecMode::Sequential, false).unwrap();
+        dev.run_kernel_with(&k, &mut g1, false, EngineSel::MicroOp).unwrap();
 
         for devices in [1u32, 2, 3, 4] {
             let cluster = Cluster::new(machine(), cspec(devices as usize)).unwrap();
             let mut g = fresh_gmem(n);
             let shards = even_shards(k.blocks(), devices);
-            let stats = cluster
-                .run_sharded_kernel(
-                    &k,
-                    &mut g,
-                    &shards,
-                    ExecMode::Sequential,
-                    false,
-                    EngineSel::MicroOp,
-                )
-                .unwrap();
+            let stats =
+                cluster.run_sharded_kernel(&k, &mut g, &shards, false, EngineSel::MicroOp).unwrap();
             assert_eq!(g.words(), g1.words(), "devices={devices}");
             let blocks: u64 = stats.iter().map(|s| s.stats.blocks).sum();
             assert_eq!(blocks, k.blocks());
@@ -806,14 +863,7 @@ mod tests {
         let mut g = fresh_gmem(16);
         let bad = vec![Shard { device: 5, start: 0, end: 4 }];
         assert!(matches!(
-            cluster.run_sharded_kernel(
-                &k,
-                &mut g,
-                &bad,
-                ExecMode::Sequential,
-                false,
-                EngineSel::MicroOp
-            ),
+            cluster.run_sharded_kernel(&k, &mut g, &bad, false, EngineSel::MicroOp),
             Err(SimError::NoSuchDevice { device: 5, devices: 2 })
         ));
     }
@@ -829,28 +879,12 @@ mod tests {
         let mut g = fresh_gmem(16);
         let shards = even_shards(4, 2);
         assert!(matches!(
-            cluster.run_sharded_kernel(
-                &k,
-                &mut g,
-                &shards,
-                ExecMode::Sequential,
-                true,
-                EngineSel::MicroOp
-            ),
+            cluster.run_sharded_kernel(&k, &mut g, &shards, true, EngineSel::MicroOp),
             Err(SimError::RaceDetected { addr: 0, .. })
         ));
         // Without detection the merge is deterministic: last block wins.
         let mut g = fresh_gmem(16);
-        cluster
-            .run_sharded_kernel(
-                &k,
-                &mut g,
-                &shards,
-                ExecMode::Sequential,
-                false,
-                EngineSel::MicroOp,
-            )
-            .unwrap();
+        cluster.run_sharded_kernel(&k, &mut g, &shards, false, EngineSel::MicroOp).unwrap();
         assert_eq!(g.read(0), Some(3));
     }
 

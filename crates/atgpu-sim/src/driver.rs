@@ -28,7 +28,6 @@ use crate::device::KernelStats;
 use crate::error::SimError;
 use crate::fault::FaultPlan;
 use crate::xfer::XferNoise;
-use crate::ExecMode;
 use atgpu_ir::{HBuf, HostBufRole, Program};
 use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
 use std::ops::Range;
@@ -36,8 +35,6 @@ use std::ops::Range;
 /// Simulation configuration.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Execution strategy.
-    pub mode: ExecMode,
     /// Transfer-time jitter (None = deterministic).
     pub noise: Option<XferNoise>,
     /// RNG seed for the jitter.
@@ -51,7 +48,8 @@ pub struct SimConfig {
     /// micro-op engine (differential tests, baseline benchmarks).
     pub use_reference: bool,
     /// Simulate a sharded launch's devices on their own OS threads (a
-    /// launch whose shards sit on one device runs inline).  Results and
+    /// launch whose shards sit on one device runs inline) — the only host
+    /// fan-out there is; a device itself never spawns.  Results and
     /// reported times are bit-identical either way — a worker writes
     /// through to the replica of its shard's device, which it alone
     /// holds for the launch; where a write log exists (race detection, a
@@ -90,7 +88,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         Self {
-            mode: ExecMode::Sequential,
             noise: None,
             seed: 0,
             detect_races: false,
@@ -574,18 +571,5 @@ mod tests {
         // And differs from the noiseless run.
         let r3 = run_program(&p, inputs(), &machine(), &spec(), &SimConfig::default()).unwrap();
         assert_ne!(r1.transfer_ms(), r3.transfer_ms());
-    }
-
-    #[test]
-    fn parallel_mode_end_to_end() {
-        let n = 256u64;
-        let (p, hc) = vecadd_program(n);
-        let a: Vec<i64> = (0..n as i64).collect();
-        let b: Vec<i64> = (0..n as i64).rev().collect();
-        let cfg = SimConfig { mode: ExecMode::Parallel { threads: 2 }, ..SimConfig::default() };
-        let report = run_program(&p, vec![a, b], &machine(), &spec(), &cfg).unwrap();
-        for (i, &v) in report.output(hc).iter().enumerate() {
-            assert_eq!(v, n as i64 - 1, "i={i}");
-        }
     }
 }

@@ -15,7 +15,7 @@
 //! | Bank conflicts | assumed absent | measured and serialised |
 //! | Divergence | both arms always charged | arms with no active lanes are skipped (as real SIMT hardware does) |
 //! | Transfer | `Î·α + I·β` | `α + β·words` per transaction, optional noise |
-//! | Occupancy | `ℓ = min(⌊M/m⌋, H)` | blocks resident per MP, refilled as blocks retire |
+//! | Occupancy | `ℓ = min(⌊M/m⌋, H)` | blocks resident per MP, MPs filled depth-first, refilled as blocks retire |
 //!
 //! ## Compile → execute pipeline
 //!
@@ -57,7 +57,7 @@
 //! once and replay every block of every later launch from the first
 //! cycle — with **bit-identical** memory, events and statistics to a
 //! cold launch (`tests/cache_differential.rs` proves this across
-//! `ExecMode`s, engines and clusters):
+//! engines and clusters):
 //!
 //! * **keying** — the full key (structural hash, complete base vector,
 //!   `b`, `nregs`) is stored and compared, so a hash collision alone can
@@ -104,10 +104,9 @@
 //! one device (whose recovery journal records every write), each shard
 //! instead executes against its device's pre-launch memory with writes
 //! deferred, and the logs are checked, journaled and merged in
-//! thread-block order through [`device::apply_write_log`] — the same
-//! machinery [`ExecMode::Parallel`] uses.  Either way a sharded launch is
-//! **bit-identical** to the single-device launch regardless of device
-//! count, shard boundaries or thread interleaving
+//! thread-block order through [`device::apply_write_log`].  Either way a
+//! sharded launch is **bit-identical** to the single-device launch
+//! regardless of device count, shard boundaries or thread interleaving
 //! (`tests/cluster_differential.rs` proves this over randomized kernels
 //! and plans at the launch level; `tests/roster_plans.rs` pins the two
 //! disciplines equal on every shipped workload × plan).  With
@@ -116,9 +115,10 @@
 //! holds its device's replica for the launch (written through), or only
 //! reads it (logged), so the launch is embarrassingly parallel on the
 //! host with the identical report (`tests/stream_differential.rs`).
-//! Observed round time is
-//! `σ + max_d(device d's stream timeline)` — the slowest device's
-//! critical path — mirrored analytically by
+//! That is the only host fan-out: a device simulates its own MPs on one
+//! thread, against one memory controller and one clock.  Observed round
+//! time is `σ + max_d(device d's stream timeline)` — the slowest
+//! device's critical path — mirrored analytically by
 //! [`atgpu_model::cost::cluster_cost`] /
 //! [`atgpu_model::cost::cluster_cost_streamed`].
 //!
@@ -168,7 +168,7 @@
 //! one stream (or inserting syncs) is the program's responsibility,
 //! exactly as in CUDA; `tests/stream_differential.rs` proves streamed
 //! programs bit-identical to their serial de-streamed forms across
-//! modes and engines.
+//! write targets and engines.
 //!
 //! ```rust
 //! use atgpu_algos::ooc::OocVecAdd;
@@ -329,12 +329,11 @@
 //!   pointer-held (never moved) executors, the per-MP replay cache, and
 //!   the scheduling rule — issue from the smallest `(ready, dense index)`
 //!   — kept as packed keys in the nodes of a tournament tree;
-//! * [`device`] — the whole device: `k′` MPs co-simulated in global time
-//!   order against a shared memory controller ([`ExecMode::Sequential`]:
-//!   the MP with the smallest `(next event, index)` runs up to the
-//!   runner-up's horizon, which is the order of a rescan per
-//!   instruction), or partitioned across OS threads with per-MP
-//!   bandwidth shares ([`ExecMode::Parallel`]);
+//! * [`device`] — the whole device: `k′` MPs, filled depth-first and
+//!   co-simulated in global time order against a shared memory
+//!   controller (the MP with the smallest `(next event, index)` runs up
+//!   to the runner-up's horizon, which is the order of a rescan per
+//!   instruction) — the one block loop, on the caller's thread;
 //! * [`xfer`] — the per-link transfer engine (`α`, `β`, optional seeded
 //!   noise; host↔device and device↔device peer edges);
 //! * [`fault`] — seeded deterministic fault plans and the runtime that
@@ -413,20 +412,17 @@ pub enum EngineSel {
     Reference,
 }
 
-/// Execution strategy for the device simulation.
+/// The device's execution strategy — there is one.
+///
+/// The type survives as a one-variant enum only because the repo
+/// benchmark package passes `ExecMode::Sequential` to
+/// [`Device::run_kernel`] and [`Device::run_shard`], the two signatures
+/// that still take it; a benchmark-only change removes the argument and
+/// the type together.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// One event loop over all MPs in global time order with a shared
-    /// memory controller.  Deterministic, bit-exact, the reference mode.
+    /// memory controller: deterministic and bit-exact.
     #[default]
     Sequential,
-    /// MPs partitioned over scoped OS threads, each MP with a
-    /// `1/k′` share of memory bandwidth and static round-robin block
-    /// assignment.  Deterministic functional results; timing agrees with
-    /// sequential mode to within a small tolerance (the bandwidth-sharing
-    /// approximation).
-    Parallel {
-        /// Worker threads to use (clamped to at least 1).
-        threads: usize,
-    },
 }

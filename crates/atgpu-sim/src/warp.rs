@@ -66,13 +66,11 @@ pub struct WriteRec {
 /// cross-block visibility within one launch is undefined in the model, so
 /// well-formed kernels cannot tell).
 ///
-/// A log is kept only for a reader: the MP workers of
-/// [`crate::ExecMode::Parallel`] (which share one memory, so their writes
-/// must be deferred and merged in block order), the race detector, the
-/// fault journal of a multi-device run, and the launch-level differential
-/// API ([`crate::Device::run_shard`], [`crate::Cluster::run_sharded_kernel`]),
-/// whose caller merges.  A program run's sequential launch with none of
-/// those is `Direct`: it pushes no [`WriteRec`] at all.
+/// A log is kept only for a reader: the race detector, the fault journal
+/// of a multi-device run, and the launch-level differential API
+/// ([`crate::Device::run_shard`], [`crate::Cluster::run_sharded_kernel`]),
+/// whose caller merges ([`crate::apply_write_log`]).  A program run's
+/// launch with none of those is `Direct`: it pushes no [`WriteRec`] at all.
 pub enum GmemAccess<'a> {
     /// Reads and writes hit the heap immediately.
     Direct(&'a mut GlobalMemory),
@@ -163,23 +161,6 @@ impl GmemAccess<'_> {
         match self {
             GmemAccess::Direct(g) => g,
             GmemAccess::Logged { base, .. } => base,
-        }
-    }
-
-    /// Takes a finished launch's deferred writes: a logged target records
-    /// them; a direct target applies them in block order — the stable
-    /// sort keeps each block's program order (a block's writes come from
-    /// one thread, in order), so the last writer of a word is the same
-    /// however the launch was split over MPs, threads or devices.
-    pub(crate) fn absorb(&mut self, mut writes: Vec<WriteRec>) {
-        match self {
-            GmemAccess::Direct(g) => {
-                writes.sort_by_key(|w| w.block);
-                for w in writes {
-                    g.write(w.addr as i64, w.val);
-                }
-            }
-            GmemAccess::Logged { log, .. } => log.extend(writes),
         }
     }
 }

@@ -2,7 +2,7 @@
 //! launch served from the cache — reusing the compiled micro-op program
 //! and, when replay-eligible, the recorded timing trace — must be
 //! **bit-identical** to a cold launch in final memory, per-launch
-//! statistics and behaviour, for randomized kernels, both `ExecMode`s,
+//! statistics and behaviour, for randomized kernels, both write targets,
 //! single devices and sharded clusters.  Structural mutation of one
 //! instruction must change the cache key (no false hits).
 //!
@@ -15,7 +15,7 @@ use atgpu_ir::{AddrExpr, AluOp, DBuf, Instr, Kernel, KernelBuilder, Operand, Pre
 use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
 use atgpu_sim::cluster::{even_shards, Cluster};
 use atgpu_sim::gmem::GlobalMemory;
-use atgpu_sim::{Device, EngineSel, ExecMode};
+use atgpu_sim::{Device, EngineSel};
 use proptest::prelude::*;
 use std::cell::RefCell;
 
@@ -259,64 +259,61 @@ proptest! {
     /// A second launch of the same kernel on the same device — served
     /// from the cache, replaying the recorded trace when eligible — is
     /// bit-identical to the cold first launch *and* to a launch on a
-    /// cache-disabled device, in memory and statistics, in both modes.
+    /// cache-disabled device, in memory and statistics.
     #[test]
     fn cached_launch_is_bit_identical_to_cold(seed in 0u64..1_000_000_000) {
         let (kernel, machine, bases, total) = gen_kernel(seed);
-        for mode in [ExecMode::Sequential, ExecMode::Parallel { threads: 2 }] {
-            let cached_dev = Device::new(machine, spec()).unwrap();
-            let cold_dev = Device::new(machine, spec()).unwrap();
-            cold_dev.configure_cache(false, 0);
+        let cached_dev = Device::new(machine, spec()).unwrap();
+        let cold_dev = Device::new(machine, spec()).unwrap();
+        cold_dev.configure_cache(false, 0);
 
-            let run = |dev: &Device| {
-                let mut g = GlobalMemory::new(bases.clone(), total, machine.b, machine.g).unwrap();
-                fill_gmem(&mut g, total, seed);
-                dev.run_kernel_with(&kernel, &mut g, mode, false, EngineSel::MicroOp)
-                    .map(|stats| (stats, g.words().to_vec()))
-            };
+        let run = |dev: &Device| {
+            let mut g = GlobalMemory::new(bases.clone(), total, machine.b, machine.g).unwrap();
+            fill_gmem(&mut g, total, seed);
+            dev.run_kernel_with(&kernel, &mut g, false, EngineSel::MicroOp)
+                .map(|stats| (stats, g.words().to_vec()))
+        };
 
-            let Ok((cold_stats, cold_mem)) = run(&cached_dev) else { return Ok(()) };
-            let (warm_stats, warm_mem) = run(&cached_dev).expect("warm launch succeeds");
-            let (off_stats, off_mem) = run(&cold_dev).expect("cache-off launch succeeds");
+        let Ok((cold_stats, cold_mem)) = run(&cached_dev) else { return Ok(()) };
+        let (warm_stats, warm_mem) = run(&cached_dev).expect("warm launch succeeds");
+        let (off_stats, off_mem) = run(&cold_dev).expect("cache-off launch succeeds");
 
-            prop_assert_eq!(&warm_mem, &cold_mem, "cached memory differs (mode {:?})", mode);
-            prop_assert_eq!(warm_stats, cold_stats, "cached stats differ (mode {:?})", mode);
-            prop_assert_eq!(&off_mem, &cold_mem, "cache-off memory differs (mode {:?})", mode);
-            prop_assert_eq!(off_stats, cold_stats, "cache-off stats differ (mode {:?})", mode);
+        prop_assert_eq!(&warm_mem, &cold_mem, "cached memory differs");
+        prop_assert_eq!(warm_stats, cold_stats, "cached stats differ");
+        prop_assert_eq!(&off_mem, &cold_mem, "cache-off memory differs");
+        prop_assert_eq!(off_stats, cold_stats, "cache-off stats differ");
 
-            // The second launch really was a cache hit, and the
-            // kill-switched device never looked anything up.
-            let c = cached_dev.stats().cache;
-            prop_assert_eq!((c.hits, c.misses, c.entries), (1, 1, 1));
-            prop_assert_eq!(cold_dev.stats().cache, Default::default());
-        }
+        // The second launch really was a cache hit, and the
+        // kill-switched device never looked anything up.
+        let c = cached_dev.stats().cache;
+        prop_assert_eq!((c.hits, c.misses, c.entries), (1, 1, 1));
+        prop_assert_eq!(cold_dev.stats().cache, Default::default());
     }
 
     /// Sharded launches across a 2-device cluster: repeating the launch
     /// hits every device's cache and reproduces memory and per-shard
-    /// statistics bit for bit, in both modes.
+    /// statistics bit for bit (a launch-level sharded run is logged, so
+    /// this is also the cached launch under the deferred-write target).
     #[test]
     fn cluster_cache_is_bit_identical(seed in 0u64..1_000_000_000) {
         let (kernel, machine, bases, total) = gen_kernel(seed);
         let cspec = ClusterSpec::homogeneous(2, spec());
         let shards = even_shards(kernel.blocks(), 2);
-        for mode in [ExecMode::Sequential, ExecMode::Parallel { threads: 2 }] {
-            let cluster = Cluster::new(machine, cspec.clone()).unwrap();
-            let run = |cluster: &Cluster| {
-                let mut g = GlobalMemory::new(bases.clone(), total, machine.b, machine.g).unwrap();
-                fill_gmem(&mut g, total, seed);
-                cluster
-                    .run_sharded_kernel(&kernel, &mut g, &shards, mode, false, EngineSel::MicroOp)
-                    .map(|stats| (stats, g.words().to_vec()))
-            };
-            let Ok((cold_stats, cold_mem)) = run(&cluster) else { return Ok(()) };
-            let (warm_stats, warm_mem) = run(&cluster).expect("warm cluster launch succeeds");
-            prop_assert_eq!(&warm_mem, &cold_mem, "cluster cached memory differs ({:?})", mode);
-            prop_assert_eq!(&warm_stats, &cold_stats, "cluster cached stats differ ({:?})", mode);
-            for d in 0..2u32 {
-                let c = cluster.device(d).unwrap().stats().cache;
-                prop_assert_eq!((c.hits, c.misses), (1, 1), "device {} cache counters", d);
-            }
+        let cluster = Cluster::new(machine, cspec).unwrap();
+        let run = |cluster: &Cluster| {
+            let mut g = GlobalMemory::new(bases.clone(), total, machine.b, machine.g).unwrap();
+            fill_gmem(&mut g, total, seed);
+            cluster
+                .run_sharded_kernel(&kernel, &mut g, &shards, false, EngineSel::MicroOp)
+                .map(|stats| (stats, g.words().to_vec()))
+        };
+        let Ok((cold_stats, cold_mem)) = run(&cluster) else { return Ok(()) };
+        let (warm_stats, warm_mem) = run(&cluster).expect("warm cluster launch succeeds");
+        prop_assert_eq!(&warm_mem, &cold_mem, "cluster cached memory differs");
+        prop_assert_eq!(&warm_stats, &cold_stats, "cluster cached stats differ");
+        for d in 0..2u32 {
+            let c = cluster.device(d).unwrap().stats().cache;
+            prop_assert_eq!((c.hits, c.misses), (1, 1), "device {} cache counters", d);
         }
     }
 
@@ -357,7 +354,7 @@ proptest! {
         let run = |dev: &Device, k: &Kernel| {
             let mut g = GlobalMemory::new(bases.clone(), total, machine.b, machine.g).unwrap();
             fill_gmem(&mut g, total, seed);
-            dev.run_kernel_with(k, &mut g, ExecMode::Sequential, false, EngineSel::MicroOp)
+            dev.run_kernel_with(k, &mut g, false, EngineSel::MicroOp)
                 .map(|stats| (stats, g.words().to_vec()))
         };
         let Ok(_) = run(&warm, &kernel) else { return Ok(()) };
@@ -394,8 +391,7 @@ fn replay_trace_is_reused_across_launches() {
         for i in 0..n {
             g.write(i as i64, i as i64);
         }
-        let stats =
-            dev.run_kernel_with(&kernel, &mut g, ExecMode::Sequential, false, EngineSel::MicroOp);
+        let stats = dev.run_kernel_with(&kernel, &mut g, false, EngineSel::MicroOp);
         (stats.unwrap(), g.words().to_vec())
     };
     let (s1, m1) = run();
@@ -441,16 +437,7 @@ fn cluster_cache_capacity_shrinks_every_device_mid_sweep() {
     let n = 4 * b;
     let mut gmem = GlobalMemory::new(vec![0, n], 2 * n, b, 1 << 16).unwrap();
     let launch = |k: &Kernel, g: &mut GlobalMemory| {
-        cluster
-            .run_sharded_kernel(
-                k,
-                g,
-                &even_shards(4, 2),
-                ExecMode::Sequential,
-                false,
-                EngineSel::MicroOp,
-            )
-            .unwrap();
+        cluster.run_sharded_kernel(k, g, &even_shards(4, 2), false, EngineSel::MicroOp).unwrap();
     };
 
     // Sweep 1: four distinct kernels, sharded across both devices.

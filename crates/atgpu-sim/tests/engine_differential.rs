@@ -2,8 +2,8 @@
 //! **bit-exact** with the tree-walking reference interpreter — identical
 //! `StepEvent` streams, identical register/shared/global state — over
 //! randomized kernels exercising divergence, nested loops, strided and
-//! broadcast shapes, and register-addressed (data-dependent) gathers, in
-//! both `Sequential` and `Parallel` execution modes.
+//! broadcast shapes, and register-addressed (data-dependent) gathers,
+//! under both write targets (written through, and logged then merged).
 //!
 //! Kernels are generated from a 64-bit seed drawn by proptest; the
 //! generator constrains shapes so every address stays in bounds, which
@@ -16,7 +16,7 @@ use atgpu_sim::engine::{BlockExec, BlockSim};
 use atgpu_sim::gmem::GlobalMemory;
 use atgpu_sim::uop::CompiledKernel;
 use atgpu_sim::warp::{GmemAccess, StepEvent, WarpExec};
-use atgpu_sim::{Device, EngineSel, ExecMode};
+use atgpu_sim::{apply_write_log, Device, EngineSel, ExecMode};
 use proptest::prelude::*;
 use std::cell::RefCell;
 
@@ -329,31 +329,42 @@ proptest! {
     }
 
     /// Device-level: identical kernel statistics (cycles, instruction and
-    /// transaction counts, conflict serialisation) and global memory in
-    /// both execution modes.
+    /// transaction counts, conflict serialisation), global memory and
+    /// error text under both write targets — written through, and logged
+    /// over the whole grid then merged in block order.
     #[test]
     fn engine_matches_reference_on_device(seed in 0u64..1_000_000_000) {
         let (kernel, machine, bases, total) = gen_kernel(seed);
         let spec = GpuSpec { k_prime: 2, h_limit: 4, ..GpuSpec::gtx650_like() };
         let device = Device::new(machine, spec).unwrap();
 
-        for mode in [ExecMode::Sequential, ExecMode::Parallel { threads: 2 }] {
-            let mut g_ref = GlobalMemory::new(bases.clone(), total, machine.b, machine.g).unwrap();
-            fill_gmem(&mut g_ref, total, seed);
-            let mut g_eng = GlobalMemory::new(bases.clone(), total, machine.b, machine.g).unwrap();
-            fill_gmem(&mut g_eng, total, seed);
-
-            let r_ref = device.run_kernel_with(&kernel, &mut g_ref, mode, false, EngineSel::Reference);
-            let r_eng = device.run_kernel_with(&kernel, &mut g_eng, mode, false, EngineSel::MicroOp);
+        for logged in [false, true] {
+            let run = |engine: EngineSel| {
+                let mut g = GlobalMemory::new(bases.clone(), total, machine.b, machine.g).unwrap();
+                fill_gmem(&mut g, total, seed);
+                let stats = (|| {
+                    if !logged {
+                        return device.run_kernel_with(&kernel, &mut g, false, engine);
+                    }
+                    let (range, mut log) = ((0, kernel.blocks()), Vec::new());
+                    let stats =
+                        device.run_shard(&kernel, &g, ExecMode::Sequential, engine, range, &mut log)?;
+                    apply_write_log(&kernel, &mut g, log, false)?;
+                    Ok(stats)
+                })();
+                (stats, g)
+            };
+            let (r_ref, g_ref) = run(EngineSel::Reference);
+            let (r_eng, g_eng) = run(EngineSel::MicroOp);
             match (r_eng, r_ref) {
                 (Ok(se), Ok(sr)) => {
-                    prop_assert_eq!(se, sr, "stats mismatch in {:?}", mode);
-                    prop_assert_eq!(g_eng.words(), g_ref.words(), "gmem mismatch in {:?}", mode);
+                    prop_assert_eq!(se, sr, "stats mismatch, logged={}", logged);
+                    prop_assert_eq!(g_eng.words(), g_ref.words(), "gmem mismatch, logged={}", logged);
                 }
                 (Err(e), Err(r)) => prop_assert_eq!(e.to_string(), r.to_string()),
                 (e, r) => {
                     return Err(TestCaseError::fail(format!(
-                        "engine {e:?} vs reference {r:?} in {mode:?}"
+                        "engine {e:?} vs reference {r:?}, logged={logged}"
                     )));
                 }
             }

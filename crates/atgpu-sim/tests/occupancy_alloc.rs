@@ -15,7 +15,7 @@
 
 use atgpu_ir::{AluOp, KernelBuilder, Operand, ProgramBuilder};
 use atgpu_model::{AtgpuMachine, GpuSpec};
-use atgpu_sim::{run_program, ExecMode, SimConfig};
+use atgpu_sim::{run_program, SimConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -66,18 +66,23 @@ fn a_huge_residency_limit_sizes_no_allocation() {
     let program = pb.build().unwrap();
     let data: Vec<i64> = (0..n as i64).map(|i| 3 * i - 7).collect();
 
-    for mode in [ExecMode::Sequential, ExecMode::Parallel { threads: 2 }] {
+    // Written through, and logged (the race detector's launch).
+    for detect_races in [false, true] {
         LARGEST.store(0, Ordering::SeqCst);
-        let config = SimConfig { mode, ..SimConfig::default() };
+        let config = SimConfig { detect_races, ..SimConfig::default() };
         let report = run_program(&program, vec![data.clone()], &machine, &spec, &config).unwrap();
         let largest = LARGEST.load(Ordering::SeqCst);
 
-        assert_eq!(report.output(output), data, "{mode:?}");
+        assert_eq!(report.output(output), data, "detect_races={detect_races}");
         let stats = report.rounds[0].kernel_stats;
-        assert_eq!(stats.occupancy, 1 << 40, "{mode:?}: the model's ℓ is reported as it is");
-        assert_eq!((stats.blocks, stats.instructions), (8, 8 * 5), "{mode:?}");
+        assert_eq!(
+            stats.occupancy,
+            1 << 40,
+            "detect_races={detect_races}: the model's ℓ is reported as it is"
+        );
+        assert_eq!((stats.blocks, stats.instructions), (8, 8 * 5), "detect_races={detect_races}");
         // An executor is ≈ 3 KB; at the parent the first request was
         // 2904 B × ℓ.
-        assert!(largest < 1 << 20, "{mode:?}: a {largest}-byte allocation");
+        assert!(largest < 1 << 20, "detect_races={detect_races}: a {largest}-byte allocation");
     }
 }

@@ -3,7 +3,7 @@
 
 use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, PredExpr, ProgramBuilder};
 use atgpu_model::{AtgpuMachine, GpuSpec};
-use atgpu_sim::{run_program, ExecMode, SimConfig, SimError};
+use atgpu_sim::{run_program, SimConfig, SimError};
 use proptest::prelude::*;
 
 fn machine() -> AtgpuMachine {
@@ -47,21 +47,19 @@ proptest! {
     }
 
     /// Simulated time is deterministic: two identical runs agree to the
-    /// bit, in both execution modes.
+    /// bit.
     #[test]
     fn timing_is_deterministic(seed in any::<u64>(), n in 32u64..512) {
         let data: Vec<i64> = (0..n as i64).map(|i| i.wrapping_mul(seed as i64)).collect();
         let (p, _) = copy_program(n);
-        for mode in [ExecMode::Sequential, ExecMode::Parallel { threads: 2 }] {
-            let cfg = SimConfig { mode, ..SimConfig::default() };
-            let r1 = run_program(&p, vec![data.clone()], &machine(), &spec(), &cfg).unwrap();
-            let r2 = run_program(&p, vec![data.clone()], &machine(), &spec(), &cfg).unwrap();
-            prop_assert_eq!(r1.total_ms(), r2.total_ms());
-            prop_assert_eq!(
-                r1.rounds[0].kernel_stats.cycles,
-                r2.rounds[0].kernel_stats.cycles
-            );
-        }
+        let cfg = SimConfig::default();
+        let r1 = run_program(&p, vec![data.clone()], &machine(), &spec(), &cfg).unwrap();
+        let r2 = run_program(&p, vec![data.clone()], &machine(), &spec(), &cfg).unwrap();
+        prop_assert_eq!(r1.total_ms(), r2.total_ms());
+        prop_assert_eq!(
+            r1.rounds[0].kernel_stats.cycles,
+            r2.rounds[0].kernel_stats.cycles
+        );
     }
 
     /// More blocks never make the kernel faster (work monotonicity).

@@ -4,7 +4,7 @@
 //! **Streams affect timing only**: a program with arbitrary stream tags
 //! and sync steps must be *bit-identical in outputs* to its serial
 //! de-streamed form ([`atgpu_ir::Program::destreamed`]) for every
-//! `ExecMode` and engine, its per-component times must match exactly,
+//! write target and engine, its per-component times must match exactly,
 //! and its stream-aware total can never exceed the serial total.  The
 //! generator takes a chunked multi-round vecadd program (the
 //! double-buffering shape) and mutates it with random stream
@@ -16,7 +16,7 @@
 
 use atgpu_ir::{AddrExpr, AluOp, HostStep, KernelBuilder, Program, ProgramBuilder};
 use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
-use atgpu_sim::{run_cluster_program, run_program, ExecMode, SimConfig};
+use atgpu_sim::{run_cluster_program, run_program, SimConfig};
 use proptest::prelude::*;
 
 struct Rng(u64);
@@ -133,8 +133,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Streamed programs are bit-identical to their serial de-streamed
-    /// form across execution modes and engines; their component times
-    /// match exactly and their stream-aware total never exceeds serial.
+    /// form across write targets (written through, and logged for the
+    /// race detector — the chunked vecadd is write-disjoint) and engines;
+    /// their component times match exactly and their stream-aware total
+    /// never exceeds serial.
     #[test]
     fn streamed_equals_destreamed(seed in 0u64..1_000_000_000) {
         let mut rng = Rng(seed | 1);
@@ -145,9 +147,9 @@ proptest! {
         prop_assert_eq!(&streamed.destreamed(), &serial);
         let data = inputs(n, seed);
 
-        for mode in [ExecMode::Sequential, ExecMode::Parallel { threads: 2 }] {
+        for detect_races in [false, true] {
             for use_reference in [false, true] {
-                let cfg = SimConfig { mode, use_reference, ..SimConfig::default() };
+                let cfg = SimConfig { detect_races, use_reference, ..SimConfig::default() };
                 let r_serial =
                     run_program(&serial, data.clone(), &machine(), &spec(), &cfg).unwrap();
                 let r_streamed =
@@ -157,8 +159,8 @@ proptest! {
                 prop_assert_eq!(
                     r_serial.output(hc),
                     r_streamed.output(hc),
-                    "outputs diverged: mode={:?} reference={}",
-                    mode,
+                    "outputs diverged: detect_races={} reference={}",
+                    detect_races,
                     use_reference
                 );
                 // Components identical (streams re-schedule, never re-price).
@@ -253,36 +255,18 @@ proptest! {
         let cluster = ClusterSpec::homogeneous(devices as usize, spec());
         let data = inputs(n, seed);
         for detect_races in [false, true] {
-            let mut reports = Vec::new();
-            for device_threads in [false, true] {
-                for mode in [ExecMode::Sequential, ExecMode::Parallel { threads: 2 }] {
-                    let cfg =
-                        SimConfig { device_threads, mode, detect_races, ..SimConfig::default() };
-                    let r =
-                        run_cluster_program(&p, data.clone(), &machine(), &cluster, &cfg).unwrap();
-                    reports.push((device_threads, mode, r));
-                }
-            }
-            // Same mode, threads on/off: the full report is bit-identical.
-            let m = reports.len() / 2;
-            for i in 0..m {
-                let (_, mode, seq) = &reports[i];
-                let (_, _, thr) = &reports[i + m];
-                prop_assert_eq!(
-                    seq.output(hc),
-                    thr.output(hc),
-                    "outputs: mode={:?} detect_races={}",
-                    mode,
-                    detect_races
-                );
-                prop_assert_eq!(
-                    &seq.rounds,
-                    &thr.rounds,
-                    "round observations diverged: mode={:?} detect_races={}",
-                    mode,
-                    detect_races
-                );
-            }
+            // Threads off/on: the full report is bit-identical.
+            let [seq, thr] = [false, true].map(|device_threads| {
+                let cfg = SimConfig { device_threads, detect_races, ..SimConfig::default() };
+                run_cluster_program(&p, data.clone(), &machine(), &cluster, &cfg).unwrap()
+            });
+            prop_assert_eq!(seq.output(hc), thr.output(hc), "outputs: detect_races={}", detect_races);
+            prop_assert_eq!(
+                &seq.rounds,
+                &thr.rounds,
+                "round observations diverged: detect_races={}",
+                detect_races
+            );
         }
     }
 }
@@ -292,7 +276,7 @@ proptest! {
 
     /// Every **planned** streamed program — the auto-chunked ooc-vecadd
     /// and the auto-chunked pipelined sharded matmul — is bit-identical
-    /// to its `destreamed()` serial form across ExecModes × engines,
+    /// to its `destreamed()` serial form across write targets × engines,
     /// with identical component times and a stream total ≤ serial.
     #[test]
     fn planned_programs_equal_destreamed(seed in 0u64..1_000_000_000) {
@@ -312,17 +296,17 @@ proptest! {
         let w = atgpu_algos::ooc::OocVecAdd::new(n, m.b, seed);
         let planned = w.build_planned(&m, &spec).unwrap();
         let serial = planned.program.destreamed();
-        for mode in [ExecMode::Sequential, ExecMode::Parallel { threads: 2 }] {
+        for detect_races in [false, true] {
             for use_reference in [false, true] {
-                let cfg = SimConfig { mode, use_reference, ..SimConfig::default() };
+                let cfg = SimConfig { detect_races, use_reference, ..SimConfig::default() };
                 let a = run_program(&planned.program, planned.inputs.clone(), &m, &spec, &cfg)
                     .unwrap();
                 let b = run_program(&serial, planned.inputs.clone(), &m, &spec, &cfg).unwrap();
                 prop_assert_eq!(
                     a.output(planned.outputs[0]),
                     b.output(planned.outputs[0]),
-                    "ooc outputs diverged: mode={:?} reference={}",
-                    mode,
+                    "ooc outputs diverged: detect_races={} reference={}",
+                    detect_races,
                     use_reference
                 );
                 let expect = w.host_reference();
@@ -342,9 +326,9 @@ proptest! {
         }
         let built = mm.build_sharded_pipelined(&m, &cluster).unwrap();
         let serial = built.program.destreamed();
-        for mode in [ExecMode::Sequential, ExecMode::Parallel { threads: 2 }] {
+        for detect_races in [false, true] {
             for use_reference in [false, true] {
-                let cfg = SimConfig { mode, use_reference, ..SimConfig::default() };
+                let cfg = SimConfig { detect_races, use_reference, ..SimConfig::default() };
                 let a =
                     run_cluster_program(&built.program, built.inputs.clone(), &m, &cluster, &cfg)
                         .unwrap();
@@ -353,8 +337,8 @@ proptest! {
                 prop_assert_eq!(
                     a.output(built.outputs[0]),
                     b.output(built.outputs[0]),
-                    "matmul outputs diverged: mode={:?} reference={}",
-                    mode,
+                    "matmul outputs diverged: detect_races={} reference={}",
+                    detect_races,
                     use_reference
                 );
                 let expect = mm.host_reference();
