@@ -480,37 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn reduce_kernels_compile_to_the_static_masked_path() {
-        // Regression for the ROADMAP item "engine-accelerated reduce":
-        // both variants' strided partial-mask phases must compile to the
-        // masked-affine static path — every site static affine with a
-        // compile-time mask and a baked degree — and the whole kernel
-        // must qualify for block-invariant timing replay (the engine's
-        // fastest path).
-        use atgpu_sim::uop::{CompiledKernel, SiteAddr};
-        let m = test_machine();
-        for variant in [ReduceVariant::InterleavedModulo, ReduceVariant::SequentialAddressing] {
-            let k = reduce_round_kernel("r", DBuf(0), DBuf(1), 8, &m, variant);
-            let nregs = k.max_reg().map(|r| u32::from(r) + 1).unwrap_or(1);
-            let c = CompiledKernel::compile(&k, &[0, 1024], m.b as u32, nregs);
-            assert!(c.replayable, "{variant:?} must be replayable");
-            for (i, site) in c.sites.iter().enumerate() {
-                assert!(
-                    matches!(site.addr, SiteAddr::Affine(a) if a.is_static()),
-                    "{variant:?} site {i} not static affine"
-                );
-                assert!(site.mask.is_some(), "{variant:?} site {i} lacks a compile-time mask");
-            }
-            // Every shared site has an exact baked degree; every global
-            // site has a transaction table.
-            let (shared, global): (Vec<_>, Vec<_>) =
-                c.sites.iter().partition(|s| s.txn_table.is_none());
-            assert!(shared.iter().all(|s| s.masked_degree.is_some() || s.full_degree == Some(1)));
-            assert!(!global.is_empty());
-        }
-    }
-
-    #[test]
     fn interleaved_kernel_is_slower_than_sequential() {
         // The divergent modulo kernel does more lockstep work per round.
         let b = test_machine().b;

@@ -53,8 +53,8 @@ impl VecAdd {
     /// *same* kernel launched once per round for `launches` rounds
     /// (idempotent — every launch recomputes the same `C`), then one
     /// download.  This is the cross-launch kernel-cache stress shape:
-    /// every launch after the first hits the compiled program and, the
-    /// kernel being replay-eligible, its recorded timing trace.
+    /// every launch after the first hits the compiled program and skips
+    /// lowering.
     pub fn build_relaunched(
         &self,
         machine: &AtgpuMachine,

@@ -4,13 +4,12 @@
 //! 1. **Scheduler / executor split** — the nine programs of the repo
 //!    benchmark's `batch_compute` workload, replayed launch by launch
 //!    from pre-launch memory snapshots: a bare [`BlockExec`] loop (every
-//!    block reset and stepped to `Done` in order, full per-access
-//!    analysis, no scheduler), [`Device::run_kernel`] on a warm kernel
-//!    cache (MPs, tournament tree, co-simulation, DRAM controller, timing
-//!    replay), their difference and their ratio, per program and in
-//!    total.  The bare loop analyses every access where `run_kernel`
-//!    replays recorded timing, so the ratio understates the issue loop's
-//!    share; the **difference** is the figure to read across commits.
+//!    block reset and stepped to `Done` in order, no scheduler),
+//!    [`Device::run_kernel`] on a warm kernel cache (MPs, tournament
+//!    tree, co-simulation, DRAM controller), their difference and their
+//!    ratio, per program and in total.  Both sides execute the same
+//!    instructions through the same timing path, so the split is exact:
+//!    the difference is the issue loop plus the per-launch cost.
 //! 2. **vecadd breakdown** — executor-only / device-level / full-pipeline
 //!    timings of one 200k-word vector addition, engine against the
 //!    reference interpreter, for localising a regression.
@@ -197,7 +196,6 @@ fn main() {
 
     // Pure engine executor.
     let ck = CompiledKernel::compile(kernel, &bases, b, nregs);
-    println!("replayable: {}", ck.replayable);
     {
         let mut ex = BlockExec::new(&ck);
         let t = Instant::now();

@@ -335,8 +335,8 @@ fn main() {
         .build_streamed(&bench_config().machine)
         .expect("streamed ooc builds");
     // The repeated-launch shape the cross-launch kernel cache exists
-    // for: a small replay-eligible grid launched 400 times, so per-launch
-    // compile + first-block warmup dominate unless cached.
+    // for: a small grid launched 400 times, so per-launch compilation
+    // dominates unless cached.
     let relaunch = {
         let cfg = bench_config();
         VecAdd::new(8 * cfg.machine.b, 1)

@@ -529,13 +529,12 @@ pub fn e8_streams(cfg: &ExpConfig) -> Result<Section, ExpError> {
     Ok(Section::new(out, findings))
 }
 
-/// E9 — the cross-launch kernel cache: the same replay-eligible kernel
-/// relaunched `L` times (the shape every sweep harness in this crate
-/// produces), simulated with the cache on vs the `SimConfig::cache`
-/// kill-switch off.  Cached launches skip both kernel lowering and
-/// first-block timing-replay warmup, so host throughput rises with `L`
-/// while every modeled observation stays **bit-identical** (asserted
-/// here, proven at scale by `tests/cache_differential.rs`).
+/// E9 — the cross-launch kernel cache: the same kernel relaunched `L`
+/// times (the shape every sweep harness in this crate produces),
+/// simulated with the cache on vs the `SimConfig::cache` kill-switch
+/// off.  Cached launches skip kernel lowering, so host throughput rises
+/// with `L` while every modeled observation stays **bit-identical**
+/// (asserted here, proven at scale by `tests/cache_differential.rs`).
 pub fn e9_kernel_cache(cfg: &ExpConfig) -> Result<Section, ExpError> {
     use atgpu_sim::SimConfig;
 
@@ -589,7 +588,7 @@ pub fn e9_kernel_cache(cfg: &ExpConfig) -> Result<Section, ExpError> {
     ));
     out.push_str(
         "\nModeled rounds are bit-identical cache on vs off (asserted); the speedup is pure \
-         host wall-clock from skipping recompilation and timing-replay warmup.\n",
+         host wall-clock from skipping recompilation.\n",
     );
     Ok(Section::new(out, findings))
 }

@@ -94,34 +94,6 @@ impl AffineAddr {
         self.reg.is_none()
     }
 
-    /// True when shifting the block index leaves every lane's address in
-    /// the same position **modulo `b`**: the block (and block-Y)
-    /// coefficients are multiples of `b` and the address is static.
-    ///
-    /// For such addresses the per-warp access *shape* — coalesced
-    /// transaction count, bank-conflict pattern — is identical for every
-    /// thread block (loop counters may still vary it per iteration, but
-    /// identically in each block).  This is the invariance the simulator's
-    /// timing-replay cache keys on.
-    #[inline]
-    pub fn is_block_invariant_mod(&self, b: u64) -> bool {
-        let bi = b as i64;
-        self.is_static()
-            && bi > 0
-            && self.block.rem_euclid(bi) == 0
-            && self.block_y.rem_euclid(bi) == 0
-    }
-
-    /// True when the warp-folded base residue mod `b` is a compile-time
-    /// constant: [`AffineAddr::is_block_invariant_mod`] *and* every loop
-    /// coefficient is a multiple of `b`.  Such sites have one conflict
-    /// degree / transaction count for the whole launch.
-    #[inline]
-    pub fn is_residue_invariant_mod(&self, b: u64) -> bool {
-        let bi = b as i64;
-        self.is_block_invariant_mod(b) && self.loops.iter().all(|&c| c.rem_euclid(bi) == 0)
-    }
-
     /// Bank-conflict serialisation degree of a full warp (`b` active
     /// lanes on `b` banks), or `None` when the address reads a register
     /// (data-dependent).
@@ -537,30 +509,6 @@ mod tests {
     fn scale_overflow_is_rejected_not_wrapped() {
         let e = AddrExpr::lane() * i64::MAX + AddrExpr::lane() * i64::MAX;
         assert!(lower(&e).is_none()); // coefficient addition would overflow
-    }
-
-    #[test]
-    fn block_invariance_classification() {
-        let b = 32u64;
-        // i·32 + j: block stride is a whole number of memory blocks.
-        let a = lower(&(AddrExpr::block() * 32 + AddrExpr::lane())).unwrap();
-        assert!(a.is_block_invariant_mod(b));
-        assert!(a.is_residue_invariant_mod(b));
-        // i·33 + j: the warp's base residue shifts with the block index.
-        let a = lower(&(AddrExpr::block() * 33 + AddrExpr::lane())).unwrap();
-        assert!(!a.is_block_invariant_mod(b));
-        // Negative multiples of b still qualify.
-        let a = lower(&(AddrExpr::c(0) - AddrExpr::block() * 64 + AddrExpr::lane())).unwrap();
-        assert!(a.is_block_invariant_mod(b));
-        // Loop stride 8 varies the residue per iteration (but identically
-        // per block): block-invariant, not residue-invariant.
-        let a = lower(&(AddrExpr::block() * 32 + AddrExpr::loop_var(0) * 8 + AddrExpr::lane()))
-            .unwrap();
-        assert!(a.is_block_invariant_mod(b));
-        assert!(!a.is_residue_invariant_mod(b));
-        // Register term: never invariant.
-        let a = lower(&(AddrExpr::reg(0) + AddrExpr::lane())).unwrap();
-        assert!(!a.is_block_invariant_mod(b));
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! The cross-launch kernel cache: keyed compiled programs plus recorded
-//! block-invariant timing traces, reused across launches the way real
-//! drivers cache PTX→SASS compilations.
+//! The cross-launch kernel cache: keyed compiled programs, reused across
+//! launches the way real drivers cache PTX→SASS compilations.  An entry
+//! is the compiled program and nothing else; what a hit saves is
+//! lowering.
 //!
 //! ## Keying rule
 //!
@@ -18,21 +19,6 @@
 //! it — is stored and compared on lookup, so two kernels can never
 //! false-hit through a hash collision alone.
 //!
-//! ## Trace reuse
-//!
-//! When a kernel is replay-eligible ([`CompiledKernel::replayable`]) its
-//! memory-event stream is provably identical for every thread block *and
-//! therefore for every launch* of the same compiled kernel: eligibility
-//! requires every divergence mask and every site's timing contribution
-//! to be independent of the block index and of loaded data.  The first
-//! launch records one block's trace into the entry
-//! ([`CacheEntry::trace`], a write-once slot); later launches seed every
-//! multiprocessor with it, so **all** blocks replay from the first cycle
-//! — no per-launch first-block warmup.  Replaying blocks still execute
-//! functionally (their memory writes are real); only the timing analysis
-//! is skipped, which is what makes cached and cold launches bit-identical
-//! in memory, statistics and events (`tests/cache_differential.rs`).
-//!
 //! ## Invalidation and the kill-switch
 //!
 //! Entries are only ever superseded, never mutated: a changed kernel or
@@ -40,8 +26,10 @@
 //! [`SimConfig::cache_capacity`](crate::SimConfig::cache_capacity)
 //! entries, evicting the oldest insertion (FIFO) beyond that, and
 //! [`SimConfig::cache`](crate::SimConfig::cache) is the kill-switch:
-//! when off, every launch compiles fresh and records nothing — the
-//! pre-cache behaviour, retained for differential testing.
+//! when off, every launch compiles fresh and stores nothing — the
+//! pre-cache behaviour, retained for differential testing (cached and
+//! cold launches are bit-identical in memory, statistics and events:
+//! `tests/cache_differential.rs`).
 //!
 //! ## Concurrency
 //!
@@ -56,10 +44,9 @@
 
 use crate::memo::BoundedMemo;
 use crate::uop::CompiledKernel;
-use crate::warp::StepEvent;
 use atgpu_ir::Kernel;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Default per-device entry bound (see
 /// [`SimConfig::cache_capacity`](crate::SimConfig::cache_capacity)).
@@ -76,33 +63,6 @@ pub struct CacheKey {
     pub b: u32,
     /// Registers per lane.
     pub nregs: u32,
-}
-
-/// One cached compilation: the flat program plus, for replay-eligible
-/// kernels, the recorded block-invariant timing trace.
-#[derive(Debug)]
-pub struct CacheEntry {
-    /// The compiled kernel, shared by every launch that hits this entry.
-    pub compiled: Arc<CompiledKernel>,
-    /// The recorded memory-event trace, set once by the first launch
-    /// that completes a recording block (replayable kernels only).
-    pub trace: OnceLock<Arc<[StepEvent]>>,
-}
-
-impl CacheEntry {
-    fn new(compiled: CompiledKernel) -> Arc<Self> {
-        Arc::new(Self { compiled: Arc::new(compiled), trace: OnceLock::new() })
-    }
-
-    /// The cached trace to seed a launch's multiprocessors with, if one
-    /// was recorded.
-    pub fn seeded_trace(&self) -> Option<Arc<[StepEvent]>> {
-        if self.compiled.replayable {
-            self.trace.get().cloned()
-        } else {
-            None
-        }
-    }
 }
 
 /// Cache observability counters, surfaced through
@@ -140,7 +100,7 @@ impl CacheStats {
 /// The per-device keyed kernel cache.
 #[derive(Debug)]
 pub struct KernelCache {
-    memo: BoundedMemo<CacheKey, Arc<CacheEntry>>,
+    memo: BoundedMemo<CacheKey, Arc<CompiledKernel>>,
     enabled: AtomicBool,
 }
 
@@ -185,15 +145,15 @@ impl KernelCache {
     /// for the launch parameters `(bases, b, nregs)`.
     ///
     /// With the cache disabled this compiles fresh into an unshared
-    /// entry and records nothing — cold-launch behaviour.
+    /// program and stores nothing — cold-launch behaviour.
     pub fn get_or_compile(
         &self,
         kernel: &Kernel,
         bases: &[u64],
         b: u32,
         nregs: u32,
-    ) -> Arc<CacheEntry> {
-        let compile = || CacheEntry::new(CompiledKernel::compile(kernel, bases, b, nregs));
+    ) -> Arc<CompiledKernel> {
+        let compile = || Arc::new(CompiledKernel::compile(kernel, bases, b, nregs));
         if !self.enabled() || self.memo.capacity() == 0 {
             return compile();
         }

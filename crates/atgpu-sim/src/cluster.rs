@@ -467,7 +467,7 @@ fn run_sharded_launch(
         }
         log.extend(recovery_log.iter().copied());
         if !log.is_empty() {
-            ledger.journal_writes(d, &mut log);
+            ledger.journal_writes(d, &log);
             apply_write_log(kernel, &mut gmems[d], log, false)?;
         }
     }
@@ -596,7 +596,7 @@ pub(crate) fn run_on(
         .map(|(s, row)| row.iter().enumerate().map(|(d, l)| link(l, n + s * n + d)).collect())
         .collect();
     let clocks = spec.devices.iter().map(|d| d.clock_cycles_per_ms).collect();
-    let mut links = Links::new(host_xfer, peer_xfer, clocks, spec.sync_ms, config);
+    let mut links = Links::new(host_xfer, peer_xfer, clocks, spec.sync_ms, total_words, config);
     let engine = if config.use_reference { EngineSel::Reference } else { EngineSel::MicroOp };
 
     let rounds =

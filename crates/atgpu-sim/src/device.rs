@@ -38,16 +38,10 @@ use crate::engine::{BlockExec, BlockSim};
 use crate::error::SimError;
 use crate::gmem::GlobalMemory;
 use crate::mp::Mp;
-use crate::warp::{GmemAccess, StepEvent, WarpExec, WriteRec};
+use crate::warp::{GmemAccess, WarpExec, WriteRec};
 use crate::{EngineSel, ExecMode};
 use atgpu_ir::Kernel;
 use atgpu_model::{occupancy, AtgpuMachine, GpuSpec};
-use std::sync::{Arc, OnceLock};
-
-/// The launch's connection to the cross-launch kernel cache: the seed
-/// trace to start every MP with (when one is cached) and the write-once
-/// slot a cold launch records into.
-type TraceSlot<'a> = Option<&'a OnceLock<Arc<[StepEvent]>>>;
 
 /// Aggregated observations from one kernel launch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -200,11 +194,6 @@ impl Device {
         self.cache.set_capacity(capacity);
     }
 
-    /// The device's kernel cache (lookups, kill-switch, counters).
-    pub fn cache(&self) -> &KernelCache {
-        &self.cache
-    }
-
     /// Sets the per-launch watchdog budget in simulated cycles (see
     /// [`crate::SimConfig::watchdog_cycles`]); 0 disables the watchdog.
     /// A launch whose event clock passes the budget aborts with
@@ -241,10 +230,8 @@ impl Device {
     ///
     /// [`EngineSel::MicroOp`] resolves the kernel through the device's
     /// cross-launch [`KernelCache`] — a repeated launch of the same
-    /// kernel shape reuses the compiled micro-op program *and*, when the
-    /// kernel is replay-eligible, the recorded block-invariant timing
-    /// trace, skipping both lowering and first-block recording warmup.
-    /// [`EngineSel::Reference`] drives the retained tree-walking
+    /// kernel shape reuses the compiled micro-op program, skipping
+    /// lowering.  [`EngineSel::Reference`] drives the retained tree-walking
     /// interpreter — the pre-engine baseline kept for differential
     /// testing and benchmarking (never cached).
     ///
@@ -321,19 +308,14 @@ impl Device {
         let gmem = target.mem();
         let bases: Vec<u64> = (0..gmem.buf_count()).map(|i| gmem.base(i as u32)).collect();
         let b = self.machine.b as u32;
-        let name = &kernel.name;
+        let blocks = Blocks { name: &kernel.name, ell, range };
 
         match engine {
             EngineSel::MicroOp => {
-                let entry = self.cache.get_or_compile(kernel, &bases, b, nregs);
-                let compiled = &entry.compiled;
-                let replayable = compiled.replayable;
-                let slot = replayable.then_some(&entry.trace);
-                let blocks = Blocks { name, ell, replayable, slot, range };
-                self.run_sequential(&blocks, || BlockExec::new(compiled), &mut target)
+                let compiled = self.cache.get_or_compile(kernel, &bases, b, nregs);
+                self.run_sequential(&blocks, || BlockExec::new(&compiled), &mut target)
             }
             EngineSel::Reference => {
-                let blocks = Blocks { name, ell, replayable: false, slot: None, range };
                 let make = || WarpExec::new(kernel, &bases, b, nregs);
                 self.run_sequential(&blocks, make, &mut target)
             }
@@ -348,16 +330,11 @@ impl Device {
         make: impl Fn() -> E,
         acc: &mut GmemAccess<'_>,
     ) -> Result<KernelStats, SimError> {
-        let &Blocks { name, ell, replayable, slot, range } = blocks;
+        let &Blocks { name, ell, range } = blocks;
         let k_prime = self.spec.k_prime as usize;
         let mut dram =
             DramController::new(self.spec.dram_issue_cycles, self.spec.dram_latency_cycles);
-        // A trace cached by an earlier launch lets every MP replay every
-        // block from the first cycle (no recording warmup); a cold
-        // replayable launch records and publishes the trace afterwards.
-        let seeded = slot.and_then(|s| s.get().cloned());
-        let mut mps: Vec<Mp<E>> =
-            (0..k_prime).map(|_| Mp::with_trace(ell, replayable, seeded.clone())).collect();
+        let mut mps: Vec<Mp<E>> = (0..k_prime).map(|_| Mp::new(ell)).collect();
         let (mut next_block, end_block) = range;
 
         // Initial fill, depth-first: MP 0 takes blocks up to its `ℓ`
@@ -422,13 +399,6 @@ impl Device {
         for mp in &mps {
             stats.merge_serial(&mp.stats);
         }
-        // Publish a freshly recorded trace into the cache entry (no-op
-        // when this launch was seeded — the slot is already set).
-        if let Some(slot) = slot {
-            if let Some(trace) = mps.iter().find_map(|m| m.recorded_trace()) {
-                let _ = slot.set(Arc::clone(trace));
-            }
-        }
         debug_assert_eq!(stats.blocks, range.1.saturating_sub(range.0));
         Ok(stats)
     }
@@ -441,9 +411,6 @@ struct Blocks<'a> {
     name: &'a str,
     /// Residency `ℓ`.
     ell: u64,
-    /// Whether the kernel's timing trace can be replayed across blocks.
-    replayable: bool,
-    slot: TraceSlot<'a>,
     /// The block range `range.0..range.1` to run.
     range: (u64, u64),
 }

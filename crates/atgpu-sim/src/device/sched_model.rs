@@ -23,6 +23,7 @@
 //! each other and on the issue clock.
 
 use super::*;
+use crate::warp::StepEvent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
@@ -294,13 +295,7 @@ fn device_runs_to_the_horizon_in_rescan_order() {
                 let mut run = |budget: u64| {
                     device.configure_watchdog(budget);
                     let log = IssueLog::default();
-                    let launch = Blocks {
-                        name: "scripted",
-                        ell,
-                        replayable: false,
-                        slot: None,
-                        range: (0, blocks as u64),
-                    };
+                    let launch = Blocks { name: "scripted", ell, range: (0, blocks as u64) };
                     let make = Scripted::maker(&scripts, &log);
                     let mut acc = GmemAccess::Direct(&mut gmem);
                     let stats = device.run_sequential(&launch, make, &mut acc);

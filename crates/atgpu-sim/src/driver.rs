@@ -60,9 +60,9 @@ pub struct SimConfig {
     pub device_threads: bool,
     /// The cross-launch kernel-cache kill-switch ([`crate::cache`]).
     /// On (the default), repeated launches of one kernel shape reuse the
-    /// compiled micro-op program and its recorded timing trace; off,
-    /// every launch compiles fresh — results are bit-identical either
-    /// way, this only trades host wall-clock for memory.
+    /// compiled micro-op program; off, every launch compiles fresh —
+    /// results are bit-identical either way, this only trades host
+    /// wall-clock for memory.
     pub cache: bool,
     /// Compiled kernels retained per device before FIFO eviction.
     pub cache_capacity: usize,

@@ -1,6 +1,5 @@
 //! The micro-op block executor: runs a [`CompiledKernel`] with **zero
-//! heap allocations per instruction** in steady state, plus the
-//! block-invariant timing-replay cache.
+//! heap allocations per instruction** in steady state.
 //!
 //! ```text
 //!            compile (once per launch)              execute (per block)
@@ -21,11 +20,10 @@
 //!   compile-time residue table, bank-conflict degrees from the shared
 //!   classifier — the dynamic fallbacks use fixed `[_; 64]` scratch:
 //!   generation-stamped per-bank counters and lane chains, and a short
-//!   list of distinct block indices (no `Vec`, no sort, no dedup);
-//! * when [`CompiledKernel::replayable`] holds, the first block a
-//!   multiprocessor runs records its memory-event stream; subsequent
-//!   blocks execute functionally but *replay* the recorded events for
-//!   timing, skipping re-analysis entirely (see [`crate::mp`]).
+//!   list of distinct block indices (no `Vec`, no sort, no dedup).
+//!
+//! Timing has one source: every access's event is computed from its
+//! site's compile-time tables (or the dynamic fallback) as it executes.
 //!
 //! The executor is bit-exact with [`crate::warp::WarpExec`] — same
 //! register/memory state, same `StepEvent` stream — which the
@@ -37,7 +35,6 @@ use crate::uop::{CompiledKernel, FastPath, Site, SiteAddr, Uop};
 use crate::warp::{GmemAccess, StepEvent};
 use atgpu_ir::affine::lane_span_blocks;
 use atgpu_ir::{AluOp, Operand, Reg, MAX_LOOP_DEPTH};
-use std::sync::Arc;
 
 /// Common interface of the two block executors (micro-op engine and
 /// tree-walking reference), so the multiprocessor scheduler can drive
@@ -47,14 +44,6 @@ pub trait BlockSim {
     fn reset(&mut self, block: u64);
     /// Executes the next instruction; returns its timing event.
     fn step(&mut self, gmem: &mut GmemAccess<'_>) -> Result<StepEvent, SimError>;
-    /// Starts recording the memory-event trace (replayable kernels).
-    fn begin_record(&mut self) {}
-    /// Supplies a recorded trace to replay instead of re-analysing.
-    fn begin_replay(&mut self, _trace: Arc<[StepEvent]>) {}
-    /// Takes the completed trace out of a recording executor.
-    fn take_trace(&mut self) -> Option<Arc<[StepEvent]>> {
-        None
-    }
 }
 
 impl BlockSim for crate::warp::WarpExec<'_> {
@@ -64,16 +53,6 @@ impl BlockSim for crate::warp::WarpExec<'_> {
     fn step(&mut self, gmem: &mut GmemAccess<'_>) -> Result<StepEvent, SimError> {
         crate::warp::WarpExec::step(self, gmem)
     }
-}
-
-/// Memory-event trace role of one executor.
-enum TraceRole {
-    /// Analyse every access (non-replayable kernels).
-    Off,
-    /// Analyse and record memory events.
-    Record(Vec<StepEvent>),
-    /// Execute functionally, pull memory events from the trace.
-    Replay { trace: Arc<[StepEvent]>, idx: usize },
 }
 
 /// How a site's lane addresses are materialised for one access.
@@ -120,7 +99,6 @@ pub struct BlockExec<'k> {
     bank_head: [u8; 64],
     lane_prev: [u8; 64],
     gen: u64,
-    trace: TraceRole,
 }
 
 impl<'k> BlockExec<'k> {
@@ -150,7 +128,6 @@ impl<'k> BlockExec<'k> {
             bank_head: [0; 64],
             lane_prev: [0; 64],
             gen: 0,
-            trace: TraceRole::Off,
         }
     }
 
@@ -417,33 +394,6 @@ impl<'k> BlockExec<'k> {
         txns as u32
     }
 
-    /// True when this access's timing should be pulled from the replay
-    /// trace instead of analysed.
-    #[inline]
-    fn replaying(&self) -> bool {
-        matches!(self.trace, TraceRole::Replay { .. })
-    }
-
-    /// Emits a memory event: records it, or swaps in the replayed one.
-    #[inline]
-    fn emit_mem_event(&mut self, computed: StepEvent) -> StepEvent {
-        match &mut self.trace {
-            TraceRole::Off => computed,
-            TraceRole::Record(events) => {
-                events.push(computed);
-                computed
-            }
-            TraceRole::Replay { trace, idx } => {
-                // The trace is complete before any replaying block is
-                // admitted, and replayable kernels emit identical event
-                // streams, so the cursor always lands on a valid entry.
-                let e = trace[*idx];
-                *idx += 1;
-                e
-            }
-        }
-    }
-
     /// Reads a shared site's words into `val_buf` for the active lanes.
     fn shared_gather(&mut self, plan: AddrPlan, mask: u64) -> Result<(), SimError> {
         let b = self.b as usize;
@@ -624,25 +574,6 @@ impl BlockSim for BlockExec<'_> {
         self.arms.clear();
         self.cur_mask = self.full_mask;
         self.loops = [0; MAX_LOOP_DEPTH];
-        self.trace = TraceRole::Off;
-    }
-
-    fn begin_record(&mut self) {
-        self.trace = TraceRole::Record(Vec::new());
-    }
-
-    fn begin_replay(&mut self, trace: Arc<[StepEvent]>) {
-        self.trace = TraceRole::Replay { trace, idx: 0 };
-    }
-
-    fn take_trace(&mut self) -> Option<Arc<[StepEvent]>> {
-        match std::mem::replace(&mut self.trace, TraceRole::Off) {
-            TraceRole::Record(events) => Some(events.into()),
-            other => {
-                self.trace = other;
-                None
-            }
-        }
     }
 
     fn step(&mut self, gmem: &mut GmemAccess<'_>) -> Result<StepEvent, SimError> {
@@ -808,8 +739,7 @@ impl BlockSim for BlockExec<'_> {
                     let (dst, site_id) = (*dst, *site);
                     let site = &self.ck.sites[site_id as usize];
                     let plan = self.plan_addrs(site, mask);
-                    let degree =
-                        if self.replaying() { 0 } else { self.shared_degree(site, mask, plan) };
+                    let degree = self.shared_degree(site, mask, plan);
                     if let AddrPlan::Contig(base) = plan {
                         // Fused path: shared words straight into the
                         // register row, no intermediate buffer.
@@ -831,15 +761,14 @@ impl BlockSim for BlockExec<'_> {
                         }
                     }
                     self.pc += 1;
-                    return Ok(self.emit_mem_event(StepEvent::Shared { degree }));
+                    return Ok(StepEvent::Shared { degree });
                 }
                 Uop::StShr { site, src } => {
                     let mask = self.cur_mask;
                     let (site_id, src) = (*site, *src);
                     let site = &self.ck.sites[site_id as usize];
                     let plan = self.plan_addrs(site, mask);
-                    let degree =
-                        if self.replaying() { 0 } else { self.shared_degree(site, mask, plan) };
+                    let degree = self.shared_degree(site, mask, plan);
                     if let (AddrPlan::Contig(base), Operand::Reg(r)) = (plan, src) {
                         // Fused path: register row straight into shared
                         // memory.
@@ -872,15 +801,14 @@ impl BlockSim for BlockExec<'_> {
                         self.shared_scatter(plan, mask)?;
                     }
                     self.pc += 1;
-                    return Ok(self.emit_mem_event(StepEvent::Shared { degree }));
+                    return Ok(StepEvent::Shared { degree });
                 }
                 Uop::GlbToShr { shared, global } => {
                     let mask = self.cur_mask;
                     let (shared_id, global_id) = (*shared, *global);
                     let gsite = &self.ck.sites[global_id as usize];
                     let gplan = self.plan_addrs(gsite, mask);
-                    let txns =
-                        if self.replaying() { 0 } else { self.global_txns(gsite, mask, gplan) };
+                    let txns = self.global_txns(gsite, mask, gplan);
                     let ssite = &self.ck.sites[shared_id as usize];
                     if let (AddrPlan::Contig(gbase), FastPath::Unit) = (gplan, ssite.fast) {
                         // Fused path: both sides contiguous — one
@@ -895,11 +823,7 @@ impl BlockSim for BlockExec<'_> {
                         let AddrPlan::Contig(sbase) = splan else {
                             unreachable!("unit-stride site under full mask is contiguous")
                         };
-                        let degree = if self.replaying() {
-                            0
-                        } else {
-                            self.shared_degree(ssite, mask, splan)
-                        };
+                        let degree = self.shared_degree(ssite, mask, splan);
                         let slen = self.smem.len();
                         if sbase < 0 || sbase + n as i64 > slen as i64 {
                             return Err(self.oob_shared(Self::first_oob(sbase, slen)));
@@ -907,23 +831,21 @@ impl BlockSim for BlockExec<'_> {
                         self.smem.words_mut()[sbase as usize..sbase as usize + n]
                             .copy_from_slice(&gmem.view()[gbase as usize..gbase as usize + n]);
                         self.pc += 1;
-                        return Ok(self.emit_mem_event(StepEvent::Global { txns, issue: degree }));
+                        return Ok(StepEvent::Global { txns, issue: degree });
                     }
                     self.global_gather(gmem, gplan, mask)?;
                     let splan = self.plan_addrs(ssite, mask);
-                    let degree =
-                        if self.replaying() { 0 } else { self.shared_degree(ssite, mask, splan) };
+                    let degree = self.shared_degree(ssite, mask, splan);
                     self.shared_scatter(splan, mask)?;
                     self.pc += 1;
-                    return Ok(self.emit_mem_event(StepEvent::Global { txns, issue: degree }));
+                    return Ok(StepEvent::Global { txns, issue: degree });
                 }
                 Uop::ShrToGlb { global, shared } => {
                     let mask = self.cur_mask;
                     let (shared_id, global_id) = (*shared, *global);
                     let ssite = &self.ck.sites[shared_id as usize];
                     let splan = self.plan_addrs(ssite, mask);
-                    let degree =
-                        if self.replaying() { 0 } else { self.shared_degree(ssite, mask, splan) };
+                    let degree = self.shared_degree(ssite, mask, splan);
                     let gsite = &self.ck.sites[global_id as usize];
                     if let (AddrPlan::Contig(sbase), FastPath::Unit) = (splan, gsite.fast) {
                         // Fused path: shared words straight to the global
@@ -938,8 +860,7 @@ impl BlockSim for BlockExec<'_> {
                         let AddrPlan::Contig(gbase) = gplan else {
                             unreachable!("unit-stride site under full mask is contiguous")
                         };
-                        let txns =
-                            if self.replaying() { 0 } else { self.global_txns(gsite, mask, gplan) };
+                        let txns = self.global_txns(gsite, mask, gplan);
                         let glen = gmem.len();
                         if gbase < 0 || gbase + n as i64 > glen as i64 {
                             return Err(self.oob_global(Self::first_oob(gbase, glen), glen));
@@ -951,15 +872,14 @@ impl BlockSim for BlockExec<'_> {
                         );
                         debug_assert!(ok);
                         self.pc += 1;
-                        return Ok(self.emit_mem_event(StepEvent::Global { txns, issue: degree }));
+                        return Ok(StepEvent::Global { txns, issue: degree });
                     }
                     self.shared_gather(splan, mask)?;
                     let gplan = self.plan_addrs(gsite, mask);
-                    let txns =
-                        if self.replaying() { 0 } else { self.global_txns(gsite, mask, gplan) };
+                    let txns = self.global_txns(gsite, mask, gplan);
                     self.global_scatter(gmem, gplan, mask)?;
                     self.pc += 1;
-                    return Ok(self.emit_mem_event(StepEvent::Global { txns, issue: degree }));
+                    return Ok(StepEvent::Global { txns, issue: degree });
                 }
             }
         }

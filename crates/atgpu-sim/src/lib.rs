@@ -30,12 +30,11 @@
 //!  (Instr    │  · flatten Repeat/Pred into │   │   mask/arm stacks, contiguous  │    │
 //!   tree)    │    jump-targeted Vec<Uop>   │   │   copies, O(1) txn/degree      │    ▼
 //!            │  · classify each site:      │   │   lookups, fixed scratch)      │  mp::Mp (min (ready,
-//!            │    unit/bcast/strided/dyn   │   │                                │  index) key tree,
-//!            │  · bake conflict degrees +  │   │  replayable? first block       │  replay cache) →
-//!            │    residue txn tables       │   │  records its event trace,      │  device (run to the
-//!            │  · prove replayability and  │   │  later blocks replay timing    │  horizon) → driver
-//!            │    init-elision             │   └────────────────────────────────┘  (transfers, rounds)
-//!            └──────────────────────────────┘
+//!            │    unit/bcast/strided/dyn   │   │                                │  index) key tree) →
+//!            │  · bake conflict degrees +  │   │  timing is read from the site  │  device (run to the
+//!            │    residue txn tables       │   │  tables as each access runs —  │  horizon) → driver
+//!            │  · prove init-elision       │   │  the one source of an event    │  (transfers, rounds)
+//!            └──────────────────────────────┘   └────────────────────────────────┘
 //! ```
 //!
 //! The pre-engine tree-walking interpreter ([`warp::WarpExec`]) is
@@ -51,11 +50,10 @@
 //! kernel hash ([`atgpu_ir::Kernel::cache_key`] — instruction body, grid
 //! and shared footprint; the *name* is excluded) plus the launch
 //! parameters `(buffer bases, b, nregs)` to the compiled micro-op
-//! program and, for replay-eligible kernels, the recorded
-//! block-invariant timing trace.  Sweep harnesses relaunching one kernel
+//! program — an entry is that program and nothing else, and what a hit
+//! reuses is the lowering.  Sweep harnesses relaunching one kernel
 //! shape thousands of times (atgpu-exp, `throughput`) therefore compile
-//! once and replay every block of every later launch from the first
-//! cycle — with **bit-identical** memory, events and statistics to a
+//! once — with **bit-identical** memory, events and statistics to a
 //! cold launch (`tests/cache_differential.rs` proves this across
 //! engines and clusters):
 //!
@@ -101,7 +99,7 @@
 //! lone device runs, which is why [`run_program`] *is*
 //! [`run_cluster_program`] on a one-device cluster, seen from device 0.
 //! With [`SimConfig::detect_races`], or under a fault plan on more than
-//! one device (whose recovery journal records every write), each shard
+//! one device (whose recovery journal stamps every written word), each shard
 //! instead executes against its device's pre-launch memory with writes
 //! deferred, and the logs are checked, journaled and merged in
 //! thread-block order through [`device::apply_write_log`].  Either way a
@@ -239,22 +237,26 @@
 //! ```
 //!
 //! **Device loss** is survived by replanning, and the answer provably
-//! does not change.  Every global-memory mutation on every device is
-//! journaled (address, value, cluster-global sequence number) while
-//! faults are active.  When device `d` dies at the start of a round:
+//! does not change.  While faults are active on more than one device,
+//! every operation that writes a replica (an upload, a peer copy, a
+//! launch's merged write log) stamps the words it wrote with a
+//! cluster-global sequence number — one `u64` beside each replica word,
+//! so the journal is bounded by the memory size however long the run.
+//! A dead device's replica is never written again, which makes it its
+//! own last-write map.  When device `d` dies at the start of a round:
 //!
-//! 1. each survivor merges `d`'s journal by **last-write-wins on the
-//!    sequence number** — restoring exactly the words where `d` held the
-//!    latest value — priced as one inward transaction
-//!    (`α + β·words_replayed`) on the survivor's own host link and
-//!    counted in `DeviceStats::recoveries`;
+//! 1. each survivor merges `d`'s replica by **last-write-wins on the
+//!    stamps** — restoring exactly the words where `d` held the latest
+//!    value, and taking their stamps — counted in
+//!    `DeviceStats::recoveries`, the transfer priced as one inward
+//!    transaction (`α + β·words_replayed`) on the heir's host link;
 //! 2. `d`'s unfinished shards are re-apportioned across survivors by the
 //!    model's takeover rule ([`atgpu_model::plan::takeover_units`]: the
 //!    cost-driven planner over the surviving sub-cluster), and its
 //!    transfers are redirected (inputs broadcast to all survivors,
 //!    outputs served by the lowest-index survivor);
-//! 3. completed rounds are never re-executed — the journal *is* the
-//!    host-side checkpoint.
+//! 3. completed rounds are never re-executed — the stamped replicas
+//!    *are* the checkpoint.
 //!
 //! Because a journaling run's launches merge their write logs in
 //! thread-block order ([`device::apply_write_log`]), the post-recovery
@@ -316,19 +318,18 @@
 //!   layout) and per-block shared memory (banked);
 //! * [`uop`] — the flat micro-op program: compile-once lowering, per-site
 //!   access-shape classification (shared with `atgpu-analyze` through
-//!   `atgpu_ir::affine`), replayability and initialisation analysis;
-//! * [`cache`] — the cross-launch kernel cache: keyed compiled programs
-//!   plus recorded timing traces, per device (hit/miss counters in
-//!   [`device::DeviceStats`]);
+//!   `atgpu_ir::affine`) and initialisation analysis;
+//! * [`cache`] — the cross-launch kernel cache: keyed compiled programs,
+//!   per device (hit/miss counters in [`device::DeviceStats`]);
 //! * [`engine`] — the micro-op block executor: allocation-free stepping,
-//!   contiguous fast paths, block-invariant timing replay;
+//!   contiguous fast paths, timing read from the site tables;
 //! * [`warp`] — the reference interpreter: lockstep tree-walking
 //!   execution of one thread block with divergence masks;
 //! * [`dram`] — the memory controller (latency + issue-rate bandwidth);
 //! * [`mp`] — a multiprocessor: occupancy-limited block slots over
-//!   pointer-held (never moved) executors, the per-MP replay cache, and
-//!   the scheduling rule — issue from the smallest `(ready, dense index)`
-//!   — kept as packed keys in the nodes of a tournament tree;
+//!   pointer-held (never moved) executors, and the scheduling rule —
+//!   issue from the smallest `(ready, dense index)` — kept as packed
+//!   keys in the nodes of a tournament tree;
 //! * [`device`] — the whole device: `k′` MPs, filled depth-first and
 //!   co-simulated in global time order against a shared memory
 //!   controller (the MP with the smallest `(next event, index)` runs up
@@ -381,7 +382,7 @@ pub mod uop;
 pub mod warp;
 pub mod xfer;
 
-pub use cache::{CacheEntry, CacheKey, CacheStats, KernelCache};
+pub use cache::{CacheKey, CacheStats, KernelCache};
 pub use cluster::{
     counts_to_shards, even_shards, planned_shards, run_cluster_program, run_cluster_program_on,
     shard_counts, weighted_shards, Cluster, ClusterRoundObservation, ClusterSimReport,
@@ -403,7 +404,7 @@ pub use uop::CompiledKernel;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum EngineSel {
     /// The flat micro-op engine: kernel IR compiled once per launch,
-    /// allocation-free block execution, block-invariant timing replay.
+    /// allocation-free block execution.
     #[default]
     MicroOp,
     /// The tree-walking reference interpreter ([`warp::WarpExec`]) — the

@@ -8,7 +8,7 @@
 //! the one-device case), which passes in the launch.  [`Links`] owns
 //! everything a step touches besides the memories:
 //! the host and peer [`TransferEngine`]s, and a [`Ledger`] holding the
-//! optional [`FaultState`] (liveness, journals, [`FaultRuntime`]), the
+//! optional [`FaultState`] (liveness, write stamps, [`FaultRuntime`]), the
 //! optional [`Tracer`], and the round's per-device timelines and
 //! observations — the half a launch books into.  Inside a step body,
 //! target redirection, the retry loop, journaling and span recording
@@ -29,7 +29,6 @@ use crate::xfer::TransferEngine;
 use crate::SimConfig;
 use atgpu_ir::{DBuf, HostStep, Kernel, Program, Shard};
 use atgpu_model::{LinkParams, StreamResource, StreamTimeline};
-use std::collections::HashMap;
 use std::ops::Range;
 
 /// Rejects, before anything is allocated, programs the interpreter
@@ -80,32 +79,39 @@ fn two_mems(
     }
 }
 
-/// Per-run fault bookkeeping: liveness, the per-device mutation journals
-/// that double as host-side checkpoints, and the recovery counters.
+/// Per-run fault bookkeeping: liveness, the per-word write stamps that
+/// make every replica its own checkpoint, and the recovery counters.
 /// Only constructed when the fault plan is non-empty — a faultless run
 /// never journals and never branches here.
 struct FaultState {
     rt: FaultRuntime,
     /// Liveness per device (deaths are permanent).
     alive: Vec<bool>,
-    /// Per-device journals of every global-memory mutation since the run
-    /// started: `(seq, word address, value)`, with `seq` drawn from one
-    /// cluster-global counter so "latest write" is well-defined across
-    /// devices.  The journal is the checkpoint a dead device is
-    /// recovered from — completed rounds are never re-executed.
-    journals: Vec<Vec<(u64, u64, i64)>>,
-    /// The cluster-global mutation sequence counter.
+    /// `stamps[d][a]`: the sequence number of the last journaled operation
+    /// that wrote word `a` of device `d`'s replica; 0 = never written.  A
+    /// dead device's replica is never written again, so the replica *is*
+    /// the last-write map its stamps index — the checkpoint a dead device
+    /// is recovered from (completed rounds are never re-executed), bounded
+    /// by the memory size whatever the number of rounds.  Empty where
+    /// nothing is journaled (see [`FaultState::journals`]).
+    stamps: Vec<Vec<u64>>,
+    /// The cluster-global operation counter: one tick per journaled
+    /// upload, peer copy or launch merge per device.  Last-writer-wins
+    /// only ever compares writes on *different* devices, and those are
+    /// always different operations.
     seq: u64,
     /// Recoveries absorbed per device (one per death it survived).
     recoveries: Vec<u64>,
 }
 
 impl FaultState {
-    fn new(rt: FaultRuntime, n: usize) -> Self {
+    /// State for `n` devices whose replicas hold `words` words each.
+    fn new(rt: FaultRuntime, n: usize, words: u64) -> Self {
+        let stamped = if n > 1 { words as usize } else { 0 };
         Self {
             rt,
             alive: vec![true; n],
-            journals: vec![Vec::new(); n],
+            stamps: vec![vec![0; stamped]; n],
             seq: 0,
             recoveries: vec![0; n],
         }
@@ -117,18 +123,22 @@ impl FaultState {
         self.alive.len() > 1
     }
 
-    /// Journals one word written on device `d`.
-    fn journal_word(&mut self, d: usize, addr: u64, val: i64) {
-        if self.journals() {
-            self.seq += 1;
-            self.journals[d].push((self.seq, addr, val));
+    /// Opens one journaled operation on device `d`: its stamp, and the
+    /// device's stamp row to store it in (`None` where nothing is
+    /// journaled).
+    fn journal_op(&mut self, d: usize) -> Option<(u64, &mut [u64])> {
+        if !self.journals() {
+            return None;
         }
+        self.seq += 1;
+        Some((self.seq, &mut self.stamps[d]))
     }
 
-    /// Journals a contiguous write of `vals` at `addr` on device `d`.
-    fn journal_words(&mut self, d: usize, addr: u64, vals: &[i64]) {
-        for (i, &v) in vals.iter().enumerate() {
-            self.journal_word(d, addr + i as u64, v);
+    /// Journals a contiguous write of `words` words at `addr` on device
+    /// `d`.
+    fn journal_words(&mut self, d: usize, addr: u64, words: usize) {
+        if let Some((seq, stamps)) = self.journal_op(d) {
+            stamps[addr as usize..][..words].fill(seq);
         }
     }
 
@@ -301,29 +311,27 @@ impl Ledger {
     }
 
     /// Journals the merged write log a launch is about to apply on
-    /// device `d`, in block order — the same stable sort
-    /// [`crate::device::apply_write_log`] runs, so the journal's
-    /// last-write map matches the device's final memory word for word.
-    pub(crate) fn journal_writes(&mut self, d: usize, log: &mut [WriteRec]) {
-        if let Some(f) = self.fault.as_mut() {
-            log.sort_by_key(|w| w.block);
-            for w in log.iter() {
-                f.journal_word(d, w.addr, w.val);
+    /// device `d`: one operation stamps every logged address (the values
+    /// are the replica's once [`crate::device::apply_write_log`] has
+    /// applied them in block order).
+    pub(crate) fn journal_writes(&mut self, d: usize, log: &[WriteRec]) {
+        if let Some((seq, stamps)) = self.fault.as_mut().and_then(|f| f.journal_op(d)) {
+            for w in log {
+                stamps[w.addr as usize] = seq;
             }
         }
     }
 
     /// Handles every death scheduled at the start of the round: marks
     /// the device dead, errors if nobody survives, and replays its
-    /// journal onto each survivor — last-write-wins on the global
-    /// sequence number, so a survivor keeps its own later writes and
-    /// gains exactly the words where the dead device held the latest
-    /// value.  Every survivor's memory is restored and its
-    /// [`DeviceStats::recoveries`] counter bumped, but the one-time
-    /// replay *transfer* is priced as a single inward transaction
-    /// (`α + β·words`) on the **heir's** host link alone — the replay
-    /// lands in exactly one device's round columns, never double-charged
-    /// across survivors.
+    /// replica onto each survivor — last-write-wins on the stamps, so a
+    /// survivor keeps its own later writes and gains exactly the words
+    /// where the dead device held the latest value.  Every survivor's
+    /// memory is restored and its [`DeviceStats::recoveries`] counter
+    /// bumped, but the one-time replay *transfer* is priced as a single
+    /// inward transaction (`α + β·words`) on the **heir's** host link
+    /// alone — the replay lands in exactly one device's round columns,
+    /// never double-charged across survivors.
     fn process_deaths(
         &mut self,
         gmems: &mut [GlobalMemory],
@@ -341,32 +349,18 @@ impl Ledger {
                 return Err(SimError::DeviceLost { device: d as u32, round });
             }
             let heir = fs.heir();
-            let dead_journal = std::mem::take(&mut fs.journals[d]);
-            // addr → (latest seq, value) over the dead device's mutations.
-            let mut dead_last: HashMap<u64, (u64, i64)> = HashMap::new();
-            for &(seq, addr, val) in &dead_journal {
-                let e = dead_last.entry(addr).or_insert((seq, val));
-                if seq > e.0 {
-                    *e = (seq, val);
-                }
-            }
+            let dead_stamps = std::mem::take(&mut fs.stamps[d]);
             let mut replayed = 0u64;
             for s in (0..n).filter(|&s| fs.alive[s]) {
-                let mut own_last: HashMap<u64, u64> = HashMap::new();
-                for &(seq, addr, _) in &fs.journals[s] {
-                    let e = own_last.entry(addr).or_insert(seq);
-                    if seq > *e {
-                        *e = seq;
-                    }
-                }
-                // Restore exactly the words where the dead device held the
-                // globally latest value.  Distinct addresses commute, so the
-                // map's iteration order cannot matter.
+                // The survivor now answers for the words it gains, so it
+                // takes their stamps too: a later death of *this* device
+                // replays them in turn.
+                let (dead, own) = two_mems(gmems, d, s);
+                let (dead, own, own_stamps) = (dead.words(), own.words_mut(), &mut fs.stamps[s]);
                 let mut applied = 0u64;
-                let heap = gmems[s].words_mut();
-                for (&addr, &(dseq, val)) in &dead_last {
-                    if own_last.get(&addr).is_none_or(|&os| dseq > os) {
-                        heap[addr as usize] = val;
+                for (a, &dead_seq) in dead_stamps.iter().enumerate() {
+                    if dead_seq > own_stamps[a] {
+                        (own[a], own_stamps[a]) = (dead[a], dead_seq);
                         applied += 1;
                     }
                 }
@@ -374,10 +368,6 @@ impl Ledger {
                     replayed = applied;
                 }
                 fs.recoveries[s] += 1;
-                // The survivor now answers for those words; fold the dead
-                // journal in so a later death of *this* device replays them
-                // too (redundant entries are harmless under max-seq merge).
-                fs.journals[s].extend_from_slice(&dead_journal);
             }
             let t = host_xfer[heir].replay_in(replayed);
             self.devs[heir].xfer_in_ms += t;
@@ -390,20 +380,22 @@ impl Ledger {
 }
 
 impl Links {
-    /// Links for a system of `host_xfer.len()` devices; fault state and
-    /// tracer exist only when `config` asks for them.
+    /// Links for a system of `host_xfer.len()` devices with replicas of
+    /// `words` words; fault state and tracer exist only when `config`
+    /// asks for them.
     pub(crate) fn new(
         host_xfer: Vec<TransferEngine>,
         peer_xfer: Vec<Vec<TransferEngine>>,
         clocks: Vec<f64>,
         sync_ms: f64,
+        words: u64,
         config: &SimConfig,
     ) -> Self {
         let n = host_xfer.len();
         let ledger = Ledger {
             clocks,
             sync_ms,
-            fault: FaultRuntime::new(&config.fault).map(|rt| FaultState::new(rt, n)),
+            fault: FaultRuntime::new(&config.fault).map(|rt| FaultState::new(rt, n, words)),
             tracer: config.trace.then(|| Tracer::new(DEFAULT_TRACE_CAPACITY)),
             round: 0,
             devs: Vec::new(),
@@ -433,7 +425,7 @@ impl Links {
             let t = ledger.retried(s, LinkEdge::Host(s as u32), || xfer.to_device(gmem, dst, src));
             ledger.devs[s].xfer_in_ms += t;
             if let Some(f) = ledger.fault.as_mut() {
-                f.journal_words(s, dst, src);
+                f.journal_words(s, dst, src.len());
             }
             let (res, kind) = (StreamResource::HostToDevice, SpanKind::TransferIn);
             ledger.place(s, stream, res, kind, words, Some(xfer.link()), t);
@@ -507,7 +499,7 @@ impl Links {
                 }
             }
             if let Some(f) = ledger.fault.as_mut() {
-                f.journal_words(r, to, &gmems[r].words()[to_w..to_w + w]);
+                f.journal_words(r, to, w);
             }
         }
         Ok(())

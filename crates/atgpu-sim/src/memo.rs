@@ -13,11 +13,21 @@
 //! Entries are evicted oldest-insertion-first beyond the capacity.  A
 //! compute that fails leaves nothing cached (the next caller computes
 //! again) and counts neither a hit nor a miss.
+//!
+//! A panic under the map lock (a key's `Hash` / `Eq` / `Clone`) poisons
+//! it; the memo recovers the guard instead of failing every later
+//! lookup.  The lock guards a map and its insertion queue, and the worst
+//! an interrupted update leaves is the two out of step by one key, which
+//! `evict_to` tolerates in either direction.
+
+// On every served request's path (verdict memo, quote memo, kernel
+// cache): nothing here may abort the server.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// One key's slot: the value once computed, and the lock that makes the
 /// computing caller unique.
@@ -58,6 +68,14 @@ pub struct BoundedMemo<K, V> {
 }
 
 impl<K: Hash + Eq + Clone, V: Clone> BoundedMemo<K, V> {
+    fn read(&self) -> RwLockReadGuard<'_, Inner<K, V>> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Inner<K, V>> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// A memo holding at most `capacity` entries (at least one while
     /// anything is inserted).
     pub fn new(capacity: usize) -> Self {
@@ -77,20 +95,20 @@ impl<K: Hash + Eq + Clone, V: Clone> BoundedMemo<K, V> {
     /// Re-bounds the memo, evicting oldest-first down to `capacity`.
     pub fn set_capacity(&self, capacity: usize) {
         self.capacity.store(capacity, Ordering::Relaxed);
-        self.inner.write().expect("memo lock poisoned").evict_to(capacity);
+        self.write().evict_to(capacity);
     }
 
     /// Drops every entry (counters are kept — they describe lookups, not
     /// contents).
     pub fn clear(&self) {
-        let mut inner = self.inner.write().expect("memo lock poisoned");
+        let mut inner = self.write();
         inner.map.clear();
         inner.order.clear();
     }
 
     /// Entries currently resident.
     pub fn len(&self) -> usize {
-        self.inner.read().expect("memo lock poisoned").map.len()
+        self.read().map.len()
     }
 
     /// Whether nothing is resident.
@@ -112,7 +130,7 @@ impl<K: Hash + Eq + Clone, V: Clone> BoundedMemo<K, V> {
     /// when the key is absent or still being computed.  Takes the read
     /// lock only.
     pub fn get(&self, key: &K) -> Option<V> {
-        let inner = self.inner.read().expect("memo lock poisoned");
+        let inner = self.read();
         let value = inner.map.get(key)?.value.get()?.clone();
         self.hits.fetch_add(1, Ordering::Relaxed);
         Some(value)
@@ -130,7 +148,7 @@ impl<K: Hash + Eq + Clone, V: Clone> BoundedMemo<K, V> {
             return Ok((value, true));
         }
         let cell = {
-            let mut inner = self.inner.write().expect("memo lock poisoned");
+            let mut inner = self.write();
             match inner.map.get(&key) {
                 Some(cell) => Arc::clone(cell),
                 None => {
@@ -155,7 +173,7 @@ impl<K: Hash + Eq + Clone, V: Clone> BoundedMemo<K, V> {
                 Ok((value, false))
             }
             Err(e) => {
-                let mut inner = self.inner.write().expect("memo lock poisoned");
+                let mut inner = self.write();
                 if inner.map.get(&key).is_some_and(|c| Arc::ptr_eq(c, &cell)) {
                     inner.map.remove(&key);
                     inner.order.retain(|k| k != &key);
@@ -175,6 +193,7 @@ impl<K: Hash + Eq + Clone, V: Clone> BoundedMemo<K, V> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use std::sync::Barrier;
@@ -247,5 +266,28 @@ mod tests {
             assert_eq!(computes.load(Ordering::Relaxed), 1);
             assert_eq!((memo.hits(), memo.misses(), memo.len()), (N as u64 - 1, 1, 1));
         }
+    }
+
+    /// A thread that panics while holding the write lock poisons it; the
+    /// memo must still answer and still count.
+    #[test]
+    fn poisoned_lock_still_answers_and_counts() {
+        let memo: BoundedMemo<u64, u64> = BoundedMemo::new(4);
+        memo.get_or_compute(1, || 10);
+        let died = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = memo.inner.write().unwrap();
+                panic!("poison the memo lock");
+            })
+            .join()
+        });
+        assert!(died.is_err() && memo.inner.is_poisoned());
+        assert_eq!(memo.get(&1), Some(10));
+        assert_eq!(memo.get_or_compute(2, || 20), (20, false));
+        assert_eq!(memo.get_or_compute(2, || 21), (20, true));
+        memo.set_capacity(1);
+        assert_eq!((memo.hits(), memo.misses(), memo.len()), (2, 2, 1));
+        memo.clear();
+        assert!(memo.is_empty());
     }
 }

@@ -32,17 +32,13 @@
 //!
 //! The MP is generic over the block executor ([`BlockSim`]): the micro-op
 //! engine ([`crate::engine::BlockExec`]) or the tree-walking reference
-//! ([`crate::warp::WarpExec`]).  For replayable kernels the MP also hosts
-//! the **timing-replay cache**: the first block it admits records its
-//! memory-event trace; once that block retires, every subsequently
-//! admitted block replays the trace instead of re-analysing accesses.
+//! ([`crate::warp::WarpExec`]).
 
 use crate::device::KernelStats;
 use crate::dram::DramController;
 use crate::engine::BlockSim;
 use crate::error::SimError;
 use crate::warp::{GmemAccess, StepEvent};
-use std::sync::Arc;
 
 /// A multiprocessor simulating up to `ell` resident blocks.
 pub struct Mp<E> {
@@ -65,32 +61,11 @@ pub struct Mp<E> {
     pub stats: KernelStats,
     /// Cycle at which the last block retired.
     pub last_retire: u64,
-    /// Whether the kernel qualifies for timing replay.
-    replay: bool,
-    /// The recorded memory-event trace, once a block completed recording.
-    trace: Option<Arc<[StepEvent]>>,
-    /// A resident block is currently recording.
-    recording: bool,
 }
 
 impl<E: BlockSim> Mp<E> {
-    /// Creates an MP with `ell` residency slots (no replay).
+    /// Creates an MP with `ell` residency slots.
     pub fn new(ell: u64) -> Self {
-        Self::with_replay(ell, false)
-    }
-
-    /// Creates an MP with `ell` residency slots; `replay` enables the
-    /// block-invariant timing-replay cache (the caller asserts the kernel
-    /// qualifies, i.e. `CompiledKernel::replayable`).
-    pub fn with_replay(ell: u64, replay: bool) -> Self {
-        Self::with_trace(ell, replay, None)
-    }
-
-    /// [`Self::with_replay`] seeded with a trace recorded by an earlier
-    /// launch of the same compiled kernel (the cross-launch kernel
-    /// cache): every admitted block replays immediately — no first-block
-    /// recording warmup.  `trace` is ignored unless `replay` holds.
-    pub fn with_trace(ell: u64, replay: bool, trace: Option<Arc<[StepEvent]>>) -> Self {
         Self {
             clock: 0,
             warps: Vec::new(),
@@ -100,17 +75,7 @@ impl<E: BlockSim> Mp<E> {
             ell: usize::try_from(ell).unwrap_or(usize::MAX),
             stats: KernelStats::default(),
             last_retire: 0,
-            replay,
-            trace: if replay { trace } else { None },
-            recording: false,
         }
-    }
-
-    /// The completed memory-event trace, once a recording block retired
-    /// (or the seed passed to [`Self::with_trace`]).  The device layer
-    /// harvests this into the cross-launch cache after a launch.
-    pub fn recorded_trace(&self) -> Option<&Arc<[StepEvent]>> {
-        self.trace.as_ref()
     }
 
     /// True when no blocks are resident.
@@ -128,14 +93,6 @@ impl<E: BlockSim> Mp<E> {
         debug_assert!(self.warps.len() < self.ell);
         let mut warp = self.spare.pop().unwrap_or_else(|| Box::new(make()));
         warp.reset(block);
-        if self.replay {
-            if let Some(trace) = &self.trace {
-                warp.begin_replay(Arc::clone(trace));
-            } else if !self.recording {
-                warp.begin_record();
-                self.recording = true;
-            }
-        }
         self.tree.set(self.warps.len(), self.clock);
         self.warps.push(warp);
     }
@@ -180,14 +137,7 @@ impl<E: BlockSim> Mp<E> {
                 dram.access(self.clock, u64::from(txns))
             }
             StepEvent::Done => {
-                let mut warp = self.warps.swap_remove(idx);
-                if self.recording {
-                    if let Some(trace) = warp.take_trace() {
-                        self.trace = Some(trace);
-                        self.recording = false;
-                    }
-                }
-                self.spare.push(warp);
+                self.spare.push(self.warps.swap_remove(idx));
                 self.stats.blocks += 1;
                 self.last_retire = self.clock;
                 // The tail resident moved into position `idx` and is
@@ -439,41 +389,5 @@ mod tests {
             mp.step(&mut acc, &mut dram).unwrap();
         }
         assert_eq!(mp.clock, 5);
-    }
-
-    #[test]
-    fn replay_cache_records_then_replays() {
-        // A replayable kernel: unit-stride load, compute, store.
-        let mut kb = KernelBuilder::new("r", 8, 8);
-        kb.glb_to_shr(AddrExpr::lane(), DBuf(0), AddrExpr::block() * 4 + AddrExpr::lane());
-        kb.ld_shr(0, AddrExpr::lane());
-        kb.st_shr(AddrExpr::lane() + 4, Operand::Reg(0));
-        let k = leak(kb.build());
-        let ck = compile(k, &[0]);
-        assert!(ck.replayable);
-
-        let mut g = GlobalMemory::new(vec![0], 32, 4, 1024).unwrap();
-        for i in 0..32 {
-            g.write(i, i);
-        }
-        let mut dram = DramController::new(4, 10);
-        let mut mp = Mp::with_replay(2, true);
-        let mut next_block = 0u64;
-        while mp.free_slots() > 0 && next_block < 8 {
-            mp.admit(next_block, || BlockExec::new(&ck));
-            next_block += 1;
-        }
-        let mut acc = GmemAccess::Direct(&mut g);
-        while !mp.idle() {
-            if mp.step(&mut acc, &mut dram).unwrap() && next_block < 8 {
-                mp.admit(next_block, || BlockExec::new(&ck));
-                next_block += 1;
-            }
-        }
-        assert_eq!(mp.stats.blocks, 8);
-        assert!(mp.trace.is_some(), "trace captured after first retirement");
-        // Timing statistics reflect all blocks' memory events.
-        assert_eq!(mp.stats.global_txns, 8);
-        assert_eq!(mp.stats.shared_accesses, 16);
     }
 }

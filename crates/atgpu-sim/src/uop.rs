@@ -28,14 +28,8 @@
 //! * everything else falls back to dynamic evaluation over fixed scratch
 //!   buffers (still allocation-free).
 //!
-//! Finally, compilation decides **replayability**: when every divergence
-//! mask is block-invariant (constant, or from a block-index-free static
-//! predicate) and every memory site's timing contribution is provably
-//! the same for every thread block — shared sites static affine (degrees
-//! are base-independent), global sites with block coefficients ≡ 0
-//! (mod b) or a uniform masked transaction table — the kernel's
-//! timing-event stream is identical for every block, so one block's
-//! recorded events can be replayed for all others (see
+//! These per-site answers are the executor's only source of timing: an
+//! access's event is read from its site as it executes (see
 //! [`crate::engine`]).
 
 use atgpu_ir::affine::{masked_conflict_degree, masked_span_blocks, AffineAddr, CompiledAddr};
@@ -219,9 +213,6 @@ pub struct CompiledKernel {
     pub b: u32,
     /// Registers per lane.
     pub nregs: u32,
-    /// Whether the timing-event stream is provably identical for every
-    /// thread block (see module docs) — enables the replay cache.
-    pub replayable: bool,
     /// Maximum divergence nesting depth (pre-sizes executor stacks).
     pub max_arm_depth: usize,
     /// Registers whose rows must be zeroed when an executor is re-armed
@@ -242,7 +233,6 @@ struct Compiler<'k> {
     bases: &'k [u64],
     b: u32,
     full_mask: u64,
-    replayable: bool,
     arm_depth: usize,
     max_arm_depth: usize,
     loop_depth: u8,
@@ -270,7 +260,6 @@ impl CompiledKernel {
             bases,
             b,
             full_mask,
-            replayable: true,
             arm_depth: 0,
             max_arm_depth: 0,
             loop_depth: 0,
@@ -289,7 +278,6 @@ impl CompiledKernel {
             shared_words: kernel.shared_words,
             b,
             nregs,
-            replayable: c.replayable,
             max_arm_depth: c.max_arm_depth,
             dirty_regs,
             smem_clean,
@@ -511,14 +499,6 @@ impl Compiler<'_> {
                 }
                 Instr::Pred { pred, then_body, else_body } => {
                     let const_then = self.lanes.pred_mask(pred);
-                    // A predicate reading (non-lane-pure) registers, or
-                    // comparing against the block index, can change which
-                    // arms run (and thus the event stream) per block or
-                    // per data.  A constant mask is the same for every
-                    // block, so it never defeats replay.
-                    if const_then.is_none() && (!pred.is_static() || pred_reads_block(pred)) {
-                        self.replayable = false;
-                    }
                     let parent_ctx = self.mask_ctx;
                     let (then_ctx, else_ctx) = self.lanes.arm_masks(parent_ctx, const_then);
                     self.arm_depth += 1;
@@ -617,30 +597,6 @@ impl Compiler<'_> {
                 } else {
                     None
                 };
-                // Replayability: a site may not vary the event stream
-                // across thread blocks.
-                if gbase.is_none() {
-                    // Shared degrees are base-independent, so only a
-                    // data-dependent (register) address defeats replay.
-                    if !folded_base.is_static() {
-                        self.replayable = false;
-                    }
-                } else {
-                    let uniform_txns = || match mask_ctx {
-                        // Known mask: the per-residue table is exhaustive,
-                        // so a uniform table means block-shifted bases
-                        // cannot change the count.
-                        Some(_) => {
-                            txn_table.as_ref().is_some_and(|t| t.windows(2).all(|w| w[0] == w[1]))
-                        }
-                        // Unknown (but block-invariant) runtime mask: only
-                        // a broadcast is residue-proof for every mask.
-                        None => folded_base.is_static() && folded_base.lane == 0,
-                    };
-                    if !folded_base.is_block_invariant_mod(b) && !uniform_txns() {
-                        self.replayable = false;
-                    }
-                }
                 Site {
                     addr: SiteAddr::Affine(folded_base),
                     fast,
@@ -651,29 +607,21 @@ impl Compiler<'_> {
                     gbase: 0,
                 }
             }
-            CompiledAddr::Tree(t) => {
-                self.replayable = false;
-                Site {
-                    addr: SiteAddr::Tree(t.clone()),
-                    fast: FastPath::Dynamic,
-                    full_degree: None,
-                    txn_table: None,
-                    mask: mask_ctx,
-                    masked_degree: None,
-                    gbase: gbase.unwrap_or(0) as i64,
-                }
-            }
+            CompiledAddr::Tree(t) => Site {
+                addr: SiteAddr::Tree(t.clone()),
+                fast: FastPath::Dynamic,
+                full_degree: None,
+                txn_table: None,
+                mask: mask_ctx,
+                masked_degree: None,
+                gbase: gbase.unwrap_or(0) as i64,
+            },
         };
         let id = self.sites.len();
         assert!(id <= SiteId::MAX as usize, "kernel has too many memory sites");
         self.sites.push(site);
         id as SiteId
     }
-}
-
-fn pred_reads_block(pred: &PredExpr) -> bool {
-    let (a, b) = pred.operands();
-    matches!(a, Operand::Block | Operand::BlockY) || matches!(b, Operand::Block | Operand::BlockY)
 }
 
 #[cfg(test)]
@@ -696,7 +644,6 @@ mod tests {
         let c = compile(&kb.build());
         assert_eq!(c.prog.len(), 4);
         assert_eq!(c.sites.len(), 2);
-        assert!(c.replayable);
     }
 
     #[test]
@@ -745,7 +692,6 @@ mod tests {
         assert_eq!(join, 6);
         let Uop::ThenEnd { join } = c.prog[2] else { panic!() };
         assert_eq!(join, 6);
-        assert!(c.replayable, "lane-guarded divergence is block-invariant");
         assert_eq!(c.max_arm_depth, 1);
     }
 
@@ -771,7 +717,6 @@ mod tests {
         assert_eq!(c.sites[3].full_degree, Some(2));
         assert_eq!(c.sites[5].fast, FastPath::Dynamic);
         assert!(c.sites[5].txn_table.is_none());
-        assert!(!c.replayable, "register-addressed site defeats replay");
     }
 
     #[test]
@@ -781,34 +726,6 @@ mod tests {
         let c = compile(&kb.build());
         let a = c.sites[1].as_affine().unwrap();
         assert_eq!(a.base, 2048);
-    }
-
-    #[test]
-    fn block_residue_shift_defeats_replay() {
-        let mut kb = KernelBuilder::new("mis", 4, 32);
-        kb.glb_to_shr(AddrExpr::lane(), DBuf(0), AddrExpr::block() * 33 + AddrExpr::lane());
-        let c = compile(&kb.build());
-        assert!(!c.replayable);
-    }
-
-    #[test]
-    fn block_dependent_predicate_defeats_replay() {
-        let mut kb = KernelBuilder::new("bp", 4, 0);
-        kb.when(PredExpr::Lt(Operand::Block, Operand::Imm(2)), |kb| {
-            kb.mov(0, Operand::Imm(1));
-        });
-        let c = compile(&kb.build());
-        assert!(!c.replayable);
-    }
-
-    #[test]
-    fn register_predicate_defeats_replay() {
-        let mut kb = KernelBuilder::new("rp", 4, 0);
-        kb.when(PredExpr::Lt(Operand::Reg(0), Operand::Imm(2)), |kb| {
-            kb.mov(1, Operand::Imm(1));
-        });
-        let c = compile(&kb.build());
-        assert!(!c.replayable);
     }
 
     #[test]
@@ -843,7 +760,6 @@ mod tests {
             kb.st_shr(AddrExpr::lane() * 2, Operand::Lane);
         });
         let c = compile(&kb.build());
-        assert!(c.replayable, "constant-mask divergence is block-invariant");
         // Site 0: full-warp store.
         assert_eq!(c.sites[0].mask, Some(u64::MAX >> 32));
         assert_eq!(c.sites[0].masked_degree, Some(1));
@@ -859,8 +775,7 @@ mod tests {
     fn lane_pure_register_predicate_folds_to_const_mask() {
         // The interleaved-reduction test `j mod 4 = 0` goes through a
         // register, but the register's value is a pure function of the
-        // lane index — the compiler folds it to a constant mask and the
-        // kernel stays replayable.
+        // lane index — the compiler folds it to a constant mask.
         let mut kb = KernelBuilder::new("rem", 4, 64);
         kb.alu(AluOp::Rem, 2, Operand::Lane, Operand::Imm(4));
         kb.when(PredExpr::Eq(Operand::Reg(2), Operand::Imm(0)), |kb| {
@@ -868,7 +783,6 @@ mod tests {
             kb.st_shr(AddrExpr::lane(), Operand::Reg(3));
         });
         let c = compile(&kb.build());
-        assert!(c.replayable);
         let masks: Vec<Option<u64>> = c
             .prog
             .iter()
@@ -906,34 +820,23 @@ mod tests {
             })
             .collect();
         assert_eq!(masks, vec![None], "loop-carried register must stay dynamic");
-        assert!(!c.replayable, "register predicate without a constant mask defeats replay");
     }
 
     #[test]
-    fn single_lane_store_with_block_base_stays_replayable() {
+    fn one_lane_mask_makes_a_uniform_table_of_ones() {
         // The reduction's final `dst[i] ⇐ _s[0]` under `j = 0`: the
         // global base shifts with the block index (coefficient 1, not a
         // multiple of b), but a single active lane always makes exactly
-        // one transaction, so the masked table is uniform and replay
-        // remains valid.
+        // one transaction, whatever the residue.
         let mut kb = KernelBuilder::new("one", 8, 32);
         kb.st_shr(AddrExpr::lane(), Operand::Block);
         kb.when(PredExpr::Eq(Operand::Lane, Operand::Imm(0)), |kb| {
             kb.shr_to_glb(DBuf(0), AddrExpr::block(), AddrExpr::c(0));
         });
         let c = compile(&kb.build());
-        assert!(c.replayable, "uniform masked transaction table keeps replay");
         let gsite = c.sites.iter().find(|s| s.txn_table.is_some()).unwrap();
+        assert_eq!(gsite.mask, Some(1));
         assert!(gsite.txn_table.as_ref().unwrap().iter().all(|&t| t == 1));
-        // The same store under an *unknown* mask (register predicate on
-        // an untracked register) must defeat replay.
-        let mut kb = KernelBuilder::new("one_dyn", 8, 32);
-        kb.ld_shr(1, AddrExpr::c(0));
-        kb.when(PredExpr::Eq(Operand::Reg(1), Operand::Imm(0)), |kb| {
-            kb.shr_to_glb(DBuf(0), AddrExpr::block(), AddrExpr::c(0));
-        });
-        let c = compile(&kb.build());
-        assert!(!c.replayable);
     }
 
     #[test]

@@ -1,7 +1,6 @@
 //! Differential property tests for the cross-launch kernel cache: a
 //! launch served from the cache — reusing the compiled micro-op program
-//! and, when replay-eligible, the recorded timing trace — must be
-//! **bit-identical** to a cold launch in final memory, per-launch
+//! — must be **bit-identical** to a cold launch in final memory, per-launch
 //! statistics and behaviour, for randomized kernels, both write targets,
 //! single devices and sharded clusters.  Structural mutation of one
 //! instruction must change the cache key (no false hits).
@@ -257,8 +256,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// A second launch of the same kernel on the same device — served
-    /// from the cache, replaying the recorded trace when eligible — is
-    /// bit-identical to the cold first launch *and* to a launch on a
+    /// from the cache — is bit-identical to the cold first launch *and* to a launch on a
     /// cache-disabled device, in memory and statistics.
     #[test]
     fn cached_launch_is_bit_identical_to_cold(seed in 0u64..1_000_000_000) {
@@ -365,49 +363,6 @@ proptest! {
         prop_assert_eq!(&mut_mem, &fresh_mem, "mutant results contaminated by cache");
         prop_assert_eq!(mut_stats, fresh_stats);
     }
-}
-
-/// A deterministic replay-eligible kernel exercises the trace-reuse path
-/// specifically: the first launch records, the second replays from the
-/// cache with identical statistics and a confirmed hit.
-#[test]
-fn replay_trace_is_reused_across_launches() {
-    let b = 4u64;
-    let blocks = 16u64;
-    let mut kb = KernelBuilder::new("replay", blocks, 2 * b);
-    let g = AddrExpr::block() * b as i64 + AddrExpr::lane();
-    kb.glb_to_shr(AddrExpr::lane(), DBuf(0), g.clone());
-    kb.ld_shr(0, AddrExpr::lane());
-    kb.alu(AluOp::Mul, 0, Operand::Reg(0), Operand::Imm(3));
-    kb.st_shr(AddrExpr::lane() + b as i64, Operand::Reg(0));
-    kb.shr_to_glb(DBuf(1), g, AddrExpr::lane() + b as i64);
-    let kernel = kb.build();
-
-    let machine = AtgpuMachine::new(1 << 12, b, 64, 1 << 16).unwrap();
-    let dev = Device::new(machine, spec()).unwrap();
-    let n = blocks * b;
-    let run = || {
-        let mut g = GlobalMemory::new(vec![0, n], 2 * n, b, 1 << 16).unwrap();
-        for i in 0..n {
-            g.write(i as i64, i as i64);
-        }
-        let stats = dev.run_kernel_with(&kernel, &mut g, false, EngineSel::MicroOp);
-        (stats.unwrap(), g.words().to_vec())
-    };
-    let (s1, m1) = run();
-    let (s2, m2) = run();
-    assert_eq!(s1, s2, "replayed launch must time identically");
-    assert_eq!(m1, m2);
-    for i in 0..n {
-        assert_eq!(m1[(n + i) as usize], 3 * i as i64);
-    }
-    let c = dev.stats().cache;
-    assert_eq!((c.hits, c.misses, c.entries), (1, 1, 1));
-    // The trace really was recorded into the shared entry.
-    let bases = [0u64, n];
-    let entry = dev.cache().get_or_compile(&kernel, &bases, b as u32, 1);
-    assert!(entry.compiled.replayable);
-    assert!(entry.seeded_trace().is_some(), "first launch must publish its trace");
 }
 
 /// Distinct 4-block kernels (different immediates → different cache keys)

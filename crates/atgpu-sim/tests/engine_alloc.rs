@@ -1,8 +1,8 @@
 //! Proves the acceptance criterion that steady-state block execution in
 //! the micro-op engine performs **zero heap allocations per
 //! instruction**: after warm-up (executor construction, residency-slot
-//! pool, replay-trace recording), running further blocks through a
-//! multiprocessor must not touch the allocator at all — including the
+//! pool), running further blocks through a multiprocessor must not touch
+//! the allocator at all — including the
 //! dynamic conflict-degree and coalescing fallback paths, which use
 //! fixed scratch instead of the reference interpreter's
 //! `Vec`+sort+dedup.
@@ -98,11 +98,10 @@ fn steady_state_block_execution_is_allocation_free() {
 
     let compiled = CompiledKernel::compile(&kernel, &bases, b, nregs);
     let mut dram = DramController::new(4, 60);
-    let mut mp: Mp<BlockExec<'_>> = Mp::with_replay(4, compiled.replayable);
+    let mut mp: Mp<BlockExec<'_>> = Mp::new(4);
 
-    // Warm-up: fill the residency pool and run a few blocks, letting the
-    // replay trace (if any) be recorded and every scratch buffer reach
-    // steady state.
+    // Warm-up: fill the residency pool and run a few blocks, letting
+    // every scratch buffer reach steady state.
     let mut next_block = 0u64;
     let warm_blocks = 8u64;
     while mp.free_slots() > 0 && next_block < warm_blocks {
@@ -172,7 +171,7 @@ fn steady_state_block_execution_is_allocation_free() {
                 gmem.write(i as i64, (i % 13) as i64);
             }
             DeviceLane {
-                mp: Mp::with_replay(4, compiled.replayable),
+                mp: Mp::new(4),
                 dram: DramController::new(4, 60),
                 gmem,
                 log: Vec::new(),
@@ -182,8 +181,8 @@ fn steady_state_block_execution_is_allocation_free() {
         })
         .collect();
 
-    // Warm-up: a few blocks per device measure the executor pool, replay
-    // trace and per-block write volume.
+    // Warm-up: a few blocks per device measure the executor pool and
+    // per-block write volume.
     for lane in &mut lanes {
         let warm_end = lane.next_block + 4;
         while lane.mp.free_slots() > 0 && lane.next_block < warm_end {

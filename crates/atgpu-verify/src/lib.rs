@@ -1,8 +1,8 @@
 //! # atgpu-verify — static soundness verifier for ATGPU programs
 //!
 //! Every determinism guarantee the stack leans on — the block-order
-//! write-log merge for sharded launches, timing replay, degraded-mode
-//! journal replay, the serve fast path — assumes kernels whose blocks
+//! write-log merge for sharded launches, degraded-mode journal replay,
+//! the serve fast path — assumes kernels whose blocks
 //! write disjoint global words and whose accesses stay inside their
 //! allocations.  The dynamic differential suites *check* those
 //! properties on sampled inputs; this crate **proves** them (or

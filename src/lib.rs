@@ -12,8 +12,8 @@
 //!   around a compile-then-execute pipeline: kernel IR is lowered once
 //!   per launch into a flat micro-op program with precomputed access
 //!   shapes (`atgpu::sim::uop`), executed allocation-free per block
-//!   (`atgpu::sim::engine`) with a block-invariant timing-replay cache —
-//!   the tree-walking reference interpreter remains available via
+//!   (`atgpu::sim::engine`), timing read from the per-site tables — the
+//!   tree-walking reference interpreter remains available via
 //!   `SimConfig::use_reference` for differential testing;
 //! * [`algos`] — the evaluated workloads (vector addition, reduction,
 //!   matrix multiplication, and the extension workloads);

@@ -1,0 +1,89 @@
+//! The invariant the one timing source rests on, roster-wide: every
+//! memory site of these workloads' kernels lowers to the **static masked
+//! path** — a static affine address under a compile-time active-lane
+//! mask, with its bank-conflict degree (shared) or its per-residue
+//! transaction table (global) baked at compile time — so the executor's
+//! timing "analysis" of such a site is a field read or one table index.
+//! A lowering change that pushes one of them onto the dynamic fallback
+//! fails here by name instead of showing up as a slower `batch_compute`.
+
+use atgpu::algos::reduce::{Reduce, ReduceVariant};
+use atgpu::algos::roster::asym_pair;
+use atgpu::algos::workload::{test_machine, test_spec, Plan};
+use atgpu::algos::Workload;
+use atgpu::sim::uop::{CompiledKernel, Site, SiteAddr, Uop};
+
+/// The roster entries whose every kernel is wholly static (the other six
+/// — scan, gemv, spmv, histogram, bitonic, ooc-reduce-device — address
+/// through registers or diverge on loaded data by design).
+const STATIC: [&str; 12] = [
+    "vecadd",
+    "saxpy",
+    "reduce",
+    "dot",
+    "stencil",
+    "stencil-iterated",
+    "matmul",
+    "transpose",
+    "transpose-naive",
+    "transpose-padded",
+    "ooc-vecadd",
+    "ooc-reduce-host",
+];
+
+#[test]
+fn static_workloads_compile_to_the_static_masked_path() {
+    let machine = test_machine();
+    let asym = asym_pair(test_spec());
+    let mut roster = atgpu::algos::roster();
+    roster.retain(|e| STATIC.contains(&e.name));
+    assert_eq!(roster.len(), STATIC.len(), "a static workload left the roster");
+    let mut cells: Vec<(&str, &dyn Workload, &str, Plan<'_>)> = Vec::new();
+    for e in &roster {
+        for (plan_name, plan) in e.plans(&machine, &asym) {
+            cells.push((e.name, &*e.workload, plan_name, plan));
+        }
+    }
+    // The roster's reduce is the interleaved kernel; the sequential-
+    // addressing variant's shrinking prefixes are the other masked shape.
+    let sequential = Reduce::with_variant(2048, 0, ReduceVariant::SequentialAddressing);
+    cells.push(("reduce-sequential", &sequential, "single", Plan::Single));
+
+    let mut kernels = 0;
+    for (name, workload, plan_name, plan) in cells {
+        let built = workload.build_plan(&machine, plan).unwrap();
+        let (bases, _) = built.program.buffer_layout(machine.b);
+        for step in built.program.rounds.iter().flat_map(|r| &r.steps) {
+            let Some((kernel, _)) = step.launch() else { continue };
+            let cell = format!("{name}/{plan_name} kernel `{}`", kernel.name);
+            let nregs = kernel.max_reg().map_or(1, |r| u32::from(r) + 1);
+            let c = CompiledKernel::compile(kernel, &bases, machine.b as u32, nregs);
+            let check = |id: u16, global: bool| {
+                let site: &Site = &c.sites[id as usize];
+                assert!(
+                    matches!(site.addr, SiteAddr::Affine(a) if a.is_static()),
+                    "{cell}: site {id} is not static affine"
+                );
+                assert!(site.mask.is_some(), "{cell}: site {id} lacks a compile-time mask");
+                if global {
+                    assert!(site.txn_table.is_some(), "{cell}: global site {id} has no table");
+                } else {
+                    assert!(site.masked_degree.is_some(), "{cell}: shared site {id} has no degree");
+                }
+            };
+            for op in &c.prog {
+                match op {
+                    Uop::LdShr { site, .. } | Uop::StShr { site, .. } => check(*site, false),
+                    Uop::GlbToShr { shared, global } | Uop::ShrToGlb { global, shared } => {
+                        check(*shared, false);
+                        check(*global, true);
+                    }
+                    _ => {}
+                }
+            }
+            assert!(!c.sites.is_empty(), "{cell}: a kernel with no memory site");
+            kernels += 1;
+        }
+    }
+    assert!(kernels >= 28, "every launch of the twelve workloads: {kernels}");
+}
