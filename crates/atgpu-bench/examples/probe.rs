@@ -13,6 +13,10 @@
 //! 2. **vecadd breakdown** — executor-only / device-level / full-pipeline
 //!    timings of one 200k-word vector addition, engine against the
 //!    reference interpreter, for localising a regression.
+//! 3. **Issue loop** — one launch of exactly 10⁶ cheap instructions at
+//!    residencies `ℓ ∈ {4, 16, 64}` (tournament-tree depth 2, 4, 6) on
+//!    `k′ ∈ {2, 8}` co-simulated MPs: ns per issued instruction, so how the
+//!    scheduler's footprint grows with `ℓ` can be read off directly.
 
 use atgpu_algos::bitonic::BitonicSort;
 use atgpu_algos::dot::Dot;
@@ -22,9 +26,9 @@ use atgpu_algos::reduce::{Reduce, ReduceVariant};
 use atgpu_algos::scan::Scan;
 use atgpu_algos::transpose::{Transpose, TransposeVariant};
 use atgpu_algos::{vecadd::VecAdd, Workload};
-use atgpu_bench::bench_config;
-use atgpu_exp::ExpConfig;
-use atgpu_ir::{HostStep, Kernel};
+use atgpu_exp::{ExpConfig, Scale};
+use atgpu_ir::{AddrExpr, AluOp, DBuf, HostStep, Kernel, KernelBuilder, Operand};
+use atgpu_model::GpuSpec;
 use atgpu_sim::engine::{BlockExec, BlockSim};
 use atgpu_sim::gmem::GlobalMemory;
 use atgpu_sim::uop::CompiledKernel;
@@ -35,6 +39,9 @@ use std::time::Instant;
 /// Replays per program; each side keeps its fastest (this host's other
 /// tenants only ever slow a replay down).
 const REPLAYS: usize = 50;
+
+/// Replays of the issue-loop launch (≈ 45 ms each, six cells).
+const ISSUE_REPLAYS: usize = 10;
 
 /// `batch_compute`'s roster at its measured sizes (the benchmark
 /// package's `rosters::batch_compute`, seed 1).
@@ -163,8 +170,55 @@ fn scheduler_split(cfg: &ExpConfig) {
     );
 }
 
+/// Section 3: the issue loop by itself.  Blocks are short (40 000 × 25
+/// instructions; `batch_compute` averages 36 per block), so admission and
+/// retirement weigh in as they do in practice.
+fn issue_loop(cfg: &ExpConfig) {
+    let b = cfg.machine.b;
+    let blocks = 40_000u64;
+    let mut kb = KernelBuilder::new("issue_loop", blocks, 2 * b);
+    let word = AddrExpr::block() * b as i64 + AddrExpr::lane();
+    kb.glb_to_shr(AddrExpr::lane(), DBuf(0), word.clone());
+    kb.ld_shr(0, AddrExpr::lane());
+    kb.repeat(7, |kb| {
+        kb.alu(AluOp::Add, 1, Operand::Reg(0), Operand::LoopVar(0));
+        kb.alu(AluOp::Xor, 0, Operand::Reg(0), Operand::Reg(1));
+        kb.st_shr(AddrExpr::lane() + b as i64, Operand::Reg(0));
+    });
+    kb.st_shr(AddrExpr::lane(), Operand::Reg(1));
+    kb.shr_to_glb(DBuf(1), word, AddrExpr::lane());
+    let kernel = kb.build();
+
+    let words = blocks * b;
+    let mut gmem = GlobalMemory::new(vec![0, words], 2 * words, b, cfg.machine.g).unwrap();
+    println!(
+        "\nissue loop, one 10^6-instruction launch, best of {ISSUE_REPLAYS} replays, ns per instruction"
+    );
+    println!("{:<6} {:>7} {:>7}", "ell", "k'=2", "k'=8");
+    for ell in [4, 16, 64] {
+        let mut row = format!("{ell:<6}");
+        for k_prime in [2, 8] {
+            let spec = GpuSpec { k_prime, h_limit: ell, ..cfg.spec };
+            let device = Device::new(cfg.machine, spec).unwrap();
+            let mut best = f64::INFINITY;
+            for _ in 0..ISSUE_REPLAYS {
+                let t = Instant::now();
+                let stats =
+                    device.run_kernel(&kernel, &mut gmem, ExecMode::Sequential, false).unwrap();
+                best = best.min(t.elapsed().as_secs_f64());
+                assert_eq!((stats.instructions, stats.occupancy), (1_000_000, ell));
+            }
+            // 10⁶ instructions: milliseconds per launch are ns per instruction.
+            row += &format!(" {:>7.1}", best * 1e3);
+        }
+        println!("{row}");
+    }
+}
+
 fn main() {
-    let cfg = bench_config();
+    // Only the machine and the device are read: every run below takes
+    // `SimConfig::default()`, which has no transfer jitter.
+    let cfg = ExpConfig::standard(Scale::Quick);
     scheduler_split(&cfg);
 
     let built = VecAdd::new(200_000, 1).build(&cfg.machine).unwrap();
@@ -273,4 +327,6 @@ fn main() {
         }
     }));
     println!("ref-full         : {:.4}s  full-speedup={:.2}", r, r / e);
+
+    issue_loop(&cfg);
 }

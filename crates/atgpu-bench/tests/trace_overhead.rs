@@ -8,13 +8,14 @@
 
 use atgpu_algos::ooc::OocVecAdd;
 use atgpu_algos::Workload;
-use atgpu_bench::bench_config;
+use atgpu_exp::{ExpConfig, Scale};
 use atgpu_sim::{run_program, SimConfig};
 use std::time::{Duration, Instant};
 
 #[test]
 fn tracing_on_is_bit_identical_and_within_bench_noise() {
-    let cfg = bench_config();
+    let mut cfg = ExpConfig::standard(Scale::Quick);
+    cfg.sim.noise = None;
     // 32 rounds of chunked vecadd: enough spans (~4 per round) to make
     // recording cost visible if it ever lands on the hot path.
     let w = OocVecAdd::new(1 << 16, 2048, 7);

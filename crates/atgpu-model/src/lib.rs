@@ -29,8 +29,6 @@
 //!   (including their [`plan::PeerProfile`] device↔device traffic),
 //!   cost-driven shard apportionment and the chunk-size solver, all
 //!   priced through the cost functions above;
-//! * [`baselines`] — AGPU-style asymptotic summaries and the classical
-//!   models (PRAM, BSP, BSPRAM, PEM) discussed in the paper's related work;
 //! * [`comparison`] — the feature matrix of Table I, generated from data;
 //! * [`asymptotics`] — a tiny symbolic big-O term language used to state
 //!   and numerically evaluate the paper's closed-form complexities.
@@ -46,7 +44,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod asymptotics;
-pub mod baselines;
 pub mod comparison;
 pub mod cost;
 pub mod error;

@@ -52,10 +52,11 @@
 //! parameters `(buffer bases, b, nregs)` to the compiled micro-op
 //! program — an entry is that program and nothing else, and what a hit
 //! reuses is the lowering.  Sweep harnesses relaunching one kernel
-//! shape thousands of times (atgpu-exp, `throughput`) therefore compile
-//! once — with **bit-identical** memory, events and statistics to a
-//! cold launch (`tests/cache_differential.rs` proves this across
-//! engines and clusters):
+//! shape thousands of times (atgpu-exp, the repo benchmark's
+//! `launch_storm`) therefore compile once — with **bit-identical**
+//! memory, events and statistics to a cold launch
+//! (`tests/cache_differential.rs` proves this across engines and
+//! clusters):
 //!
 //! * **keying** — the full key (structural hash, complete base vector,
 //!   `b`, `nregs`) is stored and compared, so a hash collision alone can
@@ -66,12 +67,13 @@
 //!   [`cache::DEFAULT_CACHE_CAPACITY`]);
 //! * **kill-switch** — [`SimConfig::cache`]` = false` restores
 //!   compile-every-launch behaviour exactly (the cold baseline used by
-//!   the differential tests and the cache-off bench numbers);
+//!   the differential tests);
 //! * **observability** — per-device hit/miss/entry counters surface as
 //!   [`device::DeviceStats`] via [`Device::stats`],
 //!   [`SimReport::device_stats`] and
 //!   [`cluster::ClusterSimReport::device_stats`], and are reported by
-//!   `throughput` and the E-series sweeps.
+//!   the repo benchmark (`sim.cache_hits` / `sim.cache_misses`) and the
+//!   E-series sweeps.
 //!
 //! The reference interpreter bypasses the cache entirely: it exists to
 //! re-derive everything from the IR tree each time.

@@ -4,7 +4,7 @@
 //! downstream user can `cargo add atgpu` and reach every subsystem:
 //!
 //! * [`model`] — the ATGPU analytical model (machines, metrics, cost
-//!   functions, baselines, Table I);
+//!   functions, Table I);
 //! * [`ir`] — the kernel IR / pseudocode DSL with the paper's transfer
 //!   operators;
 //! * [`analyze`] — the static analyser deriving model metrics from IR;
