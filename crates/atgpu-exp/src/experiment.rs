@@ -74,7 +74,7 @@ pub type Runner = fn(&ExpConfig, Option<&Path>) -> Result<Section, ExpError>;
 pub type Experiment = (&'static str, &'static str, Runner);
 
 /// Every extension experiment, in `extensions.md` order.
-pub const EXPERIMENTS: [Experiment; 13] = [
+pub const EXPERIMENTS: [Experiment; 12] = [
     ("e1", "E1 out-of-core", |c, _| ext::e1_out_of_core(c)),
     ("e2", "E2 other GPUs", |c, _| ext::e2_other_gpus(c)),
     ("e3", "E3 bank conflicts", |c, _| ext::e3_bank_conflicts(c)),
@@ -82,8 +82,7 @@ pub const EXPERIMENTS: [Experiment; 13] = [
     ("e5", "E5 other problems", |c, _| ext::e5_other_problems(c)),
     ("e6", "E6 calibration", |c, _| ext::e6_calibration(c)),
     ("e7", "E7 multi-device sharding", |c, _| ext::e7_multi_device(c)),
-    ("e8", "E8 streams + threaded clusters", |c, _| ext::e8_streams(c)),
-    ("e9", "E9 cross-launch kernel cache", |c, _| ext::e9_kernel_cache(c)),
+    ("e8", "E8 streams + heterogeneous shards", |c, _| ext::e8_streams(c)),
     ("e10", "E10 cost-driven pipeline planner", ext::e10_pipeline_planner),
     ("e11", "E11 fault injection + degraded-mode replanning", ext::e11_fault_tolerance),
     ("e12", "E12 multi-tenant pricing service", |c, _| ext::e12_pricing_service(c)),

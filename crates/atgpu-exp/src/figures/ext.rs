@@ -1,12 +1,13 @@
 //! Extension experiments E1–E13 (paper §V future work and stated scope):
 //! the runners of [`crate::experiment::EXPERIMENTS`], each returning one
-//! [`Section`].
+//! [`Section`].  There is no E9: the kernel cache changes host time
+//! only, which the repo benchmark's `launch_storm` measures.
 
 use crate::experiment::{yes_no, Findings, Section};
 use crate::report::markdown_table;
 use crate::runner::{
-    best_of_3, export_trace, fmt_counts, observe, plan_sweep, rel_err, run_row, ExpConfig,
-    ExpError, Planner, EVEN,
+    export_trace, fmt_counts, observe, plan_sweep, rel_err, run_row, ExpConfig, ExpError, Planner,
+    EVEN,
 };
 use crate::series::{Figure, Series};
 use atgpu_algos::histogram::Histogram;
@@ -375,19 +376,16 @@ fn overlap_variant(
     Ok((report, predicted, row))
 }
 
-/// E8 — overlapped copy/compute streams and threaded cluster execution:
+/// E8 — overlapped copy/compute streams and heterogeneous shards:
 ///
 /// 1. **Overlap efficiency** — the double-buffered streamed ooc-vecadd
 ///    and streamed sharded matmul against their serial de-streamed
 ///    forms, observed (simulator stream timelines) next to predicted
 ///    (`atgpu_analyze::predict` on a one-device cluster);
-/// 2. **Threaded dispatch** — host wall-clock of a 4-device sharded
-///    launch with per-device OS threads vs sequential dispatch
-///    (bit-identical results either way);
-/// 3. **Heterogeneous planner** — even vs speed-weighted tile-row shards
+/// 2. **Heterogeneous planner** — even vs speed-weighted tile-row shards
 ///    on a mixed-generation 2-device cluster.
 pub fn e8_streams(cfg: &ExpConfig) -> Result<Section, ExpError> {
-    use atgpu_sim::{run_cluster_program, SimConfig};
+    use atgpu_sim::run_cluster_program;
 
     let quick = cfg.quick();
     let machine = &cfg.machine;
@@ -458,40 +456,7 @@ pub fn e8_streams(cfg: &ExpConfig) -> Result<Section, ExpError> {
         r_mm_serial.total_ms() / r_mm_streamed.total_ms()
     );
 
-    // -- 2: threaded device dispatch (host wall-clock) ---------------
-    // Simulation-compute-heavy workload: each device's shard costs real
-    // host CPU, so per-device OS threads pay off on multicore hosts.
-    let tn = if quick { 256 } else { 512 };
-    let tw = MatMul::new(tn, 4);
-    let tbuilt = tw.build_sharded(machine, 4)?;
-    let tcluster = ClusterSpec::homogeneous(4, cfg.spec);
-    let mut wall = [0.0; 2];
-    for (slot, threads) in [(0usize, false), (1, true)] {
-        let sim = SimConfig { device_threads: threads, ..cfg.sim.clone() };
-        let inputs = || tbuilt.inputs.clone();
-        let run = || run_cluster_program(&tbuilt.program, inputs(), machine, &tcluster, &sim);
-        wall[slot] = best_of_3(run)?.0;
-    }
-    let cores = atgpu_sim::cluster::host_parallelism();
-    let _ = writeln!(
-        out,
-        "### E8 — threaded cluster dispatch (sharded matmul n = {tn}, 4 devices, {cores} host core(s))\n"
-    );
-    out.push_str(&markdown_table(
-        &["dispatch", "host wall-clock (s)"],
-        &[
-            vec!["sequential".into(), format!("{:.4}", wall[0])],
-            vec!["threaded (per-device OS threads)".into(), format!("{:.4}", wall[1])],
-        ],
-    ));
-    let _ = writeln!(
-        out,
-        "\nWall-clock speedup: {:.2}x{}.\n",
-        findings.num("dispatch.wall_speedup", wall[0] / wall[1]),
-        if cores == 1 { " (single-core host: threads cannot help here)" } else { "" }
-    );
-
-    // -- 3: heterogeneous cluster, even vs weighted shards -----------
+    // -- 2: heterogeneous cluster, even vs weighted shards -----------
     let hn = if quick { 256 } else { 512 };
     let hw = MatMul::new(hn, 17);
     let mut mixed = ClusterSpec::homogeneous(2, cfg.spec);
@@ -526,70 +491,6 @@ pub fn e8_streams(cfg: &ExpConfig) -> Result<Section, ExpError> {
         findings.num("planner.speedup", r_even.total_ms() / r_planned.total_ms())
     );
 
-    Ok(Section::new(out, findings))
-}
-
-/// E9 — the cross-launch kernel cache: the same kernel relaunched `L`
-/// times (the shape every sweep harness in this crate produces),
-/// simulated with the cache on vs the `SimConfig::cache` kill-switch
-/// off.  Cached launches skip kernel lowering, so host throughput rises
-/// with `L` while every modeled observation stays **bit-identical**
-/// (asserted here, proven at scale by `tests/cache_differential.rs`).
-pub fn e9_kernel_cache(cfg: &ExpConfig) -> Result<Section, ExpError> {
-    use atgpu_sim::SimConfig;
-
-    let quick = cfg.quick();
-    let machine = &cfg.machine;
-    // A small grid keeps per-launch compile cost visible — the regime
-    // the E-series sweeps (thousands of small launches) live in.
-    let n = 8 * machine.b;
-    let w = VecAdd::new(n, 13);
-    let launch_counts: &[u64] = if quick { &[25, 100, 400] } else { &[100, 400, 1600] };
-
-    let mut findings = Findings::default();
-    let mut rows = Vec::new();
-    for &launches in launch_counts {
-        let built = w.build_relaunched(machine, launches)?;
-        let time_with = |cache: bool| {
-            let sim = SimConfig { cache, ..cfg.sim.clone() };
-            let inputs = || built.inputs.clone();
-            best_of_3(|| run_program(&built.program, inputs(), machine, &cfg.spec, &sim))
-        };
-        let (secs_on, r_on) = time_with(true)?;
-        let (secs_off, r_off) = time_with(false)?;
-        // The cache may only change host wall-clock — never observations.
-        assert_eq!(r_on.rounds, r_off.rounds, "cache changed modeled results");
-        let blocks = launches * machine.blocks_for(n);
-        let c = r_on.device_stats.cache;
-        rows.push(vec![
-            launches.to_string(),
-            format!("{:.0}", blocks as f64 / secs_off.max(1e-12)),
-            format!("{:.0}", blocks as f64 / secs_on.max(1e-12)),
-            format!("{:.2}x", secs_off / secs_on.max(1e-12)),
-            format!("{}/{}", c.hits, c.misses),
-            format!("{:.1}%", 100.0 * findings.num(format!("hit_rate.{launches}"), c.hit_rate())),
-        ]);
-    }
-
-    let mut out = format!(
-        "### E9 — cross-launch kernel cache (vecadd, n = {n}, {} blocks/launch, repeated launches)\n\n",
-        machine.blocks_for(n)
-    );
-    out.push_str(&markdown_table(
-        &[
-            "launches",
-            "cache off (blk/s)",
-            "cache on (blk/s)",
-            "speedup",
-            "hits/misses",
-            "hit rate",
-        ],
-        &rows,
-    ));
-    out.push_str(
-        "\nModeled rounds are bit-identical cache on vs off (asserted); the speedup is pure \
-         host wall-clock from skipping recompilation.\n",
-    );
     Ok(Section::new(out, findings))
 }
 
@@ -1028,28 +929,24 @@ pub fn e11_fault_tolerance(cfg: &ExpConfig, trace: Option<&Path>) -> Result<Sect
     Ok(Section::new(out, findings))
 }
 
-/// E12 — the multi-tenant cost-query service's pricing fast path: hit
-/// rate and latency histogram of a repeated-query workload through
-/// [`atgpu_serve::CostServer`], against a sim-only baseline answering
-/// every query with a full cluster simulation.
+/// E12 — the multi-tenant cost-query service's pricing tiers: which tier
+/// of [`atgpu_serve::CostServer`] first answers each question of a
+/// repeated-query workload, how far its quote lands from a full cluster
+/// simulation's observed total, and what share of all queries the fast
+/// path (memo + analytic) serves.
 ///
 /// The workload asks a small set of distinct what-if questions over and
 /// over (the serving regime the memo exists for): the first ask of each
 /// exactly-analysable program is answered by the streamed analytic cost
 /// model, the first ask of a bank-conflicted program falls outside the
 /// analytic trust gate and pays a full simulation, and every repeat is a
-/// memo hit.  Asserted (the PR's acceptance bars):
-///
-/// * ≥ 90% of queries answered on the fast path (memo + analytic);
-/// * fast-path p50 latency ≥ 10x below the simulation fallback's —
-///   per-query bests on both sides (the baseline is best-of-3, the
-///   fast path best-of-`repeats`), so host CPU contention, which only
-///   ever adds time, can't masquerade as fast-path cost;
-/// * every quote within 10% of the simulator's observed total.
+/// memo hit.  The acceptance bars — fast path ≥ 90% of queries, every
+/// quote within 10% of the simulator — are the `e12` test's, on the
+/// findings; what a tier costs in host time is the repo benchmark's
+/// `serve_mix` (`quote_p50_us`, `serve.price_*`).
 pub fn e12_pricing_service(cfg: &ExpConfig) -> Result<Section, ExpError> {
-    use atgpu_serve::{CostServer, PriceSource, ServerConfig};
+    use atgpu_serve::{CostServer, ServerConfig};
     use atgpu_sim::{run_cluster_program, SimConfig};
-    use std::time::Instant;
 
     let quick = cfg.quick();
     let machine = &cfg.machine;
@@ -1057,7 +954,7 @@ pub fn e12_pricing_service(cfg: &ExpConfig) -> Result<Section, ExpError> {
     let spec = ClusterSpec::homogeneous(devices, cfg.spec);
 
     // The server prices deterministically (its default config is
-    // noise-free); the sim-only baseline must answer the same question,
+    // noise-free); the simulated reference must answer the same question,
     // so it uses the same config rather than `cfg.sim`'s jitter.
     let sim = SimConfig::default();
     let server = CostServer::new(*machine, spec.clone(), ServerConfig::default())?;
@@ -1081,162 +978,53 @@ pub fn e12_pricing_service(cfg: &ExpConfig) -> Result<Section, ExpError> {
         Transpose::new(32, 5, TransposeVariant::Tiled).build(machine)?,
     ));
 
-    // Sim-only baseline: every query pays a full cluster simulation
-    // (best-of-3 per program; the observed totals double as the
-    // accuracy reference for the quotes).
-    let mut baseline_secs = Vec::new();
-    let mut observed_ms = Vec::new();
-    for (_, built) in &programs {
-        let inputs = || built.inputs.clone();
-        let (best, report) =
-            best_of_3(|| run_cluster_program(&built.program, inputs(), machine, &spec, &sim))?;
-        baseline_secs.push(best);
-        observed_ms.push(report.total_ms());
-    }
-
-    // The repeated-query workload through the pricing API.  Alongside
-    // the raw per-call samples (the histogram below shows the full
-    // distribution), keep each query's *best* fast-path latency: the
-    // latency comparison must match the baseline's best-of idiom, or
-    // CPU contention from whatever else the host is running lands only
-    // on the µs-scale side and masquerades as fast-path cost.
-    let mut fast_secs = Vec::new();
-    let mut slow_secs = Vec::new();
-    let mut fast_best = vec![f64::INFINITY; programs.len()];
-    let mut first: Vec<Option<atgpu_serve::Quote>> = vec![None; programs.len()];
-    for _ in 0..repeats {
-        for (i, (_, built)) in programs.iter().enumerate() {
-            let t0 = Instant::now();
-            let q = server.price(&built.program)?;
-            let dt = t0.elapsed().as_secs_f64();
-            match q.source {
-                PriceSource::Simulated => slow_secs.push(dt),
-                PriceSource::Memo | PriceSource::Analytic => {
-                    fast_secs.push(dt);
-                    fast_best[i] = fast_best[i].min(dt);
-                }
-            }
-            first[i].get_or_insert(q);
-        }
-    }
-
-    // -- accuracy: every quote within tolerance of the observed total --
+    // First ask of each question beside its simulated total.
     let mut worst_err = 0.0f64;
-    let mut worst_name = String::new();
     let mut rows = Vec::new();
-    for (i, (name, _)) in programs.iter().enumerate() {
-        let q = first[i].expect("every program was priced");
-        let e = rel_err(q.total_ms, observed_ms[i]);
-        if e > worst_err {
-            worst_err = e;
-            worst_name =
-                format!("{name} ({:?} {:.4}ms vs {:.4}ms)", q.source, q.total_ms, observed_ms[i]);
-        }
+    for (name, built) in &programs {
+        let q = server.price(&built.program)?;
+        let observed_ms =
+            run_cluster_program(&built.program, built.inputs.clone(), machine, &spec, &sim)?
+                .total_ms();
+        let e = rel_err(q.total_ms, observed_ms);
+        worst_err = worst_err.max(e);
         rows.push(vec![
             name.clone(),
             format!("{:?}", q.source),
             format!("{:.4}", q.total_ms),
-            format!("{:.4}", observed_ms[i]),
+            format!("{observed_ms:.4}"),
             format!("{:.2}%", 100.0 * e),
-            format!("{:.0}", baseline_secs[i] * 1e6),
         ]);
     }
-    assert!(
-        worst_err <= 0.10,
-        "a quote missed the observed total by {:.1}% (> 10%): {worst_name}",
-        100.0 * worst_err
-    );
+    // The repeats: every question asked again, `repeats − 1` times.
+    for _ in 1..repeats {
+        for (_, built) in &programs {
+            server.price(&built.program)?;
+        }
+    }
 
-    // -- hit rate and latency ------------------------------------------
     let stats = server.stats().price;
-    let hit_rate = stats.fast_fraction();
-    assert!(hit_rate >= 0.90, "fast path served only {:.1}% of queries", 100.0 * hit_rate);
-
-    let pct = |v: &mut [f64], q: f64| -> f64 {
-        v.sort_by(f64::total_cmp);
-        v[((v.len() - 1) as f64 * q).round() as usize]
-    };
-    // The slow side: the sim-only baseline plus the measured fallback
-    // queries — what every query would cost without the fast path.
-    // Both sides of the comparison are per-query bests: the baseline is
-    // best-of-3 by construction, the fast side best-of-`repeats` from
-    // the workload loop (min is the right estimator of intrinsic cost
-    // when interference only ever adds time).
-    let mut sim_all = baseline_secs.clone();
-    sim_all.extend_from_slice(&slow_secs);
-    let mut fast_best: Vec<f64> = fast_best.into_iter().filter(|v| v.is_finite()).collect();
-    let (p50_fast, p90_fast) = (pct(&mut fast_best, 0.5), pct(&mut fast_best, 0.9));
-    let (p50_sim, p90_sim) = (pct(&mut sim_all, 0.5), pct(&mut sim_all, 0.9));
-    let speedup = p50_sim / p50_fast.max(1e-12);
-    assert!(
-        speedup >= 10.0,
-        "fast-path p50 {:.1}µs only {speedup:.1}x below sim p50 {:.1}µs",
-        p50_fast * 1e6,
-        p50_sim * 1e6
-    );
-
-    // -- latency histogram (decade buckets) ----------------------------
-    let names = ["< 1 µs", "1–10 µs", "10–100 µs", "0.1–1 ms", "1–10 ms", "≥ 10 ms"];
-    let bucket = |s: f64| -> usize {
-        let us = s * 1e6;
-        [1.0, 10.0, 100.0, 1e3, 1e4].iter().position(|&hi| us < hi).unwrap_or(5)
-    };
-    let (mut fast_h, mut sim_h) = ([0usize; 6], [0usize; 6]);
-    fast_secs.iter().for_each(|&s| fast_h[bucket(s)] += 1);
-    sim_all.iter().for_each(|&s| sim_h[bucket(s)] += 1);
-    let bar = |count: usize, max: usize| "█".repeat((count * 24).div_ceil(max.max(1)).min(24));
-    let hmax = fast_h.iter().chain(&sim_h).copied().max().unwrap_or(1);
-    let hist_rows: Vec<Vec<String>> = names
-        .iter()
-        .enumerate()
-        .map(|(i, n)| {
-            vec![
-                n.to_string(),
-                format!("{} {}", fast_h[i], bar(fast_h[i], hmax)),
-                format!("{} {}", sim_h[i], bar(sim_h[i], hmax)),
-            ]
-        })
-        .collect();
-
-    let total = fast_secs.len() + slow_secs.len();
+    let total = stats.memo_hits + stats.analytic + stats.simulated;
     let mut findings = Findings::default();
     findings.num("price.simulated", stats.simulated as f64);
     let mut out = format!(
-        "### E12 — multi-tenant pricing service: analytic fast path vs sim-only baseline \
+        "### E12 — multi-tenant pricing service: first answering tier and quote vs simulation \
          ({devices} devices, {} distinct queries × {repeats} repeats)\n\n",
         programs.len()
     );
     out.push_str(&markdown_table(
-        &[
-            "query",
-            "first answer",
-            "quote (ms)",
-            "sim observed (ms)",
-            "error",
-            "sim-only latency (µs)",
-        ],
+        &["query", "first answer", "quote (ms)", "sim observed (ms)", "error"],
         &rows,
-    ));
-    out.push('\n');
-    out.push_str(&markdown_table(
-        &["latency", "fast path (memo + analytic)", "simulation (baseline + fallback)"],
-        &hist_rows,
     ));
     let _ = writeln!(
         out,
         "\nFast path answered {} of {total} queries — hit rate {:.1}% ({} memo / {} analytic / \
-         {} simulated).  Per-query best latency: p50 {:.1} µs vs {:.1} µs sim-only ({:.0}x \
-         below; p90 {:.1} µs vs {:.1} µs); worst quote error {:.2}% (within 10%: {}).",
-        fast_secs.len(),
-        100.0 * findings.num("price.hit_rate", hit_rate),
+         {} simulated); worst quote error {:.2}% (within 10%: {}).",
+        stats.memo_hits + stats.analytic,
+        100.0 * findings.num("price.hit_rate", stats.fast_fraction()),
         stats.memo_hits,
         stats.analytic,
         stats.simulated,
-        p50_fast * 1e6,
-        p50_sim * 1e6,
-        speedup,
-        p90_fast * 1e6,
-        p90_sim * 1e6,
         100.0 * findings.num("quote.worst_err", worst_err),
         yes_no(worst_err <= 0.10),
     );
@@ -1487,7 +1275,7 @@ mod tests {
 
     #[test]
     fn e8_streams_overlap_and_planner() {
-        let s = e8_streams(&cfg()).unwrap();
+        let s = golden("e8", e8_streams(&cfg()).unwrap());
         // Acceptance: double-buffered ooc-vecadd ≥ 1.2x over its serial
         // form in modeled time.
         let speedup = num(&s, "overlap.observed");
@@ -1502,31 +1290,6 @@ mod tests {
         // The weighted planner beats the even split on the mixed cluster.
         let planner = num(&s, "planner.speedup");
         assert!(planner > 1.2, "weighted planner speedup {planner}\n{}", s.markdown);
-        // Threaded dispatch: on a host with 4+ cores the 4-device
-        // sharded launch must cut wall-clock ≥ 1.5x; on fewer cores
-        // threads cannot help, so only assert it is not pathologically
-        // slower.
-        let wall = num(&s, "dispatch.wall_speedup");
-        if atgpu_sim::cluster::host_parallelism() >= 4 {
-            assert!(wall >= 1.5, "threaded 4-device dispatch only {wall}x on a multicore host");
-        } else {
-            assert!(wall > 0.5, "threaded dispatch slower than half sequential: {wall}");
-        }
-    }
-
-    #[test]
-    fn e9_cache_sweep_reports_hits_and_identical_results() {
-        let s = e9_kernel_cache(&cfg()).unwrap();
-        assert!(s.markdown.contains("cross-launch kernel cache"), "{}", s.markdown);
-        // Exact counters for the largest quick sweep point: 400 launches
-        // = 1 compile + 399 hits.
-        assert!(s.markdown.contains("399/1"), "{}", s.markdown);
-        assert!(s.markdown.contains("bit-identical"));
-        // Every sweep point reports a hit rate above 90%.
-        for launches in [25, 100, 400] {
-            let rate = num(&s, &format!("hit_rate.{launches}"));
-            assert!(rate > 0.90, "hit rate {rate} too low at {launches} launches");
-        }
     }
 
     /// The PR's acceptance criteria, pinned: on the E10 link-asymmetric
@@ -1576,13 +1339,11 @@ mod tests {
     }
 
     /// The pricing-service acceptance bars, pinned: ≥ 90% of a
-    /// repeated-query workload served from the fast path, fast-path p50
-    /// ≥ 10x below simulation (both asserted inside the sweep — it
-    /// returning `Ok` is the check), quotes within 10%.
+    /// repeated-query workload served from the fast path, quotes within
+    /// 10% of the simulator.
     #[test]
     fn e12_fast_path_dominates() {
-        let s = e12_pricing_service(&cfg()).unwrap();
-        assert!(s.markdown.contains("multi-tenant pricing service"), "{}", s.markdown);
+        let s = golden("e12", e12_pricing_service(&cfg()).unwrap());
         assert!(num(&s, "quote.worst_err") <= 0.10, "{}", s.markdown);
         // One simulated fallback (the bank-conflicted transpose), the
         // rest analytic or memoized.

@@ -12,7 +12,7 @@
 //! | [`figures::fig5`] | Fig. 5a/5b — matrix multiplication |
 //! | [`figures::fig6`] | Fig. 6a/6b/6c — transfer proportions ΔE vs ΔT |
 //! | [`figures::summary`] | §IV-D summary statistics |
-//! | [`figures::ext`] | the extension experiments E1…E13, one row each of [`EXPERIMENTS`] |
+//! | [`figures::ext`] | the twelve extension experiments (`e1`…`e13`, no `e9`), one row each of [`EXPERIMENTS`] |
 //!
 //! Each runner produces [`series::Figure`] data that the [`report`]
 //! module renders as CSV / gnuplot / markdown files and the [`chart`]
@@ -27,6 +27,12 @@
 //! once per side: `atgpu_analyze::predict` prices a program,
 //! [`runner::observe`] simulates it, and [`runner::plan_sweep`] runs
 //! both over clusters × workloads × shard plans.
+//!
+//! Every section is a function of the [`ExpConfig`]: the crate reads no
+//! clock, so two runs write the same bytes and every section is pinned
+//! under `tests/golden/`.  What the pipeline costs in host time is the
+//! repo benchmark's to measure (`crates/atgpu-bench`), not this
+//! harness's.
 //!
 //! The "observed" series are simulated observations — see DESIGN.md for
 //! the hardware-substitution argument — and the "predicted" series are

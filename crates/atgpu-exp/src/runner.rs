@@ -12,7 +12,6 @@ use atgpu_sim::xfer::XferNoise;
 use atgpu_sim::{run_cluster_program, run_program, ClusterSimReport, SimConfig};
 use std::fmt::Write as _;
 use std::path::Path;
-use std::time::Instant;
 
 /// The harness's error: whichever layer failed — workload builder,
 /// analyser, model, simulator, pricing service, file system — boxed as
@@ -134,23 +133,6 @@ pub fn observe(
 /// fraction of the observation.
 pub fn rel_err(predicted: f64, observed: f64) -> f64 {
     (predicted - observed).abs() / observed.max(1e-12)
-}
-
-/// Host wall-clock seconds of `run`, best of three — interference from
-/// whatever else the host is doing only ever adds time — with the last
-/// run's result.
-pub fn best_of_3<T, E>(mut run: impl FnMut() -> Result<T, E>) -> Result<(f64, T), E> {
-    let mut timed = || {
-        let t0 = Instant::now();
-        let result = run()?;
-        Ok((t0.elapsed().as_secs_f64(), result))
-    };
-    let (mut best, mut last) = timed()?;
-    for _ in 1..3 {
-        let (secs, result) = timed()?;
-        (best, last) = (best.min(secs), result);
-    }
-    Ok((best, last))
 }
 
 /// Per-device unit counts as a table cell: `512 / 512`.

@@ -559,16 +559,8 @@ impl BlockSim for BlockExec<'_> {
         self.block = block;
         let gx = self.ck.grid.0.max(1);
         self.block_xy = ((block % gx) as i64, (block / gx) as i64);
-        // Clear only what the kernel can observe: registers the compiler
-        // could not prove write-before-read, and shared memory unless the
-        // kernel provably overwrites all of it (state-exact elision).
-        let n = self.b as usize;
-        for &r in &self.ck.dirty_regs {
-            self.regs[r as usize * n..r as usize * n + n].fill(0);
-        }
-        if !self.ck.smem_clean {
-            self.smem.reset();
-        }
+        self.regs.fill(0);
+        self.smem.reset();
         self.pc = 0;
         self.masks.clear();
         self.arms.clear();

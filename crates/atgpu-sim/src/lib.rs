@@ -33,7 +33,7 @@
 //!            │    unit/bcast/strided/dyn   │   │                                │  index) key tree) →
 //!            │  · bake conflict degrees +  │   │  timing is read from the site  │  device (run to the
 //!            │    residue txn tables       │   │  tables as each access runs —  │  horizon) → driver
-//!            │  · prove init-elision       │   │  the one source of an event    │  (transfers, rounds)
+//!            │                             │   │  the one source of an event    │  (transfers, rounds)
 //!            └──────────────────────────────┘   └────────────────────────────────┘
 //! ```
 //!
@@ -51,10 +51,10 @@
 //! and shared footprint; the *name* is excluded) plus the launch
 //! parameters `(buffer bases, b, nregs)` to the compiled micro-op
 //! program — an entry is that program and nothing else, and what a hit
-//! reuses is the lowering.  Sweep harnesses relaunching one kernel
-//! shape thousands of times (atgpu-exp, the repo benchmark's
-//! `launch_storm`) therefore compile once — with **bit-identical**
-//! memory, events and statistics to a cold launch
+//! reuses is the lowering.  Callers relaunching one kernel shape
+//! thousands of times (the repo benchmark's `launch_storm` relaunch
+//! half, `serve_mix`'s repeated submits) therefore compile once — with
+//! **bit-identical** memory, events and statistics to a cold launch
 //! (`tests/cache_differential.rs` proves this across engines and
 //! clusters):
 //!
@@ -66,14 +66,13 @@
 //!   out of the FIFO bound ([`SimConfig::cache_capacity`], default
 //!   [`cache::DEFAULT_CACHE_CAPACITY`]);
 //! * **kill-switch** — [`SimConfig::cache`]` = false` restores
-//!   compile-every-launch behaviour exactly (the cold baseline used by
-//!   the differential tests);
+//!   compile-every-launch behaviour exactly — the differential suites'
+//!   cold reference, and nothing else's;
 //! * **observability** — per-device hit/miss/entry counters surface as
 //!   [`device::DeviceStats`] via [`Device::stats`],
 //!   [`SimReport::device_stats`] and
 //!   [`cluster::ClusterSimReport::device_stats`], and are reported by
-//!   the repo benchmark (`sim.cache_hits` / `sim.cache_misses`) and the
-//!   E-series sweeps.
+//!   the repo benchmark (`sim.cache_hits` / `sim.cache_misses`).
 //!
 //! The reference interpreter bypasses the cache entirely: it exists to
 //! re-derive everything from the IR tree each time.

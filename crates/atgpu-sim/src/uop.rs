@@ -215,16 +215,6 @@ pub struct CompiledKernel {
     pub nregs: u32,
     /// Maximum divergence nesting depth (pre-sizes executor stacks).
     pub max_arm_depth: usize,
-    /// Registers whose rows must be zeroed when an executor is re-armed
-    /// for a new block.  A register is exempt when its first access in
-    /// program order is an unconditional (top-level, full-warp) write —
-    /// the kernel then provably overwrites it before any read, so
-    /// skipping the clear is state-exact, not just timing-exact.
-    pub dirty_regs: Vec<Reg>,
-    /// True when shared memory need not be cleared between blocks: every
-    /// read is covered by earlier unconditional constant-address writes
-    /// and the writes cover all `shared_words` (state-exact elision).
-    pub smem_clean: bool,
 }
 
 struct Compiler<'k> {
@@ -267,9 +257,6 @@ impl CompiledKernel {
             lanes: LaneValues::new(b),
         };
         c.lower_body(&kernel.body);
-        let nregs = nregs.max(1);
-        let (dirty_regs, smem_clean) =
-            analyze_init(&c.prog, &c.sites, nregs, b, kernel.shared_words);
         CompiledKernel {
             prog: c.prog,
             sites: c.sites,
@@ -277,173 +264,9 @@ impl CompiledKernel {
             grid: kernel.grid,
             shared_words: kernel.shared_words,
             b,
-            nregs,
+            nregs: nregs.max(1),
             max_arm_depth: c.max_arm_depth,
-            dirty_regs,
-            smem_clean,
         }
-    }
-}
-
-/// Register/shared-memory initialisation analysis (see
-/// [`CompiledKernel::dirty_regs`] / [`CompiledKernel::smem_clean`]).
-///
-/// Walks the flat program in pc order — which is exactly first-iteration
-/// execution order for loops — tracking divergence via the enclosing
-/// `Branch` join targets.  Reads are collected before writes per op.
-fn analyze_init(
-    prog: &[Uop],
-    sites: &[Site],
-    nregs: u32,
-    b: u32,
-    shared_words: u64,
-) -> (Vec<Reg>, bool) {
-    // 0 = untouched, 1 = defined by an unconditional write, 2 = dirty.
-    let mut reg_state = vec![0u8; nregs as usize];
-    fn mark_read(state: &mut [u8], r: Reg) {
-        if state[r as usize] == 0 {
-            state[r as usize] = 2;
-        }
-    }
-    fn mark_operand(state: &mut [u8], o: &Operand) {
-        if let Operand::Reg(r) = o {
-            mark_read(state, *r);
-        }
-    }
-    fn mark_site_regs(state: &mut [u8], site: &Site) {
-        match &site.addr {
-            SiteAddr::Affine(a) => {
-                if let Some((r, _)) = a.reg {
-                    mark_read(state, r);
-                }
-            }
-            SiteAddr::Tree(t) => collect_tree_regs(t, state),
-        }
-    }
-    fn mark_write(state: &mut [u8], r: Reg, unconditional: bool) {
-        if state[r as usize] == 0 {
-            state[r as usize] = if unconditional { 1 } else { 2 };
-        }
-    }
-    let mut joins: Vec<u32> = Vec::new();
-    // Unconditionally written smem intervals, kept merged and sorted.
-    let mut written: Vec<(i64, i64)> = Vec::new();
-    let mut smem_ok = true;
-
-    let add_interval = |written: &mut Vec<(i64, i64)>, lo: i64, hi: i64| {
-        written.push((lo, hi));
-        written.sort_unstable();
-        let mut merged: Vec<(i64, i64)> = Vec::new();
-        for (lo, hi) in written.drain(..) {
-            match merged.last_mut() {
-                Some((_, phi)) if lo <= *phi => *phi = (*phi).max(hi),
-                _ => merged.push((lo, hi)),
-            }
-        }
-        *written = merged;
-    };
-    let covered = |written: &[(i64, i64)], lo: i64, hi: i64| {
-        written.iter().any(|&(wlo, whi)| wlo <= lo && hi <= whi)
-    };
-    // The word interval a site touches, when its folded base is a
-    // compile-time constant (no block/loop/register terms).
-    let site_interval = |site: &Site| -> Option<(i64, i64)> {
-        let a = site.as_affine()?;
-        if !a.is_static() || a.block != 0 || a.block_y != 0 || a.loops.iter().any(|&c| c != 0) {
-            return None;
-        }
-        let span = a.lane * (i64::from(b) - 1);
-        Some((a.base + span.min(0), a.base + span.max(0) + 1))
-    };
-
-    for (pc, op) in prog.iter().enumerate() {
-        while joins.last() == Some(&(pc as u32)) {
-            joins.pop();
-        }
-        let unconditional = joins.is_empty();
-        let smem_write = |written: &mut Vec<(i64, i64)>, site: &Site| {
-            if !unconditional {
-                return;
-            }
-            if let Some(a) = site.as_affine() {
-                if matches!(site.fast, FastPath::Unit | FastPath::Broadcast)
-                    && site_interval(site).is_some()
-                {
-                    let span = if a.lane == 0 { 1 } else { i64::from(b) };
-                    add_interval(written, a.base, a.base + span);
-                }
-            }
-        };
-        let smem_read =
-            |written: &[(i64, i64)], site: &Site, smem_ok: &mut bool| match site_interval(site) {
-                Some((lo, hi)) if covered(written, lo, hi) => {}
-                _ => *smem_ok = false,
-            };
-        match op {
-            Uop::Alu { dst, a, b, .. } => {
-                mark_operand(&mut reg_state, a);
-                mark_operand(&mut reg_state, b);
-                mark_write(&mut reg_state, *dst, unconditional);
-            }
-            Uop::Mov { dst, src } => {
-                mark_operand(&mut reg_state, src);
-                mark_write(&mut reg_state, *dst, unconditional);
-            }
-            Uop::LdShr { dst, site } => {
-                let site = &sites[*site as usize];
-                mark_site_regs(&mut reg_state, site);
-                smem_read(&written, site, &mut smem_ok);
-                mark_write(&mut reg_state, *dst, unconditional);
-            }
-            Uop::StShr { site, src } => {
-                mark_operand(&mut reg_state, src);
-                let site = &sites[*site as usize];
-                mark_site_regs(&mut reg_state, site);
-                smem_write(&mut written, site);
-            }
-            Uop::GlbToShr { shared, global } => {
-                let gsite = &sites[*global as usize];
-                mark_site_regs(&mut reg_state, gsite);
-                let ssite = &sites[*shared as usize];
-                mark_site_regs(&mut reg_state, ssite);
-                smem_write(&mut written, ssite);
-            }
-            Uop::ShrToGlb { global, shared } => {
-                let ssite = &sites[*shared as usize];
-                mark_site_regs(&mut reg_state, ssite);
-                smem_read(&written, ssite, &mut smem_ok);
-                let gsite = &sites[*global as usize];
-                mark_site_regs(&mut reg_state, gsite);
-            }
-            Uop::Branch { pred, join, .. } => {
-                let (a, b) = pred.operands();
-                mark_operand(&mut reg_state, &a);
-                mark_operand(&mut reg_state, &b);
-                joins.push(*join);
-            }
-            Uop::Sync
-            | Uop::ThenEnd { .. }
-            | Uop::ElseEnd
-            | Uop::LoopStart { .. }
-            | Uop::LoopEnd { .. } => {}
-        }
-    }
-
-    let smem_clean = smem_ok && (shared_words == 0 || covered(&written, 0, shared_words as i64));
-    // Iterate in u32: `nregs` can be 256 (register 255 in use), which a
-    // `0..nregs as u8` range would silently wrap to empty.
-    let dirty_regs = (0..nregs).filter(|&r| reg_state[r as usize] != 1).map(|r| r as Reg).collect();
-    (dirty_regs, smem_clean)
-}
-
-fn collect_tree_regs(t: &AddrExpr, state: &mut [u8]) {
-    match t {
-        AddrExpr::Reg(r) if state[*r as usize] == 0 => state[*r as usize] = 2,
-        AddrExpr::Add(a, b) | AddrExpr::Sub(a, b) | AddrExpr::Mul(a, b) => {
-            collect_tree_regs(a, state);
-            collect_tree_regs(b, state);
-        }
-        _ => {}
     }
 }
 
@@ -837,70 +660,5 @@ mod tests {
         let gsite = c.sites.iter().find(|s| s.txn_table.is_some()).unwrap();
         assert_eq!(gsite.mask, Some(1));
         assert!(gsite.txn_table.as_ref().unwrap().iter().all(|&t| t == 1));
-    }
-
-    #[test]
-    fn init_elision_vecadd_shape_skips_all_clearing() {
-        // Write-before-read everywhere and full shared coverage: nothing
-        // needs zeroing between blocks.
-        let b = 32i64;
-        let mut kb = KernelBuilder::new("va", 4, 3 * b as u64);
-        let g = AddrExpr::block() * b + AddrExpr::lane();
-        kb.glb_to_shr(AddrExpr::lane(), DBuf(0), g.clone());
-        kb.glb_to_shr(AddrExpr::lane() + b, DBuf(1), g.clone());
-        kb.ld_shr(0, AddrExpr::lane());
-        kb.ld_shr(1, AddrExpr::lane() + b);
-        kb.alu(AluOp::Add, 2, Operand::Reg(0), Operand::Reg(1));
-        kb.st_shr(AddrExpr::lane() + 2 * b, Operand::Reg(2));
-        kb.shr_to_glb(DBuf(2), g, AddrExpr::lane() + 2 * b);
-        let kernel = kb.build();
-        let nregs = kernel.max_reg().map(|r| u32::from(r) + 1).unwrap_or(1);
-        let c = CompiledKernel::compile(&kernel, &[0, 1024, 2048], 32, nregs);
-        assert!(c.dirty_regs.is_empty());
-        assert!(c.smem_clean);
-    }
-
-    #[test]
-    fn init_elision_conservative_on_reads_and_divergence() {
-        // r0 read before write; r1 first written inside a divergent arm;
-        // shared read of an uncovered word.
-        let mut kb = KernelBuilder::new("dirty", 2, 64);
-        kb.alu(AluOp::Add, 0, Operand::Reg(0), Operand::Imm(1));
-        kb.when(PredExpr::Lt(Operand::Lane, Operand::Imm(2)), |kb| {
-            kb.mov(1, Operand::Imm(5));
-        });
-        kb.ld_shr(2, AddrExpr::lane());
-        let kernel = kb.build();
-        let c = CompiledKernel::compile(&kernel, &[], 32, 3);
-        assert!(c.dirty_regs.contains(&0), "read-before-write register");
-        assert!(c.dirty_regs.contains(&1), "conditionally-written register");
-        assert!(!c.dirty_regs.contains(&2), "LdShr defines r2 unconditionally");
-        assert!(!c.smem_clean, "uncovered shared read forces clearing");
-    }
-
-    #[test]
-    fn init_elision_survives_max_register_index() {
-        // nregs = 256 (register 255 referenced): the dirty-register
-        // range must not wrap to empty, or stale state leaks between
-        // blocks.
-        let mut kb = KernelBuilder::new("r255", 2, 0);
-        kb.alu(AluOp::Add, 255, Operand::Reg(255), Operand::Imm(1));
-        let kernel = kb.build();
-        let c = CompiledKernel::compile(&kernel, &[], 32, 256);
-        assert!(c.dirty_regs.contains(&255), "read-before-write r255 must be cleared");
-    }
-
-    #[test]
-    fn init_elision_requires_full_shared_coverage() {
-        // Every read covered, but only half the shared words are ever
-        // written: stale state would differ from the zeroing reference.
-        let b = 32i64;
-        let mut kb = KernelBuilder::new("half", 2, 2 * b as u64);
-        kb.st_shr(AddrExpr::lane(), Operand::Lane);
-        kb.ld_shr(0, AddrExpr::lane());
-        let kernel = kb.build();
-        let c = CompiledKernel::compile(&kernel, &[], 32, 1);
-        assert!(!c.smem_clean);
-        assert!(c.dirty_regs.is_empty());
     }
 }

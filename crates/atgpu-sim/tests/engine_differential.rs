@@ -236,8 +236,12 @@ fn gen_body(g: &RefCell<Gen>, kb: &mut KernelBuilder, depth: u32) {
     }
 }
 
+/// One launch both engines run: the kernel, its machine, the device's
+/// `(k′, H)`, the buffer bases and the global words.
+type Launch = (Kernel, AtgpuMachine, (u64, u64), Vec<u64>, u64);
+
 /// Builds a random kernel plus a compatible machine/global memory layout.
-fn gen_kernel(seed: u64) -> (Kernel, AtgpuMachine, Vec<u64>, u64) {
+fn gen_launch(seed: u64) -> Launch {
     let mut g0 = Gen { state: seed | 1, b: 0, shared: 0, loop_depth: 0, budget: 0 };
     let b: i64 = [4, 8, 16, 32][g0.below(4) as usize];
     let blocks = 2 + g0.below(4);
@@ -252,7 +256,34 @@ fn gen_kernel(seed: u64) -> (Kernel, AtgpuMachine, Vec<u64>, u64) {
     let kernel = kb.build();
     let machine =
         AtgpuMachine::new(4 * b as u64, b as u64, shared.max(2 * gwords), 1 << 22).unwrap();
-    (kernel, machine, vec![0, gwords], 2 * gwords)
+    (kernel, machine, (2, 4), vec![0, gwords], 2 * gwords)
+}
+
+/// The re-arming input, fixed: three blocks on a `k′ = 1, ℓ = 1` device,
+/// so one executor slot is re-armed twice.  Every block reads `r0` and
+/// shared word `b + j` *before* writing them — under a lane predicate,
+/// so no write covers the read — branches and stores on what it read,
+/// then leaves `block + 1 ≠ 0` in both.  The reference clears registers
+/// and shared memory on every re-arm; an engine that skips either clear
+/// takes the other branch from block 1 on.
+fn rearm_launch() -> Launch {
+    let b = 8i64;
+    let j = AddrExpr::lane;
+    let mut kb = KernelBuilder::new("rearm", 3, 2 * b as u64);
+    kb.when(PredExpr::Lt(Operand::Lane, Operand::Imm(b / 2)), |kb| {
+        kb.ld_shr(1, j() + b);
+        kb.alu(AluOp::Add, 2, Operand::Reg(0), Operand::Reg(1));
+        kb.when(PredExpr::Ne(Operand::Reg(2), Operand::Imm(0)), |kb| {
+            kb.alu(AluOp::Add, 2, Operand::Reg(2), Operand::Imm(100));
+        });
+        kb.alu(AluOp::Add, 0, Operand::Block, Operand::Imm(1));
+        kb.st_shr(j() + b, Operand::Reg(0));
+        kb.st_shr(j(), Operand::Reg(2));
+        kb.shr_to_glb(DBuf(0), AddrExpr::block() * b + j(), j());
+    });
+    let gwords = 3 * b as u64;
+    let machine = AtgpuMachine::new(4 * b as u64, b as u64, 2 * gwords, 1 << 22).unwrap();
+    (kb.build(), machine, (1, 1), vec![0], gwords)
 }
 
 fn fill_gmem(g: &mut GlobalMemory, total: u64, seed: u64) {
@@ -265,109 +296,125 @@ fn fill_gmem(g: &mut GlobalMemory, total: u64, seed: u64) {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Step-level lockstep on one executor per side, re-armed block after
+/// block: the same `StepEvent` at every step and identical register,
+/// shared and global state at every block's completion.
+fn lockstep((kernel, machine, _, bases, total): &Launch, seed: u64) -> Result<(), TestCaseError> {
+    let nregs = kernel.max_reg().map(|r| u32::from(r) + 1).unwrap_or(1);
+    let b = machine.b as u32;
 
-    /// Step-level lockstep: for every block, the engine and the reference
-    /// produce the same `StepEvent` at every step and identical register,
-    /// shared and global state at block completion.
-    #[test]
-    fn engine_matches_reference_stepwise(seed in 0u64..1_000_000_000) {
-        let (kernel, machine, bases, total) = gen_kernel(seed);
-        let nregs = kernel.max_reg().map(|r| u32::from(r) + 1).unwrap_or(1);
-        let b = machine.b as u32;
+    let mut g_ref = GlobalMemory::new(bases.clone(), *total, machine.b, machine.g).unwrap();
+    fill_gmem(&mut g_ref, *total, seed);
+    let mut g_eng = GlobalMemory::new(bases.clone(), *total, machine.b, machine.g).unwrap();
+    fill_gmem(&mut g_eng, *total, seed);
 
-        let mut g_ref = GlobalMemory::new(bases.clone(), total, machine.b, machine.g).unwrap();
-        fill_gmem(&mut g_ref, total, seed);
-        let mut g_eng = GlobalMemory::new(bases.clone(), total, machine.b, machine.g).unwrap();
-        fill_gmem(&mut g_eng, total, seed);
+    let compiled = CompiledKernel::compile(kernel, bases, b, nregs);
+    let mut eng = BlockExec::new(&compiled);
+    let mut reference = WarpExec::new(kernel, bases, b, nregs);
 
-        let compiled = CompiledKernel::compile(&kernel, &bases, b, nregs);
-        let mut eng = BlockExec::new(&compiled);
-        let mut reference = WarpExec::new(&kernel, &bases, b, nregs);
-
-        for block in 0..kernel.blocks() {
-            BlockSim::reset(&mut eng, block);
-            BlockSim::reset(&mut reference, block);
-            let mut step = 0u32;
-            loop {
-                let er = {
-                    let mut acc = GmemAccess::Direct(&mut g_eng);
-                    BlockSim::step(&mut eng, &mut acc)
-                };
-                let rr = {
-                    let mut acc = GmemAccess::Direct(&mut g_ref);
-                    BlockSim::step(&mut reference, &mut acc)
-                };
-                match (er, rr) {
-                    (Ok(e), Ok(r)) => {
-                        prop_assert_eq!(e, r, "event mismatch at block {} step {}", block, step);
-                        if e == StepEvent::Done {
-                            break;
-                        }
-                    }
-                    (Err(e), Err(r)) => {
-                        prop_assert_eq!(e.to_string(), r.to_string());
-                        return Ok(());
-                    }
-                    (e, r) => {
-                        return Err(TestCaseError::fail(format!(
-                            "engine {e:?} vs reference {r:?} at block {block} step {step}"
-                        )));
-                    }
-                }
-                step += 1;
-            }
-            prop_assert_eq!(eng.regs(), reference.regs(), "registers after block {}", block);
-            prop_assert_eq!(
-                eng.smem.words(),
-                reference.smem.words(),
-                "shared memory after block {}", block
-            );
-        }
-        prop_assert_eq!(g_eng.words(), g_ref.words(), "global memory after launch");
-    }
-
-    /// Device-level: identical kernel statistics (cycles, instruction and
-    /// transaction counts, conflict serialisation), global memory and
-    /// error text under both write targets — written through, and logged
-    /// over the whole grid then merged in block order.
-    #[test]
-    fn engine_matches_reference_on_device(seed in 0u64..1_000_000_000) {
-        let (kernel, machine, bases, total) = gen_kernel(seed);
-        let spec = GpuSpec { k_prime: 2, h_limit: 4, ..GpuSpec::gtx650_like() };
-        let device = Device::new(machine, spec).unwrap();
-
-        for logged in [false, true] {
-            let run = |engine: EngineSel| {
-                let mut g = GlobalMemory::new(bases.clone(), total, machine.b, machine.g).unwrap();
-                fill_gmem(&mut g, total, seed);
-                let stats = (|| {
-                    if !logged {
-                        return device.run_kernel_with(&kernel, &mut g, false, engine);
-                    }
-                    let (range, mut log) = ((0, kernel.blocks()), Vec::new());
-                    let stats =
-                        device.run_shard(&kernel, &g, ExecMode::Sequential, engine, range, &mut log)?;
-                    apply_write_log(&kernel, &mut g, log, false)?;
-                    Ok(stats)
-                })();
-                (stats, g)
+    for block in 0..kernel.blocks() {
+        BlockSim::reset(&mut eng, block);
+        BlockSim::reset(&mut reference, block);
+        let mut step = 0u32;
+        loop {
+            let er = {
+                let mut acc = GmemAccess::Direct(&mut g_eng);
+                BlockSim::step(&mut eng, &mut acc)
             };
-            let (r_ref, g_ref) = run(EngineSel::Reference);
-            let (r_eng, g_eng) = run(EngineSel::MicroOp);
-            match (r_eng, r_ref) {
-                (Ok(se), Ok(sr)) => {
-                    prop_assert_eq!(se, sr, "stats mismatch, logged={}", logged);
-                    prop_assert_eq!(g_eng.words(), g_ref.words(), "gmem mismatch, logged={}", logged);
+            let rr = {
+                let mut acc = GmemAccess::Direct(&mut g_ref);
+                BlockSim::step(&mut reference, &mut acc)
+            };
+            match (er, rr) {
+                (Ok(e), Ok(r)) => {
+                    prop_assert_eq!(e, r, "event mismatch at block {} step {}", block, step);
+                    if e == StepEvent::Done {
+                        break;
+                    }
                 }
-                (Err(e), Err(r)) => prop_assert_eq!(e.to_string(), r.to_string()),
+                (Err(e), Err(r)) => {
+                    prop_assert_eq!(e.to_string(), r.to_string());
+                    return Ok(());
+                }
                 (e, r) => {
                     return Err(TestCaseError::fail(format!(
-                        "engine {e:?} vs reference {r:?}, logged={logged}"
+                        "engine {e:?} vs reference {r:?} at block {block} step {step}"
                     )));
                 }
             }
+            step += 1;
         }
+        prop_assert_eq!(eng.regs(), reference.regs(), "registers after block {}", block);
+        prop_assert_eq!(
+            eng.smem.words(),
+            reference.smem.words(),
+            "shared memory after block {}",
+            block
+        );
+    }
+    prop_assert_eq!(g_eng.words(), g_ref.words(), "global memory after launch");
+    Ok(())
+}
+
+/// Device-level: identical kernel statistics (cycles, instruction and
+/// transaction counts, conflict serialisation), global memory and error
+/// text under both write targets — written through, and logged over the
+/// whole grid then merged in block order.
+fn on_device(
+    (kernel, machine, (k_prime, h_limit), bases, total): &Launch,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let spec = GpuSpec { k_prime: *k_prime, h_limit: *h_limit, ..GpuSpec::gtx650_like() };
+    let device = Device::new(*machine, spec).unwrap();
+
+    for logged in [false, true] {
+        let run = |engine: EngineSel| {
+            let mut g = GlobalMemory::new(bases.clone(), *total, machine.b, machine.g).unwrap();
+            fill_gmem(&mut g, *total, seed);
+            let stats = (|| {
+                if !logged {
+                    return device.run_kernel_with(kernel, &mut g, false, engine);
+                }
+                let (range, mut log) = ((0, kernel.blocks()), Vec::new());
+                let stats =
+                    device.run_shard(kernel, &g, ExecMode::Sequential, engine, range, &mut log)?;
+                apply_write_log(kernel, &mut g, log, false)?;
+                Ok(stats)
+            })();
+            (stats, g)
+        };
+        let (r_ref, g_ref) = run(EngineSel::Reference);
+        let (r_eng, g_eng) = run(EngineSel::MicroOp);
+        match (r_eng, r_ref) {
+            (Ok(se), Ok(sr)) => {
+                prop_assert_eq!(se, sr, "stats mismatch, logged={}", logged);
+                prop_assert_eq!(g_eng.words(), g_ref.words(), "gmem mismatch, logged={}", logged);
+            }
+            (Err(e), Err(r)) => prop_assert_eq!(e.to_string(), r.to_string()),
+            (e, r) => {
+                return Err(TestCaseError::fail(format!(
+                    "engine {e:?} vs reference {r:?}, logged={logged}"
+                )));
+            }
+        }
+    }
+    Ok(())
+}
+
+// Each case runs the fixed re-arming launch and one random launch over
+// the case's memory image.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn engine_matches_reference_stepwise(seed in 0u64..1_000_000_000) {
+        lockstep(&rearm_launch(), seed)?;
+        lockstep(&gen_launch(seed), seed)?;
+    }
+
+    #[test]
+    fn engine_matches_reference_on_device(seed in 0u64..1_000_000_000) {
+        on_device(&rearm_launch(), seed)?;
+        on_device(&gen_launch(seed), seed)?;
     }
 }
