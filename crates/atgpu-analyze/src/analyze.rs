@@ -6,7 +6,7 @@ use crate::error::AnalyzeError;
 use crate::opcount::kernel_time_ops;
 use crate::sites::collect;
 use crate::space::{masked_touched_range, touched_range};
-use atgpu_ir::{shard_counts, validate, HostStep, Kernel, Program, Round};
+use atgpu_ir::{shard_counts, validate, HostStep, Kernel, Program};
 use atgpu_model::cost::cluster_cost_streamed;
 use atgpu_model::{
     AlgoMetrics, AtgpuMachine, ClusterCostBreakdown, ClusterSpec, PeerTraffic, RoundMetrics,
@@ -192,75 +192,6 @@ pub struct ClusterProgramAnalysis {
     pub io_exact: bool,
     /// Whether every kernel is shared-memory bank-conflict free.
     pub conflict_free: bool,
-}
-
-/// Per-device attribution of a sharded program's peer traffic onto the
-/// planner's unit grid — the measured counterpart of the
-/// [`atgpu_model::PeerProfile`] `*_words_per_unit` terms.
-///
-/// Units are the grid blocks of the program's **widest sharded launch**
-/// (the launch the planner apportioned); each [`PeerTraffic`] row is
-/// charged to its source device (send side) and destination device
-/// (receive side), summed over every round, then spread evenly over the
-/// device's units.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct PeerAttribution {
-    /// Units (blocks of the widest sharded launch) held per device.
-    pub units: Vec<u64>,
-    /// Directed peer words sent by each device over the whole program.
-    pub sent_words: Vec<u64>,
-    /// Directed peer words received by each device over the whole program.
-    pub recv_words: Vec<u64>,
-    /// Peer transactions originated by each device (one per copy —
-    /// `TransferEngine::peer` semantics in atgpu-sim).
-    pub sent_txns: Vec<u64>,
-}
-
-impl PeerAttribution {
-    /// Words device `d` sends per held unit, rounded up; 0 for idle
-    /// devices.  This is the number a workload's
-    /// [`atgpu_model::PeerProfile`] `merge_words_per_unit`/`halo` terms
-    /// should reproduce for the plan the program was built with.
-    pub fn sent_per_unit(&self, d: usize) -> u64 {
-        match self.units.get(d) {
-            Some(&u) if u > 0 => self.sent_words[d].div_ceil(u),
-            _ => 0,
-        }
-    }
-
-    /// Words device `d` receives per held unit, rounded up; 0 for idle
-    /// devices.
-    pub fn recv_per_unit(&self, d: usize) -> u64 {
-        match self.units.get(d) {
-            Some(&u) if u > 0 => self.recv_words[d].div_ceil(u),
-            _ => 0,
-        }
-    }
-}
-
-/// Derives the per-unit peer-word attribution of a sharded program for
-/// `devices` devices (see [`PeerAttribution`]).  Programs with no
-/// sharded launch attribute every unit to device 0.
-pub fn attribute_peer_units(p: &Program, devices: u32) -> PeerAttribution {
-    let n = devices.max(p.max_device() + 1).max(1) as usize;
-    // The widest launch defines the unit grid.
-    let widest = p.rounds.iter().filter_map(Round::launch).max_by_key(|(k, _)| k.blocks());
-    let mut att = PeerAttribution {
-        units: widest.map_or_else(|| vec![0; n], |(_, shards)| shard_counts(&shards, n)),
-        sent_words: vec![0; n],
-        recv_words: vec![0; n],
-        sent_txns: vec![0; n],
-    };
-    for round in &p.rounds {
-        for step in &round.steps {
-            if let HostStep::TransferPeer { src, dst, words, .. } = step {
-                att.sent_words[*src as usize] += words;
-                att.recv_words[*dst as usize] += words;
-                att.sent_txns[*src as usize] += 1;
-            }
-        }
-    }
-    att
 }
 
 /// Analyses a **multi-device** program for `devices` devices: the
@@ -920,48 +851,6 @@ mod tests {
             let a = analyze_cluster_program(&p, &machine(), 2).unwrap();
             assert_eq!(a.peer[0], vec![PeerTraffic { src: 1, dst: 0, words, txns: 1 }]);
         }
-    }
-
-    #[test]
-    fn peer_attribution_recovers_merge_profile() {
-        // A histogram-shaped program: 8 blocks split 3/3/2 across three
-        // devices, each non-owner device merging one 32-word partial row
-        // per block to device 0.  The derived per-unit send rate must
-        // equal the 32 words/unit a PeerProfile would declare.
-        let b = 32u64;
-        let k = 8u64;
-        let mut pb = ProgramBuilder::new("merge");
-        let h = pb.host_input("A", k * b);
-        let o = pb.host_output("C", b);
-        let d = pb.device_alloc("part", k * b);
-        let shards = vec![
-            atgpu_ir::Shard { device: 0, start: 0, end: 3 },
-            atgpu_ir::Shard { device: 1, start: 3, end: 6 },
-            atgpu_ir::Shard { device: 2, start: 6, end: 8 },
-        ];
-        let mut kb = KernelBuilder::new("k", k, b);
-        kb.glb_to_shr(AddrExpr::lane(), d, AddrExpr::block() * b as i64 + AddrExpr::lane());
-        pb.begin_round();
-        for s in &shards {
-            pb.transfer_in_to(s.device, h, s.start * b, d, s.start * b, (s.end - s.start) * b);
-        }
-        pb.launch_sharded(kb.build(), shards.clone());
-        pb.begin_round();
-        for s in &shards[1..] {
-            pb.transfer_peer(s.device, 0, d, s.start * b, s.start * b, (s.end - s.start) * b);
-        }
-        pb.transfer_out_from(0, d, 0, o, 0, b);
-        let p = pb.build().unwrap();
-
-        let att = attribute_peer_units(&p, 3);
-        assert_eq!(att.units, vec![3, 3, 2]);
-        assert_eq!(att.sent_words, vec![0, 3 * b, 2 * b]);
-        assert_eq!(att.recv_words, vec![5 * b, 0, 0]);
-        assert_eq!(att.sent_txns, vec![0, 1, 1]);
-        assert_eq!(att.sent_per_unit(0), 0);
-        assert_eq!(att.sent_per_unit(1), b);
-        assert_eq!(att.sent_per_unit(2), b);
-        assert_eq!(att.recv_per_unit(0), (5 * b).div_ceil(3));
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Ordinary least squares, built from scratch: simple lines and small
-//! multi-feature fits via normal equations with Gaussian elimination.
+//! Ordinary least squares, built from scratch: simple lines.
 
 /// A fitted line `y = intercept + slope·x` with its coefficient of
 /// determination.
@@ -42,80 +41,6 @@ pub fn fit_line(xs: &[f64], ys: &[f64]) -> Option<LinearFit> {
     Some(LinearFit { intercept, slope, r2 })
 }
 
-/// Solves the least-squares problem `X·β ≈ y` for a small feature count
-/// via the normal equations `XᵀX·β = Xᵀy`.  Each row of `rows` is one
-/// observation's feature vector (include a constant-1 column for an
-/// intercept).  Returns `None` for inconsistent shapes or a singular
-/// system.
-pub fn fit_multilinear(rows: &[Vec<f64>], ys: &[f64]) -> Option<Vec<f64>> {
-    let m = rows.first()?.len();
-    if rows.len() != ys.len() || rows.len() < m || rows.iter().any(|r| r.len() != m) {
-        return None;
-    }
-    // Normal equations.
-    let mut a = vec![vec![0.0f64; m + 1]; m]; // augmented [XtX | Xty]
-    for (row, &y) in rows.iter().zip(ys) {
-        for i in 0..m {
-            for j in 0..m {
-                a[i][j] += row[i] * row[j];
-            }
-            a[i][m] += row[i] * y;
-        }
-    }
-    gauss_solve(&mut a, m)
-}
-
-/// Gaussian elimination with partial pivoting on an `m×(m+1)` augmented
-/// matrix.
-fn gauss_solve(a: &mut [Vec<f64>], m: usize) -> Option<Vec<f64>> {
-    for col in 0..m {
-        // Pivot.
-        let piv = (col..m)
-            .max_by(|&i, &j| a[i][col].abs().partial_cmp(&a[j][col].abs()).expect("finite"))?;
-        if a[piv][col].abs() < 1e-12 {
-            return None; // singular
-        }
-        a.swap(col, piv);
-        // Eliminate below.
-        for row in col + 1..m {
-            let f = a[row][col] / a[col][col];
-            let (pivot_rows, rest) = a.split_at_mut(row);
-            let pivot = &pivot_rows[col];
-            for (x, &p) in rest[0].iter_mut().zip(pivot).skip(col) {
-                *x -= f * p;
-            }
-        }
-    }
-    // Back substitution.
-    let mut x = vec![0.0f64; m];
-    for col in (0..m).rev() {
-        let mut v = a[col][m];
-        for k in col + 1..m {
-            v -= a[col][k] * x[k];
-        }
-        x[col] = v / a[col][col];
-    }
-    Some(x)
-}
-
-/// Mean absolute percentage error between predictions and observations
-/// (observations of zero are skipped).
-pub fn mape(predicted: &[f64], observed: &[f64]) -> f64 {
-    let mut total = 0.0;
-    let mut count = 0usize;
-    for (&p, &o) in predicted.iter().zip(observed) {
-        if o != 0.0 {
-            total += ((p - o) / o).abs();
-            count += 1;
-        }
-    }
-    if count == 0 {
-        0.0
-    } else {
-        total / count as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,50 +80,5 @@ mod tests {
         let f = fit_line(&[1.0, 2.0, 3.0], &[5.0, 5.0, 5.0]).unwrap();
         assert_eq!(f.slope, 0.0);
         assert_eq!(f.r2, 1.0);
-    }
-
-    #[test]
-    fn multilinear_recovers_two_coefficients() {
-        // y = 4·u + 0.25·v over a small grid.
-        let mut rows = Vec::new();
-        let mut ys = Vec::new();
-        for u in 1..5 {
-            for v in [10.0, 100.0, 1000.0] {
-                rows.push(vec![u as f64, v]);
-                ys.push(4.0 * u as f64 + 0.25 * v);
-            }
-        }
-        let beta = fit_multilinear(&rows, &ys).unwrap();
-        assert!((beta[0] - 4.0).abs() < 1e-9);
-        assert!((beta[1] - 0.25).abs() < 1e-9);
-    }
-
-    #[test]
-    fn multilinear_with_intercept_column() {
-        // y = 7 + 2·x.
-        let rows: Vec<Vec<f64>> = (0..10).map(|x| vec![1.0, x as f64]).collect();
-        let ys: Vec<f64> = (0..10).map(|x| 7.0 + 2.0 * x as f64).collect();
-        let beta = fit_multilinear(&rows, &ys).unwrap();
-        assert!((beta[0] - 7.0).abs() < 1e-9);
-        assert!((beta[1] - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn singular_system_rejected() {
-        // Two identical columns.
-        let rows: Vec<Vec<f64>> = (0..5).map(|x| vec![x as f64, x as f64]).collect();
-        let ys: Vec<f64> = (0..5).map(|x| 3.0 * x as f64).collect();
-        assert!(fit_multilinear(&rows, &ys).is_none());
-    }
-
-    #[test]
-    fn underdetermined_rejected() {
-        assert!(fit_multilinear(&[vec![1.0, 2.0]], &[1.0]).is_none());
-    }
-
-    #[test]
-    fn mape_basics() {
-        assert!((mape(&[110.0], &[100.0]) - 0.1).abs() < 1e-12);
-        assert_eq!(mape(&[1.0], &[0.0]), 0.0);
     }
 }

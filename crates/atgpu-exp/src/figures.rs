@@ -110,7 +110,7 @@ mod tests {
         assert_eq!(figs[1].series[0].label, "Total");
         assert_eq!(figs[2].series.len(), 4);
         // Normalised panel peaks at 1.
-        assert_eq!(figs[2].series[0].last_y(), Some(1.0));
+        assert_eq!(figs[2].series[0].points.last().map(|p| p.1), Some(1.0));
     }
 
     #[test]

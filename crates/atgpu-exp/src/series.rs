@@ -32,19 +32,6 @@ impl Series {
                 .collect(),
         }
     }
-
-    /// The y value at the largest x.
-    pub fn last_y(&self) -> Option<f64> {
-        self.points.last().map(|p| p.1)
-    }
-
-    /// Mean of the y values.
-    pub fn mean_y(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().map(|p| p.1).sum::<f64>() / self.points.len() as f64
-    }
 }
 
 /// A figure: several series over a common x axis.
@@ -112,14 +99,6 @@ mod tests {
         let s = Series::new("t", vec![(1.0, 5.0), (2.0, 5.0)]);
         let n = s.normalized();
         assert!(n.points.iter().all(|p| p.1 == 0.0));
-    }
-
-    #[test]
-    fn mean_and_last() {
-        let s = Series::new("t", vec![(1.0, 2.0), (2.0, 4.0)]);
-        assert_eq!(s.mean_y(), 3.0);
-        assert_eq!(s.last_y(), Some(4.0));
-        assert_eq!(Series::new("e", vec![]).mean_y(), 0.0);
     }
 
     #[test]

@@ -170,8 +170,7 @@
 //! differential tests
 //! (`atgpu-algos/tests/cluster_quartet_differential.rs`) pin all four
 //! bit-identical to the host reference on both engines, through a
-//! mid-program device loss included; `atgpu_analyze::attribute_peer_units`
-//! recovers per-unit peer words from the built programs.
+//! mid-program device loss included.
 //!
 //! On top of shard planning, the **chunk-size solver**
 //! ([`solve_chunk_units`]) prices double-buffered ping-pong schedules per

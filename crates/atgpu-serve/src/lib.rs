@@ -94,10 +94,11 @@
 //! The shared cluster preserves the repo's differential guarantees:
 //! all per-run state (memory replicas, host buffers, transfer engines,
 //! fault state, tracers) is allocated per call inside
-//! [`run_cluster_program_on`]; the only shared mutable state is each
-//! device's kernel cache, which the cache differential suite proves
-//! result-neutral (and whose counters, like the memos', are
-//! schedule-independent).  N clients hammering one server concurrently get
+//! [`run_cluster_program_on`], every [`SimConfig`] field travels with
+//! the call, and the cluster holds no settings; the only shared mutable
+//! state is each device's kernel cache, which the cache differential
+//! suite proves result-neutral (and whose counters, like the memos',
+//! are schedule-independent).  N clients hammering one server concurrently get
 //! reports bit-identical to each running alone — pinned by this
 //! crate's `serve_differential` test.
 //!
@@ -190,9 +191,9 @@ use atgpu_sim::{
 /// Server construction parameters.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// The simulation configuration every run uses.  Device-global
-    /// settings (kernel cache, watchdog) are applied once at
-    /// construction; per-run settings apply to each submission.
+    /// The simulation configuration every run uses — submissions and
+    /// the simulated pricing tier alike.  It is fixed at construction:
+    /// nothing reachable from a `&CostServer` can change it.
     pub sim: SimConfig,
     /// Maximum requests waiting in the admission queue before
     /// submissions bounce with [`ServeError::QueueFull`].
@@ -240,14 +241,13 @@ pub const PRICING_TENANT: &str = "#pricing";
 
 impl CostServer {
     /// Builds a server over a fresh cluster of `spec` devices sharing
-    /// `machine`, applying `config.sim`'s device-global settings once.
+    /// `machine`.
     pub fn new(
         machine: AtgpuMachine,
         spec: ClusterSpec,
         config: ServerConfig,
     ) -> Result<Self, ServeError> {
         let cluster = Cluster::new(machine, spec)?;
-        cluster.configure_devices(&config.sim);
         let capacity = cluster
             .spec()
             .devices

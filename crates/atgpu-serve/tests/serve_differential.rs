@@ -15,8 +15,10 @@ use atgpu_algos::stencil::Stencil;
 use atgpu_algos::vecadd::VecAdd;
 use atgpu_algos::workload::{test_machine, test_spec, BuiltProgram, Workload};
 use atgpu_model::{AtgpuMachine, ClusterSpec};
-use atgpu_serve::{CostServer, PriceSource, ServerConfig};
-use atgpu_sim::{run_cluster_program, ClusterSimReport, SimConfig};
+use atgpu_serve::{CostServer, PriceSource, ServeError, ServerConfig};
+use atgpu_sim::{
+    run_cluster_program, run_cluster_program_on, ClusterSimReport, SimConfig, SimError,
+};
 use proptest::prelude::*;
 
 const TOLERANCE: f64 = 0.10;
@@ -198,6 +200,51 @@ fn simulated_quote_is_the_cost_on_zero_inputs() {
             quote.total_ms
         );
     }
+}
+
+/// Regression: `ServerConfig::sim` is fixed at construction and travels
+/// with every run the server makes — `submit`, the simulated `price`
+/// tier on the shared cluster and the simulated `price_what_if` tier on
+/// its throwaway cluster all meet `watchdog_cycles: 1`; the analytic tier
+/// simulates nothing and still answers.  The budget is not state of the
+/// cluster: another holder of `server.cluster()` running under its own
+/// config is not cut (at the parent the budget sat on the devices, so
+/// this run failed with the server's `Watchdog`).
+#[test]
+fn server_watchdog_budget_travels_with_every_run_and_no_further() {
+    use atgpu_algos::workload::Plan;
+    let machine = AtgpuMachine::gtx650_like();
+    let gtx = atgpu_model::GpuSpec::gtx650_like();
+    let spec = ClusterSpec::homogeneous(1, gtx);
+    let sim = SimConfig { watchdog_cycles: 1, ..SimConfig::default() };
+    let config = ServerConfig { sim, ..ServerConfig::default() };
+    let server = CostServer::new(machine, spec.clone(), config).expect("server");
+    let roster = atgpu_algos::roster();
+    let build = |name: &str| {
+        let entry = roster.iter().find(|e| e.name == name).expect("roster entry");
+        entry.workload.build_plan(&machine, Plan::Single).expect("builds")
+    };
+    let (scan, vecadd) = (build("scan"), build("vecadd"));
+    let cut = |what: &str, err: Option<ServeError>| {
+        assert!(
+            matches!(err, Some(ServeError::Sim(SimError::Watchdog { budget: 1, .. }))),
+            "{what} under a budget of 1 gave {err:?}"
+        );
+    };
+    cut("submit", server.submit("alpha", &scan.program, scan.inputs.clone()).err());
+    cut("simulated price", server.price(&scan.program).err());
+    let other = ClusterSpec::homogeneous(1, atgpu_model::GpuSpec { k_prime: 5, ..gtx });
+    cut("simulated what-if", server.price_what_if(&scan.program, &other).err());
+    let quote = server.price(&vecadd.program).expect("the analytic tier runs no launch");
+    assert_eq!(quote.source, PriceSource::Analytic);
+
+    let default = SimConfig::default();
+    let own =
+        run_cluster_program_on(server.cluster(), &scan.program, scan.inputs.clone(), &default)
+            .expect("the server's budget is not the cluster's");
+    let solo = run_cluster_program(&scan.program, scan.inputs.clone(), &machine, &spec, &default)
+        .expect("solo run");
+    assert_identical(&scan, &own, &solo);
 }
 
 /// A program whose kernel's cross-block write stride makes distinct

@@ -19,17 +19,15 @@
 //! it — is stored and compared on lookup, so two kernels can never
 //! false-hit through a hash collision alone.
 //!
-//! ## Invalidation and the kill-switch
+//! ## Invalidation and the bound
 //!
 //! Entries are only ever superseded, never mutated: a changed kernel or
 //! layout produces a different key.  The per-device cache holds at most
-//! [`SimConfig::cache_capacity`](crate::SimConfig::cache_capacity)
-//! entries, evicting the oldest insertion (FIFO) beyond that, and
-//! [`SimConfig::cache`](crate::SimConfig::cache) is the kill-switch:
-//! when off, every launch compiles fresh and stores nothing — the
-//! pre-cache behaviour, retained for differential testing (cached and
-//! cold launches are bit-identical in memory, statistics and events:
-//! `tests/cache_differential.rs`).
+//! [`DEFAULT_CACHE_CAPACITY`] entries for the device's whole life,
+//! evicting the oldest insertion (FIFO) beyond that.  There is no
+//! switch: a cold launch is a miss on a fresh [`crate::Device`], and a
+//! hit returns the program a miss compiles (bit-identical memory,
+//! statistics and events: `tests/cache_differential.rs`).
 //!
 //! ## Concurrency
 //!
@@ -45,11 +43,9 @@
 use crate::memo::BoundedMemo;
 use crate::uop::CompiledKernel;
 use atgpu_ir::Kernel;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-/// Default per-device entry bound (see
-/// [`SimConfig::cache_capacity`](crate::SimConfig::cache_capacity)).
+/// Entry bound of every device's cache.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 
 /// The full lookup key of one compiled kernel (see module docs).
@@ -71,8 +67,7 @@ pub struct CacheKey {
 pub struct CacheStats {
     /// Launches served from a cached compilation.
     pub hits: u64,
-    /// Launches that compiled fresh (and, when enabled, populated the
-    /// cache).
+    /// Launches that compiled fresh and populated the cache.
     pub misses: u64,
     /// Entries currently resident.
     pub entries: usize,
@@ -101,39 +96,12 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct KernelCache {
     memo: BoundedMemo<CacheKey, Arc<CompiledKernel>>,
-    enabled: AtomicBool,
 }
 
 impl KernelCache {
-    /// An enabled cache bounded to `capacity` entries (a capacity of 0
-    /// disables storage entirely, like the kill-switch).
+    /// A cache bounded to `capacity` entries (at least one).
     pub fn new(capacity: usize) -> Self {
-        Self { memo: BoundedMemo::new(capacity), enabled: AtomicBool::new(true) }
-    }
-
-    /// Turns the cache on or off (the
-    /// [`SimConfig::cache`](crate::SimConfig::cache) kill-switch).
-    /// Disabling does not drop resident entries; re-enabling sees them
-    /// again.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Re-bounds the cache, evicting oldest-first if the new capacity is
-    /// below the resident count.
-    pub fn set_capacity(&self, capacity: usize) {
-        self.memo.set_capacity(capacity);
-    }
-
-    /// Whether lookups are live.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Drops every entry (counters are kept — they describe lookups, not
-    /// contents).
-    pub fn clear(&self) {
-        self.memo.clear();
+        Self { memo: BoundedMemo::new(capacity) }
     }
 
     /// Snapshot of the counters.
@@ -143,9 +111,6 @@ impl KernelCache {
 
     /// Looks up (or compiles and inserts) the compilation of `kernel`
     /// for the launch parameters `(bases, b, nregs)`.
-    ///
-    /// With the cache disabled this compiles fresh into an unshared
-    /// program and stores nothing — cold-launch behaviour.
     pub fn get_or_compile(
         &self,
         kernel: &Kernel,
@@ -153,18 +118,10 @@ impl KernelCache {
         b: u32,
         nregs: u32,
     ) -> Arc<CompiledKernel> {
-        let compile = || Arc::new(CompiledKernel::compile(kernel, bases, b, nregs));
-        if !self.enabled() || self.memo.capacity() == 0 {
-            return compile();
-        }
         let key = CacheKey { kernel: kernel.cache_key(), bases: bases.into(), b, nregs };
-        self.memo.get_or_compute(key, compile).0
-    }
-}
-
-impl Default for KernelCache {
-    fn default() -> Self {
-        Self::new(DEFAULT_CACHE_CAPACITY)
+        self.memo
+            .get_or_compute(key, || Arc::new(CompiledKernel::compile(kernel, bases, b, nregs)))
+            .0
     }
 }
 
@@ -225,31 +182,5 @@ mod tests {
         cache.get_or_compile(&kernel("a", 1), &[0], 4, 1); // must re-miss
         assert_eq!(cache.stats().hits, 0);
         assert_eq!(cache.stats().misses, 4);
-    }
-
-    #[test]
-    fn kill_switch_compiles_fresh() {
-        let cache = KernelCache::new(8);
-        cache.set_enabled(false);
-        let k = kernel("a", 1);
-        let e1 = cache.get_or_compile(&k, &[0], 4, 1);
-        let e2 = cache.get_or_compile(&k, &[0], 4, 1);
-        assert!(!Arc::ptr_eq(&e1, &e2));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (0, 0, 0));
-        cache.set_enabled(true);
-        cache.get_or_compile(&k, &[0], 4, 1);
-        assert_eq!(cache.stats().misses, 1);
-    }
-
-    #[test]
-    fn clear_drops_entries() {
-        let cache = KernelCache::new(8);
-        cache.get_or_compile(&kernel("a", 1), &[0], 4, 1);
-        assert_eq!(cache.stats().entries, 1);
-        cache.clear();
-        assert_eq!(cache.stats().entries, 0);
-        cache.get_or_compile(&kernel("a", 1), &[0], 4, 1);
-        assert_eq!(cache.stats().misses, 2);
     }
 }

@@ -60,16 +60,16 @@ use atgpu_model::{plan, AtgpuMachine, ClusterSpec, ShardProfile};
 
 /// A simulated multi-GPU system.
 ///
-/// A `Cluster` is **shareable**: every run method takes `&self`, and the
-/// only mutable state a run touches on the cluster itself is each
-/// device's interior-locked [`KernelCache`](crate::KernelCache) and
-/// watchdog — everything else (memory replicas, host data, transfer
-/// engines, fault state, tracers) is allocated per call.  A long-lived
-/// service can therefore hold one `Cluster` and serve many concurrent
+/// A `Cluster` is **shareable** and holds no settings: every run method
+/// takes `&self`, and the only state a run touches on the cluster is
+/// each device's kernel memo ([`KernelCache`](crate::KernelCache)) —
+/// everything else (memory replicas, host data, transfer engines, fault
+/// state, tracers, the watchdog budget) is allocated per call or read
+/// from the call's [`SimConfig`].  A long-lived service can therefore
+/// hold one `Cluster` and serve many concurrent
 /// [`run_cluster_program_on`] calls from different threads; results stay
-/// bit-identical to solo runs because the shared kernel cache never
-/// changes results (pinned by the cache differential suite) and all
-/// cross-request state is per-call.
+/// bit-identical to solo runs because the shared kernel memo never
+/// changes results (pinned by the cache differential suite).
 #[derive(Debug)]
 pub struct Cluster {
     devices: Vec<Device>,
@@ -142,18 +142,6 @@ impl Cluster {
         &self.machine
     }
 
-    /// Applies a [`SimConfig`]'s device-global settings (kernel-cache
-    /// enable/capacity, watchdog budget) to every device.  Run methods do
-    /// **not** call this: on a shared cluster the owner configures once,
-    /// and per-request configs cannot flip device-global state out from
-    /// under concurrent requests.
-    pub fn configure_devices(&self, config: &SimConfig) {
-        for d in &self.devices {
-            d.configure_cache(config.cache, config.cache_capacity);
-            d.configure_watchdog(config.watchdog_cycles);
-        }
-    }
-
     /// One device.
     pub fn device(&self, i: u32) -> Option<&Device> {
         self.devices.get(i as usize)
@@ -188,7 +176,7 @@ impl Cluster {
             })?;
             let range = (shard.start, shard.end);
             let target = GmemAccess::Logged { base: gmem, log: &mut merged };
-            let stats = device.launch(kernel, target, engine, range)?;
+            let stats = device.launch(kernel, target, engine, range, 0)?;
             out.push(ShardStats { device: shard.device, range, stats });
         }
         apply_write_log(kernel, gmem, merged, detect_races)?;
@@ -386,7 +374,7 @@ fn map_on_threads<I: Send, T: Send>(
 /// checked across the whole launch, then every device journals and
 /// merges its own writes in block order.
 ///
-/// With [`SimConfig::device_threads`] set (the default) every shard is
+/// With [`SimConfig::device_threads`] set every shard is
 /// simulated on its own scoped OS thread; statistics come back and are
 /// booked in shard-plan order and the logs merge through the shared
 /// block-order [`apply_write_log`], so the outcome is bit-identical to
@@ -441,7 +429,8 @@ fn run_sharded_launch(
     let outcomes = map_on_threads(live.iter(), threads, what, |s| {
         let (d, range, mut log) = (s.device as usize, (s.start, s.end), Vec::new());
         let target = GmemAccess::Logged { base: &gm[d], log: &mut log };
-        let stats = cluster.devices[d].launch(kernel, target, engine, range)?;
+        let stats =
+            cluster.devices[d].launch(kernel, target, engine, range, config.watchdog_cycles)?;
         Ok((stats, log))
     })?;
     for ((shard, rec), (stats, mut log)) in live.iter().zip(&is_recovery).zip(outcomes) {
@@ -495,7 +484,8 @@ fn run_written_through(
 ) -> Result<(), SimError> {
     let run = |s: &Shard, gmem: &mut GlobalMemory| {
         let device = &cluster.devices[s.device as usize];
-        device.launch(kernel, GmemAccess::Direct(gmem), engine, (s.start, s.end))
+        let range = (s.start, s.end);
+        device.launch(kernel, GmemAccess::Direct(gmem), engine, range, config.watchdog_cycles)
     };
     if config.device_threads && shards.len() > 1 {
         let mut free: Vec<_> = gmems.iter_mut().map(Some).collect();
@@ -533,7 +523,6 @@ pub fn run_cluster_program(
     config: &SimConfig,
 ) -> Result<ClusterSimReport, SimError> {
     let cluster = Cluster::new(*machine, cluster_spec.clone())?;
-    cluster.configure_devices(config);
     run_cluster_program_on(&cluster, program, inputs, config)
 }
 
@@ -545,15 +534,8 @@ pub fn run_cluster_program(
 /// engines, fault state, tracer) is allocated here per call, concurrent
 /// invocations from different threads produce reports bit-identical to
 /// running each program alone — the guarantee the serve differential
-/// suite pins.
-///
-/// Unlike [`run_cluster_program`], this does **not** apply `config`'s
-/// device-global settings (cache enable/capacity, watchdog): the
-/// cluster's owner configures those once via
-/// [`Cluster::configure_devices`], so one request cannot reconfigure
-/// devices out from under another.  All per-run settings (`noise`,
-/// `seed`, `detect_races`, `use_reference`, `device_threads`, fault plan,
-/// tracing) are honoured.
+/// suite pins.  Every [`SimConfig`] field is honoured, and only for
+/// this call.
 pub fn run_cluster_program_on(
     cluster: &Cluster,
     program: &Program,

@@ -32,7 +32,7 @@
 //! does a program run's launch ([`crate::cluster`]), which picks the
 //! target by asking whether anything will read a log.
 
-use crate::cache::{CacheStats, KernelCache};
+use crate::cache::{CacheStats, KernelCache, DEFAULT_CACHE_CAPACITY};
 use crate::dram::DramController;
 use crate::engine::{BlockExec, BlockSim};
 use crate::error::SimError;
@@ -72,26 +72,6 @@ pub struct KernelStats {
 }
 
 impl KernelStats {
-    /// Fraction of device issue capacity used: instructions issued per
-    /// MP-cycle (1.0 = every MP issued every cycle; low values mean
-    /// exposed memory latency).
-    pub fn issue_utilization(&self, k_prime: u64) -> f64 {
-        if self.cycles == 0 {
-            return 0.0;
-        }
-        self.instructions as f64 / (self.cycles as f64 * k_prime.max(1) as f64)
-    }
-
-    /// Instruction mix as (compute, shared, global) fractions.
-    pub fn instruction_mix(&self) -> (f64, f64, f64) {
-        let t = self.instructions.max(1) as f64;
-        (
-            self.compute_instructions as f64 / t,
-            self.shared_accesses as f64 / t,
-            self.global_accesses as f64 / t,
-        )
-    }
-
     /// Folds in the statistics of a launch (or shard) that ran **after**
     /// `self` on the same device: counters add, and so do cycles (the
     /// runs are serial); occupancy keeps the last non-zero value.  One
@@ -152,10 +132,6 @@ pub struct Device {
     /// The cross-launch kernel cache ([`crate::cache`]).  Per-device by
     /// design: threaded cluster dispatch never contends across devices.
     cache: KernelCache,
-    /// Watchdog budget in simulated cycles per launch; 0 = unlimited.
-    /// Atomic (not `Cell`) because the device is shared across scoped
-    /// shard threads; configured once per run like the cache.
-    watchdog: std::sync::atomic::AtomicU64,
 }
 
 impl Device {
@@ -168,12 +144,7 @@ impl Device {
             return Err(SimError::UnsupportedWidth { b: machine.b });
         }
         spec.validate().map_err(|e| SimError::InvalidCluster { reason: e.to_string() })?;
-        Ok(Self {
-            machine,
-            spec,
-            cache: KernelCache::default(),
-            watchdog: std::sync::atomic::AtomicU64::new(0),
-        })
+        Ok(Self { machine, spec, cache: KernelCache::new(DEFAULT_CACHE_CAPACITY) })
     }
 
     /// The machine this device implements.
@@ -184,22 +155,6 @@ impl Device {
     /// The device specification.
     pub fn spec(&self) -> &GpuSpec {
         &self.spec
-    }
-
-    /// Applies the cache kill-switch and size bound (see
-    /// [`crate::SimConfig::cache`] /
-    /// [`crate::SimConfig::cache_capacity`]).
-    pub fn configure_cache(&self, enabled: bool, capacity: usize) {
-        self.cache.set_enabled(enabled);
-        self.cache.set_capacity(capacity);
-    }
-
-    /// Sets the per-launch watchdog budget in simulated cycles (see
-    /// [`crate::SimConfig::watchdog_cycles`]); 0 disables the watchdog.
-    /// A launch whose event clock passes the budget aborts with
-    /// [`SimError::Watchdog`] instead of simulating on.
-    pub fn configure_watchdog(&self, cycles: u64) {
-        self.watchdog.store(cycles, std::sync::atomic::Ordering::Relaxed);
     }
 
     /// Device-level counters: cache hits/misses/entries.  The fault/
@@ -249,13 +204,13 @@ impl Device {
     ) -> Result<KernelStats, SimError> {
         let range = (0, kernel.blocks());
         if !detect_races {
-            return self.launch(kernel, GmemAccess::Direct(gmem), engine, range);
+            return self.launch(kernel, GmemAccess::Direct(gmem), engine, range, 0);
         }
         // Race detection requires deferred writes; timing is unchanged
         // (same event loop, shared controller).
         let mut log = Vec::new();
-        let stats =
-            self.launch(kernel, GmemAccess::Logged { base: gmem, log: &mut log }, engine, range)?;
+        let target = GmemAccess::Logged { base: gmem, log: &mut log };
+        let stats = self.launch(kernel, target, engine, range, 0)?;
         apply_write_log(kernel, gmem, log, true)?;
         Ok(stats)
     }
@@ -281,20 +236,23 @@ impl Device {
         range: (u64, u64),
         log: &mut Vec<WriteRec>,
     ) -> Result<KernelStats, SimError> {
-        self.launch(kernel, GmemAccess::Logged { base: gmem, log }, engine, range)
+        self.launch(kernel, GmemAccess::Logged { base: gmem, log }, engine, range, 0)
     }
 
     /// The one launch body: the occupancy check, the register count, the
     /// buffer bases and the executor (through the kernel cache, or the
     /// reference interpreter) are resolved once, for any block range and
     /// either write target.  The program driver calls it directly, with
-    /// the target it chose for the launch ([`crate::cluster`]).
+    /// the target it chose for the launch and its run's
+    /// [`crate::SimConfig::watchdog_cycles`] as `budget`
+    /// ([`crate::cluster`]); the config-less wrappers above pass 0.
     pub(crate) fn launch(
         &self,
         kernel: &Kernel,
         mut target: GmemAccess<'_>,
         engine: EngineSel,
         range: (u64, u64),
+        budget: u64,
     ) -> Result<KernelStats, SimError> {
         let ell = occupancy(&self.machine, kernel.shared_words, self.spec.h_limit);
         if ell == 0 {
@@ -308,7 +266,7 @@ impl Device {
         let gmem = target.mem();
         let bases: Vec<u64> = (0..gmem.buf_count()).map(|i| gmem.base(i as u32)).collect();
         let b = self.machine.b as u32;
-        let blocks = Blocks { name: &kernel.name, ell, range };
+        let blocks = Blocks { name: &kernel.name, ell, range, budget };
 
         match engine {
             EngineSel::MicroOp => {
@@ -330,7 +288,7 @@ impl Device {
         make: impl Fn() -> E,
         acc: &mut GmemAccess<'_>,
     ) -> Result<KernelStats, SimError> {
-        let &Blocks { name, ell, range } = blocks;
+        let &Blocks { name, ell, range, budget } = blocks;
         let k_prime = self.spec.k_prime as usize;
         let mut dram =
             DramController::new(self.spec.dram_issue_cycles, self.spec.dram_latency_cycles);
@@ -350,7 +308,6 @@ impl Device {
             }
         }
 
-        let budget = self.watchdog.load(std::sync::atomic::Ordering::Relaxed);
         // Global time order: the next instruction always issues on the MP
         // with the smallest `(next event, MP index)`.
         const NEVER: (u64, usize) = (u64::MAX, usize::MAX);
@@ -413,6 +370,10 @@ struct Blocks<'a> {
     ell: u64,
     /// The block range `range.0..range.1` to run.
     range: (u64, u64),
+    /// Watchdog budget in simulated cycles; 0 = unlimited.  The launch
+    /// aborts with [`SimError::Watchdog`] before the first instruction
+    /// whose issue time passes it.
+    budget: u64,
 }
 
 /// Flags any global word written by two different thread blocks in `log`.
@@ -583,10 +544,6 @@ mod tests {
             stats.instructions,
             stats.compute_instructions + stats.shared_accesses + stats.global_accesses
         );
-        let (c, s, gl) = stats.instruction_mix();
-        assert!((c + s + gl - 1.0).abs() < 1e-12);
-        let u = stats.issue_utilization(spec().k_prime);
-        assert!(u > 0.0 && u <= 1.0, "utilization {u}");
     }
 
     #[test]

@@ -293,9 +293,9 @@ fn device_runs_to_the_horizon_in_rescan_order() {
 
                 let device = Device::new(machine, spec).unwrap();
                 let mut run = |budget: u64| {
-                    device.configure_watchdog(budget);
                     let log = IssueLog::default();
-                    let launch = Blocks { name: "scripted", ell, range: (0, blocks as u64) };
+                    let launch =
+                        Blocks { name: "scripted", ell, range: (0, blocks as u64), budget };
                     let make = Scripted::maker(&scripts, &log);
                     let mut acc = GmemAccess::Direct(&mut gmem);
                     let stats = device.run_sequential(&launch, make, &mut acc);

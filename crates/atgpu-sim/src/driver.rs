@@ -32,7 +32,9 @@ use atgpu_ir::{HBuf, HostBufRole, Program};
 use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
 use std::ops::Range;
 
-/// Simulation configuration.
+/// Simulation configuration.  Every field is **per-run**: it travels
+/// with the call that names it and is read by nothing else — a
+/// [`crate::Device`] or [`Cluster`] holds no settings.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Transfer-time jitter (None = deterministic).
@@ -58,21 +60,13 @@ pub struct SimConfig {
     /// wall-clock.  Defaults to on when the host has more than one CPU
     /// (threads are pure overhead on a single core).
     pub device_threads: bool,
-    /// The cross-launch kernel-cache kill-switch ([`crate::cache`]).
-    /// On (the default), repeated launches of one kernel shape reuse the
-    /// compiled micro-op program; off, every launch compiles fresh —
-    /// results are bit-identical either way, this only trades host
-    /// wall-clock for memory.
-    pub cache: bool,
-    /// Compiled kernels retained per device before FIFO eviction.
-    pub cache_capacity: usize,
     /// Scheduled fault events ([`crate::fault`]).  The default empty
     /// plan is free: no injection hooks run, and the simulation is
     /// bit-identical (memory, stats, timing) to one without fault
     /// support at all.
     pub fault: FaultPlan,
-    /// Watchdog budget in simulated device cycles per kernel launch; a
-    /// launch whose event clock passes the budget fails with
+    /// Watchdog budget in simulated device cycles per kernel launch of
+    /// this run; a launch whose event clock passes the budget fails with
     /// [`SimError::Watchdog`].  `0` (the default) disables the watchdog.
     pub watchdog_cycles: u64,
     /// Record per-operation timeline spans ([`crate::trace`]).  Off (the
@@ -93,8 +87,6 @@ impl Default for SimConfig {
             detect_races: false,
             use_reference: false,
             device_threads: crate::cluster::host_parallelism() > 1,
-            cache: true,
-            cache_capacity: crate::cache::DEFAULT_CACHE_CAPACITY,
             fault: FaultPlan::default(),
             watchdog_cycles: 0,
             trace: false,
@@ -306,7 +298,6 @@ pub fn run_program(
     config: &SimConfig,
 ) -> Result<SimReport, SimError> {
     let cluster = Cluster::new(*machine, ClusterSpec::homogeneous(1, *spec))?;
-    cluster.configure_devices(config);
     run_on(&cluster, program, inputs, config, |_| config.seed).map(SimReport::from_cluster)
 }
 

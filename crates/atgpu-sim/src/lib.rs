@@ -54,20 +54,18 @@
 //! reuses is the lowering.  Callers relaunching one kernel shape
 //! thousands of times (the repo benchmark's `launch_storm` relaunch
 //! half, `serve_mix`'s repeated submits) therefore compile once — with
-//! **bit-identical** memory, events and statistics to a cold launch
-//! (`tests/cache_differential.rs` proves this across engines and
-//! clusters):
+//! **bit-identical** memory, events and statistics to a cold launch,
+//! which is a miss on a fresh [`Device`] (`tests/cache_differential.rs`
+//! proves this across engines and clusters):
 //!
 //! * **keying** — the full key (structural hash, complete base vector,
 //!   `b`, `nregs`) is stored and compared, so a hash collision alone can
 //!   never alias two kernels; mutating one instruction, the grid, the
 //!   shared footprint or the memory layout changes the key;
 //! * **invalidation** — entries are immutable; stale shapes simply age
-//!   out of the FIFO bound ([`SimConfig::cache_capacity`], default
-//!   [`cache::DEFAULT_CACHE_CAPACITY`]);
-//! * **kill-switch** — [`SimConfig::cache`]` = false` restores
-//!   compile-every-launch behaviour exactly — the differential suites'
-//!   cold reference, and nothing else's;
+//!   out of the FIFO bound, [`cache::DEFAULT_CACHE_CAPACITY`] for every
+//!   device's whole life — the cache is not a setting, and a device
+//!   holds none;
 //! * **observability** — per-device hit/miss/entry counters surface as
 //!   [`device::DeviceStats`] via [`Device::stats`],
 //!   [`SimReport::device_stats`] and
@@ -265,8 +263,8 @@
 //! that makes any shard plan bit-identical to single-device execution.  Losing the
 //! last device is unrecoverable and surfaces as
 //! [`SimError::DeviceLost`].  Independently, a **watchdog**
-//! ([`SimConfig::watchdog_cycles`]) bounds each launch's simulated
-//! cycles and turns runaway kernels into structured
+//! ([`SimConfig::watchdog_cycles`], per run like every `SimConfig`
+//! field) bounds each launch's simulated cycles and turns runaway kernels into structured
 //! [`SimError::Watchdog`] errors instead of hangs.
 //! [`atgpu_model::cost::cluster_cost_degraded`] mirrors the whole
 //! recovery path analytically so predictions track degraded runs too.

@@ -26,7 +26,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// One key's slot: the value once computed, and the lock that makes the
@@ -62,7 +62,7 @@ impl<K: Hash + Eq, V> Inner<K, V> {
 #[derive(Debug)]
 pub struct BoundedMemo<K, V> {
     inner: RwLock<Inner<K, V>>,
-    capacity: AtomicUsize,
+    capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -81,29 +81,10 @@ impl<K: Hash + Eq + Clone, V: Clone> BoundedMemo<K, V> {
     pub fn new(capacity: usize) -> Self {
         Self {
             inner: RwLock::new(Inner { map: HashMap::new(), order: VecDeque::new() }),
-            capacity: AtomicUsize::new(capacity),
+            capacity,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    /// The configured entry bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity.load(Ordering::Relaxed)
-    }
-
-    /// Re-bounds the memo, evicting oldest-first down to `capacity`.
-    pub fn set_capacity(&self, capacity: usize) {
-        self.capacity.store(capacity, Ordering::Relaxed);
-        self.write().evict_to(capacity);
-    }
-
-    /// Drops every entry (counters are kept — they describe lookups, not
-    /// contents).
-    pub fn clear(&self) {
-        let mut inner = self.write();
-        inner.map.clear();
-        inner.order.clear();
     }
 
     /// Entries currently resident.
@@ -152,7 +133,7 @@ impl<K: Hash + Eq + Clone, V: Clone> BoundedMemo<K, V> {
             match inner.map.get(&key) {
                 Some(cell) => Arc::clone(cell),
                 None => {
-                    inner.evict_to(self.capacity().max(1) - 1);
+                    inner.evict_to(self.capacity.max(1) - 1);
                     let cell = Arc::new(Cell { value: OnceLock::new(), computing: Mutex::new(()) });
                     inner.order.push_back(key.clone());
                     inner.map.insert(key.clone(), Arc::clone(&cell));
@@ -224,11 +205,6 @@ mod tests {
         assert_eq!(memo.len(), 2);
         assert_eq!(memo.get(&0), None, "the oldest insertion was evicted");
         assert_eq!(memo.get(&2), Some(2));
-        memo.set_capacity(1);
-        assert_eq!(memo.get(&1), None);
-        assert_eq!(memo.get(&2), Some(2));
-        memo.clear();
-        assert!(memo.is_empty());
     }
 
     #[test]
@@ -285,9 +261,6 @@ mod tests {
         assert_eq!(memo.get(&1), Some(10));
         assert_eq!(memo.get_or_compute(2, || 20), (20, false));
         assert_eq!(memo.get_or_compute(2, || 21), (20, true));
-        memo.set_capacity(1);
-        assert_eq!((memo.hits(), memo.misses(), memo.len()), (2, 2, 1));
-        memo.clear();
-        assert!(memo.is_empty());
+        assert_eq!((memo.hits(), memo.misses(), memo.len()), (2, 2, 2));
     }
 }

@@ -12,6 +12,7 @@
 
 use atgpu_ir::{AddrExpr, AluOp, DBuf, Instr, Kernel, KernelBuilder, Operand, PredExpr};
 use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
+use atgpu_sim::cache::DEFAULT_CACHE_CAPACITY;
 use atgpu_sim::cluster::{even_shards, Cluster};
 use atgpu_sim::gmem::GlobalMemory;
 use atgpu_sim::{Device, EngineSel};
@@ -256,14 +257,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// A second launch of the same kernel on the same device — served
-    /// from the cache — is bit-identical to the cold first launch *and* to a launch on a
-    /// cache-disabled device, in memory and statistics.
+    /// from the cache — is bit-identical to the cold first launch *and*
+    /// to the only launch of a fresh device, in memory and statistics.
     #[test]
     fn cached_launch_is_bit_identical_to_cold(seed in 0u64..1_000_000_000) {
         let (kernel, machine, bases, total) = gen_kernel(seed);
         let cached_dev = Device::new(machine, spec()).unwrap();
         let cold_dev = Device::new(machine, spec()).unwrap();
-        cold_dev.configure_cache(false, 0);
 
         let run = |dev: &Device| {
             let mut g = GlobalMemory::new(bases.clone(), total, machine.b, machine.g).unwrap();
@@ -274,18 +274,19 @@ proptest! {
 
         let Ok((cold_stats, cold_mem)) = run(&cached_dev) else { return Ok(()) };
         let (warm_stats, warm_mem) = run(&cached_dev).expect("warm launch succeeds");
-        let (off_stats, off_mem) = run(&cold_dev).expect("cache-off launch succeeds");
+        let (off_stats, off_mem) = run(&cold_dev).expect("fresh-device launch succeeds");
 
         prop_assert_eq!(&warm_mem, &cold_mem, "cached memory differs");
         prop_assert_eq!(warm_stats, cold_stats, "cached stats differ");
-        prop_assert_eq!(&off_mem, &cold_mem, "cache-off memory differs");
-        prop_assert_eq!(off_stats, cold_stats, "cache-off stats differ");
+        prop_assert_eq!(&off_mem, &cold_mem, "fresh-device memory differs");
+        prop_assert_eq!(off_stats, cold_stats, "fresh-device stats differ");
 
-        // The second launch really was a cache hit, and the
-        // kill-switched device never looked anything up.
+        // The second launch really was a cache hit, and the fresh
+        // device's launch a miss.
         let c = cached_dev.stats().cache;
         prop_assert_eq!((c.hits, c.misses, c.entries), (1, 1, 1));
-        prop_assert_eq!(cold_dev.stats().cache, Default::default());
+        let c = cold_dev.stats().cache;
+        prop_assert_eq!((c.hits, c.misses, c.entries), (0, 1, 1));
     }
 
     /// Sharded launches across a 2-device cluster: repeating the launch
@@ -318,7 +319,7 @@ proptest! {
     /// No false hits: mutating one instruction (or the grid, or the
     /// shared footprint) changes the structural cache key, and launching
     /// the mutant on a warm device misses — its results match a fresh
-    /// cache-off device, never the cached original.
+    /// device's, never the cached original.
     #[test]
     fn mutation_changes_cache_key(seed in 0u64..1_000_000_000) {
         let (kernel, machine, bases, total) = gen_kernel(seed);
@@ -348,7 +349,6 @@ proptest! {
         // executes exactly like a never-cached launch of itself.
         let warm = Device::new(machine, spec()).unwrap();
         let fresh = Device::new(machine, spec()).unwrap();
-        fresh.configure_cache(false, 0);
         let run = |dev: &Device, k: &Kernel| {
             let mut g = GlobalMemory::new(bases.clone(), total, machine.b, machine.g).unwrap();
             fill_gmem(&mut g, total, seed);
@@ -365,111 +365,38 @@ proptest! {
     }
 }
 
-/// Distinct 4-block kernels (different immediates → different cache keys)
-/// reading buffer 0 and writing block-disjoint buffer 1.
-fn distinct_kernel(i: usize, b: u64) -> Kernel {
-    let bi = b as i64;
-    let mut kb = KernelBuilder::new(format!("k{i}"), 4, 2 * b);
-    let g = AddrExpr::block() * bi + AddrExpr::lane();
-    kb.glb_to_shr(AddrExpr::lane(), DBuf(0), g.clone());
-    kb.ld_shr(0, AddrExpr::lane());
-    kb.alu(AluOp::Mul, 0, Operand::Reg(0), Operand::Imm(i as i64 + 2));
-    kb.st_shr(AddrExpr::lane() + bi, Operand::Reg(0));
-    kb.shr_to_glb(DBuf(1), g, AddrExpr::lane() + bi);
-    kb.build()
-}
-
-/// Satellite: a `cache_capacity` shrink applied between launches must
-/// reach **every** device's `KernelCache` (not just device 0), evict
-/// eagerly (entry counts drop before any further launch), and keep the
-/// hit/miss/entry counters exact afterwards.
+/// The bound is a constant of the device: `DEFAULT_CACHE_CAPACITY + 1`
+/// distinct tiny kernels through one `Device` leave exactly
+/// `DEFAULT_CACHE_CAPACITY` entries (FIFO evicted the first), so the
+/// first one re-misses and the newest one hits.
 #[test]
-fn cluster_cache_capacity_shrinks_every_device_mid_sweep() {
+fn device_cache_holds_the_default_capacity_and_evicts_fifo() {
     let b = 4u64;
     let machine = AtgpuMachine::new(1 << 12, b, 64, 1 << 16).unwrap();
-    let cluster = Cluster::new(machine, ClusterSpec::homogeneous(2, spec())).unwrap();
-    let kernels: Vec<Kernel> = (0..4).map(|i| distinct_kernel(i, b)).collect();
-    let n = 4 * b;
-    let mut gmem = GlobalMemory::new(vec![0, n], 2 * n, b, 1 << 16).unwrap();
-    let launch = |k: &Kernel, g: &mut GlobalMemory| {
-        cluster.run_sharded_kernel(k, g, &even_shards(4, 2), false, EngineSel::MicroOp).unwrap();
+    let device = Device::new(machine, spec()).unwrap();
+    let mut gmem = GlobalMemory::new(vec![0, b], 2 * b, b, 1 << 16).unwrap();
+    let kernel = |i: usize| {
+        let mut kb = KernelBuilder::new(format!("k{i}"), 1, 2 * b);
+        kb.glb_to_shr(AddrExpr::lane(), DBuf(0), AddrExpr::lane());
+        kb.mov(0, Operand::Imm(i as i64));
+        kb.st_shr(AddrExpr::lane(), Operand::Reg(0));
+        kb.shr_to_glb(DBuf(1), AddrExpr::lane(), AddrExpr::lane());
+        kb.build()
     };
-
-    // Sweep 1: four distinct kernels, sharded across both devices.
-    for k in &kernels {
-        launch(k, &mut gmem);
-    }
-    for d in 0..2 {
-        let c = cluster.device(d).unwrap().stats().cache;
-        assert_eq!((c.hits, c.misses, c.entries), (0, 4, 4), "device {d} after cold sweep");
-    }
-    // Sweep 2: all four hit, on both devices.
-    for k in &kernels {
-        launch(k, &mut gmem);
-    }
-    for d in 0..2 {
-        let c = cluster.device(d).unwrap().stats().cache;
-        assert_eq!((c.hits, c.misses, c.entries), (4, 4, 4), "device {d} after warm sweep");
-    }
-
-    // Mid-sweep shrink: capacity 4 → 2 on the whole cluster.  Eviction
-    // is eager — BOTH devices drop to 2 entries before any relaunch
-    // (the bug this pins: a shrink reaching only device 0 would leave
-    // device 1 at 4 entries here).
-    for d in 0..2 {
-        cluster.device(d).unwrap().configure_cache(true, 2);
-    }
-    for d in 0..2 {
-        let c = cluster.device(d).unwrap().stats().cache;
-        assert_eq!((c.hits, c.misses, c.entries), (4, 4, 2), "device {d} after shrink");
-    }
-
-    // FIFO kept the two newest insertions (k2, k3): relaunching them
-    // hits; the evicted k0, k1 re-miss.  Counters stay exact throughout.
-    for k in &kernels[2..] {
-        launch(k, &mut gmem);
-    }
-    for k in &kernels[..2] {
-        launch(k, &mut gmem);
-    }
-    for d in 0..2 {
-        let c = cluster.device(d).unwrap().stats().cache;
-        assert_eq!((c.hits, c.misses, c.entries), (6, 6, 2), "device {d} after mixed sweep");
-    }
-}
-
-/// Satellite (program path): `run_cluster_program` propagates
-/// `SimConfig::cache_capacity` and the kill-switch to every device, and
-/// the per-device counters in the report prove it.
-#[test]
-fn run_cluster_program_configures_every_device_cache() {
-    let b = 4u64;
-    let machine = AtgpuMachine::new(1 << 12, b, 64, 1 << 16).unwrap();
-    let cspec = ClusterSpec::homogeneous(2, spec());
-    let kernel = distinct_kernel(0, b);
-    let shards = even_shards(4, 2);
-    let mut pb = atgpu_ir::ProgramBuilder::new("cap");
-    let _a = pb.device_alloc("a", 4 * b);
-    let _o = pb.device_alloc("o", 4 * b);
-    for _ in 0..2 {
-        pb.begin_round();
-        pb.launch_sharded(kernel.clone(), shards.clone());
-    }
-    let p = pb.build().unwrap();
-
-    let run = |cache: bool, capacity: usize| {
-        let cfg = atgpu_sim::SimConfig { cache, cache_capacity: capacity, ..Default::default() };
-        atgpu_sim::run_cluster_program(&p, vec![], &machine, &cspec, &cfg).unwrap()
+    let mut launch = |i: usize| {
+        device.run_kernel_with(&kernel(i), &mut gmem, false, EngineSel::MicroOp).unwrap();
+        device.stats().cache
     };
-    // Capacity 1 on both devices: each compiles once, hits once.
-    let r = run(true, 1);
-    assert_eq!(r.device_stats.len(), 2);
-    for (d, s) in r.device_stats.iter().enumerate() {
-        assert_eq!((s.cache.hits, s.cache.misses, s.cache.entries), (1, 1, 1), "device {d}");
+    for i in 0..=DEFAULT_CACHE_CAPACITY {
+        launch(i);
     }
-    // Kill-switch off: no device records anything.
-    let r = run(false, 64);
-    for (d, s) in r.device_stats.iter().enumerate() {
-        assert_eq!(s.cache, Default::default(), "device {d}");
-    }
+    let misses = DEFAULT_CACHE_CAPACITY as u64 + 1;
+    let c = launch(DEFAULT_CACHE_CAPACITY);
+    assert_eq!((c.hits, c.misses, c.entries), (1, misses, DEFAULT_CACHE_CAPACITY), "newest hits");
+    let c = launch(0);
+    assert_eq!(
+        (c.hits, c.misses, c.entries),
+        (1, misses + 1, DEFAULT_CACHE_CAPACITY),
+        "first re-misses"
+    );
 }

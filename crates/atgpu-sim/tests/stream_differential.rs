@@ -13,10 +13,17 @@
 //! **Threaded dispatch is invisible**: `run_cluster_program` with
 //! per-device OS threads must produce the same outputs, statistics and
 //! round observations as sequential dispatch, bit for bit.
+//!
+//! **A shared cluster holds no settings**: concurrent
+//! `run_cluster_program_on` calls on one `Cluster` each keep their own
+//! `SimConfig`'s verdict.
 
 use atgpu_ir::{AddrExpr, AluOp, HostStep, KernelBuilder, Program, ProgramBuilder};
 use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
-use atgpu_sim::{run_cluster_program, run_program, SimConfig};
+use atgpu_sim::{
+    run_cluster_program, run_cluster_program_on, run_program, Cluster, ClusterSimReport, SimConfig,
+    SimError,
+};
 use proptest::prelude::*;
 
 struct Rng(u64);
@@ -348,4 +355,54 @@ proptest! {
         }
     }
 
+}
+
+/// Regression: the watchdog budget was device state set from the side,
+/// so `run_cluster_program_on` dropped its config's budget (a run under
+/// `watchdog_cycles: 1` returned `Ok`).  Every `SimConfig` field now
+/// travels with the run: on one shared `Cluster` a budget of 1 cuts its
+/// own run and nobody else's, also while both run at once.
+#[test]
+fn a_shared_cluster_honours_each_runs_watchdog() {
+    use atgpu_algos::workload::Workload;
+    let m = machine();
+    let cspec = ClusterSpec::homogeneous(2, spec());
+    let built = atgpu_algos::vecadd::VecAdd::new(4096, 7).build_sharded(&m, 2).unwrap();
+    let out = built.outputs[0];
+    let solo = run_cluster_program(
+        &built.program,
+        built.inputs.clone(),
+        &m,
+        &cspec,
+        &SimConfig::default(),
+    )
+    .unwrap();
+
+    let cluster = Cluster::new(m, cspec).unwrap();
+    let run = |watchdog_cycles: u64| {
+        let cfg = SimConfig { watchdog_cycles, ..SimConfig::default() };
+        run_cluster_program_on(&cluster, &built.program, built.inputs.clone(), &cfg)
+    };
+    let cut = |r: Result<ClusterSimReport, SimError>| {
+        assert!(matches!(r, Err(SimError::Watchdog { budget: 1, .. })), "budget 1 gave {r:?}");
+    };
+    let free = |r: Result<ClusterSimReport, SimError>| {
+        let r = r.expect("budget 0 is unlimited");
+        assert_eq!(r.rounds, solo.rounds);
+        assert_eq!(r.output(out), solo.output(out));
+    };
+    cut(run(1));
+    free(run(0));
+
+    let start = std::sync::Barrier::new(2);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            start.wait();
+            (0..50).for_each(|_| cut(run(1)));
+        });
+        s.spawn(|| {
+            start.wait();
+            (0..50).for_each(|_| free(run(0)));
+        });
+    });
 }

@@ -16,14 +16,14 @@
 //! rows are byte for byte the generated ones).  On a mismatch the
 //! failure message prints the actual table.
 //!
-//! The second test pins the watchdog's edge: a budget of exactly the
-//! launch's `cycles` passes and one cycle less is `SimError::Watchdog`.
+//! The second test pins the watchdog's edge through `run_program`: a
+//! budget of exactly the launch's `cycles` passes and one cycle less is
+//! `SimError::Watchdog`.
 
 use atgpu::algos::workload::Plan;
-use atgpu::ir::{AddrExpr, AluOp, DBuf, Kernel, KernelBuilder, Operand};
+use atgpu::ir::{AddrExpr, AluOp, DBuf, Kernel, KernelBuilder, Operand, ProgramBuilder};
 use atgpu::model::{AtgpuMachine, ClusterSpec, GpuSpec};
-use atgpu::sim::gmem::GlobalMemory;
-use atgpu::sim::{run_cluster_program, Device, ExecMode, KernelStats, SimConfig, SimError};
+use atgpu::sim::{run_cluster_program, run_program, KernelStats, SimConfig, SimError};
 use std::fmt::Write as _;
 
 fn specs() -> [(&'static str, GpuSpec); 2] {
@@ -133,18 +133,24 @@ fn watchdog_fires_one_cycle_short_of_the_launch_and_not_at_it() {
     let b = machine.b;
     let kernel = watchdog_kernel(b as i64);
     let words = kernel.blocks() * b;
-    let fresh = || GlobalMemory::new(vec![0, words], 2 * words, b, machine.g).unwrap();
+    let mut pb = ProgramBuilder::new("watchdog_edge");
+    pb.device_alloc("a", words);
+    pb.device_alloc("o", words);
+    pb.begin_round();
+    pb.launch(kernel);
+    let program = pb.build().unwrap();
     for (cell, spec) in specs() {
-        let device = Device::new(machine, spec).unwrap();
-        let run = || device.run_kernel(&kernel, &mut fresh(), ExecMode::Sequential, false);
-        let stats = run().unwrap();
+        let run = |watchdog_cycles: u64| {
+            let config = SimConfig { watchdog_cycles, ..SimConfig::default() };
+            run_program(&program, vec![], &machine, &spec, &config)
+                .map(|report| report.rounds[0].kernel_stats)
+        };
+        let stats = run(0).unwrap();
         assert!(stats.cycles > 1 && stats.stall_cycles > 0, "{cell}: {stats:?}");
 
-        device.configure_watchdog(stats.cycles);
-        assert_eq!(run().as_ref().ok(), Some(&stats), "{cell}: budget = cycles");
+        assert_eq!(run(stats.cycles).as_ref().ok(), Some(&stats), "{cell}: budget = cycles");
 
-        device.configure_watchdog(stats.cycles - 1);
-        let short = run();
+        let short = run(stats.cycles - 1);
         assert!(
             matches!(short, Err(SimError::Watchdog { budget, .. }) if budget == stats.cycles - 1),
             "{cell}: budget = cycles - 1 gave {short:?}"
