@@ -215,7 +215,9 @@ mod tests {
         assert!(a.conflict_free);
         // The conservative bound still feeds a finite cost.
         let params = test_spec().derived_cost_params();
-        let cost = atgpu_model::cost::atgpu_cost(&params, &m, &test_spec(), &a.metrics()).unwrap();
+        let model = atgpu_model::cost::CostModel::GpuCost;
+        let cost = atgpu_model::cost::evaluate(model, &params, &m, &test_spec(), &a.metrics());
+        let cost = cost.unwrap().total();
         assert!(cost.is_finite() && cost > 0.0);
     }
 

@@ -105,22 +105,16 @@ pub fn analyze_program(
     })
 }
 
-/// Derives the per-round [`RoundSchedule`] of a **single-device** program
-/// — the stream placement, traffic and syncs that
-/// [`atgpu_model::cost::streamed_evaluate`] prices with the same
+/// Per-device stream schedules of a program, indexed `[device][round]` —
+/// the stream placement, traffic and syncs that
+/// [`atgpu_model::cost::cluster_cost_streamed`] prices with the same
 /// stream-chain scheduler the simulator times rounds with.  Each transfer
-/// step becomes one single-transaction item, launches become the kernel
-/// item, peer steps are skipped (a single-device program has none that
-/// validate anyway).
-pub fn stream_schedule(p: &Program) -> Vec<RoundSchedule> {
-    stream_schedules(p, 1).into_iter().next().unwrap_or_default()
-}
-
-/// Per-device stream schedules of a (possibly multi-device) program,
-/// indexed `[device][round]` — the input of
-/// [`atgpu_model::cost::cluster_cost_streamed`].  The table covers
-/// `max(devices, max_device()+1)` devices so idle devices get empty
-/// (serial) schedules of the right round count.
+/// step becomes one single-transaction item, a launch becomes one kernel
+/// item per participating device, and peer steps are left to the cluster
+/// cost's peer term.  The table covers `max(devices, max_device()+1)`
+/// devices so idle devices get empty (serial) schedules of the right
+/// round count; a single-device program's `stream_schedules(p, 1)` is one
+/// device's table.
 pub fn stream_schedules(p: &Program, devices: u32) -> Vec<Vec<RoundSchedule>> {
     let n = devices.max(p.max_device() + 1).max(1) as usize;
     let mut out: Vec<Vec<RoundSchedule>> = (0..n).map(|_| Vec::new()).collect();
@@ -469,8 +463,9 @@ mod tests {
         let a = analyze_program(&vecadd(3200), &machine()).unwrap();
         let params = atgpu_model::CostParams::unit();
         let spec = atgpu_model::GpuSpec::gtx650_like();
-        let cost = atgpu_model::cost::atgpu_cost(&params, &machine(), &spec, &a.metrics()).unwrap();
-        assert!(cost > 0.0);
+        let model = atgpu_model::cost::CostModel::GpuCost;
+        let cost = atgpu_model::cost::evaluate(model, &params, &machine(), &spec, &a.metrics());
+        assert!(cost.unwrap().total() > 0.0);
     }
 
     #[test]
@@ -608,10 +603,10 @@ mod tests {
         pb.launch(KernelBuilder::new("k", 1, 0).build());
         pb.transfer_out_streamed(0, 0, d, 0, o, 0, 16);
         let p = pb.build().unwrap();
-        let sched = stream_schedule(&p);
-        assert_eq!(sched.len(), 1);
+        let sched = stream_schedules(&p, 1);
+        assert_eq!((sched.len(), sched[0].len()), (1, 1));
         assert_eq!(
-            sched[0].items,
+            sched[0][0].items,
             vec![
                 StreamItem::TransferIn { stream: 1, txns: 1, words: 48 },
                 StreamItem::SyncStream { stream: 1 },
@@ -631,20 +626,25 @@ mod tests {
             &a.metrics(),
         )
         .unwrap();
-        let streamed = atgpu_model::cost::streamed_evaluate(
-            &spec.derived_cost_params(),
-            &machine(),
-            &spec,
-            &a.metrics(),
-            &sched,
-        )
-        .unwrap();
-        assert!((streamed.total_ms - serial.total()).abs() < 1e-12);
+        let streamed = one_device_cost(&spec, &a.metrics(), &sched);
+        assert!((streamed - serial.total()).abs() < 1e-12);
+    }
+
+    /// The streamed cost of a single-device program: the one-device
+    /// cluster of `spec`, whose parameters are `spec`'s derived ones.
+    fn one_device_cost(
+        spec: &atgpu_model::GpuSpec,
+        metrics: &AlgoMetrics,
+        sched: &[Vec<RoundSchedule>],
+    ) -> f64 {
+        let cluster = ClusterSpec::homogeneous(1, *spec);
+        let tables = std::slice::from_ref(metrics);
+        cluster_cost_streamed(&cluster, &machine(), tables, sched, &[]).unwrap().total_ms
     }
 
     /// `Program::destreamed()` must strip every `SyncStream`/`SyncDevice`
     /// step along with the stream tags, so its schedule prices **exactly**
-    /// the plain serial Expression-(2) cost under `streamed_evaluate` —
+    /// the plain serial Expression-(2) cost under `cluster_cost_streamed` —
     /// a leftover sync would survive as a `StreamItem` and could only
     /// coincidentally match the serial sum.
     #[test]
@@ -677,9 +677,10 @@ mod tests {
             atgpu_ir::HostStep::SyncStream { .. } | atgpu_ir::HostStep::SyncDevice { .. }
         )));
         assert!(!d.uses_streams());
-        let sched = stream_schedule(&d);
+        let sched = stream_schedules(&d, 1);
         assert!(sched
             .iter()
+            .flatten()
             .flat_map(|r| r.items.iter())
             .all(|i| !matches!(i, StreamItem::SyncStream { .. } | StreamItem::SyncDevice)));
 
@@ -695,27 +696,13 @@ mod tests {
             &metrics,
         )
         .unwrap();
-        let streamed = atgpu_model::cost::streamed_evaluate(
-            &spec.derived_cost_params(),
-            &machine(),
-            &spec,
-            &metrics,
-            &sched,
-        )
-        .unwrap();
-        assert_eq!(streamed.total_ms, serial.total(), "de-streamed cost must be exactly serial");
+        let streamed = one_device_cost(&spec, &metrics, &sched);
+        assert_eq!(streamed, serial.total(), "de-streamed cost must be exactly serial");
 
         // And the original streamed form is strictly cheaper (overlap).
         let orig_metrics = analyze_program(&p, &machine()).unwrap().metrics();
-        let overlapped = atgpu_model::cost::streamed_evaluate(
-            &spec.derived_cost_params(),
-            &machine(),
-            &spec,
-            &orig_metrics,
-            &stream_schedule(&p),
-        )
-        .unwrap();
-        assert!(overlapped.total_ms < serial.total());
+        let overlapped = one_device_cost(&spec, &orig_metrics, &stream_schedules(&p, 1));
+        assert!(overlapped < serial.total());
     }
 
     /// Every path that could hand an out-of-range stream id to the
@@ -725,11 +712,11 @@ mod tests {
     /// 1. the IR validator's bound and the model's timeline bound are
     ///    the same constant;
     /// 2. every *validated* program carries only in-range ids, so the
-    ///    schedules [`stream_schedule`] derives from it do too;
+    ///    schedules [`stream_schedules`] derives from it do too;
     /// 3. a forged program is rejected by the validator before this
-    ///    module could propagate its ids (and `streamed_evaluate` /
-    ///    `cluster_cost_streamed` reject forged *schedules* — pinned in
-    ///    atgpu-model's own tests).
+    ///    module could propagate its ids (and `cluster_cost_streamed`
+    ///    rejects forged *schedules* — pinned in atgpu-model's own
+    ///    tests).
     #[test]
     fn stream_bounds_cover_every_schedule_path() {
         assert_eq!(atgpu_ir::MAX_STREAMS, atgpu_model::MAX_STREAMS);

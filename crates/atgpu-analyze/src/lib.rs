@@ -51,8 +51,8 @@ pub mod sites;
 pub mod space;
 
 pub use analyze::{
-    analyze_cluster_program, analyze_program, predict, stream_schedule, stream_schedules,
-    ClusterProgramAnalysis, KernelAnalysis, Prediction, ProgramAnalysis, RoundAnalysis,
+    analyze_cluster_program, analyze_program, predict, stream_schedules, ClusterProgramAnalysis,
+    KernelAnalysis, Prediction, ProgramAnalysis, RoundAnalysis,
 };
 pub use bankconflict::{BankConflictReport, ConflictDegree};
 pub use error::AnalyzeError;

@@ -634,7 +634,7 @@ pub fn e10_pipeline_planner(cfg: &ExpConfig, trace: Option<&Path>) -> Result<Sec
     let identical = r_traced.output(planned.outputs[0]) == r_planned.output(planned.outputs[0])
         && r_traced.total_ms().to_bits() == r_planned.total_ms().to_bits();
     let metrics = analyze_program(&planned.program, machine)?.metrics();
-    let sched = atgpu_analyze::stream_schedule(&planned.program);
+    let sched = atgpu_analyze::stream_schedules(&planned.program, 1).swap_remove(0);
     let spans = &r_traced.trace.as_ref().expect("traced run records spans").spans;
 
     // Pair observed with predicted spans per (round, lane): both sides

@@ -14,12 +14,27 @@
 //!   function of our model minus the data transfer as the SWGPU cost" —
 //!   i.e. the same expression without the `T_I`/`T_O` terms.
 //!
-//! Every multi-round total — serial, streamed, multi-device, degraded —
-//! is priced by one body, `price_rounds`: Expression (2) with a `max`
-//! over devices.  [`streamed_evaluate`], [`cluster_cost`],
-//! [`cluster_cost_streamed`] and [`cluster_cost_degraded`] are thin
-//! wrappers that each fix some of its inputs; [`evaluate`] is the paper's
-//! four-model table over the same kernel term.
+//! Each term is stated once.  The kernel term `(waves·t + λ·q)/γ` is one
+//! private function: [`gpu_kernel_term`] feeds it Expression (2)'s
+//! `⌈k/(k′ℓ)⌉` waves over the device capacity
+//! [`crate::occupancy::device_capacity`], Expression (1) feeds it one
+//! wave and a degraded survivor its fractional takeover waves.  The
+//! transfer term `txns·α + words·β` is [`LinkParams::cost_ms`].  Every
+//! multi-round total — serial, streamed, multi-device, degraded — is
+//! priced by one core, `price_rounds`, on a [`ClusterSpec`]:
+//! Expression (2) with a `max` over devices.  Three doors open it:
+//!
+//! * [`evaluate`] — the paper's four-model table for one device, priced
+//!   with the caller's [`CostParams`] (the calibration experiment passes
+//!   fitted ones);
+//! * [`cluster_cost_streamed`] — the core with per-device stream
+//!   schedules (`&[]` for all-serial devices; one device with no peers
+//!   is the single-GPU cost);
+//! * [`cluster_cost_degraded`] — the core under a mid-program device
+//!   loss.
+//!
+//! The planner's objectives (`plan::plan_cost`, `plan::pipeline_cost`)
+//! are `cluster_cost_streamed` over synthesised tables.
 
 // On `CostServer::price`'s analytic path: a bad table is a typed error.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -27,7 +42,7 @@
 use crate::error::ModelError;
 use crate::machine::AtgpuMachine;
 use crate::metrics::{AlgoMetrics, RoundMetrics};
-use crate::occupancy::{occupancy, wave_factor};
+use crate::occupancy::{device_capacity, wave_factor};
 use crate::params::{ClusterSpec, CostParams, GpuSpec, LinkParams};
 use crate::streams::{RoundSchedule, StreamItem, StreamResource, StreamTimeline};
 
@@ -86,36 +101,37 @@ impl CostBreakdown {
     }
 }
 
-/// Inward transfer cost for one round, `T_I(i) = Îᵢ·α + Iᵢ·β`.
-#[inline]
-pub fn transfer_in_cost(params: &CostParams, round: &RoundMetrics) -> f64 {
-    round.inward_txns as f64 * params.alpha + round.inward_words as f64 * params.beta
+/// A transfer of `words` in `txns` transactions on `params`' host link,
+/// `txns·α + words·β` — `T_I` and `T_O` of a round, one stream item, a
+/// checkpoint replay.
+fn transfer_ms(params: &CostParams, txns: u64, words: u64) -> f64 {
+    LinkParams { alpha_ms: params.alpha, beta_ms_per_word: params.beta }.cost_ms(txns, words)
 }
 
-/// Outward transfer cost for one round, `T_O(i) = Ôᵢ·α + Oᵢ·β`.
-#[inline]
-pub fn transfer_out_cost(params: &CostParams, round: &RoundMetrics) -> f64 {
-    round.outward_txns as f64 * params.alpha + round.outward_words as f64 * params.beta
+/// The kernel term of the paper's cost functions, `(waves·t + λ·q)/γ` —
+/// the one place a kernel is priced.  Expression (2) passes
+/// `⌈k/(k′ℓ)⌉` waves ([`gpu_kernel_term`]), Expression (1) one, and a
+/// degraded survivor its fractional takeover waves.
+fn kernel_ms(params: &CostParams, waves: f64, time: u64, io_blocks: f64) -> f64 {
+    // An empty launch still runs its (empty) kernel once.
+    let waves = if time > 0 { waves.max(1.0) } else { waves };
+    (waves * time as f64 + params.lambda * io_blocks) / params.gamma
 }
 
 /// The GPU-cost kernel term of one round, `(waveᵢ·tᵢ + λ·qᵢ)/γ` —
-/// Expression (2)'s compute component, shared by the serial, streamed and
-/// cluster cost functions (and, via [`schedule_round_spans`], by trace
-/// consumers predicting per-span durations).
+/// Expression (2)'s compute component, read by every cost function (and,
+/// via [`schedule_round_spans`], by trace consumers predicting per-span
+/// durations).
 pub fn gpu_kernel_term(
     machine: &AtgpuMachine,
     spec: &GpuSpec,
     params: &CostParams,
     round: &RoundMetrics,
 ) -> Result<f64, ModelError> {
-    let wave = wave_factor(machine, spec, round.blocks_launched, round.shared_words)
-        .ok_or(ModelError::SharedMemoryExceeded {
-            required: round.shared_words,
-            available: machine.m,
-        })?
-        // An empty launch still runs its (empty) kernel once.
-        .max(u64::from(round.time > 0));
-    Ok((wave as f64 * round.time as f64 + params.lambda * round.io_blocks as f64) / params.gamma)
+    let wave = wave_factor(machine, spec, round.blocks_launched, round.shared_words).ok_or(
+        ModelError::SharedMemoryExceeded { required: round.shared_words, available: machine.m },
+    )?;
+    Ok(kernel_ms(params, wave as f64, round.time, round.io_blocks as f64))
 }
 
 /// One operation of a round's *predicted* timeline, as scheduled by the
@@ -164,12 +180,12 @@ fn schedule_round_with(
             for item in &s.items {
                 match item {
                     StreamItem::TransferIn { stream, txns, words } => {
-                        let d = *txns as f64 * params.alpha + *words as f64 * params.beta;
+                        let d = transfer_ms(params, *txns, *words);
                         emit(&mut tl, *stream, StreamResource::HostToDevice, d, *words);
                         breakdown.transfer_in += d;
                     }
                     StreamItem::TransferOut { stream, txns, words } => {
-                        let d = *txns as f64 * params.alpha + *words as f64 * params.beta;
+                        let d = transfer_ms(params, *txns, *words);
                         emit(&mut tl, *stream, StreamResource::DeviceToHost, d, *words);
                         breakdown.transfer_out += d;
                     }
@@ -186,8 +202,8 @@ fn schedule_round_with(
             }
         }
         _ => {
-            let t_in = transfer_in_cost(params, round);
-            let t_out = transfer_out_cost(params, round);
+            let t_in = transfer_ms(params, round.inward_txns, round.inward_words);
+            let t_out = transfer_ms(params, round.outward_txns, round.outward_words);
             emit(&mut tl, 0, StreamResource::HostToDevice, t_in, round.inward_words);
             emit(&mut tl, 0, StreamResource::Compute, kernel_ms, 0);
             emit(&mut tl, 0, StreamResource::DeviceToHost, t_out, round.outward_words);
@@ -202,8 +218,8 @@ fn schedule_round_with(
     tl.finish()
 }
 
-/// Predicts one round's per-operation spans: the same walk
-/// [`streamed_evaluate`] prices a round with, but returning every
+/// Predicts one round's per-operation spans: the same walk the cost
+/// core prices a round with, but returning every
 /// operation's `(start, end)` on its lane instead of only the round
 /// total.  Trace consumers (`atgpu-exp --trace`) pair these with the
 /// simulator's observed spans to report worst-*span* prediction error.
@@ -253,76 +269,6 @@ fn check_schedule_streams(s: &RoundSchedule) -> Result<(), ModelError> {
     Ok(())
 }
 
-/// The result of the stream-aware GPU-cost: component sums (the serial
-/// accounting) plus the overlapped total.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StreamedCost {
-    /// Per-component sums over rounds — what the cost *would* be with no
-    /// overlap; `breakdown.total()` is the serial Expression-(2) cost.
-    pub breakdown: CostBreakdown,
-    /// The stream-aware total, `Σᵢ (σ + max-over-chains(i))` — always
-    /// `≤ breakdown.total()`.
-    pub total_ms: f64,
-}
-
-impl StreamedCost {
-    /// The serial (no-overlap) cost of the same program.
-    #[inline]
-    pub fn serial_ms(&self) -> f64 {
-        self.breakdown.total()
-    }
-
-    /// Predicted overlap efficiency: serial cost over streamed cost
-    /// (≥ 1; 1 when nothing overlaps).
-    pub fn overlap_speedup(&self) -> f64 {
-        if self.total_ms <= 0.0 {
-            1.0
-        } else {
-            self.serial_ms() / self.total_ms
-        }
-    }
-}
-
-/// Evaluates the **stream-aware GPU-cost** (Expression 2 with
-/// copy/compute overlap): each round costs
-/// `σ + max-over-stream-chains(T_I items, kernel, T_O items)` computed by
-/// the shared [`StreamTimeline`] scheduler, so the analytic prediction
-/// tracks the simulator's overlapped round times.  `schedules` supplies
-/// one [`RoundSchedule`] per round (see `atgpu_analyze::stream_schedule`,
-/// which derives them from a program); an empty schedule makes that round
-/// serial, so passing all-empty schedules reproduces
-/// [`evaluate`]`(CostModel::GpuCost, …)` exactly.
-///
-/// Relative to the round-pricing core (`price_rounds`) this fixes one
-/// device, priced with the caller's `params` as given (nothing is derived
-/// from `spec`'s link or clock fields), `σ = params.sigma`, no peers and
-/// no loss; `σ` is folded back into the breakdown's `sync`.
-pub fn streamed_evaluate(
-    params: &CostParams,
-    machine: &AtgpuMachine,
-    spec: &GpuSpec,
-    metrics: &AlgoMetrics,
-    schedules: &[RoundSchedule],
-) -> Result<StreamedCost, ModelError> {
-    params.validate()?;
-    spec.validate()?;
-    if schedules.len() != metrics.rounds.len() {
-        return Err(ModelError::InvalidParams {
-            reason: format!(
-                "{} round schedules for {} rounds",
-                schedules.len(),
-                metrics.rounds.len()
-            ),
-        });
-    }
-    let system = System { devices: &[(*params, spec)], sigma: params.sigma, peer_links: &[] };
-    let cost =
-        price_rounds(&system, machine, std::slice::from_ref(metrics), &[schedules], &[], None)?;
-    let mut breakdown = cost.per_device.first().copied().unwrap_or_default();
-    breakdown.sync = cost.sync_ms;
-    Ok(StreamedCost { breakdown, total_ms: cost.total_ms })
-}
-
 /// Evaluates `model` for `metrics` on `machine` with GPU `spec`.
 ///
 /// Fails if the parameters are invalid, the metrics do not fit the machine
@@ -331,8 +277,8 @@ pub fn streamed_evaluate(
 ///
 /// This is the paper's model table, so it keeps its own loop: the four
 /// models differ in which of a round's terms they count.  The compute
-/// term is the one [`gpu_kernel_term`] every other cost function uses
-/// (the perfect GPU's wave factor is 1).
+/// term is the one every other cost function uses — [`gpu_kernel_term`],
+/// or one wave on the perfect GPU.
 pub fn evaluate(
     model: CostModel,
     params: &CostParams,
@@ -347,17 +293,15 @@ pub fn evaluate(
     let mut out = CostBreakdown::default();
     for round in &metrics.rounds {
         out.kernel += match model {
-            CostModel::PerfectGpu => {
-                (round.time as f64 + params.lambda * round.io_blocks as f64) / params.gamma
-            }
+            CostModel::PerfectGpu => kernel_ms(params, 1.0, round.time, round.io_blocks as f64),
             CostModel::GpuCost | CostModel::Swgpu | CostModel::KernelOnly => {
                 gpu_kernel_term(machine, spec, params, round)?
             }
         };
         match model {
             CostModel::PerfectGpu | CostModel::GpuCost => {
-                out.transfer_in += transfer_in_cost(params, round);
-                out.transfer_out += transfer_out_cost(params, round);
+                out.transfer_in += transfer_ms(params, round.inward_txns, round.inward_words);
+                out.transfer_out += transfer_ms(params, round.outward_txns, round.outward_words);
                 out.sync += params.sigma;
             }
             CostModel::Swgpu => {
@@ -367,38 +311,6 @@ pub fn evaluate(
         }
     }
     Ok(out)
-}
-
-/// Convenience: the ATGPU GPU-cost total (Expression 2) — the series the
-/// paper plots as "ATGPU".
-pub fn atgpu_cost(
-    params: &CostParams,
-    machine: &AtgpuMachine,
-    spec: &GpuSpec,
-    metrics: &AlgoMetrics,
-) -> Result<f64, ModelError> {
-    Ok(evaluate(CostModel::GpuCost, params, machine, spec, metrics)?.total())
-}
-
-/// Convenience: the SWGPU baseline total — the series the paper plots as
-/// "SWGPU" (GPU-cost minus data transfer).
-pub fn swgpu_cost(
-    params: &CostParams,
-    machine: &AtgpuMachine,
-    spec: &GpuSpec,
-    metrics: &AlgoMetrics,
-) -> Result<f64, ModelError> {
-    Ok(evaluate(CostModel::Swgpu, params, machine, spec, metrics)?.total())
-}
-
-/// Convenience: the perfect-GPU total (Expression 1).
-pub fn perfect_cost(
-    params: &CostParams,
-    machine: &AtgpuMachine,
-    spec: &GpuSpec,
-    metrics: &AlgoMetrics,
-) -> Result<f64, ModelError> {
-    Ok(evaluate(CostModel::PerfectGpu, params, machine, spec, metrics)?.total())
 }
 
 /// Words and transactions one device exchanges over peer links during one
@@ -490,46 +402,40 @@ impl DegradedLoss {
     }
 }
 
-/// The system a program is priced on: each device's cost parameters
-/// (its host link's `α`/`β` over its own `γ`/`λ`) and spec, the round
-/// synchronisation overhead `σ`, and the directed peer-link matrix.
-struct System<'a> {
-    devices: &'a [(CostParams, &'a GpuSpec)],
-    sigma: f64,
-    peer_links: &'a [Vec<LinkParams>],
-}
-
-/// The **one round-pricing body** — Expression (2) for `n ≥ 1` devices:
+/// The **one round-pricing core** — Expression (2) for the `n ≥ 1`
+/// devices of `cluster`:
 ///
 /// ```text
 /// T = Σᵢ ( σ + max_d [ T_I(i,d) + (waveᵢ_d·tᵢ_d + λ_d·qᵢ_d)/γ_d
 ///                      + T_peer(i,d) + T_O(i,d) ] )
 /// ```
 ///
-/// Device `d` runs `per_device[d]` (one row per round, every device with
-/// the same round count); its round is scheduled through the stream
-/// scheduler over `schedules[d][i]` (an empty `schedules`, an empty
-/// per-device table or an empty round schedule is the serial
-/// `T_I + kernel + T_O`); `peer[i]` is priced on the directed
-/// `peer_links[src][dst]` entry and charged to both endpoints.  One
-/// device with no peers is the single-GPU cost: the `max` is over one
-/// path.
+/// Device `d` is priced with its host link's `α`/`β` over its own
+/// [`GpuSpec::derived_cost_params`] `γ`/`λ`, `σ` is the cluster's, and it
+/// runs `per_device[d]` (one row per round, every device with the same
+/// round count); its round is scheduled through the stream scheduler
+/// over `schedules[d][i]` (an empty `schedules`, an empty per-device
+/// table or an empty round schedule is the serial `T_I + kernel + T_O`);
+/// `peer[i]` is priced on the directed `peer_links[src][dst]` entry and
+/// charged to both endpoints.  One device with no peers is the
+/// single-GPU cost: the `max` is over one path.
 ///
 /// A `loss` changes rounds from `loss.at_round` on, inside the same loop
 /// (see [`cluster_cost_degraded`] for the rules): the dead device leaves
 /// the `max`, each survivor's terms absorb its share of the dead
 /// device's row (priced serially), and peer copies touching the dead
 /// device are rerouted.
-fn price_rounds<S: AsRef<[RoundSchedule]>>(
-    system: &System<'_>,
+fn price_rounds(
+    cluster: &ClusterSpec,
     machine: &AtgpuMachine,
     per_device: &[AlgoMetrics],
-    schedules: &[S],
+    schedules: &[Vec<RoundSchedule>],
     peer: &[Vec<PeerTraffic>],
     loss: Option<&DegradedLoss>,
 ) -> Result<ClusterCostBreakdown, ModelError> {
+    cluster.validate()?;
     let invalid = |reason: String| Err(ModelError::InvalidParams { reason });
-    let n = system.devices.len();
+    let n = cluster.n_devices();
     if per_device.len() != n {
         return invalid(format!(
             "{} device metric tables for a {n}-device cluster",
@@ -543,7 +449,7 @@ fn price_rounds<S: AsRef<[RoundSchedule]>>(
     if !schedules.is_empty() && schedules.len() != n {
         return invalid(format!("{} schedule tables for a {n}-device cluster", schedules.len()));
     }
-    for table in schedules.iter().map(AsRef::as_ref) {
+    for table in schedules {
         if !table.is_empty() && table.len() != rounds {
             return invalid(format!(
                 "a device schedules {} rounds but the program has {rounds}",
@@ -552,7 +458,16 @@ fn price_rounds<S: AsRef<[RoundSchedule]>>(
         }
         table.iter().try_for_each(check_schedule_streams)?;
     }
-    for (metrics, (p, _)) in per_device.iter().zip(system.devices) {
+    let params: Vec<CostParams> = cluster
+        .devices
+        .iter()
+        .zip(&cluster.host_links)
+        .map(|(spec, link)| {
+            let own = spec.derived_cost_params();
+            CostParams { alpha: link.alpha_ms, beta: link.beta_ms_per_word, ..own }
+        })
+        .collect();
+    for (metrics, p) in per_device.iter().zip(&params) {
         p.validate()?;
         metrics.check_fits(machine)?;
     }
@@ -596,14 +511,14 @@ fn price_rounds<S: AsRef<[RoundSchedule]>>(
                 if dead == Some(r) || (dead.is_some() && r == sp) {
                     continue;
                 }
-                let c = system.peer_links[sp][r].cost_ms(t.txns, t.words);
+                let c = cluster.peer_links[sp][r].cost_ms(t.txns, t.words);
                 peer_ms[sp] += c;
                 peer_ms[r] += c;
             }
         }
 
         let mut slowest = 0.0f64;
-        for (d, (p, spec)) in system.devices.iter().enumerate() {
+        for (d, (p, spec)) in params.iter().zip(&cluster.devices).enumerate() {
             if dead == Some(d) {
                 continue;
             }
@@ -612,7 +527,7 @@ fn price_rounds<S: AsRef<[RoundSchedule]>>(
             let path = match lost {
                 None => {
                     let kernel = gpu_kernel_term(machine, spec, p, round)?;
-                    let schedule = schedules.get(d).and_then(|s| s.as_ref().get(i));
+                    let schedule = schedules.get(d).and_then(|s| s.get(i));
                     schedule_round_with(p, round, kernel, schedule, peer_ms[d], b, &mut |_| {})
                 }
                 Some((l, heir)) => {
@@ -620,20 +535,21 @@ fn price_rounds<S: AsRef<[RoundSchedule]>>(
                     // of them may run a recovery shard); the heir alone
                     // replays the journal, once, and returns the outputs.
                     let dead_round = &per_device[l.device].rounds[i];
-                    let mut t_in = transfer_in_cost(p, round) + transfer_in_cost(p, dead_round);
+                    let mut t_in = transfer_ms(p, round.inward_txns, round.inward_words)
+                        + transfer_ms(p, dead_round.inward_txns, dead_round.inward_words);
                     if i == l.at_round && d == heir {
-                        t_in += l.replay_txns as f64 * p.alpha + l.replay_words as f64 * p.beta;
+                        t_in += transfer_ms(p, l.replay_txns, l.replay_words);
                     }
-                    let mut t_out = transfer_out_cost(p, round);
+                    let mut t_out = transfer_ms(p, round.outward_txns, round.outward_words);
                     if d == heir {
-                        t_out += transfer_out_cost(p, dead_round);
+                        t_out += transfer_ms(p, dead_round.outward_txns, dead_round.outward_words);
                     }
                     // Fractional takeover kernel: waves over the combined
                     // (possibly non-integral) block count.
                     let f = l.takeover[d];
                     let m_used = round.shared_words.max(dead_round.shared_words);
-                    let ell = occupancy(machine, m_used, spec.h_limit);
-                    if ell == 0 {
+                    let capacity = device_capacity(machine, spec, m_used);
+                    if capacity == 0 {
                         return Err(ModelError::SharedMemoryExceeded {
                             required: m_used,
                             available: machine.m,
@@ -642,11 +558,9 @@ fn price_rounds<S: AsRef<[RoundSchedule]>>(
                     let blocks =
                         round.blocks_launched as f64 + f * dead_round.blocks_launched as f64;
                     let time = round.time.max(dead_round.time);
-                    // An empty launch still runs its (empty) kernel once.
-                    let least = if time > 0 { 1.0 } else { 0.0 };
-                    let wave = (blocks / (spec.k_prime * ell) as f64).ceil().max(least);
+                    let waves = (blocks / capacity as f64).ceil();
                     let io = round.io_blocks as f64 + f * dead_round.io_blocks as f64;
-                    let kernel = (wave * time as f64 + p.lambda * io) / p.gamma;
+                    let kernel = kernel_ms(p, waves, time, io);
                     b.transfer_in += t_in;
                     b.transfer_out += t_out;
                     b.kernel += kernel;
@@ -656,42 +570,17 @@ fn price_rounds<S: AsRef<[RoundSchedule]>>(
             out.peer[d] += peer_ms[d];
             slowest = slowest.max(path);
         }
-        out.total_ms += system.sigma + slowest;
-        out.sync_ms += system.sigma;
+        out.total_ms += cluster.sync_ms + slowest;
+        out.sync_ms += cluster.sync_ms;
     }
     Ok(out)
 }
 
-/// [`price_rounds`] on a [`ClusterSpec`]: device `d` is priced with its
-/// host link's `α`/`β` over its own [`GpuSpec::derived_cost_params`]
-/// `γ`/`λ`, `σ` is the cluster's, and peers use its link matrix.
-fn price_cluster(
-    cluster: &ClusterSpec,
-    machine: &AtgpuMachine,
-    per_device: &[AlgoMetrics],
-    schedules: &[Vec<RoundSchedule>],
-    peer: &[Vec<PeerTraffic>],
-    loss: Option<&DegradedLoss>,
-) -> Result<ClusterCostBreakdown, ModelError> {
-    cluster.validate()?;
-    let devices: Vec<(CostParams, &GpuSpec)> = cluster
-        .devices
-        .iter()
-        .zip(&cluster.host_links)
-        .map(|(spec, link)| {
-            let own = spec.derived_cost_params();
-            (CostParams { alpha: link.alpha_ms, beta: link.beta_ms_per_word, ..own }, spec)
-        })
-        .collect();
-    let system =
-        System { devices: &devices, sigma: cluster.sync_ms, peer_links: &cluster.peer_links };
-    price_rounds(&system, machine, per_device, schedules, peer, loss)
-}
-
-/// Evaluates the multi-device GPU-cost: each device `d` runs its shard
-/// (`per_device[d]`, one [`AlgoMetrics`] row per round, all devices with
-/// the same round count) behind its own host link, and a round completes
-/// when the slowest device finishes:
+/// Evaluates the multi-device GPU-cost with per-device **stream
+/// schedules** — the round-pricing core with no loss.  Each device `d`
+/// runs its shard (`per_device[d]`, one [`AlgoMetrics`] row per round,
+/// all devices with the same round count) behind its own host link, and
+/// a round completes when the slowest device finishes:
 ///
 /// ```text
 /// T = Σᵢ ( σ + max_d [ T_I(i,d) + (waveᵢ_d·tᵢ_d + λ_d·qᵢ_d)/γ_d
@@ -700,27 +589,16 @@ fn price_cluster(
 ///
 /// `T_I`/`T_O` use device `d`'s host-link `α`/`β`; `γ_d`/`λ_d` come from
 /// its [`GpuSpec::derived_cost_params`]; peer traffic is priced by the
-/// directed `peer_links[src][dst]` entry and charged to both endpoints.
-/// This is [`cluster_cost_streamed`] with every device serial.
-pub fn cluster_cost(
-    cluster: &ClusterSpec,
-    machine: &AtgpuMachine,
-    per_device: &[AlgoMetrics],
-    peer: &[Vec<PeerTraffic>],
-) -> Result<ClusterCostBreakdown, ModelError> {
-    price_cluster(cluster, machine, per_device, &[], peer, None)
-}
-
-/// [`cluster_cost`] with per-device **stream schedules**: device `d`'s
-/// round `i` is priced by the stream-chain scheduler over
-/// `schedules[d][i]` instead of the serial `T_I + kernel + T_O` sum, so
-/// double-buffered multi-device programs get overlap credit inside each
-/// device on top of the max-over-devices concurrency.  Pass an empty
-/// `schedules` slice (or an empty per-device vector) for all-serial
-/// devices — that reproduces [`cluster_cost`] exactly.  Peer traffic is
-/// charged to both endpoints' peer engines after the round's scheduled
-/// items.  This is the round-pricing core on a [`ClusterSpec`], with no
-/// loss.
+/// directed `peer_links[src][dst]` entry and charged to both endpoints'
+/// peer engines after the round's scheduled items.  Device `d`'s round
+/// `i` is priced by the stream-chain scheduler over `schedules[d][i]`
+/// instead of the serial `T_I + kernel + T_O` sum, so double-buffered
+/// multi-device programs get overlap credit inside each device on top of
+/// the max-over-devices concurrency.  Pass an empty `schedules` slice (or
+/// an empty per-device vector) for all-serial devices.  On a one-device
+/// cluster with all-serial schedules the total is
+/// [`evaluate`]`(CostModel::GpuCost, …)` with the device's derived
+/// parameters.
 pub fn cluster_cost_streamed(
     cluster: &ClusterSpec,
     machine: &AtgpuMachine,
@@ -728,14 +606,14 @@ pub fn cluster_cost_streamed(
     schedules: &[Vec<RoundSchedule>],
     peer: &[Vec<PeerTraffic>],
 ) -> Result<ClusterCostBreakdown, ModelError> {
-    price_cluster(cluster, machine, per_device, schedules, peer, None)
+    price_rounds(cluster, machine, per_device, schedules, peer, None)
 }
 
-/// [`cluster_cost`] under a mid-program device loss — the analytic mirror
-/// of the simulator's degraded mode; the round-pricing core on a
-/// [`ClusterSpec`] with every device serial and `loss` in force.  Rounds
-/// before `loss.at_round` are priced exactly like [`cluster_cost`].  From
-/// `at_round` on:
+/// The multi-device GPU-cost under a mid-program device loss — the
+/// analytic mirror of the simulator's degraded mode; the round-pricing
+/// core with every device serial and `loss` in force.  Rounds before
+/// `loss.at_round` are priced exactly like
+/// [`cluster_cost_streamed`]`(.., &[], ..)`.  From `at_round` on:
 ///
 /// * the dead device contributes nothing to any round's max;
 /// * every survivor pays the dead device's **full** inward traffic on its
@@ -764,7 +642,7 @@ pub fn cluster_cost_degraded(
     peer: &[Vec<PeerTraffic>],
     loss: &DegradedLoss,
 ) -> Result<ClusterCostBreakdown, ModelError> {
-    price_cluster(cluster, machine, per_device, &[], peer, Some(loss))
+    price_rounds(cluster, machine, per_device, &[], peer, Some(loss))
 }
 
 #[cfg(test)]
@@ -851,9 +729,9 @@ mod tests {
         let mut r = simple_round();
         r.blocks_launched = 1000;
         let m = AlgoMetrics::new(vec![r]);
-        let p = perfect_cost(&unit_params(), &machine(), &spec(), &m).unwrap();
-        let g = atgpu_cost(&unit_params(), &machine(), &spec(), &m).unwrap();
-        assert!(g >= p);
+        let total =
+            |model| evaluate(model, &unit_params(), &machine(), &spec(), &m).unwrap().total();
+        assert!(total(CostModel::GpuCost) >= total(CostModel::PerfectGpu));
     }
 
     #[test]
@@ -888,7 +766,7 @@ mod tests {
         };
         let p = unit_params();
         let m = AlgoMetrics::new(vec![r]);
-        let c = perfect_cost(&p, &machine(), &spec(), &m).unwrap();
+        let c = evaluate(CostModel::PerfectGpu, &p, &machine(), &spec(), &m).unwrap().total();
         let expect = 3.0 * p.alpha
             + 3.0 * n as f64 * p.beta
             + (13.0 + p.lambda * 3.0 * k as f64) / p.gamma
@@ -902,7 +780,7 @@ mod tests {
         r.global_words = machine().g + 1;
         let m = AlgoMetrics::new(vec![r]);
         assert!(matches!(
-            atgpu_cost(&unit_params(), &machine(), &spec(), &m),
+            evaluate(CostModel::GpuCost, &unit_params(), &machine(), &spec(), &m),
             Err(ModelError::GlobalMemoryExceeded { .. })
         ));
     }
@@ -913,7 +791,7 @@ mod tests {
         r.shared_words = machine().m + 1;
         let m = AlgoMetrics::new(vec![r]);
         assert!(matches!(
-            atgpu_cost(&unit_params(), &machine(), &spec(), &m),
+            evaluate(CostModel::GpuCost, &unit_params(), &machine(), &spec(), &m),
             Err(ModelError::SharedMemoryExceeded { .. })
         ));
     }
@@ -923,16 +801,16 @@ mod tests {
         let mut p = unit_params();
         p.gamma = 0.0;
         let m = AlgoMetrics::new(vec![simple_round()]);
-        assert!(atgpu_cost(&p, &machine(), &spec(), &m).is_err());
+        assert!(evaluate(CostModel::GpuCost, &p, &machine(), &spec(), &m).is_err());
     }
 
     #[test]
     fn cost_monotone_in_lambda() {
         let m = AlgoMetrics::new(vec![simple_round()]);
         let mut p = unit_params();
-        let c1 = atgpu_cost(&p, &machine(), &spec(), &m).unwrap();
+        let c1 = evaluate(CostModel::GpuCost, &p, &machine(), &spec(), &m).unwrap().total();
         p.lambda *= 2.0;
-        let c2 = atgpu_cost(&p, &machine(), &spec(), &m).unwrap();
+        let c2 = evaluate(CostModel::GpuCost, &p, &machine(), &spec(), &m).unwrap().total();
         assert!(c2 > c1);
     }
 
@@ -940,9 +818,9 @@ mod tests {
     fn cost_monotone_in_beta() {
         let m = AlgoMetrics::new(vec![simple_round()]);
         let mut p = unit_params();
-        let c1 = atgpu_cost(&p, &machine(), &spec(), &m).unwrap();
+        let c1 = evaluate(CostModel::GpuCost, &p, &machine(), &spec(), &m).unwrap().total();
         p.beta *= 3.0;
-        let c2 = atgpu_cost(&p, &machine(), &spec(), &m).unwrap();
+        let c2 = evaluate(CostModel::GpuCost, &p, &machine(), &spec(), &m).unwrap().total();
         assert!(c2 > c1);
     }
 
@@ -978,7 +856,8 @@ mod tests {
         // exactly the single-device GPU-cost (max over one device = sum).
         let m = AlgoMetrics::new(vec![simple_round(), simple_round()]);
         let cluster = unit_cluster(1);
-        let c = cluster_cost(&cluster, &machine(), std::slice::from_ref(&m), &[]).unwrap();
+        let c = cluster_cost_streamed(&cluster, &machine(), std::slice::from_ref(&m), &[], &[])
+            .unwrap();
         let single =
             evaluate(CostModel::GpuCost, &unit_params(), &machine(), &cluster.devices[0], &m)
                 .unwrap();
@@ -993,7 +872,7 @@ mod tests {
         let cluster = unit_cluster(2);
         let heavy = AlgoMetrics::new(vec![shard_round(16, 1000, 0)]);
         let light = AlgoMetrics::new(vec![shard_round(16, 100, 0)]);
-        let c = cluster_cost(&cluster, &machine(), &[heavy, light], &[]).unwrap();
+        let c = cluster_cost_streamed(&cluster, &machine(), &[heavy, light], &[], &[]).unwrap();
         let path = |b: &CostBreakdown| b.transfer_in + b.kernel + b.transfer_out;
         let p0 = path(&c.per_device[0]);
         let p1 = path(&c.per_device[1]);
@@ -1010,20 +889,22 @@ mod tests {
         cluster.peer_links[1][0] =
             crate::params::LinkParams { alpha_ms: 4.0, beta_ms_per_word: 0.4 };
         let m = AlgoMetrics::new(vec![shard_round(16, 0, 0)]);
-        let fwd = cluster_cost(
+        let fwd = cluster_cost_streamed(
             &cluster,
             &machine(),
             &[m.clone(), m.clone()],
+            &[],
             &[vec![PeerTraffic { src: 0, dst: 1, words: 10, txns: 1 }]],
         )
         .unwrap();
         // 1·1.0 + 10·0.1 = 2.0, charged to both devices.
         assert!((fwd.peer[0] - 2.0).abs() < 1e-12);
         assert!((fwd.peer[1] - 2.0).abs() < 1e-12);
-        let rev = cluster_cost(
+        let rev = cluster_cost_streamed(
             &cluster,
             &machine(),
             &[m.clone(), m.clone()],
+            &[],
             &[vec![PeerTraffic { src: 1, dst: 0, words: 10, txns: 1 }]],
         )
         .unwrap();
@@ -1036,11 +917,14 @@ mod tests {
     fn cluster_cost_rejects_mismatched_shapes() {
         let cluster = unit_cluster(2);
         let m = AlgoMetrics::new(vec![shard_round(4, 0, 0)]);
-        assert!(cluster_cost(&cluster, &machine(), std::slice::from_ref(&m), &[]).is_err());
+        let price = |per_device: &[AlgoMetrics], peer: &[Vec<PeerTraffic>]| {
+            cluster_cost_streamed(&cluster, &machine(), per_device, &[], peer)
+        };
+        assert!(price(std::slice::from_ref(&m), &[]).is_err());
         let two = AlgoMetrics::new(vec![shard_round(4, 0, 0), shard_round(4, 0, 0)]);
-        assert!(cluster_cost(&cluster, &machine(), &[m.clone(), two], &[]).is_err());
+        assert!(price(&[m.clone(), two], &[]).is_err());
         let bad_peer = vec![vec![PeerTraffic { src: 0, dst: 7, words: 1, txns: 1 }]];
-        assert!(cluster_cost(&cluster, &machine(), &[m.clone(), m], &bad_peer).is_err());
+        assert!(price(&[m.clone(), m], &bad_peer).is_err());
     }
 
     #[test]
@@ -1111,7 +995,8 @@ mod tests {
             replay_txns: 0,
             takeover: vec![0.0, 1.0],
         };
-        let full = cluster_cost(&cluster, &machine(), &[m.clone(), m.clone()], &[]).unwrap();
+        let full =
+            cluster_cost_streamed(&cluster, &machine(), &[m.clone(), m.clone()], &[], &[]).unwrap();
         let deg = cluster_cost_degraded(&cluster, &machine(), &[m.clone(), m.clone()], &[], &loss)
             .unwrap();
         assert!((full.total_ms - deg.total_ms).abs() < 1e-9);
@@ -1207,8 +1092,8 @@ mod tests {
         let four = unit_cluster(4);
         let whole = AlgoMetrics::new(vec![shard_round(64, 40_000, 0)]);
         let quarter = AlgoMetrics::new(vec![shard_round(16, 10_000, 0)]);
-        let c1 = cluster_cost(&one, &machine(), &[whole], &[]).unwrap();
-        let c4 = cluster_cost(&four, &machine(), &vec![quarter; 4], &[]).unwrap();
+        let c1 = cluster_cost_streamed(&one, &machine(), &[whole], &[], &[]).unwrap();
+        let c4 = cluster_cost_streamed(&four, &machine(), &vec![quarter; 4], &[], &[]).unwrap();
         assert!(
             c4.total_ms < 0.3 * c1.total_ms,
             "4-device sharding should cut a transfer-bound round: {} vs {}",
@@ -1217,15 +1102,28 @@ mod tests {
         );
     }
 
+    /// The stream-aware cost of one device: the 1-device unit cluster,
+    /// whose derived parameters are `unit_params()`, with `σ` folded back
+    /// into the breakdown beside the total.
+    fn streamed_one(m: &AlgoMetrics, schedules: Vec<RoundSchedule>) -> (CostBreakdown, f64) {
+        let c = cluster_cost_streamed(
+            &unit_cluster(1),
+            &machine(),
+            std::slice::from_ref(m),
+            &[schedules],
+            &[],
+        )
+        .unwrap();
+        (CostBreakdown { sync: c.sync_ms, ..c.per_device[0] }, c.total_ms)
+    }
+
     #[test]
     fn streamed_with_empty_schedules_matches_gpu_cost() {
         let m = AlgoMetrics::new(vec![simple_round(), simple_round()]);
         let serial = evaluate(CostModel::GpuCost, &unit_params(), &machine(), &spec(), &m).unwrap();
-        let schedules = vec![RoundSchedule::default(); 2];
-        let s = streamed_evaluate(&unit_params(), &machine(), &spec(), &m, &schedules).unwrap();
-        assert_eq!(s.total_ms, serial.total());
-        assert_eq!(s.breakdown, serial);
-        assert_eq!(s.overlap_speedup(), 1.0);
+        let (breakdown, total) = streamed_one(&m, vec![RoundSchedule::default(); 2]);
+        assert_eq!(total, serial.total());
+        assert_eq!(breakdown, serial);
     }
 
     #[test]
@@ -1241,9 +1139,9 @@ mod tests {
                 StreamItem::TransferOut { stream: 0, txns: r.outward_txns, words: r.outward_words },
             ],
         };
-        let s = streamed_evaluate(&unit_params(), &machine(), &spec(), &m, &[schedule]).unwrap();
+        let (_, total) = streamed_one(&m, vec![schedule]);
         let serial = evaluate(CostModel::GpuCost, &unit_params(), &machine(), &spec(), &m).unwrap();
-        assert!((s.total_ms - serial.total()).abs() < 1e-9, "{} vs {}", s.total_ms, serial.total());
+        assert!((total - serial.total()).abs() < 1e-9, "{total} vs {}", serial.total());
     }
 
     #[test]
@@ -1259,12 +1157,11 @@ mod tests {
                 StreamItem::TransferOut { stream: 0, txns: r.outward_txns, words: r.outward_words },
             ],
         };
-        let s = streamed_evaluate(&unit_params(), &machine(), &spec(), &m, &[schedule]).unwrap();
-        assert!((s.total_ms - (973.0 + 514.0 + 5.0)).abs() < 1e-9, "{}", s.total_ms);
-        assert!(s.overlap_speedup() > 1.6, "{}", s.overlap_speedup());
+        let (breakdown, total) = streamed_one(&m, vec![schedule]);
+        assert!((total - (973.0 + 514.0 + 5.0)).abs() < 1e-9, "{total}");
+        assert!(breakdown.total() / total > 1.6, "{}", breakdown.total() / total);
         // The component accounting is unchanged by overlap.
-        assert_eq!(s.breakdown.transfer_in, 1028.0);
-        assert_eq!(s.serial_ms(), s.breakdown.total());
+        assert_eq!(breakdown.transfer_in, 1028.0);
     }
 
     #[test]
@@ -1280,15 +1177,16 @@ mod tests {
                 StreamItem::TransferOut { stream: 2, txns: r.outward_txns, words: r.outward_words },
             ],
         };
-        let s = streamed_evaluate(&unit_params(), &machine(), &spec(), &m, &[schedule]).unwrap();
-        assert!((s.total_ms - s.serial_ms()).abs() < 1e-9);
+        let (breakdown, total) = streamed_one(&m, vec![schedule]);
+        assert!((total - breakdown.total()).abs() < 1e-9);
     }
 
     #[test]
     fn streamed_rejects_mismatched_schedule_count() {
         let m = AlgoMetrics::new(vec![simple_round(), simple_round()]);
-        let schedules = vec![RoundSchedule::default()];
-        assert!(streamed_evaluate(&unit_params(), &machine(), &spec(), &m, &schedules).is_err());
+        let schedules = [vec![RoundSchedule::default()]];
+        let cluster = unit_cluster(1);
+        assert!(cluster_cost_streamed(&cluster, &machine(), &[m], &schedules, &[]).is_err());
     }
 
     #[test]
@@ -1301,32 +1199,29 @@ mod tests {
                 words: 8,
             }],
         };
-        assert!(streamed_evaluate(
-            &unit_params(),
-            &machine(),
-            &spec(),
-            &m,
-            std::slice::from_ref(&schedule)
-        )
-        .is_err());
-        let cluster = unit_cluster(1);
-        assert!(cluster_cost_streamed(
-            &cluster,
-            &machine(),
-            &[m],
-            std::slice::from_ref(&vec![schedule]),
-            &[]
-        )
-        .is_err());
+        let one = unit_cluster(1);
+        let bad = [vec![schedule.clone()]];
+        assert!(
+            cluster_cost_streamed(&one, &machine(), std::slice::from_ref(&m), &bad, &[]).is_err()
+        );
+        // On any device of a larger cluster too.
+        let two = unit_cluster(2);
+        let bad = [vec![], vec![schedule]];
+        assert!(cluster_cost_streamed(&two, &machine(), &[m.clone(), m], &bad, &[]).is_err());
     }
 
     #[test]
     fn cluster_streamed_defaults_to_serial() {
+        // No schedule table, an empty per-device table and an empty round
+        // schedule are all the serial round.
         let cluster = unit_cluster(2);
-        let heavy = AlgoMetrics::new(vec![shard_round(16, 1000, 0)]);
-        let light = AlgoMetrics::new(vec![shard_round(16, 100, 0)]);
-        let a = cluster_cost(&cluster, &machine(), &[heavy.clone(), light.clone()], &[]).unwrap();
-        let b = cluster_cost_streamed(&cluster, &machine(), &[heavy, light], &[], &[]).unwrap();
+        let pair = [
+            AlgoMetrics::new(vec![shard_round(16, 1000, 0)]),
+            AlgoMetrics::new(vec![shard_round(16, 100, 0)]),
+        ];
+        let a = cluster_cost_streamed(&cluster, &machine(), &pair, &[], &[]).unwrap();
+        let empty = [vec![], vec![RoundSchedule::default()]];
+        let b = cluster_cost_streamed(&cluster, &machine(), &pair, &empty, &[]).unwrap();
         assert_eq!(a, b);
     }
 
@@ -1335,7 +1230,9 @@ mod tests {
         let cluster = unit_cluster(1);
         let r = shard_round(16, 1000, 500);
         let m = AlgoMetrics::new(vec![r]);
-        let serial = cluster_cost(&cluster, &machine(), std::slice::from_ref(&m), &[]).unwrap();
+        let serial =
+            cluster_cost_streamed(&cluster, &machine(), std::slice::from_ref(&m), &[], &[])
+                .unwrap();
         let schedule = RoundSchedule {
             items: vec![
                 StreamItem::TransferIn { stream: 1, txns: r.inward_txns, words: r.inward_words },

@@ -24,7 +24,8 @@
 //!   occupancy (Expression 2), and the SWGPU baseline cost (the same
 //!   function with the transfer terms removed, exactly as the paper's
 //!   evaluation constructs it);
-//! * [`occupancy`](mod@occupancy) — the block-residency function `ℓ = min(⌊M/m⌋, H)`;
+//! * [`occupancy`](mod@occupancy) — the block-residency function `ℓ = min(⌊M/m⌋, H)`
+//!   and the device capacity `k′·ℓ` every consumer reads;
 //! * [`plan`] — the planning layer: workload [`plan::ShardProfile`]s
 //!   (including their [`plan::PeerProfile`] device↔device traffic),
 //!   cost-driven shard apportionment and the chunk-size solver, all
@@ -54,9 +55,7 @@ pub mod params;
 pub mod plan;
 pub mod streams;
 
-pub use cost::{
-    ClusterCostBreakdown, CostBreakdown, DegradedLoss, PeerTraffic, PredictedSpan, StreamedCost,
-};
+pub use cost::{ClusterCostBreakdown, CostBreakdown, DegradedLoss, PeerTraffic, PredictedSpan};
 pub use error::ModelError;
 pub use machine::AtgpuMachine;
 pub use metrics::{AlgoMetrics, RoundMetrics};

@@ -1,9 +1,17 @@
-//! Occupancy: how many thread blocks a physical multiprocessor holds.
+//! Occupancy: how many thread blocks a physical multiprocessor holds, and
+//! so how many a whole device holds at once.
 //!
 //! Paper §III (GPU-Cost Function): "Each streaming multiprocessor on a GPU
 //! can accommodate `ℓ = min(⌊M/m⌋, H)` blocks concurrently, where `H`
 //! represents a hardware imposed limit."  A higher `ℓ` enlarges the
 //! instruction pool and therefore the latency-hiding opportunity.
+//!
+//! A device of `k′` MPs therefore holds `k′·ℓ` resident blocks, and
+//! [`device_capacity`] is the one place that product is computed: the
+//! wave factor, the degraded cost's takeover waves, the planner's
+//! linearised rates and the serving layer's admission capacity all read
+//! it.  A valid [`GpuSpec`] bounds neither `k′` nor `H`, so the product
+//! saturates at `u64::MAX` instead of wrapping.
 
 use crate::machine::AtgpuMachine;
 use crate::params::GpuSpec;
@@ -23,19 +31,23 @@ pub fn occupancy(machine: &AtgpuMachine, m_used: u64, h_limit: u64) -> u64 {
     by_shared.min(h_limit)
 }
 
+/// Blocks resident on the whole device at once, `k′·ℓ` for blocks of
+/// `m_used` shared words — saturating at `u64::MAX`, and 0 when the block
+/// does not fit (`ℓ = 0`).
+pub fn device_capacity(machine: &AtgpuMachine, spec: &GpuSpec, m_used: u64) -> u64 {
+    spec.k_prime.saturating_mul(occupancy(machine, m_used, spec.h_limit))
+}
+
 /// The wave factor `⌈k / (k′ℓ)⌉` of Expression (2): how many "waves" of
 /// thread blocks a `k′`-MP GPU needs to execute `k` blocks when each MP
 /// holds `ℓ` blocks at once.
 ///
-/// Returns `None` when `ℓ = 0` (the block does not fit in shared memory, so
-/// the kernel cannot run on the device at all).  `k = 0` (an empty launch)
-/// costs zero waves.
+/// Returns `None` when the device holds no block of this size (`ℓ = 0`:
+/// the block does not fit in shared memory, so the kernel cannot run on
+/// the device at all).  `k = 0` (an empty launch) costs zero waves.
 pub fn wave_factor(machine: &AtgpuMachine, spec: &GpuSpec, k: u64, m_used: u64) -> Option<u64> {
-    let ell = occupancy(machine, m_used, spec.h_limit);
-    if ell == 0 {
-        return None;
-    }
-    Some(k.div_ceil(spec.k_prime * ell))
+    let capacity = device_capacity(machine, spec, m_used);
+    (capacity > 0).then(|| k.div_ceil(capacity))
 }
 
 #[cfg(test)]
@@ -94,6 +106,41 @@ mod tests {
     #[test]
     fn wave_factor_none_when_block_too_big() {
         assert_eq!(wave_factor(&machine(), &spec(), 10, 20_000), None);
+    }
+
+    /// Regression: `k′·ℓ` was an unchecked product, so a spec that passes
+    /// `GpuSpec::validate` with `k′ = 2⁶²` wrapped it (to 0 at `ℓ = 16`)
+    /// and `evaluate` panicked dividing by it.  Saturated, a device that
+    /// holds every block prices exactly one wave.
+    #[test]
+    fn capacity_saturates_and_one_wave_covers_every_block() {
+        use crate::cost::{evaluate, CostModel};
+        use crate::metrics::{AlgoMetrics, RoundMetrics};
+
+        let huge = GpuSpec { k_prime: u64::MAX, h_limit: u64::MAX, ..spec() };
+        assert_eq!(device_capacity(&machine(), &huge, 0), u64::MAX);
+        assert_eq!(device_capacity(&machine(), &huge, 12_289), 0);
+        assert_eq!(device_capacity(&machine(), &spec(), 96), 32);
+
+        let blocks = 40;
+        let round = RoundMetrics {
+            time: 13,
+            io_blocks: 3 * blocks,
+            global_words: 3 * 1024,
+            shared_words: 96,
+            inward_words: 2048,
+            inward_txns: 2,
+            outward_words: 1024,
+            outward_txns: 1,
+            blocks_launched: blocks,
+        };
+        let metrics = AlgoMetrics::new(vec![round]);
+        let cost = |k_prime| {
+            let spec = GpuSpec { k_prime, ..spec() };
+            let params = spec.derived_cost_params();
+            evaluate(CostModel::GpuCost, &params, &machine(), &spec, &metrics).unwrap().total()
+        };
+        assert_eq!(cost(1 << 62).to_bits(), cost(blocks).to_bits());
     }
 
     #[test]

@@ -190,8 +190,8 @@ use crate::cost::{cluster_cost_streamed, DegradedLoss, PeerTraffic};
 use crate::error::ModelError;
 use crate::machine::AtgpuMachine;
 use crate::metrics::{AlgoMetrics, RoundMetrics};
-use crate::occupancy::occupancy;
-use crate::params::ClusterSpec;
+use crate::occupancy::device_capacity;
+use crate::params::{ClusterSpec, GpuSpec, LinkParams};
 use crate::streams::{RoundSchedule, StreamItem};
 
 /// The peer-link traffic shape of a sharded launch: which words move
@@ -517,6 +517,32 @@ pub fn plan_cost(
     Ok(cluster_cost_streamed(cluster, machine, &metrics, &[], &peer)?.total_ms)
 }
 
+/// Device `spec` behind host link `link`'s linearised cost of one unit
+/// that stages `inward_words` and makes `io_blocks` block transactions:
+/// `(inward_words + outward_words_per_unit)·β + rounds·(blocks_per_unit·t
+/// / (k′ℓ) + λ·io_blocks)/γ` — the per-unit rate both the waterfill and
+/// the contiguous pack equalise.  `ℓ` is at least 1 here (a block that
+/// does not fit is left for pricing to reject), and the rate is clamped
+/// positive: a zero rate (free device) would absorb everything, so the
+/// waterfill stays finite and pricing decides the rest.
+fn unit_rate(
+    machine: &AtgpuMachine,
+    spec: &GpuSpec,
+    link: &LinkParams,
+    profile: &ShardProfile,
+    inward_words: u64,
+    io_blocks: u64,
+) -> f64 {
+    let p = spec.derived_cost_params();
+    let capacity = device_capacity(machine, spec, profile.shared_words).max(spec.k_prime);
+    let xfer = (inward_words + profile.outward_words_per_unit) as f64 * link.beta_ms_per_word;
+    let compute = (profile.blocks_per_unit as f64 * profile.time_ops as f64 / capacity as f64
+        + p.lambda * io_blocks as f64)
+        / p.gamma
+        * profile.rounds.max(1) as f64;
+    (xfer + compute).max(1e-18)
+}
+
 /// The per-device linearised cost terms `fixed_d + rate_d · x_d` the
 /// waterfill equalises: host-link `α`/broadcast terms plus — new with
 /// peer-aware planning — the device's peer send/recv path under the
@@ -536,7 +562,8 @@ pub fn plan_cost(
 ///   `rate_o −= per_unit` (clamped positive).
 ///
 /// Compute and per-unit host traffic multiply by `rounds` and 1
-/// respectively (staging happens once, the kernel every round).
+/// respectively (staging happens once, the kernel every round); the
+/// per-unit rate is [`unit_rate`].
 fn linearised_terms(
     cluster: &ClusterSpec,
     machine: &AtgpuMachine,
@@ -548,22 +575,10 @@ fn linearised_terms(
     let mut fixed = Vec::with_capacity(n);
     let mut rate = Vec::with_capacity(n);
     for (spec, link) in cluster.devices.iter().zip(&cluster.host_links) {
-        let p = spec.derived_cost_params();
-        let ell = occupancy(machine, profile.shared_words, spec.h_limit).max(1);
-        let f = (profile.inward_txns + profile.outward_txns + profile.broadcast_txns) as f64
-            * link.alpha_ms
-            + profile.broadcast_words as f64 * link.beta_ms_per_word;
-        let xfer = (profile.inward_words_per_unit + profile.outward_words_per_unit) as f64
-            * link.beta_ms_per_word;
-        let compute = (profile.blocks_per_unit as f64 * profile.time_ops as f64
-            / (spec.k_prime * ell) as f64
-            + p.lambda * profile.io_blocks_per_unit as f64)
-            / p.gamma
-            * r_rounds;
-        fixed.push(f);
-        // A zero rate (free device) would absorb everything; clamp so the
-        // waterfill stays finite — pricing decides the rest.
-        rate.push((xfer + compute).max(1e-18));
+        let txns = profile.inward_txns + profile.outward_txns + profile.broadcast_txns;
+        fixed.push(link.cost_ms(txns, profile.broadcast_words));
+        let (inward, io) = (profile.inward_words_per_unit, profile.io_blocks_per_unit);
+        rate.push(unit_rate(machine, spec, link, profile, inward, io));
     }
     let peer = profile.peer;
     if !peer.is_zero() && n > 1 {
@@ -667,9 +682,8 @@ pub fn balanced_units(
 }
 
 /// Contiguous min–max packing for row-imbalanced profiles: device `d`'s
-/// per-unit cost of *global* unit `u` is
-/// `unit_in(u)·β_d + out_per_unit·β_d + rounds·(blocks·t/(k′ℓ) +
-/// λ·unit_io(u))/γ_d`; bisect on the bottleneck level `T` and greedily
+/// per-unit cost of *global* unit `u` is [`unit_rate`] over that unit's
+/// `unit_in(u)` and `unit_io(u)`; bisect on the bottleneck level `T` and greedily
 /// pack units in order — device `d` keeps taking the next unit while its
 /// path stays ≤ `T`.  Feasible iff all units are consumed; the counts at
 /// the smallest feasible level are returned (largest-remainder rounding
@@ -682,15 +696,12 @@ fn balanced_units_hetero(
     fixed: &[f64],
 ) -> Vec<u64> {
     let n = cluster.n_devices();
-    let r_rounds = profile.rounds.max(1) as f64;
     // Per-device cost of one global unit `u`.
     let per_unit: Vec<Vec<f64>> = cluster
         .devices
         .iter()
         .zip(&cluster.host_links)
         .map(|(spec, link)| {
-            let p = spec.derived_cost_params();
-            let ell = occupancy(machine, profile.shared_words, spec.h_limit).max(1);
             (0..units)
                 .map(|u| {
                     let inw = unit_sum(
@@ -701,14 +712,7 @@ fn balanced_units_hetero(
                     );
                     let io =
                         unit_sum(&profile.unit_io_blocks, profile.io_blocks_per_unit, u, u + 1);
-                    let xfer =
-                        (inw + profile.outward_words_per_unit) as f64 * link.beta_ms_per_word;
-                    let compute = (profile.blocks_per_unit as f64 * profile.time_ops as f64
-                        / (spec.k_prime * ell) as f64
-                        + p.lambda * io as f64)
-                        / p.gamma
-                        * r_rounds;
-                    (xfer + compute).max(1e-18)
+                    unit_rate(machine, spec, link, profile, inw, io)
                 })
                 .collect()
         })
@@ -1068,8 +1072,8 @@ mod tests {
         let p = ShardProfile::streaming(32);
         let counts = [50u64, 50];
         let cost = plan_cost(&c, &machine(), &p, &counts).unwrap();
-        let direct =
-            crate::cost::cluster_cost(&c, &machine(), &plan_metrics(&p, &counts), &[]).unwrap();
+        let metrics = plan_metrics(&p, &counts);
+        let direct = cluster_cost_streamed(&c, &machine(), &metrics, &[], &[]).unwrap();
         assert!((cost - direct.total_ms).abs() < 1e-12);
     }
 

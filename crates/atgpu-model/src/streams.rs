@@ -26,10 +26,9 @@
 //! degenerates to exactly the paper's serial sum.
 //!
 //! [`StreamTimeline`] is shared by the simulator (observed round times,
-//! `atgpu-sim`) and the analytic cost functions
-//! ([`crate::cost::streamed_evaluate`], [`crate::cost::cluster_cost`]) so
-//! prediction and observation use the same overlap semantics by
-//! construction.
+//! `atgpu-sim`) and the analytic cost core
+//! ([`crate::cost::cluster_cost_streamed`]) so prediction and observation
+//! use the same overlap semantics by construction.
 
 // Every served quote and every simulated round schedules through here.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
@@ -115,16 +114,8 @@ impl StreamTimeline {
     }
 
     /// Schedules one operation of duration `dur` on `stream` occupying
-    /// `res`; returns its completion time.
-    #[inline]
-    pub fn advance(&mut self, stream: u32, res: StreamResource, dur: f64) -> f64 {
-        self.advance_spanned(stream, res, dur).1
-    }
-
-    /// [`Self::advance`] exposing the operation's full `(start, end)`
-    /// span — the primitive the timeline tracer records.  `advance` is a
-    /// thin wrapper, so tracing sees exactly the times the scheduler
-    /// uses.
+    /// `res`; returns its `(start, end)` span.  The timeline tracer records
+    /// exactly these spans, so tracing sees the times the scheduler uses.
     pub fn advance_spanned(&mut self, stream: u32, res: StreamResource, dur: f64) -> (f64, f64) {
         let floor = self.floor;
         let r = self.resources[res.index()];
@@ -163,8 +154,8 @@ impl StreamTimeline {
 /// One schedule entry of a round, for the analytic streamed cost: the
 /// stream placement and link traffic of every transfer, the kernel
 /// launch, and explicit syncs — exactly the information
-/// [`crate::cost::streamed_evaluate`] needs to price a round the way the
-/// simulator times it.
+/// [`crate::cost::cluster_cost_streamed`] needs to price a round the way
+/// the simulator times it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamItem {
     /// Host→device traffic on `stream`: `txns` transactions moving
@@ -218,9 +209,9 @@ mod tests {
     fn single_stream_degenerates_to_serial_sum() {
         // Everything on stream 0: the paper's T_I + kernel + T_O.
         let mut t = StreamTimeline::new();
-        t.advance(0, HostToDevice, 3.0);
-        t.advance(0, Compute, 5.0);
-        t.advance(0, DeviceToHost, 2.0);
+        t.advance_spanned(0, HostToDevice, 3.0);
+        t.advance_spanned(0, Compute, 5.0);
+        t.advance_spanned(0, DeviceToHost, 2.0);
         assert_eq!(t.finish(), 10.0);
     }
 
@@ -229,9 +220,9 @@ mod tests {
         // H2D of the next chunk (stream 1) hides behind this chunk's
         // kernel + D2H (stream 0).
         let mut t = StreamTimeline::new();
-        t.advance(1, HostToDevice, 4.0);
-        t.advance(0, Compute, 5.0);
-        t.advance(0, DeviceToHost, 2.0);
+        t.advance_spanned(1, HostToDevice, 4.0);
+        t.advance_spanned(0, Compute, 5.0);
+        t.advance_spanned(0, DeviceToHost, 2.0);
         assert_eq!(t.finish(), 7.0);
     }
 
@@ -239,22 +230,22 @@ mod tests {
     fn same_resource_serialises_across_streams() {
         // Two H2D copies on different streams share the DMA engine.
         let mut t = StreamTimeline::new();
-        t.advance(1, HostToDevice, 4.0);
-        t.advance(2, HostToDevice, 4.0);
+        t.advance_spanned(1, HostToDevice, 4.0);
+        t.advance_spanned(2, HostToDevice, 4.0);
         assert_eq!(t.finish(), 8.0);
         // ... but opposite directions overlap.
         let mut t = StreamTimeline::new();
-        t.advance(1, HostToDevice, 4.0);
-        t.advance(2, DeviceToHost, 4.0);
+        t.advance_spanned(1, HostToDevice, 4.0);
+        t.advance_spanned(2, DeviceToHost, 4.0);
         assert_eq!(t.finish(), 4.0);
     }
 
     #[test]
     fn empty_stream_sync_is_noop() {
         let mut t = StreamTimeline::new();
-        t.advance(0, Compute, 5.0);
+        t.advance_spanned(0, Compute, 5.0);
         t.sync_stream(3); // never used
-        t.advance(1, HostToDevice, 1.0);
+        t.advance_spanned(1, HostToDevice, 1.0);
         assert_eq!(t.finish(), 5.0);
     }
 
@@ -263,7 +254,7 @@ mod tests {
         // A device sync after every operation removes all overlap.
         let mut t = StreamTimeline::new();
         for (s, r, d) in [(1, HostToDevice, 4.0), (0, Compute, 5.0), (2, DeviceToHost, 2.0)] {
-            t.advance(s, r, d);
+            t.advance_spanned(s, r, d);
             t.sync_device();
         }
         assert_eq!(t.finish(), 11.0);
@@ -272,17 +263,17 @@ mod tests {
     #[test]
     fn stream_sync_orders_later_work() {
         let mut t = StreamTimeline::new();
-        t.advance(1, HostToDevice, 4.0);
+        t.advance_spanned(1, HostToDevice, 4.0);
         t.sync_stream(1);
         // The kernel now waits for the copy even on another stream.
-        t.advance(0, Compute, 5.0);
+        t.advance_spanned(0, Compute, 5.0);
         assert_eq!(t.finish(), 9.0);
     }
 
     #[test]
     fn zero_duration_operations_are_free() {
         let mut t = StreamTimeline::new();
-        t.advance(0, Compute, 0.0);
+        t.advance_spanned(0, Compute, 0.0);
         t.sync_device();
         assert_eq!(t.finish(), 0.0);
     }
@@ -291,17 +282,17 @@ mod tests {
     fn out_of_range_stream_ids_clamp_without_allocating() {
         // Defensive bound: a corrupt id must not drive a huge resize.
         let mut t = StreamTimeline::new();
-        t.advance(u32::MAX, HostToDevice, 2.0);
+        t.advance_spanned(u32::MAX, HostToDevice, 2.0);
         assert!(t.streams.len() <= MAX_STREAMS as usize);
         t.sync_stream(u32::MAX); // floor picks up the clamped slot
-        t.advance(0, Compute, 1.0);
+        t.advance_spanned(0, Compute, 1.0);
         assert_eq!(t.finish(), 3.0);
     }
 
     /// Pins the clamp's aliasing behaviour: stream ids `≥ MAX_STREAMS`
-    /// all alias the **last** slot, identically in `advance` and
+    /// all alias the **last** slot, identically in `advance_spanned` and
     /// `sync_stream`, so a future refactor cannot diverge the two (an
-    /// `advance` clamping while `sync_stream` allocated — or vice versa —
+    /// `advance_spanned` clamping while `sync_stream` allocated — or vice versa —
     /// would silently un-order operations the clamp had chained).  No
     /// validated program reaches this: the IR validator bounds every
     /// built program's stream ids, `check_schedule_streams` bounds every
@@ -312,22 +303,22 @@ mod tests {
         // advance on MAX_STREAMS+1 and sync on MAX_STREAMS land on the
         // same slot: the sync must observe the advance.
         let mut t = StreamTimeline::new();
-        t.advance(MAX_STREAMS + 1, HostToDevice, 4.0);
+        t.advance_spanned(MAX_STREAMS + 1, HostToDevice, 4.0);
         t.sync_stream(MAX_STREAMS);
-        t.advance(0, Compute, 1.0);
+        t.advance_spanned(0, Compute, 1.0);
         assert_eq!(t.finish(), 5.0);
 
         // The clamped slot is the genuine last stream: work enqueued on
         // MAX_STREAMS−1 and on any id above it forms ONE serial chain.
         let mut t = StreamTimeline::new();
-        t.advance(MAX_STREAMS - 1, HostToDevice, 2.0);
-        t.advance(MAX_STREAMS + 5, DeviceToHost, 3.0); // aliased: same chain
+        t.advance_spanned(MAX_STREAMS - 1, HostToDevice, 2.0);
+        t.advance_spanned(MAX_STREAMS + 5, DeviceToHost, 3.0); // aliased: same chain
         assert_eq!(t.finish(), 5.0);
 
         // And distinct out-of-range ids alias each other too.
         let mut t = StreamTimeline::new();
-        t.advance(8, HostToDevice, 2.0);
-        t.advance(9, HostToDevice, 2.0);
+        t.advance_spanned(8, HostToDevice, 2.0);
+        t.advance_spanned(9, HostToDevice, 2.0);
         t.sync_stream(u32::MAX);
         assert_eq!(t.floor, 4.0);
     }
@@ -335,8 +326,8 @@ mod tests {
     #[test]
     fn advance_returns_completion_time() {
         let mut t = StreamTimeline::new();
-        assert_eq!(t.advance(0, Compute, 2.0), 2.0);
-        assert_eq!(t.advance(1, HostToDevice, 3.0), 3.0);
-        assert_eq!(t.advance(1, HostToDevice, 1.0), 4.0);
+        assert_eq!(t.advance_spanned(0, Compute, 2.0).1, 2.0);
+        assert_eq!(t.advance_spanned(1, HostToDevice, 3.0).1, 3.0);
+        assert_eq!(t.advance_spanned(1, HostToDevice, 1.0), (3.0, 4.0));
     }
 }

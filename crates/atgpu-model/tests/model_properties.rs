@@ -3,7 +3,7 @@
 
 use atgpu_model::comparison::{comparison_table, render_markdown, TABLE1_ITEMS};
 use atgpu_model::cost::{
-    cluster_cost, cluster_cost_degraded, cluster_cost_streamed, evaluate, streamed_evaluate,
+    cluster_cost_degraded, cluster_cost_streamed, evaluate, gpu_kernel_term, schedule_round_spans,
     ClusterCostBreakdown, CostBreakdown, CostModel, DegradedLoss, PeerTraffic,
 };
 use atgpu_model::{
@@ -88,9 +88,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// One device, no overlap, is one cost three ways: the model table's
-    /// GPU-cost, the streamed cost over all-empty schedules, and the
-    /// 1-device cluster cost (whose `σ` share is reported beside the
-    /// per-device terms) agree bit for bit.
+    /// GPU-cost, the 1-device cluster cost over all-empty schedules, and
+    /// the 1-device cluster cost with no schedule table (each with its
+    /// `σ` share folded back beside the per-device terms) agree bit for
+    /// bit.
     #[test]
     fn serial_single_device_costs_are_one_cost(
         table in any_scheduled_rounds(), s in any_spec(),
@@ -99,20 +100,23 @@ proptest! {
         let m = machine();
         let p = s.derived_cost_params();
         let serial = evaluate(CostModel::GpuCost, &p, &m, &s, &metrics).unwrap();
-        let empty = vec![RoundSchedule::default(); metrics.rounds.len()];
-        let streamed = streamed_evaluate(&p, &m, &s, &metrics, &empty).unwrap();
-        prop_assert_eq!(breakdown_bits(&serial), breakdown_bits(&streamed.breakdown));
-        prop_assert_eq!(serial.total().to_bits(), streamed.serial_ms().to_bits());
-
         let one = ClusterSpec::homogeneous(1, s);
-        let c = cluster_cost(&one, &m, std::slice::from_ref(&metrics), &[]).unwrap();
-        let folded = CostBreakdown { sync: c.sync_ms, ..c.per_device[0] };
-        prop_assert_eq!(breakdown_bits(&serial), breakdown_bits(&folded));
+        let tables = std::slice::from_ref(&metrics);
+        let empty = vec![RoundSchedule::default(); metrics.rounds.len()];
+        let streamed = cluster_cost_streamed(&one, &m, tables, &[empty], &[]).unwrap();
+        let c = cluster_cost_streamed(&one, &m, tables, &[], &[]).unwrap();
+        for cost in [&streamed, &c] {
+            let folded = CostBreakdown { sync: cost.sync_ms, ..cost.per_device[0] };
+            prop_assert_eq!(breakdown_bits(&serial), breakdown_bits(&folded));
+            prop_assert_eq!(serial.total().to_bits(), folded.total().to_bits());
+        }
         prop_assert_eq!(streamed.total_ms.to_bits(), c.total_ms.to_bits());
     }
 
-    /// A streamed single-device cost is the streamed 1-device cluster
-    /// cost, for any valid schedule table.
+    /// A streamed single-device cost is the span walk trace consumers
+    /// predict with, round by round: `Σᵢ (σ + round_ms(i))` over
+    /// `schedule_round_spans` with each round's `gpu_kernel_term`, for
+    /// any valid schedule table.
     #[test]
     fn streamed_single_device_is_the_one_device_cluster(
         table in any_scheduled_rounds(), s in any_spec(),
@@ -120,14 +124,19 @@ proptest! {
         let (metrics, schedules) = table;
         let m = machine();
         let p = s.derived_cost_params();
-        let streamed = streamed_evaluate(&p, &m, &s, &metrics, &schedules).unwrap();
         let one = ClusterSpec::homogeneous(1, s);
         let c = cluster_cost_streamed(
             &one, &m, std::slice::from_ref(&metrics), std::slice::from_ref(&schedules), &[],
         ).unwrap();
-        prop_assert_eq!(streamed.total_ms.to_bits(), c.total_ms.to_bits());
-        let folded = CostBreakdown { sync: c.sync_ms, ..c.per_device[0] };
-        prop_assert_eq!(breakdown_bits(&streamed.breakdown), breakdown_bits(&folded));
+        let (mut total, mut kernel) = (0.0f64, 0.0f64);
+        for (round, schedule) in metrics.rounds.iter().zip(&schedules) {
+            let k = gpu_kernel_term(&m, &s, &p, round).unwrap();
+            let (_, round_ms) = schedule_round_spans(&p, round, k, Some(schedule), 0.0);
+            total += p.sigma + round_ms;
+            kernel += k;
+        }
+        prop_assert_eq!(total.to_bits(), c.total_ms.to_bits());
+        prop_assert_eq!(kernel.to_bits(), c.per_device[0].kernel.to_bits());
     }
 
     /// A device lost at or after the last round degrades nothing: the
@@ -161,7 +170,7 @@ proptest! {
             replay_txns: 1,
             takeover,
         };
-        let full = cluster_cost(&cluster, &m, &per_device, &peer).unwrap();
+        let full = cluster_cost_streamed(&cluster, &m, &per_device, &[], &peer).unwrap();
         let degraded = cluster_cost_degraded(&cluster, &m, &per_device, &peer, &loss).unwrap();
         prop_assert_eq!(cluster_bits(&full), cluster_bits(&degraded));
     }

@@ -41,9 +41,9 @@
 //!
 //! * **Occupancy packing** — a job's *resident-block demand* is its
 //!   widest launch, priced per device with the model's occupancy bound
-//!   `ℓ = min(⌊M/m⌋, H)` ([`atgpu_model::occupancy()`]): a device can
-//!   hold at most `k′·ℓ` blocks, so admitting more concurrent demand
-//!   than `Σ_d k′_d·ℓ_d` cannot increase throughput.  Jobs are admitted
+//!   `ℓ = min(⌊M/m⌋, H)`: a device holds at most `k′·ℓ` blocks
+//!   ([`atgpu_model::occupancy::device_capacity`]), so admitting more
+//!   demand than `Σ_d k′_d·ℓ_d` cannot raise throughput.  Jobs are admitted
 //!   while the summed demand of running jobs fits; an over-wide job is
 //!   clamped and runs alone rather than deadlocking.
 //! * **Per-tenant fairness** — requests queue FIFO *within* a tenant,
@@ -182,8 +182,8 @@ pub use verify::{VerifyMemo, VerifyStats};
 
 use atgpu_analyze::predict;
 use atgpu_ir::{shard_counts, HostBufRole, HostStep, Program};
-use atgpu_model::occupancy::occupancy;
-use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec, ModelError};
+use atgpu_model::occupancy::device_capacity;
+use atgpu_model::{AtgpuMachine, ClusterSpec, ModelError};
 use atgpu_sim::{
     run_cluster_program, run_cluster_program_on, Cluster, ClusterSimReport, SimConfig,
 };
@@ -198,15 +198,17 @@ pub struct ServerConfig {
     /// Maximum requests waiting in the admission queue before
     /// submissions bounce with [`ServeError::QueueFull`].
     pub queue_capacity: usize,
-    /// Maximum memoized price quotes (FIFO eviction).
-    pub memo_capacity: usize,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
-        Self { sim: SimConfig::default(), queue_capacity: 64, memo_capacity: 1024 }
+        Self { sim: SimConfig::default(), queue_capacity: 64 }
     }
 }
+
+/// Entries each memo — verifier verdicts and price quotes — keeps before
+/// evicting its oldest (FIFO).
+const MEMO_CAPACITY: usize = 1024;
 
 /// Combined server counters: soundness gate + admission queue +
 /// pricing paths.
@@ -248,17 +250,18 @@ impl CostServer {
         config: ServerConfig,
     ) -> Result<Self, ServeError> {
         let cluster = Cluster::new(machine, spec)?;
+        // What the cluster holds at once: every device's `k′·ℓ` for
+        // blocks with no shared memory, summed without wrapping.
         let capacity = cluster
             .spec()
             .devices
             .iter()
-            .map(|d| d.k_prime * occupancy(cluster.machine(), 0, d.h_limit))
-            .sum::<u64>()
-            .max(1);
+            .map(|d| device_capacity(cluster.machine(), d, 0))
+            .fold(0, u64::saturating_add);
         Ok(Self {
             admission: AdmissionQueue::new(config.queue_capacity, capacity),
-            memo: PriceMemo::new(config.memo_capacity),
-            verify: VerifyMemo::new(config.memo_capacity),
+            memo: PriceMemo::new(MEMO_CAPACITY),
+            verify: VerifyMemo::new(MEMO_CAPACITY),
             sim: config.sim,
             cluster,
         })
@@ -395,7 +398,7 @@ impl CostServer {
             // Blocks placed on a device the cluster lacks are never
             // resident: the zip drops them.
             let held = shard_counts(&shards, spec.n_devices());
-            let cap = |s: &GpuSpec| s.k_prime * occupancy(machine, kernel.shared_words, s.h_limit);
+            let cap = |s| device_capacity(machine, s, kernel.shared_words);
             spec.devices.iter().zip(held).map(|(s, blocks)| blocks.min(cap(s))).sum::<u64>()
         });
         demand.max().unwrap_or(0).max(1)

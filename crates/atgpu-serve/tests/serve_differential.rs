@@ -247,6 +247,56 @@ fn server_watchdog_budget_travels_with_every_run_and_no_further() {
     assert_identical(&scan, &own, &solo);
 }
 
+/// Regression: a what-if spec's MP count and residency limit are any
+/// values `ClusterSpec::validate` accepts, and none of them can take the
+/// server down.  At the parent the device capacity `k′·ℓ` was an
+/// unchecked product (it wrapped to 0 and the analytic tier panicked
+/// dividing by it) and the simulated tier built one MP per `k′` (the
+/// process aborted allocating them).  Every pair gets a quote on both
+/// tiers, a device that holds the whole grid prices one wave whatever
+/// its size, and a server over the largest devices builds and serves.
+#[test]
+fn a_what_if_spec_cannot_take_the_server_down() {
+    use atgpu_algos::transpose::{Transpose, TransposeVariant};
+    let machine = AtgpuMachine::gtx650_like();
+    let gtx = atgpu_model::GpuSpec::gtx650_like();
+    let server =
+        CostServer::new(machine, ClusterSpec::homogeneous(1, gtx), ServerConfig::default())
+            .expect("server");
+    let vecadd = VecAdd::new(256, 1).build(&machine).expect("builds");
+    let transpose = Transpose::new(32, 5, TransposeVariant::Tiled).build(&machine).expect("builds");
+    let blocks = 256 / machine.b;
+
+    let sizes = [1, 1 << 20, 1 << 40, 1 << 62, u64::MAX];
+    let mut one_wave = Vec::new();
+    for k_prime in sizes {
+        for h_limit in sizes {
+            let spec =
+                ClusterSpec::homogeneous(1, atgpu_model::GpuSpec { k_prime, h_limit, ..gtx });
+            spec.validate().expect("the model accepts any MP count and residency limit");
+            let quote = |built: &BuiltProgram, source| {
+                let quote = server.price_what_if(&built.program, &spec).expect("a quote");
+                assert_eq!(quote.source, source, "k′ = {k_prime}, H = {h_limit}");
+                quote.total_ms
+            };
+            let vecadd_ms = quote(&vecadd, PriceSource::Analytic);
+            quote(&transpose, PriceSource::Simulated);
+            if k_prime >= blocks {
+                one_wave.push(vecadd_ms.to_bits());
+            }
+        }
+    }
+    assert_eq!(one_wave.len(), 4 * sizes.len());
+    assert!(one_wave.iter().all(|&ms| ms == one_wave[0]), "one wave prices alike: {one_wave:?}");
+
+    let huge = atgpu_model::GpuSpec { k_prime: u64::MAX, h_limit: u64::MAX, ..gtx };
+    let server =
+        CostServer::new(machine, ClusterSpec::homogeneous(2, huge), ServerConfig::default())
+            .expect("a server over the largest devices");
+    let report = server.submit("alpha", &vecadd.program, vecadd.inputs.clone()).expect("runs");
+    assert_eq!(report.output(vecadd.outputs[0]).len(), 256);
+}
+
 /// A program whose kernel's cross-block write stride makes distinct
 /// blocks collide on the same global words: the static verifier proves
 /// it racy, and the server must refuse to execute *or* price it.

@@ -45,7 +45,7 @@
 //! `σ + max_d(T_in(d) + T_kernel(d) + T_peer(d) + T_out(d))` — the
 //! slowest device's critical path.  Peer-transfer time is charged to
 //! both endpoints (source reads while destination writes).  The
-//! analytical counterpart is [`atgpu_model::cost::cluster_cost`].
+//! analytical counterpart is [`atgpu_model::cost::cluster_cost_streamed`].
 
 use crate::device::{apply_write_log, check_log_races, Device, DeviceStats, KernelStats};
 use crate::driver::HostData;

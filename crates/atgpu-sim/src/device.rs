@@ -7,7 +7,11 @@
 //! index)`.  Blocks are placed **depth-first**: the initial fill gives
 //! MP 0 its `ℓ` resident blocks before MP 1 sees one, so a grid below
 //! `k′·ℓ` blocks leaves whole MPs empty; after the fill the next block of
-//! the launch queue goes to whichever MP just retired one.  The loop
+//! the launch queue goes to whichever MP just retired one.  An MP that
+//! the fill leaves empty therefore never receives a block, so the loop
+//! builds only the `min(k′, ⌈blocks/ℓ⌉)` MPs the fill reaches — nothing
+//! is sized by `k′` (nor by `ℓ`, see [`crate::mp`]), which a valid spec
+//! can make astronomically large.  The loop
 //! does not rescan the MPs after every instruction.  It picks the
 //! earliest MP, keeps the runner-up's key as a **horizon**, and steps the
 //! same MP — admitting from the launch queue as its blocks retire, testing
@@ -280,8 +284,10 @@ impl Device {
         }
     }
 
-    /// The one block loop: co-simulates the `k′` MPs in global time order
-    /// against one memory controller, writing into `acc` as it goes.
+    /// The one block loop: co-simulates the MPs in global time order
+    /// against one memory controller, writing into `acc` as it goes.  It
+    /// builds the `min(k′, ⌈blocks/ℓ⌉)` MPs the depth-first fill reaches
+    /// (see the module docs).
     fn run_sequential<E: BlockSim>(
         &self,
         blocks: &Blocks<'_>,
@@ -289,10 +295,10 @@ impl Device {
         acc: &mut GmemAccess<'_>,
     ) -> Result<KernelStats, SimError> {
         let &Blocks { name, ell, range, budget } = blocks;
-        let k_prime = self.spec.k_prime as usize;
         let mut dram =
             DramController::new(self.spec.dram_issue_cycles, self.spec.dram_latency_cycles);
-        let mut mps: Vec<Mp<E>> = (0..k_prime).map(|_| Mp::new(ell)).collect();
+        let reached = range.1.saturating_sub(range.0).div_ceil(ell).min(self.spec.k_prime);
+        let mut mps: Vec<Mp<E>> = (0..reached).map(|_| Mp::new(ell)).collect();
         let (mut next_block, end_block) = range;
 
         // Initial fill, depth-first: MP 0 takes blocks up to its `ℓ`

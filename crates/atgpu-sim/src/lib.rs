@@ -115,9 +115,9 @@
 //! That is the only host fan-out: a device simulates its own MPs on one
 //! thread, against one memory controller and one clock.  Observed round
 //! time is `σ + max_d(device d's stream timeline)` — the slowest
-//! device's critical path — mirrored analytically by
-//! [`atgpu_model::cost::cluster_cost`] /
-//! [`atgpu_model::cost::cluster_cost_streamed`].
+//! device's critical path — mirrored analytically by the cost core,
+//! [`atgpu_model::cost::cluster_cost_streamed`] (all-serial devices pass
+//! `&[]` schedules).
 //!
 //! ## Shard plans
 //!

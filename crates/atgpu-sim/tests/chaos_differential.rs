@@ -12,30 +12,17 @@
 use atgpu_ir::{
     AddrExpr, AluOp, DBuf, HBuf, HostStep, KernelBuilder, Operand, Program, ProgramBuilder,
 };
-use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
+use atgpu_model::ClusterSpec;
 use atgpu_sim::{
     even_shards, run_cluster_program, run_program, FaultEvent, FaultPlan, LinkEdge, SimConfig,
     SimError,
 };
+use common::{machine, spec};
 
-fn machine() -> AtgpuMachine {
-    AtgpuMachine::new(1 << 12, 4, 64, 1 << 16).unwrap()
-}
-
-fn gspec() -> GpuSpec {
-    GpuSpec {
-        k_prime: 2,
-        h_limit: 4,
-        clock_cycles_per_ms: 1000.0,
-        xfer_alpha_ms: 0.1,
-        xfer_beta_ms_per_word: 0.001,
-        sync_ms: 0.05,
-        ..GpuSpec::gtx650_like()
-    }
-}
+mod common;
 
 fn cspec(n: usize) -> ClusterSpec {
-    ClusterSpec::homogeneous(n, gspec())
+    ClusterSpec::homogeneous(n, spec())
 }
 
 fn vecadd_kernel(
@@ -186,9 +173,8 @@ fn empty_fault_plan_is_bit_identical_and_free() {
 
     // Single-device driver: same contract.
     let (p1, hc1) = plain_vecadd_program(n);
-    let base1 =
-        run_program(&p1, data.clone(), &machine(), &gspec(), &SimConfig::default()).unwrap();
-    let empty1 = run_program(&p1, data, &machine(), &gspec(), &faulted(FaultPlan::new(9))).unwrap();
+    let base1 = run_program(&p1, data.clone(), &machine(), &spec(), &SimConfig::default()).unwrap();
+    let empty1 = run_program(&p1, data, &machine(), &spec(), &faulted(FaultPlan::new(9))).unwrap();
     assert_eq!(base1.output(hc1), empty1.output(hc1));
     assert_eq!(base1.total_ms(), empty1.total_ms());
     assert_eq!(base1.device_stats.retries, 0);
@@ -386,7 +372,7 @@ fn losing_every_device_is_a_structured_error() {
     let (p1, _) = plain_vecadd_program(n);
     let mut plan = FaultPlan::new(0);
     plan.push(FaultEvent::DeviceDown { device: 0, at_round: 0 });
-    let err = run_program(&p1, data, &machine(), &gspec(), &faulted(plan)).expect_err("dead");
+    let err = run_program(&p1, data, &machine(), &spec(), &faulted(plan)).expect_err("dead");
     assert_eq!(err, SimError::DeviceLost { device: 0, round: 0 });
 }
 
@@ -397,7 +383,7 @@ fn watchdog_trips_as_structured_error() {
 
     let (p1, _) = plain_vecadd_program(n);
     let tight = SimConfig { watchdog_cycles: 1, ..SimConfig::default() };
-    let err = run_program(&p1, data.clone(), &machine(), &gspec(), &tight).expect_err("overrun");
+    let err = run_program(&p1, data.clone(), &machine(), &spec(), &tight).expect_err("overrun");
     match err {
         SimError::Watchdog { kernel, budget } => {
             assert_eq!(kernel, "vecadd_kernel");
@@ -406,7 +392,7 @@ fn watchdog_trips_as_structured_error() {
         other => panic!("expected Watchdog, got {other}"),
     }
     let roomy = SimConfig { watchdog_cycles: 1 << 40, ..SimConfig::default() };
-    assert!(run_program(&p1, data.clone(), &machine(), &gspec(), &roomy).is_ok());
+    assert!(run_program(&p1, data.clone(), &machine(), &spec(), &roomy).is_ok());
 
     // The cluster driver arms the same watchdog on every device.
     let (p, _) = sharded_vecadd_program(n, 2);
@@ -520,7 +506,7 @@ fn out_of_range_transfers_are_typed_errors_not_panics() {
     for cfg in [SimConfig::default(), faulted(drops)] {
         for (what, mutate) in mutations {
             if let Some(p) = mutated(&plain, mutate) {
-                let r = run_program(&p, data.clone(), &machine(), &gspec(), &cfg);
+                let r = run_program(&p, data.clone(), &machine(), &spec(), &cfg);
                 assert!(matches!(r, Err(SimError::HostDataMismatch { .. })), "{what}: {r:?}");
             }
             let p = mutated(&sharded, mutate).expect("the sharded program has every step kind");
@@ -588,7 +574,7 @@ mod random_chaos {
             let data = inputs(n, seed);
             let (p, hc) = plain_vecadd_program(n);
             let base =
-                run_program(&p, data.clone(), &machine(), &gspec(), &SimConfig::default()).unwrap();
+                run_program(&p, data.clone(), &machine(), &spec(), &SimConfig::default()).unwrap();
 
             let plan = FaultPlan::random(seed ^ matrix_seed(), 1, 1, 0.35);
             prop_assert!(
@@ -596,8 +582,8 @@ mod random_chaos {
                 "random plans never kill the only device"
             );
             let cfg = faulted(plan);
-            let r1 = run_program(&p, data.clone(), &machine(), &gspec(), &cfg).unwrap();
-            let r2 = run_program(&p, data, &machine(), &gspec(), &cfg).unwrap();
+            let r1 = run_program(&p, data.clone(), &machine(), &spec(), &cfg).unwrap();
+            let r2 = run_program(&p, data, &machine(), &spec(), &cfg).unwrap();
             prop_assert_eq!(base.output(hc), r1.output(hc));
             prop_assert_eq!(r1.output(hc), r2.output(hc));
             prop_assert_eq!(r1.total_ms().to_bits(), r2.total_ms().to_bits());

@@ -8,16 +8,20 @@
 //! allocated 2 × 290 MB per launch.  A spec reaches the simulator from a
 //! client through `CostServer::price_what_if`'s simulation fallback.
 //! What an MP holds now grows with the blocks it is actually given, so
-//! the largest single allocation of such a run stays small.
+//! the largest single allocation of such a run stays small.  The same
+//! holds one level up: `k_prime` is just as unbounded, and the device
+//! used to build all `k′` MPs per launch (`k_prime = 1 << 40` aborted
+//! allocating 202 TB); it now builds only the MPs the fill reaches.
 //!
-//! This file contains a single test so no concurrent test can perturb
-//! the allocation high-water mark.
+//! The tests take one lock so neither can perturb the other's
+//! allocation high-water mark.
 
-use atgpu_ir::{AluOp, KernelBuilder, Operand, ProgramBuilder};
+use atgpu_ir::{AluOp, HBuf, KernelBuilder, Operand, Program, ProgramBuilder};
 use atgpu_model::{AtgpuMachine, GpuSpec};
-use atgpu_sim::{run_program, SimConfig};
+use atgpu_sim::{run_program, KernelStats, SimConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 struct PeakAlloc;
 
@@ -41,14 +45,12 @@ unsafe impl GlobalAlloc for PeakAlloc {
 #[global_allocator]
 static ALLOC: PeakAlloc = PeakAlloc;
 
-#[test]
-fn a_huge_residency_limit_sizes_no_allocation() {
-    let machine = AtgpuMachine::gtx650_like();
-    let spec = GpuSpec { h_limit: 1 << 40, ..GpuSpec::gtx650_like() };
-    spec.validate().expect("the model accepts any residency limit");
+/// Serialises the tests around [`LARGEST`].
+static SERIAL: Mutex<()> = Mutex::new(());
 
-    // Eight blocks of a kernel without shared memory (so `ℓ = H`), between
-    // a transfer in and a transfer out of the same buffer.
+/// Eight blocks of a kernel without shared memory (so `ℓ = H`), between
+/// a transfer in and a transfer out of the same buffer, with its input.
+fn program(machine: &AtgpuMachine) -> (Program, HBuf, Vec<i64>) {
     let n = 8 * machine.b;
     let mut kb = KernelBuilder::new("no_shared", 8, 0);
     kb.mov(0, Operand::Block);
@@ -63,18 +65,32 @@ fn a_huge_residency_limit_sizes_no_allocation() {
     pb.transfer_in(input, buf, n);
     pb.launch(kb.build());
     pb.transfer_out(buf, output, n);
-    let program = pb.build().unwrap();
     let data: Vec<i64> = (0..n as i64).map(|i| 3 * i - 7).collect();
+    (pb.build().unwrap(), output, data)
+}
 
-    // Written through, and logged (the race detector's launch).
+/// Runs [`program`] on `spec`, written through or logged (the race
+/// detector's launch): the launch's statistics and the largest single
+/// allocation of the run.
+fn run(spec: &GpuSpec, detect_races: bool) -> (KernelStats, usize) {
+    let machine = AtgpuMachine::gtx650_like();
+    let (program, output, data) = program(&machine);
+    LARGEST.store(0, Ordering::SeqCst);
+    let config = SimConfig { detect_races, ..SimConfig::default() };
+    let report = run_program(&program, vec![data.clone()], &machine, spec, &config).unwrap();
+    let largest = LARGEST.load(Ordering::SeqCst);
+    assert_eq!(report.output(output), data, "detect_races={detect_races}");
+    (report.rounds[0].kernel_stats, largest)
+}
+
+#[test]
+fn a_huge_residency_limit_sizes_no_allocation() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let spec = GpuSpec { h_limit: 1 << 40, ..GpuSpec::gtx650_like() };
+    spec.validate().expect("the model accepts any residency limit");
+
     for detect_races in [false, true] {
-        LARGEST.store(0, Ordering::SeqCst);
-        let config = SimConfig { detect_races, ..SimConfig::default() };
-        let report = run_program(&program, vec![data.clone()], &machine, &spec, &config).unwrap();
-        let largest = LARGEST.load(Ordering::SeqCst);
-
-        assert_eq!(report.output(output), data, "detect_races={detect_races}");
-        let stats = report.rounds[0].kernel_stats;
+        let (stats, largest) = run(&spec, detect_races);
         assert_eq!(
             stats.occupancy,
             1 << 40,
@@ -83,6 +99,21 @@ fn a_huge_residency_limit_sizes_no_allocation() {
         assert_eq!((stats.blocks, stats.instructions), (8, 8 * 5), "detect_races={detect_races}");
         // An executor is ≈ 3 KB; at the parent the first request was
         // 2904 B × ℓ.
+        assert!(largest < 1 << 20, "detect_races={detect_races}: a {largest}-byte allocation");
+    }
+}
+
+#[test]
+fn a_huge_mp_count_sizes_no_allocation() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // `ℓ = 3`, so the eight blocks fill ⌈8/3⌉ = 3 MPs.
+    let spec = GpuSpec { k_prime: 1 << 40, h_limit: 3, ..GpuSpec::gtx650_like() };
+    spec.validate().expect("the model accepts any MP count");
+    let reached = GpuSpec { k_prime: 3, ..spec };
+
+    for detect_races in [false, true] {
+        let (stats, largest) = run(&spec, detect_races);
+        assert_eq!(stats, run(&reached, detect_races).0, "detect_races={detect_races}");
         assert!(largest < 1 << 20, "detect_races={detect_races}: a {largest}-byte allocation");
     }
 }

@@ -10,29 +10,13 @@ use atgpu_model::{
     plan, AtgpuMachine, ClusterSpec, GpuSpec, LinkParams, PeerProfile, ShardProfile,
 };
 use atgpu_sim::{even_shards, planned_shards, shard_counts, weighted_shards};
+use common::Rng;
 use proptest::prelude::*;
 
-struct Rng(u64);
+mod common;
 
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-
-    /// A multiplier in {1/8, 1/4, 1/2, 1, 2, 4, 8}.
-    fn scale(&mut self) -> f64 {
-        [0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0][self.below(7) as usize]
-    }
-}
+/// The link multipliers `rng.scale` draws from.
+const SCALES: [f64; 7] = [0.125, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0];
 
 fn random_cluster(rng: &mut Rng) -> ClusterSpec {
     let n = 1 + rng.below(4) as usize;
@@ -42,8 +26,8 @@ fn random_cluster(rng: &mut Rng) -> ClusterSpec {
         let g = base[rng.below(3) as usize];
         spec.devices[d] = GpuSpec { k_prime: 1 + rng.below(16), ..g };
         spec.host_links[d] = LinkParams {
-            alpha_ms: g.xfer_alpha_ms * rng.scale(),
-            beta_ms_per_word: g.xfer_beta_ms_per_word * rng.scale(),
+            alpha_ms: g.xfer_alpha_ms * rng.scale(&SCALES),
+            beta_ms_per_word: g.xfer_beta_ms_per_word * rng.scale(&SCALES),
         };
     }
     spec

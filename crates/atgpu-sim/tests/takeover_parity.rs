@@ -8,40 +8,24 @@
 use atgpu_ir::{
     counts_to_shards, AddrExpr, AluOp, HBuf, KernelBuilder, Operand, Program, ProgramBuilder,
 };
-use atgpu_model::{plan, AtgpuMachine, ClusterSpec, GpuSpec};
+use atgpu_model::{plan, ClusterSpec, GpuSpec};
 use atgpu_sim::{run_cluster_program, FaultEvent, FaultPlan, SimConfig};
+use common::{machine, Rng};
 use proptest::prelude::*;
 
-struct Rng(u64);
+mod common;
 
-impl Rng {
-    fn below(&mut self, n: u64) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d) % n.max(1)
-    }
-
-    /// A multiplier in {1/4, 1/2, 1, 2, 4}.
-    fn scale(&mut self) -> f64 {
-        [0.25, 0.5, 1.0, 2.0, 4.0][self.below(5) as usize]
-    }
-}
-
-fn machine() -> AtgpuMachine {
-    AtgpuMachine::new(1 << 12, 4, 64, 1 << 16).unwrap()
-}
+/// The clock and link multipliers `rng.scale` draws from.
+const SCALES: [f64; 5] = [0.25, 0.5, 1.0, 2.0, 4.0];
 
 fn random_cluster(rng: &mut Rng) -> ClusterSpec {
     let n = 2 + rng.below(3) as usize;
     let device = |rng: &mut Rng| GpuSpec {
         k_prime: 1 + rng.below(6),
         h_limit: 4,
-        clock_cycles_per_ms: 1000.0 * rng.scale(),
-        xfer_alpha_ms: 0.1 * rng.scale(),
-        xfer_beta_ms_per_word: 0.001 * rng.scale(),
+        clock_cycles_per_ms: 1000.0 * rng.scale(&SCALES),
+        xfer_alpha_ms: 0.1 * rng.scale(&SCALES),
+        xfer_beta_ms_per_word: 0.001 * rng.scale(&SCALES),
         sync_ms: 0.05,
         ..GpuSpec::gtx650_like()
     };
@@ -50,7 +34,7 @@ fn random_cluster(rng: &mut Rng) -> ClusterSpec {
         spec.devices[d] = device(rng);
         spec.host_links[d] = spec.devices[d].host_link();
         for s in (0..n).filter(|&s| s != d) {
-            spec.peer_links[s][d] = spec.peer_links[s][d].scaled(rng.scale());
+            spec.peer_links[s][d] = spec.peer_links[s][d].scaled(rng.scale(&SCALES));
         }
     }
     spec

@@ -13,115 +13,11 @@
 //!   gapless chain per round: each span starts exactly where the
 //!   previous one ended.
 
-use atgpu_ir::{AddrExpr, AluOp, HostStep, KernelBuilder, Program, ProgramBuilder};
-use atgpu_model::{AtgpuMachine, GpuSpec};
 use atgpu_sim::{run_program, SimConfig, Span, SpanKind};
+use common::{chunked_vecadd, inputs, machine, restream, spec, Rng};
 use proptest::prelude::*;
 
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n.max(1)
-    }
-}
-
-fn machine() -> AtgpuMachine {
-    AtgpuMachine::new(1 << 12, 4, 64, 1 << 16).unwrap()
-}
-
-fn spec() -> GpuSpec {
-    GpuSpec {
-        k_prime: 2,
-        h_limit: 4,
-        clock_cycles_per_ms: 1000.0,
-        xfer_alpha_ms: 0.1,
-        xfer_beta_ms_per_word: 0.001,
-        sync_ms: 0.05,
-        ..GpuSpec::gtx650_like()
-    }
-}
-
-/// The double-buffered chunked `C = A + B` shape, all on stream 0 (the
-/// same generator `stream_differential.rs` uses).
-fn chunked_vecadd(n: u64, chunk: u64) -> (Program, atgpu_ir::HBuf) {
-    let b = 4i64;
-    let rounds = n / chunk;
-    let mut pb = ProgramBuilder::new("chunked");
-    let ha = pb.host_input("A", n);
-    let hb = pb.host_input("B", n);
-    let hc = pb.host_output("C", n);
-    let bufs = [
-        (pb.device_alloc("a0", chunk), pb.device_alloc("b0", chunk), pb.device_alloc("c0", chunk)),
-        (pb.device_alloc("a1", chunk), pb.device_alloc("b1", chunk), pb.device_alloc("c1", chunk)),
-    ];
-    for r in 0..=rounds {
-        pb.begin_round();
-        if r < rounds {
-            let (da, db, _) = bufs[(r % 2) as usize];
-            pb.transfer_in_at(ha, r * chunk, da, 0, chunk);
-            pb.transfer_in_at(hb, r * chunk, db, 0, chunk);
-        }
-        if r > 0 {
-            let (da, db, dc) = bufs[((r - 1) % 2) as usize];
-            let k = chunk / b as u64;
-            let mut kb = KernelBuilder::new(format!("add_r{r}"), k, 3 * b as u64);
-            let g = AddrExpr::block() * b + AddrExpr::lane();
-            kb.glb_to_shr(AddrExpr::lane(), da, g.clone());
-            kb.glb_to_shr(AddrExpr::lane() + b, db, g.clone());
-            kb.ld_shr(0, AddrExpr::lane());
-            kb.ld_shr(1, AddrExpr::lane() + b);
-            kb.alu(AluOp::Add, 2, atgpu_ir::Operand::Reg(0), atgpu_ir::Operand::Reg(1));
-            kb.st_shr(AddrExpr::lane() + 2 * b, atgpu_ir::Operand::Reg(2));
-            kb.shr_to_glb(dc, g, AddrExpr::lane() + 2 * b);
-            pb.launch(kb.build());
-            pb.transfer_out_at(dc, 0, hc, (r - 1) * chunk, chunk);
-        }
-    }
-    (pb.build().unwrap(), hc)
-}
-
-/// Random stream tags on every transfer plus sprinkled sync steps —
-/// the `stream_differential.rs` mutation.
-fn restream(p: &Program, seed: u64) -> Program {
-    let mut rng = Rng(seed | 1);
-    let mut out = p.clone();
-    for round in &mut out.rounds {
-        let mut steps = Vec::with_capacity(round.steps.len() * 2);
-        for mut step in round.steps.drain(..) {
-            if rng.below(4) == 0 {
-                steps.push(match rng.below(3) {
-                    0 => HostStep::SyncDevice { device: 0 },
-                    s => HostStep::SyncStream { device: 0, stream: (s * rng.below(4)) as u32 },
-                });
-            }
-            match &mut step {
-                HostStep::TransferIn { stream, .. } | HostStep::TransferOut { stream, .. } => {
-                    *stream = rng.below(4) as u32;
-                }
-                _ => {}
-            }
-            steps.push(step);
-        }
-        round.steps = steps;
-    }
-    atgpu_ir::validate::validate_program(&out).expect("restreamed program stays valid");
-    out
-}
-
-fn inputs(n: u64, seed: u64) -> Vec<Vec<i64>> {
-    let mut rng = Rng(seed | 1);
-    (0..2).map(|_| (0..n).map(|_| rng.below(201) as i64 - 100).collect()).collect()
-}
+mod common;
 
 fn traced() -> SimConfig {
     SimConfig { trace: true, ..SimConfig::default() }
@@ -147,7 +43,7 @@ proptest! {
         let chunk = [16u64, 32, 64][rng.below(3) as usize];
         let n = chunk * (1 + rng.below(5));
         let (serial, hc) = chunked_vecadd(n, chunk);
-        let streamed = restream(&serial, seed ^ 0xABCD);
+        let streamed = restream(&serial, seed ^ 0xABCD, false);
         let data = inputs(n, seed);
 
         let base = run_program(&streamed, data.clone(), &machine(), &spec(), &SimConfig::default())

@@ -36,6 +36,7 @@
 //! ## Quickstart
 //!
 //! ```
+//! use atgpu::model::cost::{evaluate, CostModel};
 //! use atgpu::model::{AtgpuMachine, CostParams, GpuSpec};
 //! use atgpu::algos::{vecadd::VecAdd, verify_on_sim, Workload};
 //! use atgpu::analyze::analyze_program;
@@ -48,15 +49,16 @@
 //!
 //! // Analyse vector addition at n = 10_000 on the model …
 //! let wl = VecAdd::new(10_000, /* seed */ 42);
-//! let built = wl.build(&machine).unwrap();
-//! let metrics = analyze_program(&built.program, &machine).unwrap().metrics();
-//! let cost = atgpu::model::cost::atgpu_cost(&params, &machine, &spec, &metrics).unwrap();
+//! let built = wl.build(&machine)?;
+//! let metrics = analyze_program(&built.program, &machine)?.metrics();
+//! let cost = evaluate(CostModel::GpuCost, &params, &machine, &spec, &metrics)?.total();
 //! assert!(cost > 0.0);
 //!
 //! // … and observe it on the simulated device (verified against the
 //! // host reference).
-//! let report = verify_on_sim(&wl, &machine, &spec, &SimConfig::default()).unwrap();
+//! let report = verify_on_sim(&wl, &machine, &spec, &SimConfig::default())?;
 //! assert!(report.total_ms() > report.kernel_ms());
+//! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
 #![forbid(unsafe_code)]
