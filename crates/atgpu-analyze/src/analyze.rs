@@ -251,7 +251,10 @@ pub fn predict(
 }
 
 /// The one analysis walk: builds every device's [`RoundMetrics`] rows
-/// from the [`HostStep`]s of a **validated** program on `n` devices.
+/// from the [`HostStep`]s of a **validated** program on `n` devices.  A
+/// launch whose kernel `==` the previous launch's kernel reuses its
+/// [`KernelAnalysis`], so an iterated program relaunching one kernel
+/// analyses it once.
 fn walk_program(
     p: &Program,
     machine: &AtgpuMachine,
@@ -271,6 +274,10 @@ fn walk_program(
     let mut kernels = Vec::with_capacity(p.rounds.len());
     let mut io_exact = true;
     let mut conflict_free = true;
+    // The previous launch's kernel and its round: a launch of the same
+    // kernel reuses that round's analysis (bases and machine are fixed
+    // for the walk, so it is the same analysis).
+    let mut previous: Option<(&Kernel, usize)> = None;
 
     for (i, round) in p.rounds.iter().enumerate() {
         for rows in &mut per_device {
@@ -302,7 +309,15 @@ fn walk_program(
         }
         let mut kernel = None;
         if let Some((k, shards)) = round.launch() {
-            let ka = analyze_kernel(k, &bases, machine)?;
+            let reused = match previous {
+                Some((pk, pi)) if pk == k => kernels.get(pi).cloned().flatten(),
+                _ => None,
+            };
+            let ka = match reused {
+                Some(ka) => ka,
+                None => analyze_kernel(k, &bases, machine)?,
+            };
+            previous = Some((k, i));
             if ka.shared_words > machine.m {
                 return Err(atgpu_model::ModelError::SharedMemoryExceeded {
                     required: ka.shared_words,

@@ -17,6 +17,12 @@
 //!    residencies `ℓ ∈ {4, 16, 64}` (tournament-tree depth 2, 4, 6) on
 //!    `k′ ∈ {2, 8}` co-simulated MPs: ns per issued instruction, so how the
 //!    scheduler's footprint grows with `ℓ` can be read off directly.
+//! 4. **Front end** — the quote path ahead of the price, for the nine
+//!    `batch_compute` programs and `launch_storm`'s `relaunch_400x8`:
+//!    best-of-N µs of `validate_program`, `verify_program` and its parts
+//!    (site collection, bounds, race, shared-memory hazards — each over
+//!    the program's distinct kernels — and the lints over every launch),
+//!    and `analyze_cluster_program`.
 
 use atgpu_algos::bitonic::BitonicSort;
 use atgpu_algos::dot::Dot;
@@ -26,14 +32,20 @@ use atgpu_algos::reduce::{Reduce, ReduceVariant};
 use atgpu_algos::scan::Scan;
 use atgpu_algos::transpose::{Transpose, TransposeVariant};
 use atgpu_algos::{vecadd::VecAdd, Workload};
+use atgpu_analyze::analyze_cluster_program;
 use atgpu_exp::{ExpConfig, Scale};
-use atgpu_ir::{AddrExpr, AluOp, DBuf, HostStep, Kernel, KernelBuilder, Operand};
+use atgpu_ir::validate::validate_program;
+use atgpu_ir::{AddrExpr, AluOp, DBuf, HostStep, Kernel, KernelBuilder, Operand, Program};
 use atgpu_model::GpuSpec;
 use atgpu_sim::engine::{BlockExec, BlockSim};
 use atgpu_sim::gmem::GlobalMemory;
 use atgpu_sim::uop::CompiledKernel;
 use atgpu_sim::warp::{GmemAccess, StepEvent, WarpExec};
 use atgpu_sim::{run_program, Device, EngineSel, ExecMode, HostData, SimConfig};
+use atgpu_verify::lints::{self, KernelIo};
+use atgpu_verify::sites::{collect, Site};
+use atgpu_verify::{bounds, race, smem, verify_program};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// Replays per program; each side keeps its fastest (this host's other
@@ -42,6 +54,9 @@ const REPLAYS: usize = 50;
 
 /// Replays of the issue-loop launch (≈ 45 ms each, six cells).
 const ISSUE_REPLAYS: usize = 10;
+
+/// Replays of each front-end call (all under 2 ms).
+const FRONT_REPLAYS: usize = 100;
 
 /// `batch_compute`'s roster at its measured sizes (the benchmark
 /// package's `rosters::batch_compute`, seed 1).
@@ -215,6 +230,87 @@ fn issue_loop(cfg: &ExpConfig) {
     }
 }
 
+/// Best-of-[`FRONT_REPLAYS`] microseconds of `f`.
+fn best_us(mut f: impl FnMut()) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..FRONT_REPLAYS {
+        let t = Instant::now();
+        f();
+        best = best.min(t.elapsed().as_secs_f64() * 1e6);
+    }
+    best
+}
+
+/// Section 4: what a quote costs ahead of the price.
+fn front_end(cfg: &ExpConfig) {
+    let (machine, b) = (&cfg.machine, cfg.machine.b);
+    let mut programs: Vec<(&str, Program)> = batch_compute_programs()
+        .into_iter()
+        .map(|(name, w)| (name, w.build(machine).unwrap().program))
+        .collect();
+    // `launch_storm`'s relaunch program, as the benchmark builds it at seed 1.
+    let relaunch = VecAdd::new(8 * b, 0x9E37_79B9 + 1000).build_relaunched(machine, 400).unwrap();
+    programs.push(("relaunch_400x8", relaunch.program));
+    println!("\nfront end, best of {FRONT_REPLAYS} replays, us per program");
+    println!(
+        "{:<22} {:>8} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "program",
+        "launches",
+        "kernels",
+        "validate",
+        "verify",
+        "collect",
+        "bounds",
+        "race",
+        "smem",
+        "lints",
+        "analyze"
+    );
+    for (name, program) in &programs {
+        let launches: Vec<&Kernel> = program
+            .rounds
+            .iter()
+            .flat_map(|r| &r.steps)
+            .filter_map(HostStep::launch)
+            .map(|l| l.0)
+            .collect();
+        // The distinct kernels, and which one each launch runs.
+        let mut kernels: Vec<&Kernel> = Vec::new();
+        let of_launch: Vec<usize> = launches
+            .iter()
+            .map(|k| match kernels.iter().position(|d| d.same_structure(k)) {
+                Some(i) => i,
+                None => {
+                    kernels.push(k);
+                    kernels.len() - 1
+                }
+            })
+            .collect();
+        let sites: Vec<Vec<Site>> = kernels.iter().map(|k| collect(k, b)).collect();
+        let each = || kernels.iter().copied().zip(&sites);
+        let row = [
+            best_us(|| validate_program(program).unwrap()),
+            best_us(|| drop(black_box(verify_program(program, b)))),
+            best_us(|| kernels.iter().for_each(|k| drop(black_box(collect(k, b))))),
+            best_us(|| {
+                for (k, s) in each() {
+                    s.iter()
+                        .for_each(|site| drop(black_box(bounds::check_site(program, k, site, b))));
+                }
+            }),
+            best_us(|| each().for_each(|(k, s)| drop(black_box(race::check_sites(k, s, b))))),
+            best_us(|| each().for_each(|(_, s)| drop(black_box(smem::check_sites(s, b))))),
+            best_us(|| {
+                let io: Vec<KernelIo> = each().map(|(k, s)| lints::kernel_io(k, s, b)).collect();
+                black_box(lints::check_launches(program, of_launch.iter().map(|&i| &io[i])));
+            }),
+            best_us(|| drop(black_box(analyze_cluster_program(program, machine, 1).unwrap()))),
+        ];
+        let cells: String = row.iter().map(|us| format!(" {us:>8.1}")).collect();
+        println!("{name:<22} {:>8} {:>7}{cells}", launches.len(), kernels.len());
+    }
+}
+
 fn main() {
     // Only the machine and the device are read: every run below takes
     // `SimConfig::default()`, which has no transfer jitter.
@@ -329,4 +425,5 @@ fn main() {
     println!("ref-full         : {:.4}s  full-speedup={:.2}", r, r / e);
 
     issue_loop(&cfg);
+    front_end(&cfg);
 }

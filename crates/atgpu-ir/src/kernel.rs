@@ -55,6 +55,16 @@ impl Kernel {
         h.finish()
     }
 
+    /// Whether `self` and `other` have the same structure: everything
+    /// [`Kernel::cache_key`] hashes, compared exactly.  This is what
+    /// confirms a hit on that key — a 64-bit FNV-1a is not
+    /// collision-resistant, and every immediate is eight free bytes.
+    pub fn same_structure(&self, other: &Kernel) -> bool {
+        self.grid == other.grid
+            && self.shared_words == other.shared_words
+            && self.body == other.body
+    }
+
     /// Highest register index referenced anywhere in the body, if any.
     pub fn max_reg(&self) -> Option<Reg> {
         fn walk(body: &[Instr]) -> Option<Reg> {
@@ -271,6 +281,12 @@ mod tests {
         let mut reshared = k.clone();
         reshared.shared_words = 64;
         assert_ne!(k.cache_key(), reshared.cache_key());
+
+        // `same_structure` draws the same line, exactly.
+        assert!(k.same_structure(&renamed));
+        for other in [&mutated, &deep, &regrid, &reshared] {
+            assert!(!k.same_structure(other));
+        }
     }
 
     #[test]

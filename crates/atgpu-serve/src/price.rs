@@ -11,7 +11,7 @@
 //!
 //! [`cache_key`]: atgpu_ir::Kernel::cache_key
 
-use atgpu_ir::{HostStep, Program};
+use atgpu_ir::{HostStep, Kernel, Program};
 use atgpu_model::{AtgpuMachine, ClusterSpec};
 use atgpu_sim::BoundedMemo;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -84,8 +84,19 @@ fn fnv(h: &mut u64, v: u64) {
 /// sizes and roles, and per round each step's discriminant, operands,
 /// device targets and stream tags; kernels contribute their
 /// [`cache_key`](atgpu_ir::Kernel::cache_key) plus the shard plan.
-/// Program, kernel and buffer *names* are excluded.
+/// Program, kernel and buffer *names* are excluded.  A launch whose
+/// kernel `==` the previous launch's kernel reuses that kernel's hash,
+/// so a relaunched kernel is hashed once (the key is the same value).
 pub fn program_key(p: &Program) -> u64 {
+    let mut previous: Option<(&Kernel, u64)> = None;
+    let mut kernel_key = |k| match previous {
+        Some((pk, key)) if pk == k => key,
+        _ => {
+            let key = Kernel::cache_key(k);
+            previous = Some((k, key));
+            key
+        }
+    };
     let mut h = FNV_OFFSET;
     fnv(&mut h, p.device_allocs.len() as u64);
     for a in &p.device_allocs {
@@ -124,11 +135,11 @@ pub fn program_key(p: &Program) -> u64 {
                 }
                 HostStep::Launch(k) => {
                     fnv(&mut h, 3);
-                    fnv(&mut h, k.cache_key());
+                    fnv(&mut h, kernel_key(k));
                 }
                 HostStep::LaunchSharded { kernel, shards } => {
                     fnv(&mut h, 4);
-                    fnv(&mut h, kernel.cache_key());
+                    fnv(&mut h, kernel_key(kernel));
                     fnv(&mut h, shards.len() as u64);
                     for s in shards {
                         fnv(&mut h, u64::from(s.device));

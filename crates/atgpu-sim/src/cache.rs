@@ -8,16 +8,22 @@
 //! A cache entry is addressed by everything [`CompiledKernel::compile`]
 //! reads:
 //!
-//! * [`atgpu_ir::Kernel::cache_key`] — a stable **structural** hash of
-//!   the instruction body, grid and shared footprint (names excluded:
-//!   renamed kernels share an entry, any instruction mutation misses);
+//! * the kernel's **structure** — instruction body, grid and shared
+//!   footprint, with the name cleared (a diagnostic label: renamed
+//!   kernels share an entry, any instruction mutation misses);
 //! * the device-buffer **base addresses** (compilation folds them into
 //!   affine sites and the coalescing transaction tables);
 //! * the lane count `b` and register count `nregs`.
 //!
-//! The full key — including the complete base vector, not just a hash of
-//! it — is stored and compared on lookup, so two kernels can never
-//! false-hit through a hash collision alone.
+//! A [`CacheKey`] holds all of it.  Its `Hash` reads only the 64-bit
+//! structural hash [`atgpu_ir::Kernel::cache_key`]; its `Eq` compares the
+//! structure, the complete base vector, `b` and `nregs`.  A 64-bit FNV-1a
+//! is not collision-resistant (every immediate is eight free bytes), so
+//! two kernels that collide on it take two entries — on a shared server
+//! whose caches outlive requests, one tenant's compiled kernel never runs
+//! for another's.  A lookup borrows the launch's kernel and bases instead
+//! of building a key: a hit costs the hash and one structural comparison,
+//! and only a miss copies the kernel into its entry's key.
 //!
 //! ## Invalidation and the bound
 //!
@@ -43,16 +49,21 @@
 use crate::memo::BoundedMemo;
 use crate::uop::CompiledKernel;
 use atgpu_ir::Kernel;
+use std::borrow::Borrow;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Entry bound of every device's cache.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 
-/// The full lookup key of one compiled kernel (see module docs).
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// The full lookup key of one compiled kernel (see module docs): hashed
+/// by `kernel` alone, compared on everything.
+#[derive(Debug, Clone)]
 pub struct CacheKey {
-    /// Structural kernel hash ([`Kernel::cache_key`]).
+    /// Structural kernel hash ([`Kernel::cache_key`]): all `Hash` reads.
     pub kernel: u64,
+    /// The kernel with its name cleared: what `Eq` compares it by.
+    pub structure: Arc<Kernel>,
     /// Device-buffer base addresses the compile folded in.
     pub bases: Box<[u64]>,
     /// Lanes per block.
@@ -60,6 +71,75 @@ pub struct CacheKey {
     /// Registers per lane.
     pub nregs: u32,
 }
+
+/// A key's parts, borrowed: what a stored [`CacheKey`] and a lookup
+/// both present, so a lookup needs no owned key.
+#[derive(Clone, Copy)]
+struct KeyParts<'a> {
+    hash: u64,
+    kernel: &'a Kernel,
+    bases: &'a [u64],
+    b: u32,
+    nregs: u32,
+}
+
+/// Something with [`KeyParts`] — the borrowed form of a [`CacheKey`].
+trait Keyed {
+    fn parts(&self) -> KeyParts<'_>;
+}
+
+impl Keyed for CacheKey {
+    fn parts(&self) -> KeyParts<'_> {
+        let (hash, kernel, bases, b, nregs) =
+            (self.kernel, &*self.structure, &*self.bases, self.b, self.nregs);
+        KeyParts { hash, kernel, bases, b, nregs }
+    }
+}
+
+impl Keyed for KeyParts<'_> {
+    fn parts(&self) -> KeyParts<'_> {
+        *self
+    }
+}
+
+impl Hash for dyn Keyed + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash.hash(state);
+    }
+}
+
+impl PartialEq for dyn Keyed + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (self.parts(), other.parts());
+        a.hash == b.hash
+            && a.b == b.b
+            && a.nregs == b.nregs
+            && a.bases == b.bases
+            && a.kernel.same_structure(b.kernel)
+    }
+}
+
+impl Eq for dyn Keyed + '_ {}
+
+impl<'a> Borrow<dyn Keyed + 'a> for CacheKey {
+    fn borrow(&self) -> &(dyn Keyed + 'a) {
+        self
+    }
+}
+
+impl Hash for CacheKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (self as &dyn Keyed).hash(state);
+    }
+}
+
+impl PartialEq for CacheKey {
+    fn eq(&self, other: &Self) -> bool {
+        (self as &dyn Keyed) == (other as &dyn Keyed)
+    }
+}
+
+impl Eq for CacheKey {}
 
 /// Cache observability counters, surfaced through
 /// [`crate::device::DeviceStats`].
@@ -118,7 +198,23 @@ impl KernelCache {
         b: u32,
         nregs: u32,
     ) -> Arc<CompiledKernel> {
-        let key = CacheKey { kernel: kernel.cache_key(), bases: bases.into(), b, nregs };
+        let probe = KeyParts { hash: kernel.cache_key(), kernel, bases, b, nregs };
+        if let Some(hit) = self.memo.get(&probe as &dyn Keyed) {
+            return hit;
+        }
+        let structure = Kernel {
+            name: String::new(),
+            body: kernel.body.clone(),
+            grid: kernel.grid,
+            shared_words: kernel.shared_words,
+        };
+        let key = CacheKey {
+            kernel: probe.hash,
+            structure: Arc::new(structure),
+            bases: bases.into(),
+            b,
+            nregs,
+        };
         self.memo
             .get_or_compute(key, || Arc::new(CompiledKernel::compile(kernel, bases, b, nregs)))
             .0
@@ -157,6 +253,33 @@ mod tests {
         assert!(Arc::ptr_eq(&e1, &e2), "name is not part of the key");
         let e3 = cache.get_or_compile(&kernel("a", 2), &[0], 4, 1);
         assert!(!Arc::ptr_eq(&e1, &e3), "instruction mutation must miss");
+    }
+
+    /// Two kernels whose 64-bit hashes collide are different keys: they
+    /// hash alike, compare unequal and take two entries, and a lookup by
+    /// either finds its own compilation.
+    #[test]
+    fn colliding_kernel_hashes_do_not_alias() {
+        let cache = KernelCache::new(8);
+        let (one, two) = (kernel("a", 1), kernel("a", 2));
+        let key = |k: &Kernel| CacheKey {
+            kernel: 0xC011_1DE5,
+            structure: Arc::new(Kernel { name: String::new(), ..k.clone() }),
+            bases: Box::new([0]),
+            b: 4,
+            nregs: 1,
+        };
+        assert_ne!(key(&one), key(&two));
+        let compile = |k: &Kernel| Arc::new(CompiledKernel::compile(k, &[0], 4, 1));
+        let (e1, hit1) = cache.memo.get_or_compute(key(&one), || compile(&one));
+        let (e2, hit2) = cache.memo.get_or_compute(key(&two), || compile(&two));
+        assert!(!hit1 && !hit2 && !Arc::ptr_eq(&e1, &e2));
+        assert_eq!(cache.stats().entries, 2);
+        for (k, entry) in [(&one, &e1), (&two, &e2)] {
+            let probe = KeyParts { hash: 0xC011_1DE5, kernel: k, bases: &[0], b: 4, nregs: 1 };
+            let found = cache.memo.get(&probe as &dyn Keyed).expect("resident");
+            assert!(Arc::ptr_eq(&found, entry));
+        }
     }
 
     #[test]

@@ -24,6 +24,7 @@
 // cache): nothing here may abort the server.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
+use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,8 +110,13 @@ impl<K: Hash + Eq + Clone, V: Clone> BoundedMemo<K, V> {
 
     /// The resident value of `key`, counted as a hit; `None` (uncounted)
     /// when the key is absent or still being computed.  Takes the read
-    /// lock only.
-    pub fn get(&self, key: &K) -> Option<V> {
+    /// lock only.  `key` may be any borrowed form of `K`, so a caller can
+    /// look up without building an owned key.
+    pub fn get<Q>(&self, key: &Q) -> Option<V>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let inner = self.read();
         let value = inner.map.get(key)?.value.get()?.clone();
         self.hits.fetch_add(1, Ordering::Relaxed);

@@ -86,8 +86,8 @@ pub use lints::Lint;
 pub use race::{RaceVerdict, RaceWitness};
 pub use smem::SmemHazard;
 
-use atgpu_ir::{HostStep, Program};
-use std::collections::HashMap;
+use atgpu_ir::{HostStep, Kernel, Program};
+use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::rc::Rc;
 
@@ -226,54 +226,89 @@ impl VerifyReport {
     }
 }
 
-/// What the per-kernel analyses found in one kernel, with the access
-/// sites they all read.
+/// What the per-kernel analyses found in one kernel, with its global
+/// footprint for the lints.
 struct KernelFindings {
-    sites: Vec<sites::Site>,
+    io: lints::KernelIo,
     race: RaceVerdict,
     oob: Vec<OobFinding>,
     bounds_unknown: usize,
     smem: Vec<SmemHazard>,
 }
 
+impl KernelFindings {
+    /// Collects `kernel`'s access sites once and runs every per-kernel
+    /// analysis over that one walk.
+    fn of(program: &Program, kernel: &Kernel, b: u64) -> Self {
+        let sites = sites::collect(kernel, b);
+        let mut oob = Vec::new();
+        let mut bounds_unknown = 0usize;
+        for site in &sites {
+            match bounds::check_site(program, kernel, site, b) {
+                BoundsVerdict::InBounds => {}
+                BoundsVerdict::Unknown => bounds_unknown += 1,
+                BoundsVerdict::OutOfBounds(w) => {
+                    oob.push(OobFinding { instr: site.instr, witness: w });
+                }
+            }
+        }
+        KernelFindings {
+            io: lints::kernel_io(kernel, &sites, b),
+            race: race::check_sites(kernel, &sites, b),
+            smem: smem::check_sites(&sites, b),
+            oob,
+            bounds_unknown,
+        }
+    }
+}
+
 /// Verifies `program` for a machine with `b` lanes per block: race
 /// check, bounds check and shared-memory hazards per launch, plus the
-/// host-dataflow lints.  Each distinct kernel (by structural hash —
-/// iterated rounds relaunching one kernel count once) has its access
-/// sites collected once, and all four analyses read that one walk.
+/// host-dataflow lints.
+///
+/// A quote costs what the program's *distinct* kernels cost.  The
+/// findings depend only on the kernel's structure, the program's
+/// allocations and `b`, all fixed within one call, so:
+///
+/// * a launch whose kernel `==` the previous launch's kernel reuses the
+///   previous findings outright — one early-exit comparison, no hash
+///   (an iterated program relaunching one kernel pays for it once);
+/// * any other launch looks its kernel up by structural hash
+///   ([`atgpu_ir::Kernel::cache_key`]) and confirms every hit with
+///   [`atgpu_ir::Kernel::same_structure`], so two kernels whose hashes
+///   collide never share a verdict;
+/// * a kernel met for the first time has its access sites collected
+///   once, and the bounds, race, shared-memory and footprint analyses
+///   all read that one walk.
 pub fn verify_program(program: &Program, b: u64) -> VerifyReport {
-    let mut memo: HashMap<u64, Rc<KernelFindings>> = HashMap::new();
+    let mut memo: HashMap<u64, (&Kernel, Rc<KernelFindings>)> = HashMap::new();
+    let mut previous: Option<(&Kernel, Rc<KernelFindings>)> = None;
     // (round, kernel, findings) per launch step, in program order.
     let mut found = Vec::new();
     for (ri, round) in program.rounds.iter().enumerate() {
         for (kernel, _) in round.steps.iter().filter_map(HostStep::launch) {
-            let findings = memo.entry(kernel.cache_key()).or_insert_with(|| {
-                let sites = sites::collect(kernel, b);
-                let mut oob = Vec::new();
-                let mut bounds_unknown = 0usize;
-                for site in &sites {
-                    match bounds::check_site(program, kernel, site, b) {
-                        BoundsVerdict::InBounds => {}
-                        BoundsVerdict::Unknown => bounds_unknown += 1,
-                        BoundsVerdict::OutOfBounds(w) => {
-                            oob.push(OobFinding { instr: site.instr, witness: w });
-                        }
+            let findings = match &previous {
+                Some((k, f)) if *k == kernel => Rc::clone(f),
+                _ => match memo.entry(kernel.cache_key()) {
+                    Entry::Occupied(hit) if hit.get().0.same_structure(kernel) => {
+                        Rc::clone(&hit.get().1)
                     }
-                }
-                Rc::new(KernelFindings {
-                    race: race::check_sites(kernel, &sites, b),
-                    smem: smem::check_sites(&sites, b),
-                    sites,
-                    oob,
-                    bounds_unknown,
-                })
-            });
-            found.push((ri, kernel, Rc::clone(findings)));
+                    // A kernel colliding with the slot's owner is analysed
+                    // on its own and not memoized.
+                    Entry::Occupied(_) => Rc::new(KernelFindings::of(program, kernel, b)),
+                    Entry::Vacant(slot) => {
+                        let f = Rc::new(KernelFindings::of(program, kernel, b));
+                        Rc::clone(&slot.insert((kernel, f)).1)
+                    }
+                },
+            };
+            previous = Some((kernel, Rc::clone(&findings)));
+            found.push((ri, kernel, findings));
         }
     }
     VerifyReport {
         program: program.name.clone(),
-        lints: lints::check_launches(program, b, found.iter().map(|(_, _, f)| f.sites.as_slice())),
+        lints: lints::check_launches(program, found.iter().map(|(_, _, f)| &f.io)),
         launches: found
             .iter()
             .map(|(round, kernel, f)| LaunchReport {
@@ -371,5 +406,35 @@ mod tests {
         assert!(r.is_sound());
         // All five launches share one verdict (structural memoization).
         assert!(r.launches.iter().all(|l| l.race == RaceVerdict::RaceFree));
+    }
+
+    /// Reuse never crosses kernels: launches alternating between a clean
+    /// kernel, a racy one and a renamed copy of the clean one each get
+    /// their own kernel's findings under their own name.
+    #[test]
+    fn reused_findings_follow_the_kernel() {
+        let mut pb = ProgramBuilder::new("p");
+        let h = pb.host_input("A", 128);
+        let d = pb.device_alloc("a", 128);
+        let kernel = |name: &str, stride: i64| {
+            let mut kb = KernelBuilder::new(name, 4, 32);
+            kb.glb_to_shr(AddrExpr::lane(), d, AddrExpr::block() * 32 + AddrExpr::lane());
+            kb.shr_to_glb(d, AddrExpr::block() * stride + AddrExpr::lane(), AddrExpr::lane());
+            kb.build()
+        };
+        pb.begin_round();
+        pb.transfer_in(h, d, 128);
+        for k in [kernel("clean", 32), kernel("clean", 32), kernel("racy", 16), kernel("copy", 32)]
+        {
+            pb.begin_round();
+            pb.launch(k);
+        }
+        let r = verify_program(&pb.build().unwrap(), 32);
+        let seen: Vec<(&str, bool)> = r
+            .launches
+            .iter()
+            .map(|l| (l.kernel.as_str(), l.race == RaceVerdict::RaceFree))
+            .collect();
+        assert_eq!(seen, [("clean", true), ("clean", true), ("racy", false), ("copy", true)]);
     }
 }

@@ -87,19 +87,23 @@ impl fmt::Display for Lint {
     }
 }
 
-/// Static global-buffer footprint of one kernel.
-struct KernelIo {
+/// Static global-buffer footprint of one kernel: what the lints read of
+/// a launch.  It depends on the kernel and `b` alone, so a relaunched
+/// kernel's footprint is computed once ([`crate::verify_program`]).
+#[derive(Debug)]
+pub struct KernelIo {
     /// Buffers read, with the statically-known touched range
     /// (`None` = data-dependent, treated as "anywhere").
     reads: Vec<(DBuf, Option<(i64, i64)>)>,
-    /// Buffers written (by any site, static or not).
-    writes: HashSet<DBuf>,
+    /// Buffers written (by any site, static or not), each once.
+    writes: Vec<DBuf>,
 }
 
-fn kernel_io(k: &Kernel, sites: &[Site], b: u64) -> KernelIo {
+/// The footprint of kernel `k` from its already collected `sites`.
+pub fn kernel_io(k: &Kernel, sites: &[Site], b: u64) -> KernelIo {
     let full = if b >= 64 { u64::MAX } else { (1u64 << b.max(1)) - 1 };
     let mut reads = Vec::new();
-    let mut writes = HashSet::new();
+    let mut writes = Vec::new();
     for s in sites {
         if s.space != Space::Global {
             continue;
@@ -119,9 +123,8 @@ fn kernel_io(k: &Kernel, sites: &[Site], b: u64) -> KernelIo {
                 );
                 reads.push((buf, range));
             }
-            Access::Write => {
-                writes.insert(buf);
-            }
+            Access::Write if !writes.contains(&buf) => writes.push(buf),
+            Access::Write => {}
         }
     }
     KernelIo { reads, writes }
@@ -157,19 +160,17 @@ struct PendingUpload {
 /// block, for the kernels' static footprints).
 pub fn check_program(program: &Program, b: u64) -> Vec<Lint> {
     let launches = program.rounds.iter().flat_map(|r| &r.steps).filter_map(HostStep::launch);
-    let sites: Vec<Vec<Site>> = launches.map(|(k, _)| collect(k, b)).collect();
-    check_launches(program, b, sites.iter().map(Vec::as_slice))
+    let io: Vec<KernelIo> = launches.map(|(k, _)| kernel_io(k, &collect(k, b), b)).collect();
+    check_launches(program, &io)
 }
 
-/// [`check_program`] over already collected access sites:
-/// `launch_sites` yields the sites of each launch step's kernel, in
-/// program order.
+/// [`check_program`] over already computed footprints: `launch_io`
+/// yields each launch step's kernel footprint, in program order.
 pub fn check_launches<'a>(
     program: &Program,
-    b: u64,
-    launch_sites: impl IntoIterator<Item = &'a [Site]>,
+    launch_io: impl IntoIterator<Item = &'a KernelIo>,
 ) -> Vec<Lint> {
-    let mut launch_sites = launch_sites.into_iter();
+    let mut launch_io = launch_io.into_iter();
     let mut lints = Vec::new();
     // Coarse residency: has anything (transfer or kernel) written this
     // device buffer yet?  Replicas are tracked together — sharded
@@ -233,7 +234,7 @@ pub fn check_launches<'a>(
                         }
                         _ => std::iter::once(0).collect(),
                     };
-                    let io = kernel_io(k, launch_sites.next().unwrap_or_default(), b);
+                    let Some(io) = launch_io.next() else { continue };
                     let mut flagged: HashSet<DBuf> = HashSet::new();
                     for (buf, range) in &io.reads {
                         if !written.contains(buf) && flagged.insert(*buf) {

@@ -25,6 +25,22 @@
 //! the pipeline cannot pin down (register addresses, tree addresses,
 //! unknown masks, solver budget) degrades to [`RaceVerdict::Unknown`],
 //! never a false `RaceFree`.
+//!
+//! The pair that costs the most is a write site paired with itself —
+//! every output write is one.  Its split base drops out (`cB − cB = 0`)
+//! and every other variable comes twice with opposite coefficients:
+//!
+//! ```text
+//! cL·(la − lb) + Σ c_d·(ta_d − tb_d) + cBY·(ya − yb) + cB·d = 0
+//! ```
+//!
+//! The solver's projection ([`crate::solve`]) collapses each `±` pair
+//! into one difference term, so the tiled transposes' eight-term
+//! equation (two lanes, two loop counters, base and gap, two free Y
+//! coordinates) is searched as four terms — lane, loop and Y
+//! differences and the gap — and a mixed-radix address (block, lane and
+//! two loop digits) as four, instead of an enumeration over every lane
+//! and iteration of both executions.
 
 use crate::sites::{Access, Site, Space};
 use crate::solve::{solve, Dom, Feas, Var};
@@ -117,8 +133,8 @@ impl PairQuery<'_> {
             vars.push(Var { coef, dom });
             slots.push(slot);
         };
-        push(self.aff_a.lane, Dom::Bits(self.mask_a), Slot::LaneA);
-        push(-self.aff_b.lane, Dom::Bits(self.mask_b), Slot::LaneB);
+        push(self.aff_a.lane, Dom::lanes(self.mask_a), Slot::LaneA);
+        push(-self.aff_b.lane, Dom::lanes(self.mask_b), Slot::LaneB);
         for (d, &count) in self.a.loop_counts.iter().enumerate() {
             let coef = self.aff_a.loops.get(d).copied().unwrap_or(0);
             push(coef, Dom::Range(0, i64::from(count) - 1), Slot::LoopA(d));
@@ -450,6 +466,31 @@ mod tests {
                 AddrExpr::block() * 64 + AddrExpr::loop_var(0) * 32 + AddrExpr::lane(),
                 AddrExpr::lane(),
             );
+        });
+        assert_eq!(check_kernel(&kb.build(), 32), RaceVerdict::RaceFree);
+    }
+
+    #[test]
+    fn mixed_radix_block_last_is_proven_race_free() {
+        // `block + 64·lane + 2048·t₀ + 122880·t₁` over 64 blocks, 32
+        // lanes and a 60 × 60 nest: every digit stays below the next
+        // one's stride, so the address is a mixed-radix number and no two
+        // executions share a word.  The self-pair has eight terms; the
+        // lane and loop pairs project to three differences, leaving a
+        // four-term equation instead of a 60⁴·32² search.
+        let mut kb = KernelBuilder::new("mixed_radix", 64, 32);
+        let d = DBuf(0);
+        kb.repeat(60, |kb| {
+            kb.repeat(60, |kb| {
+                kb.shr_to_glb(
+                    d,
+                    AddrExpr::block()
+                        + AddrExpr::lane() * 64
+                        + AddrExpr::loop_var(0) * 2048
+                        + AddrExpr::loop_var(1) * 122_880,
+                    AddrExpr::lane(),
+                );
+            });
         });
         assert_eq!(check_kernel(&kb.build(), 32), RaceVerdict::RaceFree);
     }
