@@ -23,29 +23,43 @@
 //!    (site collection, bounds, race, shared-memory hazards — each over
 //!    the program's distinct kernels — and the lints over every launch),
 //!    and `analyze_cluster_program`.
+//! 5. **One launch** — what a launch costs the host beside its blocks,
+//!    for `launch_storm`'s `relaunch_400x8` on a warm device (every
+//!    launch a cache hit whose predecessor is the same kernel) and its
+//!    four sweep kinds at `n = 24·b` on a fresh device per pass (every
+//!    launch a miss): best-of-N µs per launch of `Device::run_kernel`
+//!    and of its parts — lowering (`CompiledKernel::compile`), cache
+//!    lookup (`KernelCache::get_or_compile` after the program's previous
+//!    launch; on a miss, less the lowering), block execution (the bare
+//!    executor loop of section 1) and the rest, MP and executor set-up
+//!    with the issue loop — and the allocator calls of one such launch.
 
 use atgpu_algos::bitonic::BitonicSort;
 use atgpu_algos::dot::Dot;
 use atgpu_algos::gemv::Gemv;
 use atgpu_algos::matmul::MatMul;
 use atgpu_algos::reduce::{Reduce, ReduceVariant};
+use atgpu_algos::saxpy::Saxpy;
 use atgpu_algos::scan::Scan;
 use atgpu_algos::transpose::{Transpose, TransposeVariant};
-use atgpu_algos::{vecadd::VecAdd, Workload};
+use atgpu_algos::{vecadd::VecAdd, BuiltProgram, Workload};
 use atgpu_analyze::analyze_cluster_program;
 use atgpu_exp::{ExpConfig, Scale};
 use atgpu_ir::validate::validate_program;
 use atgpu_ir::{AddrExpr, AluOp, DBuf, HostStep, Kernel, KernelBuilder, Operand, Program};
 use atgpu_model::GpuSpec;
-use atgpu_sim::engine::{BlockExec, BlockSim};
+use atgpu_sim::engine::{BlockExec, BlockSim, Scratch};
 use atgpu_sim::gmem::GlobalMemory;
 use atgpu_sim::uop::CompiledKernel;
 use atgpu_sim::warp::{GmemAccess, StepEvent, WarpExec};
-use atgpu_sim::{run_program, Device, EngineSel, ExecMode, HostData, SimConfig};
+use atgpu_sim::{run_program, Device, EngineSel, ExecMode, HostData, KernelCache, SimConfig};
 use atgpu_verify::lints::{self, KernelIo};
 use atgpu_verify::sites::{collect, Site};
 use atgpu_verify::{bounds, race, smem, verify_program};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::hint::black_box;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Replays per program; each side keeps its fastest (this host's other
@@ -57,6 +71,53 @@ const ISSUE_REPLAYS: usize = 10;
 
 /// Replays of each front-end call (all under 2 ms).
 const FRONT_REPLAYS: usize = 100;
+
+/// Passes over each program's launches in section 5.
+const LAUNCH_REPLAYS: usize = 100;
+
+/// The system allocator, counting the calls of a thread inside
+/// [`allocations`] (section 5).
+struct CountingAlloc;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// Whether this thread's allocator calls are counted.  Const and
+    /// without a destructor: reading it inside the allocator never
+    /// allocates.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        if COUNTING.try_with(Cell::get).unwrap_or(false) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        if COUNTING.try_with(Cell::get).unwrap_or(false) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc;
+
+/// Allocator calls `f` makes on this thread.
+fn allocations(f: impl FnOnce()) -> u64 {
+    COUNTING.with(|c| c.set(true));
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    f();
+    let calls = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    COUNTING.with(|c| c.set(false));
+    calls
+}
 
 /// `batch_compute`'s roster at its measured sizes (the benchmark
 /// package's `rosters::batch_compute`, seed 1).
@@ -92,8 +153,7 @@ struct Launch {
 
 /// Walks a single-device program's host steps on a side copy, keeping
 /// every launch and its pre-launch memory.
-fn launches(cfg: &ExpConfig, device: &Device, w: &dyn Workload) -> (Vec<Launch>, GlobalMemory) {
-    let built = w.build(&cfg.machine).unwrap();
+fn launches(cfg: &ExpConfig, device: &Device, built: &BuiltProgram) -> (Vec<Launch>, GlobalMemory) {
     let program = &built.program;
     let b = cfg.machine.b;
     let (bases, total) = program.buffer_layout(b);
@@ -128,6 +188,32 @@ fn launches(cfg: &ExpConfig, device: &Device, w: &dyn Workload) -> (Vec<Launch>,
     (out, gmem)
 }
 
+/// One launch's blocks on one executor, in order, with no scheduler:
+/// every block reset and stepped to `Done`.
+fn bare_blocks(l: &Launch, gmem: &mut GlobalMemory) {
+    let (mut ex, mut scratch) = (BlockExec::new(&l.compiled), Scratch::default());
+    let mut acc = GmemAccess::Direct(gmem);
+    for blk in 0..l.kernel.blocks() {
+        BlockSim::reset(&mut ex, &l.compiled, blk);
+        while BlockSim::step(&mut ex, &l.compiled, &mut scratch, &mut acc).unwrap()
+            != StepEvent::Done
+        {}
+    }
+}
+
+/// `l` on `device`, from its pre-launch memory: the copy happens now, the
+/// launch when the returned call is made.
+fn launch_on<'a>(
+    device: &'a Device,
+    gmem: &'a mut GlobalMemory,
+    l: &'a Launch,
+) -> impl FnOnce() + 'a {
+    gmem.words_mut().copy_from_slice(&l.before);
+    move || {
+        black_box(device.run_kernel(&l.kernel, gmem, ExecMode::Sequential, false).unwrap());
+    }
+}
+
 /// Section 1: where a `batch_compute` pass goes — executor or issue loop.
 fn scheduler_split(cfg: &ExpConfig) {
     println!("scheduler/executor split, best of {REPLAYS} replays, ms per program");
@@ -140,19 +226,14 @@ fn scheduler_split(cfg: &ExpConfig) {
         // One device per program: its kernel cache is warm after the
         // capture pass, as it is for all but a program's first request.
         let device = Device::new(cfg.machine, cfg.spec).unwrap();
-        let (launches, mut gmem) = launches(cfg, &device, w.as_ref());
+        let (launches, mut gmem) = launches(cfg, &device, &w.build(&cfg.machine).unwrap());
         let (mut bare, mut dev) = (f64::INFINITY, f64::INFINITY);
         for _ in 0..REPLAYS {
             let (mut bare_pass, mut dev_pass) = (0.0, 0.0);
             for l in &launches {
                 gmem.words_mut().copy_from_slice(&l.before);
                 let t = Instant::now();
-                let mut ex = BlockExec::new(&l.compiled);
-                let mut acc = GmemAccess::Direct(&mut gmem);
-                for blk in 0..l.kernel.blocks() {
-                    BlockSim::reset(&mut ex, blk);
-                    while BlockSim::step(&mut ex, &mut acc).unwrap() != StepEvent::Done {}
-                }
+                bare_blocks(l, &mut gmem);
                 bare_pass += t.elapsed().as_secs_f64();
 
                 gmem.words_mut().copy_from_slice(&l.before);
@@ -311,6 +392,144 @@ fn front_end(cfg: &ExpConfig) {
     }
 }
 
+/// Best of [`LAUNCH_REPLAYS`] passes, per launch, of the microseconds
+/// `pass(launch index)` reports (see [`us`]).
+fn per_launch_best(n: usize, mut pass: impl FnMut(usize) -> f64) -> Vec<f64> {
+    let mut best = vec![f64::INFINITY; n];
+    for _ in 0..LAUNCH_REPLAYS {
+        for (i, slot) in best.iter_mut().enumerate() {
+            *slot = slot.min(pass(i));
+        }
+    }
+    best
+}
+
+/// Microseconds `f` takes.
+fn us(f: impl FnOnce()) -> f64 {
+    let t = Instant::now();
+    f();
+    t.elapsed().as_secs_f64() * 1e6
+}
+
+/// Section 5: what one launch costs the host beside its blocks.
+fn launch_cost(cfg: &ExpConfig) {
+    let (machine, b) = (&cfg.machine, cfg.machine.b as u32);
+    // `launch_storm`'s programs as the benchmark builds them at seed 1.
+    let s = |k: u64| 0x9E37_79B9u64 + 1000 + k;
+    let n = 24 * machine.b;
+    let programs: Vec<(&str, bool, BuiltProgram)> = vec![
+        (
+            "relaunch_400x8",
+            true,
+            VecAdd::new(8 * machine.b, s(0)).build_relaunched(machine, 400).unwrap(),
+        ),
+        ("sweep_vecadd_768", false, VecAdd::new(n, s(224)).build(machine).unwrap()),
+        ("sweep_saxpy_768", false, Saxpy::new(n, 3, s(324)).build(machine).unwrap()),
+        ("sweep_dot_768", false, Dot::new(n, s(424)).build(machine).unwrap()),
+        ("sweep_reduce_768", false, Reduce::new(n, s(524)).build(machine).unwrap()),
+    ];
+    println!("\none launch, best of {LAUNCH_REPLAYS} passes, us per launch (setup = launch less the rest)");
+    println!(
+        "{:<18} {:>5} {:>8} {:>6} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7}",
+        "program",
+        "mode",
+        "launches",
+        "grid",
+        "launch",
+        "lower",
+        "lookup",
+        "setup",
+        "blocks",
+        "allocs"
+    );
+    for (name, warm, built) in &programs {
+        let capture = Device::new(*machine, cfg.spec).unwrap();
+        let (launches, mut gmem) = launches(cfg, &capture, built);
+        let count = launches.len();
+        let bases = gmem.bases().to_vec();
+        let fresh = || Device::new(*machine, cfg.spec).unwrap();
+        let run = |device: &Device, gmem: &mut GlobalMemory, i: usize| {
+            launch_on(device, gmem, &launches[i])();
+        };
+        // A device as a launch of this program finds it: one that has run
+        // the whole program before (warm), or a fresh one that has run
+        // only the launches before this one (cold).
+        let warm_device = fresh();
+        (0..count).for_each(|i| run(&warm_device, &mut gmem, i));
+        let device_for = |i: usize, gmem: &mut GlobalMemory| -> Device {
+            let device = fresh();
+            (0..i).for_each(|j| run(&device, gmem, j));
+            device
+        };
+
+        let launch = per_launch_best(count, |i| {
+            let cold;
+            let device = if *warm {
+                &warm_device
+            } else {
+                cold = device_for(i, &mut gmem);
+                &cold
+            };
+            us(launch_on(device, &mut gmem, &launches[i]))
+        });
+        let allocs = {
+            let cold;
+            let device = if *warm {
+                &warm_device
+            } else {
+                cold = device_for(count - 1, &mut gmem);
+                &cold
+            };
+            allocations(launch_on(device, &mut gmem, &launches[count - 1]))
+        };
+
+        let lower = per_launch_best(count, |i| {
+            let k = &launches[i].kernel;
+            let nregs = k.max_reg().map_or(1, |r| u32::from(r) + 1);
+            us(|| drop(black_box(CompiledKernel::compile(k, &bases, b, nregs))))
+        });
+        // The lookup after the program's previous launch, as the device
+        // makes it: on a cache that holds the program (warm), or one that
+        // holds only the launches before this one (cold, less the
+        // lowering a miss includes).
+        let warm_cache = KernelCache::new(64);
+        for l in &launches {
+            warm_cache.get_or_compile(&l.kernel, &bases, b, &mut None);
+        }
+        let lookup = per_launch_best(count, |i| {
+            let cold_cache;
+            let (cache, before) = if *warm {
+                (&warm_cache, (i + count - 1) % count..(i + count - 1) % count + 1)
+            } else {
+                cold_cache = KernelCache::new(64);
+                (&cold_cache, 0..i)
+            };
+            let mut previous = None;
+            for j in before {
+                cache.get_or_compile(&launches[j].kernel, &bases, b, &mut previous);
+            }
+            let kernel = &launches[i].kernel;
+            us(|| drop(black_box(cache.get_or_compile(kernel, &bases, b, &mut previous))))
+        });
+        let blocks = per_launch_best(count, |i| {
+            gmem.words_mut().copy_from_slice(&launches[i].before);
+            us(|| bare_blocks(&launches[i], &mut gmem))
+        });
+
+        let mean = |v: &[f64]| v.iter().sum::<f64>() / count as f64;
+        let (launch, lower, lookup, blocks) =
+            (mean(&launch), mean(&lower), mean(&lookup), mean(&blocks));
+        // A miss's lookup includes its lowering: they are reported apart.
+        let setup = launch - lookup - blocks;
+        let lookup = if *warm { lookup } else { (lookup - lower).max(0.0) };
+        let grid = launches.iter().map(|l| l.kernel.blocks()).sum::<u64>() as f64 / count as f64;
+        let mode = if *warm { "warm" } else { "cold" };
+        println!(
+            "{name:<18} {mode:>5} {count:>8} {grid:>6.1} {launch:>8.2} {lower:>8.2} {lookup:>8.2} {setup:>8.2} {blocks:>8.2} {allocs:>7}"
+        );
+    }
+}
+
 fn main() {
     // Only the machine and the device are read: every run below takes
     // `SimConfig::default()`, which has no transfer jitter.
@@ -347,13 +566,15 @@ fn main() {
     // Pure engine executor.
     let ck = CompiledKernel::compile(kernel, &bases, b, nregs);
     {
-        let mut ex = BlockExec::new(&ck);
+        let (mut ex, mut scratch) = (BlockExec::new(&ck), Scratch::default());
         let t = Instant::now();
         for blk in 0..blocks {
-            BlockSim::reset(&mut ex, blk);
+            BlockSim::reset(&mut ex, &ck, blk);
             let mut acc = GmemAccess::Direct(&mut g);
             loop {
-                if let StepEvent::Done = BlockSim::step(&mut ex, &mut acc).unwrap() {
+                if let StepEvent::Done =
+                    BlockSim::step(&mut ex, &ck, &mut scratch, &mut acc).unwrap()
+                {
                     break;
                 }
             }
@@ -364,10 +585,10 @@ fn main() {
         let mut wx = WarpExec::new(kernel, &bases, b, nregs);
         let t = Instant::now();
         for blk in 0..blocks {
-            BlockSim::reset(&mut wx, blk);
+            BlockSim::reset(&mut wx, &(), blk);
             let mut acc = GmemAccess::Direct(&mut g);
             loop {
-                if let StepEvent::Done = BlockSim::step(&mut wx, &mut acc).unwrap() {
+                if let StepEvent::Done = BlockSim::step(&mut wx, &(), &mut (), &mut acc).unwrap() {
                     break;
                 }
             }
@@ -426,4 +647,5 @@ fn main() {
 
     issue_loop(&cfg);
     front_end(&cfg);
+    launch_cost(&cfg);
 }

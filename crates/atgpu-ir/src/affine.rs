@@ -193,19 +193,7 @@ pub fn lane_span_blocks(base: i64, stride: i64, lanes: u64, b: u64) -> u64 {
     if stride == 0 {
         return 1;
     }
-    // Addresses are monotone in lane, so distinct floor-quotients can be
-    // counted by scanning for transitions.
-    let mut distinct = 1u64;
-    let mut prev = (base as i128).div_euclid(b as i128);
-    for lane in 1..lanes {
-        let addr = base as i128 + stride as i128 * lane as i128;
-        let q = addr.div_euclid(b as i128);
-        if q != prev {
-            distinct += 1;
-            prev = q;
-        }
-    }
-    distinct
+    span_blocks(base, stride, 0..lanes, lanes - 1, b)
 }
 
 /// Number of distinct memory blocks touched by the address set
@@ -222,21 +210,50 @@ pub fn masked_span_blocks(base: i64, stride: i64, mask: u64, b: u64) -> u64 {
     if stride == 0 {
         return 1;
     }
-    let mut distinct = 0u64;
-    let mut prev = 0i128;
-    let mut first = true;
     let mut m = mask;
-    while m != 0 {
+    let lanes = std::iter::from_fn(move || {
+        if m == 0 {
+            return None;
+        }
         let lane = m.trailing_zeros();
         m &= m - 1;
-        let q = (base as i128 + stride as i128 * lane as i128).div_euclid(b as i128);
-        if first || q != prev {
-            distinct += 1;
-            prev = q;
-            first = false;
+        Some(u64::from(lane))
+    });
+    span_blocks(base, stride, lanes, u64::from(63 - mask.leading_zeros()), b)
+}
+
+/// Distinct floor-quotients `⌊(base + stride·lane) / b⌋` over `lanes`
+/// (ascending, none above `last`), counted as transitions — the
+/// addresses are monotone in lane order.  Lowering builds one
+/// transaction table entry per residue from this, so it runs `b` times
+/// per static global site: the arithmetic is `i64` whenever the
+/// extreme address `base + stride·last` and `b` fit (every address in
+/// between then fits too), and `i128` only beyond that.
+fn span_blocks(base: i64, stride: i64, lanes: impl Iterator<Item = u64>, last: u64, b: u64) -> u64 {
+    fn transitions<Q: Copy + PartialEq>(
+        lanes: impl Iterator<Item = u64>,
+        q: impl Fn(u64) -> Q,
+    ) -> u64 {
+        let mut prev = None;
+        let mut distinct = 0;
+        for lane in lanes {
+            let quotient = Some(q(lane));
+            if quotient != prev {
+                distinct += 1;
+                prev = quotient;
+            }
         }
+        distinct
     }
-    distinct
+    let extreme = i64::try_from(last).ok().and_then(|l| stride.checked_mul(l)?.checked_add(base));
+    match (extreme, i64::try_from(b)) {
+        (Some(_), Ok(bw)) => {
+            transitions(lanes, |lane| (base + stride * lane as i64).div_euclid(bw))
+        }
+        _ => transitions(lanes, |lane| {
+            (i128::from(base) + i128::from(stride) * i128::from(lane)).div_euclid(i128::from(b))
+        }),
+    }
 }
 
 /// Bank-conflict serialisation degree of the shared access
@@ -613,5 +630,61 @@ mod tests {
             assert_eq!(fast, qs.len() as u64, "base={base} stride={stride}");
         }
         assert_eq!(lane_span_blocks(0, 1, 0, 32), 0);
+    }
+
+    /// Distinct `⌊(base + stride·lane) / b⌋` over ascending `lanes`, all
+    /// in `i128` — the formula lowering used before it had an `i64` path.
+    fn span_in_i128(base: i64, stride: i64, lanes: impl Iterator<Item = u64>, b: u64) -> u64 {
+        let mut quotients: Vec<i128> = lanes
+            .map(|l| (i128::from(base) + i128::from(stride) * i128::from(l)).div_euclid(b.into()))
+            .collect();
+        quotients.dedup(); // monotone: equal quotients are adjacent
+        quotients.len() as u64
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4000))]
+
+        /// Both span counts equal the `i128` formula over random bases,
+        /// strides, masks and widths — negative ones included — and at
+        /// the `i64` fit boundary: `base` is placed so that the extreme
+        /// address `base + stride·last` is exactly `i64::MAX` / `i64::MIN`
+        /// (the last `i64` case) or one past it (the first `i128` one).
+        #[test]
+        fn span_blocks_i64_path_equals_the_i128_formula(
+            stride in prop_oneof![-70i64..70, any::<i64>(), (-4i64..4).prop_map(|d| i64::MAX / 63 + d)],
+            mask in prop_oneof![any::<u64>(), 1u64..256, Just(u64::MAX)],
+            b in 1u64..=64,
+            free_base in prop_oneof![-200i64..200, any::<i64>()],
+            placement in 0u8..3,
+        ) {
+            let last = u64::from(63u32.saturating_sub(mask.leading_zeros()));
+            let extreme = i128::from(stride) * i128::from(last);
+            let (edge, past) = if extreme >= 0 {
+                (i128::from(i64::MAX) - extreme, 1)
+            } else {
+                (i128::from(i64::MIN) - extreme, -1)
+            };
+            let base = match placement {
+                0 => Some(free_base),
+                1 => i64::try_from(edge).ok(),
+                _ => i64::try_from(edge + past).ok(),
+            };
+            let Some(base) = base else { return Ok(()) };
+            let active = (0..64u64).filter(|l| mask >> l & 1 == 1);
+            prop_assert_eq!(
+                masked_span_blocks(base, stride, mask, b),
+                span_in_i128(base, stride, active, b),
+                "base={} stride={} mask={:#x} b={}", base, stride, mask, b
+            );
+            let lanes = last + 1;
+            prop_assert_eq!(
+                lane_span_blocks(base, stride, lanes, b),
+                span_in_i128(base, stride, 0..lanes, b),
+                "base={} stride={} lanes={} b={}", base, stride, lanes, b
+            );
+        }
     }
 }

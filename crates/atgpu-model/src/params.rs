@@ -112,13 +112,14 @@ pub struct GpuSpec {
     /// Core clock in cycles per millisecond (simulator time base).
     pub clock_cycles_per_ms: f64,
     /// Global-memory (DRAM) access latency in cycles — what a warp waits
-    /// when latency is not hidden.
+    /// when latency is not hidden.  At most [`GpuSpec::MAX_DRAM_CYCLES`]:
+    /// the simulated clock adds it once per access.
     pub dram_latency_cycles: u64,
     /// Minimum cycles between successive DRAM block transactions the memory
     /// controller can issue (models bandwidth; shared across the device).
+    /// At most [`GpuSpec::MAX_DRAM_CYCLES`]: the simulated clock adds it
+    /// once per transaction.
     pub dram_issue_cycles: u64,
-    /// Cycles for a bank-conflict-free shared-memory access.
-    pub shared_latency_cycles: u64,
     /// Host→device / device→host per-transaction setup time (ms) — the
     /// simulator's ground truth for `α`.
     pub xfer_alpha_ms: f64,
@@ -129,6 +130,15 @@ pub struct GpuSpec {
 }
 
 impl GpuSpec {
+    /// The largest [`GpuSpec::dram_latency_cycles`] and
+    /// [`GpuSpec::dram_issue_cycles`] a spec may state: 2³² cycles, four
+    /// seconds of a 1 GHz clock per access.  The simulator's clocks are
+    /// `u64` cycle counts that every access advances by the latency plus
+    /// one issue interval per transaction, so this bound leaves them room
+    /// for 2²⁵ accesses of 64 transactions each where an unbounded field
+    /// would overflow them on the first access.
+    pub const MAX_DRAM_CYCLES: u64 = 1 << 32;
+
     /// Validates the specification.
     pub fn validate(&self) -> Result<(), ModelError> {
         if self.k_prime == 0 {
@@ -139,6 +149,16 @@ impl GpuSpec {
         }
         if self.clock_cycles_per_ms.is_nan() || self.clock_cycles_per_ms <= 0.0 {
             return Err(ModelError::InvalidParams { reason: "clock must be positive".into() });
+        }
+        for (name, v) in [
+            ("dram_latency_cycles", self.dram_latency_cycles),
+            ("dram_issue_cycles", self.dram_issue_cycles),
+        ] {
+            if v > Self::MAX_DRAM_CYCLES {
+                return Err(ModelError::InvalidParams {
+                    reason: format!("{name} must be at most 2^32 cycles, got {v}"),
+                });
+            }
         }
         for (name, v) in [
             ("xfer_alpha_ms", self.xfer_alpha_ms),
@@ -166,7 +186,6 @@ impl GpuSpec {
             clock_cycles_per_ms: 1.058e6,
             dram_latency_cycles: 500,
             dram_issue_cycles: 15,
-            shared_latency_cycles: 4,
             xfer_alpha_ms: 0.015,
             xfer_beta_ms_per_word: 2.35e-6,
             sync_ms: 0.08,
@@ -181,7 +200,6 @@ impl GpuSpec {
             clock_cycles_per_ms: 1.708e6,
             dram_latency_cycles: 400,
             dram_issue_cycles: 10,
-            shared_latency_cycles: 4,
             xfer_alpha_ms: 0.010,
             xfer_beta_ms_per_word: 4.0e-7,
             sync_ms: 0.05,
@@ -196,7 +214,6 @@ impl GpuSpec {
             clock_cycles_per_ms: 1.53e6,
             dram_latency_cycles: 350,
             dram_issue_cycles: 2,
-            shared_latency_cycles: 4,
             xfer_alpha_ms: 0.008,
             xfer_beta_ms_per_word: 2.5e-7,
             sync_ms: 0.03,
@@ -329,7 +346,6 @@ impl ClusterSpec {
             put(d.clock_cycles_per_ms.to_bits());
             put(d.dram_latency_cycles);
             put(d.dram_issue_cycles);
-            put(d.shared_latency_cycles);
             put(d.xfer_alpha_ms.to_bits());
             put(d.xfer_beta_ms_per_word.to_bits());
             put(d.sync_ms.to_bits());
@@ -480,6 +496,23 @@ mod tests {
         assert!(s.validate().is_err());
     }
 
+    /// The DRAM fields are bounded at 2³² cycles: the bound itself
+    /// validates, one past it or anything larger does not.
+    #[test]
+    fn spec_bounds_the_dram_fields() {
+        let set: [fn(&mut GpuSpec, u64); 2] =
+            [|s, v| s.dram_latency_cycles = v, |s, v| s.dram_issue_cycles = v];
+        for set in set {
+            let mut s = GpuSpec::gtx650_like();
+            set(&mut s, GpuSpec::MAX_DRAM_CYCLES);
+            s.validate().unwrap();
+            for v in [GpuSpec::MAX_DRAM_CYCLES + 1, 1 << 40, 1 << 62, u64::MAX] {
+                set(&mut s, v);
+                assert!(matches!(s.validate(), Err(ModelError::InvalidParams { .. })), "{v}");
+            }
+        }
+    }
+
     #[test]
     fn spec_rejects_zero_h() {
         let mut s = GpuSpec::gtx650_like();
@@ -557,7 +590,6 @@ mod tests {
             Box::new(|s| s.clock_cycles_per_ms *= 2.0),
             Box::new(|s| s.dram_latency_cycles += 1),
             Box::new(|s| s.dram_issue_cycles += 1),
-            Box::new(|s| s.shared_latency_cycles += 1),
             Box::new(|s| s.xfer_alpha_ms *= 2.0),
             Box::new(|s| s.xfer_beta_ms_per_word *= 2.0),
             Box::new(|s| s.sync_ms += 0.01),

@@ -255,6 +255,10 @@ fn server_watchdog_budget_travels_with_every_run_and_no_further() {
 /// process aborted allocating them).  Every pair gets a quote on both
 /// tiers, a device that holds the whole grid prices one wave whatever
 /// its size, and a server over the largest devices builds and serves.
+/// The DRAM latency and issue interval are bounded at 2³² cycles: unbounded,
+/// either at `u64::MAX` overflowed the simulated clock (a debug panic; in
+/// release a wrapped clock quoted the tiled transpose cheaper than the
+/// stock spec).
 #[test]
 fn a_what_if_spec_cannot_take_the_server_down() {
     use atgpu_algos::transpose::{Transpose, TransposeVariant};
@@ -288,6 +292,39 @@ fn a_what_if_spec_cannot_take_the_server_down() {
     }
     assert_eq!(one_wave.len(), 4 * sizes.len());
     assert!(one_wave.iter().all(|&ms| ms == one_wave[0]), "one wave prices alike: {one_wave:?}");
+
+    // The DRAM fields feed the simulated clock, once per access and per
+    // transaction: at their bound a quote no cheaper than the stock
+    // spec's, past it a typed refusal — never an overflow panic, nor a
+    // wrapped clock's cheaper quote.
+    let stock_spec = ClusterSpec::homogeneous(1, gtx);
+    let set: [fn(&mut atgpu_model::GpuSpec, u64); 2] =
+        [|s, v| s.dram_latency_cycles = v, |s, v| s.dram_issue_cycles = v];
+    let bound = atgpu_model::GpuSpec::MAX_DRAM_CYCLES;
+    for (field, set) in ["dram_latency_cycles", "dram_issue_cycles"].into_iter().zip(set) {
+        for cycles in [bound, 1 << 40, 1 << 62, u64::MAX] {
+            let mut device = gtx;
+            set(&mut device, cycles);
+            let spec = ClusterSpec::homogeneous(1, device);
+            for (built, source) in
+                [(&vecadd, PriceSource::Analytic), (&transpose, PriceSource::Simulated)]
+            {
+                let stock = server.price_what_if(&built.program, &stock_spec).expect("a quote");
+                let cell = format!("{field} = {cycles}, {source:?}");
+                match server.price_what_if(&built.program, &spec) {
+                    Ok(quote) => {
+                        assert!(cycles <= bound, "{cell}: past the bound, yet quoted");
+                        assert_eq!(quote.source, source, "{cell}");
+                        assert!(quote.total_ms >= stock.total_ms, "{cell}: {quote:?} vs {stock:?}");
+                    }
+                    Err(ServeError::Model(atgpu_model::ModelError::InvalidParams { .. })) => {
+                        assert!(cycles > bound, "{cell}: the bound itself is refused");
+                    }
+                    Err(e) => panic!("{cell}: {e}"),
+                }
+            }
+        }
+    }
 
     let huge = atgpu_model::GpuSpec { k_prime: u64::MAX, h_limit: u64::MAX, ..gtx };
     let server =

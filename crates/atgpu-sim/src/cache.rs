@@ -13,7 +13,8 @@
 //!   kernels share an entry, any instruction mutation misses);
 //! * the device-buffer **base addresses** (compilation folds them into
 //!   affine sites and the coalescing transaction tables);
-//! * the lane count `b` and register count `nregs`.
+//! * the lane count `b` and register count `nregs` (a function of the
+//!   structure: one more than its highest register).
 //!
 //! A [`CacheKey`] holds all of it.  Its `Hash` reads only the 64-bit
 //! structural hash [`atgpu_ir::Kernel::cache_key`]; its `Eq` compares the
@@ -22,8 +23,25 @@
 //! two kernels that collide on it take two entries — on a shared server
 //! whose caches outlive requests, one tenant's compiled kernel never runs
 //! for another's.  A lookup borrows the launch's kernel and bases instead
-//! of building a key: a hit costs the hash and one structural comparison,
-//! and only a miss copies the kernel into its entry's key.
+//! of building a key: a hit costs the hash, the register walk and one
+//! structural comparison, and only a miss copies the kernel into its
+//! entry's key.
+//!
+//! ## The previous launch
+//!
+//! A relaunch is recognised before it is hashed.  A device hands every
+//! lookup the key of its previous launch ([`KernelCache::get_or_compile`]'s
+//! `last`) and gets this launch's key back in it.  When the launch has the
+//! previous one's structure, bases and `b`, that key *is* this launch's —
+//! its hash and `nregs` stand, and it probes the memo itself, so the
+//! one structural comparison the launch pays is against the previous
+//! kernel, and the memo's is a pointer comparison with the entry the key
+//! came from.  Only a launch that differs from its predecessor pays the
+//! FNV-1a pass and the register walk.  The memo is still asked on every
+//! launch, once, exactly as before: the previous key only replaces the
+//! way the probe is built, so hits, misses and FIFO residency are the
+//! same function of the launch sequence — an evicted previous entry is
+//! a miss that compiles and re-inserts, as any evicted entry is.
 //!
 //! ## Invalidation and the bound
 //!
@@ -65,7 +83,7 @@ pub struct CacheKey {
     /// The kernel with its name cleared: what `Eq` compares it by.
     pub structure: Arc<Kernel>,
     /// Device-buffer base addresses the compile folded in.
-    pub bases: Box<[u64]>,
+    pub bases: Arc<[u64]>,
     /// Lanes per block.
     pub b: u32,
     /// Registers per lane.
@@ -115,7 +133,7 @@ impl PartialEq for dyn Keyed + '_ {
             && a.b == b.b
             && a.nregs == b.nregs
             && a.bases == b.bases
-            && a.kernel.same_structure(b.kernel)
+            && (std::ptr::eq(a.kernel, b.kernel) || a.kernel.same_structure(b.kernel))
     }
 }
 
@@ -190,16 +208,32 @@ impl KernelCache {
     }
 
     /// Looks up (or compiles and inserts) the compilation of `kernel`
-    /// for the launch parameters `(bases, b, nregs)`.
+    /// for a launch with device-buffer `bases` and `b` lanes.  `last` is
+    /// the key of the device's previous launch (`None` before its first)
+    /// and holds this launch's key on return — see "The previous launch"
+    /// in the module docs.
     pub fn get_or_compile(
         &self,
         kernel: &Kernel,
         bases: &[u64],
         b: u32,
-        nregs: u32,
+        last: &mut Option<CacheKey>,
     ) -> Arc<CompiledKernel> {
+        let relaunch = last.as_ref().filter(|key| {
+            key.b == b && *key.bases == *bases && key.structure.same_structure(kernel)
+        });
+        if let Some(key) = relaunch {
+            if let Some(hit) = self.memo.get(key as &dyn Keyed) {
+                return hit;
+            }
+            let (key, nregs) = (key.clone(), key.nregs);
+            let compile = || Arc::new(CompiledKernel::compile(kernel, bases, b, nregs));
+            return self.memo.get_or_compute(key, compile).0;
+        }
+        let nregs = kernel.max_reg().map_or(1, |r| u32::from(r) + 1);
         let probe = KeyParts { hash: kernel.cache_key(), kernel, bases, b, nregs };
-        if let Some(hit) = self.memo.get(&probe as &dyn Keyed) {
+        if let Some((key, hit)) = self.memo.get_key_value(&probe as &dyn Keyed) {
+            *last = Some(key);
             return hit;
         }
         let structure = Kernel {
@@ -215,6 +249,7 @@ impl KernelCache {
             b,
             nregs,
         };
+        *last = Some(key.clone());
         self.memo
             .get_or_compute(key, || Arc::new(CompiledKernel::compile(kernel, bases, b, nregs)))
             .0
@@ -233,12 +268,17 @@ mod tests {
         kb.build()
     }
 
+    /// A lookup with no previous launch: the hashing path.
+    fn get(cache: &KernelCache, k: &Kernel, bases: &[u64], b: u32) -> Arc<CompiledKernel> {
+        cache.get_or_compile(k, bases, b, &mut None)
+    }
+
     #[test]
     fn hit_returns_same_compilation() {
         let cache = KernelCache::new(8);
         let k = kernel("a", 1);
-        let e1 = cache.get_or_compile(&k, &[0], 4, 1);
-        let e2 = cache.get_or_compile(&k, &[0], 4, 1);
+        let e1 = get(&cache, &k, &[0], 4);
+        let e2 = get(&cache, &k, &[0], 4);
         assert!(Arc::ptr_eq(&e1, &e2));
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
@@ -248,10 +288,10 @@ mod tests {
     #[test]
     fn renamed_kernel_hits_mutated_kernel_misses() {
         let cache = KernelCache::new(8);
-        let e1 = cache.get_or_compile(&kernel("a", 1), &[0], 4, 1);
-        let e2 = cache.get_or_compile(&kernel("b", 1), &[0], 4, 1);
+        let e1 = get(&cache, &kernel("a", 1), &[0], 4);
+        let e2 = get(&cache, &kernel("b", 1), &[0], 4);
         assert!(Arc::ptr_eq(&e1, &e2), "name is not part of the key");
-        let e3 = cache.get_or_compile(&kernel("a", 2), &[0], 4, 1);
+        let e3 = get(&cache, &kernel("a", 2), &[0], 4);
         assert!(!Arc::ptr_eq(&e1, &e3), "instruction mutation must miss");
     }
 
@@ -265,7 +305,7 @@ mod tests {
         let key = |k: &Kernel| CacheKey {
             kernel: 0xC011_1DE5,
             structure: Arc::new(Kernel { name: String::new(), ..k.clone() }),
-            bases: Box::new([0]),
+            bases: Arc::new([0]),
             b: 4,
             nregs: 1,
         };
@@ -279,30 +319,60 @@ mod tests {
             let probe = KeyParts { hash: 0xC011_1DE5, kernel: k, bases: &[0], b: 4, nregs: 1 };
             let found = cache.memo.get(&probe as &dyn Keyed).expect("resident");
             assert!(Arc::ptr_eq(&found, entry));
+            let probe = KeyParts { nregs: 2, ..probe };
+            assert!(cache.memo.get(&probe as &dyn Keyed).is_none(), "nregs is part of the key");
         }
     }
 
+    /// Bases and `b` key separately — on the hashing path, and on the
+    /// previous-launch path, whose key a launch with other bases or
+    /// another `b` must not take for its own.
     #[test]
     fn launch_parameters_are_part_of_the_key() {
         let cache = KernelCache::new(8);
         let k = kernel("a", 1);
-        let base = cache.get_or_compile(&k, &[0], 4, 1);
-        for (bases, b, nregs) in [(&[8u64][..], 4, 1), (&[0][..], 8, 1), (&[0][..], 4, 2)] {
-            let e = cache.get_or_compile(&k, bases, b, nregs);
-            assert!(!Arc::ptr_eq(&base, &e), "bases/b/nregs must key separately");
+        let mut last = None;
+        let base = cache.get_or_compile(&k, &[0], 4, &mut last);
+        for (bases, b) in [(&[8u64][..], 4), (&[0][..], 8)] {
+            assert!(!Arc::ptr_eq(&base, &get(&cache, &k, bases, b)), "bases/b key separately");
+            let mut previous = last.clone();
+            let e = cache.get_or_compile(&k, bases, b, &mut previous);
+            assert!(!Arc::ptr_eq(&base, &e), "the previous launch's key is not this one's");
+            assert_eq!(previous.map(|key| (key.bases.to_vec(), key.b)), Some((bases.to_vec(), b)));
         }
-        assert_eq!(cache.stats().misses, 4);
-        assert_eq!(cache.stats().hits, 0);
+        assert_eq!((cache.stats().misses, cache.stats().hits), (3, 2));
+    }
+
+    /// A relaunch through the previous launch's key finds the same entry
+    /// and counts exactly what the hashing path counts — including a
+    /// miss, compile and re-insertion once FIFO has evicted that entry.
+    #[test]
+    fn the_previous_launch_counts_like_any_lookup() {
+        let cache = KernelCache::new(2);
+        let a = kernel("a", 1);
+        let mut last = None;
+        let first = cache.get_or_compile(&a, &[0], 4, &mut last);
+        let again = cache.get_or_compile(&kernel("renamed", 1), &[0], 4, &mut last);
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
+
+        get(&cache, &kernel("a", 2), &[0], 4);
+        get(&cache, &kernel("a", 3), &[0], 4); // evicts imm = 1
+        let back = cache.get_or_compile(&a, &[0], 4, &mut last);
+        assert!(!Arc::ptr_eq(&first, &back), "an evicted entry compiles again");
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (1, 4, 2));
+        assert!(Arc::ptr_eq(&back, &get(&cache, &a, &[0], 4)), "and is resident again");
     }
 
     #[test]
     fn fifo_eviction_respects_capacity() {
         let cache = KernelCache::new(2);
-        cache.get_or_compile(&kernel("a", 1), &[0], 4, 1);
-        cache.get_or_compile(&kernel("a", 2), &[0], 4, 1);
-        cache.get_or_compile(&kernel("a", 3), &[0], 4, 1); // evicts imm=1
+        get(&cache, &kernel("a", 1), &[0], 4);
+        get(&cache, &kernel("a", 2), &[0], 4);
+        get(&cache, &kernel("a", 3), &[0], 4); // evicts imm=1
         assert_eq!(cache.stats().entries, 2);
-        cache.get_or_compile(&kernel("a", 1), &[0], 4, 1); // must re-miss
+        get(&cache, &kernel("a", 1), &[0], 4); // must re-miss
         assert_eq!(cache.stats().hits, 0);
         assert_eq!(cache.stats().misses, 4);
     }

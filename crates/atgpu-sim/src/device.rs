@@ -35,8 +35,32 @@
 //! and [`Device::run_shard`] only choose the range and the target, and so
 //! does a program run's launch ([`crate::cluster`]), which picks the
 //! target by asking whether anything will read a log.
+//!
+//! # What a launch costs the host
+//!
+//! A launch should cost the host its blocks, not its bookkeeping, so a
+//! micro-op launch keeps nothing of its own: the device holds its MPs,
+//! their executors and the previous launch's [`CacheKey`] between
+//! launches.  The launch takes them **whole** under one lock and puts
+//! them back when it succeeds, so concurrent launches on one device (a
+//! shared cluster's tenants, or a sharded launch's takeover shards) stay
+//! correct: the second finds the slot empty, builds its own and, if the
+//! first has put its set back meanwhile, drops them.  What is kept is
+//! bounded by the largest launch so far — its MP count, and one executor
+//! per block it had resident — with no knob: executors are created only
+//! when the kept ones are all resident.  A warm launch — its kernel in
+//! the cache, and no more MPs, residents, registers or shared words than
+//! earlier launches left room for — therefore allocates **nothing**: a
+//! relaunch of the previous kernel is recognised without hashing
+//! ([`crate::cache`]), the bases are read in place, and MPs and
+//! executors are re-armed within their storage (see [`crate::mp`]).  A
+//! cold launch pays the lowering, its cache entry and whatever earlier
+//! launches did not leave behind.  None of this reaches a
+//! simulated number: an MP is re-armed to a fresh one's state, and an
+//! executor is re-fitted and cleared on every admission as it always was.
+//! The reference interpreter borrows its kernel and is built per launch.
 
-use crate::cache::{CacheStats, KernelCache, DEFAULT_CACHE_CAPACITY};
+use crate::cache::{CacheKey, CacheStats, KernelCache, DEFAULT_CACHE_CAPACITY};
 use crate::dram::DramController;
 use crate::engine::{BlockExec, BlockSim};
 use crate::error::SimError;
@@ -46,6 +70,7 @@ use crate::warp::{GmemAccess, WarpExec, WriteRec};
 use crate::{EngineSel, ExecMode};
 use atgpu_ir::Kernel;
 use atgpu_model::{occupancy, AtgpuMachine, GpuSpec};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Aggregated observations from one kernel launch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -128,6 +153,38 @@ impl DeviceStats {
     }
 }
 
+/// MPs and executors a launch runs on, and keeps for the next one (see
+/// the module docs).
+struct Pool<E: BlockSim> {
+    /// The widest launch's MPs, idle between launches.
+    mps: Vec<Mp<E>>,
+    /// Executors no MP holds: between launches, all of them.
+    idle: Vec<Box<E>>,
+}
+
+impl<E: BlockSim> Default for Pool<E> {
+    fn default() -> Self {
+        Self { mps: Vec::new(), idle: Vec::new() }
+    }
+}
+
+/// What a device keeps from one micro-op launch to the next.
+#[derive(Default)]
+struct Kept {
+    pool: Pool<BlockExec>,
+    /// The previous launch's cache key ([`KernelCache::get_or_compile`]).
+    last: Option<CacheKey>,
+}
+
+impl std::fmt::Debug for Kept {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Kept")
+            .field("mps", &self.pool.mps.len())
+            .field("executors", &self.pool.idle.len())
+            .finish_non_exhaustive()
+    }
+}
+
 /// The simulated GPU device.
 #[derive(Debug)]
 pub struct Device {
@@ -136,6 +193,8 @@ pub struct Device {
     /// The cross-launch kernel cache ([`crate::cache`]).  Per-device by
     /// design: threaded cluster dispatch never contends across devices.
     cache: KernelCache,
+    /// MPs, executors and the previous launch's key, between launches.
+    kept: Mutex<Kept>,
 }
 
 impl Device {
@@ -148,7 +207,18 @@ impl Device {
             return Err(SimError::UnsupportedWidth { b: machine.b });
         }
         spec.validate().map_err(|e| SimError::InvalidCluster { reason: e.to_string() })?;
-        Ok(Self { machine, spec, cache: KernelCache::new(DEFAULT_CACHE_CAPACITY) })
+        Ok(Self {
+            machine,
+            spec,
+            cache: KernelCache::new(DEFAULT_CACHE_CAPACITY),
+            kept: Mutex::default(),
+        })
+    }
+
+    /// The kept set's slot.  Nothing panics while holding it; were
+    /// something to, the slot holds a whole set or an empty one.
+    fn kept(&self) -> MutexGuard<'_, Kept> {
+        self.kept.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The machine this device implements.
@@ -266,31 +336,46 @@ impl Device {
                 available: self.machine.m,
             });
         }
-        let nregs = kernel.max_reg().map(|r| u32::from(r) + 1).unwrap_or(1);
-        let gmem = target.mem();
-        let bases: Vec<u64> = (0..gmem.buf_count()).map(|i| gmem.base(i as u32)).collect();
         let b = self.machine.b as u32;
         let blocks = Blocks { name: &kernel.name, ell, range, budget };
 
         match engine {
             EngineSel::MicroOp => {
-                let compiled = self.cache.get_or_compile(kernel, &bases, b, nregs);
-                self.run_sequential(&blocks, || BlockExec::new(&compiled), &mut target)
+                // Taken whole, given back whole (see the module docs).
+                let mut kept = std::mem::take(&mut *self.kept());
+                let bases = target.mem().bases();
+                let compiled = self.cache.get_or_compile(kernel, bases, b, &mut kept.last);
+                let make = || BlockExec::new(&compiled);
+                let stats =
+                    self.run_sequential(&blocks, &*compiled, &mut kept.pool, make, &mut target);
+                if stats.is_ok() {
+                    let mut slot = self.kept();
+                    if slot.pool.mps.is_empty() {
+                        *slot = kept;
+                    }
+                }
+                stats
             }
             EngineSel::Reference => {
+                let nregs = kernel.max_reg().map_or(1, |r| u32::from(r) + 1);
+                let bases = target.mem().bases().to_vec();
                 let make = || WarpExec::new(kernel, &bases, b, nregs);
-                self.run_sequential(&blocks, make, &mut target)
+                self.run_sequential(&blocks, &(), &mut Pool::default(), make, &mut target)
             }
         }
     }
 
     /// The one block loop: co-simulates the MPs in global time order
     /// against one memory controller, writing into `acc` as it goes.  It
-    /// builds the `min(k′, ⌈blocks/ℓ⌉)` MPs the depth-first fill reaches
-    /// (see the module docs).
+    /// runs on the `min(k′, ⌈blocks/ℓ⌉)` MPs the depth-first fill reaches
+    /// (see the module docs), re-arming `pool`'s and building what it
+    /// lacks; executors come from `pool`, then from `make`, and go back to
+    /// `pool` when the launch succeeds.
     fn run_sequential<E: BlockSim>(
         &self,
         blocks: &Blocks<'_>,
+        kernel: &E::Kernel,
+        pool: &mut Pool<E>,
         make: impl Fn() -> E,
         acc: &mut GmemAccess<'_>,
     ) -> Result<KernelStats, SimError> {
@@ -298,18 +383,26 @@ impl Device {
         let mut dram =
             DramController::new(self.spec.dram_issue_cycles, self.spec.dram_latency_cycles);
         let reached = range.1.saturating_sub(range.0).div_ceil(ell).min(self.spec.k_prime);
-        let mut mps: Vec<Mp<E>> = (0..reached).map(|_| Mp::new(ell)).collect();
+        let Pool { mps, idle } = pool;
+        while (mps.len() as u64) < reached {
+            mps.push(Mp::new(ell));
+        }
+        let mps = &mut mps[..reached as usize];
+        for mp in mps.iter_mut() {
+            mp.rearm(ell);
+        }
+        let mut take = || idle.pop().unwrap_or_else(|| Box::new(make()));
         let (mut next_block, end_block) = range;
 
         // Initial fill, depth-first: MP 0 takes blocks up to its `ℓ`
         // slots before MP 1 sees one, so a grid below `k′·ℓ` blocks
         // leaves whole MPs empty.
-        'fill: for mp in &mut mps {
+        'fill: for mp in mps.iter_mut() {
             while mp.free_slots() > 0 {
                 if next_block >= end_block {
                     break 'fill;
                 }
-                mp.admit(next_block, &make);
+                mp.admit(kernel, next_block, &mut take);
                 next_block += 1;
             }
         }
@@ -345,9 +438,9 @@ impl Device {
                 if budget != 0 && t > budget {
                     return Err(SimError::Watchdog { kernel: name.to_string(), budget });
                 }
-                let retired = mp.step(acc, &mut dram)?;
+                let retired = mp.step(kernel, acc, &mut dram)?;
                 if retired && next_block < end_block {
-                    mp.admit(next_block, &make);
+                    mp.admit(kernel, next_block, &mut take);
                     next_block += 1;
                 }
             }
@@ -359,8 +452,9 @@ impl Device {
             occupancy: ell,
             ..KernelStats::default()
         };
-        for mp in &mps {
+        for mp in mps.iter_mut() {
             stats.merge_serial(&mp.stats);
+            mp.release(idle);
         }
         debug_assert_eq!(stats.blocks, range.1.saturating_sub(range.0));
         Ok(stats)

@@ -6,7 +6,8 @@
 //! Across MPs: the next instruction issues on the MP with the smallest
 //! `(next event, MP index)`.  [`Mp`] keeps the first in a tournament tree
 //! of packed keys over boxed executors and `Device::run_sequential` runs
-//! an MP to the runner-up's horizon instead of rescanning; the models
+//! an MP to the runner-up's horizon instead of rescanning — on MPs and
+//! executors a previous launch left behind, in the device test; the models
 //! here keep dense `Vec`s, scan for the first minimum before every
 //! instruction and `swap_remove` on retirement.  Both sides drive a
 //! [`Scripted`] executor that replays a per-block list of [`StepEvent`]s
@@ -27,45 +28,51 @@ use crate::warp::StepEvent;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
-use std::rc::Rc;
 
-/// Per-block event lists; a block is `Done` once its list is exhausted.
-type Scripts = Rc<Vec<Vec<StepEvent>>>;
-/// `(block, event index)` of every `step`, in issue order.
-type IssueLog = Rc<RefCell<Vec<(u64, usize)>>>;
+/// One scripted launch — what a [`Scripted`] executor is lent, as a
+/// `BlockExec` is lent its compiled kernel.
+struct Script {
+    /// Per-block event lists; a block is `Done` once its list is
+    /// exhausted.
+    events: Vec<Vec<StepEvent>>,
+    /// `(block, event index)` of every `step`, in issue order.
+    log: RefCell<Vec<(u64, usize)>>,
+}
 
+/// Replays its block's events from the script it is lent, logging each
+/// step there.
+#[derive(Default)]
 struct Scripted {
-    scripts: Scripts,
-    log: IssueLog,
     block: u64,
     pc: usize,
 }
 
-impl Scripted {
-    fn maker(scripts: &Scripts, log: &IssueLog) -> impl Fn() -> Scripted {
-        let (scripts, log) = (Rc::clone(scripts), Rc::clone(log));
-        move || Scripted { scripts: Rc::clone(&scripts), log: Rc::clone(&log), block: 0, pc: 0 }
-    }
-}
-
-fn event(scripts: &[Vec<StepEvent>], block: u64, pc: usize) -> StepEvent {
-    scripts[block as usize].get(pc).copied().unwrap_or(StepEvent::Done)
+fn event(events: &[Vec<StepEvent>], block: u64, pc: usize) -> StepEvent {
+    events[block as usize].get(pc).copied().unwrap_or(StepEvent::Done)
 }
 
 impl BlockSim for Scripted {
-    fn reset(&mut self, block: u64) {
+    type Kernel = Script;
+    type Scratch = ();
+
+    fn reset(&mut self, _: &Script, block: u64) {
         self.block = block;
         self.pc = 0;
     }
 
-    fn step(&mut self, _gmem: &mut GmemAccess<'_>) -> Result<StepEvent, SimError> {
-        self.log.borrow_mut().push((self.block, self.pc));
+    fn step(
+        &mut self,
+        script: &Script,
+        _: &mut (),
+        _gmem: &mut GmemAccess<'_>,
+    ) -> Result<StepEvent, SimError> {
+        script.log.borrow_mut().push((self.block, self.pc));
         self.pc += 1;
-        Ok(event(&self.scripts, self.block, self.pc - 1))
+        Ok(event(&script.events, self.block, self.pc - 1))
     }
 }
 
-fn random_scripts(rng: &mut StdRng, blocks: usize) -> Scripts {
+fn random_script(rng: &mut StdRng, blocks: usize) -> Script {
     fn pick(rng: &mut StdRng, from: &[u32]) -> u32 {
         from[rng.gen_range(0..from.len())]
     }
@@ -83,7 +90,7 @@ fn random_scripts(rng: &mut StdRng, blocks: usize) -> Scripts {
             })
             .collect()
     };
-    Rc::new((0..blocks).map(|_| script(rng)).collect())
+    Script { events: (0..blocks).map(|_| script(rng)).collect(), log: RefCell::default() }
 }
 
 /// `(issue interval, latency)` pairs: saturating, colliding, realistic.
@@ -171,15 +178,18 @@ fn mp_issues_in_first_minimum_order() {
     let mut acc = GmemAccess::Direct(&mut gmem);
     let mut rng = StdRng::seed_from_u64(0x5C4E_D01E);
     for ell in [1u64, 3, 16, 33] {
+        // One MP per residency, re-armed for every case on the executors
+        // the case before released: the model is fresh every time.
+        let mut mp: Mp<Scripted> = Mp::new(ell);
+        let mut pool = Vec::new();
         for case in 0..40 {
             let blocks = 3 * ell + 7;
-            let scripts = random_scripts(&mut rng, blocks as usize);
+            let script = random_script(&mut rng, blocks as usize);
             let (interval, latency) = CONTROLLERS[case % CONTROLLERS.len()];
             let cell = format!("ell={ell} case={case}");
 
-            let log = IssueLog::default();
-            let make = Scripted::maker(&scripts, &log);
-            let mut mp: Mp<Scripted> = Mp::new(ell);
+            mp.rearm(ell);
+            let mut make = || pool.pop().unwrap_or_default();
             let mut dram = DramController::new(interval, latency);
             let mut accesses = Vec::new();
 
@@ -189,30 +199,34 @@ fn mp_issues_in_first_minimum_order() {
 
             let mut next = 0;
             while mp.free_slots() > 0 && next < blocks {
-                mp.admit(next, &make);
+                mp.admit(&script, next, &mut make);
                 model.admit(next);
                 next += 1;
             }
             while !mp.idle() {
                 assert_eq!(mp.next_event(), model.next_event(), "{cell}");
-                let retired = mp.step(&mut acc, &mut dram).unwrap();
+                let retired = mp.step(&script, &mut acc, &mut dram).unwrap();
                 // The controller is called with the clock the access
                 // leaves behind.
-                let &(block, pc) = log.borrow().last().unwrap();
-                if let StepEvent::Global { txns, .. } = event(&scripts, block, pc) {
+                let &(block, pc) = script.log.borrow().last().unwrap();
+                if let StepEvent::Global { txns, .. } = event(&script.events, block, pc) {
                     accesses.push((mp.clock, u64::from(txns)));
                 }
-                let model_retired =
-                    model.step(&scripts, &mut model_dram, &mut model_log, &mut model_accesses);
+                let model_retired = model.step(
+                    &script.events,
+                    &mut model_dram,
+                    &mut model_log,
+                    &mut model_accesses,
+                );
                 assert_eq!((retired, mp.clock), (model_retired, model.clock), "{cell}");
                 if retired && next < blocks {
-                    mp.admit(next, &make);
+                    mp.admit(&script, next, &mut make);
                     model.admit(next);
                     next += 1;
                 }
             }
             assert!(model.resident.is_empty(), "{cell}");
-            assert_eq!(*log.borrow(), model_log, "{cell}: issue order");
+            assert_eq!(*script.log.borrow(), model_log, "{cell}: issue order");
             assert_eq!(mp.stats, model.stats, "{cell}");
             assert_eq!(mp.stats.blocks, blocks, "{cell}");
             assert_eq!(mp.last_retire, model.last_retire, "{cell}");
@@ -222,6 +236,7 @@ fn mp_issues_in_first_minimum_order() {
                 (model_dram.txns, model_dram.queue_cycles),
                 "{cell}"
             );
+            mp.release(&mut pool);
         }
     }
 }
@@ -274,6 +289,11 @@ fn device_runs_to_the_horizon_in_rescan_order() {
     let machine = AtgpuMachine::new(1 << 12, 4, 64, 1 << 16).unwrap();
     let mut gmem = GlobalMemory::new(vec![], 0, 4, 1024).unwrap();
     let mut rng = StdRng::seed_from_u64(0x4071_2011);
+    // Kept across every run, as a device keeps it: each run re-arms the
+    // MPs and executors the runs before it left — of other widths,
+    // residencies and scripts — or, after a watchdog cut, starts over,
+    // as `Device::launch` does.
+    let mut pool = Pool::default();
     for k_prime in [1u64, 2, 5] {
         for ell in [1u64, 3, 16] {
             for case in 0..24 {
@@ -285,22 +305,28 @@ fn device_runs_to_the_horizon_in_rescan_order() {
                     ..GpuSpec::gtx650_like()
                 };
                 let blocks = (2 * k_prime * ell + 5) as usize;
-                let scripts = random_scripts(&mut rng, blocks);
+                let script = random_script(&mut rng, blocks);
                 let cell = format!("k'={k_prime} ell={ell} case={case}");
 
                 let mut model_log = Vec::new();
-                let model = naive_device(&scripts, &spec, ell, 0, &mut model_log).unwrap();
+                let model = naive_device(&script.events, &spec, ell, 0, &mut model_log).unwrap();
 
                 let device = Device::new(machine, spec).unwrap();
                 let mut run = |budget: u64| {
-                    let log = IssueLog::default();
                     let launch =
                         Blocks { name: "scripted", ell, range: (0, blocks as u64), budget };
-                    let make = Scripted::maker(&scripts, &log);
                     let mut acc = GmemAccess::Direct(&mut gmem);
-                    let stats = device.run_sequential(&launch, make, &mut acc);
-                    let log = log.borrow().clone();
-                    (stats, log)
+                    let stats = device.run_sequential(
+                        &launch,
+                        &script,
+                        &mut pool,
+                        Scripted::default,
+                        &mut acc,
+                    );
+                    if stats.is_err() {
+                        pool = Pool::default();
+                    }
+                    (stats, script.log.take())
                 };
 
                 let (stats, log) = run(0);
@@ -314,7 +340,7 @@ fn device_runs_to_the_horizon_in_rescan_order() {
                 assert_eq!((stats.ok(), log), (Some(model), model_log.clone()), "{cell}");
                 let budget = rng.gen_range(1..model.cycles.max(2));
                 let mut cut_log = Vec::new();
-                let cut = naive_device(&scripts, &spec, ell, budget, &mut cut_log);
+                let cut = naive_device(&script.events, &spec, ell, budget, &mut cut_log);
                 let (stats, log) = run(budget);
                 assert_eq!(log, cut_log, "{cell}: budget {budget}");
                 match cut {

@@ -25,6 +25,20 @@
 //! Timing has one source: every access's event is computed from its
 //! site's compile-time tables (or the dynamic fallback) as it executes.
 //!
+//! # Who owns what
+//!
+//! A [`BlockExec`] is what one resident block *is*: its registers, shared
+//! memory, program counter, mask and arm stacks and loop counters —
+//! ≈ 170 bytes plus its two heap rows.  It holds no kernel: every
+//! [`BlockSim::reset`] and [`BlockSim::step`] is handed the launch's
+//! [`CompiledKernel`], and `reset` re-fits the register and shared rows to
+//! it, so one executor serves any launch (a [`crate::Device`] keeps its
+//! executors from launch to launch).  What lives for one instruction only
+//! — address and value rows, operand rows, the dynamic conflict path's
+//! bank counters and lane chains, ≈ 2.8 KB — is a [`Scratch`]: each
+//! multiprocessor owns one and lends it to the step of whichever resident
+//! issues, so residents neither carry nor zero-fill a copy each.
+//!
 //! The executor is bit-exact with [`crate::warp::WarpExec`] — same
 //! register/memory state, same `StepEvent` stream — which the
 //! differential property tests in `tests/engine_differential.rs` enforce.
@@ -40,17 +54,36 @@ use atgpu_ir::{AluOp, Operand, Reg, MAX_LOOP_DEPTH};
 /// tree-walking reference), so the multiprocessor scheduler can drive
 /// either.
 pub trait BlockSim {
-    /// Re-arms the executor for a new thread block.
-    fn reset(&mut self, block: u64);
+    /// What a launch hands every call: the compiled kernel for the
+    /// micro-op engine, `()` for an executor that holds its own program.
+    type Kernel: ?Sized;
+    /// Rows that live for one instruction.  A multiprocessor owns one and
+    /// lends it to every step of its residents; `()` for an executor that
+    /// keeps its own.
+    type Scratch: Default;
+    /// Re-arms the executor for thread block `block` of `kernel`'s launch.
+    fn reset(&mut self, kernel: &Self::Kernel, block: u64);
     /// Executes the next instruction; returns its timing event.
-    fn step(&mut self, gmem: &mut GmemAccess<'_>) -> Result<StepEvent, SimError>;
+    fn step(
+        &mut self,
+        kernel: &Self::Kernel,
+        scratch: &mut Self::Scratch,
+        gmem: &mut GmemAccess<'_>,
+    ) -> Result<StepEvent, SimError>;
 }
 
 impl BlockSim for crate::warp::WarpExec<'_> {
-    fn reset(&mut self, block: u64) {
+    type Kernel = ();
+    type Scratch = ();
+    fn reset(&mut self, _: &(), block: u64) {
         crate::warp::WarpExec::reset(self, block);
     }
-    fn step(&mut self, gmem: &mut GmemAccess<'_>) -> Result<StepEvent, SimError> {
+    fn step(
+        &mut self,
+        _: &(),
+        _: &mut (),
+        gmem: &mut GmemAccess<'_>,
+    ) -> Result<StepEvent, SimError> {
         crate::warp::WarpExec::step(self, gmem)
     }
 }
@@ -67,27 +100,15 @@ enum AddrPlan {
     PerLane,
 }
 
-/// Executes one thread block over the flat micro-op program.
-pub struct BlockExec<'k> {
-    ck: &'k CompiledKernel,
-    /// Linear thread-block index.
-    pub block: u64,
-    block_xy: (i64, i64),
-    b: u32,
-    full_mask: u64,
-    regs: Vec<i64>,
-    pc: u32,
-    /// Saved parent masks (one per open divergence arm).
-    masks: Vec<u64>,
-    cur_mask: u64,
-    /// Pending else masks (one per open divergence arm).
-    arms: Vec<u64>,
-    loops: [u32; MAX_LOOP_DEPTH],
-    /// The block's shared memory.
-    pub smem: SharedMemory,
+/// The rows one instruction works in (see the module docs): one per
+/// multiprocessor, lent to the step of whichever resident issues.
+pub struct Scratch {
+    /// Each active lane's address ([`AddrPlan::PerLane`]).
     addr_buf: [i64; 64],
+    /// Each active lane's value on its way between memories.
     val_buf: [i64; 64],
-    // Operand-row scratch (avoids zero-initialising stack arrays per op).
+    // Operand rows of a full-mask ALU op (avoids zero-initialising stack
+    // arrays per op).
     op_a: [i64; 64],
     op_b: [i64; 64],
     // Generation-stamped bank counters for the dynamic conflict path,
@@ -101,24 +122,9 @@ pub struct BlockExec<'k> {
     gen: u64,
 }
 
-impl<'k> BlockExec<'k> {
-    /// Creates an executor for one launch's compiled kernel.
-    pub fn new(ck: &'k CompiledKernel) -> Self {
-        let b = ck.b;
-        let full_mask = if b >= 64 { u64::MAX } else { (1u64 << b) - 1 };
+impl Default for Scratch {
+    fn default() -> Self {
         Self {
-            ck,
-            block: 0,
-            block_xy: (0, 0),
-            b,
-            full_mask,
-            regs: vec![0; ck.nregs as usize * b as usize],
-            pc: 0,
-            masks: Vec::with_capacity(ck.max_arm_depth),
-            cur_mask: full_mask,
-            arms: Vec::with_capacity(ck.max_arm_depth),
-            loops: [0; MAX_LOOP_DEPTH],
-            smem: SharedMemory::new(ck.shared_words, u64::from(b)),
             addr_buf: [0; 64],
             val_buf: [0; 64],
             op_a: [0; 64],
@@ -130,169 +136,18 @@ impl<'k> BlockExec<'k> {
             gen: 0,
         }
     }
+}
 
-    /// The compiled kernel this executor runs.
-    pub fn compiled(&self) -> &'k CompiledKernel {
-        self.ck
-    }
-
-    /// The per-lane register file, laid out `reg-major` (`r·b + lane`) —
-    /// exposed for differential testing against the reference.
-    pub fn regs(&self) -> &[i64] {
-        &self.regs
-    }
-
-    #[inline]
-    fn reg(&self, r: Reg, lane: u32) -> i64 {
-        self.regs[r as usize * self.b as usize + lane as usize]
-    }
-
-    #[inline]
-    fn set_reg(&mut self, r: Reg, lane: u32, v: i64) {
-        self.regs[r as usize * self.b as usize + lane as usize] = v;
-    }
-
-    #[inline]
-    fn operand(&self, op: Operand, lane: u32) -> i64 {
-        match op {
-            Operand::Reg(r) => self.reg(r, lane),
-            Operand::Imm(v) => v,
-            Operand::Lane => i64::from(lane),
-            Operand::Block => self.block_xy.0,
-            Operand::BlockY => self.block_xy.1,
-            Operand::LoopVar(d) => self.loops.get(d as usize).copied().unwrap_or(0) as i64,
-        }
-    }
-
-    /// Fills `out[0..b]` with an operand's value for every lane.  An
-    /// associated function over disjoint fields so callers can fill the
-    /// persistent scratch rows while holding other borrows of `self`.
-    fn operand_row_into(
-        regs: &[i64],
-        b: usize,
-        block_xy: (i64, i64),
-        loops: &[u32; MAX_LOOP_DEPTH],
-        op: Operand,
-        out: &mut [i64; 64],
-    ) {
-        match op {
-            Operand::Reg(r) => out[..b].copy_from_slice(&regs[r as usize * b..r as usize * b + b]),
-            Operand::Imm(v) => out[..b].fill(v),
-            Operand::Lane => {
-                for (i, slot) in out[..b].iter_mut().enumerate() {
-                    *slot = i as i64;
-                }
-            }
-            Operand::Block => out[..b].fill(block_xy.0),
-            Operand::BlockY => out[..b].fill(block_xy.1),
-            Operand::LoopVar(d) => {
-                out[..b].fill(loops.get(d as usize).copied().unwrap_or(0) as i64)
-            }
-        }
-    }
-
-    fn oob_shared(&self, addr: i64) -> SimError {
-        SimError::SharedOutOfBounds { kernel: self.ck.name.clone(), addr, size: self.smem.len() }
-    }
-
-    fn oob_global(&self, addr: i64, size: u64) -> SimError {
-        SimError::GlobalOutOfBounds { kernel: self.ck.name.clone(), addr, size }
-    }
-
-    /// The first out-of-bounds address a lane-ordered scan of the
-    /// contiguous range `[base, base + n)` against `len` would report.
-    #[inline]
-    fn first_oob(base: i64, len: u64) -> i64 {
-        if base < 0 {
-            base
-        } else {
-            base.max(len as i64)
-        }
-    }
-
-    /// Evaluates a site's addresses for the active lanes into `addr_buf`
-    /// and returns the materialisation plan.
-    fn plan_addrs(&mut self, site: &'k Site, mask: u64) -> AddrPlan {
-        match &site.addr {
-            SiteAddr::Affine(a) => {
-                let folded = a.fold_warp(self.block_xy, &self.loops);
-                match site.fast {
-                    FastPath::Unit if mask == self.full_mask => AddrPlan::Contig(folded),
-                    FastPath::Broadcast => AddrPlan::Bcast(folded),
-                    _ => {
-                        let stride = a.lane;
-                        match a.reg {
-                            None => {
-                                let mut m = mask;
-                                while m != 0 {
-                                    let lane = m.trailing_zeros();
-                                    m &= m - 1;
-                                    self.addr_buf[lane as usize] =
-                                        folded + stride * i64::from(lane);
-                                }
-                            }
-                            Some((r, c)) => {
-                                let mut m = mask;
-                                while m != 0 {
-                                    let lane = m.trailing_zeros();
-                                    m &= m - 1;
-                                    self.addr_buf[lane as usize] =
-                                        folded + stride * i64::from(lane) + c * self.reg(r, lane);
-                                }
-                            }
-                        }
-                        AddrPlan::PerLane
-                    }
-                }
-            }
-            SiteAddr::Tree(t) => {
-                let block = self.block_xy;
-                let gbase = site.gbase;
-                let mut m = mask;
-                while m != 0 {
-                    let lane = m.trailing_zeros();
-                    m &= m - 1;
-                    let regs = &self.regs;
-                    let b = self.b as usize;
-                    let mut read = |r: Reg| regs[r as usize * b + lane as usize];
-                    self.addr_buf[lane as usize] =
-                        t.eval(i64::from(lane), block, &self.loops, &mut read) + gbase;
-                }
-                AddrPlan::PerLane
-            }
-        }
-    }
-
-    /// Bank-conflict degree of one shared access, given the plan.
-    fn shared_degree(&mut self, site: &Site, mask: u64, plan: AddrPlan) -> u32 {
-        if let Some(d) = site.full_degree {
-            // Degree 1 is mask-independent (broadcast, or all lanes in
-            // distinct banks); other exact degrees hold for the full warp.
-            if d == 1 || mask == self.full_mask {
-                return d;
-            }
-        }
-        // Masked-affine static path: the compiler proved this site always
-        // executes under `site.mask` and precomputed the exact degree.
-        if let (Some(m), Some(d)) = (site.mask, site.masked_degree) {
-            if m == mask {
-                return d;
-            }
-        }
-        match plan {
-            AddrPlan::Contig(_) | AddrPlan::Bcast(_) => 1,
-            AddrPlan::PerLane => self.dyn_conflict_degree(mask),
-        }
-    }
-
-    /// Dynamic conflict degree: max distinct addresses in any one bank
-    /// among the active lanes.  Allocation-free: the lanes holding a
-    /// bank's distinct addresses are chained through `bank_head` /
-    /// `lane_prev` (generation-stamped with the counters), so a lane is
-    /// compared only with the addresses already in its own bank — equal
-    /// addresses share a bank, and a same-address lane broadcasts.
-    fn dyn_conflict_degree(&mut self, mask: u64) -> u32 {
-        let banks = i64::from(self.b);
+impl Scratch {
+    /// Dynamic conflict degree on `b` banks: max distinct addresses in
+    /// any one bank among the active lanes of `addr_buf`.
+    /// Allocation-free: the lanes holding a bank's distinct addresses are
+    /// chained through `bank_head` / `lane_prev` (generation-stamped with
+    /// the counters), so a lane is compared only with the addresses
+    /// already in its own bank — equal addresses share a bank, and a
+    /// same-address lane broadcasts.
+    fn conflict_degree(&mut self, mask: u64, b: u32) -> u32 {
+        let banks = i64::from(b);
         self.gen += 1;
         let gen = self.gen;
         let mut degree = 1u16;
@@ -324,8 +179,222 @@ impl<'k> BlockExec<'k> {
         u32::from(degree)
     }
 
+    /// Distinct `b`-word memory blocks among the active lanes' addresses
+    /// in `addr_buf`, without the monotonicity guarantee.
+    /// Allocation-free: each lane's block index is computed once and
+    /// looked up in the list of distinct ones so far (kept in the `op_a`
+    /// row, idle during a memory instruction), most recent first —
+    /// neighbouring lanes mostly share a block.
+    fn distinct_blocks(&mut self, mask: u64, b: u32) -> u32 {
+        let bw = i64::from(b);
+        let distinct = &mut self.op_a;
+        let mut txns = 0usize;
+        let mut m = mask;
+        while m != 0 {
+            let lane = m.trailing_zeros();
+            m &= m - 1;
+            let q = self.addr_buf[lane as usize].div_euclid(bw);
+            if !distinct[..txns].iter().rev().any(|&seen| seen == q) {
+                distinct[txns] = q;
+                txns += 1;
+            }
+        }
+        txns as u32
+    }
+}
+
+/// Executes one thread block over the flat micro-op program.
+pub struct BlockExec {
+    /// Linear thread-block index.
+    pub block: u64,
+    block_xy: (i64, i64),
+    b: u32,
+    full_mask: u64,
+    regs: Vec<i64>,
+    pc: u32,
+    /// Saved parent masks (one per open divergence arm).
+    masks: Vec<u64>,
+    cur_mask: u64,
+    /// Pending else masks (one per open divergence arm).
+    arms: Vec<u64>,
+    loops: [u32; MAX_LOOP_DEPTH],
+    /// The block's shared memory.
+    pub smem: SharedMemory,
+}
+
+/// The active-lane mask of a full `b`-lane warp.
+fn full_mask(b: u32) -> u64 {
+    if b >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << b) - 1
+    }
+}
+
+impl BlockExec {
+    /// Creates an executor sized for `ck`'s launches (any other kernel's
+    /// [`BlockSim::reset`] re-fits it).
+    pub fn new(ck: &CompiledKernel) -> Self {
+        let b = ck.b;
+        Self {
+            block: 0,
+            block_xy: (0, 0),
+            b,
+            full_mask: full_mask(b),
+            regs: vec![0; ck.nregs as usize * b as usize],
+            pc: 0,
+            masks: Vec::with_capacity(ck.max_arm_depth),
+            cur_mask: full_mask(b),
+            arms: Vec::with_capacity(ck.max_arm_depth),
+            loops: [0; MAX_LOOP_DEPTH],
+            smem: SharedMemory::new(ck.shared_words, u64::from(b)),
+        }
+    }
+
+    /// The per-lane register file, laid out `reg-major` (`r·b + lane`) —
+    /// exposed for differential testing against the reference.
+    pub fn regs(&self) -> &[i64] {
+        &self.regs
+    }
+
+    #[inline]
+    fn reg(&self, r: Reg, lane: u32) -> i64 {
+        self.regs[r as usize * self.b as usize + lane as usize]
+    }
+
+    #[inline]
+    fn set_reg(&mut self, r: Reg, lane: u32, v: i64) {
+        self.regs[r as usize * self.b as usize + lane as usize] = v;
+    }
+
+    #[inline]
+    fn operand(&self, op: Operand, lane: u32) -> i64 {
+        match op {
+            Operand::Reg(r) => self.reg(r, lane),
+            Operand::Imm(v) => v,
+            Operand::Lane => i64::from(lane),
+            Operand::Block => self.block_xy.0,
+            Operand::BlockY => self.block_xy.1,
+            Operand::LoopVar(d) => self.loops.get(d as usize).copied().unwrap_or(0) as i64,
+        }
+    }
+
+    /// Fills `out[0..b]` with an operand's value for every lane.
+    fn operand_row_into(&self, op: Operand, out: &mut [i64; 64]) {
+        let b = self.b as usize;
+        match op {
+            Operand::Reg(r) => {
+                out[..b].copy_from_slice(&self.regs[r as usize * b..r as usize * b + b])
+            }
+            Operand::Imm(v) => out[..b].fill(v),
+            Operand::Lane => {
+                for (i, slot) in out[..b].iter_mut().enumerate() {
+                    *slot = i as i64;
+                }
+            }
+            Operand::Block => out[..b].fill(self.block_xy.0),
+            Operand::BlockY => out[..b].fill(self.block_xy.1),
+            Operand::LoopVar(d) => {
+                out[..b].fill(self.loops.get(d as usize).copied().unwrap_or(0) as i64)
+            }
+        }
+    }
+
+    fn oob_shared(&self, ck: &CompiledKernel, addr: i64) -> SimError {
+        SimError::SharedOutOfBounds { kernel: ck.name.clone(), addr, size: self.smem.len() }
+    }
+
+    fn oob_global(ck: &CompiledKernel, addr: i64, size: u64) -> SimError {
+        SimError::GlobalOutOfBounds { kernel: ck.name.clone(), addr, size }
+    }
+
+    /// The first out-of-bounds address a lane-ordered scan of the
+    /// contiguous range `[base, base + n)` against `len` would report.
+    #[inline]
+    fn first_oob(base: i64, len: u64) -> i64 {
+        if base < 0 {
+            base
+        } else {
+            base.max(len as i64)
+        }
+    }
+
+    /// Evaluates a site's addresses for the active lanes into
+    /// `s.addr_buf` and returns the materialisation plan.
+    fn plan_addrs(&self, site: &Site, mask: u64, s: &mut Scratch) -> AddrPlan {
+        match &site.addr {
+            SiteAddr::Affine(a) => {
+                let folded = a.fold_warp(self.block_xy, &self.loops);
+                match site.fast {
+                    FastPath::Unit if mask == self.full_mask => AddrPlan::Contig(folded),
+                    FastPath::Broadcast => AddrPlan::Bcast(folded),
+                    _ => {
+                        let stride = a.lane;
+                        match a.reg {
+                            None => {
+                                let mut m = mask;
+                                while m != 0 {
+                                    let lane = m.trailing_zeros();
+                                    m &= m - 1;
+                                    s.addr_buf[lane as usize] = folded + stride * i64::from(lane);
+                                }
+                            }
+                            Some((r, c)) => {
+                                let mut m = mask;
+                                while m != 0 {
+                                    let lane = m.trailing_zeros();
+                                    m &= m - 1;
+                                    s.addr_buf[lane as usize] =
+                                        folded + stride * i64::from(lane) + c * self.reg(r, lane);
+                                }
+                            }
+                        }
+                        AddrPlan::PerLane
+                    }
+                }
+            }
+            SiteAddr::Tree(t) => {
+                let block = self.block_xy;
+                let gbase = site.gbase;
+                let mut m = mask;
+                while m != 0 {
+                    let lane = m.trailing_zeros();
+                    m &= m - 1;
+                    let regs = &self.regs;
+                    let b = self.b as usize;
+                    let mut read = |r: Reg| regs[r as usize * b + lane as usize];
+                    s.addr_buf[lane as usize] =
+                        t.eval(i64::from(lane), block, &self.loops, &mut read) + gbase;
+                }
+                AddrPlan::PerLane
+            }
+        }
+    }
+
+    /// Bank-conflict degree of one shared access, given the plan.
+    fn shared_degree(&self, site: &Site, mask: u64, plan: AddrPlan, s: &mut Scratch) -> u32 {
+        if let Some(d) = site.full_degree {
+            // Degree 1 is mask-independent (broadcast, or all lanes in
+            // distinct banks); other exact degrees hold for the full warp.
+            if d == 1 || mask == self.full_mask {
+                return d;
+            }
+        }
+        // Masked-affine static path: the compiler proved this site always
+        // executes under `site.mask` and precomputed the exact degree.
+        if let (Some(m), Some(d)) = (site.mask, site.masked_degree) {
+            if m == mask {
+                return d;
+            }
+        }
+        match plan {
+            AddrPlan::Contig(_) | AddrPlan::Bcast(_) => 1,
+            AddrPlan::PerLane => s.conflict_degree(mask, self.b),
+        }
+    }
+
     /// Coalesced transaction count of one global access, given the plan.
-    fn global_txns(&mut self, site: &Site, mask: u64, plan: AddrPlan) -> u32 {
+    fn global_txns(&self, site: &Site, mask: u64, plan: AddrPlan, s: &mut Scratch) -> u32 {
         let bw = i64::from(self.b);
         match plan {
             AddrPlan::Bcast(_) => 1,
@@ -358,7 +427,7 @@ impl<'k> BlockExec<'k> {
                     while m != 0 {
                         let lane = m.trailing_zeros();
                         m &= m - 1;
-                        let q = self.addr_buf[lane as usize].div_euclid(bw);
+                        let q = s.addr_buf[lane as usize].div_euclid(bw);
                         if first || q != prev {
                             txns += 1;
                             prev = q;
@@ -367,52 +436,36 @@ impl<'k> BlockExec<'k> {
                     }
                     txns
                 }
-                _ => self.dyn_distinct_blocks(mask),
+                _ => s.distinct_blocks(mask, self.b),
             },
         }
     }
 
-    /// Distinct memory blocks among active lanes' addresses, without the
-    /// monotonicity guarantee.  Allocation-free: each lane's block index
-    /// is computed once and looked up in the list of distinct ones so far
-    /// (kept in the `op_a` row, idle during a memory instruction), most
-    /// recent first — neighbouring lanes mostly share a block.
-    fn dyn_distinct_blocks(&mut self, mask: u64) -> u32 {
-        let bw = i64::from(self.b);
-        let distinct = &mut self.op_a;
-        let mut txns = 0usize;
-        let mut m = mask;
-        while m != 0 {
-            let lane = m.trailing_zeros();
-            m &= m - 1;
-            let q = self.addr_buf[lane as usize].div_euclid(bw);
-            if !distinct[..txns].iter().rev().any(|&seen| seen == q) {
-                distinct[txns] = q;
-                txns += 1;
-            }
-        }
-        txns as u32
-    }
-
-    /// Reads a shared site's words into `val_buf` for the active lanes.
-    fn shared_gather(&mut self, plan: AddrPlan, mask: u64) -> Result<(), SimError> {
+    /// Reads a shared site's words into `s.val_buf` for the active lanes.
+    fn shared_gather(
+        &self,
+        ck: &CompiledKernel,
+        plan: AddrPlan,
+        mask: u64,
+        s: &mut Scratch,
+    ) -> Result<(), SimError> {
         let b = self.b as usize;
         match plan {
             AddrPlan::Contig(base) => {
                 let len = self.smem.len();
                 if base < 0 || base + b as i64 > len as i64 {
-                    return Err(self.oob_shared(Self::first_oob(base, len)));
+                    return Err(self.oob_shared(ck, Self::first_oob(base, len)));
                 }
                 let start = base as usize;
-                self.val_buf[..b].copy_from_slice(&self.smem.words()[start..start + b]);
+                s.val_buf[..b].copy_from_slice(&self.smem.words()[start..start + b]);
             }
             AddrPlan::Bcast(addr) => {
-                let v = self.smem.read(addr).ok_or_else(|| self.oob_shared(addr))?;
+                let v = self.smem.read(addr).ok_or_else(|| self.oob_shared(ck, addr))?;
                 let mut m = mask;
                 while m != 0 {
                     let lane = m.trailing_zeros();
                     m &= m - 1;
-                    self.val_buf[lane as usize] = v;
+                    s.val_buf[lane as usize] = v;
                 }
             }
             AddrPlan::PerLane => {
@@ -420,26 +473,32 @@ impl<'k> BlockExec<'k> {
                 while m != 0 {
                     let lane = m.trailing_zeros();
                     m &= m - 1;
-                    let addr = self.addr_buf[lane as usize];
-                    self.val_buf[lane as usize] =
-                        self.smem.read(addr).ok_or_else(|| self.oob_shared(addr))?;
+                    let addr = s.addr_buf[lane as usize];
+                    s.val_buf[lane as usize] =
+                        self.smem.read(addr).ok_or_else(|| self.oob_shared(ck, addr))?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Writes `val_buf` to a shared site for the active lanes.
-    fn shared_scatter(&mut self, plan: AddrPlan, mask: u64) -> Result<(), SimError> {
+    /// Writes `s.val_buf` to a shared site for the active lanes.
+    fn shared_scatter(
+        &mut self,
+        ck: &CompiledKernel,
+        plan: AddrPlan,
+        mask: u64,
+        s: &Scratch,
+    ) -> Result<(), SimError> {
         let b = self.b as usize;
         match plan {
             AddrPlan::Contig(base) => {
                 let len = self.smem.len();
                 if base < 0 || base + b as i64 > len as i64 {
-                    return Err(self.oob_shared(Self::first_oob(base, len)));
+                    return Err(self.oob_shared(ck, Self::first_oob(base, len)));
                 }
                 let start = base as usize;
-                self.smem.words_mut()[start..start + b].copy_from_slice(&self.val_buf[..b]);
+                self.smem.words_mut()[start..start + b].copy_from_slice(&s.val_buf[..b]);
             }
             _ => {
                 let mut m = mask;
@@ -448,10 +507,10 @@ impl<'k> BlockExec<'k> {
                     m &= m - 1;
                     let addr = match plan {
                         AddrPlan::Bcast(a) => a,
-                        _ => self.addr_buf[lane as usize],
+                        _ => s.addr_buf[lane as usize],
                     };
-                    if !self.smem.write(addr, self.val_buf[lane as usize]) {
-                        return Err(self.oob_shared(addr));
+                    if !self.smem.write(addr, s.val_buf[lane as usize]) {
+                        return Err(self.oob_shared(ck, addr));
                     }
                 }
             }
@@ -459,30 +518,32 @@ impl<'k> BlockExec<'k> {
         Ok(())
     }
 
-    /// Reads a global site's words into `val_buf` for the active lanes.
+    /// Reads a global site's words into `s.val_buf` for the active lanes.
     fn global_gather(
-        &mut self,
+        &self,
+        ck: &CompiledKernel,
         gmem: &GmemAccess<'_>,
         plan: AddrPlan,
         mask: u64,
+        s: &mut Scratch,
     ) -> Result<(), SimError> {
         let b = self.b as usize;
         match plan {
             AddrPlan::Contig(base) => {
                 let len = gmem.len();
                 if base < 0 || base + b as i64 > len as i64 {
-                    return Err(self.oob_global(Self::first_oob(base, len), len));
+                    return Err(Self::oob_global(ck, Self::first_oob(base, len), len));
                 }
-                let ok = gmem.read_block(base, &mut self.val_buf[..b]);
+                let ok = gmem.read_block(base, &mut s.val_buf[..b]);
                 debug_assert!(ok);
             }
             AddrPlan::Bcast(addr) => {
-                let v = gmem.read(addr).ok_or_else(|| self.oob_global(addr, gmem.len()))?;
+                let v = gmem.read(addr).ok_or_else(|| Self::oob_global(ck, addr, gmem.len()))?;
                 let mut m = mask;
                 while m != 0 {
                     let lane = m.trailing_zeros();
                     m &= m - 1;
-                    self.val_buf[lane as usize] = v;
+                    s.val_buf[lane as usize] = v;
                 }
             }
             AddrPlan::PerLane => {
@@ -490,21 +551,23 @@ impl<'k> BlockExec<'k> {
                 while m != 0 {
                     let lane = m.trailing_zeros();
                     m &= m - 1;
-                    let addr = self.addr_buf[lane as usize];
-                    self.val_buf[lane as usize] =
-                        gmem.read(addr).ok_or_else(|| self.oob_global(addr, gmem.len()))?;
+                    let addr = s.addr_buf[lane as usize];
+                    s.val_buf[lane as usize] =
+                        gmem.read(addr).ok_or_else(|| Self::oob_global(ck, addr, gmem.len()))?;
                 }
             }
         }
         Ok(())
     }
 
-    /// Writes `val_buf` to a global site for the active lanes.
+    /// Writes `s.val_buf` to a global site for the active lanes.
     fn global_scatter(
-        &mut self,
+        &self,
+        ck: &CompiledKernel,
         gmem: &mut GmemAccess<'_>,
         plan: AddrPlan,
         mask: u64,
+        s: &Scratch,
     ) -> Result<(), SimError> {
         let b = self.b as usize;
         let block = self.block;
@@ -512,9 +575,9 @@ impl<'k> BlockExec<'k> {
             AddrPlan::Contig(base) => {
                 let len = gmem.len();
                 if base < 0 || base + b as i64 > len as i64 {
-                    return Err(self.oob_global(Self::first_oob(base, len), len));
+                    return Err(Self::oob_global(ck, Self::first_oob(base, len), len));
                 }
-                let ok = gmem.write_block(base, &self.val_buf[..b], block);
+                let ok = gmem.write_block(base, &s.val_buf[..b], block);
                 debug_assert!(ok);
             }
             _ => {
@@ -524,10 +587,10 @@ impl<'k> BlockExec<'k> {
                     m &= m - 1;
                     let addr = match plan {
                         AddrPlan::Bcast(a) => a,
-                        _ => self.addr_buf[lane as usize],
+                        _ => s.addr_buf[lane as usize],
                     };
-                    if !gmem.write(addr, self.val_buf[lane as usize], block) {
-                        return Err(self.oob_global(addr, gmem.len()));
+                    if !gmem.write(addr, s.val_buf[lane as usize], block) {
+                        return Err(Self::oob_global(ck, addr, gmem.len()));
                     }
                 }
             }
@@ -554,13 +617,21 @@ impl<'k> BlockExec<'k> {
     }
 }
 
-impl BlockSim for BlockExec<'_> {
-    fn reset(&mut self, block: u64) {
+impl BlockSim for BlockExec {
+    type Kernel = CompiledKernel;
+    type Scratch = Scratch;
+
+    /// Re-arms for `block` and re-fits the register and shared rows to
+    /// `ck` — within their capacity, no allocation.
+    fn reset(&mut self, ck: &CompiledKernel, block: u64) {
         self.block = block;
-        let gx = self.ck.grid.0.max(1);
+        let gx = ck.grid.0.max(1);
         self.block_xy = ((block % gx) as i64, (block / gx) as i64);
-        self.regs.fill(0);
-        self.smem.reset();
+        self.b = ck.b;
+        self.full_mask = full_mask(ck.b);
+        self.regs.clear();
+        self.regs.resize(ck.nregs as usize * ck.b as usize, 0);
+        self.smem.reset(ck.shared_words);
         self.pc = 0;
         self.masks.clear();
         self.arms.clear();
@@ -568,9 +639,14 @@ impl BlockSim for BlockExec<'_> {
         self.loops = [0; MAX_LOOP_DEPTH];
     }
 
-    fn step(&mut self, gmem: &mut GmemAccess<'_>) -> Result<StepEvent, SimError> {
+    fn step(
+        &mut self,
+        ck: &CompiledKernel,
+        s: &mut Scratch,
+        gmem: &mut GmemAccess<'_>,
+    ) -> Result<StepEvent, SimError> {
         loop {
-            let Some(op) = self.ck.prog.get(self.pc as usize) else {
+            let Some(op) = ck.prog.get(self.pc as usize) else {
                 return Ok(StepEvent::Done);
             };
             match op {
@@ -637,24 +713,10 @@ impl BlockSim for BlockExec<'_> {
                     let (op, dst, a, b) = (*op, *dst, *a, *b);
                     if mask == self.full_mask {
                         let n = self.b as usize;
-                        Self::operand_row_into(
-                            &self.regs,
-                            n,
-                            self.block_xy,
-                            &self.loops,
-                            a,
-                            &mut self.op_a,
-                        );
-                        Self::operand_row_into(
-                            &self.regs,
-                            n,
-                            self.block_xy,
-                            &self.loops,
-                            b,
-                            &mut self.op_b,
-                        );
+                        self.operand_row_into(a, &mut s.op_a);
+                        self.operand_row_into(b, &mut s.op_b);
                         let start = dst as usize * n;
-                        let (ra, rb) = (&self.op_a, &self.op_b);
+                        let (ra, rb) = (&s.op_a, &s.op_b);
                         let row = &mut self.regs[start..start + n];
                         // One branch on `op`, then a tight (vectorisable)
                         // lane loop — the compiler cannot be trusted to
@@ -703,15 +765,8 @@ impl BlockSim for BlockExec<'_> {
                                 self.regs.copy_within(r as usize * n..r as usize * n + n, start);
                             }
                             _ => {
-                                Self::operand_row_into(
-                                    &self.regs,
-                                    n,
-                                    self.block_xy,
-                                    &self.loops,
-                                    src,
-                                    &mut self.op_a,
-                                );
-                                self.regs[start..start + n].copy_from_slice(&self.op_a[..n]);
+                                self.operand_row_into(src, &mut s.op_a);
+                                self.regs[start..start + n].copy_from_slice(&s.op_a[..n]);
                             }
                         }
                     } else {
@@ -729,27 +784,27 @@ impl BlockSim for BlockExec<'_> {
                 Uop::LdShr { dst, site } => {
                     let mask = self.cur_mask;
                     let (dst, site_id) = (*dst, *site);
-                    let site = &self.ck.sites[site_id as usize];
-                    let plan = self.plan_addrs(site, mask);
-                    let degree = self.shared_degree(site, mask, plan);
+                    let site = &ck.sites[site_id as usize];
+                    let plan = self.plan_addrs(site, mask, s);
+                    let degree = self.shared_degree(site, mask, plan, s);
                     if let AddrPlan::Contig(base) = plan {
                         // Fused path: shared words straight into the
                         // register row, no intermediate buffer.
                         let n = self.b as usize;
                         let len = self.smem.len();
                         if base < 0 || base + n as i64 > len as i64 {
-                            return Err(self.oob_shared(Self::first_oob(base, len)));
+                            return Err(self.oob_shared(ck, Self::first_oob(base, len)));
                         }
                         let start = dst as usize * n;
                         self.regs[start..start + n]
                             .copy_from_slice(&self.smem.words()[base as usize..base as usize + n]);
                     } else {
-                        self.shared_gather(plan, mask)?;
+                        self.shared_gather(ck, plan, mask, s)?;
                         let mut m = mask;
                         while m != 0 {
                             let lane = m.trailing_zeros();
                             m &= m - 1;
-                            self.set_reg(dst, lane, self.val_buf[lane as usize]);
+                            self.set_reg(dst, lane, s.val_buf[lane as usize]);
                         }
                     }
                     self.pc += 1;
@@ -758,39 +813,31 @@ impl BlockSim for BlockExec<'_> {
                 Uop::StShr { site, src } => {
                     let mask = self.cur_mask;
                     let (site_id, src) = (*site, *src);
-                    let site = &self.ck.sites[site_id as usize];
-                    let plan = self.plan_addrs(site, mask);
-                    let degree = self.shared_degree(site, mask, plan);
+                    let site = &ck.sites[site_id as usize];
+                    let plan = self.plan_addrs(site, mask, s);
+                    let degree = self.shared_degree(site, mask, plan, s);
                     if let (AddrPlan::Contig(base), Operand::Reg(r)) = (plan, src) {
                         // Fused path: register row straight into shared
                         // memory.
                         let n = self.b as usize;
                         let len = self.smem.len();
                         if base < 0 || base + n as i64 > len as i64 {
-                            return Err(self.oob_shared(Self::first_oob(base, len)));
+                            return Err(self.oob_shared(ck, Self::first_oob(base, len)));
                         }
                         self.smem.words_mut()[base as usize..base as usize + n]
                             .copy_from_slice(&self.regs[r as usize * n..r as usize * n + n]);
                     } else {
                         if mask == self.full_mask {
-                            let n = self.b as usize;
-                            Self::operand_row_into(
-                                &self.regs,
-                                n,
-                                self.block_xy,
-                                &self.loops,
-                                src,
-                                &mut self.val_buf,
-                            );
+                            self.operand_row_into(src, &mut s.val_buf);
                         } else {
                             let mut m = mask;
                             while m != 0 {
                                 let lane = m.trailing_zeros();
                                 m &= m - 1;
-                                self.val_buf[lane as usize] = self.operand(src, lane);
+                                s.val_buf[lane as usize] = self.operand(src, lane);
                             }
                         }
-                        self.shared_scatter(plan, mask)?;
+                        self.shared_scatter(ck, plan, mask, s)?;
                     }
                     self.pc += 1;
                     return Ok(StepEvent::Shared { degree });
@@ -798,10 +845,10 @@ impl BlockSim for BlockExec<'_> {
                 Uop::GlbToShr { shared, global } => {
                     let mask = self.cur_mask;
                     let (shared_id, global_id) = (*shared, *global);
-                    let gsite = &self.ck.sites[global_id as usize];
-                    let gplan = self.plan_addrs(gsite, mask);
-                    let txns = self.global_txns(gsite, mask, gplan);
-                    let ssite = &self.ck.sites[shared_id as usize];
+                    let gsite = &ck.sites[global_id as usize];
+                    let gplan = self.plan_addrs(gsite, mask, s);
+                    let txns = self.global_txns(gsite, mask, gplan, s);
+                    let ssite = &ck.sites[shared_id as usize];
                     if let (AddrPlan::Contig(gbase), FastPath::Unit) = (gplan, ssite.fast) {
                         // Fused path: both sides contiguous — one
                         // global-heap-to-shared copy.  Error precedence
@@ -809,36 +856,36 @@ impl BlockSim for BlockExec<'_> {
                         let n = self.b as usize;
                         let glen = gmem.len();
                         if gbase < 0 || gbase + n as i64 > glen as i64 {
-                            return Err(self.oob_global(Self::first_oob(gbase, glen), glen));
+                            return Err(Self::oob_global(ck, Self::first_oob(gbase, glen), glen));
                         }
-                        let splan = self.plan_addrs(ssite, mask);
+                        let splan = self.plan_addrs(ssite, mask, s);
                         let AddrPlan::Contig(sbase) = splan else {
                             unreachable!("unit-stride site under full mask is contiguous")
                         };
-                        let degree = self.shared_degree(ssite, mask, splan);
+                        let degree = self.shared_degree(ssite, mask, splan, s);
                         let slen = self.smem.len();
                         if sbase < 0 || sbase + n as i64 > slen as i64 {
-                            return Err(self.oob_shared(Self::first_oob(sbase, slen)));
+                            return Err(self.oob_shared(ck, Self::first_oob(sbase, slen)));
                         }
                         self.smem.words_mut()[sbase as usize..sbase as usize + n]
                             .copy_from_slice(&gmem.view()[gbase as usize..gbase as usize + n]);
                         self.pc += 1;
                         return Ok(StepEvent::Global { txns, issue: degree });
                     }
-                    self.global_gather(gmem, gplan, mask)?;
-                    let splan = self.plan_addrs(ssite, mask);
-                    let degree = self.shared_degree(ssite, mask, splan);
-                    self.shared_scatter(splan, mask)?;
+                    self.global_gather(ck, gmem, gplan, mask, s)?;
+                    let splan = self.plan_addrs(ssite, mask, s);
+                    let degree = self.shared_degree(ssite, mask, splan, s);
+                    self.shared_scatter(ck, splan, mask, s)?;
                     self.pc += 1;
                     return Ok(StepEvent::Global { txns, issue: degree });
                 }
                 Uop::ShrToGlb { global, shared } => {
                     let mask = self.cur_mask;
                     let (shared_id, global_id) = (*shared, *global);
-                    let ssite = &self.ck.sites[shared_id as usize];
-                    let splan = self.plan_addrs(ssite, mask);
-                    let degree = self.shared_degree(ssite, mask, splan);
-                    let gsite = &self.ck.sites[global_id as usize];
+                    let ssite = &ck.sites[shared_id as usize];
+                    let splan = self.plan_addrs(ssite, mask, s);
+                    let degree = self.shared_degree(ssite, mask, splan, s);
+                    let gsite = &ck.sites[global_id as usize];
                     if let (AddrPlan::Contig(sbase), FastPath::Unit) = (splan, gsite.fast) {
                         // Fused path: shared words straight to the global
                         // heap.  Error precedence matches the reference:
@@ -846,16 +893,16 @@ impl BlockSim for BlockExec<'_> {
                         let n = self.b as usize;
                         let slen = self.smem.len();
                         if sbase < 0 || sbase + n as i64 > slen as i64 {
-                            return Err(self.oob_shared(Self::first_oob(sbase, slen)));
+                            return Err(self.oob_shared(ck, Self::first_oob(sbase, slen)));
                         }
-                        let gplan = self.plan_addrs(gsite, mask);
+                        let gplan = self.plan_addrs(gsite, mask, s);
                         let AddrPlan::Contig(gbase) = gplan else {
                             unreachable!("unit-stride site under full mask is contiguous")
                         };
-                        let txns = self.global_txns(gsite, mask, gplan);
+                        let txns = self.global_txns(gsite, mask, gplan, s);
                         let glen = gmem.len();
                         if gbase < 0 || gbase + n as i64 > glen as i64 {
-                            return Err(self.oob_global(Self::first_oob(gbase, glen), glen));
+                            return Err(Self::oob_global(ck, Self::first_oob(gbase, glen), glen));
                         }
                         let ok = gmem.write_block(
                             gbase,
@@ -866,10 +913,10 @@ impl BlockSim for BlockExec<'_> {
                         self.pc += 1;
                         return Ok(StepEvent::Global { txns, issue: degree });
                     }
-                    self.shared_gather(splan, mask)?;
-                    let gplan = self.plan_addrs(gsite, mask);
-                    let txns = self.global_txns(gsite, mask, gplan);
-                    self.global_scatter(gmem, gplan, mask)?;
+                    self.shared_gather(ck, splan, mask, s)?;
+                    let gplan = self.plan_addrs(gsite, mask, s);
+                    let txns = self.global_txns(gsite, mask, gplan, s);
+                    self.global_scatter(ck, gmem, gplan, mask, s)?;
                     self.pc += 1;
                     return Ok(StepEvent::Global { txns, issue: degree });
                 }
@@ -881,7 +928,6 @@ impl BlockSim for BlockExec<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use atgpu_ir::KernelBuilder;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -890,31 +936,25 @@ mod tests {
     /// random address sets with negatives, duplicates and partial masks.
     #[test]
     fn dynamic_fallbacks_match_a_sort_and_dedup_oracle() {
-        let mut kb = KernelBuilder::new("fallbacks", 1, 0);
-        kb.sync();
-        let kernel = kb.build();
         let mut rng = StdRng::seed_from_u64(0xFA11_BAC5);
+        let mut s = Scratch::default();
         for b in [4u32, 32, 64] {
-            let ck = CompiledKernel::compile(&kernel, &[], b, 1);
-            let mut ex = BlockExec::new(&ck);
             let bw = i64::from(b);
             for case in 0..2000 {
                 // Narrow spans force duplicates and shared banks/blocks;
                 // wide ones spread the lanes out.
                 let span = [1, 3, bw, 4 * bw, 1 << 20][case % 5];
                 let mask = match case % 4 {
-                    0 => ex.full_mask,
-                    1 => rng.next_u64() & ex.full_mask,
+                    0 => full_mask(b),
+                    1 => rng.next_u64() & full_mask(b),
                     2 => 1 << rng.gen_range(0..b),
-                    _ => rng.next_u64() & rng.next_u64() & ex.full_mask,
+                    _ => rng.next_u64() & rng.next_u64() & full_mask(b),
                 };
                 for lane in 0..b as usize {
-                    ex.addr_buf[lane] = rng.gen_range(-span..=span);
+                    s.addr_buf[lane] = rng.gen_range(-span..=span);
                 }
-                let mut addrs: Vec<i64> = (0..b)
-                    .filter(|l| mask >> l & 1 == 1)
-                    .map(|l| ex.addr_buf[l as usize])
-                    .collect();
+                let mut addrs: Vec<i64> =
+                    (0..b).filter(|l| mask >> l & 1 == 1).map(|l| s.addr_buf[l as usize]).collect();
                 addrs.sort_unstable();
                 addrs.dedup();
 
@@ -923,12 +963,12 @@ mod tests {
                     per_bank[a.rem_euclid(bw) as usize] += 1;
                 }
                 let degree = per_bank.into_iter().max().unwrap_or(0).max(1);
-                assert_eq!(ex.dyn_conflict_degree(mask), degree, "b={b} mask={mask:#x} {addrs:?}");
+                assert_eq!(s.conflict_degree(mask, b), degree, "b={b} mask={mask:#x} {addrs:?}");
 
                 let mut blocks: Vec<i64> = addrs.iter().map(|a| a.div_euclid(bw)).collect();
                 blocks.dedup();
                 let txns = blocks.len() as u32;
-                assert_eq!(ex.dyn_distinct_blocks(mask), txns, "b={b} mask={mask:#x} {addrs:?}");
+                assert_eq!(s.distinct_blocks(mask, b), txns, "b={b} mask={mask:#x} {addrs:?}");
             }
         }
     }

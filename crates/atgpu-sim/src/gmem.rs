@@ -45,12 +45,6 @@ impl GlobalMemory {
         self.words.is_empty()
     }
 
-    /// Base address of device buffer `buf`.
-    #[inline]
-    pub fn base(&self, buf: u32) -> u64 {
-        self.bases[buf as usize]
-    }
-
     /// The absolute start address of `words` words at offset `off` of
     /// device buffer `buf`, checked: an unknown buffer id or a range
     /// leaving the buffer's (block-padded) slot in the canonical layout
@@ -74,10 +68,10 @@ impl GlobalMemory {
         }
     }
 
-    /// Number of device buffers in the layout.
+    /// Base address of every device buffer, in buffer order.
     #[inline]
-    pub fn buf_count(&self) -> usize {
-        self.bases.len()
+    pub fn bases(&self) -> &[u64] {
+        &self.bases
     }
 
     /// The memory block index of an absolute address.
@@ -162,7 +156,7 @@ mod tests {
         let mut out = vec![0; 3];
         g.copy_out(32, &mut out);
         assert_eq!(out, vec![1, 2, 3]);
-        assert_eq!(g.base(1), 32);
+        assert_eq!(g.bases(), [0, 32]);
     }
 
     #[test]

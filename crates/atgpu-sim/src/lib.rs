@@ -61,7 +61,9 @@
 //! * **keying** — the full key (structural hash, complete base vector,
 //!   `b`, `nregs`) is stored and compared, so a hash collision alone can
 //!   never alias two kernels; mutating one instruction, the grid, the
-//!   shared footprint or the memory layout changes the key;
+//!   shared footprint or the memory layout changes the key; a relaunch
+//!   of the device's previous kernel reuses that launch's key after one
+//!   structural comparison, without hashing (same counters either way);
 //! * **invalidation** — entries are immutable; stale shapes simply age
 //!   out of the FIFO bound, [`cache::DEFAULT_CACHE_CAPACITY`] for every
 //!   device's whole life — the cache is not a setting, and a device
@@ -315,13 +317,15 @@
 //!
 //! * [`gmem`] / [`smem`] — global memory (bounded by `G`, canonical buffer
 //!   layout) and per-block shared memory (banked);
-//! * [`uop`] — the flat micro-op program: compile-once lowering, per-site
-//!   access-shape classification (shared with `atgpu-analyze` through
-//!   `atgpu_ir::affine`) and initialisation analysis;
+//! * [`uop`] — the flat micro-op program: compile-once lowering and
+//!   per-site access-shape classification (shared with `atgpu-analyze`
+//!   through `atgpu_ir::affine`);
 //! * [`cache`] — the cross-launch kernel cache: keyed compiled programs,
 //!   per device (hit/miss counters in [`device::DeviceStats`]);
 //! * [`engine`] — the micro-op block executor: allocation-free stepping,
-//!   contiguous fast paths, timing read from the site tables;
+//!   contiguous fast paths, timing read from the site tables; an
+//!   executor holds a block's state and no kernel, and the rows one
+//!   instruction works in are a [`Scratch`] its MP lends it;
 //! * [`warp`] — the reference interpreter: lockstep tree-walking
 //!   execution of one thread block with divergence masks;
 //! * [`dram`] — the memory controller (latency + issue-rate bandwidth);
@@ -333,7 +337,9 @@
 //!   co-simulated in global time order against a shared memory
 //!   controller (the MP with the smallest `(next event, index)` runs up
 //!   to the runner-up's horizon, which is the order of a rescan per
-//!   instruction) — the one block loop, on the caller's thread;
+//!   instruction) — the one block loop, on the caller's thread; MPs,
+//!   executors and the previous launch's cache key outlive the launch,
+//!   so a warm launch allocates nothing;
 //! * [`xfer`] — the per-link transfer engine (`α`, `β`, optional seeded
 //!   noise; host↔device and device↔device peer edges);
 //! * [`fault`] — seeded deterministic fault plans and the runtime that
@@ -389,7 +395,7 @@ pub use cluster::{
 };
 pub use device::{apply_write_log, Device, DeviceStats, KernelStats};
 pub use driver::{run_program, HostData, RoundObservation, SimConfig, SimReport};
-pub use engine::{BlockExec, BlockSim};
+pub use engine::{BlockExec, BlockSim, Scratch};
 pub use error::SimError;
 pub use fault::{FaultEvent, FaultPlan, FaultRuntime, LinkEdge};
 pub use memo::BoundedMemo;

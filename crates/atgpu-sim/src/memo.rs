@@ -117,10 +117,30 @@ impl<K: Hash + Eq + Clone, V: Clone> BoundedMemo<K, V> {
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
+        self.lookup(key, |_, value| value.clone())
+    }
+
+    /// [`Self::get`] that also returns the resident key — an owned key
+    /// for a caller that looked up by a borrowed form.
+    pub fn get_key_value<Q>(&self, key: &Q) -> Option<(K, V)>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.lookup(key, |key, value| (key.clone(), value.clone()))
+    }
+
+    /// The one counted lookup under `get` and `get_key_value`.
+    fn lookup<Q, R>(&self, key: &Q, found: impl FnOnce(&K, &V) -> R) -> Option<R>
+    where
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
         let inner = self.read();
-        let value = inner.map.get(key)?.value.get()?.clone();
+        let (key, cell) = inner.map.get_key_value(key)?;
+        let found = found(key, cell.value.get()?);
         self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(value)
+        Some(found)
     }
 
     /// The value of `key`, computing it at most once across all

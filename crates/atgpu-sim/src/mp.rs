@@ -28,7 +28,25 @@
 //! admission and retirement move one word between the dense order and
 //! the spare pool, and everything the MP allocates grows with the blocks
 //! it is actually given, not with `ℓ` (which a valid spec can make
-//! astronomically large).
+//! astronomically large).  What one instruction works in — the executor's
+//! [`BlockSim::Scratch`] — the MP owns once and lends to whichever
+//! resident issues.
+//!
+//! # Across launches
+//!
+//! An MP outlives its launch: a [`crate::Device`] keeps its MPs and
+//! hands each one back to the next launch through [`Mp::rearm`], which
+//! zeroes the clock and counters and keeps every allocation — the key
+//! tree, the resident and spare vectors, the scratch.  Executors go back
+//! to the device after the launch ([`Mp::release`]) and return through
+//! admission's `make`.  So a launch no larger than earlier ones
+//! allocates nothing here: no tree growth, no vector doubling, no boxed
+//! executor, no register or shared row (admission re-fits a kept
+//! executor's rows within their capacity).  More residents on an MP than
+//! it ever held grow its tree and vectors, by doubling; more residents in
+//! all than the device keeps executors for box one executor per extra
+//! resident; more registers or shared words than a kept executor's rows
+//! hold grow those rows — each once.
 //!
 //! The MP is generic over the block executor ([`BlockSim`]): the micro-op
 //! engine ([`crate::engine::BlockExec`]) or the tree-walking reference
@@ -41,12 +59,12 @@ use crate::error::SimError;
 use crate::warp::{GmemAccess, StepEvent};
 
 /// A multiprocessor simulating up to `ell` resident blocks.
-pub struct Mp<E> {
+pub struct Mp<E: BlockSim> {
     /// The MP's current cycle (issue clock).
     pub clock: u64,
     /// Resident executors in dense order.  Boxed: admission, retirement
     /// and the tail's move into a retired position shuffle pointers, never
-    /// the executors (a [`crate::engine::BlockExec`] is ≈ 3 KB).
+    /// the executors.
     warps: Vec<Box<E>>,
     /// The residents' `(ready, index)` keys, `index` being the position in
     /// `warps` (see the module docs).
@@ -54,6 +72,8 @@ pub struct Mp<E> {
     /// Finished-warp pool for reuse (workhorse allocation pattern).
     spare: Vec<Box<E>>,
     ell: usize,
+    /// The one per-instruction scratch, lent to every step.
+    scratch: E::Scratch,
     /// This MP's share of the launch's counters (instructions, accesses,
     /// transactions, conflict and stall cycles, blocks retired); the
     /// launch-wide fields — `cycles`, `dram_queue_cycles`, `occupancy` —
@@ -66,16 +86,36 @@ pub struct Mp<E> {
 impl<E: BlockSim> Mp<E> {
     /// Creates an MP with `ell` residency slots.
     pub fn new(ell: u64) -> Self {
-        Self {
+        let mut mp = Self {
             clock: 0,
             warps: Vec::new(),
             tree: KeyTree::default(),
             spare: Vec::new(),
-            // `ℓ` only caps admission; no storage is sized by it.
-            ell: usize::try_from(ell).unwrap_or(usize::MAX),
+            ell: 0,
+            scratch: E::Scratch::default(),
             stats: KernelStats::default(),
             last_retire: 0,
-        }
+        };
+        mp.rearm(ell);
+        mp
+    }
+
+    /// Re-arms an idle MP for a new launch with `ell` residency slots:
+    /// clock, counters and last retirement back to zero, every allocation
+    /// kept.
+    pub fn rearm(&mut self, ell: u64) {
+        debug_assert!(self.warps.is_empty(), "rearm() requires an idle MP");
+        self.clock = 0;
+        // `ℓ` only caps admission; no storage is sized by it.
+        self.ell = usize::try_from(ell).unwrap_or(usize::MAX);
+        self.stats = KernelStats::default();
+        self.last_retire = 0;
+    }
+
+    /// Moves the executors an idle MP holds into `pool`.
+    pub fn release(&mut self, pool: &mut Vec<Box<E>>) {
+        debug_assert!(self.warps.is_empty(), "release() requires an idle MP");
+        pool.append(&mut self.spare);
     }
 
     /// True when no blocks are resident.
@@ -88,11 +128,12 @@ impl<E: BlockSim> Mp<E> {
         self.ell - self.warps.len()
     }
 
-    /// Admits a block, reusing a pooled executor when available.
-    pub fn admit(&mut self, block: u64, make: impl FnOnce() -> E) {
+    /// Admits block `block` of `kernel`'s launch, re-arming a spare
+    /// executor when there is one and taking one from `make` otherwise.
+    pub fn admit(&mut self, kernel: &E::Kernel, block: u64, make: impl FnOnce() -> Box<E>) {
         debug_assert!(self.warps.len() < self.ell);
-        let mut warp = self.spare.pop().unwrap_or_else(|| Box::new(make()));
-        warp.reset(block);
+        let mut warp = self.spare.pop().unwrap_or_else(make);
+        warp.reset(kernel, block);
         self.tree.set(self.warps.len(), self.clock);
         self.warps.push(warp);
     }
@@ -102,6 +143,7 @@ impl<E: BlockSim> Mp<E> {
     /// Returns `Ok(true)` if a block retired (a slot freed).
     pub fn step(
         &mut self,
+        kernel: &E::Kernel,
         gmem: &mut GmemAccess<'_>,
         dram: &mut DramController,
     ) -> Result<bool, SimError> {
@@ -111,7 +153,7 @@ impl<E: BlockSim> Mp<E> {
             self.stats.stall_cycles += ready - self.clock;
             self.clock = ready;
         }
-        let event = self.warps[idx].step(gmem)?;
+        let event = self.warps[idx].step(kernel, &mut self.scratch, gmem)?;
         let wake = match event {
             StepEvent::Compute { cycles } => {
                 self.clock += u64::from(cycles.max(1));
@@ -260,16 +302,12 @@ mod tests {
     use crate::warp::WarpExec;
     use atgpu_ir::{AddrExpr, DBuf, Kernel, KernelBuilder, Operand};
 
-    fn leak(k: Kernel) -> &'static Kernel {
-        Box::leak(Box::new(k))
-    }
-
-    fn compute_kernel(n_ops: usize) -> &'static Kernel {
+    fn compute_kernel(n_ops: usize) -> Kernel {
         let mut kb = KernelBuilder::new("c", 4, 0);
         for _ in 0..n_ops {
             kb.mov(0, Operand::Imm(1));
         }
-        leak(kb.build())
+        kb.build()
     }
 
     fn compile(k: &Kernel, bases: &[u64]) -> CompiledKernel {
@@ -277,18 +315,30 @@ mod tests {
         CompiledKernel::compile(k, bases, 4, nregs)
     }
 
+    /// Steps `mp` until no block is resident.
+    fn drain<E: BlockSim>(
+        mp: &mut Mp<E>,
+        kernel: &E::Kernel,
+        g: &mut GlobalMemory,
+        dram: &mut DramController,
+    ) {
+        let mut acc = GmemAccess::Direct(g);
+        while !mp.idle() {
+            mp.step(kernel, &mut acc, dram).unwrap();
+        }
+    }
+
     #[test]
     fn single_warp_issues_serially() {
-        let k = compute_kernel(5);
-        let ck = compile(k, &[]);
+        let ck = compile(&compute_kernel(5), &[]);
         let mut g = GlobalMemory::new(vec![], 0, 4, 1024).unwrap();
         let mut dram = DramController::new(4, 100);
         let mut mp = Mp::new(2);
-        mp.admit(0, || BlockExec::new(&ck));
+        mp.admit(&ck, 0, || Box::new(BlockExec::new(&ck)));
         let mut acc = GmemAccess::Direct(&mut g);
         let mut retired = 0;
         while !mp.idle() {
-            if mp.step(&mut acc, &mut dram).unwrap() {
+            if mp.step(&ck, &mut acc, &mut dram).unwrap() {
                 retired += 1;
             }
         }
@@ -305,18 +355,15 @@ mod tests {
         for _ in 0..10 {
             kb.mov(0, Operand::Imm(1));
         }
-        let k = leak(kb.build());
-        let ck = compile(k, &[0]);
+        let ck = compile(&kb.build(), &[0]);
+        let make = || Box::new(BlockExec::new(&ck));
 
         // One warp alone: 1 issue + 100 latency + 10 compute ≈ 111.
         let mut g = GlobalMemory::new(vec![0], 8, 4, 1024).unwrap();
         let mut dram = DramController::new(4, 100);
         let mut mp = Mp::new(1);
-        mp.admit(0, || BlockExec::new(&ck));
-        let mut acc = GmemAccess::Direct(&mut g);
-        while !mp.idle() {
-            mp.step(&mut acc, &mut dram).unwrap();
-        }
+        mp.admit(&ck, 0, make);
+        drain(&mut mp, &ck, &mut g, &mut dram);
         let solo = mp.clock;
         assert_eq!(solo, 111);
 
@@ -325,12 +372,9 @@ mod tests {
         let mut g = GlobalMemory::new(vec![0], 8, 4, 1024).unwrap();
         let mut dram = DramController::new(4, 100);
         let mut mp = Mp::new(2);
-        mp.admit(0, || BlockExec::new(&ck));
-        mp.admit(1, || BlockExec::new(&ck));
-        let mut acc = GmemAccess::Direct(&mut g);
-        while !mp.idle() {
-            mp.step(&mut acc, &mut dram).unwrap();
-        }
+        mp.admit(&ck, 0, make);
+        mp.admit(&ck, 1, make);
+        drain(&mut mp, &ck, &mut g, &mut dram);
         let duo = mp.clock;
         assert!(duo < 2 * solo - 50, "latency not hidden: solo={solo} duo={duo}");
         assert_eq!(mp.stats.blocks, 2);
@@ -341,53 +385,76 @@ mod tests {
         let mut kb = KernelBuilder::new("s", 1, 4);
         kb.glb_to_shr(AddrExpr::lane(), DBuf(0), AddrExpr::lane());
         kb.mov(0, Operand::Imm(1));
-        let k = leak(kb.build());
-        let ck = compile(k, &[0]);
+        let ck = compile(&kb.build(), &[0]);
         let mut g = GlobalMemory::new(vec![0], 8, 4, 1024).unwrap();
         let mut dram = DramController::new(4, 100);
         let mut mp = Mp::new(1);
-        mp.admit(0, || BlockExec::new(&ck));
-        let mut acc = GmemAccess::Direct(&mut g);
-        while !mp.idle() {
-            mp.step(&mut acc, &mut dram).unwrap();
-        }
+        mp.admit(&ck, 0, || Box::new(BlockExec::new(&ck)));
+        drain(&mut mp, &ck, &mut g, &mut dram);
         assert_eq!(mp.stats.stall_cycles, 100); // full exposed latency
     }
 
     #[test]
     fn spare_pool_reused_across_blocks() {
-        let k = compute_kernel(1);
-        let ck = compile(k, &[]);
+        let ck = compile(&compute_kernel(1), &[]);
         let mut g = GlobalMemory::new(vec![], 0, 4, 1024).unwrap();
         let mut dram = DramController::new(4, 100);
         let mut mp = Mp::new(1);
         let mut made = 0;
         for block in 0..3 {
-            mp.admit(block, || {
+            mp.admit(&ck, block, || {
                 made += 1;
-                BlockExec::new(&ck)
+                Box::new(BlockExec::new(&ck))
             });
-            let mut acc = GmemAccess::Direct(&mut g);
-            while !mp.idle() {
-                mp.step(&mut acc, &mut dram).unwrap();
-            }
+            drain(&mut mp, &ck, &mut g, &mut dram);
         }
         assert_eq!(made, 1, "executor should be pooled and reused");
         assert_eq!(mp.stats.blocks, 3);
     }
 
+    /// A released, re-armed MP runs a second launch — of a kernel with
+    /// more registers — exactly as a fresh MP does, on the executor the
+    /// first launch left behind.
+    #[test]
+    fn rearmed_mp_runs_the_next_launch_like_a_fresh_one() {
+        let first = compile(&compute_kernel(3), &[]);
+        let mut kb = KernelBuilder::new("wide", 2, 8);
+        kb.mov(5, Operand::Lane);
+        kb.st_shr(AddrExpr::lane(), Operand::Reg(5));
+        let second = compile(&kb.build(), &[]);
+        let mut g = GlobalMemory::new(vec![], 0, 4, 1024).unwrap();
+        let run = |mp: &mut Mp<BlockExec>, pool: &mut Vec<Box<BlockExec>>, g: &mut GlobalMemory| {
+            let mut dram = DramController::new(4, 100);
+            for block in 0..2 {
+                mp.admit(&second, block, || pool.pop().expect("a pooled executor"));
+            }
+            drain(mp, &second, g, &mut dram);
+            (mp.clock, mp.stats, mp.last_retire)
+        };
+
+        let mut mp = Mp::new(1);
+        mp.admit(&first, 0, || Box::new(BlockExec::new(&first)));
+        drain(&mut mp, &first, &mut g, &mut DramController::new(4, 100));
+        let mut pool = Vec::new();
+        mp.release(&mut pool);
+        assert_eq!(pool.len(), 1);
+        mp.rearm(2);
+        pool.push(Box::new(BlockExec::new(&second)));
+        let reused = run(&mut mp, &mut pool, &mut g);
+
+        let mut fresh = Mp::new(2);
+        let mut pool = vec![Box::new(BlockExec::new(&second)), Box::new(BlockExec::new(&second))];
+        assert_eq!(run(&mut fresh, &mut pool, &mut g), reused);
+    }
+
     #[test]
     fn reference_warp_drives_mp_too() {
         let k = compute_kernel(5);
-        let bases: &'static [u64] = &[];
         let mut g = GlobalMemory::new(vec![], 0, 4, 1024).unwrap();
         let mut dram = DramController::new(4, 100);
         let mut mp = Mp::new(2);
-        mp.admit(0, || WarpExec::new(k, bases, 4, 1));
-        let mut acc = GmemAccess::Direct(&mut g);
-        while !mp.idle() {
-            mp.step(&mut acc, &mut dram).unwrap();
-        }
+        mp.admit(&(), 0, || Box::new(WarpExec::new(&k, &[], 4, 1)));
+        drain(&mut mp, &(), &mut g, &mut dram);
         assert_eq!(mp.clock, 5);
     }
 }

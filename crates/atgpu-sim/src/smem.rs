@@ -2,7 +2,8 @@
 //!
 //! Word `w` lives in bank `w mod b` ("b successive words reside in
 //! distinct banks").  The buffer is reused across blocks resident in the
-//! same slot and cleared on block start.
+//! same slot — and, in the micro-op engine, across launches — and cleared
+//! (and sized to the block's kernel) on block start.
 
 /// One thread block's shared memory.
 #[derive(Debug, Clone)]
@@ -17,10 +18,12 @@ impl SharedMemory {
         Self { words: vec![0; m as usize], banks: b.max(1) }
     }
 
-    /// Clears for the next resident block (keeps the allocation —
-    /// workhorse-buffer reuse on the hot path).
-    pub fn reset(&mut self) {
-        self.words.fill(0);
+    /// Clears for the next resident block, sized to `m` words (keeps the
+    /// allocation, and grows it only past its capacity — workhorse-buffer
+    /// reuse on the hot path).
+    pub fn reset(&mut self, m: u64) {
+        self.words.clear();
+        self.words.resize(m as usize, 0);
     }
 
     /// Words available.
@@ -81,8 +84,10 @@ mod tests {
         let mut s = SharedMemory::new(8, 4);
         assert!(s.write(3, 9));
         assert_eq!(s.read(3), Some(9));
-        s.reset();
+        s.reset(8);
         assert_eq!(s.read(3), Some(0));
+        s.reset(2);
+        assert_eq!((s.len(), s.read(3)), (2, None));
     }
 
     #[test]

@@ -244,7 +244,7 @@ impl<'k> WarpExec<'k> {
         let gx = self.kernel.grid.0.max(1);
         self.block_xy = ((block % gx) as i64, (block / gx) as i64);
         self.regs.fill(0);
-        self.smem.reset();
+        self.smem.reset(self.kernel.shared_words);
         self.frames.clear();
         self.masks.clear();
         self.loops.clear();

@@ -136,6 +136,38 @@ proptest! {
         prop_assert_eq!(&mut_mem, &fresh_mem, "mutant results contaminated by cache");
         prop_assert_eq!(mut_stats, fresh_stats);
     }
+
+    /// One device alternating two kernels — the second with more
+    /// registers and shared words — so a launch's predecessor is the
+    /// other kernel, or (on a repeat) its own: the counters follow the
+    /// one rule, a miss per distinct key and a hit for every other
+    /// launch, and each launch is bit-identical to its kernel's launch on
+    /// a fresh device.
+    #[test]
+    fn alternating_kernels_count_by_the_one_rule(seed in 0u64..1_000_000_000) {
+        let (one, machine, bases, total) = gen_kernel("cache", seed, Grid::Sharded);
+        let mut two = one.clone();
+        two.shared_words += 2 * machine.b;
+        two.body.push(Instr::Alu { op: AluOp::Xor, dst: 11, a: Operand::Reg(0), b: Operand::Lane });
+        let run = |dev: &Device, k: &Kernel| {
+            let mut g = GlobalMemory::new(bases.clone(), total, machine.b, machine.g).unwrap();
+            fill_gmem(&mut g, total, seed);
+            dev.run_kernel_with(k, &mut g, false, EngineSel::MicroOp)
+                .map(|stats| (stats, g.words().to_vec()))
+        };
+        let fresh = |k: &Kernel| run(&Device::new(machine, spec()).unwrap(), k);
+        let (Ok(fresh_one), Ok(fresh_two)) = (fresh(&one), fresh(&two)) else { return Ok(()) };
+
+        let device = Device::new(machine, spec()).unwrap();
+        let order = [0, 1, 0, 1, 1, 0, 0, 1, 0];
+        for (i, &which) in order.iter().enumerate() {
+            let (k, expect) = if which == 0 { (&one, &fresh_one) } else { (&two, &fresh_two) };
+            let got = run(&device, k).expect("what runs on a fresh device runs here");
+            prop_assert_eq!(&got, expect, "launch {} of kernel {}", i, which);
+        }
+        let c = device.stats().cache;
+        prop_assert_eq!((c.hits, c.misses, c.entries), (order.len() as u64 - 2, 2, 2));
+    }
 }
 
 /// The bound is a constant of the device: `DEFAULT_CACHE_CAPACITY + 1`

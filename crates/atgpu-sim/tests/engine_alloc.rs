@@ -98,20 +98,20 @@ fn steady_state_block_execution_is_allocation_free() {
 
     let compiled = CompiledKernel::compile(&kernel, &bases, b, nregs);
     let mut dram = DramController::new(4, 60);
-    let mut mp: Mp<BlockExec<'_>> = Mp::new(4);
+    let mut mp: Mp<BlockExec> = Mp::new(4);
 
     // Warm-up: fill the residency pool and run a few blocks, letting
     // every scratch buffer reach steady state.
     let mut next_block = 0u64;
     let warm_blocks = 8u64;
     while mp.free_slots() > 0 && next_block < warm_blocks {
-        mp.admit(next_block, || BlockExec::new(&compiled));
+        mp.admit(&compiled, next_block, || Box::new(BlockExec::new(&compiled)));
         next_block += 1;
     }
     while !mp.idle() {
         let mut acc = GmemAccess::Direct(&mut gmem);
-        if mp.step(&mut acc, &mut dram).unwrap() && next_block < warm_blocks {
-            mp.admit(next_block, || BlockExec::new(&compiled));
+        if mp.step(&compiled, &mut acc, &mut dram).unwrap() && next_block < warm_blocks {
+            mp.admit(&compiled, next_block, || Box::new(BlockExec::new(&compiled)));
             next_block += 1;
         }
     }
@@ -123,11 +123,11 @@ fn steady_state_block_execution_is_allocation_free() {
     let mut instructions = 0u64;
     while next_block < blocks || !mp.idle() {
         while mp.free_slots() > 0 && next_block < blocks {
-            mp.admit(next_block, || panic!("steady state must reuse pooled executors"));
+            mp.admit(&compiled, next_block, || panic!("steady state must reuse pooled executors"));
             next_block += 1;
         }
         let mut acc = GmemAccess::Direct(&mut gmem);
-        mp.step(&mut acc, &mut dram).unwrap();
+        mp.step(&compiled, &mut acc, &mut dram).unwrap();
         instructions += 1;
     }
     let after = ALLOCATIONS.load(Ordering::SeqCst);
@@ -153,8 +153,8 @@ fn steady_state_block_execution_is_allocation_free() {
     // element is the log vector itself, whose growth is amortised — so a
     // correctly pre-reserved log (as a fixed-size arena would be in a
     // production runtime) must make the instruction stream allocation-free.
-    struct DeviceLane<'k> {
-        mp: Mp<BlockExec<'k>>,
+    struct DeviceLane {
+        mp: Mp<BlockExec>,
         dram: DramController,
         gmem: GlobalMemory,
         log: Vec<atgpu_sim::warp::WriteRec>,
@@ -162,7 +162,7 @@ fn steady_state_block_execution_is_allocation_free() {
         end_block: u64,
     }
     let shard_ranges = [(0u64, blocks / 2), (blocks / 2, blocks)];
-    let mut lanes: Vec<DeviceLane<'_>> = shard_ranges
+    let mut lanes: Vec<DeviceLane> = shard_ranges
         .iter()
         .map(|&(start, end)| {
             let mut gmem =
@@ -186,13 +186,15 @@ fn steady_state_block_execution_is_allocation_free() {
     for lane in &mut lanes {
         let warm_end = lane.next_block + 4;
         while lane.mp.free_slots() > 0 && lane.next_block < warm_end {
-            lane.mp.admit(lane.next_block, || BlockExec::new(&compiled));
+            lane.mp.admit(&compiled, lane.next_block, || Box::new(BlockExec::new(&compiled)));
             lane.next_block += 1;
         }
         while !lane.mp.idle() {
             let mut acc = GmemAccess::Logged { base: &lane.gmem, log: &mut lane.log };
-            if lane.mp.step(&mut acc, &mut lane.dram).unwrap() && lane.next_block < warm_end {
-                lane.mp.admit(lane.next_block, || BlockExec::new(&compiled));
+            if lane.mp.step(&compiled, &mut acc, &mut lane.dram).unwrap()
+                && lane.next_block < warm_end
+            {
+                lane.mp.admit(&compiled, lane.next_block, || Box::new(BlockExec::new(&compiled)));
                 lane.next_block += 1;
             }
         }
@@ -207,13 +209,14 @@ fn steady_state_block_execution_is_allocation_free() {
         let mut progressed = false;
         for lane in &mut lanes {
             while lane.mp.free_slots() > 0 && lane.next_block < lane.end_block {
-                lane.mp
-                    .admit(lane.next_block, || panic!("steady state must reuse pooled executors"));
+                lane.mp.admit(&compiled, lane.next_block, || {
+                    panic!("steady state must reuse pooled executors")
+                });
                 lane.next_block += 1;
             }
             if !lane.mp.idle() {
                 let mut acc = GmemAccess::Logged { base: &lane.gmem, log: &mut lane.log };
-                lane.mp.step(&mut acc, &mut lane.dram).unwrap();
+                lane.mp.step(&compiled, &mut acc, &mut lane.dram).unwrap();
                 instructions += 1;
                 progressed = true;
             }

@@ -13,7 +13,7 @@
 
 use atgpu_ir::{AddrExpr, AluOp, DBuf, Kernel, KernelBuilder, Operand, PredExpr};
 use atgpu_model::{AtgpuMachine, GpuSpec};
-use atgpu_sim::engine::{BlockExec, BlockSim};
+use atgpu_sim::engine::{BlockExec, BlockSim, Scratch};
 use atgpu_sim::gmem::GlobalMemory;
 use atgpu_sim::uop::CompiledKernel;
 use atgpu_sim::warp::{GmemAccess, StepEvent, WarpExec};
@@ -74,21 +74,21 @@ fn lockstep((kernel, machine, _, bases, total): &Launch, seed: u64) -> Result<()
     fill_gmem(&mut g_eng, *total, seed);
 
     let compiled = CompiledKernel::compile(kernel, bases, b, nregs);
-    let mut eng = BlockExec::new(&compiled);
+    let (mut eng, mut scratch) = (BlockExec::new(&compiled), Scratch::default());
     let mut reference = WarpExec::new(kernel, bases, b, nregs);
 
     for block in 0..kernel.blocks() {
-        BlockSim::reset(&mut eng, block);
-        BlockSim::reset(&mut reference, block);
+        BlockSim::reset(&mut eng, &compiled, block);
+        BlockSim::reset(&mut reference, &(), block);
         let mut step = 0u32;
         loop {
             let er = {
                 let mut acc = GmemAccess::Direct(&mut g_eng);
-                BlockSim::step(&mut eng, &mut acc)
+                BlockSim::step(&mut eng, &compiled, &mut scratch, &mut acc)
             };
             let rr = {
                 let mut acc = GmemAccess::Direct(&mut g_ref);
-                BlockSim::step(&mut reference, &mut acc)
+                BlockSim::step(&mut reference, &(), &mut (), &mut acc)
             };
             match (er, rr) {
                 (Ok(e), Ok(r)) => {
