@@ -299,14 +299,18 @@ pub enum OocScheme {
 pub struct OocReduce {
     n: u64,
     chunk: u64,
+    /// The warp width partials are cut at: the host-finish oracle's, so
+    /// the instance builds only on a machine with this `b`.
+    b: u64,
     scheme: OocScheme,
     data: Vec<i64>,
 }
 
 impl OocReduce {
-    /// Random 0/1 instance.
-    pub fn new(n: u64, chunk: u64, scheme: OocScheme, seed: u64) -> Self {
-        Self { n, chunk, scheme, data: gen::zero_ones(n, seed) }
+    /// Random 0/1 instance whose per-block partials are `b` words wide;
+    /// build it on a machine with that `b`.
+    pub fn new(n: u64, chunk: u64, b: u64, scheme: OocScheme, seed: u64) -> Self {
+        Self { n, chunk, b, scheme, data: gen::zero_ones(n, seed) }
     }
 
     /// Host reference sum.
@@ -343,6 +347,14 @@ impl Workload for OocReduce {
 
     fn emit(&self, machine: &AtgpuMachine, _: &Placement) -> Result<BuiltProgram, AlgosError> {
         let b = machine.b;
+        if self.b != b {
+            return Err(AlgosError::InvalidMachine {
+                reason: format!(
+                    "instance cuts partials at b = {} but the machine has b = {b}",
+                    self.b
+                ),
+            });
+        }
         check_chunking(self.n, self.chunk, b)?;
         let n = self.n;
         let chunk = self.chunk;
@@ -434,11 +446,7 @@ impl Workload for OocReduce {
 
     fn expected(&self) -> Vec<Vec<i64>> {
         match self.scheme {
-            OocScheme::HostFinish => {
-                // Per-block partial sums, concatenated chunk by chunk.
-                let b = 32u64; // test machine width; recomputed in tests
-                vec![self.expected_partials(b)]
-            }
+            OocScheme::HostFinish => vec![self.expected_partials()],
             OocScheme::DeviceFinish => vec![vec![self.host_reference()]],
         }
     }
@@ -449,15 +457,16 @@ impl Workload for OocReduce {
 }
 
 impl OocReduce {
-    /// The HostFinish scheme's expected partials for warp width `b`.
-    pub fn expected_partials(&self, b: u64) -> Vec<i64> {
+    /// The HostFinish scheme's expected output: per-block partial sums
+    /// at the instance's warp width, concatenated chunk by chunk.
+    pub fn expected_partials(&self) -> Vec<i64> {
         let mut out = Vec::new();
         let mut off = 0usize;
         let n = self.n as usize;
         while off < n {
             let len = (self.chunk as usize).min(n - off);
             let chunk = &self.data[off..off + len];
-            for blk in chunk.chunks(b as usize) {
+            for blk in chunk.chunks(self.b as usize) {
                 out.push(blk.iter().sum());
             }
             off += len;
@@ -509,23 +518,44 @@ mod tests {
 
     #[test]
     fn ooc_reduce_device_finish_sums_correctly() {
-        let w = OocReduce::new(8192, 1024, OocScheme::DeviceFinish, 7);
+        let w = OocReduce::new(8192, 1024, 32, OocScheme::DeviceFinish, 7);
         verify_on_sim(&w, &small_g_machine(), &test_spec(), &SimConfig::default()).unwrap();
     }
 
     #[test]
     fn ooc_reduce_host_finish_partials_correct() {
-        let w = OocReduce::new(8192, 1024, OocScheme::HostFinish, 7);
+        let w = OocReduce::new(8192, 1024, 32, OocScheme::HostFinish, 7);
         let r = verify_on_sim(&w, &small_g_machine(), &test_spec(), &SimConfig::default()).unwrap();
         let partials = r.output(atgpu_ir::HBuf(1));
         assert_eq!(OocReduce::finish_on_host(partials), w.host_reference());
     }
 
+    /// Regression: the host-finish oracle cut its partials at a
+    /// hard-coded `b = 32`, so a correct build on any other width failed
+    /// its own check with a `Mismatch`.
+    #[test]
+    fn ooc_reduce_host_finish_verifies_at_its_own_width() {
+        let m = AtgpuMachine::new(1 << 16, 16, 12_288, 2048).unwrap();
+        let w = OocReduce::new(4096, 512, 16, OocScheme::HostFinish, 7);
+        let r = verify_on_sim(&w, &m, &test_spec(), &SimConfig::default()).unwrap();
+        assert_eq!(r.output(atgpu_ir::HBuf(1)).len(), 4096 / 16);
+        assert_eq!(OocReduce::finish_on_host(r.output(atgpu_ir::HBuf(1))), w.host_reference());
+    }
+
+    #[test]
+    fn ooc_reduce_rejects_a_machine_of_another_width() {
+        for scheme in [OocScheme::HostFinish, OocScheme::DeviceFinish] {
+            let w = OocReduce::new(8192, 1024, 16, scheme, 7);
+            let built = w.build(&small_g_machine());
+            assert!(matches!(built, Err(AlgosError::InvalidMachine { .. })), "{scheme:?}");
+        }
+    }
+
     #[test]
     fn schemes_have_different_communication() {
         let m = small_g_machine();
-        let host = OocReduce::new(8192, 1024, OocScheme::HostFinish, 1);
-        let dev = OocReduce::new(8192, 1024, OocScheme::DeviceFinish, 1);
+        let host = OocReduce::new(8192, 1024, 32, OocScheme::HostFinish, 1);
+        let dev = OocReduce::new(8192, 1024, 32, OocScheme::DeviceFinish, 1);
         let a_host = analyze_program(&host.build(&m).unwrap().program, &m).unwrap();
         let a_dev = analyze_program(&dev.build(&m).unwrap().program, &m).unwrap();
         let out_host: u64 = a_host.metrics().rounds.iter().map(|r| r.outward_words).sum();
@@ -630,7 +660,7 @@ mod tests {
     fn chunk_must_be_block_multiple() {
         assert!(OocVecAdd::new(100, 33, 0).build(&small_g_machine()).is_err());
         assert!(OocVecAdd::new(100, 33, 0).build_streamed(&small_g_machine()).is_err());
-        assert!(OocReduce::new(100, 0, OocScheme::HostFinish, 0)
+        assert!(OocReduce::new(100, 0, 32, OocScheme::HostFinish, 0)
             .build(&small_g_machine())
             .is_err());
     }

@@ -56,8 +56,12 @@ pub fn roster() -> Vec<RosterEntry> {
         entry("histogram", Histogram::new(1024, 32, 0), false),
         entry("bitonic", BitonicSort::new(128, 0), false),
         entry("ooc-vecadd", OocVecAdd::new(4096, 1024, 0), true),
-        entry("ooc-reduce-host", OocReduce::new(4096, 1024, OocScheme::HostFinish, 0), true),
-        entry("ooc-reduce-device", OocReduce::new(4096, 1024, OocScheme::DeviceFinish, 0), true),
+        entry("ooc-reduce-host", OocReduce::new(4096, 1024, 32, OocScheme::HostFinish, 0), true),
+        entry(
+            "ooc-reduce-device",
+            OocReduce::new(4096, 1024, 32, OocScheme::DeviceFinish, 0),
+            true,
+        ),
     ]
 }
 

@@ -1,11 +1,13 @@
 //! Differential tests for the irregular quartet on clusters: under ANY
 //! explicit shard plan — random contiguous partitions over 1–4 devices —
 //! the cluster builds of stencil, scan, spmv, and histogram must produce
-//! outputs **bit-identical** to the host reference, on both block
-//! executors (the micro-op engine and the tree-walking reference
-//! interpreter).  The peer traffic each build emits (halo exchange,
-//! all-to-one gather, one-to-all scatter, partial-row merge) moves data,
-//! never changes it.
+//! outputs **bit-identical** to the host reference.  The peer traffic
+//! each build emits (halo exchange, all-to-one gather, one-to-all
+//! scatter, partial-row merge) moves data, never changes it.  A program
+//! run executes the micro-op engine; the second block executor (the
+//! tree-walking reference interpreter) is compared with it launch by
+//! launch, on every roster × plan cell these workloads build, by
+//! `atgpu-sim`'s `engine_differential`.
 //!
 //! A chaos case pins the same identity through a mid-program device loss
 //! on the halo stencil: the journal-replay recovery plus heir-served
@@ -60,30 +62,26 @@ fn random_plan(rng: &mut Rng, blocks: u64, devices: u32) -> Vec<Shard> {
         .collect()
 }
 
-/// Runs `built` on both engines and asserts each output buffer equals
-/// `expected` bit for bit.
-fn assert_both_engines(
+/// Runs `built` and asserts each output buffer equals `expected` bit for
+/// bit.
+fn assert_outputs(
     built: &BuiltProgram,
     expected: &[Vec<i64>],
     machine: &AtgpuMachine,
     spec: &ClusterSpec,
     label: &str,
 ) {
-    for use_reference in [false, true] {
-        let config = SimConfig { use_reference, ..SimConfig::default() };
-        let report =
-            run_cluster_program(&built.program, built.inputs.clone(), machine, spec, &config)
-                .unwrap_or_else(|e| panic!("{label} (reference={use_reference}): {e}"));
-        for (buf, want) in built.outputs.iter().zip(expected) {
-            assert_eq!(
-                report.output(*buf),
-                want.as_slice(),
-                "{label} (reference={use_reference}): output mismatch"
-            );
-        }
+    let config = SimConfig::default();
+    let report = run_cluster_program(&built.program, built.inputs.clone(), machine, spec, &config)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    for (buf, want) in built.outputs.iter().zip(expected) {
+        assert_eq!(report.output(*buf), want.as_slice(), "{label}: output mismatch");
     }
 }
 
+// The `*_both_engines` names are historical: these run the micro-op
+// engine only; the reference is compared on the roster's plans by
+// `engine_differential::engine_matches_reference_on_every_roster_launch`.
 #[test]
 fn stencil_random_plans_both_engines() {
     let m = machine();
@@ -96,7 +94,7 @@ fn stencil_random_plans_both_engines() {
         let k = m.blocks_for(n);
         let plan = random_plan(&mut rng, k, devices);
         let built = w.iterated(rounds).build_plan(&m, Plan::Explicit(plan.clone())).unwrap();
-        assert_both_engines(
+        assert_outputs(
             &built,
             &[w.iterated_reference(rounds)],
             &m,
@@ -106,6 +104,7 @@ fn stencil_random_plans_both_engines() {
     }
 }
 
+// Micro-op engine only; the name is historical (see above).
 #[test]
 fn scan_random_plans_both_engines() {
     let m = machine();
@@ -117,7 +116,7 @@ fn scan_random_plans_both_engines() {
         let k = m.blocks_for(n);
         let plan = random_plan(&mut rng, k, devices);
         let built = w.build_plan(&m, Plan::Explicit(plan.clone())).unwrap();
-        assert_both_engines(
+        assert_outputs(
             &built,
             &[w.host_reference()],
             &m,
@@ -127,6 +126,7 @@ fn scan_random_plans_both_engines() {
     }
 }
 
+// Micro-op engine only; the name is historical (see above).
 #[test]
 fn spmv_random_plans_both_engines() {
     let m = machine();
@@ -139,7 +139,7 @@ fn spmv_random_plans_both_engines() {
         let k = m.blocks_for(n);
         let plan = random_plan(&mut rng, k, devices);
         let built = w.build_plan(&m, Plan::Explicit(plan.clone())).unwrap();
-        assert_both_engines(
+        assert_outputs(
             &built,
             &[w.host_reference()],
             &m,
@@ -149,6 +149,7 @@ fn spmv_random_plans_both_engines() {
     }
 }
 
+// Micro-op engine only; the name is historical (see above).
 #[test]
 fn histogram_random_plans_both_engines() {
     let m = machine();
@@ -160,7 +161,7 @@ fn histogram_random_plans_both_engines() {
         let k = m.blocks_for(n);
         let plan = random_plan(&mut rng, k, devices);
         let built = w.build_plan(&m, Plan::Explicit(plan.clone())).unwrap();
-        assert_both_engines(
+        assert_outputs(
             &built,
             &[w.host_reference()],
             &m,

@@ -12,7 +12,9 @@
 //!    the difference is the issue loop plus the per-launch cost.
 //! 2. **vecadd breakdown** — executor-only / device-level / full-pipeline
 //!    timings of one 200k-word vector addition, engine against the
-//!    reference interpreter, for localising a regression.
+//!    reference interpreter (which runs only per launch, so the
+//!    full-pipeline line is the engine's alone), for localising a
+//!    regression.
 //! 3. **Issue loop** — one launch of exactly 10⁶ cheap instructions at
 //!    residencies `ℓ ∈ {4, 16, 64}` (tournament-tree depth 2, 4, 6) on
 //!    `k′ ∈ {2, 8}` co-simulated MPs: ns per issued instruction, so how the
@@ -44,6 +46,7 @@ use atgpu_algos::scan::Scan;
 use atgpu_algos::transpose::{Transpose, TransposeVariant};
 use atgpu_algos::{vecadd::VecAdd, BuiltProgram, Workload};
 use atgpu_analyze::analyze_cluster_program;
+use atgpu_analyze::sites::{collect, Site};
 use atgpu_exp::{ExpConfig, Scale};
 use atgpu_ir::validate::validate_program;
 use atgpu_ir::{AddrExpr, AluOp, DBuf, HostStep, Kernel, KernelBuilder, Operand, Program};
@@ -54,7 +57,6 @@ use atgpu_sim::uop::CompiledKernel;
 use atgpu_sim::warp::{GmemAccess, StepEvent, WarpExec};
 use atgpu_sim::{run_program, Device, EngineSel, ExecMode, HostData, KernelCache, SimConfig};
 use atgpu_verify::lints::{self, KernelIo};
-use atgpu_verify::sites::{collect, Site};
 use atgpu_verify::{bounds, race, smem, verify_program};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -628,22 +630,6 @@ fn main() {
         }
     }));
     println!("engine-full      : {:.4}s", e);
-    let r = best(Box::new({
-        let built = VecAdd::new(200_000, 1).build(&cfg.machine).unwrap();
-        let m = cfg.machine;
-        let s = cfg.spec;
-        move || {
-            run_program(
-                &built.program,
-                built.inputs.clone(),
-                &m,
-                &s,
-                &SimConfig { use_reference: true, ..SimConfig::default() },
-            )
-            .unwrap();
-        }
-    }));
-    println!("ref-full         : {:.4}s  full-speedup={:.2}", r, r / e);
 
     issue_loop(&cfg);
     front_end(&cfg);

@@ -58,7 +58,7 @@ pub fn e1_out_of_core(cfg: &ExpConfig) -> Result<Section, ExpError> {
     for (scheme, label) in
         [(OocScheme::HostFinish, "host-finish"), (OocScheme::DeviceFinish, "device-finish")]
     {
-        let w = OocReduce::new(n, 4096, scheme, 2);
+        let w = OocReduce::new(n, 4096, machine.b, scheme, 2);
         let built = w.build(&machine)?;
         let metrics = analyze_program(&built.program, &machine)?.metrics();
         let outward: u64 = metrics.rounds.iter().map(|r| r.outward_words).sum();

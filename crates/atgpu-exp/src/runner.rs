@@ -45,9 +45,6 @@ pub struct ExpConfig {
     pub sim: SimConfig,
     /// Sweep scale.
     pub scale: Scale,
-    /// Verify simulated outputs against host references (slower; sweeps
-    /// default to false, tests to true).
-    pub verify: bool,
 }
 
 impl ExpConfig {
@@ -65,7 +62,6 @@ impl ExpConfig {
                 ..SimConfig::default()
             },
             scale,
-            verify: false,
         }
     }
 
@@ -95,18 +91,16 @@ pub struct SweepRow {
     pub delta_t: f64,
 }
 
-/// Analyses, costs and simulates one workload instance.
+/// Analyses, costs and simulates one workload instance.  The row is
+/// timing only: output correctness is the workload library's to check
+/// (`atgpu_algos::verify_on_sim`, the roster suites).
 pub fn run_row(w: &dyn Workload, cfg: &ExpConfig) -> Result<SweepRow, ExpError> {
     let built = w.build(&cfg.machine)?;
     let metrics = analyze_program(&built.program, &cfg.machine)?.metrics();
     let atgpu = evaluate(CostModel::GpuCost, &cfg.params, &cfg.machine, &cfg.spec, &metrics)?;
     let swgpu = evaluate(CostModel::Swgpu, &cfg.params, &cfg.machine, &cfg.spec, &metrics)?;
 
-    let report = if cfg.verify {
-        atgpu_algos::verify_on_sim(w, &cfg.machine, &cfg.spec, &cfg.sim)?
-    } else {
-        run_program(&built.program, built.inputs, &cfg.machine, &cfg.spec, &cfg.sim)?
-    };
+    let report = run_program(&built.program, built.inputs, &cfg.machine, &cfg.spec, &cfg.sim)?;
 
     Ok(SweepRow {
         n: w.size(),
@@ -226,7 +220,7 @@ mod tests {
 
     #[test]
     fn row_fields_are_consistent() {
-        let cfg = ExpConfig { verify: true, ..ExpConfig::standard(Scale::Quick) };
+        let cfg = ExpConfig::standard(Scale::Quick);
         let row = run_row(&VecAdd::new(10_000, 1), &cfg).unwrap();
         assert_eq!(row.n, 10_000);
         assert!(row.atgpu_cost > row.swgpu_cost, "transfer terms must add cost");

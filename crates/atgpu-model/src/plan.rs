@@ -169,8 +169,8 @@
 //! **histogram** (partial-bin rows merged to the owner).  Random-plan
 //! differential tests
 //! (`atgpu-algos/tests/cluster_quartet_differential.rs`) pin all four
-//! bit-identical to the host reference on both engines, through a
-//! mid-program device loss included.
+//! bit-identical to the host reference, through a mid-program device
+//! loss included.
 //!
 //! On top of shard planning, the **chunk-size solver**
 //! ([`solve_chunk_units`]) prices double-buffered ping-pong schedules per

@@ -22,22 +22,22 @@
 //!   through** to its own replica — the same launch, word for word, that
 //!   a lone device runs, which is why [`crate::run_program`] *is* the
 //!   one-device cluster;
-//! * the race detector ([`SimConfig::detect_races`]) or the fault journal
-//!   (a fault plan on more than one device — the only case with takeover
-//!   shards) reads one: each shard executes against its device's
-//!   pre-launch memory and logs its global writes; the log is checked,
-//!   journaled, and merged **in thread-block order** by
-//!   [`crate::device::apply_write_log`], the deferred-write machinery of
-//!   the race detector and the fault journal.
+//! * the fault journal (a fault plan on more than one device — the only
+//!   case with takeover shards) reads one: each shard executes against
+//!   its device's pre-launch memory and logs its global writes; the log
+//!   is journaled and merged **in thread-block order** by
+//!   [`crate::device::apply_write_log`].
 //!
 //! Block indices are globally unique across shards, so either way the
 //! result is bit-identical to a single-device launch of the same grid —
 //! regardless of the device count, the shard boundaries, or how
 //! simulation threads interleave.  `tests/roster_plans.rs` pins the two
-//! disciplines equal on every workload × plan cell, and
-//! `tests/cluster_differential.rs` pins the launch-level API
-//! ([`Cluster::run_sharded_kernel`]: one shared memory, always logged)
-//! against the single device over randomized kernels and shard plans.
+//! disciplines equal on every workload × plan cell.  The race detector
+//! and the reference interpreter are launch-level oracles:
+//! [`Cluster::run_sharded_kernel`] (one shared memory, always logged,
+//! races checked on request) is pinned against the single device by
+//! `tests/cluster_differential.rs` over randomized kernels and shard
+//! plans.
 //!
 //! ## Timing
 //!
@@ -47,7 +47,7 @@
 //! both endpoints (source reads while destination writes).  The
 //! analytical counterpart is [`atgpu_model::cost::cluster_cost_streamed`].
 
-use crate::device::{apply_write_log, check_log_races, Device, DeviceStats, KernelStats};
+use crate::device::{apply_write_log, Device, DeviceStats, KernelStats};
 use crate::driver::HostData;
 use crate::error::SimError;
 use crate::gmem::GlobalMemory;
@@ -365,14 +365,12 @@ fn map_on_threads<I: Send, T: Send>(
 
 /// Runs one (possibly sharded) launch of a program run, and is the one
 /// place its write target is chosen — by asking what will read a write
-/// log, never by which entry point was called.  Nothing does unless the
-/// race detector is on or the fault journal is kept
-/// ([`Ledger::journals`], which is also the only case with takeover
-/// shards); then no log exists and the launch is
+/// log, never by which entry point was called.  Only the fault journal
+/// does ([`Ledger::journals`], which is also the only case with takeover
+/// shards); without it no log exists and the launch is
 /// [written through](run_written_through).  Otherwise each shard executes
-/// against its own device's replica and logs its writes; races are
-/// checked across the whole launch, then every device journals and
-/// merges its own writes in block order.
+/// against its own device's replica and logs its writes, then every
+/// device journals and merges its own writes in block order.
 ///
 /// With [`SimConfig::device_threads`] set every shard is
 /// simulated on its own scoped OS thread; statistics come back and are
@@ -382,15 +380,13 @@ fn map_on_threads<I: Send, T: Send>(
 fn run_sharded_launch(
     cluster: &Cluster,
     config: &SimConfig,
-    engine: EngineSel,
     kernel: &Kernel,
     shards: &[Shard],
     gmems: &mut [GlobalMemory],
     ledger: &mut Ledger,
 ) -> Result<(), SimError> {
-    let log_has_reader = config.detect_races || ledger.journals();
-    if !log_has_reader {
-        return run_written_through(cluster, config, engine, kernel, shards, gmems, ledger);
+    if !ledger.journals() {
+        return run_written_through(cluster, config, kernel, shards, gmems, ledger);
     }
     // A dead device's shards are re-apportioned over the survivors by
     // the model's takeover rule; the takeover shards' writes are
@@ -429,8 +425,13 @@ fn run_sharded_launch(
     let outcomes = map_on_threads(live.iter(), threads, what, |s| {
         let (d, range, mut log) = (s.device as usize, (s.start, s.end), Vec::new());
         let target = GmemAccess::Logged { base: &gm[d], log: &mut log };
-        let stats =
-            cluster.devices[d].launch(kernel, target, engine, range, config.watchdog_cycles)?;
+        let stats = cluster.devices[d].launch(
+            kernel,
+            target,
+            EngineSel::MicroOp,
+            range,
+            config.watchdog_cycles,
+        )?;
         Ok((stats, log))
     })?;
     for ((shard, rec), (stats, mut log)) in live.iter().zip(&is_recovery).zip(outcomes) {
@@ -441,14 +442,6 @@ fn run_sharded_launch(
             logs[d].append(&mut log);
         }
         ledger.kernel_done(d, shard.blocks(), &stats);
-    }
-    if config.detect_races {
-        let merged: Vec<WriteRec> = logs
-            .iter()
-            .chain(std::iter::once(&recovery_log))
-            .flat_map(|l| l.iter().copied())
-            .collect();
-        check_log_races(kernel, &merged)?;
     }
     for (d, mut log) in logs.into_iter().enumerate() {
         if !ledger.alive(d) {
@@ -476,7 +469,6 @@ fn run_sharded_launch(
 fn run_written_through(
     cluster: &Cluster,
     config: &SimConfig,
-    engine: EngineSel,
     kernel: &Kernel,
     shards: &[Shard],
     gmems: &mut [GlobalMemory],
@@ -484,8 +476,8 @@ fn run_written_through(
 ) -> Result<(), SimError> {
     let run = |s: &Shard, gmem: &mut GlobalMemory| {
         let device = &cluster.devices[s.device as usize];
-        let range = (s.start, s.end);
-        device.launch(kernel, GmemAccess::Direct(gmem), engine, range, config.watchdog_cycles)
+        let (target, range) = (GmemAccess::Direct(gmem), (s.start, s.end));
+        device.launch(kernel, target, EngineSel::MicroOp, range, config.watchdog_cycles)
     };
     if config.device_threads && shards.len() > 1 {
         let mut free: Vec<_> = gmems.iter_mut().map(Some).collect();
@@ -579,11 +571,10 @@ pub(crate) fn run_on(
         .collect();
     let clocks = spec.devices.iter().map(|d| d.clock_cycles_per_ms).collect();
     let mut links = Links::new(host_xfer, peer_xfer, clocks, spec.sync_ms, total_words, config);
-    let engine = if config.use_reference { EngineSel::Reference } else { EngineSel::MicroOp };
 
     let rounds =
         run_rounds(program, &mut host, &mut gmems, &mut links, |k, shards, gm, ledger| {
-            run_sharded_launch(cluster, config, engine, k, shards, gm, ledger)
+            run_sharded_launch(cluster, config, k, shards, gm, ledger)
         })?;
 
     let mut device_stats: Vec<DeviceStats> = cluster.devices.iter().map(Device::stats).collect();

@@ -476,29 +476,19 @@ struct Blocks<'a> {
     budget: u64,
 }
 
-/// Flags any global word written by two different thread blocks in `log`.
-pub(crate) fn check_log_races(kernel: &Kernel, log: &[WriteRec]) -> Result<(), SimError> {
-    let mut addrs: Vec<(u64, u64)> = log.iter().map(|w| (w.addr, w.block)).collect();
-    addrs.sort_unstable();
-    addrs.dedup();
-    for pair in addrs.windows(2) {
-        if pair[0].0 == pair[1].0 {
-            return Err(SimError::RaceDetected { kernel: kernel.name.clone(), addr: pair[0].0 });
-        }
-    }
-    Ok(())
-}
-
 /// Applies a deferred write log in block order (deterministic last-writer
-/// rule) and optionally detects cross-block races.
+/// rule) and optionally detects cross-block races: with `detect_races`,
+/// any global word written by two different thread blocks is
+/// [`SimError::RaceDetected`] and nothing is applied.
 ///
-/// This is the launch-level merge point shared by race-detecting runs,
-/// journaling (faulted multi-device) runs and the launch-level cluster
-/// API ([`crate::Cluster::run_sharded_kernel`]): thread-block indices are
-/// globally unique across shards and the stable sort keeps each block's
-/// program order (a block's writes come from one thread, in order), so
-/// the last writer of a word is the same no matter how the launch was
-/// split over shards, threads or devices.
+/// This is the launch-level merge point shared by the race-detecting
+/// launch doors ([`Device::run_kernel_with`],
+/// [`crate::Cluster::run_sharded_kernel`]) and journaling (faulted
+/// multi-device) program runs: thread-block indices are globally unique
+/// across shards and the stable sort keeps each block's program order (a
+/// block's writes come from one thread, in order), so the last writer of
+/// a word is the same no matter how the launch was split over shards,
+/// threads or devices.
 pub fn apply_write_log(
     kernel: &Kernel,
     gmem: &mut GlobalMemory,
@@ -506,7 +496,12 @@ pub fn apply_write_log(
     detect_races: bool,
 ) -> Result<(), SimError> {
     if detect_races {
-        check_log_races(kernel, &log)?;
+        let mut addrs: Vec<(u64, u64)> = log.iter().map(|w| (w.addr, w.block)).collect();
+        addrs.sort_unstable();
+        addrs.dedup();
+        if let Some(pair) = addrs.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+            return Err(SimError::RaceDetected { kernel: kernel.name.clone(), addr: pair[0].0 });
+        }
     }
     log.sort_by_key(|w| w.block);
     for w in log {

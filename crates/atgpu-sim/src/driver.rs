@@ -41,24 +41,16 @@ pub struct SimConfig {
     pub noise: Option<XferNoise>,
     /// RNG seed for the jitter.
     pub seed: u64,
-    /// Detect cross-block global write races.  A launch then defers its
-    /// writes to a log the detector reads before it is merged (see
-    /// [`crate::cluster`], "Determinism"); results and reported times are
-    /// bit-identical to the written-through launch of a race-free kernel.
-    pub detect_races: bool,
-    /// Drive the tree-walking reference interpreter instead of the
-    /// micro-op engine (differential tests, baseline benchmarks).
-    pub use_reference: bool,
     /// Simulate a sharded launch's devices on their own OS threads (a
     /// launch whose shards sit on one device runs inline) — the only host
     /// fan-out there is; a device itself never spawns.  Results and
     /// reported times are bit-identical either way — a worker writes
     /// through to the replica of its shard's device, which it alone
-    /// holds for the launch; where a write log exists (race detection, a
-    /// fault plan on several devices) shards only read their replica and
-    /// the logs merge in block order — so this only cuts host
-    /// wall-clock.  Defaults to on when the host has more than one CPU
-    /// (threads are pure overhead on a single core).
+    /// holds for the launch; where a write log exists (a fault plan on
+    /// several devices) shards only read their replica and the logs
+    /// merge in block order — so this only cuts host wall-clock.
+    /// Defaults to on when the host has more than one CPU (threads are
+    /// pure overhead on a single core).
     pub device_threads: bool,
     /// Scheduled fault events ([`crate::fault`]).  The default empty
     /// plan is free: no injection hooks run, and the simulation is
@@ -84,8 +76,6 @@ impl Default for SimConfig {
         Self {
             noise: None,
             seed: 0,
-            detect_races: false,
-            use_reference: false,
             device_threads: crate::cluster::host_parallelism() > 1,
             fault: FaultPlan::default(),
             watchdog_cycles: 0,

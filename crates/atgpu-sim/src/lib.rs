@@ -40,8 +40,10 @@
 //! The pre-engine tree-walking interpreter ([`warp::WarpExec`]) is
 //! retained as the executable reference semantics: differential property
 //! tests pit the two against each other instruction by instruction, and
-//! [`SimConfig::use_reference`] / [`EngineSel::Reference`] select it for
-//! baseline benchmarking.
+//! [`EngineSel::Reference`] selects it at the launch-level doors
+//! ([`Device::run_kernel_with`], [`Device::run_shard`],
+//! [`Cluster::run_sharded_kernel`]).  A program run always executes the
+//! micro-op engine.
 //!
 //! ## Cross-launch kernel cache
 //!
@@ -99,11 +101,13 @@
 //! order, written straight through to its replica — the same launch a
 //! lone device runs, which is why [`run_program`] *is*
 //! [`run_cluster_program`] on a one-device cluster, seen from device 0.
-//! With [`SimConfig::detect_races`], or under a fault plan on more than
-//! one device (whose recovery journal stamps every written word), each shard
-//! instead executes against its device's pre-launch memory with writes
-//! deferred, and the logs are checked, journaled and merged in
-//! thread-block order through [`device::apply_write_log`].  Either way a
+//! Under a fault plan on more than one device (whose recovery journal
+//! stamps every written word) each shard instead executes against its
+//! device's pre-launch memory with writes deferred, and the logs are
+//! journaled and merged in thread-block order through
+//! [`device::apply_write_log`]; the race detector reads the same log at
+//! the launch level ([`Device::run_kernel_with`],
+//! [`Cluster::run_sharded_kernel`]).  Either way a
 //! sharded launch is **bit-identical** to the single-device launch
 //! regardless of device count, shard boundaries or thread interleaving
 //! (`tests/cluster_differential.rs` proves this over randomized kernels
@@ -166,8 +170,7 @@
 //! is simply unrealizable on real hardware.  Keeping dependent work on
 //! one stream (or inserting syncs) is the program's responsibility,
 //! exactly as in CUDA; `tests/stream_differential.rs` proves streamed
-//! programs bit-identical to their serial de-streamed forms across
-//! write targets and engines.
+//! programs bit-identical to their serial de-streamed forms.
 //!
 //! ```rust
 //! use atgpu_algos::ooc::OocVecAdd;

@@ -66,11 +66,12 @@ pub struct WriteRec {
 /// cross-block visibility within one launch is undefined in the model, so
 /// well-formed kernels cannot tell).
 ///
-/// A log is kept only for a reader: the race detector, the fault journal
-/// of a multi-device run, and the launch-level differential API
-/// ([`crate::Device::run_shard`], [`crate::Cluster::run_sharded_kernel`]),
-/// whose caller merges ([`crate::apply_write_log`]).  A program run's
-/// launch with none of those is `Direct`: it pushes no [`WriteRec`] at all.
+/// A log is kept only for a reader: the fault journal of a multi-device
+/// run, and the launch-level API where the race detector lives
+/// ([`crate::Device::run_kernel_with`], [`crate::Device::run_shard`],
+/// [`crate::Cluster::run_sharded_kernel`]), whose caller merges
+/// ([`crate::apply_write_log`]).  A program run's launch without a
+/// journal is `Direct`: it pushes no [`WriteRec`] at all.
 pub enum GmemAccess<'a> {
     /// Reads and writes hit the heap immediately.
     Direct(&'a mut GlobalMemory),

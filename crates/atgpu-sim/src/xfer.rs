@@ -21,18 +21,9 @@ pub struct XferNoise {
 /// The transfer engine.
 #[derive(Debug)]
 pub struct TransferEngine {
-    alpha_ms: f64,
-    beta_ms_per_word: f64,
+    link: LinkParams,
     noise: Option<XferNoise>,
     rng: StdRng,
-    /// Total words moved host→device.
-    pub words_in: u64,
-    /// Total words moved device→host.
-    pub words_out: u64,
-    /// Transactions host→device.
-    pub txns_in: u64,
-    /// Transactions device→host.
-    pub txns_out: u64,
 }
 
 impl TransferEngine {
@@ -40,61 +31,47 @@ impl TransferEngine {
     /// device↔device peer edge of a multi-GPU system.  Each link carries
     /// its own `α`/`β` and its own jitter stream.
     pub fn with_link(link: &LinkParams, noise: Option<XferNoise>, seed: u64) -> Self {
-        Self {
-            alpha_ms: link.alpha_ms,
-            beta_ms_per_word: link.beta_ms_per_word,
-            noise,
-            rng: StdRng::seed_from_u64(seed),
-            words_in: 0,
-            words_out: 0,
-            txns_in: 0,
-            txns_out: 0,
-        }
+        Self { link: *link, noise, rng: StdRng::seed_from_u64(seed) }
     }
 
     /// The link parameters this engine prices transfers with.
     pub fn link(&self) -> LinkParams {
-        LinkParams { alpha_ms: self.alpha_ms, beta_ms_per_word: self.beta_ms_per_word }
+        self.link
     }
 
-    fn jitter(&mut self) -> f64 {
-        match self.noise {
+    /// One transaction of `words` words: [`LinkParams::cost_ms`] times
+    /// this link's jitter.
+    fn price(&mut self, words: u64) -> f64 {
+        let jitter = match self.noise {
             Some(XferNoise { rel }) if rel > 0.0 => self.rng.gen_range(1.0 - rel..=1.0 + rel),
             _ => 1.0,
-        }
+        };
+        self.link.cost_ms(1, words) * jitter
     }
 
     /// Prices one inward transaction of `words` words without moving any
-    /// data; counted like a regular host→device transfer.  The recovery
-    /// path uses this to charge a survivor for absorbing a dead device's
-    /// host-side checkpoint — the words themselves are restored from the
-    /// checkpoint journal, not copied from a device buffer.
+    /// data.  The recovery path uses this to charge a survivor for
+    /// absorbing a dead device's host-side checkpoint — the words
+    /// themselves are restored from the checkpoint journal, not copied
+    /// from a device buffer.
     pub fn replay_in(&mut self, words: u64) -> f64 {
-        self.words_in += words;
-        self.txns_in += 1;
-        (self.alpha_ms + self.beta_ms_per_word * words as f64) * self.jitter()
+        self.price(words)
     }
 
     /// Host→device copy; returns elapsed milliseconds.
     pub fn to_device(&mut self, gmem: &mut GlobalMemory, dst: u64, data: &[i64]) -> f64 {
         gmem.copy_in(dst, data);
-        self.words_in += data.len() as u64;
-        self.txns_in += 1;
-        (self.alpha_ms + self.beta_ms_per_word * data.len() as f64) * self.jitter()
+        self.price(data.len() as u64)
     }
 
     /// Device→host copy; returns elapsed milliseconds.
     pub fn to_host(&mut self, gmem: &GlobalMemory, src: u64, out: &mut [i64]) -> f64 {
         gmem.copy_out(src, out);
-        self.words_out += out.len() as u64;
-        self.txns_out += 1;
-        (self.alpha_ms + self.beta_ms_per_word * out.len() as f64) * self.jitter()
+        self.price(out.len() as u64)
     }
 
     /// Device→device copy over this engine's (peer) link; returns elapsed
-    /// milliseconds.  Counted as one outward transaction on this link
-    /// (`words_out`/`txns_out`): a directed peer edge only ever moves
-    /// data one way, so the in/out split is not meaningful for it.
+    /// milliseconds.
     pub fn peer(
         &mut self,
         src: &GlobalMemory,
@@ -107,9 +84,7 @@ impl TransferEngine {
         let d = dst_addr as usize;
         let n = words as usize;
         dst.words_mut()[d..d + n].copy_from_slice(&src.words()[s..s + n]);
-        self.words_out += words;
-        self.txns_out += 1;
-        (self.alpha_ms + self.beta_ms_per_word * words as f64) * self.jitter()
+        self.price(words)
     }
 }
 
@@ -129,8 +104,6 @@ mod tests {
         let t = e.to_device(&mut g, 0, &[1, 2, 3, 4]);
         assert!((t - (0.5 + 0.04)).abs() < 1e-12);
         assert_eq!(g.read(2), Some(3));
-        assert_eq!(e.words_in, 4);
-        assert_eq!(e.txns_in, 1);
     }
 
     #[test]
@@ -143,7 +116,6 @@ mod tests {
         let t = e.to_host(&g, 0, &mut out);
         assert_eq!(out, vec![7, 8]);
         assert!((t - 0.52).abs() < 1e-12);
-        assert_eq!(e.txns_out, 1);
     }
 
     #[test]
@@ -186,8 +158,6 @@ mod tests {
             let mut out = vec![0; words];
             total_out += e.to_host(&g, 0, &mut out);
         }
-        assert_eq!((e.txns_in, e.words_in), (4, 40));
-        assert_eq!((e.txns_out, e.words_out), (2, 16));
         assert!((total_in - (4.0 * 0.5 + 40.0 * 0.01)).abs() < 1e-12, "T_I = Î·α + I·β");
         assert!((total_out - (2.0 * 0.5 + 16.0 * 0.01)).abs() < 1e-12, "T_O = Ô·α + O·β");
     }
@@ -220,7 +190,6 @@ mod tests {
         for i in 0..4 {
             assert_eq!(dst.read(10 + i), Some(102 + i));
         }
-        assert_eq!((e.txns_out, e.words_out), (1, 4));
     }
 
     #[test]

@@ -18,7 +18,8 @@
 
 use atgpu_ir::{AluOp, HBuf, KernelBuilder, Operand, Program, ProgramBuilder};
 use atgpu_model::{AtgpuMachine, GpuSpec};
-use atgpu_sim::{run_program, KernelStats, SimConfig};
+use atgpu_sim::gmem::GlobalMemory;
+use atgpu_sim::{run_program, Device, ExecMode, KernelStats, SimConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -69,18 +70,34 @@ fn program(machine: &AtgpuMachine) -> (Program, HBuf, Vec<i64>) {
     (pb.build().unwrap(), output, data)
 }
 
-/// Runs [`program`] on `spec`, written through or logged (the race
-/// detector's launch): the launch's statistics and the largest single
-/// allocation of the run.
-fn run(spec: &GpuSpec, detect_races: bool) -> (KernelStats, usize) {
+/// Runs [`program`] on `spec`: written through (a program run), or
+/// logged and race-checked (the launch-level door, on the memory the
+/// program stages).  Returns the launch's statistics and the largest
+/// single allocation of the run.
+fn run(spec: &GpuSpec, logged: bool) -> (KernelStats, usize) {
     let machine = AtgpuMachine::gtx650_like();
     let (program, output, data) = program(&machine);
+    let mut out = vec![0; data.len()];
     LARGEST.store(0, Ordering::SeqCst);
-    let config = SimConfig { detect_races, ..SimConfig::default() };
-    let report = run_program(&program, vec![data.clone()], &machine, spec, &config).unwrap();
+    let stats = if logged {
+        let (bases, total) = program.buffer_layout(machine.b);
+        let mut gmem = GlobalMemory::new(bases, total, machine.b, machine.g).unwrap();
+        let at = gmem.span(0, 0, data.len() as u64).unwrap();
+        gmem.copy_in(at, &data);
+        let kernel = program.rounds[0].kernel().unwrap();
+        let device = Device::new(machine, *spec).unwrap();
+        let stats = device.run_kernel(kernel, &mut gmem, ExecMode::Sequential, true).unwrap();
+        gmem.copy_out(at, &mut out);
+        stats
+    } else {
+        let config = SimConfig::default();
+        let report = run_program(&program, vec![data.clone()], &machine, spec, &config).unwrap();
+        out.copy_from_slice(report.output(output));
+        report.rounds[0].kernel_stats
+    };
     let largest = LARGEST.load(Ordering::SeqCst);
-    assert_eq!(report.output(output), data, "detect_races={detect_races}");
-    (report.rounds[0].kernel_stats, largest)
+    assert_eq!(out, data, "logged={logged}");
+    (stats, largest)
 }
 
 #[test]
@@ -89,17 +106,13 @@ fn a_huge_residency_limit_sizes_no_allocation() {
     let spec = GpuSpec { h_limit: 1 << 40, ..GpuSpec::gtx650_like() };
     spec.validate().expect("the model accepts any residency limit");
 
-    for detect_races in [false, true] {
-        let (stats, largest) = run(&spec, detect_races);
-        assert_eq!(
-            stats.occupancy,
-            1 << 40,
-            "detect_races={detect_races}: the model's ℓ is reported as it is"
-        );
-        assert_eq!((stats.blocks, stats.instructions), (8, 8 * 5), "detect_races={detect_races}");
+    for logged in [false, true] {
+        let (stats, largest) = run(&spec, logged);
+        assert_eq!(stats.occupancy, 1 << 40, "logged={logged}: the model's ℓ is reported as it is");
+        assert_eq!((stats.blocks, stats.instructions), (8, 8 * 5), "logged={logged}");
         // An executor is ≈ 3 KB; at the parent the first request was
         // 2904 B × ℓ.
-        assert!(largest < 1 << 20, "detect_races={detect_races}: a {largest}-byte allocation");
+        assert!(largest < 1 << 20, "logged={logged}: a {largest}-byte allocation");
     }
 }
 
@@ -111,9 +124,9 @@ fn a_huge_mp_count_sizes_no_allocation() {
     spec.validate().expect("the model accepts any MP count");
     let reached = GpuSpec { k_prime: 3, ..spec };
 
-    for detect_races in [false, true] {
-        let (stats, largest) = run(&spec, detect_races);
-        assert_eq!(stats, run(&reached, detect_races).0, "detect_races={detect_races}");
-        assert!(largest < 1 << 20, "detect_races={detect_races}: a {largest}-byte allocation");
+    for logged in [false, true] {
+        let (stats, largest) = run(&spec, logged);
+        assert_eq!(stats, run(&reached, logged).0, "logged={logged}");
+        assert!(largest < 1 << 20, "logged={logged}: a {largest}-byte allocation");
     }
 }

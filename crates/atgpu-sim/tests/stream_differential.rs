@@ -3,8 +3,8 @@
 //!
 //! **Streams affect timing only**: a program with arbitrary stream tags
 //! and sync steps must be *bit-identical in outputs* to its serial
-//! de-streamed form ([`atgpu_ir::Program::destreamed`]) for every
-//! write target and engine, its per-component times must match exactly,
+//! de-streamed form ([`atgpu_ir::Program::destreamed`]), its
+//! per-component times must match exactly,
 //! and its stream-aware total can never exceed the serial total.  The
 //! generator takes a chunked multi-round vecadd program (the
 //! double-buffering shape) and mutates it with random stream
@@ -12,7 +12,9 @@
 //!
 //! **Threaded dispatch is invisible**: `run_cluster_program` with
 //! per-device OS threads must produce the same outputs, statistics and
-//! round observations as sequential dispatch, bit for bit.
+//! round observations as sequential dispatch, bit for bit — and so must
+//! the logged launch a fault plan forces, which is the written-through
+//! one's.
 //!
 //! **A shared cluster holds no settings**: concurrent
 //! `run_cluster_program_on` calls on one `Cluster` each keep their own
@@ -21,8 +23,8 @@
 use atgpu_ir::{AddrExpr, AluOp, HostStep, KernelBuilder, ProgramBuilder};
 use atgpu_model::{ClusterSpec, GpuSpec};
 use atgpu_sim::{
-    run_cluster_program, run_cluster_program_on, run_program, Cluster, ClusterSimReport, SimConfig,
-    SimError,
+    run_cluster_program, run_cluster_program_on, run_program, Cluster, ClusterSimReport,
+    FaultEvent, FaultPlan, SimConfig, SimError,
 };
 use common::{chunked_vecadd, inputs, machine, restream, spec, Rng};
 use proptest::prelude::*;
@@ -33,10 +35,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Streamed programs are bit-identical to their serial de-streamed
-    /// form across write targets (written through, and logged for the
-    /// race detector — the chunked vecadd is write-disjoint) and engines;
-    /// their component times match exactly and their stream-aware total
-    /// never exceeds serial.
+    /// form; their component times match exactly and their stream-aware
+    /// total never exceeds serial.
     #[test]
     fn streamed_equals_destreamed(seed in 0u64..1_000_000_000) {
         let mut rng = Rng(seed | 1);
@@ -47,38 +47,26 @@ proptest! {
         prop_assert_eq!(&streamed.destreamed(), &serial);
         let data = inputs(n, seed);
 
-        for detect_races in [false, true] {
-            for use_reference in [false, true] {
-                let cfg = SimConfig { detect_races, use_reference, ..SimConfig::default() };
-                let r_serial =
-                    run_program(&serial, data.clone(), &machine(), &spec(), &cfg).unwrap();
-                let r_streamed =
-                    run_program(&streamed, data.clone(), &machine(), &spec(), &cfg).unwrap();
+        let cfg = SimConfig::default();
+        let r_serial = run_program(&serial, data.clone(), &machine(), &spec(), &cfg).unwrap();
+        let r_streamed = run_program(&streamed, data, &machine(), &spec(), &cfg).unwrap();
 
-                // Functional: outputs bit-identical.
-                prop_assert_eq!(
-                    r_serial.output(hc),
-                    r_streamed.output(hc),
-                    "outputs diverged: detect_races={} reference={}",
-                    detect_races,
-                    use_reference
-                );
-                // Components identical (streams re-schedule, never re-price).
-                prop_assert_eq!(r_serial.transfer_ms(), r_streamed.transfer_ms());
-                prop_assert_eq!(r_serial.kernel_ms(), r_streamed.kernel_ms());
-                prop_assert_eq!(r_serial.serial_ms(), r_streamed.serial_ms());
-                // Overlap can only help.
-                prop_assert!(
-                    r_streamed.total_ms() <= r_serial.total_ms() + 1e-12,
-                    "streamed {} > serial {}",
-                    r_streamed.total_ms(),
-                    r_serial.total_ms()
-                );
-                // Per-round: the serial program's stream time IS its serial sum.
-                for round in &r_serial.rounds {
-                    prop_assert!((round.total_ms() - round.serial_ms()).abs() < 1e-12);
-                }
-            }
+        // Functional: outputs bit-identical.
+        prop_assert_eq!(r_serial.output(hc), r_streamed.output(hc), "outputs diverged");
+        // Components identical (streams re-schedule, never re-price).
+        prop_assert_eq!(r_serial.transfer_ms(), r_streamed.transfer_ms());
+        prop_assert_eq!(r_serial.kernel_ms(), r_streamed.kernel_ms());
+        prop_assert_eq!(r_serial.serial_ms(), r_streamed.serial_ms());
+        // Overlap can only help.
+        prop_assert!(
+            r_streamed.total_ms() <= r_serial.total_ms() + 1e-12,
+            "streamed {} > serial {}",
+            r_streamed.total_ms(),
+            r_serial.total_ms()
+        );
+        // Per-round: the serial program's stream time IS its serial sum.
+        for round in &r_serial.rounds {
+            prop_assert!((round.total_ms() - round.serial_ms()).abs() < 1e-12);
         }
     }
 
@@ -111,8 +99,9 @@ proptest! {
     /// sequential dispatch, bit for bit: outputs, statistics and every
     /// observed time — under both write disciplines, the written-through
     /// launch (each worker owns its device's replica) and the logged one
-    /// (`detect_races`: shards read their replica, logs merge in block
-    /// order).
+    /// (forced by a fault plan whose one event changes no number: shards
+    /// read their replica, logs are journaled and merge in block order) —
+    /// and the two disciplines give the same report.
     #[test]
     fn threaded_cluster_dispatch_is_invisible(seed in 0u64..1_000_000_000) {
         let mut rng = Rng(seed | 1);
@@ -154,19 +143,19 @@ proptest! {
 
         let cluster = ClusterSpec::homogeneous(devices as usize, spec());
         let data = inputs(n, seed);
-        for detect_races in [false, true] {
-            // Threads off/on: the full report is bit-identical.
-            let [seq, thr] = [false, true].map(|device_threads| {
-                let cfg = SimConfig { device_threads, detect_races, ..SimConfig::default() };
+        let mut logged = FaultPlan::new(seed);
+        logged.push(FaultEvent::Straggler { device: 0, clock_factor: 1.0 });
+        // Written through, then logged; threads off, then on.
+        let runs = [FaultPlan::default(), logged].map(|fault| {
+            [false, true].map(|device_threads| {
+                let cfg = SimConfig { device_threads, fault: fault.clone(), ..SimConfig::default() };
                 run_cluster_program(&p, data.clone(), &machine(), &cluster, &cfg).unwrap()
-            });
-            prop_assert_eq!(seq.output(hc), thr.output(hc), "outputs: detect_races={}", detect_races);
-            prop_assert_eq!(
-                &seq.rounds,
-                &thr.rounds,
-                "round observations diverged: detect_races={}",
-                detect_races
-            );
+            })
+        });
+        let first = &runs[0][0];
+        for (run, report) in runs.iter().flatten().enumerate() {
+            prop_assert_eq!(report.output(hc), first.output(hc), "outputs: run {}", run);
+            prop_assert_eq!(&report.rounds, &first.rounds, "round observations: run {}", run);
         }
     }
 }
@@ -176,8 +165,8 @@ proptest! {
 
     /// Every **planned** streamed program — the auto-chunked ooc-vecadd
     /// and the auto-chunked pipelined sharded matmul — is bit-identical
-    /// to its `destreamed()` serial form across write targets × engines,
-    /// with identical component times and a stream total ≤ serial.
+    /// to its `destreamed()` serial form, with identical component times
+    /// and a stream total ≤ serial.
     #[test]
     fn planned_programs_equal_destreamed(seed in 0u64..1_000_000_000) {
         let mut rng = Rng(seed | 1);
@@ -196,26 +185,16 @@ proptest! {
         let w = atgpu_algos::ooc::OocVecAdd::new(n, m.b, seed);
         let planned = w.build_planned(&m, &spec).unwrap();
         let serial = planned.program.destreamed();
-        for detect_races in [false, true] {
-            for use_reference in [false, true] {
-                let cfg = SimConfig { detect_races, use_reference, ..SimConfig::default() };
-                let a = run_program(&planned.program, planned.inputs.clone(), &m, &spec, &cfg)
-                    .unwrap();
-                let b = run_program(&serial, planned.inputs.clone(), &m, &spec, &cfg).unwrap();
-                prop_assert_eq!(
-                    a.output(planned.outputs[0]),
-                    b.output(planned.outputs[0]),
-                    "ooc outputs diverged: detect_races={} reference={}",
-                    detect_races,
-                    use_reference
-                );
-                let expect = w.host_reference();
-                prop_assert_eq!(a.output(planned.outputs[0]), expect.as_slice());
-                prop_assert_eq!(a.transfer_ms(), b.transfer_ms());
-                prop_assert_eq!(a.kernel_ms(), b.kernel_ms());
-                prop_assert!(a.total_ms() <= b.total_ms() + 1e-12);
-            }
-        }
+        let cfg = SimConfig::default();
+        let a = run_program(&planned.program, planned.inputs.clone(), &m, &spec, &cfg).unwrap();
+        let b = run_program(&serial, planned.inputs.clone(), &m, &spec, &cfg).unwrap();
+        let out = planned.outputs[0];
+        prop_assert_eq!(a.output(out), b.output(out), "ooc outputs diverged");
+        let expect = w.host_reference();
+        prop_assert_eq!(a.output(out), expect.as_slice());
+        prop_assert_eq!(a.transfer_ms(), b.transfer_ms());
+        prop_assert_eq!(a.kernel_ms(), b.kernel_ms());
+        prop_assert!(a.total_ms() <= b.total_ms() + 1e-12);
 
         // Auto-chunked pipelined sharded matmul on a slow-link pair.
         let mm = atgpu_algos::matmul::MatMul::new(8 * m.b, seed ^ 0x77);
@@ -226,26 +205,14 @@ proptest! {
         }
         let built = mm.build_sharded_pipelined(&m, &cluster).unwrap();
         let serial = built.program.destreamed();
-        for detect_races in [false, true] {
-            for use_reference in [false, true] {
-                let cfg = SimConfig { detect_races, use_reference, ..SimConfig::default() };
-                let a =
-                    run_cluster_program(&built.program, built.inputs.clone(), &m, &cluster, &cfg)
-                        .unwrap();
-                let b = run_cluster_program(&serial, built.inputs.clone(), &m, &cluster, &cfg)
-                    .unwrap();
-                prop_assert_eq!(
-                    a.output(built.outputs[0]),
-                    b.output(built.outputs[0]),
-                    "matmul outputs diverged: detect_races={} reference={}",
-                    detect_races,
-                    use_reference
-                );
-                let expect = mm.host_reference();
-                prop_assert_eq!(a.output(built.outputs[0]), expect.as_slice());
-                prop_assert!(a.total_ms() <= b.total_ms() + 1e-12);
-            }
-        }
+        let a = run_cluster_program(&built.program, built.inputs.clone(), &m, &cluster, &cfg)
+            .unwrap();
+        let b = run_cluster_program(&serial, built.inputs.clone(), &m, &cluster, &cfg).unwrap();
+        let out = built.outputs[0];
+        prop_assert_eq!(a.output(out), b.output(out), "matmul outputs diverged");
+        let expect = mm.host_reference();
+        prop_assert_eq!(a.output(out), expect.as_slice());
+        prop_assert!(a.total_ms() <= b.total_ms() + 1e-12);
     }
 
 }

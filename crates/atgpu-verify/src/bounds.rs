@@ -22,7 +22,7 @@
 //! * anything else — register-dependent addresses, interpreted trees,
 //!   block-dependent guards — is **unknown**, never a false alarm.
 
-use crate::sites::{Site, Space};
+use atgpu_analyze::sites::{Site, Space};
 use atgpu_ir::affine::AffineAddr;
 use atgpu_ir::{Kernel, Program, MAX_LOOP_DEPTH};
 
@@ -166,7 +166,7 @@ pub fn check_site(program: &Program, kernel: &Kernel, site: &Site, b: u64) -> Bo
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 mod tests {
     use super::*;
-    use crate::sites::collect;
+    use atgpu_analyze::sites::{collect, Access};
     use atgpu_ir::{AddrExpr, KernelBuilder, Operand, PredExpr, ProgramBuilder};
 
     fn one_kernel_program(words: u64, k: Kernel) -> (Program, Kernel) {
@@ -200,10 +200,8 @@ mod tests {
         kb.shr_to_glb(d, AddrExpr::block() * 32 + AddrExpr::lane() + 1, AddrExpr::lane());
         let (p, k) = one_kernel_program(128, kb.build());
         let sites = collect(&k, 32);
-        let write = sites
-            .iter()
-            .find(|s| s.space == Space::Global && s.access == crate::sites::Access::Write)
-            .unwrap();
+        let write =
+            sites.iter().find(|s| s.space == Space::Global && s.access == Access::Write).unwrap();
         match check_site(&p, &k, write, 32) {
             BoundsVerdict::OutOfBounds(w) => {
                 assert_eq!(w.block, (3, 0));

@@ -77,7 +77,6 @@
 pub mod bounds;
 pub mod lints;
 pub mod race;
-pub mod sites;
 pub mod smem;
 pub mod solve;
 
@@ -240,7 +239,7 @@ impl KernelFindings {
     /// Collects `kernel`'s access sites once and runs every per-kernel
     /// analysis over that one walk.
     fn of(program: &Program, kernel: &Kernel, b: u64) -> Self {
-        let sites = sites::collect(kernel, b);
+        let sites = atgpu_analyze::sites::collect(kernel, b);
         let mut oob = Vec::new();
         let mut bounds_unknown = 0usize;
         for site in &sites {

@@ -22,7 +22,7 @@
 //!   that prefetch a *different* region (the out-of-core workloads) do
 //!   not trip it.
 
-use crate::sites::{collect, Access, Site, Space};
+use atgpu_analyze::sites::{Access, Site, Space};
 use atgpu_ir::{DBuf, HostStep, Kernel, Program};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
@@ -156,16 +156,8 @@ struct PendingUpload {
     hi: i64,
 }
 
-/// Runs every host-dataflow lint over `program` (with `b` lanes per
-/// block, for the kernels' static footprints).
-pub fn check_program(program: &Program, b: u64) -> Vec<Lint> {
-    let launches = program.rounds.iter().flat_map(|r| &r.steps).filter_map(HostStep::launch);
-    let io: Vec<KernelIo> = launches.map(|(k, _)| kernel_io(k, &collect(k, b), b)).collect();
-    check_launches(program, &io)
-}
-
-/// [`check_program`] over already computed footprints: `launch_io`
-/// yields each launch step's kernel footprint, in program order.
+/// Runs every host-dataflow lint over `program`; `launch_io` yields each
+/// launch step's kernel footprint ([`kernel_io`]), in program order.
 pub fn check_launches<'a>(
     program: &Program,
     launch_io: impl IntoIterator<Item = &'a KernelIo>,
@@ -297,7 +289,7 @@ mod tests {
         pb.launch(writer_kernel(d));
         pb.transfer_out(d, o, 64);
         let p = pb.build().unwrap();
-        assert!(check_program(&p, 32).is_empty());
+        assert!(crate::verify_program(&p, 32).lints.is_empty());
     }
 
     #[test]
@@ -310,7 +302,7 @@ mod tests {
         pb.launch(reader_kernel(d));
         pb.transfer_out(e, o, 64);
         let p = pb.build().unwrap();
-        let lints = check_program(&p, 32);
+        let lints = crate::verify_program(&p, 32).lints;
         assert!(lints
             .iter()
             .any(|l| matches!(l, Lint::UseBeforeTransfer { round: 0, buf, .. } if *buf == d)));
@@ -336,7 +328,8 @@ mod tests {
         pb.launch(reader_kernel(d));
         pb.transfer_out(d, o, 64);
         let p = pb.build().unwrap();
-        let redundant: Vec<_> = check_program(&p, 32)
+        let redundant: Vec<_> = crate::verify_program(&p, 32)
+            .lints
             .into_iter()
             .filter(|l| matches!(l, Lint::RedundantTransferIn { .. }))
             .collect();
@@ -365,7 +358,8 @@ mod tests {
             pb.build().unwrap()
         };
         let mis = |p: &Program| {
-            check_program(p, 32)
+            crate::verify_program(p, 32)
+                .lints
                 .into_iter()
                 .filter(|l| matches!(l, Lint::MisPipelined { .. }))
                 .count()

@@ -42,8 +42,8 @@
 //! two loop digits) as four, instead of an enumeration over every lane
 //! and iteration of both executions.
 
-use crate::sites::{Access, Site, Space};
 use crate::solve::{solve, Dom, Feas, Var};
+use atgpu_analyze::sites::{Access, Site, Space};
 use atgpu_ir::affine::AffineAddr;
 use atgpu_ir::Kernel;
 
@@ -294,12 +294,8 @@ fn check_pair(a: &Site, b: &Site, grid: (u64, u64), full_mask: u64) -> RaceVerdi
 }
 
 /// Decides whether two distinct blocks of `kernel` (with `b` lanes per
-/// block) can write the same global word.
-pub fn check_kernel(kernel: &Kernel, b: u64) -> RaceVerdict {
-    check_sites(kernel, &crate::sites::collect(kernel, b), b)
-}
-
-/// [`check_kernel`] over the kernel's already collected `sites`.
+/// block) can write the same global word, over the kernel's `sites` as
+/// collected by [`atgpu_analyze::sites::collect`].
 pub fn check_sites(kernel: &Kernel, sites: &[Site], b: u64) -> RaceVerdict {
     if kernel.blocks() <= 1 {
         return RaceVerdict::RaceFree;
@@ -326,7 +322,13 @@ pub fn check_sites(kernel: &Kernel, sites: &[Site], b: u64) -> RaceVerdict {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 mod tests {
     use super::*;
+    use atgpu_analyze::sites::collect;
     use atgpu_ir::{AddrExpr, DBuf, KernelBuilder, Operand, PredExpr};
+
+    /// The race verdict of `kernel` on a 32-lane machine.
+    fn verdict(kernel: &Kernel) -> RaceVerdict {
+        check_sites(kernel, &collect(kernel, 32), 32)
+    }
 
     fn slab_kernel(blocks: u64) -> Kernel {
         let mut kb = KernelBuilder::new("slab", blocks, 64);
@@ -338,16 +340,16 @@ mod tests {
 
     #[test]
     fn disjoint_slabs_race_free() {
-        assert_eq!(check_kernel(&slab_kernel(4), 32), RaceVerdict::RaceFree);
+        assert_eq!(verdict(&slab_kernel(4)), RaceVerdict::RaceFree);
         // Huge grids must be decided by the closed form, not enumeration.
-        assert_eq!(check_kernel(&slab_kernel(200_000), 32), RaceVerdict::RaceFree);
+        assert_eq!(verdict(&slab_kernel(200_000)), RaceVerdict::RaceFree);
     }
 
     #[test]
     fn single_block_trivially_race_free() {
         let mut kb = KernelBuilder::new("k", 1, 0);
         kb.shr_to_glb(DBuf(0), AddrExpr::lane(), AddrExpr::lane());
-        assert_eq!(check_kernel(&kb.build(), 32), RaceVerdict::RaceFree);
+        assert_eq!(verdict(&kb.build()), RaceVerdict::RaceFree);
     }
 
     #[test]
@@ -357,7 +359,7 @@ mod tests {
         let mut kb = KernelBuilder::new("k", 4, 32);
         let d = DBuf(0);
         kb.shr_to_glb(d, AddrExpr::block() * 16 + AddrExpr::lane(), AddrExpr::lane());
-        match check_kernel(&kb.build(), 32) {
+        match verdict(&kb.build()) {
             RaceVerdict::Racy(w) => {
                 assert_ne!(w.a.1, w.b.1, "witness blocks must differ");
                 // Reconstruct both addresses from the witness.
@@ -377,7 +379,7 @@ mod tests {
         kb.when(PredExpr::Eq(Operand::Lane, Operand::Imm(0)), |kb| {
             kb.shr_to_glb(d, AddrExpr::c(0), AddrExpr::c(0));
         });
-        match check_kernel(&kb.build(), 32) {
+        match verdict(&kb.build()) {
             RaceVerdict::Racy(w) => assert_eq!(w.addr, 0),
             v => panic!("expected Racy, got {v:?}"),
         }
@@ -391,7 +393,7 @@ mod tests {
         kb.when(PredExpr::Eq(Operand::Lane, Operand::Imm(0)), |kb| {
             kb.shr_to_glb(d, AddrExpr::block(), AddrExpr::c(0));
         });
-        assert_eq!(check_kernel(&kb.build(), 32), RaceVerdict::RaceFree);
+        assert_eq!(verdict(&kb.build()), RaceVerdict::RaceFree);
     }
 
     #[test]
@@ -400,7 +402,7 @@ mod tests {
         let d = DBuf(0);
         kb.mov(0, Operand::Lane);
         kb.shr_to_glb(d, AddrExpr::reg(0), AddrExpr::lane());
-        assert_eq!(check_kernel(&kb.build(), 32), RaceVerdict::Unknown);
+        assert_eq!(verdict(&kb.build()), RaceVerdict::Unknown);
     }
 
     #[test]
@@ -412,7 +414,7 @@ mod tests {
             kb.shr_to_glb(DBuf(0), AddrExpr::block(), AddrExpr::c(0));
             kb.shr_to_glb(DBuf(1), AddrExpr::block(), AddrExpr::c(0));
         });
-        assert_eq!(check_kernel(&kb.build(), 32), RaceVerdict::RaceFree);
+        assert_eq!(verdict(&kb.build()), RaceVerdict::RaceFree);
     }
 
     #[test]
@@ -432,7 +434,7 @@ mod tests {
                 AddrExpr::lane(),
             );
         });
-        assert_eq!(check_kernel(&kb.build(), 32), RaceVerdict::RaceFree);
+        assert_eq!(verdict(&kb.build()), RaceVerdict::RaceFree);
     }
 
     #[test]
@@ -451,7 +453,7 @@ mod tests {
                 AddrExpr::lane(),
             );
         });
-        assert!(matches!(check_kernel(&kb.build(), 32), RaceVerdict::Racy(_)));
+        assert!(matches!(verdict(&kb.build()), RaceVerdict::Racy(_)));
     }
 
     #[test]
@@ -467,7 +469,7 @@ mod tests {
                 AddrExpr::lane(),
             );
         });
-        assert_eq!(check_kernel(&kb.build(), 32), RaceVerdict::RaceFree);
+        assert_eq!(verdict(&kb.build()), RaceVerdict::RaceFree);
     }
 
     #[test]
@@ -492,6 +494,6 @@ mod tests {
                 );
             });
         });
-        assert_eq!(check_kernel(&kb.build(), 32), RaceVerdict::RaceFree);
+        assert_eq!(verdict(&kb.build()), RaceVerdict::RaceFree);
     }
 }

@@ -17,8 +17,7 @@
 //!   Surfaced for tooling but *not* an unsoundness — the dynamic
 //!   differential suites own those.
 
-use crate::sites::{Access, Site, Space};
-use atgpu_ir::Kernel;
+use atgpu_analyze::sites::{Access, Site, Space};
 
 /// One shared-memory write hazard.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -32,12 +31,8 @@ pub struct SmemHazard {
     pub lanes: u64,
 }
 
-/// Scans `kernel`'s shared write sites for hazards.
-pub fn check_kernel(kernel: &Kernel, b: u64) -> Vec<SmemHazard> {
-    check_sites(&crate::sites::collect(kernel, b), b)
-}
-
-/// [`check_kernel`] over the kernel's already collected `sites`.
+/// Scans a kernel's shared write sites, as collected by
+/// [`atgpu_analyze::sites::collect`], for hazards.
 pub fn check_sites(sites: &[Site], b: u64) -> Vec<SmemHazard> {
     sites.iter().filter_map(|s| check_site(s, b)).collect()
 }
@@ -81,13 +76,14 @@ fn check_site(site: &Site, b: u64) -> Option<SmemHazard> {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing, clippy::panic)]
 mod tests {
     use super::*;
+    use atgpu_analyze::sites::collect;
     use atgpu_ir::{AddrExpr, KernelBuilder, Operand};
 
     #[test]
     fn per_lane_stores_are_clean() {
         let mut kb = KernelBuilder::new("k", 1, 32);
         kb.st_shr(AddrExpr::lane(), Operand::Lane);
-        assert!(check_kernel(&kb.build(), 32).is_empty());
+        assert!(check_sites(&collect(&kb.build(), 32), 32).is_empty());
     }
 
     #[test]
@@ -95,14 +91,14 @@ mod tests {
         // Every lane writes the same (lane-invariant) value to word 0.
         let mut kb = KernelBuilder::new("k", 1, 32);
         kb.st_shr(AddrExpr::c(0), Operand::Imm(42));
-        assert!(check_kernel(&kb.build(), 32).is_empty());
+        assert!(check_sites(&collect(&kb.build(), 32), 32).is_empty());
     }
 
     #[test]
     fn colliding_nonuniform_store_is_definite() {
         let mut kb = KernelBuilder::new("k", 1, 32);
         kb.st_shr(AddrExpr::c(0), Operand::Lane);
-        let hz = check_kernel(&kb.build(), 32);
+        let hz = check_sites(&collect(&kb.build(), 32), 32);
         assert_eq!(hz.len(), 1);
         assert!(hz[0].definite);
         assert_eq!(hz[0].lanes, 32);
@@ -113,7 +109,7 @@ mod tests {
         let mut kb = KernelBuilder::new("k", 1, 64);
         kb.mov(0, Operand::Lane);
         kb.st_shr(AddrExpr::reg(0), Operand::Lane);
-        let hz = check_kernel(&kb.build(), 32);
+        let hz = check_sites(&collect(&kb.build(), 32), 32);
         assert_eq!(hz.len(), 1);
         assert!(!hz[0].definite);
     }

@@ -5,9 +5,9 @@
 
 #![allow(clippy::unwrap_used, clippy::indexing_slicing, clippy::panic)]
 
+use atgpu_analyze::sites::{collect, Access};
 use atgpu_ir::pretty::render_kernel;
 use atgpu_ir::{AddrExpr, KernelBuilder, Operand, PredExpr, ProgramBuilder};
-use atgpu_verify::sites::collect;
 
 #[test]
 fn every_site_index_appears_in_the_printout() {
@@ -47,7 +47,7 @@ fn every_site_index_appears_in_the_printout() {
     // worlds.
     let last_write = sites
         .iter()
-        .filter(|s| s.buf.is_some() && matches!(s.access, atgpu_verify::sites::Access::Write))
+        .filter(|s| s.buf.is_some() && matches!(s.access, Access::Write))
         .map(|s| s.instr)
         .max()
         .unwrap();

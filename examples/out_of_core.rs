@@ -48,7 +48,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (scheme, label) in
         [(OocScheme::HostFinish, "host-finish  "), (OocScheme::DeviceFinish, "device-finish")]
     {
-        let w = OocReduce::new(65_536, 4096, scheme, 3);
+        let w = OocReduce::new(65_536, 4096, machine.b, scheme, 3);
         let built = w.build(&machine)?;
         let metrics = analyze_program(&built.program, &machine)?.metrics();
         let outward: u64 = metrics.rounds.iter().map(|r| r.outward_words).sum();

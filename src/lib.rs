@@ -13,8 +13,8 @@
 //!   per launch into a flat micro-op program with precomputed access
 //!   shapes (`atgpu::sim::uop`), executed allocation-free per block
 //!   (`atgpu::sim::engine`), timing read from the per-site tables — the
-//!   tree-walking reference interpreter remains available via
-//!   `SimConfig::use_reference` for differential testing;
+//!   tree-walking reference interpreter remains available per launch via
+//!   `EngineSel::Reference` for differential testing;
 //! * [`algos`] — the evaluated workloads (vector addition, reduction,
 //!   matrix multiplication, and the extension workloads);
 //! * [`calibrate`] — cost-parameter fitting from microbenchmarks;

@@ -184,7 +184,7 @@ fn cells() -> String {
     for scheme in [OocScheme::HostFinish, OocScheme::DeviceFinish] {
         t.add(
             format!("extra/ooc_reduce_{scheme:?}"),
-            OocReduce::new(8192, 1024, scheme, s(7005)).build(&m),
+            OocReduce::new(8192, 1024, m.b, scheme, s(7005)).build(&m),
         );
     }
     t.0

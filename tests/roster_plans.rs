@@ -7,12 +7,13 @@
 //! even split must reproduce the single-device program's outputs; and the
 //! two write disciplines of a launch — written through (the default:
 //! nothing reads a log) and logged + merged in block order (here forced
-//! by `detect_races`) — must give the same report, trace included.
+//! by a fault plan whose one event, a straggler at clock factor 1, changes
+//! no number) — must give the same report, trace included.
 
 use atgpu::algos::roster::asym_pair;
 use atgpu::algos::workload::{test_machine, test_spec, verify_built_on_cluster};
 use atgpu::model::ClusterSpec;
-use atgpu::sim::SimConfig;
+use atgpu::sim::{FaultEvent, FaultPlan, SimConfig};
 
 #[test]
 fn every_cell_is_sound_and_matches_its_reference() {
@@ -37,12 +38,15 @@ fn every_cell_is_sound_and_matches_its_reference() {
             }
 
             let cluster = if plan_name == "planned" { &asym } else { &wide };
-            let run = |detect_races| {
-                let config = SimConfig { trace: true, detect_races, ..SimConfig::default() };
+            let run = |fault: FaultPlan| {
+                let logged = !fault.is_empty();
+                let config = SimConfig { trace: true, fault, ..SimConfig::default() };
                 verify_built_on_cluster(&built, &expected, &machine, cluster, &config)
-                    .unwrap_or_else(|e| panic!("{cell} (detect_races={detect_races}): {e}"))
+                    .unwrap_or_else(|e| panic!("{cell} (logged={logged}): {e}"))
             };
-            let (report, logged) = (run(false), run(true));
+            let mut journaled = FaultPlan::new(0);
+            journaled.push(FaultEvent::Straggler { device: 0, clock_factor: 1.0 });
+            let (report, logged) = (run(FaultPlan::default()), run(journaled));
             assert_eq!(report.rounds, logged.rounds, "{cell}: rounds");
             assert_eq!(report.device_stats, logged.device_stats, "{cell}: device stats");
             assert_eq!(report.trace, logged.trace, "{cell}: trace");

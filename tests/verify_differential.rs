@@ -2,16 +2,17 @@
 //! the simulator.
 //!
 //! The static race check ([`atgpu::verify`]) and the simulator's
-//! dynamic write-log race detector (`SimConfig::detect_races`) decide
-//! the *same* predicate — two distinct thread blocks writing one global
-//! word — by entirely different means (bounded Diophantine solving vs
-//! an execution's write log).  Over a family of random strided copy
-//! kernels and random contiguous shard plans this suite pins their
-//! agreement:
+//! dynamic write-log race detector (the launch-level doors
+//! `Device::run_kernel(.., true)` and `Cluster::run_sharded_kernel`, run
+//! on the memory the program stages) decide the *same* predicate — two
+//! distinct thread blocks writing one global word — by entirely
+//! different means (bounded Diophantine solving vs an execution's write
+//! log).  Over a family of random strided copy kernels and random
+//! contiguous shard plans this suite pins their agreement:
 //!
 //! * a **proven `RaceFree`** kernel runs clean under dynamic detection,
-//!   and its plain and sharded executions produce bit-identical
-//!   outputs whatever the shard plan;
+//!   sharded or not, and its plain and sharded programs produce
+//!   bit-identical outputs whatever the shard plan;
 //! * a **proven `Racy`** kernel is flagged by dynamic detection too —
 //!   the static witness corresponds to a real collision;
 //! * for this affine family the verifier is *decisive*: stride < warp
@@ -21,7 +22,8 @@
 use atgpu::algos::workload::{test_machine, test_spec};
 use atgpu::ir::{AddrExpr, KernelBuilder, Program, ProgramBuilder, Shard};
 use atgpu::model::ClusterSpec;
-use atgpu::sim::{run_cluster_program, SimConfig, SimError};
+use atgpu::sim::gmem::GlobalMemory;
+use atgpu::sim::{run_cluster_program, Cluster, Device, EngineSel, ExecMode, SimConfig, SimError};
 use atgpu::verify::{verify_program, RaceVerdict, Unsoundness};
 use proptest::prelude::*;
 
@@ -103,6 +105,17 @@ fn plan_from_cuts(blocks: u64, cuts: &[u64], devices: u32) -> Vec<Shard> {
         .collect()
 }
 
+/// The memory `program` stages for its launch: its buffer layout, with
+/// `input` uploaded to buffer 0.
+fn staged(program: &Program, input: &[i64]) -> GlobalMemory {
+    let machine = test_machine();
+    let (bases, total) = program.buffer_layout(machine.b);
+    let mut gmem = GlobalMemory::new(bases, total, machine.b, machine.g).expect("fits in G");
+    let at = gmem.span(0, 0, input.len() as u64).expect("the input fits buffer 0");
+    gmem.copy_in(at, input);
+    gmem
+}
+
 fn random_input(n: u64, seed: u64) -> Vec<i64> {
     // Splitmix-style scramble: block-distinct values so a collision's
     // merge order would be observable.
@@ -151,11 +164,11 @@ proptest! {
 
         // Dynamic agreement: the write-log detector sees the same
         // verdict on a real execution.
-        let inputs = vec![random_input(blocks * b, stride as u64 | 1)];
-        let solo = ClusterSpec::homogeneous(1, test_spec());
-        let detect = SimConfig { detect_races: true, ..SimConfig::default() };
-        let dynamic = run_cluster_program(&program, inputs.clone(), &machine, &solo, &detect);
-        match dynamic {
+        let input = random_input(blocks * b, stride as u64 | 1);
+        let kernel = program.rounds[0].kernel().expect("one launch");
+        let device = Device::new(machine, test_spec()).expect("valid spec");
+        let mut plain = staged(&program, &input);
+        match device.run_kernel(kernel, &mut plain, ExecMode::Sequential, true) {
             Ok(_) => prop_assert!(!racy, "dynamic detector missed a proven race"),
             Err(SimError::RaceDetected { .. }) => {
                 prop_assert!(racy, "dynamic race on a proven race-free kernel")
@@ -174,7 +187,16 @@ proptest! {
             prop_assert!(sharded_report.all_race_free());
 
             let cluster = ClusterSpec::homogeneous(devices as usize, test_spec());
-            let cfg = SimConfig { detect_races: true, ..SimConfig::default() };
+            let mut split = staged(&program, &input);
+            Cluster::new(machine, cluster.clone())
+                .expect("valid cluster")
+                .run_sharded_kernel(kernel, &mut split, &plan, true, EngineSel::MicroOp)
+                .expect("no race in any shard plan");
+            prop_assert_eq!(plain.words(), split.words());
+
+            let solo = ClusterSpec::homogeneous(1, test_spec());
+            let cfg = SimConfig::default();
+            let inputs = vec![input];
             let plain_run = run_cluster_program(&program, inputs.clone(), &machine, &solo, &cfg)
                 .expect("plain run");
             let sharded_run = run_cluster_program(&sharded, inputs, &machine, &cluster, &cfg)
@@ -202,10 +224,10 @@ fn seeded_racy_kernel_flagged_by_both_detectors() {
     }
     assert!(why.to_string().contains("strided_copy@instr#1"), "{why}");
 
-    let solo = ClusterSpec::homogeneous(1, test_spec());
-    let detect = SimConfig { detect_races: true, ..SimConfig::default() };
-    let inputs = vec![random_input(4 * b, 7)];
-    match run_cluster_program(&program, inputs, &machine, &solo, &detect) {
+    let kernel = program.rounds[0].kernel().expect("one launch");
+    let device = Device::new(machine, test_spec()).expect("valid spec");
+    let mut gmem = staged(&program, &random_input(4 * b, 7));
+    match device.run_kernel(kernel, &mut gmem, ExecMode::Sequential, true) {
         Err(SimError::RaceDetected { kernel, .. }) => assert_eq!(kernel, "strided_copy"),
         other => panic!("expected dynamic RaceDetected, got {other:?}"),
     }
