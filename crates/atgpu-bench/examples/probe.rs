@@ -9,7 +9,10 @@
 //!    tree, co-simulation, DRAM controller), their difference and their
 //!    ratio, per program and in total.  Both sides execute the same
 //!    instructions through the same timing path, so the split is exact:
-//!    the difference is the issue loop plus the per-launch cost.
+//!    the difference is the issue loop plus the per-launch cost.  Under
+//!    each program, per kernel: ns per issued instruction of the bare
+//!    executor and of the issue loop (that difference), which is what
+//!    locates a kernel the executor or the scheduler handles badly.
 //! 2. **vecadd breakdown** — executor-only / device-level / full-pipeline
 //!    timings of one 200k-word vector addition, engine against the
 //!    reference interpreter (which runs only per launch, so the
@@ -216,12 +219,46 @@ fn launch_on<'a>(
     }
 }
 
+/// Kernels a program's launch rows are shown for one by one; a program
+/// with more distinct kernel names (bitonic's 45 stages) gets one row.
+const KERNEL_ROWS: usize = 8;
+
+/// Section 1's launches of one kernel name: their best replays summed.
+#[derive(Default)]
+struct KernelRow {
+    name: String,
+    launches: usize,
+    blocks: u64,
+    instr: u64,
+    /// Seconds, bare executor loop.
+    bare: f64,
+    /// Seconds, `Device::run_kernel`.
+    dev: f64,
+}
+
+impl KernelRow {
+    fn add(&mut self, other: &KernelRow) {
+        self.launches += other.launches;
+        self.blocks += other.blocks;
+        self.instr += other.instr;
+        self.bare += other.bare;
+        self.dev += other.dev;
+    }
+}
+
 /// Section 1: where a `batch_compute` pass goes — executor or issue loop.
+/// Under each program, its kernels: per issued instruction, the bare
+/// executor's ns and the issue loop's (`run_kernel` less bare), from each
+/// launch's best replay — where a program's time goes, by kernel.
 fn scheduler_split(cfg: &ExpConfig) {
     println!("scheduler/executor split, best of {REPLAYS} replays, ms per program");
     println!(
         "{:<22} {:>8} {:>7} {:>10} {:>11} {:>10} {:>6}",
         "program", "launches", "blocks", "bare_exec", "run_kernel", "difference", "ratio"
+    );
+    println!(
+        "  {:<20} {:>8} {:>7} {:>10} {:>11} {:>10}",
+        "kernel", "launches", "blocks", "instr", "bare ns/i", "issue ns/i"
     );
     let (mut bare_total, mut device_total) = (0.0, 0.0);
     for (name, w) in batch_compute_programs() {
@@ -230,20 +267,25 @@ fn scheduler_split(cfg: &ExpConfig) {
         let device = Device::new(cfg.machine, cfg.spec).unwrap();
         let (launches, mut gmem) = launches(cfg, &device, &w.build(&cfg.machine).unwrap());
         let (mut bare, mut dev) = (f64::INFINITY, f64::INFINITY);
+        let mut best = vec![(f64::INFINITY, f64::INFINITY); launches.len()];
+        let mut instructions = vec![0; launches.len()];
         for _ in 0..REPLAYS {
             let (mut bare_pass, mut dev_pass) = (0.0, 0.0);
-            for l in &launches {
+            for (i, l) in launches.iter().enumerate() {
                 gmem.words_mut().copy_from_slice(&l.before);
                 let t = Instant::now();
                 bare_blocks(l, &mut gmem);
-                bare_pass += t.elapsed().as_secs_f64();
+                let bare_launch = t.elapsed().as_secs_f64();
 
                 gmem.words_mut().copy_from_slice(&l.before);
                 let t = Instant::now();
                 let stats =
                     device.run_kernel(&l.kernel, &mut gmem, ExecMode::Sequential, false).unwrap();
-                dev_pass += t.elapsed().as_secs_f64();
-                std::hint::black_box(stats);
+                let dev_launch = t.elapsed().as_secs_f64();
+                instructions[i] = black_box(stats).instructions;
+                bare_pass += bare_launch;
+                dev_pass += dev_launch;
+                best[i] = (best[i].0.min(bare_launch), best[i].1.min(dev_launch));
             }
             bare = bare.min(bare_pass * 1e3);
             dev = dev.min(dev_pass * 1e3);
@@ -255,6 +297,39 @@ fn scheduler_split(cfg: &ExpConfig) {
             dev - bare,
             dev / bare
         );
+        let mut rows: Vec<KernelRow> = Vec::new();
+        for ((l, &(bare_s, dev_s)), &instr) in launches.iter().zip(&best).zip(&instructions) {
+            let launch = KernelRow {
+                name: l.kernel.name.clone(),
+                launches: 1,
+                blocks: l.kernel.blocks(),
+                instr,
+                bare: bare_s,
+                dev: dev_s,
+            };
+            match rows.iter_mut().find(|r| r.name == launch.name) {
+                Some(row) => row.add(&launch),
+                None => rows.push(launch),
+            }
+        }
+        if rows.len() > KERNEL_ROWS {
+            let mut all =
+                KernelRow { name: format!("{} kernels", rows.len()), ..KernelRow::default() };
+            rows.iter().for_each(|r| all.add(r));
+            rows = vec![all];
+        }
+        for r in rows {
+            let per = |s: f64| s * 1e9 / r.instr.max(1) as f64;
+            println!(
+                "  {:<20} {:>8} {:>7} {:>10} {:>11.1} {:>10.1}",
+                r.name,
+                r.launches,
+                r.blocks,
+                r.instr,
+                per(r.bare),
+                per(r.dev - r.bare)
+            );
+        }
         bare_total += bare;
         device_total += dev;
     }

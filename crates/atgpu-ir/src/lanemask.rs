@@ -11,8 +11,14 @@
 //! [`LaneValues`] tracks which registers currently hold **lane-pure**
 //! values — written under a full mask from `Imm`/`Lane` operands and
 //! other lane-pure registers — and folds predicates over them into
-//! masks.  Consumers walk the kernel body in program order and call the
-//! `record_*`/`kill_*` hooks; the soundness rules are:
+//! masks.  It tracks one more fact per register: **warp-uniform** —
+//! written under a full mask from `Imm`/`Block`/`BlockY`/`LoopVar`
+//! operands and other warp-uniform registers, so every lane holds the
+//! same value whenever the register is read (scan's `1 << t`, gemv's
+//! `(b/2) >> t`), though the value may differ between blocks and loop
+//! iterations.  Consumers walk the kernel body in program order and call
+//! the `record_*`/`kill_*` hooks; the soundness rules, the same for both
+//! facts, are:
 //!
 //! * a write under a partial or unknown mask forgets the register (its
 //!   lanes now hold mixed values);
@@ -22,7 +28,9 @@
 //!   forgotten — a write later in program order feeds reads at the top
 //!   of iterations `2..n`, which a single in-order walk does not see.
 //!   Values computed *within* the body from pure sources are the same in
-//!   every iteration, so tracking inside the body stays valid.
+//!   every iteration, so tracking inside the body stays valid (and a
+//!   uniform value, though it changes with the iteration, is uniform in
+//!   each).
 
 use crate::expr::{Operand, PredExpr};
 use crate::instr::Instr;
@@ -35,6 +43,8 @@ pub struct LaneValues {
     full: u64,
     /// Indexed by the full `Reg` (u8) range.
     vals: Vec<Option<Box<[i64; 64]>>>,
+    /// Warp-uniform registers, one bit per `Reg`.
+    uniform: [u64; 4],
 }
 
 impl LaneValues {
@@ -42,7 +52,31 @@ impl LaneValues {
     pub fn new(b: u32) -> Self {
         debug_assert!((1..=64).contains(&b));
         let full = if b >= 64 { u64::MAX } else { (1u64 << b) - 1 };
-        Self { b, full, vals: vec![None; 256] }
+        Self { b, full, vals: vec![None; 256], uniform: [0; 4] }
+    }
+
+    /// True when every lane of register `r` holds the same value
+    /// wherever the walk stands (see the module docs).
+    #[inline]
+    pub fn is_uniform(&self, r: Reg) -> bool {
+        self.uniform[r as usize / 64] >> (r % 64) & 1 == 1
+    }
+
+    fn operand_uniform(&self, op: Operand) -> bool {
+        match op {
+            Operand::Imm(_) | Operand::Block | Operand::BlockY | Operand::LoopVar(_) => true,
+            Operand::Lane => false,
+            Operand::Reg(r) => self.is_uniform(r),
+        }
+    }
+
+    fn set_uniform(&mut self, r: Reg, uniform: bool) {
+        let (word, bit) = (r as usize / 64, 1u64 << (r % 64));
+        if uniform {
+            self.uniform[word] |= bit;
+        } else {
+            self.uniform[word] &= !bit;
+        }
     }
 
     /// The all-lanes mask for this width.
@@ -90,37 +124,38 @@ impl LaneValues {
             None
         };
         self.vals[dst as usize] = vals;
+        let uniform = under_full_mask && self.operand_uniform(a) && self.operand_uniform(b);
+        self.set_uniform(dst, uniform);
     }
 
     /// Records `dst ← src` under the same rule as [`Self::record_alu`].
     pub fn record_mov(&mut self, dst: Reg, src: Operand, under_full_mask: bool) {
         self.vals[dst as usize] = if under_full_mask { self.operand_values(src) } else { None };
+        self.set_uniform(dst, under_full_mask && self.operand_uniform(src));
     }
 
     /// Forgets one register (a data-dependent or partial-mask write).
     pub fn kill(&mut self, dst: Reg) {
         self.vals[dst as usize] = None;
+        self.set_uniform(dst, false);
     }
 
     /// Forgets every register `body` can write — call before walking a
     /// loop body (see module docs).
     pub fn kill_written(&mut self, body: &[Instr]) {
-        fn walk(body: &[Instr], vals: &mut [Option<Box<[i64; 64]>>]) {
-            for i in body {
-                match i {
-                    Instr::Alu { dst, .. } | Instr::Mov { dst, .. } | Instr::LdShr { dst, .. } => {
-                        vals[*dst as usize] = None;
-                    }
-                    Instr::Pred { then_body, else_body, .. } => {
-                        walk(then_body, vals);
-                        walk(else_body, vals);
-                    }
-                    Instr::Repeat { body, .. } => walk(body, vals),
-                    _ => {}
+        for i in body {
+            match i {
+                Instr::Alu { dst, .. } | Instr::Mov { dst, .. } | Instr::LdShr { dst, .. } => {
+                    self.kill(*dst);
                 }
+                Instr::Pred { then_body, else_body, .. } => {
+                    self.kill_written(then_body);
+                    self.kill_written(else_body);
+                }
+                Instr::Repeat { body, .. } => self.kill_written(body),
+                _ => {}
             }
         }
-        walk(body, &mut self.vals);
     }
 
     /// Combines a parent mask context with a folded predicate mask into
@@ -198,6 +233,31 @@ mod tests {
         t.record_mov(1, Operand::Lane, true);
         t.kill(1);
         assert!(t.pred_mask(&PredExpr::Eq(Operand::Reg(1), Operand::Imm(0))).is_none());
+    }
+
+    #[test]
+    fn uniform_registers_follow_the_same_rules() {
+        let mut t = LaneValues::new(8);
+        // Scan's `1 << t` and gemv's `(b/2) >> t`: uniform, not lane-pure.
+        t.record_alu(AluOp::Shl, 0, Operand::Imm(1), Operand::LoopVar(0), true);
+        t.record_alu(AluOp::Shr, 1, Operand::Imm(4), Operand::Reg(0), true);
+        assert!(t.is_uniform(0) && t.is_uniform(1));
+        assert!(t.pred_mask(&PredExpr::Le(Operand::Reg(0), Operand::Lane)).is_none());
+        t.record_alu(AluOp::Add, 2, Operand::Reg(0), Operand::Block, true);
+        assert!(t.is_uniform(2));
+        // A lane operand, a partial-mask write, a load or a loop body
+        // that writes the register forgets it.
+        t.record_alu(AluOp::Add, 3, Operand::Reg(0), Operand::Lane, true);
+        t.record_mov(2, Operand::Imm(1), false);
+        t.kill(1);
+        assert!(!t.is_uniform(3) && !t.is_uniform(2) && !t.is_uniform(1));
+        t.kill_written(&[Instr::Repeat {
+            count: 2,
+            body: vec![Instr::Mov { dst: 0, src: Operand::Imm(1) }],
+        }]);
+        assert!(!t.is_uniform(0));
+        t.record_mov(200, Operand::Imm(7), true);
+        assert!(t.is_uniform(200));
     }
 
     #[test]

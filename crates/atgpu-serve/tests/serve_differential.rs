@@ -334,6 +334,36 @@ fn a_what_if_spec_cannot_take_the_server_down() {
     assert_eq!(report.output(vecadd.outputs[0]).len(), 256);
 }
 
+/// A one-block kernel of 32 769 `⇐` moves into shared memory holds
+/// 65 538 memory sites, one more than a 16-bit site index names: the
+/// simulator's lowering used to abort the process on it.  A submit of it
+/// runs and returns the program's output.
+#[test]
+fn a_kernel_past_65_536_memory_sites_runs() {
+    use atgpu_ir::{AddrExpr, KernelBuilder, ProgramBuilder};
+    let machine = machine();
+    let b = machine.b;
+    let mut pb = ProgramBuilder::new("many_sites");
+    let input = pb.host_input("A", b);
+    let output = pb.host_output("C", b);
+    let (da, dc) = (pb.device_alloc("a", b), pb.device_alloc("c", b));
+    let mut kb = KernelBuilder::new("many_sites", 1, b);
+    for _ in 0..32_769 {
+        kb.glb_to_shr(AddrExpr::lane(), da, AddrExpr::lane());
+    }
+    kb.shr_to_glb(dc, AddrExpr::lane(), AddrExpr::lane());
+    pb.begin_round();
+    pb.transfer_in(input, da, b);
+    pb.launch(kb.build());
+    pb.transfer_out(dc, output, b);
+    let program = pb.build().expect("builds");
+
+    let server = CostServer::new(machine, spec(1), ServerConfig::default()).expect("server");
+    let words: Vec<i64> = (0..b as i64).map(|w| 7 * w - 3).collect();
+    let report = server.submit("alpha", &program, vec![words.clone()]).expect("runs");
+    assert_eq!(report.output(output), &words[..]);
+}
+
 /// A program whose kernel's cross-block write stride makes distinct
 /// blocks collide on the same global words: the static verifier proves
 /// it racy, and the server must refuse to execute *or* price it.

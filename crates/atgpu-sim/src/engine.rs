@@ -11,12 +11,24 @@
 //!
 //! Design points:
 //!
-//! * flat program counter + fixed-capacity mask/arm stacks instead of the
+//! * flat program counter + a fixed-capacity arm stack instead of the
 //!   reference interpreter's per-instruction frame walk;
-//! * active lanes iterated with `mask.trailing_zeros()`, never `0..b`
-//!   scans over inactive lanes;
-//! * per-site compile-time shapes: unit-stride warp accesses become
-//!   bounds-checked block copies, transaction counts come from the
+//! * **an instruction costs its row, not its lanes.**  The model's warp
+//!   issues one `b`-lane step whatever its mask, and so does the
+//!   executor: an ALU op or a move computes the whole span from the
+//!   lowest to the highest active lane (`AluOp::apply` is total, so the
+//!   inactive lanes in it are harmless) — straight into the destination
+//!   row when the span is all active, registers read where they lie —
+//!   and otherwise blends the span in by the mask, branch-free; a branch
+//!   predicate is two operand rows compared into mask bits; an access
+//!   whose address is affine with a warp-uniform offset ([`FastPath`]
+//!   other than `Dynamic`) is bounds-checked once, at its lowest and
+//!   highest active lane — the addresses are monotone in the lane — and
+//!   then moved in one gather or scatter pass;
+//! * lane by lane only where the addresses vary by register or are trees,
+//!   or where an end of the row is out of bounds — then the lane-ordered
+//!   walk reports the first offending lane, as the reference does;
+//! * per-site compile-time shapes: transaction counts come from the
 //!   compile-time residue table, bank-conflict degrees from the shared
 //!   classifier — the dynamic fallbacks use fixed `[_; 64]` scratch:
 //!   generation-stamped per-bank counters and lane chains, and a short
@@ -24,12 +36,13 @@
 //!
 //! Timing has one source: every access's event is computed from its
 //! site's compile-time tables (or the dynamic fallback) as it executes.
+//! Stepping does not panic: the module denies the panicking calls.
 //!
 //! # Who owns what
 //!
 //! A [`BlockExec`] is what one resident block *is*: its registers, shared
-//! memory, program counter, mask and arm stacks and loop counters —
-//! ≈ 170 bytes plus its two heap rows.  It holds no kernel: every
+//! memory, program counter, mask, arm stack and loop counters — ≈ 145
+//! bytes plus its two heap rows.  It holds no kernel: every
 //! [`BlockSim::reset`] and [`BlockSim::step`] is handed the launch's
 //! [`CompiledKernel`], and `reset` re-fits the register and shared rows to
 //! it, so one executor serves any launch (a [`crate::Device`] keeps its
@@ -43,12 +56,14 @@
 //! register/memory state, same `StepEvent` stream — which the
 //! differential property tests in `tests/engine_differential.rs` enforce.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
+
 use crate::error::SimError;
 use crate::smem::SharedMemory;
 use crate::uop::{CompiledKernel, FastPath, Site, SiteAddr, Uop};
 use crate::warp::{GmemAccess, StepEvent};
-use atgpu_ir::affine::lane_span_blocks;
-use atgpu_ir::{AluOp, Operand, Reg, MAX_LOOP_DEPTH};
+use atgpu_ir::affine::{masked_conflict_degree, masked_span_blocks, AffineAddr};
+use atgpu_ir::{AluOp, Operand, PredExpr, Reg, MAX_LOOP_DEPTH};
 
 /// Common interface of the two block executors (micro-op engine and
 /// tree-walking reference), so the multiprocessor scheduler can drive
@@ -88,16 +103,280 @@ impl BlockSim for crate::warp::WarpExec<'_> {
     }
 }
 
+/// An affine access checked against its memory: the active lanes lie in
+/// `lo..=hi`, lane `l` addresses `base + stride·l`, and every such
+/// address of the span is inside the memory.
+#[derive(Clone, Copy)]
+struct Row {
+    /// Lane 0's address (the transaction table's residue).
+    base: i64,
+    stride: i64,
+    /// The address of lane `lo`.
+    start: usize,
+    lo: usize,
+    hi: usize,
+}
+
+impl Row {
+    /// The address of lane `lo + j`.
+    #[inline]
+    fn word(&self, j: usize) -> usize {
+        (self.start as i64 + self.stride * j as i64) as usize
+    }
+
+    /// The address of active lane `lane`.
+    #[inline]
+    fn addr(&self, lane: usize) -> i64 {
+        self.word(lane - self.lo) as i64
+    }
+
+    /// True when every lane of `lo..=hi` is active in `mask`.
+    #[inline]
+    fn dense(&self, mask: u64) -> bool {
+        dense(mask >> self.lo)
+    }
+}
+
 /// How a site's lane addresses are materialised for one access.
 #[derive(Clone, Copy)]
 enum AddrPlan {
-    /// Contiguous words `[base, base + popcount(mask))` in lane order
-    /// (unit stride, full warp).
-    Contig(i64),
-    /// Every active lane addresses `addr`.
-    Bcast(i64),
+    /// One in-bounds row of affine addresses.
+    Row(Row),
     /// `addr_buf[lane]` holds each active lane's address.
     PerLane,
+}
+
+/// The active lanes of `mask`, ascending.
+#[inline]
+fn lanes(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let lane = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            lane
+        })
+    })
+}
+
+/// The lowest and highest active lane of a non-empty mask.
+#[inline]
+fn lane_span(mask: u64) -> (usize, usize) {
+    let hi = 63 - mask.leading_zeros().min(63);
+    (mask.trailing_zeros().min(hi) as usize, hi as usize)
+}
+
+/// `a` when `bit` is 1, `b` when it is 0, without a branch.
+#[inline]
+fn select(bit: u64, a: i64, b: i64) -> i64 {
+    let keep = (bit as i64).wrapping_sub(1); // 0 takes `a`, all ones keeps `b`
+    (a & !keep) | (b & keep)
+}
+
+/// `dst[l] ← src[l]` for each active lane `l` of `mask` (lane-indexed
+/// rows): [`blend`] over the span from the lowest to the highest.
+#[inline]
+fn blend_lanes(dst: &mut [i64], src: &[i64], mask: u64) {
+    let (lo, hi) = lane_span(mask);
+    blend(&mut dst[lo..=hi], &src[lo..=hi], mask >> lo);
+}
+
+/// `dst[i] ← src[i]` for each set bit `i` of `bits`: a plain copy when
+/// every bit of the slice is set, a branch-free select otherwise.
+#[inline]
+fn blend(dst: &mut [i64], src: &[i64], mut bits: u64) {
+    if dense(bits) {
+        dst.copy_from_slice(src);
+        return;
+    }
+    for (d, &v) in dst.iter_mut().zip(src) {
+        *d = select(bits & 1, v, *d);
+        bits >>= 1;
+    }
+}
+
+/// True when the set bits of `bits` are `0..k` for some `k`.
+#[inline]
+fn dense(bits: u64) -> bool {
+    bits & bits.wrapping_add(1) == 0
+}
+
+/// Reads lanes `lo..=hi` of `row` from `words` into `out[lo..=hi]`.
+#[inline]
+fn gather(words: &[i64], row: Row, out: &mut [i64]) {
+    let out = &mut out[row.lo..=row.hi];
+    match row.stride {
+        0 => out.fill(words[row.start]),
+        1 => out.copy_from_slice(&words[row.start..][..out.len()]),
+        _ => {
+            for (j, slot) in out.iter_mut().enumerate() {
+                *slot = words[row.word(j)];
+            }
+        }
+    }
+}
+
+/// Writes the active lanes of `src` (lane-indexed) to `row` of `words`.
+#[inline]
+fn scatter(words: &mut [i64], row: Row, src: &[i64], mask: u64) {
+    let (vals, mut bits) = (&src[row.lo..=row.hi], mask >> row.lo);
+    match row.stride {
+        // Every active lane writes the one word, in lane order: the
+        // highest one's value stays.
+        0 => words[row.start] = vals[vals.len() - 1],
+        1 => blend(&mut words[row.start..][..vals.len()], vals, bits),
+        _ => {
+            for (j, &v) in vals.iter().enumerate() {
+                let w = &mut words[row.word(j)];
+                *w = select(bits & 1, v, *w);
+                bits >>= 1;
+            }
+        }
+    }
+}
+
+/// Reads the words `plan` addresses into `s.val_buf` for the active
+/// lanes; `Err` is the first out-of-bounds address in lane order.
+#[inline(always)]
+fn read(words: &[i64], plan: AddrPlan, mask: u64, s: &mut Scratch) -> Result<(), i64> {
+    match plan {
+        AddrPlan::Row(row) => gather(words, row, &mut s.val_buf),
+        AddrPlan::PerLane => {
+            for lane in lanes(mask) {
+                let addr = s.addr_buf[lane];
+                s.val_buf[lane] =
+                    *usize::try_from(addr).ok().and_then(|a| words.get(a)).ok_or(addr)?;
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Writes the active lanes of `src` (lane-indexed) to the words `plan`
+/// addresses, in lane order; `Err` is the first out-of-bounds address.
+#[inline(always)]
+fn write(
+    words: &mut [i64],
+    plan: AddrPlan,
+    src: &[i64],
+    mask: u64,
+    addrs: &[i64; 64],
+) -> Result<(), i64> {
+    match plan {
+        AddrPlan::Row(row) => scatter(words, row, src, mask),
+        AddrPlan::PerLane => {
+            for lane in lanes(mask) {
+                let addr = addrs[lane];
+                *usize::try_from(addr).ok().and_then(|a| words.get_mut(a)).ok_or(addr)? = src[lane];
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Moves the active lanes' values of `from` — a row of `src`, or
+/// `s.val_buf` when it is per lane — to the words `to` addresses in
+/// `dst`; `Err` is the first out-of-bounds address of `to`.  Two dense
+/// unit-stride rows are one copy.
+#[inline(always)]
+fn move_lanes(
+    src: &[i64],
+    from: AddrPlan,
+    dst: &mut [i64],
+    to: AddrPlan,
+    mask: u64,
+    s: &mut Scratch,
+) -> Result<(), i64> {
+    match (from, to) {
+        (AddrPlan::Row(f), AddrPlan::Row(t)) if f.stride == 1 && t.stride == 1 && f.dense(mask) => {
+            let n = f.hi - f.lo + 1;
+            dst[t.start..][..n].copy_from_slice(&src[f.start..][..n]);
+            Ok(())
+        }
+        _ => {
+            if let AddrPlan::Row(f) = from {
+                gather(src, f, &mut s.val_buf);
+            }
+            write(dst, to, &s.val_buf, mask, &s.addr_buf)
+        }
+    }
+}
+
+/// One operand row of [`alu_row`]: a row of its own, or the output row
+/// itself (each lane read before it is written).
+#[derive(Clone, Copy)]
+enum Arg<'a> {
+    Row(&'a [i64]),
+    Out,
+}
+
+impl<'a> Arg<'a> {
+    /// Operand `x` of an op writing register row `d` of a register file
+    /// (rows of `n` lanes) split around that row into `before` and
+    /// `after`: another register's row in place, row `d` itself as
+    /// [`Arg::Out`], any other operand from its row in `buf`.
+    fn of(
+        x: Operand,
+        d: usize,
+        n: usize,
+        (before, after): (&'a [i64], &'a [i64]),
+        buf: &'a [i64],
+    ) -> Self {
+        match x {
+            Operand::Reg(r) if (r as usize) < d => Arg::Row(&before[r as usize * n..][..n]),
+            Operand::Reg(r) if r as usize == d => Arg::Out,
+            Operand::Reg(r) => Arg::Row(&after[(r as usize - d - 1) * n..][..n]),
+            _ => Arg::Row(&buf[..n]),
+        }
+    }
+
+    /// Lanes `lo..=hi` of the operand.
+    fn span(self, lo: usize, hi: usize) -> Self {
+        match self {
+            Arg::Row(row) => Arg::Row(&row[lo..=hi]),
+            Arg::Out => Arg::Out,
+        }
+    }
+}
+
+/// `out[i] ← f(a[i], b[i])`, one tight (vectorisable) loop per operand
+/// shape.
+#[inline(always)]
+fn apply_rows(out: &mut [i64], a: Arg<'_>, b: Arg<'_>, f: impl Fn(i64, i64) -> i64) {
+    match (a, b) {
+        (Arg::Row(a), Arg::Row(b)) => {
+            for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
+                *o = f(x, y);
+            }
+        }
+        (Arg::Out, Arg::Row(b)) => {
+            for (o, &y) in out.iter_mut().zip(b) {
+                *o = f(*o, y);
+            }
+        }
+        (Arg::Row(a), Arg::Out) => {
+            for (o, &x) in out.iter_mut().zip(a) {
+                *o = f(x, *o);
+            }
+        }
+        (Arg::Out, Arg::Out) => {
+            for o in out.iter_mut() {
+                *o = f(*o, *o);
+            }
+        }
+    }
+}
+
+/// `out[i] ← op(a[i], b[i])` over whole rows: one branch on `op`, then a
+/// lane loop with the operation inlined.
+fn alu_row(op: AluOp, a: Arg<'_>, b: Arg<'_>, out: &mut [i64]) {
+    macro_rules! rows {
+        ($($op:ident)*) => {
+            match op {
+                $(AluOp::$op => apply_rows(out, a, b, |x, y| AluOp::$op.apply(x, y)),)*
+            }
+        };
+    }
+    rows!(Add Sub Mul Div Rem Min Max And Or Xor Shl Shr SetLt SetEq);
 }
 
 /// The rows one instruction works in (see the module docs): one per
@@ -105,10 +384,11 @@ enum AddrPlan {
 pub struct Scratch {
     /// Each active lane's address ([`AddrPlan::PerLane`]).
     addr_buf: [i64; 64],
-    /// Each active lane's value on its way between memories.
+    /// Each active lane's value on its way between memories, and an ALU
+    /// op's result row on its way to the destination register.
     val_buf: [i64; 64],
-    // Operand rows of a full-mask ALU op (avoids zero-initialising stack
-    // arrays per op).
+    // Operand rows of ALU ops and predicates that are not registers
+    // (avoids zero-initialising stack arrays per op).
     op_a: [i64; 64],
     op_b: [i64; 64],
     // Generation-stamped bank counters for the dynamic conflict path,
@@ -151,10 +431,7 @@ impl Scratch {
         self.gen += 1;
         let gen = self.gen;
         let mut degree = 1u16;
-        let mut m = mask;
-        while m != 0 {
-            let lane = m.trailing_zeros() as usize;
-            m &= m - 1;
+        for lane in lanes(mask) {
             let addr = self.addr_buf[lane];
             let bank = addr.rem_euclid(banks) as usize;
             let count = if self.bank_gen[bank] == gen { self.bank_count[bank] } else { 0 };
@@ -189,11 +466,8 @@ impl Scratch {
         let bw = i64::from(b);
         let distinct = &mut self.op_a;
         let mut txns = 0usize;
-        let mut m = mask;
-        while m != 0 {
-            let lane = m.trailing_zeros();
-            m &= m - 1;
-            let q = self.addr_buf[lane as usize].div_euclid(bw);
+        for lane in lanes(mask) {
+            let q = self.addr_buf[lane].div_euclid(bw);
             if !distinct[..txns].iter().rev().any(|&seen| seen == q) {
                 distinct[txns] = q;
                 txns += 1;
@@ -201,6 +475,15 @@ impl Scratch {
         }
         txns as u32
     }
+}
+
+/// One open divergence construct.
+#[derive(Clone, Copy)]
+struct Arm {
+    /// The mask to restore at the join.
+    parent: u64,
+    /// The else-arm's mask still to run (0 when none).
+    pending: u64,
 }
 
 /// Executes one thread block over the flat micro-op program.
@@ -212,11 +495,9 @@ pub struct BlockExec {
     full_mask: u64,
     regs: Vec<i64>,
     pc: u32,
-    /// Saved parent masks (one per open divergence arm).
-    masks: Vec<u64>,
     cur_mask: u64,
-    /// Pending else masks (one per open divergence arm).
-    arms: Vec<u64>,
+    /// One entry per open divergence construct.
+    arms: Vec<Arm>,
     loops: [u32; MAX_LOOP_DEPTH],
     /// The block's shared memory.
     pub smem: SharedMemory,
@@ -243,7 +524,6 @@ impl BlockExec {
             full_mask: full_mask(b),
             regs: vec![0; ck.nregs as usize * b as usize],
             pc: 0,
-            masks: Vec::with_capacity(ck.max_arm_depth),
             cur_mask: full_mask(b),
             arms: Vec::with_capacity(ck.max_arm_depth),
             loops: [0; MAX_LOOP_DEPTH],
@@ -258,25 +538,8 @@ impl BlockExec {
     }
 
     #[inline]
-    fn reg(&self, r: Reg, lane: u32) -> i64 {
-        self.regs[r as usize * self.b as usize + lane as usize]
-    }
-
-    #[inline]
-    fn set_reg(&mut self, r: Reg, lane: u32, v: i64) {
-        self.regs[r as usize * self.b as usize + lane as usize] = v;
-    }
-
-    #[inline]
-    fn operand(&self, op: Operand, lane: u32) -> i64 {
-        match op {
-            Operand::Reg(r) => self.reg(r, lane),
-            Operand::Imm(v) => v,
-            Operand::Lane => i64::from(lane),
-            Operand::Block => self.block_xy.0,
-            Operand::BlockY => self.block_xy.1,
-            Operand::LoopVar(d) => self.loops.get(d as usize).copied().unwrap_or(0) as i64,
-        }
+    fn reg(&self, r: Reg, lane: usize) -> i64 {
+        self.regs[r as usize * self.b as usize + lane]
     }
 
     /// Fills `out[0..b]` with an operand's value for every lane.
@@ -300,6 +563,43 @@ impl BlockExec {
         }
     }
 
+    /// An operand's value in every lane: a register's own row, any other
+    /// operand written into `buf`.
+    #[inline]
+    fn operand_row<'a>(&'a self, op: Operand, buf: &'a mut [i64; 64]) -> &'a [i64] {
+        let b = self.b as usize;
+        match op {
+            Operand::Reg(r) => &self.regs[r as usize * b..][..b],
+            _ => {
+                self.operand_row_into(op, buf);
+                &buf[..b]
+            }
+        }
+    }
+
+    /// The lanes (of all `b`) where `pred` holds: its two operand rows
+    /// compared into mask bits.
+    fn pred_mask(&self, pred: &PredExpr, s: &mut Scratch) -> u64 {
+        fn bits(a: &[i64], b: &[i64], holds: impl Fn(i64, i64) -> bool) -> u64 {
+            a.iter().zip(b).enumerate().fold(0, |m, (i, (&x, &y))| m | u64::from(holds(x, y)) << i)
+        }
+        let (a, b) = pred.operands();
+        let (ra, rb) = (self.operand_row(a, &mut s.op_a), self.operand_row(b, &mut s.op_b));
+        match pred {
+            PredExpr::Lt(..) => bits(ra, rb, |x, y| x < y),
+            PredExpr::Le(..) => bits(ra, rb, |x, y| x <= y),
+            PredExpr::Eq(..) => bits(ra, rb, |x, y| x == y),
+            PredExpr::Ne(..) => bits(ra, rb, |x, y| x != y),
+        }
+    }
+
+    /// Pops the innermost divergence construct; returns the mask to
+    /// restore.  The lowering keeps the stack balanced — the top level
+    /// runs under the full mask.
+    fn pop_arm(&mut self) -> u64 {
+        self.arms.pop().map_or(self.full_mask, |arm| arm.parent)
+    }
+
     fn oob_shared(&self, ck: &CompiledKernel, addr: i64) -> SimError {
         SimError::SharedOutOfBounds { kernel: ck.name.clone(), addr, size: self.smem.len() }
     }
@@ -308,71 +608,63 @@ impl BlockExec {
         SimError::GlobalOutOfBounds { kernel: ck.name.clone(), addr, size }
     }
 
-    /// The first out-of-bounds address a lane-ordered scan of the
-    /// contiguous range `[base, base + n)` against `len` would report.
-    #[inline]
-    fn first_oob(base: i64, len: u64) -> i64 {
-        if base < 0 {
-            base
-        } else {
-            base.max(len as i64)
-        }
-    }
-
-    /// Evaluates a site's addresses for the active lanes into
-    /// `s.addr_buf` and returns the materialisation plan.
-    fn plan_addrs(&self, site: &Site, mask: u64, s: &mut Scratch) -> AddrPlan {
+    /// Resolves a site's lane addresses for one access against `len`
+    /// words of memory: an in-bounds [`Row`] when the address is affine
+    /// with a warp-uniform offset, each active lane's address in
+    /// `s.addr_buf` otherwise.
+    #[inline(always)]
+    fn plan_addrs(&self, site: &Site, mask: u64, len: u64, s: &mut Scratch) -> AddrPlan {
         match &site.addr {
             SiteAddr::Affine(a) => {
                 let folded = a.fold_warp(self.block_xy, &self.loops);
-                match site.fast {
-                    FastPath::Unit if mask == self.full_mask => AddrPlan::Contig(folded),
-                    FastPath::Broadcast => AddrPlan::Bcast(folded),
-                    _ => {
-                        let stride = a.lane;
-                        match a.reg {
-                            None => {
-                                let mut m = mask;
-                                while m != 0 {
-                                    let lane = m.trailing_zeros();
-                                    m &= m - 1;
-                                    s.addr_buf[lane as usize] = folded + stride * i64::from(lane);
-                                }
-                            }
-                            Some((r, c)) => {
-                                let mut m = mask;
-                                while m != 0 {
-                                    let lane = m.trailing_zeros();
-                                    m &= m - 1;
-                                    s.addr_buf[lane as usize] =
-                                        folded + stride * i64::from(lane) + c * self.reg(r, lane);
-                                }
-                            }
-                        }
-                        AddrPlan::PerLane
+                if site.fast != FastPath::Dynamic {
+                    if let Some(row) = self.row(a, folded, mask, len) {
+                        return AddrPlan::Row(row);
                     }
+                }
+                for lane in lanes(mask) {
+                    s.addr_buf[lane] = a.lane_addr(folded, lane as i64, |r| self.reg(r, lane));
                 }
             }
             SiteAddr::Tree(t) => {
-                let block = self.block_xy;
-                let gbase = site.gbase;
-                let mut m = mask;
-                while m != 0 {
-                    let lane = m.trailing_zeros();
-                    m &= m - 1;
-                    let regs = &self.regs;
-                    let b = self.b as usize;
-                    let mut read = |r: Reg| regs[r as usize * b + lane as usize];
-                    s.addr_buf[lane as usize] =
-                        t.eval(i64::from(lane), block, &self.loops, &mut read) + gbase;
+                for lane in lanes(mask) {
+                    let mut read = |r: Reg| self.reg(r, lane);
+                    s.addr_buf[lane] =
+                        t.eval(lane as i64, self.block_xy, &self.loops, &mut read) + site.gbase;
                 }
-                AddrPlan::PerLane
             }
         }
+        AddrPlan::PerLane
+    }
+
+    /// The row of an affine access with a warp-uniform offset, when its
+    /// lowest and highest active lane address `len` words of memory —
+    /// the addresses are monotone in the lane, so every active lane then
+    /// does — and no address between them overflows in the reference's
+    /// order of evaluation (the lane term, then the register's).
+    #[inline(always)]
+    fn row(&self, a: &AffineAddr, folded: i64, mask: u64, len: u64) -> Option<Row> {
+        let (lo, hi) = lane_span(mask);
+        let at = |lane: usize| a.lane.checked_mul(lane as i64)?.checked_add(folded);
+        let (mut first, mut last, mut base) = (at(lo)?, at(hi)?, folded);
+        if let Some((r, c)) = a.reg {
+            // Warp-uniform: the first active lane's value is every lane's.
+            let offset = c.checked_mul(self.reg(r, lo))?;
+            first = first.checked_add(offset)?;
+            last = last.checked_add(offset)?;
+            base = base.checked_add(offset)?;
+        }
+        let in_bounds = |addr: i64| u64::try_from(addr).is_ok_and(|w| w < len);
+        let row = Row { base, stride: a.lane, start: first as usize, lo, hi };
+        (in_bounds(first) && in_bounds(last)).then_some(row)
     }
 
     /// Bank-conflict degree of one shared access, given the plan.
+    #[inline(always)]
     fn shared_degree(&self, site: &Site, mask: u64, plan: AddrPlan, s: &mut Scratch) -> u32 {
+        let AddrPlan::Row(row) = plan else {
+            return s.conflict_degree(mask, self.b);
+        };
         if let Some(d) = site.full_degree {
             // Degree 1 is mask-independent (broadcast, or all lanes in
             // distinct banks); other exact degrees hold for the full warp.
@@ -387,233 +679,60 @@ impl BlockExec {
                 return d;
             }
         }
-        match plan {
-            AddrPlan::Contig(_) | AddrPlan::Bcast(_) => 1,
-            AddrPlan::PerLane => s.conflict_degree(mask, self.b),
-        }
+        masked_conflict_degree(row.stride, mask, u64::from(self.b)) as u32
     }
 
     /// Coalesced transaction count of one global access, given the plan.
+    #[inline(always)]
     fn global_txns(&self, site: &Site, mask: u64, plan: AddrPlan, s: &mut Scratch) -> u32 {
-        let bw = i64::from(self.b);
-        match plan {
-            AddrPlan::Bcast(_) => 1,
-            AddrPlan::Contig(folded) => {
-                if let Some(table) = &site.txn_table {
-                    table[folded.rem_euclid(bw) as usize]
-                } else {
-                    lane_span_blocks(folded.rem_euclid(bw), 1, u64::from(self.b), u64::from(self.b))
-                        as u32
-                }
+        let AddrPlan::Row(row) = plan else {
+            return s.distinct_blocks(mask, self.b);
+        };
+        // The table is exact for the mask it was computed over: the
+        // site's compile-time mask when one is known (masked-affine
+        // static path), the full warp otherwise.
+        match &site.txn_table {
+            Some(table) if mask == site.mask.unwrap_or(self.full_mask) => {
+                table[row.base.rem_euclid(i64::from(self.b)) as usize]
             }
-            AddrPlan::PerLane => match &site.addr {
-                SiteAddr::Affine(a) if a.reg.is_none() => {
-                    // The table is exact for the mask it was computed
-                    // over: the site's compile-time mask when one is
-                    // known (masked-affine static path), the full warp
-                    // otherwise.
-                    if mask == site.mask.unwrap_or(self.full_mask) {
-                        if let Some(table) = &site.txn_table {
-                            let folded = a.fold_warp(self.block_xy, &self.loops);
-                            return table[folded.rem_euclid(bw) as usize];
-                        }
-                    }
-                    // Static affine addresses are monotone in lane order:
-                    // count quotient transitions over active lanes.
-                    let mut txns = 0u32;
-                    let mut prev = 0i64;
-                    let mut first = true;
-                    let mut m = mask;
-                    while m != 0 {
-                        let lane = m.trailing_zeros();
-                        m &= m - 1;
-                        let q = s.addr_buf[lane as usize].div_euclid(bw);
-                        if first || q != prev {
-                            txns += 1;
-                            prev = q;
-                            first = false;
-                        }
-                    }
-                    txns
-                }
-                _ => s.distinct_blocks(mask, self.b),
-            },
+            _ => masked_span_blocks(row.base, row.stride, mask, u64::from(self.b)) as u32,
         }
     }
 
-    /// Reads a shared site's words into `s.val_buf` for the active lanes.
-    fn shared_gather(
-        &self,
-        ck: &CompiledKernel,
-        plan: AddrPlan,
-        mask: u64,
-        s: &mut Scratch,
-    ) -> Result<(), SimError> {
-        let b = self.b as usize;
-        match plan {
-            AddrPlan::Contig(base) => {
-                let len = self.smem.len();
-                if base < 0 || base + b as i64 > len as i64 {
-                    return Err(self.oob_shared(ck, Self::first_oob(base, len)));
-                }
-                let start = base as usize;
-                s.val_buf[..b].copy_from_slice(&self.smem.words()[start..start + b]);
-            }
-            AddrPlan::Bcast(addr) => {
-                let v = self.smem.read(addr).ok_or_else(|| self.oob_shared(ck, addr))?;
-                let mut m = mask;
-                while m != 0 {
-                    let lane = m.trailing_zeros();
-                    m &= m - 1;
-                    s.val_buf[lane as usize] = v;
-                }
-            }
-            AddrPlan::PerLane => {
-                let mut m = mask;
-                while m != 0 {
-                    let lane = m.trailing_zeros();
-                    m &= m - 1;
-                    let addr = s.addr_buf[lane as usize];
-                    s.val_buf[lane as usize] =
-                        self.smem.read(addr).ok_or_else(|| self.oob_shared(ck, addr))?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Writes `s.val_buf` to a shared site for the active lanes.
-    fn shared_scatter(
-        &mut self,
-        ck: &CompiledKernel,
-        plan: AddrPlan,
-        mask: u64,
-        s: &Scratch,
-    ) -> Result<(), SimError> {
-        let b = self.b as usize;
-        match plan {
-            AddrPlan::Contig(base) => {
-                let len = self.smem.len();
-                if base < 0 || base + b as i64 > len as i64 {
-                    return Err(self.oob_shared(ck, Self::first_oob(base, len)));
-                }
-                let start = base as usize;
-                self.smem.words_mut()[start..start + b].copy_from_slice(&s.val_buf[..b]);
-            }
-            _ => {
-                let mut m = mask;
-                while m != 0 {
-                    let lane = m.trailing_zeros();
-                    m &= m - 1;
-                    let addr = match plan {
-                        AddrPlan::Bcast(a) => a,
-                        _ => s.addr_buf[lane as usize],
-                    };
-                    if !self.smem.write(addr, s.val_buf[lane as usize]) {
-                        return Err(self.oob_shared(ck, addr));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Reads a global site's words into `s.val_buf` for the active lanes.
-    fn global_gather(
-        &self,
-        ck: &CompiledKernel,
-        gmem: &GmemAccess<'_>,
-        plan: AddrPlan,
-        mask: u64,
-        s: &mut Scratch,
-    ) -> Result<(), SimError> {
-        let b = self.b as usize;
-        match plan {
-            AddrPlan::Contig(base) => {
-                let len = gmem.len();
-                if base < 0 || base + b as i64 > len as i64 {
-                    return Err(Self::oob_global(ck, Self::first_oob(base, len), len));
-                }
-                let ok = gmem.read_block(base, &mut s.val_buf[..b]);
-                debug_assert!(ok);
-            }
-            AddrPlan::Bcast(addr) => {
-                let v = gmem.read(addr).ok_or_else(|| Self::oob_global(ck, addr, gmem.len()))?;
-                let mut m = mask;
-                while m != 0 {
-                    let lane = m.trailing_zeros();
-                    m &= m - 1;
-                    s.val_buf[lane as usize] = v;
-                }
-            }
-            AddrPlan::PerLane => {
-                let mut m = mask;
-                while m != 0 {
-                    let lane = m.trailing_zeros();
-                    m &= m - 1;
-                    let addr = s.addr_buf[lane as usize];
-                    s.val_buf[lane as usize] =
-                        gmem.read(addr).ok_or_else(|| Self::oob_global(ck, addr, gmem.len()))?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Writes `s.val_buf` to a global site for the active lanes.
-    fn global_scatter(
+    /// Moves the shared words `from` addresses (`s.val_buf` when per
+    /// lane) to the global words `to` addresses, for the active lanes.  A
+    /// logged target records each active lane's write in lane order, as
+    /// the reference does.
+    fn global_store(
         &self,
         ck: &CompiledKernel,
         gmem: &mut GmemAccess<'_>,
-        plan: AddrPlan,
+        to: AddrPlan,
+        from: AddrPlan,
         mask: u64,
-        s: &Scratch,
+        s: &mut Scratch,
     ) -> Result<(), SimError> {
-        let b = self.b as usize;
-        let block = self.block;
-        match plan {
-            AddrPlan::Contig(base) => {
-                let len = gmem.len();
-                if base < 0 || base + b as i64 > len as i64 {
-                    return Err(Self::oob_global(ck, Self::first_oob(base, len), len));
+        let src = self.smem.words();
+        let stored = match gmem {
+            GmemAccess::Direct(g) => move_lanes(src, from, g.words_mut(), to, mask, s),
+            GmemAccess::Logged { .. } => {
+                if let AddrPlan::Row(f) = from {
+                    gather(src, f, &mut s.val_buf);
                 }
-                let ok = gmem.write_block(base, &s.val_buf[..b], block);
-                debug_assert!(ok);
-            }
-            _ => {
-                let mut m = mask;
-                while m != 0 {
-                    let lane = m.trailing_zeros();
-                    m &= m - 1;
-                    let addr = match plan {
-                        AddrPlan::Bcast(a) => a,
-                        _ => s.addr_buf[lane as usize],
+                lanes(mask).try_for_each(|lane| {
+                    let addr = match to {
+                        AddrPlan::Row(row) => row.addr(lane),
+                        AddrPlan::PerLane => s.addr_buf[lane],
                     };
-                    if !gmem.write(addr, s.val_buf[lane as usize], block) {
-                        return Err(Self::oob_global(ck, addr, gmem.len()));
+                    if gmem.write(addr, s.val_buf[lane], self.block) {
+                        Ok(())
+                    } else {
+                        Err(addr)
                     }
-                }
+                })
             }
-        }
-        Ok(())
-    }
-
-    /// Evaluates a branch predicate over the active lanes.
-    fn eval_pred(&self, pred: &atgpu_ir::PredExpr, parent: u64) -> u64 {
-        let block = self.block_xy;
-        let mut then_mask = 0u64;
-        let mut m = parent;
-        while m != 0 {
-            let lane = m.trailing_zeros();
-            m &= m - 1;
-            let regs = &self.regs;
-            let b = self.b as usize;
-            let mut read = |r: Reg| regs[r as usize * b + lane as usize];
-            if pred.eval(i64::from(lane), block, &self.loops, &mut read) {
-                then_mask |= 1 << lane;
-            }
-        }
-        then_mask
+        };
+        stored.map_err(|addr| Self::oob_global(ck, addr, gmem.len()))
     }
 }
 
@@ -633,7 +752,6 @@ impl BlockSim for BlockExec {
         self.regs.resize(ck.nregs as usize * ck.b as usize, 0);
         self.smem.reset(ck.shared_words);
         self.pc = 0;
-        self.masks.clear();
         self.arms.clear();
         self.cur_mask = self.full_mask;
         self.loops = [0; MAX_LOOP_DEPTH];
@@ -645,10 +763,12 @@ impl BlockSim for BlockExec {
         s: &mut Scratch,
         gmem: &mut GmemAccess<'_>,
     ) -> Result<StepEvent, SimError> {
+        let n = self.b as usize;
         loop {
             let Some(op) = ck.prog.get(self.pc as usize) else {
                 return Ok(StepEvent::Done);
             };
+            let mask = self.cur_mask;
             match op {
                 Uop::LoopStart { depth } => {
                     self.loops[*depth as usize] = 0;
@@ -663,40 +783,35 @@ impl BlockSim for BlockExec {
                         self.pc += 1;
                     }
                 }
-                Uop::ThenEnd { join } => {
-                    let pending = self.arms.last_mut().expect("arm stack in sync");
-                    if *pending != 0 {
-                        self.cur_mask = *pending;
-                        *pending = 0;
+                Uop::ThenEnd { join } => match self.arms.last_mut() {
+                    Some(arm) if arm.pending != 0 => {
+                        self.cur_mask = std::mem::take(&mut arm.pending);
                         self.pc += 1; // else-region starts right after
-                    } else {
-                        self.arms.pop();
-                        self.cur_mask = self.masks.pop().expect("mask stack in sync");
+                    }
+                    _ => {
+                        self.cur_mask = self.pop_arm();
                         self.pc = *join;
                     }
-                }
+                },
                 Uop::ElseEnd => {
-                    self.arms.pop();
-                    self.cur_mask = self.masks.pop().expect("mask stack in sync");
+                    self.cur_mask = self.pop_arm();
                     self.pc += 1;
                 }
                 Uop::Branch { pred, const_then, else_start, join } => {
-                    let parent = self.cur_mask;
                     let then_mask = match const_then {
-                        Some(m) => m & parent,
-                        None => self.eval_pred(pred, parent),
+                        Some(m) => m & mask,
+                        None => self.pred_mask(pred, s) & mask,
                     };
-                    let else_mask = parent & !then_mask;
+                    let else_mask = mask & !then_mask;
                     let has_then = *else_start > self.pc + 1;
                     let has_else = *join > *else_start;
                     if has_then && then_mask != 0 {
-                        self.masks.push(parent);
-                        self.arms.push(if has_else { else_mask } else { 0 });
+                        let pending = if has_else { else_mask } else { 0 };
+                        self.arms.push(Arm { parent: mask, pending });
                         self.cur_mask = then_mask;
                         self.pc += 1;
                     } else if has_else && else_mask != 0 {
-                        self.masks.push(parent);
-                        self.arms.push(0);
+                        self.arms.push(Arm { parent: mask, pending: 0 });
                         self.cur_mask = else_mask;
                         self.pc = *else_start;
                     } else {
@@ -709,214 +824,121 @@ impl BlockSim for BlockExec {
                     return Ok(StepEvent::Compute { cycles: 1 });
                 }
                 Uop::Alu { op, dst, a, b } => {
-                    let mask = self.cur_mask;
-                    let (op, dst, a, b) = (*op, *dst, *a, *b);
-                    if mask == self.full_mask {
-                        let n = self.b as usize;
-                        self.operand_row_into(a, &mut s.op_a);
-                        self.operand_row_into(b, &mut s.op_b);
-                        let start = dst as usize * n;
-                        let (ra, rb) = (&s.op_a, &s.op_b);
-                        let row = &mut self.regs[start..start + n];
-                        // One branch on `op`, then a tight (vectorisable)
-                        // lane loop — the compiler cannot be trusted to
-                        // unswitch `op.apply` out of the loop on its own.
-                        macro_rules! row_op {
-                            ($f:expr) => {
-                                for i in 0..n {
-                                    row[i] = $f(ra[i], rb[i]);
-                                }
-                            };
+                    // Every operand that is not a register becomes a row
+                    // first; registers are read in place.
+                    for (x, buf) in [(*a, &mut s.op_a), (*b, &mut s.op_b)] {
+                        if !matches!(x, Operand::Reg(_)) {
+                            self.operand_row_into(x, buf);
                         }
-                        match op {
-                            AluOp::Add => row_op!(i64::wrapping_add),
-                            AluOp::Sub => row_op!(i64::wrapping_sub),
-                            AluOp::Mul => row_op!(i64::wrapping_mul),
-                            AluOp::Min => row_op!(|x: i64, y: i64| x.min(y)),
-                            AluOp::Max => row_op!(|x: i64, y: i64| x.max(y)),
-                            AluOp::And => row_op!(|x: i64, y: i64| x & y),
-                            AluOp::Or => row_op!(|x: i64, y: i64| x | y),
-                            AluOp::Xor => row_op!(|x: i64, y: i64| x ^ y),
-                            AluOp::SetLt => row_op!(|x: i64, y: i64| i64::from(x < y)),
-                            AluOp::SetEq => row_op!(|x: i64, y: i64| i64::from(x == y)),
-                            _ => row_op!(|x: i64, y: i64| op.apply(x, y)),
-                        }
+                    }
+                    let d = *dst as usize;
+                    let (lo, hi) = lane_span(mask);
+                    let (before, rest) = self.regs.split_at_mut(d * n);
+                    let (out, after) = rest.split_at_mut(n);
+                    let split = (&*before, &*after);
+                    let (ra, rb) =
+                        (Arg::of(*a, d, n, split, &s.op_a), Arg::of(*b, d, n, split, &s.op_b));
+                    let (ra, rb, out) = (ra.span(lo, hi), rb.span(lo, hi), &mut out[lo..=hi]);
+                    if dense(mask >> lo) {
+                        // One span of active lanes: computed in place.
+                        alu_row(*op, ra, rb, out);
                     } else {
-                        let mut m = mask;
-                        while m != 0 {
-                            let lane = m.trailing_zeros();
-                            m &= m - 1;
-                            let va = self.operand(a, lane);
-                            let vb = self.operand(b, lane);
-                            self.set_reg(dst, lane, op.apply(va, vb));
-                        }
+                        // Every lane of the span, then blended in by the
+                        // mask (`apply` is total).
+                        let tmp = &mut s.val_buf[lo..=hi];
+                        let dst_row = &*out;
+                        let old = |x| if let Arg::Out = x { Arg::Row(dst_row) } else { x };
+                        alu_row(*op, old(ra), old(rb), tmp);
+                        blend(out, tmp, mask >> lo);
                     }
                     self.pc += 1;
                     return Ok(StepEvent::Compute { cycles: op.issue_cycles() });
                 }
                 Uop::Mov { dst, src } => {
-                    let mask = self.cur_mask;
-                    let (dst, src) = (*dst, *src);
-                    if mask == self.full_mask {
-                        let n = self.b as usize;
-                        let start = dst as usize * n;
-                        match src {
-                            Operand::Reg(r) => {
-                                self.regs.copy_within(r as usize * n..r as usize * n + n, start);
-                            }
-                            _ => {
-                                self.operand_row_into(src, &mut s.op_a);
-                                self.regs[start..start + n].copy_from_slice(&s.op_a[..n]);
-                            }
+                    let d = *dst as usize * n;
+                    match *src {
+                        Operand::Reg(r) if mask == self.full_mask => {
+                            self.regs.copy_within(r as usize * n..r as usize * n + n, d);
                         }
-                    } else {
-                        let mut m = mask;
-                        while m != 0 {
-                            let lane = m.trailing_zeros();
-                            m &= m - 1;
-                            let v = self.operand(src, lane);
-                            self.set_reg(dst, lane, v);
+                        src => {
+                            self.operand_row_into(src, &mut s.op_a);
+                            blend_lanes(&mut self.regs[d..d + n], &s.op_a[..n], mask);
                         }
                     }
                     self.pc += 1;
                     return Ok(StepEvent::Compute { cycles: 1 });
                 }
                 Uop::LdShr { dst, site } => {
-                    let mask = self.cur_mask;
-                    let (dst, site_id) = (*dst, *site);
-                    let site = &ck.sites[site_id as usize];
-                    let plan = self.plan_addrs(site, mask, s);
+                    let site = &ck.sites[*site as usize];
+                    let plan = self.plan_addrs(site, mask, self.smem.len(), s);
                     let degree = self.shared_degree(site, mask, plan, s);
-                    if let AddrPlan::Contig(base) = plan {
-                        // Fused path: shared words straight into the
-                        // register row, no intermediate buffer.
-                        let n = self.b as usize;
-                        let len = self.smem.len();
-                        if base < 0 || base + n as i64 > len as i64 {
-                            return Err(self.oob_shared(ck, Self::first_oob(base, len)));
+                    let d = *dst as usize * n;
+                    let words = self.smem.words();
+                    match plan {
+                        // Straight from shared memory into the register row.
+                        AddrPlan::Row(row) if row.stride == 1 => {
+                            let dst = &mut self.regs[d + row.lo..=d + row.hi];
+                            blend(dst, &words[row.start..][..dst.len()], mask >> row.lo);
                         }
-                        let start = dst as usize * n;
-                        self.regs[start..start + n]
-                            .copy_from_slice(&self.smem.words()[base as usize..base as usize + n]);
-                    } else {
-                        self.shared_gather(ck, plan, mask, s)?;
-                        let mut m = mask;
-                        while m != 0 {
-                            let lane = m.trailing_zeros();
-                            m &= m - 1;
-                            self.set_reg(dst, lane, s.val_buf[lane as usize]);
+                        AddrPlan::Row(row) if row.dense(mask) => {
+                            gather(words, row, &mut self.regs[d..d + n]);
+                        }
+                        _ => {
+                            read(words, plan, mask, s).map_err(|addr| self.oob_shared(ck, addr))?;
+                            blend_lanes(&mut self.regs[d..d + n], &s.val_buf[..n], mask);
                         }
                     }
                     self.pc += 1;
                     return Ok(StepEvent::Shared { degree });
                 }
                 Uop::StShr { site, src } => {
-                    let mask = self.cur_mask;
-                    let (site_id, src) = (*site, *src);
-                    let site = &ck.sites[site_id as usize];
-                    let plan = self.plan_addrs(site, mask, s);
+                    let site = &ck.sites[*site as usize];
+                    let plan = self.plan_addrs(site, mask, self.smem.len(), s);
                     let degree = self.shared_degree(site, mask, plan, s);
-                    if let (AddrPlan::Contig(base), Operand::Reg(r)) = (plan, src) {
-                        // Fused path: register row straight into shared
-                        // memory.
-                        let n = self.b as usize;
-                        let len = self.smem.len();
-                        if base < 0 || base + n as i64 > len as i64 {
-                            return Err(self.oob_shared(ck, Self::first_oob(base, len)));
-                        }
-                        self.smem.words_mut()[base as usize..base as usize + n]
-                            .copy_from_slice(&self.regs[r as usize * n..r as usize * n + n]);
-                    } else {
-                        if mask == self.full_mask {
+                    let row: &[i64] = match *src {
+                        Operand::Reg(r) => &self.regs[r as usize * n..][..n],
+                        src => {
                             self.operand_row_into(src, &mut s.val_buf);
-                        } else {
-                            let mut m = mask;
-                            while m != 0 {
-                                let lane = m.trailing_zeros();
-                                m &= m - 1;
-                                s.val_buf[lane as usize] = self.operand(src, lane);
-                            }
+                            &s.val_buf[..n]
                         }
-                        self.shared_scatter(ck, plan, mask, s)?;
-                    }
+                    };
+                    write(self.smem.words_mut(), plan, row, mask, &s.addr_buf)
+                        .map_err(|addr| self.oob_shared(ck, addr))?;
                     self.pc += 1;
                     return Ok(StepEvent::Shared { degree });
                 }
                 Uop::GlbToShr { shared, global } => {
-                    let mask = self.cur_mask;
-                    let (shared_id, global_id) = (*shared, *global);
-                    let gsite = &ck.sites[global_id as usize];
-                    let gplan = self.plan_addrs(gsite, mask, s);
+                    // Error precedence matches the reference: every global
+                    // read before any shared write.  An in-bounds row has
+                    // no error to report; a per-lane plan reads first.
+                    let gsite = &ck.sites[*global as usize];
+                    let gplan = self.plan_addrs(gsite, mask, gmem.len(), s);
                     let txns = self.global_txns(gsite, mask, gplan, s);
-                    let ssite = &ck.sites[shared_id as usize];
-                    if let (AddrPlan::Contig(gbase), FastPath::Unit) = (gplan, ssite.fast) {
-                        // Fused path: both sides contiguous — one
-                        // global-heap-to-shared copy.  Error precedence
-                        // matches the reference: global bounds first.
-                        let n = self.b as usize;
-                        let glen = gmem.len();
-                        if gbase < 0 || gbase + n as i64 > glen as i64 {
-                            return Err(Self::oob_global(ck, Self::first_oob(gbase, glen), glen));
-                        }
-                        let splan = self.plan_addrs(ssite, mask, s);
-                        let AddrPlan::Contig(sbase) = splan else {
-                            unreachable!("unit-stride site under full mask is contiguous")
-                        };
-                        let degree = self.shared_degree(ssite, mask, splan, s);
-                        let slen = self.smem.len();
-                        if sbase < 0 || sbase + n as i64 > slen as i64 {
-                            return Err(self.oob_shared(ck, Self::first_oob(sbase, slen)));
-                        }
-                        self.smem.words_mut()[sbase as usize..sbase as usize + n]
-                            .copy_from_slice(&gmem.view()[gbase as usize..gbase as usize + n]);
-                        self.pc += 1;
-                        return Ok(StepEvent::Global { txns, issue: degree });
+                    if let AddrPlan::PerLane = gplan {
+                        read(gmem.view(), gplan, mask, s)
+                            .map_err(|addr| Self::oob_global(ck, addr, gmem.len()))?;
                     }
-                    self.global_gather(ck, gmem, gplan, mask, s)?;
-                    let splan = self.plan_addrs(ssite, mask, s);
+                    let ssite = &ck.sites[*shared as usize];
+                    let splan = self.plan_addrs(ssite, mask, self.smem.len(), s);
                     let degree = self.shared_degree(ssite, mask, splan, s);
-                    self.shared_scatter(ck, splan, mask, s)?;
+                    move_lanes(gmem.view(), gplan, self.smem.words_mut(), splan, mask, s)
+                        .map_err(|addr| self.oob_shared(ck, addr))?;
                     self.pc += 1;
                     return Ok(StepEvent::Global { txns, issue: degree });
                 }
                 Uop::ShrToGlb { global, shared } => {
-                    let mask = self.cur_mask;
-                    let (shared_id, global_id) = (*shared, *global);
-                    let ssite = &ck.sites[shared_id as usize];
-                    let splan = self.plan_addrs(ssite, mask, s);
+                    // Shared reads first, as in the reference.
+                    let ssite = &ck.sites[*shared as usize];
+                    let splan = self.plan_addrs(ssite, mask, self.smem.len(), s);
                     let degree = self.shared_degree(ssite, mask, splan, s);
-                    let gsite = &ck.sites[global_id as usize];
-                    if let (AddrPlan::Contig(sbase), FastPath::Unit) = (splan, gsite.fast) {
-                        // Fused path: shared words straight to the global
-                        // heap.  Error precedence matches the reference:
-                        // shared bounds first.
-                        let n = self.b as usize;
-                        let slen = self.smem.len();
-                        if sbase < 0 || sbase + n as i64 > slen as i64 {
-                            return Err(self.oob_shared(ck, Self::first_oob(sbase, slen)));
-                        }
-                        let gplan = self.plan_addrs(gsite, mask, s);
-                        let AddrPlan::Contig(gbase) = gplan else {
-                            unreachable!("unit-stride site under full mask is contiguous")
-                        };
-                        let txns = self.global_txns(gsite, mask, gplan, s);
-                        let glen = gmem.len();
-                        if gbase < 0 || gbase + n as i64 > glen as i64 {
-                            return Err(Self::oob_global(ck, Self::first_oob(gbase, glen), glen));
-                        }
-                        let ok = gmem.write_block(
-                            gbase,
-                            &self.smem.words()[sbase as usize..sbase as usize + n],
-                            self.block,
-                        );
-                        debug_assert!(ok);
-                        self.pc += 1;
-                        return Ok(StepEvent::Global { txns, issue: degree });
+                    if let AddrPlan::PerLane = splan {
+                        read(self.smem.words(), splan, mask, s)
+                            .map_err(|addr| self.oob_shared(ck, addr))?;
                     }
-                    self.shared_gather(ck, splan, mask, s)?;
-                    let gplan = self.plan_addrs(gsite, mask, s);
+                    let gsite = &ck.sites[*global as usize];
+                    let gplan = self.plan_addrs(gsite, mask, gmem.len(), s);
                     let txns = self.global_txns(gsite, mask, gplan, s);
-                    self.global_scatter(ck, gmem, gplan, mask, s)?;
+                    self.global_store(ck, gmem, gplan, splan, mask, s)?;
                     self.pc += 1;
                     return Ok(StepEvent::Global { txns, issue: degree });
                 }
@@ -926,6 +948,7 @@ impl BlockSim for BlockExec {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;

@@ -27,8 +27,8 @@
 //! ```text
 //!           ┌ once per launch ─────────────┐   ┌ per thread block ──────────────┐
 //!  Kernel ──► uop::CompiledKernel::compile ├───► engine::BlockExec (flat pc,    ├──► StepEvents
-//!  (Instr    │  · flatten Repeat/Pred into │   │   mask/arm stacks, contiguous  │    │
-//!   tree)    │    jump-targeted Vec<Uop>   │   │   copies, O(1) txn/degree      │    ▼
+//!  (Instr    │  · flatten Repeat/Pred into │   │   arm stack, whole rows under  │    │
+//!   tree)    │    jump-targeted Vec<Uop>   │   │   any mask, O(1) txn/degree    │    ▼
 //!            │  · classify each site:      │   │   lookups, fixed scratch)      │  mp::Mp (min (ready,
 //!            │    unit/bcast/strided/dyn   │   │                                │  index) key tree) →
 //!            │  · bake conflict degrees +  │   │  timing is read from the site  │  device (run to the

@@ -17,8 +17,16 @@
 //!   transaction table (`txn_table[folded_base mod b]`), turning the
 //!   per-access O(b) lane scan into one table lookup — buffer bases are
 //!   folded into the affine base at compile time;
-//! * unit-stride and broadcast shapes are tagged so the executor can use
-//!   contiguous block copies instead of per-lane address evaluation;
+//! * unit-stride, broadcast and strided shapes are tagged so the executor
+//!   moves whole rows — one bounds check at the lowest and highest active
+//!   lane, then one gather or scatter pass — instead of evaluating and
+//!   checking an address per lane;
+//! * **uniform-affine** shapes — `lane·c ± reg` over a register the
+//!   lowering proves warp-uniform ([`LaneValues::is_uniform`]: written
+//!   under the full mask from immediates, block and loop indices and
+//!   other uniform registers, like scan's `1 << t`) — are classified and
+//!   tabled by their lane stride exactly as static ones: the register
+//!   adds one offset to the whole warp, read once per access;
 //! * **masked-affine** shapes — a static affine stride under a
 //!   compile-time active-lane mask — get exact baked conflict degrees
 //!   and mask-aware transaction tables.  Masks come from lane/immediate
@@ -31,14 +39,20 @@
 //! These per-site answers are the executor's only source of timing: an
 //! access's event is read from its site as it executes (see
 //! [`crate::engine`]).
+//!
+//! Lowering is on the path of every submitted kernel, so the module
+//! denies the panicking calls.
+
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use atgpu_ir::affine::{masked_conflict_degree, masked_span_blocks, AffineAddr, CompiledAddr};
 use atgpu_ir::{
     AddrExpr, AluOp, Instr, Kernel, LaneValues, Operand, PredExpr, Reg, MAX_LOOP_DEPTH,
 };
 
-/// Index into [`CompiledKernel::sites`].
-pub type SiteId = u16;
+/// Index into [`CompiledKernel::sites`].  An instruction has at most two
+/// sites, so a kernel body that fits in memory cannot exhaust it.
+pub type SiteId = u32;
 
 /// One flat micro-operation.  Control flow uses absolute program-counter
 /// targets computed at compile time.
@@ -130,17 +144,19 @@ pub enum Uop {
     },
 }
 
-/// Executor fast-path classification of a site's per-lane address.
+/// Executor fast-path classification of a site's per-lane address.  The
+/// first three are affine with a warp-uniform offset — static, or a
+/// warp-uniform register's (see the module docs) — so lane `l` addresses
+/// `offset + stride·l`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FastPath {
-    /// Static affine, lane stride 1: the warp touches a contiguous word
-    /// range starting at the folded base.
+    /// Lane stride 1: the warp touches a contiguous word range.
     Unit,
-    /// Static affine, lane stride 0: every lane addresses the same word.
+    /// Lane stride 0: every lane addresses the same word.
     Broadcast,
-    /// Static affine with another lane stride.
+    /// Another lane stride.
     Strided,
-    /// Register-dependent affine or non-affine tree: evaluate per lane.
+    /// Lane-varying register affine or non-affine tree: evaluate per lane.
     Dynamic,
 }
 
@@ -162,12 +178,13 @@ pub struct Site {
     pub addr: SiteAddr,
     /// Fast-path classification.
     pub fast: FastPath,
-    /// Full-warp bank-conflict degree (shared sites, static affine).
+    /// Full-warp bank-conflict degree (shared sites, not
+    /// [`FastPath::Dynamic`]).
     pub full_degree: Option<u32>,
-    /// Coalesced transactions per folded-base residue (global sites,
-    /// static affine); indexed by `folded.rem_euclid(b)`.  Computed over
-    /// the site's compile-time [`Site::mask`] when one is known, over the
-    /// full warp otherwise.
+    /// Coalesced transactions per folded-base residue (global sites, not
+    /// [`FastPath::Dynamic`]); indexed by `offset.rem_euclid(b)`.
+    /// Computed over the site's compile-time [`Site::mask`] when one is
+    /// known, over the full warp otherwise.
     pub txn_table: Option<Box<[u32]>>,
     /// The **masked-affine** shape: the compile-time active-lane mask
     /// under which this site executes, when every enclosing divergence
@@ -176,8 +193,8 @@ pub struct Site {
     /// compile time even for partial-warp phases (e.g. the shrinking
     /// prefixes/strides of a tree reduction).
     pub mask: Option<u64>,
-    /// Exact bank-conflict degree for [`Site::mask`] (shared sites,
-    /// static affine, compile-time mask).
+    /// Exact bank-conflict degree for [`Site::mask`] (shared sites, not
+    /// [`FastPath::Dynamic`], compile-time mask).
     pub masked_degree: Option<u32>,
     /// Buffer base still to add at evaluation time (tree-form global
     /// sites only; affine sites have it folded into the base).
@@ -326,55 +343,37 @@ impl Compiler<'_> {
                     let (then_ctx, else_ctx) = self.lanes.arm_masks(parent_ctx, const_then);
                     self.arm_depth += 1;
                     self.max_arm_depth = self.max_arm_depth.max(self.arm_depth);
+                    // Jump targets are known once the arms are lowered:
+                    // the branch and the then-region's end are pushed as
+                    // placeholders and overwritten.
                     let branch_pc = self.prog.len();
-                    self.prog.push(Uop::Branch {
-                        pred: *pred,
-                        const_then,
-                        else_start: 0, // patched below
-                        join: 0,
-                    });
+                    self.prog.push(Uop::Sync);
+                    let mut then_end_pc = None;
                     if !then_body.is_empty() {
                         self.mask_ctx = then_ctx;
                         self.lower_body(then_body);
-                        let then_end_pc = self.prog.len();
-                        self.prog.push(Uop::ThenEnd { join: 0 }); // patched
-                        let else_start = self.prog.len() as u32;
-                        if !else_body.is_empty() {
-                            self.mask_ctx = else_ctx;
-                            self.lower_body(else_body);
-                            self.prog.push(Uop::ElseEnd);
-                        }
-                        let join = self.prog.len() as u32;
-                        let Uop::ThenEnd { join: j } = &mut self.prog[then_end_pc] else {
-                            unreachable!("patching ThenEnd")
-                        };
-                        *j = join;
-                        self.patch_branch(branch_pc, else_start, join);
-                    } else {
-                        // No then-region: the else-region (if any) starts
-                        // right after the branch.
-                        let else_start = self.prog.len() as u32;
-                        if !else_body.is_empty() {
-                            self.mask_ctx = else_ctx;
-                            self.lower_body(else_body);
-                            self.prog.push(Uop::ElseEnd);
-                        }
-                        let join = self.prog.len() as u32;
-                        self.patch_branch(branch_pc, else_start, join);
+                        then_end_pc = Some(self.prog.len());
+                        self.prog.push(Uop::Sync);
                     }
+                    // Without a then-region, the else-region (if any)
+                    // starts right after the branch.
+                    let else_start = self.prog.len() as u32;
+                    if !else_body.is_empty() {
+                        self.mask_ctx = else_ctx;
+                        self.lower_body(else_body);
+                        self.prog.push(Uop::ElseEnd);
+                    }
+                    let join = self.prog.len() as u32;
+                    if let Some(pc) = then_end_pc {
+                        self.prog[pc] = Uop::ThenEnd { join };
+                    }
+                    self.prog[branch_pc] =
+                        Uop::Branch { pred: *pred, const_then, else_start, join };
                     self.mask_ctx = parent_ctx;
                     self.arm_depth -= 1;
                 }
             }
         }
-    }
-
-    fn patch_branch(&mut self, pc: usize, else_start_v: u32, join_v: u32) {
-        let Uop::Branch { else_start, join, .. } = &mut self.prog[pc] else {
-            unreachable!("patching Branch")
-        };
-        *else_start = else_start_v;
-        *join = join_v;
     }
 
     /// Builds the [`Site`] record for one address; `gbase` is `Some` for
@@ -388,21 +387,26 @@ impl Compiler<'_> {
                     Some(g) => AffineAddr { base: a.base + g as i64, ..*a },
                     None => *a,
                 };
-                let fast = match folded_base.reg {
-                    Some(_) => FastPath::Dynamic,
-                    None => match folded_base.lane {
-                        1 => FastPath::Unit,
-                        0 => FastPath::Broadcast,
-                        _ => FastPath::Strided,
-                    },
+                // A warp-uniform register adds the same offset to every
+                // lane: conflict degrees and transaction counts depend on
+                // the lane stride and the offset's residue alone, as for
+                // a static address.
+                let uniform = folded_base.reg.is_none_or(|(r, _)| self.lanes.is_uniform(r));
+                let fast = match (uniform, folded_base.lane) {
+                    (false, _) => FastPath::Dynamic,
+                    (true, 1) => FastPath::Unit,
+                    (true, 0) => FastPath::Broadcast,
+                    (true, _) => FastPath::Strided,
                 };
-                let full_degree = if gbase.is_none() {
-                    folded_base.full_warp_conflict_degree(b).map(|d| d as u32)
-                } else {
-                    None
+                let full_degree = match gbase {
+                    None if uniform => {
+                        let lanes_only = AffineAddr { reg: None, ..folded_base };
+                        lanes_only.full_warp_conflict_degree(b).map(|d| d as u32)
+                    }
+                    _ => None,
                 };
                 let masked_degree = match (gbase, mask_ctx) {
-                    (None, Some(m)) if folded_base.is_static() => {
+                    (None, Some(m)) if uniform => {
                         Some(masked_conflict_degree(folded_base.lane, m, b) as u32)
                     }
                     _ => None,
@@ -411,7 +415,7 @@ impl Compiler<'_> {
                 // mask when one is known (the runtime mask provably
                 // equals it), the full warp otherwise.
                 let table_mask = mask_ctx.unwrap_or(self.full_mask);
-                let txn_table: Option<Box<[u32]>> = if gbase.is_some() && folded_base.is_static() {
+                let txn_table: Option<Box<[u32]>> = if gbase.is_some() && uniform {
                     Some(
                         (0..b as i64)
                             .map(|r| masked_span_blocks(r, folded_base.lane, table_mask, b) as u32)
@@ -440,14 +444,13 @@ impl Compiler<'_> {
                 gbase: gbase.unwrap_or(0) as i64,
             },
         };
-        let id = self.sites.len();
-        assert!(id <= SiteId::MAX as usize, "kernel has too many memory sites");
         self.sites.push(site);
-        id as SiteId
+        (self.sites.len() - 1) as SiteId
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use atgpu_ir::{DBuf, KernelBuilder};
@@ -643,6 +646,29 @@ mod tests {
             })
             .collect();
         assert_eq!(masks, vec![None], "loop-carried register must stay dynamic");
+    }
+
+    #[test]
+    fn only_warp_uniform_register_offsets_take_the_affine_path() {
+        let mut kb = KernelBuilder::new("u", 2, 64);
+        kb.repeat(3, |kb| {
+            // `1 << t`: the same in every lane.
+            kb.alu(AluOp::Shl, 0, Operand::Imm(1), Operand::LoopVar(0));
+            kb.ld_shr(1, AddrExpr::lane() - AddrExpr::reg(0) + 8);
+            // `2·lane`: a value per lane.
+            kb.alu(AluOp::Mul, 2, Operand::Lane, Operand::Imm(2));
+            kb.ld_shr(3, AddrExpr::reg(2));
+            // Written under a partial mask: the other lanes keep theirs.
+            kb.when(PredExpr::Lt(Operand::Lane, Operand::Imm(4)), |kb| {
+                kb.mov(4, Operand::Imm(5));
+            });
+            kb.ld_shr(5, AddrExpr::lane() * 2 + AddrExpr::reg(4));
+        });
+        let c = compile(&kb.build());
+        let fast: Vec<FastPath> = c.sites.iter().map(|s| s.fast).collect();
+        assert_eq!(fast, [FastPath::Unit, FastPath::Dynamic, FastPath::Dynamic]);
+        assert_eq!(c.sites[0].full_degree, Some(1));
+        assert_eq!(c.sites[2].full_degree, None);
     }
 
     #[test]

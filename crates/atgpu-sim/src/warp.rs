@@ -104,51 +104,10 @@ impl GmemAccess<'_> {
         }
     }
 
-    /// Read view of the whole heap (micro-op engine fast paths).
+    /// Read view of the whole heap (the micro-op engine's row gathers).
     #[inline]
     pub(crate) fn view(&self) -> &[i64] {
         self.mem().words()
-    }
-
-    /// Contiguous read of `out.len()` words starting at `addr` (micro-op
-    /// engine fast path).
-    #[inline]
-    pub(crate) fn read_block(&self, addr: i64, out: &mut [i64]) -> bool {
-        let words = self.view();
-        let Ok(start) = usize::try_from(addr) else { return false };
-        let Some(src) = start.checked_add(out.len()).and_then(|end| words.get(start..end)) else {
-            return false;
-        };
-        out.copy_from_slice(src);
-        true
-    }
-
-    /// Contiguous write of `vals` starting at `addr` (micro-op engine
-    /// fast path).  Direct mode is a slice copy; logged mode records one
-    /// deferred write per word, as the per-lane path would.
-    #[inline]
-    pub(crate) fn write_block(&mut self, addr: i64, vals: &[i64], block: u64) -> bool {
-        match self {
-            GmemAccess::Direct(g) => {
-                let Ok(start) = usize::try_from(addr) else { return false };
-                let Some(dst) =
-                    start.checked_add(vals.len()).and_then(|end| g.words_mut().get_mut(start..end))
-                else {
-                    return false;
-                };
-                dst.copy_from_slice(vals);
-                true
-            }
-            GmemAccess::Logged { base, log } => {
-                if addr < 0 || (addr as u64).saturating_add(vals.len() as u64) > base.len() {
-                    return false;
-                }
-                for (i, &val) in vals.iter().enumerate() {
-                    log.push(WriteRec { addr: addr as u64 + i as u64, val, block });
-                }
-                true
-            }
-        }
     }
 
     #[inline]

@@ -4,10 +4,17 @@
 //! and the small machine, device and double-buffered program
 //! ([`chunked_vecadd`], [`restream`]) the program-level suites run.
 //!
-//! The generator constrains shapes so every address stays in bounds,
-//! which keeps the comparisons on the success path (error parity has
-//! dedicated unit tests in the sim crate).  Its one switch, [`Grid`],
-//! is what separates a one-device comparison from a sharded one.
+//! The generator constrains shapes so every *active* lane's address
+//! stays in bounds, which keeps the comparisons on the success path —
+//! inactive lanes may address far outside memory, as scan's `j − s`
+//! does below `s`, and must not fail.  Its one switch, [`Grid`], is what
+//! separates a one-device comparison from a sharded one, and on the
+//! one-device grid one kernel in eight ends with an access where an
+//! active lane leaves memory under a partial mask: the engines must
+//! fail on the same lane with the same error.  A warp-uniform register
+//! (written from loop counters, the block index and immediates) serves
+//! as predicate threshold against the lane and as address offset
+//! (`lane ± u`), the shape scan and gemv lower to the uniform-affine path.
 
 // Each suite uses a different part of this module.
 #![allow(dead_code)]
@@ -57,9 +64,12 @@ pub enum Grid {
     Sharded,
 }
 
-/// Number of data registers the generator plays with (plus one reserved
-/// gather register).
+/// Number of data registers the generator plays with (plus the two
+/// reserved ones below).
 const NDATA: u8 = 6;
+/// The reserved warp-uniform register: written only from loop counters,
+/// the block index and immediates, its value is always in `0..=b`.
+const RU: u8 = 6;
 /// The reserved register for bounded data-dependent addressing.
 const RG: u8 = 7;
 
@@ -68,6 +78,8 @@ struct Gen {
     grid: Grid,
     b: i64,
     shared: i64,
+    /// Words per global buffer (there are two).
+    gwords: i64,
     loop_depth: u8,
     budget: u32,
 }
@@ -124,7 +136,7 @@ impl Gen {
                 AddrExpr::c(0)
             }
         };
-        match self.below(5) {
+        match self.below(7) {
             // Unit stride.
             0 => AddrExpr::lane() + loop_term(self) + k,
             // Broadcast.
@@ -133,6 +145,9 @@ impl Gen {
             2 => AddrExpr::lane() * 2 + loop_term(self) + k.min(base_room.max(2) - 1),
             // Register-addressed: RG holds `lane·s`, `s ∈ {0,1,2}`.
             3 => AddrExpr::reg(RG) + k,
+            // Offset by the uniform register, either way.
+            4 => AddrExpr::lane() + AddrExpr::reg(RU) + k,
+            5 => AddrExpr::lane() - AddrExpr::reg(RU) + b + k,
             // Reversed (negative stride).
             _ => AddrExpr::c(b - 1) - AddrExpr::lane() + loop_term(self) + k,
         }
@@ -143,11 +158,27 @@ impl Gen {
     fn g_read_addr(&mut self) -> AddrExpr {
         let b = self.b;
         let k = self.below(32) as i64;
-        match self.below(4) {
+        match self.below(5) {
             0 => AddrExpr::block() * b + AddrExpr::lane(),
             1 => AddrExpr::lane() + k,
             2 => AddrExpr::reg(RG) + k,
+            3 => AddrExpr::lane() + AddrExpr::reg(RU) + k,
             _ => AddrExpr::block() * b + AddrExpr::lane() * 2,
+        }
+    }
+
+    /// An instruction writing the uniform register: `1 << t`, `t + k`,
+    /// `min(block, b)` or an immediate, all in `0..=b` (loop counters are
+    /// at most 2, and `b ≥ 4`).
+    fn seed_ru(&mut self) -> (AluOp, Operand, Operand) {
+        let b = self.b;
+        let depth = self.loop_depth;
+        let t = |g: &mut Self| Operand::LoopVar(g.below(u64::from(depth)) as u8);
+        match self.below(4) {
+            0 if depth > 0 => (AluOp::Shl, Operand::Imm(1), t(self)),
+            1 if depth > 0 => (AluOp::Add, t(self), Operand::Imm(self.below(3) as i64)),
+            2 => (AluOp::Min, Operand::Block, Operand::Imm(b)),
+            _ => (AluOp::Add, Operand::Imm(self.below(b as u64 + 1) as i64), Operand::Imm(0)),
         }
     }
 
@@ -157,6 +188,82 @@ impl Gen {
             Grid::Device => self.g_read_addr(),
             Grid::Sharded => AddrExpr::block() * self.b + AddrExpr::lane(),
         }
+    }
+
+    /// A lane guard and one access under it whose *inactive* lanes
+    /// address outside memory — past the top of shared memory, below
+    /// word 0 (scan's `j − s` under `s ≤ j`, with `s` a constant or the
+    /// uniform register), or below global word 0.  Every active lane stays
+    /// inside.
+    fn guarded_access(&mut self) -> (PredExpr, Access) {
+        let (b, shared) = (self.b, self.shared);
+        let lane = AddrExpr::lane;
+        let t = self.below(b as u64 + 1) as i64;
+        let dst = self.below(u64::from(NDATA)) as u8;
+        let (pred, addr) = match self.below(5) {
+            // Lanes `< t` active; lane `t` is the first past the top.
+            0 => {
+                let s = 1 + self.below(3) as i64;
+                (PredExpr::Lt(Operand::Lane, Operand::Imm(t)), lane() * s + (shared - s * t))
+            }
+            1 => {
+                (PredExpr::Lt(Operand::Lane, Operand::Reg(RU)), lane() - AddrExpr::reg(RU) + shared)
+            }
+            // Lanes `≥ t` active; lane `t − 1` is the first below 0.
+            2 => (PredExpr::Le(Operand::Imm(t), Operand::Lane), lane() - t),
+            3 => (PredExpr::Le(Operand::Reg(RU), Operand::Lane), lane() - AddrExpr::reg(RU)),
+            _ => {
+                let access = Access::In(lane(), DBuf(0), lane() - t);
+                return (PredExpr::Le(Operand::Imm(t), Operand::Lane), access);
+            }
+        };
+        let access = if self.below(2) == 0 {
+            Access::Ld(dst, addr)
+        } else {
+            Access::St(addr, self.operand())
+        };
+        (pred, access)
+    }
+
+    /// One access under a partial lane mask where an active lane leaves
+    /// memory — not always the lowest active one.
+    fn faulty_access(&mut self) -> (PredExpr, Access) {
+        let (b, shared, gwords) = (self.b, self.shared, self.gwords);
+        let lane = AddrExpr::lane;
+        let t = 1 + self.below(b as u64 - 1) as i64;
+        let j = 1 + self.below(b as u64 - 1) as i64;
+        let upper = PredExpr::Le(Operand::Imm(t), Operand::Lane);
+        match self.below(4) {
+            // Lanes `≥ b − j` of the active `≥ t` pass the top.
+            0 => (upper, Access::St(lane() + (shared - b + j), Operand::Lane)),
+            1 => (upper, Access::Ld(0, lane() * 2 + (shared - 2 * b + 1 + j))),
+            // The lowest active lane, 0, reads below global word 0.
+            2 => {
+                let lower = PredExpr::Lt(Operand::Lane, Operand::Imm(t));
+                (lower, Access::In(lane(), DBuf(0), lane() * 3 - j))
+            }
+            // Lanes `≥ b − j` of the active `≥ t` write past the heap.
+            _ => (upper, Access::Out(DBuf(1), lane() + (gwords - b + j), lane())),
+        }
+    }
+}
+
+/// One memory instruction, built before it is emitted.
+enum Access {
+    Ld(u8, AddrExpr),
+    St(AddrExpr, Operand),
+    In(AddrExpr, DBuf, AddrExpr),
+    Out(DBuf, AddrExpr, AddrExpr),
+}
+
+impl Access {
+    fn emit(self, kb: &mut KernelBuilder) {
+        match self {
+            Access::Ld(dst, shared) => kb.ld_shr(dst, shared),
+            Access::St(shared, src) => kb.st_shr(shared, src),
+            Access::In(shared, buf, global) => kb.glb_to_shr(shared, buf, global),
+            Access::Out(buf, global, shared) => kb.shr_to_glb(buf, global, shared),
+        };
     }
 }
 
@@ -175,7 +282,7 @@ fn gen_body(g: &RefCell<Gen>, kb: &mut KernelBuilder, depth: u32) {
                 return;
             }
             gg.budget -= 1;
-            gg.below(10)
+            gg.below(12)
         };
         match choice {
             0 => {
@@ -231,13 +338,15 @@ fn gen_body(g: &RefCell<Gen>, kb: &mut KernelBuilder, depth: u32) {
                 let (pred, with_else) = {
                     let mut gg = g.borrow_mut();
                     let b = gg.b as u64;
-                    let pred = match gg.below(4) {
+                    let pred = match gg.below(6) {
                         0 => PredExpr::Lt(Operand::Lane, Operand::Imm(gg.below(b + 1) as i64)),
                         1 => PredExpr::Lt(Operand::Block, Operand::Imm(gg.below(4) as i64)),
                         2 => PredExpr::Eq(
                             Operand::Reg(gg.below(u64::from(NDATA)) as u8),
                             Operand::Imm(gg.below(3) as i64),
                         ),
+                        3 => PredExpr::Lt(Operand::Lane, Operand::Reg(RU)),
+                        4 => PredExpr::Le(Operand::Reg(RU), Operand::Lane),
                         _ => PredExpr::Ne(Operand::Lane, Operand::Imm(gg.below(b) as i64)),
                     };
                     (pred, gg.below(2) == 0)
@@ -269,6 +378,14 @@ fn gen_body(g: &RefCell<Gen>, kb: &mut KernelBuilder, depth: u32) {
                     kb.sync();
                 }
             }
+            9 => {
+                let (op, a, b) = g.borrow_mut().seed_ru();
+                kb.alu(op, RU, a, b);
+            }
+            10 => {
+                let (pred, access) = g.borrow_mut().guarded_access();
+                kb.when(pred, |kb| access.emit(kb));
+            }
             _ => {
                 kb.sync();
             }
@@ -290,10 +407,22 @@ pub fn gen_kernel(prefix: &str, seed: u64, grid: Grid) -> (Kernel, AtgpuMachine,
     // Room for every read shape in buffer 0 (block·b + 2·lane + reg + k);
     // buffer 1 is the same size.
     let gwords = (blocks as i64 * b + 4 * b + 64) as u64;
-    let gen = RefCell::new(Gen { rng, grid, b, shared: shared as i64, loop_depth: 0, budget: 28 });
+    let gen = RefCell::new(Gen {
+        rng,
+        grid,
+        b,
+        shared: shared as i64,
+        gwords: gwords as i64,
+        loop_depth: 0,
+        budget: 28,
+    });
     let mut kb = KernelBuilder::new(format!("{prefix}_{seed:x}"), blocks, shared);
     seed_rg(&gen, &mut kb);
     gen_body(&gen, &mut kb, 0);
+    if grid == Grid::Device && gen.borrow_mut().below(8) == 0 {
+        let (pred, access) = gen.borrow_mut().faulty_access();
+        kb.when(pred, |kb| access.emit(kb));
+    }
     let kernel = kb.build();
     let machine =
         AtgpuMachine::new(4 * b as u64, b as u64, shared.max(2 * gwords), 1 << 22).unwrap();

@@ -5,13 +5,15 @@
 //! transaction table (global) baked at compile time — so the executor's
 //! timing "analysis" of such a site is a field read or one table index.
 //! A lowering change that pushes one of them onto the dynamic fallback
-//! fails here by name instead of showing up as a slower `batch_compute`.
+//! fails here by name instead of showing up as a slower `batch_compute` —
+//! and so does one that pushes scan's or gemv's register-stride sites
+//! off the uniform-affine path.
 
 use atgpu::algos::reduce::{Reduce, ReduceVariant};
 use atgpu::algos::roster::asym_pair;
 use atgpu::algos::workload::{test_machine, test_spec, Plan};
 use atgpu::algos::Workload;
-use atgpu::sim::uop::{CompiledKernel, Site, SiteAddr, Uop};
+use atgpu::sim::uop::{CompiledKernel, FastPath, Site, SiteAddr, Uop};
 
 /// The roster entries whose every kernel is wholly static (the other six
 /// — scan, gemv, spmv, histogram, bitonic, ooc-reduce-device — address
@@ -58,7 +60,7 @@ fn static_workloads_compile_to_the_static_masked_path() {
             let cell = format!("{name}/{plan_name} kernel `{}`", kernel.name);
             let nregs = kernel.max_reg().map_or(1, |r| u32::from(r) + 1);
             let c = CompiledKernel::compile(kernel, &bases, machine.b as u32, nregs);
-            let check = |id: u16, global: bool| {
+            let check = |id: u32, global: bool| {
                 let site: &Site = &c.sites[id as usize];
                 assert!(
                     matches!(site.addr, SiteAddr::Affine(a) if a.is_static()),
@@ -86,4 +88,35 @@ fn static_workloads_compile_to_the_static_masked_path() {
         }
     }
     assert!(kernels >= 28, "every launch of the twelve workloads: {kernels}");
+}
+
+/// Scan's `_s[j − s]` and gemv's `_s[j + s]` read through a register
+/// holding the step's stride (`1 << t`, `(b/2) >> t`): the same value in
+/// every lane, so the lowering puts those sites on the uniform-affine
+/// path — classified and tabled by the lane stride, moved as one row —
+/// instead of the per-lane fallback.
+#[test]
+fn register_strides_lower_to_the_uniform_affine_path() {
+    let machine = test_machine();
+    let roster = atgpu::algos::roster();
+    for name in ["scan", "gemv"] {
+        let entry = roster.iter().find(|e| e.name == name).expect("a roster entry");
+        let built = entry.workload.build_plan(&machine, Plan::Single).unwrap();
+        let (bases, _) = built.program.buffer_layout(machine.b);
+        let mut uniform = 0;
+        for step in built.program.rounds.iter().flat_map(|r| &r.steps) {
+            let Some((kernel, _)) = step.launch() else { continue };
+            let nregs = kernel.max_reg().map_or(1, |r| u32::from(r) + 1);
+            let c = CompiledKernel::compile(kernel, &bases, machine.b as u32, nregs);
+            for (id, site) in c.sites.iter().enumerate() {
+                let SiteAddr::Affine(a) = site.addr else { continue };
+                if a.reg.is_some() {
+                    assert_eq!(site.fast, FastPath::Unit, "{name} `{}` site {id}", kernel.name);
+                    assert_eq!(site.full_degree, Some(1), "{name} `{}` site {id}", kernel.name);
+                    uniform += 1;
+                }
+            }
+        }
+        assert!(uniform > 0, "{name} has no register-offset site");
+    }
 }
