@@ -1,11 +1,10 @@
-//! Access-site collection with stable instruction indices — the one
-//! walk over a kernel body that the analyser's metrics and every
-//! verifier analysis (bounds, races, shared-memory hazards, host
-//! lints) read.
+//! Access-site collection with stable instruction indices — what the
+//! analyser's metrics and every verifier analysis (bounds, races,
+//! shared-memory hazards, host lints) read.
 //!
-//! A lane-mask dataflow walk (`atgpu_ir::LaneValues` folds lane-pure
-//! predicates to constant masks, loop bodies kill registers they
-//! write); each access records
+//! A consumer of `atgpu_ir::lanemask::walk`, the one walk over a kernel
+//! body that the simulator's lowering also consumes, so both read the
+//! same lane mask for every access.  Each access records
 //!
 //! * its **pre-order instruction index** — every [`Instr`] node in the
 //!   body (including `Pred`/`Repeat` headers and `Sync`) consumes one
@@ -22,7 +21,8 @@
 //!   word).
 
 use atgpu_ir::affine::CompiledAddr;
-use atgpu_ir::{DBuf, Instr, Kernel, LaneValues, Operand};
+use atgpu_ir::lanemask::{walk, At};
+use atgpu_ir::{DBuf, Instr, Kernel};
 
 /// Which memory an access touches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,129 +73,49 @@ fn lane_invariant(addr: &CompiledAddr) -> bool {
     addr.as_affine().map(|a| a.is_static() && a.lane == 0).unwrap_or(false)
 }
 
-/// Best-effort: is `op`'s value identical across lanes?
-fn operand_uniform(lanes: &LaneValues, op: Operand, b: u64) -> bool {
-    match op {
-        Operand::Imm(_) | Operand::Block | Operand::BlockY | Operand::LoopVar(_) => true,
-        Operand::Lane => false,
-        Operand::Reg(_) => lanes
-            .operand_values(op)
-            .map(|vals| {
-                let n = b.clamp(1, 64) as usize;
-                vals.iter().take(n).all(|&v| Some(v) == vals.first().copied())
-            })
-            .unwrap_or(false),
-    }
-}
-
 /// Collects every access site of `kernel` for a machine with `b` lanes,
 /// in program order (a `⇐` yields its global site, then its shared one).
 pub fn collect(kernel: &Kernel, b: u64) -> Vec<Site> {
-    struct Walker {
-        lanes: LaneValues,
-        counts: Vec<u32>,
-        mask: Option<u64>,
-        next: usize,
-        b: u64,
-        out: Vec<Site>,
-    }
-    impl Walker {
-        #[allow(clippy::too_many_arguments)]
-        fn push(
-            &mut self,
-            instr: usize,
-            space: Space,
-            access: Access,
-            addr: &CompiledAddr,
-            buf: Option<DBuf>,
-            uniform_value: bool,
-        ) {
-            self.out.push(Site {
-                instr,
+    let mut out = Vec::new();
+    walk(&kernel.body, b.clamp(1, 64) as u32, &mut |at: &At<'_>, instr: &Instr| {
+        let mut push = |space, access, addr: &CompiledAddr, buf, uniform_value| {
+            out.push(Site {
+                instr: at.instr,
                 space,
                 access,
                 addr: addr.clone(),
                 buf,
-                loop_counts: self.counts.clone(),
-                lane_mask: self.mask,
+                loop_counts: at.loops.to_vec(),
+                lane_mask: at.mask,
                 uniform_value,
             });
-        }
-
-        fn walk(&mut self, body: &[Instr]) {
-            for i in body {
-                let idx = self.next;
-                self.next += 1;
-                let full = self.mask == Some(self.lanes.full_mask());
-                match i {
-                    Instr::Alu { op, dst, a, b } => self.lanes.record_alu(*op, *dst, *a, *b, full),
-                    Instr::Mov { dst, src } => self.lanes.record_mov(*dst, *src, full),
-                    Instr::GlbToShr { shared, global } => {
-                        self.push(
-                            idx,
-                            Space::Global,
-                            Access::Read,
-                            &global.offset,
-                            Some(global.buf),
-                            true,
-                        );
-                        let uniform = lane_invariant(&global.offset);
-                        self.push(idx, Space::Shared, Access::Write, shared, None, uniform);
-                    }
-                    Instr::ShrToGlb { global, shared } => {
-                        let uniform = lane_invariant(shared);
-                        self.push(
-                            idx,
-                            Space::Global,
-                            Access::Write,
-                            &global.offset,
-                            Some(global.buf),
-                            uniform,
-                        );
-                        self.push(idx, Space::Shared, Access::Read, shared, None, true);
-                    }
-                    Instr::LdShr { dst, shared } => {
-                        self.push(idx, Space::Shared, Access::Read, shared, None, true);
-                        self.lanes.kill(*dst);
-                    }
-                    Instr::StShr { shared, src } => {
-                        let uniform = operand_uniform(&self.lanes, *src, self.b);
-                        self.push(idx, Space::Shared, Access::Write, shared, None, uniform);
-                    }
-                    Instr::Pred { pred, then_body, else_body } => {
-                        let parent = self.mask;
-                        let folded = self.lanes.pred_mask(pred);
-                        let (then_mask, else_mask) = self.lanes.arm_masks(parent, folded);
-                        self.mask = then_mask;
-                        self.walk(then_body);
-                        self.mask = else_mask;
-                        self.walk(else_body);
-                        self.mask = parent;
-                    }
-                    Instr::Repeat { count, body } => {
-                        self.counts.push(*count);
-                        self.lanes.kill_written(body);
-                        self.walk(body);
-                        self.counts.pop();
-                    }
-                    Instr::Sync => {}
-                }
+        };
+        match instr {
+            Instr::GlbToShr { shared, global } => {
+                push(Space::Global, Access::Read, &global.offset, Some(global.buf), true);
+                let uniform = lane_invariant(&global.offset);
+                push(Space::Shared, Access::Write, shared, None, uniform);
             }
+            Instr::ShrToGlb { global, shared } => {
+                let uniform = lane_invariant(shared);
+                push(Space::Global, Access::Write, &global.offset, Some(global.buf), uniform);
+                push(Space::Shared, Access::Read, shared, None, true);
+            }
+            Instr::LdShr { shared, .. } => push(Space::Shared, Access::Read, shared, None, true),
+            Instr::StShr { shared, src } => {
+                push(Space::Shared, Access::Write, shared, None, at.same_in_every_lane(*src));
+            }
+            _ => {}
         }
-    }
-
-    let lanes = LaneValues::new(b.clamp(1, 64) as u32);
-    let full = lanes.full_mask();
-    let mut w = Walker { lanes, counts: Vec::new(), mask: Some(full), next: 0, b, out: Vec::new() };
-    w.walk(&kernel.body);
-    w.out
+    });
+    out
 }
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-    use atgpu_ir::{AddrExpr, DBuf, KernelBuilder, Operand, PredExpr};
+    use atgpu_ir::{AddrExpr, AluOp, DBuf, KernelBuilder, Operand, PredExpr};
 
     #[test]
     fn directions_and_indices_are_preorder() {
@@ -241,6 +161,12 @@ mod tests {
         kb.st_shr(AddrExpr::lane(), Operand::Imm(7)); // broadcast
         kb.st_shr(AddrExpr::lane(), Operand::Lane); // varies
 
+        // A warp-uniform register (`1 << t`) stores one value.
+        kb.repeat(2, |kb| {
+            kb.alu(AluOp::Shl, 0, Operand::Imm(1), Operand::LoopVar(0));
+            kb.st_shr(AddrExpr::lane(), Operand::Reg(0));
+        });
+
         // Global write copying one shared word everywhere: uniform.
         kb.shr_to_glb(d, AddrExpr::block(), AddrExpr::c(3));
         // Global write copying per-lane shared words: varies.
@@ -248,6 +174,6 @@ mod tests {
         let sites = collect(&kb.build(), 32);
         let writes: Vec<bool> =
             sites.iter().filter(|s| s.access == Access::Write).map(|s| s.uniform_value).collect();
-        assert_eq!(writes, vec![true, false, true, false]);
+        assert_eq!(writes, vec![true, false, true, true, false]);
     }
 }

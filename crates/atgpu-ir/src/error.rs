@@ -73,13 +73,6 @@ pub enum IrError {
         /// Human-readable description.
         reason: String,
     },
-    /// Total device allocations exceed the machine's global memory `G`.
-    DeviceOutOfMemory {
-        /// Words requested across all allocations.
-        requested: u64,
-        /// Words available (`G`).
-        available: u64,
-    },
     /// A sharded launch's block ranges do not partition the grid.
     BadShardPlan {
         /// Kernel name.
@@ -185,10 +178,6 @@ impl fmt::Display for IrError {
                 write!(f, "kernel `{kernel}` launches zero thread blocks")
             }
             IrError::HostBufRole { reason } => write!(f, "host buffer role violation: {reason}"),
-            IrError::DeviceOutOfMemory { requested, available } => write!(
-                f,
-                "device allocations need {requested} words but global memory has G = {available}"
-            ),
             IrError::BadShardPlan { kernel, round, detail } => {
                 write!(f, "round {round}: kernel `{kernel}`: bad shard plan: {detail}")
             }
@@ -213,12 +202,5 @@ mod tests {
     fn display_register() {
         let e = IrError::RegisterOutOfRange { reg: 99, kernel: "k".into() };
         assert!(e.to_string().contains("r99"));
-    }
-
-    #[test]
-    fn display_oom() {
-        let e = IrError::DeviceOutOfMemory { requested: 100, available: 64 };
-        let s = e.to_string();
-        assert!(s.contains("100") && s.contains("64"));
     }
 }

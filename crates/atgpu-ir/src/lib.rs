@@ -29,6 +29,9 @@
 //!   divergence is a structural [`instr::Instr::Pred`] whose both arms
 //!   execute, exactly as the model prescribes);
 //! * [`kernel`] — a kernel: one instruction body run by every thread block;
+//! * [`lanemask`] — the one walk over a kernel body ([`lanemask::walk`]),
+//!   carrying the compile-time lane mask and register facts that the
+//!   analyser's site collection and the simulator's lowering both read;
 //! * [`program`] — host-level rounds: `W` transfers, kernel launches,
 //!   device allocations (bounded by `G` at validation);
 //! * [`builder`] — fluent construction API;
@@ -57,7 +60,6 @@ pub use error::{IrError, ShardPlanError};
 pub use expr::{AddrExpr, Operand, PredExpr};
 pub use instr::{AluOp, GlobalRef, Instr};
 pub use kernel::Kernel;
-pub use lanemask::LaneValues;
 pub use program::{
     counts_to_shards, shard_counts, DBuf, DeviceAlloc, HBuf, HostBufDecl, HostBufRole, HostStep,
     Program, Round, Shard, ShardPlan,

@@ -38,9 +38,10 @@ impl Renderer {
     /// Renders a kernel body.  `idx` is the stable pre-order
     /// instruction counter: every [`Instr`] node — including `if`/`for`
     /// headers and `sync` — consumes one index, children numbered after
-    /// their parent.  The `▷ #N` annotations match the `kernel@instr#N`
-    /// indices in verifier and simulator diagnostics, so a reported site
-    /// can be located in the printout by eye.
+    /// their parent, as [`crate::lanemask::walk`] numbers them.  The
+    /// `▷ #N` annotations match the `kernel@instr#N` indices in verifier
+    /// diagnostics, so a reported site can be located in the printout by
+    /// eye.
     fn instrs(
         &mut self,
         body: &[Instr],

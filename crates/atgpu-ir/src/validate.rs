@@ -1,16 +1,13 @@
 //! Structural validation of kernels and programs.
 //!
-//! Validation happens in two stages:
-//!
-//! * [`validate_kernel`] / [`validate_program`] — machine-independent
-//!   structure: register ranges, loop depth and scoping, buffer
-//!   references, transfer bounds, the model's round discipline (inward
-//!   transfers → one launch → outward transfers), and host-buffer
-//!   read/write roles;
-//! * [`check_against_machine`] — resource limits of a concrete
-//!   `atgpu_model::AtgpuMachine`-shaped machine: total device
-//!   allocations vs `G` and per-kernel shared usage vs `M`.  (Expressed
-//!   over plain `u64`s here to keep this crate dependency-free.)
+//! [`validate_kernel`] / [`validate_program`] check machine-independent
+//! structure: register ranges, loop depth and scoping, buffer
+//! references, transfer bounds, the model's round discipline (inward
+//! transfers → one launch → outward transfers), and host-buffer
+//! read/write roles.  The machine's limits are not checked here: `G`
+//! against the padded buffer layout is the analyser's and the
+//! simulator's, `M` against a kernel's shared words the analyser's and
+//! the launch's (occupancy `ℓ = 0`).
 
 use crate::error::IrError;
 use crate::expr::Operand;
@@ -342,27 +339,6 @@ fn check_kernel_buffers(k: &Kernel, p: &Program) -> Result<(), IrError> {
         Ok(())
     }
     walk(&k.body, p)
-}
-
-/// Checks resource limits against a machine's `G` (global words) and `M`
-/// (shared words per MP): total device allocation must fit `G`, every
-/// kernel's declared shared usage must fit `M`.
-pub fn check_against_machine(p: &Program, g_words: u64, m_words: u64) -> Result<(), IrError> {
-    let dev = p.device_words();
-    if dev > g_words {
-        return Err(IrError::DeviceOutOfMemory { requested: dev, available: g_words });
-    }
-    for round in &p.rounds {
-        if let Some(k) = round.kernel() {
-            if k.shared_words > m_words {
-                return Err(IrError::DeviceOutOfMemory {
-                    requested: k.shared_words,
-                    available: m_words,
-                });
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -703,27 +679,6 @@ mod tests {
         pb.begin_round();
         pb.launch(kb.build());
         assert!(matches!(pb.build(), Err(IrError::UnknownDeviceBuf { buf: 7 })));
-    }
-
-    #[test]
-    fn machine_limits_checked() {
-        let p = valid_program().build().unwrap();
-        check_against_machine(&p, 64, 0).unwrap();
-        assert!(matches!(
-            check_against_machine(&p, 63, 0),
-            Err(IrError::DeviceOutOfMemory { requested: 64, available: 63 })
-        ));
-    }
-
-    #[test]
-    fn machine_shared_limit_checked() {
-        let mut pb = ProgramBuilder::new("p");
-        let _ = pb.device_alloc("a", 64);
-        pb.begin_round();
-        pb.launch(KernelBuilder::new("k", 1, 100).build());
-        let p = pb.build().unwrap();
-        assert!(check_against_machine(&p, 64, 99).is_err());
-        check_against_machine(&p, 64, 100).unwrap();
     }
 
     #[test]

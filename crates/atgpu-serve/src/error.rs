@@ -16,6 +16,15 @@ pub enum ServeError {
         /// The configured waiting-slot bound.
         capacity: usize,
     },
+    /// The program is malformed — the validator's error (a loop nest
+    /// deeper than `MAX_LOOP_DEPTH`, a register past `MAX_REGS`, a round
+    /// out of order, …): the server refuses to execute or price it.
+    Invalid {
+        /// Name of the rejected program.
+        program: String,
+        /// What the validator found (boxed, as for `Unsound`).
+        why: Box<atgpu_ir::IrError>,
+    },
     /// The static verifier proved the program unsound (a cross-block
     /// write race or an out-of-bounds access): the server refuses to
     /// execute or price it.  The payload carries the validated witness.
@@ -40,6 +49,7 @@ impl fmt::Display for ServeError {
                 "admission queue full ({waiting}/{capacity} waiting): tenant `{tenant}` must back \
                  off"
             ),
+            Self::Invalid { program, why } => write!(f, "program `{program}` is invalid: {why}"),
             Self::Unsound { program, why } => {
                 write!(f, "program `{program}` rejected as unsound: {why}")
             }

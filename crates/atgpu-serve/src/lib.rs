@@ -12,16 +12,18 @@
 //!
 //! | part | type | contract |
 //! |------|------|----------|
-//! | soundness gate | [`VerifyMemo`] | static verifier rejects proven-unsound programs, memoized by [`program_key`] |
+//! | soundness gate | [`VerifyMemo`] | validator and static verifier refuse malformed and proven-unsound programs, memoized by [`program_key`] |
 //! | admission | [`AdmissionQueue`] | bounded queue, per-tenant round-robin fairness, occupancy packing |
 //! | execution | [`CostServer::submit`] | runs on the shared cluster, bit-identical to a solo run |
 //! | pricing | [`CostServer::price`] | memo → analytic model → simulation fallback |
 //!
 //! Before anything else, every submission and every pricing query is
-//! statically verified ([`atgpu_verify::verify_program`]): a program
-//! with a *proven* cross-block write race or out-of-bounds access is
-//! refused with [`ServeError::Unsound`], carrying the concrete
-//! `kernel@instr#N` witness.  Undecidable programs (data-dependent
+//! validated ([`atgpu_ir::validate::validate_program`]; a malformed
+//! program is refused with [`ServeError::Invalid`]) and statically
+//! verified ([`atgpu_verify::verify_program`]): a program with a
+//! *proven* cross-block write race or out-of-bounds access is refused
+//! with [`ServeError::Unsound`], carrying the concrete `kernel@instr#N`
+//! witness.  Undecidable programs (data-dependent
 //! addressing) pass — the gate only rejects on proof.  Verdicts are
 //! memoized by the structural [`program_key`], so re-submissions of the
 //! same shape skip re-verification ([`VerifyStats`] counts the paths).
@@ -178,9 +180,10 @@ pub use error::ServeError;
 pub use price::{
     program_key, query_key, query_key_from, PriceMemo, PriceSource, PriceStats, Quote,
 };
-pub use verify::{VerifyMemo, VerifyStats};
+pub use verify::{Refusal, VerifyMemo, VerifyStats};
 
 use atgpu_analyze::predict;
+use atgpu_ir::validate::validate_program;
 use atgpu_ir::{shard_counts, HostBufRole, HostStep, Program};
 use atgpu_model::occupancy::device_capacity;
 use atgpu_model::{AtgpuMachine, ClusterSpec, ModelError};
@@ -288,21 +291,25 @@ impl CostServer {
         Ok(run_cluster_program_on(&self.cluster, program, inputs, &self.sim)?)
     }
 
-    /// The soundness gate: statically verifies `program` (memoized by
-    /// its structural [`program_key`], which callers compute once and
-    /// also reuse for the quote memo) and refuses proven-unsound
-    /// programs with the concrete witness.
+    /// The soundness gate: validates `program`, then statically verifies
+    /// it (memoized by its structural [`program_key`], which callers
+    /// compute once and also reuse for the quote memo), and refuses
+    /// malformed programs with the validator's error and proven-unsound
+    /// ones with the concrete witness.
     fn check_sound(&self, pkey: u64, program: &Program) -> Result<(), ServeError> {
         let b = self.cluster.machine().b;
-        let why = self
-            .verify
-            .verdict(pkey, || atgpu_verify::verify_program(program, b).first_unsoundness());
-        match why {
-            None => Ok(()),
-            Some(why) => {
-                Err(ServeError::Unsound { program: program.name.clone(), why: Box::new(why) })
+        let why = self.verify.verdict(pkey, || match validate_program(program) {
+            Err(e) => Some(Refusal::Invalid(e)),
+            Ok(()) => {
+                atgpu_verify::verify_program(program, b).first_unsoundness().map(Refusal::Unsound)
             }
-        }
+        });
+        let Some(why) = why else { return Ok(()) };
+        let program = program.name.clone();
+        Err(match why {
+            Refusal::Invalid(why) => ServeError::Invalid { program, why: Box::new(why) },
+            Refusal::Unsound(why) => ServeError::Unsound { program, why: Box::new(why) },
+        })
     }
 
     /// Prices `program` on the server's own cluster — memo, then

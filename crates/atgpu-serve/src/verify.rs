@@ -2,10 +2,13 @@
 //! verdicts.
 //!
 //! Every [`submit`](crate::CostServer::submit) and every pricing query
-//! first passes the static verifier ([`atgpu_verify::verify_program`]):
-//! a program with a *proven* cross-block write race or out-of-bounds
-//! access is rejected with [`ServeError::Unsound`](crate::ServeError)
-//! before it can touch the shared cluster.  Verdicts are memoized by
+//! first passes the validator ([`atgpu_ir::validate::validate_program`])
+//! and the static verifier ([`atgpu_verify::verify_program`], whose
+//! analyses assume a validated program): a malformed program is refused
+//! with [`ServeError::Invalid`](crate::ServeError), one with a *proven*
+//! cross-block write race or out-of-bounds access with
+//! [`ServeError::Unsound`](crate::ServeError), before either can touch
+//! the shared cluster.  Verdicts are memoized by
 //! the program's structural [`program_key`](crate::price::program_key)
 //! — names excluded, same rule as the price memo — so a tenant
 //! re-submitting the same shape pays for verification once.
@@ -16,9 +19,19 @@
 //! of one shape wait for that verdict and count as memo hits, so the
 //! counters do not depend on how client threads interleave.
 
+use atgpu_ir::IrError;
 use atgpu_sim::BoundedMemo;
 use atgpu_verify::Unsoundness;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Why the soundness gate refuses a program.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Refusal {
+    /// The program is malformed: the validator's error.
+    Invalid(IrError),
+    /// The verifier proved a defect.
+    Unsound(Unsoundness),
+}
 
 /// Soundness-gate counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -27,7 +40,7 @@ pub struct VerifyStats {
     pub checked: u64,
     /// Checks answered from the memo.
     pub memo_hits: u64,
-    /// Checks that rejected the program as unsound.
+    /// Checks that refused the program as invalid or unsound.
     pub rejected: u64,
     /// Verdicts currently memoized.
     pub entries: usize,
@@ -35,10 +48,10 @@ pub struct VerifyStats {
 
 /// A bounded, thread-safe memo of verify verdicts keyed by structural
 /// program shape.  `None` means the program verified sound; `Some`
-/// carries the proven defect.
+/// carries the reason it is refused.
 #[derive(Debug)]
 pub struct VerifyMemo {
-    memo: BoundedMemo<u64, Option<Unsoundness>>,
+    memo: BoundedMemo<u64, Option<Refusal>>,
     rejected: AtomicU64,
 }
 
@@ -50,12 +63,8 @@ impl VerifyMemo {
 
     /// Gates one program: answers from the memo when its structural key
     /// has been verified before, otherwise runs `compute` and records
-    /// the verdict.  Returns the defect for unsound programs.
-    pub fn verdict(
-        &self,
-        key: u64,
-        compute: impl FnOnce() -> Option<Unsoundness>,
-    ) -> Option<Unsoundness> {
+    /// the verdict.  Returns the reason for refused programs.
+    pub fn verdict(&self, key: u64, compute: impl FnOnce() -> Option<Refusal>) -> Option<Refusal> {
         let (verdict, _) = self.memo.get_or_compute(key, compute);
         if verdict.is_some() {
             self.rejected.fetch_add(1, Ordering::Relaxed);
@@ -81,13 +90,13 @@ mod tests {
     use super::*;
     use atgpu_verify::bounds::OobWitness;
 
-    fn defect() -> Unsoundness {
-        Unsoundness::OutOfBounds {
+    fn defect() -> Refusal {
+        Refusal::Unsound(Unsoundness::OutOfBounds {
             round: 0,
             kernel: "k".into(),
             instr: 1,
             witness: OobWitness { block: (0, 0), lane: 0, loops: vec![], addr: 64, limit: 64 },
-        }
+        })
     }
 
     #[test]

@@ -484,14 +484,13 @@ fn two_clients_leave_the_single_client_counters() {
     }
 }
 
-/// A hand-built program with an out-of-range transfer (the verifier
-/// proves kernels, not host offsets) is a typed error from `submit`,
-/// never a panic inside the shared server.
+/// A hand-built program with an out-of-range transfer is refused by the
+/// validator inside the soundness gate with its typed error — never a
+/// panic inside the shared server, and it never reaches the cluster.
 #[test]
 fn out_of_range_transfer_through_submit_is_a_typed_error() {
-    use atgpu_ir::HostStep;
+    use atgpu_ir::{HostStep, IrError};
     use atgpu_serve::ServeError;
-    use atgpu_sim::SimError;
     let machine = machine();
     let server = CostServer::new(machine, spec(2), ServerConfig::default()).expect("server");
     let built = VecAdd::new(32 * 8, 5).build_sharded(&machine, 2).expect("builds");
@@ -519,11 +518,100 @@ fn out_of_range_transfer_through_submit_is_a_typed_error() {
         program.rounds.iter_mut().flat_map(|r| r.steps.iter_mut()).for_each(mutate);
         let r = server.submit("mallory", &program, built.inputs.clone());
         assert!(
-            matches!(r, Err(ServeError::Sim(SimError::HostDataMismatch { .. }))),
+            matches!(
+                r,
+                Err(ServeError::Invalid { ref why, .. })
+                    if matches!(**why, IrError::TransferOutOfBounds { .. } | IrError::UnknownDeviceBuf { .. })
+            ),
             "expected a typed transfer error, got {r:?}"
         );
     }
-    assert_eq!(server.stats().admission.running, 0, "the failed runs released their permits");
+    assert_eq!(server.stats().admission.admitted_total, 0, "refused before admission");
+}
+
+/// A one-round program over a 64-word buffer `a` whose two blocks copy
+/// `a` into `c`, after `guarded` under `r0 = 1`, where
+/// `r0 ← 0; for 0 times { r0 ← 1 }` leaves `r0 = 0`: the guarded access
+/// runs on no lane.
+fn dead_guard_program(name: &str, guarded: impl Fn(&mut atgpu_ir::KernelBuilder)) -> BuiltProgram {
+    use atgpu_ir::{AddrExpr, KernelBuilder, Operand, PredExpr, ProgramBuilder};
+    let mut pb = ProgramBuilder::new(name);
+    let (ha, hc) = (pb.host_input("A", 64), pb.host_output("C", 64));
+    let (da, dc) = (pb.device_alloc("a", 64), pb.device_alloc("c", 64));
+    let mut kb = KernelBuilder::new(name, 2, 32);
+    kb.mov(0, Operand::Imm(0));
+    kb.repeat(0, |kb| {
+        kb.mov(0, Operand::Imm(1));
+    });
+    kb.when(PredExpr::Eq(Operand::Reg(0), Operand::Imm(1)), guarded);
+    let slab = AddrExpr::block() * 32 + AddrExpr::lane();
+    kb.glb_to_shr(AddrExpr::lane(), da, slab.clone());
+    kb.shr_to_glb(dc, slab, AddrExpr::lane());
+    pb.begin_round();
+    pb.transfer_in(ha, da, 64);
+    pb.launch(kb.build());
+    pb.transfer_out(dc, hc, 64);
+    let inputs = vec![(0..64).map(|w| 5 * w + 1).collect()];
+    BuiltProgram { program: pb.build().expect("builds"), inputs, outputs: vec![hc] }
+}
+
+/// A zero-trip loop's body never runs, so the verifier reads the lane
+/// facts the simulator runs: an access guarded by a register only the
+/// dead loop would set is neither a proven out-of-bounds access nor a
+/// proven race, and the server runs both programs as `run_program` does.
+#[test]
+fn a_zero_trip_loop_changes_no_lane_fact() {
+    use atgpu_ir::{AddrExpr, DBuf};
+    let machine = machine();
+    let oob = dead_guard_program("dead_oob", |kb| {
+        kb.glb_to_shr(AddrExpr::lane(), DBuf(0), AddrExpr::lane() + 1000);
+    });
+    // Every block would write word 0 of `c`.
+    let race = dead_guard_program("dead_race", |kb| {
+        kb.shr_to_glb(DBuf(1), AddrExpr::c(0), AddrExpr::lane());
+    });
+    let server = CostServer::new(machine, spec(1), ServerConfig::default()).expect("server");
+    for built in [oob, race] {
+        let verdict = atgpu_verify::verify_program(&built.program, machine.b);
+        assert!(verdict.is_sound(), "{}: {:?}", built.program.name, verdict.first_unsoundness());
+        let solo = atgpu_sim::run_program(
+            &built.program,
+            built.inputs.clone(),
+            &machine,
+            &test_spec(),
+            &SimConfig::default(),
+        )
+        .expect("runs");
+        let served = server.submit("alpha", &built.program, built.inputs.clone()).expect("runs");
+        let hc = built.outputs[0];
+        assert_eq!(served.output(hc), solo.output(hc));
+        assert_eq!(served.output(hc), &built.inputs[0][..]);
+        server.price(&built.program).expect("a quote");
+    }
+}
+
+/// A hand-built kernel nested one loop deeper than `MAX_LOOP_DEPTH`
+/// (the builder's validation would refuse it) is refused by both doors
+/// with the validator's error; it used to panic in the executor.
+#[test]
+fn a_loop_nest_past_max_loop_depth_is_a_typed_error() {
+    use atgpu_ir::{HostStep, Instr, IrError, MAX_LOOP_DEPTH};
+    let machine = machine();
+    let server = CostServer::new(machine, spec(1), ServerConfig::default()).expect("server");
+    let built = VecAdd::new(32 * 8, 5).build_sharded(&machine, 1).expect("builds");
+    let mut program = built.program.clone();
+    for step in program.rounds.iter_mut().flat_map(|r| r.steps.iter_mut()) {
+        if let HostStep::Launch(k) | HostStep::LaunchSharded { kernel: k, .. } = step {
+            for _ in 0..=MAX_LOOP_DEPTH {
+                k.body = vec![Instr::Repeat { count: 1, body: std::mem::take(&mut k.body) }];
+            }
+        }
+    }
+    let deep = |r: Result<_, ServeError>| matches!(r, Err(ServeError::Invalid { why, .. }) if matches!(*why, IrError::LoopTooDeep { .. }));
+    assert!(deep(server.submit("mallory", &program, built.inputs.clone()).map(|_| ())));
+    assert!(deep(server.price(&program).map(|_| ())));
+    let stats = server.stats();
+    assert_eq!((stats.verify.checked, stats.verify.memo_hits, stats.verify.rejected), (2, 1, 2));
 }
 
 proptest! {

@@ -2,10 +2,14 @@
 //! into a linear instruction stream with precomputed per-site access
 //! shapes.
 //!
-//! The structured `Instr` tree (nested `Repeat`/`Pred` bodies) is walked
-//! exactly once by [`CompiledKernel::compile`]; every thread block then
-//! executes the same flat `Vec<Uop>` with explicit jump offsets — no
-//! frame stack, no tree traversal, no per-instruction allocation.
+//! [`CompiledKernel::compile`] is a consumer of [`atgpu_ir::lanemask::walk`],
+//! the one walk over a kernel body that the analyser's site collection
+//! also consumes: it emits ops as the walk reports nodes and patches
+//! jump targets as constructs close, keeping only a stack of the
+//! constructs still open.  Every thread block then executes the same
+//! flat `Vec<Uop>` with explicit jump offsets — no frame stack, no tree
+//! traversal, no per-instruction allocation.  A zero-trip or empty loop
+//! emits nothing.
 //!
 //! Compilation also classifies every memory access site
 //! ([`Site`]/[`FastPath`]) using the shared shape classifier in
@@ -22,7 +26,7 @@
 //!   lane, then one gather or scatter pass — instead of evaluating and
 //!   checking an address per lane;
 //! * **uniform-affine** shapes — `lane·c ± reg` over a register the
-//!   lowering proves warp-uniform ([`LaneValues::is_uniform`]: written
+//!   walk proves warp-uniform ([`At::is_uniform`]: written
 //!   under the full mask from immediates, block and loop indices and
 //!   other uniform registers, like scan's `1 << t`) — are classified and
 //!   tabled by their lane stride exactly as static ones: the register
@@ -31,7 +35,7 @@
 //!   compile-time active-lane mask — get exact baked conflict degrees
 //!   and mask-aware transaction tables.  Masks come from lane/immediate
 //!   predicates *and* from predicates over lane-pure registers
-//!   (constant-folded through [`atgpu_ir::lanemask`]), which covers the
+//!   (constant-folded by the walk), which covers the
 //!   shrinking partial-warp phases of tree reductions;
 //! * everything else falls back to dynamic evaluation over fixed scratch
 //!   buffers (still allocation-free).
@@ -46,9 +50,8 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
 use atgpu_ir::affine::{masked_conflict_degree, masked_span_blocks, AffineAddr, CompiledAddr};
-use atgpu_ir::{
-    AddrExpr, AluOp, Instr, Kernel, LaneValues, Operand, PredExpr, Reg, MAX_LOOP_DEPTH,
-};
+use atgpu_ir::lanemask::{walk, At, Visit};
+use atgpu_ir::{AddrExpr, AluOp, Instr, Kernel, Operand, PredExpr, Reg, MAX_LOOP_DEPTH};
 
 /// Index into [`CompiledKernel::sites`].  An instruction has at most two
 /// sites, so a kernel body that fits in memory cannot exhaust it.
@@ -240,19 +243,21 @@ struct Compiler<'k> {
     bases: &'k [u64],
     b: u32,
     full_mask: u64,
-    arm_depth: usize,
     max_arm_depth: usize,
-    loop_depth: u8,
-    /// The compile-time active-lane mask of the code currently being
-    /// lowered: `Some(m)` when every enclosing divergence arm has a
-    /// constant mask (the runtime mask is then provably `m`), `None`
-    /// under any data-, block- or loop-dependent predicate.
-    mask_ctx: Option<u64>,
-    /// Lane-pure register dataflow (shared with the analyser through
-    /// [`atgpu_ir::lanemask`]): lets register-operand predicates (e.g.
-    /// the `j mod 2s = 0` test of an interleaved reduction) fold to
-    /// constant masks.
-    lanes: LaneValues,
+    /// The `Pred`s and `Repeat`s the walk has open, innermost last.
+    open: Vec<Open>,
+}
+
+/// A construct the lowering has entered and not yet closed.
+enum Open {
+    /// A zero-trip or empty loop, or anything inside one: statically
+    /// dead, it emits nothing (as the reference runs nothing).
+    Dead,
+    /// A live loop, closed by its back-edge.
+    Loop { depth: u8, body_start: u32 },
+    /// A divergence point at `pc` and the end of its then-region, whose
+    /// jump targets are patched as the arms close.
+    Branch { pc: usize, then_end: usize },
 }
 
 impl CompiledKernel {
@@ -267,13 +272,10 @@ impl CompiledKernel {
             bases,
             b,
             full_mask,
-            arm_depth: 0,
             max_arm_depth: 0,
-            loop_depth: 0,
-            mask_ctx: Some(full_mask),
-            lanes: LaneValues::new(b),
+            open: Vec::new(),
         };
-        c.lower_body(&kernel.body);
+        walk(&kernel.body, b, &mut c);
         CompiledKernel {
             prog: c.prog,
             sites: c.sites,
@@ -287,100 +289,103 @@ impl CompiledKernel {
     }
 }
 
-impl Compiler<'_> {
-    fn lower_body(&mut self, body: &[Instr]) {
-        for instr in body {
-            let full = self.mask_ctx == Some(self.full_mask);
-            match instr {
-                Instr::Alu { op, dst, a, b } => {
-                    self.prog.push(Uop::Alu { op: *op, dst: *dst, a: *a, b: *b });
-                    self.lanes.record_alu(*op, *dst, *a, *b, full);
-                }
-                Instr::Mov { dst, src } => {
-                    self.prog.push(Uop::Mov { dst: *dst, src: *src });
-                    self.lanes.record_mov(*dst, *src, full);
-                }
-                Instr::Sync => self.prog.push(Uop::Sync),
-                Instr::LdShr { dst, shared } => {
-                    let site = self.add_site(shared, None);
-                    self.prog.push(Uop::LdShr { dst: *dst, site });
-                    self.lanes.kill(*dst);
-                }
-                Instr::StShr { shared, src } => {
-                    let site = self.add_site(shared, None);
-                    self.prog.push(Uop::StShr { site, src: *src });
-                }
-                Instr::GlbToShr { shared, global } => {
-                    let s = self.add_site(shared, None);
-                    let g = self.add_site(&global.offset, Some(self.bases[global.buf.0 as usize]));
-                    self.prog.push(Uop::GlbToShr { shared: s, global: g });
-                }
-                Instr::ShrToGlb { global, shared } => {
-                    let s = self.add_site(shared, None);
-                    let g = self.add_site(&global.offset, Some(self.bases[global.buf.0 as usize]));
-                    self.prog.push(Uop::ShrToGlb { global: g, shared: s });
-                }
-                Instr::Repeat { count, body } => {
-                    if *count == 0 || body.is_empty() {
-                        continue; // statically dead, matches the reference
-                    }
-                    let depth = self.loop_depth;
-                    debug_assert!((depth as usize) < MAX_LOOP_DEPTH);
-                    self.prog.push(Uop::LoopStart { depth });
-                    let body_start = self.prog.len() as u32;
-                    self.loop_depth += 1;
-                    // A register written later in the body feeds reads at
-                    // the top of iterations 2..count, which the in-order
-                    // walk below does not see.
-                    self.lanes.kill_written(body);
-                    self.lower_body(body);
-                    self.loop_depth -= 1;
-                    self.prog.push(Uop::LoopEnd { depth, count: *count, body_start });
-                }
-                Instr::Pred { pred, then_body, else_body } => {
-                    let const_then = self.lanes.pred_mask(pred);
-                    let parent_ctx = self.mask_ctx;
-                    let (then_ctx, else_ctx) = self.lanes.arm_masks(parent_ctx, const_then);
-                    self.arm_depth += 1;
-                    self.max_arm_depth = self.max_arm_depth.max(self.arm_depth);
-                    // Jump targets are known once the arms are lowered:
-                    // the branch and the then-region's end are pushed as
-                    // placeholders and overwritten.
-                    let branch_pc = self.prog.len();
-                    self.prog.push(Uop::Sync);
-                    let mut then_end_pc = None;
-                    if !then_body.is_empty() {
-                        self.mask_ctx = then_ctx;
-                        self.lower_body(then_body);
-                        then_end_pc = Some(self.prog.len());
-                        self.prog.push(Uop::Sync);
-                    }
-                    // Without a then-region, the else-region (if any)
-                    // starts right after the branch.
-                    let else_start = self.prog.len() as u32;
-                    if !else_body.is_empty() {
-                        self.mask_ctx = else_ctx;
-                        self.lower_body(else_body);
-                        self.prog.push(Uop::ElseEnd);
-                    }
-                    let join = self.prog.len() as u32;
-                    if let Some(pc) = then_end_pc {
-                        self.prog[pc] = Uop::ThenEnd { join };
-                    }
-                    self.prog[branch_pc] =
-                        Uop::Branch { pred: *pred, const_then, else_start, join };
-                    self.mask_ctx = parent_ctx;
-                    self.arm_depth -= 1;
-                }
+impl Visit for Compiler<'_> {
+    fn node(&mut self, at: &At<'_>, instr: &Instr) {
+        if matches!(self.open.last(), Some(Open::Dead)) {
+            if matches!(instr, Instr::Pred { .. } | Instr::Repeat { .. }) {
+                self.open.push(Open::Dead);
+            }
+            return;
+        }
+        match instr {
+            Instr::Alu { op, dst, a, b } => {
+                self.prog.push(Uop::Alu { op: *op, dst: *dst, a: *a, b: *b });
+            }
+            Instr::Mov { dst, src } => self.prog.push(Uop::Mov { dst: *dst, src: *src }),
+            Instr::Sync => self.prog.push(Uop::Sync),
+            Instr::LdShr { dst, shared } => {
+                let site = self.add_site(at, shared, None);
+                self.prog.push(Uop::LdShr { dst: *dst, site });
+            }
+            Instr::StShr { shared, src } => {
+                let site = self.add_site(at, shared, None);
+                self.prog.push(Uop::StShr { site, src: *src });
+            }
+            Instr::GlbToShr { shared, global } => {
+                let s = self.add_site(at, shared, None);
+                let g = self.add_site(at, &global.offset, Some(self.bases[global.buf.0 as usize]));
+                self.prog.push(Uop::GlbToShr { shared: s, global: g });
+            }
+            Instr::ShrToGlb { global, shared } => {
+                let s = self.add_site(at, shared, None);
+                let g = self.add_site(at, &global.offset, Some(self.bases[global.buf.0 as usize]));
+                self.prog.push(Uop::ShrToGlb { global: g, shared: s });
+            }
+            Instr::Repeat { count, body } if *count == 0 || body.is_empty() => {
+                self.open.push(Open::Dead);
+            }
+            Instr::Repeat { .. } => {
+                // Every enclosing loop is live, so the walk's loop stack
+                // is the counter stack.
+                let depth = at.loops.len() as u8;
+                debug_assert!((depth as usize) < MAX_LOOP_DEPTH);
+                self.prog.push(Uop::LoopStart { depth });
+                self.open.push(Open::Loop { depth, body_start: self.prog.len() as u32 });
+            }
+            Instr::Pred { pred, .. } => {
+                let arms = self.open.iter().filter(|o| matches!(o, Open::Branch { .. })).count();
+                self.max_arm_depth = self.max_arm_depth.max(arms + 1);
+                // Jump targets are known once the arms are lowered: they
+                // are patched as the arms close.
+                self.open.push(Open::Branch { pc: self.prog.len(), then_end: 0 });
+                let const_then = at.folded;
+                self.prog.push(Uop::Branch { pred: *pred, const_then, else_start: 0, join: 0 });
             }
         }
     }
 
+    fn else_arm(&mut self, pred: &Instr) {
+        let Some(Open::Branch { pc, then_end }) = self.open.last_mut() else { return };
+        if matches!(pred, Instr::Pred { then_body, .. } if !then_body.is_empty()) {
+            *then_end = self.prog.len();
+            self.prog.push(Uop::ThenEnd { join: 0 });
+        }
+        // Without a then-region, the else-region (if any) starts right
+        // after the branch.
+        let start = self.prog.len() as u32;
+        if let Uop::Branch { else_start, .. } = &mut self.prog[*pc] {
+            *else_start = start;
+        }
+    }
+
+    fn end(&mut self, node: &Instr) {
+        match (self.open.pop(), node) {
+            (Some(Open::Loop { depth, body_start }), Instr::Repeat { count, .. }) => {
+                self.prog.push(Uop::LoopEnd { depth, count: *count, body_start });
+            }
+            (Some(Open::Branch { pc, then_end }), Instr::Pred { then_body, else_body, .. }) => {
+                if !else_body.is_empty() {
+                    self.prog.push(Uop::ElseEnd);
+                }
+                let end = self.prog.len() as u32;
+                if !then_body.is_empty() {
+                    self.prog[then_end] = Uop::ThenEnd { join: end };
+                }
+                if let Uop::Branch { join, .. } = &mut self.prog[pc] {
+                    *join = end;
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+impl Compiler<'_> {
     /// Builds the [`Site`] record for one address; `gbase` is `Some` for
     /// global sites.
-    fn add_site(&mut self, addr: &CompiledAddr, gbase: Option<u64>) -> SiteId {
+    fn add_site(&mut self, at: &At<'_>, addr: &CompiledAddr, gbase: Option<u64>) -> SiteId {
         let b = u64::from(self.b);
-        let mask_ctx = self.mask_ctx;
+        let mask_ctx = at.mask;
         let site = match addr {
             CompiledAddr::Affine(a) => {
                 let folded_base = match gbase {
@@ -391,7 +396,7 @@ impl Compiler<'_> {
                 // lane: conflict degrees and transaction counts depend on
                 // the lane stride and the offset's residue alone, as for
                 // a static address.
-                let uniform = folded_base.reg.is_none_or(|(r, _)| self.lanes.is_uniform(r));
+                let uniform = folded_base.reg.is_none_or(|(r, _)| at.is_uniform(r));
                 let fast = match (uniform, folded_base.lane) {
                     (false, _) => FastPath::Dynamic,
                     (true, 1) => FastPath::Unit,

@@ -15,6 +15,8 @@
 //! (written from loop counters, the block index and immediates) serves
 //! as predicate threshold against the lane and as address offset
 //! (`lane ± u`), the shape scan and gemv lower to the uniform-affine path.
+//! One loop in four runs zero times; a register write inside it guards
+//! a store after it, which must not run on lanes the loop never wrote.
 
 // Each suite uses a different part of this module.
 #![allow(dead_code)]
@@ -362,18 +364,37 @@ fn gen_body(g: &RefCell<Gen>, kb: &mut KernelBuilder, depth: u32) {
                 );
             }
             8 if depth < 2 => {
+                // One loop in four runs zero times.
                 let count = {
                     let mut gg = g.borrow_mut();
                     if gg.loop_depth >= 2 {
                         None
                     } else {
                         gg.loop_depth += 1;
-                        Some(1 + gg.below(3) as u32)
+                        Some(gg.below(4) as u32)
                     }
                 };
                 if let Some(count) = count {
-                    kb.repeat(count, |kb| gen_body(g, kb, depth + 1));
+                    // A zero-trip loop's body never runs, so its write
+                    // `r ← k` must not make `r = k` after it fold to the
+                    // full mask.
+                    let dead = (count == 0).then(|| {
+                        let mut gg = g.borrow_mut();
+                        (gg.below(u64::from(NDATA)) as u8, gg.below(3) as i64)
+                    });
+                    kb.repeat(count, |kb| {
+                        if let Some((dst, k)) = dead {
+                            kb.mov(dst, Operand::Imm(k));
+                        }
+                        gen_body(g, kb, depth + 1)
+                    });
                     g.borrow_mut().loop_depth -= 1;
+                    if let Some((dst, k)) = dead {
+                        let addr = g.borrow_mut().sh_addr();
+                        kb.when(PredExpr::Eq(Operand::Reg(dst), Operand::Imm(k)), |kb| {
+                            kb.st_shr(addr, Operand::Lane);
+                        });
+                    }
                 } else {
                     kb.sync();
                 }
