@@ -17,7 +17,7 @@
 //! Register-dependent addresses are data-dependent: the static bound is
 //! the worst case `b`, reported as [`ConflictDegree::DataDependent`].
 
-use atgpu_ir::affine::CompiledAddr;
+use atgpu_ir::affine::{run_conflict_degree, CompiledAddr};
 
 /// Worst-case serialisation degree of one shared access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,17 +50,17 @@ impl ConflictDegree {
     }
 }
 
-/// Degree of one shared access site with `b` banks.
+/// Degree of one shared access site with `b` banks, for a full warp.
 ///
-/// Delegates to the shared classifier in
-/// [`atgpu_ir::AffineAddr::full_warp_conflict_degree`], the same formula
-/// the simulator's micro-op compiler bakes into its per-site metadata.
+/// A static affine address is the model's bank rule,
+/// [`atgpu_ir::affine::run_conflict_degree`], over `b` lanes — the rule
+/// the simulator's executor applies to every shared row it moves.
 /// Non-affine register-free shapes could in principle be enumerated, but
 /// they are rare; the safe worst case is reported instead.
 pub fn site_conflict_degree(addr: &CompiledAddr, b: u64) -> ConflictDegree {
-    match addr.as_affine().and_then(|a| a.full_warp_conflict_degree(b)) {
-        Some(d) => ConflictDegree::Exact(d),
-        None => ConflictDegree::DataDependent,
+    match addr.as_affine() {
+        Some(a) if a.is_static() => ConflictDegree::Exact(run_conflict_degree(a.lane, b, b)),
+        _ => ConflictDegree::DataDependent,
     }
 }
 

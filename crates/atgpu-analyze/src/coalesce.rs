@@ -15,8 +15,8 @@
 //! 1. build the histogram of folded-base residues over all instances by
 //!    convolving per-dimension residue histograms (each computed in
 //!    `O(b)` using the cyclic structure of `coef·idx mod b`), and
-//! 2. weight each residue by its per-warp transaction count, obtained by
-//!    one `O(b)` monotone scan over lanes.
+//! 2. weight each residue by its per-warp transaction count, the closed
+//!    form of [`atgpu_ir::affine::run_blocks`].
 //!
 //! Total cost: `O(dims·b²)` independent of `k` and trip counts, and
 //! **exact** — property tests check it against brute-force enumeration.
@@ -54,12 +54,11 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 /// `{base + stride·lane : lane ∈ [0, lanes)}` with block size `b`.
 /// Depends on `base` only through `base mod b` (callers exploit this).
 ///
-/// The implementation is the shared shape-classifier primitive in
-/// [`atgpu_ir::affine::lane_span_blocks`], which the simulator's micro-op
-/// compiler uses to build its per-residue transaction tables — analyser
-/// and simulator count transactions with the same code.
+/// This is the model's block rule, [`atgpu_ir::affine::run_blocks`],
+/// which the simulator's executor applies to every row it moves —
+/// analyser and simulator count transactions with the same code.
 pub fn lane_block_count(base: i64, stride: i64, lanes: u64, b: u64) -> u64 {
-    atgpu_ir::affine::lane_span_blocks(base, stride, lanes, b)
+    atgpu_ir::affine::run_blocks(base, stride, lanes, b)
 }
 
 /// Histogram over residues mod `b` of `{coef·idx mod b : idx ∈ [0, count)}`.

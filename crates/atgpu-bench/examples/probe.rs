@@ -571,7 +571,7 @@ fn launch_cost(cfg: &ExpConfig) {
         // lowering a miss includes).
         let warm_cache = KernelCache::new(64);
         for l in &launches {
-            warm_cache.get_or_compile(&l.kernel, &bases, b, &mut None);
+            warm_cache.get_or_compile(&l.kernel, &bases, b, &mut None).expect("a valid launch");
         }
         let lookup = per_launch_best(count, |i| {
             let cold_cache;
@@ -583,7 +583,7 @@ fn launch_cost(cfg: &ExpConfig) {
             };
             let mut previous = None;
             for j in before {
-                cache.get_or_compile(&launches[j].kernel, &bases, b, &mut previous);
+                cache.get_or_compile(&launches[j].kernel, &bases, b, &mut previous).expect("valid");
             }
             let kernel = &launches[i].kernel;
             us(|| drop(black_box(cache.get_or_compile(kernel, &bases, b, &mut previous))))

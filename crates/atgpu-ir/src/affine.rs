@@ -13,6 +13,15 @@
 //! Non-affine shapes (products of two variables, two distinct registers)
 //! stay as trees and are interpreted — correct, just slower and outside
 //! the analyser's closed forms.
+//!
+//! The model's two access-cost rules are stated here once, as closed
+//! forms in a row of lanes' first address, stride and length:
+//! [`run_blocks`] (one transaction per distinct `b`-word block) and
+//! [`run_conflict_degree`] (`b` successive words lie in distinct banks).
+//! [`masked_span_blocks`] and [`masked_conflict_degree`] apply them to
+//! the active lanes of a mask, scanning only a mask with gaps.  The
+//! simulator's lowering and executor, the analyser and the verifier all
+//! count blocks and bank degrees through these functions.
 
 use crate::expr::AddrExpr;
 use crate::{Reg, MAX_LOOP_DEPTH};
@@ -94,25 +103,6 @@ impl AffineAddr {
         self.reg.is_none()
     }
 
-    /// Bank-conflict serialisation degree of a full warp (`b` active
-    /// lanes on `b` banks), or `None` when the address reads a register
-    /// (data-dependent).
-    ///
-    /// With lane stride `cL`: stride 0 broadcasts (degree 1); otherwise
-    /// the `b` lane addresses are distinct and lanes `l₁, l₂` collide iff
-    /// `cL·(l₁−l₂) ≡ 0 (mod b)`, putting `gcd(|cL| mod b, b)` distinct
-    /// addresses in the worst bank.
-    #[inline]
-    pub fn full_warp_conflict_degree(&self, b: u64) -> Option<u64> {
-        if !self.is_static() {
-            return None;
-        }
-        if self.lane == 0 {
-            return Some(1);
-        }
-        Some(gcd(self.lane.unsigned_abs() % b, b).clamp(1, b))
-    }
-
     fn checked_add(self, other: AffineAddr) -> Option<AffineAddr> {
         let reg = match (self.reg, other.reg) {
             (None, r) | (r, None) => r,
@@ -180,105 +170,135 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
     a
 }
 
-/// Number of distinct memory blocks (size-`b` aligned word groups)
-/// touched by the monotone address sequence `{base + stride·lane : lane ∈
-/// [0, lanes)}`.  Depends on `base` only through `base mod b`, which the
-/// analyser and the simulator's compile-time transaction tables both
-/// exploit.
-pub fn lane_span_blocks(base: i64, stride: i64, lanes: u64, b: u64) -> u64 {
-    debug_assert!(b > 0);
-    if lanes == 0 {
-        return 0;
-    }
-    if stride == 0 {
-        return 1;
-    }
-    span_blocks(base, stride, 0..lanes, lanes - 1, b)
+/// True when the set bits of `bits` are `0..k` for some `k`.
+#[inline]
+fn dense(bits: u64) -> bool {
+    bits & bits.wrapping_add(1) == 0
 }
 
-/// Number of distinct memory blocks touched by the address set
-/// `{base + stride·lane : lane active in mask}` — the **masked-affine**
-/// generalisation of [`lane_span_blocks`] (which is the `mask = all
-/// lanes` case).  Addresses are monotone in lane order, so distinct
-/// floor-quotients are counted by scanning active lanes for transitions;
-/// an empty mask touches no blocks.
+/// The block index `⌊(base + stride·lane) / b⌋` of a lane's address,
+/// in `i128`.
+#[cold]
+fn wide_block(base: i64, stride: i64, lane: u64, b: u64) -> i128 {
+    (i128::from(base) + i128::from(stride) * i128::from(lane)).div_euclid(b.into())
+}
+
+/// **The block rule.**  Distinct `b`-word memory blocks touched by an
+/// unbroken run of `n` lanes addressing `first + stride·i`, `i ∈ [0, n)`
+/// — the model's transaction count of a coalesced access.
+///
+/// A lane stride of at least `b` puts every lane in its own block: `n`.
+/// A shorter one skips no block between the run's ends, so the run
+/// touches `|q(last) − q(first)| + 1` blocks, `q` the block index.
+pub fn run_blocks(first: i64, stride: i64, n: u64, b: u64) -> u64 {
+    debug_assert!(b > 0);
+    match n {
+        0 => 0,
+        _ if stride.unsigned_abs() >= b => n,
+        _ => span(first, stride, 0, n - 1, b),
+    }
+}
+
+/// [`run_blocks`] for `|stride| < b`: the blocks lanes `lo ≤ hi` touch,
+/// `|q(hi) − q(lo)| + 1`.  Moving every address by whole blocks changes
+/// no count, so the addresses are taken from `base mod b`; for a
+/// power-of-two `b ≤ 2³⁰` and `hi < 2³²` — every access a simulator
+/// makes — they then fit in `i64` (`|stride·hi| < 2⁶²`) and `q` is a
+/// shift.  Anything wider is counted in `i128`.
+#[inline]
+fn span(base: i64, stride: i64, lo: u64, hi: u64, b: u64) -> u64 {
+    if b.is_power_of_two() && b <= 1 << 30 && hi >> 32 == 0 {
+        let (k, offset) = (b.trailing_zeros(), base & (b as i64 - 1));
+        let q = |lane: u64| (offset + stride * lane as i64) >> k;
+        return (q(hi) - q(lo)).unsigned_abs() + 1;
+    }
+    (wide_block(base, stride, hi, b) - wide_block(base, stride, lo, b)).unsigned_abs() as u64 + 1
+}
+
+/// Distinct memory blocks touched by `{base + stride·lane : lane active
+/// in mask}` — [`run_blocks`] over the active lanes.  A mask with no gap
+/// between its lowest and highest lane is one run; only a mask with gaps
+/// is scanned, counting block transitions in lane order (the addresses
+/// are monotone in the lane).  An empty mask touches no blocks.
+#[inline]
 pub fn masked_span_blocks(base: i64, stride: i64, mask: u64, b: u64) -> u64 {
     debug_assert!(b > 0);
-    if mask == 0 {
-        return 0;
+    if mask == 0 || stride.unsigned_abs() >= b {
+        return u64::from(mask.count_ones());
     }
-    if stride == 0 {
+    let (lo, hi) = (mask.trailing_zeros(), 63 - mask.leading_zeros());
+    if dense(mask >> lo) {
+        return span(base, stride, lo.into(), hi.into(), b);
+    }
+    // One block, plus one per pair of neighbouring active lanes in two.
+    let (mut m, mut prev, mut blocks) = (mask & (mask - 1), lo.into(), 1);
+    while m != 0 {
+        let lane = u64::from(m.trailing_zeros());
+        m &= m - 1;
+        blocks += u64::from(span(base, stride, prev, lane, b) > 1);
+        prev = lane;
+    }
+    blocks
+}
+
+/// Lanes `l₁, l₂` of an access with lane stride `stride ≠ 0` share one
+/// of `b` banks iff `stride·(l₁ − l₂) ≡ 0 (mod b)`, i.e. iff this period
+/// `b / gcd(|stride| mod b, b)` divides `l₁ − l₂`.
+#[inline]
+fn bank_period(stride: i64, b: u64) -> u64 {
+    if b.is_power_of_two() {
+        // gcd(|stride| mod 2ᵏ, 2ᵏ) = 2^min(tz(stride), k)
+        b >> stride.trailing_zeros().min(b.trailing_zeros())
+    } else {
+        b / gcd(stride.unsigned_abs() % b, b)
+    }
+}
+
+/// **The bank rule.**  Bank-conflict serialisation degree of an unbroken
+/// run of `n` lanes with lane stride `stride` on `b` banks: the most
+/// distinct addresses any one bank holds.  Stride 0 broadcasts one
+/// address (degree 1); any other stride makes the addresses pairwise
+/// distinct, and lanes one period `b / gcd(|stride| mod b, b)` apart
+/// share a bank, so the degree is `⌈n / period⌉` — `gcd(|stride| mod b,
+/// b)` for a full warp.
+pub fn run_conflict_degree(stride: i64, n: u64, b: u64) -> u64 {
+    debug_assert!(b > 0);
+    if stride == 0 || n == 0 {
         return 1;
     }
-    let mut m = mask;
-    let lanes = std::iter::from_fn(move || {
-        if m == 0 {
-            return None;
-        }
-        let lane = m.trailing_zeros();
-        m &= m - 1;
-        Some(u64::from(lane))
-    });
-    span_blocks(base, stride, lanes, u64::from(63 - mask.leading_zeros()), b)
+    n.div_ceil(bank_period(stride, b))
 }
 
-/// Distinct floor-quotients `⌊(base + stride·lane) / b⌋` over `lanes`
-/// (ascending, none above `last`), counted as transitions — the
-/// addresses are monotone in lane order.  Lowering builds one
-/// transaction table entry per residue from this, so it runs `b` times
-/// per static global site: the arithmetic is `i64` whenever the
-/// extreme address `base + stride·last` and `b` fit (every address in
-/// between then fits too), and `i128` only beyond that.
-fn span_blocks(base: i64, stride: i64, lanes: impl Iterator<Item = u64>, last: u64, b: u64) -> u64 {
-    fn transitions<Q: Copy + PartialEq>(
-        lanes: impl Iterator<Item = u64>,
-        q: impl Fn(u64) -> Q,
-    ) -> u64 {
-        let mut prev = None;
-        let mut distinct = 0;
-        for lane in lanes {
-            let quotient = Some(q(lane));
-            if quotient != prev {
-                distinct += 1;
-                prev = quotient;
-            }
-        }
-        distinct
-    }
-    let extreme = i64::try_from(last).ok().and_then(|l| stride.checked_mul(l)?.checked_add(base));
-    match (extreme, i64::try_from(b)) {
-        (Some(_), Ok(bw)) => {
-            transitions(lanes, |lane| (base + stride * lane as i64).div_euclid(bw))
-        }
-        _ => transitions(lanes, |lane| {
-            (i128::from(base) + i128::from(stride) * i128::from(lane)).div_euclid(i128::from(b))
-        }),
-    }
-}
-
-/// Bank-conflict serialisation degree of the shared access
-/// `{stride·lane : lane active in mask}` on `b` banks — the
-/// masked-affine counterpart of
-/// [`AffineAddr::full_warp_conflict_degree`].  Base-independent: adding
-/// a constant rotates every lane's bank uniformly, so only `stride` and
-/// the mask matter.  Stride 0 broadcasts one address (degree 1); with a
-/// non-zero stride the active lanes' addresses are pairwise distinct, so
-/// the degree is the largest number of active lanes sharing a bank.
+/// Bank-conflict degree of the shared access `{base + stride·lane : lane
+/// active in mask}` on `b` banks — [`run_conflict_degree`] over the
+/// active lanes.  Base-independent: adding a constant rotates every
+/// lane's bank alike.  Active lanes within one period of each other are
+/// in distinct banks whatever the mask (degree 1); a mask with no gap is
+/// one run; only a wider mask with gaps is scanned, counting active
+/// lanes per residue class of the period.
+#[inline]
 pub fn masked_conflict_degree(stride: i64, mask: u64, b: u64) -> u64 {
-    debug_assert!((1..=64).contains(&b));
+    debug_assert!(b > 0);
     if mask == 0 || stride == 0 {
         return 1;
     }
-    let bi = b as i64;
-    let mut counts = [0u8; 64];
-    let mut degree = 1u64;
-    let mut m = mask;
+    let run = mask >> mask.trailing_zeros();
+    let width = u64::from(64 - run.leading_zeros());
+    let period = bank_period(stride, b);
+    if width <= period {
+        return 1;
+    }
+    if dense(run) {
+        return width.div_ceil(period);
+    }
+    // `period < width ≤ 64`: one counter per residue class.
+    let (mut counts, mut degree, mut m) = ([0u8; 64], 1, run);
     while m != 0 {
-        let lane = m.trailing_zeros();
+        let lane = u64::from(m.trailing_zeros());
         m &= m - 1;
-        let bank = (stride * i64::from(lane)).rem_euclid(bi) as usize;
-        counts[bank] += 1;
-        degree = degree.max(u64::from(counts[bank]));
+        let count = &mut counts[(lane % period) as usize];
+        *count += 1;
+        degree = degree.max(u64::from(*count));
     }
     degree
 }
@@ -528,42 +548,65 @@ mod tests {
         assert!(lower(&e).is_none()); // coefficient addition would overflow
     }
 
+    /// Distinct addresses per bank over the active lanes of
+    /// `base + stride·lane`, max over banks (duplicates broadcast).
+    fn enumerated_degree(base: i64, stride: i64, mask: u64, b: u64) -> u64 {
+        let mut per_bank: Vec<Vec<i128>> = vec![Vec::new(); b as usize];
+        for l in (0..64).filter(|l| mask >> l & 1 == 1) {
+            let addr = i128::from(base) + i128::from(stride) * l;
+            per_bank[addr.rem_euclid(i128::from(b)) as usize].push(addr);
+        }
+        per_bank
+            .iter_mut()
+            .map(|v| {
+                v.sort_unstable();
+                v.dedup();
+                v.len() as u64
+            })
+            .max()
+            .unwrap_or(0)
+            .max(1)
+    }
+
+    /// Distinct `⌊(base + stride·lane) / b⌋` over the active lanes, all
+    /// in `i128`.
+    fn enumerated_blocks(base: i64, stride: i64, mask: u64, b: u64) -> u64 {
+        let mut quotients: Vec<i128> = (0..64)
+            .filter(|l| mask >> l & 1 == 1)
+            .map(|l| (i128::from(base) + i128::from(stride) * l).div_euclid(b.into()))
+            .collect();
+        quotients.dedup(); // monotone: equal quotients are adjacent
+        quotients.len() as u64
+    }
+
+    fn lanes(n: u64) -> u64 {
+        if n >= 64 {
+            u64::MAX
+        } else {
+            (1 << n) - 1
+        }
+    }
+
     #[test]
     fn full_warp_conflict_degree_matches_enumeration() {
-        let b = 32u64;
-        for stride in -40i64..=40 {
-            let a = lower(&(AddrExpr::lane() * stride + 7)).unwrap();
-            let fast = a.full_warp_conflict_degree(b).unwrap();
-            // Enumerate distinct addresses per bank, max over banks.
-            let mut per_bank: Vec<Vec<i64>> = vec![Vec::new(); b as usize];
-            for l in 0..b as i64 {
-                let addr = 7 + stride * l;
-                per_bank[addr.rem_euclid(b as i64) as usize].push(addr);
+        for b in [32u64, 24] {
+            for stride in -40i64..=40 {
+                let fast = run_conflict_degree(stride, b, b);
+                assert_eq!(fast, enumerated_degree(7, stride, lanes(b), b), "stride={stride}");
+                if stride != 0 && b == 32 {
+                    assert_eq!(fast, gcd(stride.unsigned_abs() % b, b), "stride={stride}");
+                }
             }
-            let slow = per_bank
-                .iter_mut()
-                .map(|v| {
-                    v.sort_unstable();
-                    v.dedup();
-                    v.len() as u64
-                })
-                .max()
-                .unwrap()
-                .max(1);
-            assert_eq!(fast, slow, "stride={stride}");
         }
-        let a = lower(&AddrExpr::reg(3)).unwrap();
-        assert_eq!(a.full_warp_conflict_degree(b), None);
     }
 
     #[test]
     fn masked_span_blocks_agrees_with_full_and_enumeration() {
-        // Full mask reduces to lane_span_blocks.
+        // A full mask is one run.
         for (base, stride, b) in [(0i64, 1i64, 32u64), (7, 3, 32), (5, -2, 16), (0, 0, 8)] {
-            let full = if b >= 64 { u64::MAX } else { (1u64 << b) - 1 };
             assert_eq!(
-                masked_span_blocks(base, stride, full, b),
-                lane_span_blocks(base, stride, b, b),
+                masked_span_blocks(base, stride, lanes(b), b),
+                run_blocks(base, stride, b, b),
                 "base={base} stride={stride}"
             );
         }
@@ -571,43 +614,26 @@ mod tests {
         for (base, stride, mask, b) in
             [(3i64, 2i64, 0b1010_1010u64, 8u64), (0, 5, 0b1001, 8), (-4, -3, 0b110110, 8)]
         {
-            let mut qs: Vec<i64> = (0..64)
-                .filter(|l| mask >> l & 1 == 1)
-                .map(|l| (base + stride * l).div_euclid(b as i64))
-                .collect();
-            qs.sort_unstable();
-            qs.dedup();
-            assert_eq!(masked_span_blocks(base, stride, mask, b), qs.len() as u64);
+            assert_eq!(
+                masked_span_blocks(base, stride, mask, b),
+                enumerated_blocks(base, stride, mask, b)
+            );
         }
         assert_eq!(masked_span_blocks(0, 1, 0, 32), 0);
     }
 
     #[test]
     fn masked_conflict_degree_matches_enumeration() {
-        let b = 16u64;
-        for stride in -20i64..=20 {
-            for mask in [0x1u64, 0xFFFF, 0xAAAA, 0x00FF, 0x8421, 0x7] {
-                let fast = masked_conflict_degree(stride, mask, b);
-                // Distinct addresses per bank over active lanes, max over
-                // banks (duplicates broadcast).
-                let mut per_bank: Vec<Vec<i64>> = vec![Vec::new(); b as usize];
-                for l in 0..b as i64 {
-                    if mask >> l & 1 == 1 {
-                        let addr = stride * l;
-                        per_bank[addr.rem_euclid(b as i64) as usize].push(addr);
-                    }
+        for b in [16u64, 12] {
+            for stride in -20i64..=20 {
+                for mask in [0x1u64, 0xFFFF, 0xAAAA, 0x00FF, 0x8421, 0x7, 0x0FF0] {
+                    let mask = mask & lanes(b);
+                    assert_eq!(
+                        masked_conflict_degree(stride, mask, b),
+                        enumerated_degree(0, stride, mask, b),
+                        "b={b} stride={stride} mask={mask:#x}"
+                    );
                 }
-                let slow = per_bank
-                    .iter_mut()
-                    .map(|v| {
-                        v.sort_unstable();
-                        v.dedup();
-                        v.len() as u64
-                    })
-                    .max()
-                    .unwrap()
-                    .max(1);
-                assert_eq!(fast, slow, "stride={stride} mask={mask:#x}");
             }
         }
         assert_eq!(masked_conflict_degree(3, 0, 16), 1);
@@ -615,31 +641,22 @@ mod tests {
 
     #[test]
     fn lane_span_blocks_matches_enumeration() {
-        for (base, stride, lanes, b) in [
+        for (base, stride, n, b) in [
             (0i64, 1i64, 32u64, 32u64),
             (1, 1, 32, 32),
             (5, -3, 16, 8),
             (0, 0, 32, 32),
             (7, 9, 64, 64),
+            (-5, 2, 20, 12),
         ] {
-            let fast = lane_span_blocks(base, stride, lanes, b);
-            let mut qs: Vec<i64> =
-                (0..lanes as i64).map(|l| (base + stride * l).div_euclid(b as i64)).collect();
-            qs.sort_unstable();
-            qs.dedup();
-            assert_eq!(fast, qs.len() as u64, "base={base} stride={stride}");
+            let fast = run_blocks(base, stride, n, b);
+            assert_eq!(
+                fast,
+                enumerated_blocks(base, stride, lanes(n), b),
+                "base={base} stride={stride}"
+            );
         }
-        assert_eq!(lane_span_blocks(0, 1, 0, 32), 0);
-    }
-
-    /// Distinct `⌊(base + stride·lane) / b⌋` over ascending `lanes`, all
-    /// in `i128` — the formula lowering used before it had an `i64` path.
-    fn span_in_i128(base: i64, stride: i64, lanes: impl Iterator<Item = u64>, b: u64) -> u64 {
-        let mut quotients: Vec<i128> = lanes
-            .map(|l| (i128::from(base) + i128::from(stride) * i128::from(l)).div_euclid(b.into()))
-            .collect();
-        quotients.dedup(); // monotone: equal quotients are adjacent
-        quotients.len() as u64
+        assert_eq!(run_blocks(0, 1, 0, 32), 0);
     }
 
     use proptest::prelude::*;
@@ -647,16 +664,17 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4000))]
 
-        /// Both span counts equal the `i128` formula over random bases,
-        /// strides, masks and widths — negative ones included — and at
-        /// the `i64` fit boundary: `base` is placed so that the extreme
-        /// address `base + stride·last` is exactly `i64::MAX` / `i64::MIN`
-        /// (the last `i64` case) or one past it (the first `i128` one).
+        /// Both rules, over a run and over a mask, equal brute-force
+        /// enumeration in `i128` over random bases, strides, masks (with
+        /// gaps and without) and widths — negative strides and
+        /// non-power-of-two `b` included — and at the `i64` boundary:
+        /// `base` is placed so that the extreme address `base +
+        /// stride·last` is exactly `i64::MAX` / `i64::MIN` or one past it.
         #[test]
         fn span_blocks_i64_path_equals_the_i128_formula(
             stride in prop_oneof![-70i64..70, any::<i64>(), (-4i64..4).prop_map(|d| i64::MAX / 63 + d)],
-            mask in prop_oneof![any::<u64>(), 1u64..256, Just(u64::MAX)],
-            b in 1u64..=64,
+            mask in prop_oneof![any::<u64>(), 1u64..256, Just(u64::MAX), (0u32..64, 1u32..=64).prop_map(|(lo, n)| lanes(u64::from(n)) << lo)],
+            b in prop_oneof![1u64..=64, (0u32..=6).prop_map(|k| 1u64 << k)],
             free_base in prop_oneof![-200i64..200, any::<i64>()],
             placement in 0u8..3,
         ) {
@@ -673,17 +691,26 @@ mod tests {
                 _ => i64::try_from(edge + past).ok(),
             };
             let Some(base) = base else { return Ok(()) };
-            let active = (0..64u64).filter(|l| mask >> l & 1 == 1);
             prop_assert_eq!(
                 masked_span_blocks(base, stride, mask, b),
-                span_in_i128(base, stride, active, b),
+                enumerated_blocks(base, stride, mask, b),
                 "base={} stride={} mask={:#x} b={}", base, stride, mask, b
             );
-            let lanes = last + 1;
             prop_assert_eq!(
-                lane_span_blocks(base, stride, lanes, b),
-                span_in_i128(base, stride, 0..lanes, b),
-                "base={} stride={} lanes={} b={}", base, stride, lanes, b
+                masked_conflict_degree(stride, mask, b),
+                enumerated_degree(base, stride, mask, b),
+                "base={} stride={} mask={:#x} b={}", base, stride, mask, b
+            );
+            let n = last + 1;
+            prop_assert_eq!(
+                run_blocks(base, stride, n, b),
+                enumerated_blocks(base, stride, lanes(n), b),
+                "base={} stride={} n={} b={}", base, stride, n, b
+            );
+            prop_assert_eq!(
+                run_conflict_degree(stride, n, b),
+                enumerated_degree(base, stride, lanes(n), b),
+                "stride={} n={} b={}", stride, n, b
             );
         }
     }

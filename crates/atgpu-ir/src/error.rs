@@ -67,6 +67,13 @@ pub enum IrError {
         /// Kernel name.
         kernel: String,
     },
+    /// A kernel's grid `gx·gy` overflows a `u64` block count.
+    GridOverflow {
+        /// The declared grid.
+        grid: (u64, u64),
+        /// Kernel name.
+        kernel: String,
+    },
     /// Writing to a host input buffer, or reading a host output buffer
     /// before it is written.
     HostBufRole {
@@ -176,6 +183,9 @@ impl fmt::Display for IrError {
             IrError::EmptyProgram => write!(f, "program has no rounds"),
             IrError::ZeroBlocks { kernel } => {
                 write!(f, "kernel `{kernel}` launches zero thread blocks")
+            }
+            IrError::GridOverflow { grid: (gx, gy), kernel } => {
+                write!(f, "kernel `{kernel}`: grid {gx} × {gy} overflows the block count")
             }
             IrError::HostBufRole { reason } => write!(f, "host buffer role violation: {reason}"),
             IrError::BadShardPlan { kernel, round, detail } => {

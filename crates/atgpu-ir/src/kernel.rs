@@ -26,10 +26,11 @@ pub struct Kernel {
 }
 
 impl Kernel {
-    /// Total thread blocks `k = gx·gy`.
+    /// Total thread blocks `k = gx·gy`, saturating at `u64::MAX`
+    /// (validation refuses a grid whose product overflows).
     #[inline]
     pub fn blocks(&self) -> u64 {
-        self.grid.0 * self.grid.1
+        self.grid.0.saturating_mul(self.grid.1)
     }
 
     /// A stable **structural** hash of the kernel — the compile-relevant

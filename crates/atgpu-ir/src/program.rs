@@ -340,12 +340,6 @@ pub struct Program {
 }
 
 impl Program {
-    /// Total device-global words allocated — the model's global-memory
-    /// space metric, checked against `G`.
-    pub fn device_words(&self) -> u64 {
-        self.device_allocs.iter().map(|a| a.words).sum()
-    }
-
     /// Size lookup for a device buffer.
     pub fn device_buf_words(&self, buf: DBuf) -> Option<u64> {
         self.device_allocs.get(buf.0 as usize).map(|a| a.words)
@@ -547,7 +541,6 @@ mod tests {
             host_bufs: vec![HostBufDecl { name: "A".into(), words: 100, role: HostBufRole::Input }],
             rounds: vec![Round { steps: vec![xfer_in(100)] }, Round { steps: vec![xfer_out(50)] }],
         };
-        assert_eq!(p.device_words(), 150);
         assert_eq!(p.total_transfer_words(), 150);
         assert_eq!(p.num_rounds(), 2);
         assert_eq!(p.device_buf_words(DBuf(1)), Some(50));

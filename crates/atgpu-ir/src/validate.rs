@@ -1,10 +1,13 @@
 //! Structural validation of kernels and programs.
 //!
 //! [`validate_kernel`] / [`validate_program`] check machine-independent
-//! structure: register ranges, loop depth and scoping, buffer
+//! structure: register ranges, loop depth and scoping, the grid, buffer
 //! references, transfer bounds, the model's round discipline (inward
 //! transfers → one launch → outward transfers), and host-buffer
-//! read/write roles.  The machine's limits are not checked here: `G`
+//! read/write roles.  [`validate_launch`] is what a kernel must satisfy
+//! to be lowered and executed at all; the simulator checks it where a
+//! kernel enters execution, so a hand-built program it would refuse is a
+//! typed error there too.  The machine's limits are not checked here: `G`
 //! against the padded buffer layout is the analyser's and the
 //! simulator's, `M` against a kernel's shared words the analyser's and
 //! the launch's (occupancy `ℓ = 0`).
@@ -17,8 +20,11 @@ use crate::program::{HostBufRole, HostStep, Program};
 use crate::{MAX_LOOP_DEPTH, MAX_REGS};
 
 /// Validates one kernel: register range, loop depth, loop-variable
-/// scoping, and a non-empty launch.
+/// scoping, and a non-empty launch whose block count fits in a `u64`.
 pub fn validate_kernel(k: &Kernel) -> Result<(), IrError> {
+    if k.grid.0.checked_mul(k.grid.1).is_none() {
+        return Err(IrError::GridOverflow { grid: k.grid, kernel: k.name.clone() });
+    }
     if k.blocks() == 0 {
         return Err(IrError::ZeroBlocks { kernel: k.name.clone() });
     }
@@ -224,8 +230,7 @@ fn check_launch(
         });
     }
     *phase = 1;
-    validate_kernel(k)?;
-    check_kernel_buffers(k, p)
+    validate_launch(k, p.device_allocs.len())
 }
 
 /// A shard plan must partition the grid `0..kernel.blocks()` into
@@ -318,27 +323,29 @@ fn check_range(kind: &str, name: &str, off: u64, words: u64, size: u64) -> Resul
     Ok(())
 }
 
-fn check_kernel_buffers(k: &Kernel, p: &Program) -> Result<(), IrError> {
-    fn walk(body: &[Instr], p: &Program) -> Result<(), IrError> {
+/// Validates `k` for a launch over `buffers` device buffers:
+/// [`validate_kernel`], and every global access names one of them.
+pub fn validate_launch(k: &Kernel, buffers: usize) -> Result<(), IrError> {
+    fn walk(body: &[Instr], buffers: usize) -> Result<(), IrError> {
         for i in body {
             match i {
                 Instr::GlbToShr { global, .. } | Instr::ShrToGlb { global, .. }
-                    if p.device_buf_words(global.buf).is_none() =>
+                    if global.buf.0 as usize >= buffers =>
                 {
                     return Err(IrError::UnknownDeviceBuf { buf: global.buf.0 });
                 }
-                Instr::GlbToShr { .. } | Instr::ShrToGlb { .. } => {}
                 Instr::Pred { then_body, else_body, .. } => {
-                    walk(then_body, p)?;
-                    walk(else_body, p)?;
+                    walk(then_body, buffers)?;
+                    walk(else_body, buffers)?;
                 }
-                Instr::Repeat { body, .. } => walk(body, p)?,
+                Instr::Repeat { body, .. } => walk(body, buffers)?,
                 _ => {}
             }
         }
         Ok(())
     }
-    walk(&k.body, p)
+    validate_kernel(k)?;
+    walk(&k.body, buffers)
 }
 
 #[cfg(test)]

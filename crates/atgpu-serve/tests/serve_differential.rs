@@ -614,6 +614,29 @@ fn a_loop_nest_past_max_loop_depth_is_a_typed_error() {
     assert_eq!((stats.verify.checked, stats.verify.memo_hits, stats.verify.rejected), (2, 1, 2));
 }
 
+/// A grid whose block count `gx·gy` overflows a `u64` is refused by both
+/// doors with the validator's typed error.  It used to panic with an
+/// arithmetic overflow inside the validator (debug builds) or be quoted
+/// for 2⁶⁴ − 2 blocks (release).
+#[test]
+fn a_grid_whose_block_count_overflows_is_a_typed_error() {
+    use atgpu_ir::{HostStep, IrError};
+    let machine = machine();
+    let server = CostServer::new(machine, spec(1), ServerConfig::default()).expect("server");
+    let built = VecAdd::new(32 * 8, 5).build_sharded(&machine, 1).expect("builds");
+    let mut program = built.program.clone();
+    for step in program.rounds.iter_mut().flat_map(|r| r.steps.iter_mut()) {
+        // A plain launch, so that the grid is the program's one defect.
+        if let HostStep::Launch(k) | HostStep::LaunchSharded { kernel: k, .. } = step {
+            let grid = (u64::MAX, 2);
+            *step = HostStep::Launch(atgpu_ir::Kernel { grid, ..k.clone() });
+        }
+    }
+    let overflow = |r: Result<_, ServeError>| matches!(r, Err(ServeError::Invalid { why, .. }) if matches!(*why, IrError::GridOverflow { grid: (u64::MAX, 2), .. }));
+    assert!(overflow(server.submit("mallory", &program, built.inputs.clone()).map(|_| ())));
+    assert!(overflow(server.price(&program).map(|_| ())));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 

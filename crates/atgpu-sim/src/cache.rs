@@ -64,8 +64,10 @@
 //! compile and count as hits.  The counters are therefore a function of
 //! the launches made, never of how shard threads interleave.
 
+use crate::error::SimError;
 use crate::memo::BoundedMemo;
 use crate::uop::CompiledKernel;
+use atgpu_ir::validate::validate_launch;
 use atgpu_ir::Kernel;
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
@@ -207,34 +209,43 @@ impl KernelCache {
         CacheStats { hits: self.memo.hits(), misses: self.memo.misses(), entries: self.memo.len() }
     }
 
-    /// Looks up (or compiles and inserts) the compilation of `kernel`
-    /// for a launch with device-buffer `bases` and `b` lanes.  `last` is
-    /// the key of the device's previous launch (`None` before its first)
-    /// and holds this launch's key on return — see "The previous launch"
-    /// in the module docs.
+    /// Looks up (or validates, compiles and inserts) the compilation of
+    /// `kernel` for a launch with device-buffer `bases` and `b` lanes.
+    /// `last` is the key of the device's previous launch (`None` before
+    /// its first) and holds this launch's key on return — see "The
+    /// previous launch" in the module docs.
+    ///
+    /// A miss first checks [`validate_launch`] over the launch's buffers,
+    /// and a kernel that fails it is [`SimError::InvalidKernel`] and is
+    /// not cached.  Everything the check reads is part of the key, so a
+    /// hit is a kernel that passed it.
     pub fn get_or_compile(
         &self,
         kernel: &Kernel,
         bases: &[u64],
         b: u32,
         last: &mut Option<CacheKey>,
-    ) -> Arc<CompiledKernel> {
+    ) -> Result<Arc<CompiledKernel>, SimError> {
+        let compile = |nregs| {
+            validate_launch(kernel, bases.len())
+                .map_err(|error| SimError::InvalidKernel { error })?;
+            Ok(Arc::new(CompiledKernel::compile(kernel, bases, b, nregs)))
+        };
         let relaunch = last.as_ref().filter(|key| {
             key.b == b && *key.bases == *bases && key.structure.same_structure(kernel)
         });
         if let Some(key) = relaunch {
             if let Some(hit) = self.memo.get(key as &dyn Keyed) {
-                return hit;
+                return Ok(hit);
             }
             let (key, nregs) = (key.clone(), key.nregs);
-            let compile = || Arc::new(CompiledKernel::compile(kernel, bases, b, nregs));
-            return self.memo.get_or_compute(key, compile).0;
+            return Ok(self.memo.get_or_try_compute(key, || compile(nregs))?.0);
         }
         let nregs = kernel.max_reg().map_or(1, |r| u32::from(r) + 1);
         let probe = KeyParts { hash: kernel.cache_key(), kernel, bases, b, nregs };
         if let Some((key, hit)) = self.memo.get_key_value(&probe as &dyn Keyed) {
             *last = Some(key);
-            return hit;
+            return Ok(hit);
         }
         let structure = Kernel {
             name: String::new(),
@@ -249,10 +260,9 @@ impl KernelCache {
             b,
             nregs,
         };
-        *last = Some(key.clone());
-        self.memo
-            .get_or_compute(key, || Arc::new(CompiledKernel::compile(kernel, bases, b, nregs)))
-            .0
+        let compiled = self.memo.get_or_try_compute(key.clone(), || compile(nregs))?.0;
+        *last = Some(key);
+        Ok(compiled)
     }
 }
 
@@ -270,7 +280,7 @@ mod tests {
 
     /// A lookup with no previous launch: the hashing path.
     fn get(cache: &KernelCache, k: &Kernel, bases: &[u64], b: u32) -> Arc<CompiledKernel> {
-        cache.get_or_compile(k, bases, b, &mut None)
+        cache.get_or_compile(k, bases, b, &mut None).unwrap()
     }
 
     #[test]
@@ -332,11 +342,11 @@ mod tests {
         let cache = KernelCache::new(8);
         let k = kernel("a", 1);
         let mut last = None;
-        let base = cache.get_or_compile(&k, &[0], 4, &mut last);
+        let base = cache.get_or_compile(&k, &[0], 4, &mut last).unwrap();
         for (bases, b) in [(&[8u64][..], 4), (&[0][..], 8)] {
             assert!(!Arc::ptr_eq(&base, &get(&cache, &k, bases, b)), "bases/b key separately");
             let mut previous = last.clone();
-            let e = cache.get_or_compile(&k, bases, b, &mut previous);
+            let e = cache.get_or_compile(&k, bases, b, &mut previous).unwrap();
             assert!(!Arc::ptr_eq(&base, &e), "the previous launch's key is not this one's");
             assert_eq!(previous.map(|key| (key.bases.to_vec(), key.b)), Some((bases.to_vec(), b)));
         }
@@ -351,18 +361,37 @@ mod tests {
         let cache = KernelCache::new(2);
         let a = kernel("a", 1);
         let mut last = None;
-        let first = cache.get_or_compile(&a, &[0], 4, &mut last);
-        let again = cache.get_or_compile(&kernel("renamed", 1), &[0], 4, &mut last);
+        let first = cache.get_or_compile(&a, &[0], 4, &mut last).unwrap();
+        let again = cache.get_or_compile(&kernel("renamed", 1), &[0], 4, &mut last).unwrap();
         assert!(Arc::ptr_eq(&first, &again));
         assert_eq!((cache.stats().hits, cache.stats().misses), (1, 1));
 
         get(&cache, &kernel("a", 2), &[0], 4);
         get(&cache, &kernel("a", 3), &[0], 4); // evicts imm = 1
-        let back = cache.get_or_compile(&a, &[0], 4, &mut last);
+        let back = cache.get_or_compile(&a, &[0], 4, &mut last).unwrap();
         assert!(!Arc::ptr_eq(&first, &back), "an evicted entry compiles again");
         let s = cache.stats();
         assert_eq!((s.hits, s.misses, s.entries), (1, 4, 2));
         assert!(Arc::ptr_eq(&back, &get(&cache, &a, &[0], 4)), "and is resident again");
+    }
+
+    /// A kernel the validator refuses is an error, takes no entry and is
+    /// no previous launch: the next lookup checks it again.
+    #[test]
+    fn a_refused_kernel_is_an_error_and_is_not_cached() {
+        let cache = KernelCache::new(8);
+        let mut kb = KernelBuilder::new("bad", 4, 8);
+        kb.glb_to_shr(AddrExpr::lane(), DBuf(1), AddrExpr::lane());
+        let bad = kb.build();
+        let mut last = None;
+        for _ in 0..2 {
+            let err = cache.get_or_compile(&bad, &[0], 4, &mut last).unwrap_err();
+            assert!(matches!(err, SimError::InvalidKernel { .. }), "{err}");
+            assert!(last.is_none(), "a refused launch is no previous launch");
+        }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (0, 0, 0));
+        assert!(cache.get_or_compile(&bad, &[0, 64], 4, &mut last).is_ok(), "two buffers");
     }
 
     #[test]

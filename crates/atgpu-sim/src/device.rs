@@ -68,6 +68,7 @@ use crate::gmem::GlobalMemory;
 use crate::mp::Mp;
 use crate::warp::{GmemAccess, WarpExec, WriteRec};
 use crate::{EngineSel, ExecMode};
+use atgpu_ir::validate::validate_launch;
 use atgpu_ir::Kernel;
 use atgpu_model::{occupancy, AtgpuMachine, GpuSpec};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -344,7 +345,7 @@ impl Device {
                 // Taken whole, given back whole (see the module docs).
                 let mut kept = std::mem::take(&mut *self.kept());
                 let bases = target.mem().bases();
-                let compiled = self.cache.get_or_compile(kernel, bases, b, &mut kept.last);
+                let compiled = self.cache.get_or_compile(kernel, bases, b, &mut kept.last)?;
                 let make = || BlockExec::new(&compiled);
                 let stats =
                     self.run_sequential(&blocks, &*compiled, &mut kept.pool, make, &mut target);
@@ -359,6 +360,8 @@ impl Device {
             EngineSel::Reference => {
                 let nregs = kernel.max_reg().map_or(1, |r| u32::from(r) + 1);
                 let bases = target.mem().bases().to_vec();
+                validate_launch(kernel, bases.len())
+                    .map_err(|error| SimError::InvalidKernel { error })?;
                 let make = || WarpExec::new(kernel, &bases, b, nregs);
                 self.run_sequential(&blocks, &(), &mut Pool::default(), make, &mut target)
             }

@@ -28,15 +28,18 @@
 //! * lane by lane only where the addresses vary by register or are trees,
 //!   or where an end of the row is out of bounds — then the lane-ordered
 //!   walk reports the first offending lane, as the reference does;
-//! * per-site compile-time shapes: transaction counts come from the
-//!   compile-time residue table, bank-conflict degrees from the shared
-//!   classifier — the dynamic fallbacks use fixed `[_; 64]` scratch:
-//!   generation-stamped per-bank counters and lane chains, and a short
-//!   list of distinct block indices (no `Vec`, no sort, no dedup).
+//! * a row is costed from the row: its transactions and bank degree are
+//!   the closed forms of [`atgpu_ir::affine`] in its first address,
+//!   stride and active lanes (a shared site's degree under its
+//!   compile-time mask is read from the site) — the per-lane fallbacks
+//!   use fixed `[_; 64]` scratch: generation-stamped per-bank counters
+//!   and lane chains, and a short list of distinct block indices (no
+//!   `Vec`, no sort, no dedup).
 //!
 //! Timing has one source: every access's event is computed from its
-//! site's compile-time tables (or the dynamic fallback) as it executes.
-//! Stepping does not panic: the module denies the panicking calls.
+//! row (or the per-lane fallback) as it executes, by the same rules the
+//! analyser and the verifier read.  Stepping does not panic: the module
+//! denies the panicking calls.
 //!
 //! # Who owns what
 //!
@@ -104,12 +107,10 @@ impl BlockSim for crate::warp::WarpExec<'_> {
 }
 
 /// An affine access checked against its memory: the active lanes lie in
-/// `lo..=hi`, lane `l` addresses `base + stride·l`, and every such
-/// address of the span is inside the memory.
+/// `lo..=hi`, lane `l` addresses `start + stride·(l − lo)`, and every
+/// such address of the span is inside the memory.
 #[derive(Clone, Copy)]
 struct Row {
-    /// Lane 0's address (the transaction table's residue).
-    base: i64,
     stride: i64,
     /// The address of lane `lo`.
     start: usize,
@@ -646,57 +647,43 @@ impl BlockExec {
     fn row(&self, a: &AffineAddr, folded: i64, mask: u64, len: u64) -> Option<Row> {
         let (lo, hi) = lane_span(mask);
         let at = |lane: usize| a.lane.checked_mul(lane as i64)?.checked_add(folded);
-        let (mut first, mut last, mut base) = (at(lo)?, at(hi)?, folded);
+        let (mut first, mut last) = (at(lo)?, at(hi)?);
         if let Some((r, c)) = a.reg {
             // Warp-uniform: the first active lane's value is every lane's.
             let offset = c.checked_mul(self.reg(r, lo))?;
             first = first.checked_add(offset)?;
             last = last.checked_add(offset)?;
-            base = base.checked_add(offset)?;
         }
         let in_bounds = |addr: i64| u64::try_from(addr).is_ok_and(|w| w < len);
-        let row = Row { base, stride: a.lane, start: first as usize, lo, hi };
+        let row = Row { stride: a.lane, start: first as usize, lo, hi };
         (in_bounds(first) && in_bounds(last)).then_some(row)
     }
 
-    /// Bank-conflict degree of one shared access, given the plan.
+    /// Bank-conflict degree of one shared access, given the plan: the
+    /// site's baked degree when the access runs under its compile-time
+    /// mask (the lowering proved it always does), the bank rule over the
+    /// row otherwise, and per lane without a row.
     #[inline(always)]
     fn shared_degree(&self, site: &Site, mask: u64, plan: AddrPlan, s: &mut Scratch) -> u32 {
         let AddrPlan::Row(row) = plan else {
             return s.conflict_degree(mask, self.b);
         };
-        if let Some(d) = site.full_degree {
-            // Degree 1 is mask-independent (broadcast, or all lanes in
-            // distinct banks); other exact degrees hold for the full warp.
-            if d == 1 || mask == self.full_mask {
-                return d;
-            }
+        match site.masked_degree {
+            Some(d) if site.mask == Some(mask) => d,
+            _ => masked_conflict_degree(row.stride, mask, u64::from(self.b)) as u32,
         }
-        // Masked-affine static path: the compiler proved this site always
-        // executes under `site.mask` and precomputed the exact degree.
-        if let (Some(m), Some(d)) = (site.mask, site.masked_degree) {
-            if m == mask {
-                return d;
-            }
-        }
-        masked_conflict_degree(row.stride, mask, u64::from(self.b)) as u32
     }
 
-    /// Coalesced transaction count of one global access, given the plan.
+    /// Coalesced transaction count of one global access, given the plan:
+    /// the block rule over the row's active lanes, per lane without a
+    /// row.
     #[inline(always)]
-    fn global_txns(&self, site: &Site, mask: u64, plan: AddrPlan, s: &mut Scratch) -> u32 {
+    fn global_txns(&self, mask: u64, plan: AddrPlan, s: &mut Scratch) -> u32 {
         let AddrPlan::Row(row) = plan else {
             return s.distinct_blocks(mask, self.b);
         };
-        // The table is exact for the mask it was computed over: the
-        // site's compile-time mask when one is known (masked-affine
-        // static path), the full warp otherwise.
-        match &site.txn_table {
-            Some(table) if mask == site.mask.unwrap_or(self.full_mask) => {
-                table[row.base.rem_euclid(i64::from(self.b)) as usize]
-            }
-            _ => masked_span_blocks(row.base, row.stride, mask, u64::from(self.b)) as u32,
-        }
+        let first = row.start as i64;
+        masked_span_blocks(first, row.stride, mask >> row.lo, u64::from(self.b)) as u32
     }
 
     /// Moves the shared words `from` addresses (`s.val_buf` when per
@@ -913,7 +900,7 @@ impl BlockSim for BlockExec {
                     // no error to report; a per-lane plan reads first.
                     let gsite = &ck.sites[*global as usize];
                     let gplan = self.plan_addrs(gsite, mask, gmem.len(), s);
-                    let txns = self.global_txns(gsite, mask, gplan, s);
+                    let txns = self.global_txns(mask, gplan, s);
                     if let AddrPlan::PerLane = gplan {
                         read(gmem.view(), gplan, mask, s)
                             .map_err(|addr| Self::oob_global(ck, addr, gmem.len()))?;
@@ -937,7 +924,7 @@ impl BlockSim for BlockExec {
                     }
                     let gsite = &ck.sites[*global as usize];
                     let gplan = self.plan_addrs(gsite, mask, gmem.len(), s);
-                    let txns = self.global_txns(gsite, mask, gplan, s);
+                    let txns = self.global_txns(mask, gplan, s);
                     self.global_store(ck, gmem, gplan, splan, mask, s)?;
                     self.pc += 1;
                     return Ok(StepEvent::Global { txns, issue: degree });

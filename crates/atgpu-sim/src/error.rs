@@ -108,6 +108,12 @@ pub enum SimError {
         /// What was being simulated.
         context: String,
     },
+    /// A launched kernel fails [`atgpu_ir::validate::validate_launch`]:
+    /// the IR validator refuses it, so it is neither lowered nor run.
+    InvalidKernel {
+        /// Why the validator refuses it.
+        error: atgpu_ir::IrError,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -157,6 +163,7 @@ impl fmt::Display for SimError {
             SimError::WorkerPanic { context } => {
                 write!(f, "simulation worker thread panicked while {context}")
             }
+            SimError::InvalidKernel { error } => write!(f, "invalid kernel launch: {error}"),
         }
     }
 }

@@ -28,12 +28,12 @@
 //!           ┌ once per launch ─────────────┐   ┌ per thread block ──────────────┐
 //!  Kernel ──► uop::CompiledKernel::compile ├───► engine::BlockExec (flat pc,    ├──► StepEvents
 //!  (Instr    │  · flatten Repeat/Pred into │   │   arm stack, whole rows under  │    │
-//!   tree)    │    jump-targeted Vec<Uop>   │   │   any mask, O(1) txn/degree    │    ▼
-//!            │  · classify each site:      │   │   lookups, fixed scratch)      │  mp::Mp (min (ready,
-//!            │    unit/bcast/strided/dyn   │   │                                │  index) key tree) →
-//!            │  · bake conflict degrees +  │   │  timing is read from the site  │  device (run to the
-//!            │    residue txn tables       │   │  tables as each access runs —  │  horizon) → driver
-//!            │                             │   │  the one source of an event    │  (transfers, rounds)
+//!   tree)    │    jump-targeted Vec<Uop>   │   │   any mask, fixed scratch)     │    ▼
+//!            │  · classify each site:      │   │                                │  mp::Mp (min (ready,
+//!            │    unit/bcast/strided/dyn   │   │  timing is computed from each  │  index) key tree) →
+//!            │  · bake a shared site's     │   │  access's row by the model's   │  device (run to the
+//!            │    degree under its mask    │   │  two rules (atgpu_ir::affine)  │  horizon) → driver
+//!            │                             │   │  — the one source of an event  │  (transfers, rounds)
 //!            └──────────────────────────────┘   └────────────────────────────────┘
 //! ```
 //!
@@ -44,6 +44,12 @@
 //! ([`Device::run_kernel_with`], [`Device::run_shard`],
 //! [`Cluster::run_sharded_kernel`]).  A program run always executes the
 //! micro-op engine.
+//!
+//! A kernel enters execution in two places — a kernel-cache miss and the
+//! reference interpreter's per-launch build — and both check
+//! [`atgpu_ir::validate::validate_launch`] first: a kernel the IR
+//! validator refuses is [`SimError::InvalidKernel`], never lowered, run
+//! or cached.
 //!
 //! ## Cross-launch kernel cache
 //!
@@ -326,7 +332,7 @@
 //! * [`cache`] — the cross-launch kernel cache: keyed compiled programs,
 //!   per device (hit/miss counters in [`device::DeviceStats`]);
 //! * [`engine`] — the micro-op block executor: allocation-free stepping,
-//!   contiguous fast paths, timing read from the site tables; an
+//!   contiguous fast paths, timing computed from each access's row; an
 //!   executor holds a block's state and no kernel, and the rows one
 //!   instruction works in are a [`Scratch`] its MP lends it;
 //! * [`warp`] — the reference interpreter: lockstep tree-walking

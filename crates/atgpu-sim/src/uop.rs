@@ -12,44 +12,42 @@
 //! emits nothing.
 //!
 //! Compilation also classifies every memory access site
-//! ([`Site`]/[`FastPath`]) using the shared shape classifier in
-//! [`atgpu_ir::affine`]:
+//! ([`Site`]/[`FastPath`]):
 //!
-//! * static affine **shared** sites get their full-warp bank-conflict
-//!   degree baked in;
-//! * static affine **global** sites get a per-residue coalesced
-//!   transaction table (`txn_table[folded_base mod b]`), turning the
-//!   per-access O(b) lane scan into one table lookup — buffer bases are
-//!   folded into the affine base at compile time;
+//! * affine sites keep their address in evaluation form, global ones
+//!   with the buffer base folded into the affine constant;
 //! * unit-stride, broadcast and strided shapes are tagged so the executor
 //!   moves whole rows — one bounds check at the lowest and highest active
 //!   lane, then one gather or scatter pass — instead of evaluating and
-//!   checking an address per lane;
+//!   checking an address per lane, and costs the row by the closed forms
+//!   of [`atgpu_ir::affine`] (blocks from the row's ends and stride, bank
+//!   degree from its stride and span);
 //! * **uniform-affine** shapes — `lane·c ± reg` over a register the
 //!   walk proves warp-uniform ([`At::is_uniform`]: written
 //!   under the full mask from immediates, block and loop indices and
-//!   other uniform registers, like scan's `1 << t`) — are classified and
-//!   tabled by their lane stride exactly as static ones: the register
-//!   adds one offset to the whole warp, read once per access;
-//! * **masked-affine** shapes — a static affine stride under a
-//!   compile-time active-lane mask — get exact baked conflict degrees
-//!   and mask-aware transaction tables.  Masks come from lane/immediate
-//!   predicates *and* from predicates over lane-pure registers
-//!   (constant-folded by the walk), which covers the
+//!   other uniform registers, like scan's `1 << t`) — are classified by
+//!   their lane stride exactly as static ones: the register adds one
+//!   offset to the whole warp, read once per access;
+//! * **masked-affine** shapes — an affine stride under a compile-time
+//!   active-lane mask — carry the mask, and shared ones their exact bank
+//!   degree under it: a sparse mask (an interleaved reduction's
+//!   `0x5555…`) would otherwise be scanned on every access.  Masks come
+//!   from lane/immediate predicates *and* from predicates over lane-pure
+//!   registers (constant-folded by the walk), which covers the
 //!   shrinking partial-warp phases of tree reductions;
 //! * everything else falls back to dynamic evaluation over fixed scratch
 //!   buffers (still allocation-free).
 //!
-//! These per-site answers are the executor's only source of timing: an
-//! access's event is read from its site as it executes (see
-//! [`crate::engine`]).
+//! A site holds no table: lowering allocates nothing per site beyond the
+//! [`Site`] itself, and an access's event is computed from its row as it
+//! executes (see [`crate::engine`]).
 //!
 //! Lowering is on the path of every submitted kernel, so the module
 //! denies the panicking calls.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::unreachable)]
 
-use atgpu_ir::affine::{masked_conflict_degree, masked_span_blocks, AffineAddr, CompiledAddr};
+use atgpu_ir::affine::{masked_conflict_degree, AffineAddr, CompiledAddr};
 use atgpu_ir::lanemask::{walk, At, Visit};
 use atgpu_ir::{AddrExpr, AluOp, Instr, Kernel, Operand, PredExpr, Reg, MAX_LOOP_DEPTH};
 
@@ -181,20 +179,12 @@ pub struct Site {
     pub addr: SiteAddr,
     /// Fast-path classification.
     pub fast: FastPath,
-    /// Full-warp bank-conflict degree (shared sites, not
-    /// [`FastPath::Dynamic`]).
-    pub full_degree: Option<u32>,
-    /// Coalesced transactions per folded-base residue (global sites, not
-    /// [`FastPath::Dynamic`]); indexed by `offset.rem_euclid(b)`.
-    /// Computed over the site's compile-time [`Site::mask`] when one is
-    /// known, over the full warp otherwise.
-    pub txn_table: Option<Box<[u32]>>,
     /// The **masked-affine** shape: the compile-time active-lane mask
     /// under which this site executes, when every enclosing divergence
     /// arm has a constant mask.  The runtime mask then always equals this
-    /// value, so conflict degrees and transaction counts are baked at
-    /// compile time even for partial-warp phases (e.g. the shrinking
-    /// prefixes/strides of a tree reduction).
+    /// value, so a shared site's conflict degree is baked at compile time
+    /// even for partial-warp phases (e.g. the shrinking prefixes/strides
+    /// of a tree reduction).
     pub mask: Option<u64>,
     /// Exact bank-conflict degree for [`Site::mask`] (shared sites, not
     /// [`FastPath::Dynamic`], compile-time mask).
@@ -242,7 +232,6 @@ struct Compiler<'k> {
     sites: Vec<Site>,
     bases: &'k [u64],
     b: u32,
-    full_mask: u64,
     max_arm_depth: usize,
     /// The `Pred`s and `Repeat`s the walk has open, innermost last.
     open: Vec<Open>,
@@ -265,13 +254,11 @@ impl CompiledKernel {
     /// `b` lanes and `nregs` registers per lane.
     pub fn compile(kernel: &Kernel, bases: &[u64], b: u32, nregs: u32) -> Self {
         debug_assert!((1..=64).contains(&b));
-        let full_mask = if b >= 64 { u64::MAX } else { (1u64 << b) - 1 };
         let mut c = Compiler {
             prog: Vec::with_capacity(kernel.size() * 2),
             sites: Vec::new(),
             bases,
             b,
-            full_mask,
             max_arm_depth: 0,
             open: Vec::new(),
         };
@@ -393,9 +380,8 @@ impl Compiler<'_> {
                     None => *a,
                 };
                 // A warp-uniform register adds the same offset to every
-                // lane: conflict degrees and transaction counts depend on
-                // the lane stride and the offset's residue alone, as for
-                // a static address.
+                // lane: the row's cost depends on its lane stride and
+                // ends alone, as for a static address.
                 let uniform = folded_base.reg.is_none_or(|(r, _)| at.is_uniform(r));
                 let fast = match (uniform, folded_base.lane) {
                     (false, _) => FastPath::Dynamic,
@@ -403,37 +389,15 @@ impl Compiler<'_> {
                     (true, 0) => FastPath::Broadcast,
                     (true, _) => FastPath::Strided,
                 };
-                let full_degree = match gbase {
-                    None if uniform => {
-                        let lanes_only = AffineAddr { reg: None, ..folded_base };
-                        lanes_only.full_warp_conflict_degree(b).map(|d| d as u32)
-                    }
-                    _ => None,
-                };
                 let masked_degree = match (gbase, mask_ctx) {
                     (None, Some(m)) if uniform => {
                         Some(masked_conflict_degree(folded_base.lane, m, b) as u32)
                     }
                     _ => None,
                 };
-                // The transaction table covers the site's compile-time
-                // mask when one is known (the runtime mask provably
-                // equals it), the full warp otherwise.
-                let table_mask = mask_ctx.unwrap_or(self.full_mask);
-                let txn_table: Option<Box<[u32]>> = if gbase.is_some() && uniform {
-                    Some(
-                        (0..b as i64)
-                            .map(|r| masked_span_blocks(r, folded_base.lane, table_mask, b) as u32)
-                            .collect(),
-                    )
-                } else {
-                    None
-                };
                 Site {
                     addr: SiteAddr::Affine(folded_base),
                     fast,
-                    full_degree,
-                    txn_table,
                     mask: mask_ctx,
                     masked_degree,
                     gbase: 0,
@@ -442,8 +406,6 @@ impl Compiler<'_> {
             CompiledAddr::Tree(t) => Site {
                 addr: SiteAddr::Tree(t.clone()),
                 fast: FastPath::Dynamic,
-                full_degree: None,
-                txn_table: None,
                 mask: mask_ctx,
                 masked_degree: None,
                 gbase: gbase.unwrap_or(0) as i64,
@@ -458,7 +420,10 @@ impl Compiler<'_> {
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
+    use atgpu_ir::affine::masked_span_blocks;
     use atgpu_ir::{DBuf, KernelBuilder};
+
+    const FULL: u64 = u64::MAX >> 32;
 
     fn compile(kernel: &Kernel) -> CompiledKernel {
         let nregs = kernel.max_reg().map(|r| u32::from(r) + 1).unwrap_or(1);
@@ -537,17 +502,19 @@ mod tests {
         // Sites in creation order: shared(lane), global(i·32+j), shared(7),
         // shared(2j), shared(lane), global(reg).
         assert_eq!(c.sites[0].fast, FastPath::Unit);
-        assert_eq!(c.sites[0].full_degree, Some(1));
+        assert_eq!(c.sites[0].masked_degree, Some(1));
         assert_eq!(c.sites[1].fast, FastPath::Unit);
-        let table = c.sites[1].txn_table.as_ref().unwrap();
-        assert_eq!(table[0], 1, "aligned unit-stride warp = 1 txn");
-        assert_eq!(table[1], 2, "misaligned warp straddles 2 blocks");
+        // The executor counts a global row's blocks from its first
+        // address and stride.
+        let a = c.sites[1].as_affine().unwrap();
+        assert_eq!(masked_span_blocks(a.base, a.lane, FULL, 32), 1, "aligned warp = 1 txn");
+        assert_eq!(masked_span_blocks(a.base + 1, a.lane, FULL, 32), 2, "misaligned: 2 blocks");
         assert_eq!(c.sites[2].fast, FastPath::Broadcast);
-        assert_eq!(c.sites[2].full_degree, Some(1));
+        assert_eq!(c.sites[2].masked_degree, Some(1));
         assert_eq!(c.sites[3].fast, FastPath::Strided);
-        assert_eq!(c.sites[3].full_degree, Some(2));
+        assert_eq!(c.sites[3].masked_degree, Some(2));
         assert_eq!(c.sites[5].fast, FastPath::Dynamic);
-        assert!(c.sites[5].txn_table.is_none());
+        assert_eq!(c.sites[5].masked_degree, None);
     }
 
     #[test]
@@ -592,14 +559,14 @@ mod tests {
         });
         let c = compile(&kb.build());
         // Site 0: full-warp store.
-        assert_eq!(c.sites[0].mask, Some(u64::MAX >> 32));
+        assert_eq!(c.sites[0].mask, Some(FULL));
         assert_eq!(c.sites[0].masked_degree, Some(1));
         // Site 1: stride 2 under mask 0..16 — 16 distinct addresses on 32
         // banks, every bank at most once: degree 1 (the full-warp degree
         // would be 2).
         assert_eq!(c.sites[1].mask, Some(0xFFFF));
         assert_eq!(c.sites[1].masked_degree, Some(1));
-        assert_eq!(c.sites[1].full_degree, Some(2));
+        assert_eq!(masked_conflict_degree(2, FULL, 32), 2);
     }
 
     #[test]
@@ -672,8 +639,8 @@ mod tests {
         let c = compile(&kb.build());
         let fast: Vec<FastPath> = c.sites.iter().map(|s| s.fast).collect();
         assert_eq!(fast, [FastPath::Unit, FastPath::Dynamic, FastPath::Dynamic]);
-        assert_eq!(c.sites[0].full_degree, Some(1));
-        assert_eq!(c.sites[2].full_degree, None);
+        assert_eq!(c.sites[0].masked_degree, Some(1));
+        assert_eq!(c.sites[2].masked_degree, None);
     }
 
     #[test]
@@ -688,8 +655,10 @@ mod tests {
             kb.shr_to_glb(DBuf(0), AddrExpr::block(), AddrExpr::c(0));
         });
         let c = compile(&kb.build());
-        let gsite = c.sites.iter().find(|s| s.txn_table.is_some()).unwrap();
-        assert_eq!(gsite.mask, Some(1));
-        assert!(gsite.txn_table.as_ref().unwrap().iter().all(|&t| t == 1));
+        // Sites: shared(lane), then the copy's shared(0) and global(i).
+        let gsite = &c.sites[2];
+        assert_eq!((gsite.fast, gsite.mask), (FastPath::Broadcast, Some(1)));
+        let a = gsite.as_affine().unwrap();
+        assert!((0..32).all(|r| masked_span_blocks(r, a.lane, 1, 32) == 1));
     }
 }

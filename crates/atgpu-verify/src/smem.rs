@@ -3,13 +3,14 @@
 //! Two active lanes of one warp storing **different values to the same
 //! shared word** in one instruction leave the word implementation-
 //! defined; a broadcast of one value is benign (and idiomatic — the
-//! scan kernel's owner-block pattern does exactly that).  The shape
-//! machinery from `atgpu-ir` already classifies the per-warp access
-//! pattern: [`atgpu_ir::affine::masked_conflict_degree`] gives the
-//! worst-case number of distinct shared addresses colliding on one
-//! bank, and a lane stride of 0 puts every active lane on one word.
+//! scan kernel's owner-block pattern does exactly that).  The model's
+//! block rule counts the words: with one-word blocks,
+//! [`atgpu_ir::affine::masked_span_blocks`] is the number of distinct
+//! words the active lanes address, and fewer words than lanes means two
+//! lanes share one.
 //!
-//! * **Definite** hazard: static affine address, lane coefficient 0,
+//! * **Definite** hazard: static affine address whose active lanes
+//!   address fewer words than there are lanes (a lane coefficient of 0),
 //!   ≥ 2 known-active lanes, non-uniform stored value.  Reported as
 //!   unsound.
 //! * **Advisory** hazard: register-addressed or unknown-mask stores
@@ -18,6 +19,7 @@
 //!   differential suites own those.
 
 use atgpu_analyze::sites::{Access, Site, Space};
+use atgpu_ir::affine::masked_span_blocks;
 
 /// One shared-memory write hazard.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -52,20 +54,14 @@ fn check_site(site: &Site, b: u64) -> Option<SmemHazard> {
     }
     match site.addr.as_affine() {
         Some(a) if a.is_static() => {
-            if a.lane == 0 {
-                // All active lanes write one word, values differ.
-                Some(SmemHazard {
-                    instr: site.instr,
-                    definite: site.lane_mask.is_some(),
-                    lanes: active,
-                })
-            } else {
-                // Distinct-per-lane addresses: no intra-instruction
-                // collision (stride ≠ 0 over < b lanes of one warp
-                // keeps addresses pairwise distinct — same argument as
-                // `full_warp_conflict_degree`).
-                None
-            }
+            // Lanes sharing a word write different values; a non-zero
+            // lane stride keeps every lane on its own word.
+            let words = masked_span_blocks(a.base, a.lane, mask, 1);
+            (words < active).then_some(SmemHazard {
+                instr: site.instr,
+                definite: site.lane_mask.is_some(),
+                lanes: active,
+            })
         }
         // Data-dependent shared scatter: advisory.
         _ => Some(SmemHazard { instr: site.instr, definite: false, lanes: active }),

@@ -1,18 +1,19 @@
 //! The invariant the one timing source rests on, roster-wide: every
 //! memory site of these workloads' kernels lowers to the **static masked
 //! path** — a static affine address under a compile-time active-lane
-//! mask, with its bank-conflict degree (shared) or its per-residue
-//! transaction table (global) baked at compile time — so the executor's
-//! timing "analysis" of such a site is a field read or one table index.
-//! A lowering change that pushes one of them onto the dynamic fallback
-//! fails here by name instead of showing up as a slower `batch_compute` —
-//! and so does one that pushes scan's or gemv's register-stride sites
-//! off the uniform-affine path.
+//! mask, moved as one row, with its bank-conflict degree baked at compile
+//! time (shared) — so the executor's timing of such a site is a field
+//! read (shared) or the block rule's closed form over the row (global),
+//! never a per-lane scan.  A lowering change that pushes one of them onto
+//! the dynamic fallback fails here by name instead of showing up as a
+//! slower `batch_compute` — and so does one that pushes scan's or gemv's
+//! register-stride sites off the uniform-affine path.
 
 use atgpu::algos::reduce::{Reduce, ReduceVariant};
 use atgpu::algos::roster::asym_pair;
 use atgpu::algos::workload::{test_machine, test_spec, Plan};
 use atgpu::algos::Workload;
+use atgpu::ir::affine::masked_conflict_degree;
 use atgpu::sim::uop::{CompiledKernel, FastPath, Site, SiteAddr, Uop};
 
 /// The roster entries whose every kernel is wholly static (the other six
@@ -60,17 +61,23 @@ fn static_workloads_compile_to_the_static_masked_path() {
             let cell = format!("{name}/{plan_name} kernel `{}`", kernel.name);
             let nregs = kernel.max_reg().map_or(1, |r| u32::from(r) + 1);
             let c = CompiledKernel::compile(kernel, &bases, machine.b as u32, nregs);
+            let b = machine.b;
             let check = |id: u32, global: bool| {
                 let site: &Site = &c.sites[id as usize];
-                assert!(
-                    matches!(site.addr, SiteAddr::Affine(a) if a.is_static()),
-                    "{cell}: site {id} is not static affine"
-                );
-                assert!(site.mask.is_some(), "{cell}: site {id} lacks a compile-time mask");
+                let SiteAddr::Affine(a) = site.addr else {
+                    panic!("{cell}: site {id} is not affine")
+                };
+                assert!(a.is_static(), "{cell}: site {id} is not static");
+                assert_ne!(site.fast, FastPath::Dynamic, "{cell}: site {id} is costed per lane");
+                let mask = site.mask.unwrap_or_else(|| panic!("{cell}: site {id} has no mask"));
                 if global {
-                    assert!(site.txn_table.is_some(), "{cell}: global site {id} has no table");
+                    // One run of lanes: the executor's block count is the
+                    // closed form, with no scan.
+                    let run = mask >> mask.trailing_zeros();
+                    assert_eq!(run & run.wrapping_add(1), 0, "{cell}: global site {id} has gaps");
                 } else {
-                    assert!(site.masked_degree.is_some(), "{cell}: shared site {id} has no degree");
+                    let degree = masked_conflict_degree(a.lane, mask, b) as u32;
+                    assert_eq!(site.masked_degree, Some(degree), "{cell}: shared site {id}");
                 }
             };
             for op in &c.prog {
@@ -93,7 +100,7 @@ fn static_workloads_compile_to_the_static_masked_path() {
 /// Scan's `_s[j − s]` and gemv's `_s[j + s]` read through a register
 /// holding the step's stride (`1 << t`, `(b/2) >> t`): the same value in
 /// every lane, so the lowering puts those sites on the uniform-affine
-/// path — classified and tabled by the lane stride, moved as one row —
+/// path — classified and costed by the lane stride, moved as one row —
 /// instead of the per-lane fallback.
 #[test]
 fn register_strides_lower_to_the_uniform_affine_path() {
@@ -111,8 +118,12 @@ fn register_strides_lower_to_the_uniform_affine_path() {
             for (id, site) in c.sites.iter().enumerate() {
                 let SiteAddr::Affine(a) = site.addr else { continue };
                 if a.reg.is_some() {
-                    assert_eq!(site.fast, FastPath::Unit, "{name} `{}` site {id}", kernel.name);
-                    assert_eq!(site.full_degree, Some(1), "{name} `{}` site {id}", kernel.name);
+                    let at = format!("{name} `{}` site {id}", kernel.name);
+                    assert_eq!(site.fast, FastPath::Unit, "{at}");
+                    let mask = site.mask.unwrap_or(u64::MAX >> (64 - machine.b));
+                    let degree = masked_conflict_degree(a.lane, mask, machine.b);
+                    assert_eq!(degree, 1, "{at}");
+                    assert!(site.masked_degree.is_none_or(|d| d == 1), "{at}");
                     uniform += 1;
                 }
             }
