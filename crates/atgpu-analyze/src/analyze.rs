@@ -5,7 +5,6 @@ use crate::coalesce::site_transactions;
 use crate::error::AnalyzeError;
 use crate::opcount::kernel_time_ops;
 use crate::sites::collect;
-use crate::space::{masked_touched_range, touched_range};
 use atgpu_ir::{shard_counts, validate, HostStep, Kernel, Program};
 use atgpu_model::cost::cluster_cost_streamed;
 use atgpu_model::{
@@ -230,11 +229,17 @@ pub struct Prediction {
     /// the model's best estimate, but a caller with a simulator at hand
     /// should prefer observing.
     pub trusted: bool,
+    /// Whether some kernel's operation or transaction count saturated at
+    /// `u64::MAX`: the program runs past 2⁶⁴ steps, so no simulation of
+    /// it finishes and this prediction is the only price it can get,
+    /// trusted or not.
+    pub saturated: bool,
 }
 
 /// Analyses `program` per device of `cluster`, schedules its streams and
 /// prices the result — [`analyze_cluster_program`], [`stream_schedules`]
-/// and [`atgpu_model::cost::cluster_cost_streamed`], plus the trust bit.
+/// and [`atgpu_model::cost::cluster_cost_streamed`], plus the trust and
+/// saturation bits.
 /// This is the one statement of the analyse → schedule → price rule,
 /// shared by the experiment harness and the pricing service.  A
 /// single-device program on a one-device cluster is the `n = 1` case.
@@ -247,7 +252,8 @@ pub fn predict(
     let a = analyze_cluster_program(program, machine, n)?;
     let schedules = stream_schedules(program, n);
     let cost = cluster_cost_streamed(cluster, machine, &a.per_device, &schedules, &a.peer)?;
-    Ok(Prediction { cost, trusted: a.io_exact && a.conflict_free })
+    let saturated = a.kernels.iter().flatten().any(|k| k.time_ops.max(k.io_txns) == u64::MAX);
+    Ok(Prediction { cost, trusted: a.io_exact && a.conflict_free, saturated })
 }
 
 /// The one analysis walk: builds every device's [`RoundMetrics`] rows
@@ -288,12 +294,12 @@ fn walk_program(
             match step {
                 HostStep::TransferIn { words, device, .. } => {
                     let r = &mut per_device[*device as usize][i];
-                    r.inward_words += words;
+                    r.inward_words = r.inward_words.saturating_add(*words);
                     r.inward_txns += 1;
                 }
                 HostStep::TransferOut { words, device, .. } => {
                     let r = &mut per_device[*device as usize][i];
-                    r.outward_words += words;
+                    r.outward_words = r.outward_words.saturating_add(*words);
                     r.outward_txns += 1;
                 }
                 HostStep::TransferPeer { src, dst, words, .. } => {
@@ -338,10 +344,10 @@ fn walk_program(
                 io_exact &= scaled.is_multiple_of(total as u128);
                 let q = ((scaled as f64) / total as f64).round() as u64;
                 let r = &mut per_device[d][i];
-                r.time += ka.time_ops;
-                r.io_blocks += q;
+                r.time = r.time.saturating_add(ka.time_ops);
+                r.io_blocks = r.io_blocks.saturating_add(q);
                 r.shared_words = r.shared_words.max(ka.shared_words);
-                r.blocks_launched += blocks;
+                r.blocks_launched = r.blocks_launched.saturating_add(blocks);
             }
             kernel = Some(ka);
         }
@@ -373,25 +379,22 @@ fn analyze_kernel(
         if let Some(buf) = site.buf {
             let base = bases.get(buf.0 as usize).copied().unwrap_or(0);
             let r = site_transactions(&site.addr, base, k.grid, &site.loop_counts, b);
-            io_txns += r.txns;
+            io_txns = io_txns.saturating_add(r.txns);
             io_exact &= r.exact;
             continue;
         }
         bank.add_site(site_conflict_degree(&site.addr, b), b);
-        // Static shared accesses must stay inside the declared footprint.
-        // With a compile-time lane mask the bound covers exactly the
-        // active lanes (a reduction step reading `_s[j + s]` under
-        // `j < s` stays in bounds even though lane b−1 would not).
-        let range = match site.lane_mask {
-            Some(m) => masked_touched_range(&site.addr, m, b, (1, 1), &site.loop_counts),
-            None => touched_range(&site.addr, b, (1, 1), &site.loop_counts),
-        };
-        if let Some((lo, hi)) = range {
-            if lo < 0 || hi >= k.shared_words as i64 {
+        // Static shared accesses must stay inside the declared footprint
+        // over the whole grid.  With a compile-time lane mask the bound
+        // covers exactly the active lanes (a reduction step reading
+        // `_s[j + s]` under `j < s` stays in bounds even though lane b−1
+        // would not).
+        if let Some([lo, hi]) = site.extent(b, k.grid) {
+            if lo.addr < 0 || hi.addr >= i128::from(k.shared_words) {
                 return Err(AnalyzeError::SharedOutOfRange {
                     kernel: k.name.clone(),
-                    min: lo,
-                    max: hi,
+                    min: lo.addr,
+                    max: hi.addr,
                     declared: k.shared_words,
                 });
             }
@@ -528,6 +531,46 @@ mod tests {
             analyze_program(&p, &machine()),
             Err(AnalyzeError::SharedOutOfRange { max: 32, .. })
         ));
+    }
+
+    /// A shared store whose address moves with the block is bounded over
+    /// the whole grid: block 3's lane 31 stores to word 34 of a 32-word
+    /// footprint.
+    #[test]
+    fn block_dependent_shared_store_is_bounded_over_the_grid() {
+        let mut pb = ProgramBuilder::new("p");
+        pb.begin_round();
+        let mut kb = KernelBuilder::new("k", 4, 32);
+        kb.st_shr(AddrExpr::block() + AddrExpr::lane(), Operand::Imm(0));
+        pb.launch(kb.build());
+        let p = pb.build().unwrap();
+        assert!(matches!(
+            analyze_program(&p, &machine()),
+            Err(AnalyzeError::SharedOutOfRange { min: 0, max: 34, declared: 32, .. })
+        ));
+    }
+
+    #[test]
+    fn kernel_transactions_past_u64_saturate_across_sites() {
+        let mut pb = ProgramBuilder::new("p");
+        let d = pb.device_alloc("d", 64);
+        pb.begin_round();
+        let mut kb = KernelBuilder::new("k", 2, 32);
+        kb.glb_to_shr(AddrExpr::lane(), d, AddrExpr::lane());
+        kb.repeat(u32::MAX, |kb| {
+            kb.repeat(u32::MAX, |kb| {
+                kb.repeat(u32::MAX, |kb| {
+                    kb.glb_to_shr(AddrExpr::lane(), d, AddrExpr::block() * 32 + AddrExpr::lane());
+                });
+            });
+        });
+        pb.launch(kb.build());
+        let p = pb.build().unwrap();
+        let a = analyze_program(&p, &machine()).unwrap();
+        let ka = a.rounds[0].kernel.as_ref().unwrap();
+        assert_eq!((ka.io_txns, ka.time_ops, a.io_exact), (u64::MAX, u64::MAX, true));
+        let spec = ClusterSpec::homogeneous(1, atgpu_model::GpuSpec::gtx650_like());
+        assert!(predict(&p, &machine(), &spec).unwrap().saturated);
     }
 
     #[test]

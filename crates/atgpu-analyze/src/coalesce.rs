@@ -27,7 +27,7 @@
 //! (register operands) cannot be resolved statically; they are bounded by
 //! the worst case of `b` transactions per instance and flagged inexact.
 
-use atgpu_ir::affine::CompiledAddr;
+use atgpu_ir::affine::{bank_period, CompiledAddr};
 
 /// Result of analysing one access site.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,16 +38,6 @@ pub struct SiteTxns {
     /// Whether the count is exact (static affine address) or a
     /// conservative upper bound (data-dependent or non-affine address).
     pub exact: bool,
-}
-
-/// Greatest common divisor.
-fn gcd(mut a: u64, mut b: u64) -> u64 {
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
 }
 
 /// Number of distinct memory blocks touched by addresses
@@ -62,8 +52,8 @@ pub fn lane_block_count(base: i64, stride: i64, lanes: u64, b: u64) -> u64 {
 }
 
 /// Histogram over residues mod `b` of `{coef·idx mod b : idx ∈ [0, count)}`.
-/// `O(b)` via the cycle structure: residues repeat with period
-/// `b / gcd(coef mod b, b)`.
+/// `O(b)` via the cycle structure: residues repeat with the bank rule's
+/// period [`atgpu_ir::affine::bank_period`], `b / gcd(coef mod b, b)`.
 pub fn residue_histogram(count: u64, coef: i64, b: u64) -> Vec<u64> {
     let bu = b as usize;
     let mut h = vec![0u64; bu];
@@ -71,8 +61,7 @@ pub fn residue_histogram(count: u64, coef: i64, b: u64) -> Vec<u64> {
         return h;
     }
     let step = coef.rem_euclid(b as i64) as u64;
-    let g = gcd(step, b).max(1);
-    let period = if step == 0 { 1 } else { b / g };
+    let period = bank_period(coef, b);
     let full = count / period;
     let rem = count % period;
     let mut r = 0u64;
@@ -96,7 +85,8 @@ pub fn convolve_mod(h1: &[u64], h2: &[u64], b: u64) -> Vec<u64> {
             if y == 0 {
                 continue;
             }
-            out[(i + j) % bu] += x * y;
+            let slot = &mut out[(i + j) % bu];
+            *slot = slot.saturating_add(x.saturating_mul(y));
         }
     }
     out
@@ -118,17 +108,21 @@ pub fn site_transactions(
     loop_counts: &[u32],
     b: u64,
 ) -> SiteTxns {
-    let blocks = grid.0 * grid.1;
-    let instances: u64 = loop_counts.iter().map(|&c| u64::from(c)).product::<u64>() * blocks;
+    // Counts saturate at `u64::MAX` rather than wrap; a saturated count
+    // keeps its exactness, so such a program stays on the analytic tier
+    // (see `opcount`).
+    let instances = loop_counts
+        .iter()
+        .fold(grid.0.saturating_mul(grid.1), |n, &c| n.saturating_mul(u64::from(c)));
     if instances == 0 {
         return SiteTxns { txns: 0, exact: true };
     }
     match addr.as_affine() {
         Some(a) if a.is_static() => {
             // Histogram of folded-base residues over (block × loops).
-            let abs_base = a.base + buf_base as i64;
+            let abs_base = i128::from(a.base) + i128::from(buf_base);
             let mut hist = vec![0u64; b as usize];
-            hist[abs_base.rem_euclid(b as i64) as usize] = 1;
+            hist[abs_base.rem_euclid(b.into()) as usize] = 1;
             hist = convolve_mod(&hist, &residue_histogram(grid.0, a.block, b), b);
             hist = convolve_mod(&hist, &residue_histogram(grid.1, a.block_y, b), b);
             for (d, &count) in loop_counts.iter().enumerate() {
@@ -138,13 +132,14 @@ pub fn site_transactions(
             let mut txns = 0u64;
             for (r, &weight) in hist.iter().enumerate() {
                 if weight > 0 {
-                    txns += weight * lane_block_count(r as i64, a.lane, b, b);
+                    let per_warp = lane_block_count(r as i64, a.lane, b, b);
+                    txns = txns.saturating_add(weight.saturating_mul(per_warp));
                 }
             }
             SiteTxns { txns, exact: true }
         }
         // Data-dependent or non-affine: each lane may hit its own block.
-        _ => SiteTxns { txns: instances * b.min(b), exact: false },
+        _ => SiteTxns { txns: instances.saturating_mul(b), exact: false },
     }
 }
 
@@ -300,6 +295,15 @@ mod tests {
         let e = AddrExpr::lane();
         let addr = CompiledAddr::compile(e);
         assert_eq!(site_transactions(&addr, 0, (4, 1), &[0], 32).txns, 0);
+    }
+
+    #[test]
+    fn counts_past_u64_saturate_and_stay_exact() {
+        let addr = CompiledAddr::compile(AddrExpr::lane());
+        let r = site_transactions(&addr, 0, (4, 1), &[u32::MAX; 3], 32);
+        assert_eq!((r.txns, r.exact), (u64::MAX, true));
+        let addr = CompiledAddr::compile(AddrExpr::reg(0));
+        assert_eq!(site_transactions(&addr, 0, (4, 1), &[u32::MAX; 3], 32).txns, u64::MAX);
     }
 
     #[test]

@@ -23,9 +23,9 @@ pub enum AnalyzeError {
         /// Kernel name.
         kernel: String,
         /// Lowest address the access can touch.
-        min: i64,
+        min: i128,
         /// Highest address the access can touch.
-        max: i64,
+        max: i128,
         /// Declared shared words.
         declared: u64,
     },

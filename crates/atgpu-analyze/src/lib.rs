@@ -16,9 +16,22 @@
 //! * [`bankconflict`] — checks the model's "bank conflicts do not occur"
 //!   assumption, reporting the worst serialisation degree a kernel can
 //!   incur;
-//! * [`space`] — global/shared space metrics plus touched-range analysis
-//!   of shared addresses;
 //! * [`analyze`] — the top-level [`analyze::analyze_program`] driver.
+//!
+//! ## Space metrics
+//!
+//! * **Global memory space** — the model takes the peak words stored in
+//!   global memory; with the canonical up-front allocation discipline
+//!   (matching the paper's kernels, which `cudaMalloc` everything before
+//!   round 1) this is the padded total of
+//!   [`atgpu_ir::Program::buffer_layout`], checked against `G`.
+//! * **Shared memory space** — each kernel declares its per-block
+//!   footprint `m`, checked against `M`.  The driver also bounds the
+//!   addresses every static shared access can touch, over the kernel's
+//!   whole grid, by the extent rule
+//!   [`atgpu_ir::affine::AffineAddr::corners`] — the rule the verifier's
+//!   bounds proof reads too — and refuses a kernel that under-declares
+//!   with [`AnalyzeError::SharedOutOfRange`], long before simulation.
 //!
 //! ## One measurement cell
 //!
@@ -48,7 +61,6 @@ pub mod coalesce;
 pub mod error;
 pub mod opcount;
 pub mod sites;
-pub mod space;
 
 pub use analyze::{
     analyze_cluster_program, analyze_program, predict, stream_schedules, ClusterProgramAnalysis,
@@ -56,3 +68,94 @@ pub use analyze::{
 };
 pub use bankconflict::{BankConflictReport, ConflictDegree};
 pub use error::AnalyzeError;
+
+/// The extents the shared-footprint check reads
+/// ([`atgpu_ir::affine::AffineAddr::corners`]), pinned on small shapes.
+#[cfg(test)]
+mod space {
+    #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+    mod tests {
+        use atgpu_ir::affine::CompiledAddr;
+        use atgpu_ir::AddrExpr;
+
+        /// `(low, high)` of `e` under `mask` among `b` lanes.
+        fn extent(
+            e: AddrExpr,
+            mask: u64,
+            b: u64,
+            grid: (u64, u64),
+            loops: &[u32],
+        ) -> Option<(i128, i128)> {
+            let addr = CompiledAddr::compile(e);
+            let [lo, hi] = addr.as_affine()?.corners(mask, b, grid, loops)?;
+            Some((lo.addr, hi.addr))
+        }
+
+        fn range(e: AddrExpr, b: u64, grid: (u64, u64), loops: &[u32]) -> Option<(i128, i128)> {
+            extent(e, u64::MAX, b, grid, loops)
+        }
+
+        #[test]
+        fn lane_only_range() {
+            assert_eq!(range(AddrExpr::lane(), 32, (1, 1), &[]), Some((0, 31)));
+        }
+
+        #[test]
+        fn block_and_lane_range() {
+            // i*32 + j for 4 blocks of 32 lanes: [0, 127]
+            assert_eq!(
+                range(AddrExpr::block() * 32 + AddrExpr::lane(), 32, (4, 1), &[]),
+                Some((0, 127))
+            );
+        }
+
+        #[test]
+        fn negative_coefficient_extends_low() {
+            assert_eq!(range(AddrExpr::c(10) - AddrExpr::lane(), 4, (1, 1), &[]), Some((7, 10)));
+        }
+
+        #[test]
+        fn loop_counts_extend_range() {
+            assert_eq!(
+                range(AddrExpr::loop_var(0) * 8 + AddrExpr::lane(), 8, (1, 1), &[5]),
+                Some((0, 39))
+            );
+        }
+
+        #[test]
+        fn data_dependent_is_unknown() {
+            assert_eq!(range(AddrExpr::reg(0), 32, (1, 1), &[]), None);
+        }
+
+        #[test]
+        fn non_affine_is_unknown() {
+            assert_eq!(range(AddrExpr::lane() * AddrExpr::lane(), 32, (1, 1), &[]), None);
+        }
+
+        #[test]
+        fn zero_trip_loop_never_executes() {
+            assert_eq!(range(AddrExpr::lane(), 32, (1, 1), &[0]), None);
+        }
+
+        #[test]
+        fn masked_range_shrinks_to_active_lanes() {
+            let e = || AddrExpr::lane() + 16;
+            // Full warp: [16, 47].  Masked to lanes 0..16: [16, 31].
+            assert_eq!(range(e(), 32, (1, 1), &[]), Some((16, 47)));
+            assert_eq!(extent(e(), 0xFFFF, 32, (1, 1), &[]), Some((16, 31)));
+            // Single-lane mask.
+            assert_eq!(extent(e(), 1 << 5, 32, (1, 1), &[]), Some((21, 21)));
+            // Empty mask: never executes.
+            assert_eq!(extent(e(), 0, 32, (1, 1), &[]), None);
+            // Negative stride flips the lane span.
+            let rev = AddrExpr::c(10) - AddrExpr::lane();
+            assert_eq!(extent(rev, 0b1100, 16, (1, 1), &[]), Some((7, 8)));
+        }
+
+        #[test]
+        fn unreferenced_deep_loops_ignored() {
+            // Address uses only lane; enclosing loops with coef 0 don't move it.
+            assert_eq!(range(AddrExpr::lane(), 4, (2, 1), &[3, 7]), Some((0, 3)));
+        }
+    }
+}

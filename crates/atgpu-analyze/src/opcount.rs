@@ -15,6 +15,14 @@
 //! * the body is SPMD with launch-time-constant trip counts, so every
 //!   thread block executes the same operation count and `tᵢ = max over
 //!   MPs` equals the per-block count.
+//!
+//! Counts saturate at `u64::MAX` instead of wrapping (three nested
+//! `repeat(u32::MAX)` already pass it).  A saturated count is still a
+//! count the model prices, and `predict` reports it
+//! (`Prediction::saturated`): the pricing service answers such a program
+//! analytically — an astronomic quote — whether or not its analysis is
+//! exact, instead of routing it to a simulation of 2⁹⁶ iterations, which
+//! no watchdog stops unless the caller set one.
 
 use atgpu_ir::{Instr, Kernel};
 
@@ -28,13 +36,13 @@ fn body_ops(body: &[Instr]) -> u64 {
     body.iter()
         .map(|i| match i {
             Instr::Pred { then_body, else_body, .. } => {
-                1 + body_ops(then_body) + body_ops(else_body)
+                body_ops(then_body).saturating_add(body_ops(else_body)).saturating_add(1)
             }
-            Instr::Repeat { count, body } => u64::from(*count) * body_ops(body),
+            Instr::Repeat { count, body } => u64::from(*count).saturating_mul(body_ops(body)),
             Instr::Alu { op, .. } => u64::from(op.issue_cycles()),
             _ => 1,
         })
-        .sum()
+        .fold(0, u64::saturating_add)
 }
 
 #[cfg(test)]
@@ -50,6 +58,19 @@ mod tests {
         kb.alu(AluOp::Add, 0, Operand::Reg(0), Operand::Imm(2));
         kb.st_shr(AddrExpr::lane(), Operand::Reg(0));
         assert_eq!(kernel_time_ops(&kb.build()), 3);
+    }
+
+    #[test]
+    fn nested_loops_past_u64_saturate() {
+        let mut kb = KernelBuilder::new("k", 1, 32);
+        kb.repeat(u32::MAX, |kb| {
+            kb.repeat(u32::MAX, |kb| {
+                kb.repeat(u32::MAX, |kb| {
+                    kb.glb_to_shr(AddrExpr::lane(), atgpu_ir::DBuf(0), AddrExpr::lane());
+                });
+            });
+        });
+        assert_eq!(kernel_time_ops(&kb.build()), u64::MAX);
     }
 
     #[test]

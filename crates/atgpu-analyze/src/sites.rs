@@ -20,7 +20,7 @@
 //!   a benign broadcast from lanes racing different values into one
 //!   word).
 
-use atgpu_ir::affine::CompiledAddr;
+use atgpu_ir::affine::{CompiledAddr, Corner};
 use atgpu_ir::lanemask::{walk, At};
 use atgpu_ir::{DBuf, Instr, Kernel};
 
@@ -65,6 +65,19 @@ pub struct Site {
     /// same in every active lane (a broadcast).  `false` means it *may*
     /// differ.  Reads always record `true`.
     pub uniform_value: bool,
+}
+
+impl Site {
+    /// The site's lowest and highest address over a launch of `grid`
+    /// blocks of `b` lanes, every loop iteration and the active lanes:
+    /// [`atgpu_ir::affine::AffineAddr::corners`], with an unknown lane
+    /// mask taken as every lane.  That is sound for a bound, but a corner
+    /// found under an unknown mask is not known to run.  `None` for a
+    /// non-affine address or where `corners` has none.
+    pub fn extent(&self, b: u64, grid: (u64, u64)) -> Option<[Corner; 2]> {
+        let mask = self.lane_mask.unwrap_or(u64::MAX);
+        self.addr.as_affine()?.corners(mask, b, grid, &self.loop_counts)
+    }
 }
 
 /// True when evaluating `addr` ignores the lane index (every lane reads

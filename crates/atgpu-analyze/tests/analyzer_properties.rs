@@ -4,7 +4,6 @@
 
 use atgpu_analyze::bankconflict::{site_conflict_degree, ConflictDegree};
 use atgpu_analyze::coalesce::site_transactions;
-use atgpu_analyze::space::touched_range;
 use atgpu_ir::affine::CompiledAddr;
 use atgpu_ir::AddrExpr;
 use proptest::prelude::*;
@@ -94,10 +93,10 @@ proptest! {
         prop_assert_eq!(fast, slow, "lane_c={}", lane_c);
     }
 
-    /// The touched-range analysis is a sound bounding box: every address
-    /// the site can produce lies within it.
+    /// The extent rule the analyser's footprint check reads is a sound
+    /// bounding box: every address the site can produce lies within it.
     #[test]
-    fn touched_range_is_sound(
+    fn corners_bound_every_address(
         e in affine_site(),
         gx in 1u64..6,
         gy in 1u64..3,
@@ -105,15 +104,16 @@ proptest! {
     ) {
         let b = 8u64;
         let addr = CompiledAddr::compile(e.clone());
-        let Some((lo, hi)) = touched_range(&addr, b, (gx, gy), &[trips]) else {
+        let Some([lo, hi]) = addr.as_affine().and_then(|a| a.corners(u64::MAX, b, (gx, gy), &[trips])) else {
             return Ok(()); // non-affine shapes may be unknown
         };
+        let (lo, hi) = (lo.addr, hi.addr);
         for by in 0..gy as i64 {
             for bx in 0..gx as i64 {
                 for t in 0..trips {
                     for l in 0..b as i64 {
                         let mut rr = |_| 0i64;
-                        let v = e.eval(l, (bx, by), &[t], &mut rr);
+                        let v = i128::from(e.eval(l, (bx, by), &[t], &mut rr));
                         prop_assert!(v >= lo && v <= hi,
                             "addr {} outside [{}, {}]", v, lo, hi);
                     }

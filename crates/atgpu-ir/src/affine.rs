@@ -22,9 +22,21 @@
 //! the active lanes of a mask, scanning only a mask with gaps.  The
 //! simulator's lowering and executor, the analyser and the verifier all
 //! count blocks and bank degrees through these functions.
+//!
+//! The model's space limits — a block's shared footprint within `m`, a
+//! buffer's accesses within its padded slot of `G` — ask how far an
+//! address reaches over a launch.  **The extent rule**,
+//! [`AffineAddr::corners`], answers once: the lowest and the highest
+//! point of the address over the active lanes, every block of the grid
+//! and every loop iteration, each dimension at the end its coefficient's
+//! sign selects, the address exact in `i128`.  The analyser's
+//! shared-footprint check, the verifier's in-bounds proof and its
+//! out-of-bounds witness (the corner that escapes), and the lints' read
+//! ranges all read it.
 
 use crate::expr::AddrExpr;
 use crate::{Reg, MAX_LOOP_DEPTH};
+use std::fmt;
 
 /// An affine address `base + lane·cL + block·cB + Σ_d loop_d·c_d
 /// [+ reg·cR]`.
@@ -151,6 +163,64 @@ impl AffineAddr {
         Some(self)
     }
 
+    /// **The extent rule.**  The lowest and the highest point of the
+    /// address over the active lanes of `mask` among `b`, every block of
+    /// `grid` and every iteration of the enclosing loops (`loop_counts`,
+    /// outermost first; a counter past them reads 0, as in
+    /// [`AffineAddr::fold_warp`]), in one pass.  Each dimension sits at
+    /// the end its coefficient's sign selects — the low corner at the
+    /// end that makes the term least, the high corner at the other, a
+    /// zero coefficient at the lower end in the low corner and the upper
+    /// one in the high corner — so the address is exact at both.  A mask
+    /// names 64 lanes; on a wider machine the lanes past 63 go with lane
+    /// 63, so an all-lanes mask covers all `b`.
+    ///
+    /// `None` for a register term, an empty domain (no active lane, an
+    /// empty grid dimension, a zero-trip loop), or an end that does not
+    /// fit `i128`.
+    pub fn corners(
+        &self,
+        mask: u64,
+        b: u64,
+        grid: (u64, u64),
+        loop_counts: &[u32],
+    ) -> Option<[Corner; 2]> {
+        let live = mask & if b >= 64 { u64::MAX } else { (1 << b) - 1 };
+        if self.reg.is_some() || live == 0 || grid.0 == 0 || grid.1 == 0 {
+            return None;
+        }
+        let first = u64::from(live.trailing_zeros());
+        let last =
+            if b > 64 && live >> 63 == 1 { b - 1 } else { u64::from(63 - live.leading_zeros()) };
+        let mut addr = [i128::from(self.base); 2];
+        // One dimension `x ∈ [lo, hi]` of coefficient `c`: where each
+        // corner sits, and what it adds there.
+        let mut reach = |c: i64, lo: u64, hi: u64| -> Option<[u64; 2]> {
+            let at = if c >= 0 { [lo, hi] } else { [hi, lo] };
+            for (end, x) in addr.iter_mut().zip(at) {
+                *end = end.checked_add(i128::from(c) * i128::from(x))?;
+            }
+            Some(at)
+        };
+        let lane = reach(self.lane, first, last)?;
+        let bx = reach(self.block, 0, grid.0 - 1)?;
+        let by = reach(self.block_y, 0, grid.1 - 1)?;
+        let mut loops = [[0; MAX_LOOP_DEPTH]; 2];
+        for (d, &count) in loop_counts.iter().enumerate() {
+            let hi = u64::from(count.checked_sub(1)?);
+            let Some(&c) = self.loops.get(d) else { continue };
+            let at = reach(c, 0, hi)?;
+            loops[0][d] = at[0] as u32;
+            loops[1][d] = at[1] as u32;
+        }
+        Some([0, 1].map(|i| Corner {
+            addr: addr[i],
+            lane: lane[i],
+            block: (bx[i], by[i]),
+            loops: loops[i],
+        }))
+    }
+
     /// True when every coefficient is zero (a pure constant).
     fn is_const(&self) -> bool {
         self.lane == 0
@@ -161,7 +231,22 @@ impl AffineAddr {
     }
 }
 
-fn gcd(mut a: u64, mut b: u64) -> u64 {
+/// One end of an address's extent ([`AffineAddr::corners`]): the
+/// execution point at which the address takes it, and the address there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Corner {
+    /// The address, exact.
+    pub addr: i128,
+    /// The lane.
+    pub lane: u64,
+    /// The block `(x, y)`.
+    pub block: (u64, u64),
+    /// The loop counters, outermost first (0 past the enclosing loops).
+    pub loops: [u32; MAX_LOOP_DEPTH],
+}
+
+/// Greatest common divisor (`gcd(a, 0) = a`).
+pub fn gcd(mut a: u64, mut b: u64) -> u64 {
     while b != 0 {
         let t = a % b;
         a = b;
@@ -243,9 +328,11 @@ pub fn masked_span_blocks(base: i64, stride: i64, mask: u64, b: u64) -> u64 {
 
 /// Lanes `l₁, l₂` of an access with lane stride `stride ≠ 0` share one
 /// of `b` banks iff `stride·(l₁ − l₂) ≡ 0 (mod b)`, i.e. iff this period
-/// `b / gcd(|stride| mod b, b)` divides `l₁ − l₂`.
+/// `b / gcd(|stride| mod b, b)` divides `l₁ − l₂`.  It is also the period
+/// of `stride·x mod b` over `x` (1 for `stride ≡ 0`), which is how the
+/// analyser's coalescing histograms read it.
 #[inline]
-fn bank_period(stride: i64, b: u64) -> u64 {
+pub fn bank_period(stride: i64, b: u64) -> u64 {
     if b.is_power_of_two() {
         // gcd(|stride| mod 2ᵏ, 2ᵏ) = 2^min(tz(stride), k)
         b >> stride.trailing_zeros().min(b.trailing_zeros())
@@ -409,6 +496,38 @@ impl CompiledAddr {
             CompiledAddr::Affine(a) => a.reg.map(|(r, _)| r),
             CompiledAddr::Tree(t) => t.max_reg(),
         }
+    }
+}
+
+/// Source-like notation: a tree as written; an affine address as its
+/// nonzero terms `cB·i + cY·iy + c_d·t_d + cL·j + cR·r + base`, unit
+/// coefficients bare, `0` when none is left.  Instruction `Display`
+/// and the paper-style pseudocode both print addresses this way.
+impl fmt::Display for CompiledAddr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let a = match self {
+            CompiledAddr::Tree(t) => return write!(f, "{t}"),
+            CompiledAddr::Affine(a) => a,
+        };
+        let reg = a.reg.map(|(r, c)| (c, format!("r{r}")));
+        let terms = [(a.block, "i".to_string()), (a.block_y, "iy".to_string())]
+            .into_iter()
+            .chain(a.loops.iter().enumerate().map(|(d, &c)| (c, format!("t{d}"))))
+            .chain([(a.lane, "j".to_string())])
+            .chain(reg)
+            .chain([(a.base, String::new())]);
+        let mut sep = "";
+        for (c, name) in terms.filter(|&(c, _)| c != 0) {
+            match (c, name.is_empty()) {
+                (1, false) => write!(f, "{sep}{name}")?,
+                _ => write!(f, "{sep}{c}{name}")?,
+            }
+            sep = " + ";
+        }
+        if sep.is_empty() {
+            write!(f, "0")?;
+        }
+        Ok(())
     }
 }
 
@@ -659,7 +778,131 @@ mod tests {
         assert_eq!(run_blocks(0, 1, 0, 32), 0);
     }
 
+    /// Brute-force extent: every active lane (lanes past 63 go with lane
+    /// 63), block and iteration, in `i128`; `None` for an empty domain.
+    fn enumerated_extent(
+        a: &AffineAddr,
+        mask: u64,
+        b: u64,
+        grid: (u64, u64),
+        loop_counts: &[u32],
+    ) -> Option<(i128, i128)> {
+        let mut points = vec![i128::from(a.base)];
+        let mut extend = |coef: i64, xs: Vec<u64>| {
+            let old = std::mem::take(&mut points);
+            for p in old {
+                points.extend(xs.iter().map(|&x| p + i128::from(coef) * i128::from(x)));
+            }
+        };
+        extend(a.lane, (0..b).filter(|&l| mask >> l.min(63) & 1 == 1).collect());
+        extend(a.block, (0..grid.0).collect());
+        extend(a.block_y, (0..grid.1).collect());
+        for (d, &count) in loop_counts.iter().enumerate() {
+            extend(a.loops.get(d).copied().unwrap_or(0), (0..u64::from(count)).collect());
+        }
+        Some((*points.iter().min()?, *points.iter().max()?))
+    }
+
+    /// `eval`'s own order of operations in checked `i64`: `Some` exactly
+    /// when evaluating `corner` through [`AffineAddr::eval`] cannot
+    /// overflow.
+    fn checked_eval(a: &AffineAddr, c: &Corner) -> Option<i64> {
+        let term = |coef: i64, x: u64| coef.checked_mul(i64::try_from(x).ok()?);
+        let mut v = a.base.checked_add(term(a.block, c.block.0)?)?;
+        v = v.checked_add(term(a.block_y, c.block.1)?)?;
+        for (&coef, &x) in a.loops.iter().zip(&c.loops) {
+            v = v.checked_add(term(coef, u64::from(x))?)?;
+        }
+        v.checked_add(term(a.lane, c.lane)?)
+    }
+
+    #[test]
+    fn corners_name_the_escaping_point_exactly() {
+        // `d[block·2⁶² + lane]` over 4 blocks of 32 lanes reaches
+        // 3·2⁶² + 31, past `i64::MAX`: exact in `i128`, at block 3, lane 31.
+        let a = lower(&(AddrExpr::block() * (1i64 << 62) + AddrExpr::lane())).unwrap();
+        let [low, high] = a.corners(u64::MAX, 32, (4, 1), &[]).unwrap();
+        assert_eq!((low.addr, low.lane, low.block), (0, 0, (0, 0)));
+        assert_eq!((high.addr, high.lane, high.block), (3 * (1i128 << 62) + 31, 31, (3, 0)));
+        // A coefficient of either sign, under a gapped mask, in a loop.
+        let a =
+            lower(&(AddrExpr::c(100) - AddrExpr::lane() * 2 + AddrExpr::loop_var(1) * 7)).unwrap();
+        let [low, high] = a.corners(0b0110_0100, 32, (2, 1), &[3, 4]).unwrap();
+        assert_eq!((low.addr, low.lane, low.loops), (100 - 12, 6, [0, 0, 0, 0]));
+        assert_eq!(
+            (high.addr, high.lane, high.block, high.loops),
+            (96 + 21, 2, (1, 0), [2, 3, 0, 0])
+        );
+    }
+
+    #[test]
+    fn corners_refuse_what_they_cannot_bound() {
+        let lane = lower(&AddrExpr::lane()).unwrap();
+        assert_eq!(lane.corners(0, 32, (1, 1), &[]), None, "empty mask");
+        assert_eq!(lane.corners(u64::MAX << 32, 32, (1, 1), &[]), None, "no lane below b");
+        assert_eq!(lane.corners(u64::MAX, 32, (1, 1), &[4, 0]), None, "zero-trip loop");
+        assert_eq!(lane.corners(u64::MAX, 32, (0, 1), &[]), None, "empty grid");
+        assert_eq!(lane.corners(u64::MAX, 0, (1, 1), &[]), None, "no lanes");
+        let reg = lower(&(AddrExpr::reg(0) + AddrExpr::lane())).unwrap();
+        assert_eq!(reg.corners(u64::MAX, 32, (1, 1), &[]), None, "register term");
+        let wide = AffineAddr { block: i64::MAX, block_y: i64::MAX, ..AffineAddr::ZERO };
+        assert_eq!(wide.corners(1, 32, (u64::MAX, u64::MAX), &[]), None, "past i128");
+        // An all-lanes mask on a machine wider than a mask covers all b lanes.
+        let [low, high] = lane.corners(u64::MAX, 100, (1, 1), &[]).unwrap();
+        assert_eq!((low.addr, high.addr, high.lane), (0, 99, 99));
+    }
+
     use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The extent rule equals brute-force min/max over the domain —
+        /// gapped and dense masks, coefficients of both signs and near
+        /// `i64::MAX`, `b = 1` and `b > 64` — and each corner is a point
+        /// of the domain that evaluates, through [`AffineAddr::eval`]
+        /// wherever that fits `i64`, to the corner's address.
+        #[test]
+        fn corners_are_the_enumerated_extremes(
+            coefs in proptest::collection::vec(prop_oneof![
+                -70i64..70,
+                Just(0i64),
+                (-3i64..3).prop_map(|d| i64::MAX - d.abs()),
+                (-3i64..3).prop_map(|d| i64::MIN + d.abs()),
+            ], 6..7),
+            base in prop_oneof![-200i64..200, any::<i64>()],
+            mask in prop_oneof![any::<u64>(), 1u64..256, Just(u64::MAX), Just(0u64), (0u32..64).prop_map(|l| 1u64 << l)],
+            b in prop_oneof![1u64..=70, Just(1u64), Just(32u64), Just(64u64), 65u64..=70],
+            grid in (0u64..4, 0u64..3),
+            loop_counts in proptest::collection::vec(0u32..4, 0..3),
+        ) {
+            let a = AffineAddr {
+                base,
+                lane: coefs[0],
+                block: coefs[1],
+                block_y: coefs[2],
+                loops: [coefs[3], coefs[4], 0, 0],
+                reg: None,
+            };
+            let expected = enumerated_extent(&a, mask, b, grid, &loop_counts);
+            let got = a.corners(mask, b, grid, &loop_counts);
+            prop_assert_eq!(got.map(|[lo, hi]| (lo.addr, hi.addr)), expected);
+            for c in got.iter().flatten() {
+                prop_assert!(c.lane < b && mask >> c.lane.min(63) & 1 == 1);
+                prop_assert!(c.block.0 < grid.0 && c.block.1 < grid.1);
+                for (d, &x) in c.loops.iter().enumerate() {
+                    prop_assert!(x < loop_counts.get(d).copied().unwrap_or(1));
+                }
+                let point = AffineAddr { reg: None, ..a };
+                if let Some(v) = checked_eval(&point, c) {
+                    let lane = c.lane as i64;
+                    let block = (c.block.0 as i64, c.block.1 as i64);
+                    prop_assert_eq!(a.eval(lane, block, &c.loops, |_| 0), v);
+                    prop_assert_eq!(i128::from(v), c.addr);
+                }
+            }
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(4000))]

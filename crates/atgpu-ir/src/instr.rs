@@ -260,66 +260,17 @@ impl fmt::Display for Instr {
         match self {
             Instr::Alu { op, dst, a, b } => write!(f, "r{dst} ← {a} {} {b}", op.glyph()),
             Instr::Mov { dst, src } => write!(f, "r{dst} ← {src}"),
-            Instr::GlbToShr { shared, global } => write!(
-                f,
-                "_s[{}] ⇐ d{}[{}]",
-                DisplayAddr(shared),
-                global.buf.0,
-                DisplayAddr(&global.offset)
-            ),
-            Instr::ShrToGlb { global, shared } => write!(
-                f,
-                "d{}[{}] ⇐ _s[{}]",
-                global.buf.0,
-                DisplayAddr(&global.offset),
-                DisplayAddr(shared)
-            ),
-            Instr::LdShr { dst, shared } => write!(f, "r{dst} ← _s[{}]", DisplayAddr(shared)),
-            Instr::StShr { shared, src } => write!(f, "_s[{}] ← {src}", DisplayAddr(shared)),
+            Instr::GlbToShr { shared, global } => {
+                write!(f, "_s[{shared}] ⇐ d{}[{}]", global.buf.0, global.offset)
+            }
+            Instr::ShrToGlb { global, shared } => {
+                write!(f, "d{}[{}] ⇐ _s[{shared}]", global.buf.0, global.offset)
+            }
+            Instr::LdShr { dst, shared } => write!(f, "r{dst} ← _s[{shared}]"),
+            Instr::StShr { shared, src } => write!(f, "_s[{shared}] ← {src}"),
             Instr::Pred { pred, .. } => write!(f, "if {pred} then …"),
             Instr::Repeat { count, .. } => write!(f, "for t = 0 → {count} do …"),
             Instr::Sync => write!(f, "sync"),
-        }
-    }
-}
-
-/// Displays a compiled address in source-like notation.
-struct DisplayAddr<'a>(&'a CompiledAddr);
-
-impl fmt::Display for DisplayAddr<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
-            CompiledAddr::Tree(t) => write!(f, "{t}"),
-            CompiledAddr::Affine(a) => {
-                fn term(parts: &mut Vec<String>, coef: i64, name: &str) {
-                    if coef == 0 {
-                        return;
-                    }
-                    if coef == 1 && !name.is_empty() {
-                        parts.push(name.to_string());
-                    } else if name.is_empty() {
-                        parts.push(coef.to_string());
-                    } else {
-                        parts.push(format!("{coef}{name}"));
-                    }
-                }
-                let mut parts = Vec::new();
-                term(&mut parts, a.block, "i");
-                term(&mut parts, a.block_y, "iy");
-                let names = ["t0", "t1", "t2", "t3"];
-                for (d, &c) in a.loops.iter().enumerate() {
-                    term(&mut parts, c, names[d]);
-                }
-                term(&mut parts, a.lane, "j");
-                if let Some((r, c)) = a.reg {
-                    term(&mut parts, c, &format!("r{r}"));
-                }
-                term(&mut parts, a.base, "");
-                if parts.is_empty() {
-                    parts.push("0".to_string());
-                }
-                write!(f, "{}", parts.join(" + "))
-            }
         }
     }
 }

@@ -9,7 +9,6 @@
 //! * every kernel is wrapped in the parallel wrapper loop over
 //!   `mpρ ∈ MP` and `cρ,ε ∈ Cρ`.
 
-use crate::affine::CompiledAddr;
 use crate::instr::Instr;
 use crate::kernel::Kernel;
 use crate::program::{HostBufRole, HostStep, Program};
@@ -70,25 +69,11 @@ impl Renderer {
                 }
                 Instr::GlbToShr { shared, global } => {
                     let name = buf_name(p, global.buf.0);
-                    self.emit(
-                        indent,
-                        &format!(
-                            "_s[{}] ⇐ {name}[{}]  ▷ #{n}",
-                            AddrText(shared),
-                            AddrText(&global.offset)
-                        ),
-                    );
+                    self.emit(indent, &format!("_s[{shared}] ⇐ {name}[{}]  ▷ #{n}", global.offset));
                 }
                 Instr::ShrToGlb { global, shared } => {
                     let name = buf_name(p, global.buf.0);
-                    self.emit(
-                        indent,
-                        &format!(
-                            "{name}[{}] ⇐ _s[{}]  ▷ #{n}",
-                            AddrText(&global.offset),
-                            AddrText(shared)
-                        ),
-                    );
+                    self.emit(indent, &format!("{name}[{}] ⇐ _s[{shared}]  ▷ #{n}", global.offset));
                 }
                 other => self.emit(indent, &format!("{other}  ▷ #{n}")),
             }
@@ -219,46 +204,6 @@ fn site_tag(device: u32, stream: u32) -> String {
 
 fn buf_name(p: &Program, id: u32) -> String {
     p.device_allocs.get(id as usize).map(|a| a.name.clone()).unwrap_or_else(|| format!("d{id}"))
-}
-
-struct AddrText<'a>(&'a CompiledAddr);
-
-impl std::fmt::Display for AddrText<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.0 {
-            CompiledAddr::Tree(t) => write!(f, "{t}"),
-            CompiledAddr::Affine(a) => {
-                let mut parts: Vec<String> = Vec::new();
-                let names = ["t0", "t1", "t2", "t3"];
-                let push = |parts: &mut Vec<String>, c: i64, n: &str| {
-                    if c == 0 {
-                        return;
-                    }
-                    if c == 1 && !n.is_empty() {
-                        parts.push(n.to_string());
-                    } else if n.is_empty() {
-                        parts.push(c.to_string());
-                    } else {
-                        parts.push(format!("{c}{n}"));
-                    }
-                };
-                push(&mut parts, a.block, "i");
-                push(&mut parts, a.block_y, "iy");
-                for (d, &c) in a.loops.iter().enumerate() {
-                    push(&mut parts, c, names[d]);
-                }
-                push(&mut parts, a.lane, "j");
-                if let Some((r, c)) = a.reg {
-                    push(&mut parts, c, &format!("r{r}"));
-                }
-                push(&mut parts, a.base, "");
-                if parts.is_empty() {
-                    parts.push("0".into());
-                }
-                write!(f, "{}", parts.join(" + "))
-            }
-        }
-    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,9 @@
 //!   its job is smaller (fairness over packing efficiency);
 //! * **is bounded** — at most `queue_capacity` requests may be waiting;
 //!   the next submission gets the typed backpressure error
-//!   [`ServeError::QueueFull`] instead of unbounded memory growth.
+//!   [`ServeError::QueueFull`] instead of unbounded memory growth.  A
+//!   tenant's queue is dropped when it empties, so the queue holds no
+//!   more tenants than waiting requests, however many names it has seen.
 
 use crate::error::ServeError;
 use std::collections::VecDeque;
@@ -48,6 +50,7 @@ struct TenantQueue {
 
 #[derive(Debug, Default)]
 struct AdmitState {
+    /// Tenants with a waiting request, in rotation order.
     tenants: Vec<TenantQueue>,
     /// Index of the tenant whose turn the rotation reaches next.
     cursor: usize,
@@ -137,7 +140,16 @@ impl AdmissionQueue {
                 let fits = st.resident_blocks + demand <= self.capacity_blocks;
                 if head == ticket && (fits || st.running == 0) {
                     st.tenants[ti].fifo.pop_front();
-                    st.cursor = (ti + 1) % st.tenants.len();
+                    // The turn passes to the next tenant; an emptied
+                    // queue leaves the rotation, and its successor
+                    // slides into its slot.
+                    let next = if st.tenants[ti].fifo.is_empty() {
+                        st.tenants.remove(ti);
+                        ti
+                    } else {
+                        ti + 1
+                    };
+                    st.cursor = next.checked_rem(st.tenants.len()).unwrap_or(0);
                     st.waiting -= 1;
                     st.running += 1;
                     st.resident_blocks += demand;
@@ -268,6 +280,20 @@ mod tests {
         assert_eq!(q.stats().rejected_total, 1);
         drop(p);
         h.join().unwrap();
+    }
+
+    /// A name's queue leaves with its last request: ten thousand
+    /// tenants passing through one at a time leave no queue behind.
+    #[test]
+    fn held_tenants_are_bounded_by_waiting_requests() {
+        let q = AdmissionQueue::new(4, 4);
+        for i in 0..10_000 {
+            drop(q.admit(&format!("tenant{i}"), 1).unwrap());
+        }
+        let held = q.lock().tenants.len();
+        assert_eq!(held, 0);
+        let (_a, _b) = (q.admit("a", 1).unwrap(), q.admit("b", 1).unwrap());
+        assert_eq!(q.lock().tenants.len(), 0, "granted requests hold no queue");
     }
 
     #[test]

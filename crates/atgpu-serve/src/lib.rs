@@ -76,7 +76,9 @@
 //!    model — microseconds, no simulation.  The analytic path is only
 //!    trusted when the analysis is **exact** (`Prediction::trusted`:
 //!    every transaction count statically known, no shared-memory bank
-//!    conflicts); otherwise the query falls through.
+//!    conflicts); otherwise the query falls through — unless a count
+//!    saturated at `u64::MAX` (`Prediction::saturated`), a run no
+//!    simulation finishes, which is quoted here either way.
 //! 3. **Simulated** — full [`run_cluster_program_on`] of the program
 //!    with zero-filled inputs: exact when the program's addressing is
 //!    data-independent, the zero-input cost otherwise (see
@@ -354,8 +356,11 @@ impl CostServer {
         self.memo.quote_with(key, || {
             // Analytic fast path: only trusted when the analysis is exact;
             // an analysis or cost error falls through to simulation too.
+            // A saturated count stays here whatever its trust: it names a
+            // run past 2⁶⁴ steps, which the watchdog (off by default)
+            // would never stop.
             if let Ok(p) = predict(program, &machine, spec) {
-                if p.trusted {
+                if p.trusted || p.saturated {
                     let source = PriceSource::Analytic;
                     return Ok(Quote { total_ms: p.cost.total_ms, source, key });
                 }

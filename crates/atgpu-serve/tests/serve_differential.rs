@@ -637,6 +637,75 @@ fn a_grid_whose_block_count_overflows_is_a_typed_error() {
     assert!(overflow(server.price(&program).map(|_| ())));
 }
 
+/// A kernel whose address `block·2⁶² + lane` runs past `i64::MAX` over
+/// its 4 blocks is proven out of bounds, with its exact witness, by both
+/// doors.  At the parent the range was cast to `i64` and wrapped: the
+/// program verified sound, was quoted analytically and reached the
+/// simulator, which failed with `GlobalOutOfBounds`.
+#[test]
+fn an_address_past_i64_is_refused_with_its_exact_witness() {
+    use atgpu_ir::{AddrExpr, KernelBuilder, ProgramBuilder};
+    let machine = machine();
+    let server = CostServer::new(machine, spec(1), ServerConfig::default()).expect("server");
+    let mut pb = ProgramBuilder::new("far");
+    let (h, o) = (pb.host_input("A", 128), pb.host_output("C", 128));
+    let d = pb.device_alloc("d", 128);
+    let mut kb = KernelBuilder::new("far", 4, 32);
+    kb.glb_to_shr(AddrExpr::lane(), d, AddrExpr::block() * (1i64 << 62) + AddrExpr::lane());
+    pb.begin_round();
+    pb.transfer_in(h, d, 128);
+    pb.launch(kb.build());
+    pb.transfer_out(d, o, 128);
+    let program = pb.build().expect("builds");
+    let witness = "word 13835058055282163743 of a 128-word allocation at block (3,0), lane 31";
+    let refused = |r: Result<(), ServeError>| match r {
+        Err(ServeError::Unsound { why, .. }) => why.to_string().contains(witness),
+        _ => false,
+    };
+    assert!(refused(server.price(&program).map(|_| ())));
+    assert!(refused(server.submit("mallory", &program, vec![vec![0; 128]]).map(|_| ())));
+}
+
+/// Three nested `repeat(u32::MAX)` loops make every count pass `u64`: the
+/// analyser saturates them, within a site and summed across sites, and
+/// the quote stays on the analytic tier — also when a bank-conflicting
+/// shared access makes the analysis untrusted.  At the parent the counts
+/// were unchecked products and sums (a debug build panicked with an
+/// arithmetic overflow, a release build wrapped) and an untrusted program
+/// went to simulation.  The watchdog makes a quote routed to simulation
+/// fail instead of running 2⁹⁶ iterations.
+#[test]
+fn counts_past_u64_saturate_and_are_quoted_analytically() {
+    use atgpu_ir::{AddrExpr, KernelBuilder, ProgramBuilder};
+    let machine = machine();
+    let sim = SimConfig { watchdog_cycles: 1 << 20, ..SimConfig::default() };
+    let config = ServerConfig { sim, ..ServerConfig::default() };
+    let server = CostServer::new(machine, spec(1), config).expect("server");
+    // `_s[stride·lane]`: stride 1 is conflict-free, stride 2 conflicts.
+    for stride in [1, 2] {
+        let mut pb = ProgramBuilder::new("forever");
+        let h = pb.host_input("A", 64);
+        let d = pb.device_alloc("d", 64);
+        let mut kb = KernelBuilder::new("forever", 2, 64);
+        kb.glb_to_shr(AddrExpr::lane(), d, AddrExpr::lane());
+        kb.repeat(u32::MAX, |kb| {
+            kb.repeat(u32::MAX, |kb| {
+                kb.repeat(u32::MAX, |kb| {
+                    let g = AddrExpr::block() * 32 + AddrExpr::lane();
+                    kb.glb_to_shr(AddrExpr::lane() * stride, d, g);
+                });
+            });
+        });
+        pb.begin_round();
+        pb.transfer_in(h, d, 64);
+        pb.launch(kb.build());
+        let program = pb.build().expect("builds");
+        let quote = server.price(&program).expect("a quote");
+        assert_eq!(quote.source, PriceSource::Analytic, "stride {stride}");
+        assert!(quote.total_ms.is_finite() && quote.total_ms > 1e12, "{}", quote.total_ms);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 

@@ -1,30 +1,32 @@
 //! Affine bounds checking.
 //!
-//! Interval analysis over every access site: the inclusive range an
-//! affine address takes across all blocks × active lanes × loop
-//! iterations (via [`atgpu_analyze::space`]) is compared against the
-//! accessed allocation — the buffer's *padded* slot in the canonical
-//! device layout for global sites (buffers are padded to a block
-//! boundary and the padding reads as deterministic zeros), the
-//! kernel's `shared_words` for shared sites.
+//! Interval analysis over every access site: the extent an affine
+//! address takes across all blocks × active lanes × loop iterations —
+//! the extent rule [`atgpu_ir::affine::AffineAddr::corners`], whose two
+//! corners are the lowest and the highest point of the address — is
+//! compared against the accessed allocation: the buffer's *padded* slot
+//! in the canonical device layout for global sites (buffers are padded
+//! to a block boundary and the padding reads as deterministic zeros),
+//! the kernel's `shared_words` for shared sites.
 //!
 //! Three-valued and sound in both directions:
 //!
-//! * **in-bounds** is claimed only from the over-approximated range
-//!   (unknown lane masks widen to the full warp), so a proof covers
-//!   every execution;
-//! * **out-of-bounds** is claimed only with an exact witness — a
-//!   concrete `(block, lane, iteration)` whose address the checker
-//!   re-evaluates and confirms escapes the allocation, and whose lane is
-//!   *known active* (the enclosing predicates folded to a constant
-//!   mask).  Lane-pure masks are the same in every block and iteration,
-//!   so the witness lane definitely executes the access;
+//! * **in-bounds** is claimed when both corners lie inside the
+//!   allocation, taken over an over-approximated domain (an unknown
+//!   lane mask widens to the full warp), so a proof covers every
+//!   execution;
+//! * **out-of-bounds** is claimed only with an exact witness — the
+//!   corner that escapes the allocation, a concrete `(block, lane,
+//!   iteration)` with its address exact in `i128` — and only when its
+//!   lane is *known active* (the enclosing predicates folded to a
+//!   constant mask, which names the corner's lane).  Lane-pure masks are
+//!   the same in every block and iteration, so the witness lane
+//!   definitely executes the access;
 //! * anything else — register-dependent addresses, interpreted trees,
 //!   block-dependent guards — is **unknown**, never a false alarm.
 
 use atgpu_analyze::sites::{Site, Space};
-use atgpu_ir::affine::AffineAddr;
-use atgpu_ir::{Kernel, Program, MAX_LOOP_DEPTH};
+use atgpu_ir::{Kernel, Program};
 
 /// A confirmed out-of-bounds access: the concrete execution point and
 /// the address it produces.
@@ -36,8 +38,8 @@ pub struct OobWitness {
     pub lane: i64,
     /// Enclosing-loop iteration counters, outermost first.
     pub loops: Vec<u32>,
-    /// The offending address (buffer-relative for global sites).
-    pub addr: i64,
+    /// The offending address (buffer-relative for global sites), exact.
+    pub addr: i128,
     /// The allocation's size in words.
     pub limit: u64,
 }
@@ -51,49 +53,6 @@ pub enum BoundsVerdict {
     OutOfBounds(OobWitness),
     /// The checker cannot decide (data-dependent address or mask).
     Unknown,
-}
-
-/// Picks the per-dimension assignment that drives `coef·x` to its
-/// extreme over `x ∈ [lo, hi]`: the upper end when maximising a
-/// positive coefficient (or minimising a negative one), else the lower.
-fn extreme(coef: i64, lo: i64, hi: i64, maximise: bool) -> i64 {
-    if (coef >= 0) == maximise {
-        hi
-    } else {
-        lo
-    }
-}
-
-/// Builds the execution point at which `a` attains the extreme end of
-/// its masked range, mirroring the arithmetic of
-/// [`atgpu_analyze::space::masked_affine_range`].
-fn witness_at_extreme(
-    a: &AffineAddr,
-    mask: u64,
-    b: u64,
-    grid: (u64, u64),
-    loop_counts: &[u32],
-    maximise: bool,
-) -> Option<(i64, (i64, i64), Vec<u32>)> {
-    let lanes = b.clamp(1, 64);
-    let lo_lane = i64::from(mask.trailing_zeros().min(63));
-    let hi_lane = (63 - i64::from(mask.leading_zeros())).min(lanes as i64 - 1);
-    let lane = extreme(a.lane, lo_lane, hi_lane, maximise);
-    let bx = extreme(a.block, 0, grid.0 as i64 - 1, maximise);
-    let by = extreme(a.block_y, 0, grid.1 as i64 - 1, maximise);
-    let mut its = Vec::with_capacity(loop_counts.len());
-    for (d, &count) in loop_counts.iter().enumerate() {
-        let coef = a.loops.get(d).copied().unwrap_or(0);
-        let hi = i64::from(count).checked_sub(1)?;
-        its.push(u32::try_from(extreme(coef, 0, hi, maximise)).ok()?);
-    }
-    // Loops deeper than the enclosing nest have coefficient 0 in any
-    // well-formed kernel; `validate_program` already rejects the rest.
-    if a.loops.iter().skip(loop_counts.len().min(MAX_LOOP_DEPTH)).any(|&c| c != 0) {
-        return None;
-    }
-    let addr = a.eval(lane, (bx, by), &its, |_| 0);
-    Some((addr, (bx, by), its))
 }
 
 /// Checks one site of `kernel` against its allocation.
@@ -115,51 +74,29 @@ pub fn check_site(program: &Program, kernel: &Kernel, site: &Site, b: u64) -> Bo
     if site.lane_mask == Some(0) || site.loop_counts.contains(&0) {
         return BoundsVerdict::InBounds;
     }
-    let grid = kernel.grid;
-    let full = if b >= 64 { u64::MAX } else { (1u64 << b) - 1 };
-    // Over-approximate an unknown mask to the full warp: sound for the
-    // in-bounds proof.
-    let proof_mask = site.lane_mask.unwrap_or(full);
-    let range = atgpu_analyze::space::masked_touched_range(
-        &site.addr,
-        proof_mask,
-        b,
-        grid,
-        &site.loop_counts,
-    );
-    let (lo, hi) = match range {
-        Some(r) => r,
-        None => return BoundsVerdict::Unknown,
+    // An unknown mask is every lane: sound for the in-bounds proof, and
+    // no witness.
+    let Some([low, high]) = site.extent(b, kernel.grid) else {
+        return BoundsVerdict::Unknown;
     };
-    if lo >= 0 && (hi as i128) < limit as i128 {
-        return BoundsVerdict::InBounds;
-    }
-    // Out of range: only an *exact* mask yields a trustworthy witness.
-    let (mask, affine) = match (site.lane_mask, site.addr.as_affine()) {
-        (Some(m), Some(a)) if m != 0 => (m, a),
-        _ => return BoundsVerdict::Unknown,
+    let escapes = |addr: i128| addr < 0 || addr >= i128::from(limit);
+    let corner = match (escapes(low.addr), escapes(high.addr)) {
+        (false, false) => return BoundsVerdict::InBounds,
+        (_, true) => high,
+        (true, false) => low,
     };
-    let maximise = (hi as i128) >= limit as i128;
-    if let Some((addr, block, loops)) =
-        witness_at_extreme(affine, mask, b, grid, &site.loop_counts, maximise)
-    {
-        // Re-validate: the witness must actually escape the allocation.
-        if addr < 0 || (addr as i128) >= limit as i128 {
-            return BoundsVerdict::OutOfBounds(OobWitness {
-                block,
-                lane: extreme(
-                    affine.lane,
-                    i64::from(mask.trailing_zeros().min(63)),
-                    (63 - i64::from(mask.leading_zeros())).min(b.clamp(1, 64) as i64 - 1),
-                    maximise,
-                ),
-                loops,
-                addr,
-                limit,
-            });
-        }
+    // The walk folds a mask over the 64 lanes it names; a lane past
+    // them is not known to run.
+    match (site.lane_mask, i64::try_from(corner.block.0), i64::try_from(corner.block.1)) {
+        (Some(_), Ok(x), Ok(y)) if corner.lane < 64 => BoundsVerdict::OutOfBounds(OobWitness {
+            block: (x, y),
+            lane: corner.lane as i64,
+            loops: corner.loops.iter().take(site.loop_counts.len()).copied().collect(),
+            addr: corner.addr,
+            limit,
+        }),
+        _ => BoundsVerdict::Unknown,
     }
-    BoundsVerdict::Unknown
 }
 
 #[cfg(test)]
@@ -211,6 +148,22 @@ mod tests {
             }
             v => panic!("expected OOB, got {v:?}"),
         }
+    }
+
+    /// `d[block·2⁶² + lane]` over 4 blocks reaches 3·2⁶² + 31, past
+    /// `i64::MAX`: out of bounds, with the exact witness.
+    #[test]
+    fn an_address_past_i64_is_out_of_bounds_with_an_exact_witness() {
+        let mut kb = KernelBuilder::new("k", 4, 32);
+        let d = atgpu_ir::DBuf(0);
+        kb.glb_to_shr(AddrExpr::lane(), d, AddrExpr::block() * (1i64 << 62) + AddrExpr::lane());
+        let (p, _) = one_kernel_program(128, kb.build());
+        let report = crate::verify_program(&p, 32);
+        assert!(!report.is_sound());
+        let oob = &report.launches[0].oob;
+        assert_eq!(oob.len(), 1, "{report:?}");
+        let w = &oob[0].witness;
+        assert_eq!((w.block, w.lane, w.addr, w.limit), ((3, 0), 31, 3 * (1i128 << 62) + 31, 128));
     }
 
     #[test]

@@ -11,10 +11,11 @@
 //!
 //! Four analyses over a validated [`atgpu_ir::Program`]:
 //!
-//! 1. **Affine bounds** ([`bounds`]) — interval analysis across blocks
-//!    × active lanes × loop iterations against the program's
-//!    allocations, with a validated `(block, lane, iteration)` witness
-//!    on failure;
+//! 1. **Affine bounds** ([`bounds`]) — the extent rule
+//!    [`atgpu_ir::affine::AffineAddr::corners`] across blocks × active
+//!    lanes × loop iterations against the program's allocations: both
+//!    corners inside is the proof, the corner that escapes is the
+//!    `(block, lane, iteration)` witness;
 //! 2. **Cross-block write races** ([`race`]) — a bounded linear-
 //!    Diophantine decision procedure ([`solve`]) over each pair of
 //!    global write sites, with block distinctness encoded by relaxed

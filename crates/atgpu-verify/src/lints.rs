@@ -15,8 +15,9 @@
 //!   intervening write to either side);
 //! * [`Lint::MisPipelined`] — a `TransferIn` on a non-default stream
 //!   overlaps, **in the same round and in the region the kernel
-//!   statically reads**, the launch it feeds, with no stream sync in
-//!   between.  Streams only overlap timing, never reorder host-step
+//!   statically reads** (each read's extent by the extent rule,
+//!   [`atgpu_ir::affine::AffineAddr::corners`]), the launch it feeds,
+//!   with no stream sync in between.  Streams only overlap timing, never reorder host-step
 //!   semantics, so this is the documented mis-pipelining caveat
 //!   promoted from prose to a checked lint.  Double-buffering schemes
 //!   that prefetch a *different* region (the out-of-core workloads) do
@@ -92,16 +93,15 @@ impl fmt::Display for Lint {
 /// kernel's footprint is computed once ([`crate::verify_program`]).
 #[derive(Debug)]
 pub struct KernelIo {
-    /// Buffers read, with the statically-known touched range
+    /// Buffers read, with the statically-known extent of each read
     /// (`None` = data-dependent, treated as "anywhere").
-    reads: Vec<(DBuf, Option<(i64, i64)>)>,
+    reads: Vec<(DBuf, Option<(i128, i128)>)>,
     /// Buffers written (by any site, static or not), each once.
     writes: Vec<DBuf>,
 }
 
 /// The footprint of kernel `k` from its already collected `sites`.
 pub fn kernel_io(k: &Kernel, sites: &[Site], b: u64) -> KernelIo {
-    let full = if b >= 64 { u64::MAX } else { (1u64 << b.max(1)) - 1 };
     let mut reads = Vec::new();
     let mut writes = Vec::new();
     for s in sites {
@@ -114,14 +114,8 @@ pub fn kernel_io(k: &Kernel, sites: &[Site], b: u64) -> KernelIo {
         }
         match s.access {
             Access::Read => {
-                let range = atgpu_analyze::space::masked_touched_range(
-                    &s.addr,
-                    s.lane_mask.unwrap_or(full),
-                    b,
-                    k.grid,
-                    &s.loop_counts,
-                );
-                reads.push((buf, range));
+                let extent = s.extent(b, k.grid);
+                reads.push((buf, extent.map(|[lo, hi]| (lo.addr, hi.addr))));
             }
             Access::Write if !writes.contains(&buf) => writes.push(buf),
             Access::Write => {}
@@ -130,7 +124,7 @@ pub fn kernel_io(k: &Kernel, sites: &[Site], b: u64) -> KernelIo {
     KernelIo { reads, writes }
 }
 
-fn overlaps(range: Option<(i64, i64)>, lo: i64, hi: i64) -> bool {
+fn overlaps(range: Option<(i128, i128)>, lo: i128, hi: i128) -> bool {
     match range {
         Some((a, b)) => a <= hi && lo <= b,
         None => true, // unknown read range: assume it may touch the region
@@ -152,8 +146,8 @@ struct PendingUpload {
     device: u32,
     stream: u32,
     buf: DBuf,
-    lo: i64,
-    hi: i64,
+    lo: i128,
+    hi: i128,
 }
 
 /// Runs every host-dataflow lint over `program`; `launch_io` yields each
@@ -194,8 +188,8 @@ pub fn check_launches<'a>(
                             device: *device,
                             stream: *stream,
                             buf: *dev,
-                            lo: *dev_off as i64,
-                            hi: (*dev_off + *words) as i64 - 1,
+                            lo: i128::from(*dev_off),
+                            hi: i128::from(*dev_off) + i128::from(*words) - 1,
                         });
                     }
                 }

@@ -42,6 +42,8 @@
 //! extended-gcd closed form for `a·x + b·y = t` over boxes — so a
 //! million-block launch is decided without enumerating blocks.
 
+use atgpu_ir::affine::gcd;
+
 /// A finite variable domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Dom {
@@ -203,16 +205,6 @@ pub enum Feas {
 
 /// Largest domain the recursive search will enumerate directly.
 const ENUM_CAP: u64 = 4096;
-
-fn gcd(a: u64, b: u64) -> u64 {
-    let (mut a, mut b) = (a, b);
-    while b != 0 {
-        let t = a % b;
-        a = b;
-        b = t;
-    }
-    a
-}
 
 /// Extended gcd: returns `(g, u, v)` with `a·u + b·v = g = gcd(|a|, |b|)`
 /// (`g ≥ 0`; `a`, `b` not both zero).

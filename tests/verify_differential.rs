@@ -257,7 +257,7 @@ fn seeded_oob_kernel_rejected_with_witness() {
         Unsoundness::OutOfBounds { round: 0, instr, witness, .. } => {
             assert_eq!(instr, 1, "the write site");
             assert_eq!(witness.limit, b, "the padded slot");
-            assert!(witness.addr >= b as i64, "escapes the slot: {}", witness.addr);
+            assert!(witness.addr >= i128::from(b), "escapes the slot: {}", witness.addr);
             assert_eq!(witness.block, (3, 0), "the extreme block");
         }
         other => panic!("expected OutOfBounds, got {other:?}"),
