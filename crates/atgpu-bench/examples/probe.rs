@@ -38,26 +38,43 @@
 //!    launch; on a miss, less the lowering), block execution (the bare
 //!    executor loop of section 1) and the rest, MP and executor set-up
 //!    with the issue loop — and the allocator calls of one such launch.
+//! 6. **Transfers** — `cluster_transfer`'s four staged programs and its
+//!    4-device small programs (fault plan included where the benchmark
+//!    has one): best-of-N µs of `run_cluster_program`, the words the
+//!    program's transfer steps price beside the words they physically
+//!    copied (`DeviceStats::copied_words`, summed over devices; under a
+//!    fault plan a step aimed at a dead device is priced on every
+//!    survivor and a dropped attempt again, so the share can pass 100 %),
+//!    minor page faults (`/proc/self/stat`) of the program's first run
+//!    and per run of the replays that follow it, and a `memcpy` floor —
+//!    best-of-N µs of copying the priced words once between two warm
+//!    buffers.  The benchmark's `sim.xfer_*` replay copies untagged
+//!    slices, which are always copied, so this is where skipped chunks
+//!    show.
 
 use atgpu_algos::bitonic::BitonicSort;
 use atgpu_algos::dot::Dot;
 use atgpu_algos::gemv::Gemv;
+use atgpu_algos::histogram::Histogram;
 use atgpu_algos::matmul::MatMul;
 use atgpu_algos::reduce::{Reduce, ReduceVariant};
 use atgpu_algos::saxpy::Saxpy;
 use atgpu_algos::scan::Scan;
+use atgpu_algos::spmv::SpmvEll;
+use atgpu_algos::stencil::Stencil;
 use atgpu_algos::transpose::{Transpose, TransposeVariant};
-use atgpu_algos::{vecadd::VecAdd, BuiltProgram, Workload};
+use atgpu_algos::{gen, vecadd::VecAdd, BuiltProgram, Workload};
 use atgpu_analyze::analyze_cluster_program;
 use atgpu_analyze::sites::{collect, Site};
 use atgpu_exp::{ExpConfig, Scale};
 use atgpu_ir::validate::validate_program;
 use atgpu_ir::{AddrExpr, AluOp, DBuf, HostStep, Kernel, KernelBuilder, Operand, Program};
-use atgpu_model::GpuSpec;
+use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
 use atgpu_sim::engine::{BlockExec, BlockSim, Scratch};
 use atgpu_sim::gmem::GlobalMemory;
 use atgpu_sim::uop::CompiledKernel;
 use atgpu_sim::warp::{GmemAccess, StepEvent, WarpExec};
+use atgpu_sim::{even_shards, run_cluster_program, FaultEvent, FaultPlan};
 use atgpu_sim::{run_program, Device, EngineSel, ExecMode, HostData, KernelCache, SimConfig};
 use atgpu_verify::lints::{self, KernelIo};
 use atgpu_verify::{bounds, race, smem, verify_program};
@@ -79,6 +96,9 @@ const FRONT_REPLAYS: usize = 100;
 
 /// Passes over each program's launches in section 5.
 const LAUNCH_REPLAYS: usize = 100;
+
+/// Runs of each program in section 6.
+const TRANSFER_REPLAYS: usize = 30;
 
 /// The system allocator, counting the calls of a thread inside
 /// [`allocations`] (section 5).
@@ -213,7 +233,7 @@ fn launch_on<'a>(
     gmem: &'a mut GlobalMemory,
     l: &'a Launch,
 ) -> impl FnOnce() + 'a {
-    gmem.words_mut().copy_from_slice(&l.before);
+    gmem.copy_in(0, &l.before);
     move || {
         black_box(device.run_kernel(&l.kernel, gmem, ExecMode::Sequential, false).unwrap());
     }
@@ -272,12 +292,12 @@ fn scheduler_split(cfg: &ExpConfig) {
         for _ in 0..REPLAYS {
             let (mut bare_pass, mut dev_pass) = (0.0, 0.0);
             for (i, l) in launches.iter().enumerate() {
-                gmem.words_mut().copy_from_slice(&l.before);
+                gmem.copy_in(0, &l.before);
                 let t = Instant::now();
                 bare_blocks(l, &mut gmem);
                 let bare_launch = t.elapsed().as_secs_f64();
 
-                gmem.words_mut().copy_from_slice(&l.before);
+                gmem.copy_in(0, &l.before);
                 let t = Instant::now();
                 let stats =
                     device.run_kernel(&l.kernel, &mut gmem, ExecMode::Sequential, false).unwrap();
@@ -589,7 +609,7 @@ fn launch_cost(cfg: &ExpConfig) {
             us(|| drop(black_box(cache.get_or_compile(kernel, &bases, b, &mut previous))))
         });
         let blocks = per_launch_best(count, |i| {
-            gmem.words_mut().copy_from_slice(&launches[i].before);
+            gmem.copy_in(0, &launches[i].before);
             us(|| bare_blocks(&launches[i], &mut gmem))
         });
 
@@ -709,4 +729,179 @@ fn main() {
     issue_loop(&cfg);
     front_end(&cfg);
     launch_cost(&cfg);
+    transfers(&cfg);
+}
+
+/// How a [`staged`] program moves its state between host and devices.
+#[derive(Clone, Copy, PartialEq)]
+enum Staging {
+    Scatter,
+    Broadcast,
+    AllGather,
+}
+
+/// The benchmark package's `rosters::staged`: every round the `n`-word
+/// state goes up to the devices, 16 blocks bump `b` of its words, and it
+/// comes back down to the host buffer the next round uploads.
+fn staged(
+    m: &AtgpuMachine,
+    n: u64,
+    devices: u32,
+    rounds: u64,
+    staging: Staging,
+    seed: u64,
+) -> BuiltProgram {
+    let (blocks, slab) = (16, n / u64::from(devices));
+    let mut pb = atgpu_ir::ProgramBuilder::new("staged");
+    let first = pb.host_input("A", n);
+    let state = pb.host_output("C", n);
+    let dev = pb.device_alloc("s", n);
+    let mut kb = KernelBuilder::new("bump", blocks, m.b);
+    let at = AddrExpr::block() * (n / blocks) as i64 + AddrExpr::lane();
+    kb.glb_to_shr(AddrExpr::lane(), dev, at.clone());
+    kb.ld_shr(0, AddrExpr::lane());
+    kb.alu(AluOp::Add, 0, Operand::Reg(0), Operand::Imm(1));
+    kb.st_shr(AddrExpr::lane(), Operand::Reg(0));
+    kb.shr_to_glb(dev, at, AddrExpr::lane());
+    let kernel = kb.build();
+    for round in 0..rounds {
+        pb.begin_round();
+        let from = if round == 0 { first } else { state };
+        for d in 0..devices {
+            let off = u64::from(d) * slab;
+            match staging {
+                Staging::Broadcast => pb.transfer_in_to(d, from, 0, dev, 0, n),
+                _ => pb.transfer_in_to(d, from, off, dev, off, slab),
+            };
+        }
+        pb.launch_sharded(kernel.clone(), even_shards(blocks, devices));
+        if staging == Staging::AllGather {
+            for src in 0..devices {
+                let off = u64::from(src) * slab;
+                for dst in (0..devices).filter(|&dst| dst != src) {
+                    pb.transfer_peer(src, dst, dev, off, off, slab);
+                }
+            }
+            pb.transfer_out_from((round % u64::from(devices)) as u32, dev, 0, state, 0, n);
+        } else {
+            for d in 0..devices {
+                let off = u64::from(d) * slab;
+                pb.transfer_out_from(d, dev, off, state, off, slab);
+            }
+        }
+    }
+    let program = pb.build().unwrap();
+    BuiltProgram { program, inputs: vec![gen::small_ints(n, seed)], outputs: vec![state] }
+}
+
+/// Minor page faults of this process so far (`/proc/self/stat` field 10).
+fn minor_faults() -> u64 {
+    let stat = std::fs::read_to_string("/proc/self/stat").unwrap_or_default();
+    // The command name may hold spaces; the fields after it do not.
+    let rest = stat.rsplit_once(')').map_or("", |(_, r)| r);
+    rest.split_whitespace().nth(7).and_then(|f| f.parse().ok()).unwrap_or(0)
+}
+
+/// Section 6: what a run's transfers copy against what they price.
+fn transfers(cfg: &ExpConfig) {
+    let m = &cfg.machine;
+    // `cluster_transfer` at seed 1, as the benchmark builds it.
+    let s = |k: u64| 0x9E37_79B9u64 + 100 + k;
+    let mut loss = FaultPlan::random(0xC11A05, 4, 1, 0.25);
+    loss.events.retain(|e| !matches!(e, FaultEvent::DeviceDown { .. }));
+    loss.push(FaultEvent::DeviceDown { device: 2, at_round: 0 });
+    let (n, big) = (1 << 12, 96 << 10);
+    let vecadd = VecAdd::new(n, s(1));
+    let programs: Vec<(&str, BuiltProgram, FaultPlan)> = vec![
+        (
+            "staged_scatter_4dev_96k_r16",
+            staged(m, big, 4, 16, Staging::Scatter, s(7)),
+            FaultPlan::default(),
+        ),
+        (
+            "staged_broadcast_4dev_96k_r8",
+            staged(m, big, 4, 8, Staging::Broadcast, s(8)),
+            FaultPlan::default(),
+        ),
+        (
+            "staged_allgather_4dev_96k_r8",
+            staged(m, big, 4, 8, Staging::AllGather, s(9)),
+            FaultPlan::default(),
+        ),
+        (
+            "staged_scatter_24k_r2_faulted",
+            staged(m, big / 4, 4, 2, Staging::Scatter, s(7)),
+            loss.clone(),
+        ),
+        ("vecadd_sharded_4dev_4k", vecadd.build_sharded(m, 4).unwrap(), FaultPlan::default()),
+        ("vecadd_4dev_4k_faulted", vecadd.build_sharded(m, 4).unwrap(), loss),
+        (
+            "stencil_halo_4dev_2k_r8",
+            Stencil::new(1 << 11, s(3)).build_sharded(m, 4, 8).unwrap(),
+            FaultPlan::default(),
+        ),
+        (
+            "scan_sharded_4dev_2k",
+            Scan::new(n / 2, s(4)).build_sharded(m, 4).unwrap(),
+            FaultPlan::default(),
+        ),
+        (
+            "spmv_sharded_4dev_1k",
+            SpmvEll::new(1 << 10, 8, s(5)).build_sharded(m, 4).unwrap(),
+            FaultPlan::default(),
+        ),
+        (
+            "histogram_merge_4dev_256",
+            Histogram::new(1 << 8, m.b, s(6)).build_sharded(m, 4).unwrap(),
+            FaultPlan::default(),
+        ),
+    ];
+    let cluster = ClusterSpec::homogeneous(4, cfg.spec);
+    println!("\ntransfers, best of {TRANSFER_REPLAYS} runs (device threads off, as the benchmark)");
+    println!(
+        "{:<30} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7} {:>9}",
+        "program", "run_us", "priced", "copied", "copy%", "flt1st", "flt/run", "memcpy_us"
+    );
+    for (name, built, fault) in &programs {
+        let config =
+            SimConfig { device_threads: false, fault: fault.clone(), ..SimConfig::default() };
+        let run =
+            || run_cluster_program(&built.program, built.inputs.clone(), m, &cluster, &config);
+        let faults = minor_faults();
+        let copied: u64 = run().unwrap().device_stats.iter().map(|d| d.copied_words).sum();
+        let first_faults = minor_faults() - faults;
+        let priced: u64 = built
+            .program
+            .rounds
+            .iter()
+            .flat_map(|r| &r.steps)
+            .map(|step| match step {
+                HostStep::TransferIn { words, .. }
+                | HostStep::TransferOut { words, .. }
+                | HostStep::TransferPeer { words, .. } => *words,
+                _ => 0,
+            })
+            .sum();
+        let faults = minor_faults();
+        let mut best = f64::INFINITY;
+        for _ in 0..TRANSFER_REPLAYS {
+            let t = Instant::now();
+            black_box(run().unwrap());
+            best = best.min(t.elapsed().as_secs_f64() * 1e6);
+        }
+        let minflt = (minor_faults() - faults) as f64 / TRANSFER_REPLAYS as f64;
+        let (from, mut to) = (vec![1i64; priced as usize], vec![0i64; priced as usize]);
+        let mut floor = f64::INFINITY;
+        for _ in 0..TRANSFER_REPLAYS {
+            let t = Instant::now();
+            to.copy_from_slice(black_box(&from));
+            black_box(&to);
+            floor = floor.min(t.elapsed().as_secs_f64() * 1e6);
+        }
+        let share = 100.0 * copied as f64 / priced.max(1) as f64;
+        println!(
+            "{name:<30} {best:>9.1} {priced:>9} {copied:>9} {share:>6.1}% {first_faults:>7} \
+             {minflt:>7.0} {floor:>9.1}"
+        );
+    }
 }

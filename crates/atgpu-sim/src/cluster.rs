@@ -552,6 +552,9 @@ pub(crate) fn run_on(
 ) -> Result<ClusterSimReport, SimError> {
     let n = cluster.n_devices();
     check_program(program, n)?;
+    if let Some(noise) = &config.noise {
+        noise.check()?;
+    }
     let machine = &cluster.machine;
     let spec = &cluster.spec;
 

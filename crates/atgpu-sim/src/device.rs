@@ -142,6 +142,13 @@ pub struct DeviceStats {
     /// Dead-device takeovers this device participated in: incremented
     /// once per recovery replay it absorbed as a survivor.
     pub recoveries: u64,
+    /// Words this device's transfers physically copied: inward and
+    /// peer-in copies count at the receiver, outward copies at the
+    /// source.  Every transferred word is priced, but the copy rule
+    /// ([`crate::gmem`]) skips the chunks a destination provably holds,
+    /// so this is at most the words priced (each attempt of a retried
+    /// transfer counts on its own).
+    pub copied_words: u64,
 }
 
 impl DeviceStats {
@@ -151,6 +158,7 @@ impl DeviceStats {
         self.retries += other.retries;
         self.backoff_ms += other.backoff_ms;
         self.recoveries += other.recoveries;
+        self.copied_words += other.copied_words;
     }
 }
 

@@ -27,6 +27,7 @@ use crate::cluster::{run_on, Cluster, ClusterRoundObservation, ClusterSimReport}
 use crate::device::KernelStats;
 use crate::error::SimError;
 use crate::fault::FaultPlan;
+use crate::gmem::{self, Tagged, TaggedMut, ZEROS};
 use crate::xfer::XferNoise;
 use atgpu_ir::{HBuf, HostBufRole, Program};
 use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
@@ -37,7 +38,8 @@ use std::ops::Range;
 /// [`crate::Device`] or [`Cluster`] holds no settings.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Transfer-time jitter (None = deterministic).
+    /// Transfer-time jitter (None = deterministic); an amplitude
+    /// outside a finite `0 ≤ ε < 1` is [`SimError::InvalidNoise`].
     pub noise: Option<XferNoise>,
     /// RNG seed for the jitter.
     pub seed: u64,
@@ -84,10 +86,13 @@ impl Default for SimConfig {
     }
 }
 
-/// Host-side buffers for a program run.
+/// Host-side buffers for a program run, each with the provenance tag of
+/// every [`gmem::CHUNK_WORDS`]-word chunk (see [`crate::gmem`]): an input's
+/// chunks are tagged as themselves, an output's as zeros.
 #[derive(Debug, Clone)]
 pub struct HostData {
     pub(crate) bufs: Vec<Vec<i64>>,
+    tags: Vec<Vec<u64>>,
 }
 
 impl HostData {
@@ -96,8 +101,10 @@ impl HostData {
     /// (in declaration order), outputs zero-filled.
     pub fn new(program: &Program, inputs: Vec<Vec<i64>>) -> Result<Self, SimError> {
         let mut bufs = Vec::with_capacity(program.host_bufs.len());
+        let mut tags = Vec::with_capacity(program.host_bufs.len());
         let mut supplied = inputs.into_iter();
-        for decl in &program.host_bufs {
+        for (h, decl) in program.host_bufs.iter().enumerate() {
+            let chunks = gmem::chunks(decl.words as usize);
             match decl.role {
                 HostBufRole::Input => {
                     let data = supplied.next().ok_or_else(|| SimError::HostDataMismatch {
@@ -114,8 +121,12 @@ impl HostData {
                         });
                     }
                     bufs.push(data);
+                    tags.push((0..chunks).map(|c| gmem::input_tag(h, c)).collect());
                 }
-                HostBufRole::Output => bufs.push(vec![0; decl.words as usize]),
+                HostBufRole::Output => {
+                    bufs.push(vec![0; decl.words as usize]);
+                    tags.push(vec![ZEROS; chunks]);
+                }
             }
         }
         if supplied.next().is_some() {
@@ -123,12 +134,24 @@ impl HostData {
                 reason: "more inputs supplied than declared input buffers".into(),
             });
         }
-        Ok(Self { bufs })
+        Ok(Self { bufs, tags })
     }
 
     /// A buffer's contents.
     pub fn buf(&self, id: atgpu_ir::HBuf) -> &[i64] {
         &self.bufs[id.0 as usize]
+    }
+
+    /// Buffer `id` as a copy source.
+    pub(crate) fn tagged(&self, id: HBuf) -> Tagged<'_> {
+        let h = id.0 as usize;
+        Tagged::new(&self.bufs[h], &self.tags[h])
+    }
+
+    /// Buffer `id` as a copy destination.
+    pub(crate) fn tagged_mut(&mut self, id: HBuf) -> TaggedMut<'_> {
+        let h = id.0 as usize;
+        TaggedMut::new(&mut self.bufs[h], &mut self.tags[h])
     }
 
     /// The index range of `words` words at offset `off` within buffer
@@ -537,6 +560,34 @@ mod tests {
             Err(SimError::StreamOutOfRange { stream, round: 0 })
                 if stream == atgpu_ir::MAX_STREAMS + 1
         ));
+    }
+
+    /// Regression: the amplitude went straight into the jitter's range,
+    /// so `ε = 50` gave negative transfer times, `ε = ∞` `NaN` ones
+    /// (which `total_ms` then dropped) and `ε = NaN` silently meant no
+    /// noise.  Both entry points refuse all of them.
+    #[test]
+    fn noise_outside_a_finite_unit_interval_is_refused() {
+        let (p, _) = vecadd_program(16);
+        let cluster = ClusterSpec::homogeneous(2, spec());
+        let run = |rel: f64| {
+            let cfg = SimConfig { noise: Some(XferNoise { rel }), ..SimConfig::default() };
+            let data = || vec![vec![1; 16], vec![2; 16]];
+            let one = run_program(&p, data(), &machine(), &spec(), &cfg);
+            let two = crate::run_cluster_program(&p, data(), &machine(), &cluster, &cfg);
+            (one, two.map(|r| r.total_ms()))
+        };
+        for rel in [50.0, 1.0, f64::INFINITY, f64::NAN, -0.1] {
+            let (one, two) = run(rel);
+            assert!(matches!(one, Err(SimError::InvalidNoise { .. })), "{rel}: {one:?}");
+            assert!(matches!(two, Err(SimError::InvalidNoise { .. })), "{rel}: {two:?}");
+        }
+        for rel in [0.0, 0.5, 0.999] {
+            let (one, two) = run(rel);
+            let one = one.unwrap();
+            assert!(one.rounds.iter().all(|r| r.xfer_in_ms > 0.0 && r.xfer_out_ms > 0.0), "{rel}");
+            assert!(two.unwrap().is_finite(), "{rel}");
+        }
     }
 
     #[test]

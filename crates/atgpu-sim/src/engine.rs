@@ -147,6 +147,23 @@ enum AddrPlan {
     PerLane,
 }
 
+impl AddrPlan {
+    /// The lowest and highest address the active lanes of `mask` name
+    /// (`addrs` holds them per lane when there is no row).
+    #[inline]
+    fn span(self, mask: u64, addrs: &[i64; 64]) -> (i64, i64) {
+        match self {
+            AddrPlan::Row(row) => {
+                let (first, last) = (row.start as i64, row.addr(row.hi));
+                (first.min(last), first.max(last))
+            }
+            AddrPlan::PerLane => lanes(mask)
+                .map(|lane| addrs[lane])
+                .fold((i64::MAX, i64::MIN), |(lo, hi), a| (lo.min(a), hi.max(a))),
+        }
+    }
+}
+
 /// The active lanes of `mask`, ascending.
 #[inline]
 fn lanes(mut mask: u64) -> impl Iterator<Item = usize> {
@@ -701,7 +718,10 @@ impl BlockExec {
     ) -> Result<(), SimError> {
         let src = self.smem.words();
         let stored = match gmem {
-            GmemAccess::Direct(g) => move_lanes(src, from, g.words_mut(), to, mask, s),
+            GmemAccess::Direct(g) => {
+                let (lo, hi) = to.span(mask, &s.addr_buf);
+                move_lanes(src, from, g.store_words(lo, hi), to, mask, s)
+            }
             GmemAccess::Logged { .. } => {
                 if let AddrPlan::Row(f) = from {
                     gather(src, f, &mut s.val_buf);

@@ -108,6 +108,12 @@ pub enum SimError {
         /// What was being simulated.
         context: String,
     },
+    /// The run's transfer noise ([`crate::SimConfig::noise`]) has an
+    /// amplitude outside a finite `0 ≤ ε < 1`.
+    InvalidNoise {
+        /// Explanation.
+        reason: String,
+    },
     /// A launched kernel fails [`atgpu_ir::validate::validate_launch`]:
     /// the IR validator refuses it, so it is neither lowered nor run.
     InvalidKernel {
@@ -163,6 +169,7 @@ impl fmt::Display for SimError {
             SimError::WorkerPanic { context } => {
                 write!(f, "simulation worker thread panicked while {context}")
             }
+            SimError::InvalidNoise { reason } => write!(f, "invalid transfer noise: {reason}"),
             SimError::InvalidKernel { error } => write!(f, "invalid kernel launch: {error}"),
         }
     }

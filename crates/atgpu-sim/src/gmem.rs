@@ -1,16 +1,138 @@
-//! Device global memory: a bounded, block-structured word heap.
+//! Device global memory: a bounded, block-structured word heap, and the
+//! one copy rule every transfer goes through.
 //!
 //! The heap is sized to the program's padded buffer layout (not to `G`, so
 //! simulating a 1 GiB-card machine does not allocate 1 GiB), but the `G`
 //! limit is enforced at construction — the ATGPU addition over prior
 //! models.
+//!
+//! # Provenance tags
+//!
+//! A transfer is priced `α + β·words` whether or not its words changed,
+//! but a copy need not move words its destination provably holds already.
+//! Every replica, and every host buffer ([`crate::HostData`]), therefore
+//! carries one tag per [`CHUNK_WORDS`]-word chunk: [`ZEROS`] for a chunk
+//! that is all zeros (a fresh replica or host output), the unmodified
+//! chunk `c` of input buffer `h` (`(h + 1) << 32 | c`, tagged where the
+//! inputs are taken), or [`DIRTY`] for anything else.  Two equal tags
+//! other than [`DIRTY`] guarantee equal words.
+//!
+//! `copy` is the one copy rule — host→device, device→host and peer
+//! copies all go through it.  A destination chunk the copy covers whole,
+//! from exactly one whole source chunk, is skipped when the two tags are
+//! equal and not [`DIRTY`], and otherwise copied and given the source's
+//! tag; a partial or misaligned range is copied and its destination
+//! chunks become [`DIRTY`].  An untagged slice (a caller's plain `&[i64]`)
+//! is unknown provenance: every chunk of it is [`DIRTY`].  Every other
+//! write — a kernel's store, [`GlobalMemory::write`], a same-replica
+//! [`GlobalMemory::copy_within`] — marks the chunks it touches [`DIRTY`];
+//! the heap's words are not lent out mutably anywhere else.  Tags change
+//! no simulated number: the caller prices every word it was asked to
+//! move.
 
 use crate::error::SimError;
+
+/// Words per provenance chunk: one 4 KB page of 8-byte words, and a
+/// multiple of every block size `b ≤ 64`, so chunk boundaries fall on
+/// block boundaries.
+pub const CHUNK_WORDS: usize = 512;
+
+/// The tag of a chunk whose contents are unknown: never equal to
+/// anything, so such a chunk is always copied.
+pub const DIRTY: u64 = u64::MAX;
+
+/// The tag of an all-zero chunk.
+pub const ZEROS: u64 = 0;
+
+/// The tag of chunk `chunk` of input host buffer `buf`, unmodified.
+pub(crate) fn input_tag(buf: usize, chunk: usize) -> u64 {
+    ((buf as u64 + 1) << 32) | chunk as u64
+}
+
+/// Tags covering `words` words.
+pub(crate) fn chunks(words: usize) -> usize {
+    words.div_ceil(CHUNK_WORDS)
+}
+
+/// Words to copy from, with their chunks' provenance (`None`: unknown).
+#[derive(Clone, Copy)]
+pub(crate) struct Tagged<'a> {
+    words: &'a [i64],
+    tags: Option<&'a [u64]>,
+}
+
+impl<'a> Tagged<'a> {
+    pub(crate) fn new(words: &'a [i64], tags: &'a [u64]) -> Self {
+        debug_assert_eq!(tags.len(), chunks(words.len()));
+        Self { words, tags: Some(tags) }
+    }
+
+    pub(crate) fn untagged(words: &'a [i64]) -> Self {
+        Self { words, tags: None }
+    }
+}
+
+/// Words to copy into, with their chunks' provenance (`None`: kept by
+/// nobody, so nothing is skipped).
+pub(crate) struct TaggedMut<'a> {
+    words: &'a mut [i64],
+    tags: Option<&'a mut [u64]>,
+}
+
+impl<'a> TaggedMut<'a> {
+    pub(crate) fn new(words: &'a mut [i64], tags: &'a mut [u64]) -> Self {
+        debug_assert_eq!(tags.len(), chunks(words.len()));
+        Self { words, tags: Some(tags) }
+    }
+
+    pub(crate) fn untagged(words: &'a mut [i64]) -> Self {
+        Self { words, tags: None }
+    }
+}
+
+/// The copy rule (see the module docs): moves `n` words of `src` at `s`
+/// to `dst` at `d`, destination chunk by destination chunk, and returns
+/// the words it physically copied.  The ranges must lie inside both
+/// sides.
+pub(crate) fn copy(src: Tagged<'_>, s: usize, dst: &mut TaggedMut<'_>, d: usize, n: usize) -> u64 {
+    let mut copied = 0;
+    let mut i = 0;
+    while i < n {
+        let (at, from, c) = (d + i, s + i, (d + i) / CHUNK_WORDS);
+        let chunk_end = ((c + 1) * CHUNK_WORDS).min(dst.words.len());
+        let len = chunk_end.min(d + n) - at;
+        let whole = at % CHUNK_WORDS == 0
+            && at + len == chunk_end
+            && from % CHUNK_WORDS == 0
+            && len == (src.words.len() - from).min(CHUNK_WORDS);
+        let tag = match src.tags {
+            Some(tags) if whole => tags[from / CHUNK_WORDS],
+            _ => DIRTY,
+        };
+        let (to, words) = (&mut dst.words[at..at + len], &src.words[from..from + len]);
+        match dst.tags.as_deref_mut() {
+            Some(tags) if tag != DIRTY && tags[c] == tag => {
+                debug_assert_eq!(to, words, "equal tags {tag:#x} over different words");
+            }
+            tags => {
+                to.copy_from_slice(words);
+                copied += len as u64;
+                if let Some(tags) = tags {
+                    tags[c] = tag;
+                }
+            }
+        }
+        i += len;
+    }
+    copied
+}
 
 /// Global memory with the canonical buffer layout applied.
 #[derive(Debug)]
 pub struct GlobalMemory {
     words: Vec<i64>,
+    /// One provenance tag per [`CHUNK_WORDS`] words.
+    tags: Vec<u64>,
     /// Base address of each device buffer.
     bases: Vec<u64>,
     /// Words per memory block (`b`).
@@ -31,7 +153,8 @@ impl GlobalMemory {
         if total_words > g_limit {
             return Err(SimError::OutOfGlobalMemory { requested: total_words, available: g_limit });
         }
-        Ok(Self { words: vec![0; total_words as usize], bases, block_words })
+        let n = total_words as usize;
+        Ok(Self { words: vec![0; n], tags: vec![ZEROS; chunks(n)], bases, block_words })
     }
 
     /// Total words allocated.
@@ -86,39 +209,73 @@ impl GlobalMemory {
         usize::try_from(addr).ok().and_then(|a| self.words.get(a)).copied()
     }
 
-    /// Writes one word at an absolute address.
+    /// Writes one word at an absolute address, marking its chunk
+    /// [`DIRTY`].
     #[inline]
     pub fn write(&mut self, addr: i64, value: i64) -> bool {
-        match usize::try_from(addr).ok().and_then(|a| self.words.get_mut(a)) {
-            Some(slot) => {
-                *slot = value;
-                true
-            }
-            None => false,
+        let Some(a) = usize::try_from(addr).ok().filter(|&a| a < self.words.len()) else {
+            return false;
+        };
+        self.words[a] = value;
+        self.tags[a / CHUNK_WORDS] = DIRTY;
+        true
+    }
+
+    /// Bulk copy of an untagged slice into the heap: its chunks become
+    /// [`DIRTY`].
+    pub fn copy_in(&mut self, dst: u64, data: &[i64]) {
+        copy(Tagged::untagged(data), 0, &mut self.tagged_mut(), dst as usize, data.len());
+    }
+
+    /// Bulk copy out of the heap into an untagged slice.
+    pub fn copy_out(&self, src: u64, out: &mut [i64]) {
+        let n = out.len();
+        copy(self.tagged(), src as usize, &mut TaggedMut::untagged(out), 0, n);
+    }
+
+    /// Copies `words` words from `from` to `to` within this heap (a peer
+    /// copy whose two endpoints are this replica); the destination's
+    /// chunks become [`DIRTY`].
+    pub(crate) fn copy_within(&mut self, from: u64, to: u64, words: u64) {
+        let (from, to, n) = (from as usize, to as usize, words as usize);
+        self.words.copy_within(from..from + n, to);
+        self.mark(to as i64, (to + n) as i64 - 1);
+    }
+
+    /// The heap's words, lent for a store that writes only at absolute
+    /// addresses `lo..=hi` (clamped to the heap): the chunks between
+    /// them become [`DIRTY`] first.
+    #[inline]
+    pub(crate) fn store_words(&mut self, lo: i64, hi: i64) -> &mut [i64] {
+        self.mark(lo, hi);
+        &mut self.words
+    }
+
+    /// Marks the chunks holding addresses `lo..=hi` (clamped to the
+    /// heap) [`DIRTY`].
+    #[inline]
+    fn mark(&mut self, lo: i64, hi: i64) {
+        let last = self.words.len() as i64 - 1;
+        let (lo, hi) = (lo.max(0), hi.min(last));
+        if lo <= hi {
+            self.tags[lo as usize / CHUNK_WORDS..=hi as usize / CHUNK_WORDS].fill(DIRTY);
         }
     }
 
-    /// Bulk copy into the heap (host→device transfer).
-    pub fn copy_in(&mut self, dst: u64, data: &[i64]) {
-        let d = dst as usize;
-        self.words[d..d + data.len()].copy_from_slice(data);
+    /// The heap as a copy source.
+    pub(crate) fn tagged(&self) -> Tagged<'_> {
+        Tagged::new(&self.words, &self.tags)
     }
 
-    /// Bulk copy out of the heap (device→host transfer).
-    pub fn copy_out(&self, src: u64, out: &mut [i64]) {
-        let s = src as usize;
-        out.copy_from_slice(&self.words[s..s + out.len()]);
+    /// The heap as a copy destination.
+    pub(crate) fn tagged_mut(&mut self) -> TaggedMut<'_> {
+        TaggedMut::new(&mut self.words, &mut self.tags)
     }
 
     /// Raw view (tests, race detection, and the engine's contiguous fast
     /// paths).
     pub fn words(&self) -> &[i64] {
         &self.words
-    }
-
-    /// Mutable raw view (contiguous fast paths in the micro-op engine).
-    pub fn words_mut(&mut self) -> &mut [i64] {
-        &mut self.words
     }
 }
 
@@ -147,6 +304,7 @@ mod tests {
         assert_eq!(g.read(-1), None);
         assert!(!g.write(64, 1));
         assert!(!g.write(-1, 1));
+        assert_eq!(g.tags, [ZEROS], "a refused write marks nothing");
     }
 
     #[test]
@@ -165,5 +323,144 @@ mod tests {
         assert_eq!(g.block_of(0), 0);
         assert_eq!(g.block_of(31), 0);
         assert_eq!(g.block_of(32), 1);
+    }
+
+    const C: usize = CHUNK_WORDS;
+
+    /// A host-side buffer of `chunks` chunks plus `tail` words, tagged as
+    /// input buffer 0.
+    fn input(chunks_: usize, tail: usize) -> (Vec<i64>, Vec<u64>) {
+        let words: Vec<i64> = (0..(chunks_ * C + tail) as i64).map(|w| w * 7 + 1).collect();
+        let tags = (0..chunks(words.len())).map(|c| input_tag(0, c)).collect();
+        (words, tags)
+    }
+
+    /// A heap of `n` words and the words one copy of `host` onto it moves.
+    fn upload(
+        g: &mut GlobalMemory,
+        host: &(Vec<i64>, Vec<u64>),
+        s: usize,
+        d: usize,
+        n: usize,
+    ) -> u64 {
+        copy(Tagged::new(&host.0, &host.1), s, &mut g.tagged_mut(), d, n)
+    }
+
+    #[test]
+    fn an_aligned_copy_takes_the_source_tags_and_a_repeat_moves_nothing() {
+        let host = input(3, 100);
+        let n = host.0.len();
+        let mut g = GlobalMemory::new(vec![0], n as u64, 4, 1 << 20).unwrap();
+        assert_eq!(upload(&mut g, &host, 0, 0, n), n as u64);
+        assert_eq!(g.tags, host.1, "every chunk, the partial last one too, is covered whole");
+        assert_eq!(g.words(), host.0);
+        assert_eq!(upload(&mut g, &host, 0, 0, n), 0, "the destination holds every chunk");
+        // Out again into a fresh (all-zero) host buffer, twice.
+        let (mut out, mut out_tags) = (vec![0; n], vec![ZEROS; chunks(n)]);
+        let down = |g: &GlobalMemory, out: &mut Vec<i64>, tags: &mut Vec<u64>| {
+            copy(g.tagged(), 0, &mut TaggedMut::new(out, tags), 0, n)
+        };
+        assert_eq!(down(&g, &mut out, &mut out_tags), n as u64);
+        assert_eq!((&out, &out_tags), (&host.0, &host.1));
+        assert_eq!(down(&g, &mut out, &mut out_tags), 0);
+    }
+
+    #[test]
+    fn zero_chunks_are_held_by_a_fresh_heap() {
+        let n = 2 * C;
+        let (zeros, tags) = (vec![0; n], vec![ZEROS; 2]);
+        let mut g = GlobalMemory::new(vec![0], n as u64, 4, 1 << 20).unwrap();
+        assert_eq!(copy(Tagged::new(&zeros, &tags), 0, &mut g.tagged_mut(), 0, n), 0);
+    }
+
+    #[test]
+    fn a_partial_or_misaligned_copy_moves_every_word_and_dirties_its_chunks() {
+        let host = input(4, 0);
+        let mut g = GlobalMemory::new(vec![0], 4 * C as u64, 4, 1 << 20).unwrap();
+        // Misaligned destination: the source chunks are whole, but no
+        // destination chunk receives exactly one of them.
+        assert_eq!(upload(&mut g, &host, 0, 8, 2 * C), 2 * C as u64);
+        assert_eq!(g.tags, [DIRTY, DIRTY, DIRTY, ZEROS]);
+        assert_eq!(upload(&mut g, &host, 0, 8, 2 * C), 2 * C as u64, "DIRTY never matches");
+        assert_eq!(&g.words()[8..8 + 2 * C], &host.0[..2 * C]);
+        // Misaligned source onto an aligned destination chunk.
+        let mut g = GlobalMemory::new(vec![0], 4 * C as u64, 4, 1 << 20).unwrap();
+        assert_eq!(upload(&mut g, &host, 4, 0, C), C as u64);
+        assert_eq!(g.tags, [DIRTY, ZEROS, ZEROS, ZEROS]);
+        // A part of one chunk.
+        let mut g = GlobalMemory::new(vec![0], 4 * C as u64, 4, 1 << 20).unwrap();
+        assert_eq!(upload(&mut g, &host, C, C, 10), 10);
+        assert_eq!(g.tags, [ZEROS, DIRTY, ZEROS, ZEROS]);
+        // Aligned chunks of a longer copy keep their tags around it.
+        assert_eq!(upload(&mut g, &host, 0, 0, 3 * C + 5), 3 * C as u64 + 5);
+        assert_eq!(g.tags, [input_tag(0, 0), input_tag(0, 1), input_tag(0, 2), DIRTY]);
+        assert_eq!(upload(&mut g, &host, 0, 0, 3 * C + 5), 5, "only the partial chunk moves");
+    }
+
+    #[test]
+    fn untagged_slices_are_always_copied() {
+        let data = vec![5i64; C];
+        let mut g = GlobalMemory::new(vec![0], C as u64, 4, 1 << 20).unwrap();
+        g.copy_in(0, &data);
+        assert_eq!(g.tags, [DIRTY]);
+        assert_eq!(copy(Tagged::untagged(&data), 0, &mut g.tagged_mut(), 0, C), C as u64);
+        let mut out = vec![0; C];
+        assert_eq!(copy(g.tagged(), 0, &mut TaggedMut::untagged(&mut out), 0, C), C as u64);
+        assert_eq!(out, data);
+    }
+
+    /// Each write path marks exactly the chunks it touches, and the next
+    /// copy moves exactly those again.
+    #[test]
+    fn every_write_path_dirties_exactly_its_chunks() {
+        let host = input(4, 0);
+        let n = 4 * C;
+        let fresh = || {
+            let mut g = GlobalMemory::new(vec![0], n as u64, 4, 1 << 20).unwrap();
+            assert_eq!(upload(&mut g, &host, 0, 0, n), n as u64);
+            g
+        };
+        let clean = |c: usize| input_tag(0, c);
+        type Write = fn(&mut GlobalMemory);
+        let cases: [(&str, Write, [bool; 4]); 5] = [
+            ("write", |g| assert!(g.write(C as i64 + 3, -1)), [false, true, false, false]),
+            (
+                "store",
+                |g| g.store_words(C as i64 - 1, 2 * C as i64)[C] = -1,
+                [true, true, true, false],
+            ),
+            ("clamped store", |g| _ = g.store_words(-50, 5), [true, false, false, false]),
+            ("copy_within", |g| g.copy_within(0, 3 * C as u64 + 1, 4), [false, false, false, true]),
+            ("copy_in", |g| g.copy_in(2 * C as u64, &[9; C]), [false, false, true, false]),
+        ];
+        for (what, write, dirty) in cases {
+            let mut g = fresh();
+            write(&mut g);
+            let expect: Vec<u64> =
+                dirty.iter().enumerate().map(|(c, &d)| if d { DIRTY } else { clean(c) }).collect();
+            assert_eq!(g.tags, expect, "{what}");
+            let moved = dirty.iter().filter(|&&d| d).count() * C;
+            assert_eq!(upload(&mut g, &host, 0, 0, n), moved as u64, "{what}: the next copy");
+            assert_eq!(g.words(), host.0, "{what}: the copy restores the words");
+            assert_eq!(g.tags, host.1, "{what}: and the tags");
+        }
+    }
+
+    /// A peer copy reads the source's tags and never writes them.
+    #[test]
+    fn replica_to_replica_copies_follow_the_same_rule() {
+        let host = input(2, 0);
+        let mut a = GlobalMemory::new(vec![0], 2 * C as u64, 4, 1 << 20).unwrap();
+        let mut b = GlobalMemory::new(vec![0], 2 * C as u64, 4, 1 << 20).unwrap();
+        upload(&mut a, &host, 0, 0, 2 * C);
+        assert!(a.write(0, 0));
+        assert_eq!(copy(a.tagged(), 0, &mut b.tagged_mut(), 0, 2 * C), 2 * C as u64);
+        assert_eq!(b.tags, [DIRTY, input_tag(0, 1)]);
+        assert_eq!(a.tags, [DIRTY, input_tag(0, 1)]);
+        assert_eq!(
+            copy(a.tagged(), 0, &mut b.tagged_mut(), 0, 2 * C),
+            C as u64,
+            "DIRTY moves again"
+        );
     }
 }

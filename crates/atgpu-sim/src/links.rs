@@ -16,13 +16,24 @@
 //! is no fault state or no tracer: a fault-free untraced run never
 //! journals, never builds a target list and never draws from the fault
 //! runtime.
+//!
+//! A transfer step hands [`TransferEngine::transfer`] the tagged host
+//! buffer or replica on each side, so the copy skips the chunks its
+//! destination provably holds ([`crate::gmem`]) while the step is priced,
+//! retried, journaled and traced for every word; the words actually
+//! copied are booked per device ([`DeviceStats::copied_words`]: inward
+//! and peer-in at the receiver, outward at the source).  The other
+//! writes a step makes — the recovery replay of a dead device's words
+//! and a peer copy folded onto one replica — go through
+//! [`GlobalMemory::write`] and [`GlobalMemory::copy_within`], which mark
+//! what they touch as changed.
 
 use crate::cluster::DeviceRoundObservation;
 use crate::device::{DeviceStats, KernelStats};
 use crate::driver::HostData;
 use crate::error::SimError;
 use crate::fault::{FaultRuntime, LinkEdge};
-use crate::gmem::GlobalMemory;
+use crate::gmem::{GlobalMemory, Tagged, TaggedMut};
 use crate::trace::{SpanKind, Trace, Tracer, DEFAULT_TRACE_CAPACITY};
 use crate::warp::WriteRec;
 use crate::xfer::TransferEngine;
@@ -170,6 +181,9 @@ pub(crate) struct Ledger {
     round: usize,
     devs: Vec<DeviceRoundObservation>,
     timelines: Vec<StreamTimeline>,
+    /// Words each device's transfers physically copied
+    /// ([`DeviceStats::copied_words`]).
+    copied: Vec<u64>,
 }
 
 impl Ledger {
@@ -356,11 +370,12 @@ impl Ledger {
                 // takes their stamps too: a later death of *this* device
                 // replays them in turn.
                 let (dead, own) = two_mems(gmems, d, s);
-                let (dead, own, own_stamps) = (dead.words(), own.words_mut(), &mut fs.stamps[s]);
+                let (dead, own_stamps) = (dead.words(), &mut fs.stamps[s]);
                 let mut applied = 0u64;
                 for (a, &dead_seq) in dead_stamps.iter().enumerate() {
                     if dead_seq > own_stamps[a] {
-                        (own[a], own_stamps[a]) = (dead[a], dead_seq);
+                        own.write(a as i64, dead[a]);
+                        own_stamps[a] = dead_seq;
                         applied += 1;
                     }
                 }
@@ -400,11 +415,14 @@ impl Links {
             round: 0,
             devs: Vec::new(),
             timelines: vec![StreamTimeline::new(); n],
+            copied: vec![0; n],
         };
         Self { host_xfer, peer_xfer, ledger }
     }
 
-    /// Host → device: `src` lands at `dev[dev_off..]` on `device`.
+    /// Host → device: `words` words of `src` at `from` land at
+    /// `dev[dev_off..]` on `device`.
+    #[allow(clippy::too_many_arguments)]
     fn host_in(
         &mut self,
         gmems: &mut [GlobalMemory],
@@ -412,20 +430,27 @@ impl Links {
         stream: u32,
         dev: DBuf,
         dev_off: u64,
-        src: &[i64],
+        src: Tagged<'_>,
+        from: u64,
+        words: u64,
     ) -> Result<(), SimError> {
-        let (ledger, words) = (&mut self.ledger, src.len() as u64);
+        let ledger = &mut self.ledger;
         let (targets, survivors_only) = ledger.targets(device as usize);
         for s in targets {
             if survivors_only && !ledger.alive(s) {
                 continue;
             }
             let dst = gmems[s].span(dev.0, dev_off, words)?;
-            let (xfer, gmem) = (&mut self.host_xfer[s], &mut gmems[s]);
-            let t = ledger.retried(s, LinkEdge::Host(s as u32), || xfer.to_device(gmem, dst, src));
+            let (xfer, gmem, mut copied) = (&mut self.host_xfer[s], &mut gmems[s], 0);
+            let t = ledger.retried(s, LinkEdge::Host(s as u32), || {
+                let (t, c) = xfer.transfer(src, from, &mut gmem.tagged_mut(), dst, words);
+                copied += c;
+                t
+            });
             ledger.devs[s].xfer_in_ms += t;
+            ledger.copied[s] += copied;
             if let Some(f) = ledger.fault.as_mut() {
-                f.journal_words(s, dst, src.len());
+                f.journal_words(s, dst, words as usize);
             }
             let (res, kind) = (StreamResource::HostToDevice, SpanKind::TransferIn);
             ledger.place(s, stream, res, kind, words, Some(xfer.link()), t);
@@ -433,8 +458,10 @@ impl Links {
         Ok(())
     }
 
-    /// Device → host: `dev[dev_off..]` of `device` (or of the heir, over
-    /// the heir's link, once `device` is dead) fills `dst`.
+    /// Device → host: `words` words at `dev[dev_off..]` of `device` (or
+    /// of the heir, over the heir's link, once `device` is dead) land in
+    /// `dst` at `to`.
+    #[allow(clippy::too_many_arguments)]
     fn host_out(
         &mut self,
         gmems: &[GlobalMemory],
@@ -442,14 +469,21 @@ impl Links {
         stream: u32,
         dev: DBuf,
         dev_off: u64,
-        dst: &mut [i64],
+        mut dst: TaggedMut<'_>,
+        to: u64,
+        words: u64,
     ) -> Result<(), SimError> {
-        let (ledger, words) = (&mut self.ledger, dst.len() as u64);
+        let ledger = &mut self.ledger;
         let s = ledger.source(device as usize);
         let src = gmems[s].span(dev.0, dev_off, words)?;
-        let xfer = &mut self.host_xfer[s];
-        let t = ledger.retried(s, LinkEdge::Host(s as u32), || xfer.to_host(&gmems[s], src, dst));
+        let (xfer, mut copied) = (&mut self.host_xfer[s], 0);
+        let t = ledger.retried(s, LinkEdge::Host(s as u32), || {
+            let (t, c) = xfer.transfer(gmems[s].tagged(), src, &mut dst, to, words);
+            copied += c;
+            t
+        });
         ledger.devs[s].xfer_out_ms += t;
+        ledger.copied[s] += copied;
         let (res, kind) = (StreamResource::DeviceToHost, SpanKind::TransferOut);
         ledger.place(s, stream, res, kind, words, Some(xfer.link()), t);
         Ok(())
@@ -477,19 +511,21 @@ impl Links {
         // Every replica shares one layout, so one check covers them all.
         let from = gmems[sp].span(buf.0, src_off, words)?;
         let to = gmems[sp].span(buf.0, dst_off, words)?;
-        let (from_w, to_w, w) = (from as usize, to as usize, words as usize);
         for r in receivers {
             if survivors_only && !ledger.alive(r) {
                 continue;
             }
             if r == sp {
-                gmems[r].words_mut().copy_within(from_w..from_w + w, to_w);
+                gmems[r].copy_within(from, to, words);
             } else {
-                let xfer = &mut self.peer_xfer[sp][r];
+                let (xfer, mut copied) = (&mut self.peer_xfer[sp][r], 0);
                 let t = ledger.retried(r, LinkEdge::Peer(sp as u32, r as u32), || {
                     let (sm, dm) = two_mems(gmems, sp, r);
-                    xfer.peer(sm, from, dm, to, words)
+                    let (t, c) = xfer.transfer(sm.tagged(), from, &mut dm.tagged_mut(), to, words);
+                    copied += c;
+                    t
                 });
+                ledger.copied[r] += copied;
                 // The receiver's span goes first: it carries the retry
                 // and backoff segments, the source shows the fused copy.
                 for d in [r, sp] {
@@ -499,14 +535,15 @@ impl Links {
                 }
             }
             if let Some(f) = ledger.fault.as_mut() {
-                f.journal_words(r, to, w);
+                f.journal_words(r, to, words as usize);
             }
         }
         Ok(())
     }
 
-    /// Ends the run: folds the rounds' retry/backoff totals and the
-    /// recovery counters into `device_stats`, and yields the trace.
+    /// Ends the run: folds the rounds' retry/backoff totals, the copied
+    /// words and the recovery counters into `device_stats`, and yields
+    /// the trace.
     pub(crate) fn finish(
         self,
         rounds: &[Vec<DeviceRoundObservation>],
@@ -517,6 +554,9 @@ impl Links {
                 st.retries += obs.retries;
                 st.backoff_ms += obs.backoff_ms;
             }
+        }
+        for (st, &c) in device_stats.iter_mut().zip(&self.ledger.copied) {
+            st.copied_words = c;
         }
         if let Some(f) = &self.ledger.fault {
             for (st, &r) in device_stats.iter_mut().zip(&f.recoveries) {
@@ -548,8 +588,10 @@ pub(crate) fn run_rounds(
         for step in &round.steps {
             match step {
                 HostStep::TransferIn { host: h, host_off, dev, dev_off, words, device, stream } => {
-                    let src = &host.bufs[h.0 as usize][host.span(*h, *host_off, *words)?];
-                    links.host_in(gmems, *device, *stream, *dev, *dev_off, src)?;
+                    host.span(*h, *host_off, *words)?;
+                    let src = host.tagged(*h);
+                    links
+                        .host_in(gmems, *device, *stream, *dev, *dev_off, src, *host_off, *words)?;
                 }
                 HostStep::TransferOut {
                     dev,
@@ -560,9 +602,11 @@ pub(crate) fn run_rounds(
                     device,
                     stream,
                 } => {
-                    let span = host.span(*h, *host_off, *words)?;
-                    let dst = &mut host.bufs[h.0 as usize][span];
-                    links.host_out(gmems, *device, *stream, *dev, *dev_off, dst)?;
+                    host.span(*h, *host_off, *words)?;
+                    let dst = host.tagged_mut(*h);
+                    links.host_out(
+                        gmems, *device, *stream, *dev, *dev_off, dst, *host_off, *words,
+                    )?;
                 }
                 HostStep::TransferPeer { src, dst, buf, src_off, dst_off, words } => {
                     links.peer(gmems, *src, *dst, *buf, *src_off, *dst_off, *words)?;

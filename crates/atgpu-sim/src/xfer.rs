@@ -2,11 +2,18 @@
 //!
 //! Each transfer transaction costs `α + β·words` milliseconds — Boyer et
 //! al.'s affine model, which the paper adopts for its cost function — and
-//! actually moves the words.  Optional multiplicative noise (seeded,
-//! uniform in `[1−ε, 1+ε]`) lets experiments produce realistically jittery
-//! "observed" curves while remaining reproducible.
+//! moves the words through [`crate::gmem`]'s one copy rule, which skips
+//! the chunks its destination provably holds already: every word is
+//! priced, only the ones the destination lacks are copied.  The public
+//! doors take untagged slices (unknown provenance, always copied); the
+//! program driver passes its tagged host buffers to the same body.
+//! Optional multiplicative noise (seeded, uniform in `[1−ε, 1+ε]` for a
+//! finite `0 ≤ ε < 1`, checked where a run starts) lets experiments
+//! produce realistically jittery "observed" curves while remaining
+//! reproducible.
 
-use crate::gmem::GlobalMemory;
+use crate::error::SimError;
+use crate::gmem::{self, GlobalMemory, Tagged, TaggedMut};
 use atgpu_model::LinkParams;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -14,8 +21,23 @@ use rand::{Rng, SeedableRng};
 /// Relative transfer-time jitter.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct XferNoise {
-    /// Relative amplitude ε (e.g. 0.02 for ±2%).
+    /// Relative amplitude ε (e.g. 0.02 for ±2%): a finite `0 ≤ ε < 1`.
     pub rel: f64,
+}
+
+impl XferNoise {
+    /// Refuses an amplitude the jitter cannot honour: anything but a
+    /// finite `0 ≤ ε < 1` (at `ε ≥ 1` a transfer could take no or
+    /// negative time, an infinite one makes every time `NaN`, and `NaN`
+    /// would silently mean no noise).
+    pub(crate) fn check(&self) -> Result<(), SimError> {
+        if (0.0..1.0).contains(&self.rel) {
+            return Ok(());
+        }
+        Err(SimError::InvalidNoise {
+            reason: format!("relative amplitude {} is not a finite 0 ≤ ε < 1", self.rel),
+        })
+    }
 }
 
 /// The transfer engine.
@@ -58,20 +80,38 @@ impl TransferEngine {
         self.price(words)
     }
 
-    /// Host→device copy; returns elapsed milliseconds.
-    pub fn to_device(&mut self, gmem: &mut GlobalMemory, dst: u64, data: &[i64]) -> f64 {
-        gmem.copy_in(dst, data);
-        self.price(data.len() as u64)
+    /// One transaction of `words` words from `src` at `from` to `dst` at
+    /// `to`, the body of every door: the copy rule moves what `dst` does
+    /// not hold, the link prices all of it.  Returns the elapsed
+    /// milliseconds and the words physically copied.
+    pub(crate) fn transfer(
+        &mut self,
+        src: Tagged<'_>,
+        from: u64,
+        dst: &mut TaggedMut<'_>,
+        to: u64,
+        words: u64,
+    ) -> (f64, u64) {
+        let copied = gmem::copy(src, from as usize, dst, to as usize, words as usize);
+        (self.price(words), copied)
     }
 
-    /// Device→host copy; returns elapsed milliseconds.
+    /// Host→device copy of an untagged slice; returns elapsed
+    /// milliseconds.
+    pub fn to_device(&mut self, gmem: &mut GlobalMemory, dst: u64, data: &[i64]) -> f64 {
+        let words = data.len() as u64;
+        self.transfer(Tagged::untagged(data), 0, &mut gmem.tagged_mut(), dst, words).0
+    }
+
+    /// Device→host copy into an untagged slice; returns elapsed
+    /// milliseconds.
     pub fn to_host(&mut self, gmem: &GlobalMemory, src: u64, out: &mut [i64]) -> f64 {
-        gmem.copy_out(src, out);
-        self.price(out.len() as u64)
+        let words = out.len() as u64;
+        self.transfer(gmem.tagged(), src, &mut TaggedMut::untagged(out), 0, words).0
     }
 
     /// Device→device copy over this engine's (peer) link; returns elapsed
-    /// milliseconds.
+    /// milliseconds.  The source's tags are only read.
     pub fn peer(
         &mut self,
         src: &GlobalMemory,
@@ -80,11 +120,7 @@ impl TransferEngine {
         dst_addr: u64,
         words: u64,
     ) -> f64 {
-        let s = src_addr as usize;
-        let d = dst_addr as usize;
-        let n = words as usize;
-        dst.words_mut()[d..d + n].copy_from_slice(&src.words()[s..s + n]);
-        self.price(words)
+        self.transfer(src.tagged(), src_addr, &mut dst.tagged_mut(), dst_addr, words).0
     }
 }
 
