@@ -38,13 +38,20 @@
 //!    launch; on a miss, less the lowering), block execution (the bare
 //!    executor loop of section 1) and the rest, MP and executor set-up
 //!    with the issue loop — and the allocator calls of one such launch.
-//! 6. **Transfers** — `cluster_transfer`'s four staged programs and its
-//!    4-device small programs (fault plan included where the benchmark
-//!    has one): best-of-N µs of `run_cluster_program`, the words the
-//!    program's transfer steps price beside the words they physically
-//!    copied (`DeviceStats::copied_words`, summed over devices; under a
-//!    fault plan a step aimed at a dead device is priced on every
-//!    survivor and a dropped attempt again, so the share can pass 100 %),
+//! 6. **Transfers** — first the **interleaved pass**: `cluster_transfer`'s
+//!    fourteen requests in the benchmark's order (fault plan included
+//!    where the benchmark has one), N passes, µs per pass (best and
+//!    median) and minor faults per pass.  Back-to-back repeats of one
+//!    program reuse the pages its previous run freed and never showed
+//!    the faults a pass over programs of different sizes takes.  The
+//!    pass is measured first in the process: glibc raises its mmap and
+//!    trim thresholds as large buffers are freed, and after the other
+//!    sections the faults no longer show.  Then, per request:
+//!    best-of-N µs of the run, the words the program's transfer
+//!    steps price beside the words they physically copied
+//!    (`DeviceStats::copied_words`, summed over devices; under a fault
+//!    plan a step aimed at a dead device is priced on every survivor and
+//!    a dropped attempt again, so the share can pass 100 %),
 //!    minor page faults (`/proc/self/stat`) of the program's first run
 //!    and per run of the replays that follow it, and a `memcpy` floor —
 //!    best-of-N µs of copying the priced words once between two warm
@@ -57,6 +64,7 @@ use atgpu_algos::dot::Dot;
 use atgpu_algos::gemv::Gemv;
 use atgpu_algos::histogram::Histogram;
 use atgpu_algos::matmul::MatMul;
+use atgpu_algos::ooc::OocVecAdd;
 use atgpu_algos::reduce::{Reduce, ReduceVariant};
 use atgpu_algos::saxpy::Saxpy;
 use atgpu_algos::scan::Scan;
@@ -631,6 +639,7 @@ fn main() {
     // Only the machine and the device are read: every run below takes
     // `SimConfig::default()`, which has no transfer jitter.
     let cfg = ExpConfig::standard(Scale::Quick);
+    let interleaved = interleaved_pass(&cfg);
     scheduler_split(&cfg);
 
     let built = VecAdd::new(200_000, 1).build(&cfg.machine).unwrap();
@@ -729,7 +738,7 @@ fn main() {
     issue_loop(&cfg);
     front_end(&cfg);
     launch_cost(&cfg);
-    transfers(&cfg);
+    transfers(&cfg, &interleaved);
 }
 
 /// How a [`staged`] program moves its state between host and devices.
@@ -802,75 +811,166 @@ fn minor_faults() -> u64 {
     rest.split_whitespace().nth(7).and_then(|f| f.parse().ok()).unwrap_or(0)
 }
 
-/// Section 6: what a run's transfers copy against what they price.
-fn transfers(cfg: &ExpConfig) {
+/// One `cluster_transfer` request: a program, the cluster it runs on
+/// (`None`: [`run_program`] on one device) and its fault plan.
+struct Request {
+    name: &'static str,
+    built: BuiltProgram,
+    cluster: Option<ClusterSpec>,
+    fault: FaultPlan,
+}
+
+impl Request {
+    /// Runs the request as the benchmark does (device threads off) and
+    /// returns the words its transfers physically copied.
+    fn run(&self, cfg: &ExpConfig) -> u64 {
+        let config =
+            SimConfig { device_threads: false, fault: self.fault.clone(), ..SimConfig::default() };
+        let (program, inputs) = (&self.built.program, self.built.inputs.clone());
+        match &self.cluster {
+            None => {
+                let report = run_program(program, inputs, &cfg.machine, &cfg.spec, &config);
+                report.unwrap().device_stats.copied_words
+            }
+            Some(cluster) => {
+                let report = run_cluster_program(program, inputs, &cfg.machine, cluster, &config);
+                report.unwrap().device_stats.iter().map(|d| d.copied_words).sum()
+            }
+        }
+    }
+}
+
+/// `cluster_transfer`'s fourteen requests at seed 1, built and ordered as
+/// the benchmark package's `rosters::cluster_transfer` builds them.
+fn cluster_transfer(cfg: &ExpConfig) -> Vec<Request> {
     let m = &cfg.machine;
-    // `cluster_transfer` at seed 1, as the benchmark builds it.
     let s = |k: u64| 0x9E37_79B9u64 + 100 + k;
+    let homog = |n: usize| Some(ClusterSpec::homogeneous(n, cfg.spec));
+    let mut asym = ClusterSpec::homogeneous(2, cfg.spec);
+    asym.host_links[1] = asym.host_links[1].scaled(8.0);
     let mut loss = FaultPlan::random(0xC11A05, 4, 1, 0.25);
     loss.events.retain(|e| !matches!(e, FaultEvent::DeviceDown { .. }));
     loss.push(FaultEvent::DeviceDown { device: 2, at_round: 0 });
     let (n, big) = (1 << 12, 96 << 10);
     let vecadd = VecAdd::new(n, s(1));
-    let programs: Vec<(&str, BuiltProgram, FaultPlan)> = vec![
-        (
-            "staged_scatter_4dev_96k_r16",
-            staged(m, big, 4, 16, Staging::Scatter, s(7)),
-            FaultPlan::default(),
+    let ooc = OocVecAdd::new(n, n / 8, s(2));
+    let none = FaultPlan::default;
+    let request = |name, built, cluster, fault| Request { name, built, cluster, fault };
+    vec![
+        request("vecadd_4k", vecadd.build(m).unwrap(), None, none()),
+        request("vecadd_sharded_1dev_4k", vecadd.build_sharded(m, 1).unwrap(), homog(1), none()),
+        request("vecadd_sharded_4dev_4k", vecadd.build_sharded(m, 4).unwrap(), homog(4), none()),
+        request(
+            "vecadd_planned_asym2dev_4k",
+            vecadd.build_sharded_planned(m, &asym).unwrap(),
+            Some(asym.clone()),
+            none(),
         ),
-        (
-            "staged_broadcast_4dev_96k_r8",
-            staged(m, big, 4, 8, Staging::Broadcast, s(8)),
-            FaultPlan::default(),
-        ),
-        (
-            "staged_allgather_4dev_96k_r8",
-            staged(m, big, 4, 8, Staging::AllGather, s(9)),
-            FaultPlan::default(),
-        ),
-        (
-            "staged_scatter_24k_r2_faulted",
-            staged(m, big / 4, 4, 2, Staging::Scatter, s(7)),
-            loss.clone(),
-        ),
-        ("vecadd_sharded_4dev_4k", vecadd.build_sharded(m, 4).unwrap(), FaultPlan::default()),
-        ("vecadd_4dev_4k_faulted", vecadd.build_sharded(m, 4).unwrap(), loss),
-        (
+        request("ooc_vecadd_streamed_4k", ooc.build_streamed(m).unwrap(), homog(1), none()),
+        request(
             "stencil_halo_4dev_2k_r8",
             Stencil::new(1 << 11, s(3)).build_sharded(m, 4, 8).unwrap(),
-            FaultPlan::default(),
+            homog(4),
+            none(),
         ),
-        (
+        request(
             "scan_sharded_4dev_2k",
             Scan::new(n / 2, s(4)).build_sharded(m, 4).unwrap(),
-            FaultPlan::default(),
+            homog(4),
+            none(),
         ),
-        (
+        request(
             "spmv_sharded_4dev_1k",
             SpmvEll::new(1 << 10, 8, s(5)).build_sharded(m, 4).unwrap(),
-            FaultPlan::default(),
+            homog(4),
+            none(),
         ),
-        (
+        request(
             "histogram_merge_4dev_256",
             Histogram::new(1 << 8, m.b, s(6)).build_sharded(m, 4).unwrap(),
-            FaultPlan::default(),
+            homog(4),
+            none(),
         ),
-    ];
-    let cluster = ClusterSpec::homogeneous(4, cfg.spec);
-    println!("\ntransfers, best of {TRANSFER_REPLAYS} runs (device threads off, as the benchmark)");
+        request(
+            "staged_scatter_4dev_96k_r16",
+            staged(m, big, 4, 16, Staging::Scatter, s(7)),
+            homog(4),
+            none(),
+        ),
+        request(
+            "staged_broadcast_4dev_96k_r8",
+            staged(m, big, 4, 8, Staging::Broadcast, s(8)),
+            homog(4),
+            none(),
+        ),
+        request(
+            "staged_allgather_4dev_96k_r8",
+            staged(m, big, 4, 8, Staging::AllGather, s(9)),
+            homog(4),
+            none(),
+        ),
+        request(
+            "vecadd_sharded_4dev_4k_faulted",
+            vecadd.build_sharded(m, 4).unwrap(),
+            homog(4),
+            loss.clone(),
+        ),
+        request(
+            "staged_scatter_4dev_24k_r2_faulted",
+            staged(m, big / 4, 4, 2, Staging::Scatter, s(7)),
+            homog(4),
+            loss,
+        ),
+    ]
+}
+
+/// The first half of section 6, measured before every other section:
+/// `cluster_transfer`'s runs in the benchmark's order, pass after pass.
+/// Back-to-back repeats of one program reuse the pages its previous run
+/// freed; a pass over programs of different sizes is where freed pages
+/// went back to the kernel.  glibc raises its mmap and trim thresholds
+/// as large buffers are freed, after which a pass no longer shows that,
+/// so this runs first and section 6 prints it.
+fn interleaved_pass(cfg: &ExpConfig) -> String {
+    let requests = cluster_transfer(cfg);
+    let mut pass_us = Vec::with_capacity(TRANSFER_REPLAYS);
+    let faults = minor_faults();
+    for _ in 0..TRANSFER_REPLAYS {
+        let t = Instant::now();
+        for r in &requests {
+            black_box(r.run(cfg));
+        }
+        pass_us.push(t.elapsed().as_secs_f64() * 1e6);
+    }
+    let minflt = (minor_faults() - faults) as f64 / TRANSFER_REPLAYS as f64;
+    pass_us.sort_by(f64::total_cmp);
+    format!(
+        "interleaved pass ({} requests in the benchmark's order, {TRANSFER_REPLAYS} passes): \
+         best {:.0} us, median {:.0} us, {minflt:.0} minor faults per pass",
+        requests.len(),
+        pass_us[0],
+        pass_us[TRANSFER_REPLAYS / 2]
+    )
+}
+
+/// Section 6: what a pass over `cluster_transfer`'s runs costs (measured
+/// first in the process, see [`interleaved_pass`]), and what each run's
+/// transfers copy against what they price.
+fn transfers(cfg: &ExpConfig, interleaved: &str) {
+    let requests = cluster_transfer(cfg);
+    println!("\ntransfers (device threads off, as the benchmark)");
+    println!("{interleaved}");
+    println!("each program, best of {TRANSFER_REPLAYS} runs");
     println!(
-        "{:<30} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7} {:>9}",
+        "{:<34} {:>9} {:>9} {:>9} {:>7} {:>7} {:>7} {:>9}",
         "program", "run_us", "priced", "copied", "copy%", "flt1st", "flt/run", "memcpy_us"
     );
-    for (name, built, fault) in &programs {
-        let config =
-            SimConfig { device_threads: false, fault: fault.clone(), ..SimConfig::default() };
-        let run =
-            || run_cluster_program(&built.program, built.inputs.clone(), m, &cluster, &config);
+    for r in &requests {
         let faults = minor_faults();
-        let copied: u64 = run().unwrap().device_stats.iter().map(|d| d.copied_words).sum();
+        let copied = r.run(cfg);
         let first_faults = minor_faults() - faults;
-        let priced: u64 = built
+        let priced: u64 = r
+            .built
             .program
             .rounds
             .iter()
@@ -886,7 +986,7 @@ fn transfers(cfg: &ExpConfig) {
         let mut best = f64::INFINITY;
         for _ in 0..TRANSFER_REPLAYS {
             let t = Instant::now();
-            black_box(run().unwrap());
+            black_box(r.run(cfg));
             best = best.min(t.elapsed().as_secs_f64() * 1e6);
         }
         let minflt = (minor_faults() - faults) as f64 / TRANSFER_REPLAYS as f64;
@@ -900,8 +1000,9 @@ fn transfers(cfg: &ExpConfig) {
         }
         let share = 100.0 * copied as f64 / priced.max(1) as f64;
         println!(
-            "{name:<30} {best:>9.1} {priced:>9} {copied:>9} {share:>6.1}% {first_faults:>7} \
-             {minflt:>7.0} {floor:>9.1}"
+            "{:<34} {best:>9.1} {priced:>9} {copied:>9} {share:>6.1}% {first_faults:>7} \
+             {minflt:>7.0} {floor:>9.1}",
+            r.name
         );
     }
 }

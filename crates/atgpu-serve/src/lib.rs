@@ -190,7 +190,7 @@ use atgpu_ir::{shard_counts, HostBufRole, HostStep, Program};
 use atgpu_model::occupancy::device_capacity;
 use atgpu_model::{AtgpuMachine, ClusterSpec, ModelError};
 use atgpu_sim::{
-    run_cluster_program, run_cluster_program_on, Cluster, ClusterSimReport, SimConfig,
+    gmem, run_cluster_program, run_cluster_program_on, Cluster, ClusterSimReport, SimConfig,
 };
 
 /// Server construction parameters.
@@ -371,12 +371,13 @@ impl CostServer {
             // while addressing is data-independent; a program that got
             // here by indexing memory by value is quoted at its
             // zero-input cost (`PriceSource::Simulated`).
-            let inputs: Vec<Vec<i64>> = program
+            // A declared size the host cannot hold is a typed error.
+            let inputs = program
                 .host_bufs
                 .iter()
                 .filter(|b| matches!(b.role, HostBufRole::Input))
-                .map(|b| vec![0i64; b.words as usize])
-                .collect();
+                .map(|b| gmem::zero_words(b.words))
+                .collect::<Result<Vec<_>, _>>()?;
             let report = match what_if {
                 // A foreign spec gets a private throwaway cluster.
                 Some(spec) => run_cluster_program(program, inputs, &machine, spec, &self.sim)?,

@@ -706,6 +706,90 @@ fn counts_past_u64_saturate_and_are_quoted_analytically() {
     }
 }
 
+/// A one-round program whose host input `A` and output `C` are declared
+/// at `input` and `output` words, of which 64 are moved: up, through a
+/// two-block kernel (`b = 32`) whose `_s[2·lane]` bank conflict keeps its quote off the
+/// analytic tier, and down.
+fn declared_host_program(input: u64, output: u64) -> atgpu_ir::Program {
+    use atgpu_ir::{AddrExpr, KernelBuilder, ProgramBuilder};
+    let mut pb = ProgramBuilder::new("declared");
+    let (h, o) = (pb.host_input("A", input), pb.host_output("C", output));
+    let (d, c) = (pb.device_alloc("d", 64), pb.device_alloc("c", 64));
+    let mut kb = KernelBuilder::new("conflicting", 2, 64);
+    let g = AddrExpr::block() * 32 + AddrExpr::lane();
+    kb.glb_to_shr(AddrExpr::lane() * 2, d, g.clone());
+    kb.shr_to_glb(c, g, AddrExpr::lane() * 2);
+    pb.begin_round();
+    pb.transfer_in(h, d, 64);
+    pb.launch(kb.build());
+    pb.transfer_out(c, o, 64);
+    pb.build().expect("the builder accepts any declared size")
+}
+
+/// Regression: a host buffer's declared size is the client's to choose,
+/// and the host could not always hold it.  The simulated pricing tier
+/// zero-filled inputs with `vec![0; words]` and a run zero-filled outputs
+/// the same way, so 2⁵⁰ words aborted the process ("memory allocation
+/// … failed") and `u64::MAX` words panicked (capacity overflow) through
+/// `price` and `submit`.  Both are `SimError::OutOfHostMemory` now, and
+/// the server answers the next request.
+#[test]
+fn a_host_buffer_past_the_host_is_a_typed_error() {
+    let server = CostServer::new(machine(), spec(1), ServerConfig::default()).expect("server");
+    for words in [1u64 << 50, u64::MAX] {
+        let refused = |r: Result<PriceSource, ServeError>| matches!(r, Err(ServeError::Sim(SimError::OutOfHostMemory { words: w })) if w == words);
+        let priced = |p: &atgpu_ir::Program| server.price(p).map(|q| q.source);
+        let input = declared_host_program(words, 64);
+        assert!(refused(priced(&input)), "price, input of {words}: {:?}", priced(&input));
+        let output = declared_host_program(64, words);
+        assert!(refused(priced(&output)), "price, output of {words}: {:?}", priced(&output));
+        let ran = server.submit("mallory", &output, vec![vec![1; 64]]).map(|_| PriceSource::Memo);
+        assert!(refused(ran.clone()), "submit, output of {words}: {ran:?}");
+    }
+    let program = declared_host_program(64, 64);
+    assert_eq!(server.price(&program).expect("a quote").source, PriceSource::Simulated);
+    let report = server.submit("alice", &program, vec![(0..64).collect()]).expect("a run");
+    assert_eq!(report.output(atgpu_ir::HBuf(1)), (0..64).collect::<Vec<i64>>());
+}
+
+/// Minor page faults of the calling thread so far (field 10 of
+/// `/proc/thread-self/stat`, counted after the parenthesised command).
+fn thread_minor_faults() -> u64 {
+    let stat = std::fs::read_to_string("/proc/thread-self/stat").expect("procfs");
+    let fields = &stat[stat.rfind(')').expect("comm") + 1..];
+    fields.split_whitespace().nth(7).and_then(|f| f.parse().ok()).expect("minflt")
+}
+
+/// A declared host buffer costs only the pages a run writes.  Quoting and
+/// running a program that declares a 2²⁷- or 2³¹-word output (1 and 16
+/// GiB) but moves 64 words into it faults in a handful of pages, or is
+/// refused where the host cannot reserve the size: its zeros come from
+/// the allocator untouched, and an output larger than the machine's `G`
+/// never joins the spare list.
+#[test]
+fn a_declared_host_buffer_costs_only_the_pages_a_run_writes() {
+    let server = CostServer::new(machine(), spec(1), ServerConfig::default()).expect("server");
+    let warm = declared_host_program(64, 64);
+    server.price(&warm).expect("a quote");
+    server.submit("alice", &warm, vec![vec![1; 64]]).expect("a run");
+    for words in [1u64 << 27, 1 << 31] {
+        let program = declared_host_program(64, words);
+        let fits = |r: Result<(), ServeError>| match r {
+            Ok(()) => true,
+            Err(ServeError::Sim(SimError::OutOfHostMemory { words: w })) => w == words,
+            Err(_) => false,
+        };
+        let before = thread_minor_faults();
+        let priced = server.price(&program).map(|_| ());
+        let ran = server.submit("alice", &program, vec![vec![1; 64]]).map(|_| ());
+        let faults = thread_minor_faults() - before;
+        assert!(fits(priced.clone()) && fits(ran.clone()), "{words}: {priced:?} {ran:?}");
+        // The output's tags (one word per 512) may come zero-filled by
+        // hand: 512 pages at 2²⁷ words.  Its words alone are 2¹⁸ pages.
+        assert!(faults < 4096, "{words} declared words faulted in {faults} pages");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 

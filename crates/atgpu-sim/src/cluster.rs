@@ -562,7 +562,7 @@ pub(crate) fn run_on(
     let mut gmems = (0..n)
         .map(|_| GlobalMemory::new(bases.clone(), total_words, machine.b, machine.g))
         .collect::<Result<Vec<_>, _>>()?;
-    let mut host = HostData::new(program, inputs)?;
+    let mut host = HostData::with_spares(program, inputs, machine.g)?;
 
     let link = |l, idx: usize| TransferEngine::with_link(l, config.noise, link_seed(idx as u64));
     let host_xfer = spec.host_links.iter().enumerate().map(|(i, l)| link(l, i)).collect();

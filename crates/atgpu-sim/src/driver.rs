@@ -27,10 +27,11 @@ use crate::cluster::{run_on, Cluster, ClusterRoundObservation, ClusterSimReport}
 use crate::device::KernelStats;
 use crate::error::SimError;
 use crate::fault::FaultPlan;
-use crate::gmem::{self, Tagged, TaggedMut, ZEROS};
+use crate::gmem::{self, Tagged, TaggedMut};
 use crate::xfer::XferNoise;
 use atgpu_ir::{HBuf, HostBufRole, Program};
 use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
+use std::mem;
 use std::ops::Range;
 
 /// Simulation configuration.  Every field is **per-run**: it travels
@@ -88,11 +89,16 @@ impl Default for SimConfig {
 
 /// Host-side buffers for a program run, each with the provenance tag of
 /// every [`gmem::CHUNK_WORDS`]-word chunk (see [`crate::gmem`]): an input's
-/// chunks are tagged as themselves, an output's as zeros.
-#[derive(Debug, Clone)]
+/// chunks are tagged as themselves, an output's as zeros.  In a run, an
+/// output of at most the machine's `G` words comes from the spare list
+/// and goes back to it when the data is dropped (see "Spare pages" in
+/// [`crate::gmem`]); every other buffer goes back to the allocator.
+#[derive(Debug)]
 pub struct HostData {
     pub(crate) bufs: Vec<Vec<i64>>,
     tags: Vec<Vec<u64>>,
+    /// Which buffers came from the spare list and go back to it.
+    spare: Vec<bool>,
 }
 
 impl HostData {
@@ -100,12 +106,29 @@ impl HostData {
     /// entry per declared host buffer, inputs supplied by the caller
     /// (in declaration order), outputs zero-filled.
     pub fn new(program: &Program, inputs: Vec<Vec<i64>>) -> Result<Self, SimError> {
-        let mut bufs = Vec::with_capacity(program.host_bufs.len());
-        let mut tags = Vec::with_capacity(program.host_bufs.len());
+        Self::with_spares(program, inputs, 0)
+    }
+
+    /// As [`HostData::new`], with every output of at most `keep` words
+    /// taken from the spare list and given back when the data is dropped.
+    /// A run passes its machine's `G`, which bounds every replica too.
+    pub(crate) fn with_spares(
+        program: &Program,
+        inputs: Vec<Vec<i64>>,
+        keep: u64,
+    ) -> Result<Self, SimError> {
+        let decls = &program.host_bufs;
+        let mut host = Self {
+            bufs: Vec::with_capacity(decls.len()),
+            tags: Vec::with_capacity(decls.len()),
+            spare: decls
+                .iter()
+                .map(|d| matches!(d.role, HostBufRole::Output) && d.words <= keep)
+                .collect(),
+        };
         let mut supplied = inputs.into_iter();
-        for (h, decl) in program.host_bufs.iter().enumerate() {
-            let chunks = gmem::chunks(decl.words as usize);
-            match decl.role {
+        for (h, decl) in decls.iter().enumerate() {
+            let (words, tags) = match decl.role {
                 HostBufRole::Input => {
                     let data = supplied.next().ok_or_else(|| SimError::HostDataMismatch {
                         reason: format!("missing input for host buffer `{}`", decl.name),
@@ -120,21 +143,20 @@ impl HostData {
                             ),
                         });
                     }
-                    bufs.push(data);
-                    tags.push((0..chunks).map(|c| gmem::input_tag(h, c)).collect());
+                    let tags = (0..gmem::chunks(data.len())).map(|c| gmem::input_tag(h, c));
+                    (data, tags.collect())
                 }
-                HostBufRole::Output => {
-                    bufs.push(vec![0; decl.words as usize]);
-                    tags.push(vec![ZEROS; chunks]);
-                }
-            }
+                HostBufRole::Output => gmem::zeroed(decl.words, keep)?,
+            };
+            host.bufs.push(words);
+            host.tags.push(tags);
         }
         if supplied.next().is_some() {
             return Err(SimError::HostDataMismatch {
                 reason: "more inputs supplied than declared input buffers".into(),
             });
         }
-        Ok(Self { bufs, tags })
+        Ok(host)
     }
 
     /// A buffer's contents.
@@ -167,6 +189,26 @@ impl HostData {
                     id.0
                 ),
             }),
+        }
+    }
+}
+
+impl Clone for HostData {
+    /// A copy whose buffers all go back to the allocator: none of them
+    /// came from the spare list, so none may join it.
+    fn clone(&self) -> Self {
+        let spare = vec![false; self.bufs.len()];
+        Self { bufs: self.bufs.clone(), tags: self.tags.clone(), spare }
+    }
+}
+
+impl Drop for HostData {
+    /// Hands the outputs' pages to the spare list.
+    fn drop(&mut self) {
+        for ((words, tags), _) in
+            self.bufs.iter_mut().zip(&mut self.tags).zip(&self.spare).filter(|(_, &s)| s)
+        {
+            gmem::give_back(mem::take(words), mem::take(tags));
         }
     }
 }
@@ -514,6 +556,60 @@ mod tests {
             run_program(&p, vec![vec![0; 64], vec![0; 64]], &small, &spec(), &SimConfig::default()),
             Err(SimError::OutOfGlobalMemory { .. })
         ));
+    }
+
+    /// Regression: a host output is zero-filled at the size the program
+    /// declares, which validation does not bound.  2⁵⁰ words aborted the
+    /// process ("memory allocation … failed") and `u64::MAX` words
+    /// panicked (capacity overflow); a replica under a `G` that large
+    /// went the same way.  Each is `SimError::OutOfHostMemory` now.
+    #[test]
+    fn a_buffer_the_host_cannot_hold_is_a_typed_error() {
+        for words in [1u64 << 50, u64::MAX] {
+            let mut pb = ProgramBuilder::new("declared");
+            let (h, o) = (pb.host_input("A", 8), pb.host_output("B", words));
+            let d = pb.device_alloc("a", 8);
+            pb.begin_round();
+            pb.transfer_in(h, d, 8);
+            pb.transfer_out(d, o, 8);
+            let p = pb.build().unwrap();
+            atgpu_ir::validate::validate_program(&p).unwrap();
+            let r = run_program(&p, vec![vec![1; 8]], &machine(), &spec(), &SimConfig::default());
+            assert_eq!(r.unwrap_err(), SimError::OutOfHostMemory { words });
+        }
+        let huge = AtgpuMachine::new(1 << 12, 4, 64, 1 << 52).unwrap();
+        let mut pb = ProgramBuilder::new("replica");
+        let (h, d) = (pb.host_input("A", 8), pb.device_alloc("a", 1 << 50));
+        pb.begin_round();
+        pb.transfer_in(h, d, 8);
+        let r = run_program(
+            &pb.build().unwrap(),
+            vec![vec![1; 8]],
+            &huge,
+            &spec(),
+            &SimConfig::default(),
+        );
+        assert_eq!(r.unwrap_err(), SimError::OutOfHostMemory { words: 1 << 50 });
+    }
+
+    /// In a run only outputs of at most the machine's `G` words take part
+    /// in the spare list; inputs, a clone's buffers and every buffer of
+    /// standalone host data go back to the allocator.
+    #[test]
+    fn only_outputs_within_g_join_the_spare_list() {
+        let mut pb = ProgramBuilder::new("outputs");
+        let h = pb.host_input("A", 8);
+        let (small, large) = (pb.host_output("S", 1 << 10), pb.host_output("L", 1 << 20));
+        let d = pb.device_alloc("a", 8);
+        pb.begin_round();
+        pb.transfer_in(h, d, 8);
+        pb.transfer_out(d, small, 8);
+        pb.transfer_out(d, large, 8);
+        let p = pb.build().unwrap();
+        let host = HostData::with_spares(&p, vec![vec![1; 8]], 1 << 16).unwrap();
+        assert_eq!(host.spare, [false, true, false]);
+        assert_eq!(host.clone().spare, [false; 3]);
+        assert_eq!(HostData::new(&p, vec![vec![1; 8]]).unwrap().spare, [false; 3]);
     }
 
     #[test]

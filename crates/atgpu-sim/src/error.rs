@@ -21,6 +21,12 @@ pub enum SimError {
         /// Words available per MP.
         available: u64,
     },
+    /// The host cannot hold a buffer the run needs: a replica, or a host
+    /// buffer a program declared.
+    OutOfHostMemory {
+        /// Words requested.
+        words: u64,
+    },
     /// A lane computed a global address outside the allocated region.
     GlobalOutOfBounds {
         /// Kernel name.
@@ -129,6 +135,9 @@ impl fmt::Display for SimError {
                 f,
                 "device out of global memory: need {requested} words, have G = {available}"
             ),
+            SimError::OutOfHostMemory { words } => {
+                write!(f, "the host cannot allocate a buffer of {words} words")
+            }
             SimError::SharedTooLarge { kernel, requested, available } => write!(
                 f,
                 "kernel `{kernel}` uses {requested} shared words but the MP has M = {available}"

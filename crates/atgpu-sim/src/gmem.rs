@@ -25,12 +25,43 @@
 //! chunks become [`DIRTY`].  An untagged slice (a caller's plain `&[i64]`)
 //! is unknown provenance: every chunk of it is [`DIRTY`].  Every other
 //! write — a kernel's store, [`GlobalMemory::write`], a same-replica
-//! [`GlobalMemory::copy_within`] — marks the chunks it touches [`DIRTY`];
+//! `GlobalMemory::copy_within` — marks the chunks it touches [`DIRTY`];
 //! the heap's words are not lent out mutably anywhere else.  Tags change
 //! no simulated number: the caller prices every word it was asked to
 //! move.
+//!
+//! # Spare pages
+//!
+//! A run's memory outlives it as pages, never as state.  `zeroed` is
+//! the one source of a replica's and a host output's words: dropping a
+//! [`GlobalMemory`], or a [`crate::HostData`] with the outputs it took,
+//! hands words and tags to one process-wide spare list instead of back to
+//! the allocator, which would return the pages to the kernel and fault
+//! them in afresh on the next run.  For `n` words, `zeroed` takes the
+//! spare with the smallest capacity `≥ n` and re-zeroes only the chunks
+//! whose tag is not [`ZEROS`]: every write path marks what it touches, so
+//! the tags say which chunks a finished run changed (a debug build
+//! asserts the whole buffer is zero).  When no spare holds `n` words the
+//! largest is freed and a fresh buffer takes its place.  A fresh buffer
+//! comes from the allocator zeroed and untouched, so a declared size
+//! costs only the pages a run writes.  A buffer under one chunk has no
+//! page to keep and is neither taken from nor given to the list.
+//!
+//! The bound needs no constant.  A fresh buffer is made while the list is
+//! empty or in place of the largest spare, so the list never holds more
+//! buffers than were live at once, nor a buffer larger than the largest
+//! ever asked for.  Only buffers of at most the machine's `G` words take
+//! part: a replica always fits (`G` bounds it), and a host output larger
+//! than `G` is fresh and goes back to the allocator.  Nothing but words
+//! crosses from one run to the next — a taken buffer is all zeros with
+//! all tags [`ZEROS`], exactly a fresh one — so no result depends on what
+//! ran before.  Buffers the caller allocated (a program's inputs, a
+//! simulated quote's zero inputs from [`zero_words`]) go back to the
+//! allocator.
 
 use crate::error::SimError;
+use std::mem;
+use std::sync::{Mutex, PoisonError};
 
 /// Words per provenance chunk: one 4 KB page of 8-byte words, and a
 /// multiple of every block size `b ≤ 64`, so chunk boundaries fall on
@@ -127,6 +158,126 @@ pub(crate) fn copy(src: Tagged<'_>, s: usize, dst: &mut TaggedMut<'_>, d: usize,
     copied
 }
 
+/// A word buffer with one provenance tag per chunk.
+type Spare = (Vec<i64>, Vec<u64>);
+
+/// Word buffers given back by finished runs (see "Spare pages" in the
+/// module docs).
+#[derive(Debug)]
+struct Spares(Vec<Spare>);
+
+impl Spares {
+    /// The spare with the smallest capacity that holds `n` words.  `None`
+    /// when none does or `n` is under one chunk.
+    fn take(&mut self, n: usize) -> Option<Spare> {
+        if n < CHUNK_WORDS {
+            return None;
+        }
+        let caps = self.0.iter().enumerate().map(|(i, (words, _))| (words.capacity(), i));
+        let (_, i) = caps.filter(|&(cap, _)| cap >= n).min()?;
+        Some(self.0.swap_remove(i))
+    }
+
+    /// Removes the largest spare, which a fresh buffer of `n` words
+    /// replaces.  `None` when the list is empty or `n` is under one chunk.
+    fn evict(&mut self, n: usize) -> Option<Spare> {
+        if n < CHUNK_WORDS {
+            return None;
+        }
+        let caps = self.0.iter().enumerate().map(|(i, (words, _))| (words.capacity(), i));
+        let (_, i) = caps.max()?;
+        Some(self.0.swap_remove(i))
+    }
+
+    /// Keeps a buffer of at least one chunk; a smaller one is freed.
+    fn give(&mut self, spare: Spare) {
+        if spare.0.capacity() >= CHUNK_WORDS {
+            self.0.push(spare);
+        }
+    }
+}
+
+/// The process-wide spare list.  Every update is one `push` or
+/// `swap_remove`, so a lock poisoned by a panic elsewhere still guards a
+/// valid list, and it is recovered rather than passed on (the list is
+/// also taken from `Drop`, which must not panic).
+static SPARES: Mutex<Spares> = Mutex::new(Spares(Vec::new()));
+
+/// `n` zero words and their [`ZEROS`] tags.  A buffer of at most `keep`
+/// words is taken from the spare list, and its owner gives it back with
+/// [`give_back`]; a larger one is fresh and goes back to the allocator
+/// (see "Spare pages" in the module docs).  A host that cannot hold `n`
+/// words is [`SimError::OutOfHostMemory`], not an abort: `n` may be any
+/// size a client declared.
+pub(crate) fn zeroed(n: u64, keep: u64) -> Result<Spare, SimError> {
+    let taken = usize::try_from(n).ok().and_then(|words| {
+        if n <= keep {
+            take_zeroed(&SPARES, words)
+        } else {
+            fresh(words).zip(fresh(chunks(words)))
+        }
+    });
+    taken.ok_or(SimError::OutOfHostMemory { words: n })
+}
+
+/// `n` fresh zero words that never join the spare list: a simulated
+/// quote's zero inputs, which the run hands back to the allocator.  A
+/// host that cannot hold them is [`SimError::OutOfHostMemory`].
+pub fn zero_words(n: u64) -> Result<Vec<i64>, SimError> {
+    usize::try_from(n).ok().and_then(fresh).ok_or(SimError::OutOfHostMemory { words: n })
+}
+
+/// `n` zero values, or `None` when the host cannot hold them.  A
+/// throwaway reservation checks the size without aborting; `vec!` of a
+/// zero value then asks the allocator for zeroed memory, whose pages stay
+/// untouched until written, so a declared size costs only the pages a
+/// run writes.
+fn fresh<T: Clone + Default>(n: usize) -> Option<Vec<T>> {
+    Vec::<T>::new().try_reserve_exact(n).ok()?;
+    Some(vec![T::default(); n])
+}
+
+/// `n` zero words and their tags from `spares`: the best-fitting spare,
+/// re-zeroed by its tags, else a fresh buffer that replaces the largest
+/// spare, so the list never holds more buffers than were live at once.
+fn take_zeroed(spares: &Mutex<Spares>, n: usize) -> Option<Spare> {
+    let lock = || spares.lock().unwrap_or_else(PoisonError::into_inner);
+    let spare = lock().take(n);
+    if let Some(spare) = spare {
+        return Some(rezero(spare, n));
+    }
+    let fresh = fresh(n).zip(fresh(chunks(n)))?;
+    // Freed once the lock is released.
+    let evicted = lock().evict(n);
+    drop(evicted);
+    Some(fresh)
+}
+
+/// `spare`, whose capacity holds `n` words, made `n` zero words with
+/// [`ZEROS`] tags: only its chunks not tagged [`ZEROS`] are cleared, and
+/// words past its length are zero-filled.
+fn rezero(spare: Spare, n: usize) -> Spare {
+    let (mut words, mut tags) = spare;
+    debug_assert!(words.capacity() >= n);
+    words.truncate(n);
+    for (chunk, &tag) in words.chunks_mut(CHUNK_WORDS).zip(&tags) {
+        if tag != ZEROS {
+            chunk.fill(0);
+        }
+    }
+    words.resize(n, 0);
+    tags.clear();
+    tags.resize(chunks(n), ZEROS);
+    debug_assert!(words.iter().all(|&w| w == 0), "a chunk tagged ZEROS holds a non-zero word");
+    (words, tags)
+}
+
+/// Hands a buffer [`zeroed`] took from the spare list, and its tags, back
+/// to it.
+pub(crate) fn give_back(words: Vec<i64>, tags: Vec<u64>) {
+    SPARES.lock().unwrap_or_else(PoisonError::into_inner).give((words, tags));
+}
+
 /// Global memory with the canonical buffer layout applied.
 #[derive(Debug)]
 pub struct GlobalMemory {
@@ -153,8 +304,8 @@ impl GlobalMemory {
         if total_words > g_limit {
             return Err(SimError::OutOfGlobalMemory { requested: total_words, available: g_limit });
         }
-        let n = total_words as usize;
-        Ok(Self { words: vec![0; n], tags: vec![ZEROS; chunks(n)], bases, block_words })
+        let (words, tags) = zeroed(total_words, g_limit)?;
+        Ok(Self { words, tags, bases, block_words })
     }
 
     /// Total words allocated.
@@ -276,6 +427,13 @@ impl GlobalMemory {
     /// paths).
     pub fn words(&self) -> &[i64] {
         &self.words
+    }
+}
+
+impl Drop for GlobalMemory {
+    /// Hands the heap's pages to the spare list.
+    fn drop(&mut self) {
+        give_back(mem::take(&mut self.words), mem::take(&mut self.tags));
     }
 }
 
@@ -444,6 +602,115 @@ mod tests {
             assert_eq!(g.words(), host.0, "{what}: the copy restores the words");
             assert_eq!(g.tags, host.1, "{what}: and the tags");
         }
+    }
+
+    /// A buffer of `chunks_` chunks whose chunk `c` holds `c + 1` and is
+    /// tagged as input chunk `c`: what a finished run hands back.
+    fn used(chunks_: usize) -> Spare {
+        let words = (0..chunks_ * C).map(|w| (w / C) as i64 + 1).collect();
+        (words, (0..chunks_).map(|c| input_tag(0, c)).collect())
+    }
+
+    #[test]
+    fn a_spare_is_the_best_fit_and_sub_page_buffers_skip_the_list() {
+        let mut spares = Spares(vec![used(4), used(2), used(8)]);
+        let cap = |s: &Spare| s.0.capacity() / C;
+        assert_eq!(spares.take(3 * C).map(|s| cap(&s)), Some(4), "smallest that holds 3 chunks");
+        assert!(spares.take(9 * C).is_none(), "none holds 9");
+        assert!(spares.take(C - 1).is_none(), "a sub-page request takes nothing");
+        assert!(spares.evict(C - 1).is_none(), "nor replaces anything");
+        assert_eq!(spares.evict(9 * C).map(|s| cap(&s)), Some(8), "a fresh 9 replaces the largest");
+        spares.give((vec![1; C - 1], vec![DIRTY]));
+        assert_eq!(spares.0.len(), 1, "a sub-page buffer is not kept");
+        assert_eq!(spares.take(C).map(|s| cap(&s)), Some(2));
+        assert!(spares.take(C).is_none() && spares.evict(C).is_none(), "empty");
+    }
+
+    /// A spare comes back as `n` zero words tagged [`ZEROS`], whether `n`
+    /// is below or at its length or past it within its capacity, its
+    /// chunks tagged as changed or as zeros.
+    #[test]
+    fn a_spare_is_re_zeroed_by_its_tags() {
+        for n in [C, 3 * C, 3 * C + 7, 4 * C] {
+            let (words, tags) = rezero(used(4), n);
+            assert_eq!((words.len(), tags.len()), (n, chunks(n)));
+            assert!(words.iter().all(|&w| w == 0), "{n}");
+            assert!(tags.iter().all(|&t| t == ZEROS), "{n}");
+        }
+        let (mut words, mut tags) = used(2);
+        tags[1] = ZEROS;
+        words[C..].fill(0);
+        words[0] = 5;
+        let (words, _) = rezero((words, tags), 2 * C);
+        assert!(words.iter().all(|&w| w == 0));
+        // Given back shorter than its capacity: the written words past
+        // its length are zero-filled, not trusted.
+        let (mut words, mut tags) = used(4);
+        words.truncate(C + 3);
+        tags.truncate(2);
+        let (words, tags) = rezero((words, tags), 4 * C);
+        assert_eq!((words, tags), (vec![0; 4 * C], vec![ZEROS; 4]));
+        assert_eq!(fresh::<i64>(2 * C + 1), Some(vec![0; 2 * C + 1]));
+    }
+
+    /// The list's bound: over interleaved runs of different sizes, the
+    /// spares and the live buffers together never outnumber the most
+    /// buffers live at once, and no spare is larger than the largest
+    /// asked for.
+    #[test]
+    fn interleaved_runs_never_keep_more_spares_than_were_live() {
+        let spares = Mutex::new(Spares(Vec::new()));
+        let count = || spares.lock().unwrap().0.len();
+        let (mut most_live, mut largest) = (0, 0);
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = |m: u64| {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            (seed % m) as usize
+        };
+        for run in 0..200 {
+            let sizes: Vec<usize> = (0..1 + next(6)).map(|_| next(12 * C as u64) + 1).collect();
+            most_live = most_live.max(sizes.iter().filter(|&&n| n >= C).count());
+            largest = largest.max(*sizes.iter().max().unwrap());
+            let mut live = Vec::new();
+            for &n in &sizes {
+                let (mut words, mut tags) = take_zeroed(&spares, n).unwrap();
+                assert!(words.iter().all(|&w| w == 0), "run {run}: {n} words");
+                // The run writes some chunks, marking them as it must.
+                for c in 0..tags.len() {
+                    tags[c] = match next(3) {
+                        0 => continue,
+                        1 => DIRTY,
+                        _ => input_tag(run, c),
+                    };
+                    words[c * C] = run as i64 + 1;
+                }
+                live.push((words, tags));
+                let kept = live.iter().filter(|s| s.0.capacity() >= C).count();
+                assert!(count() + kept <= most_live, "run {run}: {} spares", count());
+            }
+            for spare in live {
+                spares.lock().unwrap().give(spare);
+            }
+            let spares = spares.lock().unwrap();
+            assert!(spares.0.iter().all(|s| s.0.capacity() <= largest), "run {run}");
+        }
+    }
+
+    /// A size the host cannot hold is a typed error, and leaves the list
+    /// as it was.
+    #[test]
+    fn a_size_past_the_host_is_refused() {
+        for words in [1 << 50, u64::MAX] {
+            let refused = Err(SimError::OutOfHostMemory { words });
+            assert_eq!(zeroed(words, u64::MAX), refused);
+            assert_eq!(zeroed(words, 0), refused);
+            assert_eq!(zero_words(words), refused.map(|(words, _)| words));
+        }
+        let spares = Mutex::new(Spares(vec![used(2)]));
+        assert!(take_zeroed(&spares, 1 << 50).is_none());
+        assert_eq!(spares.into_inner().unwrap().0, vec![used(2)], "the spare is kept untouched");
     }
 
     /// A peer copy reads the source's tags and never writes them.
