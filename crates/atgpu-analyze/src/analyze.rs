@@ -258,9 +258,9 @@ pub fn predict(
 
 /// The one analysis walk: builds every device's [`RoundMetrics`] rows
 /// from the [`HostStep`]s of a **validated** program on `n` devices.  A
-/// launch whose kernel `==` the previous launch's kernel reuses its
-/// [`KernelAnalysis`], so an iterated program relaunching one kernel
-/// analyses it once.
+/// launch of the previous launch's kernel reuses its [`KernelAnalysis`]
+/// under its own name, by the rule stated at [`Kernel::same_structure`],
+/// so an iterated program relaunching one kernel analyses it once.
 fn walk_program(
     p: &Program,
     machine: &AtgpuMachine,
@@ -280,9 +280,9 @@ fn walk_program(
     let mut kernels = Vec::with_capacity(p.rounds.len());
     let mut io_exact = true;
     let mut conflict_free = true;
-    // The previous launch's kernel and its round: a launch of the same
-    // kernel reuses that round's analysis (bases and machine are fixed
-    // for the walk, so it is the same analysis).
+    // The previous launch's kernel and its round: bases and machine are
+    // fixed for the walk, so a launch of the same structure has the same
+    // analysis.
     let mut previous: Option<(&Kernel, usize)> = None;
 
     for (i, round) in p.rounds.iter().enumerate() {
@@ -316,11 +316,11 @@ fn walk_program(
         let mut kernel = None;
         if let Some((k, shards)) = round.launch() {
             let reused = match previous {
-                Some((pk, pi)) if pk == k => kernels.get(pi).cloned().flatten(),
+                Some((pk, pi)) if pk.same_structure(k) => kernels.get(pi).cloned().flatten(),
                 _ => None,
             };
             let ka = match reused {
-                Some(ka) => ka,
+                Some(ka) => KernelAnalysis { name: k.name.clone(), ..ka },
                 None => analyze_kernel(k, &bases, machine)?,
             };
             previous = Some((k, i));
@@ -416,7 +416,7 @@ fn analyze_kernel(
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-    use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder};
+    use atgpu_ir::{AddrExpr, AluOp, DBuf, KernelBuilder, Operand, ProgramBuilder};
 
     fn machine() -> AtgpuMachine {
         AtgpuMachine::new(1 << 16, 32, 12_288, 1 << 22).unwrap()
@@ -504,6 +504,44 @@ mod tests {
                 available: 95
             }))
         ));
+    }
+
+    /// A launch reuses its predecessor's analysis when the structure
+    /// matches, names aside: launches of `a`, a renamed copy `b` and `a`
+    /// again give each round the counts of its kernel analysed alone,
+    /// under the launch's own name.
+    #[test]
+    fn a_relaunch_under_another_name_keeps_its_name_and_counts() {
+        // A strided store through a two-way bank conflict, so that the
+        // bank report is not trivial.
+        let kernel = |name: &str| {
+            let mut kb = KernelBuilder::new(name, 4, 64);
+            let g = AddrExpr::block() * 32 + AddrExpr::lane();
+            kb.glb_to_shr(AddrExpr::lane() * 2, DBuf(0), g);
+            let strided = AddrExpr::block() * 64 + AddrExpr::lane() * 2;
+            kb.shr_to_glb(DBuf(1), strided, AddrExpr::lane() * 2);
+            kb.build()
+        };
+        let launch_each = |kernels: &[&Kernel]| {
+            let mut pb = ProgramBuilder::new("p");
+            let _ = (pb.device_alloc("a", 128), pb.device_alloc("c", 256));
+            for k in kernels {
+                pb.begin_round();
+                pb.launch((*k).clone());
+            }
+            let a = analyze_program(&pb.build().unwrap(), &machine()).unwrap();
+            a.rounds.into_iter().map(|r| r.kernel.unwrap()).collect::<Vec<_>>()
+        };
+        let (a, b) = (kernel("a"), kernel("b"));
+        assert!(a.same_structure(&b) && a != b);
+        let together = launch_each(&[&a, &b, &a]);
+        let names: Vec<&str> = together.iter().map(|k| k.name.as_str()).collect();
+        assert_eq!(names, ["a", "b", "a"]);
+        assert!(!together[0].bank.conflict_free);
+        for (got, k) in together.iter().zip([&a, &b, &a]) {
+            let alone = launch_each(&[k]).remove(0);
+            assert_eq!(format!("{got:?}"), format!("{alone:?}"));
+        }
     }
 
     #[test]

@@ -26,7 +26,8 @@
 //!    `batch_compute` programs and `launch_storm`'s `relaunch_400x8`:
 //!    best-of-N µs of `validate_program`, `verify_program` and its parts
 //!    (site collection, bounds, race, shared-memory hazards — each over
-//!    the program's distinct kernels — and the lints over every launch),
+//!    every launch that does not repeat its predecessor's kernel — and
+//!    the lints over every launch),
 //!    and `analyze_cluster_program`.
 //! 5. **One launch** — what a launch costs the host beside its blocks,
 //!    for `launch_storm`'s `relaunch_400x8` on a warm device (every
@@ -460,16 +461,17 @@ fn front_end(cfg: &ExpConfig) {
             .filter_map(HostStep::launch)
             .map(|l| l.0)
             .collect();
-        // The distinct kernels, and which one each launch runs.
+        // The kernels the verifier analyses — every launch but one that
+        // repeats the previous launch's structure — and which one each
+        // launch runs.
         let mut kernels: Vec<&Kernel> = Vec::new();
         let of_launch: Vec<usize> = launches
             .iter()
-            .map(|k| match kernels.iter().position(|d| d.same_structure(k)) {
-                Some(i) => i,
-                None => {
+            .map(|k| {
+                if !kernels.last().is_some_and(|p| p.same_structure(k)) {
                     kernels.push(k);
-                    kernels.len() - 1
                 }
+                kernels.len() - 1
             })
             .collect();
         let sites: Vec<Vec<Site>> = kernels.iter().map(|k| collect(k, b)).collect();

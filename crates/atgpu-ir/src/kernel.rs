@@ -57,9 +57,15 @@ impl Kernel {
     }
 
     /// Whether `self` and `other` have the same structure: everything
-    /// [`Kernel::cache_key`] hashes, compared exactly.  This is what
-    /// confirms a hit on that key — a 64-bit FNV-1a is not
+    /// [`Kernel::cache_key`] hashes, compared exactly, and never the name.
+    /// This is what confirms a hit on that key — a 64-bit FNV-1a is not
     /// collision-resistant, and every immediate is eight free bytes.
+    ///
+    /// It is also the one identity a reuse *within a program* may use:
+    /// the verifier, the analyser and the quote key each let a launch
+    /// reuse their work on the previous launch when this holds, under
+    /// the launch's own name, and keep nothing for a launch that does
+    /// not follow directly.
     pub fn same_structure(&self, other: &Kernel) -> bool {
         self.grid == other.grid
             && self.shared_words == other.shared_words

@@ -61,8 +61,8 @@ pub use expr::{AddrExpr, Operand, PredExpr};
 pub use instr::{AluOp, GlobalRef, Instr};
 pub use kernel::Kernel;
 pub use program::{
-    counts_to_shards, shard_counts, DBuf, DeviceAlloc, HBuf, HostBufDecl, HostBufRole, HostStep,
-    Program, Round, Shard, ShardPlan,
+    counts_to_shards, padded_slot, shard_counts, DBuf, DeviceAlloc, HBuf, HostBufDecl, HostBufRole,
+    HostStep, Program, Round, Shard, ShardPlan,
 };
 
 /// Register index within a lane's register file.

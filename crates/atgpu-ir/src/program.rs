@@ -88,6 +88,16 @@ impl Shard {
     }
 }
 
+/// The slot a `words`-word device buffer takes in the canonical layout
+/// ([`Program::buffer_layout`]): its size rounded up to whole
+/// `block_words`-word blocks, saturating at `u64::MAX`.  Reads of a
+/// buffer's own padding see deterministic zeros; only past its slot
+/// could an access reach another buffer (the verifier's bounds limit).
+pub fn padded_slot(words: u64, block_words: u64) -> u64 {
+    let b = block_words.max(1);
+    words.div_ceil(b).saturating_mul(b)
+}
+
 /// Blocks each device runs under `shards`, indexed by device.  The table
 /// covers `max(n_devices, highest shard device + 1)` devices, so a plan
 /// naming a device beyond `n_devices` widens the table instead of
@@ -423,20 +433,22 @@ impl Program {
     }
 
     /// Canonical device-memory layout: buffers packed in declaration
-    /// order, each aligned up to a `block_words` boundary (so a buffer's
-    /// coalescing behaviour never depends on its neighbours).  Both the
-    /// analyser and the simulator use this layout, which is what makes the
-    /// analyser's transaction counts comparable with the simulator's.
+    /// order, each in its [`padded_slot`] (so a buffer's coalescing
+    /// behaviour never depends on its neighbours).  Both the analyser and
+    /// the simulator use this layout, which is what makes the analyser's
+    /// transaction counts comparable with the simulator's.
     ///
-    /// Returns `(base_addresses, total_words)`.
+    /// Returns `(base_addresses, total_words)`.  The sum saturates: a
+    /// declaration past 2⁶⁴ words totals `u64::MAX`, which no machine
+    /// holds, so the simulator and the analyser refuse it as too large
+    /// rather than lay it out wrapped.
     pub fn buffer_layout(&self, block_words: u64) -> (Vec<u64>, u64) {
         assert!(block_words > 0, "block size must be positive");
         let mut bases = Vec::with_capacity(self.device_allocs.len());
         let mut cursor = 0u64;
         for a in &self.device_allocs {
             bases.push(cursor);
-            let padded = a.words.div_ceil(block_words) * block_words;
-            cursor += padded;
+            cursor = cursor.saturating_add(padded_slot(a.words, block_words));
         }
         (bases, cursor)
     }
@@ -615,5 +627,25 @@ mod tests {
         let (bases, total) = p.buffer_layout(32);
         assert!(bases.is_empty());
         assert_eq!(total, 0);
+    }
+
+    /// A slot or a total past 2⁶⁴ words saturates instead of wrapping.
+    #[test]
+    fn buffer_layout_saturates_past_u64() {
+        assert_eq!(padded_slot(33, 32), 64);
+        assert_eq!(padded_slot(u64::MAX, 32), u64::MAX);
+        let cases = [(u64::MAX, [0, u64::MAX, u64::MAX]), (1 << 63, [0, 1 << 63, (1 << 63) + 128])];
+        for (huge, want) in cases {
+            let alloc = |words| DeviceAlloc { name: "d".into(), words };
+            let p = Program {
+                name: "p".into(),
+                device_allocs: vec![alloc(huge), alloc(128), alloc(huge)],
+                host_bufs: vec![],
+                rounds: vec![Round::default()],
+            };
+            let (bases, total) = p.buffer_layout(32);
+            assert_eq!(bases, want);
+            assert_eq!(total, u64::MAX, "{huge}");
+        }
     }
 }

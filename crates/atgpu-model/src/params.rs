@@ -147,8 +147,10 @@ impl GpuSpec {
         if self.h_limit == 0 {
             return Err(ModelError::InvalidParams { reason: "h_limit must be at least 1".into() });
         }
-        if self.clock_cycles_per_ms.is_nan() || self.clock_cycles_per_ms <= 0.0 {
-            return Err(ModelError::InvalidParams { reason: "clock must be positive".into() });
+        if !(self.clock_cycles_per_ms.is_finite() && self.clock_cycles_per_ms > 0.0) {
+            return Err(ModelError::InvalidParams {
+                reason: "clock must be finite and positive".into(),
+            });
         }
         for (name, v) in [
             ("dram_latency_cycles", self.dram_latency_cycles),
@@ -511,6 +513,19 @@ mod tests {
                 assert!(matches!(s.validate(), Err(ModelError::InvalidParams { .. })), "{v}");
             }
         }
+    }
+
+    /// The clock must be finite and positive: an infinite one would time
+    /// every kernel at zero milliseconds.
+    #[test]
+    fn spec_rejects_a_clock_that_is_not_finite_and_positive() {
+        let mut s = GpuSpec::gtx650_like();
+        for clock in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 0.0, -1.0] {
+            s.clock_cycles_per_ms = clock;
+            assert!(matches!(s.validate(), Err(ModelError::InvalidParams { .. })), "{clock}");
+        }
+        s.clock_cycles_per_ms = f64::MAX;
+        s.validate().unwrap();
     }
 
     #[test]

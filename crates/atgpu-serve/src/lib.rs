@@ -27,6 +27,9 @@
 //! addressing) pass — the gate only rejects on proof.  Verdicts are
 //! memoized by the structural [`program_key`], so re-submissions of the
 //! same shape skip re-verification ([`VerifyStats`] counts the paths).
+//! The gate then refuses a program that addresses a device the cluster
+//! it would run or be priced on lacks ([`ServeError::Model`]), before
+//! admission.
 //!
 //! Both memos — verdicts and quotes — are [`atgpu_sim::BoundedMemo`]s,
 //! the bounded **single-flight** cache that is also the simulator's
@@ -287,18 +290,20 @@ impl CostServer {
         program: &Program,
         inputs: Vec<Vec<i64>>,
     ) -> Result<ClusterSimReport, ServeError> {
-        self.check_sound(program_key(program), program)?;
+        self.gate(program_key(program), program, self.cluster.spec())?;
         let demand = self.resident_demand(program);
         let _permit = self.admission.admit(tenant, demand)?;
         Ok(run_cluster_program_on(&self.cluster, program, inputs, &self.sim)?)
     }
 
-    /// The soundness gate: validates `program`, then statically verifies
-    /// it (memoized by its structural [`program_key`], which callers
-    /// compute once and also reuse for the quote memo), and refuses
-    /// malformed programs with the validator's error and proven-unsound
-    /// ones with the concrete witness.
-    fn check_sound(&self, pkey: u64, program: &Program) -> Result<(), ServeError> {
+    /// The gate every request passes: validates `program`, then
+    /// statically verifies it (memoized by its structural
+    /// [`program_key`], which callers compute once and also reuse for the
+    /// quote memo), and refuses malformed programs with the validator's
+    /// error, proven-unsound ones with the concrete witness, and one that
+    /// addresses a device `spec` lacks with a typed error — before it is
+    /// admitted, priced or run.
+    fn gate(&self, pkey: u64, program: &Program, spec: &ClusterSpec) -> Result<(), ServeError> {
         let b = self.cluster.machine().b;
         let why = self.verify.verdict(pkey, || match validate_program(program) {
             Err(e) => Some(Refusal::Invalid(e)),
@@ -306,12 +311,23 @@ impl CostServer {
                 atgpu_verify::verify_program(program, b).first_unsoundness().map(Refusal::Unsound)
             }
         });
-        let Some(why) = why else { return Ok(()) };
-        let program = program.name.clone();
-        Err(match why {
-            Refusal::Invalid(why) => ServeError::Invalid { program, why: Box::new(why) },
-            Refusal::Unsound(why) => ServeError::Unsound { program, why: Box::new(why) },
-        })
+        if let Some(why) = why {
+            let program = program.name.clone();
+            return Err(match why {
+                Refusal::Invalid(why) => ServeError::Invalid { program, why: Box::new(why) },
+                Refusal::Unsound(why) => ServeError::Unsound { program, why: Box::new(why) },
+            });
+        }
+        let n = spec.n_devices();
+        if program.max_device() as usize >= n {
+            return Err(ServeError::Model(ModelError::InvalidParams {
+                reason: format!(
+                    "program addresses device {} but the cluster has {n}",
+                    program.max_device()
+                ),
+            }));
+        }
+        Ok(())
     }
 
     /// Prices `program` on the server's own cluster — memo, then
@@ -339,19 +355,10 @@ impl CostServer {
         what_if: Option<&ClusterSpec>,
     ) -> Result<Quote, ServeError> {
         let pkey = program_key(program);
-        self.check_sound(pkey, program)?;
-        let machine = *self.cluster.machine();
         let spec = what_if.unwrap_or_else(|| self.cluster.spec());
+        self.gate(pkey, program, spec)?;
         spec.validate()?;
-        let n = spec.n_devices();
-        if program.max_device() as usize >= n {
-            return Err(ServeError::Model(ModelError::InvalidParams {
-                reason: format!(
-                    "program addresses device {} but the cluster has {n}",
-                    program.max_device()
-                ),
-            }));
-        }
+        let machine = *self.cluster.machine();
         let key = query_key_from(pkey, spec, &machine);
         self.memo.quote_with(key, || {
             // Analytic fast path: only trusted when the analysis is exact;
@@ -408,8 +415,6 @@ impl CostServer {
         let (machine, spec) = (self.cluster.machine(), self.cluster.spec());
         let launches = program.rounds.iter().flat_map(|r| &r.steps).filter_map(HostStep::launch);
         let demand = launches.map(|(kernel, shards)| {
-            // Blocks placed on a device the cluster lacks are never
-            // resident: the zip drops them.
             let held = shard_counts(&shards, spec.n_devices());
             let cap = |s| device_capacity(machine, s, kernel.shared_words);
             spec.devices.iter().zip(held).map(|(s, blocks)| blocks.min(cap(s))).sum::<u64>()

@@ -84,13 +84,13 @@ fn fnv(h: &mut u64, v: u64) {
 /// sizes and roles, and per round each step's discriminant, operands,
 /// device targets and stream tags; kernels contribute their
 /// [`cache_key`](atgpu_ir::Kernel::cache_key) plus the shard plan.
-/// Program, kernel and buffer *names* are excluded.  A launch whose
-/// kernel `==` the previous launch's kernel reuses that kernel's hash,
-/// so a relaunched kernel is hashed once (the key is the same value).
+/// Program, kernel and buffer *names* are excluded.  A launch of the
+/// previous launch's kernel reuses its hash, by the rule stated at
+/// [`Kernel::same_structure`], so a relaunched kernel is hashed once.
 pub fn program_key(p: &Program) -> u64 {
     let mut previous: Option<(&Kernel, u64)> = None;
     let mut kernel_key = |k| match previous {
-        Some((pk, key)) if pk == k => key,
+        Some((pk, key)) if Kernel::same_structure(pk, k) => key,
         _ => {
             let key = Kernel::cache_key(k);
             previous = Some((k, key));

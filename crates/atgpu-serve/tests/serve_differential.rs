@@ -326,6 +326,20 @@ fn a_what_if_spec_cannot_take_the_server_down() {
         }
     }
 
+    // An infinite clock times every kernel at zero milliseconds: a
+    // typed refusal, never a `Simulated` quote of the transfers alone.
+    for clock in [f64::INFINITY, f64::NAN, 0.0] {
+        let spec =
+            ClusterSpec::homogeneous(1, atgpu_model::GpuSpec { clock_cycles_per_ms: clock, ..gtx });
+        for built in [&vecadd, &transpose] {
+            let r = server.price_what_if(&built.program, &spec);
+            assert!(
+                matches!(r, Err(ServeError::Model(atgpu_model::ModelError::InvalidParams { .. }))),
+                "clock = {clock}: {r:?}"
+            );
+        }
+    }
+
     let huge = atgpu_model::GpuSpec { k_prime: u64::MAX, h_limit: u64::MAX, ..gtx };
     let server =
         CostServer::new(machine, ClusterSpec::homogeneous(2, huge), ServerConfig::default())
@@ -750,6 +764,76 @@ fn a_host_buffer_past_the_host_is_a_typed_error() {
     assert_eq!(server.price(&program).expect("a quote").source, PriceSource::Simulated);
     let report = server.submit("alice", &program, vec![(0..64).collect()]).expect("a run");
     assert_eq!(report.output(atgpu_ir::HBuf(1)), (0..64).collect::<Vec<i64>>());
+}
+
+/// Regression: the device layout summed its padded slots with `+`, so
+/// declared buffers past 2⁶⁴ words in total wrapped.  A debug build
+/// panicked with an overflow in `price` and `submit`; a release build
+/// quoted a 2⁶⁴-word program analytically on a 2²⁶-word machine, ran
+/// the `u64::MAX` shape, and indexed past the heap on the 2⁶³ shape.
+/// The total saturates now, and both doors refuse it as too large.
+#[test]
+fn a_device_layout_past_u64_is_refused_as_too_large() {
+    use atgpu_ir::{AddrExpr, KernelBuilder, ProgramBuilder};
+    let machine = machine();
+    let b = machine.b;
+    let server = CostServer::new(machine, spec(1), ServerConfig::default()).expect("server");
+    for huge in [u64::MAX, 1 << 63] {
+        // Two huge buffers around a 128-word one that the kernel copies
+        // through shared memory in place.
+        let mut pb = ProgramBuilder::new("wrapped");
+        let (h, o) = (pb.host_input("A", 128), pb.host_output("C", 128));
+        pb.device_alloc("lo", huge);
+        let d = pb.device_alloc("d", 128);
+        pb.device_alloc("hi", huge);
+        let mut kb = KernelBuilder::new("copy", 128 / b, b);
+        let g = AddrExpr::block() * b as i64 + AddrExpr::lane();
+        kb.glb_to_shr(AddrExpr::lane(), d, g.clone());
+        kb.shr_to_glb(d, g, AddrExpr::lane());
+        pb.begin_round();
+        pb.transfer_in(h, d, 128);
+        pb.launch(kb.build());
+        pb.transfer_out(d, o, 128);
+        let program = pb.build().expect("the builder accepts any declared size");
+        let too_large = |e: Option<&ServeError>| {
+            matches!(
+                e,
+                Some(ServeError::Sim(SimError::OutOfGlobalMemory { requested: u64::MAX, .. }))
+            )
+        };
+        let priced = server.price(&program);
+        assert!(too_large(priced.as_ref().err()), "price, {huge}: {priced:?}");
+        let ran = server.submit("mallory", &program, vec![vec![1; 128]]).map(|r| r.total_ms());
+        assert!(too_large(ran.as_ref().err()), "submit, {huge}: {ran:?}");
+    }
+    let built = VecAdd::new(256, 1).build(&machine).expect("builds");
+    server.submit("alice", &built.program, built.inputs.clone()).expect("the next request runs");
+}
+
+/// Regression: `submit` sized its resident-demand table by the highest
+/// shard device, so a shard naming device `u32::MAX` allocated 2³² counts
+/// and aborted the process; `price` refused it with an inline check
+/// `submit` never made.  The check is the gate's now: both doors answer
+/// the same typed error, before admission.
+#[test]
+fn a_shard_on_a_device_the_cluster_lacks_is_a_typed_error() {
+    use atgpu_ir::HostStep;
+    let machine = machine();
+    let server = CostServer::new(machine, spec(2), ServerConfig::default()).expect("server");
+    let built = VecAdd::new(32 * 8, 5).build_sharded(&machine, 2).expect("builds");
+    let mut program = built.program.clone();
+    for step in program.rounds.iter_mut().flat_map(|r| r.steps.iter_mut()) {
+        if let HostStep::LaunchSharded { shards, .. } = step {
+            shards.last_mut().expect("a shard").device = u32::MAX;
+        }
+    }
+    assert_eq!(program.max_device(), u32::MAX);
+    let refused = |r: Result<(), ServeError>| matches!(r, Err(ServeError::Model(atgpu_model::ModelError::InvalidParams { ref reason })) if reason.contains("device 4294967295"));
+    let ran = server.submit("mallory", &program, built.inputs.clone()).map(|_| ());
+    assert!(refused(ran.clone()), "submit: {ran:?}");
+    let priced = server.price(&program).map(|_| ());
+    assert!(refused(priced.clone()), "price: {priced:?}");
+    assert_eq!(server.stats().admission.admitted_total, 0, "refused before admission");
 }
 
 /// Minor page faults of the calling thread so far (field 10 of

@@ -26,7 +26,7 @@
 //!   block-dependent guards — is **unknown**, never a false alarm.
 
 use atgpu_analyze::sites::{Site, Space};
-use atgpu_ir::{Kernel, Program};
+use atgpu_ir::{padded_slot, Kernel, Program};
 
 /// A confirmed out-of-bounds access: the concrete execution point and
 /// the address it produces.
@@ -58,14 +58,14 @@ pub enum BoundsVerdict {
 /// Checks one site of `kernel` against its allocation.
 pub fn check_site(program: &Program, kernel: &Kernel, site: &Site, b: u64) -> BoundsVerdict {
     let limit = match site.space {
-        // Global buffers live in the canonical layout, each padded up to
-        // a block boundary (`Program::buffer_layout(b)`).  Accesses into
-        // a buffer's own zero-initialised padding are deterministic and
-        // idiomatic (the reduction tree reads past its logical level
-        // size on purpose); only past the padded slot could an access
-        // alias another allocation, so that is the sound limit.
+        // Global buffers live in the canonical layout, each in its
+        // padded slot.  Accesses into a buffer's own zero-initialised
+        // padding are deterministic and idiomatic (the reduction tree
+        // reads past its logical level size on purpose); only past the
+        // slot could an access alias another allocation, so that is the
+        // sound limit.
         Space::Global => match site.buf.and_then(|d| program.device_buf_words(d)) {
-            Some(w) => w.div_ceil(b.max(1)) * b.max(1),
+            Some(w) => padded_slot(w, b),
             None => return BoundsVerdict::Unknown,
         },
         Space::Shared => kernel.shared_words,

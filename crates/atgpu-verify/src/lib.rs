@@ -87,7 +87,6 @@ pub use race::{RaceVerdict, RaceWitness};
 pub use smem::SmemHazard;
 
 use atgpu_ir::{HostStep, Kernel, Program};
-use std::collections::hash_map::{Entry, HashMap};
 use std::fmt;
 use std::rc::Rc;
 
@@ -266,41 +265,21 @@ impl KernelFindings {
 /// check, bounds check and shared-memory hazards per launch, plus the
 /// host-dataflow lints.
 ///
-/// A quote costs what the program's *distinct* kernels cost.  The
+/// A launch's kernel has its access sites collected once, and the
+/// bounds, race, shared-memory and footprint analyses all read that one
+/// walk.  A launch of the previous launch's kernel reuses its findings,
+/// by the rule stated at [`atgpu_ir::Kernel::same_structure`]: the
 /// findings depend only on the kernel's structure, the program's
-/// allocations and `b`, all fixed within one call, so:
-///
-/// * a launch whose kernel `==` the previous launch's kernel reuses the
-///   previous findings outright — one early-exit comparison, no hash
-///   (an iterated program relaunching one kernel pays for it once);
-/// * any other launch looks its kernel up by structural hash
-///   ([`atgpu_ir::Kernel::cache_key`]) and confirms every hit with
-///   [`atgpu_ir::Kernel::same_structure`], so two kernels whose hashes
-///   collide never share a verdict;
-/// * a kernel met for the first time has its access sites collected
-///   once, and the bounds, race, shared-memory and footprint analyses
-///   all read that one walk.
+/// allocations and `b`, all fixed within one call.
 pub fn verify_program(program: &Program, b: u64) -> VerifyReport {
-    let mut memo: HashMap<u64, (&Kernel, Rc<KernelFindings>)> = HashMap::new();
     let mut previous: Option<(&Kernel, Rc<KernelFindings>)> = None;
     // (round, kernel, findings) per launch step, in program order.
     let mut found = Vec::new();
     for (ri, round) in program.rounds.iter().enumerate() {
         for (kernel, _) in round.steps.iter().filter_map(HostStep::launch) {
             let findings = match &previous {
-                Some((k, f)) if *k == kernel => Rc::clone(f),
-                _ => match memo.entry(kernel.cache_key()) {
-                    Entry::Occupied(hit) if hit.get().0.same_structure(kernel) => {
-                        Rc::clone(&hit.get().1)
-                    }
-                    // A kernel colliding with the slot's owner is analysed
-                    // on its own and not memoized.
-                    Entry::Occupied(_) => Rc::new(KernelFindings::of(program, kernel, b)),
-                    Entry::Vacant(slot) => {
-                        let f = Rc::new(KernelFindings::of(program, kernel, b));
-                        Rc::clone(&slot.insert((kernel, f)).1)
-                    }
-                },
+                Some((k, f)) if k.same_structure(kernel) => Rc::clone(f),
+                _ => Rc::new(KernelFindings::of(program, kernel, b)),
             };
             previous = Some((kernel, Rc::clone(&findings)));
             found.push((ri, kernel, findings));
@@ -404,7 +383,7 @@ mod tests {
         let r = verify_program(&pb.build().unwrap(), 32);
         assert_eq!(r.launches.len(), 5);
         assert!(r.is_sound());
-        // All five launches share one verdict (structural memoization).
+        // All five launches share the first launch's verdict.
         assert!(r.launches.iter().all(|l| l.race == RaceVerdict::RaceFree));
     }
 

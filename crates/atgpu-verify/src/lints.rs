@@ -89,8 +89,9 @@ impl fmt::Display for Lint {
 }
 
 /// Static global-buffer footprint of one kernel: what the lints read of
-/// a launch.  It depends on the kernel and `b` alone, so a relaunched
-/// kernel's footprint is computed once ([`crate::verify_program`]).
+/// a launch.  It depends on the kernel's structure and `b` alone, so a
+/// launch of the previous launch's kernel reuses its footprint
+/// ([`crate::verify_program`], [`atgpu_ir::Kernel::same_structure`]).
 #[derive(Debug)]
 pub struct KernelIo {
     /// Buffers read, with the statically-known extent of each read
