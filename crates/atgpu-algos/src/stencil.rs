@@ -22,7 +22,6 @@ use crate::workload::{BuiltProgram, Placement, Workload};
 use atgpu_ir::{AddrExpr, AluOp, DBuf, Kernel, KernelBuilder, Operand, PredExpr, ProgramBuilder};
 use atgpu_model::asymptotics::{BigO, Term};
 use atgpu_model::{AlgoMetrics, AtgpuMachine, PeerProfile, RoundMetrics, ShardProfile};
-use std::borrow::Borrow;
 
 /// A stencil instance.
 #[derive(Debug, Clone)]
@@ -108,6 +107,14 @@ fn step_kernel(name: &str, k: u64, b: u64, src: DBuf, dst: DBuf, store: AddrExpr
     kb.build()
 }
 
+/// A stencil is its own reference, so an [`IteratedStencil`] holds one
+/// owned (the roster's) or borrowed ([`Stencil::iterated`]).
+impl AsRef<Stencil> for Stencil {
+    fn as_ref(&self) -> &Stencil {
+        self
+    }
+}
+
 /// A [`Stencil`] applied `rounds` times with zero boundaries every
 /// round: one program round per application, ping-ponging between two
 /// padded buffers in which cell `i` always lives at index `i + 1` of
@@ -120,24 +127,24 @@ pub struct IteratedStencil<S = Stencil> {
     rounds: u64,
 }
 
-impl<S: Borrow<Stencil>> IteratedStencil<S> {
+impl<S: AsRef<Stencil>> IteratedStencil<S> {
     /// `stencil` applied `rounds` times.
     pub fn new(stencil: S, rounds: u64) -> Self {
         Self { stencil, rounds }
     }
 }
 
-impl<S: Borrow<Stencil>> Workload for IteratedStencil<S> {
+impl<S: AsRef<Stencil>> Workload for IteratedStencil<S> {
     fn name(&self) -> &'static str {
         "stencil-iterated"
     }
 
     fn size(&self) -> u64 {
-        self.stencil.borrow().n
+        self.stencil.as_ref().n
     }
 
     fn units(&self, machine: &AtgpuMachine) -> Option<u64> {
-        Some(self.stencil.borrow().n / machine.b.max(1))
+        Some(self.stencil.as_ref().n / machine.b.max(1))
     }
 
     /// The per-block cost shape — the profile that makes the planner
@@ -175,7 +182,7 @@ impl<S: Borrow<Stencil>> Workload for IteratedStencil<S> {
     /// and need no halo copies).  The last round drains each shard's
     /// slab to the host.
     fn emit(&self, machine: &AtgpuMachine, at: &Placement) -> Result<BuiltProgram, AlgosError> {
-        let (stencil, rounds) = (self.stencil.borrow(), self.rounds);
+        let (stencil, rounds) = (self.stencil.as_ref(), self.rounds);
         let b = machine.b.max(1);
         let n = stencil.n;
         // Every lane's store must land on a live cell and the zero halo
@@ -241,7 +248,7 @@ impl<S: Borrow<Stencil>> Workload for IteratedStencil<S> {
     }
 
     fn expected(&self) -> Vec<Vec<i64>> {
-        vec![self.stencil.borrow().iterated_reference(self.rounds)]
+        vec![self.stencil.as_ref().iterated_reference(self.rounds)]
     }
 }
 

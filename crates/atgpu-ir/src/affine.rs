@@ -532,6 +532,7 @@ impl fmt::Display for CompiledAddr {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

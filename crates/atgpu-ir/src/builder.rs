@@ -47,9 +47,9 @@ pub struct KernelBuilder {
     name: String,
     grid: (u64, u64),
     shared_words: u64,
-    /// Stack of instruction bodies: index 0 is the kernel body, deeper
-    /// entries are open `Repeat`/`Pred` arms.
-    bodies: Vec<Vec<Instr>>,
+    /// The open body: the kernel's, or the `Repeat` / `Pred` arm whose
+    /// closure is running (its enclosing bodies are saved around it).
+    body: Vec<Instr>,
 }
 
 impl KernelBuilder {
@@ -63,12 +63,20 @@ impl KernelBuilder {
     /// geometry for tiled matrix kernels, where `Block` is the tile
     /// column and `BlockY` the tile row.
     pub fn new_2d(name: impl Into<String>, grid: (u64, u64), shared_words: u64) -> Self {
-        Self { name: name.into(), grid, shared_words, bodies: vec![Vec::new()] }
+        Self { name: name.into(), grid, shared_words, body: Vec::new() }
     }
 
     fn push(&mut self, i: Instr) -> &mut Self {
-        self.bodies.last_mut().expect("builder always has an open body").push(i);
+        self.body.push(i);
         self
+    }
+
+    /// The body `build` emits, built in a fresh open body with the
+    /// enclosing one saved around it.
+    fn nested(&mut self, build: impl FnOnce(&mut Self)) -> Vec<Instr> {
+        let enclosing = std::mem::take(&mut self.body);
+        build(self);
+        std::mem::replace(&mut self.body, enclosing)
     }
 
     /// `dst ← a op b`.
@@ -111,10 +119,8 @@ impl KernelBuilder {
     /// available as `AddrExpr::loop_var(d)`/`Operand::LoopVar(d)` where
     /// `d` is the loop's nesting depth (0 for a top-level loop).
     pub fn repeat(&mut self, count: u32, body: impl FnOnce(&mut Self)) -> &mut Self {
-        self.bodies.push(Vec::new());
-        body(self);
-        let b = self.bodies.pop().expect("repeat body present");
-        self.push(Instr::Repeat { count, body: b })
+        let body = self.nested(body);
+        self.push(Instr::Repeat { count, body })
     }
 
     /// A single-conditional divergent region; the model executes both
@@ -125,13 +131,9 @@ impl KernelBuilder {
         then_body: impl FnOnce(&mut Self),
         else_body: impl FnOnce(&mut Self),
     ) -> &mut Self {
-        self.bodies.push(Vec::new());
-        then_body(self);
-        let t = self.bodies.pop().expect("then body present");
-        self.bodies.push(Vec::new());
-        else_body(self);
-        let e = self.bodies.pop().expect("else body present");
-        self.push(Instr::Pred { pred, then_body: t, else_body: e })
+        let then_body = self.nested(then_body);
+        let else_body = self.nested(else_body);
+        self.push(Instr::Pred { pred, then_body, else_body })
     }
 
     /// Shorthand for a then-only conditional.
@@ -140,15 +142,10 @@ impl KernelBuilder {
     }
 
     /// Finishes the kernel.
-    ///
-    /// # Panics
-    /// Panics if a `repeat`/`pred` body closure leaked an unbalanced body
-    /// (impossible through this API).
-    pub fn build(mut self) -> Kernel {
-        assert_eq!(self.bodies.len(), 1, "unbalanced builder bodies");
+    pub fn build(self) -> Kernel {
         Kernel {
             name: self.name,
-            body: self.bodies.pop().unwrap(),
+            body: self.body,
             grid: self.grid,
             shared_words: self.shared_words,
         }
@@ -214,10 +211,7 @@ impl ProgramBuilder {
     }
 
     fn round_mut(&mut self) -> &mut Round {
-        if self.open_round.is_none() {
-            self.open_round = Some(Round::default());
-        }
-        self.open_round.as_mut().unwrap()
+        self.open_round.get_or_insert_with(Round::default)
     }
 
     /// `dev W host` — full-buffer host→device transfer (one transaction).
@@ -399,6 +393,7 @@ impl ProgramBuilder {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

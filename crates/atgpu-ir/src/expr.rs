@@ -287,6 +287,7 @@ impl fmt::Display for PredExpr {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

@@ -50,10 +50,17 @@ impl Kernel {
     /// heterogeneous machines.
     pub fn cache_key(&self) -> u64 {
         let mut h = Fnv1a::default();
-        self.body.hash(&mut h);
-        self.grid.hash(&mut h);
-        self.shared_words.hash(&mut h);
+        self.hash_structure(&mut h);
         h.finish()
+    }
+
+    /// Feeds the kernel's structure — everything [`Kernel::cache_key`]
+    /// hashes, and never the name — to `state`, so a caller can key it
+    /// with another hasher or hash it beside other launch parameters.
+    pub fn hash_structure<H: Hasher>(&self, state: &mut H) {
+        self.body.hash(state);
+        self.grid.hash(state);
+        self.shared_words.hash(state);
     }
 
     /// Whether `self` and `other` have the same structure: everything
@@ -162,7 +169,10 @@ impl Kernel {
 
 /// FNV-1a over the byte stream the `Hash` impls feed it — a fixed,
 /// unkeyed function so [`Kernel::cache_key`] is reproducible run to run.
-struct Fnv1a(u64);
+/// Not collision-resistant: a key it computes names a question only
+/// where a hit is confirmed, or where a collision costs nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Fnv1a(u64);
 
 impl Default for Fnv1a {
     fn default() -> Self {

@@ -316,8 +316,7 @@ impl LaneValues {
         }
         let mut mask = 0u64;
         for lane in 0..self.b {
-            let mut read =
-                |r: Reg| self.vals[r as usize].as_ref().expect("lane-pure operand")[lane as usize];
+            let mut read = |r: Reg| self.vals[r as usize].as_ref().map_or(0, |v| v[lane as usize]);
             if pred.eval(i64::from(lane), (0, 0), &[], &mut read) {
                 mask |= 1 << lane;
             }

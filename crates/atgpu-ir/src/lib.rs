@@ -42,6 +42,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// Every served program is built, validated and walked here: no
+// panicking calls outside tests (test modules opt back in locally).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod affine;
 pub mod builder;
@@ -59,7 +62,7 @@ pub use builder::{KernelBuilder, ProgramBuilder};
 pub use error::{IrError, ShardPlanError};
 pub use expr::{AddrExpr, Operand, PredExpr};
 pub use instr::{AluOp, GlobalRef, Instr};
-pub use kernel::Kernel;
+pub use kernel::{Fnv1a, Kernel};
 pub use program::{
     counts_to_shards, padded_slot, shard_counts, DBuf, DeviceAlloc, HBuf, HostBufDecl, HostBufRole,
     HostStep, Program, Round, Shard, ShardPlan,

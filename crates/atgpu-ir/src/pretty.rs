@@ -207,6 +207,7 @@ fn buf_name(p: &Program, id: u32) -> String {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::builder::{KernelBuilder, ProgramBuilder};

@@ -349,6 +349,7 @@ pub fn validate_launch(k: &Kernel, buffers: usize) -> Result<(), IrError> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::builder::{KernelBuilder, ProgramBuilder};

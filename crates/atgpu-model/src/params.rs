@@ -332,14 +332,21 @@ impl ClusterSpec {
     /// per-platform: use them for in-process memoization, not as a
     /// persistent cross-machine format.
     pub fn spec_key(&self) -> u64 {
-        // FNV-1a, identical constants to `Kernel::cache_key`'s hasher.
+        // FNV-1a, identical constants to `atgpu_ir::Fnv1a` (this crate
+        // does not depend on the IR).
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut put = |v: u64| {
+        self.words(|v| {
             for b in v.to_le_bytes() {
                 h ^= u64::from(b);
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
-        };
+        });
+        h
+    }
+
+    /// Every word [`ClusterSpec::spec_key`] hashes, in order, handed to
+    /// `put`: the field walk a caller keys with its own hasher.
+    pub fn words(&self, mut put: impl FnMut(u64)) {
         let n = self.devices.len();
         put(n as u64);
         for d in &self.devices {
@@ -366,7 +373,6 @@ impl ClusterSpec {
             }
         }
         put(self.sync_ms.to_bits());
-        h
     }
 
     /// A homogeneous cluster of `n` identical devices.  Host links come

@@ -12,7 +12,7 @@
 //!
 //! | part | type | contract |
 //! |------|------|----------|
-//! | soundness gate | [`VerifyMemo`] | validator and static verifier refuse malformed and proven-unsound programs, memoized by [`program_key`] |
+//! | soundness gate | [`VerifyMemo`] | validator and static verifier refuse malformed and proven-unsound programs, memoized by a per-server keyed hash of the program's shape |
 //! | admission | [`AdmissionQueue`] | bounded queue, per-tenant round-robin fairness, occupancy packing |
 //! | execution | [`CostServer::submit`] | runs on the shared cluster, bit-identical to a solo run |
 //! | pricing | [`CostServer::price`] | memo → analytic model → simulation fallback |
@@ -25,7 +25,7 @@
 //! with [`ServeError::Unsound`], carrying the concrete `kernel@instr#N`
 //! witness.  Undecidable programs (data-dependent
 //! addressing) pass — the gate only rejects on proof.  Verdicts are
-//! memoized by the structural [`program_key`], so re-submissions of the
+//! memoized by the program's structural shape, so re-submissions of the
 //! same shape skip re-verification ([`VerifyStats`] counts the paths).
 //! The gate then refuses a program that addresses a device the cluster
 //! it would run or be priced on lacks ([`ServeError::Model`]), before
@@ -38,6 +38,14 @@
 //! and a computation that fails (a bounced pricing simulation, say)
 //! caches nothing.  [`ServeStats`] is therefore a function of the
 //! requests made, not of how client threads interleave.
+//!
+//! The kernel cache confirms each hit against the structure it compiled;
+//! the memos hold no program to confirm against, so their keys are the
+//! server's own instead: SipHash under a key drawn once in
+//! [`CostServer::new`], over the walk [`program_key`] hashes.  A client
+//! never sees a key, so it cannot build a program (or spec) that takes
+//! another tenant's verdict or quote.  [`program_key`] itself is the
+//! unkeyed FNV-1a of that walk, a stable name for a program's shape.
 //!
 //! ## The admission contract
 //!
@@ -68,12 +76,12 @@
 //! arbitrary [`ClusterSpec`]) answers in one of three ways, cheapest
 //! first:
 //!
-//! 1. **Memo** — queries are keyed by [`query_key`]: the program's
-//!    structural shape (kernel `cache_key`s, shard plans, transfer
-//!    tuples — names excluded) × the cluster's
-//!    [`spec_key`](atgpu_model::ClusterSpec::spec_key) × the machine
-//!    shape.  A repeated question is answered from the bounded
-//!    [`PriceMemo`] without recomputation.
+//! 1. **Memo** — queries are keyed by the server's keyed hash of the
+//!    program's structural shape (kernel structures, shard plans,
+//!    transfer tuples — names excluded) × the cluster's
+//!    [`words`](atgpu_model::ClusterSpec::words) × the machine shape.
+//!    A repeated question is answered from the bounded [`PriceMemo`]
+//!    without recomputation.
 //! 2. **Analytic** — [`atgpu_analyze::predict`]: the program is
 //!    analysed per device and priced through the streamed cluster cost
 //!    model — microseconds, no simulation.  The analytic path is only
@@ -182,9 +190,7 @@ pub mod verify;
 
 pub use admit::{AdmissionQueue, AdmissionStats, Permit};
 pub use error::ServeError;
-pub use price::{
-    program_key, query_key, query_key_from, PriceMemo, PriceSource, PriceStats, Quote,
-};
+pub use price::{program_key, PriceMemo, PriceSource, PriceStats, Quote};
 pub use verify::{Refusal, VerifyMemo, VerifyStats};
 
 use atgpu_analyze::predict;
@@ -195,6 +201,7 @@ use atgpu_model::{AtgpuMachine, ClusterSpec, ModelError};
 use atgpu_sim::{
     gmem, run_cluster_program, run_cluster_program_on, Cluster, ClusterSimReport, SimConfig,
 };
+use price::Keys;
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -241,6 +248,8 @@ pub struct CostServer {
     admission: AdmissionQueue,
     memo: PriceMemo,
     verify: VerifyMemo,
+    /// The key both memos are addressed by, drawn once per server.
+    keys: Keys,
 }
 
 /// The tenant label the pricing fallback simulates under, so pricing
@@ -270,6 +279,7 @@ impl CostServer {
             admission: AdmissionQueue::new(config.queue_capacity, capacity),
             memo: PriceMemo::new(MEMO_CAPACITY),
             verify: VerifyMemo::new(MEMO_CAPACITY),
+            keys: Keys::default(),
             sim: config.sim,
             cluster,
         })
@@ -290,17 +300,17 @@ impl CostServer {
         program: &Program,
         inputs: Vec<Vec<i64>>,
     ) -> Result<ClusterSimReport, ServeError> {
-        self.gate(program_key(program), program, self.cluster.spec())?;
+        self.gate(self.keys.program(program), program, self.cluster.spec())?;
         let demand = self.resident_demand(program);
         let _permit = self.admission.admit(tenant, demand)?;
         Ok(run_cluster_program_on(&self.cluster, program, inputs, &self.sim)?)
     }
 
     /// The gate every request passes: validates `program`, then
-    /// statically verifies it (memoized by its structural
-    /// [`program_key`], which callers compute once and also reuse for the
-    /// quote memo), and refuses malformed programs with the validator's
-    /// error, proven-unsound ones with the concrete witness, and one that
+    /// statically verifies it (memoized by its keyed shape `pkey`, which
+    /// callers compute once and also reuse for the quote key), and
+    /// refuses malformed programs with the validator's error,
+    /// proven-unsound ones with the concrete witness, and one that
     /// addresses a device `spec` lacks with a typed error — before it is
     /// admitted, priced or run.
     fn gate(&self, pkey: u64, program: &Program, spec: &ClusterSpec) -> Result<(), ServeError> {
@@ -339,7 +349,7 @@ impl CostServer {
 
     /// What-if pricing: prices `program` on an arbitrary cluster
     /// `spec` (same machine shape).  Quotes are memoized under the
-    /// spec's structural hash, so repeated what-ifs over a fixed
+    /// spec's structure, so repeated what-ifs over a fixed
     /// candidate set all converge to memo hits.
     pub fn price_what_if(
         &self,
@@ -354,12 +364,12 @@ impl CostServer {
         program: &Program,
         what_if: Option<&ClusterSpec>,
     ) -> Result<Quote, ServeError> {
-        let pkey = program_key(program);
+        let pkey = self.keys.program(program);
         let spec = what_if.unwrap_or_else(|| self.cluster.spec());
         self.gate(pkey, program, spec)?;
         spec.validate()?;
         let machine = *self.cluster.machine();
-        let key = query_key_from(pkey, spec, &machine);
+        let key = self.keys.quote(pkey, spec, &machine);
         self.memo.quote_with(key, || {
             // Analytic fast path: only trusted when the analysis is exact;
             // an analysis or cost error falls through to simulation too.
@@ -369,7 +379,7 @@ impl CostServer {
             if let Ok(p) = predict(program, &machine, spec) {
                 if p.trusted || p.saturated {
                     let source = PriceSource::Analytic;
-                    return Ok(Quote { total_ms: p.cost.total_ms, source, key });
+                    return Ok(Quote { total_ms: p.cost.total_ms, source });
                 }
             }
 
@@ -396,7 +406,7 @@ impl CostServer {
                     run_cluster_program_on(&self.cluster, program, inputs, &self.sim)?
                 }
             };
-            Ok(Quote { total_ms: report.total_ms(), source: PriceSource::Simulated, key })
+            Ok(Quote { total_ms: report.total_ms(), source: PriceSource::Simulated })
         })
     }
 

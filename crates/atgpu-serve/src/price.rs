@@ -1,19 +1,25 @@
 //! What-if pricing: structural query keys and the bounded memo cache.
 //!
 //! A pricing query is identified **structurally**: the program's
-//! compile-relevant shape (kernel [`cache_key`]s, shard plans, transfer
+//! compile-relevant shape (kernel structures, shard plans, transfer
 //! tuples, stream tags) combined with the cluster's
-//! [`spec_key`](atgpu_model::ClusterSpec::spec_key) and the abstract
-//! machine shape.  Names are excluded everywhere — a renamed kernel or
-//! buffer prices identically — mirroring the name-exclusion rule of the
-//! kernel cache.  Two queries with equal keys are the same question, so
-//! the second is answered from the memo in nanoseconds.
+//! [`words`](atgpu_model::ClusterSpec::words) and the abstract machine
+//! shape.  Names are excluded everywhere — a renamed kernel or buffer
+//! prices identically — mirroring the name-exclusion rule of the kernel
+//! cache.  Two queries with equal keys are the same question, so the
+//! second is answered from the memo in nanoseconds.
 //!
-//! [`cache_key`]: atgpu_ir::Kernel::cache_key
+//! The memos trust their keys without confirming a hit, so the keys are
+//! the server's own: SipHash under a key drawn once per server
+//! (`Keys`), which a client never sees and so cannot steer two questions
+//! onto.  [`program_key`] is the unkeyed FNV-1a of the same walk — a
+//! stable name for a program's shape, which no memo is keyed by.
 
-use atgpu_ir::{HostStep, Kernel, Program};
+use atgpu_ir::{Fnv1a, HostBufRole, HostStep, Kernel, Program};
 use atgpu_model::{AtgpuMachine, ClusterSpec};
 use atgpu_sim::BoundedMemo;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How a price was produced.
@@ -41,8 +47,6 @@ pub struct Quote {
     pub total_ms: f64,
     /// How this answer was produced.
     pub source: PriceSource,
-    /// The structural query key (program × cluster × machine).
-    pub key: u64,
 }
 
 /// Pricing-path counters.
@@ -70,114 +74,110 @@ impl PriceStats {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv(h: &mut u64, v: u64) {
-    for b in v.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(FNV_PRIME);
-    }
-}
-
-/// A stable structural hash of a program's cost-relevant shape: buffer
-/// sizes and roles, and per round each step's discriminant, operands,
-/// device targets and stream tags; kernels contribute their
-/// [`cache_key`](atgpu_ir::Kernel::cache_key) plus the shard plan.
-/// Program, kernel and buffer *names* are excluded.  A launch of the
-/// previous launch's kernel reuses its hash, by the rule stated at
+/// The words of a program's cost-relevant shape, handed to `word` one
+/// at a time: buffer sizes and roles, and per round each step's
+/// discriminant, operands, device targets and stream tags; a launch
+/// enters as `kernel_hash` of its kernel plus the shard plan.  Program,
+/// kernel and buffer *names* are excluded.  A launch of the previous launch's
+/// kernel reuses its hash, by the rule stated at
 /// [`Kernel::same_structure`], so a relaunched kernel is hashed once.
-pub fn program_key(p: &Program) -> u64 {
+fn shape(p: &Program, kernel_hash: impl Fn(&Kernel) -> u64, mut word: impl FnMut(u64)) {
     let mut previous: Option<(&Kernel, u64)> = None;
     let mut kernel_key = |k| match previous {
         Some((pk, key)) if Kernel::same_structure(pk, k) => key,
         _ => {
-            let key = Kernel::cache_key(k);
+            let key = kernel_hash(k);
             previous = Some((k, key));
             key
         }
     };
-    let mut h = FNV_OFFSET;
-    fnv(&mut h, p.device_allocs.len() as u64);
+    let mut put = |words: &[u64]| words.iter().for_each(|&w| word(w));
+    put(&[p.device_allocs.len() as u64]);
     for a in &p.device_allocs {
-        fnv(&mut h, a.words);
+        put(&[a.words]);
     }
-    fnv(&mut h, p.host_bufs.len() as u64);
+    put(&[p.host_bufs.len() as u64]);
     for b in &p.host_bufs {
-        fnv(&mut h, b.words);
-        fnv(&mut h, matches!(b.role, atgpu_ir::HostBufRole::Input) as u64);
+        put(&[b.words, matches!(b.role, HostBufRole::Input) as u64]);
     }
-    fnv(&mut h, p.rounds.len() as u64);
+    put(&[p.rounds.len() as u64]);
     for round in &p.rounds {
-        fnv(&mut h, round.steps.len() as u64);
+        put(&[round.steps.len() as u64]);
         for step in &round.steps {
             match step {
                 HostStep::TransferIn { host, host_off, dev, dev_off, words, device, stream } => {
-                    for v in [0, host.0 as u64, *host_off, dev.0 as u64, *dev_off, *words] {
-                        fnv(&mut h, v);
-                    }
-                    fnv(&mut h, u64::from(*device));
-                    fnv(&mut h, u64::from(*stream));
+                    let (device, stream) = (u64::from(*device), u64::from(*stream));
+                    let (host, dev) = (host.0 as u64, dev.0 as u64);
+                    put(&[0, host, *host_off, dev, *dev_off, *words, device, stream]);
                 }
                 HostStep::TransferOut { dev, dev_off, host, host_off, words, device, stream } => {
-                    for v in [1, dev.0 as u64, *dev_off, host.0 as u64, *host_off, *words] {
-                        fnv(&mut h, v);
-                    }
-                    fnv(&mut h, u64::from(*device));
-                    fnv(&mut h, u64::from(*stream));
+                    let (device, stream) = (u64::from(*device), u64::from(*stream));
+                    let (host, dev) = (host.0 as u64, dev.0 as u64);
+                    put(&[1, dev, *dev_off, host, *host_off, *words, device, stream]);
                 }
                 HostStep::TransferPeer { src, dst, buf, src_off, dst_off, words } => {
-                    for v in [2, u64::from(*src), u64::from(*dst), buf.0 as u64, *src_off, *dst_off]
-                    {
-                        fnv(&mut h, v);
-                    }
-                    fnv(&mut h, *words);
+                    let (src, dst) = (u64::from(*src), u64::from(*dst));
+                    put(&[2, src, dst, buf.0 as u64, *src_off, *dst_off, *words]);
                 }
-                HostStep::Launch(k) => {
-                    fnv(&mut h, 3);
-                    fnv(&mut h, kernel_key(k));
-                }
+                HostStep::Launch(k) => put(&[3, kernel_key(k)]),
                 HostStep::LaunchSharded { kernel, shards } => {
-                    fnv(&mut h, 4);
-                    fnv(&mut h, kernel_key(kernel));
-                    fnv(&mut h, shards.len() as u64);
+                    put(&[4, kernel_key(kernel), shards.len() as u64]);
                     for s in shards {
-                        fnv(&mut h, u64::from(s.device));
-                        fnv(&mut h, s.start);
-                        fnv(&mut h, s.end);
+                        put(&[u64::from(s.device), s.start, s.end]);
                     }
                 }
                 HostStep::SyncStream { device, stream } => {
-                    fnv(&mut h, 5);
-                    fnv(&mut h, u64::from(*device));
-                    fnv(&mut h, u64::from(*stream));
+                    put(&[5, u64::from(*device), u64::from(*stream)])
                 }
-                HostStep::SyncDevice { device } => {
-                    fnv(&mut h, 6);
-                    fnv(&mut h, u64::from(*device));
-                }
+                HostStep::SyncDevice { device } => put(&[6, u64::from(*device)]),
             }
         }
     }
-    h
 }
 
-/// The full memo key: program shape × cluster spec × machine shape.
-pub fn query_key(p: &Program, spec: &ClusterSpec, machine: &AtgpuMachine) -> u64 {
-    query_key_from(program_key(p), spec, machine)
+/// A stable structural hash of a program's cost-relevant shape: FNV-1a
+/// over its words, kernels entering as their
+/// [`cache_key`](atgpu_ir::Kernel::cache_key).  Program, kernel and
+/// buffer *names* are excluded.  Unkeyed, so anyone can collide it:
+/// the server's memos are keyed by `Keys` instead.
+pub fn program_key(p: &Program) -> u64 {
+    let mut h = Fnv1a::default();
+    shape(p, Kernel::cache_key, |v| h.write(&v.to_le_bytes()));
+    h.finish()
 }
 
-/// [`query_key`] from an already-computed [`program_key`] — the pricing
-/// hot path hashes the program once and reuses the key for both the
-/// soundness memo and the quote memo.
-pub fn query_key_from(pkey: u64, spec: &ClusterSpec, machine: &AtgpuMachine) -> u64 {
-    let mut h = FNV_OFFSET;
-    fnv(&mut h, pkey);
-    fnv(&mut h, spec.spec_key());
-    for v in [machine.p, machine.b, machine.m, machine.g] {
-        fnv(&mut h, v);
+/// The server's memo keys: SipHash under a key drawn once per server,
+/// over the walk [`program_key`] hashes, each kernel entering as its
+/// keyed [`Kernel::hash_structure`].  A client that never sees a key
+/// cannot construct two questions that share one, so a memo hit needs
+/// no confirmation; a key therefore never leaves the server.
+#[derive(Debug, Default)]
+pub(crate) struct Keys(RandomState);
+
+impl Keys {
+    /// The verdict memo's key: the program's shape.
+    pub(crate) fn program(&self, p: &Program) -> u64 {
+        let kernel_hash = |k: &Kernel| {
+            let mut h = self.0.build_hasher();
+            k.hash_structure(&mut h);
+            h.finish()
+        };
+        let mut h = self.0.build_hasher();
+        shape(p, kernel_hash, |v| h.write_u64(v));
+        h.finish()
     }
-    h
+
+    /// The quote memo's key: a program's [`Keys::program`] × the
+    /// cluster's [`words`](ClusterSpec::words) × the machine shape.
+    pub(crate) fn quote(&self, program: u64, spec: &ClusterSpec, machine: &AtgpuMachine) -> u64 {
+        let mut h = self.0.build_hasher();
+        h.write_u64(program);
+        spec.words(|v| h.write_u64(v));
+        for v in [machine.p, machine.b, machine.m, machine.g] {
+            h.write_u64(v);
+        }
+        h.finish()
+    }
 }
 
 /// A bounded, thread-safe memo of priced queries.
@@ -209,21 +209,26 @@ impl PriceMemo {
     /// The quote for `key`: from the memo (re-labelled
     /// [`PriceSource::Memo`]) when this question was priced before,
     /// otherwise from `price`, whose answer is memoized and counted
-    /// under its source.
+    /// under its source.  A resident quote answers unconfirmed: `key`
+    /// must be one a client cannot steer (see `Keys`).
     pub fn quote_with<E>(
         &self,
         key: u64,
         price: impl FnOnce() -> Result<Quote, E>,
     ) -> Result<Quote, E> {
-        let (quote, hit) = self.memo.get_or_try_compute(key, || {
-            let quote = price()?;
-            match quote.source {
-                PriceSource::Analytic => self.analytic.fetch_add(1, Ordering::Relaxed),
-                PriceSource::Simulated => self.simulated.fetch_add(1, Ordering::Relaxed),
-                PriceSource::Memo => 0, // memo hits are never re-priced
-            };
-            Ok(quote)
-        })?;
+        let (quote, hit) = self.memo.get_or_try_compute(
+            key,
+            |_| true,
+            || {
+                let quote = price()?;
+                match quote.source {
+                    PriceSource::Analytic => self.analytic.fetch_add(1, Ordering::Relaxed),
+                    PriceSource::Simulated => self.simulated.fetch_add(1, Ordering::Relaxed),
+                    PriceSource::Memo => 0, // memo hits are never re-priced
+                };
+                Ok(quote)
+            },
+        )?;
         Ok(if hit { Quote { source: PriceSource::Memo, ..quote } } else { quote })
     }
 
@@ -267,14 +272,30 @@ mod tests {
     }
 
     #[test]
-    fn query_key_sees_spec_and_machine() {
-        let p = program(64, "k");
+    fn quote_key_sees_spec_and_machine() {
+        let keys = Keys::default();
+        let p = keys.program(&program(64, "k"));
         let m = AtgpuMachine::new(1 << 16, 32, 12_288, 1 << 22).unwrap();
         let s2 = ClusterSpec::homogeneous(2, atgpu_model::GpuSpec::gtx650_like());
         let s4 = ClusterSpec::homogeneous(4, atgpu_model::GpuSpec::gtx650_like());
-        assert_ne!(query_key(&p, &s2, &m), query_key(&p, &s4, &m));
+        assert_ne!(keys.quote(p, &s2, &m), keys.quote(p, &s4, &m));
         let m2 = AtgpuMachine::new(1 << 16, 32, 12_288, 1 << 23).unwrap();
-        assert_ne!(query_key(&p, &s2, &m), query_key(&p, &s2, &m2));
+        assert_ne!(keys.quote(p, &s2, &m), keys.quote(p, &s2, &m2));
+    }
+
+    /// A server's keys are its own: two servers key one program apart,
+    /// neither key is the public [`program_key`], and a renamed program
+    /// keys alike under one server.
+    #[test]
+    fn keys_are_per_server_and_ignore_names() {
+        let (one, two) = (Keys::default(), Keys::default());
+        let p = program(64, "k");
+        assert_ne!(one.program(&p), two.program(&p));
+        for keys in [&one, &two] {
+            assert_ne!(keys.program(&p), program_key(&p));
+            assert_eq!(keys.program(&p), keys.program(&program(64, "other_name")));
+            assert_ne!(keys.program(&p), keys.program(&program(128, "k")));
+        }
     }
 
     #[test]
@@ -284,11 +305,7 @@ mod tests {
         let ask = |key: u64| {
             let fresh = || {
                 priced.set(priced.get() + 1);
-                Ok::<_, Infallible>(Quote {
-                    total_ms: key as f64,
-                    source: PriceSource::Analytic,
-                    key,
-                })
+                Ok::<_, Infallible>(Quote { total_ms: key as f64, source: PriceSource::Analytic })
             };
             memo.quote_with(key, fresh).unwrap()
         };

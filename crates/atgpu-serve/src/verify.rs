@@ -8,10 +8,11 @@
 //! with [`ServeError::Invalid`](crate::ServeError), one with a *proven*
 //! cross-block write race or out-of-bounds access with
 //! [`ServeError::Unsound`](crate::ServeError), before either can touch
-//! the shared cluster.  Verdicts are memoized by
-//! the program's structural [`program_key`](crate::price::program_key)
-//! — names excluded, same rule as the price memo — so a tenant
-//! re-submitting the same shape pays for verification once.
+//! the shared cluster.  Verdicts are memoized by the server's keyed
+//! hash of the program's structural shape — names excluded, the walk
+//! [`program_key`](crate::price::program_key) hashes — so a tenant
+//! re-submitting the same shape pays for verification once, and no
+//! tenant can construct a program that takes another's verdict.
 //!
 //! The memo is a [`BoundedMemo`] — the same bounded single-flight cache
 //! under the price memo and the simulator's kernel cache: each distinct
@@ -63,9 +64,11 @@ impl VerifyMemo {
 
     /// Gates one program: answers from the memo when its structural key
     /// has been verified before, otherwise runs `compute` and records
-    /// the verdict.  Returns the reason for refused programs.
+    /// the verdict.  Returns the reason for refused programs.  A
+    /// resident verdict answers unconfirmed: `key` must be one a client
+    /// cannot steer (the server's keyed hash).
     pub fn verdict(&self, key: u64, compute: impl FnOnce() -> Option<Refusal>) -> Option<Refusal> {
-        let (verdict, _) = self.memo.get_or_compute(key, compute);
+        let (verdict, _) = self.memo.get_or_compute(key, |_| true, compute);
         if verdict.is_some() {
             self.rejected.fetch_add(1, Ordering::Relaxed);
         }

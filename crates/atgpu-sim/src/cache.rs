@@ -1,47 +1,45 @@
 //! The cross-launch kernel cache: keyed compiled programs, reused across
 //! launches the way real drivers cache PTX→SASS compilations.  An entry
-//! is the compiled program and nothing else; what a hit saves is
-//! lowering.
+//! is the compiled program and what it was compiled from, no timing;
+//! what a hit saves is lowering.
 //!
 //! ## Keying rule
 //!
-//! A cache entry is addressed by everything [`CompiledKernel::compile`]
-//! reads:
+//! An entry is found by a 64-bit key and confirmed by what it was
+//! compiled from ([`crate::memo`]'s rule).  A [`CacheEntry`] holds
+//! everything [`CompiledKernel::compile`] reads:
 //!
 //! * the kernel's **structure** — instruction body, grid and shared
 //!   footprint, with the name cleared (a diagnostic label: renamed
 //!   kernels share an entry, any instruction mutation misses);
 //! * the device-buffer **base addresses** (compilation folds them into
 //!   affine sites and the coalescing transaction tables);
-//! * the lane count `b` and register count `nregs` (a function of the
-//!   structure: one more than its highest register).
+//! * the lane count `b` (the register count is a function of the
+//!   structure).
 //!
-//! A [`CacheKey`] holds all of it.  Its `Hash` reads only the 64-bit
-//! structural hash [`atgpu_ir::Kernel::cache_key`]; its `Eq` compares the
-//! structure, the complete base vector, `b` and `nregs`.  A 64-bit FNV-1a
-//! is not collision-resistant (every immediate is eight free bytes), so
-//! two kernels that collide on it take two entries — on a shared server
-//! whose caches outlive requests, one tenant's compiled kernel never runs
-//! for another's.  A lookup borrows the launch's kernel and bases instead
-//! of building a key: a hit costs the hash, the register walk and one
-//! structural comparison, and only a miss copies the kernel into its
-//! entry's key.
+//! The key is FNV-1a over [`Kernel::hash_structure`], the bases and `b`;
+//! a hit is confirmed by [`CacheEntry::compiled_for`], which compares the
+//! structure, then the bases, then `b`, exactly.  A 64-bit FNV-1a is not
+//! collision-resistant (every immediate is eight free bytes), so a launch
+//! whose key finds another kernel's entry compiles its own, as a miss
+//! that is not cached — on a shared server whose caches outlive
+//! requests, one tenant's compiled kernel never runs for another's.
 //!
 //! ## The previous launch
 //!
 //! A relaunch is recognised before it is hashed.  A device hands every
-//! lookup the key of its previous launch ([`KernelCache::get_or_compile`]'s
-//! `last`) and gets this launch's key back in it.  When the launch has the
-//! previous one's structure, bases and `b`, that key *is* this launch's —
-//! its hash and `nregs` stand, and it probes the memo itself, so the
-//! one structural comparison the launch pays is against the previous
-//! kernel, and the memo's is a pointer comparison with the entry the key
-//! came from.  Only a launch that differs from its predecessor pays the
-//! FNV-1a pass and the register walk.  The memo is still asked on every
-//! launch, once, exactly as before: the previous key only replaces the
-//! way the probe is built, so hits, misses and FIFO residency are the
-//! same function of the launch sequence — an evicted previous entry is
-//! a miss that compiles and re-inserts, as any evicted entry is.
+//! lookup the entry of its previous launch ([`KernelCache::get_or_compile`]'s
+//! `last`) and gets this launch's back in it.  When that entry is
+//! [`compiled_for`](CacheEntry::compiled_for) this launch, its key *is*
+//! this launch's, and the resident entry under it is confirmed by
+//! [`Arc::ptr_eq`] with it (structurally only if it is another entry):
+//! the one structural comparison the launch pays is against the
+//! previous kernel.  Only a launch that differs from
+//! its predecessor pays the FNV-1a pass.  The memo is still asked on
+//! every launch, once: the previous entry only replaces the way the key
+//! is built, so hits, misses and FIFO residency are the same function of
+//! the launch sequence — an evicted previous entry is a miss that
+//! compiles and re-inserts, as any evicted entry is.
 //!
 //! ## Invalidation and the bound
 //!
@@ -68,98 +66,45 @@ use crate::error::SimError;
 use crate::memo::BoundedMemo;
 use crate::uop::CompiledKernel;
 use atgpu_ir::validate::validate_launch;
-use atgpu_ir::Kernel;
-use std::borrow::Borrow;
+use atgpu_ir::{Fnv1a, Kernel};
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 /// Entry bound of every device's cache.
 pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 
-/// The full lookup key of one compiled kernel (see module docs): hashed
-/// by `kernel` alone, compared on everything.
-#[derive(Debug, Clone)]
-pub struct CacheKey {
-    /// Structural kernel hash ([`Kernel::cache_key`]): all `Hash` reads.
-    pub kernel: u64,
-    /// The kernel with its name cleared: what `Eq` compares it by.
-    pub structure: Arc<Kernel>,
+/// One compiled kernel and the launch it was compiled for (see "Keying
+/// rule" in the module docs).
+#[derive(Debug)]
+pub struct CacheEntry {
+    /// The memo key: FNV-1a over the structure, the bases and `b`.
+    pub key: u64,
+    /// The kernel with its name cleared.
+    pub structure: Kernel,
     /// Device-buffer base addresses the compile folded in.
-    pub bases: Arc<[u64]>,
+    pub bases: Box<[u64]>,
     /// Lanes per block.
     pub b: u32,
-    /// Registers per lane.
-    pub nregs: u32,
+    /// The compiled program.
+    pub compiled: CompiledKernel,
 }
 
-/// A key's parts, borrowed: what a stored [`CacheKey`] and a lookup
-/// both present, so a lookup needs no owned key.
-#[derive(Clone, Copy)]
-struct KeyParts<'a> {
-    hash: u64,
-    kernel: &'a Kernel,
-    bases: &'a [u64],
-    b: u32,
-    nregs: u32,
-}
-
-/// Something with [`KeyParts`] — the borrowed form of a [`CacheKey`].
-trait Keyed {
-    fn parts(&self) -> KeyParts<'_>;
-}
-
-impl Keyed for CacheKey {
-    fn parts(&self) -> KeyParts<'_> {
-        let (hash, kernel, bases, b, nregs) =
-            (self.kernel, &*self.structure, &*self.bases, self.b, self.nregs);
-        KeyParts { hash, kernel, bases, b, nregs }
+impl CacheEntry {
+    /// Whether this entry is the compilation of `kernel` for a launch
+    /// with device-buffer `bases` and `b` lanes.
+    pub fn compiled_for(&self, kernel: &Kernel, bases: &[u64], b: u32) -> bool {
+        self.structure.same_structure(kernel) && *self.bases == *bases && self.b == b
     }
 }
 
-impl Keyed for KeyParts<'_> {
-    fn parts(&self) -> KeyParts<'_> {
-        *self
-    }
+/// The key of a launch of `kernel` with `bases` and `b` lanes.
+fn entry_key(kernel: &Kernel, bases: &[u64], b: u32) -> u64 {
+    let mut h = Fnv1a::default();
+    kernel.hash_structure(&mut h);
+    bases.hash(&mut h);
+    b.hash(&mut h);
+    h.finish()
 }
-
-impl Hash for dyn Keyed + '_ {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        self.parts().hash.hash(state);
-    }
-}
-
-impl PartialEq for dyn Keyed + '_ {
-    fn eq(&self, other: &Self) -> bool {
-        let (a, b) = (self.parts(), other.parts());
-        a.hash == b.hash
-            && a.b == b.b
-            && a.nregs == b.nregs
-            && a.bases == b.bases
-            && (std::ptr::eq(a.kernel, b.kernel) || a.kernel.same_structure(b.kernel))
-    }
-}
-
-impl Eq for dyn Keyed + '_ {}
-
-impl<'a> Borrow<dyn Keyed + 'a> for CacheKey {
-    fn borrow(&self) -> &(dyn Keyed + 'a) {
-        self
-    }
-}
-
-impl Hash for CacheKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        (self as &dyn Keyed).hash(state);
-    }
-}
-
-impl PartialEq for CacheKey {
-    fn eq(&self, other: &Self) -> bool {
-        (self as &dyn Keyed) == (other as &dyn Keyed)
-    }
-}
-
-impl Eq for CacheKey {}
 
 /// Cache observability counters, surfaced through
 /// [`crate::device::DeviceStats`].
@@ -195,7 +140,7 @@ impl CacheStats {
 /// The per-device keyed kernel cache.
 #[derive(Debug)]
 pub struct KernelCache {
-    memo: BoundedMemo<CacheKey, Arc<CompiledKernel>>,
+    memo: BoundedMemo<u64, Arc<CacheEntry>>,
 }
 
 impl KernelCache {
@@ -211,58 +156,40 @@ impl KernelCache {
 
     /// Looks up (or validates, compiles and inserts) the compilation of
     /// `kernel` for a launch with device-buffer `bases` and `b` lanes.
-    /// `last` is the key of the device's previous launch (`None` before
-    /// its first) and holds this launch's key on return — see "The
-    /// previous launch" in the module docs.
+    /// `last` is the entry of the device's previous launch (`None` before
+    /// its first) and holds this launch's on return — see "The previous
+    /// launch" in the module docs.
     ///
     /// A miss first checks [`validate_launch`] over the launch's buffers,
     /// and a kernel that fails it is [`SimError::InvalidKernel`] and is
-    /// not cached.  Everything the check reads is part of the key, so a
-    /// hit is a kernel that passed it.
+    /// not cached.  Everything the check reads is confirmed on a hit, so
+    /// a hit is a kernel that passed it.
     pub fn get_or_compile(
         &self,
         kernel: &Kernel,
         bases: &[u64],
         b: u32,
-        last: &mut Option<CacheKey>,
-    ) -> Result<Arc<CompiledKernel>, SimError> {
-        let compile = |nregs| {
+        last: &mut Option<Arc<CacheEntry>>,
+    ) -> Result<Arc<CacheEntry>, SimError> {
+        let previous = last.as_ref().filter(|e| e.compiled_for(kernel, bases, b));
+        let key = previous.map_or_else(|| entry_key(kernel, bases, b), |e| e.key);
+        let confirm = |e: &Arc<CacheEntry>| {
+            previous.is_some_and(|p| Arc::ptr_eq(e, p)) || e.compiled_for(kernel, bases, b)
+        };
+        let (entry, _) = self.memo.get_or_try_compute(key, confirm, || {
             validate_launch(kernel, bases.len())
                 .map_err(|error| SimError::InvalidKernel { error })?;
-            Ok(Arc::new(CompiledKernel::compile(kernel, bases, b, nregs)))
-        };
-        let relaunch = last.as_ref().filter(|key| {
-            key.b == b && *key.bases == *bases && key.structure.same_structure(kernel)
-        });
-        if let Some(key) = relaunch {
-            if let Some(hit) = self.memo.get(key as &dyn Keyed) {
-                return Ok(hit);
-            }
-            let (key, nregs) = (key.clone(), key.nregs);
-            return Ok(self.memo.get_or_try_compute(key, || compile(nregs))?.0);
-        }
-        let nregs = kernel.max_reg().map_or(1, |r| u32::from(r) + 1);
-        let probe = KeyParts { hash: kernel.cache_key(), kernel, bases, b, nregs };
-        if let Some((key, hit)) = self.memo.get_key_value(&probe as &dyn Keyed) {
-            *last = Some(key);
-            return Ok(hit);
-        }
-        let structure = Kernel {
-            name: String::new(),
-            body: kernel.body.clone(),
-            grid: kernel.grid,
-            shared_words: kernel.shared_words,
-        };
-        let key = CacheKey {
-            kernel: probe.hash,
-            structure: Arc::new(structure),
-            bases: bases.into(),
-            b,
-            nregs,
-        };
-        let compiled = self.memo.get_or_try_compute(key.clone(), || compile(nregs))?.0;
-        *last = Some(key);
-        Ok(compiled)
+            let nregs = kernel.max_reg().map_or(1, |r| u32::from(r) + 1);
+            Ok::<_, SimError>(Arc::new(CacheEntry {
+                key,
+                structure: Kernel { name: String::new(), ..kernel.clone() },
+                bases: bases.into(),
+                b,
+                compiled: CompiledKernel::compile(kernel, bases, b, nregs),
+            }))
+        })?;
+        *last = Some(Arc::clone(&entry));
+        Ok(entry)
     }
 }
 
@@ -279,7 +206,7 @@ mod tests {
     }
 
     /// A lookup with no previous launch: the hashing path.
-    fn get(cache: &KernelCache, k: &Kernel, bases: &[u64], b: u32) -> Arc<CompiledKernel> {
+    fn get(cache: &KernelCache, k: &Kernel, bases: &[u64], b: u32) -> Arc<CacheEntry> {
         cache.get_or_compile(k, bases, b, &mut None).unwrap()
     }
 
@@ -305,33 +232,33 @@ mod tests {
         assert!(!Arc::ptr_eq(&e1, &e3), "instruction mutation must miss");
     }
 
-    /// Two kernels whose 64-bit hashes collide are different keys: they
-    /// hash alike, compare unequal and take two entries, and a lookup by
-    /// either finds its own compilation.
+    /// Another kernel's entry planted under a launch's key does not
+    /// answer it: the launch compiles its own as a miss that is not
+    /// cached, also as the previous launch, and the planted entry stays.
     #[test]
-    fn colliding_kernel_hashes_do_not_alias() {
+    fn colliding_keys_do_not_alias() {
         let cache = KernelCache::new(8);
         let (one, two) = (kernel("a", 1), kernel("a", 2));
-        let key = |k: &Kernel| CacheKey {
-            kernel: 0xC011_1DE5,
-            structure: Arc::new(Kernel { name: String::new(), ..k.clone() }),
-            bases: Arc::new([0]),
+        let key = entry_key(&two, &[0], 4);
+        let planted = Arc::new(CacheEntry {
+            key,
+            structure: one.clone(),
+            bases: Box::new([0]),
             b: 4,
-            nregs: 1,
-        };
-        assert_ne!(key(&one), key(&two));
-        let compile = |k: &Kernel| Arc::new(CompiledKernel::compile(k, &[0], 4, 1));
-        let (e1, hit1) = cache.memo.get_or_compute(key(&one), || compile(&one));
-        let (e2, hit2) = cache.memo.get_or_compute(key(&two), || compile(&two));
-        assert!(!hit1 && !hit2 && !Arc::ptr_eq(&e1, &e2));
-        assert_eq!(cache.stats().entries, 2);
-        for (k, entry) in [(&one, &e1), (&two, &e2)] {
-            let probe = KeyParts { hash: 0xC011_1DE5, kernel: k, bases: &[0], b: 4, nregs: 1 };
-            let found = cache.memo.get(&probe as &dyn Keyed).expect("resident");
-            assert!(Arc::ptr_eq(&found, entry));
-            let probe = KeyParts { nregs: 2, ..probe };
-            assert!(cache.memo.get(&probe as &dyn Keyed).is_none(), "nregs is part of the key");
+            compiled: CompiledKernel::compile(&one, &[0], 4, 1),
+        });
+        cache.memo.get_or_compute(key, |_| true, || Arc::clone(&planted));
+        let mut last = None;
+        for _ in 0..2 {
+            let own = cache.get_or_compile(&two, &[0], 4, &mut last).unwrap();
+            assert!(!Arc::ptr_eq(&own, &planted));
+            assert!(last.as_ref().is_some_and(|e| e.compiled_for(&two, &[0], 4)));
         }
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.entries), (0, 3, 1));
+        let (resident, hit) =
+            cache.memo.get_or_compute(key, |e| Arc::ptr_eq(e, &planted), || unreachable!());
+        assert!(hit && Arc::ptr_eq(&resident, &planted), "the planted entry stays resident");
     }
 
     /// Bases and `b` key separately — on the hashing path, and on the
@@ -348,7 +275,7 @@ mod tests {
             let mut previous = last.clone();
             let e = cache.get_or_compile(&k, bases, b, &mut previous).unwrap();
             assert!(!Arc::ptr_eq(&base, &e), "the previous launch's key is not this one's");
-            assert_eq!(previous.map(|key| (key.bases.to_vec(), key.b)), Some((bases.to_vec(), b)));
+            assert_eq!(previous.map(|e| (e.bases.to_vec(), e.b)), Some((bases.to_vec(), b)));
         }
         assert_eq!((cache.stats().misses, cache.stats().hits), (3, 2));
     }

@@ -40,7 +40,7 @@
 //!
 //! A launch should cost the host its blocks, not its bookkeeping, so a
 //! micro-op launch keeps nothing of its own: the device holds its MPs,
-//! their executors and the previous launch's [`CacheKey`] between
+//! their executors and the previous launch's [`CacheEntry`] between
 //! launches.  The launch takes them **whole** under one lock and puts
 //! them back when it succeeds, so concurrent launches on one device (a
 //! shared cluster's tenants, or a sharded launch's takeover shards) stay
@@ -60,7 +60,7 @@
 //! executor is re-fitted and cleared on every admission as it always was.
 //! The reference interpreter borrows its kernel and is built per launch.
 
-use crate::cache::{CacheKey, CacheStats, KernelCache, DEFAULT_CACHE_CAPACITY};
+use crate::cache::{CacheEntry, CacheStats, KernelCache, DEFAULT_CACHE_CAPACITY};
 use crate::dram::DramController;
 use crate::engine::{BlockExec, BlockSim};
 use crate::error::SimError;
@@ -71,7 +71,7 @@ use crate::{EngineSel, ExecMode};
 use atgpu_ir::validate::validate_launch;
 use atgpu_ir::Kernel;
 use atgpu_model::{occupancy, AtgpuMachine, GpuSpec};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Aggregated observations from one kernel launch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -181,8 +181,8 @@ impl<E: BlockSim> Default for Pool<E> {
 #[derive(Default)]
 struct Kept {
     pool: Pool<BlockExec>,
-    /// The previous launch's cache key ([`KernelCache::get_or_compile`]).
-    last: Option<CacheKey>,
+    /// The previous launch's cache entry ([`KernelCache::get_or_compile`]).
+    last: Option<Arc<CacheEntry>>,
 }
 
 impl std::fmt::Debug for Kept {
@@ -202,7 +202,7 @@ pub struct Device {
     /// The cross-launch kernel cache ([`crate::cache`]).  Per-device by
     /// design: threaded cluster dispatch never contends across devices.
     cache: KernelCache,
-    /// MPs, executors and the previous launch's key, between launches.
+    /// MPs, executors and the previous launch's entry, between launches.
     kept: Mutex<Kept>,
 }
 
@@ -353,10 +353,11 @@ impl Device {
                 // Taken whole, given back whole (see the module docs).
                 let mut kept = std::mem::take(&mut *self.kept());
                 let bases = target.mem().bases();
-                let compiled = self.cache.get_or_compile(kernel, bases, b, &mut kept.last)?;
-                let make = || BlockExec::new(&compiled);
+                let entry = self.cache.get_or_compile(kernel, bases, b, &mut kept.last)?;
+                let compiled = &entry.compiled;
+                let make = || BlockExec::new(compiled);
                 let stats =
-                    self.run_sequential(&blocks, &*compiled, &mut kept.pool, make, &mut target);
+                    self.run_sequential(&blocks, compiled, &mut kept.pool, make, &mut target);
                 if stats.is_ok() {
                     let mut slot = self.kept();
                     if slot.pool.mps.is_empty() {

@@ -55,22 +55,23 @@
 //!
 //! "Once per launch" is actually "once per kernel shape": every
 //! [`Device`] owns a [`cache::KernelCache`] mapping a **structural**
-//! kernel hash ([`atgpu_ir::Kernel::cache_key`] — instruction body, grid
-//! and shared footprint; the *name* is excluded) plus the launch
-//! parameters `(buffer bases, b, nregs)` to the compiled micro-op
-//! program — an entry is that program and nothing else, and what a hit
-//! reuses is the lowering.  Callers relaunching one kernel shape
+//! kernel hash ([`atgpu_ir::Kernel::hash_structure`] — instruction body,
+//! grid and shared footprint; the *name* is excluded) plus the launch
+//! parameters `(buffer bases, b)` to a [`cache::CacheEntry`]: the compiled
+//! micro-op program and what it was compiled from — what a hit reuses is
+//! the lowering.  Callers relaunching one kernel shape
 //! thousands of times (the repo benchmark's `launch_storm` relaunch
 //! half, `serve_mix`'s repeated submits) therefore compile once — with
 //! **bit-identical** memory, events and statistics to a cold launch,
 //! which is a miss on a fresh [`Device`] (`tests/cache_differential.rs`
 //! proves this across engines and clusters):
 //!
-//! * **keying** — the full key (structural hash, complete base vector,
-//!   `b`, `nregs`) is stored and compared, so a hash collision alone can
+//! * **keying** — a key is a hash, and a hit is confirmed against the
+//!   entry's structure, complete base vector and `b`
+//!   ([`cache::CacheEntry::compiled_for`]), so a hash collision alone can
 //!   never alias two kernels; mutating one instruction, the grid, the
-//!   shared footprint or the memory layout changes the key; a relaunch
-//!   of the device's previous kernel reuses that launch's key after one
+//!   shared footprint or the memory layout misses; a relaunch of the
+//!   device's previous kernel reuses that launch's entry after one
 //!   structural comparison, without hashing (same counters either way);
 //! * **invalidation** — entries are immutable; stale shapes simply age
 //!   out of the FIFO bound, [`cache::DEFAULT_CACHE_CAPACITY`] for every
@@ -396,7 +397,7 @@ pub mod uop;
 pub mod warp;
 pub mod xfer;
 
-pub use cache::{CacheKey, CacheStats, KernelCache};
+pub use cache::{CacheEntry, CacheStats, KernelCache};
 pub use cluster::{
     counts_to_shards, even_shards, planned_shards, run_cluster_program, run_cluster_program_on,
     shard_counts, weighted_shards, Cluster, ClusterRoundObservation, ClusterSimReport,

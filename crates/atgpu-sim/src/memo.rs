@@ -2,13 +2,25 @@
 //! under the kernel cache ([`crate::cache`]) and the serving layer's
 //! verdict and quote memos.
 //!
+//! ## The memo rule
+//!
+//! A key is a hash, and a hash names a question only as well as it
+//! resists collision.  So a lookup brings a `confirm` predicate with its
+//! key, and a resident value answers only when `confirm` holds for it.
+//! A value that fails is the answer to another question that hashed
+//! alike: `compute` answers this one, it counts as a miss, it is not
+//! cached, and the resident entry stays.  A caller whose key cannot be
+//! forced to collide (a keyed hash nobody outside the process knows)
+//! confirms with `|_| true`; one that already holds what it compiled
+//! from compares it exactly.
+//!
 //! Every key owns a write-once cell that is inserted **under the map
 //! lock**, so two callers can never both believe they are first: exactly
 //! one of them runs `compute` and counts a miss; every other caller of
 //! the same key — including the ones that arrive while the compute is
-//! still running, which wait for it — counts a hit.  Hit and miss
-//! counters are therefore a pure function of the lookup multiset, not of
-//! the thread schedule.
+//! still running, which wait for it — counts a hit once its `confirm`
+//! holds.  Hit and miss counters are therefore a pure function of the
+//! lookup multiset, not of the thread schedule.
 //!
 //! Entries are evicted oldest-insertion-first beyond the capacity.  A
 //! compute that fails leaves nothing cached (the next caller computes
@@ -24,8 +36,8 @@
 // cache): nothing here may abort the server.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
+use std::convert::Infallible;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
@@ -108,51 +120,20 @@ impl<K: Hash + Eq + Clone, V: Clone> BoundedMemo<K, V> {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// The resident value of `key`, counted as a hit; `None` (uncounted)
-    /// when the key is absent or still being computed.  Takes the read
-    /// lock only.  `key` may be any borrowed form of `K`, so a caller can
-    /// look up without building an owned key.
-    pub fn get<Q>(&self, key: &Q) -> Option<V>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.lookup(key, |_, value| value.clone())
-    }
-
-    /// [`Self::get`] that also returns the resident key — an owned key
-    /// for a caller that looked up by a borrowed form.
-    pub fn get_key_value<Q>(&self, key: &Q) -> Option<(K, V)>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.lookup(key, |key, value| (key.clone(), value.clone()))
-    }
-
-    /// The one counted lookup under `get` and `get_key_value`.
-    fn lookup<Q, R>(&self, key: &Q, found: impl FnOnce(&K, &V) -> R) -> Option<R>
-    where
-        K: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        let inner = self.read();
-        let (key, cell) = inner.map.get_key_value(key)?;
-        let found = found(key, cell.value.get()?);
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(found)
-    }
-
     /// The value of `key`, computing it at most once across all
-    /// concurrent callers; the flag is `true` for a hit.  `compute` runs
+    /// concurrent callers; the flag is `true` for a hit.  A resident
+    /// value answers only when `confirm` holds for it; one that fails is
+    /// another question's answer (see the module docs).  `compute` runs
     /// outside the map lock, so lookups of other keys never wait for it.
     pub fn get_or_try_compute<E>(
         &self,
         key: K,
+        confirm: impl Fn(&V) -> bool,
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<(V, bool), E> {
-        if let Some(value) = self.get(&key) {
-            return Ok((value, true));
+        let resident = self.read().map.get(&key).and_then(|cell| cell.value.get().cloned());
+        if let Some(value) = resident {
+            return self.confirmed(value, confirm, compute);
         }
         let cell = {
             let mut inner = self.write();
@@ -170,8 +151,7 @@ impl<K: Hash + Eq + Clone, V: Clone> BoundedMemo<K, V> {
         let _computing = cell.computing.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(value) = cell.value.get() {
             // Another caller computed it while this one waited.
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((value.clone(), true));
+            return self.confirmed(value.clone(), confirm, compute);
         }
         match compute() {
             Ok(value) => {
@@ -190,9 +170,32 @@ impl<K: Hash + Eq + Clone, V: Clone> BoundedMemo<K, V> {
         }
     }
 
+    /// A resident `value`: a hit when `confirm` holds, otherwise the
+    /// answer to another question, which `compute` replaces uncached.
+    fn confirmed<E>(
+        &self,
+        value: V,
+        confirm: impl Fn(&V) -> bool,
+        compute: impl FnOnce() -> Result<V, E>,
+    ) -> Result<(V, bool), E> {
+        if confirm(&value) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((value, true));
+        }
+        let value = compute()?;
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        Ok((value, false))
+    }
+
     /// [`Self::get_or_try_compute`] for a compute that cannot fail.
-    pub fn get_or_compute(&self, key: K, compute: impl FnOnce() -> V) -> (V, bool) {
-        match self.get_or_try_compute(key, || Ok::<V, std::convert::Infallible>(compute())) {
+    pub fn get_or_compute(
+        &self,
+        key: K,
+        confirm: impl Fn(&V) -> bool,
+        compute: impl FnOnce() -> V,
+    ) -> (V, bool) {
+        let found = self.get_or_try_compute(key, confirm, || Ok::<V, Infallible>(compute()));
+        match found {
             Ok(found) => found,
             Err(never) => match never {},
         }
@@ -205,12 +208,16 @@ mod tests {
     use super::*;
     use std::sync::Barrier;
 
+    fn any<V>(_: &V) -> bool {
+        true
+    }
+
     #[test]
     fn computes_once_and_counts() {
         let memo = BoundedMemo::new(8);
         let mut computed = 0;
         for _ in 0..3 {
-            let (v, _) = memo.get_or_compute(7u64, || {
+            let (v, _) = memo.get_or_compute(7u64, any, || {
                 computed += 1;
                 "seven"
             });
@@ -218,28 +225,42 @@ mod tests {
         }
         assert_eq!(computed, 1);
         assert_eq!((memo.hits(), memo.misses(), memo.len()), (2, 1, 1));
-        assert_eq!(memo.get(&9), None, "an absent key is not a counted lookup");
-        assert_eq!((memo.hits(), memo.misses()), (2, 1));
     }
 
     #[test]
     fn fifo_eviction_and_rebounding() {
         let memo = BoundedMemo::new(2);
         for key in 0..3u64 {
-            memo.get_or_compute(key, || key);
+            memo.get_or_compute(key, any, || key);
         }
         assert_eq!(memo.len(), 2);
-        assert_eq!(memo.get(&0), None, "the oldest insertion was evicted");
-        assert_eq!(memo.get(&2), Some(2));
+        assert_eq!(memo.get_or_compute(2, any, || 20), (2, true));
+        assert_eq!(memo.get_or_compute(0, any, || 10), (10, false), "the oldest was evicted");
     }
 
     #[test]
     fn failed_compute_caches_nothing() {
         let memo: BoundedMemo<u64, u64> = BoundedMemo::new(8);
-        assert_eq!(memo.get_or_try_compute(1, || Err::<u64, _>("boom")), Err("boom"));
+        assert_eq!(memo.get_or_try_compute(1, any, || Err::<u64, _>("boom")), Err("boom"));
         assert_eq!((memo.hits(), memo.misses(), memo.len()), (0, 0, 0));
-        assert_eq!(memo.get_or_try_compute(1, || Ok::<_, &str>(5)), Ok((5, false)));
+        assert_eq!(memo.get_or_try_compute(1, any, || Ok::<_, &str>(5)), Ok((5, false)));
         assert_eq!((memo.hits(), memo.misses(), memo.len()), (0, 1, 1));
+    }
+
+    /// A resident value `confirm` refuses answers another question: this
+    /// one is computed, counted as a miss and not cached, and the
+    /// resident entry keeps answering the lookups it confirms for.
+    #[test]
+    fn an_unconfirmed_hit_is_an_uncached_miss() {
+        let memo: BoundedMemo<u64, u64> = BoundedMemo::new(8);
+        let is = |want: u64| move |v: &u64| *v == want;
+        assert_eq!(memo.get_or_compute(1, is(10), || 10), (10, false));
+        assert_eq!(memo.get_or_compute(1, is(20), || 20), (20, false), "computed, not a hit");
+        assert_eq!((memo.hits(), memo.misses(), memo.len()), (0, 2, 1));
+        assert_eq!(memo.get_or_compute(1, is(20), || 20), (20, false), "and not cached");
+        assert_eq!(memo.get_or_compute(1, is(10), || 11), (10, true), "the resident entry stays");
+        assert_eq!(memo.get_or_try_compute(1, is(30), || Err::<u64, _>("boom")), Err("boom"));
+        assert_eq!((memo.hits(), memo.misses(), memo.len()), (1, 3, 1));
     }
 
     /// N threads released on one key from a barrier: one compute, one
@@ -255,7 +276,7 @@ mod tests {
                 for _ in 0..N {
                     s.spawn(|| {
                         barrier.wait();
-                        let (v, _) = memo.get_or_compute(42, || {
+                        let (v, _) = memo.get_or_compute(42, any, || {
                             computes.fetch_add(1, Ordering::Relaxed);
                             // Widen the window the other callers arrive in.
                             std::thread::yield_now();
@@ -275,7 +296,7 @@ mod tests {
     #[test]
     fn poisoned_lock_still_answers_and_counts() {
         let memo: BoundedMemo<u64, u64> = BoundedMemo::new(4);
-        memo.get_or_compute(1, || 10);
+        memo.get_or_compute(1, any, || 10);
         let died = std::thread::scope(|s| {
             s.spawn(|| {
                 let _guard = memo.inner.write().unwrap();
@@ -284,9 +305,9 @@ mod tests {
             .join()
         });
         assert!(died.is_err() && memo.inner.is_poisoned());
-        assert_eq!(memo.get(&1), Some(10));
-        assert_eq!(memo.get_or_compute(2, || 20), (20, false));
-        assert_eq!(memo.get_or_compute(2, || 21), (20, true));
+        assert_eq!(memo.get_or_compute(1, any, || 11), (10, true));
+        assert_eq!(memo.get_or_compute(2, any, || 20), (20, false));
+        assert_eq!(memo.get_or_compute(2, any, || 21), (20, true));
         assert_eq!((memo.hits(), memo.misses(), memo.len()), (2, 2, 2));
     }
 }
