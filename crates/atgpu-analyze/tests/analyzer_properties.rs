@@ -1,11 +1,15 @@
 //! Analyser-level property tests: exactness of the residue-class
-//! coalescing analysis against brute force over a wide shape space, and
-//! soundness of the bank-conflict fast paths against enumeration.
+//! coalescing analysis against brute force over a wide shape space,
+//! soundness of the bank-conflict fast paths against enumeration, and
+//! that devices no step names never move a prediction.
 
+use atgpu_algos::roster::{asym_pair, roster};
 use atgpu_analyze::bankconflict::{site_conflict_degree, ConflictDegree};
 use atgpu_analyze::coalesce::site_transactions;
+use atgpu_analyze::predict;
 use atgpu_ir::affine::CompiledAddr;
 use atgpu_ir::AddrExpr;
+use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
 use proptest::prelude::*;
 
 fn affine_site() -> impl Strategy<Value = AddrExpr> {
@@ -131,5 +135,57 @@ proptest! {
         let one = site_transactions(&addr, 0, (gx, 1), &[], b).txns;
         let many = site_transactions(&addr, 0, (gx, 1), &[trips], b).txns;
         prop_assert_eq!(many, one * u64::from(trips));
+    }
+}
+
+/// A cluster of `n` devices drawn from the three pinned specs, each host
+/// and peer link scaled by a factor from `seed`.
+fn mixed_cluster(n: usize, seed: u64) -> ClusterSpec {
+    let specs = [GpuSpec::gtx650_like(), GpuSpec::midrange_like(), GpuSpec::highend_like()];
+    let mut bits = seed;
+    let mut draw = |k: u64| {
+        bits = bits.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
+        (bits >> 33) % k
+    };
+    let mut c = ClusterSpec::homogeneous(n, specs[0]);
+    for d in 0..n {
+        c.devices[d] = specs[draw(3) as usize];
+        c.host_links[d] = c.devices[d].host_link().scaled(1.0 + draw(8) as f64);
+        for e in 0..n {
+            c.peer_links[d][e] = c.peer_links[d][e].scaled(1.0 + draw(4) as f64);
+        }
+    }
+    c
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Pricing a program on a cluster and on the prefix of it that the
+    /// program names gives the same bits: an idle device adds a 0.0 path
+    /// to each round's `max`.  `CostServer` analyses only that prefix.
+    #[test]
+    fn idle_devices_never_move_a_prediction(
+        entry in 0usize..64,
+        cell in 0usize..5,
+        idle in 1usize..6,
+        seed in 0u64..1 << 32,
+    ) {
+        let machine = AtgpuMachine::gtx650_like();
+        let entries = roster();
+        let entry = &entries[entry % entries.len()];
+        let planned_for = asym_pair(GpuSpec::gtx650_like());
+        let mut plans = entry.plans(&machine, &planned_for);
+        let (_, plan) = plans.swap_remove(cell % plans.len());
+        let program = entry.workload.build_plan(&machine, plan).unwrap().program;
+        let named = program.max_device() as usize + 1;
+        let spec = mixed_cluster(named + idle, seed);
+        let alive: Vec<bool> = (0..named + idle).map(|d| d < named).collect();
+        let whole = predict(&program, &machine, &spec).unwrap();
+        let prefix = predict(&program, &machine, &spec.surviving(&alive).0).unwrap();
+        prop_assert_eq!(whole.cost.total_ms.to_bits(), prefix.cost.total_ms.to_bits(),
+            "{}: {} vs {}", entry.name, whole.cost.total_ms, prefix.cost.total_ms);
+        prop_assert_eq!(whole.trusted, prefix.trusted);
+        prop_assert_eq!(whole.saturated, prefix.saturated);
     }
 }

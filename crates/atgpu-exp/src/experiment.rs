@@ -74,13 +74,12 @@ pub type Runner = fn(&ExpConfig, Option<&Path>) -> Result<Section, ExpError>;
 pub type Experiment = (&'static str, &'static str, Runner);
 
 /// Every extension experiment, in `extensions.md` order.
-pub const EXPERIMENTS: [Experiment; 12] = [
+pub const EXPERIMENTS: [Experiment; 11] = [
     ("e1", "E1 out-of-core", |c, _| ext::e1_out_of_core(c)),
     ("e2", "E2 other GPUs", |c, _| ext::e2_other_gpus(c)),
     ("e3", "E3 bank conflicts", |c, _| ext::e3_bank_conflicts(c)),
     ("e4", "E4 occupancy", |c, _| ext::e4_occupancy(c)),
     ("e5", "E5 other problems", |c, _| ext::e5_other_problems(c)),
-    ("e6", "E6 calibration", |c, _| ext::e6_calibration(c)),
     ("e7", "E7 multi-device sharding", |c, _| ext::e7_multi_device(c)),
     ("e8", "E8 streams + heterogeneous shards", |c, _| ext::e8_streams(c)),
     ("e10", "E10 cost-driven pipeline planner", ext::e10_pipeline_planner),

@@ -12,7 +12,7 @@
 //! | [`figures::fig5`] | Fig. 5a/5b — matrix multiplication |
 //! | [`figures::fig6`] | Fig. 6a/6b/6c — transfer proportions ΔE vs ΔT |
 //! | [`figures::summary`] | §IV-D summary statistics |
-//! | [`figures::ext`] | the twelve extension experiments (`e1`…`e13`, no `e9`), one row each of [`EXPERIMENTS`] |
+//! | [`figures::ext`] | the eleven extension experiments (`e1`…`e13`, no `e6` or `e9`), one row each of [`EXPERIMENTS`] |
 //!
 //! Each runner produces [`series::Figure`] data that the [`report`]
 //! module renders as CSV / gnuplot / markdown files and the [`chart`]

@@ -222,16 +222,17 @@ fn run(args: &Args) -> Result<(), ExpError> {
     std::fs::create_dir_all(&args.out)?;
 
     println!("ATGPU experiment harness — machine {}, scale {:?}", cfg.machine, args.scale);
+    let params = cfg.spec.derived_cost_params();
     println!(
         "device: k'={}, H={}, clock={:.0} cycles/ms; params: γ={:.0} λ={} σ={}ms α={}ms β={:.2e}ms/word\n",
         cfg.spec.k_prime,
         cfg.spec.h_limit,
         cfg.spec.clock_cycles_per_ms,
-        cfg.params.gamma,
-        cfg.params.lambda,
-        cfg.params.sigma,
-        cfg.params.alpha,
-        cfg.params.beta,
+        params.gamma,
+        params.lambda,
+        params.sigma,
+        params.alpha,
+        params.beta,
     );
 
     if want(args, "table1") {

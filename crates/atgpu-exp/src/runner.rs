@@ -7,7 +7,7 @@ use atgpu_algos::{BuiltProgram, Plan, Workload};
 use atgpu_analyze::analyze_program;
 use atgpu_ir::Program;
 use atgpu_model::cost::{evaluate, CostModel};
-use atgpu_model::{plan, AtgpuMachine, ClusterSpec, CostParams, GpuSpec, ShardProfile};
+use atgpu_model::{plan, AtgpuMachine, ClusterSpec, GpuSpec, ShardProfile};
 use atgpu_sim::xfer::XferNoise;
 use atgpu_sim::{run_cluster_program, run_program, ClusterSimReport, SimConfig};
 use std::fmt::Write as _;
@@ -36,11 +36,9 @@ pub enum Scale {
 pub struct ExpConfig {
     /// The abstract machine (analysis side).
     pub machine: AtgpuMachine,
-    /// The simulated device (observation side).
+    /// The simulated device (observation side).  Its
+    /// [`GpuSpec::derived_cost_params`] price the predicted curves.
     pub spec: GpuSpec,
-    /// Cost parameters for the predicted curves (usually
-    /// [`GpuSpec::derived_cost_params`] or a fitted calibration).
-    pub params: CostParams,
     /// Simulator configuration.
     pub sim: SimConfig,
     /// Sweep scale.
@@ -48,14 +46,12 @@ pub struct ExpConfig {
 }
 
 impl ExpConfig {
-    /// The standard configuration: GTX 650-like machine + device, derived
-    /// cost parameters, deterministic 2 % transfer jitter.
+    /// The standard configuration: GTX 650-like machine + device,
+    /// deterministic 2 % transfer jitter.
     pub fn standard(scale: Scale) -> Self {
-        let spec = GpuSpec::gtx650_like();
         Self {
             machine: AtgpuMachine::gtx650_like(),
-            spec,
-            params: spec.derived_cost_params(),
+            spec: GpuSpec::gtx650_like(),
             sim: SimConfig {
                 noise: Some(XferNoise { rel: 0.02 }),
                 seed: 0x5EED,
@@ -76,8 +72,8 @@ impl ExpConfig {
 pub struct SweepRow {
     /// Problem size.
     pub n: u64,
-    /// ATGPU GPU-cost (Expression 2), in milliseconds with calibrated
-    /// parameters.
+    /// ATGPU GPU-cost (Expression 2), in milliseconds with the device's
+    /// derived parameters.
     pub atgpu_cost: f64,
     /// SWGPU baseline cost (no transfer terms).
     pub swgpu_cost: f64,
@@ -97,8 +93,9 @@ pub struct SweepRow {
 pub fn run_row(w: &dyn Workload, cfg: &ExpConfig) -> Result<SweepRow, ExpError> {
     let built = w.build(&cfg.machine)?;
     let metrics = analyze_program(&built.program, &cfg.machine)?.metrics();
-    let atgpu = evaluate(CostModel::GpuCost, &cfg.params, &cfg.machine, &cfg.spec, &metrics)?;
-    let swgpu = evaluate(CostModel::Swgpu, &cfg.params, &cfg.machine, &cfg.spec, &metrics)?;
+    let params = cfg.spec.derived_cost_params();
+    let atgpu = evaluate(CostModel::GpuCost, &params, &cfg.machine, &cfg.spec, &metrics)?;
+    let swgpu = evaluate(CostModel::Swgpu, &params, &cfg.machine, &cfg.spec, &metrics)?;
 
     let report = run_program(&built.program, built.inputs, &cfg.machine, &cfg.spec, &cfg.sim)?;
 

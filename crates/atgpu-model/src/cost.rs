@@ -25,8 +25,9 @@
 //! Expression (2) with a `max` over devices.  Three doors open it:
 //!
 //! * [`evaluate`] — the paper's four-model table for one device, priced
-//!   with the caller's [`CostParams`] (the calibration experiment passes
-//!   fitted ones);
+//!   with the caller's [`CostParams`] (a device's are its
+//!   `GpuSpec::derived_cost_params`; the hand-calculation tests pass unit
+//!   parameters);
 //! * [`cluster_cost_streamed`] — the core with per-device stream
 //!   schedules (`&[]` for all-serial devices; one device with no peers
 //!   is the single-GPU cost);

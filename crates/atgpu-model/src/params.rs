@@ -228,19 +228,18 @@ impl GpuSpec {
     }
 
     /// Derives abstract cost parameters from this specification — the
-    /// "calibrated" `CostParams` an analyst would use to predict this GPU.
-    /// (`atgpu-calibrate` recovers very similar values by regression over
-    /// simulated microbenchmarks, mirroring how Boyer et al. fit `α`, `β`
-    /// on real hardware.)
+    /// `CostParams` an analyst would use to predict this GPU, and the one
+    /// source of them: `γ` is the clock, `σ`, `α` and `β` are the
+    /// device's own sync and link constants (Boyer et al.'s `α + β·w`).
     ///
     /// `λ` subtlety: the paper quotes the *raw* access latency ("400–800
     /// cycles"), but the cost function charges `λ` once per block
     /// transaction with no overlap, so a prediction-grade `λ` must be the
     /// **effective** cost per transaction under latency hiding — the
-    /// memory pipe's issue interval.  Calibrating `λ` from a streaming
-    /// (bandwidth-bound) microbenchmark yields exactly this value; a
-    /// single-warp pointer chase yields the raw latency instead (see
-    /// `atgpu-calibrate`, which fits both).
+    /// memory pipe's issue interval.  On the simulator a streaming
+    /// (bandwidth-bound) kernel's per-transaction slope is this value,
+    /// while a single warp's dependent accesses each cost the raw latency
+    /// instead (`atgpu-sim`'s `tests/dram_slopes.rs` checks both).
     pub fn derived_cost_params(&self) -> CostParams {
         CostParams {
             gamma: self.clock_cycles_per_ms,

@@ -84,7 +84,10 @@
 //!    without recomputation.
 //! 2. **Analytic** — [`atgpu_analyze::predict`]: the program is
 //!    analysed per device and priced through the streamed cluster cost
-//!    model — microseconds, no simulation.  The analytic path is only
+//!    model — microseconds, no simulation.  Only the devices up to the
+//!    last one a step names are analysed: an idle device adds nothing to
+//!    a round's `max`, so a one-device program priced on a thousand-device
+//!    what-if spec costs what it costs on one.  The analytic path is only
 //!    trusted when the analysis is **exact** (`Prediction::trusted`:
 //!    every transaction count statically known, no shared-memory bank
 //!    conflicts); otherwise the query falls through — unless a count
@@ -371,12 +374,24 @@ impl CostServer {
         let machine = *self.cluster.machine();
         let key = self.keys.quote(pkey, spec, &machine);
         self.memo.quote_with(key, || {
+            // Devices past the last one a step names are idle: each adds
+            // a 0.0 path to every round's `max`, so the analysis runs on
+            // the prefix the program names and the quote is the same bits.
+            let named = program.max_device() as usize + 1;
+            let sub;
+            let priced = if named < spec.n_devices() {
+                let alive: Vec<bool> = (0..spec.n_devices()).map(|d| d < named).collect();
+                sub = spec.surviving(&alive).0;
+                &sub
+            } else {
+                spec
+            };
             // Analytic fast path: only trusted when the analysis is exact;
             // an analysis or cost error falls through to simulation too.
             // A saturated count stays here whatever its trust: it names a
             // run past 2⁶⁴ steps, which the watchdog (off by default)
             // would never stop.
-            if let Ok(p) = predict(program, &machine, spec) {
+            if let Ok(p) = predict(program, &machine, priced) {
                 if p.trusted || p.saturated {
                     let source = PriceSource::Analytic;
                     return Ok(Quote { total_ms: p.cost.total_ms, source });

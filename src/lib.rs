@@ -4,7 +4,8 @@
 //! downstream user can `cargo add atgpu` and reach every subsystem:
 //!
 //! * [`model`] — the ATGPU analytical model (machines, metrics, cost
-//!   functions, Table I);
+//!   functions, Table I); a device's cost parameters are derived from
+//!   its `GpuSpec`, the one source of every model constant;
 //! * [`ir`] — the kernel IR / pseudocode DSL with the paper's transfer
 //!   operators;
 //! * [`analyze`] — the static analyser deriving model metrics from IR;
@@ -17,7 +18,6 @@
 //!   `EngineSel::Reference` for differential testing;
 //! * [`algos`] — the evaluated workloads (vector addition, reduction,
 //!   matrix multiplication, and the extension workloads);
-//! * [`calibrate`] — cost-parameter fitting from microbenchmarks;
 //! * [`exp`] — the experiment harness regenerating the paper's tables and
 //!   figures;
 //! * [`serve`] — the multi-tenant cost-query service: a shared-cluster
@@ -65,7 +65,6 @@
 
 pub use atgpu_algos as algos;
 pub use atgpu_analyze as analyze;
-pub use atgpu_calibrate as calibrate;
 pub use atgpu_exp as exp;
 pub use atgpu_ir as ir;
 pub use atgpu_model as model;
