@@ -59,6 +59,12 @@
 //!    buffers.  The benchmark's `sim.xfer_*` replay copies untagged
 //!    slices, which are always copied, so this is where skipped chunks
 //!    show.
+//! 7. **Threads** — what `SimConfig::device_threads` buys: best and
+//!    median ms of `run_cluster_program` on eight sharded programs, from
+//!    a 4k vector addition over four devices to a 256² matrix product,
+//!    with device threads off (the plan in order on the caller's thread)
+//!    and on (whole devices dealt to at most one worker per host core),
+//!    runs alternating.
 
 use atgpu_algos::bitonic::BitonicSort;
 use atgpu_algos::dot::Dot;
@@ -108,6 +114,9 @@ const LAUNCH_REPLAYS: usize = 100;
 
 /// Runs of each program in section 6.
 const TRANSFER_REPLAYS: usize = 30;
+
+/// Runs of each program per side in section 7.
+const THREAD_REPLAYS: usize = 15;
 
 /// The system allocator, counting the calls of a thread inside
 /// [`allocations`] (section 5).
@@ -741,6 +750,7 @@ fn main() {
     front_end(&cfg);
     launch_cost(&cfg);
     transfers(&cfg, &interleaved);
+    threads(&cfg);
 }
 
 /// How a [`staged`] program moves its state between host and devices.
@@ -1005,6 +1015,61 @@ fn transfers(cfg: &ExpConfig, interleaved: &str) {
             "{:<34} {best:>9.1} {priced:>9} {copied:>9} {share:>6.1}% {first_faults:>7} \
              {minflt:>7.0} {floor:>9.1}",
             r.name
+        );
+    }
+}
+
+/// Section 7: each program's `run_cluster_program` with device threads
+/// off and on, runs alternating so both sides see the same host.
+fn threads(cfg: &ExpConfig) {
+    let m = &cfg.machine;
+    let s = |k: u64| 0x9E37_79B9u64 + 700 + k;
+    let programs: Vec<(&str, BuiltProgram, usize)> = vec![
+        ("vecadd 4k x 4", VecAdd::new(1 << 12, s(1)).build_sharded(m, 4).unwrap(), 4),
+        ("vecadd 256k x 2", VecAdd::new(256 << 10, s(2)).build_sharded(m, 2).unwrap(), 2),
+        ("matmul 64 x 2", MatMul::new(64, s(3)).build_sharded(m, 2).unwrap(), 2),
+        ("matmul 256 x 2", MatMul::new(256, s(4)).build_sharded(m, 2).unwrap(), 2),
+        ("matmul 256 x 4", MatMul::new(256, s(4)).build_sharded(m, 4).unwrap(), 4),
+        ("histogram 32k x 4", Histogram::new(32 << 10, m.b, s(5)).build_sharded(m, 4).unwrap(), 4),
+        ("scan 64k x 4", Scan::new(64 << 10, s(6)).build_sharded(m, 4).unwrap(), 4),
+        (
+            "stencil 8k x 8 rounds x 4",
+            Stencil::new(8 << 10, s(7)).build_sharded(m, 4, 8).unwrap(),
+            4,
+        ),
+    ];
+    println!(
+        "\nthreads (run_cluster_program, {THREAD_REPLAYS} runs per side alternating, {} host cores)",
+        atgpu_sim::cluster::host_parallelism()
+    );
+    println!(
+        "{:<26} {:>10} {:>10} {:>10} {:>10} {:>8}",
+        "program", "inline_ms", "(median)", "thread_ms", "(median)", "speedup"
+    );
+    for (name, built, devices) in &programs {
+        let cluster = ClusterSpec::homogeneous(*devices, cfg.spec);
+        let run = |device_threads| {
+            let config = SimConfig { device_threads, ..SimConfig::default() };
+            let inputs = built.inputs.clone();
+            let t = Instant::now();
+            black_box(run_cluster_program(&built.program, inputs, m, &cluster, &config).unwrap());
+            t.elapsed().as_secs_f64() * 1e3
+        };
+        let (mut inline, mut threaded) = (Vec::new(), Vec::new());
+        for _ in 0..THREAD_REPLAYS {
+            inline.push(run(false));
+            threaded.push(run(true));
+        }
+        inline.sort_by(f64::total_cmp);
+        threaded.sort_by(f64::total_cmp);
+        let median = THREAD_REPLAYS / 2;
+        println!(
+            "{name:<26} {:>10.3} {:>10.3} {:>10.3} {:>10.3} {:>7.2}x",
+            inline[0],
+            inline[median],
+            threaded[0],
+            threaded[median],
+            inline[median] / threaded[median]
         );
     }
 }

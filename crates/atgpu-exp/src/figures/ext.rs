@@ -24,7 +24,7 @@ use atgpu_algos::Workload;
 use atgpu_analyze::{analyze_program, predict};
 use atgpu_model::cost::{evaluate, CostModel};
 use atgpu_model::{occupancy, plan, AtgpuMachine, ClusterSpec, GpuSpec};
-use atgpu_sim::run_program;
+use atgpu_sim::{chrome_trace_json, run_program};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -615,7 +615,7 @@ pub fn e10_pipeline_planner(cfg: &ExpConfig, trace: Option<&Path>) -> Result<Sec
             }
         }
     }
-    export_trace(&mut out, "", trace, || atgpu_sim::sim_report_trace_json(&r_traced))?;
+    export_trace(&mut out, "", trace, || r_traced.trace.as_ref().map(chrome_trace_json))?;
     let _ = writeln!(
         out,
         "Timeline trace: traced run bit-identical to untraced: {}; {} spans recorded, \
@@ -860,7 +860,7 @@ pub fn e11_fault_tolerance(cfg: &ExpConfig, trace: Option<&Path>) -> Result<Sect
             priced += 1;
         }
     }
-    export_trace(&mut out, "\n", trace, || atgpu_sim::cluster_report_trace_json(&traced))?;
+    export_trace(&mut out, "\n", trace, || traced.trace.as_ref().map(chrome_trace_json))?;
     let _ = writeln!(
         out,
         "\nTraced chaos run: bit-identical to untraced: {}; {} spans recorded \
@@ -1115,7 +1115,7 @@ pub fn e13_peer_aware_planner(cfg: &ExpConfig, trace: Option<&Path>) -> Result<S
         run_cluster_program(&built.program, built.inputs.clone(), machine, &cluster, &sim)?;
     let identical = traced.output(built.outputs[0]) == aware.report.output(built.outputs[0]);
     let n_spans = traced.trace.as_ref().map(|t| t.spans.len()).unwrap_or(0);
-    export_trace(&mut out, "\n", trace, || atgpu_sim::cluster_report_trace_json(&traced))?;
+    export_trace(&mut out, "\n", trace, || traced.trace.as_ref().map(chrome_trace_json))?;
     let _ = writeln!(
         out,
         "\nTraced peer-aware run: bit-identical to untraced: {}; {n_spans} spans recorded.\n",

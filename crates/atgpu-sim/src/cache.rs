@@ -194,6 +194,7 @@ impl KernelCache {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use atgpu_ir::{AddrExpr, DBuf, KernelBuilder, Operand};

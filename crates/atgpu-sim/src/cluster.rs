@@ -13,25 +13,29 @@
 //! ## Determinism
 //!
 //! The model leaves cross-block visibility inside a launch undefined, and
-//! a device's replica is private: only its own shards write it.  So a
-//! program run's launch keeps a write log **only where something reads
-//! it** — `run_sharded_launch` is the one place that decides:
+//! a device's replica is private: only its own shards write it.  A
+//! program run's launch has **one dispatch** (`run_launch`): every
+//! device runs its own shards in plan order against its own replica, on
+//! the caller's thread or — with [`SimConfig::device_threads`] — whole
+//! devices dealt to at most [`host_parallelism`] scoped workers, so one
+//! device never runs two shards of a launch at once.  It keeps a write
+//! log **only where something reads it**:
 //!
-//! * nothing reads a log (the default): every device runs its shards
-//!   back to back in plan order through the one launch body, **written
-//!   through** to its own replica — the same launch, word for word, that
-//!   a lone device runs, which is why [`crate::run_program`] *is* the
-//!   one-device cluster;
+//! * nothing reads a log (the default): every shard runs through the one
+//!   launch body **written through** to its device's replica — the same
+//!   launch, word for word, that a lone device runs, which is why
+//!   [`crate::run_program`] *is* the one-device cluster;
 //! * the fault journal (a fault plan on more than one device — the only
 //!   case with takeover shards) reads one: each shard executes against
 //!   its device's pre-launch memory and logs its global writes; the log
 //!   is journaled and merged **in thread-block order** by
 //!   [`crate::device::apply_write_log`].
 //!
-//! Block indices are globally unique across shards, so either way the
+//! Block indices are globally unique across shards, and statistics are
+//! booked (and a failure reported) in plan order, so either way the
 //! result is bit-identical to a single-device launch of the same grid —
-//! regardless of the device count, the shard boundaries, or how
-//! simulation threads interleave.  `tests/roster_plans.rs` pins the two
+//! regardless of the device count, the shard boundaries, or how the
+//! devices were dealt to threads.  `tests/roster_plans.rs` pins the two
 //! disciplines equal on every workload × plan cell.  The race detector
 //! and the reference interpreter are launch-level oracles:
 //! [`Cluster::run_sharded_kernel`] (one shared memory, always logged,
@@ -57,6 +61,8 @@ use crate::xfer::TransferEngine;
 use crate::{EngineSel, SimConfig};
 use atgpu_ir::{Kernel, Program, Shard};
 use atgpu_model::{plan, AtgpuMachine, ClusterSpec, ShardProfile};
+use std::ops::Range;
+use std::thread::Builder;
 
 /// A simulated multi-GPU system.
 ///
@@ -232,8 +238,15 @@ pub struct ClusterRoundObservation {
 impl ClusterRoundObservation {
     /// The round's wall-clock time: `σ + max_d path_d`.
     pub fn total_ms(&self) -> f64 {
-        self.sync_ms + self.devices.iter().map(DeviceRoundObservation::path_ms).fold(0.0, f64::max)
+        round_ms(self.sync_ms, &self.devices)
     }
+}
+
+/// A round's wall-clock time, `σ + max_d path_d` — what
+/// [`ClusterRoundObservation::total_ms`] reports and the trace's round
+/// starts add up.
+pub(crate) fn round_ms(sync_ms: f64, devices: &[DeviceRoundObservation]) -> f64 {
+    sync_ms + devices.iter().map(DeviceRoundObservation::path_ms).fold(0.0, f64::max)
 }
 
 /// The result of simulating a program on a cluster.
@@ -246,9 +259,8 @@ pub struct ClusterSimReport {
     /// Per-device counters after the run (kernel-cache hits/misses),
     /// indexed by device — observability only.
     pub device_stats: Vec<DeviceStats>,
-    /// Recorded timeline spans when [`SimConfig::trace`] was on
-    /// (`None` otherwise); export with
-    /// [`crate::trace::cluster_report_trace_json`].
+    /// The run's timeline record when [`SimConfig::trace`] was on
+    /// (`None` otherwise); export with [`crate::trace::chrome_trace_json`].
     pub trace: Option<crate::trace::Trace>,
 }
 
@@ -313,10 +325,9 @@ impl ClusterSimReport {
     }
 }
 
-/// Host CPUs available for shard threads, probed once.  On a single-core
-/// host threaded dispatch is pure overhead, so [`crate::SimConfig`]'s
-/// default enables it only when this exceeds 1 (an explicit
-/// `device_threads: true` always threads).
+/// Host CPUs available for a launch's workers, probed once: a threaded
+/// launch never starts more workers than this, and [`crate::SimConfig`]'s
+/// default enables [`SimConfig::device_threads`] only when it exceeds 1.
 pub fn host_parallelism() -> usize {
     static P: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
     *P.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
@@ -327,57 +338,69 @@ fn link_seed(seed: u64, idx: u64) -> u64 {
     seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(idx.wrapping_add(1))
 }
 
-/// Maps `items` through `map` on at most `threads` scoped OS threads and
-/// returns the results in item order, or the first error in item order.
-/// Each worker is handed a contiguous run of the items and owns it — so
-/// an item may carry a `&mut` — and the runs' results concatenate back in
-/// order; one worker runs inline and stops at the first error.  A
-/// panicking worker surfaces as [`SimError::WorkerPanic`] naming `what` —
-/// a simulation panic never propagates into the caller.
-fn map_on_threads<I: Send, T: Send>(
-    mut items: impl ExactSizeIterator<Item = I>,
-    threads: usize,
-    what: std::fmt::Arguments<'_>,
-    map: impl Fn(I) -> Result<T, SimError> + Sync,
-) -> Result<Vec<T>, SimError> {
-    let n = items.len();
-    let threads = threads.min(n);
-    if threads <= 1 {
-        return items.map(map).collect();
-    }
-    let per_worker = n.div_ceil(threads);
-    let worker_panic = |_| SimError::WorkerPanic { context: what.to_string() };
-    std::thread::scope(|s| -> Result<Vec<T>, SimError> {
-        let map = &map;
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                let hand: Vec<I> = items.by_ref().take(per_worker).collect();
-                s.spawn(move || hand.into_iter().map(map).collect::<Vec<_>>())
-            })
-            .collect();
-        let mut out = Vec::with_capacity(n);
-        for h in handles {
-            out.extend(h.join().map_err(worker_panic)?);
-        }
-        out.into_iter().collect()
-    })
+/// The devices each worker of a threaded launch holds: the devices
+/// holding `shards` dealt contiguously, by index, to at most
+/// `min(devices holding shards, cores)` workers — whole devices, so one
+/// device's shards always run on one worker.  Each range also covers the
+/// idle devices up to the next worker's first; together they tile
+/// `0..devices`.
+fn deal(devices: usize, shards: &[Shard], cores: usize) -> Vec<Range<usize>> {
+    let mut holders: Vec<usize> = shards.iter().map(|s| s.device as usize).collect();
+    holders.sort_unstable();
+    holders.dedup();
+    let per = holders.len().div_ceil(cores.max(1)).max(1);
+    let mut bounds = vec![0];
+    bounds.extend(holders.iter().skip(per).step_by(per));
+    bounds.push(devices);
+    bounds.windows(2).map(|w| w[0]..w[1]).collect()
 }
 
-/// Runs one (possibly sharded) launch of a program run, and is the one
-/// place its write target is chosen — by asking what will read a write
-/// log, never by which entry point was called.  Only the fault journal
-/// does ([`Ledger::journals`], which is also the only case with takeover
-/// shards); without it no log exists and the launch is
-/// [written through](run_written_through).  Otherwise each shard executes
-/// against its own device's replica and logs its writes, then every
-/// device journals and merges its own writes in block order.
+/// Runs each job on its own scoped OS thread and returns the results in
+/// job order — the one place the simulator starts threads; callers hand
+/// it at most [`host_parallelism`] jobs.  A job that panics, or a thread
+/// the OS refuses to start, is a [`SimError::WorkerPanic`] naming
+/// `what`: neither reaches the caller as a panic.
+fn on_threads<T: Send>(
+    jobs: impl IntoIterator<Item = impl FnOnce() -> T + Send>,
+    what: std::fmt::Arguments<'_>,
+) -> Result<Vec<T>, SimError> {
+    std::thread::scope(|s| {
+        // Every started thread is joined, so none is left to panic the
+        // scope.
+        let started: Vec<_> =
+            jobs.into_iter().map(|job| Builder::new().spawn_scoped(s, job)).collect();
+        started.into_iter().map(|h| h.ok().and_then(|h| h.join().ok())).collect::<Option<_>>()
+    })
+    .ok_or_else(|| SimError::WorkerPanic { context: what.to_string() })
+}
+
+/// Runs one (possibly sharded) launch of a program run — the one launch
+/// dispatch.
 ///
-/// With [`SimConfig::device_threads`] set every shard is
-/// simulated on its own scoped OS thread; statistics come back and are
-/// booked in shard-plan order and the logs merge through the shared
-/// block-order [`apply_write_log`], so the outcome is bit-identical to
-/// sequential dispatch.
-fn run_sharded_launch(
+/// * A dead device's shards are re-apportioned over the survivors by the
+///   model's takeover rule ([`plan::takeover_units`]); block indices stay
+///   globally unique, so the result stays bit-identical to the
+///   fault-free plan.
+/// * The write target is chosen by asking what will read a write log,
+///   never by which entry point was called.  Only the fault journal does
+///   ([`Ledger::journals`], which is also the only case with takeover
+///   shards).  Without it every shard writes straight through to its
+///   device's replica — no snapshot, no [`WriteRec`], no merge, and
+///   nothing allocated that a lone device's launch would not allocate.
+///   With it every shard reads its device's pre-launch replica and logs;
+///   each surviving device then journals its own writes plus every
+///   takeover shard's, and merges them in block order
+///   ([`apply_write_log`]), so redirected outputs and later recoveries
+///   can be served from any survivor.
+/// * Each device runs its own shards in plan order.  With
+///   [`SimConfig::device_threads`] set, whole devices are dealt
+///   contiguously to at most `min(devices holding shards,
+///   host_parallelism())` scoped workers ([`deal`]); otherwise the plan
+///   runs in order on the caller's thread.
+/// * Statistics are booked in plan order, and the error returned is the
+///   first failing shard's in plan order — so the outcome is
+///   bit-identical however the devices were dealt.
+fn run_launch(
     cluster: &Cluster,
     config: &SimConfig,
     kernel: &Kernel,
@@ -385,118 +408,113 @@ fn run_sharded_launch(
     gmems: &mut [GlobalMemory],
     ledger: &mut Ledger,
 ) -> Result<(), SimError> {
-    if !ledger.journals() {
-        return run_written_through(cluster, config, kernel, shards, gmems, ledger);
-    }
-    // A dead device's shards are re-apportioned over the survivors by
-    // the model's takeover rule; the takeover shards' writes are
-    // applied to *every* alive device so redirected outputs (and later
-    // recoveries) can be served from any survivor.  Block indices stay
-    // globally unique, so the block-order merge keeps the result
-    // bit-identical to the fault-free plan.
-    let mut live: Vec<Shard> = Vec::with_capacity(shards.len());
-    let mut is_recovery: Vec<bool> = Vec::with_capacity(shards.len());
-    for sh in shards {
-        match ledger.liveness() {
-            Some(alive) if !alive[sh.device as usize] => {
-                let take =
-                    plan::takeover_units(&cluster.spec, &cluster.machine, alive, sh.blocks());
-                for rs in counts_to_shards(&take) {
-                    live.push(Shard {
-                        device: rs.device,
-                        start: sh.start + rs.start,
-                        end: sh.start + rs.end,
-                    });
-                    is_recovery.push(true);
-                }
-            }
-            _ => {
-                live.push(*sh);
-                is_recovery.push(false);
+    let replanned;
+    let (shards, takeover): (&[Shard], &[bool]) = match ledger.liveness() {
+        Some(alive) if shards.iter().any(|s| !alive[s.device as usize]) => {
+            replanned = take_over(cluster, alive, shards);
+            (&replanned.0, &replanned.1)
+        }
+        _ => (shards, &[]),
+    };
+    let logged = ledger.journals();
+    // One worker's share: in plan order, every shard on a device of
+    // `first..first + mems.len()`, against that device's replica, until
+    // the first failure.
+    let share = |first: usize, mems: &mut [GlobalMemory], done: &mut dyn FnMut(usize, Run)| {
+        for (i, s) in shards.iter().enumerate() {
+            let Some(d) = (s.device as usize).checked_sub(first).filter(|&d| d < mems.len()) else {
+                continue;
+            };
+            let mut log = Vec::new();
+            let target = if logged {
+                GmemAccess::Logged { base: &mems[d], log: &mut log }
+            } else {
+                GmemAccess::Direct(&mut mems[d])
+            };
+            let device = &cluster.devices[s.device as usize];
+            let range = (s.start, s.end);
+            let run =
+                device.launch(kernel, target, EngineSel::MicroOp, range, config.watchdog_cycles);
+            let failed = run.is_err();
+            done(i, run.map(|stats| (stats, log)));
+            if failed {
+                break;
             }
         }
-    }
-
-    let mut logs: Vec<Vec<WriteRec>> = (0..gmems.len()).map(|_| Vec::new()).collect();
-    let mut recovery_log: Vec<WriteRec> = Vec::new();
-    let threads = if config.device_threads { live.len() } else { 1 };
-    let gm = &*gmems;
-    let what = format_args!("simulating shards of kernel `{}`", kernel.name);
-    let outcomes = map_on_threads(live.iter(), threads, what, |s| {
-        let (d, range, mut log) = (s.device as usize, (s.start, s.end), Vec::new());
-        let target = GmemAccess::Logged { base: &gm[d], log: &mut log };
-        let stats = cluster.devices[d].launch(
-            kernel,
-            target,
-            EngineSel::MicroOp,
-            range,
-            config.watchdog_cycles,
-        )?;
-        Ok((stats, log))
-    })?;
-    for ((shard, rec), (stats, mut log)) in live.iter().zip(&is_recovery).zip(outcomes) {
-        let d = shard.device as usize;
-        if *rec {
-            recovery_log.append(&mut log);
-        } else {
-            logs[d].append(&mut log);
+    };
+    // Books each shard in plan order up to the first failure, which it
+    // keeps; a takeover shard's log goes to every survivor.
+    let (mut failure, mut takeover_log) = (None, Vec::new());
+    let mut logs = vec![Vec::new(); if logged { gmems.len() } else { 0 }];
+    let mut book = |i: usize, run: Run| match run {
+        Ok((stats, mut log)) if failure.is_none() => {
+            let d = shards[i].device as usize;
+            ledger.kernel_done(d, shards[i].blocks(), &stats);
+            if logged {
+                let taken = takeover.get(i) == Some(&true);
+                let to = if taken { &mut takeover_log } else { &mut logs[d] };
+                to.append(&mut log);
+            }
         }
-        ledger.kernel_done(d, shard.blocks(), &stats);
+        Ok(_) => {}
+        Err(e) => {
+            failure.get_or_insert(e);
+        }
+    };
+    let threaded = config.device_threads && shards.len() > 1;
+    let workers = if threaded { deal(gmems.len(), shards, host_parallelism()) } else { vec![] };
+    if workers.len() <= 1 {
+        share(0, gmems, &mut book);
+    } else {
+        let mut rest = &mut *gmems;
+        let jobs = workers.into_iter().map(|devs| {
+            let (mems, others) = std::mem::take(&mut rest).split_at_mut(devs.len());
+            rest = others;
+            let share = &share;
+            move || {
+                let mut runs = Vec::new();
+                share(devs.start, mems, &mut |i, run| runs.push((i, run)));
+                runs
+            }
+        });
+        let what = format_args!("simulating shards of kernel `{}`", kernel.name);
+        let mut runs: Vec<_> = on_threads(jobs, what)?.into_iter().flatten().collect();
+        runs.sort_unstable_by_key(|&(i, _)| i);
+        runs.into_iter().for_each(|(i, run)| book(i, run));
+    }
+    if let Some(e) = failure {
+        return Err(e);
     }
     for (d, mut log) in logs.into_iter().enumerate() {
-        if !ledger.alive(d) {
-            continue;
-        }
-        log.extend(recovery_log.iter().copied());
-        if !log.is_empty() {
-            ledger.journal_writes(d, &log);
-            apply_write_log(kernel, &mut gmems[d], log, false)?;
+        if ledger.alive(d) {
+            log.extend_from_slice(&takeover_log);
+            if !log.is_empty() {
+                ledger.journal_writes(d, &log);
+                apply_write_log(kernel, &mut gmems[d], log, false)?;
+            }
         }
     }
     Ok(())
 }
 
-/// The launch when nothing reads a write log: every device runs its
-/// shards back to back in plan order through the one launch body
-/// ([`Device::launch`]), written through to its own replica — no
-/// snapshot, no [`WriteRec`], no merge, and nothing allocated that a lone
-/// device's launch would not allocate.
-///
-/// Threaded dispatch hands each worker its shard *and* that shard's
-/// replica, so it needs several shards on distinct devices; a plan naming
-/// a device twice (hand-written plans only) cannot be dealt out and runs
-/// inline, like a launch of one shard.
-fn run_written_through(
-    cluster: &Cluster,
-    config: &SimConfig,
-    kernel: &Kernel,
-    shards: &[Shard],
-    gmems: &mut [GlobalMemory],
-    ledger: &mut Ledger,
-) -> Result<(), SimError> {
-    let run = |s: &Shard, gmem: &mut GlobalMemory| {
-        let device = &cluster.devices[s.device as usize];
-        let (target, range) = (GmemAccess::Direct(gmem), (s.start, s.end));
-        device.launch(kernel, target, EngineSel::MicroOp, range, config.watchdog_cycles)
-    };
-    if config.device_threads && shards.len() > 1 {
-        let mut free: Vec<_> = gmems.iter_mut().map(Some).collect();
-        let owned: Vec<_> =
-            shards.iter().filter_map(|s| Some((s, free[s.device as usize].take()?))).collect();
-        if owned.len() == shards.len() {
-            let what = format_args!("simulating shards of kernel `{}`", kernel.name);
-            let done = map_on_threads(owned.into_iter(), shards.len(), what, |(s, g)| run(s, g))?;
-            for (s, stats) in shards.iter().zip(&done) {
-                ledger.kernel_done(s.device as usize, s.blocks(), stats);
-            }
-            return Ok(());
+/// A shard's run: its statistics and, when logged, its write log.
+type Run = Result<(KernelStats, Vec<WriteRec>), SimError>;
+
+/// `shards` with each dead device's shard replaced, in place, by the
+/// survivors' takeover shards of its blocks, and the takeover marks.
+fn take_over(cluster: &Cluster, alive: &[bool], shards: &[Shard]) -> (Vec<Shard>, Vec<bool>) {
+    let mut live = Vec::with_capacity(shards.len());
+    for sh in shards {
+        if alive[sh.device as usize] {
+            live.push((*sh, false));
+            continue;
         }
+        let take = plan::takeover_units(&cluster.spec, &cluster.machine, alive, sh.blocks());
+        live.extend(counts_to_shards(&take).into_iter().map(|rs| {
+            (Shard { device: rs.device, start: sh.start + rs.start, end: sh.start + rs.end }, true)
+        }));
     }
-    for s in shards {
-        let stats = run(s, &mut gmems[s.device as usize])?;
-        ledger.kernel_done(s.device as usize, s.blocks(), &stats);
-    }
-    Ok(())
+    live.into_iter().unzip()
 }
 
 /// Simulates `program` on a cluster built from `machine` + `cluster`.
@@ -577,7 +595,7 @@ pub(crate) fn run_on(
 
     let rounds =
         run_rounds(program, &mut host, &mut gmems, &mut links, |k, shards, gm, ledger| {
-            run_sharded_launch(cluster, config, k, shards, gm, ledger)
+            run_launch(cluster, config, k, shards, gm, ledger)
         })?;
 
     let mut device_stats: Vec<DeviceStats> = cluster.devices.iter().map(Device::stats).collect();
@@ -590,8 +608,10 @@ pub(crate) fn run_on(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
+    use crate::SpanKind;
     use atgpu_ir::{AddrExpr, AluOp, HostStep, KernelBuilder, Operand, ProgramBuilder};
     use atgpu_model::GpuSpec;
 
@@ -632,33 +652,166 @@ mod tests {
     }
 
     #[test]
-    fn map_on_threads_keeps_item_order_and_types_its_failures() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        for threads in [0, 1, 3, 8] {
-            let out = map_on_threads(0..5, threads, format_args!("t"), |i| Ok(i * 10)).unwrap();
-            assert_eq!(out, vec![0, 10, 20, 30, 40], "threads={threads}");
-        }
-        // The first error in item order wins; inline, it also stops the
-        // remaining items.
-        let fail_from_1 = |i: usize| match i {
-            0 => Ok(i),
-            _ => Err(SimError::Watchdog { kernel: i.to_string(), budget: 0 }),
-        };
-        for threads in [1, 2] {
-            let ran = AtomicUsize::new(0);
-            let err = map_on_threads(0..4, threads, format_args!("t"), |i| {
-                ran.fetch_add(1, Ordering::Relaxed);
-                fail_from_1(i)
-            });
-            assert!(matches!(err, Err(SimError::Watchdog { ref kernel, .. }) if kernel == "1"));
-            assert_eq!(ran.into_inner(), if threads == 1 { 2 } else { 4 });
-        }
-        // A worker panic is a typed error naming the work.
-        let err = map_on_threads(0..3, 3, format_args!("probing"), |i| match i {
-            2 => panic!("boom"),
-            _ => Ok(i),
-        });
+    fn on_threads_keeps_job_order_and_types_its_failures() {
+        let jobs = (0..3).map(|i| move || i * 10);
+        assert_eq!(on_threads(jobs, format_args!("t")).unwrap(), vec![0, 10, 20]);
+        // A panicking job is a typed error naming the work, and the
+        // other jobs are still joined.
+        let jobs = (0..3).map(|i| move || if i == 1 { panic!("boom") } else { i });
+        let err = on_threads(jobs, format_args!("probing"));
         assert!(matches!(err, Err(SimError::WorkerPanic { ref context }) if context == "probing"));
+    }
+
+    /// The worker-count rule, as the pure function it is: whole devices,
+    /// dealt contiguously, never more workers than cores or than devices
+    /// holding shards.
+    #[test]
+    fn a_launch_deals_whole_devices_to_at_most_one_worker_per_core() {
+        let on = |devices: &[u32]| -> Vec<Shard> {
+            devices.iter().map(|&device| Shard { device, start: 0, end: 1 }).collect()
+        };
+        let thousand: Vec<u32> = (0..1000).collect();
+        assert_eq!(deal(1000, &on(&thousand), 2), vec![0..500, 500..1000]);
+        assert_eq!(deal(1000, &on(&thousand), 1), vec![0..1000]);
+        // Idle devices go with the worker before them; a device named
+        // twice is one device.
+        assert_eq!(deal(7, &on(&[0, 3, 5, 0]), 2), vec![0..5, 5..7]);
+        assert_eq!(deal(7, &on(&[5, 0, 3]), 8), vec![0..3, 3..5, 5..7]);
+        assert_eq!(deal(3, &on(&[1, 1]), 4), vec![0..3]);
+        assert_eq!(deal(3, &[], 4), vec![0..3]);
+        for n in 1..12u32 {
+            for cores in 1..6 {
+                let held: Vec<u32> = (0..n).filter(|d| d % 3 != 1).collect();
+                let ranges = deal(n as usize, &on(&held), cores);
+                let label = format!("n={n} cores={cores}: {ranges:?}");
+                assert_eq!(ranges.first().map(|r| r.start), Some(0), "{label}");
+                assert_eq!(ranges.last().map(|r| r.end), Some(n as usize), "{label}");
+                assert!(ranges.windows(2).all(|w| w[0].end == w[1].start), "{label}");
+                assert!(ranges.len() <= held.len().min(cores).max(1), "{label}");
+                let holds = |r: &Range<usize>| held.iter().any(|&d| r.contains(&(d as usize)));
+                assert!(held.is_empty() || ranges.iter().all(holds), "{label}");
+            }
+        }
+    }
+
+    /// A vecadd of `n` words on `b = 4`-lane blocks whose launch runs
+    /// over `shards`: each shard's device receives its slices of A and
+    /// B and returns its slice of C.
+    fn vecadd_over(n: u64, shards: Vec<Shard>) -> (Program, atgpu_ir::HBuf) {
+        let b = 4u64;
+        let mut pb = ProgramBuilder::new("vecadd_sharded");
+        let ha = pb.host_input("A", n);
+        let hb = pb.host_input("B", n);
+        let hc = pb.host_output("C", n);
+        let da = pb.device_alloc("a", n);
+        let db = pb.device_alloc("b", n);
+        let dc = pb.device_alloc("c", n);
+        let mut kb = KernelBuilder::new("vecadd_kernel", n / b, 3 * b);
+        let bi = b as i64;
+        let g = AddrExpr::block() * bi + AddrExpr::lane();
+        kb.glb_to_shr(AddrExpr::lane(), da, g.clone());
+        kb.glb_to_shr(AddrExpr::lane() + bi, db, g.clone());
+        kb.ld_shr(0, AddrExpr::lane());
+        kb.ld_shr(1, AddrExpr::lane() + bi);
+        kb.alu(AluOp::Add, 2, Operand::Reg(0), Operand::Reg(1));
+        kb.st_shr(AddrExpr::lane() + 2 * bi, Operand::Reg(2));
+        kb.shr_to_glb(dc, g, AddrExpr::lane() + 2 * bi);
+        pb.begin_round();
+        for s in &shards {
+            let (off, words) = (s.start * b, s.blocks() * b);
+            pb.transfer_in_to(s.device, ha, off, da, off, words);
+            pb.transfer_in_to(s.device, hb, off, db, off, words);
+        }
+        pb.launch_sharded(kb.build(), shards.clone());
+        for s in &shards {
+            let (off, words) = (s.start * b, s.blocks() * b);
+            pb.transfer_out_from(s.device, dc, off, hc, off, words);
+        }
+        (pb.build().unwrap(), hc)
+    }
+
+    fn sharded_vecadd_program(n: u64, devices: u32) -> (Program, atgpu_ir::HBuf) {
+        vecadd_over(n, even_shards(n / 4, devices))
+    }
+
+    /// A hand-written plan naming one device twice runs through the one
+    /// dispatch: threaded, inline and logged (a journaling straggler plan
+    /// whose one event changes no number) give the same report.
+    #[test]
+    fn a_plan_naming_a_device_twice_is_the_same_run_threaded_inline_and_logged() {
+        let n = 96u64;
+        let shards = vec![
+            Shard { device: 0, start: 0, end: 8 },
+            Shard { device: 1, start: 8, end: 16 },
+            Shard { device: 0, start: 16, end: 24 },
+        ];
+        let (p, hc) = vecadd_over(n, shards);
+        let a: Vec<i64> = (0..n as i64).collect();
+        let b: Vec<i64> = (0..n as i64).map(|x| 7 * x).collect();
+        let mut straggler = crate::FaultPlan::new(0);
+        straggler.push(crate::FaultEvent::Straggler { device: 0, clock_factor: 1.0 });
+        let run = |device_threads, fault| {
+            let config = SimConfig { device_threads, fault, trace: true, ..SimConfig::default() };
+            let inputs = vec![a.clone(), b.clone()];
+            run_cluster_program(&p, inputs, &machine(), &cspec(3), &config).unwrap()
+        };
+        let threaded = run(true, crate::FaultPlan::default());
+        for other in [run(false, crate::FaultPlan::default()), run(true, straggler.clone())] {
+            assert_eq!(threaded.rounds, other.rounds);
+            assert_eq!(threaded.device_stats, other.device_stats);
+            assert_eq!(threaded.trace, other.trace);
+            assert_eq!(threaded.output(hc), other.output(hc));
+        }
+        let logged_inline = run(false, straggler);
+        assert_eq!(threaded.trace, logged_inline.trace);
+        for (i, &c) in threaded.output(hc).iter().enumerate() {
+            assert_eq!(c, 8 * i as i64, "i={i}");
+        }
+        // Device 0 ran two shards, back to back on its compute lane.
+        let kernels = |d: u32| {
+            let trace = threaded.trace.as_ref().unwrap();
+            trace.spans.iter().filter(|s| s.kind == SpanKind::Kernel && s.device == d).count()
+        };
+        assert_eq!((kernels(0), kernels(1), kernels(2)), (2, 1, 0));
+    }
+
+    /// Two devices' shards both fail: threaded and inline return the
+    /// same error, the first failing shard's in plan order — device 1's,
+    /// though the shard after it is device 0's, which a worker-order rule
+    /// would report.  Inline, the run stops there.
+    #[test]
+    fn the_first_failing_shard_in_plan_order_is_the_error() {
+        // Blocks 2.. read past the 8-word heap: block 2 at word 8 (device
+        // 1's shard), block 4 at word 16 (device 0's second shard).
+        let mut kb = KernelBuilder::new("overrun", 6, 4);
+        kb.glb_to_shr(
+            AddrExpr::lane(),
+            atgpu_ir::DBuf(0),
+            AddrExpr::block() * 4 + AddrExpr::lane(),
+        );
+        let mut pb = ProgramBuilder::new("overrun");
+        let _ = pb.device_alloc("a", 8);
+        pb.begin_round();
+        let shards = vec![
+            Shard { device: 0, start: 0, end: 2 },
+            Shard { device: 1, start: 2, end: 4 },
+            Shard { device: 0, start: 4, end: 6 },
+        ];
+        pb.launch_sharded(kb.build(), shards);
+        let p = pb.build().unwrap();
+        for device_threads in [true, false] {
+            let cluster = Cluster::new(machine(), cspec(2)).unwrap();
+            let config = SimConfig { device_threads, ..SimConfig::default() };
+            let err = run_cluster_program_on(&cluster, &p, vec![], &config).unwrap_err();
+            assert!(
+                matches!(err, SimError::GlobalOutOfBounds { addr: 8, .. }),
+                "device_threads {device_threads}: {err:?}"
+            );
+            if !device_threads {
+                let device0 = cluster.device(0).unwrap().stats().cache;
+                assert_eq!((device0.misses, device0.hits), (1, 0), "inline stops at the failure");
+            }
+        }
     }
 
     #[test]
@@ -862,43 +1015,6 @@ mod tests {
         let mut g = fresh_gmem(16);
         cluster.run_sharded_kernel(&k, &mut g, &shards, false, EngineSel::MicroOp).unwrap();
         assert_eq!(g.read(0), Some(3));
-    }
-
-    /// A 2-device vecadd program: each device gets its slice of A and B,
-    /// runs its shard, and returns its slice of C.
-    fn sharded_vecadd_program(n: u64, devices: u32) -> (Program, atgpu_ir::HBuf) {
-        let b = 4u64;
-        let blocks = n / b;
-        let mut pb = ProgramBuilder::new("vecadd_sharded");
-        let ha = pb.host_input("A", n);
-        let hb = pb.host_input("B", n);
-        let hc = pb.host_output("C", n);
-        let da = pb.device_alloc("a", n);
-        let db = pb.device_alloc("b", n);
-        let dc = pb.device_alloc("c", n);
-        let mut kb = KernelBuilder::new("vecadd_kernel", blocks, 3 * b);
-        let bi = b as i64;
-        let g = AddrExpr::block() * bi + AddrExpr::lane();
-        kb.glb_to_shr(AddrExpr::lane(), da, g.clone());
-        kb.glb_to_shr(AddrExpr::lane() + bi, db, g.clone());
-        kb.ld_shr(0, AddrExpr::lane());
-        kb.ld_shr(1, AddrExpr::lane() + bi);
-        kb.alu(AluOp::Add, 2, Operand::Reg(0), Operand::Reg(1));
-        kb.st_shr(AddrExpr::lane() + 2 * bi, Operand::Reg(2));
-        kb.shr_to_glb(dc, g, AddrExpr::lane() + 2 * bi);
-        let shards = even_shards(blocks, devices);
-        pb.begin_round();
-        for s in &shards {
-            let (off, words) = (s.start * b, s.blocks() * b);
-            pb.transfer_in_to(s.device, ha, off, da, off, words);
-            pb.transfer_in_to(s.device, hb, off, db, off, words);
-        }
-        pb.launch_sharded(kb.build(), shards.clone());
-        for s in &shards {
-            let (off, words) = (s.start * b, s.blocks() * b);
-            pb.transfer_out_from(s.device, dc, off, hc, off, words);
-        }
-        (pb.build().unwrap(), hc)
     }
 
     #[test]

@@ -22,9 +22,9 @@
 //! the warp that issued the access, and a block is admitted only to
 //! the MP that just retired one), so no other MP's key can move while
 //! one runs.  The loop runs on the caller's thread — the device spawns
-//! nothing; the only host fan-out is one worker per device of a sharded
-//! launch ([`crate::cluster`]) — so statistics are a pure function of the
-//! kernel, the memory and the spec.
+//! nothing; the only host fan-out deals whole devices of a sharded launch
+//! to at most one worker per host core ([`crate::cluster`]) — so
+//! statistics are a pure function of the kernel, the memory and the spec.
 //!
 //! Every launch — whole grid or one shard of it, written through or
 //! logged — is prepared by **one body** (`Device::launch`): occupancy
@@ -42,9 +42,10 @@
 //! micro-op launch keeps nothing of its own: the device holds its MPs,
 //! their executors and the previous launch's [`CacheEntry`] between
 //! launches.  The launch takes them **whole** under one lock and puts
-//! them back when it succeeds, so concurrent launches on one device (a
-//! shared cluster's tenants, or a sharded launch's takeover shards) stay
-//! correct: the second finds the slot empty, builds its own and, if the
+//! them back when it succeeds, so concurrent launches on one device stay
+//! correct — they come only from a shared cluster's tenants, since a
+//! sharded launch runs each device's shards on one worker, one after
+//! another: the second finds the slot empty, builds its own and, if the
 //! first has put its set back meanwhile, drops them.  What is kept is
 //! bounded by the largest launch so far — its MP count, and one executor
 //! per block it had resident — with no knob: executors are created only
@@ -523,9 +524,11 @@ pub fn apply_write_log(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod sched_model;
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use atgpu_ir::{AddrExpr, AluOp, DBuf, KernelBuilder, Operand};

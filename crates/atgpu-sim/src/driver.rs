@@ -44,16 +44,20 @@ pub struct SimConfig {
     pub noise: Option<XferNoise>,
     /// RNG seed for the jitter.
     pub seed: u64,
-    /// Simulate a sharded launch's devices on their own OS threads (a
-    /// launch whose shards sit on one device runs inline) — the only host
-    /// fan-out there is; a device itself never spawns.  Results and
-    /// reported times are bit-identical either way — a worker writes
-    /// through to the replica of its shard's device, which it alone
-    /// holds for the launch; where a write log exists (a fault plan on
-    /// several devices) shards only read their replica and the logs
-    /// merge in block order — so this only cuts host wall-clock.
-    /// Defaults to on when the host has more than one CPU (threads are
-    /// pure overhead on a single core).
+    /// Simulate a sharded launch's devices on scoped OS threads — the
+    /// only host fan-out there is; a device itself never spawns.  Whole
+    /// devices are dealt to at most one worker per host core
+    /// ([`crate::cluster::host_parallelism`]) and never more workers than
+    /// devices holding shards, each running its devices' shards in plan
+    /// order (so a launch whose shards sit on one device, or a one-core
+    /// host, runs on the caller's thread): no program or spec can make a
+    /// launch start more threads than the host has cores.  Results and reported times are bit-identical
+    /// either way — a worker writes through to the replicas of its own
+    /// devices, which it alone holds for the launch; where a write log
+    /// exists (a fault plan on several devices) shards only read their
+    /// replica and the logs merge in block order; statistics are booked
+    /// and a failure reported in plan order — so this only changes host
+    /// wall-clock.  Defaults to on when the host has more than one CPU.
     pub device_threads: bool,
     /// Scheduled fault events ([`crate::fault`]).  The default empty
     /// plan is free: no injection hooks run, and the simulation is
@@ -262,9 +266,8 @@ pub struct SimReport {
     /// Device-level counters after the run (kernel-cache hits/misses) —
     /// observability only, never part of round observations.
     pub device_stats: crate::device::DeviceStats,
-    /// Recorded timeline spans when [`SimConfig::trace`] was on
-    /// (`None` otherwise); export with
-    /// [`crate::trace::sim_report_trace_json`].
+    /// The run's timeline record when [`SimConfig::trace`] was on
+    /// (`None` otherwise); export with [`crate::trace::chrome_trace_json`].
     pub trace: Option<crate::trace::Trace>,
 }
 
@@ -357,6 +360,7 @@ pub fn run_program(
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::fault::FaultEvent;

@@ -107,9 +107,9 @@ pub enum SimError {
         /// The round at whose start it died.
         round: usize,
     },
-    /// An internal simulation worker thread panicked — the driver
-    /// surfaces it as an error rather than propagating the panic into
-    /// the caller.
+    /// An internal simulation worker thread panicked, or the OS refused
+    /// to start it — the driver surfaces either as an error rather than
+    /// propagating a panic into the caller.
     WorkerPanic {
         /// What was being simulated.
         context: String,
@@ -176,7 +176,7 @@ impl fmt::Display for SimError {
                 "device {device} died at round {round} with no surviving device to recover on"
             ),
             SimError::WorkerPanic { context } => {
-                write!(f, "simulation worker thread panicked while {context}")
+                write!(f, "simulation worker thread panicked or failed to start while {context}")
             }
             SimError::InvalidNoise { reason } => write!(f, "invalid transfer noise: {reason}"),
             SimError::InvalidKernel { error } => write!(f, "invalid kernel launch: {error}"),
@@ -187,6 +187,7 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

@@ -438,6 +438,7 @@ impl Drop for GlobalMemory {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

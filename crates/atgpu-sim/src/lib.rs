@@ -120,10 +120,12 @@
 //! (`tests/cluster_differential.rs` proves this over randomized kernels
 //! and plans at the launch level; `tests/roster_plans.rs` pins the two
 //! disciplines equal on every shipped workload × plan).  With
-//! [`SimConfig::device_threads`] (default on multicore hosts) the shards
-//! of one launch are simulated on their own scoped OS threads — a worker
-//! holds its device's replica for the launch (written through), or only
-//! reads it (logged), so the launch is embarrassingly parallel on the
+//! [`SimConfig::device_threads`] (default on multicore hosts) whole
+//! devices of one launch are dealt to at most
+//! [`cluster::host_parallelism`] scoped OS threads — a worker holds its
+//! devices' replicas for the launch (written through), or only reads
+//! them (logged), runs each device's shards in plan order, and the
+//! statistics are booked in plan order, so the launch is parallel on the
 //! host with the identical report (`tests/stream_differential.rs`).
 //! That is the only host fan-out: a device simulates its own MPs on one
 //! thread, against one memory controller and one clock.  Observed round
@@ -313,9 +315,9 @@
 //! lane, duration events carry `round`/`stream`/`words`/`observed_ms`
 //! and, where the model prices the operation, `predicted_ms`; counter
 //! tracks plot cumulative retries, backoff milliseconds and kernel
-//! cache hits per device.  [`trace::sim_report_trace_json`] /
-//! [`trace::cluster_report_trace_json`] build the export straight from
-//! a report, and [`trace::validate_chrome_json`] parses it back
+//! cache hits per device — all of it read from the `Trace` alone, which
+//! records each round's start and faults and each device's final cache
+//! hits as the run goes — and [`trace::validate_chrome_json`] parses it back
 //! (structure, required fields, per-lane monotone non-overlap) — the
 //! round-trip check `atgpu-exp check-trace` and CI run on every traced
 //! smoke artifact.  On the analytic side,
@@ -378,6 +380,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+// A simulation runs on every submitted program's path, so the crate
+// returns typed errors instead of panicking; test modules opt back in.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod cache;
 pub mod cluster;
@@ -410,8 +415,8 @@ pub use error::SimError;
 pub use fault::{FaultEvent, FaultPlan, FaultRuntime, LinkEdge};
 pub use memo::BoundedMemo;
 pub use trace::{
-    chrome_trace_json, cluster_report_trace_json, sim_report_trace_json, validate_chrome_json,
-    Span, SpanKind, SpanRing, Trace, Tracer, DEFAULT_TRACE_CAPACITY,
+    chrome_trace_json, validate_chrome_json, Span, SpanKind, SpanRing, Trace, Tracer,
+    DEFAULT_TRACE_CAPACITY,
 };
 pub use uop::CompiledKernel;
 

@@ -28,7 +28,7 @@
 //! [`GlobalMemory::write`] and [`GlobalMemory::copy_within`], which mark
 //! what they touch as changed.
 
-use crate::cluster::DeviceRoundObservation;
+use crate::cluster::{round_ms, DeviceRoundObservation};
 use crate::device::{DeviceStats, KernelStats};
 use crate::driver::HostData;
 use crate::error::SimError;
@@ -241,10 +241,14 @@ impl Ledger {
         self.process_deaths(gmems, host_xfer)
     }
 
-    /// Closes the round, yielding its per-device observations.
+    /// Closes the round, yielding its per-device observations (and, when
+    /// tracing, recording the round's start and faults in the trace).
     fn end_round(&mut self) -> Vec<DeviceRoundObservation> {
         for (obs, tl) in self.devs.iter_mut().zip(&self.timelines) {
             obs.stream_ms = tl.finish();
+        }
+        if let Some(tr) = self.tracer.as_mut() {
+            tr.end_round(round_ms(self.sync_ms, &self.devs), &self.devs);
         }
         std::mem::take(&mut self.devs)
     }
@@ -543,7 +547,7 @@ impl Links {
 
     /// Ends the run: folds the rounds' retry/backoff totals, the copied
     /// words and the recovery counters into `device_stats`, and yields
-    /// the trace.
+    /// the trace with each device's final kernel-cache hits.
     pub(crate) fn finish(
         self,
         rounds: &[Vec<DeviceRoundObservation>],
@@ -563,7 +567,9 @@ impl Links {
                 st.recoveries = r;
             }
         }
-        self.ledger.tracer.map(Tracer::finish)
+        let mut trace = self.ledger.tracer.map(Tracer::finish)?;
+        trace.cache_hits = device_stats.iter().map(|s| s.cache.hits).collect();
+        Some(trace)
     }
 }
 

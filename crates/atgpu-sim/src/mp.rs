@@ -294,6 +294,7 @@ impl KeyTree {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::engine::BlockExec;

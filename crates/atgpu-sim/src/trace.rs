@@ -1,6 +1,9 @@
 //! Per-operation timeline tracing: pooled span recording in the drivers
 //! and Chrome `trace_event` export.
 //!
+//! Three parts, one each: a [`Trace`] is the record, [`chrome_trace_json`]
+//! is the writer, [`validate_chrome_json`] is the reader.
+//!
 //! When [`crate::SimConfig::trace`] is on, every operation the stream
 //! scheduler places — host↔device transfers, kernel launches, peer
 //! copies, degraded-mode journal replays, retry attempts and backoff
@@ -12,7 +15,11 @@
 //! pool allocated once up front, overwriting oldest-first when full — so
 //! steady-state recording allocates nothing and the traced run's timing
 //! arithmetic is bit-identical to the untraced run (tracing *observes*
-//! `advance_spanned`'s results; it never feeds back into them).
+//! `advance_spanned`'s results; it never feeds back into them).  As each
+//! round closes the run also records its absolute start and each
+//! device's retries and backoff in it, and at the end each device's
+//! kernel-cache hits: the finished [`Trace`] holds everything its export
+//! prints, so nothing is rebuilt from a report.
 //!
 //! [`chrome_trace_json`] serialises a finished [`Trace`] to the Chrome
 //! `trace_event` JSON-array format (hand-rolled — this workspace carries
@@ -25,8 +32,7 @@
 //! non-overlap) — the round-trip check `atgpu-exp check-trace` runs in
 //! CI.
 
-use crate::cluster::ClusterSimReport;
-use crate::driver::SimReport;
+use crate::cluster::DeviceRoundObservation;
 use atgpu_model::StreamResource;
 
 /// Span-pool capacity of a traced run ([`crate::SimConfig::trace`]).
@@ -130,21 +136,6 @@ impl SpanRing {
         }
     }
 
-    /// Spans currently held.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.spans.is_empty()
-    }
-
-    /// Spans evicted because the pool was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
     /// Consumes the ring, returning the retained spans in recording
     /// order.
     fn into_spans(mut self) -> (Vec<Span>, u64) {
@@ -162,9 +153,11 @@ const SEG_CAP: usize = 64;
 /// A fixed buffer for one transfer's fault segments — the per-attempt
 /// and per-wait pieces [`crate::fault::FaultRuntime::transfer_segmented`]
 /// reports.  Offsets are relative to the transfer's start; `true` marks
-/// a backoff wait.  Overflow past the 64-segment cap folds into the last
-/// segment (a >64-retry transfer keeps a correct total, losing only
-/// segment granularity) so recording stays allocation-free.
+/// a backoff wait.  Past the 64-segment cap the overflow folds into one
+/// backoff segment just before the newest, so the last segment is always
+/// the latest attempt — a transfer's final, successful attempt keeps its
+/// own span, words and prediction however long the retry chain — and
+/// the segments still tile the transfer, allocation-free.
 #[derive(Debug, Clone)]
 pub struct SegBuf {
     segs: [(f64, f64, bool); SEG_CAP],
@@ -181,33 +174,49 @@ impl SegBuf {
     #[inline]
     pub fn push(&mut self, start_off: f64, end_off: f64, backoff: bool) {
         if self.len < SEG_CAP {
-            self.segs[self.len] = (start_off, end_off, backoff);
             self.len += 1;
         } else {
-            self.segs[SEG_CAP - 1].1 = end_off;
+            let (folded, newest) = (self.segs[SEG_CAP - 2].0, self.segs[SEG_CAP - 1].1);
+            self.segs[SEG_CAP - 2] = (folded, newest, true);
         }
-    }
-
-    fn clear(&mut self) {
-        self.len = 0;
+        self.segs[self.len - 1] = (start_off, end_off, backoff);
     }
 }
 
-/// The recording half of tracing: the span pool plus the per-transfer
-/// segment buffer the fault retry loop fills.  One tracer serves a whole
-/// run (all devices of a cluster).
+/// The recording half of tracing: the span pool, the per-transfer
+/// segment buffer the fault retry loop fills, and the per-round record
+/// the export's counter tracks read.  One tracer serves a whole run (all
+/// devices of a cluster).
 #[derive(Debug)]
 pub struct Tracer {
     ring: SpanRing,
     /// Segment scratch for the in-flight transfer; drained by the next
     /// [`Tracer::record`].
     pub segs: SegBuf,
+    /// Absolute start of the round in flight, in milliseconds.
+    now_ms: f64,
+    round_starts: Vec<f64>,
+    round_faults: Vec<(u64, f64)>,
 }
 
 impl Tracer {
     /// A tracer whose pool holds `capacity` spans.
     pub fn new(capacity: usize) -> Self {
-        Self { ring: SpanRing::with_capacity(capacity), segs: SegBuf::new() }
+        Self {
+            ring: SpanRing::with_capacity(capacity),
+            segs: SegBuf::new(),
+            now_ms: 0.0,
+            round_starts: Vec::new(),
+            round_faults: Vec::new(),
+        }
+    }
+
+    /// Closes a round that took `total_ms` (`σ + max_d path_d`): records
+    /// its absolute start and each device's retries and backoff in it.
+    pub(crate) fn end_round(&mut self, total_ms: f64, devices: &[DeviceRoundObservation]) {
+        self.round_starts.push(self.now_ms);
+        self.now_ms += total_ms;
+        self.round_faults.extend(devices.iter().map(|d| (d.retries, d.backoff_ms)));
     }
 
     /// Records one scheduled operation spanning `[start_ms, end_ms)` on
@@ -229,47 +238,39 @@ impl Tracer {
         start_ms: f64,
         end_ms: f64,
     ) {
-        let round = round as u32;
+        let span = Span {
+            round: round as u32,
+            device,
+            resource,
+            stream,
+            kind,
+            words,
+            start_ms,
+            end_ms,
+            predicted_ms,
+        };
         if self.segs.len == 0 {
-            self.ring.push(Span {
-                round,
-                device,
-                resource,
-                stream,
-                kind,
-                words,
-                start_ms,
-                end_ms,
-                predicted_ms,
-            });
-            return;
+            return self.ring.push(span);
         }
         for &(a, b, backoff) in &self.segs.segs[..self.segs.len] {
-            let (kind, words, predicted_ms) =
-                if backoff { (SpanKind::Backoff, 0, -1.0) } else { (kind, words, predicted_ms) };
-            self.ring.push(Span {
-                round,
-                device,
-                resource,
-                stream,
-                kind,
-                words,
-                start_ms: start_ms + a,
-                end_ms: start_ms + b,
-                predicted_ms,
-            });
+            let seg = Span { start_ms: start_ms + a, end_ms: start_ms + b, ..span };
+            let wait = Span { kind: SpanKind::Backoff, words: 0, predicted_ms: -1.0, ..seg };
+            self.ring.push(if backoff { wait } else { seg });
         }
-        self.segs.clear();
+        self.segs.len = 0;
     }
 
-    /// Ends the run, yielding the recorded spans.
+    /// Ends the run, yielding the record (its `cache_hits` are the
+    /// run's to fill in).
     pub fn finish(self) -> Trace {
         let (spans, dropped) = self.ring.into_spans();
-        Trace { spans, dropped }
+        let (round_starts, round_faults) = (self.round_starts, self.round_faults);
+        Trace { spans, dropped, round_starts, round_faults, cache_hits: Vec::new() }
     }
 }
 
-/// A finished run's recorded spans, in recording order.
+/// A finished run's record: its spans in recording order, and everything
+/// else [`chrome_trace_json`] prints.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Trace {
     /// The retained spans (oldest evicted first when the pool
@@ -277,18 +278,15 @@ pub struct Trace {
     pub spans: Vec<Span>,
     /// Spans evicted because the pool was full.
     pub dropped: u64,
-}
-
-/// One `ph:"C"` counter track of the export: `samples` are
-/// `(absolute ms, value)` pairs on `device`'s process row.
-#[derive(Debug, Clone, Default)]
-pub struct CounterTrack {
-    /// Counter name (e.g. `"retries"`).
-    pub name: String,
-    /// Device (`pid`) the track belongs to.
-    pub device: u32,
-    /// `(timestamp ms, value)` samples, in time order.
-    pub samples: Vec<(f64, f64)>,
+    /// Absolute start of each round in milliseconds: the sum of the
+    /// earlier rounds' `σ + max_d path_d`.
+    pub round_starts: Vec<f64>,
+    /// Each round's `(retries, backoff_ms)` per device, round after
+    /// round: device `d` of round `r` is entry `r · D + d`, where `D` is
+    /// `cache_hits.len()`.
+    pub round_faults: Vec<(u64, f64)>,
+    /// Each device's kernel-cache hits at the end of the run.
+    pub cache_hits: Vec<u64>,
 }
 
 fn push_f64(out: &mut String, v: f64) {
@@ -297,17 +295,19 @@ fn push_f64(out: &mut String, v: f64) {
     out.push_str(&format!("{v:.4}"));
 }
 
-/// Serialises a trace to Chrome `trace_event` JSON (array format).
+/// Serialises a trace to Chrome `trace_event` JSON (array format) — the
+/// one writer.
 ///
-/// * `round_starts[r]` is the absolute millisecond at which round `r`
-///   begins (spans store round-relative times); missing entries fall
-///   back to 0.
 /// * `pid` = device, `tid` = [`StreamResource::lane`], `ts`/`dur` in
-///   microseconds.
+///   microseconds; a span's `ts` is its round's start
+///   ([`Trace::round_starts`], 0 where missing) plus its round-relative
+///   start.
 /// * Each span's `args` carry its round, stream, words and — when
 ///   present — `predicted_ms` next to `observed_ms`.
-/// * `counters` become `ph:"C"` tracks.
-pub fn chrome_trace_json(trace: &Trace, round_starts: &[f64], counters: &[CounterTrack]) -> String {
+/// * Per device, `ph:"C"` counter tracks: cumulative retries and
+///   backoff milliseconds sampled at every round start, and the final
+///   kernel-cache hit count at the last round's start.
+pub fn chrome_trace_json(trace: &Trace) -> String {
     let mut out = String::with_capacity(256 + 160 * trace.spans.len());
     out.push('[');
     let mut first = true;
@@ -320,20 +320,20 @@ pub fn chrome_trace_json(trace: &Trace, round_starts: &[f64], counters: &[Counte
 
     // Metadata: name each device's process row and each lane's thread
     // row that actually appears.
-    let mut seen: Vec<(u32, u8)> = Vec::new();
+    let mut seen: Vec<(u32, u8, &str)> = Vec::new();
     let mut devices: Vec<u32> = Vec::new();
     for s in &trace.spans {
         if !devices.contains(&s.device) {
             devices.push(s.device);
         }
-        let key = (s.device, s.resource.lane());
+        let key = (s.device, s.resource.lane(), s.resource.lane_name());
         if !seen.contains(&key) {
             seen.push(key);
         }
     }
-    for c in counters {
-        if !devices.contains(&c.device) {
-            devices.push(c.device);
+    for d in 0..trace.cache_hits.len() as u32 {
+        if !devices.contains(&d) {
+            devices.push(d);
         }
     }
     devices.sort_unstable();
@@ -344,8 +344,7 @@ pub fn chrome_trace_json(trace: &Trace, round_starts: &[f64], counters: &[Counte
             "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{d},\"args\":{{\"name\":\"device {d}\"}}}}"
         ));
     }
-    for (d, lane) in &seen {
-        let name = lane_name(*lane);
+    for (d, lane, name) in &seen {
         sep(&mut out);
         out.push_str(&format!(
             "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{d},\"tid\":{lane},\"args\":{{\"name\":\"{name}\"}}}}"
@@ -353,7 +352,7 @@ pub fn chrome_trace_json(trace: &Trace, round_starts: &[f64], counters: &[Counte
     }
 
     for s in &trace.spans {
-        let base = round_starts.get(s.round as usize).copied().unwrap_or(0.0);
+        let base = trace.round_starts.get(s.round as usize).copied().unwrap_or(0.0);
         let ts_us = (base + s.start_ms) * 1000.0;
         let dur_us = s.dur_ms() * 1000.0;
         sep(&mut out);
@@ -378,18 +377,28 @@ pub fn chrome_trace_json(trace: &Trace, round_starts: &[f64], counters: &[Counte
         out.push_str("}}");
     }
 
-    for c in counters {
-        for &(ts_ms, value) in &c.samples {
-            sep(&mut out);
-            out.push_str(&format!(
-                "{{\"name\":\"{}\",\"ph\":\"C\",\"pid\":{},\"ts\":",
-                c.name, c.device
-            ));
-            push_f64(&mut out, ts_ms * 1000.0);
-            out.push_str(&format!(",\"args\":{{\"{}\":", c.name));
-            push_f64(&mut out, value);
-            out.push_str("}}");
+    let mut counter = |name: &str, device: usize, ts_ms: f64, value: f64| {
+        sep(&mut out);
+        out.push_str(&format!("{{\"name\":\"{name}\",\"ph\":\"C\",\"pid\":{device},\"ts\":"));
+        push_f64(&mut out, ts_ms * 1000.0);
+        out.push_str(&format!(",\"args\":{{\"{name}\":"));
+        push_f64(&mut out, value);
+        out.push_str("}}");
+    };
+    let devices = trace.cache_hits.len();
+    let end = trace.round_starts.last().copied().unwrap_or(0.0);
+    for (d, &hits) in trace.cache_hits.iter().enumerate() {
+        let fault = |r: usize| trace.round_faults.get(r * devices + d).copied().unwrap_or_default();
+        let (mut retries, mut backoff) = (0.0, 0.0);
+        for (r, &start) in trace.round_starts.iter().enumerate() {
+            retries += fault(r).0 as f64;
+            counter("retries", d, start, retries);
         }
+        for (r, &start) in trace.round_starts.iter().enumerate() {
+            backoff += fault(r).1;
+            counter("backoff_ms", d, start, backoff);
+        }
+        counter("cache_hits", d, end, hits as f64);
     }
 
     if trace.dropped > 0 {
@@ -401,91 +410,6 @@ pub fn chrome_trace_json(trace: &Trace, round_starts: &[f64], counters: &[Counte
     }
     out.push_str("\n]\n");
     out
-}
-
-fn lane_name(lane: u8) -> &'static str {
-    match lane {
-        0 => StreamResource::HostToDevice.lane_name(),
-        1 => StreamResource::Compute.lane_name(),
-        2 => StreamResource::DeviceToHost.lane_name(),
-        _ => StreamResource::Peer.lane_name(),
-    }
-}
-
-/// Absolute start time of each round, from the rounds' totals.
-fn round_starts(totals: impl Iterator<Item = f64>) -> Vec<f64> {
-    let mut starts = Vec::new();
-    let mut t = 0.0;
-    for total in totals {
-        starts.push(t);
-        t += total;
-    }
-    starts
-}
-
-/// Absolute start time of each round of a single-device report.
-pub fn sim_round_starts(report: &SimReport) -> Vec<f64> {
-    round_starts(report.rounds.iter().map(|r| r.total_ms()))
-}
-
-/// Absolute start time of each round of a cluster report.
-pub fn cluster_round_starts(report: &ClusterSimReport) -> Vec<f64> {
-    round_starts(report.rounds.iter().map(|r| r.total_ms()))
-}
-
-/// The export of a traced run: the spans, plus per device a cumulative
-/// retry and a cumulative backoff counter track sampled at every round
-/// start and the final kernel-cache hit count.  `cache_hits` has one
-/// entry per device; `faults(r, d)` is device `d`'s `(retries,
-/// backoff_ms)` in round `r`.
-fn report_trace_json(
-    trace: &Trace,
-    starts: &[f64],
-    cache_hits: &[u64],
-    faults: impl Fn(usize, usize) -> (u64, f64),
-) -> String {
-    let mut counters = Vec::with_capacity(3 * cache_hits.len());
-    let end = starts.last().copied().unwrap_or(0.0);
-    for (d, &hits) in cache_hits.iter().enumerate() {
-        let track =
-            |name: &str, samples| CounterTrack { name: name.into(), device: d as u32, samples };
-        let (mut retries, mut backoff) = (Vec::new(), Vec::new());
-        let (mut racc, mut bacc) = (0.0, 0.0);
-        for (r, s) in starts.iter().enumerate() {
-            let (round_retries, round_backoff) = faults(r, d);
-            racc += round_retries as f64;
-            bacc += round_backoff;
-            retries.push((*s, racc));
-            backoff.push((*s, bacc));
-        }
-        counters.push(track("retries", retries));
-        counters.push(track("backoff_ms", backoff));
-        counters.push(track("cache_hits", vec![(end, hits as f64)]));
-    }
-    chrome_trace_json(trace, starts, &counters)
-}
-
-/// The export for a traced single-device run: the report's trace with
-/// round starts from its own round totals, plus cumulative retry /
-/// backoff / cache-hit counter tracks.  `None` when the run was not
-/// traced.
-pub fn sim_report_trace_json(report: &SimReport) -> Option<String> {
-    let trace = report.trace.as_ref()?;
-    let faults = |r: usize, _: usize| (report.rounds[r].retries, report.rounds[r].backoff_ms);
-    let hits = [report.device_stats.cache.hits];
-    Some(report_trace_json(trace, &sim_round_starts(report), &hits, faults))
-}
-
-/// The export for a traced cluster run: per-device cumulative retry /
-/// backoff / cache-hit counter tracks next to the spans.  `None` when
-/// the run was not traced.
-pub fn cluster_report_trace_json(report: &ClusterSimReport) -> Option<String> {
-    let trace = report.trace.as_ref()?;
-    let faults = |r: usize, d: usize| {
-        report.rounds[r].devices.get(d).map_or((0, 0.0), |o| (o.retries, o.backoff_ms))
-    };
-    let hits: Vec<u64> = report.device_stats.iter().map(|s| s.cache.hits).collect();
-    Some(report_trace_json(trace, &cluster_round_starts(report), &hits, faults))
 }
 
 /// Summary a successful [`validate_chrome_json`] returns.
@@ -652,6 +576,7 @@ pub fn validate_chrome_json(s: &str) -> Result<TraceCheck, String> {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 
@@ -675,7 +600,6 @@ mod tests {
         for i in 0..5 {
             ring.push(span(i, 0, i as f64, i as f64 + 1.0));
         }
-        assert_eq!(ring.dropped(), 2);
         let (spans, dropped) = ring.into_spans();
         assert_eq!(dropped, 2);
         // The three most recent, oldest first.
@@ -705,8 +629,34 @@ mod tests {
     }
 
     #[test]
-    fn export_round_trips_through_the_validator() {
-        let trace = Trace {
+    fn segment_overflow_folds_into_one_backoff_before_the_final_attempt() {
+        // 33 dropped attempts, each followed by its wait, then the
+        // successful one: 67 segments through a 64-segment buffer.
+        let mut tr = Tracer::new(128);
+        let mut t = 0.0;
+        for k in 0..67 {
+            tr.segs.push(t, t + 1.0, k % 2 == 1);
+            t += 1.0;
+        }
+        tr.record(0, 0, StreamResource::HostToDevice, 0, SpanKind::TransferIn, 64, 1.0, 5.0, 72.0);
+        let spans = tr.finish().spans;
+        assert_eq!(spans.len(), SEG_CAP);
+        // The segments still tile the scheduled interval.
+        assert_eq!(spans[0].start_ms, 5.0);
+        for w in spans.windows(2) {
+            assert_eq!(w[0].end_ms, w[1].start_ms);
+        }
+        // The overflow is one backoff span; the last is the attempt.
+        let (fold, last) = (&spans[SEG_CAP - 2], &spans[SEG_CAP - 1]);
+        assert_eq!((fold.kind, fold.start_ms, fold.end_ms), (SpanKind::Backoff, 67.0, 71.0));
+        assert_eq!((last.kind, last.words, last.predicted_ms), (SpanKind::TransferIn, 64, 1.0));
+        assert_eq!((last.start_ms, last.end_ms), (71.0, 72.0));
+    }
+
+    /// A record with two devices over two rounds: spans, round starts,
+    /// per-round faults and cache hits.
+    fn two_device_trace() -> Trace {
+        Trace {
             spans: vec![
                 span(0, 0, 0.0, 1.0),
                 Span {
@@ -720,23 +670,32 @@ mod tests {
                 span(1, 1, 0.5, 2.0),
             ],
             dropped: 0,
-        };
-        let counters = [CounterTrack {
-            name: "retries".into(),
-            device: 0,
-            samples: vec![(0.0, 0.0), (5.0, 2.0)],
-        }];
-        let json = chrome_trace_json(&trace, &[0.0, 4.0], &counters);
+            round_starts: vec![0.0, 4.0],
+            round_faults: vec![(0, 0.0), (1, 0.5), (2, 1.5), (0, 0.0)],
+            cache_hits: vec![3, 1],
+        }
+    }
+
+    #[test]
+    fn export_round_trips_through_the_validator() {
+        let json = chrome_trace_json(&two_device_trace());
         let check = validate_chrome_json(&json).unwrap();
         assert_eq!(check.spans, 3);
-        assert_eq!(check.counters, 2);
+        // Per device: retries and backoff at both round starts, and the
+        // cache hits.
+        assert_eq!(check.counters, 2 * (2 + 2 + 1));
         assert_eq!(check.devices, 2);
+        // A span sits at its round's start; counters accumulate.
+        assert!(json.contains("\"name\":\"TransferIn\",\"cat\":\"timeline\",\"ph\":\"X\",\"pid\":1,\"tid\":0,\"ts\":4500.0000"));
+        assert!(json.contains("{\"name\":\"retries\",\"ph\":\"C\",\"pid\":0,\"ts\":4000.0000,\"args\":{\"retries\":2.0000}}"));
+        assert!(json.contains("{\"name\":\"backoff_ms\",\"ph\":\"C\",\"pid\":1,\"ts\":4000.0000,\"args\":{\"backoff_ms\":0.5000}}"));
+        assert!(json.contains("{\"name\":\"cache_hits\",\"ph\":\"C\",\"pid\":1,\"ts\":4000.0000,\"args\":{\"cache_hits\":1.0000}}"));
     }
 
     #[test]
     fn validator_rejects_overlap_and_malformed_input() {
-        let trace = Trace { spans: vec![span(0, 0, 0.0, 2.0), span(0, 0, 1.0, 3.0)], dropped: 0 };
-        let json = chrome_trace_json(&trace, &[0.0], &[]);
+        let spans = vec![span(0, 0, 0.0, 2.0), span(0, 0, 1.0, 3.0)];
+        let json = chrome_trace_json(&Trace { spans, ..Trace::default() });
         assert!(validate_chrome_json(&json).unwrap_err().contains("overlapping"));
         assert!(validate_chrome_json("{\"not\":\"an array\"}").is_err());
         assert!(validate_chrome_json("[{\"name\":\"x\"}]").is_err(), "missing ph");
@@ -748,7 +707,7 @@ mod tests {
         ring.push(span(0, 0, 0.0, 1.0));
         ring.push(span(1, 0, 1.0, 2.0));
         let (spans, dropped) = ring.into_spans();
-        let json = chrome_trace_json(&Trace { spans, dropped }, &[0.0, 1.0], &[]);
+        let json = chrome_trace_json(&Trace { spans, dropped, ..Trace::default() });
         assert!(json.contains("spans_dropped"));
         validate_chrome_json(&json).unwrap();
     }

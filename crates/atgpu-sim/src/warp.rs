@@ -215,7 +215,8 @@ impl<'k> WarpExec<'k> {
 
     #[inline]
     fn mask(&self) -> u64 {
-        *self.masks.last().expect("mask stack never empty while running")
+        // Never empty while running: `reset` pushes the full mask.
+        self.masks.last().copied().unwrap_or(0)
     }
 
     #[inline]
@@ -361,46 +362,52 @@ impl<'k> WarpExec<'k> {
     /// Executes the next instruction; returns its timing event.
     pub fn step(&mut self, gmem: &mut GmemAccess<'_>) -> Result<StepEvent, SimError> {
         loop {
-            // Phase 1: unwind exhausted frames.
-            let action: Option<ExhaustAction<'k>> = {
+            // Phase 1: fetch the next instruction ('k lifetime, decoupled
+            // from the frame borrow), or unwind an exhausted frame.
+            let next: Result<&'k Instr, ExhaustAction<'k>> = {
                 let Some(frame) = self.frames.last_mut() else {
                     return Ok(StepEvent::Done);
                 };
-                if frame.idx < frame.body.len() {
-                    None
+                let body: &'k [Instr] = frame.body;
+                if let Some(instr) = body.get(frame.idx) {
+                    frame.idx += 1;
+                    Ok(instr)
                 } else {
                     match &mut frame.kind {
-                        FrameKind::Top => Some(ExhaustAction::Finish),
+                        FrameKind::Top => Err(ExhaustAction::Finish),
                         FrameKind::Loop { iter, count } => {
                             *iter += 1;
                             if *iter < *count {
                                 frame.idx = 0;
-                                Some(ExhaustAction::LoopIter(*iter))
+                                Err(ExhaustAction::LoopIter(*iter))
                             } else {
-                                Some(ExhaustAction::PopLoop)
+                                Err(ExhaustAction::PopLoop)
                             }
                         }
                         FrameKind::Arm { pending_else } => {
-                            Some(ExhaustAction::PopArm(pending_else.take()))
+                            Err(ExhaustAction::PopArm(pending_else.take()))
                         }
                     }
                 }
             };
-            match action {
-                Some(ExhaustAction::Finish) => {
+            let instr = match next {
+                Ok(instr) => instr,
+                Err(ExhaustAction::Finish) => {
                     self.frames.pop();
                     return Ok(StepEvent::Done);
                 }
-                Some(ExhaustAction::LoopIter(it)) => {
-                    *self.loops.last_mut().expect("loop stack in sync") = it;
+                Err(ExhaustAction::LoopIter(it)) => {
+                    if let Some(var) = self.loops.last_mut() {
+                        *var = it;
+                    }
                     continue;
                 }
-                Some(ExhaustAction::PopLoop) => {
+                Err(ExhaustAction::PopLoop) => {
                     self.frames.pop();
                     self.loops.pop();
                     continue;
                 }
-                Some(ExhaustAction::PopArm(pe)) => {
+                Err(ExhaustAction::PopArm(pe)) => {
                     self.frames.pop();
                     self.masks.pop();
                     if let Some((em, eb)) = pe {
@@ -415,17 +422,6 @@ impl<'k> WarpExec<'k> {
                     }
                     continue;
                 }
-                None => {}
-            }
-
-            // Phase 2: fetch the next instruction ('k lifetime, decoupled
-            // from the frame borrow).
-            let instr: &'k Instr = {
-                let frame = self.frames.last_mut().expect("frame present");
-                let body = frame.body;
-                let idx = frame.idx;
-                frame.idx += 1;
-                &body[idx]
             };
 
             match instr {
@@ -617,6 +613,7 @@ fn gcd(mut a: u64, mut b: u64) -> u64 {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use atgpu_ir::{AddrExpr, AluOp, DBuf, KernelBuilder, Operand, PredExpr};

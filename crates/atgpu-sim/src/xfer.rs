@@ -125,6 +125,7 @@ impl TransferEngine {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use atgpu_model::GpuSpec;

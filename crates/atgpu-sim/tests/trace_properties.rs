@@ -12,7 +12,11 @@
 //! * **Serial chain** — an all-stream-0 program's spans form a single
 //!   gapless chain per round: each span starts exactly where the
 //!   previous one ended.
+//! * **Long retry chains** — a transfer retried past the tracer's
+//!   segment buffer still tiles its interval, and its final attempt
+//!   keeps its own span.
 
+use atgpu_sim::{chrome_trace_json, validate_chrome_json, FaultEvent, FaultPlan, LinkEdge};
 use atgpu_sim::{run_program, SimConfig, Span, SpanKind};
 use common::{chunked_vecadd, inputs, machine, restream, spec, Rng};
 use proptest::prelude::*;
@@ -121,4 +125,50 @@ proptest! {
             prop_assert!((obs.total_ms() - obs.serial_ms()).abs() < 1e-12);
         }
     }
+}
+
+/// Segments the tracer buffers per transfer (`trace.rs`'s `SEG_CAP`).
+const SEGMENT_CAP: usize = 64;
+
+/// The first transfer on host link 0 is dropped 33 times: 33 attempts
+/// and 33 waits before the attempt that lands — 67 segments through a
+/// 64-segment buffer.  The overflow folds into one backoff span, the
+/// final attempt keeps its own span with its words and prediction, the
+/// spans tile the scheduled interval, the export validates, and tracing
+/// still changes no number.
+#[test]
+fn a_retry_chain_past_the_segment_buffer_keeps_its_final_attempt() {
+    let (program, hc) = chunked_vecadd(64, 32);
+    let mut fault = FaultPlan::new(0);
+    for nth in 0..=32 {
+        fault.push(FaultEvent::TransferDrop { edge: LinkEdge::Host(0), nth });
+    }
+    let config = SimConfig { fault, ..SimConfig::default() };
+    let data = inputs(64, 5);
+    let base = run_program(&program, data.clone(), &machine(), &spec(), &config).unwrap();
+    let traced_config = SimConfig { trace: true, ..config };
+    let tr = run_program(&program, data, &machine(), &spec(), &traced_config).unwrap();
+    assert_eq!(base.rounds, tr.rounds);
+    assert_eq!(base.output(hc), tr.output(hc));
+    assert_eq!(tr.rounds[0].retries, 33);
+
+    let trace = tr.trace.as_ref().unwrap();
+    let (chain, next) = (&trace.spans[..SEGMENT_CAP], &trace.spans[SEGMENT_CAP]);
+    assert!(chain.iter().all(|s| s.round == 0 && s.resource.lane() == 0));
+    assert_eq!(chain[0].start_ms, 0.0);
+    for w in chain.windows(2) {
+        assert_eq!(w[0].end_ms.to_bits(), w[1].start_ms.to_bits(), "segments tile the transfer");
+    }
+    // One stream: the next operation starts where the transfer ends.
+    assert_eq!(chain[SEGMENT_CAP - 1].end_ms.to_bits(), next.start_ms.to_bits());
+    assert_eq!(chain[SEGMENT_CAP - 2].kind, SpanKind::Backoff, "the folded overflow");
+    let last = &chain[SEGMENT_CAP - 1];
+    assert_eq!((last.kind, last.words), (SpanKind::TransferIn, 32));
+    // At this offset the span's end points keep about 1e-10 ms.
+    assert!((last.dur_ms() - last.predicted_ms).abs() < 1e-9, "{last:?}");
+    for (k, s) in chain[..SEGMENT_CAP - 2].iter().enumerate() {
+        let kind = if k % 2 == 0 { SpanKind::TransferIn } else { SpanKind::Backoff };
+        assert_eq!(s.kind, kind, "segment {k}");
+    }
+    validate_chrome_json(&chrome_trace_json(trace)).unwrap();
 }
