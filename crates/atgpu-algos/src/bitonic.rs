@@ -23,7 +23,6 @@ use crate::error::AlgosError;
 use crate::gen;
 use crate::workload::{BuiltProgram, Placement, Workload};
 use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, PredExpr, ProgramBuilder};
-use atgpu_model::asymptotics::{BigO, Term};
 use atgpu_model::AtgpuMachine;
 
 /// A bitonic-sort instance (ascending).
@@ -154,14 +153,6 @@ impl Workload for BitonicSort {
     fn expected(&self) -> Vec<Vec<i64>> {
         vec![self.host_reference()]
     }
-
-    fn bounds(&self, _machine: &AtgpuMachine) -> Vec<BigO> {
-        vec![
-            // R = Θ(log² n)
-            BigO::new("rounds", Term::n().log2().times(Term::n().log2()).plus(Term::c(66.0))),
-            BigO::new("transfer", Term::n().times(Term::c(3.0)).plus(Term::c(128.0))),
-        ]
-    }
 }
 
 #[cfg(test)]
@@ -214,9 +205,8 @@ mod tests {
         // even though the *global* side is data-dependent.
         assert!(a.conflict_free);
         // The conservative bound still feeds a finite cost.
-        let params = test_spec().derived_cost_params();
         let model = atgpu_model::cost::CostModel::GpuCost;
-        let cost = atgpu_model::cost::evaluate(model, &params, &m, &test_spec(), &a.metrics());
+        let cost = atgpu_model::cost::evaluate(model, &m, &test_spec(), &a.metrics());
         let cost = cost.unwrap().total();
         assert!(cost.is_finite() && cost > 0.0);
     }

@@ -12,7 +12,6 @@ use crate::gen;
 use crate::reduce::{append_reduce_rounds, level_sizes, reduce_round_shapes, ReduceVariant};
 use crate::workload::{BuiltProgram, Placement, Workload};
 use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder};
-use atgpu_model::asymptotics::{BigO, Term};
 use atgpu_model::{AlgoMetrics, AtgpuMachine, RoundMetrics};
 
 /// A dot-product instance `x · y`.
@@ -137,14 +136,6 @@ impl Workload for Dot {
             rounds[0].outward_txns = 1;
         }
         Some(AlgoMetrics::new(rounds))
-    }
-
-    fn bounds(&self, _machine: &AtgpuMachine) -> Vec<BigO> {
-        vec![
-            BigO::new("rounds", Term::n().log_b().plus(Term::c(1.0))),
-            BigO::new("io", Term::n().over(Term::b()).times(Term::c(5.2))),
-            BigO::new("transfer", Term::n()),
-        ]
     }
 }
 

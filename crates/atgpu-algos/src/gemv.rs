@@ -13,7 +13,6 @@ use crate::error::AlgosError;
 use crate::gen;
 use crate::workload::{BuiltProgram, Placement, Workload};
 use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, PredExpr, ProgramBuilder};
-use atgpu_model::asymptotics::{BigO, Term};
 use atgpu_model::{AlgoMetrics, AtgpuMachine, RoundMetrics};
 
 /// A GEMV instance `y = A·x` with `A` an `n×n` row-major matrix.
@@ -144,14 +143,6 @@ impl Workload for Gemv {
             outward_txns: 1,
             blocks_launched: n,
         }]))
-    }
-
-    fn bounds(&self, _machine: &AtgpuMachine) -> Vec<BigO> {
-        vec![
-            BigO::new("time", Term::n().over(Term::b()).times(Term::c(8.0))),
-            BigO::new("io", Term::n().pow(2).over(Term::b()).times(Term::c(3.0))),
-            BigO::new("transfer", Term::n().pow(2).times(Term::c(2.0))),
-        ]
     }
 }
 

@@ -23,7 +23,6 @@ use crate::error::AlgosError;
 use crate::gen;
 use crate::workload::{BuiltProgram, Placement, Workload};
 use atgpu_ir::{AddrExpr, AluOp, Kernel, KernelBuilder, Operand, PredExpr, ProgramBuilder};
-use atgpu_model::asymptotics::{BigO, Term};
 use atgpu_model::{AtgpuMachine, PeerProfile, ShardProfile};
 
 /// A histogram instance; `bins` is carried by the instance so host
@@ -247,15 +246,6 @@ impl Workload for Histogram {
 
     fn expected(&self) -> Vec<Vec<i64>> {
         vec![self.host_reference()]
-    }
-
-    fn bounds(&self, _machine: &AtgpuMachine) -> Vec<BigO> {
-        vec![
-            BigO::new("rounds", Term::c(2.0)),
-            BigO::new("time", Term::b().times(Term::b().log2())),
-            BigO::new("io", Term::n().over(Term::b()).times(Term::b().plus(Term::c(2.0)))),
-            BigO::new("transfer", Term::n().plus(Term::b())),
-        ]
     }
 }
 

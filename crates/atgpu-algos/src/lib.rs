@@ -7,8 +7,7 @@
 //! * a **host reference** implementation the simulator's results are
 //!   checked against;
 //! * the **closed-form model metrics** from the paper's hand analysis
-//!   (tests assert the `atgpu-analyze` derivation matches them exactly);
-//! * the **stated asymptotic bounds** (`O(·)` terms) from the paper.
+//!   (tests assert the `atgpu-analyze` derivation matches them exactly).
 //!
 //! ## Paper workloads (§IV)
 //!

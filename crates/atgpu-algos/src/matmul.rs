@@ -21,7 +21,6 @@ use crate::error::AlgosError;
 use crate::gen;
 use crate::workload::{BuiltProgram, Placement, Plan, Workload};
 use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder, Shard};
-use atgpu_model::asymptotics::{BigO, Term};
 use atgpu_model::{AlgoMetrics, AtgpuMachine, RoundMetrics, ShardProfile};
 
 /// An `n×n` matrix-multiplication instance `C = A×B` (row-major).
@@ -442,17 +441,6 @@ impl Workload for MatMul {
             outward_txns: 1,
             blocks_launched: k,
         }]))
-    }
-
-    fn bounds(&self, _machine: &AtgpuMachine) -> Vec<BigO> {
-        vec![
-            BigO::new("rounds", Term::c(1.0)),
-            BigO::new("time", Term::n().times(Term::b())),
-            BigO::new("io", Term::n().over(Term::b()).pow(2).times(Term::n().plus(Term::b()))),
-            BigO::new("global_space", Term::n().pow(2)),
-            BigO::new("shared_space", Term::b().pow(2)),
-            BigO::new("transfer", Term::n().pow(2)),
-        ]
     }
 }
 

@@ -28,7 +28,6 @@ use crate::reduce::{append_reduce_rounds, reduce_round_kernel, ReduceVariant};
 use crate::vecadd::vecadd_kernel;
 use crate::workload::{BuiltProgram, Placement, Workload};
 use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder, Shard};
-use atgpu_model::asymptotics::{BigO, Term};
 use atgpu_model::{AtgpuMachine, ShardProfile};
 
 /// Size validation of every out-of-core builder: non-empty input, chunk
@@ -276,13 +275,6 @@ impl Workload for OocVecAdd {
     fn expected(&self) -> Vec<Vec<i64>> {
         vec![self.host_reference()]
     }
-
-    fn bounds(&self, _machine: &AtgpuMachine) -> Vec<BigO> {
-        vec![
-            BigO::new("rounds", Term::n().over(Term::c(1.0)).times(Term::c(1.0))),
-            BigO::new("transfer", Term::n()),
-        ]
-    }
 }
 
 /// Finishing scheme for the out-of-core reduction.
@@ -449,10 +441,6 @@ impl Workload for OocReduce {
             OocScheme::HostFinish => vec![self.expected_partials()],
             OocScheme::DeviceFinish => vec![vec![self.host_reference()]],
         }
-    }
-
-    fn bounds(&self, _machine: &AtgpuMachine) -> Vec<BigO> {
-        vec![BigO::new("transfer", Term::n().plus(Term::n().over(Term::b())))]
     }
 }
 

@@ -26,7 +26,6 @@ use crate::workload::{BuiltProgram, Placement, Workload};
 use atgpu_ir::{
     AddrExpr, AluOp, DBuf, HBuf, Kernel, KernelBuilder, Operand, PredExpr, ProgramBuilder,
 };
-use atgpu_model::asymptotics::{BigO, Term};
 use atgpu_model::{AlgoMetrics, AtgpuMachine, RoundMetrics, ShardProfile};
 
 /// Which reduction kernel to use.
@@ -398,19 +397,6 @@ impl Workload for Reduce {
             });
         }
         Some(AlgoMetrics::new(rounds))
-    }
-
-    fn bounds(&self, _machine: &AtgpuMachine) -> Vec<BigO> {
-        // Paper: R = O(log n); time O(log b · log n); I/O O((n/b)·(1−1/b)⁻¹…);
-        // transfer O(α + βn); global space O(n); shared O(b).
-        vec![
-            BigO::new("rounds", Term::n().log_b()),
-            BigO::new("time", Term::b().log2().times(Term::n().log_b())),
-            BigO::new("io", Term::n().over(Term::b()).times(Term::c(2.2))),
-            BigO::new("global_space", Term::n().times(Term::c(1.2))),
-            BigO::new("shared_space", Term::b()),
-            BigO::new("transfer", Term::n().plus(Term::c(1.0))),
-        ]
     }
 }
 

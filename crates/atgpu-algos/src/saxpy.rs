@@ -9,7 +9,6 @@ use crate::error::AlgosError;
 use crate::gen;
 use crate::workload::{BuiltProgram, Placement, Workload};
 use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder};
-use atgpu_model::asymptotics::{BigO, Term};
 use atgpu_model::{AlgoMetrics, AtgpuMachine, RoundMetrics};
 
 /// A SAXPY instance `out = a·x + y`.
@@ -102,14 +101,6 @@ impl Workload for Saxpy {
             outward_txns: 1,
             blocks_launched: k,
         }]))
-    }
-
-    fn bounds(&self, _machine: &AtgpuMachine) -> Vec<BigO> {
-        vec![
-            BigO::new("time", Term::c(1.0)),
-            BigO::new("io", Term::n().over(Term::b()).ceil()),
-            BigO::new("transfer", Term::n()),
-        ]
     }
 }
 

@@ -20,7 +20,6 @@ use crate::error::AlgosError;
 use crate::gen;
 use crate::workload::{BuiltProgram, Placement, Workload};
 use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, PredExpr, ProgramBuilder, Shard};
-use atgpu_model::asymptotics::{BigO, Term};
 use atgpu_model::{AlgoMetrics, AtgpuMachine, PeerProfile, RoundMetrics, ShardProfile};
 
 /// An inclusive-scan instance.
@@ -331,14 +330,6 @@ impl Workload for Scan {
                 blocks_launched: k,
             },
         ]))
-    }
-
-    fn bounds(&self, _machine: &AtgpuMachine) -> Vec<BigO> {
-        vec![
-            BigO::new("rounds", Term::c(3.0)),
-            BigO::new("io", Term::n().over(Term::b()).times(Term::c(8.0))),
-            BigO::new("transfer", Term::n()),
-        ]
     }
 }
 

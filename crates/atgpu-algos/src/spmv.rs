@@ -12,7 +12,6 @@
 use crate::error::AlgosError;
 use crate::workload::{BuiltProgram, Placement, Workload};
 use atgpu_ir::{AddrExpr, AluOp, Kernel, KernelBuilder, Operand, ProgramBuilder, Shard};
-use atgpu_model::asymptotics::{BigO, Term};
 use atgpu_model::{AtgpuMachine, ShardProfile};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -273,13 +272,6 @@ impl Workload for SpmvEll {
 
     fn expected(&self) -> Vec<Vec<i64>> {
         vec![self.host_reference()]
-    }
-
-    fn bounds(&self, _machine: &AtgpuMachine) -> Vec<BigO> {
-        vec![
-            BigO::new("time", Term::n().over(Term::b()).times(Term::c(16.0))),
-            BigO::new("transfer", Term::n().times(Term::c(8.0))),
-        ]
     }
 }
 

@@ -20,7 +20,6 @@ use crate::error::AlgosError;
 use crate::gen;
 use crate::workload::{BuiltProgram, Placement, Workload};
 use atgpu_ir::{AddrExpr, AluOp, DBuf, Kernel, KernelBuilder, Operand, PredExpr, ProgramBuilder};
-use atgpu_model::asymptotics::{BigO, Term};
 use atgpu_model::{AlgoMetrics, AtgpuMachine, PeerProfile, RoundMetrics, ShardProfile};
 
 /// A stencil instance.
@@ -314,14 +313,6 @@ impl Workload for Stencil {
             outward_txns: 1,
             blocks_launched: k,
         }]))
-    }
-
-    fn bounds(&self, _machine: &AtgpuMachine) -> Vec<BigO> {
-        vec![
-            BigO::new("time", Term::c(1.0)),
-            BigO::new("io", Term::n().over(Term::b()).times(Term::c(3.5))),
-            BigO::new("transfer", Term::n()),
-        ]
     }
 }
 

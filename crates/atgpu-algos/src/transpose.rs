@@ -18,7 +18,6 @@ use crate::error::AlgosError;
 use crate::gen;
 use crate::workload::{BuiltProgram, Placement, Workload};
 use atgpu_ir::{AddrExpr, KernelBuilder, ProgramBuilder};
-use atgpu_model::asymptotics::{BigO, Term};
 use atgpu_model::{AlgoMetrics, AtgpuMachine, RoundMetrics};
 
 /// Which transpose kernel to use.
@@ -201,14 +200,6 @@ impl Workload for Transpose {
             outward_txns: 1,
             blocks_launched: k,
         }]))
-    }
-
-    fn bounds(&self, _machine: &AtgpuMachine) -> Vec<BigO> {
-        let io = match self.variant {
-            TransposeVariant::Naive => Term::n().pow(2), // b× blow-up
-            _ => Term::n().pow(2).over(Term::b()).times(Term::c(2.0)),
-        };
-        vec![BigO::new("io", io), BigO::new("transfer", Term::n().pow(2))]
     }
 }
 

@@ -3,7 +3,6 @@
 
 use crate::error::AlgosError;
 use atgpu_ir::{counts_to_shards, HBuf, Kernel, Program, ProgramBuilder, Shard};
-use atgpu_model::asymptotics::BigO;
 use atgpu_model::{plan, AlgoMetrics, AtgpuMachine, ClusterSpec, GpuSpec, ShardProfile};
 use atgpu_sim::{run_cluster_program, run_program, ClusterSimReport, SimConfig, SimReport};
 
@@ -230,11 +229,6 @@ pub trait Workload {
     /// exactly these.
     fn closed_form(&self, _machine: &AtgpuMachine) -> Option<AlgoMetrics> {
         None
-    }
-
-    /// The paper's asymptotic bounds for this workload.
-    fn bounds(&self, _machine: &AtgpuMachine) -> Vec<BigO> {
-        Vec::new()
     }
 }
 

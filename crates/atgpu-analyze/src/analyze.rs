@@ -479,10 +479,9 @@ mod tests {
     #[test]
     fn metrics_feed_cost_function() {
         let a = analyze_program(&vecadd(3200), &machine()).unwrap();
-        let params = atgpu_model::CostParams::unit();
         let spec = atgpu_model::GpuSpec::gtx650_like();
         let model = atgpu_model::cost::CostModel::GpuCost;
-        let cost = atgpu_model::cost::evaluate(model, &params, &machine(), &spec, &a.metrics());
+        let cost = atgpu_model::cost::evaluate(model, &machine(), &spec, &a.metrics());
         assert!(cost.unwrap().total() > 0.0);
     }
 
@@ -716,7 +715,6 @@ mod tests {
         let spec = atgpu_model::GpuSpec::gtx650_like();
         let serial = atgpu_model::cost::evaluate(
             atgpu_model::cost::CostModel::GpuCost,
-            &spec.derived_cost_params(),
             &machine(),
             &spec,
             &a.metrics(),
@@ -786,7 +784,6 @@ mod tests {
         let metrics = analyze_program(&d, &machine()).unwrap().metrics();
         let serial = atgpu_model::cost::evaluate(
             atgpu_model::cost::CostModel::GpuCost,
-            &spec.derived_cost_params(),
             &machine(),
             &spec,
             &metrics,

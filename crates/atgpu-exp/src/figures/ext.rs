@@ -35,13 +35,12 @@ pub fn e1_out_of_core(cfg: &ExpConfig) -> Result<Section, ExpError> {
     // A machine with deliberately tiny global memory.
     let machine = AtgpuMachine::new(cfg.machine.p, cfg.machine.b, cfg.machine.m, 1 << 14)?;
     let n = 100_000u64; // 3n ≈ 300k words ≫ G = 16k
-    let params = cfg.spec.derived_cost_params();
     let mut rows = Vec::new();
     for chunk in [512u64, 1024, 2048, 4096] {
         let w = OocVecAdd::new(n, chunk, 1);
         let built = w.build(&machine)?;
         let metrics = analyze_program(&built.program, &machine)?.metrics();
-        let cost = evaluate(CostModel::GpuCost, &params, &machine, &cfg.spec, &metrics)?;
+        let cost = evaluate(CostModel::GpuCost, &machine, &cfg.spec, &metrics)?;
         let report = run_program(&built.program, built.inputs, &machine, &cfg.spec, &cfg.sim)?;
         rows.push(vec![
             chunk.to_string(),
@@ -168,7 +167,6 @@ pub fn e4_occupancy(cfg: &ExpConfig) -> Result<Section, ExpError> {
     let mut pred_points = Vec::new();
     let mut obs_points = Vec::new();
     let m = cfg.machine.m;
-    let params = cfg.spec.derived_cost_params();
     for divisor in [16u64, 8, 4, 2, 1] {
         let m_used = m / divisor; // shared words per block
         let w = VecAdd::new(n, 1);
@@ -183,8 +181,7 @@ pub fn e4_occupancy(cfg: &ExpConfig) -> Result<Section, ExpError> {
             }
         }
         let metrics = analyze_program(&built.program, &cfg.machine)?.metrics();
-        let kernel_cost =
-            evaluate(CostModel::KernelOnly, &params, &cfg.machine, &cfg.spec, &metrics)?;
+        let kernel_cost = evaluate(CostModel::KernelOnly, &cfg.machine, &cfg.spec, &metrics)?;
         let report = run_program(&built.program, built.inputs, &cfg.machine, &cfg.spec, &cfg.sim)?;
         let ell = occupancy(&cfg.machine, m_used, cfg.spec.h_limit);
         rows.push(vec![
@@ -589,11 +586,11 @@ pub fn e10_pipeline_planner(cfg: &ExpConfig, trace: Option<&Path>) -> Result<Sec
     let mut worst_xfer = 0.0f64;
     let mut worst_kernel = 0.0f64;
     let mut paired = 0usize;
-    let params = cfg.spec.derived_cost_params();
+    let link = cfg.spec.host_link();
     for (ri, rm) in metrics.rounds.iter().enumerate() {
-        let kernel_ms = atgpu_model::cost::gpu_kernel_term(machine, &cfg.spec, &params, rm)?;
+        let kernel_ms = atgpu_model::cost::gpu_kernel_term(machine, &cfg.spec, rm)?;
         let (pred, _) =
-            atgpu_model::cost::schedule_round_spans(&params, rm, kernel_ms, sched.get(ri), 0.0);
+            atgpu_model::cost::schedule_round_spans(&link, rm, kernel_ms, sched.get(ri), 0.0);
         for lane in 0u8..4 {
             let obs_lane: Vec<_> = spans
                 .iter()

@@ -36,8 +36,8 @@ pub enum Scale {
 pub struct ExpConfig {
     /// The abstract machine (analysis side).
     pub machine: AtgpuMachine,
-    /// The simulated device (observation side).  Its
-    /// [`GpuSpec::derived_cost_params`] price the predicted curves.
+    /// The simulated device (observation side).  Its fields price the
+    /// predicted curves.
     pub spec: GpuSpec,
     /// Simulator configuration.
     pub sim: SimConfig,
@@ -93,9 +93,8 @@ pub struct SweepRow {
 pub fn run_row(w: &dyn Workload, cfg: &ExpConfig) -> Result<SweepRow, ExpError> {
     let built = w.build(&cfg.machine)?;
     let metrics = analyze_program(&built.program, &cfg.machine)?.metrics();
-    let params = cfg.spec.derived_cost_params();
-    let atgpu = evaluate(CostModel::GpuCost, &params, &cfg.machine, &cfg.spec, &metrics)?;
-    let swgpu = evaluate(CostModel::Swgpu, &params, &cfg.machine, &cfg.spec, &metrics)?;
+    let atgpu = evaluate(CostModel::GpuCost, &cfg.machine, &cfg.spec, &metrics)?;
+    let swgpu = evaluate(CostModel::Swgpu, &cfg.machine, &cfg.spec, &metrics)?;
 
     let report = run_program(&built.program, built.inputs, &cfg.machine, &cfg.spec, &cfg.sim)?;
 

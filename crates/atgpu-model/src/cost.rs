@@ -25,9 +25,8 @@
 //! Expression (2) with a `max` over devices.  Three doors open it:
 //!
 //! * [`evaluate`] — the paper's four-model table for one device, priced
-//!   with the caller's [`CostParams`] (a device's are its
-//!   `GpuSpec::derived_cost_params`; the hand-calculation tests pass unit
-//!   parameters);
+//!   with the constants of its [`GpuSpec`] (`γ`, `λ`, `σ` read through
+//!   [`GpuSpec::derived_cost_params`], `α`/`β` its [`GpuSpec::host_link`]);
 //! * [`cluster_cost_streamed`] — the core with per-device stream
 //!   schedules (`&[]` for all-serial devices; one device with no peers
 //!   is the single-GPU cost);
@@ -44,7 +43,7 @@ use crate::error::ModelError;
 use crate::machine::AtgpuMachine;
 use crate::metrics::{AlgoMetrics, RoundMetrics};
 use crate::occupancy::{device_capacity, wave_factor};
-use crate::params::{ClusterSpec, CostParams, GpuSpec, LinkParams};
+use crate::params::{ClusterSpec, GpuSpec, LinkParams};
 use crate::streams::{RoundSchedule, StreamItem, StreamResource, StreamTimeline};
 
 /// Which cost function to evaluate.
@@ -102,21 +101,15 @@ impl CostBreakdown {
     }
 }
 
-/// A transfer of `words` in `txns` transactions on `params`' host link,
-/// `txns·α + words·β` — `T_I` and `T_O` of a round, one stream item, a
-/// checkpoint replay.
-fn transfer_ms(params: &CostParams, txns: u64, words: u64) -> f64 {
-    LinkParams { alpha_ms: params.alpha, beta_ms_per_word: params.beta }.cost_ms(txns, words)
-}
-
-/// The kernel term of the paper's cost functions, `(waves·t + λ·q)/γ` —
-/// the one place a kernel is priced.  Expression (2) passes
+/// The kernel term of the paper's cost functions, `(waves·t + λ·q)/γ` on
+/// `spec` — the one place a kernel is priced.  Expression (2) passes
 /// `⌈k/(k′ℓ)⌉` waves ([`gpu_kernel_term`]), Expression (1) one, and a
 /// degraded survivor its fractional takeover waves.
-fn kernel_ms(params: &CostParams, waves: f64, time: u64, io_blocks: f64) -> f64 {
+fn kernel_ms(spec: &GpuSpec, waves: f64, time: u64, io_blocks: f64) -> f64 {
+    let p = spec.derived_cost_params();
     // An empty launch still runs its (empty) kernel once.
     let waves = if time > 0 { waves.max(1.0) } else { waves };
-    (waves * time as f64 + params.lambda * io_blocks) / params.gamma
+    (waves * time as f64 + p.lambda * io_blocks) / p.gamma
 }
 
 /// The GPU-cost kernel term of one round, `(waveᵢ·tᵢ + λ·qᵢ)/γ` —
@@ -126,13 +119,12 @@ fn kernel_ms(params: &CostParams, waves: f64, time: u64, io_blocks: f64) -> f64 
 pub fn gpu_kernel_term(
     machine: &AtgpuMachine,
     spec: &GpuSpec,
-    params: &CostParams,
     round: &RoundMetrics,
 ) -> Result<f64, ModelError> {
     let wave = wave_factor(machine, spec, round.blocks_launched, round.shared_words).ok_or(
         ModelError::SharedMemoryExceeded { required: round.shared_words, available: machine.m },
     )?;
-    Ok(kernel_ms(params, wave as f64, round.time, round.io_blocks as f64))
+    Ok(kernel_ms(spec, wave as f64, round.time, round.io_blocks as f64))
 }
 
 /// One operation of a round's *predicted* timeline, as scheduled by the
@@ -155,14 +147,14 @@ pub struct PredictedSpan {
 }
 
 /// Schedules one round through a [`StreamTimeline`]: transfers priced on
-/// `params`'s link, the kernel term on the compute resource, syncs raising
+/// `link`, the kernel term on the compute resource, syncs raising
 /// the floor.  Component sums are folded into `breakdown`; every scheduled
 /// operation is reported to `sink`; the return value is the round's
 /// stream-aware duration (without `σ`).  An empty schedule falls back to
 /// the round's aggregate metrics, all on stream 0 — exactly the serial
 /// `T_I + kernel + T_O`.
 fn schedule_round_with(
-    params: &CostParams,
+    link: &LinkParams,
     round: &RoundMetrics,
     kernel_ms: f64,
     schedule: Option<&RoundSchedule>,
@@ -181,12 +173,12 @@ fn schedule_round_with(
             for item in &s.items {
                 match item {
                     StreamItem::TransferIn { stream, txns, words } => {
-                        let d = transfer_ms(params, *txns, *words);
+                        let d = link.cost_ms(*txns, *words);
                         emit(&mut tl, *stream, StreamResource::HostToDevice, d, *words);
                         breakdown.transfer_in += d;
                     }
                     StreamItem::TransferOut { stream, txns, words } => {
-                        let d = transfer_ms(params, *txns, *words);
+                        let d = link.cost_ms(*txns, *words);
                         emit(&mut tl, *stream, StreamResource::DeviceToHost, d, *words);
                         breakdown.transfer_out += d;
                     }
@@ -203,8 +195,8 @@ fn schedule_round_with(
             }
         }
         _ => {
-            let t_in = transfer_ms(params, round.inward_txns, round.inward_words);
-            let t_out = transfer_ms(params, round.outward_txns, round.outward_words);
+            let t_in = link.cost_ms(round.inward_txns, round.inward_words);
+            let t_out = link.cost_ms(round.outward_txns, round.outward_words);
             emit(&mut tl, 0, StreamResource::HostToDevice, t_in, round.inward_words);
             emit(&mut tl, 0, StreamResource::Compute, kernel_ms, 0);
             emit(&mut tl, 0, StreamResource::DeviceToHost, t_out, round.outward_words);
@@ -224,9 +216,11 @@ fn schedule_round_with(
 /// operation's `(start, end)` on its lane instead of only the round
 /// total.  Trace consumers (`atgpu-exp --trace`) pair these with the
 /// simulator's observed spans to report worst-*span* prediction error.
-/// Returns `(spans, round_ms)` where `round_ms` excludes `σ`.
+/// Transfers are priced on `link` (the device's host link), the kernel
+/// is the caller's [`gpu_kernel_term`].  Returns `(spans, round_ms)`
+/// where `round_ms` excludes `σ`.
 pub fn schedule_round_spans(
-    params: &CostParams,
+    link: &LinkParams,
     round: &RoundMetrics,
     kernel_ms: f64,
     schedule: Option<&RoundSchedule>,
@@ -234,15 +228,10 @@ pub fn schedule_round_spans(
 ) -> (Vec<PredictedSpan>, f64) {
     let mut spans = Vec::new();
     let mut breakdown = CostBreakdown::default();
-    let total = schedule_round_with(
-        params,
-        round,
-        kernel_ms,
-        schedule,
-        peer_ms,
-        &mut breakdown,
-        &mut |s| spans.push(s),
-    );
+    let total =
+        schedule_round_with(link, round, kernel_ms, schedule, peer_ms, &mut breakdown, &mut |s| {
+            spans.push(s)
+        });
     (spans, total)
 }
 
@@ -270,9 +259,11 @@ fn check_schedule_streams(s: &RoundSchedule) -> Result<(), ModelError> {
     Ok(())
 }
 
-/// Evaluates `model` for `metrics` on `machine` with GPU `spec`.
+/// Evaluates `model` for `metrics` on `machine` with GPU `spec`: `γ`,
+/// `λ` and `σ` read through [`GpuSpec::derived_cost_params`], the
+/// transfer terms priced on [`GpuSpec::host_link`].
 ///
-/// Fails if the parameters are invalid, the metrics do not fit the machine
+/// Fails if the spec is invalid, the metrics do not fit the machine
 /// (global/shared limits — the paper's "cannot be run" rule), or a round's
 /// blocks exceed what the GPU can ever hold (`ℓ = 0`).
 ///
@@ -282,31 +273,31 @@ fn check_schedule_streams(s: &RoundSchedule) -> Result<(), ModelError> {
 /// or one wave on the perfect GPU.
 pub fn evaluate(
     model: CostModel,
-    params: &CostParams,
     machine: &AtgpuMachine,
     spec: &GpuSpec,
     metrics: &AlgoMetrics,
 ) -> Result<CostBreakdown, ModelError> {
-    params.validate()?;
     spec.validate()?;
     metrics.check_fits(machine)?;
 
+    let link = spec.host_link();
+    let sigma = spec.derived_cost_params().sigma;
     let mut out = CostBreakdown::default();
     for round in &metrics.rounds {
         out.kernel += match model {
-            CostModel::PerfectGpu => kernel_ms(params, 1.0, round.time, round.io_blocks as f64),
+            CostModel::PerfectGpu => kernel_ms(spec, 1.0, round.time, round.io_blocks as f64),
             CostModel::GpuCost | CostModel::Swgpu | CostModel::KernelOnly => {
-                gpu_kernel_term(machine, spec, params, round)?
+                gpu_kernel_term(machine, spec, round)?
             }
         };
         match model {
             CostModel::PerfectGpu | CostModel::GpuCost => {
-                out.transfer_in += transfer_ms(params, round.inward_txns, round.inward_words);
-                out.transfer_out += transfer_ms(params, round.outward_txns, round.outward_words);
-                out.sync += params.sigma;
+                out.transfer_in += link.cost_ms(round.inward_txns, round.inward_words);
+                out.transfer_out += link.cost_ms(round.outward_txns, round.outward_words);
+                out.sync += sigma;
             }
             CostModel::Swgpu => {
-                out.sync += params.sigma;
+                out.sync += sigma;
             }
             CostModel::KernelOnly => {}
         }
@@ -368,7 +359,7 @@ pub struct DegradedLoss {
     pub replay_txns: u64,
     /// Fraction of the dead device's per-round work each survivor takes
     /// over.  Must have one entry per device, be zero at `device`, be
-    /// non-negative, and sum to 1.
+    /// finite and non-negative, and sum to 1.
     pub takeover: Vec<f64>,
 }
 
@@ -390,9 +381,13 @@ impl DegradedLoss {
                 self.takeover.len()
             ));
         }
-        if self.takeover[self.device].abs() > 1e-9 || self.takeover.iter().any(|&f| f < 0.0) {
+        // Written so that NaN fails: every comparison with NaN is false.
+        if self.takeover.iter().any(|f| !f.is_finite() || *f < 0.0)
+            || self.takeover[self.device].abs() > 1e-9
+        {
             return invalid(
-                "takeover fractions must be non-negative and zero at the dead device".into(),
+                "takeover fractions must be finite, non-negative and zero at the dead device"
+                    .into(),
             );
         }
         let f_sum: f64 = self.takeover.iter().sum();
@@ -459,17 +454,7 @@ fn price_rounds(
         }
         table.iter().try_for_each(check_schedule_streams)?;
     }
-    let params: Vec<CostParams> = cluster
-        .devices
-        .iter()
-        .zip(&cluster.host_links)
-        .map(|(spec, link)| {
-            let own = spec.derived_cost_params();
-            CostParams { alpha: link.alpha_ms, beta: link.beta_ms_per_word, ..own }
-        })
-        .collect();
-    for (metrics, p) in per_device.iter().zip(&params) {
-        p.validate()?;
+    for metrics in per_device {
         metrics.check_fits(machine)?;
     }
     if peer.len() > rounds {
@@ -519,7 +504,7 @@ fn price_rounds(
         }
 
         let mut slowest = 0.0f64;
-        for (d, (p, spec)) in params.iter().zip(&cluster.devices).enumerate() {
+        for (d, (spec, link)) in cluster.devices.iter().zip(&cluster.host_links).enumerate() {
             if dead == Some(d) {
                 continue;
             }
@@ -527,23 +512,23 @@ fn price_rounds(
             let b = &mut out.per_device[d];
             let path = match lost {
                 None => {
-                    let kernel = gpu_kernel_term(machine, spec, p, round)?;
+                    let kernel = gpu_kernel_term(machine, spec, round)?;
                     let schedule = schedules.get(d).and_then(|s| s.get(i));
-                    schedule_round_with(p, round, kernel, schedule, peer_ms[d], b, &mut |_| {})
+                    schedule_round_with(link, round, kernel, schedule, peer_ms[d], b, &mut |_| {})
                 }
                 Some((l, heir)) => {
                     // Every survivor stages the dead device's inputs (any
                     // of them may run a recovery shard); the heir alone
                     // replays the journal, once, and returns the outputs.
                     let dead_round = &per_device[l.device].rounds[i];
-                    let mut t_in = transfer_ms(p, round.inward_txns, round.inward_words)
-                        + transfer_ms(p, dead_round.inward_txns, dead_round.inward_words);
+                    let mut t_in = link.cost_ms(round.inward_txns, round.inward_words)
+                        + link.cost_ms(dead_round.inward_txns, dead_round.inward_words);
                     if i == l.at_round && d == heir {
-                        t_in += transfer_ms(p, l.replay_txns, l.replay_words);
+                        t_in += link.cost_ms(l.replay_txns, l.replay_words);
                     }
-                    let mut t_out = transfer_ms(p, round.outward_txns, round.outward_words);
+                    let mut t_out = link.cost_ms(round.outward_txns, round.outward_words);
                     if d == heir {
-                        t_out += transfer_ms(p, dead_round.outward_txns, dead_round.outward_words);
+                        t_out += link.cost_ms(dead_round.outward_txns, dead_round.outward_words);
                     }
                     // Fractional takeover kernel: waves over the combined
                     // (possibly non-integral) block count.
@@ -561,7 +546,7 @@ fn price_rounds(
                     let time = round.time.max(dead_round.time);
                     let waves = (blocks / capacity as f64).ceil();
                     let io = round.io_blocks as f64 + f * dead_round.io_blocks as f64;
-                    let kernel = kernel_ms(p, waves, time, io);
+                    let kernel = kernel_ms(spec, waves, time, io);
                     b.transfer_in += t_in;
                     b.transfer_out += t_out;
                     b.kernel += kernel;
@@ -598,8 +583,7 @@ fn price_rounds(
 /// the max-over-devices concurrency.  Pass an empty `schedules` slice (or
 /// an empty per-device vector) for all-serial devices.  On a one-device
 /// cluster with all-serial schedules the total is
-/// [`evaluate`]`(CostModel::GpuCost, …)` with the device's derived
-/// parameters.
+/// [`evaluate`]`(CostModel::GpuCost, …)` on the device's spec.
 pub fn cluster_cost_streamed(
     cluster: &ClusterSpec,
     machine: &AtgpuMachine,
@@ -655,10 +639,6 @@ mod tests {
         AtgpuMachine::new(1 << 20, 32, 12_288, 1 << 26).unwrap()
     }
 
-    fn spec() -> GpuSpec {
-        GpuSpec::gtx650_like()
-    }
-
     fn simple_round() -> RoundMetrics {
         RoundMetrics {
             time: 13,
@@ -673,14 +653,23 @@ mod tests {
         }
     }
 
-    fn unit_params() -> CostParams {
-        CostParams { gamma: 1.0, lambda: 10.0, sigma: 5.0, alpha: 2.0, beta: 0.5 }
+    /// The GTX 650's `k′ = 2`, `H = 16` with unit constants: `γ = 1`,
+    /// `λ = 10`, `σ = 5`, `α = 2`, `β = 0.5`.
+    fn unit_spec() -> GpuSpec {
+        GpuSpec {
+            clock_cycles_per_ms: 1.0,
+            dram_issue_cycles: 10,
+            xfer_alpha_ms: 2.0,
+            xfer_beta_ms_per_word: 0.5,
+            sync_ms: 5.0,
+            ..GpuSpec::gtx650_like()
+        }
     }
 
     #[test]
     fn perfect_cost_matches_hand_calculation() {
         let m = AlgoMetrics::new(vec![simple_round()]);
-        let c = evaluate(CostModel::PerfectGpu, &unit_params(), &machine(), &spec(), &m).unwrap();
+        let c = evaluate(CostModel::PerfectGpu, &machine(), &unit_spec(), &m).unwrap();
         // T_I = 2*2 + 2048*0.5 = 1028; kernel = (13 + 10*96)/1 = 973;
         // T_O = 1*2 + 1024*0.5 = 514; sigma = 5.
         assert_eq!(c.transfer_in, 1028.0);
@@ -694,21 +683,21 @@ mod tests {
     fn gpu_cost_applies_wave_factor() {
         let m = AlgoMetrics::new(vec![simple_round()]);
         // k' * l = 2 * 16 = 32 (96-word blocks are H-capped); k = 32 -> 1 wave.
-        let c1 = evaluate(CostModel::GpuCost, &unit_params(), &machine(), &spec(), &m).unwrap();
+        let c1 = evaluate(CostModel::GpuCost, &machine(), &unit_spec(), &m).unwrap();
         assert_eq!(c1.kernel, 973.0);
         // k = 33 -> 2 waves -> kernel = (2*13 + 960) = 986.
         let mut r = simple_round();
         r.blocks_launched = 33;
         let m2 = AlgoMetrics::new(vec![r]);
-        let c2 = evaluate(CostModel::GpuCost, &unit_params(), &machine(), &spec(), &m2).unwrap();
+        let c2 = evaluate(CostModel::GpuCost, &machine(), &unit_spec(), &m2).unwrap();
         assert_eq!(c2.kernel, 986.0);
     }
 
     #[test]
     fn swgpu_is_gpu_cost_without_transfer() {
         let m = AlgoMetrics::new(vec![simple_round(), simple_round()]);
-        let g = evaluate(CostModel::GpuCost, &unit_params(), &machine(), &spec(), &m).unwrap();
-        let s = evaluate(CostModel::Swgpu, &unit_params(), &machine(), &spec(), &m).unwrap();
+        let g = evaluate(CostModel::GpuCost, &machine(), &unit_spec(), &m).unwrap();
+        let s = evaluate(CostModel::Swgpu, &machine(), &unit_spec(), &m).unwrap();
         assert_eq!(s.transfer_in, 0.0);
         assert_eq!(s.transfer_out, 0.0);
         assert_eq!(s.kernel, g.kernel);
@@ -719,7 +708,7 @@ mod tests {
     #[test]
     fn kernel_only_drops_sync_too() {
         let m = AlgoMetrics::new(vec![simple_round()]);
-        let k = evaluate(CostModel::KernelOnly, &unit_params(), &machine(), &spec(), &m).unwrap();
+        let k = evaluate(CostModel::KernelOnly, &machine(), &unit_spec(), &m).unwrap();
         assert_eq!(k.sync, 0.0);
         assert_eq!(k.transfer(), 0.0);
         assert!(k.kernel > 0.0);
@@ -730,15 +719,14 @@ mod tests {
         let mut r = simple_round();
         r.blocks_launched = 1000;
         let m = AlgoMetrics::new(vec![r]);
-        let total =
-            |model| evaluate(model, &unit_params(), &machine(), &spec(), &m).unwrap().total();
+        let total = |model| evaluate(model, &machine(), &unit_spec(), &m).unwrap().total();
         assert!(total(CostModel::GpuCost) >= total(CostModel::PerfectGpu));
     }
 
     #[test]
     fn transfer_proportion_between_zero_and_one() {
         let m = AlgoMetrics::new(vec![simple_round()]);
-        let c = evaluate(CostModel::GpuCost, &unit_params(), &machine(), &spec(), &m).unwrap();
+        let c = evaluate(CostModel::GpuCost, &machine(), &unit_spec(), &m).unwrap();
         let d = c.transfer_proportion();
         assert!((0.0..=1.0).contains(&d), "delta = {d}");
     }
@@ -765,9 +753,10 @@ mod tests {
             outward_txns: 1,
             blocks_launched: k,
         };
-        let p = unit_params();
+        let s = unit_spec();
+        let p = s.derived_cost_params();
         let m = AlgoMetrics::new(vec![r]);
-        let c = evaluate(CostModel::PerfectGpu, &p, &machine(), &spec(), &m).unwrap().total();
+        let c = evaluate(CostModel::PerfectGpu, &machine(), &s, &m).unwrap().total();
         let expect = 3.0 * p.alpha
             + 3.0 * n as f64 * p.beta
             + (13.0 + p.lambda * 3.0 * k as f64) / p.gamma
@@ -781,7 +770,7 @@ mod tests {
         r.global_words = machine().g + 1;
         let m = AlgoMetrics::new(vec![r]);
         assert!(matches!(
-            evaluate(CostModel::GpuCost, &unit_params(), &machine(), &spec(), &m),
+            evaluate(CostModel::GpuCost, &machine(), &unit_spec(), &m),
             Err(ModelError::GlobalMemoryExceeded { .. })
         ));
     }
@@ -792,36 +781,38 @@ mod tests {
         r.shared_words = machine().m + 1;
         let m = AlgoMetrics::new(vec![r]);
         assert!(matches!(
-            evaluate(CostModel::GpuCost, &unit_params(), &machine(), &spec(), &m),
+            evaluate(CostModel::GpuCost, &machine(), &unit_spec(), &m),
             Err(ModelError::SharedMemoryExceeded { .. })
         ));
     }
 
     #[test]
     fn invalid_params_rejected() {
-        let mut p = unit_params();
-        p.gamma = 0.0;
+        let s = GpuSpec { clock_cycles_per_ms: 0.0, ..unit_spec() };
         let m = AlgoMetrics::new(vec![simple_round()]);
-        assert!(evaluate(CostModel::GpuCost, &p, &machine(), &spec(), &m).is_err());
+        assert!(matches!(
+            evaluate(CostModel::GpuCost, &machine(), &s, &m),
+            Err(ModelError::InvalidParams { .. })
+        ));
     }
 
     #[test]
     fn cost_monotone_in_lambda() {
         let m = AlgoMetrics::new(vec![simple_round()]);
-        let mut p = unit_params();
-        let c1 = evaluate(CostModel::GpuCost, &p, &machine(), &spec(), &m).unwrap().total();
-        p.lambda *= 2.0;
-        let c2 = evaluate(CostModel::GpuCost, &p, &machine(), &spec(), &m).unwrap().total();
+        let mut s = unit_spec();
+        let c1 = evaluate(CostModel::GpuCost, &machine(), &s, &m).unwrap().total();
+        s.dram_issue_cycles *= 2;
+        let c2 = evaluate(CostModel::GpuCost, &machine(), &s, &m).unwrap().total();
         assert!(c2 > c1);
     }
 
     #[test]
     fn cost_monotone_in_beta() {
         let m = AlgoMetrics::new(vec![simple_round()]);
-        let mut p = unit_params();
-        let c1 = evaluate(CostModel::GpuCost, &p, &machine(), &spec(), &m).unwrap().total();
-        p.beta *= 3.0;
-        let c2 = evaluate(CostModel::GpuCost, &p, &machine(), &spec(), &m).unwrap().total();
+        let mut s = unit_spec();
+        let c1 = evaluate(CostModel::GpuCost, &machine(), &s, &m).unwrap().total();
+        s.xfer_beta_ms_per_word *= 3.0;
+        let c2 = evaluate(CostModel::GpuCost, &machine(), &s, &m).unwrap().total();
         assert!(c2 > c1);
     }
 
@@ -840,15 +831,7 @@ mod tests {
     }
 
     fn unit_cluster(n: usize) -> ClusterSpec {
-        let spec = GpuSpec {
-            clock_cycles_per_ms: 1.0,
-            dram_issue_cycles: 10,
-            xfer_alpha_ms: 2.0,
-            xfer_beta_ms_per_word: 0.5,
-            sync_ms: 5.0,
-            ..GpuSpec::gtx650_like()
-        };
-        ClusterSpec::homogeneous(n, spec)
+        ClusterSpec::homogeneous(n, unit_spec())
     }
 
     #[test]
@@ -859,9 +842,7 @@ mod tests {
         let cluster = unit_cluster(1);
         let c = cluster_cost_streamed(&cluster, &machine(), std::slice::from_ref(&m), &[], &[])
             .unwrap();
-        let single =
-            evaluate(CostModel::GpuCost, &unit_params(), &machine(), &cluster.devices[0], &m)
-                .unwrap();
+        let single = evaluate(CostModel::GpuCost, &machine(), &cluster.devices[0], &m).unwrap();
         assert!((c.total_ms - single.total()).abs() < 1e-9, "{} vs {}", c.total_ms, single.total());
         assert_eq!(c.sync_ms, 10.0);
     }
@@ -1051,6 +1032,23 @@ mod tests {
         let mut bad = ok.clone();
         bad.takeover = vec![0.5, 0.5];
         assert!(cluster_cost_degraded(&cluster, &machine(), &pair, &[], &bad).is_err());
+        // NaN and infinite fractions, at a survivor or at the dead device.
+        for takeover in [
+            vec![f64::NAN, 0.0],
+            vec![0.0, f64::NAN],
+            vec![f64::INFINITY, 0.0],
+            vec![1.0, f64::INFINITY],
+            vec![f64::NEG_INFINITY, 0.0],
+        ] {
+            let bad = DegradedLoss { takeover: takeover.clone(), ..ok.clone() };
+            assert!(
+                matches!(
+                    cluster_cost_degraded(&cluster, &machine(), &pair, &[], &bad),
+                    Err(ModelError::InvalidParams { .. })
+                ),
+                "{takeover:?}"
+            );
+        }
         // No survivors at all.
         let one = unit_cluster(1);
         let solo = DegradedLoss { takeover: vec![0.0], device: 0, ..ok };
@@ -1103,8 +1101,8 @@ mod tests {
         );
     }
 
-    /// The stream-aware cost of one device: the 1-device unit cluster,
-    /// whose derived parameters are `unit_params()`, with `σ` folded back
+    /// The stream-aware cost of one device: the 1-device unit cluster of
+    /// `unit_spec()`, with `σ` folded back
     /// into the breakdown beside the total.
     fn streamed_one(m: &AlgoMetrics, schedules: Vec<RoundSchedule>) -> (CostBreakdown, f64) {
         let c = cluster_cost_streamed(
@@ -1121,7 +1119,7 @@ mod tests {
     #[test]
     fn streamed_with_empty_schedules_matches_gpu_cost() {
         let m = AlgoMetrics::new(vec![simple_round(), simple_round()]);
-        let serial = evaluate(CostModel::GpuCost, &unit_params(), &machine(), &spec(), &m).unwrap();
+        let serial = evaluate(CostModel::GpuCost, &machine(), &unit_spec(), &m).unwrap();
         let (breakdown, total) = streamed_one(&m, vec![RoundSchedule::default(); 2]);
         assert_eq!(total, serial.total());
         assert_eq!(breakdown, serial);
@@ -1141,7 +1139,7 @@ mod tests {
             ],
         };
         let (_, total) = streamed_one(&m, vec![schedule]);
-        let serial = evaluate(CostModel::GpuCost, &unit_params(), &machine(), &spec(), &m).unwrap();
+        let serial = evaluate(CostModel::GpuCost, &machine(), &unit_spec(), &m).unwrap();
         assert!((total - serial.total()).abs() < 1e-9, "{total} vs {}", serial.total());
     }
 
@@ -1288,7 +1286,7 @@ mod tests {
     fn multi_round_sync_scales_with_r() {
         let rounds = vec![simple_round(); 5];
         let m = AlgoMetrics::new(rounds);
-        let c = evaluate(CostModel::GpuCost, &unit_params(), &machine(), &spec(), &m).unwrap();
-        assert_eq!(c.sync, 5.0 * unit_params().sigma);
+        let c = evaluate(CostModel::GpuCost, &machine(), &unit_spec(), &m).unwrap();
+        assert_eq!(c.sync, 5.0 * unit_spec().sync_ms);
     }
 }

@@ -16,10 +16,13 @@
 //! * [`machine::AtgpuMachine`] — the abstract machine `ATGPU(p, b, M, G)`;
 //! * [`metrics::RoundMetrics`] / [`metrics::AlgoMetrics`] — the per-round
 //!   quantities the model tracks (`tᵢ`, `qᵢ`, space, `Iᵢ`, `Oᵢ`, `Îᵢ`, `Ôᵢ`);
-//! * [`params::CostParams`] — the cost constants `γ, λ, σ, α, β`;
 //! * [`params::GpuSpec`] — a concrete GPU (`k′` multiprocessors, hardware
 //!   block-residency limit `H`, clock, bandwidths) used by the GPU-cost
-//!   function and by the simulator;
+//!   function and by the simulator; its fields are the cost constants
+//!   `γ, λ, σ, α, β`;
+//! * [`params::CostParams`] — those five constants as
+//!   [`params::GpuSpec::derived_cost_params`] reads them off a spec, the
+//!   one spec→constants mapping (no cost function takes a `CostParams`);
 //! * [`cost`] — the perfect-GPU cost (paper Expression 1), the GPU-cost with
 //!   occupancy (Expression 2), and the SWGPU baseline cost (the same
 //!   function with the transfer terms removed, exactly as the paper's
@@ -30,9 +33,7 @@
 //!   (including their [`plan::PeerProfile`] device↔device traffic),
 //!   cost-driven shard apportionment and the chunk-size solver, all
 //!   priced through the cost functions above;
-//! * [`comparison`] — the feature matrix of Table I, generated from data;
-//! * [`asymptotics`] — a tiny symbolic big-O term language used to state
-//!   and numerically evaluate the paper's closed-form complexities.
+//! * [`comparison`] — the feature matrix of Table I, generated from data.
 //!
 //! The companion crates build the rest of the system: `atgpu-ir` (kernel
 //! pseudocode/IR), `atgpu-analyze` (derives [`metrics::AlgoMetrics`] from
@@ -44,7 +45,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod asymptotics;
 pub mod comparison;
 pub mod cost;
 pub mod error;

@@ -66,13 +66,6 @@ impl AtgpuMachine {
         self.p / self.b
     }
 
-    /// Number of `b`-word blocks global memory is divided into (`⌈G/b⌉`;
-    /// a trailing partial block still occupies a block slot).
-    #[inline]
-    pub fn global_blocks(&self) -> u64 {
-        self.g.div_ceil(self.b)
-    }
-
     /// The global-memory block index holding word address `addr`.
     #[inline]
     pub fn block_of(&self, addr: u64) -> u64 {
@@ -92,15 +85,6 @@ impl AtgpuMachine {
     #[inline]
     pub fn blocks_for(&self, n: u64) -> u64 {
         n.div_ceil(self.b)
-    }
-
-    /// A "perfect-GPU" sized machine for `n`-element problems: enough MPs to
-    /// run every thread block concurrently.  Mirrors the paper's analysis
-    /// machine, which is "an impossible machine, with an unlimited amount of
-    /// multiprocessors"; we size `p` so that `k = ⌈n/b⌉`.
-    pub fn perfect_for(n: u64, b: u64, m: u64, g: u64) -> Result<Self, ModelError> {
-        let k = n.div_ceil(b).max(1);
-        Self::new(k * b, b, m, g)
     }
 
     /// A machine with warp width and memory sizes resembling the paper's
@@ -165,13 +149,6 @@ mod tests {
         assert_eq!(m.block_of(32), 1);
         assert_eq!(m.bank_of(0), 0);
         assert_eq!(m.bank_of(33), 1);
-        assert_eq!(m.global_blocks(), 128);
-    }
-
-    #[test]
-    fn global_blocks_rounds_up() {
-        let m = AtgpuMachine::new(64, 32, 64, 100).unwrap();
-        assert_eq!(m.global_blocks(), 4); // 100 words -> 4 blocks of 32
     }
 
     #[test]
@@ -181,19 +158,6 @@ mod tests {
         assert_eq!(m.blocks_for(32), 1);
         assert_eq!(m.blocks_for(33), 2);
         assert_eq!(m.blocks_for(0), 0);
-    }
-
-    #[test]
-    fn perfect_machine_covers_n() {
-        let m = AtgpuMachine::perfect_for(1000, 32, 96, 1 << 20).unwrap();
-        assert_eq!(m.k(), 32); // ceil(1000/32)
-        assert_eq!(m.b, 32);
-    }
-
-    #[test]
-    fn perfect_machine_minimum_one_mp() {
-        let m = AtgpuMachine::perfect_for(0, 32, 96, 1 << 20).unwrap();
-        assert_eq!(m.k(), 1);
     }
 
     #[test]

@@ -137,8 +137,7 @@ mod tests {
         let metrics = AlgoMetrics::new(vec![round]);
         let cost = |k_prime| {
             let spec = GpuSpec { k_prime, ..spec() };
-            let params = spec.derived_cost_params();
-            evaluate(CostModel::GpuCost, &params, &machine(), &spec, &metrics).unwrap().total()
+            evaluate(CostModel::GpuCost, &machine(), &spec, &metrics).unwrap().total()
         };
         assert_eq!(cost(1 << 62).to_bits(), cost(blocks).to_bits());
     }

@@ -12,14 +12,19 @@
 //! * **transfer constants `α`, `β`** — Boyer et al.'s model of a
 //!   host↔device copy: a transaction costs `α` up-front plus `β` per word.
 //!
-//! [`GpuSpec`] adds what Expression (2) needs to simulate a *real* GPU:
-//! the physical multiprocessor count `k′` and the hardware limit `H` on
-//! blocks resident per MP, plus the bandwidth-style quantities the
-//! `atgpu-sim` substrate uses to play the role of the paper's GTX 650.
+//! Each constant is a [`GpuSpec`] field, and
+//! [`GpuSpec::derived_cost_params`] is the one mapping from the fields to
+//! the symbols.  The spec adds what Expression (2) needs to simulate a
+//! *real* GPU: the physical multiprocessor count `k′` and the hardware
+//! limit `H` on blocks resident per MP, plus the bandwidth-style
+//! quantities the `atgpu-sim` substrate uses to play the role of the
+//! paper's GTX 650.
 
 use crate::error::ModelError;
 
-/// The five cost constants of the ATGPU cost function.
+/// The five cost constants of the ATGPU cost function, as
+/// [`GpuSpec::derived_cost_params`] reads them off a spec — a view, not a
+/// second source: no cost function takes one.
 ///
 /// Units: `gamma` is in cycles per millisecond (a clock rate), `lambda` in
 /// cycles per block access, and `sigma`, `alpha`, `beta` in milliseconds, so
@@ -39,62 +44,6 @@ pub struct CostParams {
     pub beta: f64,
 }
 
-impl CostParams {
-    /// Validates the parameters: `γ > 0`, everything else non-negative and
-    /// finite.
-    pub fn validate(&self) -> Result<(), ModelError> {
-        let fields = [
-            ("gamma", self.gamma),
-            ("lambda", self.lambda),
-            ("sigma", self.sigma),
-            ("alpha", self.alpha),
-            ("beta", self.beta),
-        ];
-        for (name, v) in fields {
-            if !v.is_finite() {
-                return Err(ModelError::InvalidParams {
-                    reason: format!("{name} must be finite, got {v}"),
-                });
-            }
-            if v < 0.0 {
-                return Err(ModelError::InvalidParams {
-                    reason: format!("{name} must be non-negative, got {v}"),
-                });
-            }
-        }
-        if self.gamma <= 0.0 {
-            return Err(ModelError::InvalidParams {
-                reason: format!("gamma must be positive, got {}", self.gamma),
-            });
-        }
-        Ok(())
-    }
-
-    /// Abstract unit parameters (`γ = 1`, `λ`, `α`, `β`, `σ` order-of-
-    /// magnitude constants).  Useful for plotting cost *trends* the way the
-    /// paper's Figures 3a/4a/5a do, where only growth rates matter.
-    pub fn unit() -> Self {
-        Self { gamma: 1.0, lambda: 100.0, sigma: 10.0, alpha: 50.0, beta: 0.05 }
-    }
-
-    /// Parameters resembling the paper's testbed (GTX 650 on a PCIe link
-    /// that sustains roughly 1.7 GB/s for pageable copies, as the paper's
-    /// observed vector-addition transfer times imply).
-    ///
-    /// * `γ`: 1058 MHz → 1.058e6 cycles/ms.
-    /// * `λ`: 15 cycles — the *effective* per-transaction cost under
-    ///   latency hiding (the memory pipe's issue interval); the raw
-    ///   "400–800 cycle" latency the paper quotes applies to a single
-    ///   un-hidden access and badly over-predicts streaming kernels (see
-    ///   [`GpuSpec::derived_cost_params`]).
-    /// * `σ`: 0.08 ms per round (driver sync + relaunch overhead).
-    /// * `α`: 0.015 ms per transfer transaction (DMA setup).
-    /// * `β`: 1.7 GB/s over 4-byte words → ≈ 2.35e-6 ms/word.
-    pub fn gtx650_like() -> Self {
-        Self { gamma: 1.058e6, lambda: 15.0, sigma: 0.08, alpha: 0.015, beta: 2.35e-6 }
-    }
-}
-
 /// A concrete GPU for the GPU-cost function (Expression 2) and for the
 /// simulator substrate.
 ///
@@ -109,23 +58,26 @@ pub struct GpuSpec {
     pub k_prime: u64,
     /// Hardware limit `H` on thread blocks resident per MP.
     pub h_limit: u64,
-    /// Core clock in cycles per millisecond (simulator time base).
+    /// Core clock in cycles per millisecond (simulator time base) — the
+    /// operation rate `γ`.
     pub clock_cycles_per_ms: f64,
     /// Global-memory (DRAM) access latency in cycles — what a warp waits
     /// when latency is not hidden.  At most [`GpuSpec::MAX_DRAM_CYCLES`]:
     /// the simulated clock adds it once per access.
     pub dram_latency_cycles: u64,
     /// Minimum cycles between successive DRAM block transactions the memory
-    /// controller can issue (models bandwidth; shared across the device).
-    /// At most [`GpuSpec::MAX_DRAM_CYCLES`]: the simulated clock adds it
-    /// once per transaction.
+    /// controller can issue (models bandwidth; shared across the device) —
+    /// the effective block-access cost `λ` (see
+    /// [`GpuSpec::derived_cost_params`]).  At most
+    /// [`GpuSpec::MAX_DRAM_CYCLES`]: the simulated clock adds it once per
+    /// transaction.
     pub dram_issue_cycles: u64,
     /// Host→device / device→host per-transaction setup time (ms) — the
-    /// simulator's ground truth for `α`.
+    /// transfer overhead `α`.
     pub xfer_alpha_ms: f64,
-    /// Host↔device per-word time (ms/word) — ground truth for `β`.
+    /// Host↔device per-word time (ms/word) — the per-word cost `β`.
     pub xfer_beta_ms_per_word: f64,
-    /// Per-round synchronisation overhead (ms) — ground truth for `σ`.
+    /// Per-round synchronisation overhead (ms) — the fixed cost `σ`.
     pub sync_ms: f64,
 }
 
@@ -177,10 +129,13 @@ impl GpuSpec {
     }
 
     /// A GTX 650-like device: 2 SMX-style multiprocessors, 16 resident
-    /// blocks each, 1058 MHz, ~500-cycle DRAM latency, DRAM able to start a
-    /// 32-word block transaction every 15 cycles (≈ 18 GB/s effective at
-    /// 4-byte words — a realistic streaming rate for the card), PCIe
-    /// sustaining ≈ 1.7 GB/s as the paper's observed transfer times imply.
+    /// blocks each, 1058 MHz (`γ` = 1.058e6 cycles/ms), ~500-cycle DRAM
+    /// latency, DRAM able to start a 32-word block transaction every 15
+    /// cycles (`λ` = 15; ≈ 18 GB/s effective at 4-byte words — a realistic
+    /// streaming rate for the card), PCIe sustaining ≈ 1.7 GB/s as the
+    /// paper's observed transfer times imply (`β` ≈ 2.35e-6 ms/word, `α` =
+    /// 0.015 ms of DMA setup), 0.08 ms of driver sync and relaunch per
+    /// round (`σ`).
     pub fn gtx650_like() -> Self {
         Self {
             k_prime: 2,
@@ -228,9 +183,10 @@ impl GpuSpec {
     }
 
     /// Derives abstract cost parameters from this specification — the
-    /// `CostParams` an analyst would use to predict this GPU, and the one
-    /// source of them: `γ` is the clock, `σ`, `α` and `β` are the
-    /// device's own sync and link constants (Boyer et al.'s `α + β·w`).
+    /// one spec→constants mapping every cost function reads: `γ` is the
+    /// clock, `σ`, `α` and `β` are the device's own sync and link
+    /// constants (Boyer et al.'s `α + β·w`; a cluster prices each device's
+    /// transfers on its own [`ClusterSpec::host_links`] entry instead).
     ///
     /// `λ` subtlety: the paper quotes the *raw* access latency ("400–800
     /// cycles"), but the cost function charges `λ` once per block
@@ -458,35 +414,22 @@ impl ClusterSpec {
 mod tests {
     use super::*;
 
-    #[test]
-    fn unit_params_validate() {
-        CostParams::unit().validate().unwrap();
-    }
-
-    #[test]
-    fn gtx_params_validate() {
-        CostParams::gtx650_like().validate().unwrap();
-    }
-
+    /// `γ` is the clock: a spec whose clock is zero does not validate, so
+    /// no cost function divides by a zero `γ`.
     #[test]
     fn rejects_zero_gamma() {
-        let mut p = CostParams::unit();
-        p.gamma = 0.0;
-        assert!(p.validate().is_err());
+        let s = GpuSpec { clock_cycles_per_ms: 0.0, ..GpuSpec::gtx650_like() };
+        assert!(matches!(s.validate(), Err(ModelError::InvalidParams { .. })));
     }
 
+    /// `β` is the host link's per-word time: negative or NaN, the spec
+    /// does not validate.
     #[test]
     fn rejects_negative_beta() {
-        let mut p = CostParams::unit();
-        p.beta = -1.0;
-        assert!(p.validate().is_err());
-    }
-
-    #[test]
-    fn rejects_nan_lambda() {
-        let mut p = CostParams::unit();
-        p.lambda = f64::NAN;
-        assert!(p.validate().is_err());
+        for beta in [-1.0, f64::NAN] {
+            let s = GpuSpec { xfer_beta_ms_per_word: beta, ..GpuSpec::gtx650_like() };
+            assert!(s.validate().is_err(), "{beta}");
+        }
     }
 
     #[test]
@@ -540,18 +483,32 @@ mod tests {
         assert!(s.validate().is_err());
     }
 
+    /// A spec that validates derives constants the cost functions can
+    /// divide by: every one finite and non-negative, `γ` positive.
     #[test]
     fn derived_params_are_valid() {
-        GpuSpec::gtx650_like().derived_cost_params().validate().unwrap();
+        for spec in [GpuSpec::gtx650_like(), GpuSpec::midrange_like(), GpuSpec::highend_like()] {
+            spec.validate().unwrap();
+            let p = spec.derived_cost_params();
+            for v in [p.gamma, p.lambda, p.sigma, p.alpha, p.beta] {
+                assert!(v.is_finite() && v >= 0.0, "{p:?}");
+            }
+            assert!(p.gamma > 0.0);
+        }
     }
 
+    /// Each constant is one named field: `γ` the clock, `λ` the DRAM issue
+    /// interval, `σ` the sync, `α`/`β` the host link.
     #[test]
     fn derived_params_track_spec() {
         let spec = GpuSpec::gtx650_like();
         let p = spec.derived_cost_params();
         assert_eq!(p.gamma, spec.clock_cycles_per_ms);
+        assert_eq!(p.lambda, spec.dram_issue_cycles as f64);
         assert_eq!(p.sigma, spec.sync_ms);
         assert_eq!(p.alpha, spec.xfer_alpha_ms);
+        assert_eq!(p.beta, spec.xfer_beta_ms_per_word);
+        assert_eq!(spec.host_link(), LinkParams { alpha_ms: p.alpha, beta_ms_per_word: p.beta });
     }
 
     #[test]

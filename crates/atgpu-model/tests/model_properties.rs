@@ -98,8 +98,7 @@ proptest! {
     ) {
         let (metrics, _) = table;
         let m = machine();
-        let p = s.derived_cost_params();
-        let serial = evaluate(CostModel::GpuCost, &p, &m, &s, &metrics).unwrap();
+        let serial = evaluate(CostModel::GpuCost, &m, &s, &metrics).unwrap();
         let one = ClusterSpec::homogeneous(1, s);
         let tables = std::slice::from_ref(&metrics);
         let empty = vec![RoundSchedule::default(); metrics.rounds.len()];
@@ -123,16 +122,15 @@ proptest! {
     ) {
         let (metrics, schedules) = table;
         let m = machine();
-        let p = s.derived_cost_params();
         let one = ClusterSpec::homogeneous(1, s);
         let c = cluster_cost_streamed(
             &one, &m, std::slice::from_ref(&metrics), std::slice::from_ref(&schedules), &[],
         ).unwrap();
         let (mut total, mut kernel) = (0.0f64, 0.0f64);
         for (round, schedule) in metrics.rounds.iter().zip(&schedules) {
-            let k = gpu_kernel_term(&m, &s, &p, round).unwrap();
-            let (_, round_ms) = schedule_round_spans(&p, round, k, Some(schedule), 0.0);
-            total += p.sigma + round_ms;
+            let k = gpu_kernel_term(&m, &s, round).unwrap();
+            let (_, round_ms) = schedule_round_spans(&s.host_link(), round, k, Some(schedule), 0.0);
+            total += s.sync_ms + round_ms;
             kernel += k;
         }
         prop_assert_eq!(total.to_bits(), c.total_ms.to_bits());
@@ -185,15 +183,14 @@ proptest! {
     ) {
         let m = machine();
         let s = GpuSpec::gtx650_like();
-        let p = s.derived_cost_params();
         let r1 = round(t1, q1, k1, inw, 0);
         let r2 = round(t2, q2, k2, 0, outw);
         for model in [CostModel::PerfectGpu, CostModel::GpuCost, CostModel::Swgpu] {
-            let both = evaluate(model, &p, &m, &s,
+            let both = evaluate(model, &m, &s,
                 &AlgoMetrics::new(vec![r1, r2])).unwrap().total();
-            let one = evaluate(model, &p, &m, &s,
+            let one = evaluate(model, &m, &s,
                 &AlgoMetrics::new(vec![r1])).unwrap().total();
-            let two = evaluate(model, &p, &m, &s,
+            let two = evaluate(model, &m, &s,
                 &AlgoMetrics::new(vec![r2])).unwrap().total();
             prop_assert!((both - one - two).abs() < 1e-9 * both.max(1.0));
         }
@@ -208,12 +205,11 @@ proptest! {
     ) {
         let m = machine();
         let s = GpuSpec::gtx650_like();
-        let p = s.derived_cost_params();
         let metrics = AlgoMetrics::new(vec![round(t, q, k, inw, outw)]);
-        let kernel = evaluate(CostModel::KernelOnly, &p, &m, &s, &metrics).unwrap().total();
-        let swgpu = evaluate(CostModel::Swgpu, &p, &m, &s, &metrics).unwrap().total();
-        let gpu = evaluate(CostModel::GpuCost, &p, &m, &s, &metrics).unwrap().total();
-        let perfect = evaluate(CostModel::PerfectGpu, &p, &m, &s, &metrics).unwrap().total();
+        let kernel = evaluate(CostModel::KernelOnly, &m, &s, &metrics).unwrap().total();
+        let swgpu = evaluate(CostModel::Swgpu, &m, &s, &metrics).unwrap().total();
+        let gpu = evaluate(CostModel::GpuCost, &m, &s, &metrics).unwrap().total();
+        let perfect = evaluate(CostModel::PerfectGpu, &m, &s, &metrics).unwrap().total();
         prop_assert!(kernel <= swgpu + 1e-12);
         prop_assert!(swgpu <= gpu + 1e-12);
         prop_assert!(perfect <= gpu + 1e-12);
@@ -236,13 +232,10 @@ proptest! {
     #[test]
     fn perfect_cost_homogeneous(t in 1u64..1000, q in 1u64..1000, c in 2u64..5) {
         let m = machine();
-        let s = GpuSpec::gtx650_like();
-        let mut p = s.derived_cost_params();
-        p.sigma = 0.0;
-        p.alpha = 0.0;
-        let base = evaluate(CostModel::PerfectGpu, &p, &m, &s,
+        let s = GpuSpec { sync_ms: 0.0, xfer_alpha_ms: 0.0, ..GpuSpec::gtx650_like() };
+        let base = evaluate(CostModel::PerfectGpu, &m, &s,
             &AlgoMetrics::new(vec![round(t, q, 1, 100, 0)])).unwrap();
-        let scaled = evaluate(CostModel::PerfectGpu, &p, &m, &s,
+        let scaled = evaluate(CostModel::PerfectGpu, &m, &s,
             &AlgoMetrics::new(vec![round(c * t, c * q, 1, c * 100, 0)])).unwrap();
         prop_assert!((scaled.total() - c as f64 * base.total()).abs()
             < 1e-9 * scaled.total().max(1.0));

@@ -573,6 +573,7 @@ pub(crate) fn run_on(
     if let Some(noise) = &config.noise {
         noise.check()?;
     }
+    config.fault.check()?;
     let machine = &cluster.machine;
     let spec = &cluster.spec;
 

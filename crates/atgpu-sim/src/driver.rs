@@ -62,7 +62,8 @@ pub struct SimConfig {
     /// Scheduled fault events ([`crate::fault`]).  The default empty
     /// plan is free: no injection hooks run, and the simulation is
     /// bit-identical (memory, stats, timing) to one without fault
-    /// support at all.
+    /// support at all.  A straggler or degraded-link factor that is not
+    /// finite and positive is [`SimError::InvalidFaultPlan`].
     pub fault: FaultPlan,
     /// Watchdog budget in simulated device cycles per kernel launch of
     /// this run; a launch whose event clock passes the budget fails with
@@ -687,6 +688,52 @@ mod tests {
             let one = one.unwrap();
             assert!(one.rounds.iter().all(|r| r.xfer_in_ms > 0.0 && r.xfer_out_ms > 0.0), "{rel}");
             assert!(two.unwrap().is_finite(), "{rel}");
+        }
+    }
+
+    /// Regression: fault-plan factors went unchecked into the timing, so
+    /// a negative straggler factor booked a negative kernel time (and a
+    /// trace span `validate_chrome_json` refuses), and `NaN` or `∞`
+    /// poisoned the totals.  Both entry points refuse them before the
+    /// run allocates anything; a factor `FaultPlan::random` draws runs.
+    #[test]
+    fn fault_factors_that_are_not_finite_and_positive_are_refused() {
+        let (p, _) = vecadd_program(16);
+        let cluster = ClusterSpec::homogeneous(2, spec());
+        let run = |event: FaultEvent| {
+            let mut fault = FaultPlan::new(0);
+            fault.push(event);
+            let cfg = SimConfig { fault, ..SimConfig::default() };
+            let data = || vec![vec![1; 16], vec![2; 16]];
+            let one = run_program(&p, data(), &machine(), &spec(), &cfg).map(|r| r.total_ms());
+            let two = crate::run_cluster_program(&p, data(), &machine(), &cluster, &cfg);
+            (one, two.map(|r| r.total_ms()))
+        };
+        let straggler = |clock_factor| FaultEvent::Straggler { device: 0, clock_factor };
+        let degraded = |factor| FaultEvent::LinkDegraded {
+            edge: crate::LinkEdge::Host(0),
+            factor,
+            from_round: 0,
+            to_round: 1,
+        };
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, -1.0] {
+            for event in [straggler(bad), degraded(bad)] {
+                let (one, two) = run(event.clone());
+                assert!(
+                    matches!(one, Err(SimError::InvalidFaultPlan { .. })),
+                    "{event:?}: {one:?}"
+                );
+                assert!(
+                    matches!(two, Err(SimError::InvalidFaultPlan { .. })),
+                    "{event:?}: {two:?}"
+                );
+            }
+        }
+        for good in [1.0, 2.5, 5.0] {
+            for event in [straggler(good), degraded(good)] {
+                let (one, two) = run(event.clone());
+                assert!(one.unwrap() > 0.0 && two.unwrap() > 0.0, "{event:?}");
+            }
         }
     }
 

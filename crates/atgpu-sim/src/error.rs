@@ -120,6 +120,12 @@ pub enum SimError {
         /// Explanation.
         reason: String,
     },
+    /// The run's fault plan ([`crate::SimConfig::fault`]) slows a device
+    /// or a link by a factor that is not finite and positive.
+    InvalidFaultPlan {
+        /// Explanation.
+        reason: String,
+    },
     /// A launched kernel fails [`atgpu_ir::validate::validate_launch`]:
     /// the IR validator refuses it, so it is neither lowered nor run.
     InvalidKernel {
@@ -179,6 +185,7 @@ impl fmt::Display for SimError {
                 write!(f, "simulation worker thread panicked or failed to start while {context}")
             }
             SimError::InvalidNoise { reason } => write!(f, "invalid transfer noise: {reason}"),
+            SimError::InvalidFaultPlan { reason } => write!(f, "invalid fault plan: {reason}"),
             SimError::InvalidKernel { error } => write!(f, "invalid kernel launch: {error}"),
         }
     }

@@ -15,6 +15,7 @@
 //! `Option`, so a faultless run executes exactly the pre-fault code —
 //! no RNG draws, no journaling, no arithmetic changes.
 
+use crate::error::SimError;
 use std::collections::{BTreeSet, HashMap};
 
 /// One directed link of the simulated system.
@@ -133,6 +134,28 @@ impl FaultPlan {
     /// Adds one event.
     pub fn push(&mut self, event: FaultEvent) {
         self.events.push(event);
+    }
+
+    /// Refuses a slowdown the timing cannot honour: every straggler's
+    /// `clock_factor` and every degraded link's `factor` must be finite
+    /// and positive (a negative one books a negative kernel or transfer
+    /// time, zero a free one, and `NaN` or `∞` poisons every total).
+    pub(crate) fn check(&self) -> Result<(), SimError> {
+        for event in &self.events {
+            let (what, factor) = match event {
+                FaultEvent::Straggler { clock_factor, .. } => {
+                    ("straggler clock_factor", *clock_factor)
+                }
+                FaultEvent::LinkDegraded { factor, .. } => ("degraded-link factor", *factor),
+                FaultEvent::DeviceDown { .. } | FaultEvent::TransferDrop { .. } => continue,
+            };
+            if !factor.is_finite() || factor <= 0.0 {
+                return Err(SimError::InvalidFaultPlan {
+                    reason: format!("{what} {factor} is not finite and positive"),
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Synthesises a random plan for an `n_devices`-device,
@@ -383,6 +406,17 @@ mod tests {
         // Other edges are untouched.
         assert!(!rt.consume_attempt(LinkEdge::Host(1)));
         assert!(!rt.consume_attempt(LinkEdge::Peer(0, 1)));
+    }
+
+    /// Every factor a random plan draws is at least 1, so every random
+    /// plan passes the check the run entries make.
+    #[test]
+    fn random_plans_pass_the_factor_check() {
+        for seed in 0..64 {
+            let plan = FaultPlan::random(seed, 4, 6, 1.0);
+            assert!(plan.events.iter().any(|e| matches!(e, FaultEvent::Straggler { .. })));
+            plan.check().unwrap();
+        }
     }
 
     #[test]

@@ -68,8 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         analysis.io_exact, analysis.conflict_free
     );
 
-    let cost =
-        evaluate(CostModel::GpuCost, &spec.derived_cost_params(), &machine, &spec, &metrics)?;
+    let cost = evaluate(CostModel::GpuCost, &machine, &spec, &metrics)?;
     println!(
         "predicted GPU-cost: {:.4} ms (ΔT = {:.1}%)",
         cost.total(),

@@ -18,7 +18,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A device with only 16 Ki words of global memory.
     let machine = AtgpuMachine::new(1 << 18, 32, 12_288, 1 << 14)?;
     let spec = GpuSpec::gtx650_like();
-    let params = spec.derived_cost_params();
     let n: u64 = 100_000; // 3n words needed; G holds ~5% of that
 
     println!("machine: {machine}  (problem needs {} words)", 3 * n);
@@ -28,7 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let w = OocVecAdd::new(n, chunk, 7);
         let built = w.build(&machine)?;
         let metrics = analyze_program(&built.program, &machine)?.metrics();
-        let cost = evaluate(CostModel::GpuCost, &params, &machine, &spec, &metrics)?;
+        let cost = evaluate(CostModel::GpuCost, &machine, &spec, &metrics)?;
         let report = verify_on_sim(&w, &machine, &spec, &SimConfig::default())?;
         println!(
             "{:>8} {:>8} {:>14.3} {:>14.3}",

@@ -16,7 +16,6 @@ use atgpu::sim::SimConfig;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let machine = AtgpuMachine::gtx650_like();
     let spec = GpuSpec::gtx650_like();
-    let params = spec.derived_cost_params();
     let sim = SimConfig::default();
 
     let workloads: Vec<Box<dyn Workload>> = vec![
@@ -32,8 +31,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for w in &workloads {
         let built = w.build(&machine)?;
         let metrics = analyze_program(&built.program, &machine)?.metrics();
-        let atgpu = evaluate(CostModel::GpuCost, &params, &machine, &spec, &metrics)?;
-        let swgpu = evaluate(CostModel::Swgpu, &params, &machine, &spec, &metrics)?;
+        let atgpu = evaluate(CostModel::GpuCost, &machine, &spec, &metrics)?;
+        let swgpu = evaluate(CostModel::Swgpu, &machine, &spec, &metrics)?;
         let report = verify_on_sim(w.as_ref(), &machine, &spec, &sim)?;
         println!(
             "{:<10} {:>6} {:>12.3} {:>12.3} {:>10.3} {:>10.3} {:>7.1}% {:>7.1}%",

@@ -15,7 +15,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Pick the abstract machine ATGPU(p, b, M, G) and a device.
     let machine = AtgpuMachine::gtx650_like();
     let spec = GpuSpec::gtx650_like();
-    let params = spec.derived_cost_params();
     println!("machine: {machine}");
 
     // 2. Build the paper's vector-addition program for n = 1,000,000.
@@ -35,8 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  transfer Σ(I+O)    = {} words", metrics.total_transfer_words());
 
     // 4. Evaluate the cost functions (paper Expressions 1 and 2).
-    let atgpu = evaluate(CostModel::GpuCost, &params, &machine, &spec, &metrics)?;
-    let swgpu = evaluate(CostModel::Swgpu, &params, &machine, &spec, &metrics)?;
+    let atgpu = evaluate(CostModel::GpuCost, &machine, &spec, &metrics)?;
+    let swgpu = evaluate(CostModel::Swgpu, &machine, &spec, &metrics)?;
     println!("\npredictions:");
     println!(
         "  ATGPU GPU-cost     = {:8.3} ms  (ΔT = {:.1}% transfer)",

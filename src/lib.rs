@@ -37,7 +37,7 @@
 //!
 //! ```
 //! use atgpu::model::cost::{evaluate, CostModel};
-//! use atgpu::model::{AtgpuMachine, CostParams, GpuSpec};
+//! use atgpu::model::{AtgpuMachine, GpuSpec};
 //! use atgpu::algos::{vecadd::VecAdd, verify_on_sim, Workload};
 //! use atgpu::analyze::analyze_program;
 //! use atgpu::sim::SimConfig;
@@ -45,13 +45,12 @@
 //! // The abstract machine and a GTX 650-like device.
 //! let machine = AtgpuMachine::gtx650_like();
 //! let spec = GpuSpec::gtx650_like();
-//! let params = spec.derived_cost_params();
 //!
 //! // Analyse vector addition at n = 10_000 on the model …
 //! let wl = VecAdd::new(10_000, /* seed */ 42);
 //! let built = wl.build(&machine)?;
 //! let metrics = analyze_program(&built.program, &machine)?.metrics();
-//! let cost = evaluate(CostModel::GpuCost, &params, &machine, &spec, &metrics)?.total();
+//! let cost = evaluate(CostModel::GpuCost, &machine, &spec, &metrics)?.total();
 //! assert!(cost > 0.0);
 //!
 //! // … and observe it on the simulated device (verified against the

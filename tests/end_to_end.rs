@@ -53,7 +53,6 @@ fn whole_library_verifies_end_to_end() {
 fn atgpu_minus_swgpu_is_transfer_for_all_workloads() {
     let m = machine();
     let s = spec();
-    let params = s.derived_cost_params();
     let workloads: Vec<Box<dyn Workload>> = vec![
         Box::new(VecAdd::new(4096, 1)),
         Box::new(Reduce::new(4096, 2)),
@@ -64,8 +63,8 @@ fn atgpu_minus_swgpu_is_transfer_for_all_workloads() {
     for w in &workloads {
         let built = w.build(&m).unwrap();
         let metrics = analyze_program(&built.program, &m).unwrap().metrics();
-        let atgpu = evaluate(CostModel::GpuCost, &params, &m, &s, &metrics).unwrap();
-        let swgpu = evaluate(CostModel::Swgpu, &params, &m, &s, &metrics).unwrap();
+        let atgpu = evaluate(CostModel::GpuCost, &m, &s, &metrics).unwrap();
+        let swgpu = evaluate(CostModel::Swgpu, &m, &s, &metrics).unwrap();
         let diff = atgpu.total() - swgpu.total();
         assert!(
             (diff - atgpu.transfer()).abs() < 1e-9,
@@ -82,13 +81,12 @@ fn atgpu_minus_swgpu_is_transfer_for_all_workloads() {
 fn perfect_cost_bounded_by_gpu_cost() {
     let m = machine();
     let s = spec();
-    let params = s.derived_cost_params();
     for n in [1000u64, 10_000, 100_000] {
         let w = VecAdd::new(n, 1);
         let built = w.build(&m).unwrap();
         let metrics = analyze_program(&built.program, &m).unwrap().metrics();
-        let perfect = evaluate(CostModel::PerfectGpu, &params, &m, &s, &metrics).unwrap();
-        let gpu = evaluate(CostModel::GpuCost, &params, &m, &s, &metrics).unwrap();
+        let perfect = evaluate(CostModel::PerfectGpu, &m, &s, &metrics).unwrap();
+        let gpu = evaluate(CostModel::GpuCost, &m, &s, &metrics).unwrap();
         assert!(perfect.total() <= gpu.total() + 1e-12);
     }
 }

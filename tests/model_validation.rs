@@ -8,9 +8,8 @@ use atgpu::algos::{
     verify_on_sim, Workload,
 };
 use atgpu::analyze::analyze_program;
-use atgpu::model::asymptotics::BigO;
 use atgpu::model::cost::{evaluate, CostModel};
-use atgpu::model::{occupancy, AtgpuMachine, GpuSpec};
+use atgpu::model::{occupancy, AlgoMetrics, AtgpuMachine, GpuSpec};
 use atgpu::sim::SimConfig;
 
 fn machine() -> AtgpuMachine {
@@ -41,7 +40,6 @@ fn curve_gap(a: &[f64], b: &[f64]) -> f64 {
 fn atgpu_tracks_vecadd_total_better_than_swgpu() {
     let m = machine();
     let s = spec();
-    let params = s.derived_cost_params();
     let mut atgpu = Vec::new();
     let mut swgpu = Vec::new();
     let mut total = Vec::new();
@@ -50,8 +48,8 @@ fn atgpu_tracks_vecadd_total_better_than_swgpu() {
         let w = VecAdd::new(n, i);
         let built = w.build(&m).unwrap();
         let metrics = analyze_program(&built.program, &m).unwrap().metrics();
-        atgpu.push(evaluate(CostModel::GpuCost, &params, &m, &s, &metrics).unwrap().total());
-        swgpu.push(evaluate(CostModel::Swgpu, &params, &m, &s, &metrics).unwrap().total());
+        atgpu.push(evaluate(CostModel::GpuCost, &m, &s, &metrics).unwrap().total());
+        swgpu.push(evaluate(CostModel::Swgpu, &m, &s, &metrics).unwrap().total());
         let report = verify_on_sim(&w, &m, &s, &SimConfig::default()).unwrap();
         total.push(report.total_ms());
     }
@@ -110,39 +108,84 @@ fn occupancy_improves_kernel_time() {
     assert_eq!(occupancy(&m, 96, 16), 16);
 }
 
+/// A stated bound `O(f(n, b))` on one quantity of a program's metrics.
+type Bound = fn(f64, f64) -> f64;
+
+/// One quantity of a program's metrics, by name.
+type Quantity = (&'static str, fn(&AlgoMetrics) -> u64);
+
+/// The quantities a workload states bounds on, in the order it states
+/// them.
+const QUANTITIES: [Quantity; 6] = [
+    ("rounds", AlgoMetrics::num_rounds),
+    ("time", AlgoMetrics::total_time_ops),
+    ("io", AlgoMetrics::total_io_blocks),
+    ("global_space", AlgoMetrics::peak_global_words),
+    ("shared_space", AlgoMetrics::peak_shared_words),
+    ("transfer", AlgoMetrics::total_transfer_words),
+];
+
+/// `max(1, log_b x)`: a logarithm clamped so that `O(log n)` stays
+/// positive at small `n`.
+fn log_b(x: f64, b: f64) -> f64 {
+    (x.ln() / b.ln()).max(1.0)
+}
+
 /// Paper bounds: the analyser's exact counts stay within a constant of
-/// every stated asymptotic bound as n grows.
+/// every stated asymptotic bound as n grows.  Each workload states one
+/// bound per entry of [`QUANTITIES`].
 #[test]
 fn stated_bounds_hold_for_paper_workloads() {
     let m = machine();
-    let check = |mk: &dyn Fn(u64) -> Box<dyn Workload>, ns: &[u64]| {
-        let w0 = mk(ns[0]);
-        let bounds = w0.bounds(&m);
-        for bound in &bounds {
-            let mut samples = Vec::new();
-            for &n in ns {
-                let w = mk(n);
-                let built = w.build(&m).unwrap();
-                let metrics = analyze_program(&built.program, &m).unwrap().metrics();
-                let observed = match bound.quantity {
-                    "rounds" => metrics.num_rounds() as f64,
-                    "time" => metrics.total_time_ops() as f64,
-                    "io" => metrics.total_io_blocks() as f64,
-                    "global_space" => metrics.peak_global_words() as f64,
-                    "shared_space" => metrics.peak_shared_words() as f64,
-                    "transfer" => metrics.total_transfer_words() as f64,
-                    _ => continue,
-                };
-                samples.push((n as f64, observed));
+    let check = |mk: &dyn Fn(u64) -> Box<dyn Workload>, ns: &[u64], bounds: [Bound; 6]| {
+        let runs: Vec<(f64, AlgoMetrics)> = ns
+            .iter()
+            .map(|&n| {
+                let built = mk(n).build(&m).unwrap();
+                (n as f64, analyze_program(&built.program, &m).unwrap().metrics())
+            })
+            .collect();
+        for ((quantity, observed), bound) in QUANTITIES.iter().zip(bounds) {
+            let mut c = 0.0f64;
+            for (n, metrics) in &runs {
+                let stated = bound(*n, m.b as f64);
+                assert!(stated > 0.0, "{}: degenerate {quantity} bound", mk(ns[0]).name());
+                c = c.max(observed(metrics) as f64 / stated);
             }
-            let c = BigO::fitted_constant(bound, &samples, m.b as f64)
-                .unwrap_or_else(|| panic!("degenerate bound {bound}"));
-            assert!(c < 64.0, "{}: constant {c} too large for {bound}", w0.name());
+            assert!(c < 64.0, "{}: constant {c} too large for {quantity}", mk(ns[0]).name());
         }
     };
-    check(&|n| Box::new(VecAdd::new(n, 1)), &[1 << 12, 1 << 14, 1 << 16]);
-    check(&|n| Box::new(Reduce::new(n, 1)), &[1 << 12, 1 << 14, 1 << 16]);
-    check(&|n| Box::new(MatMul::new(n, 1)), &[64, 128, 256]);
+    check(
+        &|n| Box::new(VecAdd::new(n, 1)),
+        &[1 << 12, 1 << 14, 1 << 16],
+        [|_, _| 1.0, |_, _| 1.0, |n, b| (n / b).ceil(), |n, _| n, |_, b| b, |n, _| n],
+    );
+    // R = O(log_b n), time O(log b · log_b n), I/O O(n/b), space O(n) and
+    // O(b), transfer O(n).
+    check(
+        &|n| Box::new(Reduce::new(n, 1)),
+        &[1 << 12, 1 << 14, 1 << 16],
+        [
+            log_b,
+            |n, b| b.log2().max(1.0) * log_b(n, b),
+            |n, b| n / b * 2.2,
+            |n, _| n * 1.2,
+            |_, b| b,
+            |n, _| n + 1.0,
+        ],
+    );
+    check(
+        &|n| Box::new(MatMul::new(n, 1)),
+        &[64, 128, 256],
+        [
+            |_, _| 1.0,
+            |n, b| n * b,
+            |n, b| (n / b).powi(2) * (n + b),
+            |n, _| n * n,
+            |_, b| b * b,
+            |n, _| n * n,
+        ],
+    );
 }
 
 /// The divergent interleaved-modulo kernel is measurably slower than the
@@ -178,7 +221,6 @@ fn reduction_variants_rank_correctly() {
 fn predicted_deltas_track_observed() {
     let m = machine();
     let s = spec();
-    let params = s.derived_cost_params();
     let cases: Vec<(Box<dyn Workload>, f64)> = vec![
         (Box::new(VecAdd::new(500_000, 1)), 0.05),
         (Box::new(Reduce::new(1 << 19, 2)), 0.25),
@@ -187,7 +229,7 @@ fn predicted_deltas_track_observed() {
     for (w, budget) in cases {
         let built = w.build(&m).unwrap();
         let metrics = analyze_program(&built.program, &m).unwrap().metrics();
-        let cost = evaluate(CostModel::GpuCost, &params, &m, &s, &metrics).unwrap();
+        let cost = evaluate(CostModel::GpuCost, &m, &s, &metrics).unwrap();
         let report = verify_on_sim(w.as_ref(), &m, &s, &SimConfig::default()).unwrap();
         let gap = (cost.transfer_proportion() - report.transfer_proportion()).abs();
         assert!(gap < budget, "{}: |ΔT−ΔE| = {gap} over budget {budget}", w.name());

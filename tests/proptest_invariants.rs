@@ -7,7 +7,7 @@ use atgpu::analyze::coalesce::{lane_block_count, residue_histogram, site_transac
 use atgpu::ir::affine::{lower, CompiledAddr};
 use atgpu::ir::AddrExpr;
 use atgpu::model::cost::{evaluate, CostModel};
-use atgpu::model::{AlgoMetrics, AtgpuMachine, CostParams, GpuSpec, RoundMetrics};
+use atgpu::model::{AlgoMetrics, AtgpuMachine, GpuSpec, RoundMetrics};
 use atgpu::sim::SimConfig;
 use proptest::prelude::*;
 
@@ -132,7 +132,6 @@ proptest! {
     ) {
         let m = machine();
         let s = spec();
-        let params = s.derived_cost_params();
         let metrics = AlgoMetrics::new(vec![RoundMetrics {
             time,
             io_blocks: io,
@@ -144,8 +143,8 @@ proptest! {
             outward_txns: u64::from(outw > 0),
             blocks_launched: blocks,
         }]);
-        let p = evaluate(CostModel::PerfectGpu, &params, &m, &s, &metrics).unwrap();
-        let g = evaluate(CostModel::GpuCost, &params, &m, &s, &metrics).unwrap();
+        let p = evaluate(CostModel::PerfectGpu, &m, &s, &metrics).unwrap();
+        let g = evaluate(CostModel::GpuCost, &m, &s, &metrics).unwrap();
         prop_assert!(g.total() >= p.total() - 1e-12);
         // Breakdown identity.
         prop_assert!((g.total()
@@ -171,20 +170,20 @@ proptest! {
             outward_txns: 1,
             blocks_launched: 64,
         }]);
-        let base = s.derived_cost_params();
-        let c0 = evaluate(CostModel::GpuCost, &base, &m, &s, &metrics).unwrap().total();
+        let c0 = evaluate(CostModel::GpuCost, &m, &s, &metrics).unwrap().total();
+        // λ, σ, α, β: the spec fields `derived_cost_params` reads them from.
         for bump in [
-            CostParams { lambda: base.lambda * scale, ..base },
-            CostParams { sigma: base.sigma * scale, ..base },
-            CostParams { alpha: base.alpha * scale, ..base },
-            CostParams { beta: base.beta * scale, ..base },
+            GpuSpec { dram_issue_cycles: (s.dram_issue_cycles as f64 * scale).ceil() as u64, ..s },
+            GpuSpec { sync_ms: s.sync_ms * scale, ..s },
+            GpuSpec { xfer_alpha_ms: s.xfer_alpha_ms * scale, ..s },
+            GpuSpec { xfer_beta_ms_per_word: s.xfer_beta_ms_per_word * scale, ..s },
         ] {
-            let c = evaluate(CostModel::GpuCost, &bump, &m, &s, &metrics).unwrap().total();
+            let c = evaluate(CostModel::GpuCost, &m, &bump, &metrics).unwrap().total();
             prop_assert!(c >= c0);
         }
-        // gamma is a rate: raising it lowers cost.
-        let faster = CostParams { gamma: base.gamma * scale, ..base };
-        let c = evaluate(CostModel::GpuCost, &faster, &m, &s, &metrics).unwrap().total();
+        // γ is a rate: raising the clock lowers cost.
+        let faster = GpuSpec { clock_cycles_per_ms: s.clock_cycles_per_ms * scale, ..s };
+        let c = evaluate(CostModel::GpuCost, &m, &faster, &metrics).unwrap().total();
         prop_assert!(c <= c0);
     }
 }
