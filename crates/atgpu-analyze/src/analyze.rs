@@ -116,7 +116,8 @@ pub fn analyze_program(
 /// device's table.
 pub fn stream_schedules(p: &Program, devices: u32) -> Vec<Vec<RoundSchedule>> {
     let n = devices.max(p.max_device() + 1).max(1) as usize;
-    let mut out: Vec<Vec<RoundSchedule>> = (0..n).map(|_| Vec::new()).collect();
+    let mut out: Vec<Vec<RoundSchedule>> =
+        (0..n).map(|_| Vec::with_capacity(p.rounds.len())).collect();
     // Devices a launch has already given its kernel item (reused across
     // rounds).
     let mut seen: Vec<u32> = Vec::new();
@@ -236,24 +237,105 @@ pub struct Prediction {
     pub saturated: bool,
 }
 
+/// The program half of a [`Prediction`]: everything
+/// [`atgpu_model::cost::cluster_cost_streamed`] reads of a program on `n`
+/// devices of one machine — each device's metrics rows and stream
+/// schedules, each round's peer traffic — with the trust and saturation
+/// bits.  None of it reads a [`ClusterSpec`], so one analysis prices on
+/// every spec of `n` devices ([`CostInputs::price`]).
+#[derive(Debug, Clone)]
+pub struct CostInputs {
+    machine: AtgpuMachine,
+    per_device: Vec<AlgoMetrics>,
+    schedules: Vec<Vec<RoundSchedule>>,
+    peer: Vec<Vec<PeerTraffic>>,
+    trusted: bool,
+    saturated: bool,
+}
+
+/// The analysis stage of [`predict`]: [`analyze_cluster_program`] and
+/// [`stream_schedules`] of `program` for `devices` devices of `machine`,
+/// plus the trust and saturation bits.  The inputs cover
+/// `max(devices, max_device() + 1)` devices, as both calls do.
+pub fn cost_inputs(
+    program: &Program,
+    machine: &AtgpuMachine,
+    devices: u32,
+) -> Result<CostInputs, AnalyzeError> {
+    let a = analyze_cluster_program(program, machine, devices)?;
+    let schedules = stream_schedules(program, devices);
+    let saturated = a.kernels.iter().flatten().any(|k| k.time_ops.max(k.io_txns) == u64::MAX);
+    Ok(CostInputs {
+        machine: *machine,
+        per_device: a.per_device,
+        schedules,
+        peer: a.peer,
+        trusted: a.io_exact && a.conflict_free,
+        saturated,
+    })
+}
+
+impl CostInputs {
+    /// The pricing stage of [`predict`]:
+    /// [`atgpu_model::cost::cluster_cost_streamed`] of these inputs on
+    /// `cluster`.  A cluster of other than [`devices`](Self::devices)
+    /// devices is the cost function's typed error.
+    pub fn price(&self, cluster: &ClusterSpec) -> Result<Prediction, AnalyzeError> {
+        let (per_device, schedules, peer) = (&self.per_device, &self.schedules, &self.peer);
+        let cost = cluster_cost_streamed(cluster, &self.machine, per_device, schedules, peer)?;
+        Ok(Prediction { cost, trusted: self.trusted, saturated: self.saturated })
+    }
+
+    /// The device count these inputs price on.
+    pub fn devices(&self) -> usize {
+        self.per_device.len()
+    }
+
+    /// [`Prediction::trusted`] of every price of these inputs.
+    pub fn trusted(&self) -> bool {
+        self.trusted
+    }
+
+    /// [`Prediction::saturated`] of every price of these inputs.
+    pub fn saturated(&self) -> bool {
+        self.saturated
+    }
+
+    /// The heap bytes these inputs hold: every table's capacity, so a
+    /// holder can bound what it keeps.
+    pub fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        let rows: usize = self.per_device.iter().map(|m| bytes(&m.rounds)).sum();
+        let items: usize = self.schedules.iter().flatten().map(|r| bytes(&r.items)).sum();
+        let schedules: usize = self.schedules.iter().map(bytes).sum();
+        let peer: usize = self.peer.iter().map(bytes).sum();
+        bytes(&self.per_device)
+            + rows
+            + bytes(&self.schedules)
+            + schedules
+            + items
+            + bytes(&self.peer)
+            + peer
+    }
+}
+
 /// Analyses `program` per device of `cluster`, schedules its streams and
-/// prices the result — [`analyze_cluster_program`], [`stream_schedules`]
-/// and [`atgpu_model::cost::cluster_cost_streamed`], plus the trust and
-/// saturation bits.
+/// prices the result: [`cost_inputs`] for `cluster`'s device count, then
+/// [`CostInputs::price`] on `cluster` — [`analyze_cluster_program`],
+/// [`stream_schedules`] and [`atgpu_model::cost::cluster_cost_streamed`],
+/// plus the trust and saturation bits.
 /// This is the one statement of the analyse → schedule → price rule,
-/// shared by the experiment harness and the pricing service.  A
+/// shared by the experiment harness and the pricing service, which keeps
+/// a program's [`CostInputs`] and prices each what-if spec from them.  A
 /// single-device program on a one-device cluster is the `n = 1` case.
 pub fn predict(
     program: &Program,
     machine: &AtgpuMachine,
     cluster: &ClusterSpec,
 ) -> Result<Prediction, AnalyzeError> {
-    let n = cluster.n_devices() as u32;
-    let a = analyze_cluster_program(program, machine, n)?;
-    let schedules = stream_schedules(program, n);
-    let cost = cluster_cost_streamed(cluster, machine, &a.per_device, &schedules, &a.peer)?;
-    let saturated = a.kernels.iter().flatten().any(|k| k.time_ops.max(k.io_txns) == u64::MAX);
-    Ok(Prediction { cost, trusted: a.io_exact && a.conflict_free, saturated })
+    cost_inputs(program, machine, cluster.n_devices() as u32)?.price(cluster)
 }
 
 /// The one analysis walk: builds every device's [`RoundMetrics`] rows

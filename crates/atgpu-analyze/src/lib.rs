@@ -41,11 +41,15 @@
 //! ([`stream_schedules`]) and the streamed cluster cost
 //! ([`atgpu_model::cost::cluster_cost_streamed`]) in one call, returning
 //! the cost together with a `trusted` bit (`io_exact && conflict_free`).
+//! It is the composition of two stages: [`cost_inputs`] reads only the
+//! program, the machine and the device count, and
+//! [`CostInputs::price`] reads only the cluster spec, so a caller that
+//! prices one program on many specs analyses it once.
 //! The experiment harness compares `predict(..).cost.total_ms` with
-//! simulated observations; the pricing service answers analytically only
-//! when `trusted` holds and simulates otherwise.  Outside the repo
-//! benchmark's own measured pipeline there is no second statement of
-//! that rule in the tree.
+//! simulated observations; the pricing service keeps each program's
+//! [`CostInputs`] and answers analytically only when `trusted` holds,
+//! simulating otherwise.  Outside the repo benchmark's own measured
+//! pipeline there is no second statement of that rule in the tree.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,8 +67,8 @@ pub mod opcount;
 pub mod sites;
 
 pub use analyze::{
-    analyze_cluster_program, analyze_program, predict, stream_schedules, ClusterProgramAnalysis,
-    KernelAnalysis, Prediction, ProgramAnalysis, RoundAnalysis,
+    analyze_cluster_program, analyze_program, cost_inputs, predict, stream_schedules,
+    ClusterProgramAnalysis, CostInputs, KernelAnalysis, Prediction, ProgramAnalysis, RoundAnalysis,
 };
 pub use bankconflict::{BankConflictReport, ConflictDegree};
 pub use error::AnalyzeError;

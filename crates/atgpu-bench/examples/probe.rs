@@ -65,6 +65,14 @@
 //!    with device threads off (the plan in order on the caller's thread)
 //!    and on (whole devices dealt to at most one worker per host core),
 //!    runs alternating.
+//! 8. **Quote path** — `serve_mix`'s exact shapes on its 2-device server:
+//!    best-of-N µs of a memo hit (`CostServer::price` asked again) and of
+//!    an analytic what-if (`price_what_if` on a spec no quote was made
+//!    for), each split into its parts — the keyed program hash
+//!    (`Keys::program`), the verify-memo lookup, the quote key and its
+//!    lookup, and for the what-if the analysis (`cost_inputs`, which the
+//!    server keeps per program and so pays on a program's first price
+//!    only) and `cluster_cost_streamed` (`CostInputs::price`).
 
 use atgpu_algos::bitonic::BitonicSort;
 use atgpu_algos::dot::Dot;
@@ -79,12 +87,13 @@ use atgpu_algos::spmv::SpmvEll;
 use atgpu_algos::stencil::Stencil;
 use atgpu_algos::transpose::{Transpose, TransposeVariant};
 use atgpu_algos::{gen, vecadd::VecAdd, BuiltProgram, Workload};
-use atgpu_analyze::analyze_cluster_program;
 use atgpu_analyze::sites::{collect, Site};
+use atgpu_analyze::{analyze_cluster_program, cost_inputs};
 use atgpu_exp::{ExpConfig, Scale};
 use atgpu_ir::validate::validate_program;
 use atgpu_ir::{AddrExpr, AluOp, DBuf, HostStep, Kernel, KernelBuilder, Operand, Program};
 use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
+use atgpu_serve::{CostServer, Keys, PriceMemo, PriceSource, Quote, ServerConfig, VerifyMemo};
 use atgpu_sim::engine::{BlockExec, BlockSim, Scratch};
 use atgpu_sim::gmem::GlobalMemory;
 use atgpu_sim::uop::CompiledKernel;
@@ -751,6 +760,7 @@ fn main() {
     launch_cost(&cfg);
     transfers(&cfg, &interleaved);
     threads(&cfg);
+    quote_path();
 }
 
 /// How a [`staged`] program moves its state between host and devices.
@@ -1072,4 +1082,103 @@ fn threads(cfg: &ExpConfig) {
             inline[median] / threaded[median]
         );
     }
+}
+
+/// `serve_mix`'s exact shapes (the benchmark package's
+/// `serve::build_programs`, exact half, measured sizes, seed 1), labelled.
+fn serve_mix_shapes(m: &AtgpuMachine) -> Vec<(String, Program)> {
+    let mut k = 0u64;
+    let mut s = || {
+        k += 1;
+        0x9E37_79B9u64 + 5000 + k
+    };
+    let mut out = Vec::new();
+    let mut add =
+        |name: &str, n: u64, built: BuiltProgram| out.push((format!("{name}_{n}"), built.program));
+    for n in [256, 512, 1024, 2048, 4096, 8192] {
+        add("vecadd", n, VecAdd::new(n, s()).build_sharded(m, 2).unwrap());
+        add("saxpy", n, Saxpy::new(n, 3, s()).build(m).unwrap());
+        let reduce = Reduce::with_variant(n, s(), ReduceVariant::SequentialAddressing);
+        add("reduce_seq", n, reduce.build_sharded(m, 2).unwrap());
+        add("dot", n, Dot::new(n, s()).build(m).unwrap());
+        add("stencil", n, Stencil::new(n, s()).build_sharded(m, 2, 4).unwrap());
+        add("ooc_vecadd", n, OocVecAdd::new(n, n / 4, s()).build_streamed(m).unwrap());
+    }
+    add("matmul", 64, MatMul::new(64, s()).build_sharded(m, 2).unwrap());
+    for side in [32, 64] {
+        let w = Transpose::new(side, s(), TransposeVariant::TiledPadded);
+        add("transpose_padded", side, w.build(m).unwrap());
+    }
+    out
+}
+
+/// Section 8: what a memo hit and an analytic what-if cost a
+/// `serve_mix` client, and where that goes.
+fn quote_path() {
+    let (machine, gpu) = (AtgpuMachine::gtx650_like(), GpuSpec::gtx650_like());
+    let spec = ClusterSpec::homogeneous(2, gpu);
+    let config = ServerConfig {
+        sim: SimConfig { device_threads: false, ..SimConfig::default() },
+        ..ServerConfig::default()
+    };
+    let server = CostServer::new(machine, spec.clone(), config).unwrap();
+    // A spec no quote was made for: the second link scaled by a factor
+    // unique to `i`, as `serve_mix` makes its what-ifs.
+    let mut fresh = 0u64;
+    let mut fresh_spec = || {
+        fresh += 1;
+        let mut s = spec.clone();
+        s.host_links[1] = s.host_links[1].scaled(1.0 + fresh as f64 * 0.5f64.powi(44));
+        s
+    };
+    let (keys, verify, quotes) = (Keys::default(), VerifyMemo::new(1024), PriceMemo::new(1024));
+    let hit = Quote { total_ms: 1.0, source: PriceSource::Analytic };
+    println!("\nquote path (serve_mix shapes, 2 devices), best of {FRONT_REPLAYS}, us per request");
+    println!(
+        "{:<22} {:>7} {:>7} {:>7} {:>7} | {:>7} {:>8} {:>7}",
+        "program", "memo", "hash", "verify", "quote", "what-if", "analysis", "cost"
+    );
+    let mut sums = [0.0; 7];
+    let shapes = serve_mix_shapes(&machine);
+    for (name, program) in &shapes {
+        assert_eq!(server.price(program).unwrap().source, PriceSource::Analytic);
+        let memo = best_us(|| {
+            black_box(server.price(program).unwrap());
+        });
+        let specs: Vec<ClusterSpec> = (0..FRONT_REPLAYS).map(|_| fresh_spec()).collect();
+        let mut specs_left = specs.iter();
+        let what_if = best_us(|| {
+            let q = server.price_what_if(program, specs_left.next().unwrap()).unwrap();
+            assert_eq!(black_box(q).source, PriceSource::Analytic);
+        });
+        let key = keys.program(program);
+        verify.verdict(key, || None);
+        let quote_key = keys.quote(key, &spec, &machine);
+        quotes.quote_with(quote_key, || Ok::<_, ()>(hit)).unwrap();
+        let named = program.max_device() + 1;
+        let inputs = cost_inputs(program, &machine, named).unwrap();
+        let priced = ClusterSpec::homogeneous(named as usize, gpu);
+        let row = [
+            memo,
+            best_us(|| {
+                black_box(keys.program(program));
+            }),
+            best_us(|| drop(black_box(verify.verdict(key, || unreachable!())))),
+            best_us(|| {
+                let q = keys.quote(key, &spec, &machine);
+                black_box(quotes.quote_with(q, || Err(())).unwrap());
+            }),
+            what_if,
+            best_us(|| drop(black_box(cost_inputs(program, &machine, named).unwrap()))),
+            best_us(|| drop(black_box(inputs.price(&priced).unwrap()))),
+        ];
+        for (sum, us) in sums.iter_mut().zip(row) {
+            *sum += us;
+        }
+        let cells: Vec<String> = row.iter().map(|us| format!("{us:>7.2}")).collect();
+        println!("{name:<22} {} | {} {:>8} {}", cells[..4].join(" "), cells[4], cells[5], cells[6]);
+    }
+    let n = shapes.len() as f64;
+    let mean: Vec<String> = sums.iter().map(|s| format!("{:>7.2}", s / n)).collect();
+    println!("{:<22} {} | {} {:>8} {}", "mean", mean[..4].join(" "), mean[4], mean[5], mean[6]);
 }

@@ -911,7 +911,9 @@ pub fn takeover_units(
 /// The [`DegradedLoss`] of `device` dying at the start of `at_round`
 /// while holding `dead_units` thread blocks per round: the takeover
 /// fractions are [`takeover_units`] over every other device, and the
-/// checkpoint replay is billed as one transaction of `replay_words`.
+/// checkpoint replay is billed as one transaction of `replay_words`.  A
+/// device that holds no blocks is planned as holding one, so the
+/// fractions still sum to 1 (they scale nothing).
 pub fn degraded_loss(
     cluster: &ClusterSpec,
     machine: &AtgpuMachine,
@@ -921,9 +923,10 @@ pub fn degraded_loss(
     replay_words: u64,
 ) -> DegradedLoss {
     let alive: Vec<bool> = (0..cluster.n_devices()).map(|d| d != device).collect();
-    let takeover = takeover_units(cluster, machine, &alive, dead_units)
+    let units = dead_units.max(1);
+    let takeover = takeover_units(cluster, machine, &alive, units)
         .iter()
-        .map(|&c| c as f64 / dead_units.max(1) as f64)
+        .map(|&c| c as f64 / units as f64)
         .collect();
     DegradedLoss { device, at_round, replay_words, replay_txns: 1, takeover }
 }
@@ -1276,6 +1279,49 @@ mod tests {
             assert_eq!(m.rounds[0].inward_words, 8 * 32);
             assert_eq!(m.rounds[4].outward_words, 8 * 32);
             assert!(m.rounds.iter().all(|r| r.time == 11));
+        }
+    }
+
+    /// Losing a device that holds no blocks is priced, not refused: past
+    /// the last round it is the fault-free cost bit for bit, and before
+    /// it the only extra is the replay's one transaction on the heir's
+    /// link (the idle device stages nothing for the survivor to pay).
+    #[test]
+    fn losing_an_idle_device_prices_as_the_fault_free_cost() {
+        use crate::cost::{cluster_cost_degraded, cluster_cost_streamed};
+        let machine = AtgpuMachine::gtx650_like();
+        let mut cluster = cluster(2);
+        cluster.host_links[1] = cluster.host_links[1].scaled(8.0);
+        let busy = RoundMetrics {
+            time: 40,
+            io_blocks: 96,
+            global_words: 4096,
+            shared_words: 32,
+            inward_words: 1024,
+            inward_txns: 1,
+            outward_words: 1024,
+            outward_txns: 1,
+            blocks_launched: 32,
+        };
+        let idle = RoundMetrics { global_words: 4096, ..RoundMetrics::default() };
+        let rounds = 3;
+        let per_device =
+            [AlgoMetrics::new(vec![busy; rounds]), AlgoMetrics::new(vec![idle; rounds])];
+        let free = cluster_cost_streamed(&cluster, &machine, &per_device, &[], &[]).unwrap();
+        for at_round in [0, 1, 3] {
+            let loss = degraded_loss(&cluster, &machine, 1, at_round, 0, 0);
+            assert_eq!(loss.takeover, vec![1.0, 0.0], "round {at_round}");
+            let degraded = cluster_cost_degraded(&cluster, &machine, &per_device, &[], &loss);
+            let total = degraded.unwrap().total_ms;
+            if at_round >= rounds {
+                assert_eq!(total.to_bits(), free.total_ms.to_bits(), "round {at_round}");
+            } else {
+                let replay = cluster.host_links[0].alpha_ms;
+                assert!(
+                    (total - free.total_ms - replay).abs() < 1e-12,
+                    "round {at_round}: {total}"
+                );
+            }
         }
     }
 

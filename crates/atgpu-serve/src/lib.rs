@@ -31,13 +31,14 @@
 //! it would run or be priced on lacks ([`ServeError::Model`]), before
 //! admission.
 //!
-//! Both memos — verdicts and quotes — are [`atgpu_sim::BoundedMemo`]s,
-//! the bounded **single-flight** cache that is also the simulator's
-//! kernel cache: each distinct key is computed exactly once, concurrent
-//! askers of the same key wait for that answer and count as memo hits,
-//! and a computation that fails (a bounced pricing simulation, say)
-//! caches nothing.  [`ServeStats`] is therefore a function of the
-//! requests made, not of how client threads interleave.
+//! All three memos — verdicts, analyses and quotes — are
+//! [`atgpu_sim::BoundedMemo`]s, the bounded **single-flight** cache that
+//! is also the simulator's kernel cache: each distinct key is computed
+//! exactly once, concurrent askers of the same key wait for that answer
+//! and count as memo hits, and a computation that fails (a bounced
+//! pricing simulation, say) caches nothing.  [`ServeStats`] is therefore
+//! a function of the requests made, not of how client threads
+//! interleave.
 //!
 //! The kernel cache confirms each hit against the structure it compiled;
 //! the memos hold no program to confirm against, so their keys are the
@@ -82,17 +83,32 @@
 //!    [`words`](atgpu_model::ClusterSpec::words) × the machine shape.
 //!    A repeated question is answered from the bounded [`PriceMemo`]
 //!    without recomputation.
-//! 2. **Analytic** — [`atgpu_analyze::predict`]: the program is
-//!    analysed per device and priced through the streamed cluster cost
-//!    model — microseconds, no simulation.  Only the devices up to the
-//!    last one a step names are analysed: an idle device adds nothing to
-//!    a round's `max`, so a one-device program priced on a thousand-device
-//!    what-if spec costs what it costs on one.  The analytic path is only
+//! 2. **Analytic** — [`atgpu_analyze::predict`] in its two stages: the
+//!    program's analysis ([`atgpu_analyze::cost_inputs`]: per-device
+//!    metrics rows, stream schedules, peer traffic) priced on the spec
+//!    through the streamed cluster cost model
+//!    ([`atgpu_analyze::CostInputs::price`]) — microseconds, no
+//!    simulation.  Only the devices up to the last one a step names are
+//!    analysed and priced: an idle device adds nothing to a round's
+//!    `max`, so a one-device program priced on a thousand-device what-if
+//!    spec costs what it costs on one.  The analytic path is only
 //!    trusted when the analysis is **exact** (`Prediction::trusted`:
 //!    every transaction count statically known, no shared-memory bank
 //!    conflicts); otherwise the query falls through — unless a count
 //!    saturated at `u64::MAX` (`Prediction::saturated`), a run no
 //!    simulation finishes, which is quoted here either way.
+//!
+//!    The analysis reads the program, the server's machine and the
+//!    device count the program names (`max_device() + 1`) — never the
+//!    spec — so the server **keeps** it: computed on a program's first
+//!    quote (never for a bare `submit`), under the program's keyed shape
+//!    (the verdict memo's key), in a memo that evicts oldest-first to
+//!    stay within [`ANALYSIS_BUDGET_BYTES`] of kept tables
+//!    ([`atgpu_analyze::CostInputs::heap_bytes`] plus a per-entry
+//!    allowance).  A what-if on a spec never asked before then costs one
+//!    program key, two memo lookups and one cost evaluation;
+//!    [`ServeStats::analyses`] counts the analyses made.  A program whose
+//!    analysis failed or is not analytic is kept as "simulate".
 //! 3. **Simulated** — full [`run_cluster_program_on`] of the program
 //!    with zero-filled inputs: exact when the program's addressing is
 //!    data-independent, the zero-input cost otherwise (see
@@ -193,18 +209,22 @@ pub mod verify;
 
 pub use admit::{AdmissionQueue, AdmissionStats, Permit};
 pub use error::ServeError;
-pub use price::{program_key, PriceMemo, PriceSource, PriceStats, Quote};
+pub use price::{
+    program_key, Keys, PriceMemo, PriceSource, PriceStats, Quote, ANALYSIS_BUDGET_BYTES,
+};
 pub use verify::{Refusal, VerifyMemo, VerifyStats};
 
-use atgpu_analyze::predict;
+use atgpu_analyze::cost_inputs;
 use atgpu_ir::validate::validate_program;
 use atgpu_ir::{shard_counts, HostBufRole, HostStep, Program};
 use atgpu_model::occupancy::device_capacity;
 use atgpu_model::{AtgpuMachine, ClusterSpec, ModelError};
+use atgpu_sim::BoundedMemo;
 use atgpu_sim::{
     gmem, run_cluster_program, run_cluster_program_on, Cluster, ClusterSimReport, SimConfig,
 };
-use price::Keys;
+use price::Kept;
+use std::sync::Arc;
 
 /// Server construction parameters.
 #[derive(Debug, Clone)]
@@ -238,6 +258,9 @@ pub struct ServeStats {
     pub price: PriceStats,
     /// Soundness-gate counters.
     pub verify: VerifyStats,
+    /// Programs analysed for a quote: quote-memo misses that found no
+    /// kept analysis of their program.
+    pub analyses: u64,
 }
 
 /// The multi-tenant cost-query server: one shared [`Cluster`], an
@@ -251,7 +274,9 @@ pub struct CostServer {
     admission: AdmissionQueue,
     memo: PriceMemo,
     verify: VerifyMemo,
-    /// The key both memos are addressed by, drawn once per server.
+    /// Each priced program's analysis, under its `Keys::program`.
+    analyses: BoundedMemo<u64, Kept>,
+    /// The key every memo is addressed by, drawn once per server.
     keys: Keys,
 }
 
@@ -282,6 +307,7 @@ impl CostServer {
             admission: AdmissionQueue::new(config.queue_capacity, capacity),
             memo: PriceMemo::new(MEMO_CAPACITY),
             verify: VerifyMemo::new(MEMO_CAPACITY),
+            analyses: price::analysis_memo(),
             keys: Keys::default(),
             sim: config.sim,
             cluster,
@@ -375,8 +401,8 @@ impl CostServer {
         let key = self.keys.quote(pkey, spec, &machine);
         self.memo.quote_with(key, || {
             // Devices past the last one a step names are idle: each adds
-            // a 0.0 path to every round's `max`, so the analysis runs on
-            // the prefix the program names and the quote is the same bits.
+            // a 0.0 path to every round's `max`, so the program is priced
+            // on the prefix it names and the quote is the same bits.
             let named = program.max_device() as usize + 1;
             let sub;
             let priced = if named < spec.n_devices() {
@@ -386,13 +412,10 @@ impl CostServer {
             } else {
                 spec
             };
-            // Analytic fast path: only trusted when the analysis is exact;
-            // an analysis or cost error falls through to simulation too.
-            // A saturated count stays here whatever its trust: it names a
-            // run past 2⁶⁴ steps, which the watchdog (off by default)
-            // would never stop.
-            if let Ok(p) = predict(program, &machine, priced) {
-                if p.trusted || p.saturated {
+            // Analytic fast path, from the program's kept analysis; a cost
+            // error falls through to simulation too.
+            if let Some(inputs) = self.analysis(pkey, program) {
+                if let Ok(p) = inputs.price(priced) {
                     let source = PriceSource::Analytic;
                     return Ok(Quote { total_ms: p.cost.total_ms, source });
                 }
@@ -425,12 +448,37 @@ impl CostServer {
         })
     }
 
+    /// The analysis a quote of `program` (keyed `pkey`) prices, computed
+    /// on the program's first price and kept within
+    /// [`ANALYSIS_BUDGET_BYTES`].  It reads the program, the server's
+    /// machine and the device count the program names — never a spec — so
+    /// every what-if of the program shares it.  `None` sends the quote to
+    /// simulation: the analysis failed, or it is neither trusted (exact)
+    /// nor saturated.  A saturated count names a run past 2⁶⁴ steps, which
+    /// the watchdog (off by default) would never stop, so its analytic
+    /// price is the only one it can get.
+    fn analysis(&self, pkey: u64, program: &Program) -> Kept {
+        let machine = self.cluster.machine();
+        let named = program.max_device().saturating_add(1);
+        let (kept, _) = self.analyses.get_or_compute(
+            pkey,
+            |_| true,
+            || {
+                let inputs = cost_inputs(program, machine, named).ok();
+                inputs.filter(|a| a.trusted() || a.saturated()).map(Arc::new)
+            },
+        );
+        debug_assert!(kept.as_ref().is_none_or(|a| a.devices() == named as usize));
+        kept
+    }
+
     /// Combined soundness-gate + admission + pricing counters.
     pub fn stats(&self) -> ServeStats {
         ServeStats {
             admission: self.admission.stats(),
             price: self.memo.stats(),
             verify: self.verify.stats(),
+            analyses: self.analyses.misses(),
         }
     }
 

@@ -14,13 +14,21 @@
 //! (`Keys`), which a client never sees and so cannot steer two questions
 //! onto.  [`program_key`] is the unkeyed FNV-1a of the same walk — a
 //! stable name for a program's shape, which no memo is keyed by.
+//!
+//! A program's analysis — its [`CostInputs`], which read only the
+//! program, the machine and the device count the program names — is kept
+//! under the program's key in a memo bounded at
+//! [`ANALYSIS_BUDGET_BYTES`], so a what-if on a new spec prices kept
+//! inputs instead of analysing again.
 
+use atgpu_analyze::CostInputs;
 use atgpu_ir::{Fnv1a, HostBufRole, HostStep, Kernel, Program};
 use atgpu_model::{AtgpuMachine, ClusterSpec};
 use atgpu_sim::BoundedMemo;
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// How a price was produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,31 +154,118 @@ pub fn program_key(p: &Program) -> u64 {
     h.finish()
 }
 
+/// Bytes a [`Blocked`] hasher gathers before handing them on.
+const BLOCK: usize = 256;
+
+/// A hasher that hands `H` its byte stream a block at a time.  SipHash
+/// digests the stream, not the way it is cut into `write`s, so the digest
+/// is `H`'s over the same bytes — for one `write` per [`BLOCK`] bytes
+/// instead of one per field, and no buffer that grows with the input.
+struct Blocked<H> {
+    inner: H,
+    buf: [u8; BLOCK],
+    len: usize,
+}
+
+impl<H: Hasher + Clone> Blocked<H> {
+    fn new(inner: H) -> Self {
+        Self { inner, buf: [0; BLOCK], len: 0 }
+    }
+
+    /// Appends a fixed-width field: a constant-size copy, no call.
+    #[inline(always)]
+    fn push<const N: usize>(&mut self, bytes: [u8; N]) {
+        if self.len + N > BLOCK {
+            self.inner.write(&self.buf[..self.len]);
+            self.len = 0;
+        }
+        self.buf[self.len..self.len + N].copy_from_slice(&bytes);
+        self.len += N;
+    }
+}
+
+impl<H: Hasher + Clone> Hasher for Blocked<H> {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        if self.len + bytes.len() > BLOCK {
+            self.inner.write(&self.buf[..self.len]);
+            self.len = 0;
+            if bytes.len() > BLOCK {
+                self.inner.write(bytes);
+                return;
+            }
+        }
+        self.buf[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    // The fixed-width writes the `Hash` impls make, each the bytes the
+    // default method would pass to `write`.
+    #[inline]
+    fn write_u8(&mut self, i: u8) {
+        self.push(i.to_ne_bytes());
+    }
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.push(i.to_ne_bytes());
+    }
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.push(i.to_ne_bytes());
+    }
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.push(i.to_ne_bytes());
+    }
+    #[inline]
+    fn write_i64(&mut self, i: i64) {
+        self.push(i.to_ne_bytes());
+    }
+    #[inline]
+    fn write_isize(&mut self, i: isize) {
+        self.push(i.to_ne_bytes());
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.inner.clone();
+        h.write(&self.buf[..self.len]);
+        h.finish()
+    }
+}
+
 /// The server's memo keys: SipHash under a key drawn once per server,
 /// over the walk [`program_key`] hashes, each kernel entering as its
 /// keyed [`Kernel::hash_structure`].  A client that never sees a key
 /// cannot construct two questions that share one, so a memo hit needs
-/// no confirmation; a key therefore never leaves the server.
+/// no confirmation; a key therefore never leaves the server.  A `Keys`
+/// made outside a server draws its own key: it computes keys of the same
+/// form (and at the same cost), never a server's.
 #[derive(Debug, Default)]
-pub(crate) struct Keys(RandomState);
+pub struct Keys(RandomState);
 
 impl Keys {
-    /// The verdict memo's key: the program's shape.
-    pub(crate) fn program(&self, p: &Program) -> u64 {
+    /// A hasher under this server's key, fed a block at a time.
+    fn hasher(&self) -> Blocked<impl Hasher + Clone> {
+        Blocked::new(self.0.build_hasher())
+    }
+
+    /// The verdict memo's and the analysis memo's key: the program's
+    /// shape, in one pass over the bytes it hashes.
+    pub fn program(&self, p: &Program) -> u64 {
         let kernel_hash = |k: &Kernel| {
-            let mut h = self.0.build_hasher();
+            let mut h = self.hasher();
             k.hash_structure(&mut h);
             h.finish()
         };
-        let mut h = self.0.build_hasher();
+        let mut h = self.hasher();
         shape(p, kernel_hash, |v| h.write_u64(v));
         h.finish()
     }
 
     /// The quote memo's key: a program's [`Keys::program`] × the
     /// cluster's [`words`](ClusterSpec::words) × the machine shape.
-    pub(crate) fn quote(&self, program: u64, spec: &ClusterSpec, machine: &AtgpuMachine) -> u64 {
-        let mut h = self.0.build_hasher();
+    pub fn quote(&self, program: u64, spec: &ClusterSpec, machine: &AtgpuMachine) -> u64 {
+        let mut h = self.hasher();
         h.write_u64(program);
         spec.words(|v| h.write_u64(v));
         for v in [machine.p, machine.b, machine.m, machine.g] {
@@ -243,11 +338,35 @@ impl PriceMemo {
     }
 }
 
+/// Bytes of program analyses a server keeps: a what-if on a program whose
+/// analysis is resident prices it without analysing again.  An entry
+/// weighs its [`CostInputs::heap_bytes`] plus a fixed allowance for
+/// itself and its memo slot; the oldest are evicted first.
+pub const ANALYSIS_BUDGET_BYTES: usize = 8 << 20;
+
+/// What an entry of the analysis memo costs beside its tables, rounded
+/// up: the inputs themselves, the memo's map and queue slots and its
+/// cell.
+const ENTRY_BYTES: usize = std::mem::size_of::<CostInputs>() + 128;
+
+/// A program's kept analysis: `None` when its quote is not analytic (the
+/// analysis failed, or it is neither trusted nor saturated).
+pub(crate) type Kept = Option<Arc<CostInputs>>;
+
+/// The bounded memo of program analyses, keyed by a program's
+/// `Keys::program`.
+pub(crate) fn analysis_memo() -> BoundedMemo<u64, Kept> {
+    BoundedMemo::weighted(ANALYSIS_BUDGET_BYTES, |kept| {
+        ENTRY_BYTES + kept.as_ref().map_or(0, |inputs| inputs.heap_bytes())
+    })
+}
+
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
-    use atgpu_ir::{AddrExpr, KernelBuilder, ProgramBuilder};
+    use atgpu_ir::Shard;
+    use atgpu_ir::{AddrExpr, AluOp, DBuf, KernelBuilder, Operand, PredExpr, ProgramBuilder};
     use std::convert::Infallible;
 
     fn program(n: u64, kernel_name: &str) -> Program {
@@ -295,6 +414,177 @@ mod tests {
             assert_ne!(keys.program(&p), program_key(&p));
             assert_eq!(keys.program(&p), keys.program(&program(64, "other_name")));
             assert_ne!(keys.program(&p), keys.program(&program(128, "k")));
+        }
+    }
+
+    /// The keys as they were hashed before `Blocked`: one SipHash call per
+    /// field.  Kept here only, as the oracle of the one-pass digest.
+    fn streamed_program(keys: &Keys, p: &Program) -> u64 {
+        let kernel_hash = |k: &Kernel| {
+            let mut h = keys.0.build_hasher();
+            k.hash_structure(&mut h);
+            h.finish()
+        };
+        let mut h = keys.0.build_hasher();
+        shape(p, kernel_hash, |v| h.write_u64(v));
+        h.finish()
+    }
+
+    fn streamed_quote(keys: &Keys, program: u64, spec: &ClusterSpec, m: &AtgpuMachine) -> u64 {
+        let mut h = keys.0.build_hasher();
+        h.write_u64(program);
+        spec.words(|v| h.write_u64(v));
+        for v in [m.p, m.b, m.m, m.g] {
+            h.write_u64(v);
+        }
+        h.finish()
+    }
+
+    /// Every roster workload under every plan cell keys alike fed a block
+    /// at a time and field by field, and so do its quote keys.
+    #[test]
+    fn one_pass_keys_equal_the_streamed_keys_over_the_roster() {
+        let keys = Keys::default();
+        let machine = atgpu_algos::workload::test_machine();
+        let cluster = atgpu_algos::roster::asym_pair(atgpu_algos::workload::test_spec());
+        let mut programs = 0;
+        for entry in atgpu_algos::roster::roster() {
+            for (_, plan) in entry.plans(&machine, &cluster) {
+                let p = entry.workload.build_plan(&machine, plan).unwrap().program;
+                let key = keys.program(&p);
+                assert_eq!(key, streamed_program(&keys, &p), "{}", entry.name);
+                let q = keys.quote(key, &cluster, &machine);
+                assert_eq!(q, streamed_quote(&keys, key, &cluster, &machine), "{}", entry.name);
+                programs += 1;
+            }
+        }
+        assert!(programs >= 50, "{programs} roster cells");
+    }
+
+    /// SplitMix64, for the random kernels below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        }
+
+        fn operand(&mut self) -> Operand {
+            match self.below(4) {
+                0 => Operand::Reg(self.below(8) as u8),
+                1 => Operand::Imm(self.below(1 << 40) as i64 - (1 << 39)),
+                2 => Operand::Lane,
+                _ => Operand::Block,
+            }
+        }
+
+        fn addr(&mut self, depth: u32) -> AddrExpr {
+            let leaf = |r: &mut Self| match r.below(5) {
+                0 => AddrExpr::lane(),
+                1 => AddrExpr::block(),
+                2 => AddrExpr::c(r.below(1 << 20) as i64),
+                3 => AddrExpr::loop_var(r.below(2) as u8),
+                _ => AddrExpr::reg(r.below(8) as u8),
+            };
+            if depth == 0 || self.below(3) == 0 {
+                return leaf(self);
+            }
+            let (a, b) = (self.addr(depth - 1), self.addr(depth - 1));
+            match self.below(3) {
+                0 => a + b,
+                1 => a - b,
+                _ => a * b,
+            }
+        }
+
+        /// Up to `len` random instructions, nesting loops and guards
+        /// `depth` deep.
+        fn body(&mut self, kb: &mut KernelBuilder, len: u64, depth: u32) {
+            let ops = [AluOp::Add, AluOp::Sub, AluOp::Mul, AluOp::Rem, AluOp::Xor, AluOp::Shl];
+            for _ in 0..self.below(len) + 1 {
+                match self.below(if depth == 0 { 6 } else { 8 }) {
+                    0 => {
+                        let op = ops[self.below(ops.len() as u64) as usize];
+                        let (a, b) = (self.operand(), self.operand());
+                        kb.alu(op, self.below(8) as u8, a, b);
+                    }
+                    1 => {
+                        let src = self.operand();
+                        kb.mov(self.below(8) as u8, src);
+                    }
+                    2 => {
+                        let (shared, global) = (self.addr(2), self.addr(3));
+                        kb.glb_to_shr(shared, DBuf(self.below(3) as u32), global);
+                    }
+                    3 => {
+                        let (global, shared) = (self.addr(3), self.addr(2));
+                        kb.shr_to_glb(DBuf(self.below(3) as u32), global, shared);
+                    }
+                    4 => {
+                        let shared = self.addr(2);
+                        kb.ld_shr(self.below(8) as u8, shared);
+                    }
+                    5 => {
+                        kb.sync();
+                    }
+                    6 => {
+                        let trips = self.below(5) as u32;
+                        kb.repeat(trips, |kb| self.body(kb, len / 2, depth - 1));
+                    }
+                    _ => {
+                        let pred = PredExpr::Lt(self.operand(), self.operand());
+                        kb.when(pred, |kb| self.body(kb, len / 2, depth - 1));
+                    }
+                }
+            }
+        }
+    }
+
+    /// A program of random rounds over random kernels — relaunches and
+    /// sharded launches included.  The kernels are not validated: a key
+    /// hashes any shape.
+    fn random_program(rng: &mut Rng) -> Program {
+        let mut pb = ProgramBuilder::new(format!("random{}", rng.below(100)));
+        let h = pb.host_input("A", 64);
+        let d = pb.device_alloc("a", 64);
+        let placeholder = KernelBuilder::new("k", 2, 0).build();
+        for _ in 0..1 + rng.below(6) {
+            pb.begin_round();
+            pb.transfer_in_to(rng.below(3) as u32, h, rng.below(8), d, 0, 1 + rng.below(56));
+            if rng.below(2) == 0 {
+                pb.launch(placeholder.clone());
+            } else {
+                let shard = |device, start| Shard { device, start, end: start + 1 };
+                pb.launch_sharded(placeholder.clone(), vec![shard(1, 0), shard(0, 1)]);
+            }
+        }
+        let mut p = pb.build().unwrap();
+        let mut kernel = None;
+        for step in p.rounds.iter_mut().flat_map(|r| &mut r.steps) {
+            let (HostStep::Launch(k) | HostStep::LaunchSharded { kernel: k, .. }) = step else {
+                continue;
+            };
+            if kernel.is_none() || rng.below(2) == 0 {
+                let mut kb = KernelBuilder::new("k", 1 + rng.below(16), rng.below(256));
+                rng.body(&mut kb, 12, 2);
+                kernel = Some(kb.build());
+            }
+            *k = kernel.clone().unwrap();
+        }
+        p
+    }
+
+    #[test]
+    fn one_pass_keys_equal_the_streamed_keys_over_random_kernels() {
+        let mut rng = Rng(0x5EED);
+        for _ in 0..300 {
+            let keys = Keys::default();
+            let p = random_program(&mut rng);
+            assert_eq!(keys.program(&p), streamed_program(&keys, &p));
         }
     }
 

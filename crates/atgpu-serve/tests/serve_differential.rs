@@ -14,6 +14,7 @@
 use atgpu_algos::stencil::Stencil;
 use atgpu_algos::vecadd::VecAdd;
 use atgpu_algos::workload::{test_machine, test_spec, BuiltProgram, Workload};
+use atgpu_analyze::predict;
 use atgpu_model::{AtgpuMachine, ClusterSpec};
 use atgpu_serve::{CostServer, PriceSource, ServeError, ServerConfig};
 use atgpu_sim::{
@@ -125,6 +126,46 @@ fn pricing_matches_observed_totals_within_tolerance() {
             100.0 * err,
             100.0 * TOLERANCE
         );
+    }
+}
+
+/// A quote priced from a program's kept analysis is the quote a fresh
+/// server makes and `predict`'s total, bit for bit — over the mix, on
+/// the server's own spec, on link-scaled what-ifs and on a spec with more
+/// devices than the program names — and however many what-ifs a program
+/// gets, it is analysed once.
+#[test]
+fn a_kept_analysis_quotes_the_bits_of_a_fresh_one() {
+    let machine = machine();
+    let own = spec(2);
+    let server = CostServer::new(machine, own.clone(), ServerConfig::default()).expect("server");
+    let mut specs = vec![own.clone()];
+    for factor in [0.5, 2.0, 8.0] {
+        let mut scaled = own.clone();
+        scaled.host_links[1] = scaled.host_links[1].scaled(factor);
+        specs.push(scaled);
+    }
+    specs.push(spec(5));
+    for (i, built) in program_mix(&machine, 2).iter().enumerate() {
+        let program = &built.program;
+        for (s, what_if) in specs.iter().enumerate() {
+            let kept = match s {
+                0 => server.price(program),
+                _ => server.price_what_if(program, what_if),
+            }
+            .expect("quote");
+            assert_eq!(kept.source, PriceSource::Analytic);
+            let fresh = CostServer::new(machine, own.clone(), ServerConfig::default())
+                .expect("server")
+                .price_what_if(program, what_if)
+                .expect("quote");
+            let predicted = predict(program, &machine, what_if).expect("prediction");
+            let bits = kept.total_ms.to_bits();
+            assert_eq!(bits, fresh.total_ms.to_bits(), "program {i}, spec {s}: fresh server");
+            assert_eq!(bits, predicted.cost.total_ms.to_bits(), "program {i}, spec {s}: predict");
+        }
+        let analyses = server.stats().analyses;
+        assert_eq!(analyses, i as u64 + 1, "program {i}: {} quotes, one analysis", specs.len());
     }
 }
 

@@ -1,6 +1,6 @@
 //! A bounded, thread-safe, **single-flight** memo — the one cache shape
 //! under the kernel cache ([`crate::cache`]) and the serving layer's
-//! verdict and quote memos.
+//! verdict, analysis and quote memos.
 //!
 //! ## The memo rule
 //!
@@ -22,18 +22,23 @@
 //! holds.  Hit and miss counters are therefore a pure function of the
 //! lookup multiset, not of the thread schedule.
 //!
-//! Entries are evicted oldest-insertion-first beyond the capacity.  A
-//! compute that fails leaves nothing cached (the next caller computes
-//! again) and counts neither a hit nor a miss.
+//! Entries are evicted oldest-insertion-first beyond the budget.  A memo
+//! made by [`BoundedMemo::new`] weighs every entry 1, so its budget is an
+//! entry count; one made by [`BoundedMemo::weighted`] weighs an entry by
+//! its value once computed (until then it weighs 1), so its budget can be
+//! a byte count, and an entry heavier than the whole budget is returned
+//! but not kept.  A compute that fails leaves nothing cached (the next
+//! caller computes again) and counts neither a hit nor a miss.
 //!
 //! A panic under the map lock (a key's `Hash` / `Eq` / `Clone`) poisons
 //! it; the memo recovers the guard instead of failing every later
-//! lookup.  The lock guards a map and its insertion queue, and the worst
-//! an interrupted update leaves is the two out of step by one key, which
-//! `evict_to` tolerates in either direction.
+//! lookup.  The lock guards a map, its insertion queue and their summed
+//! weight, and the worst an interrupted update leaves is the queue and
+//! the map out of step by one key, which `evict_over` tolerates in
+//! either direction.
 
-// On every served request's path (verdict memo, quote memo, kernel
-// cache): nothing here may abort the server.
+// On every served request's path (verdict, analysis and quote memos,
+// kernel cache): nothing here may abort the server.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use std::collections::{HashMap, VecDeque};
@@ -55,18 +60,28 @@ struct Cell<V> {
 
 #[derive(Debug)]
 struct Inner<K, V> {
-    map: HashMap<K, Arc<Cell<V>>>,
+    /// Each key's cell and the weight it is charged.
+    map: HashMap<K, (Arc<Cell<V>>, usize)>,
     /// Insertion order for FIFO eviction.
     order: VecDeque<K>,
+    /// The charged weights, summed.
+    held: usize,
 }
 
 impl<K: Hash + Eq, V> Inner<K, V> {
-    fn evict_to(&mut self, len: usize) {
-        while self.map.len() > len {
+    /// Evicts oldest-first until at most `budget` is held.
+    fn evict_over(&mut self, budget: usize) {
+        while self.held > budget {
             match self.order.pop_front() {
-                Some(old) => self.map.remove(&old),
+                Some(old) => self.forget(&old),
                 None => break,
-            };
+            }
+        }
+    }
+
+    fn forget(&mut self, key: &K) {
+        if let Some((_, weight)) = self.map.remove(key) {
+            self.held = self.held.saturating_sub(weight);
         }
     }
 }
@@ -75,7 +90,8 @@ impl<K: Hash + Eq, V> Inner<K, V> {
 #[derive(Debug)]
 pub struct BoundedMemo<K, V> {
     inner: RwLock<Inner<K, V>>,
-    capacity: usize,
+    budget: usize,
+    weigh: fn(&V) -> usize,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -92,9 +108,17 @@ impl<K: Hash + Eq + Clone, V: Clone> BoundedMemo<K, V> {
     /// A memo holding at most `capacity` entries (at least one while
     /// anything is inserted).
     pub fn new(capacity: usize) -> Self {
+        Self::weighted(capacity, |_| 1)
+    }
+
+    /// A memo holding at most `budget` of weight, an entry weighing
+    /// `weigh` of its value (1 while it is computed).  At least one entry
+    /// is resident while one is computed.
+    pub fn weighted(budget: usize, weigh: fn(&V) -> usize) -> Self {
         Self {
-            inner: RwLock::new(Inner { map: HashMap::new(), order: VecDeque::new() }),
-            capacity,
+            inner: RwLock::new(Inner { map: HashMap::new(), order: VecDeque::new(), held: 0 }),
+            budget,
+            weigh,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
@@ -131,19 +155,20 @@ impl<K: Hash + Eq + Clone, V: Clone> BoundedMemo<K, V> {
         confirm: impl Fn(&V) -> bool,
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<(V, bool), E> {
-        let resident = self.read().map.get(&key).and_then(|cell| cell.value.get().cloned());
+        let resident = self.read().map.get(&key).and_then(|(cell, _)| cell.value.get().cloned());
         if let Some(value) = resident {
             return self.confirmed(value, confirm, compute);
         }
         let cell = {
             let mut inner = self.write();
             match inner.map.get(&key) {
-                Some(cell) => Arc::clone(cell),
+                Some((cell, _)) => Arc::clone(cell),
                 None => {
-                    inner.evict_to(self.capacity.max(1) - 1);
+                    inner.evict_over(self.budget.max(1) - 1);
                     let cell = Arc::new(Cell { value: OnceLock::new(), computing: Mutex::new(()) });
                     inner.order.push_back(key.clone());
-                    inner.map.insert(key.clone(), Arc::clone(&cell));
+                    inner.map.insert(key.clone(), (Arc::clone(&cell), 1));
+                    inner.held += 1;
                     cell
                 }
             }
@@ -157,17 +182,34 @@ impl<K: Hash + Eq + Clone, V: Clone> BoundedMemo<K, V> {
             Ok(value) => {
                 let _ = cell.value.set(value.clone());
                 self.misses.fetch_add(1, Ordering::Relaxed);
+                let weight = (self.weigh)(&value);
+                if weight != 1 {
+                    self.charge(&key, &cell, weight);
+                }
                 Ok((value, false))
             }
             Err(e) => {
                 let mut inner = self.write();
-                if inner.map.get(&key).is_some_and(|c| Arc::ptr_eq(c, &cell)) {
-                    inner.map.remove(&key);
+                if inner.map.get(&key).is_some_and(|(c, _)| Arc::ptr_eq(c, &cell)) {
+                    inner.forget(&key);
                     inner.order.retain(|k| k != &key);
                 }
                 Err(e)
             }
         }
+    }
+
+    /// Charges `cell`, if it is still `key`'s, its computed `weight`, and
+    /// evicts oldest-first back under the budget.
+    fn charge(&self, key: &K, cell: &Arc<Cell<V>>, weight: usize) {
+        let mut inner = self.write();
+        let Some((resident, charged)) = inner.map.get_mut(key) else { return };
+        if !Arc::ptr_eq(resident, cell) {
+            return;
+        }
+        let was = std::mem::replace(charged, weight);
+        inner.held = inner.held.saturating_sub(was).saturating_add(weight);
+        inner.evict_over(self.budget);
     }
 
     /// A resident `value`: a hit when `confirm` holds, otherwise the
@@ -236,6 +278,23 @@ mod tests {
         assert_eq!(memo.len(), 2);
         assert_eq!(memo.get_or_compute(2, any, || 20), (2, true));
         assert_eq!(memo.get_or_compute(0, any, || 10), (10, false), "the oldest was evicted");
+    }
+
+    /// A weighted memo keeps what fits its budget, oldest out first, and
+    /// returns but does not keep a value heavier than the whole budget.
+    #[test]
+    fn weighted_eviction_holds_the_budget() {
+        let memo: BoundedMemo<u64, usize> = BoundedMemo::weighted(10, |&w| w);
+        for key in 0..3u64 {
+            memo.get_or_compute(key, any, || 4);
+        }
+        assert_eq!(memo.len(), 2, "4 + 4 + 4 is over 10: the oldest went");
+        assert_eq!(memo.get_or_compute(0, any, || 4), (4, false));
+        assert_eq!(memo.get_or_compute(2, any, || 0), (4, true));
+        assert_eq!(memo.get_or_compute(9, any, || 11), (11, false));
+        assert_eq!(memo.len(), 0, "a value past the budget evicts all and is not kept");
+        assert_eq!(memo.get_or_compute(9, any, || 11), (11, false));
+        assert_eq!((memo.hits(), memo.misses()), (1, 6));
     }
 
     #[test]
