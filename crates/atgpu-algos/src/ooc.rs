@@ -25,7 +25,7 @@
 use crate::error::AlgosError;
 use crate::gen;
 use crate::reduce::{append_reduce_rounds, reduce_round_kernel, ReduceVariant};
-use crate::vecadd::vecadd_kernel;
+use crate::vecadd::{vecadd_kernel, vecadd_kernel_at};
 use crate::workload::{BuiltProgram, Placement, Workload};
 use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder, Shard};
 use atgpu_model::{AtgpuMachine, ShardProfile};
@@ -181,6 +181,59 @@ impl OocVecAdd {
             }
         }
 
+        Ok(BuiltProgram {
+            program: pb.build()?,
+            inputs: vec![self.a.clone(), self.b.clone()],
+            outputs: vec![hc],
+        })
+    }
+}
+
+impl OocVecAdd {
+    /// Builds the **slabbed** addition over `devices`: the device buffers
+    /// hold all `n` words, and round `r` uploads slab `r` (`chunk` words)
+    /// split evenly over the devices, adds it in place with one sharded
+    /// launch, and downloads it.  Every slab stays resident, so a device
+    /// lost mid-program leaves checkpointed state behind (E11's
+    /// workload).  `n` must be a whole number of slabs.
+    pub fn build_slabbed(
+        &self,
+        machine: &AtgpuMachine,
+        devices: u32,
+    ) -> Result<BuiltProgram, AlgosError> {
+        let b = machine.b;
+        let (n, slab) = (self.n, self.chunk);
+        check_chunking(n, slab, b)?;
+        if !n.is_multiple_of(slab) {
+            return Err(AlgosError::InvalidSize {
+                reason: format!("n = {n} is not a whole number of {slab}-word slabs"),
+            });
+        }
+        let slab_blocks = slab / b;
+        let shards = atgpu_sim::even_shards(slab_blocks, devices);
+        let mut pb = ProgramBuilder::new("vecadd_slabbed");
+        let ha = pb.host_input("A", n);
+        let hb = pb.host_input("B", n);
+        let hc = pb.host_output("C", n);
+        let bufs @ [da, db, dc] =
+            [pb.device_alloc("a", n), pb.device_alloc("b", n), pb.device_alloc("c", n)];
+        for r in 0..n / slab {
+            let off0 = r * slab;
+            pb.begin_round();
+            for s in &shards {
+                let off = off0 + s.start * b;
+                let words = s.blocks() * b;
+                pb.transfer_in_to(s.device, ha, off, da, off, words);
+                pb.transfer_in_to(s.device, hb, off, db, off, words);
+            }
+            let g = AddrExpr::block() * b as i64 + AddrExpr::lane() + off0 as i64;
+            let kernel = vecadd_kernel_at(format!("vecadd_slab{r}"), slab_blocks, b, bufs, g);
+            pb.launch_sharded(kernel, shards.clone());
+            for s in &shards {
+                let off = off0 + s.start * b;
+                pb.transfer_out_from(s.device, dc, off, hc, off, s.blocks() * b);
+            }
+        }
         Ok(BuiltProgram {
             program: pb.build()?,
             inputs: vec![self.a.clone(), self.b.clone()],
@@ -487,6 +540,27 @@ mod tests {
         let w = OocVecAdd::new(8192, 512, 3);
         assert_eq!(w.rounds(), 16);
         verify_on_sim(&w, &small_g_machine(), &test_spec(), &SimConfig::default()).unwrap();
+    }
+
+    /// Every slab of the slabbed addition lands: the 4-device run
+    /// matches the host reference, and a partial slab is refused.
+    #[test]
+    fn slabbed_vecadd_matches_host_on_four_devices() {
+        let machine = crate::workload::test_machine();
+        let w = OocVecAdd::new(4 * 32 * 32, 32 * 32, 9);
+        let built = w.build_slabbed(&machine, 4).unwrap();
+        assert_eq!(built.program.rounds.len(), 4);
+        let cluster = atgpu_model::ClusterSpec::homogeneous(4, test_spec());
+        let report = atgpu_sim::run_cluster_program(
+            &built.program,
+            built.inputs.clone(),
+            &machine,
+            &cluster,
+            &SimConfig::default(),
+        )
+        .unwrap();
+        assert_eq!(report.output(built.outputs[0]), &w.host_reference()[..]);
+        assert!(OocVecAdd::new(1000, 256, 1).build_slabbed(&machine, 4).is_err());
     }
 
     #[test]

@@ -103,9 +103,19 @@ pub(crate) fn vecadd_kernel(
     db: atgpu_ir::DBuf,
     dc: atgpu_ir::DBuf,
 ) -> atgpu_ir::Kernel {
+    vecadd_kernel_at(name, k, b, [da, db, dc], AddrExpr::block() * b as i64 + AddrExpr::lane())
+}
+
+/// [`vecadd_kernel`] with lane `j` of block `i` at global word `g`.
+pub(crate) fn vecadd_kernel_at(
+    name: impl Into<String>,
+    k: u64,
+    b: u64,
+    [da, db, dc]: [atgpu_ir::DBuf; 3],
+    g: AddrExpr,
+) -> atgpu_ir::Kernel {
     let bi = b as i64;
     let mut kb = KernelBuilder::new(name, k, 3 * b);
-    let g = AddrExpr::block() * bi + AddrExpr::lane();
     kb.glb_to_shr(AddrExpr::lane(), da, g.clone()); // _a[j] <= a[ib + j]
     kb.glb_to_shr(AddrExpr::lane() + bi, db, g.clone()); // _b[j] <= b[ib + j]
     kb.ld_shr(0, AddrExpr::lane());

@@ -926,7 +926,7 @@ mod tests {
         // A program forged *after* validation is caught by re-validation
         // — the check `analyze_program` runs on entry.
         let mut forged = build(0).unwrap();
-        for round in &mut forged.rounds {
+        for round in &mut forged.edit().rounds {
             for step in &mut round.steps {
                 if let HostStep::TransferIn { stream, .. } = step {
                     *stream = atgpu_ir::MAX_STREAMS + 7;

@@ -96,7 +96,7 @@ pub fn convolve_mod(h1: &[u64], h2: &[u64], b: u64) -> Vec<u64> {
 ///
 /// * `addr` — the buffer-relative per-lane offset;
 /// * `buf_base` — the buffer's absolute base address (from
-///   [`atgpu_ir::Program::buffer_layout`]);
+///   [`atgpu_ir::ProgramBody::buffer_layout`]);
 /// * `grid` — the launch grid `(gx, gy)`, `k = gx·gy` thread blocks;
 /// * `loop_counts` — trip counts of the loops enclosing the site,
 ///   outermost first (absolute depth `d` matches `AffineAddr::loops[d]`);

@@ -24,7 +24,7 @@
 //!   global memory; with the canonical up-front allocation discipline
 //!   (matching the paper's kernels, which `cudaMalloc` everything before
 //!   round 1) this is the padded total of
-//!   [`atgpu_ir::Program::buffer_layout`], checked against `G`.
+//!   [`atgpu_ir::ProgramBody::buffer_layout`], checked against `G`.
 //! * **Shared memory space** — each kernel declares its per-block
 //!   footprint `m`, checked against `M`.  The driver also bounds the
 //!   addresses every static shared access can touch, over the kernel's

@@ -72,7 +72,11 @@
 //!    (`Keys::program`), the verify-memo lookup, the quote key and its
 //!    lookup, and for the what-if the analysis (`cost_inputs`, which the
 //!    server keeps per program and so pays on a program's first price
-//!    only) and `cluster_cost_streamed` (`CostInputs::price`).
+//!    only) and `cluster_cost_streamed` (`CostInputs::price`).  `hash`
+//!    stays the full walk: the probe's own `Keys` never matches the tag
+//!    of the server that keyed the program first, so it hashes afresh
+//!    every time.  `kept` is the same `Keys::program` on a copy that this
+//!    `Keys` keyed first — the tag compare a server's repeat request pays.
 
 use atgpu_algos::bitonic::BitonicSort;
 use atgpu_algos::dot::Dot;
@@ -1135,10 +1139,10 @@ fn quote_path() {
     let hit = Quote { total_ms: 1.0, source: PriceSource::Analytic };
     println!("\nquote path (serve_mix shapes, 2 devices), best of {FRONT_REPLAYS}, us per request");
     println!(
-        "{:<22} {:>7} {:>7} {:>7} {:>7} | {:>7} {:>8} {:>7}",
-        "program", "memo", "hash", "verify", "quote", "what-if", "analysis", "cost"
+        "{:<22} {:>7} {:>7} {:>7} {:>7} {:>7} | {:>7} {:>8} {:>7}",
+        "program", "memo", "hash", "kept", "verify", "quote", "what-if", "analysis", "cost"
     );
-    let mut sums = [0.0; 7];
+    let mut sums = [0.0; 8];
     let shapes = serve_mix_shapes(&machine);
     for (name, program) in &shapes {
         assert_eq!(server.price(program).unwrap().source, PriceSource::Analytic);
@@ -1151,7 +1155,12 @@ fn quote_path() {
             let q = server.price_what_if(program, specs_left.next().unwrap()).unwrap();
             assert_eq!(black_box(q).source, PriceSource::Analytic);
         });
+        // The server keyed `program` first, so `keys` walks it every time;
+        // `own` is an unkeyed copy, which `keys` keys first.
         let key = keys.program(program);
+        let mut own = program.clone();
+        own.edit();
+        assert_eq!(keys.program(&own), key);
         verify.verdict(key, || None);
         let quote_key = keys.quote(key, &spec, &machine);
         quotes.quote_with(quote_key, || Ok::<_, ()>(hit)).unwrap();
@@ -1162,6 +1171,9 @@ fn quote_path() {
             memo,
             best_us(|| {
                 black_box(keys.program(program));
+            }),
+            best_us(|| {
+                black_box(keys.program(&own));
             }),
             best_us(|| drop(black_box(verify.verdict(key, || unreachable!())))),
             best_us(|| {
@@ -1176,9 +1188,9 @@ fn quote_path() {
             *sum += us;
         }
         let cells: Vec<String> = row.iter().map(|us| format!("{us:>7.2}")).collect();
-        println!("{name:<22} {} | {} {:>8} {}", cells[..4].join(" "), cells[4], cells[5], cells[6]);
+        println!("{name:<22} {} | {} {:>8} {}", cells[..5].join(" "), cells[5], cells[6], cells[7]);
     }
     let n = shapes.len() as f64;
     let mean: Vec<String> = sums.iter().map(|s| format!("{:>7.2}", s / n)).collect();
-    println!("{:<22} {} | {} {:>8} {}", "mean", mean[..4].join(" "), mean[4], mean[5], mean[6]);
+    println!("{:<22} {} | {} {:>8} {}", "mean", mean[..5].join(" "), mean[5], mean[6], mean[7]);
 }

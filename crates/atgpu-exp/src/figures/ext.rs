@@ -173,7 +173,7 @@ pub fn e4_occupancy(cfg: &ExpConfig) -> Result<Section, ExpError> {
         let mut built = w.build(&cfg.machine)?;
         // Inflate the declared shared footprint (the data layout is
         // untouched; the extra words are simply reserved).
-        for round in &mut built.program.rounds {
+        for round in &mut built.program.edit().rounds {
             for step in &mut round.steps {
                 if let atgpu_ir::HostStep::Launch(k) = step {
                     k.shared_words = k.shared_words.max(m_used);
@@ -644,7 +644,6 @@ pub fn e10_pipeline_planner(cfg: &ExpConfig, trace: Option<&Path>) -> Result<Sec
 ///    prediction within the configured jitter.  With `trace` set, the
 ///    Chrome `trace_event` JSON is written there.
 pub fn e11_fault_tolerance(cfg: &ExpConfig, trace: Option<&Path>) -> Result<Section, ExpError> {
-    use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder};
     use atgpu_model::cost::cluster_cost_degraded;
     use atgpu_model::AlgoMetrics;
     use atgpu_sim::{even_shards, run_cluster_program, FaultEvent, FaultPlan, SimConfig};
@@ -664,44 +663,9 @@ pub fn e11_fault_tolerance(cfg: &ExpConfig, trace: Option<&Path>) -> Result<Sect
     // downloads the result — enough rounds for a mid-program death to
     // leave real checkpointed state behind.
     let shards = even_shards(slab_blocks, devices);
-    let mut pb = ProgramBuilder::new("vecadd_slabbed");
-    let ha = pb.host_input("A", n);
-    let hb = pb.host_input("B", n);
-    let hc = pb.host_output("C", n);
-    let da = pb.device_alloc("a", n);
-    let db = pb.device_alloc("b", n);
-    let dc = pb.device_alloc("c", n);
-    for r in 0..rounds {
-        let off0 = r as u64 * slab;
-        pb.begin_round();
-        for s in &shards {
-            let off = off0 + s.start * b;
-            let words = s.blocks() * b;
-            pb.transfer_in_to(s.device, ha, off, da, off, words);
-            pb.transfer_in_to(s.device, hb, off, db, off, words);
-        }
-        // The vecadd kernel body, reading this round's slab.
-        let bi = b as i64;
-        let mut kb = KernelBuilder::new(format!("vecadd_slab{r}"), slab_blocks, 3 * b);
-        let g = AddrExpr::block() * bi + AddrExpr::lane() + off0 as i64;
-        kb.glb_to_shr(AddrExpr::lane(), da, g.clone());
-        kb.glb_to_shr(AddrExpr::lane() + bi, db, g.clone());
-        kb.ld_shr(0, AddrExpr::lane());
-        kb.ld_shr(1, AddrExpr::lane() + bi);
-        kb.alu(AluOp::Add, 2, Operand::Reg(0), Operand::Reg(1));
-        kb.st_shr(AddrExpr::lane() + 2 * bi, Operand::Reg(2));
-        kb.shr_to_glb(dc, g, AddrExpr::lane() + 2 * bi);
-        pb.launch_sharded(kb.build(), shards.clone());
-        for s in &shards {
-            let off = off0 + s.start * b;
-            pb.transfer_out_from(s.device, dc, off, hc, off, s.blocks() * b);
-        }
-    }
-    let program = pb.build()?;
+    let built = OocVecAdd::new(n, slab, 0).build_slabbed(machine, devices)?;
+    let (program, inputs, hc) = (built.program, built.inputs, built.outputs[0]);
     let cluster = ClusterSpec::homogeneous(devices as usize, cfg.spec);
-    let va: Vec<i64> = (0..n).map(|i| (i as i64 * 7 + 3) % 1001 - 500).collect();
-    let vb: Vec<i64> = (0..n).map(|i| (i as i64 * 13 + 5) % 1001 - 500).collect();
-    let inputs = vec![va, vb];
     let run = |fault: FaultPlan| {
         let sim = SimConfig { fault, ..cfg.sim.clone() };
         run_cluster_program(&program, inputs.clone(), machine, &cluster, &sim)

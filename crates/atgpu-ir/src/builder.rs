@@ -36,7 +36,7 @@ use crate::expr::{AddrExpr, Operand, PredExpr};
 use crate::instr::{AluOp, Instr};
 use crate::kernel::Kernel;
 use crate::program::{
-    DBuf, DeviceAlloc, HBuf, HostBufDecl, HostBufRole, HostStep, Program, Round, Shard,
+    DBuf, DeviceAlloc, HBuf, HostBufDecl, HostBufRole, HostStep, Program, ProgramBody, Round, Shard,
 };
 use crate::validate;
 use crate::Reg;
@@ -381,12 +381,12 @@ impl ProgramBuilder {
     /// Closes any open round and validates the program structurally.
     pub fn build(mut self) -> Result<Program, IrError> {
         self.end_round();
-        let p = Program {
+        let p = Program::from(ProgramBody {
             name: self.name,
             device_allocs: self.device_allocs,
             host_bufs: self.host_bufs,
             rounds: self.rounds,
-        };
+        });
         validate::validate_program(&p)?;
         Ok(p)
     }

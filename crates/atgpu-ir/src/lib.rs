@@ -65,7 +65,7 @@ pub use instr::{AluOp, GlobalRef, Instr};
 pub use kernel::{Fnv1a, Kernel};
 pub use program::{
     counts_to_shards, padded_slot, shard_counts, DBuf, DeviceAlloc, HBuf, HostBufDecl, HostBufRole,
-    HostStep, Program, Round, Shard, ShardPlan,
+    HostStep, Program, ProgramBody, Round, Shard, ShardPlan,
 };
 
 /// Register index within a lane's register file.

@@ -15,13 +15,14 @@
 
 use crate::kernel::Kernel;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Identifier of a device-global buffer (index into
-/// [`Program::device_allocs`]).
+/// [`ProgramBody::device_allocs`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct DBuf(pub u32);
 
-/// Identifier of a host buffer (index into [`Program::host_bufs`]).
+/// Identifier of a host buffer (index into [`ProgramBody::host_bufs`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct HBuf(pub u32);
 
@@ -89,7 +90,7 @@ impl Shard {
 }
 
 /// The slot a `words`-word device buffer takes in the canonical layout
-/// ([`Program::buffer_layout`]): its size rounded up to whole
+/// ([`ProgramBody::buffer_layout`]): its size rounded up to whole
 /// `block_words`-word blocks, saturating at `u64::MAX`.  Reads of a
 /// buffer's own padding see deterministic zeros; only past its slot
 /// could an access reach another buffer (the verifier's bounds limit).
@@ -335,9 +336,9 @@ impl Round {
     }
 }
 
-/// A complete multi-round ATGPU program.
+/// A program's contents: the four fields every consumer reads.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Program {
+pub struct ProgramBody {
     /// Program name.
     pub name: String,
     /// Device-global allocations (made once, before round 1 — matching
@@ -349,7 +350,92 @@ pub struct Program {
     pub rounds: Vec<Round>,
 }
 
+/// A complete multi-round ATGPU program.
+///
+/// Its contents are a [`ProgramBody`], **read** through `Deref`
+/// (`program.rounds`, `program.name`, …) and **changed** only through
+/// [`Program::edit`].  Beside them a program carries one once-filled
+/// slot: the digest a keyed hasher computed of it, tagged with that
+/// hasher's tag ([`Program::keyed`]).  A server that keys every request
+/// by a program's shape therefore walks each program once; a repeat
+/// request compares a tag.  Every change to the contents goes through
+/// `edit`, which empties the slot, so a kept digest is always the digest
+/// of the bytes it sits beside.
+///
+/// The slot is invisible otherwise: a clone carries it (the contents are
+/// equal, so is their digest), equality compares contents only, and
+/// `Debug` prints the contents alone, so a keyed digest never leaves the
+/// program it was computed for.
+#[derive(Clone)]
+pub struct Program {
+    body: ProgramBody,
+    key: OnceLock<(u64, u64)>,
+}
+
+impl From<ProgramBody> for Program {
+    fn from(body: ProgramBody) -> Self {
+        Program { body, key: OnceLock::new() }
+    }
+}
+
+impl std::ops::Deref for Program {
+    type Target = ProgramBody;
+
+    fn deref(&self) -> &ProgramBody {
+        &self.body
+    }
+}
+
+impl PartialEq for Program {
+    fn eq(&self, other: &Self) -> bool {
+        self.body == other.body
+    }
+}
+
+impl Eq for Program {}
+
+impl fmt::Debug for Program {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ProgramBody { name, device_allocs, host_bufs, rounds } = &self.body;
+        f.debug_struct("Program")
+            .field("name", name)
+            .field("device_allocs", device_allocs)
+            .field("host_bufs", host_bufs)
+            .field("rounds", rounds)
+            .finish()
+    }
+}
+
 impl Program {
+    /// The contents, to change.  Empties the key slot; checks nothing, so
+    /// an edited program may be one the builder would refuse (the doors
+    /// that run or price a program validate it themselves).
+    pub fn edit(&mut self) -> &mut ProgramBody {
+        self.key = OnceLock::new();
+        &mut self.body
+    }
+
+    /// `digest(self)`, kept under `tag`.  The first caller to fill the
+    /// empty slot wins; a later caller with the same tag gets the kept
+    /// digest without calling `digest`, and one with another tag gets
+    /// `digest(self)`, stored nowhere.  The slot is read only here, so a
+    /// digest is answered only to a caller that names its tag.
+    pub fn keyed(&self, tag: u64, digest: impl FnOnce(&ProgramBody) -> u64) -> u64 {
+        match self.key.get() {
+            Some(&(kept_tag, kept)) if kept_tag == tag => kept,
+            Some(_) => digest(&self.body),
+            None => {
+                let fresh = digest(&self.body);
+                // A racing caller may have filled the slot meanwhile: its
+                // entry stays, and this caller's answer is still `fresh`.
+                let _ = self.key.set((tag, fresh));
+                fresh
+            }
+        }
+    }
+}
+
+impl ProgramBody {
     /// Size lookup for a device buffer.
     pub fn device_buf_words(&self, buf: DBuf) -> Option<u64> {
         self.device_allocs.get(buf.0 as usize).map(|a| a.words)
@@ -429,7 +515,7 @@ impl Program {
                 }
             }
         }
-        p
+        p.into()
     }
 
     /// Canonical device-memory layout: buffers packed in declaration
@@ -497,7 +583,7 @@ mod tests {
         assert_eq!(r.peer(), (16, 1));
         assert_eq!(r.inward(), (4, 1));
         assert_eq!(Shard { device: 1, start: 4, end: 10 }.blocks(), 6);
-        let p = Program {
+        let p = ProgramBody {
             name: "p".into(),
             device_allocs: vec![DeviceAlloc { name: "a".into(), words: 64 }],
             host_bufs: vec![HostBufDecl { name: "A".into(), words: 64, role: HostBufRole::Input }],
@@ -545,7 +631,7 @@ mod tests {
 
     #[test]
     fn program_totals() {
-        let p = Program {
+        let p = ProgramBody {
             name: "p".into(),
             device_allocs: vec![
                 DeviceAlloc { name: "a".into(), words: 100 },
@@ -570,7 +656,7 @@ mod tests {
 
     #[test]
     fn buffer_layout_aligns_to_blocks() {
-        let p = Program {
+        let p = ProgramBody {
             name: "p".into(),
             device_allocs: vec![
                 DeviceAlloc { name: "a".into(), words: 33 }, // pads to 64
@@ -599,7 +685,7 @@ mod tests {
                 xfer_out(4),
             ],
         };
-        let p = Program {
+        let p = ProgramBody {
             name: "p".into(),
             device_allocs: vec![DeviceAlloc { name: "a".into(), words: 64 }],
             host_bufs: vec![HostBufDecl { name: "A".into(), words: 64, role: HostBufRole::Input }],
@@ -619,7 +705,7 @@ mod tests {
 
     #[test]
     fn buffer_layout_empty() {
-        let p = Program {
+        let p = ProgramBody {
             name: "p".into(),
             device_allocs: vec![],
             host_bufs: vec![],
@@ -630,6 +716,77 @@ mod tests {
         assert_eq!(total, 0);
     }
 
+    fn keyed_program() -> Program {
+        ProgramBody {
+            name: "p".into(),
+            device_allocs: vec![DeviceAlloc { name: "a".into(), words: 64 }],
+            host_bufs: vec![HostBufDecl { name: "A".into(), words: 64, role: HostBufRole::Input }],
+            rounds: vec![Round { steps: vec![xfer_in(64)] }],
+        }
+        .into()
+    }
+
+    /// A program is shared between a server's client threads.
+    const _: fn() = || {
+        fn send_sync<T: Send + Sync>() {}
+        send_sync::<Program>();
+    };
+
+    /// The first writer's digest answers its tag until an edit; another
+    /// tag is computed afresh and stored nowhere.
+    #[test]
+    fn a_kept_key_answers_only_its_tag() {
+        let calls = std::cell::Cell::new(0);
+        let digest = |d: u64| {
+            let calls = &calls;
+            move |_: &ProgramBody| {
+                calls.set(calls.get() + 1);
+                d
+            }
+        };
+        let p = keyed_program();
+        assert_eq!(p.keyed(7, digest(42)), 42);
+        assert_eq!(p.keyed(7, digest(0)), 42);
+        assert_eq!(calls.get(), 1);
+        assert_eq!(p.keyed(8, digest(9)), 9);
+        assert_eq!(p.keyed(8, digest(10)), 10);
+        assert_eq!(p.keyed(7, digest(0)), 42);
+        assert_eq!(calls.get(), 3);
+    }
+
+    /// A clone carries the key, an edit empties it, and neither equality
+    /// nor `Debug` sees it.
+    #[test]
+    fn a_clone_carries_the_key_and_an_edit_clears_it() {
+        let unkeyed = keyed_program();
+        let p = keyed_program();
+        p.keyed(7, |_| 42);
+        let clone = p.clone();
+        assert_eq!(clone.keyed(7, |_| 0), 42);
+        assert_eq!(clone, unkeyed);
+        for (keyed, plain) in [(&p, &unkeyed), (&clone, &unkeyed)] {
+            assert_eq!(format!("{keyed:?}"), format!("{plain:?}"));
+            assert_eq!(format!("{keyed:#?}"), format!("{plain:#?}"));
+        }
+        // `Debug` prints what the four-field struct printed.
+        let body = format!("{:?}", *unkeyed).replacen("ProgramBody", "Program", 1);
+        assert_eq!(format!("{unkeyed:?}"), body);
+
+        let mut edited = p.clone();
+        edited.edit();
+        assert_eq!(edited.keyed(7, |_| 5), 5);
+        assert_eq!(edited.keyed(7, |_| 6), 5);
+        assert_eq!(p.keyed(7, |_| 0), 42);
+        let mut changed = p.clone();
+        let Some(HostStep::TransferIn { words, .. }) = changed.edit().rounds[0].steps.first_mut()
+        else {
+            panic!("round 0 opens with the upload");
+        };
+        *words = 32;
+        assert_ne!(changed, p);
+        assert_eq!(changed.keyed(7, |_| 1), 1);
+    }
+
     /// A slot or a total past 2⁶⁴ words saturates instead of wrapping.
     #[test]
     fn buffer_layout_saturates_past_u64() {
@@ -638,7 +795,7 @@ mod tests {
         let cases = [(u64::MAX, [0, u64::MAX, u64::MAX]), (1 << 63, [0, 1 << 63, (1 << 63) + 128])];
         for (huge, want) in cases {
             let alloc = |words| DeviceAlloc { name: "d".into(), words };
-            let p = Program {
+            let p = ProgramBody {
                 name: "p".into(),
                 device_allocs: vec![alloc(huge), alloc(128), alloc(huge)],
                 host_bufs: vec![],

@@ -48,6 +48,18 @@
 //! another tenant's verdict or quote.  [`program_key`] itself is the
 //! unkeyed FNV-1a of that walk, a stable name for a program's shape.
 //!
+//! The program's keyed digest is computed once per program contents: the
+//! server keeps it in the [`Program`] itself
+//! ([`Program::keyed`](atgpu_ir::Program::keyed)), tagged with a tag
+//! drawn from the server's own key, so a repeat request compares a tag
+//! instead of walking the program.  The slot is unreadable — only a
+//! caller naming its tag gets the digest back, and `Debug` does not
+//! print it — first-writer-wins, and emptied by the only way to change a
+//! program ([`Program::edit`](atgpu_ir::Program::edit)).  A program
+//! keyed by another server, or planted under a guessed tag, is walked
+//! afresh, so a kept digest never answers for bytes it was not computed
+//! from.
+//!
 //! ## The admission contract
 //!
 //! Every [`submit`](CostServer::submit) first passes the admission
@@ -106,7 +118,8 @@
 //!    stay within [`ANALYSIS_BUDGET_BYTES`] of kept tables
 //!    ([`atgpu_analyze::CostInputs::heap_bytes`] plus a per-entry
 //!    allowance).  A what-if on a spec never asked before then costs one
-//!    program key, two memo lookups and one cost evaluation;
+//!    kept program key (a tag compare), two memo lookups and one cost
+//!    evaluation;
 //!    [`ServeStats::analyses`] counts the analyses made.  A program whose
 //!    analysis failed or is not analytic is kept as "simulate".
 //! 3. **Simulated** — full [`run_cluster_program_on`] of the program

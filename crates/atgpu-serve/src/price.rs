@@ -22,7 +22,7 @@
 //! inputs instead of analysing again.
 
 use atgpu_analyze::CostInputs;
-use atgpu_ir::{Fnv1a, HostBufRole, HostStep, Kernel, Program};
+use atgpu_ir::{Fnv1a, HostBufRole, HostStep, Kernel, Program, ProgramBody};
 use atgpu_model::{AtgpuMachine, ClusterSpec};
 use atgpu_sim::BoundedMemo;
 use std::collections::hash_map::RandomState;
@@ -89,7 +89,7 @@ impl PriceStats {
 /// kernel and buffer *names* are excluded.  A launch of the previous launch's
 /// kernel reuses its hash, by the rule stated at
 /// [`Kernel::same_structure`], so a relaunched kernel is hashed once.
-fn shape(p: &Program, kernel_hash: impl Fn(&Kernel) -> u64, mut word: impl FnMut(u64)) {
+fn shape(p: &ProgramBody, kernel_hash: impl Fn(&Kernel) -> u64, mut word: impl FnMut(u64)) {
     let mut previous: Option<(&Kernel, u64)> = None;
     let mut kernel_key = |k| match previous {
         Some((pk, key)) if Kernel::same_structure(pk, k) => key,
@@ -240,26 +240,51 @@ impl<H: Hasher + Clone> Hasher for Blocked<H> {
 /// no confirmation; a key therefore never leaves the server.  A `Keys`
 /// made outside a server draws its own key: it computes keys of the same
 /// form (and at the same cost), never a server's.
-#[derive(Debug, Default)]
-pub struct Keys(RandomState);
+///
+/// A program's key is kept in the program ([`Program::keyed`]) under
+/// `tag`, SipHash of nothing under the same key: as unguessable as the
+/// key, so no client can plant a digest a server would take as its own.
+/// Neither the tag nor the key is printed.
+pub struct Keys {
+    state: RandomState,
+    tag: u64,
+}
+
+impl Default for Keys {
+    fn default() -> Self {
+        let state = RandomState::new();
+        let tag = state.build_hasher().finish();
+        Self { state, tag }
+    }
+}
+
+impl std::fmt::Debug for Keys {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Keys").finish_non_exhaustive()
+    }
+}
 
 impl Keys {
     /// A hasher under this server's key, fed a block at a time.
     fn hasher(&self) -> Blocked<impl Hasher + Clone> {
-        Blocked::new(self.0.build_hasher())
+        Blocked::new(self.state.build_hasher())
     }
 
     /// The verdict memo's and the analysis memo's key: the program's
-    /// shape, in one pass over the bytes it hashes.
+    /// shape, in one pass over the bytes it hashes — once per program
+    /// contents: later calls compare the program's kept tag.  This is the
+    /// crate's one walk of a program under the key.
     pub fn program(&self, p: &Program) -> u64 {
-        let kernel_hash = |k: &Kernel| {
+        p.keyed(self.tag, |p| {
+            let kernel_hash = |k: &Kernel| {
+                let mut h = self.hasher();
+                k.hash_structure(&mut h);
+                h.finish()
+            };
             let mut h = self.hasher();
-            k.hash_structure(&mut h);
+            shape(p, kernel_hash, |v| h.write_u64(v));
             h.finish()
-        };
-        let mut h = self.hasher();
-        shape(p, kernel_hash, |v| h.write_u64(v));
-        h.finish()
+        })
     }
 
     /// The quote memo's key: a program's [`Keys::program`] × the
@@ -421,17 +446,17 @@ mod tests {
     /// field.  Kept here only, as the oracle of the one-pass digest.
     fn streamed_program(keys: &Keys, p: &Program) -> u64 {
         let kernel_hash = |k: &Kernel| {
-            let mut h = keys.0.build_hasher();
+            let mut h = keys.state.build_hasher();
             k.hash_structure(&mut h);
             h.finish()
         };
-        let mut h = keys.0.build_hasher();
+        let mut h = keys.state.build_hasher();
         shape(p, kernel_hash, |v| h.write_u64(v));
         h.finish()
     }
 
     fn streamed_quote(keys: &Keys, program: u64, spec: &ClusterSpec, m: &AtgpuMachine) -> u64 {
-        let mut h = keys.0.build_hasher();
+        let mut h = keys.state.build_hasher();
         h.write_u64(program);
         spec.words(|v| h.write_u64(v));
         for v in [m.p, m.b, m.m, m.g] {
@@ -564,7 +589,7 @@ mod tests {
         }
         let mut p = pb.build().unwrap();
         let mut kernel = None;
-        for step in p.rounds.iter_mut().flat_map(|r| &mut r.steps) {
+        for step in p.edit().rounds.iter_mut().flat_map(|r| &mut r.steps) {
             let (HostStep::Launch(k) | HostStep::LaunchSharded { kernel: k, .. }) = step else {
                 continue;
             };

@@ -97,7 +97,8 @@ fn kept_analyses_stay_within_the_budget() {
     let mut held = 0;
     for i in 0..PROGRAMS {
         // A distinct shape per program: the upload's size.
-        let Some(HostStep::TransferIn { words, .. }) = program.rounds[0].steps.first_mut() else {
+        let Some(HostStep::TransferIn { words, .. }) = program.edit().rounds[0].steps.first_mut()
+        else {
             panic!("round 0 opens with the upload");
         };
         *words = 1 + i as u64;

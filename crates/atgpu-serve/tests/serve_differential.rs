@@ -570,7 +570,7 @@ fn out_of_range_transfer_through_submit_is_a_typed_error() {
     ];
     for mutate in mutations {
         let mut program = built.program.clone();
-        program.rounds.iter_mut().flat_map(|r| r.steps.iter_mut()).for_each(mutate);
+        program.edit().rounds.iter_mut().flat_map(|r| r.steps.iter_mut()).for_each(mutate);
         let r = server.submit("mallory", &program, built.inputs.clone());
         assert!(
             matches!(
@@ -655,7 +655,7 @@ fn a_loop_nest_past_max_loop_depth_is_a_typed_error() {
     let server = CostServer::new(machine, spec(1), ServerConfig::default()).expect("server");
     let built = VecAdd::new(32 * 8, 5).build_sharded(&machine, 1).expect("builds");
     let mut program = built.program.clone();
-    for step in program.rounds.iter_mut().flat_map(|r| r.steps.iter_mut()) {
+    for step in program.edit().rounds.iter_mut().flat_map(|r| r.steps.iter_mut()) {
         if let HostStep::Launch(k) | HostStep::LaunchSharded { kernel: k, .. } = step {
             for _ in 0..=MAX_LOOP_DEPTH {
                 k.body = vec![Instr::Repeat { count: 1, body: std::mem::take(&mut k.body) }];
@@ -680,7 +680,7 @@ fn a_grid_whose_block_count_overflows_is_a_typed_error() {
     let server = CostServer::new(machine, spec(1), ServerConfig::default()).expect("server");
     let built = VecAdd::new(32 * 8, 5).build_sharded(&machine, 1).expect("builds");
     let mut program = built.program.clone();
-    for step in program.rounds.iter_mut().flat_map(|r| r.steps.iter_mut()) {
+    for step in program.edit().rounds.iter_mut().flat_map(|r| r.steps.iter_mut()) {
         // A plain launch, so that the grid is the program's one defect.
         if let HostStep::Launch(k) | HostStep::LaunchSharded { kernel: k, .. } = step {
             let grid = (u64::MAX, 2);
@@ -863,7 +863,7 @@ fn a_shard_on_a_device_the_cluster_lacks_is_a_typed_error() {
     let server = CostServer::new(machine, spec(2), ServerConfig::default()).expect("server");
     let built = VecAdd::new(32 * 8, 5).build_sharded(&machine, 2).expect("builds");
     let mut program = built.program.clone();
-    for step in program.rounds.iter_mut().flat_map(|r| r.steps.iter_mut()) {
+    for step in program.edit().rounds.iter_mut().flat_map(|r| r.steps.iter_mut()) {
         if let HostStep::LaunchSharded { shards, .. } = step {
             shards.last_mut().expect("a shard").device = u32::MAX;
         }
@@ -875,6 +875,163 @@ fn a_shard_on_a_device_the_cluster_lacks_is_a_typed_error() {
     let priced = server.price(&program).map(|_| ());
     assert!(refused(priced.clone()), "price: {priced:?}");
     assert_eq!(server.stats().admission.admitted_total, 0, "refused before admission");
+}
+
+/// A 4-block kernel copying `a` into `c`, block `k` storing at
+/// `k·stride + lane`: sound at stride 32, racy below the warp width.
+fn strided_copy(stride: i64) -> atgpu_ir::Kernel {
+    use atgpu_ir::{AddrExpr, DBuf, KernelBuilder};
+    let mut kb = KernelBuilder::new("copy", 4, 32);
+    kb.glb_to_shr(AddrExpr::lane(), DBuf(0), AddrExpr::block() * 32 + AddrExpr::lane());
+    kb.shr_to_glb(DBuf(1), AddrExpr::block() * stride + AddrExpr::lane(), AddrExpr::lane());
+    kb.build()
+}
+
+/// A sound one-round program over 128-word buffers running
+/// `strided_copy(32)`.
+fn sound_copy() -> (atgpu_ir::Program, Vec<Vec<i64>>) {
+    use atgpu_ir::ProgramBuilder;
+    let mut pb = ProgramBuilder::new("copy");
+    let h = pb.host_input("A", 128);
+    let o = pb.host_output("C", 128);
+    let da = pb.device_alloc("a", 128);
+    let dc = pb.device_alloc("c", 128);
+    pb.begin_round();
+    pb.transfer_in(h, da, 128);
+    pb.launch(strided_copy(32));
+    pb.transfer_out(dc, o, 128);
+    (pb.build().expect("builds"), vec![(0..128).collect()])
+}
+
+/// A kept key never answers for changed bytes: a priced, run program
+/// edited into a proven-racy one and into an invalid one (a transfer past
+/// its buffer) is verified afresh and refused by both doors.
+#[test]
+fn an_edited_program_is_gated_afresh() {
+    use atgpu_ir::{HostStep, IrError};
+    let machine = machine();
+    let server = CostServer::new(machine, spec(1), ServerConfig::default()).expect("server");
+    let (sound, inputs) = sound_copy();
+    assert_eq!(server.price(&sound).expect("quote").source, PriceSource::Analytic);
+    server.submit("alice", &sound, inputs.clone()).expect("sound");
+    assert_eq!(server.price(&sound).expect("quote").source, PriceSource::Memo);
+
+    let mut racy = sound.clone();
+    for step in racy.edit().rounds[0].steps.iter_mut() {
+        if let HostStep::Launch(k) = step {
+            *k = strided_copy(16);
+        }
+    }
+    let mut invalid = sound.clone();
+    if let Some(HostStep::TransferIn { words, .. }) = invalid.edit().rounds[0].steps.first_mut() {
+        *words = 129;
+    }
+    fn unsound(r: Result<(), &ServeError>) -> bool {
+        matches!(r, Err(ServeError::Unsound { .. }))
+    }
+    fn past_buffer(r: Result<(), &ServeError>) -> bool {
+        matches!(r, Err(ServeError::Invalid { why, .. })
+            if matches!(**why, IrError::TransferOutOfBounds { .. }))
+    }
+    type Refused = fn(Result<(), &ServeError>) -> bool;
+    for (edited, refused) in [(&racy, unsound as Refused), (&invalid, past_buffer)] {
+        let before = server.stats().verify;
+        let r = server.submit("mallory", edited, inputs.clone());
+        assert!(refused(r.as_ref().map(|_| ())), "submit: {r:?}");
+        let after = server.stats().verify;
+        assert_eq!(after.checked, before.checked + 1);
+        assert_eq!(after.memo_hits, before.memo_hits, "verified afresh, not the kept verdict");
+        let quote = server.price(edited);
+        assert!(refused(quote.as_ref().map(|_| ())), "price: {quote:?}");
+        assert_eq!(server.stats().verify.checked, after.checked + 1);
+    }
+    assert_eq!(server.stats().admission.admitted_total, 1, "only the sound program ran");
+}
+
+/// A benign edit — the uploads' `words` — quotes the bits a fresh server
+/// quotes for the edited program, not the kept quote of the original.
+#[test]
+fn a_benign_edit_quotes_the_bits_of_a_fresh_server() {
+    use atgpu_ir::HostStep;
+    let machine = machine();
+    let server = CostServer::new(machine, spec(2), ServerConfig::default()).expect("server");
+    for built in program_mix(&machine, 2) {
+        let original = server.price(&built.program).expect("quote");
+        let mut edited = built.program.clone();
+        for step in edited.edit().rounds.iter_mut().flat_map(|r| r.steps.iter_mut()) {
+            if let HostStep::TransferIn { words, .. } = step {
+                *words /= 2;
+            }
+        }
+        let kept = server.price(&edited).expect("quote");
+        let fresh = CostServer::new(machine, spec(2), ServerConfig::default())
+            .expect("server")
+            .price(&edited)
+            .expect("quote");
+        assert_eq!(kept.source, PriceSource::Analytic, "{}", built.program.name);
+        assert_eq!(kept.total_ms.to_bits(), fresh.total_ms.to_bits(), "{}", built.program.name);
+        assert!(kept.total_ms < original.total_ms, "{}", built.program.name);
+    }
+}
+
+/// A key planted under a foreign tag, or kept by another server, is not
+/// this server's: every quote and verdict is a fresh server's.
+#[test]
+fn a_foreign_or_planted_key_is_never_taken() {
+    let machine = machine();
+    let own = spec(2);
+    let mut slow = own.clone();
+    slow.host_links[1] = slow.host_links[1].scaled(4.0);
+    let fresh = |program: &atgpu_ir::Program, what_if: &ClusterSpec| {
+        let mut unkeyed = program.clone();
+        unkeyed.edit();
+        CostServer::new(machine, own.clone(), ServerConfig::default())
+            .expect("server")
+            .price_what_if(&unkeyed, what_if)
+            .map(|q| q.total_ms.to_bits())
+    };
+    let [one, two] = [0, 1]
+        .map(|_| CostServer::new(machine, own.clone(), ServerConfig::default()).expect("server"));
+    for built in program_mix(&machine, 2) {
+        for tag in [0, 1, u64::MAX, 0x9E37_79B9_7F4A_7C15] {
+            let mut planted = built.program.clone();
+            planted.edit();
+            assert_eq!(planted.keyed(tag, |_| 0), 0);
+            for what_if in [&own, &slow] {
+                let want = fresh(&built.program, what_if).expect("quote");
+                for server in [&one, &two] {
+                    let got = server.price_what_if(&planted, what_if).expect("quote");
+                    assert_eq!(
+                        got.total_ms.to_bits(),
+                        want,
+                        "{} under tag {tag}",
+                        built.program.name
+                    );
+                }
+            }
+        }
+        // One program object priced by two servers, each twice.
+        let program = &built.program;
+        for _ in 0..2 {
+            for server in [&one, &two] {
+                for what_if in [&own, &slow] {
+                    let got = server.price_what_if(program, what_if).expect("quote");
+                    let want = fresh(program, what_if).expect("quote");
+                    assert_eq!(got.total_ms.to_bits(), want, "{}", program.name);
+                }
+            }
+        }
+    }
+    // A racy program planted under a foreign tag is still refused.
+    let (racy, inputs) = racy_program("racy");
+    racy.keyed(0, |_| 0);
+    for server in [&one, &two] {
+        assert!(matches!(server.price(&racy), Err(ServeError::Unsound { .. })));
+        assert!(matches!(
+            server.submit("m", &racy, inputs.clone()),
+            Err(ServeError::Unsound { .. })
+        ));
+    }
 }
 
 /// Minor page faults of the calling thread so far (field 10 of

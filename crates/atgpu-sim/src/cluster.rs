@@ -4,7 +4,7 @@
 //! ## Execution model
 //!
 //! Every device holds a *replica* of the program's device-buffer layout
-//! (the single-device layout from [`atgpu_ir::Program::buffer_layout`],
+//! (the single-device layout from [`atgpu_ir::ProgramBody::buffer_layout`],
 //! instantiated once per device).  The host distributes data with
 //! device-targeted `TransferIn` steps, devices exchange data over
 //! directed peer links (`TransferPeer`), and a `LaunchSharded` step runs
@@ -1100,7 +1100,7 @@ mod tests {
     #[test]
     fn cluster_rejects_out_of_range_stream() {
         let (mut p, _) = sharded_vecadd_program(64, 2);
-        p.rounds[0]
+        p.edit().rounds[0]
             .steps
             .insert(0, HostStep::SyncStream { device: 0, stream: atgpu_ir::MAX_STREAMS });
         assert!(matches!(

@@ -643,7 +643,7 @@ mod tests {
     #[test]
     fn hand_constructed_out_of_range_stream_rejected() {
         let (mut p, _) = vecadd_program(16);
-        for round in &mut p.rounds {
+        for round in &mut p.edit().rounds {
             for step in &mut round.steps {
                 if let HostStep::TransferIn { stream, .. } = step {
                     *stream = atgpu_ir::MAX_STREAMS + 1;

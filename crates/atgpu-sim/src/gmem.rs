@@ -293,7 +293,7 @@ pub struct GlobalMemory {
 impl GlobalMemory {
     /// Builds the heap for a program's allocations.
     ///
-    /// `layout` comes from [`atgpu_ir::Program::buffer_layout`]; `g_limit`
+    /// `layout` comes from [`atgpu_ir::ProgramBody::buffer_layout`]; `g_limit`
     /// is the machine's `G`.
     pub fn new(
         bases: Vec<u64>,

@@ -484,7 +484,7 @@ fn out_of_range_transfers_are_typed_errors_not_panics() {
     ];
     let mutated = |p: &Program, mutate: Mutation| -> Option<Program> {
         let mut p = p.clone();
-        let hit = p.rounds.iter_mut().flat_map(|r| r.steps.iter_mut()).any(mutate);
+        let hit = p.edit().rounds.iter_mut().flat_map(|r| r.steps.iter_mut()).any(mutate);
         hit.then_some(p)
     };
 
@@ -492,7 +492,7 @@ fn out_of_range_transfers_are_typed_errors_not_panics() {
     let data = inputs(n, 37);
     let (plain, _) = plain_vecadd_program(n);
     let (mut sharded, _) = sharded_vecadd_program(n, 2);
-    sharded.rounds[0].steps.push(HostStep::TransferPeer {
+    sharded.edit().rounds[0].steps.push(HostStep::TransferPeer {
         src: 0,
         dst: 1,
         buf: DBuf(2),

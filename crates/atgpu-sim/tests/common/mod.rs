@@ -527,7 +527,7 @@ pub fn chunked_vecadd(n: u64, chunk: u64) -> (Program, HBuf) {
 pub fn restream(p: &Program, seed: u64, closing_sync: bool) -> Program {
     let mut rng = Rng(seed | 1);
     let mut out = p.clone();
-    for round in &mut out.rounds {
+    for round in &mut out.edit().rounds {
         let mut steps = Vec::with_capacity(round.steps.len() * 2);
         for mut step in round.steps.drain(..) {
             if rng.below(4) == 0 {

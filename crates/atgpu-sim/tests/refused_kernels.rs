@@ -53,7 +53,7 @@ fn program(kernel: Kernel) -> Program {
     pb.begin_round();
     pb.launch(KernelBuilder::new("placeholder", 1, 0).build());
     let mut p = pb.build().unwrap();
-    p.rounds[0].steps = vec![HostStep::Launch(kernel)];
+    p.edit().rounds[0].steps = vec![HostStep::Launch(kernel)];
     p
 }
 

@@ -3,7 +3,7 @@
 //!
 //! **Streams affect timing only**: a program with arbitrary stream tags
 //! and sync steps must be *bit-identical in outputs* to its serial
-//! de-streamed form ([`atgpu_ir::Program::destreamed`]), its
+//! de-streamed form ([`atgpu_ir::ProgramBody::destreamed`]), its
 //! per-component times must match exactly,
 //! and its stream-aware total can never exceed the serial total.  The
 //! generator takes a chunked multi-round vecadd program (the
@@ -78,7 +78,7 @@ proptest! {
         let (serial, _) = chunked_vecadd(64, 32);
         let mut synced = restream(&serial, seed, true);
         // Force everything back onto stream 0 but keep the syncs.
-        for round in &mut synced.rounds {
+        for round in &mut synced.edit().rounds {
             for step in &mut round.steps {
                 if let HostStep::TransferIn { stream, .. } | HostStep::TransferOut { stream, .. } =
                     step
