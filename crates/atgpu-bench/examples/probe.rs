@@ -77,6 +77,16 @@
 //!    of the server that keyed the program first, so it hashes afresh
 //!    every time.  `kept` is the same `Keys::program` on a copy that this
 //!    `Keys` keyed first — the tag compare a server's repeat request pays.
+//!    `quote` is the own-cluster quote key — `Keys::quote` of the program
+//!    key and the cluster key the server made at construction, 16 bytes —
+//!    plus its lookup; `spec` is `Keys::spec` of a what-if's spec, which a
+//!    what-if pays per request beside `quote`.  A memo hit should read
+//!    about `kept + verify + quote`, a what-if about that plus `spec` and
+//!    `cost`.  Last, the **memo hit by server size**: the mean memo hit
+//!    over the same shapes on 2-, 8- and 32-device homogeneous servers,
+//!    beside the spec's word count and its `Keys::spec`.  The memo column
+//!    should not grow with the cluster; a memo hit that tracks `spec`
+//!    means the server keys its own cluster per request again.
 
 use atgpu_algos::bitonic::BitonicSort;
 use atgpu_algos::dot::Dot;
@@ -1117,7 +1127,8 @@ fn serve_mix_shapes(m: &AtgpuMachine) -> Vec<(String, Program)> {
 }
 
 /// Section 8: what a memo hit and an analytic what-if cost a
-/// `serve_mix` client, and where that goes.
+/// `serve_mix` client, and where that goes; then what a memo hit costs
+/// as the server's cluster grows.
 fn quote_path() {
     let (machine, gpu) = (AtgpuMachine::gtx650_like(), GpuSpec::gtx650_like());
     let spec = ClusterSpec::homogeneous(2, gpu);
@@ -1125,7 +1136,7 @@ fn quote_path() {
         sim: SimConfig { device_threads: false, ..SimConfig::default() },
         ..ServerConfig::default()
     };
-    let server = CostServer::new(machine, spec.clone(), config).unwrap();
+    let server = CostServer::new(machine, spec.clone(), config.clone()).unwrap();
     // A spec no quote was made for: the second link scaled by a factor
     // unique to `i`, as `serve_mix` makes its what-ifs.
     let mut fresh = 0u64;
@@ -1139,11 +1150,13 @@ fn quote_path() {
     let hit = Quote { total_ms: 1.0, source: PriceSource::Analytic };
     println!("\nquote path (serve_mix shapes, 2 devices), best of {FRONT_REPLAYS}, us per request");
     println!(
-        "{:<22} {:>7} {:>7} {:>7} {:>7} {:>7} | {:>7} {:>8} {:>7}",
-        "program", "memo", "hash", "kept", "verify", "quote", "what-if", "analysis", "cost"
+        "{:<22} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7} | {:>7} {:>8} {:>7}",
+        "program", "memo", "hash", "kept", "verify", "quote", "spec", "what-if", "analysis", "cost"
     );
-    let mut sums = [0.0; 8];
+    let mut sums = [0.0; 9];
     let shapes = serve_mix_shapes(&machine);
+    // The server keys its own cluster once; a what-if keys its spec.
+    let own_key = keys.spec(&spec, &machine);
     for (name, program) in &shapes {
         assert_eq!(server.price(program).unwrap().source, PriceSource::Analytic);
         let memo = best_us(|| {
@@ -1162,8 +1175,8 @@ fn quote_path() {
         own.edit();
         assert_eq!(keys.program(&own), key);
         verify.verdict(key, || None);
-        let quote_key = keys.quote(key, &spec, &machine);
-        quotes.quote_with(quote_key, || Ok::<_, ()>(hit)).unwrap();
+        quotes.quote_with(keys.quote(key, own_key), || Ok::<_, ()>(hit)).unwrap();
+        let what_if_spec = fresh_spec();
         let named = program.max_device() + 1;
         let inputs = cost_inputs(program, &machine, named).unwrap();
         let priced = ClusterSpec::homogeneous(named as usize, gpu);
@@ -1177,8 +1190,11 @@ fn quote_path() {
             }),
             best_us(|| drop(black_box(verify.verdict(key, || unreachable!())))),
             best_us(|| {
-                let q = keys.quote(key, &spec, &machine);
+                let q = keys.quote(key, black_box(own_key));
                 black_box(quotes.quote_with(q, || Err(())).unwrap());
+            }),
+            best_us(|| {
+                black_box(keys.spec(&what_if_spec, &machine));
             }),
             what_if,
             best_us(|| drop(black_box(cost_inputs(program, &machine, named).unwrap()))),
@@ -1188,9 +1204,36 @@ fn quote_path() {
             *sum += us;
         }
         let cells: Vec<String> = row.iter().map(|us| format!("{us:>7.2}")).collect();
-        println!("{name:<22} {} | {} {:>8} {}", cells[..5].join(" "), cells[5], cells[6], cells[7]);
+        println!("{name:<22} {} | {} {:>8} {}", cells[..6].join(" "), cells[6], cells[7], cells[8]);
     }
     let n = shapes.len() as f64;
     let mean: Vec<String> = sums.iter().map(|s| format!("{:>7.2}", s / n)).collect();
-    println!("{:<22} {} | {} {:>8} {}", "mean", mean[..5].join(" "), mean[5], mean[6], mean[7]);
+    println!("{:<22} {} | {} {:>8} {}", "mean", mean[..6].join(" "), mean[6], mean[7], mean[8]);
+
+    // The same memo hits on larger homogeneous servers, beside what keying
+    // that cluster's spec costs (a what-if on it pays that per request).
+    println!("\nmemo hit by server size (means over the {} shapes), us per request", shapes.len());
+    println!("{:<8} {:>6} {:>7} {:>7}", "devices", "words", "memo", "spec");
+    for devices in [2, 8, 32] {
+        let spec = ClusterSpec::homogeneous(devices, gpu);
+        let server = CostServer::new(machine, spec.clone(), config.clone()).unwrap();
+        let mut words = 0;
+        spec.words(|_| words += 1);
+        let mut memo = 0.0;
+        for (_, program) in &shapes {
+            // A copy this server keys first, as a client's own program.
+            let mut program = program.clone();
+            program.edit();
+            let program = &program;
+            server.price(program).unwrap();
+            memo += best_us(|| {
+                let q = server.price(program).unwrap();
+                assert_eq!(black_box(q).source, PriceSource::Memo);
+            });
+        }
+        let key_spec = best_us(|| {
+            black_box(keys.spec(&spec, &machine));
+        });
+        println!("{devices:<8} {words:>6} {:>7.2} {key_spec:>7.2}", memo / n);
+    }
 }

@@ -104,6 +104,11 @@ impl AdmissionQueue {
         }
     }
 
+    /// The most requests that wait before a submission bounces.
+    pub fn queue_capacity(&self) -> usize {
+        self.queue_capacity
+    }
+
     /// The cluster's resident-block capacity this queue packs against.
     pub fn capacity_blocks(&self) -> u64 {
         self.capacity_blocks

@@ -27,6 +27,9 @@
 //! addressing) pass — the gate only rejects on proof.  Verdicts are
 //! memoized by the program's structural shape, so re-submissions of the
 //! same shape skip re-verification ([`VerifyStats`] counts the paths).
+//! The memo keeps only whether a shape is refused: a refusal's witness
+//! and error are derived from the asking program, so they name its
+//! kernels and buffers, never those of the tenant that asked first.
 //! The gate then refuses a program that addresses a device the cluster
 //! it would run or be priced on lacks ([`ServeError::Model`]), before
 //! admission.
@@ -92,9 +95,20 @@
 //! 1. **Memo** — queries are keyed by the server's keyed hash of the
 //!    program's structural shape (kernel structures, shard plans,
 //!    transfer tuples — names excluded) × the cluster's
-//!    [`words`](atgpu_model::ClusterSpec::words) × the machine shape.
-//!    A repeated question is answered from the bounded [`PriceMemo`]
-//!    without recomputation.
+//!    [`words`](atgpu_model::ClusterSpec::words) × the machine shape,
+//!    in two levels: [`Keys::quote`] hashes the 16 bytes of the
+//!    program's key and the cluster's [`Keys::spec`].  A repeated
+//!    question is answered from the bounded [`PriceMemo`] without
+//!    recomputation.  The server keys its own cluster once, in
+//!    [`CostServer::new`] (where [`Cluster::new`] validated it), so a
+//!    repeat [`price`](CostServer::price) costs the program's kept key
+//!    (a tag compare), a verdict lookup, the 16-byte quote key and a
+//!    quote lookup — ≈ 0.2 µs on a 2-core host, and the same on 2, 8
+//!    or 32 devices: nothing it does grows with the cluster (`probe`
+//!    §8).  A what-if validates and keys its spec per request, which
+//!    does grow (`2 + 10n + 2n(n−1)` words for `n` devices); a what-if
+//!    on a spec equal to the server's own is the same question as
+//!    `price` and shares its entry.
 //! 2. **Analytic** — [`atgpu_analyze::predict`] in its two stages: the
 //!    program's analysis ([`atgpu_analyze::cost_inputs`]: per-device
 //!    metrics rows, stream schedules, peer traffic) priced on the spec
@@ -118,8 +132,8 @@
 //!    stay within [`ANALYSIS_BUDGET_BYTES`] of kept tables
 //!    ([`atgpu_analyze::CostInputs::heap_bytes`] plus a per-entry
 //!    allowance).  A what-if on a spec never asked before then costs one
-//!    kept program key (a tag compare), two memo lookups and one cost
-//!    evaluation;
+//!    kept program key (a tag compare), its spec's validation and key,
+//!    two memo lookups and one cost evaluation;
 //!    [`ServeStats::analyses`] counts the analyses made.  A program whose
 //!    analysis failed or is not analytic is kept as "simulate".
 //! 3. **Simulated** — full [`run_cluster_program_on`] of the program
@@ -280,7 +294,9 @@ pub struct ServeStats {
 /// admission queue in front of it, and a memoized pricing front-end.
 /// All methods take `&self`; share a server across client threads with
 /// `Arc` (or scoped threads).
-#[derive(Debug)]
+///
+/// Its `Debug` prints the cluster, the configuration and a
+/// [`stats`](Self::stats) snapshot — never a memo's contents or a key.
 pub struct CostServer {
     cluster: Cluster,
     sim: SimConfig,
@@ -291,6 +307,21 @@ pub struct CostServer {
     analyses: BoundedMemo<u64, Kept>,
     /// The key every memo is addressed by, drawn once per server.
     keys: Keys,
+    /// The server's own cluster's `Keys::spec`, keyed once: the spec
+    /// never changes, and `Cluster::new` validated it.
+    own_spec: u64,
+}
+
+impl std::fmt::Debug for CostServer {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("CostServer")
+            .field("spec", self.cluster.spec())
+            .field("machine", self.cluster.machine())
+            .field("sim", &self.sim)
+            .field("queue_capacity", &self.admission.queue_capacity())
+            .field("stats", &self.stats())
+            .finish_non_exhaustive()
+    }
 }
 
 /// The tenant label the pricing fallback simulates under, so pricing
@@ -316,12 +347,15 @@ impl CostServer {
             .iter()
             .map(|d| device_capacity(cluster.machine(), d, 0))
             .fold(0, u64::saturating_add);
+        let keys = Keys::default();
+        let own_spec = keys.spec(cluster.spec(), cluster.machine());
         Ok(Self {
             admission: AdmissionQueue::new(config.queue_capacity, capacity),
             memo: PriceMemo::new(MEMO_CAPACITY),
             verify: VerifyMemo::new(MEMO_CAPACITY),
             analyses: price::analysis_memo(),
-            keys: Keys::default(),
+            keys,
+            own_spec,
             sim: config.sim,
             cluster,
         })
@@ -409,9 +443,17 @@ impl CostServer {
         let pkey = self.keys.program(program);
         let spec = what_if.unwrap_or_else(|| self.cluster.spec());
         self.gate(pkey, program, spec)?;
-        spec.validate()?;
         let machine = *self.cluster.machine();
-        let key = self.keys.quote(pkey, spec, &machine);
+        let skey = match what_if {
+            // The server's own spec was validated by `Cluster::new` and
+            // keyed by `new`; an equal what-if spec keys alike.
+            None => self.own_spec,
+            Some(spec) => {
+                spec.validate()?;
+                self.keys.spec(spec, &machine)
+            }
+        };
+        let key = self.keys.quote(pkey, skey);
         self.memo.quote_with(key, || {
             // Devices past the last one a step names are idle: each adds
             // a 0.0 path to every round's `max`, so the program is priced
@@ -506,5 +548,48 @@ impl CostServer {
             spec.devices.iter().zip(held).map(|(s, blocks)| blocks.min(cap(s))).sum::<u64>()
         });
         demand.max().unwrap_or(0).max(1)
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+mod tests {
+    use super::*;
+    use atgpu_algos::vecadd::VecAdd;
+    use atgpu_algos::workload::{test_machine, test_spec, Workload};
+
+    /// A server's `Debug` shows its cluster, configuration and counters,
+    /// and no key: neither a priced program's keyed digest, nor the own
+    /// cluster's key, nor the quote key they make, in any base or sign.
+    #[test]
+    fn debug_prints_no_key_and_no_memo() {
+        let machine = test_machine();
+        let spec = ClusterSpec::homogeneous(2, test_spec());
+        let server = CostServer::new(machine, spec, ServerConfig::default()).unwrap();
+        let built = VecAdd::new(32 * 8, 1).build_sharded(&machine, 2).unwrap();
+        for _ in 0..2 {
+            server.price(&built.program).unwrap();
+        }
+        let pkey = server.keys.program(&built.program);
+        let keys = [pkey, server.own_spec, server.keys.quote(pkey, server.own_spec)];
+        for printed in [format!("{server:?}"), format!("{server:#?}")] {
+            for key in keys {
+                let shown = [
+                    key.to_string(),
+                    (key as i64).to_string(),
+                    format!("{key:x}"),
+                    format!("{key:X}"),
+                    format!("{key:o}"),
+                ];
+                for shown in shown {
+                    assert!(!printed.contains(&shown), "a key leaves the server: {printed}");
+                }
+            }
+            for memo in ["map", "CostInputs", "Refusal", "Quote"] {
+                assert!(!printed.contains(memo), "a memo's contents: {printed}");
+            }
+            assert!(printed.contains("memo_hits: 1"), "{printed}");
+            assert!(printed.contains("queue_capacity: 64"), "{printed}");
+        }
     }
 }

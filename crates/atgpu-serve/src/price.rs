@@ -4,9 +4,9 @@
 //! compile-relevant shape (kernel structures, shard plans, transfer
 //! tuples, stream tags) combined with the cluster's
 //! [`words`](atgpu_model::ClusterSpec::words) and the abstract machine
-//! shape.  Names are excluded everywhere — a renamed kernel or buffer
-//! prices identically — mirroring the name-exclusion rule of the kernel
-//! cache.  Two queries with equal keys are the same question, so the
+//! shape, each keyed on its own and the two keys hashed together.  Names
+//! are excluded everywhere — a renamed kernel or buffer prices
+//! identically — mirroring the name-exclusion rule of the kernel cache.  Two queries with equal keys are the same question, so the
 //! second is answered from the memo in nanoseconds.
 //!
 //! The memos trust their keys without confirming a hit, so the keys are
@@ -245,6 +245,11 @@ impl<H: Hasher + Clone> Hasher for Blocked<H> {
 /// `tag`, SipHash of nothing under the same key: as unguessable as the
 /// key, so no client can plant a digest a server would take as its own.
 /// Neither the tag nor the key is printed.
+///
+/// A quote's key has two levels: [`Keys::quote`] hashes the 16 bytes of
+/// a program's key and a cluster's [`Keys::spec`].  Neither level grows
+/// with the other's input, so a server that keeps its own cluster's key
+/// answers a repeat quote for the same few hashes on 2 devices or 32.
 pub struct Keys {
     state: RandomState,
     tag: u64,
@@ -287,15 +292,26 @@ impl Keys {
         })
     }
 
-    /// The quote memo's key: a program's [`Keys::program`] × the
-    /// cluster's [`words`](ClusterSpec::words) × the machine shape.
-    pub fn quote(&self, program: u64, spec: &ClusterSpec, machine: &AtgpuMachine) -> u64 {
+    /// A cluster's key: its [`words`](ClusterSpec::words) and the machine
+    /// shape, in one pass.  A spec of `n` devices is `2 + 10n + 2n(n−1)`
+    /// words, so a server keys its own cluster once, in
+    /// [`CostServer::new`](crate::CostServer::new), and a what-if's spec
+    /// per request.
+    pub fn spec(&self, spec: &ClusterSpec, machine: &AtgpuMachine) -> u64 {
         let mut h = self.hasher();
-        h.write_u64(program);
         spec.words(|v| h.write_u64(v));
         for v in [machine.p, machine.b, machine.m, machine.g] {
             h.write_u64(v);
         }
+        h.finish()
+    }
+
+    /// The quote memo's key: a program's [`Keys::program`] × a cluster's
+    /// [`Keys::spec`] — 16 bytes, whatever the cluster's size.
+    pub fn quote(&self, program: u64, spec: u64) -> u64 {
+        let mut h = self.state.build_hasher();
+        h.write_u64(program);
+        h.write_u64(spec);
         h.finish()
     }
 }
@@ -422,9 +438,39 @@ mod tests {
         let m = AtgpuMachine::new(1 << 16, 32, 12_288, 1 << 22).unwrap();
         let s2 = ClusterSpec::homogeneous(2, atgpu_model::GpuSpec::gtx650_like());
         let s4 = ClusterSpec::homogeneous(4, atgpu_model::GpuSpec::gtx650_like());
-        assert_ne!(keys.quote(p, &s2, &m), keys.quote(p, &s4, &m));
+        let quote = |s, m| keys.quote(p, keys.spec(s, m));
+        assert_ne!(quote(&s2, &m), quote(&s4, &m));
         let m2 = AtgpuMachine::new(1 << 16, 32, 12_288, 1 << 23).unwrap();
-        assert_ne!(keys.quote(p, &s2, &m), keys.quote(p, &s2, &m2));
+        assert_ne!(quote(&s2, &m), quote(&s2, &m2));
+        // The unused peer-link diagonal is no part of a spec's key.
+        let mut diagonal = s2.clone();
+        diagonal.peer_links[1][1] = diagonal.peer_links[1][1].scaled(3.0);
+        assert_eq!(keys.spec(&diagonal, &m), keys.spec(&s2, &m));
+    }
+
+    /// The quote key is SipHash, under the server's key, of its two words
+    /// and nothing else: equal words key alike however they were made, and
+    /// either word, or their order, changes it.
+    #[test]
+    fn quote_key_is_a_function_of_its_two_words() {
+        let keys = Keys::default();
+        let words = [0, 1, 2, u64::MAX, 0x9E37_79B9_7F4A_7C15];
+        for program in words {
+            for spec in words {
+                let mut h = keys.state.build_hasher();
+                h.write_u64(program);
+                h.write_u64(spec);
+                assert_eq!(keys.quote(program, spec), h.finish());
+                if program != spec {
+                    assert_ne!(keys.quote(program, spec), keys.quote(spec, program));
+                }
+                for other in words.into_iter().filter(|&w| w != spec) {
+                    assert_ne!(keys.quote(program, spec), keys.quote(program, other));
+                    assert_ne!(keys.quote(spec, program), keys.quote(other, program));
+                }
+            }
+        }
+        assert_ne!(keys.quote(1, 2), Keys::default().quote(1, 2), "a server's own");
     }
 
     /// A server's keys are its own: two servers key one program apart,
@@ -455,9 +501,8 @@ mod tests {
         h.finish()
     }
 
-    fn streamed_quote(keys: &Keys, program: u64, spec: &ClusterSpec, m: &AtgpuMachine) -> u64 {
+    fn streamed_spec(keys: &Keys, spec: &ClusterSpec, m: &AtgpuMachine) -> u64 {
         let mut h = keys.state.build_hasher();
-        h.write_u64(program);
         spec.words(|v| h.write_u64(v));
         for v in [m.p, m.b, m.m, m.g] {
             h.write_u64(v);
@@ -466,24 +511,29 @@ mod tests {
     }
 
     /// Every roster workload under every plan cell keys alike fed a block
-    /// at a time and field by field, and so do its quote keys.
+    /// at a time and field by field, and so do the clusters its plans
+    /// run on: one device, the planned asymmetric pair and three devices.
     #[test]
     fn one_pass_keys_equal_the_streamed_keys_over_the_roster() {
         let keys = Keys::default();
-        let machine = atgpu_algos::workload::test_machine();
-        let cluster = atgpu_algos::roster::asym_pair(atgpu_algos::workload::test_spec());
+        let (machine, gpu) =
+            (atgpu_algos::workload::test_machine(), atgpu_algos::workload::test_spec());
+        let cluster = atgpu_algos::roster::asym_pair(gpu);
         let mut programs = 0;
         for entry in atgpu_algos::roster::roster() {
             for (_, plan) in entry.plans(&machine, &cluster) {
                 let p = entry.workload.build_plan(&machine, plan).unwrap().program;
                 let key = keys.program(&p);
                 assert_eq!(key, streamed_program(&keys, &p), "{}", entry.name);
-                let q = keys.quote(key, &cluster, &machine);
-                assert_eq!(q, streamed_quote(&keys, key, &cluster, &machine), "{}", entry.name);
                 programs += 1;
             }
         }
         assert!(programs >= 50, "{programs} roster cells");
+        let one = ClusterSpec::homogeneous(1, gpu);
+        let three = ClusterSpec::homogeneous(3, gpu);
+        for spec in [&one, &cluster, &three] {
+            assert_eq!(keys.spec(spec, &machine), streamed_spec(&keys, spec, &machine));
+        }
     }
 
     /// SplitMix64, for the random kernels below.
@@ -601,6 +651,43 @@ mod tests {
             *k = kernel.clone().unwrap();
         }
         p
+    }
+
+    /// A spec of `n` devices with every `GpuSpec` and link word drawn at
+    /// random (the peer-link diagonal too, which no key reads).
+    fn random_spec(rng: &mut Rng, n: usize) -> ClusterSpec {
+        let float = |rng: &mut Rng| f64::from_bits(rng.below(u64::MAX));
+        let mut spec = ClusterSpec::homogeneous(n, atgpu_model::GpuSpec::gtx650_like());
+        for link in spec.host_links.iter_mut().chain(spec.peer_links.iter_mut().flatten()) {
+            *link = atgpu_model::LinkParams { alpha_ms: float(rng), beta_ms_per_word: float(rng) };
+        }
+        spec.sync_ms = float(rng);
+        for d in spec.devices.iter_mut() {
+            d.clock_cycles_per_ms = float(rng);
+            d.xfer_alpha_ms = float(rng);
+            d.xfer_beta_ms_per_word = float(rng);
+            d.sync_ms = float(rng);
+            d.k_prime = rng.below(u64::MAX);
+            d.h_limit = rng.below(u64::MAX);
+            d.dram_latency_cycles = rng.below(u64::MAX);
+            d.dram_issue_cycles = rng.below(u64::MAX);
+        }
+        spec
+    }
+
+    #[test]
+    fn one_pass_keys_equal_the_streamed_keys_over_random_specs() {
+        let mut rng = Rng(0x5EC5);
+        for n in [1, 8, 32] {
+            for _ in 0..10 {
+                let keys = Keys::default();
+                let spec = random_spec(&mut rng, n);
+                let p = 32 * (1 + rng.below(1 << 15));
+                let (m, g) = (32 + rng.below(1 << 16), 32 + rng.below(1 << 30));
+                let machine = AtgpuMachine::new(p, 32, m, g).unwrap();
+                assert_eq!(keys.spec(&spec, &machine), streamed_spec(&keys, &spec, &machine));
+            }
+        }
     }
 
     #[test]

@@ -19,6 +19,13 @@
 //! program shape is verified exactly once, and concurrent submissions
 //! of one shape wait for that verdict and count as memo hits, so the
 //! counters do not depend on how client threads interleave.
+//!
+//! A verdict is a function of the shape, but a refusal's diagnostic names
+//! the program it was derived from — its kernels and buffers.  The memo
+//! therefore keeps only *whether* a shape is refused, and a refused
+//! asker's diagnostic is derived from the asker's own program: a refusal
+//! never carries another tenant's names.  Refusals are the rare path, so
+//! re-deriving one costs little.
 
 use atgpu_ir::IrError;
 use atgpu_sim::BoundedMemo;
@@ -48,11 +55,11 @@ pub struct VerifyStats {
 }
 
 /// A bounded, thread-safe memo of verify verdicts keyed by structural
-/// program shape.  `None` means the program verified sound; `Some`
-/// carries the reason it is refused.
+/// program shape: whether the shape is refused, and nothing that names a
+/// program.
 #[derive(Debug)]
 pub struct VerifyMemo {
-    memo: BoundedMemo<u64, Option<Refusal>>,
+    memo: BoundedMemo<u64, bool>,
     rejected: AtomicU64,
 }
 
@@ -64,11 +71,25 @@ impl VerifyMemo {
 
     /// Gates one program: answers from the memo when its structural key
     /// has been verified before, otherwise runs `compute` and records
-    /// the verdict.  Returns the reason for refused programs.  A
-    /// resident verdict answers unconfirmed: `key` must be one a client
-    /// cannot steer (the server's keyed hash).
-    pub fn verdict(&self, key: u64, compute: impl FnOnce() -> Option<Refusal>) -> Option<Refusal> {
-        let (verdict, _) = self.memo.get_or_compute(key, |_| true, compute);
+    /// the verdict.  Returns the reason for refused programs: `compute`'s
+    /// own, run again on a refused memo hit, so that the reason names the
+    /// asking program.  A resident verdict answers unconfirmed: `key`
+    /// must be one a client cannot steer (the server's keyed hash).
+    pub fn verdict(
+        &self,
+        key: u64,
+        mut compute: impl FnMut() -> Option<Refusal>,
+    ) -> Option<Refusal> {
+        let mut fresh = None;
+        let (refused, _) = self.memo.get_or_compute(
+            key,
+            |_| true,
+            || {
+                fresh = compute();
+                fresh.is_some()
+            },
+        );
+        let verdict = if refused { fresh.or_else(compute) } else { None };
         if verdict.is_some() {
             self.rejected.fetch_add(1, Ordering::Relaxed);
         }
@@ -93,10 +114,10 @@ mod tests {
     use super::*;
     use atgpu_verify::bounds::OobWitness;
 
-    fn defect() -> Refusal {
+    fn defect(kernel: &str) -> Refusal {
         Refusal::Unsound(Unsoundness::OutOfBounds {
             round: 0,
-            kernel: "k".into(),
+            kernel: kernel.into(),
             instr: 1,
             witness: OobWitness { block: (0, 0), lane: 0, loops: vec![], addr: 64, limit: 64 },
         })
@@ -115,8 +136,9 @@ mod tests {
                 .is_none());
         }
         assert_eq!(computed, 1, "sound verdict computed once, then memoized");
-        assert!(memo.verdict(9, || Some(defect())).is_some());
-        assert!(memo.verdict(9, || unreachable!("memoized")).is_some());
+        assert!(memo.verdict(9, || Some(defect("k"))).is_some());
+        // A refused memo hit answers the asker's own reason.
+        assert_eq!(memo.verdict(9, || Some(defect("asker"))), Some(defect("asker")));
         let st = memo.stats();
         assert_eq!((st.checked, st.memo_hits, st.rejected, st.entries), (5, 3, 2, 2));
     }

@@ -423,21 +423,8 @@ fn a_kernel_past_65_536_memory_sites_runs() {
 /// blocks collide on the same global words: the static verifier proves
 /// it racy, and the server must refuse to execute *or* price it.
 fn racy_program(name: &str) -> (atgpu_ir::Program, Vec<Vec<i64>>) {
-    use atgpu_ir::{AddrExpr, KernelBuilder, ProgramBuilder};
-    let mut pb = ProgramBuilder::new(name);
-    let h = pb.host_input("A", 128);
-    let o = pb.host_output("C", 128);
-    let da = pb.device_alloc("a", 128);
-    let dc = pb.device_alloc("c", 128);
-    let mut kb = KernelBuilder::new("collide", 4, 32);
-    kb.glb_to_shr(AddrExpr::lane(), da, AddrExpr::block() * 32 + AddrExpr::lane());
-    // Stride 16 < warp width: blocks k and k+1 overlap on 16 words.
-    kb.shr_to_glb(dc, AddrExpr::block() * 16 + AddrExpr::lane(), AddrExpr::lane());
-    pb.begin_round();
-    pb.transfer_in(h, da, 128);
-    pb.launch(kb.build());
-    pb.transfer_out(dc, o, 128);
-    (pb.build().expect("builds — validation does not check races"), vec![vec![0; 128]])
+    let (racy, _, inputs) = named_racy([name, "collide", "A", "a"]);
+    (racy, inputs)
 }
 
 #[test]
@@ -1031,6 +1018,162 @@ fn a_foreign_or_planted_key_is_never_taken() {
             server.submit("m", &racy, inputs.clone()),
             Err(ServeError::Unsound { .. })
         ));
+    }
+}
+
+/// `racy_program`'s shape under the given program, kernel, input and
+/// device-buffer names, and an invalid twin whose upload is one word past
+/// both buffers.
+fn named_racy(names: [&str; 4]) -> (atgpu_ir::Program, atgpu_ir::Program, Vec<Vec<i64>>) {
+    use atgpu_ir::{AddrExpr, HostStep, KernelBuilder, ProgramBuilder};
+    let [program, kernel, host, device] = names;
+    let mut pb = ProgramBuilder::new(program);
+    let h = pb.host_input(host, 128);
+    let o = pb.host_output("C", 128);
+    let da = pb.device_alloc(device, 128);
+    let dc = pb.device_alloc("c", 128);
+    let mut kb = KernelBuilder::new(kernel, 4, 32);
+    kb.glb_to_shr(AddrExpr::lane(), da, AddrExpr::block() * 32 + AddrExpr::lane());
+    // Stride 16 < warp width: blocks k and k+1 overlap on 16 words.
+    kb.shr_to_glb(dc, AddrExpr::block() * 16 + AddrExpr::lane(), AddrExpr::lane());
+    pb.begin_round();
+    pb.transfer_in(h, da, 128);
+    pb.launch(kb.build());
+    pb.transfer_out(dc, o, 128);
+    let racy = pb.build().expect("builds — validation does not check races");
+    let mut invalid = racy.clone();
+    if let Some(HostStep::TransferIn { words, .. }) = invalid.edit().rounds[0].steps.first_mut() {
+        *words = 129;
+    }
+    (racy, invalid, vec![vec![0; 128]])
+}
+
+/// A refusal names the program that asked, never the one whose verdict
+/// the memo kept: the verdict memo keys on shape, which ignores names,
+/// so a second tenant's same-shape program is a memo hit — and its
+/// `Unsound` witness and `Invalid` error name its own kernel and buffers.
+#[test]
+fn a_refusal_names_only_the_asking_program() {
+    use atgpu_ir::IrError;
+    let server = CostServer::new(machine(), spec(2), ServerConfig::default()).expect("server");
+    let alice = ["alice_program", "alice_secret_kernel", "alice_secret_input", "alice_secret_dev"];
+    let bob = ["bob_program", "bob_kernel", "bob_input", "bob_dev"];
+    let (alice_racy, alice_invalid, inputs) = named_racy(alice);
+    let (bob_racy, bob_invalid, _) = named_racy(bob);
+    let tenants =
+        [("alice", alice, &alice_racy, &alice_invalid), ("bob", bob, &bob_racy, &bob_invalid)];
+    for round in 0..4 {
+        // Round 0 is alice's first ask of each shape: its `submit` is
+        // verified, and every later ask of that shape — bob's included —
+        // is a verdict-memo hit.
+        let (tenant, names, racy, invalid) = tenants[round % 2];
+        let other = tenants[1 - round % 2].1;
+        for program in [racy, invalid] {
+            let before = server.stats().verify.memo_hits;
+            let errors = [
+                server.submit(tenant, program, inputs.clone()).expect_err("refused"),
+                server.price(program).expect_err("refused"),
+            ];
+            let hits = server.stats().verify.memo_hits - before;
+            assert_eq!(hits, 1 + u64::from(round > 0), "round {round}: verdict-memo hits");
+            for err in errors {
+                let why = match &err {
+                    ServeError::Unsound { program: name, why } if std::ptr::eq(program, racy) => {
+                        assert_eq!(name, names[0]);
+                        why.to_string()
+                    }
+                    ServeError::Invalid { program: name, why }
+                        if std::ptr::eq(program, invalid) =>
+                    {
+                        assert!(matches!(**why, IrError::TransferOutOfBounds { .. }), "{err}");
+                        assert_eq!(name, names[0]);
+                        why.to_string()
+                    }
+                    other => panic!("round {round}: the wrong refusal {other:?}"),
+                };
+                let message = err.to_string();
+                assert!(
+                    names[1..].iter().any(|name| why.contains(name)),
+                    "the diagnostic names the asker's kernel or buffer: {message}"
+                );
+                for foreign in other {
+                    assert!(!message.contains(foreign), "{tenant} sees `{foreign}`: {message}");
+                }
+            }
+        }
+    }
+    assert_eq!(server.stats().admission.admitted_total, 0, "refused before admission");
+}
+
+/// A what-if on a spec equal to the server's own is the same question as
+/// `price`: whichever comes first prices it and the other is a memo hit
+/// with the same bits.  A spec that differs in one peer-link word is
+/// another question, with its own entry.
+#[test]
+fn the_own_spec_asked_as_a_what_if_shares_the_own_entry() {
+    let machine = machine();
+    let own = spec(2);
+    let server = CostServer::new(machine, own.clone(), ServerConfig::default()).expect("server");
+    let mut peer = own.clone();
+    peer.peer_links[0][1] = peer.peer_links[0][1].scaled(2.0);
+    for (i, built) in program_mix(&machine, 2).iter().enumerate() {
+        let program = &built.program;
+        let entries = server.stats().price.entries;
+        let (first, second) = if i % 2 == 0 {
+            (server.price(program), server.price_what_if(program, &own.clone()))
+        } else {
+            (server.price_what_if(program, &own.clone()), server.price(program))
+        };
+        let (first, second) = (first.expect("quote"), second.expect("quote"));
+        assert_eq!(first.source, PriceSource::Analytic, "program {i}");
+        assert_eq!(second.source, PriceSource::Memo, "program {i}");
+        assert_eq!(first.total_ms.to_bits(), second.total_ms.to_bits(), "program {i}");
+        assert_eq!(server.stats().price.entries, entries + 1, "program {i}: one entry");
+
+        let other = server.price_what_if(program, &peer).expect("quote");
+        assert_eq!(other.source, PriceSource::Analytic, "program {i}: its own question");
+        assert_eq!(server.stats().price.entries, entries + 2, "program {i}: its own entry");
+        let again = server.price_what_if(program, &peer).expect("quote");
+        assert_eq!(again.source, PriceSource::Memo, "program {i}");
+        assert_eq!(again.total_ms.to_bits(), other.total_ms.to_bits(), "program {i}");
+    }
+}
+
+/// A server keys its own cluster once, at construction: on 8 and 32
+/// devices every quote of the mix — the first, the repeat and the same
+/// spec asked as a what-if — is a fresh server's first quote, bit for bit.
+#[test]
+fn a_large_server_quotes_the_bits_of_a_fresh_one() {
+    let machine = machine();
+    for devices in [8, 32] {
+        let own = spec(devices);
+        let server =
+            CostServer::new(machine, own.clone(), ServerConfig::default()).expect("server");
+        for (i, built) in program_mix(&machine, 2).iter().enumerate() {
+            let program = &built.program;
+            let fresh =
+                || CostServer::new(machine, own.clone(), ServerConfig::default()).expect("server");
+            let want = fresh().price(program).expect("quote");
+            assert_eq!(want.source, PriceSource::Analytic, "{devices} devices, program {i}");
+            let what_if = fresh().price_what_if(program, &own).expect("quote");
+            assert_eq!(what_if.total_ms.to_bits(), want.total_ms.to_bits());
+            let quotes = [
+                server.price(program),
+                server.price(program),
+                server.price_what_if(program, &own.clone()),
+            ];
+            for (q, quote) in quotes.into_iter().enumerate() {
+                let quote = quote.expect("quote");
+                let source = if q == 0 { PriceSource::Analytic } else { PriceSource::Memo };
+                assert_eq!(quote.source, source, "{devices} devices, program {i}, quote {q}");
+                let bits = quote.total_ms.to_bits();
+                assert_eq!(
+                    bits,
+                    want.total_ms.to_bits(),
+                    "{devices} devices, program {i}, quote {q}"
+                );
+            }
+        }
     }
 }
 
