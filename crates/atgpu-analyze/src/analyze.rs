@@ -5,7 +5,7 @@ use crate::coalesce::site_transactions;
 use crate::error::AnalyzeError;
 use crate::opcount::kernel_time_ops;
 use crate::sites::collect;
-use atgpu_ir::{shard_counts, validate, HostStep, Kernel, Program};
+use atgpu_ir::{shard_counts, HostStep, Kernel, Program};
 use atgpu_model::cost::cluster_cost_streamed;
 use atgpu_model::{
     AlgoMetrics, AtgpuMachine, ClusterCostBreakdown, ClusterSpec, PeerTraffic, RoundMetrics,
@@ -61,8 +61,8 @@ impl ProgramAnalysis {
     }
 }
 
-/// Analyses a validated program on `machine`, deriving every model metric
-/// the paper defines (§III).
+/// Analyses a program on `machine`, deriving every model metric the paper
+/// defines (§III).  The program passes [`Program::check`] first.
 ///
 /// One device is the one-device case of [`analyze_cluster_program`]: this
 /// is the same walk at `n = 1`, behind two guards that keep multi-device
@@ -72,7 +72,7 @@ pub fn analyze_program(
     p: &Program,
     machine: &AtgpuMachine,
 ) -> Result<ProgramAnalysis, AnalyzeError> {
-    validate::validate_program(p)?;
+    p.check()?;
     // The analyser models one device behind one host link.  A program
     // addressing several devices (device-targeted transfers, sharded
     // launches, peer copies) would be silently mispriced here — its
@@ -213,7 +213,7 @@ pub fn analyze_cluster_program(
     machine: &AtgpuMachine,
     devices: u32,
 ) -> Result<ClusterProgramAnalysis, AnalyzeError> {
-    validate::validate_program(p)?;
+    p.check()?;
     walk_program(p, machine, devices.max(p.max_device() + 1).max(1) as usize)
 }
 
@@ -923,8 +923,8 @@ mod tests {
         // One past the bound never builds.
         assert!(build(atgpu_ir::MAX_STREAMS).is_err());
 
-        // A program forged *after* validation is caught by re-validation
-        // — the check `analyze_program` runs on entry.
+        // A program forged *after* validation lost its witness to `edit`,
+        // so the `Program::check` `analyze_program` runs on entry refuses it.
         let mut forged = build(0).unwrap();
         for round in &mut forged.edit().rounds {
             for step in &mut round.steps {

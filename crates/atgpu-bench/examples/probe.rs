@@ -24,11 +24,12 @@
 //!    scheduler's footprint grows with `ℓ` can be read off directly.
 //! 4. **Front end** — the quote path ahead of the price, for the nine
 //!    `batch_compute` programs and `launch_storm`'s `relaunch_400x8`:
-//!    best-of-N µs of `validate_program`, `verify_program` and its parts
-//!    (site collection, bounds, race, shared-memory hazards — each over
-//!    every launch that does not repeat its predecessor's kernel — and
-//!    the lints over every launch),
-//!    and `analyze_cluster_program`.
+//!    best-of-N µs of `validate_program`, `Program::check` of the built
+//!    program (which answers from its witness), `verify_program` and
+//!    its parts (site collection, bounds, race, shared-memory hazards —
+//!    each over every launch that does not repeat its predecessor's
+//!    kernel — and the lints over every launch), and
+//!    `analyze_cluster_program`.
 //! 5. **One launch** — what a launch costs the host beside its blocks,
 //!    for `launch_storm`'s `relaunch_400x8` on a warm device (every
 //!    launch a cache hit whose predecessor is the same kernel) and its
@@ -472,11 +473,12 @@ fn front_end(cfg: &ExpConfig) {
     programs.push(("relaunch_400x8", relaunch.program));
     println!("\nfront end, best of {FRONT_REPLAYS} replays, us per program");
     println!(
-        "{:<22} {:>8} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "{:<22} {:>8} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "program",
         "launches",
         "kernels",
         "validate",
+        "check",
         "verify",
         "collect",
         "bounds",
@@ -510,6 +512,7 @@ fn front_end(cfg: &ExpConfig) {
         let each = || kernels.iter().copied().zip(&sites);
         let row = [
             best_us(|| validate_program(program).unwrap()),
+            best_us(|| black_box(program).check().unwrap()),
             best_us(|| drop(black_box(verify_program(program, b)))),
             best_us(|| kernels.iter().for_each(|k| drop(black_box(collect(k, b))))),
             best_us(|| {

@@ -38,7 +38,6 @@ use crate::kernel::Kernel;
 use crate::program::{
     DBuf, DeviceAlloc, HBuf, HostBufDecl, HostBufRole, HostStep, Program, ProgramBody, Round, Shard,
 };
-use crate::validate;
 use crate::Reg;
 
 /// Builds a [`Kernel`] instruction by instruction.
@@ -378,7 +377,8 @@ impl ProgramBuilder {
         self
     }
 
-    /// Closes any open round and validates the program structurally.
+    /// Closes any open round and validates the program structurally
+    /// ([`Program::check`]): a built program is checked once and for all.
     pub fn build(mut self) -> Result<Program, IrError> {
         self.end_round();
         let p = Program::from(ProgramBody {
@@ -387,7 +387,7 @@ impl ProgramBuilder {
             host_bufs: self.host_bufs,
             rounds: self.rounds,
         });
-        validate::validate_program(&p)?;
+        p.check()?;
         Ok(p)
     }
 }

@@ -13,6 +13,7 @@
 //! how algorithms express chunked communication schemes (and pay `α` per
 //! chunk, exactly the trade-off Boyer et al.'s function models).
 
+use crate::error::IrError;
 use crate::kernel::Kernel;
 use std::fmt;
 use std::sync::OnceLock;
@@ -354,27 +355,30 @@ pub struct ProgramBody {
 ///
 /// Its contents are a [`ProgramBody`], **read** through `Deref`
 /// (`program.rounds`, `program.name`, …) and **changed** only through
-/// [`Program::edit`].  Beside them a program carries one once-filled
-/// slot: the digest a keyed hasher computed of it, tagged with that
-/// hasher's tag ([`Program::keyed`]).  A server that keys every request
-/// by a program's shape therefore walks each program once; a repeat
-/// request compares a tag.  Every change to the contents goes through
-/// `edit`, which empties the slot, so a kept digest is always the digest
-/// of the bytes it sits beside.
+/// [`Program::edit`].  Beside them a program carries two once-filled
+/// slots: the **validation witness** [`Program::check`] keeps, so each
+/// door that runs or prices a program calls `check` and validates it
+/// once, and the digest a keyed hasher computed of it, tagged with that
+/// hasher's tag ([`Program::keyed`]), so a server that keys every
+/// request by a program's shape walks each program once.  Every change
+/// to the contents goes through `edit`, which empties both slots, so
+/// they always speak of the bytes they sit beside.
 ///
-/// The slot is invisible otherwise: a clone carries it (the contents are
-/// equal, so is their digest), equality compares contents only, and
-/// `Debug` prints the contents alone, so a keyed digest never leaves the
-/// program it was computed for.
+/// The slots are invisible otherwise: a clone carries them (the contents
+/// are equal, so are their verdict and digest), equality compares
+/// contents only, and `Debug` prints the contents alone, so a keyed
+/// digest never leaves the program it was computed for.
 #[derive(Clone)]
 pub struct Program {
     body: ProgramBody,
+    checked: OnceLock<()>,
     key: OnceLock<(u64, u64)>,
 }
 
 impl From<ProgramBody> for Program {
+    /// An unchecked program: the first [`Program::check`] validates it.
     fn from(body: ProgramBody) -> Self {
-        Program { body, key: OnceLock::new() }
+        Program { body, checked: OnceLock::new(), key: OnceLock::new() }
     }
 }
 
@@ -407,12 +411,26 @@ impl fmt::Debug for Program {
 }
 
 impl Program {
-    /// The contents, to change.  Empties the key slot; checks nothing, so
-    /// an edited program may be one the builder would refuse (the doors
-    /// that run or price a program validate it themselves).
+    /// The contents, to change.  Empties both slots and checks nothing, so
+    /// an edited program may be one the builder would refuse: the next
+    /// [`Program::check`], which every door that runs or prices a program
+    /// calls, validates it afresh.
     pub fn edit(&mut self) -> &mut ProgramBody {
+        self.checked = OnceLock::new();
         self.key = OnceLock::new();
         &mut self.body
+    }
+
+    /// Whether the program is one the model defines, by the one statement
+    /// of it, [`validate_program`](crate::validate::validate_program).  A
+    /// checked program (every built one) answers at once; otherwise it is
+    /// validated, and the witness is kept if it passes.
+    pub fn check(&self) -> Result<(), IrError> {
+        if self.checked.get().is_none() {
+            crate::validate::validate_program(self)?;
+            let _ = self.checked.set(());
+        }
+        Ok(())
     }
 
     /// `digest(self)`, kept under `tag`.  The first caller to fill the
@@ -754,15 +772,17 @@ mod tests {
         assert_eq!(calls.get(), 3);
     }
 
-    /// A clone carries the key, an edit empties it, and neither equality
-    /// nor `Debug` sees it.
+    /// A clone carries the key and the witness, an edit empties them, and
+    /// neither equality nor `Debug` sees them.
     #[test]
     fn a_clone_carries_the_key_and_an_edit_clears_it() {
         let unkeyed = keyed_program();
         let p = keyed_program();
         p.keyed(7, |_| 42);
+        p.check().unwrap();
         let clone = p.clone();
         assert_eq!(clone.keyed(7, |_| 0), 42);
+        assert!(clone.checked.get().is_some());
         assert_eq!(clone, unkeyed);
         for (keyed, plain) in [(&p, &unkeyed), (&clone, &unkeyed)] {
             assert_eq!(format!("{keyed:?}"), format!("{plain:?}"));
@@ -774,6 +794,7 @@ mod tests {
 
         let mut edited = p.clone();
         edited.edit();
+        assert!(edited.checked.get().is_none());
         assert_eq!(edited.keyed(7, |_| 5), 5);
         assert_eq!(edited.keyed(7, |_| 6), 5);
         assert_eq!(p.keyed(7, |_| 0), 42);
@@ -785,6 +806,36 @@ mod tests {
         *words = 32;
         assert_ne!(changed, p);
         assert_eq!(changed.keyed(7, |_| 1), 1);
+    }
+
+    /// The builder hands out a checked program and `From<ProgramBody>` an
+    /// unchecked one; `check` keeps the witness only once validation
+    /// passes, so an edit that breaks a program is refused and a later
+    /// repair passes.
+    #[test]
+    fn check_keeps_a_witness_only_for_a_valid_program() {
+        let mut pb = crate::ProgramBuilder::new("p");
+        let (h, d) = (pb.host_input("A", 64), pb.device_alloc("a", 64));
+        pb.begin_round();
+        pb.transfer_in(h, d, 64);
+        assert!(pb.build().unwrap().checked.get().is_some());
+        let mut p = keyed_program();
+        assert!(p.checked.get().is_none());
+        for words in [64, 65, 32] {
+            let Some(HostStep::TransferIn { words: w, .. }) = p.edit().rounds[0].steps.first_mut()
+            else {
+                panic!("round 0 opens with the upload");
+            };
+            *w = words;
+            assert!(p.checked.get().is_none());
+            let verdict = p.check();
+            if words > 64 {
+                assert!(matches!(verdict, Err(IrError::TransferOutOfBounds { end: 65, .. })));
+            } else {
+                assert_eq!(verdict, Ok(()));
+            }
+            assert_eq!(p.checked.get().is_some(), words <= 64);
+        }
     }
 
     /// A slot or a total past 2⁶⁴ words saturates instead of wrapping.

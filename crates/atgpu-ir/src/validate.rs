@@ -4,10 +4,14 @@
 //! structure: register ranges, loop depth and scoping, the grid, buffer
 //! references, transfer bounds, the model's round discipline (inward
 //! transfers → one launch → outward transfers), and host-buffer
-//! read/write roles.  [`validate_launch`] is what a kernel must satisfy
-//! to be lowered and executed at all; the simulator checks it where a
-//! kernel enters execution, so a hand-built program it would refuse is a
-//! typed error there too.  The machine's limits are not checked here: `G`
+//! read/write roles.  [`validate_program`] is called by
+//! [`Program::check`](crate::Program::check) alone: every door that runs
+//! or prices a program calls `check`, which validates each program once
+//! and keeps a witness, so no consumer re-states a rule of it.
+//! [`validate_launch`] is what a bare kernel must satisfy to be lowered
+//! and executed at all; the simulator checks it where a kernel enters
+//! execution without a program (`Device::run_kernel`, a kernel-cache
+//! miss).  The machine's limits are not checked here: `G`
 //! against the padded buffer layout is the analyser's and the
 //! simulator's, `M` against a kernel's shared words the analyser's and
 //! the launch's (occupancy `ℓ = 0`).

@@ -294,10 +294,9 @@ mod tests {
     /// `sync_stream`, so a future refactor cannot diverge the two (an
     /// `advance_spanned` clamping while `sync_stream` allocated — or vice versa —
     /// would silently un-order operations the clamp had chained).  No
-    /// validated program reaches this: the IR validator bounds every
-    /// built program's stream ids, `check_schedule_streams` bounds every
-    /// hand-built [`RoundSchedule`], and the simulator driver re-checks
-    /// hand-constructed programs.
+    /// validated program reaches this: the IR validator bounds the ids of
+    /// every program that passes `Program::check` (every door calls it),
+    /// and `check_schedule_streams` those of a hand-built [`RoundSchedule`].
     #[test]
     fn clamp_aliases_advance_and_sync_identically() {
         // advance on MAX_STREAMS+1 and sync on MAX_STREAMS land on the

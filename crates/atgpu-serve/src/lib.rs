@@ -18,10 +18,11 @@
 //! | pricing | [`CostServer::price`] | memo → analytic model → simulation fallback |
 //!
 //! Before anything else, every submission and every pricing query is
-//! validated ([`atgpu_ir::validate::validate_program`]; a malformed
-//! program is refused with [`ServeError::Invalid`]) and statically
-//! verified ([`atgpu_verify::verify_program`]): a program with a
-//! *proven* cross-block write race or out-of-bounds access is refused
+//! checked ([`Program::check`](atgpu_ir::Program::check), which a built
+//! program answers without validating again; a malformed program is
+//! refused with [`ServeError::Invalid`]) and statically verified
+//! ([`atgpu_verify::verify_program`]): a program with a *proven*
+//! cross-block write race or out-of-bounds access is refused
 //! with [`ServeError::Unsound`], carrying the concrete `kernel@instr#N`
 //! witness.  Undecidable programs (data-dependent
 //! addressing) pass — the gate only rejects on proof.  Verdicts are
@@ -242,7 +243,6 @@ pub use price::{
 pub use verify::{Refusal, VerifyMemo, VerifyStats};
 
 use atgpu_analyze::cost_inputs;
-use atgpu_ir::validate::validate_program;
 use atgpu_ir::{shard_counts, HostBufRole, HostStep, Program};
 use atgpu_model::occupancy::device_capacity;
 use atgpu_model::{AtgpuMachine, ClusterSpec, ModelError};
@@ -382,7 +382,7 @@ impl CostServer {
         Ok(run_cluster_program_on(&self.cluster, program, inputs, &self.sim)?)
     }
 
-    /// The gate every request passes: validates `program`, then
+    /// The gate every request passes: checks `program`, then
     /// statically verifies it (memoized by its keyed shape `pkey`, which
     /// callers compute once and also reuse for the quote key), and
     /// refuses malformed programs with the validator's error,
@@ -391,7 +391,7 @@ impl CostServer {
     /// admitted, priced or run.
     fn gate(&self, pkey: u64, program: &Program, spec: &ClusterSpec) -> Result<(), ServeError> {
         let b = self.cluster.machine().b;
-        let why = self.verify.verdict(pkey, || match validate_program(program) {
+        let why = self.verify.verdict(pkey, || match program.check() {
             Err(e) => Some(Refusal::Invalid(e)),
             Ok(()) => {
                 atgpu_verify::verify_program(program, b).first_unsoundness().map(Refusal::Unsound)

@@ -2,9 +2,9 @@
 //! verdicts.
 //!
 //! Every [`submit`](crate::CostServer::submit) and every pricing query
-//! first passes the validator ([`atgpu_ir::validate::validate_program`])
-//! and the static verifier ([`atgpu_verify::verify_program`], whose
-//! analyses assume a validated program): a malformed program is refused
+//! first passes [`Program::check`](atgpu_ir::Program::check) and then the
+//! static verifier ([`atgpu_verify::verify_program`], whose analyses
+//! assume a checked program): a malformed program is refused
 //! with [`ServeError::Invalid`](crate::ServeError), one with a *proven*
 //! cross-block write race or out-of-bounds access with
 //! [`ServeError::Unsound`](crate::ServeError), before either can touch

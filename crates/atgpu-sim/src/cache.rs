@@ -161,7 +161,7 @@ impl KernelCache {
     /// launch" in the module docs.
     ///
     /// A miss first checks [`validate_launch`] over the launch's buffers,
-    /// and a kernel that fails it is [`SimError::InvalidKernel`] and is
+    /// and a kernel that fails it is [`SimError::Invalid`] and is
     /// not cached.  Everything the check reads is confirmed on a hit, so
     /// a hit is a kernel that passed it.
     pub fn get_or_compile(
@@ -177,8 +177,7 @@ impl KernelCache {
             previous.is_some_and(|p| Arc::ptr_eq(e, p)) || e.compiled_for(kernel, bases, b)
         };
         let (entry, _) = self.memo.get_or_try_compute(key, confirm, || {
-            validate_launch(kernel, bases.len())
-                .map_err(|error| SimError::InvalidKernel { error })?;
+            validate_launch(kernel, bases.len())?;
             let nregs = kernel.max_reg().map_or(1, |r| u32::from(r) + 1);
             Ok::<_, SimError>(Arc::new(CacheEntry {
                 key,
@@ -314,7 +313,7 @@ mod tests {
         let mut last = None;
         for _ in 0..2 {
             let err = cache.get_or_compile(&bad, &[0], 4, &mut last).unwrap_err();
-            assert!(matches!(err, SimError::InvalidKernel { .. }), "{err}");
+            assert!(matches!(err, SimError::Invalid { .. }), "{err}");
             assert!(last.is_none(), "a refused launch is no previous launch");
         }
         let s = cache.stats();

@@ -55,7 +55,7 @@ use crate::device::{apply_write_log, Device, DeviceStats, KernelStats};
 use crate::driver::HostData;
 use crate::error::SimError;
 use crate::gmem::GlobalMemory;
-use crate::links::{check_program, run_rounds, Ledger, Links};
+use crate::links::{run_rounds, Ledger, Links};
 use crate::warp::{GmemAccess, WriteRec};
 use crate::xfer::TransferEngine;
 use crate::{EngineSel, SimConfig};
@@ -556,11 +556,15 @@ pub fn run_cluster_program_on(
 }
 
 /// The one run body, behind [`run_cluster_program_on`] and — on a
-/// one-device cluster — [`crate::run_program`].  `link_seed` maps a link
-/// index (host links `0..n`, then peer links `n + src·n + dst`) to its
-/// jitter seed: the two entry points have always seeded host link 0
-/// differently and committed noisy outputs pin both, so the rule is the
-/// caller's, and nothing in here branches on who called.
+/// one-device cluster — [`crate::run_program`].  Before anything is
+/// allocated it is the program's door: [`Program::check`] (a program the
+/// validator refuses is [`SimError::Invalid`]), then the one rule that
+/// depends on the cluster, that every step addresses one of its devices.
+/// `link_seed` maps a link index (host links `0..n`, then peer links
+/// `n + src·n + dst`) to its jitter seed: the two entry points have
+/// always seeded host link 0 differently and committed noisy outputs pin
+/// both, so the rule is the caller's, and nothing in here branches on
+/// who called.
 pub(crate) fn run_on(
     cluster: &Cluster,
     program: &Program,
@@ -568,8 +572,12 @@ pub(crate) fn run_on(
     config: &SimConfig,
     link_seed: impl Fn(u64) -> u64,
 ) -> Result<ClusterSimReport, SimError> {
+    program.check()?;
     let n = cluster.n_devices();
-    check_program(program, n)?;
+    let max_device = program.max_device();
+    if max_device as usize >= n {
+        return Err(SimError::NoSuchDevice { device: max_device, devices: n });
+    }
     if let Some(noise) = &config.noise {
         noise.check()?;
     }
@@ -613,7 +621,7 @@ pub(crate) fn run_on(
 mod tests {
     use super::*;
     use crate::SpanKind;
-    use atgpu_ir::{AddrExpr, AluOp, HostStep, KernelBuilder, Operand, ProgramBuilder};
+    use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder};
     use atgpu_model::GpuSpec;
 
     fn machine() -> AtgpuMachine {
@@ -1094,26 +1102,35 @@ mod tests {
         assert!(r.devices[0].peer_ms < r.devices[0].xfer_in_ms);
     }
 
-    /// The cluster driver applies the same stream-id guard as the
-    /// single-device driver: a forged sync step cannot reach the
-    /// timeline clamp.
+    /// A forged sync step naming a stream past `MAX_STREAMS` is refused
+    /// with the validator's own error before any device runs: it cannot
+    /// reach the timeline clamp.
     #[test]
     fn cluster_rejects_out_of_range_stream() {
         let (mut p, _) = sharded_vecadd_program(64, 2);
         p.edit().rounds[0]
             .steps
-            .insert(0, HostStep::SyncStream { device: 0, stream: atgpu_ir::MAX_STREAMS });
-        assert!(matches!(
+            .insert(0, atgpu_ir::HostStep::SyncStream { device: 0, stream: atgpu_ir::MAX_STREAMS });
+        let error = p.check().unwrap_err();
+        assert_eq!(
+            error.to_string(),
+            format!(
+                "round 0: stream {} out of range (max {})",
+                atgpu_ir::MAX_STREAMS,
+                atgpu_ir::MAX_STREAMS - 1
+            )
+        );
+        assert_eq!(
             run_cluster_program(
                 &p,
                 vec![vec![0; 64], vec![0; 64]],
                 &machine(),
                 &cspec(2),
                 &SimConfig::default()
-            ),
-            Err(SimError::StreamOutOfRange { stream, round: 0 })
-                if stream == atgpu_ir::MAX_STREAMS
-        ));
+            )
+            .unwrap_err(),
+            SimError::Invalid { error }
+        );
     }
 
     #[test]

@@ -370,8 +370,7 @@ impl Device {
             EngineSel::Reference => {
                 let nregs = kernel.max_reg().map_or(1, |r| u32::from(r) + 1);
                 let bases = target.mem().bases().to_vec();
-                validate_launch(kernel, bases.len())
-                    .map_err(|error| SimError::InvalidKernel { error })?;
+                validate_launch(kernel, bases.len())?;
                 let make = || WarpExec::new(kernel, &bases, b, nregs);
                 self.run_sequential(&blocks, &(), &mut Pool::default(), make, &mut target)
             }

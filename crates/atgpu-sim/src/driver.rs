@@ -32,7 +32,6 @@ use crate::xfer::XferNoise;
 use atgpu_ir::{HBuf, HostBufRole, Program};
 use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
 use std::mem;
-use std::ops::Range;
 
 /// Simulation configuration.  Every field is **per-run**: it travels
 /// with the call that names it and is read by nothing else — a
@@ -181,20 +180,11 @@ impl HostData {
         TaggedMut::new(&mut self.bufs[h], &mut self.tags[h])
     }
 
-    /// The index range of `words` words at offset `off` within buffer
-    /// `id`, checked: a transfer step can never slice out of a host
-    /// buffer.
-    pub(crate) fn span(&self, id: HBuf, off: u64, words: u64) -> Result<Range<usize>, SimError> {
+    /// Whether buffer `id` holds `words` words at offset `off` — true of
+    /// every transfer of a checked program.
+    pub(crate) fn holds(&self, id: HBuf, off: u64, words: u64) -> bool {
         let len = self.bufs.get(id.0 as usize).map(|b| b.len() as u64);
-        match (len, off.checked_add(words)) {
-            (Some(len), Some(end)) if end <= len => Ok(off as usize..end as usize),
-            _ => Err(SimError::HostDataMismatch {
-                reason: format!(
-                    "transfer of {words} words at offset {off} leaves host buffer {}",
-                    id.0
-                ),
-            }),
-        }
+        matches!((len, off.checked_add(words)), (Some(len), Some(end)) if end <= len)
     }
 }
 
@@ -365,7 +355,7 @@ pub fn run_program(
 mod tests {
     use super::*;
     use crate::fault::FaultEvent;
-    use atgpu_ir::{AddrExpr, AluOp, HostStep, KernelBuilder, Operand, ProgramBuilder};
+    use atgpu_ir::{AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder};
 
     fn machine() -> AtgpuMachine {
         AtgpuMachine::new(1 << 12, 4, 64, 1 << 16).unwrap()
@@ -578,7 +568,6 @@ mod tests {
             pb.transfer_in(h, d, 8);
             pb.transfer_out(d, o, 8);
             let p = pb.build().unwrap();
-            atgpu_ir::validate::validate_program(&p).unwrap();
             let r = run_program(&p, vec![vec![1; 8]], &machine(), &spec(), &SimConfig::default());
             assert_eq!(r.unwrap_err(), SimError::OutOfHostMemory { words });
         }
@@ -637,30 +626,39 @@ mod tests {
         assert_eq!(report.output(o), &[1, 2, 3, 4, 5, 6, 7, 8]);
     }
 
-    /// A hand-constructed program (bypassing the builder and validator)
-    /// with an out-of-range stream id must be rejected, not silently
-    /// clamp-aliased onto the timeline's last stream slot.
+    /// A hand-constructed program (bypassing `ProgramBuilder::build`)
+    /// with an out-of-range stream id is rejected with the validator's
+    /// error, not silently clamp-aliased onto the timeline's last slot.
     #[test]
     fn hand_constructed_out_of_range_stream_rejected() {
         let (mut p, _) = vecadd_program(16);
         for round in &mut p.edit().rounds {
             for step in &mut round.steps {
-                if let HostStep::TransferIn { stream, .. } = step {
+                if let atgpu_ir::HostStep::TransferIn { stream, .. } = step {
                     *stream = atgpu_ir::MAX_STREAMS + 1;
                 }
             }
         }
-        assert!(matches!(
+        let error = p.check().unwrap_err();
+        assert_eq!(
+            error.to_string(),
+            format!(
+                "round 0: stream {} out of range (max {})",
+                atgpu_ir::MAX_STREAMS + 1,
+                atgpu_ir::MAX_STREAMS - 1
+            )
+        );
+        assert_eq!(
             run_program(
                 &p,
                 vec![vec![0; 16], vec![0; 16]],
                 &machine(),
                 &spec(),
                 &SimConfig::default()
-            ),
-            Err(SimError::StreamOutOfRange { stream, round: 0 })
-                if stream == atgpu_ir::MAX_STREAMS + 1
-        ));
+            )
+            .unwrap_err(),
+            SimError::Invalid { error }
+        );
     }
 
     /// Regression: the amplitude went straight into the jitter's range,

@@ -77,17 +77,6 @@ pub enum SimError {
         /// Explanation.
         reason: String,
     },
-    /// A transfer or sync step addresses a stream id beyond
-    /// [`atgpu_ir::MAX_STREAMS`].  The IR validator rejects these at
-    /// build time; this guards hand-constructed programs handed straight
-    /// to the driver, which would otherwise silently alias onto the
-    /// [`atgpu_model::StreamTimeline`]'s clamped last slot.
-    StreamOutOfRange {
-        /// The offending stream id.
-        stream: u32,
-        /// Round index of the offending step.
-        round: usize,
-    },
     /// A kernel launch exceeded the watchdog's simulated-cycle budget
     /// ([`crate::SimConfig::watchdog_cycles`]) — a runaway kernel is
     /// surfaced as a structured error instead of hanging the simulation.
@@ -126,9 +115,11 @@ pub enum SimError {
         /// Explanation.
         reason: String,
     },
-    /// A launched kernel fails [`atgpu_ir::validate::validate_launch`]:
-    /// the IR validator refuses it, so it is neither lowered nor run.
-    InvalidKernel {
+    /// The IR validator refuses what was handed in: a program fails
+    /// [`atgpu_ir::Program::check`], or a bare kernel fails
+    /// [`atgpu_ir::validate::validate_launch`].  Nothing of it is lowered
+    /// or run.
+    Invalid {
         /// Why the validator refuses it.
         error: atgpu_ir::IrError,
     },
@@ -168,11 +159,6 @@ impl fmt::Display for SimError {
                 write!(f, "step addresses device {device} but the system has {devices} device(s)")
             }
             SimError::InvalidCluster { reason } => write!(f, "invalid cluster: {reason}"),
-            SimError::StreamOutOfRange { stream, round } => write!(
-                f,
-                "round {round} addresses stream {stream}, limit {}",
-                atgpu_ir::MAX_STREAMS
-            ),
             SimError::Watchdog { kernel, budget } => write!(
                 f,
                 "kernel `{kernel}` exceeded the watchdog budget of {budget} simulated cycles"
@@ -186,12 +172,18 @@ impl fmt::Display for SimError {
             }
             SimError::InvalidNoise { reason } => write!(f, "invalid transfer noise: {reason}"),
             SimError::InvalidFaultPlan { reason } => write!(f, "invalid fault plan: {reason}"),
-            SimError::InvalidKernel { error } => write!(f, "invalid kernel launch: {error}"),
+            SimError::Invalid { error } => write!(f, "invalid program or kernel: {error}"),
         }
     }
 }
 
 impl std::error::Error for SimError {}
+
+impl From<atgpu_ir::IrError> for SimError {
+    fn from(error: atgpu_ir::IrError) -> Self {
+        SimError::Invalid { error }
+    }
+}
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]

@@ -45,11 +45,16 @@
 //! [`Cluster::run_sharded_kernel`]).  A program run always executes the
 //! micro-op engine.
 //!
-//! A kernel enters execution in two places — a kernel-cache miss and the
-//! reference interpreter's per-launch build — and both check
-//! [`atgpu_ir::validate::validate_launch`] first: a kernel the IR
-//! validator refuses is [`SimError::InvalidKernel`], never lowered, run
-//! or cached.
+//! What the IR validator refuses does not run.  A program run starts
+//! with [`atgpu_ir::Program::check`], which a built program answers
+//! without validating again; the simulator states no rule of its own
+//! about a program's shape, and a program the validator refuses is
+//! [`SimError::Invalid`] with the validator's own error.  A bare kernel
+//! ([`Device::run_kernel`] and the other launch-level doors) enters
+//! execution in two places — a kernel-cache miss and the reference
+//! interpreter's per-launch build — and both check
+//! [`atgpu_ir::validate::validate_launch`] first: a kernel it refuses is
+//! [`SimError::Invalid`] too, never lowered, run or cached.
 //!
 //! ## Cross-launch kernel cache
 //!
@@ -369,8 +374,8 @@
 //!   body ([`cluster::run_cluster_program_on`]): each
 //!   [`atgpu_ir::HostStep`] is matched in one place and has one body,
 //!   with fault redirection/retry/journaling and span recording as steps
-//!   inside it; transfer ranges are checked there, so malformed
-//!   hand-built programs are typed [`SimError`]s, not panics;
+//!   inside it; the run body checks the program first, so a malformed
+//!   hand-built program is [`SimError::Invalid`], not a panic;
 //! * [`cluster`] — the multi-device layer: `N` devices with per-device
 //!   memory replicas and links, sharded launches (and the one place a
 //!   launch's write target is chosen), peer transfers, and the run body

@@ -42,38 +42,6 @@ use atgpu_ir::{DBuf, HostStep, Kernel, Program, Shard};
 use atgpu_model::{LinkParams, StreamResource, StreamTimeline};
 use std::ops::Range;
 
-/// Rejects, before anything is allocated, programs the interpreter
-/// cannot represent on a system of `devices` devices: a step addressing
-/// a device beyond the system, or a stream id beyond
-/// [`atgpu_ir::MAX_STREAMS`].
-///
-/// The IR validator enforces the stream bound on every built program,
-/// and [`StreamTimeline`] additionally clamps out-of-range ids to the
-/// last slot as a defensive measure — but a clamp *aliases* streams 8,
-/// 9, … onto one chain, silently changing the timing claim.  Checking
-/// here closes the one path (a hand-constructed [`Program`] passed
-/// straight to a driver) that could otherwise reach the clamp.
-pub(crate) fn check_program(program: &Program, devices: usize) -> Result<(), SimError> {
-    for (round_idx, round) in program.rounds.iter().enumerate() {
-        for step in &round.steps {
-            let stream = match step {
-                HostStep::TransferIn { stream, .. }
-                | HostStep::TransferOut { stream, .. }
-                | HostStep::SyncStream { stream, .. } => *stream,
-                _ => continue,
-            };
-            if stream >= atgpu_ir::MAX_STREAMS {
-                return Err(SimError::StreamOutOfRange { stream, round: round_idx });
-            }
-        }
-    }
-    let max_device = program.max_device();
-    if max_device as usize >= devices {
-        return Err(SimError::NoSuchDevice { device: max_device, devices });
-    }
-    Ok(())
-}
-
 /// Disjoint `(&src, &mut dst)` borrows of two cluster memories.
 fn two_mems(
     gmems: &mut [GlobalMemory],
@@ -577,10 +545,9 @@ impl Links {
 /// is matched.  `launch` runs one kernel over a shard plan against the
 /// device memories and books it with [`Ledger::kernel_done`] (the
 /// interpreter knows steps and links; devices live with its caller).
-/// Host and device ranges
-/// are checked here, at the one transfer site, so a hand-built program
-/// with an out-of-range offset or buffer id is a typed error rather
-/// than a slice panic.
+/// `program` has passed [`Program::check`], so every transfer's host
+/// range lies in its buffer (a debug build asserts it) and its device
+/// range in its buffer's slot.
 pub(crate) fn run_rounds(
     program: &Program,
     host: &mut HostData,
@@ -594,7 +561,7 @@ pub(crate) fn run_rounds(
         for step in &round.steps {
             match step {
                 HostStep::TransferIn { host: h, host_off, dev, dev_off, words, device, stream } => {
-                    host.span(*h, *host_off, *words)?;
+                    debug_assert!(host.holds(*h, *host_off, *words));
                     let src = host.tagged(*h);
                     links
                         .host_in(gmems, *device, *stream, *dev, *dev_off, src, *host_off, *words)?;
@@ -608,7 +575,7 @@ pub(crate) fn run_rounds(
                     device,
                     stream,
                 } => {
-                    host.span(*h, *host_off, *words)?;
+                    debug_assert!(host.holds(*h, *host_off, *words));
                     let dst = host.tagged_mut(*h);
                     links.host_out(
                         gmems, *device, *stream, *dev, *dev_off, dst, *host_off, *words,

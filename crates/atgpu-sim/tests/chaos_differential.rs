@@ -9,6 +9,7 @@
 //! Unrecoverable situations (every device dead, a watchdog overrun) must
 //! surface as structured [`SimError`]s — never as panics.
 
+use atgpu_ir::validate::validate_program;
 use atgpu_ir::{
     AddrExpr, AluOp, DBuf, HBuf, HostStep, KernelBuilder, Operand, Program, ProgramBuilder,
 };
@@ -430,11 +431,11 @@ fn threaded_replays_of_the_p0_plans_are_counter_exact() {
     }
 }
 
-/// `Program`'s fields are public and neither driver re-validates, so a
-/// hand-built program can carry a transfer whose host offset, device
-/// buffer id or device range is out of bounds.  Every such step must
-/// come back as a typed error from the one transfer site — fault-free
-/// and under a fault plan, on both drivers — never as a slice panic.
+/// A program edited past the builder can carry a transfer whose host
+/// offset, device buffer id or device range is out of bounds.  Every such
+/// step comes back as the validator's own error from the program door —
+/// fault-free and under a fault plan, on both drivers — never as a slice
+/// panic.
 #[test]
 fn out_of_range_transfers_are_typed_errors_not_panics() {
     type Mutation = fn(&mut HostStep) -> bool;
@@ -482,6 +483,7 @@ fn out_of_range_transfers_are_typed_errors_not_panics() {
             _ => false,
         }),
     ];
+    let refusal = |p: &Program| SimError::Invalid { error: validate_program(p).unwrap_err() };
     let mutated = |p: &Program, mutate: Mutation| -> Option<Program> {
         let mut p = p.clone();
         let hit = p.edit().rounds.iter_mut().flat_map(|r| r.steps.iter_mut()).any(mutate);
@@ -507,11 +509,11 @@ fn out_of_range_transfers_are_typed_errors_not_panics() {
         for (what, mutate) in mutations {
             if let Some(p) = mutated(&plain, mutate) {
                 let r = run_program(&p, data.clone(), &machine(), &spec(), &cfg);
-                assert!(matches!(r, Err(SimError::HostDataMismatch { .. })), "{what}: {r:?}");
+                assert_eq!(r.unwrap_err(), refusal(&p), "{what}");
             }
             let p = mutated(&sharded, mutate).expect("the sharded program has every step kind");
             let r = run_cluster_program(&p, data.clone(), &machine(), &cspec(2), &cfg);
-            assert!(matches!(r, Err(SimError::HostDataMismatch { .. })), "{what}: {r:?}");
+            assert_eq!(r.unwrap_err(), refusal(&p), "{what}");
         }
     }
 }

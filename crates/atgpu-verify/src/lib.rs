@@ -271,7 +271,11 @@ impl KernelFindings {
 /// by the rule stated at [`atgpu_ir::Kernel::same_structure`]: the
 /// findings depend only on the kernel's structure, the program's
 /// allocations and `b`, all fixed within one call.
+///
+/// The analyses assume a valid program: [`Program::check`] must pass
+/// first (a built program has passed it).  A debug build asserts it.
 pub fn verify_program(program: &Program, b: u64) -> VerifyReport {
+    debug_assert_eq!(program.check(), Ok(()), "verify_program needs a checked program");
     let mut previous: Option<(&Kernel, Rc<KernelFindings>)> = None;
     // (round, kernel, findings) per launch step, in program order.
     let mut found = Vec::new();
