@@ -11,8 +11,8 @@
 use crate::experiment::{yes_no, Findings, Section};
 use crate::report::markdown_table;
 use crate::runner::{
-    export_trace, fmt_counts, observe, plan_sweep, rel_err, run_row, ExpConfig, ExpError, Planner,
-    EVEN,
+    export_trace, fmt_counts, observe, plan_sweep, rel_err, run_row, span_errors, ExpConfig,
+    ExpError, Planner, EVEN,
 };
 use crate::series::{Figure, Series};
 use atgpu_algos::histogram::Histogram;
@@ -22,7 +22,7 @@ use atgpu_algos::transpose::{Transpose, TransposeVariant};
 use atgpu_algos::vecadd::VecAdd;
 use atgpu_algos::Workload;
 use atgpu_analyze::{analyze_program, predict};
-use atgpu_model::cost::{evaluate, CostModel};
+use atgpu_model::cost::{evaluate, gpu_kernel_term, CostModel};
 use atgpu_model::{occupancy, plan, AtgpuMachine, ClusterSpec, GpuSpec};
 use atgpu_sim::{chrome_trace_json, run_program};
 use std::fmt::Write as _;
@@ -453,10 +453,10 @@ pub fn e8_streams(cfg: &ExpConfig) -> Result<Section, ExpError> {
 ///    measured against its de-streamed serial form;
 /// 4. **Per-span timeline trace** — the planned ooc run re-executed with
 ///    [`atgpu_sim::SimConfig::trace`] on (bit-identical, asserted), each
-///    observed span paired with the analytic span
-///    [`atgpu_model::cost::schedule_round_spans`] predicts for the same
-///    round, and the worst per-span error reported.  With `trace`
-///    set, the Chrome `trace_event` JSON is written there.
+///    observed span paired with its prediction ([`span_errors`]): a
+///    transfer with the link cost its trace records, a kernel with its
+///    round's [`gpu_kernel_term`]; the worst per-span error is reported.
+///    With `trace` set, the Chrome `trace_event` JSON is written there.
 pub fn e10_pipeline_planner(cfg: &ExpConfig, trace: Option<&Path>) -> Result<Section, ExpError> {
     let quick = cfg.quick();
     let machine = &cfg.machine;
@@ -577,51 +577,24 @@ pub fn e10_pipeline_planner(cfg: &ExpConfig, trace: Option<&Path>) -> Result<Sec
     let identical = r_traced.output(planned.outputs[0]) == r_planned.output(planned.outputs[0])
         && r_traced.total_ms().to_bits() == r_planned.total_ms().to_bits();
     let metrics = analyze_program(&planned.program, machine)?.metrics();
-    let sched = atgpu_analyze::stream_schedules(&planned.program, 1).swap_remove(0);
+    let kernel_ms = metrics
+        .rounds
+        .iter()
+        .map(|rm| gpu_kernel_term(machine, &cfg.spec, rm))
+        .collect::<Result<Vec<_>, _>>()?;
     let spans = &r_traced.trace.as_ref().expect("traced run records spans").spans;
-
-    // Pair observed with predicted spans per (round, lane): both sides
-    // schedule the same host steps in program order through the same
-    // timeline, so lane order matches one-to-one.
-    let mut worst_xfer = 0.0f64;
-    let mut worst_kernel = 0.0f64;
-    let mut paired = 0usize;
-    let link = cfg.spec.host_link();
-    for (ri, rm) in metrics.rounds.iter().enumerate() {
-        let kernel_ms = atgpu_model::cost::gpu_kernel_term(machine, &cfg.spec, rm)?;
-        let (pred, _) =
-            atgpu_model::cost::schedule_round_spans(&link, rm, kernel_ms, sched.get(ri), 0.0);
-        for lane in 0u8..4 {
-            let obs_lane: Vec<_> = spans
-                .iter()
-                .filter(|s| s.round as usize == ri && s.resource.lane() == lane)
-                .collect();
-            let pred_lane: Vec<_> = pred.iter().filter(|s| s.resource.lane() == lane).collect();
-            for (o, p) in obs_lane.iter().zip(&pred_lane) {
-                let pd = p.end_ms - p.start_ms;
-                if pd <= 1e-9 {
-                    continue;
-                }
-                let e = (o.dur_ms() - pd).abs() / pd;
-                if o.resource == atgpu_model::StreamResource::Compute {
-                    worst_kernel = worst_kernel.max(e);
-                } else {
-                    worst_xfer = worst_xfer.max(e);
-                }
-                paired += 1;
-            }
-        }
-    }
+    let errs = span_errors(spans, &kernel_ms);
     export_trace(&mut out, "", trace, || r_traced.trace.as_ref().map(chrome_trace_json))?;
     let _ = writeln!(
         out,
         "Timeline trace: traced run bit-identical to untraced: {}; {} spans recorded, \
-         {paired} paired with analytic spans; worst transfer-span error {:.1}%, worst \
+         {} paired with analytic spans; worst transfer-span error {:.1}%, worst \
          kernel-span error {:.1}%.\n",
         findings.flag("trace.bit_identical", identical),
         spans.len(),
-        100.0 * findings.num("trace.worst_xfer_err", worst_xfer),
-        100.0 * findings.num("trace.worst_kernel_err", worst_kernel),
+        errs.priced,
+        100.0 * findings.num("trace.worst_xfer_err", errs.transfer),
+        100.0 * findings.num("trace.worst_kernel_err", errs.kernel),
     );
     Ok(Section::new(out, findings))
 }
@@ -813,26 +786,20 @@ pub fn e11_fault_tolerance(cfg: &ExpConfig, trace: Option<&Path>) -> Result<Sect
         tr.spans.iter().any(|s| matches!(s.kind, SpanKind::Replay) && s.device == heir);
     // Every span the link model prices (transfers, retry attempts, the
     // replay — not backoff waits or kernels) against its prediction.
-    let mut worst_span = 0.0f64;
-    let mut priced = 0usize;
-    for s in &tr.spans {
-        if s.predicted_ms > 0.0 && !matches!(s.kind, SpanKind::Backoff) {
-            worst_span = worst_span.max((s.dur_ms() - s.predicted_ms).abs() / s.predicted_ms);
-            priced += 1;
-        }
-    }
+    let errs = span_errors(&tr.spans, &[]);
     export_trace(&mut out, "\n", trace, || traced.trace.as_ref().map(chrome_trace_json))?;
     let _ = writeln!(
         out,
         "\nTraced chaos run: bit-identical to untraced: {}; {} spans recorded \
-         ({backoffs} backoff waits visible, {priced} priced by the link model); \
+         ({backoffs} backoff waits visible, {} priced by the link model); \
          replay span on heir device {heir}: {}; worst priced-span error {:.1}% \
          (within 10%: {}).\n",
         findings.flag("trace.bit_identical", identical),
         tr.spans.len(),
+        errs.priced,
         findings.flag("trace.replay_on_heir", replay_on_heir),
-        100.0 * findings.num("trace.worst_span_err", worst_span),
-        yes_no(worst_span <= 0.10),
+        100.0 * findings.num("trace.worst_span_err", errs.transfer),
+        yes_no(errs.transfer <= 0.10),
     );
     Ok(Section::new(out, findings))
 }

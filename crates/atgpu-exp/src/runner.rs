@@ -9,7 +9,7 @@ use atgpu_ir::Program;
 use atgpu_model::cost::{evaluate, CostModel};
 use atgpu_model::{plan, AtgpuMachine, ClusterSpec, GpuSpec, ShardProfile};
 use atgpu_sim::xfer::XferNoise;
-use atgpu_sim::{run_cluster_program, run_program, ClusterSimReport, SimConfig};
+use atgpu_sim::{run_cluster_program, run_program, ClusterSimReport, SimConfig, Span, SpanKind};
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -207,6 +207,43 @@ pub fn export_trace(
         let _ = writeln!(out, "{lead}Chrome trace written to {}.", path.display());
     }
     Ok(())
+}
+
+/// The worst relative error of a trace's spans against their predictions:
+/// over kernel spans, over every other span (transfers, retry attempts,
+/// peer copies, replays), and how many spans were compared.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SpanErrors {
+    /// Worst `|observed − predicted| / predicted` over non-kernel spans.
+    pub transfer: f64,
+    /// The same over kernel spans.
+    pub kernel: f64,
+    /// Spans compared.
+    pub priced: usize,
+}
+
+/// Compares each span with its prediction: a kernel span with its round's
+/// entry of `kernel_ms` (a trace records no kernel prediction), every other
+/// span with the `predicted_ms` its trace records.  A span without a
+/// positive prediction — a backoff wait, a kernel of a round `kernel_ms`
+/// does not cover — is skipped.
+pub fn span_errors(spans: &[Span], kernel_ms: &[f64]) -> SpanErrors {
+    let mut out = SpanErrors::default();
+    for s in spans {
+        let kernel = s.kind == SpanKind::Kernel;
+        let predicted = if kernel {
+            kernel_ms.get(s.round as usize).copied().unwrap_or(0.0)
+        } else {
+            s.predicted_ms
+        };
+        if predicted <= 0.0 {
+            continue;
+        }
+        let worst = if kernel { &mut out.kernel } else { &mut out.transfer };
+        *worst = worst.max((s.dur_ms() - predicted).abs() / predicted);
+        out.priced += 1;
+    }
+    out
 }
 
 #[cfg(test)]

@@ -17,16 +17,18 @@
 //! Each term is stated once.  The kernel term `(waves·t + λ·q)/γ` is one
 //! private function: [`gpu_kernel_term`] feeds it Expression (2)'s
 //! `⌈k/(k′ℓ)⌉` waves over the device capacity
-//! [`crate::occupancy::device_capacity`], Expression (1) feeds it one
-//! wave and a degraded survivor its fractional takeover waves.  The
-//! transfer term `txns·α + words·β` is [`LinkParams::cost_ms`].  Every
-//! multi-round total — serial, streamed, multi-device, degraded — is
-//! priced by one core, `price_rounds`, on a [`ClusterSpec`]:
+//! [`crate::occupancy::device_capacity`], and a degraded survivor its
+//! fractional takeover waves.  The transfer term `txns·α + words·β` is
+//! [`LinkParams::cost_ms`].  Every total — the four models, serial,
+//! streamed, multi-device, degraded — is priced by one core,
+//! `price_rounds`, the only per-round loop here, on a [`ClusterSpec`]:
 //! Expression (2) with a `max` over devices.  Three doors open it:
 //!
-//! * [`evaluate`] — the paper's four-model table for one device, priced
-//!   with the constants of its [`GpuSpec`] (`γ`, `λ`, `σ` read through
-//!   [`GpuSpec::derived_cost_params`], `α`/`β` its [`GpuSpec::host_link`]);
+//! * [`evaluate`] — the paper's four-model table for one device, read off
+//!   one walk of the core on the one-device cluster of its [`GpuSpec`]
+//!   (`γ`, `λ`, `σ` read through [`GpuSpec::derived_cost_params`], `α`/`β`
+//!   its [`GpuSpec::host_link`]); Expression (1) is the same walk with one
+//!   MP per block;
 //! * [`cluster_cost_streamed`] — the core with per-device stream
 //!   schedules (`&[]` for all-serial devices; one device with no peers
 //!   is the single-GPU cost);
@@ -49,7 +51,8 @@ use crate::streams::{RoundSchedule, StreamItem, StreamResource, StreamTimeline};
 /// Which cost function to evaluate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CostModel {
-    /// Expression (1): unlimited multiprocessors.
+    /// Expression (1): Expression (2) with one MP per block (`k′ = max kᵢ`),
+    /// so every wave factor is 1.
     PerfectGpu,
     /// Expression (2): `k′` MPs with occupancy-limited residency.
     GpuCost,
@@ -103,8 +106,8 @@ impl CostBreakdown {
 
 /// The kernel term of the paper's cost functions, `(waves·t + λ·q)/γ` on
 /// `spec` — the one place a kernel is priced.  Expression (2) passes
-/// `⌈k/(k′ℓ)⌉` waves ([`gpu_kernel_term`]), Expression (1) one, and a
-/// degraded survivor its fractional takeover waves.
+/// `⌈k/(k′ℓ)⌉` waves ([`gpu_kernel_term`]) and a degraded survivor its
+/// fractional takeover waves.
 fn kernel_ms(spec: &GpuSpec, waves: f64, time: u64, io_blocks: f64) -> f64 {
     let p = spec.derived_cost_params();
     // An empty launch still runs its (empty) kernel once.
@@ -113,9 +116,10 @@ fn kernel_ms(spec: &GpuSpec, waves: f64, time: u64, io_blocks: f64) -> f64 {
 }
 
 /// The GPU-cost kernel term of one round, `(waveᵢ·tᵢ + λ·qᵢ)/γ` —
-/// Expression (2)'s compute component, read by every cost function (and,
-/// via [`schedule_round_spans`], by trace consumers predicting per-span
-/// durations).
+/// Expression (2)'s compute component, read by every cost function (all
+/// four models of [`evaluate`] included) and by trace consumers predicting
+/// a kernel span's duration.  Fails when the round's blocks do not fit
+/// the device's shared memory (`ℓ = 0`).
 pub fn gpu_kernel_term(
     machine: &AtgpuMachine,
     spec: &GpuSpec,
@@ -127,46 +131,21 @@ pub fn gpu_kernel_term(
     Ok(kernel_ms(spec, wave as f64, round.time, round.io_blocks as f64))
 }
 
-/// One operation of a round's *predicted* timeline, as scheduled by the
-/// same [`StreamTimeline`] the simulator times with — the analytic
-/// counterpart of an observed trace span.  Times are round-relative
-/// milliseconds; `words` is the link traffic (0 for the kernel and for
-/// the aggregate peer term).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PredictedSpan {
-    /// The hardware lane the operation occupies.
-    pub resource: StreamResource,
-    /// The stream it was enqueued on.
-    pub stream: u32,
-    /// Words moved (transfers) or 0 (kernel / peer aggregate).
-    pub words: u64,
-    /// Predicted start, relative to the round start.
-    pub start_ms: f64,
-    /// Predicted end, relative to the round start.
-    pub end_ms: f64,
-}
-
 /// Schedules one round through a [`StreamTimeline`]: transfers priced on
-/// `link`, the kernel term on the compute resource, syncs raising
-/// the floor.  Component sums are folded into `breakdown`; every scheduled
-/// operation is reported to `sink`; the return value is the round's
-/// stream-aware duration (without `σ`).  An empty schedule falls back to
-/// the round's aggregate metrics, all on stream 0 — exactly the serial
-/// `T_I + kernel + T_O`.
-fn schedule_round_with(
+/// `link`, the kernel term on the compute resource, syncs raising the
+/// floor.  Component sums are folded into `breakdown`; the return value is
+/// the round's stream-aware duration (without `σ`).  An empty schedule
+/// falls back to the round's aggregate metrics, all on stream 0 — exactly
+/// the serial `T_I + kernel + T_O`.
+fn schedule_round(
     link: &LinkParams,
     round: &RoundMetrics,
     kernel_ms: f64,
     schedule: Option<&RoundSchedule>,
     peer_ms: f64,
     breakdown: &mut CostBreakdown,
-    sink: &mut impl FnMut(PredictedSpan),
 ) -> f64 {
     let mut tl = StreamTimeline::new();
-    let mut emit = |tl: &mut StreamTimeline, stream: u32, res: StreamResource, dur: f64, words| {
-        let (start_ms, end_ms) = tl.advance_spanned(stream, res, dur);
-        sink(PredictedSpan { resource: res, stream, words, start_ms, end_ms });
-    };
     match schedule {
         Some(s) if !s.items.is_empty() => {
             let mut kernel_seen = false;
@@ -174,65 +153,41 @@ fn schedule_round_with(
                 match item {
                     StreamItem::TransferIn { stream, txns, words } => {
                         let d = link.cost_ms(*txns, *words);
-                        emit(&mut tl, *stream, StreamResource::HostToDevice, d, *words);
+                        tl.advance_spanned(*stream, StreamResource::HostToDevice, d);
                         breakdown.transfer_in += d;
                     }
                     StreamItem::TransferOut { stream, txns, words } => {
                         let d = link.cost_ms(*txns, *words);
-                        emit(&mut tl, *stream, StreamResource::DeviceToHost, d, *words);
+                        tl.advance_spanned(*stream, StreamResource::DeviceToHost, d);
                         breakdown.transfer_out += d;
                     }
                     StreamItem::Kernel => {
                         kernel_seen = true;
-                        emit(&mut tl, 0, StreamResource::Compute, kernel_ms, 0);
+                        tl.advance_spanned(0, StreamResource::Compute, kernel_ms);
                     }
                     StreamItem::SyncStream { stream } => tl.sync_stream(*stream),
                     StreamItem::SyncDevice => tl.sync_device(),
                 }
             }
             if !kernel_seen && kernel_ms > 0.0 {
-                emit(&mut tl, 0, StreamResource::Compute, kernel_ms, 0);
+                tl.advance_spanned(0, StreamResource::Compute, kernel_ms);
             }
         }
         _ => {
             let t_in = link.cost_ms(round.inward_txns, round.inward_words);
             let t_out = link.cost_ms(round.outward_txns, round.outward_words);
-            emit(&mut tl, 0, StreamResource::HostToDevice, t_in, round.inward_words);
-            emit(&mut tl, 0, StreamResource::Compute, kernel_ms, 0);
-            emit(&mut tl, 0, StreamResource::DeviceToHost, t_out, round.outward_words);
+            tl.advance_spanned(0, StreamResource::HostToDevice, t_in);
+            tl.advance_spanned(0, StreamResource::Compute, kernel_ms);
+            tl.advance_spanned(0, StreamResource::DeviceToHost, t_out);
             breakdown.transfer_in += t_in;
             breakdown.transfer_out += t_out;
         }
     }
     if peer_ms > 0.0 {
-        emit(&mut tl, 0, StreamResource::Peer, peer_ms, 0);
+        tl.advance_spanned(0, StreamResource::Peer, peer_ms);
     }
     breakdown.kernel += kernel_ms;
     tl.finish()
-}
-
-/// Predicts one round's per-operation spans: the same walk the cost
-/// core prices a round with, but returning every
-/// operation's `(start, end)` on its lane instead of only the round
-/// total.  Trace consumers (`atgpu-exp --trace`) pair these with the
-/// simulator's observed spans to report worst-*span* prediction error.
-/// Transfers are priced on `link` (the device's host link), the kernel
-/// is the caller's [`gpu_kernel_term`].  Returns `(spans, round_ms)`
-/// where `round_ms` excludes `σ`.
-pub fn schedule_round_spans(
-    link: &LinkParams,
-    round: &RoundMetrics,
-    kernel_ms: f64,
-    schedule: Option<&RoundSchedule>,
-    peer_ms: f64,
-) -> (Vec<PredictedSpan>, f64) {
-    let mut spans = Vec::new();
-    let mut breakdown = CostBreakdown::default();
-    let total =
-        schedule_round_with(link, round, kernel_ms, schedule, peer_ms, &mut breakdown, &mut |s| {
-            spans.push(s)
-        });
-    (spans, total)
 }
 
 /// Rejects schedules addressing streams beyond the model's bound (the
@@ -263,46 +218,38 @@ fn check_schedule_streams(s: &RoundSchedule) -> Result<(), ModelError> {
 /// `λ` and `σ` read through [`GpuSpec::derived_cost_params`], the
 /// transfer terms priced on [`GpuSpec::host_link`].
 ///
-/// Fails if the spec is invalid, the metrics do not fit the machine
-/// (global/shared limits — the paper's "cannot be run" rule), or a round's
-/// blocks exceed what the GPU can ever hold (`ℓ = 0`).
+/// Fails if `spec` is invalid or the metrics do not fit the machine
+/// (global/shared limits — the paper's "cannot be run" rule).
 ///
-/// This is the paper's model table, so it keeps its own loop: the four
-/// models differ in which of a round's terms they count.  The compute
-/// term is the one every other cost function uses — [`gpu_kernel_term`],
-/// or one wave on the perfect GPU.
+/// The four models are one priced walk, read four ways: the cost core on
+/// the one-device cluster of `spec` gives Expression (2)'s breakdown,
+/// which is the GPU-cost; SWGPU is its kernel term plus `σ`; kernel-only
+/// is its kernel term.  Expression (1) is the same walk on `spec` with one
+/// MP per block — `k′ = max kᵢ`, so every wave factor is 1.
 pub fn evaluate(
     model: CostModel,
     machine: &AtgpuMachine,
     spec: &GpuSpec,
     metrics: &AlgoMetrics,
 ) -> Result<CostBreakdown, ModelError> {
+    // The caller's spec, as given: the perfect GPU's `k′` replaces a
+    // refused one (`k′ = 0`) with a valid one.
     spec.validate()?;
-    metrics.check_fits(machine)?;
-
-    let link = spec.host_link();
-    let sigma = spec.derived_cost_params().sigma;
-    let mut out = CostBreakdown::default();
-    for round in &metrics.rounds {
-        out.kernel += match model {
-            CostModel::PerfectGpu => kernel_ms(spec, 1.0, round.time, round.io_blocks as f64),
-            CostModel::GpuCost | CostModel::Swgpu | CostModel::KernelOnly => {
-                gpu_kernel_term(machine, spec, round)?
-            }
-        };
-        match model {
-            CostModel::PerfectGpu | CostModel::GpuCost => {
-                out.transfer_in += link.cost_ms(round.inward_txns, round.inward_words);
-                out.transfer_out += link.cost_ms(round.outward_txns, round.outward_words);
-                out.sync += sigma;
-            }
-            CostModel::Swgpu => {
-                out.sync += sigma;
-            }
-            CostModel::KernelOnly => {}
+    let priced = match model {
+        CostModel::PerfectGpu => {
+            let k = metrics.rounds.iter().map(|r| r.blocks_launched).max().unwrap_or(0);
+            GpuSpec { k_prime: k.max(1), ..*spec }
         }
-    }
-    Ok(out)
+        CostModel::GpuCost | CostModel::Swgpu | CostModel::KernelOnly => *spec,
+    };
+    let cluster = ClusterSpec::homogeneous(1, priced);
+    let c = price_rounds(&cluster, machine, std::slice::from_ref(metrics), &[], &[], None)?;
+    let (b, sync) = (c.per_device[0], c.sync_ms);
+    Ok(match model {
+        CostModel::PerfectGpu | CostModel::GpuCost => CostBreakdown { sync, ..b },
+        CostModel::Swgpu => CostBreakdown { kernel: b.kernel, sync, ..CostBreakdown::default() },
+        CostModel::KernelOnly => CostBreakdown { kernel: b.kernel, ..CostBreakdown::default() },
+    })
 }
 
 /// Words and transactions one device exchanges over peer links during one
@@ -514,7 +461,7 @@ fn price_rounds(
                 None => {
                     let kernel = gpu_kernel_term(machine, spec, round)?;
                     let schedule = schedules.get(d).and_then(|s| s.get(i));
-                    schedule_round_with(link, round, kernel, schedule, peer_ms[d], b, &mut |_| {})
+                    schedule_round(link, round, kernel, schedule, peer_ms[d], b)
                 }
                 Some((l, heir)) => {
                     // Every survivor stages the dead device's inputs (any

@@ -55,7 +55,7 @@ pub mod params;
 pub mod plan;
 pub mod streams;
 
-pub use cost::{ClusterCostBreakdown, CostBreakdown, DegradedLoss, PeerTraffic, PredictedSpan};
+pub use cost::{ClusterCostBreakdown, CostBreakdown, DegradedLoss, PeerTraffic};
 pub use error::ModelError;
 pub use machine::AtgpuMachine;
 pub use metrics::{AlgoMetrics, RoundMetrics};

@@ -3,12 +3,12 @@
 
 use atgpu_model::comparison::{comparison_table, render_markdown, TABLE1_ITEMS};
 use atgpu_model::cost::{
-    cluster_cost_degraded, cluster_cost_streamed, evaluate, gpu_kernel_term, schedule_round_spans,
-    ClusterCostBreakdown, CostBreakdown, CostModel, DegradedLoss, PeerTraffic,
+    cluster_cost_degraded, cluster_cost_streamed, evaluate, gpu_kernel_term, ClusterCostBreakdown,
+    CostBreakdown, CostModel, DegradedLoss, PeerTraffic,
 };
 use atgpu_model::{
-    occupancy, AlgoMetrics, AtgpuMachine, ClusterSpec, GpuSpec, RoundMetrics, RoundSchedule,
-    StreamItem, MAX_STREAMS,
+    occupancy, AlgoMetrics, AtgpuMachine, ClusterSpec, GpuSpec, ModelError, RoundMetrics,
+    RoundSchedule, StreamItem, MAX_STREAMS,
 };
 use proptest::prelude::*;
 
@@ -74,6 +74,65 @@ fn any_spec() -> impl Strategy<Value = GpuSpec> {
     })
 }
 
+/// A random metrics row where one launch in four is empty (`k = 0`),
+/// with or without a kernel time.
+fn any_round_or_empty() -> impl Strategy<Value = RoundMetrics> {
+    (any_round(), 0u8..8).prop_map(|(r, e)| match e {
+        0 => RoundMetrics { blocks_launched: 0, ..r },
+        1 => RoundMetrics { blocks_launched: 0, time: 0, io_blocks: 0, ..r },
+        _ => r,
+    })
+}
+
+/// A random valid spec with every cost constant drawn, not only `k′`/`H`.
+fn any_priced_spec() -> impl Strategy<Value = GpuSpec> {
+    (any_spec(), 0.5f64..2000.0, 1u64..800, 0.0f64..0.1, 0.0f64..1e-4, 0.0f64..0.05).prop_map(
+        |(s, clock, issue, alpha, beta, sigma)| GpuSpec {
+            clock_cycles_per_ms: clock,
+            dram_issue_cycles: issue,
+            xfer_alpha_ms: alpha,
+            xfer_beta_ms_per_word: beta,
+            sync_ms: sigma,
+            ..s
+        },
+    )
+}
+
+/// The paper's four models restated round by round, independently of
+/// the cost core: `T_I = Î·α + I·β`, kernel `(w·t + λ·q)/γ`, `T_O`
+/// likewise and `σ`, where `w = 1` on the perfect GPU and `⌈k/(k′ℓ)⌉`
+/// (at least one wave when the kernel takes time) otherwise.
+fn restated(
+    model: CostModel,
+    m: &AtgpuMachine,
+    s: &GpuSpec,
+    metrics: &AlgoMetrics,
+) -> CostBreakdown {
+    let (gamma, lambda) = (s.clock_cycles_per_ms, s.dram_issue_cycles as f64);
+    let mut out = CostBreakdown::default();
+    for r in &metrics.rounds {
+        let capacity = s.k_prime * occupancy(m, r.shared_words, s.h_limit);
+        let waves = match model {
+            CostModel::PerfectGpu => 1,
+            _ => r.blocks_launched.div_ceil(capacity).max(u64::from(r.time > 0)),
+        };
+        out.kernel += (waves as f64 * r.time as f64 + lambda * r.io_blocks as f64) / gamma;
+        if matches!(model, CostModel::PerfectGpu | CostModel::GpuCost) {
+            out.transfer_in += r.inward_txns as f64 * s.xfer_alpha_ms
+                + r.inward_words as f64 * s.xfer_beta_ms_per_word;
+            out.transfer_out += r.outward_txns as f64 * s.xfer_alpha_ms
+                + r.outward_words as f64 * s.xfer_beta_ms_per_word;
+        }
+        if model != CostModel::KernelOnly {
+            out.sync += s.sync_ms;
+        }
+    }
+    out
+}
+
+const MODELS: [CostModel; 4] =
+    [CostModel::PerfectGpu, CostModel::GpuCost, CostModel::Swgpu, CostModel::KernelOnly];
+
 fn breakdown_bits(b: &CostBreakdown) -> [u64; 4] {
     [b.transfer_in, b.kernel, b.transfer_out, b.sync].map(f64::to_bits)
 }
@@ -112,10 +171,26 @@ proptest! {
         prop_assert_eq!(streamed.total_ms.to_bits(), c.total_ms.to_bits());
     }
 
-    /// A streamed single-device cost is the span walk trace consumers
-    /// predict with, round by round: `Σᵢ (σ + round_ms(i))` over
-    /// `schedule_round_spans` with each round's `gpu_kernel_term`, for
-    /// any valid schedule table.
+    /// All four models are the paper's per-round formulas, bit for bit:
+    /// every [`CostBreakdown`] field and `total()`, on multi-wave grids,
+    /// empty launches and several transactions per direction.
+    #[test]
+    fn the_four_models_are_the_papers_formulas(
+        rows in prop::collection::vec(any_round_or_empty(), 1..6), s in any_priced_spec(),
+    ) {
+        let m = machine();
+        let metrics = AlgoMetrics::new(rows);
+        for model in MODELS {
+            let got = evaluate(model, &m, &s, &metrics).unwrap();
+            let want = restated(model, &m, &s, &metrics);
+            prop_assert_eq!(breakdown_bits(&got), breakdown_bits(&want), "{:?}", model);
+            prop_assert_eq!(got.total().to_bits(), want.total().to_bits(), "{:?}", model);
+        }
+    }
+
+    /// A streamed single-device cost's kernel share is `Σᵢ
+    /// gpu_kernel_term(i)` for any valid schedule table: overlap moves
+    /// the total, never a component.
     #[test]
     fn streamed_single_device_is_the_one_device_cluster(
         table in any_scheduled_rounds(), s in any_spec(),
@@ -126,14 +201,10 @@ proptest! {
         let c = cluster_cost_streamed(
             &one, &m, std::slice::from_ref(&metrics), std::slice::from_ref(&schedules), &[],
         ).unwrap();
-        let (mut total, mut kernel) = (0.0f64, 0.0f64);
-        for (round, schedule) in metrics.rounds.iter().zip(&schedules) {
-            let k = gpu_kernel_term(&m, &s, round).unwrap();
-            let (_, round_ms) = schedule_round_spans(&s.host_link(), round, k, Some(schedule), 0.0);
-            total += s.sync_ms + round_ms;
-            kernel += k;
+        let mut kernel = 0.0f64;
+        for round in &metrics.rounds {
+            kernel += gpu_kernel_term(&m, &s, round).unwrap();
         }
-        prop_assert_eq!(total.to_bits(), c.total_ms.to_bits());
         prop_assert_eq!(kernel.to_bits(), c.per_device[0].kernel.to_bits());
     }
 
@@ -239,6 +310,33 @@ proptest! {
             &AlgoMetrics::new(vec![round(c * t, c * q, 1, c * 100, 0)])).unwrap();
         prop_assert!((scaled.total() - c as f64 * base.total()).abs()
             < 1e-9 * scaled.total().max(1.0));
+    }
+}
+
+/// A spec the validator refuses is refused by every model — the perfect
+/// GPU included, although it prices on a spec with `k′` replaced.
+#[test]
+fn every_model_refuses_an_invalid_spec() {
+    let m = machine();
+    let metrics = AlgoMetrics::new(vec![round(13, 96, 32, 2048, 1024)]);
+    let good = GpuSpec::gtx650_like();
+    let refused = [
+        GpuSpec { k_prime: 0, ..good },
+        GpuSpec { h_limit: 0, ..good },
+        GpuSpec { xfer_alpha_ms: -1.0, ..good },
+        GpuSpec { xfer_beta_ms_per_word: f64::NAN, ..good },
+        GpuSpec { sync_ms: -0.5, ..good },
+        GpuSpec { clock_cycles_per_ms: 0.0, ..good },
+        GpuSpec { dram_issue_cycles: GpuSpec::MAX_DRAM_CYCLES + 1, ..good },
+    ];
+    for s in refused {
+        assert!(s.validate().is_err(), "{s:?}");
+        for model in MODELS {
+            assert!(
+                matches!(evaluate(model, &m, &s, &metrics), Err(ModelError::InvalidParams { .. })),
+                "{model:?} priced {s:?}"
+            );
+        }
     }
 }
 

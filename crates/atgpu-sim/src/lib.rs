@@ -295,8 +295,8 @@
 //! [`atgpu_model::StreamTimeline`] computes — as a [`trace::Span`]
 //! `{round, device, resource lane, stream, kind, words, start, end,
 //! predicted_ms}`.  Tracing *observes* the scheduler's results
-//! (`advance_spanned` returns the same `(start, end)` the untraced
-//! `advance` collapses to a finish time), never feeds back into them,
+//! (`advance_spanned` returns the same `(start, end)` whether or not a
+//! tracer records it), never feeds back into them,
 //! so a traced run is **bit-identical** in memory, statistics and
 //! timing to an untraced one; with tracing off the only residue is one
 //! `Option` null test per operation, the same gating idiom the fault
@@ -325,10 +325,11 @@
 //! hits as the run goes — and [`trace::validate_chrome_json`] parses it back
 //! (structure, required fields, per-lane monotone non-overlap) — the
 //! round-trip check `atgpu-exp check-trace` and CI run on every traced
-//! smoke artifact.  On the analytic side,
-//! [`atgpu_model::cost::schedule_round_spans`] emits *predicted* spans
-//! from the same `RoundSchedule`s, so the E-series sweeps report
-//! per-span predicted-vs-observed error, not just round totals.
+//! smoke artifact.  A transfer, retry, peer or replay span carries its
+//! own prediction (the link's `α + β·words`), and a kernel span pairs
+//! with its round's [`atgpu_model::cost::gpu_kernel_term`], so the
+//! E-series sweeps report per-span predicted-vs-observed error, not just
+//! round totals.
 //!
 //! ## Structure
 //!
