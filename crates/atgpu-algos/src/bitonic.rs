@@ -159,7 +159,7 @@ impl Workload for BitonicSort {
 mod tests {
     use super::*;
     use crate::workload::{test_machine, test_spec, verify_on_sim};
-    use atgpu_analyze::analyze_program;
+    use atgpu_analyze::analyze_cluster_program;
     use atgpu_sim::SimConfig;
 
     #[test]
@@ -199,14 +199,14 @@ mod tests {
         let m = test_machine();
         let w = BitonicSort::new(256, 1);
         let built = w.build(&m).unwrap();
-        let a = analyze_program(&built.program, &m).unwrap();
+        let a = analyze_cluster_program(&built.program, &m, 1).unwrap();
         assert!(!a.io_exact, "gather/scatter addressing cannot be exact");
         // Shared-memory addressing is plain lane-stride-1: conflict-free
         // even though the *global* side is data-dependent.
         assert!(a.conflict_free);
         // The conservative bound still feeds a finite cost.
         let model = atgpu_model::cost::CostModel::GpuCost;
-        let cost = atgpu_model::cost::evaluate(model, &m, &test_spec(), &a.metrics());
+        let cost = atgpu_model::cost::evaluate(model, &m, &test_spec(), a.lone_device().unwrap());
         let cost = cost.unwrap().total();
         assert!(cost.is_finite() && cost > 0.0);
     }

@@ -143,7 +143,7 @@ impl Workload for Dot {
 mod tests {
     use super::*;
     use crate::workload::{test_machine, test_spec, verify_on_sim};
-    use atgpu_analyze::analyze_program;
+    use atgpu_analyze::analyze_cluster_program;
     use atgpu_sim::SimConfig;
 
     #[test]
@@ -153,8 +153,8 @@ mod tests {
             let w = Dot::new(n, 3);
             let built = w.build(&m).unwrap();
             assert_eq!(
-                analyze_program(&built.program, &m).unwrap().metrics(),
-                w.closed_form(&m).unwrap(),
+                analyze_cluster_program(&built.program, &m, 1).unwrap().lone_device().unwrap(),
+                &w.closed_form(&m).unwrap(),
                 "mismatch at n={n}"
             );
         }

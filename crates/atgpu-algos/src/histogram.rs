@@ -253,7 +253,7 @@ impl Workload for Histogram {
 mod tests {
     use super::*;
     use crate::workload::{test_machine, test_spec, verify_on_sim};
-    use atgpu_analyze::{analyze_program, ConflictDegree};
+    use atgpu_analyze::{analyze_cluster_program, ConflictDegree};
     use atgpu_sim::SimConfig;
 
     #[test]
@@ -280,9 +280,9 @@ mod tests {
         let m = test_machine();
         let w = Histogram::new(256, 32, 1);
         let built = w.build(&m).unwrap();
-        let a = analyze_program(&built.program, &m).unwrap();
+        let a = analyze_cluster_program(&built.program, &m, 1).unwrap();
         assert!(!a.conflict_free);
-        let worst = a.rounds[0].kernel.as_ref().unwrap().bank.worst;
+        let worst = a.kernels[0].as_ref().unwrap().bank.worst;
         assert_eq!(worst, ConflictDegree::DataDependent);
         // Global addressing is still affine: I/O stays exact.
         assert!(a.io_exact);

@@ -448,7 +448,7 @@ impl Workload for MatMul {
 mod tests {
     use super::*;
     use crate::workload::{test_machine, test_spec, verify_on_sim};
-    use atgpu_analyze::analyze_program;
+    use atgpu_analyze::analyze_cluster_program;
     use atgpu_sim::SimConfig;
 
     #[test]
@@ -457,10 +457,10 @@ mod tests {
         for n in [32u64, 64, 96] {
             let w = MatMul::new(n, 11);
             let built = w.build(&m).unwrap();
-            let analysis = analyze_program(&built.program, &m).unwrap();
+            let analysis = analyze_cluster_program(&built.program, &m, 1).unwrap();
             assert_eq!(
-                analysis.metrics(),
-                w.closed_form(&m).unwrap(),
+                analysis.lone_device().unwrap(),
+                &w.closed_form(&m).unwrap(),
                 "closed form mismatch at n={n}"
             );
             assert!(analysis.io_exact, "matmul addressing should be exact");
@@ -475,8 +475,8 @@ mod tests {
         let b = m.b;
         let w = MatMul::new(n, 1);
         let built = w.build(&m).unwrap();
-        let a = analyze_program(&built.program, &m).unwrap();
-        assert_eq!(a.metrics().total_io_blocks(), (n / b) * (n / b) * (2 * n + b));
+        let a = analyze_cluster_program(&built.program, &m, 1).unwrap();
+        assert_eq!(a.lone_device().unwrap().total_io_blocks(), (n / b) * (n / b) * (2 * n + b));
     }
 
     #[test]

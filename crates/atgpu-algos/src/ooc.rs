@@ -525,7 +525,7 @@ impl OocReduce {
 mod tests {
     use super::*;
     use crate::workload::{test_spec, verify_on_sim};
-    use atgpu_analyze::analyze_program;
+    use atgpu_analyze::analyze_cluster_program;
     use atgpu_sim::SimConfig;
 
     /// A machine whose global memory is far too small for the whole
@@ -575,7 +575,7 @@ mod tests {
         // exactly the situation the paper's future work poses.
         let w = crate::vecadd::VecAdd::new(8192, 3);
         let built = w.build(&small_g_machine()).unwrap();
-        assert!(analyze_program(&built.program, &small_g_machine()).is_err());
+        assert!(analyze_cluster_program(&built.program, &small_g_machine(), 1).is_err());
     }
 
     #[test]
@@ -618,10 +618,12 @@ mod tests {
         let m = small_g_machine();
         let host = OocReduce::new(8192, 1024, 32, OocScheme::HostFinish, 1);
         let dev = OocReduce::new(8192, 1024, 32, OocScheme::DeviceFinish, 1);
-        let a_host = analyze_program(&host.build(&m).unwrap().program, &m).unwrap();
-        let a_dev = analyze_program(&dev.build(&m).unwrap().program, &m).unwrap();
-        let out_host: u64 = a_host.metrics().rounds.iter().map(|r| r.outward_words).sum();
-        let out_dev: u64 = a_dev.metrics().rounds.iter().map(|r| r.outward_words).sum();
+        let a_host = analyze_cluster_program(&host.build(&m).unwrap().program, &m, 1).unwrap();
+        let a_dev = analyze_cluster_program(&dev.build(&m).unwrap().program, &m, 1).unwrap();
+        let out_host: u64 =
+            a_host.lone_device().unwrap().rounds.iter().map(|r| r.outward_words).sum();
+        let out_dev: u64 =
+            a_dev.lone_device().unwrap().rounds.iter().map(|r| r.outward_words).sum();
         assert!(out_host > out_dev * 50, "HostFinish {out_host} vs DeviceFinish {out_dev}");
     }
 

@@ -404,7 +404,7 @@ impl Workload for Reduce {
 mod tests {
     use super::*;
     use crate::workload::{test_machine, test_spec, verify_on_sim};
-    use atgpu_analyze::analyze_program;
+    use atgpu_analyze::analyze_cluster_program;
     use atgpu_sim::SimConfig;
 
     #[test]
@@ -422,10 +422,10 @@ mod tests {
             for n in [32u64, 1000, 1 << 12, (1 << 12) + 17] {
                 let w = Reduce::with_variant(n, 1, variant);
                 let built = w.build(&m).unwrap();
-                let analysis = analyze_program(&built.program, &m).unwrap();
+                let analysis = analyze_cluster_program(&built.program, &m, 1).unwrap();
                 assert_eq!(
-                    analysis.metrics(),
-                    w.closed_form(&m).unwrap(),
+                    analysis.lone_device().unwrap(),
+                    &w.closed_form(&m).unwrap(),
                     "mismatch at n={n} variant={variant:?}"
                 );
             }

@@ -279,7 +279,7 @@ impl Workload for SpmvEll {
 mod tests {
     use super::*;
     use crate::workload::{test_machine, test_spec, verify_on_sim};
-    use atgpu_analyze::analyze_program;
+    use atgpu_analyze::analyze_cluster_program;
     use atgpu_sim::SimConfig;
 
     #[test]
@@ -310,10 +310,10 @@ mod tests {
         let m = test_machine();
         let w = SpmvEll::new(256, 4, 1);
         let built = w.build(&m).unwrap();
-        let a = analyze_program(&built.program, &m).unwrap();
+        let a = analyze_cluster_program(&built.program, &m, 1).unwrap();
         assert!(!a.io_exact, "the x gather is data-dependent");
         // The conservative bound still dominates the simulator's count.
-        let q_model = a.metrics().total_io_blocks();
+        let q_model = a.lone_device().unwrap().total_io_blocks();
         let r = verify_on_sim(&w, &m, &test_spec(), &SimConfig::default()).unwrap();
         let q_sim: u64 = r.rounds.iter().map(|x| x.kernel_stats.global_txns).sum();
         assert!(q_model >= q_sim, "bound {q_model} must dominate measured {q_sim}");

@@ -320,7 +320,7 @@ impl Workload for Stencil {
 mod tests {
     use super::*;
     use crate::workload::{test_machine, test_spec, verify_on_sim};
-    use atgpu_analyze::analyze_program;
+    use atgpu_analyze::analyze_cluster_program;
     use atgpu_sim::SimConfig;
 
     #[test]
@@ -330,8 +330,8 @@ mod tests {
             let w = Stencil::new(n, 3);
             let built = w.build(&m).unwrap();
             assert_eq!(
-                analyze_program(&built.program, &m).unwrap().metrics(),
-                w.closed_form(&m).unwrap(),
+                analyze_cluster_program(&built.program, &m, 1).unwrap().lone_device().unwrap(),
+                &w.closed_form(&m).unwrap(),
                 "mismatch at n={n}"
             );
         }
@@ -438,10 +438,10 @@ mod tests {
         let m = test_machine();
         let w = Stencil::new(256, 3);
         let built = w.iterated(3).build(&m).unwrap();
-        let a = analyze_program(&built.program, &m).unwrap();
+        let a = analyze_cluster_program(&built.program, &m, 1).unwrap();
         let profile = w.iterated(3).shard_profile(&m);
         let k = 256 / m.b;
-        for round in &a.metrics().rounds {
+        for round in &a.lone_device().unwrap().rounds {
             assert_eq!(round.time, profile.time_ops);
             assert_eq!(round.io_blocks, profile.io_blocks_per_unit * k);
         }

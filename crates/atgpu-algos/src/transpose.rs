@@ -207,7 +207,7 @@ impl Workload for Transpose {
 mod tests {
     use super::*;
     use crate::workload::{test_machine, test_spec, verify_on_sim};
-    use atgpu_analyze::{analyze_program, ConflictDegree};
+    use atgpu_analyze::{analyze_cluster_program, ConflictDegree};
     use atgpu_sim::SimConfig;
 
     const VARIANTS: [TransposeVariant; 3] =
@@ -220,8 +220,8 @@ mod tests {
             let w = Transpose::new(64, 3, v);
             let built = w.build(&m).unwrap();
             assert_eq!(
-                analyze_program(&built.program, &m).unwrap().metrics(),
-                w.closed_form(&m).unwrap(),
+                analyze_cluster_program(&built.program, &m, 1).unwrap().lone_device().unwrap(),
+                &w.closed_form(&m).unwrap(),
                 "mismatch for {v:?}"
             );
         }
@@ -241,13 +241,15 @@ mod tests {
         let m = test_machine();
         let naive = Transpose::new(64, 1, TransposeVariant::Naive);
         let tiled = Transpose::new(64, 1, TransposeVariant::Tiled);
-        let q_naive = analyze_program(&naive.build(&m).unwrap().program, &m)
+        let q_naive = analyze_cluster_program(&naive.build(&m).unwrap().program, &m, 1)
             .unwrap()
-            .metrics()
+            .lone_device()
+            .unwrap()
             .total_io_blocks();
-        let q_tiled = analyze_program(&tiled.build(&m).unwrap().program, &m)
+        let q_tiled = analyze_cluster_program(&tiled.build(&m).unwrap().program, &m, 1)
             .unwrap()
-            .metrics()
+            .lone_device()
+            .unwrap()
             .total_io_blocks();
         // (1+b)/2 ≈ b/2 blow-up.
         assert!(q_naive > q_tiled * (m.b / 2));
@@ -257,13 +259,13 @@ mod tests {
     fn tiled_variant_has_b_way_conflicts_padded_has_none() {
         let m = test_machine();
         let tiled = Transpose::new(64, 1, TransposeVariant::Tiled);
-        let a = analyze_program(&tiled.build(&m).unwrap().program, &m).unwrap();
+        let a = analyze_cluster_program(&tiled.build(&m).unwrap().program, &m, 1).unwrap();
         assert!(!a.conflict_free);
-        let worst = a.rounds[0].kernel.as_ref().unwrap().bank.worst;
+        let worst = a.kernels[0].as_ref().unwrap().bank.worst;
         assert_eq!(worst, ConflictDegree::Exact(m.b));
 
         let padded = Transpose::new(64, 1, TransposeVariant::TiledPadded);
-        let a = analyze_program(&padded.build(&m).unwrap().program, &m).unwrap();
+        let a = analyze_cluster_program(&padded.build(&m).unwrap().program, &m, 1).unwrap();
         assert!(a.conflict_free);
     }
 

@@ -221,7 +221,7 @@ impl Workload for VecAdd {
 mod tests {
     use super::*;
     use crate::workload::{test_machine, test_spec, verify_on_sim, Plan};
-    use atgpu_analyze::analyze_program;
+    use atgpu_analyze::analyze_cluster_program;
     use atgpu_sim::SimConfig;
 
     #[test]
@@ -230,10 +230,10 @@ mod tests {
         for n in [32u64, 64, 1000, 4096] {
             let w = VecAdd::new(n, 42);
             let built = w.build(&m).unwrap();
-            let analysis = analyze_program(&built.program, &m).unwrap();
+            let analysis = analyze_cluster_program(&built.program, &m, 1).unwrap();
             assert_eq!(
-                analysis.metrics(),
-                w.closed_form(&m).unwrap(),
+                analysis.lone_device().unwrap(),
+                &w.closed_form(&m).unwrap(),
                 "closed form mismatch at n={n}"
             );
             assert!(analysis.io_exact);
@@ -296,9 +296,9 @@ mod tests {
         for n in [1024u64, 4096, 16384] {
             let w = VecAdd::new(n, 1);
             let built = w.build(&m).unwrap();
-            let a = analyze_program(&built.program, &m).unwrap();
+            let a = analyze_cluster_program(&built.program, &m, 1).unwrap();
             let io_bound = (n as f64 / m.b as f64).ceil();
-            c = c.max(a.metrics().total_io_blocks() as f64 / io_bound);
+            c = c.max(a.lone_device().unwrap().total_io_blocks() as f64 / io_bound);
         }
         assert!(c <= 3.5, "I/O constant {c} too large for O(n/b)");
     }

@@ -31,79 +31,6 @@ pub struct KernelAnalysis {
     pub bank: BankConflictReport,
 }
 
-/// Per-round analysis: the kernel view plus the model metrics row.
-#[derive(Debug, Clone)]
-pub struct RoundAnalysis {
-    /// The round's model metrics.
-    pub metrics: RoundMetrics,
-    /// Kernel analysis, if the round launches one.
-    pub kernel: Option<KernelAnalysis>,
-}
-
-/// Whole-program analysis: everything the cost functions and the
-/// experiment harness need.
-#[derive(Debug, Clone)]
-pub struct ProgramAnalysis {
-    /// Per-round results.
-    pub rounds: Vec<RoundAnalysis>,
-    /// Padded device-memory footprint (the global space metric).
-    pub global_words: u64,
-    /// Whether every I/O count is exact.
-    pub io_exact: bool,
-    /// Worst bank-conflict report across all kernels.
-    pub conflict_free: bool,
-}
-
-impl ProgramAnalysis {
-    /// The metrics table consumed by [`atgpu_model::cost`].
-    pub fn metrics(&self) -> AlgoMetrics {
-        AlgoMetrics::new(self.rounds.iter().map(|r| r.metrics).collect())
-    }
-}
-
-/// Analyses a program on `machine`, deriving every model metric the paper
-/// defines (§III).  The program passes [`Program::check`] first.
-///
-/// One device is the one-device case of [`analyze_cluster_program`]: this
-/// is the same walk at `n = 1`, behind two guards that keep multi-device
-/// programs out, with device 0's rows and each round's kernel view
-/// repackaged as a [`ProgramAnalysis`].
-pub fn analyze_program(
-    p: &Program,
-    machine: &AtgpuMachine,
-) -> Result<ProgramAnalysis, AnalyzeError> {
-    p.check()?;
-    // The analyser models one device behind one host link.  A program
-    // addressing several devices (device-targeted transfers, sharded
-    // launches, peer copies) would be silently mispriced here — its
-    // per-device host links run concurrently and its peer traffic has no
-    // RoundMetrics slot — so reject it rather than mis-predict; the
-    // cluster cost function covers that case.
-    if p.max_device() > 0 {
-        return Err(AnalyzeError::MultiDevice {
-            reason: format!("steps address devices up to {}", p.max_device()),
-        });
-    }
-    if let Some(round) = p.rounds.iter().find(|r| r.peer().1 > 0) {
-        return Err(AnalyzeError::MultiDevice {
-            reason: format!("a round makes {} peer transfer(s)", round.peer().1),
-        });
-    }
-    let mut a = walk_program(p, machine, 1)?;
-    let rows = a.per_device.pop().map(|m| m.rounds).unwrap_or_default();
-    let rounds = rows
-        .into_iter()
-        .zip(a.kernels)
-        .map(|(metrics, kernel)| RoundAnalysis { metrics, kernel })
-        .collect();
-    Ok(ProgramAnalysis {
-        rounds,
-        global_words: a.global_words,
-        io_exact: a.io_exact,
-        conflict_free: a.conflict_free,
-    })
-}
-
 /// Per-device stream schedules of a program, indexed `[device][round]` —
 /// the stream placement, traffic and syncs that
 /// [`atgpu_model::cost::cluster_cost_streamed`] prices with the same
@@ -167,9 +94,11 @@ pub fn stream_schedules(p: &Program, devices: u32) -> Vec<Vec<RoundSchedule>> {
     out
 }
 
-/// Whole-cluster analysis of a multi-device program: the per-device
-/// metrics tables and per-round peer traffic that
-/// [`atgpu_model::cost::cluster_cost_streamed`] prices.
+/// Whole-program analysis on `n` devices: the per-device metrics tables
+/// and per-round peer traffic that
+/// [`atgpu_model::cost::cluster_cost_streamed`] prices.  A single-device
+/// program analysed for one device is the `n = 1` case, and
+/// [`lone_device`](Self::lone_device) reads its one table.
 #[derive(Debug, Clone)]
 pub struct ClusterProgramAnalysis {
     /// Per-device metrics tables, every device covering every round.
@@ -188,17 +117,38 @@ pub struct ClusterProgramAnalysis {
     pub conflict_free: bool,
 }
 
-/// Analyses a **multi-device** program for `devices` devices: the
-/// cluster-aware counterpart of [`analyze_program`], producing exactly
-/// the inputs [`atgpu_model::cost::cluster_cost_streamed`] needs (pair
-/// it with [`stream_schedules`] for the overlap-aware prediction).
+impl ClusterProgramAnalysis {
+    /// The one device's metrics table, which the single-device cost
+    /// models ([`atgpu_model::cost::evaluate`]) price.  An analysis of
+    /// several devices, or with peer traffic, is
+    /// [`AnalyzeError::MultiDevice`]: one table would serialize its
+    /// concurrent host links and drop its peer copies.
+    pub fn lone_device(&self) -> Result<&AlgoMetrics, AnalyzeError> {
+        let [one] = self.per_device.as_slice() else {
+            return Err(AnalyzeError::MultiDevice {
+                reason: format!("the analysis covers {} devices", self.per_device.len()),
+            });
+        };
+        if let Some(round) = self.peer.iter().find(|r| !r.is_empty()) {
+            return Err(AnalyzeError::MultiDevice {
+                reason: format!("a round makes {} peer transfer(s)", round.len()),
+            });
+        }
+        Ok(one)
+    }
+}
+
+/// Analyses a program for `devices` devices, deriving every model metric
+/// the paper defines (§III) per device: exactly the inputs
+/// [`atgpu_model::cost::cluster_cost_streamed`] needs (pair it with
+/// [`stream_schedules`] for the overlap-aware prediction).  The program
+/// passes [`Program::check`] first, and the analysis covers
+/// `max(devices, max_device() + 1, 1)` devices.
 ///
 /// Per round and device the analysis attributes:
 ///
 /// * **host traffic** — each device-targeted `TransferIn`/`TransferOut`
-///   lands on its own device's metrics row (the single-device analyser
-///   would serialize these concurrent links, which is why it rejects
-///   multi-device programs);
+///   lands on its own device's metrics row;
 /// * **kernel work** — a plain `Launch` bills device 0 for the whole
 ///   grid; a `LaunchSharded` bills each participating device for its
 ///   shard blocks, with the lockstep time metric `t` unchanged (it is
@@ -206,8 +156,6 @@ pub struct ClusterProgramAnalysis {
 ///   device's share of the grid;
 /// * **peer copies** — collected per round as [`PeerTraffic`] for the
 ///   peer-link α/β terms.
-///
-/// [`analyze_program`] is this walk at `n = 1`, repackaged.
 pub fn analyze_cluster_program(
     p: &Program,
     machine: &AtgpuMachine,
@@ -536,9 +484,10 @@ mod tests {
     fn vecadd_metrics_match_paper_closed_form() {
         let n = 32 * 100;
         let k = 100;
-        let a = analyze_program(&vecadd(n), &machine()).unwrap();
-        assert_eq!(a.rounds.len(), 1);
-        let m = &a.rounds[0].metrics;
+        let a = analyze_cluster_program(&vecadd(n), &machine(), 1).unwrap();
+        let rows = &a.lone_device().unwrap().rounds;
+        assert_eq!(rows.len(), 1);
+        let m = &rows[0];
         // q = 3k: one coalesced transaction per buffer per block.
         assert_eq!(m.io_blocks, 3 * k);
         // I = 2n in 2 transactions; O = n in 1 transaction.
@@ -560,10 +509,10 @@ mod tests {
 
     #[test]
     fn metrics_feed_cost_function() {
-        let a = analyze_program(&vecadd(3200), &machine()).unwrap();
+        let a = analyze_cluster_program(&vecadd(3200), &machine(), 1).unwrap();
         let spec = atgpu_model::GpuSpec::gtx650_like();
         let model = atgpu_model::cost::CostModel::GpuCost;
-        let cost = atgpu_model::cost::evaluate(model, &machine(), &spec, &a.metrics());
+        let cost = atgpu_model::cost::evaluate(model, &machine(), &spec, a.lone_device().unwrap());
         assert!(cost.unwrap().total() > 0.0);
     }
 
@@ -579,7 +528,7 @@ mod tests {
         pb.launch(KernelBuilder::new("k", 1, 0).build());
         let p = pb.build().unwrap();
         assert!(matches!(
-            analyze_program(&p, &m),
+            analyze_cluster_program(&p, &m, 1),
             Err(AnalyzeError::Model(atgpu_model::ModelError::GlobalMemoryExceeded {
                 required: 96,
                 available: 95
@@ -610,8 +559,8 @@ mod tests {
                 pb.begin_round();
                 pb.launch((*k).clone());
             }
-            let a = analyze_program(&pb.build().unwrap(), &machine()).unwrap();
-            a.rounds.into_iter().map(|r| r.kernel.unwrap()).collect::<Vec<_>>()
+            let a = analyze_cluster_program(&pb.build().unwrap(), &machine(), 1).unwrap();
+            a.kernels.into_iter().map(Option::unwrap).collect::<Vec<_>>()
         };
         let (a, b) = (kernel("a"), kernel("b"));
         assert!(a.same_structure(&b) && a != b);
@@ -633,7 +582,7 @@ mod tests {
         pb.launch(KernelBuilder::new("k", 1, 65).build());
         let p = pb.build().unwrap();
         assert!(matches!(
-            analyze_program(&p, &m),
+            analyze_cluster_program(&p, &m, 1),
             Err(AnalyzeError::Model(atgpu_model::ModelError::SharedMemoryExceeded { .. }))
         ));
     }
@@ -647,7 +596,7 @@ mod tests {
         pb.launch(kb.build());
         let p = pb.build().unwrap();
         assert!(matches!(
-            analyze_program(&p, &machine()),
+            analyze_cluster_program(&p, &machine(), 1),
             Err(AnalyzeError::SharedOutOfRange { max: 32, .. })
         ));
     }
@@ -664,7 +613,7 @@ mod tests {
         pb.launch(kb.build());
         let p = pb.build().unwrap();
         assert!(matches!(
-            analyze_program(&p, &machine()),
+            analyze_cluster_program(&p, &machine(), 1),
             Err(AnalyzeError::SharedOutOfRange { min: 0, max: 34, declared: 32, .. })
         ));
     }
@@ -685,8 +634,8 @@ mod tests {
         });
         pb.launch(kb.build());
         let p = pb.build().unwrap();
-        let a = analyze_program(&p, &machine()).unwrap();
-        let ka = a.rounds[0].kernel.as_ref().unwrap();
+        let a = analyze_cluster_program(&p, &machine(), 1).unwrap();
+        let ka = a.kernels[0].as_ref().unwrap();
         assert_eq!((ka.io_txns, ka.time_ops, a.io_exact), (u64::MAX, u64::MAX, true));
         let spec = ClusterSpec::homogeneous(1, atgpu_model::GpuSpec::gtx650_like());
         assert!(predict(&p, &machine(), &spec).unwrap().saturated);
@@ -717,24 +666,26 @@ mod tests {
         pb.begin_round();
         pb.transfer_in(h, d, 32);
         let p = pb.build().unwrap();
-        let a = analyze_program(&p, &machine()).unwrap();
-        assert_eq!(a.rounds[0].metrics.time, 0);
-        assert_eq!(a.rounds[0].metrics.io_blocks, 0);
-        assert_eq!(a.rounds[0].metrics.inward_words, 32);
-        assert!(a.rounds[0].kernel.is_none());
+        let a = analyze_cluster_program(&p, &machine(), 1).unwrap();
+        let row = &a.lone_device().unwrap().rounds[0];
+        assert_eq!(row.time, 0);
+        assert_eq!(row.io_blocks, 0);
+        assert_eq!(row.inward_words, 32);
+        assert!(a.kernels[0].is_none());
     }
 
     #[test]
     fn multi_device_programs_rejected() {
-        // The single-device analyser would serialize concurrent host
-        // links and drop peer traffic: refuse rather than mis-predict.
+        // One metrics table would serialize concurrent host links and
+        // drop peer traffic: refuse rather than mis-predict.
         let mut pb = ProgramBuilder::new("md");
         let ha = pb.host_input("A", 64);
         let da = pb.device_alloc("a", 64);
         pb.begin_round();
         pb.transfer_in_to(1, ha, 0, da, 0, 64);
         let p = pb.build().unwrap();
-        assert!(matches!(analyze_program(&p, &machine()), Err(AnalyzeError::MultiDevice { .. })));
+        let a = analyze_cluster_program(&p, &machine(), 1).unwrap();
+        assert!(matches!(a.lone_device(), Err(AnalyzeError::MultiDevice { .. })));
 
         let mut pb = ProgramBuilder::new("peer");
         let ha = pb.host_input("A", 64);
@@ -743,7 +694,8 @@ mod tests {
         pb.transfer_in(ha, da, 64);
         pb.transfer_peer(0, 1, da, 0, 0, 64);
         let p = pb.build().unwrap();
-        assert!(matches!(analyze_program(&p, &machine()), Err(AnalyzeError::MultiDevice { .. })));
+        let a = analyze_cluster_program(&p, &machine(), 1).unwrap();
+        assert!(matches!(a.lone_device(), Err(AnalyzeError::MultiDevice { .. })));
     }
 
     #[test]
@@ -762,10 +714,10 @@ mod tests {
         });
         pb.launch(kb.build());
         let p = pb.build().unwrap();
-        let a = analyze_program(&p, &machine()).unwrap();
+        let a = analyze_cluster_program(&p, &machine(), 1).unwrap();
         // Masked global access counted with all lanes active (documented
         // over-approximation): all lanes hit word `i` -> 1 block each.
-        assert_eq!(a.rounds[0].metrics.io_blocks, k);
+        assert_eq!(a.lone_device().unwrap().rounds[0].io_blocks, k);
     }
 
     #[test]
@@ -793,16 +745,17 @@ mod tests {
         );
         // The streamed cost of this schedule, with everything serial,
         // matches the plain GPU-cost (sync after the only other stream).
-        let a = analyze_program(&p, &machine()).unwrap();
+        let a = analyze_cluster_program(&p, &machine(), 1).unwrap();
+        let metrics = a.lone_device().unwrap();
         let spec = atgpu_model::GpuSpec::gtx650_like();
         let serial = atgpu_model::cost::evaluate(
             atgpu_model::cost::CostModel::GpuCost,
             &machine(),
             &spec,
-            &a.metrics(),
+            metrics,
         )
         .unwrap();
-        let streamed = one_device_cost(&spec, &a.metrics(), &sched);
+        let streamed = one_device_cost(&spec, metrics, &sched);
         assert!((streamed - serial.total()).abs() < 1e-12);
     }
 
@@ -863,20 +816,22 @@ mod tests {
         // Bit-exact serial pricing: the de-streamed schedule through the
         // stream scheduler equals the plain serial cost function.
         let spec = atgpu_model::GpuSpec::gtx650_like();
-        let metrics = analyze_program(&d, &machine()).unwrap().metrics();
+        let a = analyze_cluster_program(&d, &machine(), 1).unwrap();
+        let metrics = a.lone_device().unwrap();
         let serial = atgpu_model::cost::evaluate(
             atgpu_model::cost::CostModel::GpuCost,
             &machine(),
             &spec,
-            &metrics,
+            metrics,
         )
         .unwrap();
-        let streamed = one_device_cost(&spec, &metrics, &sched);
+        let streamed = one_device_cost(&spec, metrics, &sched);
         assert_eq!(streamed, serial.total(), "de-streamed cost must be exactly serial");
 
         // And the original streamed form is strictly cheaper (overlap).
-        let orig_metrics = analyze_program(&p, &machine()).unwrap().metrics();
-        let overlapped = one_device_cost(&spec, &orig_metrics, &stream_schedules(&p, 1));
+        let orig = analyze_cluster_program(&p, &machine(), 1).unwrap();
+        let overlapped =
+            one_device_cost(&spec, orig.lone_device().unwrap(), &stream_schedules(&p, 1));
         assert!(overlapped < serial.total());
     }
 
@@ -924,7 +879,8 @@ mod tests {
         assert!(build(atgpu_ir::MAX_STREAMS).is_err());
 
         // A program forged *after* validation lost its witness to `edit`,
-        // so the `Program::check` `analyze_program` runs on entry refuses it.
+        // so the `Program::check` `analyze_cluster_program` runs on entry
+        // refuses it.
         let mut forged = build(0).unwrap();
         for round in &mut forged.edit().rounds {
             for step in &mut round.steps {
@@ -933,21 +889,25 @@ mod tests {
                 }
             }
         }
-        assert!(analyze_program(&forged, &machine()).is_err());
+        assert!(analyze_cluster_program(&forged, &machine(), 1).is_err());
     }
 
     #[test]
     fn cluster_analysis_degenerates_to_single_device() {
-        // On a single-device program, device 0's table must equal the
-        // single-device analyser's output row for row.
+        // A single-device program analysed for one device (or for none)
+        // has one table and no peer row, which `lone_device` answers.  On
+        // two devices its device 0 keeps that table, and the idle second
+        // table makes the analysis refused.
         let p = vecadd(3200);
-        let solo = analyze_program(&p, &machine()).unwrap();
         let clu = analyze_cluster_program(&p, &machine(), 1).unwrap();
         assert_eq!(clu.per_device.len(), 1);
-        assert_eq!(clu.per_device[0].rounds, solo.metrics().rounds);
         assert!(clu.peer.iter().all(Vec::is_empty));
-        assert_eq!(clu.io_exact, solo.io_exact);
-        assert_eq!(clu.conflict_free, solo.conflict_free);
+        assert_eq!(clu.lone_device().unwrap(), &clu.per_device[0]);
+        let none = analyze_cluster_program(&p, &machine(), 0).unwrap();
+        assert_eq!(none.lone_device().unwrap(), &clu.per_device[0]);
+        let two = analyze_cluster_program(&p, &machine(), 2).unwrap();
+        assert_eq!(two.per_device[0], clu.per_device[0]);
+        assert!(matches!(two.lone_device(), Err(AnalyzeError::MultiDevice { .. })));
     }
 
     #[test]

@@ -11,8 +11,8 @@ pub enum AnalyzeError {
     Ir(IrError),
     /// The program violates a machine limit.
     Model(ModelError),
-    /// The program addresses several devices; the single-device analyser
-    /// cannot price it faithfully.
+    /// The analysis covers several devices or peer traffic, so one
+    /// device's metrics table cannot price it faithfully.
     MultiDevice {
         /// What makes the program multi-device.
         reason: String,
@@ -38,8 +38,8 @@ impl fmt::Display for AnalyzeError {
             AnalyzeError::Model(e) => write!(f, "model error: {e}"),
             AnalyzeError::MultiDevice { reason } => write!(
                 f,
-                "multi-device program ({reason}); analyse per-device shards and price them \
-                 with `atgpu_model::cost::cluster_cost` instead"
+                "multi-device program ({reason}); read each device's table of \
+                 `analyze_cluster_program`, or price them on the cluster with `predict`"
             ),
             AnalyzeError::SharedOutOfRange { kernel, min, max, declared } => write!(
                 f,
@@ -73,6 +73,12 @@ mod tests {
     fn wraps_ir_error() {
         let e: AnalyzeError = IrError::EmptyProgram.into();
         assert!(e.to_string().contains("no rounds"));
+    }
+
+    #[test]
+    fn multi_device_message_names_the_cluster_doors() {
+        let s = AnalyzeError::MultiDevice { reason: "r".into() }.to_string();
+        assert!(s.contains("analyze_cluster_program") && s.contains("`predict`"), "{s}");
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //! * [`bankconflict`] — checks the model's "bank conflicts do not occur"
 //!   assumption, reporting the worst serialisation degree a kernel can
 //!   incur;
-//! * [`analyze`] — the top-level [`analyze::analyze_program`] driver.
+//! * [`analyze`] — the top-level [`analyze_cluster_program`] driver: one
+//!   walk over a program's host steps for any device count, a lone
+//!   device being the one-device case
+//!   ([`ClusterProgramAnalysis::lone_device`]).
 //!
 //! ## Space metrics
 //!
@@ -67,8 +70,8 @@ pub mod opcount;
 pub mod sites;
 
 pub use analyze::{
-    analyze_cluster_program, analyze_program, cost_inputs, predict, stream_schedules,
-    ClusterProgramAnalysis, CostInputs, KernelAnalysis, Prediction, ProgramAnalysis, RoundAnalysis,
+    analyze_cluster_program, cost_inputs, predict, stream_schedules, ClusterProgramAnalysis,
+    CostInputs, KernelAnalysis, Prediction,
 };
 pub use bankconflict::{BankConflictReport, ConflictDegree};
 pub use error::AnalyzeError;

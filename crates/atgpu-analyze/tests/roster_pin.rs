@@ -1,32 +1,50 @@
-//! Roster-wide pin of "one device is the one-device case": for every
-//! single-device workload program, the single-device analysis is the
-//! cluster analysis at `n = 1`, row for row and flag for flag.
+//! Roster-wide pins of the analysis door: a lone device is the
+//! one-device cluster, and `predict` is the analyse → schedule → price
+//! triple.
 
-use atgpu_analyze::{analyze_cluster_program, analyze_program};
-use atgpu_model::AtgpuMachine;
+use atgpu_analyze::{analyze_cluster_program, AnalyzeError};
+use atgpu_model::{AtgpuMachine, GpuSpec};
 
+/// Every single-device roster build answers `lone_device` with its one
+/// table, and every roster × plan cell that addresses a second device is
+/// refused with `MultiDevice`: even3 and explicit always, planned on
+/// `asym_pair` wherever the planner uses both devices (at roster sizes it
+/// keeps every program on device 0, which answers).
 #[test]
-fn single_device_analysis_is_the_one_device_cluster_analysis() {
+fn lone_device_answers_every_single_device_build_and_refuses_every_multi_device_cell() {
     let machine = AtgpuMachine::gtx650_like();
+    let asym = atgpu_algos::roster::asym_pair(GpuSpec::gtx650_like());
     let roster = atgpu_algos::roster();
     assert!(roster.len() >= 17, "the full workload roster");
+    let mut refused = 0;
     for entry in roster {
         let name = entry.name;
         let p = entry.workload.build(&machine).unwrap().program;
-        let single = analyze_program(&p, &machine).unwrap();
-        let cluster = analyze_cluster_program(&p, &machine, 1).unwrap();
-        assert_eq!(cluster.per_device.len(), 1, "{name}");
-        assert_eq!(single.metrics(), cluster.per_device[0], "{name}: rows");
-        assert_eq!(single.io_exact, cluster.io_exact, "{name}: io_exact");
-        assert_eq!(single.conflict_free, cluster.conflict_free, "{name}: conflict_free");
-        assert_eq!(single.global_words, cluster.global_words, "{name}: global_words");
-        assert!(cluster.peer.iter().all(Vec::is_empty), "{name}: peer traffic");
-        // Every round that launches keeps its kernel view, on both sides.
-        for (i, round) in single.rounds.iter().enumerate() {
-            let launched = p.rounds[i].kernel().map(|k| &k.name);
-            assert_eq!(round.kernel.as_ref().map(|k| &k.name), launched, "{name}: round {i}");
+        let a = analyze_cluster_program(&p, &machine, 1).unwrap();
+        assert_eq!(a.lone_device().unwrap(), &a.per_device[0], "{name}");
+        // Every round that launches keeps its kernel view.
+        assert_eq!(a.kernels.len(), p.rounds.len(), "{name}: kernel views");
+        for (i, (view, round)) in a.kernels.iter().zip(&p.rounds).enumerate() {
+            let launched = round.kernel().map(|k| &k.name);
+            assert_eq!(view.as_ref().map(|k| &k.name), launched, "{name}: round {i}");
+        }
+        for (plan_name, plan) in entry.plans(&machine, &asym) {
+            let cell = format!("{name} ({plan_name})");
+            let p = entry.workload.build_plan(&machine, plan).unwrap().program;
+            let multi = p.max_device() > 0;
+            if matches!(plan_name, "even3" | "explicit") {
+                assert!(multi, "{cell}");
+            }
+            let a = analyze_cluster_program(&p, &machine, 1).unwrap();
+            match a.lone_device() {
+                Ok(table) => assert!(!multi && table == &a.per_device[0], "{cell}"),
+                Err(AnalyzeError::MultiDevice { .. }) if multi => refused += 1,
+                Err(e) => panic!("{cell}: {e}"),
+            }
         }
     }
+    // even3 and explicit of the eight shardable entries.
+    assert_eq!(refused, 16, "every multi-device roster × plan cell");
 }
 
 /// `predict` is the analyse → schedule → price triple and the trust
@@ -35,7 +53,7 @@ fn single_device_analysis_is_the_one_device_cluster_analysis() {
 fn predict_is_the_hand_written_triple_on_every_roster_cell() {
     use atgpu_analyze::{predict, stream_schedules};
     use atgpu_model::cost::cluster_cost_streamed;
-    use atgpu_model::{ClusterSpec, GpuSpec};
+    use atgpu_model::ClusterSpec;
 
     let machine = AtgpuMachine::gtx650_like();
     let asym = atgpu_algos::roster::asym_pair(GpuSpec::gtx650_like());

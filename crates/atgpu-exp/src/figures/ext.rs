@@ -21,7 +21,7 @@ use atgpu_algos::ooc::{OocReduce, OocScheme, OocVecAdd};
 use atgpu_algos::transpose::{Transpose, TransposeVariant};
 use atgpu_algos::vecadd::VecAdd;
 use atgpu_algos::Workload;
-use atgpu_analyze::{analyze_program, predict};
+use atgpu_analyze::{analyze_cluster_program, predict};
 use atgpu_model::cost::{evaluate, gpu_kernel_term, CostModel};
 use atgpu_model::{occupancy, plan, AtgpuMachine, ClusterSpec, GpuSpec};
 use atgpu_sim::{chrome_trace_json, run_program};
@@ -39,8 +39,9 @@ pub fn e1_out_of_core(cfg: &ExpConfig) -> Result<Section, ExpError> {
     for chunk in [512u64, 1024, 2048, 4096] {
         let w = OocVecAdd::new(n, chunk, 1);
         let built = w.build(&machine)?;
-        let metrics = analyze_program(&built.program, &machine)?.metrics();
-        let cost = evaluate(CostModel::GpuCost, &machine, &cfg.spec, &metrics)?;
+        let analysis = analyze_cluster_program(&built.program, &machine, 1)?;
+        let metrics = analysis.lone_device()?;
+        let cost = evaluate(CostModel::GpuCost, &machine, &cfg.spec, metrics)?;
         let report = run_program(&built.program, built.inputs, &machine, &cfg.spec, &cfg.sim)?;
         rows.push(vec![
             chunk.to_string(),
@@ -64,7 +65,8 @@ pub fn e1_out_of_core(cfg: &ExpConfig) -> Result<Section, ExpError> {
     {
         let w = OocReduce::new(n, 4096, machine.b, scheme, 2);
         let built = w.build(&machine)?;
-        let metrics = analyze_program(&built.program, &machine)?.metrics();
+        let analysis = analyze_cluster_program(&built.program, &machine, 1)?;
+        let metrics = analysis.lone_device()?;
         let outward: u64 = metrics.rounds.iter().map(|r| r.outward_words).sum();
         let report = run_program(&built.program, built.inputs, &machine, &cfg.spec, &cfg.sim)?;
         rows.push(vec![
@@ -130,8 +132,8 @@ pub fn e3_bank_conflicts(cfg: &ExpConfig) -> Result<Section, ExpError> {
     let mut rows = Vec::new();
     for (label, w) in kernels {
         let built = w.build(&cfg.machine)?;
-        let analysis = analyze_program(&built.program, &cfg.machine)?;
-        let q_model = analysis.metrics().total_io_blocks();
+        let analysis = analyze_cluster_program(&built.program, &cfg.machine, 1)?;
+        let q_model = analysis.lone_device()?.total_io_blocks();
         let report = run_program(&built.program, built.inputs, &cfg.machine, &cfg.spec, &cfg.sim)?;
         let stats = report.rounds[0].kernel_stats;
         rows.push(vec![
@@ -180,8 +182,9 @@ pub fn e4_occupancy(cfg: &ExpConfig) -> Result<Section, ExpError> {
                 }
             }
         }
-        let metrics = analyze_program(&built.program, &cfg.machine)?.metrics();
-        let kernel_cost = evaluate(CostModel::KernelOnly, &cfg.machine, &cfg.spec, &metrics)?;
+        let analysis = analyze_cluster_program(&built.program, &cfg.machine, 1)?;
+        let metrics = analysis.lone_device()?;
+        let kernel_cost = evaluate(CostModel::KernelOnly, &cfg.machine, &cfg.spec, metrics)?;
         let report = run_program(&built.program, built.inputs, &cfg.machine, &cfg.spec, &cfg.sim)?;
         let ell = occupancy(&cfg.machine, m_used, cfg.spec.h_limit);
         rows.push(vec![
@@ -576,7 +579,8 @@ pub fn e10_pipeline_planner(cfg: &ExpConfig, trace: Option<&Path>) -> Result<Sec
         run_program(&planned.program, planned.inputs.clone(), machine, &cfg.spec, &traced_cfg)?;
     let identical = r_traced.output(planned.outputs[0]) == r_planned.output(planned.outputs[0])
         && r_traced.total_ms().to_bits() == r_planned.total_ms().to_bits();
-    let metrics = analyze_program(&planned.program, machine)?.metrics();
+    let analysis = analyze_cluster_program(&planned.program, machine, 1)?;
+    let metrics = analysis.lone_device()?;
     let kernel_ms = metrics
         .rounds
         .iter()

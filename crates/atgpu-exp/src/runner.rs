@@ -4,7 +4,7 @@
 //! the [`plan_sweep`] driver that runs both over cells × plans.
 
 use atgpu_algos::{BuiltProgram, Plan, Workload};
-use atgpu_analyze::analyze_program;
+use atgpu_analyze::analyze_cluster_program;
 use atgpu_ir::Program;
 use atgpu_model::cost::{evaluate, CostModel};
 use atgpu_model::{plan, AtgpuMachine, ClusterSpec, GpuSpec, ShardProfile};
@@ -92,9 +92,10 @@ pub struct SweepRow {
 /// (`atgpu_algos::verify_on_sim`, the roster suites).
 pub fn run_row(w: &dyn Workload, cfg: &ExpConfig) -> Result<SweepRow, ExpError> {
     let built = w.build(&cfg.machine)?;
-    let metrics = analyze_program(&built.program, &cfg.machine)?.metrics();
-    let atgpu = evaluate(CostModel::GpuCost, &cfg.machine, &cfg.spec, &metrics)?;
-    let swgpu = evaluate(CostModel::Swgpu, &cfg.machine, &cfg.spec, &metrics)?;
+    let analysis = analyze_cluster_program(&built.program, &cfg.machine, 1)?;
+    let metrics = analysis.lone_device()?;
+    let atgpu = evaluate(CostModel::GpuCost, &cfg.machine, &cfg.spec, metrics)?;
+    let swgpu = evaluate(CostModel::Swgpu, &cfg.machine, &cfg.spec, metrics)?;
 
     let report = run_program(&built.program, built.inputs, &cfg.machine, &cfg.spec, &cfg.sim)?;
 

@@ -219,13 +219,6 @@ pub struct DeviceRoundObservation {
     pub backoff_ms: f64,
 }
 
-impl DeviceRoundObservation {
-    /// The device's critical path through the round (stream-aware).
-    pub fn path_ms(&self) -> f64 {
-        self.stream_ms
-    }
-}
-
 /// Observed times of one round across the cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterRoundObservation {
@@ -246,7 +239,7 @@ impl ClusterRoundObservation {
 /// [`ClusterRoundObservation::total_ms`] reports and the trace's round
 /// starts add up.
 pub(crate) fn round_ms(sync_ms: f64, devices: &[DeviceRoundObservation]) -> f64 {
-    sync_ms + devices.iter().map(DeviceRoundObservation::path_ms).fold(0.0, f64::max)
+    sync_ms + devices.iter().map(|d| d.stream_ms).fold(0.0, f64::max)
 }
 
 /// The result of simulating a program on a cluster.
@@ -334,8 +327,8 @@ pub fn host_parallelism() -> usize {
 }
 
 /// Decorrelates the jitter streams of distinct links deterministically.
-fn link_seed(seed: u64, idx: u64) -> u64 {
-    seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul(idx.wrapping_add(1))
+fn link_seed(seed: u64, idx: usize) -> u64 {
+    seed ^ 0x9E37_79B9_7F4A_7C15u64.wrapping_mul((idx as u64).wrapping_add(1))
 }
 
 /// The devices each worker of a threaded launch holds: the devices
@@ -536,7 +529,9 @@ pub fn run_cluster_program(
     run_cluster_program_on(&cluster, program, inputs, config)
 }
 
-/// Simulates `program` against an **existing, possibly shared** cluster.
+/// Simulates `program` against an **existing, possibly shared** cluster:
+/// the one run body, behind every program run ([`crate::run_program`] is
+/// this on a one-device cluster).
 ///
 /// This is the serving-layer entry point: a long-lived [`Cluster`] keeps
 /// its per-device kernel caches warm across calls, and because every
@@ -546,31 +541,18 @@ pub fn run_cluster_program(
 /// running each program alone — the guarantee the serve differential
 /// suite pins.  Every [`SimConfig`] field is honoured, and only for
 /// this call.
+///
+/// Before anything is allocated it is the program's door:
+/// [`Program::check`] (a program the validator refuses is
+/// [`SimError::Invalid`]), then the one rule that depends on the
+/// cluster, that every step addresses one of its devices.  Each link's
+/// jitter stream is seeded from [`SimConfig::seed`] and the link's index
+/// (host links `0..n`, then peer links `n + src·n + dst`) by one rule.
 pub fn run_cluster_program_on(
     cluster: &Cluster,
     program: &Program,
     inputs: Vec<Vec<i64>>,
     config: &SimConfig,
-) -> Result<ClusterSimReport, SimError> {
-    run_on(cluster, program, inputs, config, |idx| link_seed(config.seed, idx))
-}
-
-/// The one run body, behind [`run_cluster_program_on`] and — on a
-/// one-device cluster — [`crate::run_program`].  Before anything is
-/// allocated it is the program's door: [`Program::check`] (a program the
-/// validator refuses is [`SimError::Invalid`]), then the one rule that
-/// depends on the cluster, that every step addresses one of its devices.
-/// `link_seed` maps a link index (host links `0..n`, then peer links
-/// `n + src·n + dst`) to its jitter seed: the two entry points have
-/// always seeded host link 0 differently and committed noisy outputs pin
-/// both, so the rule is the caller's, and nothing in here branches on
-/// who called.
-pub(crate) fn run_on(
-    cluster: &Cluster,
-    program: &Program,
-    inputs: Vec<Vec<i64>>,
-    config: &SimConfig,
-    link_seed: impl Fn(u64) -> u64,
 ) -> Result<ClusterSimReport, SimError> {
     program.check()?;
     let n = cluster.n_devices();
@@ -591,7 +573,7 @@ pub(crate) fn run_on(
         .collect::<Result<Vec<_>, _>>()?;
     let mut host = HostData::with_spares(program, inputs, machine.g)?;
 
-    let link = |l, idx: usize| TransferEngine::with_link(l, config.noise, link_seed(idx as u64));
+    let link = |l, idx| TransferEngine::with_link(l, config.noise, link_seed(config.seed, idx));
     let host_xfer = spec.host_links.iter().enumerate().map(|(i, l)| link(l, i)).collect();
     let peer_xfer = spec
         .peer_links
@@ -1046,7 +1028,7 @@ mod tests {
         // Two devices moved data; the round total is max-based, so it is
         // strictly less than the sum of per-device paths.
         let r = &report.rounds[0];
-        let sum: f64 = r.devices.iter().map(|d| d.path_ms()).sum();
+        let sum: f64 = r.devices.iter().map(|d| d.stream_ms).sum();
         assert!(r.total_ms() < sum + r.sync_ms);
         let per_dev = report.transfer_ms_per_device();
         assert_eq!(per_dev.len(), 2);

@@ -23,7 +23,7 @@
 //! the timeline's finish — the max over per-stream chains — plus `σ`.
 //! Programs that keep everything on stream 0 time out exactly as before.
 
-use crate::cluster::{run_on, Cluster, ClusterRoundObservation, ClusterSimReport};
+use crate::cluster::{run_cluster_program_on, Cluster, ClusterRoundObservation, ClusterSimReport};
 use crate::device::KernelStats;
 use crate::error::SimError;
 use crate::fault::FaultPlan;
@@ -336,9 +336,8 @@ impl SimReport {
 /// point of view.  A plain launch is the whole grid, a shard plan naming
 /// only device 0 runs its shards back to back as on any cluster device,
 /// and the device has no survivors: a scheduled death of device 0 is
-/// immediately [`SimError::DeviceLost`].
-/// The host link's jitter stream is seeded with [`SimConfig::seed`]
-/// itself, as this entry point always has.
+/// immediately [`SimError::DeviceLost`].  Its host link's jitter is the
+/// cluster's host link 0's, seeded by the one rule every run shares.
 pub fn run_program(
     program: &Program,
     inputs: Vec<Vec<i64>>,
@@ -347,7 +346,7 @@ pub fn run_program(
     config: &SimConfig,
 ) -> Result<SimReport, SimError> {
     let cluster = Cluster::new(*machine, ClusterSpec::homogeneous(1, *spec))?;
-    run_on(&cluster, program, inputs, config, |_| config.seed).map(SimReport::from_cluster)
+    run_cluster_program_on(&cluster, program, inputs, config).map(SimReport::from_cluster)
 }
 
 #[cfg(test)]
@@ -427,10 +426,9 @@ mod tests {
     /// `run_program` is the one-device cluster seen from its device: one
     /// fixed case of the retired cross-driver property, as the test of
     /// the [`SimReport`] view.  Traced, under a plan that drops, degrades
-    /// and straggles, every field of the report — outputs, each round's
-    /// times and counters, `device_stats`, the span sequence — is the
-    /// cluster report's.  (`noise: None`: the entry points seed host link
-    /// 0's jitter differently, which the noisy goldens pin.)
+    /// and straggles, with and without 2 % transfer jitter, every field of
+    /// the report — outputs, each round's times and counters,
+    /// `device_stats`, the span sequence — is the cluster report's.
     #[test]
     fn sim_report_is_the_one_device_cluster_seen_from_its_device() {
         let n = 64u64;
@@ -440,32 +438,35 @@ mod tests {
         assert!(has(|e| matches!(e, FaultEvent::TransferDrop { .. })));
         assert!(has(|e| matches!(e, FaultEvent::LinkDegraded { .. })));
         assert!(has(|e| matches!(e, FaultEvent::Straggler { .. })));
-        let cfg = SimConfig { trace: true, fault, ..SimConfig::default() };
         let data = || vec![(0..n as i64).collect(), (0..n as i64).rev().collect()];
         let cluster = ClusterSpec::homogeneous(1, spec());
-        let one = run_program(&p, data(), &machine(), &spec(), &cfg).unwrap();
-        let clu = crate::run_cluster_program(&p, data(), &machine(), &cluster, &cfg).unwrap();
+        for noise in [None, Some(XferNoise { rel: 0.02 })] {
+            let cfg =
+                SimConfig { trace: true, fault: fault.clone(), noise, ..SimConfig::default() };
+            let one = run_program(&p, data(), &machine(), &spec(), &cfg).unwrap();
+            let clu = crate::run_cluster_program(&p, data(), &machine(), &cluster, &cfg).unwrap();
 
-        assert_eq!(one.output(hc), vec![n as i64 - 1; n as usize]);
-        assert_eq!(one.host.bufs, clu.host.bufs);
-        assert_eq!(one.rounds.len(), clu.rounds.len());
-        for (a, round) in one.rounds.iter().zip(&clu.rounds) {
-            let [b] = &round.devices[..] else { panic!("one device per round") };
-            assert_eq!(a.xfer_in_ms.to_bits(), b.xfer_in_ms.to_bits());
-            assert_eq!(a.kernel_ms.to_bits(), b.kernel_ms.to_bits());
-            assert_eq!(a.xfer_out_ms.to_bits(), b.xfer_out_ms.to_bits());
-            assert_eq!(a.sync_ms.to_bits(), round.sync_ms.to_bits());
-            assert_eq!(a.stream_ms.to_bits(), b.stream_ms.to_bits());
-            assert_eq!(a.kernel_stats, b.kernel_stats);
-            assert_eq!(a.retries, b.retries);
-            assert_eq!(a.backoff_ms.to_bits(), b.backoff_ms.to_bits());
-            assert_eq!(b.peer_ms, 0.0);
-            assert!(a.retries > 0 && a.backoff_ms > 0.0, "the drops must have been retried");
+            assert_eq!(one.output(hc), vec![n as i64 - 1; n as usize]);
+            assert_eq!(one.host.bufs, clu.host.bufs);
+            assert_eq!(one.rounds.len(), clu.rounds.len());
+            for (a, round) in one.rounds.iter().zip(&clu.rounds) {
+                let [b] = &round.devices[..] else { panic!("one device per round") };
+                assert_eq!(a.xfer_in_ms.to_bits(), b.xfer_in_ms.to_bits(), "{noise:?}");
+                assert_eq!(a.kernel_ms.to_bits(), b.kernel_ms.to_bits());
+                assert_eq!(a.xfer_out_ms.to_bits(), b.xfer_out_ms.to_bits(), "{noise:?}");
+                assert_eq!(a.sync_ms.to_bits(), round.sync_ms.to_bits());
+                assert_eq!(a.stream_ms.to_bits(), b.stream_ms.to_bits(), "{noise:?}");
+                assert_eq!(a.kernel_stats, b.kernel_stats);
+                assert_eq!(a.retries, b.retries);
+                assert_eq!(a.backoff_ms.to_bits(), b.backoff_ms.to_bits());
+                assert_eq!(b.peer_ms, 0.0);
+                assert!(a.retries > 0 && a.backoff_ms > 0.0, "the drops must have been retried");
+            }
+            assert_eq!(one.total_ms().to_bits(), clu.total_ms().to_bits(), "{noise:?}");
+            assert_eq!(one.device_stats, clu.device_stats[0]);
+            assert_eq!(one.trace, clu.trace, "{noise:?}");
+            assert!(one.trace.as_ref().is_some_and(|t| !t.spans.is_empty()));
         }
-        assert_eq!(one.total_ms().to_bits(), clu.total_ms().to_bits());
-        assert_eq!(one.device_stats, clu.device_stats[0]);
-        assert_eq!(one.trace, clu.trace);
-        assert!(one.trace.as_ref().is_some_and(|t| !t.spans.is_empty()));
     }
 
     /// Regression: `run_program` never validated its spec, so in release

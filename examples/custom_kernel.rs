@@ -8,7 +8,7 @@
 //! cargo run --release --example custom_kernel
 //! ```
 
-use atgpu::analyze::analyze_program;
+use atgpu::analyze::analyze_cluster_program;
 use atgpu::ir::{pretty, AddrExpr, AluOp, KernelBuilder, Operand, ProgramBuilder};
 use atgpu::model::cost::{evaluate, CostModel};
 use atgpu::model::{AtgpuMachine, GpuSpec};
@@ -54,8 +54,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{}", pretty::render_program(&program));
 
     // Static analysis: every model metric, from the same IR.
-    let analysis = analyze_program(&program, &machine)?;
-    let metrics = analysis.metrics();
+    let analysis = analyze_cluster_program(&program, &machine, 1)?;
+    let metrics = analysis.lone_device()?;
     println!(
         "t = {} ops, q = {} transactions, shared = {} words, Σ(I+O) = {} words",
         metrics.total_time_ops(),
@@ -68,7 +68,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         analysis.io_exact, analysis.conflict_free
     );
 
-    let cost = evaluate(CostModel::GpuCost, &machine, &spec, &metrics)?;
+    let cost = evaluate(CostModel::GpuCost, &machine, &spec, metrics)?;
     println!(
         "predicted GPU-cost: {:.4} ms (ΔT = {:.1}%)",
         cost.total(),

@@ -9,7 +9,7 @@
 
 use atgpu::algos::ooc::{OocReduce, OocScheme, OocVecAdd};
 use atgpu::algos::{verify_on_sim, Workload};
-use atgpu::analyze::analyze_program;
+use atgpu::analyze::analyze_cluster_program;
 use atgpu::model::cost::{evaluate, CostModel};
 use atgpu::model::{AtgpuMachine, GpuSpec};
 use atgpu::sim::SimConfig;
@@ -26,8 +26,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for chunk in [512u64, 1024, 2048, 4096] {
         let w = OocVecAdd::new(n, chunk, 7);
         let built = w.build(&machine)?;
-        let metrics = analyze_program(&built.program, &machine)?.metrics();
-        let cost = evaluate(CostModel::GpuCost, &machine, &spec, &metrics)?;
+        let analysis = analyze_cluster_program(&built.program, &machine, 1)?;
+        let metrics = analysis.lone_device()?;
+        let cost = evaluate(CostModel::GpuCost, &machine, &spec, metrics)?;
         let report = verify_on_sim(&w, &machine, &spec, &SimConfig::default())?;
         println!(
             "{:>8} {:>8} {:>14.3} {:>14.3}",
@@ -49,7 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     {
         let w = OocReduce::new(65_536, 4096, machine.b, scheme, 3);
         let built = w.build(&machine)?;
-        let metrics = analyze_program(&built.program, &machine)?.metrics();
+        let analysis = analyze_cluster_program(&built.program, &machine, 1)?;
+        let metrics = analysis.lone_device()?;
         let outward: u64 = metrics.rounds.iter().map(|r| r.outward_words).sum();
         let report = verify_on_sim(&w, &machine, &spec, &SimConfig::default())?;
         println!(

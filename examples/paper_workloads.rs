@@ -8,7 +8,7 @@
 //! ```
 
 use atgpu::algos::{matmul::MatMul, reduce::Reduce, vecadd::VecAdd, verify_on_sim, Workload};
-use atgpu::analyze::analyze_program;
+use atgpu::analyze::analyze_cluster_program;
 use atgpu::model::cost::{evaluate, CostModel};
 use atgpu::model::{AtgpuMachine, GpuSpec};
 use atgpu::sim::SimConfig;
@@ -30,9 +30,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     for w in &workloads {
         let built = w.build(&machine)?;
-        let metrics = analyze_program(&built.program, &machine)?.metrics();
-        let atgpu = evaluate(CostModel::GpuCost, &machine, &spec, &metrics)?;
-        let swgpu = evaluate(CostModel::Swgpu, &machine, &spec, &metrics)?;
+        let analysis = analyze_cluster_program(&built.program, &machine, 1)?;
+        let metrics = analysis.lone_device()?;
+        let atgpu = evaluate(CostModel::GpuCost, &machine, &spec, metrics)?;
+        let swgpu = evaluate(CostModel::Swgpu, &machine, &spec, metrics)?;
         let report = verify_on_sim(w.as_ref(), &machine, &spec, &sim)?;
         println!(
             "{:<10} {:>6} {:>12.3} {:>12.3} {:>10.3} {:>10.3} {:>7.1}% {:>7.1}%",

@@ -6,7 +6,7 @@
 //! ```
 
 use atgpu::algos::{vecadd::VecAdd, verify_on_sim, Workload};
-use atgpu::analyze::analyze_program;
+use atgpu::analyze::analyze_cluster_program;
 use atgpu::model::cost::{evaluate, CostModel};
 use atgpu::model::{AtgpuMachine, GpuSpec};
 use atgpu::sim::SimConfig;
@@ -23,8 +23,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let built = workload.build(&machine)?;
 
     // 3. Statically derive the model metrics from the kernel IR.
-    let analysis = analyze_program(&built.program, &machine)?;
-    let metrics = analysis.metrics();
+    let analysis = analyze_cluster_program(&built.program, &machine, 1)?;
+    let metrics = analysis.lone_device()?;
     println!("\nmodel metrics (derived from IR):");
     println!("  rounds R           = {}", metrics.num_rounds());
     println!("  time t             = {} lockstep ops", metrics.total_time_ops());
@@ -34,8 +34,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  transfer Σ(I+O)    = {} words", metrics.total_transfer_words());
 
     // 4. Evaluate the cost functions (paper Expressions 1 and 2).
-    let atgpu = evaluate(CostModel::GpuCost, &machine, &spec, &metrics)?;
-    let swgpu = evaluate(CostModel::Swgpu, &machine, &spec, &metrics)?;
+    let atgpu = evaluate(CostModel::GpuCost, &machine, &spec, metrics)?;
+    let swgpu = evaluate(CostModel::Swgpu, &machine, &spec, metrics)?;
     println!("\npredictions:");
     println!(
         "  ATGPU GPU-cost     = {:8.3} ms  (ΔT = {:.1}% transfer)",

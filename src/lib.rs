@@ -39,7 +39,7 @@
 //! use atgpu::model::cost::{evaluate, CostModel};
 //! use atgpu::model::{AtgpuMachine, GpuSpec};
 //! use atgpu::algos::{vecadd::VecAdd, verify_on_sim, Workload};
-//! use atgpu::analyze::analyze_program;
+//! use atgpu::analyze::analyze_cluster_program;
 //! use atgpu::sim::SimConfig;
 //!
 //! // The abstract machine and a GTX 650-like device.
@@ -49,8 +49,9 @@
 //! // Analyse vector addition at n = 10_000 on the model …
 //! let wl = VecAdd::new(10_000, /* seed */ 42);
 //! let built = wl.build(&machine)?;
-//! let metrics = analyze_program(&built.program, &machine)?.metrics();
-//! let cost = evaluate(CostModel::GpuCost, &machine, &spec, &metrics)?.total();
+//! let analysis = analyze_cluster_program(&built.program, &machine, 1)?;
+//! let metrics = analysis.lone_device()?;
+//! let cost = evaluate(CostModel::GpuCost, &machine, &spec, metrics)?.total();
 //! assert!(cost > 0.0);
 //!
 //! // … and observe it on the simulated device (verified against the

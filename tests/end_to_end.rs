@@ -6,7 +6,7 @@ use atgpu::algos::{
     scan::Scan, stencil::Stencil, transpose::Transpose, transpose::TransposeVariant,
     vecadd::VecAdd, verify_on_sim, Workload,
 };
-use atgpu::analyze::analyze_program;
+use atgpu::analyze::analyze_cluster_program;
 use atgpu::ir::pretty;
 use atgpu::model::cost::{evaluate, CostModel};
 use atgpu::model::{AtgpuMachine, GpuSpec};
@@ -62,9 +62,10 @@ fn atgpu_minus_swgpu_is_transfer_for_all_workloads() {
     ];
     for w in &workloads {
         let built = w.build(&m).unwrap();
-        let metrics = analyze_program(&built.program, &m).unwrap().metrics();
-        let atgpu = evaluate(CostModel::GpuCost, &m, &s, &metrics).unwrap();
-        let swgpu = evaluate(CostModel::Swgpu, &m, &s, &metrics).unwrap();
+        let analysis = analyze_cluster_program(&built.program, &m, 1).unwrap();
+        let metrics = analysis.lone_device().unwrap();
+        let atgpu = evaluate(CostModel::GpuCost, &m, &s, metrics).unwrap();
+        let swgpu = evaluate(CostModel::Swgpu, &m, &s, metrics).unwrap();
         let diff = atgpu.total() - swgpu.total();
         assert!(
             (diff - atgpu.transfer()).abs() < 1e-9,
@@ -84,9 +85,10 @@ fn perfect_cost_bounded_by_gpu_cost() {
     for n in [1000u64, 10_000, 100_000] {
         let w = VecAdd::new(n, 1);
         let built = w.build(&m).unwrap();
-        let metrics = analyze_program(&built.program, &m).unwrap().metrics();
-        let perfect = evaluate(CostModel::PerfectGpu, &m, &s, &metrics).unwrap();
-        let gpu = evaluate(CostModel::GpuCost, &m, &s, &metrics).unwrap();
+        let analysis = analyze_cluster_program(&built.program, &m, 1).unwrap();
+        let metrics = analysis.lone_device().unwrap();
+        let perfect = evaluate(CostModel::PerfectGpu, &m, &s, metrics).unwrap();
+        let gpu = evaluate(CostModel::GpuCost, &m, &s, metrics).unwrap();
         assert!(perfect.total() <= gpu.total() + 1e-12);
     }
 }
@@ -139,9 +141,9 @@ fn analyzer_io_matches_simulator_io() {
     ];
     for w in &workloads {
         let built = w.build(&m).unwrap();
-        let analysis = analyze_program(&built.program, &m).unwrap();
+        let analysis = analyze_cluster_program(&built.program, &m, 1).unwrap();
         assert!(analysis.io_exact, "{} should be exactly analysable", w.name());
-        let q_model = analysis.metrics().total_io_blocks();
+        let q_model = analysis.lone_device().unwrap().total_io_blocks();
         let report = verify_on_sim(w.as_ref(), &m, &s, &SimConfig::default()).unwrap();
         let q_sim: u64 = report.rounds.iter().map(|r| r.kernel_stats.global_txns).sum();
         assert_eq!(q_model, q_sim, "{}: q mismatch", w.name());
@@ -156,7 +158,7 @@ fn oom_failure_and_out_of_core_recovery() {
     let s = spec();
     let w = VecAdd::new(8192, 1);
     let built = w.build(&small).unwrap();
-    assert!(analyze_program(&built.program, &small).is_err());
+    assert!(analyze_cluster_program(&built.program, &small, 1).is_err());
     assert!(verify_on_sim(&w, &small, &s, &SimConfig::default()).is_err());
     let ooc = OocVecAdd::new(8192, 1024, 1);
     verify_on_sim(&ooc, &small, &s, &SimConfig::default()).unwrap();
@@ -192,7 +194,7 @@ fn metrics_are_data_independent() {
     let b2 = VecAdd::new(5000, 999).build(&m).unwrap();
     assert_ne!(b1.inputs, b2.inputs);
     assert_eq!(
-        analyze_program(&b1.program, &m).unwrap().metrics(),
-        analyze_program(&b2.program, &m).unwrap().metrics()
+        analyze_cluster_program(&b1.program, &m, 1).unwrap().lone_device().unwrap(),
+        analyze_cluster_program(&b2.program, &m, 1).unwrap().lone_device().unwrap()
     );
 }

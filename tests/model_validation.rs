@@ -7,7 +7,7 @@ use atgpu::algos::{
     vecadd::VecAdd,
     verify_on_sim, Workload,
 };
-use atgpu::analyze::analyze_program;
+use atgpu::analyze::analyze_cluster_program;
 use atgpu::model::cost::{evaluate, CostModel};
 use atgpu::model::{occupancy, AlgoMetrics, AtgpuMachine, GpuSpec};
 use atgpu::sim::SimConfig;
@@ -47,9 +47,10 @@ fn atgpu_tracks_vecadd_total_better_than_swgpu() {
         let n = i * 50_000;
         let w = VecAdd::new(n, i);
         let built = w.build(&m).unwrap();
-        let metrics = analyze_program(&built.program, &m).unwrap().metrics();
-        atgpu.push(evaluate(CostModel::GpuCost, &m, &s, &metrics).unwrap().total());
-        swgpu.push(evaluate(CostModel::Swgpu, &m, &s, &metrics).unwrap().total());
+        let analysis = analyze_cluster_program(&built.program, &m, 1).unwrap();
+        let metrics = analysis.lone_device().unwrap();
+        atgpu.push(evaluate(CostModel::GpuCost, &m, &s, metrics).unwrap().total());
+        swgpu.push(evaluate(CostModel::Swgpu, &m, &s, metrics).unwrap().total());
         let report = verify_on_sim(&w, &m, &s, &SimConfig::default()).unwrap();
         total.push(report.total_ms());
     }
@@ -142,7 +143,8 @@ fn stated_bounds_hold_for_paper_workloads() {
             .iter()
             .map(|&n| {
                 let built = mk(n).build(&m).unwrap();
-                (n as f64, analyze_program(&built.program, &m).unwrap().metrics())
+                let a = analyze_cluster_program(&built.program, &m, 1).unwrap();
+                (n as f64, a.lone_device().unwrap().clone())
             })
             .collect();
         for ((quantity, observed), bound) in QUANTITIES.iter().zip(bounds) {
@@ -228,8 +230,9 @@ fn predicted_deltas_track_observed() {
     ];
     for (w, budget) in cases {
         let built = w.build(&m).unwrap();
-        let metrics = analyze_program(&built.program, &m).unwrap().metrics();
-        let cost = evaluate(CostModel::GpuCost, &m, &s, &metrics).unwrap();
+        let analysis = analyze_cluster_program(&built.program, &m, 1).unwrap();
+        let metrics = analysis.lone_device().unwrap();
+        let cost = evaluate(CostModel::GpuCost, &m, &s, metrics).unwrap();
         let report = verify_on_sim(w.as_ref(), &m, &s, &SimConfig::default()).unwrap();
         let gap = (cost.transfer_proportion() - report.transfer_proportion()).abs();
         assert!(gap < budget, "{}: |ΔT−ΔE| = {gap} over budget {budget}", w.name());
