@@ -587,9 +587,7 @@ mod tests {
                                      // hand it the larger band.  (A bare `k_prime` bump is *not*
                                      // enough: the model's kernel term is dominated by `λ·q`, which
                                      // no MP count changes — pricing correctly shrugs there.)
-        let mut cluster = atgpu_model::ClusterSpec::homogeneous(2, test_spec());
-        cluster.devices[1] = atgpu_model::GpuSpec::midrange_like();
-        cluster.host_links[1] = cluster.devices[1].host_link();
+        let cluster = crate::roster::mixed_pair(test_spec());
         let built = w.build_sharded_planned(&m, &cluster).unwrap();
         let report =
             verify_built_on_cluster(&built, &w.expected(), &m, &cluster, &SimConfig::default())

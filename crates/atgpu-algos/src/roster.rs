@@ -74,6 +74,16 @@ pub fn asym_pair(spec: GpuSpec) -> ClusterSpec {
     cluster
 }
 
+/// A heterogeneous pair: `spec`, and a [`GpuSpec::midrange_like`] device
+/// behind its own host link — more MPs, a faster clock and a faster link,
+/// so a speed-weighted plan hands device 1 the larger share.
+pub fn mixed_pair(spec: GpuSpec) -> ClusterSpec {
+    let mut cluster = ClusterSpec::homogeneous(2, spec);
+    cluster.devices[1] = GpuSpec::midrange_like();
+    cluster.host_links[1] = cluster.devices[1].host_link();
+    cluster
+}
+
 impl RosterEntry {
     /// The plan cells this entry is built under: [`Plan::Single`], and
     /// for a shardable workload an even split over one and over three

@@ -1,5 +1,9 @@
 //! Host-time attribution probes (run with
-//! `cargo run --release -p atgpu-bench --example probe`).
+//! `cargo run --release -p atgpu-bench --example probe`).  The first line
+//! names the target features the probe was compiled with (`avx512f`,
+//! `avx2`), so a recorded number says which build it measured: the
+//! workspace builds for its host (`.cargo/config.toml`), and
+//! `RUSTFLAGS="-C target-cpu=x86-64"` builds the portable baseline.
 //!
 //! 1. **Scheduler / executor split** — the nine programs of the repo
 //!    benchmark's `batch_compute` workload, replayed launch by launch
@@ -673,6 +677,11 @@ fn launch_cost(cfg: &ExpConfig) {
 }
 
 fn main() {
+    println!(
+        "build: target features avx512f={} avx2={}",
+        cfg!(target_feature = "avx512f"),
+        cfg!(target_feature = "avx2")
+    );
     // Only the machine and the device are read: every run below takes
     // `SimConfig::default()`, which has no transfer jitter.
     let cfg = ExpConfig::standard(Scale::Quick);

@@ -405,9 +405,7 @@ pub fn e8_streams(cfg: &ExpConfig) -> Result<Section, ExpError> {
     // -- 2: heterogeneous cluster, even vs weighted shards -----------
     let hn = if quick { 256 } else { 512 };
     let hw = MatMul::new(hn, 17);
-    let mut mixed = ClusterSpec::homogeneous(2, cfg.spec);
-    mixed.devices[1] = GpuSpec::midrange_like();
-    mixed.host_links[1] = mixed.devices[1].host_link();
+    let mixed = atgpu_algos::roster::mixed_pair(cfg.spec);
     let even = hw.build_sharded(machine, 2)?;
     let planned = hw.build_sharded_planned(machine, &mixed)?;
     let r_even = observe(cfg, &even, &mixed)?;

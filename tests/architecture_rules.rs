@@ -221,6 +221,10 @@ const RULES: &[Rule] = &[
         why: "atgpu-exp's ExpError carries analyser, model, serve and I/O errors as themselves, propagated with ?",
         checks: &[grep(&["crates/atgpu-exp/src"], &["AlgosError::InvalidSize"],
             "    .map_err(|e| AlgosError::InvalidSize { reason: e.to_string() })?;")] },
+    Rule { name: "A simulated number does not depend on the building host",
+        why: ".cargo/config.toml picks the codegen target; library code never branches on it, so every build answers alike",
+        checks: &[grep(LIBS, &["target_feature", "is_x86_feature_detected", "target_arch", "std::arch::", "core::arch::"],
+            "if is_x86_feature_detected!(\"avx512f\") { return rows_avx512(a, b); }")] },
 ];
 
 /// A file of the scanned tree, by its path from the repository root.
