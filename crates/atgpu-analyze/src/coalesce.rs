@@ -12,14 +12,20 @@
 //! of enumerating every `(block, iteration)` instance — there are millions
 //! in the paper's sweeps — we:
 //!
-//! 1. build the histogram of folded-base residues over all instances by
-//!    convolving per-dimension residue histograms (each computed in
-//!    `O(b)` using the cyclic structure of `coef·idx mod b`), and
+//! 1. build the histogram of folded-base residues over all instances one
+//!    dimension at a time: a dimension whose coefficient is 0 mod `b`
+//!    moves no residue and is one saturating multiply by its count; any
+//!    other is folded in by [`fold_dimension`], which uses the cyclic
+//!    structure of `coef·idx mod b`, and
 //! 2. weight each residue by its per-warp transaction count, the closed
 //!    form of [`atgpu_ir::affine::run_blocks`].
 //!
-//! Total cost: `O(dims·b²)` independent of `k` and trip counts, and
-//! **exact** — property tests check it against brute-force enumeration.
+//! Cost: per folded dimension `O(b)` for its whole cycles plus one step
+//! per non-empty class and leftover index (at most `b²`, no division per
+//! step); two rows of `b` on the stack (the heap only past 64 lanes), no
+//! allocation per dimension; independent of `k` and trip counts.  The
+//! count is **exact** — property tests check it against brute-force
+//! enumeration.
 //!
 //! Masked accesses (inside divergent regions) are counted with all lanes
 //! active: a deliberate, documented over-approximation matching how the
@@ -51,45 +57,53 @@ pub fn lane_block_count(base: i64, stride: i64, lanes: u64, b: u64) -> u64 {
     atgpu_ir::affine::run_blocks(base, stride, lanes, b)
 }
 
-/// Histogram over residues mod `b` of `{coef·idx mod b : idx ∈ [0, count)}`.
-/// `O(b)` via the cycle structure: residues repeat with the bank rule's
-/// period [`atgpu_ir::affine::bank_period`], `b / gcd(coef mod b, b)`.
-pub fn residue_histogram(count: u64, coef: i64, b: u64) -> Vec<u64> {
-    let bu = b as usize;
-    let mut h = vec![0u64; bu];
-    if count == 0 {
-        return h;
+/// Folds one dimension of `count` indices with coefficient `coef` into a
+/// residue histogram over `b = hist.len()` classes: `out[s]` is the sum
+/// of `hist[r]` over every class `r` and index `i < count` with
+/// `(r + coef·i) mod b = s`, saturating.
+///
+/// The residues `coef·i mod b` cycle with the bank rule's period `p =`
+/// [`atgpu_ir::affine::bank_period`]`(coef, b)` through the multiples of
+/// `g = b / p`, so the `⌊count / p⌋` whole cycles add the same amount to
+/// every class of a coset mod `g` — one pass for the coset sums, one to
+/// spread them — and only the `count mod p` leftover indices walk each
+/// non-empty class, a step of `coef mod b` at a time.  No division is
+/// taken per residue or per pair.
+pub fn fold_dimension(hist: &[u64], out: &mut [u64], count: u64, coef: i64) {
+    let b = hist.len();
+    debug_assert_eq!(out.len(), b);
+    let period = bank_period(coef, b as u64);
+    let (cycles, leftover) = (count / period, count % period);
+    let step = coef.rem_euclid(b as i64) as usize;
+    let g = b / period as usize;
+    out.fill(0);
+    if cycles > 0 {
+        let (sums, rest) = out.split_at_mut(g);
+        for coset in hist.chunks_exact(g) {
+            for (sum, &h) in sums.iter_mut().zip(coset) {
+                *sum = sum.saturating_add(h);
+            }
+        }
+        for sum in sums.iter_mut() {
+            *sum = sum.saturating_mul(cycles);
+        }
+        for chunk in rest.chunks_exact_mut(g) {
+            chunk.copy_from_slice(sums);
+        }
     }
-    let step = coef.rem_euclid(b as i64) as u64;
-    let period = bank_period(coef, b);
-    let full = count / period;
-    let rem = count % period;
-    let mut r = 0u64;
-    for i in 0..period {
-        h[r as usize] += full + u64::from(i < rem);
-        r = (r + step) % b;
-    }
-    h
-}
-
-/// Convolution of two residue histograms: `out[(i + j) mod b] +=
-/// h1[i]·h2[j]`.
-pub fn convolve_mod(h1: &[u64], h2: &[u64], b: u64) -> Vec<u64> {
-    let bu = b as usize;
-    let mut out = vec![0u64; bu];
-    for (i, &x) in h1.iter().enumerate() {
-        if x == 0 {
+    for (r, &h) in hist.iter().enumerate() {
+        if h == 0 {
             continue;
         }
-        for (j, &y) in h2.iter().enumerate() {
-            if y == 0 {
-                continue;
+        let mut slot = r;
+        for _ in 0..leftover {
+            out[slot] = out[slot].saturating_add(h);
+            slot += step;
+            if slot >= b {
+                slot -= b;
             }
-            let slot = &mut out[(i + j) % bu];
-            *slot = slot.saturating_add(x.saturating_mul(y));
         }
     }
-    out
 }
 
 /// Transactions for one global access site.
@@ -98,7 +112,7 @@ pub fn convolve_mod(h1: &[u64], h2: &[u64], b: u64) -> Vec<u64> {
 /// * `buf_base` — the buffer's absolute base address (from
 ///   [`atgpu_ir::ProgramBody::buffer_layout`]);
 /// * `grid` — the launch grid `(gx, gy)`, `k = gx·gy` thread blocks;
-/// * `loop_counts` — trip counts of the loops enclosing the site,
+/// * `loop_counts` — trip counts of the enclosing loops,
 ///   outermost first (absolute depth `d` matches `AffineAddr::loops[d]`);
 /// * `b` — lanes per warp = words per memory block.
 pub fn site_transactions(
@@ -119,21 +133,40 @@ pub fn site_transactions(
     }
     match addr.as_affine() {
         Some(a) if a.is_static() => {
-            // Histogram of folded-base residues over (block × loops).
+            // Histogram of folded-base residues over (block × loops), in
+            // two rows of `b` on the stack for a warp of up to 64 lanes.
+            let bu = b as usize;
+            let (mut stack, mut heap) = ([0u64; 128], Vec::new());
+            let rows: &mut [u64] = if bu <= 64 {
+                &mut stack[..2 * bu]
+            } else {
+                heap.resize(2 * bu, 0);
+                &mut heap
+            };
+            let (mut hist, mut out) = rows.split_at_mut(bu);
             let abs_base = i128::from(a.base) + i128::from(buf_base);
-            let mut hist = vec![0u64; b as usize];
             hist[abs_base.rem_euclid(b.into()) as usize] = 1;
-            hist = convolve_mod(&hist, &residue_histogram(grid.0, a.block, b), b);
-            hist = convolve_mod(&hist, &residue_histogram(grid.1, a.block_y, b), b);
-            for (d, &count) in loop_counts.iter().enumerate() {
-                let coef = a.loops.get(d).copied().unwrap_or(0);
-                hist = convolve_mod(&hist, &residue_histogram(u64::from(count), coef, b), b);
+            let loops = loop_counts.iter().enumerate();
+            let dims = [(grid.0, a.block), (grid.1, a.block_y)]
+                .into_iter()
+                .chain(loops.map(|(d, &c)| (u64::from(c), a.loops.get(d).copied().unwrap_or(0))));
+            // A dimension whose coefficient is 0 mod `b` moves no residue:
+            // it only multiplies every class by its count.
+            let mut times = 1u64;
+            for (count, coef) in dims {
+                if coef.rem_euclid(b as i64) == 0 {
+                    times = times.saturating_mul(count);
+                } else {
+                    fold_dimension(hist, out, count, coef);
+                    std::mem::swap(&mut hist, &mut out);
+                }
             }
             let mut txns = 0u64;
             for (r, &weight) in hist.iter().enumerate() {
                 if weight > 0 {
                     let per_warp = lane_block_count(r as i64, a.lane, b, b);
-                    txns = txns.saturating_add(weight.saturating_mul(per_warp));
+                    txns =
+                        txns.saturating_add(weight.saturating_mul(times).saturating_mul(per_warp));
                 }
             }
             SiteTxns { txns, exact: true }
@@ -148,6 +181,7 @@ pub fn site_transactions(
 mod tests {
     use super::*;
     use atgpu_ir::AddrExpr;
+    use proptest::prelude::*;
 
     /// Brute-force reference: enumerate every (block, iterations, lane).
     fn brute_force(
@@ -332,6 +366,15 @@ mod tests {
         assert_eq!(lane_block_count(0, 1, 0, 32), 0);
     }
 
+    /// A dimension's own residue histogram: the class of 0 folded by it.
+    fn residue_histogram(count: u64, coef: i64, b: u64) -> Vec<u64> {
+        let mut unit = vec![0u64; b as usize];
+        unit[0] = 1;
+        let mut out = vec![0u64; b as usize];
+        fold_dimension(&unit, &mut out, count, coef);
+        out
+    }
+
     #[test]
     fn residue_histogram_total_is_count() {
         for (count, coef, b) in [(10u64, 3i64, 32u64), (7, -5, 8), (100, 0, 16), (5, 32, 32)] {
@@ -354,11 +397,124 @@ mod tests {
         }
     }
 
+    /// Folding a dimension into a histogram is its convolution with the
+    /// dimension's own histogram, and multiplies the mass by its count.
     #[test]
     fn convolve_preserves_mass() {
         let h1 = residue_histogram(9, 3, 8);
-        let h2 = residue_histogram(4, 5, 8);
-        let out = convolve_mod(&h1, &h2, 8);
+        let mut out = vec![0u64; 8];
+        fold_dimension(&h1, &mut out, 4, 5);
         assert_eq!(out.iter().sum::<u64>(), 36);
+        assert_eq!(out, convolve_mod(&h1, &residue_histogram(4, 5, 8)));
+    }
+
+    /// `out[(i + j) mod b] += h1[i]·h2[j]`, a `%` per pair.
+    fn convolve_mod(h1: &[u64], h2: &[u64]) -> Vec<u64> {
+        let b = h1.len();
+        let mut out = vec![0u64; b];
+        for (i, &x) in h1.iter().enumerate() {
+            for (j, &y) in h2.iter().enumerate() {
+                let slot = &mut out[(i + j) % b];
+                *slot = slot.saturating_add(x.saturating_mul(y));
+            }
+        }
+        out
+    }
+
+    /// The count by the previous method: every dimension's histogram,
+    /// built by walking its cycle, convolved into the base's class with a
+    /// `%` per pair.  The oracle where enumeration is too large.
+    fn convolved(
+        addr: &CompiledAddr,
+        buf_base: u64,
+        grid: (u64, u64),
+        loop_counts: &[u32],
+        b: u64,
+    ) -> u64 {
+        let cycle = |count: u64, coef: i64| {
+            let mut h = vec![0u64; b as usize];
+            let (step, period) = (coef.rem_euclid(b as i64) as u64, bank_period(coef, b));
+            let mut r = 0u64;
+            for i in 0..period.min(count) {
+                h[r as usize] += count / period + u64::from(i < count % period);
+                r = (r + step) % b;
+            }
+            h
+        };
+        let a = addr.as_affine().expect("a static site");
+        let mut hist = vec![0u64; b as usize];
+        hist[(i128::from(a.base) + i128::from(buf_base)).rem_euclid(b.into()) as usize] = 1;
+        hist = convolve_mod(&hist, &cycle(grid.0, a.block));
+        hist = convolve_mod(&hist, &cycle(grid.1, a.block_y));
+        for (d, &count) in loop_counts.iter().enumerate() {
+            hist = convolve_mod(&hist, &cycle(u64::from(count), a.loops[d]));
+        }
+        hist.iter().enumerate().fold(0u64, |txns, (r, &w)| {
+            txns.saturating_add(w.saturating_mul(lane_block_count(r as i64, a.lane, b, b)))
+        })
+    }
+
+    /// A static site `base + cL·lane + cB·block + cY·block_y + Σ c_d·t_d`
+    /// where each coefficient flagged in `zero` is taken times `b`, so it
+    /// is 0 mod `b`.
+    fn static_site(b: u64, base: i64, coefs: [i64; 6], zero: u8) -> CompiledAddr {
+        let c = |i: usize| if zero >> i & 1 == 1 { coefs[i] * b as i64 } else { coefs[i] };
+        let mut e = AddrExpr::c(base)
+            + AddrExpr::lane() * c(0)
+            + AddrExpr::block() * c(1)
+            + AddrExpr::block_y() * c(2);
+        for d in 0..3 {
+            e = e + AddrExpr::loop_var(d as u8) * c(3 + d);
+        }
+        CompiledAddr::compile(e)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random static sites, 1-D and 2-D grids, up to three loops, some
+        /// coefficients 0 mod `b` (`b = 96` takes the heap rows): the
+        /// count equals enumeration.
+        #[test]
+        fn random_static_sites_match_enumeration(
+            b in 0usize..7,
+            base in -200i64..200,
+            coefs in (-9i64..10, -40i64..41, -20i64..21, -17i64..18, -9i64..10, -33i64..34),
+            zero in 0u8..64,
+            buf_base in 0u64..200,
+            gx in 1u64..7,
+            gy in 0u64..5,
+            loops in prop::collection::vec(0u32..4, 0..4),
+        ) {
+            let b = [1u64, 5, 8, 16, 32, 64, 96][b];
+            let grid = (gx, gy.clamp(1, 3));
+            let (c0, c1, c2, c3, c4, c5) = coefs;
+            let addr = static_site(b, base, [c0, c1, c2, c3, c4, c5], zero);
+            let fast = site_transactions(&addr, buf_base, grid, &loops, b);
+            prop_assert!(fast.exact);
+            prop_assert_eq!(fast.txns, brute_force(&addr, buf_base, grid, &loops, b));
+        }
+
+        /// Counts far past enumeration, saturating ones included, equal
+        /// the previous method's.
+        #[test]
+        fn large_static_sites_match_the_convolution(
+            b in 0usize..5,
+            base in -1000i64..1000,
+            coefs in (-9i64..10, -400i64..401, -20i64..21, -17i64..18, -90i64..91, -33i64..34),
+            zero in 0u8..64,
+            buf_base in 0u64..1000,
+            grid in (0usize..4, 0usize..3),
+            loops in prop::collection::vec(0usize..4, 0..4),
+        ) {
+            let b = [1u64, 7, 32, 64, 96][b];
+            let grid = ([1u64, 1000, 65_535, u64::MAX / 3][grid.0], [1u64, 7, 4096][grid.1]);
+            let loops: Vec<u32> = loops.iter().map(|&i| [0, 3, 1000, u32::MAX][i]).collect();
+            let (c0, c1, c2, c3, c4, c5) = coefs;
+            let addr = static_site(b, base, [c0, c1, c2, c3, c4, c5], zero);
+            let fast = site_transactions(&addr, buf_base, grid, &loops, b);
+            prop_assert!(fast.exact);
+            prop_assert_eq!(fast.txns, convolved(&addr, buf_base, grid, &loops, b));
+        }
     }
 }

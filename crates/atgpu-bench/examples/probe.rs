@@ -27,13 +27,17 @@
 //!    `k′ ∈ {2, 8}` co-simulated MPs: ns per issued instruction, so how the
 //!    scheduler's footprint grows with `ℓ` can be read off directly.
 //! 4. **Front end** — the quote path ahead of the price, for the nine
-//!    `batch_compute` programs and `launch_storm`'s `relaunch_400x8`:
-//!    best-of-N µs of `validate_program`, `Program::check` of the built
-//!    program (which answers from its witness), `verify_program` and
-//!    its parts (site collection, bounds, race, shared-memory hazards —
-//!    each over every launch that does not repeat its predecessor's
-//!    kernel — and the lints over every launch), and
-//!    `analyze_cluster_program`.
+//!    `batch_compute` programs and `launch_storm`'s `relaunch_400x8`,
+//!    `reduce_rounds_32k` and `sweep_reduce_768`: best-of-N µs of
+//!    `validate_program`, `Program::check` of the built program (which
+//!    answers from its witness), `verify_program` and its parts (site
+//!    collection, bounds, race, shared-memory hazards — each over every
+//!    launch that does not repeat its predecessor's kernel — and the
+//!    lints over every launch), `analyze_cluster_program`, and the two
+//!    leaf costs both of them pay over those same kernels: `walk`, the
+//!    bare `lanemask::walk` that site collection (and a cold launch's
+//!    lowering) consumes, and `txns`, `coalesce::site_transactions` of
+//!    every global site, as the analyser counts `q`.
 //! 5. **One launch** — what a launch costs the host beside its blocks,
 //!    for `launch_storm`'s `relaunch_400x8` on a warm device (every
 //!    launch a cache hit whose predecessor is the same kernel) and its
@@ -106,11 +110,13 @@ use atgpu_algos::spmv::SpmvEll;
 use atgpu_algos::stencil::Stencil;
 use atgpu_algos::transpose::{Transpose, TransposeVariant};
 use atgpu_algos::{gen, vecadd::VecAdd, BuiltProgram, Workload};
+use atgpu_analyze::coalesce::site_transactions;
 use atgpu_analyze::sites::{collect, Site};
 use atgpu_analyze::{analyze_cluster_program, cost_inputs};
 use atgpu_exp::{ExpConfig, Scale};
+use atgpu_ir::lanemask::{walk, At};
 use atgpu_ir::validate::validate_program;
-use atgpu_ir::{AddrExpr, AluOp, DBuf, HostStep, Kernel, KernelBuilder, Operand, Program};
+use atgpu_ir::{AddrExpr, AluOp, DBuf, HostStep, Instr, Kernel, KernelBuilder, Operand, Program};
 use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
 use atgpu_serve::{CostServer, Keys, PriceMemo, PriceSource, Quote, ServerConfig, VerifyMemo};
 use atgpu_sim::engine::{BlockExec, BlockSim, Scratch};
@@ -472,12 +478,18 @@ fn front_end(cfg: &ExpConfig) {
         .into_iter()
         .map(|(name, w)| (name, w.build(machine).unwrap().program))
         .collect();
-    // `launch_storm`'s relaunch program, as the benchmark builds it at seed 1.
-    let relaunch = VecAdd::new(8 * b, 0x9E37_79B9 + 1000).build_relaunched(machine, 400).unwrap();
+    // `launch_storm`'s relaunch program, its 32k reduction and its largest
+    // sweep reduction, as the benchmark builds them at seed 1.
+    let seed = |k: u64| 0x9E37_79B9u64 + 1000 + k;
+    let relaunch = VecAdd::new(8 * b, seed(0)).build_relaunched(machine, 400).unwrap();
     programs.push(("relaunch_400x8", relaunch.program));
+    let reduce_rounds = Reduce::new(1 << 15, seed(100)).build(machine).unwrap();
+    programs.push(("reduce_rounds_32k", reduce_rounds.program));
+    let sweep_reduce = Reduce::new(24 * b, seed(524)).build(machine).unwrap();
+    programs.push(("sweep_reduce_768", sweep_reduce.program));
     println!("\nfront end, best of {FRONT_REPLAYS} replays, us per program");
     println!(
-        "{:<22} {:>8} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
+        "{:<22} {:>8} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
         "program",
         "launches",
         "kernels",
@@ -485,10 +497,12 @@ fn front_end(cfg: &ExpConfig) {
         "check",
         "verify",
         "collect",
+        "walk",
         "bounds",
         "race",
         "smem",
         "lints",
+        "txns",
         "analyze"
     );
     for (name, program) in &programs {
@@ -513,12 +527,19 @@ fn front_end(cfg: &ExpConfig) {
             })
             .collect();
         let sites: Vec<Vec<Site>> = kernels.iter().map(|k| collect(k, b)).collect();
+        let (bases, _) = program.buffer_layout(b);
         let each = || kernels.iter().copied().zip(&sites);
         let row = [
             best_us(|| validate_program(program).unwrap()),
             best_us(|| black_box(program).check().unwrap()),
             best_us(|| drop(black_box(verify_program(program, b)))),
             best_us(|| kernels.iter().for_each(|k| drop(black_box(collect(k, b))))),
+            best_us(|| {
+                let mut visit = |at: &At<'_>, _: &Instr| {
+                    black_box(at.mask);
+                };
+                kernels.iter().for_each(|k| walk(&k.body, b as u32, &mut visit))
+            }),
             best_us(|| {
                 for (k, s) in each() {
                     s.iter()
@@ -530,6 +551,20 @@ fn front_end(cfg: &ExpConfig) {
             best_us(|| {
                 let io: Vec<KernelIo> = each().map(|(k, s)| lints::kernel_io(k, s, b)).collect();
                 black_box(lints::check_launches(program, of_launch.iter().map(|&i| &io[i])));
+            }),
+            best_us(|| {
+                for (k, s) in each() {
+                    for site in s.iter().filter(|site| site.buf.is_some()) {
+                        let base = bases[site.buf.unwrap().0 as usize];
+                        black_box(site_transactions(
+                            &site.addr,
+                            base,
+                            k.grid,
+                            &site.loop_counts,
+                            b,
+                        ));
+                    }
+                }
             }),
             best_us(|| drop(black_box(analyze_cluster_program(program, machine, 1).unwrap()))),
         ];

@@ -44,9 +44,17 @@
 //! * no lane runs a node under the mask `Some(0)` — the body of a
 //!   zero-trip loop, or an arm no lane takes — so it changes no fact.
 //!   Such nodes are still reported, so indices stay stable.
+//!
+//! What a walk costs: `O(b)` per node, and no allocation per node.  The
+//! lane values live in one row store of `b` lanes per register, sized once
+//! per walk for the highest register the body moves or computes into; the
+//! lane-pure and warp-uniform facts are two 256-bit register sets.  An
+//! ALU op or move on lane-pure operands computes one row of `b` lanes, and
+//! a predicate folds by comparing its two operand rows into a mask.  The
+//! only allocations are that store and the loop stack.
 
 use crate::expr::{Operand, PredExpr};
-use crate::instr::Instr;
+use crate::instr::{AluOp, Instr};
 use crate::Reg;
 
 /// Where [`walk`] stands at one instruction node.
@@ -79,11 +87,9 @@ impl At<'_> {
     /// is warp-uniform, or lane-pure with every lane's value equal.
     pub fn same_in_every_lane(&self, op: Operand) -> bool {
         let lanes = self.lanes;
-        let equal = |vals: &[i64; 64]| vals.iter().take(lanes.b as usize).all(|&v| v == vals[0]);
+        let equal = |row: &[i64]| row.iter().all(|&v| v == row[0]);
         match op {
-            Operand::Reg(r) => {
-                lanes.is_uniform(r) || lanes.vals[r as usize].as_deref().is_some_and(equal)
-            }
+            Operand::Reg(r) => lanes.is_uniform(r) || has(&lanes.pure, r) && equal(lanes.row(r)),
             _ => lanes.operand_uniform(op),
         }
     }
@@ -113,7 +119,7 @@ impl<F: FnMut(&At<'_>, &Instr)> Visit for F {
 /// Walks `body` in program order for `b ≤ 64` lanes, reporting every
 /// node to `visit` with the facts that hold there (see the module docs).
 pub fn walk<V: Visit>(body: &[Instr], b: u32, visit: &mut V) {
-    let lanes = LaneValues::new(b);
+    let lanes = LaneValues::new(b, rows_for(body));
     let mask = Some(lanes.full);
     Walker { lanes, loops: Vec::new(), mask, next: 0, visit }.body(body);
 }
@@ -179,27 +185,83 @@ impl<V: Visit> Walker<'_, V> {
     }
 }
 
-/// Per-register compile-time lane values, written only by [`walk`].
+/// Per-register compile-time lane facts, written only by [`walk`]: one
+/// row store over the `b` lanes and two register bitsets.
 #[derive(Debug)]
 struct LaneValues {
-    b: u32,
+    b: usize,
     full: u64,
-    /// Indexed by the full `Reg` (u8) range.
-    vals: Vec<Option<Box<[i64; 64]>>>,
+    /// Register `r`'s lanes are `rows[r·b..][..b]`, read only while `r`
+    /// is in `pure`.
+    rows: Vec<i64>,
+    /// Lane-pure registers, one bit per `Reg`.
+    pure: [u64; 4],
     /// Warp-uniform registers, one bit per `Reg`.
     uniform: [u64; 4],
 }
 
+/// Whether register `r` is in the bitset.
+fn has(set: &[u64; 4], r: Reg) -> bool {
+    set[r as usize / 64] >> (r % 64) & 1 == 1
+}
+
+/// Puts register `r` into the bitset, or takes it out.
+fn put(set: &mut [u64; 4], r: Reg, on: bool) {
+    let (word, bit) = (r as usize / 64, 1u64 << (r % 64));
+    if on {
+        set[word] |= bit;
+    } else {
+        set[word] &= !bit;
+    }
+}
+
+/// Rows [`walk`] keeps for `body`: one per register up to the highest it
+/// moves or computes into, the only writes that make a register
+/// lane-pure.
+fn rows_for(body: &[Instr]) -> usize {
+    let rows = |i: &Instr| match i {
+        Instr::Alu { dst, .. } | Instr::Mov { dst, .. } => usize::from(*dst) + 1,
+        Instr::Pred { then_body, else_body, .. } => rows_for(then_body).max(rows_for(else_body)),
+        Instr::Repeat { body, .. } => rows_for(body),
+        _ => 0,
+    };
+    body.iter().map(rows).max().unwrap_or(0)
+}
+
+/// `out[l] ← op(x[l], y[l])`: one branch on `op`, then a lane loop with
+/// the operation inlined.
+fn alu_row(op: AluOp, x: &[i64], y: &[i64], out: &mut [i64]) {
+    macro_rules! rows {
+        ($($op:ident)*) => {
+            match op {
+                $(AluOp::$op => {
+                    for ((o, &p), &q) in out.iter_mut().zip(x).zip(y) {
+                        *o = AluOp::$op.apply(p, q);
+                    }
+                })*
+            }
+        };
+    }
+    rows!(Add Sub Mul Div Rem Min Max And Or Xor Shl Shr SetLt SetEq);
+}
+
+/// The lanes `l` where `holds(x[l], y[l])`, as a mask.
+fn lanes_where(x: &[i64], y: &[i64], holds: impl Fn(i64, i64) -> bool) -> u64 {
+    x.iter().zip(y).enumerate().fold(0, |m, (l, (&p, &q))| m | u64::from(holds(p, q)) << l)
+}
+
 impl LaneValues {
-    /// A tracker for `b ≤ 64` lanes; all registers start unknown.
-    fn new(b: u32) -> Self {
+    /// A tracker for `b ≤ 64` lanes with rows for registers `0..regs`;
+    /// all registers start unknown.
+    fn new(b: u32, regs: usize) -> Self {
         debug_assert!((1..=64).contains(&b));
         let full = if b >= 64 { u64::MAX } else { (1u64 << b) - 1 };
-        Self { b, full, vals: vec![None; 256], uniform: [0; 4] }
+        let b = b as usize;
+        Self { b, full, rows: vec![0; regs * b], pure: [0; 4], uniform: [0; 4] }
     }
 
     fn is_uniform(&self, r: Reg) -> bool {
-        self.uniform[r as usize / 64] >> (r % 64) & 1 == 1
+        has(&self.uniform, r)
     }
 
     fn operand_uniform(&self, op: Operand) -> bool {
@@ -210,68 +272,56 @@ impl LaneValues {
         }
     }
 
-    fn set_uniform(&mut self, r: Reg, uniform: bool) {
-        let (word, bit) = (r as usize / 64, 1u64 << (r % 64));
-        if uniform {
-            self.uniform[word] |= bit;
-        } else {
-            self.uniform[word] &= !bit;
-        }
+    /// The lanes of a lane-pure register.
+    fn row(&self, r: Reg) -> &[i64] {
+        &self.rows[r as usize * self.b..][..self.b]
     }
 
-    /// Per-lane values of an operand, when they are a compile-time
-    /// function of the lane index alone.
-    fn operand_values(&self, op: Operand) -> Option<Box<[i64; 64]>> {
+    /// Writes `op`'s lanes into `out` when they are a compile-time
+    /// function of the lane index alone: an immediate, the lane index or
+    /// a lane-pure register.
+    fn lanes_of(&self, op: Operand, out: &mut [i64; 64]) -> bool {
+        let out = &mut out[..self.b];
         match op {
-            Operand::Imm(v) => Some(Box::new([v; 64])),
-            Operand::Lane => {
-                let mut vals = [0i64; 64];
-                for (l, slot) in vals.iter_mut().enumerate() {
-                    *slot = l as i64;
-                }
-                Some(Box::new(vals))
-            }
-            Operand::Reg(r) => self.vals[r as usize].clone(),
-            _ => None,
+            Operand::Imm(v) => out.fill(v),
+            Operand::Lane => out.iter_mut().zip(0..).for_each(|(slot, l)| *slot = l),
+            Operand::Reg(r) if has(&self.pure, r) => out.copy_from_slice(self.row(r)),
+            _ => return false,
         }
+        true
     }
 
     /// Records `dst ← a op b`; `under_full_mask` says the write covers
     /// every lane (anything else forgets the register).
-    fn record_alu(
-        &mut self,
-        op: crate::instr::AluOp,
-        dst: Reg,
-        a: Operand,
-        b: Operand,
-        under_full_mask: bool,
-    ) {
-        let vals = if under_full_mask {
-            self.operand_values(a).zip(self.operand_values(b)).map(|(va, vb)| {
-                let mut out = Box::new([0i64; 64]);
-                for (slot, (x, y)) in out.iter_mut().zip(va.iter().zip(vb.iter())) {
-                    *slot = op.apply(*x, *y);
-                }
-                out
-            })
-        } else {
-            None
-        };
-        self.vals[dst as usize] = vals;
+    fn record_alu(&mut self, op: AluOp, dst: Reg, a: Operand, b: Operand, under_full_mask: bool) {
+        let (mut x, mut y) = ([0; 64], [0; 64]);
+        let pure = under_full_mask && self.lanes_of(a, &mut x) && self.lanes_of(b, &mut y);
+        if pure {
+            let n = self.b;
+            alu_row(op, &x[..n], &y[..n], &mut self.rows[dst as usize * n..][..n]);
+        }
+        put(&mut self.pure, dst, pure);
         let uniform = under_full_mask && self.operand_uniform(a) && self.operand_uniform(b);
-        self.set_uniform(dst, uniform);
+        put(&mut self.uniform, dst, uniform);
     }
 
     /// Records `dst ← src` under the same rule as [`Self::record_alu`].
     fn record_mov(&mut self, dst: Reg, src: Operand, under_full_mask: bool) {
-        self.vals[dst as usize] = if under_full_mask { self.operand_values(src) } else { None };
-        self.set_uniform(dst, under_full_mask && self.operand_uniform(src));
+        let mut x = [0; 64];
+        let pure = under_full_mask && self.lanes_of(src, &mut x);
+        if pure {
+            let n = self.b;
+            self.rows[dst as usize * n..][..n].copy_from_slice(&x[..n]);
+        }
+        put(&mut self.pure, dst, pure);
+        let uniform = under_full_mask && self.operand_uniform(src);
+        put(&mut self.uniform, dst, uniform);
     }
 
     /// Forgets one register (a data-dependent or partial-mask write).
     fn kill(&mut self, dst: Reg) {
-        self.vals[dst as usize] = None;
-        self.set_uniform(dst, false);
+        put(&mut self.pure, dst, false);
+        put(&mut self.uniform, dst, false);
     }
 
     /// Forgets every register `body` can write (a zero-trip loop writes
@@ -303,25 +353,21 @@ impl LaneValues {
     }
 
     /// Folds a predicate whose operands are lane-pure (immediates, the
-    /// lane index, or tracked registers) into a constant lane mask.
+    /// lane index, or lane-pure registers) into a constant lane mask, by
+    /// comparing its two operand rows.
     fn pred_mask(&self, pred: &PredExpr) -> Option<u64> {
         let (a, b) = pred.operands();
-        let pure = |op: Operand| match op {
-            Operand::Imm(_) | Operand::Lane => true,
-            Operand::Reg(r) => self.vals[r as usize].is_some(),
-            _ => false,
-        };
-        if !pure(a) || !pure(b) {
+        let (mut x, mut y) = ([0; 64], [0; 64]);
+        if !self.lanes_of(a, &mut x) || !self.lanes_of(b, &mut y) {
             return None;
         }
-        let mut mask = 0u64;
-        for lane in 0..self.b {
-            let mut read = |r: Reg| self.vals[r as usize].as_ref().map_or(0, |v| v[lane as usize]);
-            if pred.eval(i64::from(lane), (0, 0), &[], &mut read) {
-                mask |= 1 << lane;
-            }
-        }
-        Some(mask)
+        let (x, y) = (&x[..self.b], &y[..self.b]);
+        Some(match pred {
+            PredExpr::Lt(..) => lanes_where(x, y, |p, q| p < q),
+            PredExpr::Le(..) => lanes_where(x, y, |p, q| p <= q),
+            PredExpr::Eq(..) => lanes_where(x, y, |p, q| p == q),
+            PredExpr::Ne(..) => lanes_where(x, y, |p, q| p != q),
+        })
     }
 }
 
@@ -329,11 +375,10 @@ impl LaneValues {
 mod tests {
     use super::*;
     use crate::expr::AddrExpr;
-    use crate::instr::AluOp;
 
     #[test]
     fn lane_imm_predicates_fold_without_registers() {
-        let t = LaneValues::new(8);
+        let t = LaneValues::new(8, 256);
         assert_eq!(t.pred_mask(&PredExpr::Lt(Operand::Lane, Operand::Imm(3))), Some(0b111));
         assert_eq!(t.pred_mask(&PredExpr::Ne(Operand::Lane, Operand::Imm(0))), Some(0b1111_1110));
         assert_eq!(t.pred_mask(&PredExpr::Lt(Operand::Block, Operand::Imm(3))), None);
@@ -341,7 +386,7 @@ mod tests {
 
     #[test]
     fn register_chains_stay_pure() {
-        let mut t = LaneValues::new(8);
+        let mut t = LaneValues::new(8, 256);
         t.record_alu(AluOp::Rem, 2, Operand::Lane, Operand::Imm(4), true);
         assert_eq!(t.pred_mask(&PredExpr::Eq(Operand::Reg(2), Operand::Imm(0))), Some(0b0001_0001));
         // A chained op through the tracked register remains pure.
@@ -351,7 +396,7 @@ mod tests {
 
     #[test]
     fn partial_mask_and_loads_forget() {
-        let mut t = LaneValues::new(8);
+        let mut t = LaneValues::new(8, 256);
         t.record_mov(0, Operand::Imm(1), true);
         assert!(t.pred_mask(&PredExpr::Eq(Operand::Reg(0), Operand::Imm(1))).is_some());
         t.record_mov(0, Operand::Imm(2), false); // divergent write
@@ -363,7 +408,7 @@ mod tests {
 
     #[test]
     fn uniform_registers_follow_the_same_rules() {
-        let mut t = LaneValues::new(8);
+        let mut t = LaneValues::new(8, 256);
         // Scan's `1 << t` and gemv's `(b/2) >> t`: uniform, not lane-pure.
         t.record_alu(AluOp::Shl, 0, Operand::Imm(1), Operand::LoopVar(0), true);
         t.record_alu(AluOp::Shr, 1, Operand::Imm(4), Operand::Reg(0), true);
@@ -388,7 +433,7 @@ mod tests {
 
     #[test]
     fn kill_written_walks_nested_bodies() {
-        let mut t = LaneValues::new(8);
+        let mut t = LaneValues::new(8, 256);
         t.record_mov(0, Operand::Imm(1), true);
         t.record_mov(1, Operand::Imm(1), true);
         let body = vec![Instr::Repeat {

@@ -3,7 +3,7 @@
 
 use atgpu::algos::verify_on_sim;
 use atgpu::algos::{reduce::Reduce, reduce::ReduceVariant, scan::Scan, vecadd::VecAdd};
-use atgpu::analyze::coalesce::{lane_block_count, residue_histogram, site_transactions};
+use atgpu::analyze::coalesce::{fold_dimension, lane_block_count, site_transactions};
 use atgpu::ir::affine::{lower, CompiledAddr};
 use atgpu::ir::AddrExpr;
 use atgpu::model::cost::{evaluate, CostModel};
@@ -71,12 +71,14 @@ proptest! {
         prop_assert!(c >= 1 && c <= b, "count {} out of [1, {}]", c, b);
     }
 
-    /// Residue histograms conserve mass and stay within b buckets.
+    /// A dimension's residue histogram (the class of 0 folded by it)
+    /// conserves mass.
     #[test]
     fn residue_histogram_mass(count in 0u64..5000, coef in -100i64..100) {
-        let b = 32u64;
-        let h = residue_histogram(count, coef, b);
-        prop_assert_eq!(h.len(), 32);
+        let mut unit = [0u64; 32];
+        unit[0] = 1;
+        let mut h = [0u64; 32];
+        fold_dimension(&unit, &mut h, count, coef);
         prop_assert_eq!(h.iter().sum::<u64>(), count);
     }
 
