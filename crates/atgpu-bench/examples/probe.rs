@@ -40,14 +40,21 @@
 //!    every global site, as the analyser counts `q`.
 //! 5. **One launch** — what a launch costs the host beside its blocks,
 //!    for `launch_storm`'s `relaunch_400x8` on a warm device (every
-//!    launch a cache hit whose predecessor is the same kernel) and its
+//!    launch a cache hit whose predecessor is the same kernel), its
 //!    four sweep kinds at `n = 24·b` on a fresh device per pass (every
-//!    launch a miss): best-of-N µs per launch of `Device::run_kernel`
-//!    and of its parts — lowering (`CompiledKernel::compile`), cache
-//!    lookup (`KernelCache::get_or_compile` after the program's previous
-//!    launch; on a miss, less the lowering), block execution (the bare
-//!    executor loop of section 1) and the rest, MP and executor set-up
-//!    with the issue loop — and the allocator calls of one such launch.
+//!    launch a miss), and its `sweep_reduce_768` again on a warm device
+//!    (`keyed`: every launch a hit whose predecessor is the other
+//!    kernel, so it is found by its key): best-of-N µs per launch of
+//!    `Device::run_kernel` and of its parts — the cache lookup
+//!    (`KernelCache::get_or_compile` after the program's previous
+//!    launch), split into the lowering a miss includes
+//!    (`CompiledKernel::compile`), the key (`cache::entry_key`, paid by
+//!    a launch whose predecessor is another kernel) and the rest (the
+//!    confirming comparison; a miss's validation, structure copy and
+//!    insert); block
+//!    execution (the bare executor loop of section 1) and the rest of
+//!    the launch, MP and executor set-up with the issue loop — and the
+//!    allocator calls of one such launch.
 //! 6. **Transfers** — first the **interleaved pass**: `cluster_transfer`'s
 //!    fourteen requests in the benchmark's order (fault plan included
 //!    where the benchmark has one), N passes, µs per pass (best and
@@ -119,6 +126,7 @@ use atgpu_ir::validate::validate_program;
 use atgpu_ir::{AddrExpr, AluOp, DBuf, HostStep, Instr, Kernel, KernelBuilder, Operand, Program};
 use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
 use atgpu_serve::{CostServer, Keys, PriceMemo, PriceSource, Quote, ServerConfig, VerifyMemo};
+use atgpu_sim::cache::entry_key;
 use atgpu_sim::engine::{BlockExec, BlockSim, Scratch};
 use atgpu_sim::gmem::GlobalMemory;
 use atgpu_sim::uop::CompiledKernel;
@@ -250,10 +258,9 @@ fn launches(cfg: &ExpConfig, device: &Device, built: &BuiltProgram) -> (Vec<Laun
                 gmem.copy_out(bases[dev.0 as usize] + dev_off, dst);
             }
             HostStep::Launch(kernel) => {
-                let nregs = kernel.max_reg().map_or(1, |r| u32::from(r) + 1);
                 out.push(Launch {
                     kernel: kernel.clone(),
-                    compiled: CompiledKernel::compile(kernel, &bases, b as u32, nregs),
+                    compiled: CompiledKernel::compile(kernel, &bases, b as u32, 0),
                     before: gmem.words().to_vec(),
                 });
                 device.run_kernel(kernel, &mut gmem, ExecMode::Sequential, false).unwrap();
@@ -598,32 +605,37 @@ fn launch_cost(cfg: &ExpConfig) {
     // `launch_storm`'s programs as the benchmark builds them at seed 1.
     let s = |k: u64| 0x9E37_79B9u64 + 1000 + k;
     let n = 24 * machine.b;
-    let programs: Vec<(&str, bool, BuiltProgram)> = vec![
+    let reduce = || Reduce::new(n, s(524)).build(machine).unwrap();
+    let programs: Vec<(&str, &str, BuiltProgram)> = vec![
         (
             "relaunch_400x8",
-            true,
+            "warm",
             VecAdd::new(8 * machine.b, s(0)).build_relaunched(machine, 400).unwrap(),
         ),
-        ("sweep_vecadd_768", false, VecAdd::new(n, s(224)).build(machine).unwrap()),
-        ("sweep_saxpy_768", false, Saxpy::new(n, 3, s(324)).build(machine).unwrap()),
-        ("sweep_dot_768", false, Dot::new(n, s(424)).build(machine).unwrap()),
-        ("sweep_reduce_768", false, Reduce::new(n, s(524)).build(machine).unwrap()),
+        ("sweep_vecadd_768", "cold", VecAdd::new(n, s(224)).build(machine).unwrap()),
+        ("sweep_saxpy_768", "cold", Saxpy::new(n, 3, s(324)).build(machine).unwrap()),
+        ("sweep_dot_768", "cold", Dot::new(n, s(424)).build(machine).unwrap()),
+        ("sweep_reduce_768", "cold", reduce()),
+        ("sweep_reduce_768", "keyed", reduce()),
     ];
-    println!("\none launch, best of {LAUNCH_REPLAYS} passes, us per launch (setup = launch less the rest)");
+    println!("\none launch, best of {LAUNCH_REPLAYS} passes, us per launch (setup = launch less lookup and blocks)");
     println!(
-        "{:<18} {:>5} {:>8} {:>6} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7}",
+        "{:<18} {:>5} {:>8} {:>6} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>7}",
         "program",
         "mode",
         "launches",
         "grid",
         "launch",
-        "lower",
         "lookup",
+        "lower",
+        "key",
+        "rest",
         "setup",
         "blocks",
         "allocs"
     );
-    for (name, warm, built) in &programs {
+    for (name, mode, built) in &programs {
+        let warm = *mode != "cold";
         let capture = Device::new(*machine, cfg.spec).unwrap();
         let (launches, mut gmem) = launches(cfg, &capture, built);
         let count = launches.len();
@@ -633,8 +645,8 @@ fn launch_cost(cfg: &ExpConfig) {
             launch_on(device, gmem, &launches[i])();
         };
         // A device as a launch of this program finds it: one that has run
-        // the whole program before (warm), or a fresh one that has run
-        // only the launches before this one (cold).
+        // the whole program before (warm or keyed), or a fresh one that
+        // has run only the launches before this one (cold).
         let warm_device = fresh();
         (0..count).for_each(|i| run(&warm_device, &mut gmem, i));
         let device_for = |i: usize, gmem: &mut GlobalMemory| -> Device {
@@ -642,10 +654,19 @@ fn launch_cost(cfg: &ExpConfig) {
             (0..i).for_each(|j| run(&device, gmem, j));
             device
         };
+        // The launches the cache has seen before launch `i`, the last of
+        // them its predecessor.
+        let before = |i: usize| {
+            if warm {
+                (i + count - 1) % count..(i + count - 1) % count + 1
+            } else {
+                0..i
+            }
+        };
 
         let launch = per_launch_best(count, |i| {
             let cold;
-            let device = if *warm {
+            let device = if warm {
                 &warm_device
             } else {
                 cold = device_for(i, &mut gmem);
@@ -655,7 +676,7 @@ fn launch_cost(cfg: &ExpConfig) {
         });
         let allocs = {
             let cold;
-            let device = if *warm {
+            let device = if warm {
                 &warm_device
             } else {
                 cold = device_for(count - 1, &mut gmem);
@@ -666,27 +687,38 @@ fn launch_cost(cfg: &ExpConfig) {
 
         let lower = per_launch_best(count, |i| {
             let k = &launches[i].kernel;
-            let nregs = k.max_reg().map_or(1, |r| u32::from(r) + 1);
-            us(|| drop(black_box(CompiledKernel::compile(k, &bases, b, nregs))))
+            us(|| drop(black_box(CompiledKernel::compile(k, &bases, b, 0))))
+        });
+        // A launch pays the key unless its predecessor is its own kernel.
+        let key = per_launch_best(count, |i| {
+            let kernel = &launches[i].kernel;
+            let previous = before(i).last().map(|j| &launches[j].kernel);
+            if previous.is_some_and(|p| p.same_structure(kernel)) {
+                0.0
+            } else {
+                us(|| {
+                    black_box(entry_key(kernel, &bases, b));
+                })
+            }
         });
         // The lookup after the program's previous launch, as the device
-        // makes it: on a cache that holds the program (warm), or one that
-        // holds only the launches before this one (cold, less the
-        // lowering a miss includes).
+        // makes it: on a cache that holds the program (warm, keyed), or
+        // one that holds only the launches before this one (cold: a miss,
+        // its lowering included).
         let warm_cache = KernelCache::new(64);
         for l in &launches {
             warm_cache.get_or_compile(&l.kernel, &bases, b, &mut None).expect("a valid launch");
         }
         let lookup = per_launch_best(count, |i| {
             let cold_cache;
-            let (cache, before) = if *warm {
-                (&warm_cache, (i + count - 1) % count..(i + count - 1) % count + 1)
+            let cache = if warm {
+                &warm_cache
             } else {
                 cold_cache = KernelCache::new(64);
-                (&cold_cache, 0..i)
+                &cold_cache
             };
             let mut previous = None;
-            for j in before {
+            for j in before(i) {
                 cache.get_or_compile(&launches[j].kernel, &bases, b, &mut previous).expect("valid");
             }
             let kernel = &launches[i].kernel;
@@ -698,15 +730,14 @@ fn launch_cost(cfg: &ExpConfig) {
         });
 
         let mean = |v: &[f64]| v.iter().sum::<f64>() / count as f64;
-        let (launch, lower, lookup, blocks) =
-            (mean(&launch), mean(&lower), mean(&lookup), mean(&blocks));
-        // A miss's lookup includes its lowering: they are reported apart.
+        let (launch, lookup, lower, key, blocks) =
+            (mean(&launch), mean(&lookup), mean(&lower), mean(&key), mean(&blocks));
         let setup = launch - lookup - blocks;
-        let lookup = if *warm { lookup } else { (lookup - lower).max(0.0) };
+        // Only a miss lowers.
+        let rest = lookup - key - if warm { 0.0 } else { lower };
         let grid = launches.iter().map(|l| l.kernel.blocks()).sum::<u64>() as f64 / count as f64;
-        let mode = if *warm { "warm" } else { "cold" };
         println!(
-            "{name:<18} {mode:>5} {count:>8} {grid:>6.1} {launch:>8.2} {lower:>8.2} {lookup:>8.2} {setup:>8.2} {blocks:>8.2} {allocs:>7}"
+            "{name:<18} {mode:>5} {count:>8} {grid:>6.1} {launch:>8.2} {lookup:>8.2} {lower:>8.2} {key:>8.2} {rest:>8.2} {setup:>8.2} {blocks:>8.2} {allocs:>7}"
         );
     }
 }

@@ -253,6 +253,32 @@ impl Instr {
     pub fn st_shr(shared: AddrExpr, src: Operand) -> Instr {
         Instr::StShr { shared: CompiledAddr::compile(shared), src }
     }
+
+    /// Highest register this node names itself — its destination,
+    /// operands, addresses and predicate, not the instructions of its
+    /// arms or loop body (a walk that visits every node takes the
+    /// maximum; [`crate::Kernel::max_reg`] is that walk).
+    #[inline]
+    pub fn own_max_reg(&self) -> Option<Reg> {
+        let reg = |op: Operand| match op {
+            Operand::Reg(r) => Some(r),
+            _ => None,
+        };
+        match self {
+            Instr::Alu { dst, a, b, .. } => Some(*dst).max(reg(*a)).max(reg(*b)),
+            Instr::Mov { dst, src } => Some(*dst).max(reg(*src)),
+            Instr::GlbToShr { shared, global } | Instr::ShrToGlb { global, shared } => {
+                shared.max_reg().max(global.offset.max_reg())
+            }
+            Instr::LdShr { dst, shared } => Some(*dst).max(shared.max_reg()),
+            Instr::StShr { shared, src } => shared.max_reg().max(reg(*src)),
+            Instr::Pred { pred, .. } => {
+                let (a, b) = pred.operands();
+                reg(a).max(reg(b))
+            }
+            Instr::Repeat { .. } | Instr::Sync => None,
+        }
+    }
 }
 
 impl fmt::Display for Instr {

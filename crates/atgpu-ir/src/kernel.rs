@@ -41,13 +41,13 @@ impl Kernel {
     /// cross-launch cache entry while any instruction, grid or
     /// shared-size mutation changes the key.
     ///
-    /// The hash is FNV-1a over the `Hash` encoding of the body: unkeyed
-    /// (unlike `DefaultHasher`, which may be randomly seeded), so the
-    /// same kernel hashes identically in every process of the same
-    /// build.  The `Hash` encoding writes lengths and discriminants in
-    /// native width/endianness, so keys are **per-platform** — fine for
-    /// the in-process cache they address; do not persist them across
-    /// heterogeneous machines.
+    /// The hash is [`Fnv1a`]'s word step over the `Hash` encoding of the
+    /// body, one step per field: unkeyed (unlike `DefaultHasher`, which
+    /// may be randomly seeded), so the same kernel hashes identically in
+    /// every process of the same build.  The `Hash` encoding writes
+    /// lengths and discriminants at native width, so keys are
+    /// **per-platform** — fine for the in-process cache they address; do
+    /// not persist them across heterogeneous machines.
     pub fn cache_key(&self) -> u64 {
         let mut h = Fnv1a::default();
         self.hash_structure(&mut h);
@@ -65,8 +65,8 @@ impl Kernel {
 
     /// Whether `self` and `other` have the same structure: everything
     /// [`Kernel::cache_key`] hashes, compared exactly, and never the name.
-    /// This is what confirms a hit on that key — a 64-bit FNV-1a is not
-    /// collision-resistant, and every immediate is eight free bytes.
+    /// This is what confirms a hit on that key — a 64-bit [`Fnv1a`] is
+    /// not collision-resistant, and every immediate is a free word.
     ///
     /// It is also the one identity a reuse *within a program* may use:
     /// the verifier, the analyser and the quote key each let a launch
@@ -82,50 +82,16 @@ impl Kernel {
     /// Highest register index referenced anywhere in the body, if any.
     pub fn max_reg(&self) -> Option<Reg> {
         fn walk(body: &[Instr]) -> Option<Reg> {
-            let mut max: Option<Reg> = None;
-            let mut bump = |r: Option<Reg>| {
-                max = match (max, r) {
-                    (Some(a), Some(b)) => Some(a.max(b)),
-                    (a, b) => a.or(b),
-                }
-            };
+            let mut max = None;
             for i in body {
-                match i {
-                    Instr::Alu { dst, a, b, .. } => {
-                        bump(Some(*dst));
-                        bump(operand_reg(*a));
-                        bump(operand_reg(*b));
+                let inner = match i {
+                    Instr::Pred { then_body, else_body, .. } => {
+                        walk(then_body).max(walk(else_body))
                     }
-                    Instr::Mov { dst, src } => {
-                        bump(Some(*dst));
-                        bump(operand_reg(*src));
-                    }
-                    Instr::GlbToShr { shared, global } => {
-                        bump(shared.max_reg());
-                        bump(global.offset.max_reg());
-                    }
-                    Instr::ShrToGlb { global, shared } => {
-                        bump(shared.max_reg());
-                        bump(global.offset.max_reg());
-                    }
-                    Instr::LdShr { dst, shared } => {
-                        bump(Some(*dst));
-                        bump(shared.max_reg());
-                    }
-                    Instr::StShr { shared, src } => {
-                        bump(shared.max_reg());
-                        bump(operand_reg(*src));
-                    }
-                    Instr::Pred { pred, then_body, else_body } => {
-                        let (a, b) = pred.operands();
-                        bump(operand_reg(a));
-                        bump(operand_reg(b));
-                        bump(walk(then_body));
-                        bump(walk(else_body));
-                    }
-                    Instr::Repeat { body, .. } => bump(walk(body)),
-                    Instr::Sync => {}
-                }
+                    Instr::Repeat { body, .. } => walk(body),
+                    _ => None,
+                };
+                max = max.max(i.own_max_reg()).max(inner);
             }
             max
         }
@@ -167,12 +133,27 @@ impl Kernel {
     }
 }
 
-/// FNV-1a over the byte stream the `Hash` impls feed it — a fixed,
-/// unkeyed function so [`Kernel::cache_key`] is reproducible run to run.
+/// The structural hasher: FNV-1a's offset basis and prime, mixing one
+/// 64-bit word per step, `h ← ((h ⊕ w)·P) rotl 23` — the step the repo
+/// benchmark's determinism digest uses.  Every fixed-width `write_*`
+/// folds its value as one word; `write(&[u8])` folds 8-byte
+/// little-endian chunks, then the tail bytes as one word that carries
+/// their count in its top byte; `finish` applies one multiply-xorshift
+/// avalanche.  Each step is a bijection of the state for a fixed word
+/// and of the word for a fixed state, and so is the avalanche: two
+/// streams of one length that differ in one word never collide.  A fixed, unkeyed
+/// function, so [`Kernel::cache_key`] is reproducible run to run.
 /// Not collision-resistant: a key it computes names a question only
 /// where a hit is confirmed, or where a collision costs nothing.
 #[derive(Debug, Clone, Copy)]
 pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    #[inline(always)]
+    fn mix(&mut self, w: u64) {
+        self.0 = (self.0 ^ w).wrapping_mul(0x0000_0100_0000_01b3).rotate_left(23);
+    }
+}
 
 impl Default for Fnv1a {
     fn default() -> Self {
@@ -183,22 +164,45 @@ impl Default for Fnv1a {
 impl Hasher for Fnv1a {
     #[inline]
     fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        for chunk in bytes.chunks(8) {
+            let mut w = [0u8; 8];
+            w[..chunk.len()].copy_from_slice(chunk);
+            if chunk.len() < 8 {
+                w[7] = chunk.len() as u8;
+            }
+            self.mix(u64::from_le_bytes(w));
         }
     }
 
     #[inline]
-    fn finish(&self) -> u64 {
-        self.0
+    fn write_u8(&mut self, i: u8) {
+        self.mix(u64::from(i));
     }
-}
 
-fn operand_reg(op: crate::expr::Operand) -> Option<Reg> {
-    match op {
-        crate::expr::Operand::Reg(r) => Some(r),
-        _ => None,
+    #[inline]
+    fn write_u16(&mut self, i: u16) {
+        self.mix(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u32(&mut self, i: u32) {
+        self.mix(u64::from(i));
+    }
+
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.mix(i);
+    }
+
+    #[inline]
+    fn write_usize(&mut self, i: usize) {
+        self.mix(i as u64);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        let h = (self.0 ^ self.0 >> 32).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^ h >> 29
     }
 }
 
@@ -308,11 +312,52 @@ mod tests {
 
     #[test]
     fn cache_key_is_deterministic() {
-        // FNV-1a is unkeyed: the same kernel hashes identically in every
+        // `Fnv1a` is unkeyed: the same kernel hashes identically in every
         // process of the same build (no per-process hasher seeding).
         let a = sample().cache_key();
         let b = sample().cache_key();
         assert_eq!(a, b);
+    }
+
+    fn hash(f: impl FnOnce(&mut Fnv1a)) -> u64 {
+        let mut h = Fnv1a::default();
+        f(&mut h);
+        h.finish()
+    }
+
+    /// A byte slice is its 8-byte little-endian words, then one word for
+    /// the tail that carries the tail's length, so a shorter tail of the
+    /// same bytes is another stream.
+    #[test]
+    fn bytes_fold_as_words() {
+        let v = 0x0123_4567_89ab_cdefu64;
+        assert_eq!(hash(|h| h.write(&v.to_le_bytes())), hash(|h| h.write_u64(v)));
+        let bytes: Vec<u8> = (1..=11).collect();
+        let tail = u64::from_le_bytes([9, 10, 11, 0, 0, 0, 0, 3]);
+        let words = hash(|h| {
+            h.write_u64(u64::from_le_bytes([1, 2, 3, 4, 5, 6, 7, 8]));
+            h.write_u64(tail);
+        });
+        assert_eq!(hash(|h| h.write(&bytes)), words);
+        assert_ne!(hash(|h| h.write(&[1])), hash(|h| h.write(&[1, 0])));
+        assert_ne!(hash(|h| h.write(&[])), hash(|h| h.write(&[0])));
+    }
+
+    /// Every fixed-width write is one step on the widened value.
+    #[test]
+    fn fixed_widths_fold_one_word() {
+        let w = hash(|h| h.write_u64(200));
+        assert_eq!(hash(|h| h.write_u8(200)), w);
+        assert_eq!(hash(|h| h.write_u16(200)), w);
+        assert_eq!(hash(|h| h.write_u32(200)), w);
+        assert_eq!(hash(|h| h.write_usize(200)), w);
+        assert_eq!(hash(|h| h.write_i64(-1)), hash(|h| h.write_u64(u64::MAX)));
+        assert_ne!(hash(|h| h.write_u64(1)), hash(|h| h.write_u64(2)));
+        let both = hash(|h| {
+            h.write_u64(1);
+            h.write_u64(2);
+        });
+        assert_ne!(both, hash(|h| h.write_u64(2)));
     }
 
     #[test]

@@ -26,22 +26,98 @@ use crate::{MAX_LOOP_DEPTH, MAX_REGS};
 /// Validates one kernel: register range, loop depth, loop-variable
 /// scoping, and a non-empty launch whose block count fits in a `u64`.
 pub fn validate_kernel(k: &Kernel) -> Result<(), IrError> {
+    check_kernel(k, usize::MAX)
+}
+
+/// [`validate_kernel`] for a launch over `buffers` device buffers: one
+/// walk over the body, reporting in a fixed order — the grid, the highest
+/// register, the deepest nesting, the first loop variable read outside
+/// its loop, the first global access naming no launch buffer.
+fn check_kernel(k: &Kernel, buffers: usize) -> Result<(), IrError> {
     if k.grid.0.checked_mul(k.grid.1).is_none() {
         return Err(IrError::GridOverflow { grid: k.grid, kernel: k.name.clone() });
     }
     if k.blocks() == 0 {
         return Err(IrError::ZeroBlocks { kernel: k.name.clone() });
     }
-    if let Some(r) = k.max_reg() {
-        if r >= MAX_REGS {
-            return Err(IrError::RegisterOutOfRange { reg: r, kernel: k.name.clone() });
+    let mut scan = Scan { buffers, ..Scan::default() };
+    scan.body(&k.body, 0);
+    if let Some(reg) = scan.max_reg.filter(|&r| r >= MAX_REGS) {
+        return Err(IrError::RegisterOutOfRange { reg, kernel: k.name.clone() });
+    }
+    if scan.depth > MAX_LOOP_DEPTH {
+        return Err(IrError::LoopTooDeep { depth: scan.depth, kernel: k.name.clone() });
+    }
+    if let Some((var, enclosing)) = scan.out_of_scope {
+        return Err(IrError::LoopVarOutOfScope { var, enclosing, kernel: k.name.clone() });
+    }
+    match scan.unknown_buf {
+        Some(buf) => Err(IrError::UnknownDeviceBuf { buf }),
+        None => Ok(()),
+    }
+}
+
+/// What one walk over a kernel body finds for [`check_kernel`].
+#[derive(Default)]
+struct Scan {
+    /// Device buffers a global access may name.
+    buffers: usize,
+    /// Highest register any node names.
+    max_reg: Option<crate::Reg>,
+    /// Deepest loop nesting.
+    depth: usize,
+    /// The first loop variable read outside its loop, and how many loops
+    /// enclosed the read.
+    out_of_scope: Option<(u8, usize)>,
+    /// The first buffer a global access names beyond `buffers`.
+    unknown_buf: Option<u32>,
+}
+
+impl Scan {
+    fn body(&mut self, body: &[Instr], depth: usize) {
+        self.depth = self.depth.max(depth);
+        for i in body {
+            self.max_reg = self.max_reg.max(i.own_max_reg());
+            match i {
+                Instr::Alu { a, b, .. } => {
+                    self.var(operand_loop_var(*a), depth);
+                    self.var(operand_loop_var(*b), depth);
+                }
+                Instr::Mov { src, .. } => self.var(operand_loop_var(*src), depth),
+                Instr::GlbToShr { shared, global } | Instr::ShrToGlb { global, shared } => {
+                    self.var(shared.max_loop_var(), depth);
+                    self.var(global.offset.max_loop_var(), depth);
+                    if global.buf.0 as usize >= self.buffers && self.unknown_buf.is_none() {
+                        self.unknown_buf = Some(global.buf.0);
+                    }
+                }
+                Instr::LdShr { shared, .. } => self.var(shared.max_loop_var(), depth),
+                Instr::StShr { shared, src } => {
+                    self.var(shared.max_loop_var(), depth);
+                    self.var(operand_loop_var(*src), depth);
+                }
+                Instr::Pred { pred, then_body, else_body } => {
+                    let (a, b) = pred.operands();
+                    self.var(operand_loop_var(a), depth);
+                    self.var(operand_loop_var(b), depth);
+                    self.body(then_body, depth);
+                    self.body(else_body, depth);
+                }
+                Instr::Repeat { body, .. } => self.body(body, depth + 1),
+                Instr::Sync => {}
+            }
         }
     }
-    let depth = k.loop_depth();
-    if depth > MAX_LOOP_DEPTH {
-        return Err(IrError::LoopTooDeep { depth, kernel: k.name.clone() });
+
+    /// Notes a read of loop variable `v` under `depth` enclosing loops.
+    fn var(&mut self, v: Option<u8>, depth: usize) {
+        match v {
+            Some(d) if d as usize >= depth && self.out_of_scope.is_none() => {
+                self.out_of_scope = Some((d, depth));
+            }
+            _ => {}
+        }
     }
-    check_loop_scope(&k.body, 0, &k.name)
 }
 
 fn operand_loop_var(op: Operand) -> Option<u8> {
@@ -49,51 +125,6 @@ fn operand_loop_var(op: Operand) -> Option<u8> {
         Operand::LoopVar(d) => Some(d),
         _ => None,
     }
-}
-
-fn check_loop_scope(body: &[Instr], depth: usize, kernel: &str) -> Result<(), IrError> {
-    let check_var = |v: Option<u8>| -> Result<(), IrError> {
-        match v {
-            Some(d) if (d as usize) >= depth => Err(IrError::LoopVarOutOfScope {
-                var: d,
-                enclosing: depth,
-                kernel: kernel.to_string(),
-            }),
-            Some(_) | None => Ok(()),
-        }
-    };
-    for i in body {
-        match i {
-            Instr::Alu { a, b, .. } => {
-                check_var(operand_loop_var(*a))?;
-                check_var(operand_loop_var(*b))?;
-            }
-            Instr::Mov { src, .. } => check_var(operand_loop_var(*src))?,
-            Instr::GlbToShr { shared, global } => {
-                check_var(shared.max_loop_var())?;
-                check_var(global.offset.max_loop_var())?;
-            }
-            Instr::ShrToGlb { global, shared } => {
-                check_var(shared.max_loop_var())?;
-                check_var(global.offset.max_loop_var())?;
-            }
-            Instr::LdShr { shared, .. } => check_var(shared.max_loop_var())?,
-            Instr::StShr { shared, src } => {
-                check_var(shared.max_loop_var())?;
-                check_var(operand_loop_var(*src))?;
-            }
-            Instr::Pred { pred, then_body, else_body } => {
-                let (a, b) = pred.operands();
-                check_var(operand_loop_var(a))?;
-                check_var(operand_loop_var(b))?;
-                check_loop_scope(then_body, depth, kernel)?;
-                check_loop_scope(else_body, depth, kernel)?;
-            }
-            Instr::Repeat { body, .. } => check_loop_scope(body, depth + 1, kernel)?,
-            Instr::Sync => {}
-        }
-    }
-    Ok(())
 }
 
 /// Validates a whole program: every kernel, buffer references, transfer
@@ -330,26 +361,7 @@ fn check_range(kind: &str, name: &str, off: u64, words: u64, size: u64) -> Resul
 /// Validates `k` for a launch over `buffers` device buffers:
 /// [`validate_kernel`], and every global access names one of them.
 pub fn validate_launch(k: &Kernel, buffers: usize) -> Result<(), IrError> {
-    fn walk(body: &[Instr], buffers: usize) -> Result<(), IrError> {
-        for i in body {
-            match i {
-                Instr::GlbToShr { global, .. } | Instr::ShrToGlb { global, .. }
-                    if global.buf.0 as usize >= buffers =>
-                {
-                    return Err(IrError::UnknownDeviceBuf { buf: global.buf.0 });
-                }
-                Instr::Pred { then_body, else_body, .. } => {
-                    walk(then_body, buffers)?;
-                    walk(else_body, buffers)?;
-                }
-                Instr::Repeat { body, .. } => walk(body, buffers)?,
-                _ => {}
-            }
-        }
-        Ok(())
-    }
-    validate_kernel(k)?;
-    walk(&k.body, buffers)
+    check_kernel(k, buffers)
 }
 
 #[cfg(test)]
@@ -472,6 +484,49 @@ mod tests {
             validate_kernel(&kb.build()),
             Err(IrError::RegisterOutOfRange { reg, .. }) if reg == MAX_REGS
         ));
+    }
+
+    /// One walk finds every fault and reports them in a fixed order:
+    /// the highest register, then the deepest nesting, then the first
+    /// out-of-scope loop variable in program order, then the first
+    /// unknown buffer.
+    #[test]
+    fn faults_are_reported_in_a_fixed_order() {
+        let build = |reg: bool, deep: bool, scope: bool| {
+            let mut kb = KernelBuilder::new("k", 1, 8);
+            if scope {
+                kb.mov(0, Operand::LoopVar(2));
+                kb.mov(0, Operand::LoopVar(1));
+            }
+            kb.glb_to_shr(AddrExpr::lane(), crate::DBuf(3), AddrExpr::lane());
+            kb.glb_to_shr(AddrExpr::lane(), crate::DBuf(5), AddrExpr::lane());
+            let depth = if deep { 6 } else { 1 };
+            fn nest(kb: &mut KernelBuilder, left: usize, reg: bool) {
+                if left == 0 {
+                    kb.mov(if reg { MAX_REGS + 2 } else { 1 }, Operand::Imm(0));
+                    return;
+                }
+                kb.repeat(1, |kb| nest(kb, left - 1, reg));
+            }
+            nest(&mut kb, depth, reg);
+            if reg {
+                kb.mov(MAX_REGS, Operand::Imm(0));
+            }
+            kb.build()
+        };
+        let err = |k: &Kernel| validate_launch(k, 2).unwrap_err();
+        let max = MAX_REGS + 2;
+        assert!(
+            matches!(err(&build(true, true, true)), IrError::RegisterOutOfRange { reg, .. } if reg == max)
+        );
+        assert!(matches!(err(&build(false, true, true)), IrError::LoopTooDeep { depth: 6, .. }));
+        assert!(matches!(
+            err(&build(false, false, true)),
+            IrError::LoopVarOutOfScope { var: 2, enclosing: 0, .. }
+        ));
+        assert!(matches!(err(&build(false, false, false)), IrError::UnknownDeviceBuf { buf: 3 }));
+        assert!(validate_kernel(&build(false, false, false)).is_ok());
+        assert!(validate_launch(&build(false, false, false), 6).is_ok());
     }
 
     #[test]

@@ -281,22 +281,19 @@ impl ClusterSpec {
     /// key, while any observable mutation (one more device, a slower
     /// link, a different `H`) changes it.
     ///
-    /// The hash is unkeyed FNV-1a with `f64` fields hashed by bit
-    /// pattern (`to_bits`), so the same spec hashes identically in every
-    /// process of the same build.  Like `cache_key`, keys are
-    /// per-platform: use them for in-process memoization, not as a
-    /// persistent cross-machine format.
+    /// The hash is unkeyed, one word step per [`ClusterSpec::words`]
+    /// word with `f64` fields hashed by bit pattern (`to_bits`), so the
+    /// same spec hashes identically in every process of the same build.
+    /// Like `cache_key`, keys are per-platform: use them for in-process
+    /// memoization, not as a persistent cross-machine format.
     pub fn spec_key(&self) -> u64 {
-        // FNV-1a, identical constants to `atgpu_ir::Fnv1a` (this crate
-        // does not depend on the IR).
+        // `atgpu_ir::Fnv1a` fed each word with `write_u64`: identical
+        // constants, step and avalanche (this crate does not depend on
+        // the IR).
         let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        self.words(|v| {
-            for b in v.to_le_bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        });
-        h
+        self.words(|w| h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3).rotate_left(23));
+        let h = (h ^ h >> 32).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        h ^ h >> 29
     }
 
     /// Every word [`ClusterSpec::spec_key`] hashes, in order, handed to

@@ -143,14 +143,14 @@ fn shape(p: &ProgramBody, kernel_hash: impl Fn(&Kernel) -> u64, mut word: impl F
     }
 }
 
-/// A stable structural hash of a program's cost-relevant shape: FNV-1a
-/// over its words, kernels entering as their
-/// [`cache_key`](atgpu_ir::Kernel::cache_key).  Program, kernel and
+/// A stable structural hash of a program's cost-relevant shape:
+/// [`Fnv1a`]'s word step over its words, one step each, kernels entering
+/// as their [`cache_key`](atgpu_ir::Kernel::cache_key).  Program, kernel and
 /// buffer *names* are excluded.  Unkeyed, so anyone can collide it:
 /// the server's memos are keyed by `Keys` instead.
 pub fn program_key(p: &Program) -> u64 {
     let mut h = Fnv1a::default();
-    shape(p, Kernel::cache_key, |v| h.write(&v.to_le_bytes()));
+    shape(p, Kernel::cache_key, |v| h.write_u64(v));
     h.finish()
 }
 
@@ -429,6 +429,23 @@ mod tests {
         assert_eq!(program_key(&a), program_key(&renamed));
         let bigger = program(128, "k");
         assert_ne!(program_key(&a), program_key(&bigger));
+    }
+
+    /// The model crate keys a spec without the IR: `spec_key` is
+    /// [`Fnv1a`] fed every word of the spec, so the three unkeyed keys
+    /// hash by one rule.
+    #[test]
+    fn spec_key_is_the_one_hasher_over_its_words() {
+        let mut specs = vec![ClusterSpec::homogeneous(1, atgpu_model::GpuSpec::gtx650_like())];
+        let mut mixed = ClusterSpec::homogeneous(3, atgpu_model::GpuSpec::gtx650_like());
+        mixed.devices[1] = atgpu_model::GpuSpec::midrange_like();
+        mixed.peer_links[0][2] = mixed.peer_links[0][2].scaled(1.5);
+        specs.push(mixed);
+        for spec in &specs {
+            let mut h = Fnv1a::default();
+            spec.words(|w| h.write_u64(w));
+            assert_eq!(spec.spec_key(), h.finish());
+        }
     }
 
     #[test]

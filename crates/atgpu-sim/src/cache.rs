@@ -15,15 +15,18 @@
 //! * the device-buffer **base addresses** (compilation folds them into
 //!   affine sites and the coalescing transaction tables);
 //! * the lane count `b` (the register count is a function of the
-//!   structure).
+//!   structure, which the lowering's own walk counts).
 //!
-//! The key is FNV-1a over [`Kernel::hash_structure`], the bases and `b`;
-//! a hit is confirmed by [`CacheEntry::compiled_for`], which compares the
-//! structure, then the bases, then `b`, exactly.  A 64-bit FNV-1a is not
-//! collision-resistant (every immediate is eight free bytes), so a launch
+//! The key is [`entry_key`]: [`Fnv1a`]'s word step over
+//! [`Kernel::hash_structure`], the bases and `b`, one step per field.  A
+//! hit is confirmed by [`CacheEntry::compiled_for`], which compares the
+//! structure, then the bases, then `b`, exactly.  A 64-bit unkeyed hash is
+//! not collision-resistant (every immediate is a free word), so a launch
 //! whose key finds another kernel's entry compiles its own, as a miss
 //! that is not cached — on a shared server whose caches outlive
-//! requests, one tenant's compiled kernel never runs for another's.
+//! requests, one tenant's compiled kernel never runs for another's.  A
+//! miss therefore costs its key, one exact comparison at most, its
+//! validation and lowering, and the copy of the structure it keeps.
 //!
 //! ## The previous launch
 //!
@@ -35,7 +38,7 @@
 //! [`Arc::ptr_eq`] with it (structurally only if it is another entry):
 //! the one structural comparison the launch pays is against the
 //! previous kernel.  Only a launch that differs from
-//! its predecessor pays the FNV-1a pass.  The memo is still asked on
+//! its predecessor pays the key.  The memo is still asked on
 //! every launch, once: the previous entry only replaces the way the key
 //! is built, so hits, misses and FIFO residency are the same function of
 //! the launch sequence — an evicted previous entry is a miss that
@@ -77,7 +80,7 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 64;
 /// rule" in the module docs).
 #[derive(Debug)]
 pub struct CacheEntry {
-    /// The memo key: FNV-1a over the structure, the bases and `b`.
+    /// The memo key: [`entry_key`] of the launch it was compiled for.
     pub key: u64,
     /// The kernel with its name cleared.
     pub structure: Kernel,
@@ -97,8 +100,9 @@ impl CacheEntry {
     }
 }
 
-/// The key of a launch of `kernel` with `bases` and `b` lanes.
-fn entry_key(kernel: &Kernel, bases: &[u64], b: u32) -> u64 {
+/// The key of a launch of `kernel` with `bases` and `b` lanes (see
+/// "Keying rule" in the module docs).
+pub fn entry_key(kernel: &Kernel, bases: &[u64], b: u32) -> u64 {
     let mut h = Fnv1a::default();
     kernel.hash_structure(&mut h);
     bases.hash(&mut h);
@@ -178,13 +182,19 @@ impl KernelCache {
         };
         let (entry, _) = self.memo.get_or_try_compute(key, confirm, || {
             validate_launch(kernel, bases.len())?;
-            let nregs = kernel.max_reg().map_or(1, |r| u32::from(r) + 1);
+            let structure = Kernel {
+                name: String::new(),
+                body: kernel.body.clone(),
+                grid: kernel.grid,
+                shared_words: kernel.shared_words,
+            };
+            let compiled = CompiledKernel::compile(kernel, bases, b, 0);
             Ok::<_, SimError>(Arc::new(CacheEntry {
                 key,
-                structure: Kernel { name: String::new(), ..kernel.clone() },
+                structure,
                 bases: bases.into(),
                 b,
-                compiled: CompiledKernel::compile(kernel, bases, b, nregs),
+                compiled,
             }))
         })?;
         *last = Some(Arc::clone(&entry));
@@ -245,7 +255,7 @@ mod tests {
             structure: one.clone(),
             bases: Box::new([0]),
             b: 4,
-            compiled: CompiledKernel::compile(&one, &[0], 4, 1),
+            compiled: CompiledKernel::compile(&one, &[0], 4, 0),
         });
         cache.memo.get_or_compute(key, |_| true, || Arc::clone(&planted));
         let mut last = None;

@@ -312,8 +312,7 @@ mod tests {
     }
 
     fn compile(k: &Kernel, bases: &[u64]) -> CompiledKernel {
-        let nregs = k.max_reg().map(|r| u32::from(r) + 1).unwrap_or(1);
-        CompiledKernel::compile(k, bases, 4, nregs)
+        CompiledKernel::compile(k, bases, 4, 0)
     }
 
     /// Steps `mp` until no block is resident.

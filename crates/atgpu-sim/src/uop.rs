@@ -232,6 +232,9 @@ struct Compiler<'k> {
     sites: Vec<Site>,
     bases: &'k [u64],
     b: u32,
+    /// Registers per lane: the caller's floor, raised past every
+    /// register a node seen so far names.
+    nregs: u32,
     max_arm_depth: usize,
     /// The `Pred`s and `Repeat`s the walk has open, innermost last.
     open: Vec<Open>,
@@ -251,7 +254,9 @@ enum Open {
 
 impl CompiledKernel {
     /// Lowers `kernel` for a launch with the given device-buffer `bases`,
-    /// `b` lanes and `nregs` registers per lane.
+    /// `b` lanes and at least `nregs` registers per lane: the register
+    /// file always holds every register the body names, counted by the
+    /// lowering's own walk (so `nregs = 0` asks for exactly those).
     pub fn compile(kernel: &Kernel, bases: &[u64], b: u32, nregs: u32) -> Self {
         debug_assert!((1..=64).contains(&b));
         let mut c = Compiler {
@@ -259,6 +264,7 @@ impl CompiledKernel {
             sites: Vec::new(),
             bases,
             b,
+            nregs,
             max_arm_depth: 0,
             open: Vec::new(),
         };
@@ -270,7 +276,7 @@ impl CompiledKernel {
             grid: kernel.grid,
             shared_words: kernel.shared_words,
             b,
-            nregs: nregs.max(1),
+            nregs: c.nregs.max(1),
             max_arm_depth: c.max_arm_depth,
         }
     }
@@ -278,6 +284,9 @@ impl CompiledKernel {
 
 impl Visit for Compiler<'_> {
     fn node(&mut self, at: &At<'_>, instr: &Instr) {
+        if let Some(r) = instr.own_max_reg() {
+            self.nregs = self.nregs.max(u32::from(r) + 1);
+        }
         if matches!(self.open.last(), Some(Open::Dead)) {
             if matches!(instr, Instr::Pred { .. } | Instr::Repeat { .. }) {
                 self.open.push(Open::Dead);
@@ -426,8 +435,24 @@ mod tests {
     const FULL: u64 = u64::MAX >> 32;
 
     fn compile(kernel: &Kernel) -> CompiledKernel {
-        let nregs = kernel.max_reg().map(|r| u32::from(r) + 1).unwrap_or(1);
-        CompiledKernel::compile(kernel, &[0, 1024, 2048, 3072], 32, nregs)
+        CompiledKernel::compile(kernel, &[0, 1024, 2048, 3072], 32, 0)
+    }
+
+    /// The lowering counts the registers every node names — a dead
+    /// loop's and an address's included — as `Kernel::max_reg` does, and
+    /// a caller's `nregs` is a floor.
+    #[test]
+    fn register_count_is_the_walks() {
+        let mut kb = KernelBuilder::new("r", 1, 64);
+        kb.ld_shr(2, AddrExpr::reg(5));
+        kb.repeat(0, |kb| {
+            kb.mov(9, Operand::Imm(1));
+        });
+        let k = kb.build();
+        assert_eq!(k.max_reg(), Some(9));
+        assert_eq!(compile(&k).nregs, 10);
+        assert_eq!(CompiledKernel::compile(&k, &[0], 32, 12).nregs, 12);
+        assert_eq!(compile(&KernelBuilder::new("e", 1, 0).build()).nregs, 1);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! are engine/order-independent and any divergence the comparison finds
 //! is real.
 
+use atgpu_ir::affine::CompiledAddr;
 use atgpu_ir::{AddrExpr, AluOp, DBuf, Instr, Kernel, KernelBuilder, Operand};
 use atgpu_model::{AtgpuMachine, ClusterSpec, GpuSpec};
 use atgpu_sim::cache::DEFAULT_CACHE_CAPACITY;
@@ -137,6 +138,50 @@ proptest! {
         prop_assert_eq!(mut_stats, fresh_stats);
     }
 
+    /// The key mixes every bit of every word: flipping any one of the 64
+    /// bits of an immediate, of any affine coefficient, of either grid
+    /// dimension or of the shared footprint changes `cache_key`, while a
+    /// clone or a renamed copy keys alike.  (A launch that follows
+    /// another kernel is keyed, and its hit is checked word for word
+    /// against a fresh device by `alternating_kernels_count_by_the_one_rule`.)
+    #[test]
+    fn every_bit_of_every_word_changes_the_key(seed in 0u64..1_000_000_000) {
+        let (mut kernel, ..) = gen_kernel("cache", seed, Grid::Sharded);
+        // One immediate and one affine address in every kernel.
+        kernel.body.push(Instr::st_shr(AddrExpr::lane() * 3 + AddrExpr::block(), Operand::Imm(7)));
+        let key = kernel.cache_key();
+        prop_assert_eq!(kernel.clone().cache_key(), key);
+        let renamed = Kernel { name: format!("{}_renamed", kernel.name), ..kernel.clone() };
+        prop_assert_eq!(renamed.cache_key(), key);
+
+        let slots = words(&mut kernel.clone().body, &mut |_| {});
+        prop_assert!(slots >= 2, "an immediate and an affine coefficient");
+        for slot in 0..slots {
+            for bit in 0..64 {
+                let mut flipped = kernel.clone();
+                let mut at = 0;
+                words(&mut flipped.body, &mut |w| {
+                    if at == slot {
+                        *w ^= 1 << bit;
+                    }
+                    at += 1;
+                });
+                prop_assert!(flipped.cache_key() != key, "word {} bit {}", slot, bit);
+            }
+        }
+        for bit in 0..64 {
+            let mut k = kernel.clone();
+            k.grid.0 ^= 1 << bit;
+            prop_assert!(k.cache_key() != key, "grid x bit {}", bit);
+            let mut k = kernel.clone();
+            k.grid.1 ^= 1 << bit;
+            prop_assert!(k.cache_key() != key, "grid y bit {}", bit);
+            let mut k = kernel.clone();
+            k.shared_words ^= 1 << bit;
+            prop_assert!(k.cache_key() != key, "shared words bit {}", bit);
+        }
+    }
+
     /// One device alternating two kernels — the second with more
     /// registers and shared words — so a launch's predecessor is the
     /// other kernel, or (on a repeat) its own: the counters follow the
@@ -168,6 +213,56 @@ proptest! {
         let c = device.stats().cache;
         prop_assert_eq!((c.hits, c.misses, c.entries), (order.len() as u64 - 2, 2, 2));
     }
+}
+
+/// Hands `f` every immediate operand and every affine-address coefficient
+/// of `body` (base, lane, block, block-y, loop and register terms), in
+/// program order, and returns how many there were.
+fn words(body: &mut [Instr], f: &mut dyn FnMut(&mut i64)) -> usize {
+    let mut n = 0;
+    let mut op = |o: &mut Operand, f: &mut dyn FnMut(&mut i64)| {
+        if let Operand::Imm(v) = o {
+            f(v);
+            n += 1;
+        }
+    };
+    let mut addrs: Vec<&mut CompiledAddr> = Vec::new();
+    let mut nested = 0;
+    for i in body.iter_mut() {
+        match i {
+            Instr::Alu { a, b, .. } => {
+                op(a, f);
+                op(b, f);
+            }
+            Instr::Mov { src, .. } => op(src, f),
+            Instr::StShr { shared, src } => {
+                op(src, f);
+                addrs.push(shared);
+            }
+            Instr::LdShr { shared, .. } => addrs.push(shared),
+            Instr::GlbToShr { shared, global } | Instr::ShrToGlb { global, shared } => {
+                addrs.push(shared);
+                addrs.push(&mut global.offset);
+            }
+            Instr::Pred { then_body, else_body, .. } => {
+                nested += words(then_body, f);
+                nested += words(else_body, f);
+            }
+            Instr::Repeat { body, .. } => nested += words(body, f),
+            Instr::Sync => {}
+        }
+    }
+    for addr in addrs {
+        if let CompiledAddr::Affine(a) = addr {
+            let reg = a.reg.as_mut().map(|(_, c)| c);
+            let terms = [&mut a.base, &mut a.lane, &mut a.block, &mut a.block_y];
+            for w in terms.into_iter().chain(&mut a.loops).chain(reg) {
+                f(w);
+                n += 1;
+            }
+        }
+    }
+    n + nested
 }
 
 /// The bound is a constant of the device: `DEFAULT_CACHE_CAPACITY + 1`

@@ -89,14 +89,13 @@ fn steady_state_block_execution_is_allocation_free() {
     kb.shr_to_glb(DBuf(1), AddrExpr::block() * bi + AddrExpr::lane(), AddrExpr::lane() + 4 * bi);
     let kernel = kb.build();
 
-    let nregs = kernel.max_reg().map(|r| u32::from(r) + 1).unwrap_or(1);
     let bases = vec![0u64, gwords];
     let mut gmem = GlobalMemory::new(bases.clone(), 2 * gwords, u64::from(b), 1 << 22).unwrap();
     for i in 0..gwords {
         gmem.write(i as i64, (i % 13) as i64);
     }
 
-    let compiled = CompiledKernel::compile(&kernel, &bases, b, nregs);
+    let compiled = CompiledKernel::compile(&kernel, &bases, b, 0);
     let mut dram = DramController::new(4, 60);
     let mut mp: Mp<BlockExec> = Mp::new(4);
 

@@ -78,6 +78,10 @@ const LIBS: Strs = &["crates/*/src", "src"];
 const SERVE_LIB: Strs = &["crates/atgpu-serve/src/lib.rs"];
 const ENGINE: Strs = &["crates/atgpu-sim/src/engine.rs"];
 const BENCH: &str = "crates/atgpu-bench/src/bin/benchmark/";
+/// The 64-bit FNV offset basis and prime, as library code may spell them.
+const FNV: Strs = &["cbf2_9ce4_8422_2325", "cbf29ce484222325", "0100_0000_01b3", "100000001b3"];
+const FNV_IR: &str = "crates/atgpu-ir/src/kernel.rs";
+const FNV_MODEL: &str = "crates/atgpu-model/src/params.rs";
 #[rustfmt::skip]
 const WALLED: Strs = &[
     "crates/atgpu-analyze/src/lib.rs", "crates/atgpu-ir/src/lib.rs", "crates/atgpu-serve/src/lib.rs",
@@ -185,6 +189,10 @@ const RULES: &[Rule] = &[
         checks: &[grep(LIBS, &["Borrow<", "get_key_value", "KeyParts", "dyn Keyed", "query_key"],
                 "impl Borrow<KeyParts> for Key {").rs(),
             grep(SERVE_LIB, &["program_key("], "let key = program_key(&program);")] },
+    Rule { name: "One structural hasher (FNV's constants live in atgpu_ir::Fnv1a and its mirror spec_key)",
+        why: "every unkeyed key is Fnv1a's word step; the model crate cannot depend on the IR, so ClusterSpec::spec_key repeats it",
+        checks: &[grep(LIBS, FNV, "    let mut h: u64 = 0xcbf2_9ce4_8422_2325;").rs().except(&[FNV_IR, FNV_MODEL, BENCH]),
+            grep(&[FNV_IR, FNV_MODEL], FNV, "        h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);").allowed(4..=4)] },
     Rule { name: "A quote prices a kept analysis",
         why: "serve keeps each program's CostInputs under its keyed shape and prices every spec from them",
         checks: &[grep(&["crates/atgpu-serve/src"], &[r"\bpredict\s*(", r"\banalyze_cluster_program\s*(",

@@ -4,11 +4,15 @@
 //! sizes), plus the builders the benchmark does not reach.  The table in
 //! `builder_pin.tsv` was generated at the commit before the workload ×
 //! plan collapse; a refactor of the builders must leave every row as it
-//! is.  (`program_key` covers buffer sizes and roles, every step's
-//! operands, device and stream, kernel bodies and grids, `Launch` vs
-//! `LaunchSharded` and the shard plan; the program name is pinned beside
-//! it.)  To extend the table, add the cell and paste its row from the
-//! failure message.
+//! is, and a builder change never regenerates it.  (`program_key` covers
+//! buffer sizes and roles, every step's operands, device and stream,
+//! kernel bodies and grids, `Launch` vs `LaunchSharded` and the shard
+//! plan; the program name is pinned beside it.)  The key is the one
+//! structural hasher's, `atgpu_ir::Fnv1a`: a change of that hasher
+//! regenerates the key column alone, with every row and name kept and
+//! the rows that keyed alike still keying alike (it last moved when the
+//! hasher went from a byte to a word per step).  To extend the table,
+//! add the cell and paste its row from the failure message.
 
 use atgpu::algos::bitonic::BitonicSort;
 use atgpu::algos::dot::Dot;

@@ -59,8 +59,7 @@ fn static_workloads_compile_to_the_static_masked_path() {
         for step in built.program.rounds.iter().flat_map(|r| &r.steps) {
             let Some((kernel, _)) = step.launch() else { continue };
             let cell = format!("{name}/{plan_name} kernel `{}`", kernel.name);
-            let nregs = kernel.max_reg().map_or(1, |r| u32::from(r) + 1);
-            let c = CompiledKernel::compile(kernel, &bases, machine.b as u32, nregs);
+            let c = CompiledKernel::compile(kernel, &bases, machine.b as u32, 0);
             let b = machine.b;
             let check = |id: u32, global: bool| {
                 let site: &Site = &c.sites[id as usize];
@@ -113,8 +112,7 @@ fn register_strides_lower_to_the_uniform_affine_path() {
         let mut uniform = 0;
         for step in built.program.rounds.iter().flat_map(|r| &r.steps) {
             let Some((kernel, _)) = step.launch() else { continue };
-            let nregs = kernel.max_reg().map_or(1, |r| u32::from(r) + 1);
-            let c = CompiledKernel::compile(kernel, &bases, machine.b as u32, nregs);
+            let c = CompiledKernel::compile(kernel, &bases, machine.b as u32, 0);
             for (id, site) in c.sites.iter().enumerate() {
                 let SiteAddr::Affine(a) = site.addr else { continue };
                 if a.reg.is_some() {
